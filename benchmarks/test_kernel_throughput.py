@@ -36,6 +36,19 @@ KERNEL_POINTS = {
     "linearizable-synchronous-5s": (LIN_SYNC, 5),
 }
 
+#: label -> ceilings on (kernel events, spawned processes) per handled
+#: protocol message: the values measured at 150 us after the
+#: callback-message rewrite, plus 10 %.  They are whole-run ratios, so
+#: client work rides along and a point with few messages per operation
+#: (3 servers: two UPDs per write) sits higher than ROADMAP item 1's
+#: 8 / 1 target for the message path proper.
+MESSAGE_COST_CEILINGS = {
+    "causal-eventual-3s": (12.1, 2.30),           # measured 10.97 / 2.09
+    "causal-eventual-5s": (8.8, 1.86),            # measured  7.98 / 1.69
+    "causal-eventual-8s": (6.9, 1.55),            # measured  6.27 / 1.41
+    "linearizable-synchronous-5s": (4.95, 1.52),  # measured  4.46 / 1.38
+}
+
 _RESULTS = {}
 
 
@@ -68,6 +81,8 @@ def _metrics_row(profile, summary):
         "processes_spawned": profile.processes_spawned,
         "heap_peak": profile.heap_peak,
         "messages_handled": profile.messages_handled,
+        "events_per_message": profile.events_per_message,
+        "processes_per_message": profile.processes_per_message,
         "events_per_wall_second": profile.events_per_wall_second,
         "wall_seconds": profile.wall_elapsed_seconds,
         "loop_wall_seconds": loop,
@@ -98,6 +113,16 @@ class TestKernelThroughput:
                 f"{label}: {attributed:.6f}s attributed vs "
                 f"{loop:.6f}s loop wall")
 
+    def test_message_cost_stays_under_its_ceilings(self):
+        """ROADMAP item 1's ratio cannot creep back silently: every
+        benched point stays under its measured-plus-10 % ceilings."""
+        for label, (profile, _summary, _wall) in _run_points().items():
+            events_max, processes_max = MESSAGE_COST_CEILINGS[label]
+            assert profile.events_per_message <= events_max, (
+                label, profile.events_per_message)
+            assert profile.processes_per_message <= processes_max, (
+                label, profile.processes_per_message)
+
     def test_event_counts_scale_with_cluster_size(self):
         """The deterministic counters behave: more servers (at constant
         per-node load) means more kernel events."""
@@ -124,7 +149,8 @@ class TestKernelThroughput:
                      wall_clock_seconds=total_wall)
 
         header = (f"{'point':<30} {'events':>9} {'events/s':>11} "
-                  f"{'ns/event':>9} {'slowdown':>9}")
+                  f"{'ns/event':>9} {'slowdown':>9} {'ev/msg':>7} "
+                  f"{'proc/msg':>8}")
         lines = ["kernel throughput baseline (events/sec)", header,
                  "-" * len(header)]
         for label, row in metrics.items():
@@ -132,7 +158,9 @@ class TestKernelThroughput:
                 f"{label:<30} {row['events_processed']:>9} "
                 f"{row['events_per_wall_second']:>11.0f} "
                 f"{row['ns_per_event']:>9.0f} "
-                f"{row['wall_seconds_per_sim_second']:>8.0f}x")
+                f"{row['wall_seconds_per_sim_second']:>8.0f}x "
+                f"{row['events_per_message']:>7.2f} "
+                f"{row['processes_per_message']:>8.2f}")
         archive("kernel_throughput", "\n".join(lines))
 
     def test_bench_artifact_schema(self):

@@ -98,7 +98,7 @@ class Cluster:
     # -- running --------------------------------------------------------------------
 
     def start(self) -> None:
-        """Launch node dispatchers and client loops."""
+        """Attach the engines to their NICs and launch the client loops."""
         for node in self.nodes:
             node.start()
         for client in self.clients:

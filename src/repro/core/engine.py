@@ -49,7 +49,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.net.network import Network, Nic
 from repro.core.membership import Membership
 from repro.sim.engine import Event, Simulator
-from repro.sim.sync import Resource
+from repro.sim.sync import AdmissionPool, Resource
 from repro.sim.trace import NullTracer
 from repro.txn.manager import Txn, TxnTable
 
@@ -242,8 +242,9 @@ class ProtocolNode:
         self.replicas = ReplicaTable(sim, node_id, observer=observer)
         self.request_workers = Resource(sim, self.config.request_workers,
                                         name=f"n{node_id}.reqw")
-        self.protocol_workers = Resource(sim, self.config.protocol_workers,
-                                         name=f"n{node_id}.protw")
+        # Held for a fixed msg_proc_ns per message, known on arrival.
+        self.protocol_workers = AdmissionPool(sim, self.config.protocol_workers,
+                                              name=f"n{node_id}.protw")
         self._op_counter = 0
         self._outstanding_writes: Dict[int, _WriteOp] = {}
         self._outstanding_rounds: Dict[int, _RoundOp] = {}
@@ -256,7 +257,6 @@ class ProtocolNode:
         # transaction's INVs, cleared when the post-ENDX VAL arrives.
         self._txn_invs: Dict[int, List[Tuple[int, int]]] = {}
         self._alive = True
-        self._dispatcher = None
         # Fault tolerance (None in failure-free runs: no timers armed,
         # no epoch bookkeeping — exact seed behavior).
         self.membership = membership
@@ -266,18 +266,21 @@ class ProtocolNode:
         if membership is not None:
             membership.subscribe(node_id, self._on_membership_change)
         # Bound once here instead of building a dict literal per
-        # inbound message in _handle_message.
+        # inbound message in _on_arrival.
         self._handlers = {msg_type: getattr(self, name)
                           for msg_type, name in self._DISPATCH.items()}
+        # Likewise the names of the processes spawned per message.
+        self._pname = {role: f"n{node_id}.{role}" for role in (
+            "msg", "persist", "crecheck", "valp", "bground", "cvalp",
+            "ackp", "strictp", "chain", "orphan", "pmany", "scopep")}
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Launch the inbound-message dispatcher."""
-        self._dispatcher = self.sim.process(self._dispatch_loop(),
-                                            name=f"n{self.node_id}.dispatch")
+        """Take over the NIC: arrivals come to :meth:`_on_arrival`."""
+        self.nic.sink = self._on_arrival
 
     def crash(self) -> None:
         """Volatile-state failure: stop processing; volatile data is gone.
@@ -306,7 +309,7 @@ class ProtocolNode:
         Anything newer than the durable image is simply lost (the crash
         contract) and catches up through later INV/UPD traffic.
 
-        The inbound dispatcher keeps running across the outage (it drops
+        The NIC sink stays installed across the outage (it drops
         messages while ``crash()`` holds ``_alive`` false), so flipping
         the flag back is all the "reboot" the message plane needs.
         Queued worker admissions abandoned by interrupted clients are
@@ -330,14 +333,6 @@ class ProtocolNode:
             if self.store is not None:
                 self.store.put(key, value)
         self._alive = True
-
-    def _dispatch_loop(self) -> Generator:
-        while True:
-            message = yield self.nic.receive()
-            if not self._alive:
-                continue
-            self.sim.process(self._handle_message(message),
-                             name=f"n{self.node_id}.msg")
 
     # ------------------------------------------------------------------
     # small helpers
@@ -387,7 +382,7 @@ class ProtocolNode:
                    targets: Optional[List[int]] = None) -> None:
         if self.config.chain_propagation:
             self.sim.process(self._chain_send(message, lazy),
-                             name=f"n{self.node_id}.chain")
+                             name=self._pname["chain"])
             return
         for dst in (self.active_peers if targets is None else targets):
             self._send(dst, message, lazy)
@@ -410,13 +405,6 @@ class ProtocolNode:
                                  node=self.node_id, **details)
             yield self.network.send(self.node_id, dst, message,
                                     message.size_bytes)
-
-    def _charge_protocol_cpu(self) -> Generator:
-        yield self.protocol_workers.acquire()
-        try:
-            yield self.sim.timeout(self.config.msg_proc_ns)
-        finally:
-            self.protocol_workers.release()
 
     def _store_read_cost(self, key: int) -> float:
         if self.store is None:
@@ -444,7 +432,7 @@ class ProtocolNode:
                 and replica.key in self._causal_waiting):
             # A durability advance can unblock buffered causal updates.
             self.sim.process(self._recheck_causal_waiters(replica.key),
-                             name=f"n{self.node_id}.crecheck")
+                             name=self._pname["crecheck"])
 
     def _request_persist(self, replica: KeyReplica, version: Version,
                          value: Any, trigger: str = "inline") -> None:
@@ -469,7 +457,7 @@ class ProtocolNode:
         if not replica.persist_active:
             replica.persist_active = True
             self.sim.process(self._persist_drain_loop(replica),
-                             name=f"n{self.node_id}.persist")
+                             name=self._pname["persist"])
 
     def _persist_drain_loop(self, replica: KeyReplica) -> Generator:
         """Drain the key's write-pending slot until it stays empty."""
@@ -506,21 +494,19 @@ class ProtocolNode:
             lambda: replica.persisted_version >= version)
 
     def _spawn_persist(self, replica: KeyReplica, version: Version, value: Any,
-                       delay_ns: float = 0.0,
-                       scope_id: Optional[int] = None,
-                       trigger: str = "inline"):
-        """Schedule a background persist (eager or lazy)."""
-        if delay_ns <= 0 and scope_id is None:
+                       delay_ns: float = 0.0, trigger: str = "inline") -> None:
+        """Schedule a background persist (eager, or lazy after
+        ``delay_ns``); nobody waits on it."""
+        if delay_ns <= 0:
             self._request_persist(replica, version, value, trigger)
-            return None
+        else:
+            self.sim.call_at(self.sim.now + delay_ns, self._lazy_persist,
+                             replica, version, value, trigger)
 
-        def runner() -> Generator:
-            if delay_ns > 0:
-                yield self.sim.timeout(delay_ns)
-            yield from self._ensure_persisted(replica, version, value, scope_id,
-                                              trigger=trigger)
-
-        return self.sim.process(runner(), name=f"n{self.node_id}.bgpersist")
+    def _lazy_persist(self, replica: KeyReplica, version: Version, value: Any,
+                      trigger: str) -> None:
+        if replica.persisted_version < version:
+            self._request_persist(replica, version, value, trigger)
 
     # ------------------------------------------------------------------
     # fault tolerance: round watchdogs and membership changes
@@ -612,7 +598,7 @@ class ProtocolNode:
             if orphaned and self.ppolicy.dual_acks:
                 self.orphans_absorbed += 1
                 self.sim.process(self._absorb_orphan(replica),
-                                 name=f"n{self.node_id}.orphan")
+                                 name=self._pname["orphan"])
         for txn_id in sorted(self._txn_invs):
             entries = self._txn_invs[txn_id]
             if any(op_id % 1024 == crashed for _key, op_id in entries):
@@ -857,7 +843,7 @@ class ProtocolNode:
             self._finish_invalidation(op, replica)
             if self.ppolicy.dual_acks:
                 self.sim.process(self._await_cluster_persist(op, replica),
-                                 name=f"n{self.node_id}.valp")
+                                 name=self._pname["valp"])
             return
 
         # Read-Enforced / Transactional consistency: the client write
@@ -865,7 +851,7 @@ class ProtocolNode:
         if self.ppolicy.dual_acks:
             self._spawn_persist(replica, version, value, trigger="eager")
             self.sim.process(self._background_round_dual(op, replica),
-                             name=f"n{self.node_id}.bground")
+                             name=self._pname["bground"])
         elif txn_id is not None:
             # Persists (Synchronous) are deferred to ENDX; ACKs collected
             # so end-of-transaction can confirm every replica updated.
@@ -883,7 +869,7 @@ class ProtocolNode:
                                     delay_ns=self.config.lazy_persist_delay_ns,
                                     trigger="lazy")
             self.sim.process(self._background_round_simple(op, replica),
-                             name=f"n{self.node_id}.bground")
+                             name=self._pname["bground"])
 
     def _apply_txn_write(self, replica: KeyReplica, version: Version,
                          value: Any) -> None:
@@ -1002,19 +988,16 @@ class ProtocolNode:
             self._outstanding_writes[op_id] = op
             self._arm_round_watchdog(op.ack_p, message)
             self.sim.process(self._causal_valp_round(op, replica),
-                             name=f"n{self.node_id}.cvalp")
+                             name=self._pname["cvalp"])
         elif self.ppolicy.persist_mode is PersistMode.LAZY_BACKGROUND:
             self._spawn_persist(replica, version, value,
                                 delay_ns=self.config.lazy_persist_delay_ns,
                                 trigger="lazy")
         # ON_SCOPE_END: nothing now; the scope's Persist call handles it.
 
-    def _spawn_lazy_broadcast(self, message: Message):
-        def runner() -> Generator:
-            yield self.sim.timeout(self.config.lazy_propagation_delay_ns)
-            self._broadcast(message, lazy=True)
-
-        return self.sim.process(runner(), name=f"n{self.node_id}.lazyupd")
+    def _spawn_lazy_broadcast(self, message: Message) -> None:
+        self.sim.call_at(self.sim.now + self.config.lazy_propagation_delay_ns,
+                         self._broadcast, message, True)
 
     def _causal_valp_round(self, op: _WriteOp, replica: KeyReplica) -> Generator:
         """<Causal/Eventual, Read-Enforced>: collect ACK_p and announce
@@ -1153,7 +1136,7 @@ class ProtocolNode:
             procs.append(self.sim.process(
                 self._ensure_persisted(replica, version, value,
                                        trigger="endx"),
-                name=f"n{self.node_id}.pmany"))
+                name=self._pname["pmany"]))
         if procs:
             yield self.sim.all_of(procs)
 
@@ -1220,7 +1203,7 @@ class ProtocolNode:
             replica = self.replicas.get(key)
             procs.append(self.sim.process(
                 self._scope_persist_one(replica, version, scope_id),
-                name=f"n{self.node_id}.scopep"))
+                name=self._pname["scopep"]))
         if procs:
             yield self.sim.all_of(procs)
         if self.nvm_log is not None:
@@ -1238,15 +1221,23 @@ class ProtocolNode:
     # follower message handlers
     # ------------------------------------------------------------------
 
-    def _handle_message(self, message: Message) -> Generator:
-        tracing = self.tracer.enabled
-        if tracing:
+    def _on_arrival(self, message: Message) -> None:
+        """NIC sink: a message landed.  Dropped while crashed (holding
+        no worker); otherwise its handler starts once a protocol worker
+        has spent ``msg_proc_ns`` on it."""
+        if not self._alive:
+            return
+        if self.tracer.enabled:
             self.tracer.emit(self.sim.now, "msg_recv", node=self.node_id,
                              msg=message.msg_type.value, src=message.src,
                              op_id=message.op_id, key=message.key,
                              version=message.version)
-            handle_start = self.sim.now
-        yield from self._charge_protocol_cpu()
+        msg_proc_ns = self.config.msg_proc_ns
+        cpu_done = self.protocol_workers.admit(msg_proc_ns) + msg_proc_ns
+        self.sim.process(self._handle_message(message, self.sim.now),
+                         name=self._pname["msg"], start_at=cpu_done)
+
+    def _handle_message(self, message: Message, arrived_ns: float) -> Generator:
         handler = self._handlers[message.msg_type](message)
         profile = self.sim.profile
         if profile is None:
@@ -1255,9 +1246,9 @@ class ProtocolNode:
             # Transparent timing shim: yields the same events in the same
             # order, so the run stays byte-identical (see KernelProfile).
             yield from profile.drive_handler(message.msg_type.value, handler)
-        if tracing:
+        if self.tracer.enabled:
             self.tracer.emit(self.sim.now, "msg_handle", node=self.node_id,
-                             dur=self.sim.now - handle_start,
+                             dur=self.sim.now - arrived_ns,
                              msg=message.msg_type.value, src=message.src,
                              op_id=message.op_id)
 
@@ -1307,7 +1298,7 @@ class ProtocolNode:
         if self.ppolicy.dual_acks:
             self.sim.process(
                 self._persist_then_ack_p(replica, message),
-                name=f"n{self.node_id}.ackp")
+                name=self._pname["ackp"])
         elif self.ppolicy.persist_mode is PersistMode.LAZY_BACKGROUND:
             self._spawn_persist(replica, message.version, message.value,
                                 delay_ns=self.config.lazy_persist_delay_ns,
@@ -1392,7 +1383,7 @@ class ProtocolNode:
             # volatile replica is updated).
             self.sim.process(self._persist_then_ack_p(replica, message,
                                                       trigger="strict"),
-                             name=f"n{self.node_id}.strictp")
+                             name=self._pname["strictp"])
         if self.cpolicy.causal:
             unmet = self._first_unmet_dep(message.cauhist)
             if unmet is not None:
@@ -1470,7 +1461,7 @@ class ProtocolNode:
                                               message.value)
         elif mode is PersistMode.EAGER_BACKGROUND:
             self.sim.process(self._persist_then_ack_p(replica, message),
-                             name=f"n{self.node_id}.ackp")
+                             name=self._pname["ackp"])
         elif mode is PersistMode.LAZY_BACKGROUND:
             self._spawn_persist(replica, message.version, message.value,
                                 delay_ns=self.config.lazy_persist_delay_ns,

@@ -240,10 +240,13 @@ def cmd_order(args) -> int:
         print(f"sanitizer: {len(cells)} model(s) x "
               f"{len(sweep_result.seeds)} seed(s), "
               f"{permuted} batch permutation(s), "
-              f"{'all byte-identical' if sweep_result.ok else 'DIVERGED'}")
+              f"{'all byte-identical' if sweep_result.ok else 'FAILED'}")
         for cell in sweep_result.diverged:
             print(f"  DIVERGED {cell.model}: seeds {cell.diverged} "
                   f"(pairs: {cell.observed_pairs})")
+        for cell in sweep_result.vacuous:
+            print(f"  VACUOUS {cell.model}: no seed reordered a batch "
+                  f"(byte-identity certifies nothing)")
         exercised, uncovered = cover["exercised"], cover["uncovered"]
         print(f"coverage: {len(cover['flagged'])} flagged pair(s), "
               f"{len(exercised)} exercised, {len(uncovered)} uncovered")

@@ -18,19 +18,36 @@ What gets permuted — and what must stay seq-stable
 --------------------------------------------------
 Only ``msg_delivery`` entries are reordered (among the positions they
 occupy in the batch); other event kinds keep their insertion-sequence
-order.  The split mirrors the static pass exactly: delivery order *is*
-handler co-scheduling order, the dimension the effect analysis
-certifies commutative.  The remaining kinds — process continuations,
-timeouts inside memory accesses, resource grants — encode *intra*-
-handler progress, and their relative order decides FIFO admission at
-shared timing resources (NVM bank queues, DDIO capacity): reordering
-those legitimately swaps per-op latencies and cascades through the
-closed-loop clients into genuinely different (all individually valid)
-trajectories.  That is the ``sched`` location the static pass exempts,
-and the concrete certificate this module leaves for ROADMAP item 1's
-queue swap: a replacement event queue may break delivery ties freely
-but MUST preserve insertion order among equal-timestamp continuations
-(i.e. be a *stable* priority queue).
+order.  A delivery is a network *landing* — the ``call_at`` entry
+``Network.send`` schedules, tagged ``msg_delivery`` and carrying the
+message and its destination NIC — or, for code that reads a NIC inbox,
+the ``Nic.receive()`` event.  The split mirrors the static pass
+exactly: delivery order *is* handler co-scheduling order, the dimension
+the effect analysis certifies commutative.  The remaining kinds —
+process continuations, timeouts inside memory accesses, resource
+grants — encode *intra*-handler progress, and their relative order
+decides FIFO admission at shared timing resources (NVM bank queues,
+DDIO capacity): reordering those legitimately swaps per-op latencies
+and cascades through the closed-loop clients into genuinely different
+(all individually valid) trajectories.  That is the ``sched`` location
+the static pass exempts, and the concrete certificate this module
+leaves for ROADMAP item 1's queue swap: a replacement event queue may
+break delivery ties between *different nodes* freely but MUST preserve
+insertion order among equal-timestamp continuations (i.e. be a
+*stable* priority queue).
+
+Landings tied at one *destination* are part of that ``sched`` domain
+too: their order is FIFO admission at the node's protocol workers and,
+through the handlers, at its memory.  So a tie is permuted the way one
+dispatcher per node used to take it — in *waves*: every node's first
+simultaneous arrival in shuffled node order, then every node's second,
+and so on; a node's own arrivals never trade places.  Wider scopes were
+tried and are not certificates but noise: shuffling one node's
+arrivals, or interleaving nodes freely across waves, flips which of two
+lock-stepped coordinators broadcasts first, hence the arrival order of
+their INVs at a third node, hence the NVM-bank queue there — a
+different valid trajectory (``<Transactional, Strict>`` takes one on
+half of all seeds), not a protocol-state divergence.
 
 The sweep runs fixed work, not fixed duration: every client carries a
 request budget (``Client.max_requests``) and the cluster drains to
@@ -65,6 +82,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.sim.engine import Callback
 from repro.sim.rng import SeededStream
 
 __all__ = [
@@ -108,10 +126,22 @@ class TieBatchSanitizer:
         sim.order_sanitizer = self
 
     @staticmethod
-    def _label(event) -> str:
+    def _landing(event) -> tuple:
+        """``(message, destination)`` of a ``msg_delivery`` entry.
+
+        A network landing (a ``call_at`` entry running
+        ``Network._land(message, dst_nic, ...)``) names both; an inbox
+        ``Nic.receive()`` event carries the message as its value and is
+        its own destination (a reader has one ``get`` pending at a time).
+        """
+        if isinstance(event, Callback):
+            return event.args[0], event.args[1]
+        return event._value, event
+
+    @classmethod
+    def _label(cls, event) -> str:
         if event.kind == "msg_delivery":
-            message = event._value
-            msg_type = getattr(message, "msg_type", None)
+            msg_type = getattr(cls._landing(event)[0], "msg_type", None)
             if msg_type is not None:
                 return msg_type.name
         return f"kind:{event.kind}"
@@ -135,9 +165,24 @@ class TieBatchSanitizer:
                  if event.kind == "msg_delivery"]
         if len(slots) < 2:
             return
-        deliveries = [batch[i] for i in slots]
-        before = list(deliveries)
-        self._rng.shuffle(deliveries)
+        before = [batch[i] for i in slots]
+        # Wave by wave, as one dispatcher per node used to take a tie:
+        # every node's first simultaneous arrival (in shuffled node
+        # order), then every node's second, ...  A node's own arrivals
+        # thus keep their insertion order — its FIFO, not a freedom.
+        waves: List[List[tuple]] = []
+        arrived: Dict[int, int] = {}
+        for entry in before:
+            destination = id(self._landing(entry[2])[1])
+            rank = arrived.get(destination, 0)
+            arrived[destination] = rank + 1
+            if rank == len(waves):
+                waves.append([])
+            waves[rank].append(entry)
+        deliveries: List[tuple] = []
+        for wave in waves:
+            self._rng.shuffle(wave)
+            deliveries.extend(wave)
         for slot, entry in zip(slots, deliveries):
             batch[slot] = entry
         if deliveries != before:
@@ -196,8 +241,15 @@ class CellResult:
                       if digest != self.baseline_digest)
 
     @property
+    def vacuous(self) -> bool:
+        """Seeds ran but none ever reordered a batch: the byte-identity
+        below certifies nothing (a checker that cannot perturb passes
+        silently), so the cell fails."""
+        return bool(self.permuted) and not any(self.permuted.values())
+
+    @property
     def ok(self) -> bool:
-        return not self.diverged
+        return not self.diverged and not self.vacuous
 
 
 @dataclass
@@ -214,7 +266,11 @@ class SweepResult:
 
     @property
     def diverged(self) -> List[CellResult]:
-        return [cell for cell in self.cells if not cell.ok]
+        return [cell for cell in self.cells if cell.diverged]
+
+    @property
+    def vacuous(self) -> List[CellResult]:
+        return [cell for cell in self.cells if cell.vacuous]
 
     def observed_pairs(self) -> List[Tuple[str, str]]:
         pairs = set()
@@ -240,6 +296,7 @@ class SweepResult:
                 "permuted": {str(seed): count
                              for seed, count in sorted(cell.permuted.items())},
                 "diverged_seeds": cell.diverged,
+                "vacuous": cell.vacuous,
                 "observed_pairs": [list(p) for p in cell.observed_pairs],
             } for cell in self.cells],
         }

@@ -46,18 +46,17 @@ class HybridProtocolNode(ProtocolNode):
         message = Message(MsgType.UPD, src=self.node_id,
                           op_id=self._next_op_id(), key=key, version=version,
                           value=value)
+        self.sim.call_at(self.sim.now + self.config.lazy_propagation_delay_ns,
+                         self._send_remote, message)
 
-        def runner() -> Generator:
-            yield self.sim.timeout(self.config.lazy_propagation_delay_ns)
-            for dst in self.remote_ids:
-                self._send(dst, message, lazy=True)
-            self.remote_upds_sent += len(self.remote_ids)
-            if self.tracer.enabled:
-                self.tracer.emit(self.sim.now, "xdc_upd", node=self.node_id,
-                                 key=key, version=version,
-                                 remotes=len(self.remote_ids))
-
-        self.sim.process(runner(), name=f"n{self.node_id}.xdc")
+    def _send_remote(self, message: Message) -> None:
+        for dst in self.remote_ids:
+            self._send(dst, message, lazy=True)
+        self.remote_upds_sent += len(self.remote_ids)
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, "xdc_upd", node=self.node_id,
+                             key=message.key, version=message.version,
+                             remotes=len(self.remote_ids))
 
     def _write_invalidation(self, ctx: ClientContext, replica: KeyReplica,
                             version: Version, value: Any) -> Generator:

@@ -5,9 +5,10 @@ and NICs with up to 400 queue pairs.  We model:
 
 * :class:`NetworkConfig` — latency/bandwidth/queue-pair parameters.
 * :class:`Nic` — per-node endpoint; outgoing messages serialize onto the
-  link at the configured bandwidth and occupy a queue pair until
-  delivered; incoming messages are deposited into the node's inbox
-  (via DDIO in the memory model, handled by the node).
+  link at the configured bandwidth and occupy a queue pair while they
+  do; incoming messages are handed to the node's sink — its protocol
+  engine, or by default an inbox (DDIO is charged in the memory model,
+  by the node).
 * :class:`Network` — the all-to-all fabric connecting NICs, adding the
   propagation latency (half the configured round trip per direction).
 
@@ -17,10 +18,10 @@ Messages are opaque to this layer; it only needs ``size_bytes``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.engine import Event, Simulator
-from repro.sim.sync import Resource, Store
+from repro.sim.sync import AdmissionPool, Store
 from repro.sim.trace import NullTracer
 
 __all__ = ["NetworkConfig", "Nic", "Network"]
@@ -44,16 +45,23 @@ class Nic:
 
     Sending holds a queue pair for the serialization time; the in-flight
     propagation does not hold the queue pair (the fabric pipelines), so
-    queue pairs only throttle injection rate, as on real hardware.
+    queue pairs only throttle injection rate, as on real hardware.  The
+    hold is known on injection, so admission is closed-form
+    (:class:`~repro.sim.sync.AdmissionPool`), not a process.
+
+    Arrivals go to ``sink``, a plain callable taking the message.  It
+    defaults to the inbox (read with :meth:`receive`); a protocol engine
+    installs its own arrival handler instead.
     """
 
     def __init__(self, sim: Simulator, node_id: int, config: NetworkConfig):
         self.sim = sim
         self.node_id = node_id
         self.config = config
-        self.queue_pairs = Resource(sim, config.queue_pairs,
-                                    name=f"nic{node_id}.qp")
+        self.queue_pairs = AdmissionPool(sim, config.queue_pairs,
+                                         name=f"nic{node_id}.qp")
         self.inbox: Store = Store(sim, name=f"nic{node_id}.inbox")
+        self.sink: Callable[[Any], None] = self.inbox.put
         self.bytes_sent = 0
         self.bytes_received = 0
         self.messages_sent = 0
@@ -66,10 +74,10 @@ class Nic:
         """Called by the fabric when a message arrives."""
         self.messages_received += 1
         self.bytes_received += size_bytes
-        self.inbox.put(message)
+        self.sink(message)
 
     def receive(self) -> Event:
-        """Event yielding the next inbound message."""
+        """Event yielding the next inbound message (default sink only)."""
         event = self.inbox.get()
         event.kind = "msg_delivery"
         return event
@@ -94,10 +102,8 @@ class Network:
         # Optional per-pair propagation delay (ns) — used by hybrid
         # multi-datacenter topologies; defaults to the uniform fabric.
         self.one_way_fn = one_way_fn
-        # Optional hook for failure injection: called with (src, dst, msg);
-        # returning False drops the message.
-        self.filter: Optional[Callable[[int, int, Any], bool]] = None
-        # Richer fault hook (duck-typed, see repro.faults.FaultInjector):
+        # The one interposition point (duck-typed, see
+        # repro.faults.FaultInjector):
         # ``faults.on_message(src, dst, message, size_bytes)`` returns
         # None for "deliver normally" or an object with ``drop`` (bool),
         # ``delay_ns`` (float, extra propagation latency) and ``copies``
@@ -127,20 +133,21 @@ class Network:
         """Inject ``message`` from ``src`` to ``dst``.
 
         Returns an event that triggers when the message is delivered at
-        the destination NIC.  The sending side is charged queue-pair
-        occupancy and serialization via a helper process.
+        the destination NIC (never, if the fault hook drops it).  Every
+        duration on the way is known here — queue-pair admission,
+        serialization, propagation — so the transfer is one computed
+        timestamp and one scheduled landing, not a process.
         """
         if src == dst:
             raise ValueError("loopback send: use local operations instead")
-        if self.filter is not None and not self.filter(src, dst, message):
-            return self.sim.event()  # dropped: never triggers
+        delivered = Event(self.sim)
         extra_delay_ns = 0.0
         if self.faults is not None:
             verdict = self.faults.on_message(src, dst, message, size_bytes)
             if verdict is not None:
                 if verdict.drop:
                     self.dropped_messages += 1
-                    return self.sim.event()  # dropped: never triggers
+                    return delivered  # dropped: never triggers
                 extra_delay_ns = verdict.delay_ns
                 if extra_delay_ns > 0:
                     self.delayed_messages += 1
@@ -148,27 +155,17 @@ class Network:
                 # queue pair and serializes like a real resend would.
                 for _copy in range(verdict.copies - 1):
                     self.duplicated_messages += 1
-                    self.sim.process(
-                        self._transfer(src, dst, message, size_bytes,
-                                       self.sim.event(), extra_delay_ns),
-                        name=f"net:{src}->{dst}")
-        delivered = self.sim.event()
-        self.sim.process(self._transfer(src, dst, message, size_bytes,
-                                        delivered, extra_delay_ns),
-                         name=f"net:{src}->{dst}")
+                    self._transmit(src, dst, message, size_bytes,
+                                   extra_delay_ns, None)
+        self._transmit(src, dst, message, size_bytes, extra_delay_ns,
+                       delivered)
         return delivered
 
-    def _transfer(self, src: int, dst: int, message: Any, size_bytes: int,
-                  delivered: Event, extra_delay_ns: float = 0.0) -> Generator:
+    def _transmit(self, src: int, dst: int, message: Any, size_bytes: int,
+                  extra_delay_ns: float, delivered: Optional[Event]) -> None:
         src_nic = self._nics[src]
-        dst_nic = self._nics[dst]
-        inject_start = self.sim.now
         serialization_ns = src_nic.serialization_ns(size_bytes)
-        yield src_nic.queue_pairs.acquire()
-        try:
-            yield self.sim.timeout(serialization_ns)
-        finally:
-            src_nic.queue_pairs.release()
+        on_link = src_nic.queue_pairs.admit(serialization_ns) + serialization_ns
         src_nic.messages_sent += 1
         src_nic.bytes_sent += size_bytes
         self.total_messages += 1
@@ -176,18 +173,29 @@ class Network:
         if self.tracer.enabled:
             # Span covers queue-pair wait + serialization onto the link;
             # ser_ns isolates the bandwidth share so queue-pair wait is
-            # the remainder.
-            self.tracer.emit(self.sim.now, "net_send", node=src,
-                             dur=self.sim.now - inject_start, dst=dst,
+            # the remainder.  Stamped with its (computed) end time, a few
+            # ns ahead of the clock — trace consumers sort by time.
+            self.tracer.emit(on_link, "net_send", node=src,
+                             dur=on_link - self.sim.now, dst=dst,
                              bytes=size_bytes, ser_ns=serialization_ns)
         one_way = (self.one_way_fn(src, dst) if self.one_way_fn is not None
                    else self.config.one_way_ns)
-        yield self.sim.timeout(one_way + extra_delay_ns)
+        # (message, destination NIC) lead the arguments: the tie-batch
+        # sanitizer labels landings by the one and groups them by the
+        # other.
+        landing = self.sim.call_at(on_link + (one_way + extra_delay_ns),
+                                   self._land, message, self._nics[dst], src,
+                                   size_bytes, delivered)
+        landing.kind = "msg_delivery"
+
+    def _land(self, message: Any, dst_nic: Nic, src: int, size_bytes: int,
+              delivered: Optional[Event]) -> None:
         dst_nic.deliver(message, size_bytes)
         if self.tracer.enabled:
-            self.tracer.emit(self.sim.now, "net_deliver", node=dst, src=src,
-                             bytes=size_bytes)
-        delivered.succeed(message)
+            self.tracer.emit(self.sim.now, "net_deliver", node=dst_nic.node_id,
+                             src=src, bytes=size_bytes)
+        if delivered is not None:
+            delivered.settle(message)
 
     def broadcast(self, src: int, dsts: List[int], message: Any,
                   size_bytes: int) -> List[Event]:

@@ -57,6 +57,11 @@ METRIC_DIRECTIONS: Dict[str, str] = {
     # Sweep reports: a cell that errored in the candidate but ran clean
     # in the baseline is a regression in its own right.
     "cell_error": "lower",
+    # Kernel cost of a protocol message (KernelProfile scheduling
+    # section, kernel bench rows): deterministic counters, so a rise is
+    # a code change — the ROADMAP item-1 ratio must not creep back.
+    "events_per_message": "lower",
+    "processes_per_message": "lower",
 }
 
 #: Wall-clock metrics (the ``profile`` section of run reports, and the
@@ -224,11 +229,18 @@ def _metric_rows(doc: Dict[str, Any]) -> Dict[str, Dict[str, float]]:
     # The profile section (when the run was profiled): deterministic
     # counters diff as plain info, wall-clock metrics as direction-
     # annotated info rows (see WALL_CLOCK_DIRECTIONS).  Nested
-    # attribution/scheduling dicts are not flattened into rows.
+    # attribution/scheduling dicts are not flattened into rows, except
+    # for the two gated per-message ratios.
     profile = doc.get("profile")
     if isinstance(profile, dict):
         rows["profile"] = {k: v for k, v in profile.items()
                            if isinstance(v, (int, float))}
+        scheduling = profile.get("scheduling")
+        if isinstance(scheduling, dict):
+            rows["profile"].update(
+                {k: scheduling[k] for k in ("events_per_message",
+                                            "processes_per_message")
+                 if isinstance(scheduling.get(k), (int, float))})
     # The audit section (run_report/6): violation totals gate the
     # verdict (a new violation is a regression), checker wall time is
     # a direction-annotated info row.

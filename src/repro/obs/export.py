@@ -13,15 +13,18 @@ The Chrome format (the ``traceEvents`` array consumed by Perfetto and
 * **ph** — ``"X"`` for spans (emitted with ``dur``), ``"i"`` for
   instants, straight from :class:`repro.sim.trace.TraceRecord.phase`.
 
-Everything is emitted in deterministic order (records in emission order,
-metadata sorted), so two runs with the same seed produce byte-identical
-files — asserted by the test suite.
+Everything is emitted in deterministic order (records stably sorted by
+time — a span may be recorded ahead of the clock, stamped with its
+computed end — and metadata sorted), so two runs with the same seed
+produce byte-identical files — asserted by the test suite.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
-from typing import IO, Any, Dict, Iterable, List, Optional, Union
+from operator import attrgetter
+from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.sim.trace import INSTANT, SPAN, TraceRecord
 
@@ -153,7 +156,7 @@ def chrome_trace_payload(records: Iterable[TraceRecord],
     ``extra_events`` are appended after the record events — e.g. the
     journey lanes from :func:`journey_chrome_events`.
     """
-    records = list(records)
+    records = sorted(records, key=attrgetter("time"))
     other: Dict[str, Any] = {"record_count": len(records),
                              "dropped_records": dropped}
     if meta:
@@ -182,11 +185,15 @@ def write_chrome_trace(path: str, records: Iterable[TraceRecord],
 class JsonlSink:
     """A duck-typed tracer that streams records as JSON lines.
 
-    Unlike :class:`~repro.sim.trace.Tracer` it holds no memory at all:
-    each ``emit`` is serialized and written immediately, so arbitrarily
-    long runs stream to disk.  Plug it into a
-    :class:`~repro.obs.fanout.FanoutTracer` to both keep records and
-    stream them.
+    Unlike :class:`~repro.sim.trace.Tracer` it keeps no history: each
+    ``emit`` is serialized and written as soon as the clock has reached
+    its timestamp — at once, except for the few spans recorded ahead of
+    the clock with their computed end (``net_send``), which wait in a
+    small reorder heap so that the file is sorted by ``ts``.  The clock
+    is read off the records themselves: no record starts (``ts - dur``)
+    after the moment it is emitted.  Arbitrarily long runs stream to
+    disk.  Plug it into a :class:`~repro.obs.fanout.FanoutTracer` to
+    both keep records and stream them.
     """
 
     enabled = True
@@ -199,6 +206,8 @@ class JsonlSink:
             self._fh = destination
             self._owns = False
         self.emitted = 0
+        self._clock = 0.0
+        self._ahead: List[Tuple[float, int, str]] = []
 
     def emit(self, time: float, category: str, node: Optional[int] = None,
              dur: Optional[float] = None, phase: Optional[str] = None,
@@ -212,15 +221,21 @@ class JsonlSink:
             SPAN if dur is not None else INSTANT)
         if details:
             line["args"] = {k: _jsonable(v) for k, v in details.items()}
-        self._fh.write(json.dumps(line, sort_keys=True,
-                                  separators=(",", ":")) + "\n")
+        text = json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
         self.emitted += 1
+        self._clock = max(self._clock, time - (dur or 0.0))
+        ahead = self._ahead
+        heapq.heappush(ahead, (time, self.emitted, text))
+        while ahead and ahead[0][0] <= self._clock:
+            self._fh.write(heapq.heappop(ahead)[2])
 
     def span(self, start: float, end: float, category: str,
              node: Optional[int] = None, **details: Any) -> None:
         self.emit(end, category, node=node, dur=end - start, **details)
 
     def close(self) -> None:
+        while self._ahead:
+            self._fh.write(heapq.heappop(self._ahead)[2])
         self._fh.flush()
         if self._owns:
             self._fh.close()

@@ -71,7 +71,7 @@ class UpdateJourney:
     """dst node -> INV/UPD injection time at the coordinator."""
     lazy_dsts: frozenset = frozenset()
     recvs: Dict[int, float] = field(default_factory=dict)
-    """node -> INV/UPD arrival time (dispatcher pickup)."""
+    """node -> INV/UPD arrival time (``msg_recv``)."""
     applies: Dict[int, float] = field(default_factory=dict)
     """node -> volatile apply time (this node's VP contribution)."""
     acks: Dict[int, float] = field(default_factory=dict)

@@ -284,5 +284,8 @@ def format_hotspots(profile: Any, top: Optional[int] = None) -> str:
         f"defused ratio {scheduling['defused_ratio']:.4f}, "
         f"{scheduling['callbacks_cancelled']} callbacks cancelled, "
         f"{scheduling['hops_per_message']:.2f} trampoline hops/message",
+        "per handled message: "
+        f"{scheduling['events_per_message']:.2f} kernel events, "
+        f"{scheduling['processes_per_message']:.2f} processes spawned",
     ]
     return "\n".join(lines)

@@ -25,7 +25,9 @@ Attribution (the performance observatory, ``repro.obs.perf``):
   ``core.engine`` routes dispatch through when a profile is attached).
 * scheduling statistics — heap-depth histogram (power-of-two buckets),
   same-timestamp tie-batch size histogram, defused-event and cancelled
-  -callback counts, and trampoline hops per resume.
+  -callback counts, trampoline hops per resume, and the two ratios
+  ROADMAP item 1 budgets: kernel events and spawned processes per
+  handled protocol message.
 
 All wall-clock reads live here (waivered) so the kernel stays clean of
 ``time`` imports; ``loop_wall_seconds`` brackets only the event loop, so
@@ -239,6 +241,21 @@ class KernelProfile:
         return sum(stats[0] for stats in self.by_msg_type.values())
 
     @property
+    def events_per_message(self) -> float:
+        """Kernel events per handled protocol message: the whole run's
+        pops over its handled messages, so client work and persists
+        ride along — comparable across commits, not across models."""
+        messages = self.messages_handled
+        return self.events_processed / messages if messages else 0.0
+
+    @property
+    def processes_per_message(self) -> float:
+        """Processes spawned per handled protocol message (same
+        whole-run convention as :attr:`events_per_message`)."""
+        messages = self.messages_handled
+        return self.processes_spawned / messages if messages else 0.0
+
+    @property
     def attributed_wall_seconds(self) -> float:
         """Wall seconds accounted to some event-kind bucket."""
         return sum(bucket[1] for bucket in self.by_event_kind.values())
@@ -300,6 +317,8 @@ class KernelProfile:
                 "messages_handled": messages,
                 "hops_per_message":
                     self.trampoline_hops / messages if messages else 0.0,
+                "events_per_message": self.events_per_message,
+                "processes_per_message": self.processes_per_message,
             },
         }
 

@@ -26,6 +26,7 @@ from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
     "Event",
+    "Callback",
     "Timeout",
     "Process",
     "AllOf",
@@ -136,6 +137,23 @@ class Event:
             other.defused = True
             self.fail(other._value)
 
+    def settle(self, value: Any = None) -> None:
+        """Succeed, going through the heap only if somebody is waiting.
+
+        With a callback attached this is :meth:`succeed`.  With none, the
+        event is marked processed in place: a later ``yield`` of it
+        resumes at once (the already-processed fast path), and no heap
+        entry is spent on an occurrence nobody observes.
+        """
+        if self.callbacks:
+            self.succeed(value)
+            return
+        if self._value is not PENDING:
+            raise SimulationError(f"{self!r} already triggered")
+        self._ok = True
+        self._value = value
+        self.callbacks = None
+
     # -- internal ------------------------------------------------------------
 
     def _run_callbacks(self) -> None:
@@ -149,6 +167,30 @@ class Event:
         if self.triggered:
             state = "ok" if self._ok else "failed"
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
+
+
+class Callback:
+    """A scheduled plain function call: the heap entry behind
+    :meth:`Simulator.call_at`.
+
+    Nothing can wait on it, so it carries no callback list, value or
+    status — only what the run loops read off any heap entry
+    (``_run_callbacks``, ``_ok``, ``defused``, ``kind``).  ``kind`` is
+    the same profiling label as :attr:`Event.kind`; the network relabels
+    its landings ``"msg_delivery"``.
+    """
+
+    __slots__ = ("fn", "args", "kind")
+    _ok = True
+    defused = False
+
+    def __init__(self, fn: Callable[..., None], args: tuple):
+        self.fn = fn
+        self.args = args
+        self.kind = "call_at"
+
+    def _run_callbacks(self) -> None:
+        self.fn(*self.args)
 
 
 class Timeout(Event):
@@ -173,23 +215,25 @@ class Process(Event):
 
     __slots__ = ("generator", "_target", "name")
 
-    def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
+    def __init__(self, sim: Simulator, generator: Generator, name: str = "",
+                 start_at: Optional[float] = None):
         super().__init__(sim)
         self.kind = "process_end"
         if not hasattr(generator, "send"):
             raise TypeError(f"process requires a generator, got {generator!r}")
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
-        # Kick off the process via an immediately-triggered initialization
-        # event, so that it starts from within the event loop.
+        # Kick off the process via an already-triggered initialization
+        # event, so that it starts from within the event loop — now, or
+        # at the absolute time ``start_at`` (the wake-up *is* the timed
+        # event: no separate timeout to park on first).
         init = Event(sim)
         init.kind = "process_start"
         init._ok = True
         init._value = None
-        sim._schedule(init, 0.0)
+        sim._schedule_at(init, sim.now if start_at is None else start_at)
         init.callbacks.append(self._resume)
-        self._target = init
+        self._target: Optional[Event] = init
 
     @property
     def is_alive(self) -> bool:
@@ -236,7 +280,9 @@ class Process(Event):
                     self._target = None
                     self.sim._active_process = None
                     if self._value is PENDING:
-                        self.succeed(stop.value)
+                        # Nobody waiting (the common case for spawned
+                        # activities): no process_end pop to do nothing.
+                        self.settle(stop.value)
                     return
                 except BaseException as exc:
                     self._target = None
@@ -388,11 +434,16 @@ class Simulator:
         """An event triggering ``delay`` ns from now."""
         return Timeout(self, delay, value)
 
-    def process(self, generator: Generator, name: str = "") -> Process:
-        """Launch a generator as a concurrent process."""
+    def process(self, generator: Generator, name: str = "",
+                start_at: Optional[float] = None) -> Process:
+        """Launch a generator as a concurrent process, starting now or at
+        the absolute time ``start_at`` (>= now)."""
+        if start_at is not None and start_at < self.now:
+            raise ValueError(
+                f"process start in the past: {start_at} < {self.now}")
         if self.profile is not None:
             self.profile.processes_spawned += 1
-        return Process(self, generator, name)
+        return Process(self, generator, name, start_at)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -413,20 +464,33 @@ class Simulator:
         heapq.heappush(self._heap, (self.now + delay, self._sequence, event))
         self._sequence += 1
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run a plain callback at absolute time ``when`` (>= now)."""
+    def _schedule_at(self, event: Event, when: float) -> None:
+        """:meth:`_schedule` at an absolute time, pushed as given."""
+        if event._scheduled:
+            raise SimulationError(f"{event!r} scheduled twice")
+        event._scheduled = True
+        heapq.heappush(self._heap, (when, self._sequence, event))
+        self._sequence += 1
+
+    def call_at(self, when: float, fn: Callable[..., None],
+                *args: Any) -> Callback:
+        """Run ``fn(*args)`` at absolute time ``when`` (>= now).
+
+        The timestamp is pushed as given — a caller that computed
+        ``when`` as ``t + d`` gets exactly the float a ``timeout(d)``
+        created at ``t`` would pop at.  Returns the heap entry so the
+        caller may relabel its ``kind``.
+        """
         if when < self.now:
             raise ValueError(f"call_at into the past: {when} < {self.now}")
-        event = Event(self)
-        event.kind = "call_at"
-        event._ok = True
-        event._value = None
-        event.callbacks.append(lambda _ev: fn())
-        self._schedule(event, when - self.now)
+        entry = Callback(fn, args)
+        heapq.heappush(self._heap, (when, self._sequence, entry))
+        self._sequence += 1
+        return entry
 
-    def call_soon(self, fn: Callable[[], None]) -> None:
+    def call_soon(self, fn: Callable[..., None], *args: Any) -> Callback:
         """Run a plain callback at the current time, after pending events."""
-        self.call_at(self.now, fn)
+        return self.call_at(self.now, fn, *args)
 
     # -- running ------------------------------------------------------------------
 

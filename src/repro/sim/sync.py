@@ -3,9 +3,12 @@
 These are the building blocks the substrates use:
 
 * :class:`Resource` — a counted resource with FIFO waiters.  Models NVM
-  banks, NIC queue pairs, and worker cores.
-* :class:`Store` — an unbounded FIFO channel of items.  Models message
-  queues between the network and protocol engines.
+  banks and request-worker cores.
+* :class:`AdmissionPool` — the closed-form counterpart of
+  ``Resource.use(hold)`` for holds known on arrival.  Models NIC queue
+  pairs and protocol-worker cores.
+* :class:`Store` — an unbounded FIFO channel of items.  Models a NIC's
+  inbox, for code that reads arrivals as events.
 * :class:`Latch` — a countdown latch.  Models "wait for N ACKs".
 * :class:`Condition` — predicate waiting with explicit re-checks.  Models
   read stalls ("wait until the latest visible version is persisted").
@@ -13,12 +16,13 @@ These are the building blocks the substrates use:
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List
 
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["Resource", "Store", "Latch", "Condition"]
+__all__ = ["Resource", "AdmissionPool", "Store", "Latch", "Condition"]
 
 
 class Resource:
@@ -92,6 +96,68 @@ class Resource:
             yield self.sim.timeout(duration)
         finally:
             self.release()
+
+
+class AdmissionPool:
+    """``capacity`` FIFO servers whose service times are known on arrival.
+
+    :meth:`admit` is ``Resource.use(hold)`` without the process, the
+    grant event and the timeout: it books the next arrival onto the
+    server that frees first and returns the time service *starts* (the
+    caller adds ``hold`` for when it ends).  Arrivals are served in call
+    order — exactly the :class:`Resource` waiter deque — so start times
+    are the ones contending processes would have observed, float for
+    float (a queued start is the freeing holder's ``start + hold``, the
+    same sum its timeout would have popped at).
+
+    Not for holds decided at *grant* time (NVM banks under a slowdown
+    fault) or for holders that can be interrupted mid-hold (request
+    workers): those need the event-based :class:`Resource`.
+    """
+
+    def __init__(self, sim: Simulator, capacity: int, name: str = "pool"):
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.sim = sim
+        self.capacity = capacity
+        self.name = name
+        # Min-heap of the times booked servers free up (never-used
+        # servers are simply absent), and the FIFO of service starts
+        # still in the future — the queue a Resource would be holding.
+        self._free_at: List[float] = []
+        self._queued_starts: Deque[float] = deque()
+        self.total_acquires = 0
+        self.peak_queue_len = 0
+
+    @property
+    def in_use(self) -> int:
+        # A queued arrival is booked behind a server that stays busy
+        # until it starts, so busy servers are exactly the units held.
+        now = self.sim.now
+        return sum(1 for free_at in self._free_at if free_at > now)
+
+    @property
+    def queue_len(self) -> int:
+        queued, now = self._queued_starts, self.sim.now
+        while queued and queued[0] <= now:
+            queued.popleft()
+        return len(queued)
+
+    def admit(self, hold: float) -> float:
+        """Book one arrival at the current time; returns its start time."""
+        self.total_acquires += 1
+        now = self.sim.now
+        free_at = self._free_at
+        if free_at and free_at[0] <= now:
+            heapq.heapreplace(free_at, now + hold)
+            return now
+        if len(free_at) < self.capacity:
+            heapq.heappush(free_at, now + hold)
+            return now
+        start = heapq.heapreplace(free_at, free_at[0] + hold)
+        self._queued_starts.append(start)
+        self.peak_queue_len = max(self.peak_queue_len, self.queue_len)
+        return start
 
 
 class Store:

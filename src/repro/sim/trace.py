@@ -15,7 +15,11 @@ Records come in two shapes:
   its *end* with ``dur`` nanoseconds of extent (a stall, a message
   handler, an NVM persist including queueing).  Instrumentation sites
   compute the duration themselves (``dur=now - start``), so a span costs
-  exactly one record and no open-span bookkeeping.
+  exactly one record and no open-span bookkeeping.  A site that already
+  knows when its span will end may record it at its start, stamped with
+  that future end (``net_send`` does): records are therefore in time
+  order only up to such look-ahead, and everything that renders a
+  timeline sorts by ``time`` first (:meth:`Tracer.in_time_order`).
 
 Storage is bounded: ``max_records`` caps memory, either by dropping new
 records once full (``ring=False``, the default — the head of the run is
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = ["TraceRecord", "Tracer", "NullTracer"]
@@ -128,6 +133,16 @@ class Tracer:
         """Convenience: record a span covering ``[start, end]``."""
         self.emit(end, category, node=node, dur=end - start, **details)
 
+    def in_time_order(self) -> List[TraceRecord]:
+        """The records sorted stably by ``time``.
+
+        ``records`` is in *emission* order, which is time order except
+        for spans stamped with a computed end a little ahead of the clock
+        (``net_send`` is recorded at injection, ending when the message
+        is on the link).  Timeline consumers want this view.
+        """
+        return sorted(self.records, key=attrgetter("time"))
+
     def by_category(self, category: str) -> Iterator[TraceRecord]:
         return (r for r in self.records if r.category == category)
 
@@ -142,7 +157,8 @@ class Tracer:
         return counts
 
     def dump(self, limit: Optional[int] = None) -> str:
-        records = list(self.records)
+        """The records as text, in time order (see :meth:`in_time_order`)."""
+        records = self.in_time_order()
         if limit is not None:
             records = records[:limit]
         return "\n".join(r.format() for r in records)

@@ -63,6 +63,28 @@ class TestClusterAssembly:
         assert cluster.nodes[0].store.name == "btree"
 
 
+class TestTeardown:
+    def test_dropped_cluster_leaves_no_engine_alive(self):
+        """Pending landings reference the network, hence every engine;
+        a dropped cluster must still be collectable — within two passes,
+        because generator finalizers (``finally: release()``) run in the
+        first and may push onto the dead simulator's heap."""
+        import gc
+        import weakref
+
+        cluster = Cluster(DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS),
+                          config=ClusterConfig(servers=3,
+                                               clients_per_server=4),
+                          workload=WORKLOADS["A"])
+        cluster.run(20_000.0)
+        assert cluster.sim.queue_depth > 0      # cut off mid-flight
+        engines = [weakref.ref(engine) for engine in cluster.engines]
+        del cluster
+        gc.collect()
+        gc.collect()
+        assert [ref() for ref in engines] == [None] * 3
+
+
 class TestRunSimulation:
     def test_produces_summary(self):
         config = ClusterConfig(servers=3, clients_per_server=2)

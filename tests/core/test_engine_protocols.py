@@ -210,12 +210,12 @@ class TestCausal:
         d2 = Message(MsgType.UPD, src=0, op_id=102, key=2, version=(1, 0),
                      value="d2", cauhist=((1, (1, 0)),))
         # Deliver d2 first.
-        sim.process(follower._handle_message(d2))
+        follower.nic.deliver(d2, d2.size_bytes)
         sim.run(until=sim.now + 5_000)
         assert follower.replicas.get(2).applied_version == ZERO_VERSION
         assert follower.causal_buffer_len == 1
         # Now deliver d1: both apply, in causal order, both persisted.
-        sim.process(follower._handle_message(d1))
+        follower.nic.deliver(d1, d1.size_bytes)
         sim.run(until=sim.now + 20_000)
         assert follower.replicas.get(1).persisted_value == "d1"
         assert follower.replicas.get(2).persisted_value == "d2"
@@ -456,3 +456,74 @@ class TestTransactionsUnsupportedOutsideTxnModel:
         with pytest.raises(RuntimeError):
             cluster.sim.run_until_complete(cluster.sim.process(
                 cluster.engines[0].client_begin_txn(ctx)))
+
+
+class TestArrivalPath:
+    """The NIC sink: arrivals while crashed, worker admission, and the
+    chain ablation's use of ``delivered``."""
+
+    def test_message_landing_while_crashed_is_dropped_and_holds_no_worker(self):
+        cluster = make_cluster(C.LINEARIZABLE, P.SYNCHRONOUS)
+        sim, follower = cluster.sim, cluster.engines[1]
+        inv = Message(MsgType.INV, src=0, op_id=1024, key=7, version=(1, 0),
+                      value="v")
+        follower.crash()
+        follower.nic.deliver(inv, inv.size_bytes)
+        assert follower.nic.messages_received == 1   # it did reach the NIC
+        assert follower.protocol_workers.total_acquires == 0
+        assert sim.queue_depth == 0                  # no handler scheduled
+        quiesce(cluster)
+        assert follower.replicas.get(7).applied_version == ZERO_VERSION
+        assert cluster.metrics.total_messages == 0   # and nothing was ACKed
+
+        follower.restart({})
+        follower.nic.deliver(inv, inv.size_bytes)
+        assert follower.protocol_workers.total_acquires == 1
+        quiesce(cluster)
+        assert follower.replicas.get(7).applied_value == "v"
+
+    def test_handler_starts_after_the_protocol_cpu_charge(self):
+        config = ClusterConfig(servers=3, clients_per_server=0,
+                               store_type=None,
+                               protocol=ProtocolConfig(protocol_workers=1))
+        cluster = Cluster(DdpModel(C.EVENTUAL, P.EVENTUAL), config=config)
+        cluster.start()
+        sim, follower = cluster.sim, cluster.engines[1]
+        started = []
+        handler = follower._handlers[MsgType.VAL_P]
+
+        def recording(message):
+            started.append((sim.now, message.op_id))
+            return handler(message)
+
+        follower._handlers[MsgType.VAL_P] = recording
+        for op_id in (1, 2, 3):          # three arrivals, one worker
+            follower.nic.deliver(Message(MsgType.VAL_P, src=0, op_id=op_id),
+                                 16)
+        sim.run(until=1_000.0)
+        proc = config.protocol.msg_proc_ns
+        assert started == [(proc, 1), (2 * proc, 2), (3 * proc, 3)]
+        assert follower.protocol_workers.peak_queue_len == 2
+
+    def test_chain_ablation_still_serialises_hop_by_hop(self):
+        from repro.sim.trace import Tracer
+
+        tracer = Tracer(categories=["msg_send", "net_deliver"])
+        config = ClusterConfig(servers=4, clients_per_server=0,
+                               store_type=None,
+                               protocol=ProtocolConfig(chain_propagation=True))
+        cluster = Cluster(DdpModel(C.EVENTUAL, P.SYNCHRONOUS), config=config,
+                          tracer=tracer)
+        cluster.start()
+        run_op(cluster, cluster.engines[0].client_write(
+            ClientContext(0, 0), 7, "v"))
+        quiesce(cluster)
+        sends = [r for r in tracer.by_category("msg_send")
+                 if r.details["msg"] == "UPD"]
+        landings = {r.node: r.time for r in tracer.by_category("net_deliver")
+                    if r.details["src"] == 0}
+        assert [r.details["dst"] for r in sends] == [1, 2, 3]
+        # hop k+1 is injected at the instant hop k lands, not before
+        assert sends[1].time == landings[1]
+        assert sends[2].time == landings[2]
+        assert sends[0].time < sends[1].time < sends[2].time

@@ -190,3 +190,23 @@ class TestOrderCommand:
     def test_two_on_missing_path(self, capsys):
         assert main(["order", "no/such/dir"]) == 2
         assert "no such file" in capsys.readouterr().err
+
+    def test_one_on_vacuous_sweep(self, tmp_path, capsys, monkeypatch):
+        # A sweep whose permuter never reordered anything must not pass
+        # as "all byte-identical": it never put the claim to the test.
+        from repro.devtools import sanitizer
+
+        cell = sanitizer.CellResult(
+            model="<Causal, Eventual>", baseline_digest="d", batches=5,
+            max_batch=3, seeds={1: "d", 2: "d"}, permuted={1: 0, 2: 0})
+        monkeypatch.setattr(
+            sanitizer, "sweep", lambda **_kwargs: sanitizer.SweepResult(
+                cells=[cell], ops_per_client=30, seeds=[1, 2]))
+        pkg = self._engine_dir(tmp_path, source="x = 1\n")
+        out = tmp_path / "sweep.json"
+        assert main(["order", str(pkg), "--sanitize", "--seeds", "1,2",
+                     "--sweep-out", str(out)]) == 1
+        assert "VACUOUS <Causal, Eventual>" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["ok"] is False
+        assert doc["cells"][0]["vacuous"] is True

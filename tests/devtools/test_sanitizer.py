@@ -10,10 +10,14 @@ test_ordering.py).
 
 import pytest
 
+from repro.core.messages import Message, MsgType
 from repro.core.model import Consistency, DdpModel, Persistency
 from repro.core.replica import KeyReplica
-from repro.devtools.sanitizer import (TieBatchSanitizer, cluster_digest,
+from repro.devtools.sanitizer import (CellResult, SweepResult,
+                                      TieBatchSanitizer, cluster_digest,
                                       coverage, sweep, _run_once)
+from repro.net.network import Network
+from repro.sim.engine import Simulator
 
 LIN_STRICT = DdpModel(Consistency.LINEARIZABLE, Persistency.STRICT)
 EVT_EVT = DdpModel(Consistency.EVENTUAL, Persistency.EVENTUAL)
@@ -91,6 +95,39 @@ class TestPermutation:
         assert {id(shuffled[i]) for i in (1, 2, 4)} == \
             {id(e) for e in deliveries}
 
+    def test_landings_are_deliveries_shuffled_in_waves(self):
+        """Network landings are what gets permuted now: labelled by
+        their message, shuffled across destinations, never within one."""
+        sim = Simulator()
+        network = Network(sim)
+        for node in range(4):
+            network.attach(node)
+        ack = Message(MsgType.ACK, src=0, op_id=1)
+        inv = Message(MsgType.INV, src=0, op_id=2, key=1, version=(1, 0))
+        for dst in (1, 2, 3):       # two simultaneous landings per node
+            network.send(0, dst, ack, 16)
+            network.send(0, dst, inv, 16)
+        batch = sorted(sim._heap)
+        assert {entry[2].kind for entry in batch} == {"msg_delivery"}
+        assert {TieBatchSanitizer._label(entry[2]) for entry in batch} == \
+            {"ACK", "INV"}
+
+        def nodes(entries):
+            return [entry[2].args[1].node_id for entry in entries]
+
+        sanitizer = TieBatchSanitizer(seed=3)
+        orders = set()
+        for _ in range(20):
+            shuffled = list(batch)
+            sanitizer.observe(batch[0][0], shuffled)
+            # first wave: every node's ACK; second wave: every node's INV
+            assert [e[2].args[0] for e in shuffled] == [ack] * 3 + [inv] * 3
+            assert sorted(nodes(shuffled[:3])) == [1, 2, 3]
+            assert sorted(nodes(shuffled[3:])) == [1, 2, 3]
+            orders.add(tuple(nodes(shuffled)))
+        assert len(orders) > 1
+        assert sanitizer.permuted > 0
+
     def test_byte_identity_on_real_models(self):
         for model in (LIN_STRICT, EVT_EVT):
             baseline = _run_once(model, 20, 3, 2, 2021,
@@ -114,6 +151,21 @@ class TestSweep:
         for cell in doc["cells"]:
             assert cell["batches"] > 0
             assert list(cell["digests"]) == ["1"]
+
+    def test_a_sweep_that_never_permuted_fails(self):
+        def cell(permuted):
+            return CellResult(model="m", baseline_digest="d", batches=4,
+                              max_batch=2, seeds={1: "d", 2: "d"},
+                              permuted=permuted)
+
+        assert cell({1: 0, 2: 3}).ok
+        vacuous = cell({1: 0, 2: 0})
+        assert vacuous.vacuous and not vacuous.diverged and not vacuous.ok
+        result = SweepResult(cells=[cell({1: 1, 2: 1}), vacuous],
+                             ops_per_client=30, seeds=[1, 2])
+        assert not result.ok
+        assert result.vacuous == [vacuous] and result.diverged == []
+        assert result.to_dict()["cells"][1]["vacuous"] is True
 
     def test_coverage_cross_reference(self):
         result = sweep(models=[LIN_STRICT], ops_per_client=15, seeds=(1,))

@@ -1,5 +1,7 @@
 """Tests for the network fabric and NIC model."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.net.network import Network, NetworkConfig
@@ -67,13 +69,93 @@ class TestSend:
         assert network.nic(1).bytes_received == 100
 
     def test_filter_drops(self, sim):
+        class DropToNode1:
+            def on_message(self, src, dst, message, size_bytes):
+                return SimpleNamespace(drop=True) if dst == 1 else None
+
         network = make_net(sim)
-        network.filter = lambda src, dst, msg: dst != 1
+        network.faults = DropToNode1()
         dropped = network.send(0, 1, "x", 10)
         passed = network.send(0, 2, "y", 10)
         sim.run()
         assert not dropped.triggered
         assert passed.ok
+        assert network.dropped_messages == 1
+        assert network.nic(1).messages_received == 0
+
+    def test_unwaited_delivery_costs_one_event(self, sim):
+        """Nobody attached to ``delivered``: the landing is the only heap
+        entry the send ever makes, and the event is settled in place."""
+        network = make_net(sim)
+        delivered = network.send(0, 1, "hello", 100)
+        assert sim.queue_depth == 1            # the landing, nothing else
+        assert not delivered.triggered
+        sim.step()
+        assert sim.now == pytest.approx(504.0)
+        assert sim.queue_depth == 0            # no `delivered` hop queued
+        assert delivered.processed and delivered.value == "hello"
+
+    def test_late_wait_on_delivered_resumes_at_once(self, sim):
+        network = make_net(sim)
+        delivered = network.send(0, 1, "hello", 100)
+        sim.run()
+        resumed = []
+
+        def late_waiter():
+            yield sim.timeout(96.0)            # long after the landing
+            value = yield delivered
+            resumed.append((sim.now, value))
+
+        sim.process(late_waiter())
+        sim.run()
+        assert resumed == [(pytest.approx(600.0), "hello")]
+
+    def test_waited_delivery_wakes_the_waiter_at_landing(self, sim):
+        network = make_net(sim)
+        woken = []
+
+        def sender():
+            value = yield network.send(0, 1, "hello", 100)
+            woken.append((sim.now, value))
+
+        sim.process(sender())
+        sim.run()
+        assert woken == [(pytest.approx(504.0), "hello")]
+
+    def test_duplicates_ride_their_own_queue_pair_slot(self, sim):
+        class Duplicate:
+            def on_message(self, src, dst, message, size_bytes):
+                return SimpleNamespace(drop=False, delay_ns=0.0, copies=2)
+
+        network = Network(sim, NetworkConfig(queue_pairs=1,
+                                             bandwidth_bytes_per_ns=1.0,
+                                             round_trip_ns=0.0))
+        network.attach(0)
+        network.attach(1)
+        network.faults = Duplicate()
+        arrivals = []
+        network.nic(1).sink = lambda message: arrivals.append(
+            (sim.now, message))
+        delivered = network.send(0, 1, "a", 100)   # 100 ns serialization
+        sim.run()
+        # One queue pair: the copy serializes first, the original behind it.
+        assert arrivals == [(pytest.approx(100.0), "a"),
+                            (pytest.approx(200.0), "a")]
+        assert delivered.ok
+        assert network.duplicated_messages == 1
+        assert network.nic(0).queue_pairs.total_acquires == 2
+        assert network.nic(0).queue_pairs.peak_queue_len == 1
+        assert network.nic(1).messages_received == 2
+
+    def test_sink_defaults_to_the_inbox(self, sim):
+        network = make_net(sim)
+        nic = network.nic(1)
+        nic.deliver("direct", 8)
+        assert len(nic.inbox) == 1 and nic.messages_received == 1
+        taken = []
+        nic.sink = taken.append
+        nic.deliver("to-sink", 8)
+        assert taken == ["to-sink"] and len(nic.inbox) == 1
 
     def test_broadcast_reaches_all(self, sim):
         network = make_net(sim)

@@ -202,6 +202,35 @@ class TestWallClockProfileRows:
         assert metrics == {"events_processed", "events_per_wall_second",
                            "wall_seconds", "loop_wall_seconds"}
 
+    def test_per_message_ratios_are_lifted_and_gated(self):
+        """The two ROADMAP item-1 ratios are deterministic counters with
+        a direction: lifted out of ``scheduling`` into the profile row,
+        and a rise beyond the threshold is a regression."""
+        def doc(events_per_message):
+            profiled = self._profiled()
+            profiled["profile"]["scheduling"].update(
+                events_per_message=events_per_message,
+                processes_per_message=1.4)
+            return profiled
+
+        report = diff_documents(doc(4.5), doc(6.0))
+        by_metric = {e.metric: e for e in report.entries
+                     if e.label == "profile"}
+        assert by_metric["events_per_message"].verdict == "regression"
+        assert by_metric["events_per_message"].direction == "lower"
+        assert by_metric["processes_per_message"].verdict == "ok"
+        assert report.verdict == "regression"
+        assert diff_documents(doc(6.0), doc(4.5)).verdict == "no-regression"
+
+    def test_bench_rows_gate_the_per_message_ratios(self):
+        base = _bench(**{"lin-sync-5s": {"events_per_message": 4.46,
+                                         "processes_per_message": 1.38}})
+        cand = _bench(**{"lin-sync-5s": {"events_per_message": 13.8,
+                                         "processes_per_message": 2.38}})
+        assert sorted(e.metric for e in
+                      diff_documents(base, cand).regressions) == \
+            ["events_per_message", "processes_per_message"]
+
     def test_slower_kernel_is_info_worse_never_a_regression(self):
         report = diff_documents(
             self._profiled(events_per_wall_second=100_000.0),

@@ -94,6 +94,14 @@ class TestChromeTracePayload:
         assert any(e["name"] == "thread_name"
                    and e["args"]["name"] == "protocol" for e in meta)
 
+    def test_events_are_sorted_by_time(self):
+        tracer = Tracer()
+        tracer.emit(13.5, "net_send", node=0, dur=3.5)
+        tracer.emit(10.0, "msg_send", node=0)
+        payload = chrome_trace_payload(tracer.records)
+        events = [e for e in payload["traceEvents"] if e["ph"] != "M"]
+        assert [e["name"] for e in events] == ["msg_send", "net_send"]
+
     def test_written_file_parses_and_is_deterministic(self, tmp_path):
         tracer = _tracer_with_sample_records()
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -122,6 +130,26 @@ class TestJsonlSink:
                             "ph": "i", "args": {"msg": "ACK"}}
         assert lines[1]["ph"] == "X"
         assert lines[1]["dur"] == 50.0
+
+    def test_lookahead_spans_are_written_in_time_order(self):
+        # A span recorded ahead of the clock (net_send: stamped with its
+        # computed end) waits until the stream catches up with it.
+        buffer = io.StringIO()
+        sink = JsonlSink(buffer)
+        sink.emit(10.0, "msg_send", node=0)
+        sink.emit(13.5, "net_send", node=0, dur=3.5)
+        sink.emit(10.0, "msg_send", node=0, dst=2)
+        assert len(buffer.getvalue().splitlines()) == 2   # 13.5 held back
+        sink.emit(12.0, "write_complete", node=1)
+        sink.emit(513.5, "net_deliver", node=2)
+        assert len(buffer.getvalue().splitlines()) == 5
+        sink.emit(600.0, "net_send", node=1, dur=4.0)     # still in flight
+        sink.close()
+        lines = [json.loads(l) for l in buffer.getvalue().splitlines()]
+        assert [l["ts"] for l in lines] == [10.0, 10.0, 12.0, 13.5, 513.5,
+                                            600.0]
+        assert lines[1]["args"] == {"dst": 2}
+        assert sink.emitted == 6
 
     def test_file_destination_and_context_manager(self, tmp_path):
         path = tmp_path / "trace.jsonl"

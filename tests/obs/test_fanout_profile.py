@@ -81,6 +81,21 @@ class TestKernelProfile:
         assert snapshot["heap_peak"] == profile.heap_peak
         assert "kernel:" in profile.format()
 
+    def test_per_message_ratios(self):
+        profile = KernelProfile()
+        self._run_tiny_sim(profile)
+        scheduling = profile.snapshot()["scheduling"]
+        # No protocol message handled: the ratios are 0, not a crash.
+        assert scheduling["events_per_message"] == 0.0
+        assert scheduling["processes_per_message"] == 0.0
+        profile.by_msg_type["INV"] = [4, 0.0, 0]
+        profile.by_msg_type["ACK"] = [2, 0.0, 0]
+        scheduling = profile.snapshot()["scheduling"]
+        assert scheduling["messages_handled"] == 6
+        assert scheduling["events_per_message"] == \
+            profile.events_processed / 6
+        assert scheduling["processes_per_message"] == 3 / 6
+
     def test_detached_simulator_profiles_nothing(self):
         sim = Simulator()
         assert sim.profile is None

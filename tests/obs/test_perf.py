@@ -180,6 +180,8 @@ class TestHotspots:
         assert "by event kind" in text
         assert "timeout" in text
         assert "scheduling:" in text
+        assert "per handled message:" in text
+        assert "kernel events" in text and "processes spawned" in text
 
     def test_top_limits_rows(self):
         profile = _profiled_tiny_run()

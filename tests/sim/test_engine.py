@@ -43,6 +43,23 @@ class TestEvent:
         with pytest.raises(TypeError):
             event.fail("not an exception")
 
+    def test_settle_without_waiters_is_in_place(self, sim):
+        event = sim.event()
+        event.settle("v")
+        assert event.processed and event.ok and event.value == "v"
+        assert sim.queue_depth == 0
+        with pytest.raises(SimulationError):
+            event.settle("again")
+
+    def test_settle_with_a_waiter_goes_through_the_heap(self, sim):
+        event = sim.event()
+        seen = []
+        event.callbacks.append(lambda ev: seen.append(ev.value))
+        event.settle("v")
+        assert sim.queue_depth == 1 and not seen
+        sim.run()
+        assert seen == ["v"]
+
     def test_value_before_trigger_raises(self, sim):
         event = sim.event()
         with pytest.raises(SimulationError):
@@ -190,6 +207,64 @@ class TestProcess:
         sim.run()
         assert not p.is_alive
 
+    def test_start_at_wakes_the_process_at_that_time_with_one_event(self, sim):
+        seen = []
+
+        def proc():
+            seen.append(sim.now)
+            yield sim.timeout(1.0)
+            seen.append(sim.now)
+
+        process = sim.process(proc(), start_at=12.5)
+        assert sim.queue_depth == 1           # the start *is* the wake-up
+        assert process.is_alive
+        sim.run()
+        assert seen == [12.5, 13.5]
+
+    def test_start_at_in_the_past_rejected(self, sim):
+        sim.timeout(5)
+        sim.run()
+
+        def proc():
+            yield sim.timeout(1.0)
+
+        with pytest.raises(ValueError):
+            sim.process(proc(), start_at=1.0)
+
+    def test_unwaited_success_settles_without_a_heap_entry(self, sim):
+        def proc():
+            yield sim.timeout(3.0)
+            return "done"
+
+        process = sim.process(proc())
+        sim.run(until=3.0)
+        assert process.processed and process.value == "done"
+        assert sim.queue_depth == 0
+
+        def late_joiner():
+            return (yield process)
+
+        assert sim.run_until_complete(sim.process(late_joiner())) == "done"
+
+    def test_waited_process_still_completes_through_the_heap(self, sim):
+        def child():
+            yield sim.timeout(3.0)
+            return 7
+
+        def parent():
+            return (yield sim.process(child())) + 1
+
+        assert sim.run_until_complete(sim.process(parent())) == 8
+
+    def test_unwaited_failure_still_surfaces(self, sim):
+        def proc():
+            yield sim.timeout(1.0)
+            raise RuntimeError("boom")
+
+        sim.process(proc())
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+
     def test_requires_generator(self, sim):
         with pytest.raises(TypeError):
             Process(sim, lambda: None)
@@ -282,6 +357,33 @@ class TestSimulator:
         sim.call_at(7.0, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [7.0]
+
+    def test_call_at_passes_arguments_and_returns_a_relabelable_entry(self, sim):
+        fired = []
+        entry = sim.call_at(7.0, lambda *args: fired.append((sim.now, args)),
+                            "a", 2)
+        assert entry.kind == "call_at"
+        entry.kind = "msg_delivery"          # what Network.send does
+        sim.run()
+        assert fired == [(7.0, ("a", 2))]
+
+    def test_call_at_pops_at_exactly_the_timestamp_given(self, sim):
+        # 0.1 + 0.2 != 0.3: the entry must pop at the float the caller
+        # computed, the one a timeout(0.2) created at 0.1 would pop at.
+        sim.timeout(0.1)
+        sim.run()
+        when = sim.now + 0.2
+        sim.call_at(when, lambda: None)
+        timeout = sim.timeout(0.2)
+        sim.run()
+        assert sim.now == when and timeout.processed
+
+    def test_call_soon_runs_after_pending_same_time_events(self, sim):
+        order = []
+        sim.timeout(0.0).callbacks.append(lambda _ev: order.append("timeout"))
+        sim.call_soon(order.append, "soon")
+        sim.run()
+        assert order == ["timeout", "soon"]
 
     def test_call_at_past_rejected(self, sim):
         sim.timeout(5)

@@ -6,6 +6,19 @@ events, same-timestamp tie-batches, interrupt-driven resumes, and the
 trampoline fast path.  A kernel refactor that changes any of these
 numbers changes scheduling — these tests make that visible before the
 byte-identity suites fail mysteriously.
+
+Re-pinned for the callback-message kernel: a process that finishes with
+nobody waiting on it settles in place, so its ``process_end`` pop is
+gone (every micro-simulation below lost exactly one pop per such
+process — the old tallies are quoted beside the new).  At cluster
+level, getting one protocol message from ``send`` to its handler's
+first line cost 11 pops before — 2 ``process_start`` + 2
+``process_end`` (transfer and handler processes), 3 ``event``
+(queue-pair grant, ``delivered``, worker grant), 3 ``timeout``
+(serialization, propagation, CPU) and 1 ``msg_delivery`` (the inbox
+hand-off to the dispatcher) — and costs 2 now: 1 ``msg_delivery`` (the
+landing ``call_at`` entry) + 1 ``process_start`` (the handler, started
+at its CPU-done time).
 """
 
 import pytest
@@ -27,9 +40,10 @@ def _kind_counts(profile):
 
 class TestEventKindAttribution:
     def test_all_of_composite_pinned_counts(self):
-        """3 same-delay timeouts under an AllOf: 6 pops total —
-        process_start, 3 timeouts, the composite, process_end — with the
-        5 t=5 pops forming one tie-batch."""
+        """3 same-delay timeouts under an AllOf: 5 pops total —
+        process_start, 3 timeouts, the composite (was 6: the unwaited
+        process_end is settled in place) — with the 4 t=5 pops forming
+        one tie-batch (was 5)."""
         sim, profile = _attached()
 
         def waiter():
@@ -39,12 +53,11 @@ class TestEventKindAttribution:
         sim.run()
         profile.stop(sim.now)
 
-        assert profile.events_processed == 6
+        assert profile.events_processed == 5
         assert _kind_counts(profile) == {
-            "process_start": 1, "timeout": 3,
-            "composite": 1, "process_end": 1,
+            "process_start": 1, "timeout": 3, "composite": 1,
         }
-        assert profile.tie_batch_hist == {1: 1, 5: 1}
+        assert profile.tie_batch_hist == {1: 1, 4: 1}
         assert profile.events_defused == 0
         # Wall attribution covers every pop exactly once.
         assert sum(s[0] for s in profile.by_event_kind.values()) == \
@@ -65,13 +78,13 @@ class TestEventKindAttribution:
         profile.stop(sim.now)
 
         assert _kind_counts(profile) == {
-            "process_start": 1, "timeout": 2,
-            "composite": 1, "process_end": 1,
+            "process_start": 1, "timeout": 2, "composite": 1,
         }
         assert profile.events_defused == 1
-        # 5 pops total (start, winner, composite, process_end, loser).
+        # 4 pops total (start, winner, composite, loser); was 5 with the
+        # unwaited process_end.
         assert profile.snapshot()["scheduling"]["defused_ratio"] == \
-            pytest.approx(1 / 5)
+            pytest.approx(1 / 4)
 
     def test_call_at_and_plain_events_are_bucketed(self):
         sim, profile = _attached()
@@ -98,14 +111,15 @@ class TestEventKindAttribution:
         assert counts["event"] == 1  # the hand-made event
         assert counts["timeout"] == 1
         assert counts["process_start"] == 2
-        assert counts["process_end"] == 2
+        # Neither process is waited on: both settle in place (was 2).
+        assert "process_end" not in counts
 
 
 class TestSchedulingStatistics:
     def test_same_timestamp_tie_batches_pinned(self):
-        """4 timeouts at t=7 and 2 at t=9 from one process spawn:
-        batches are [1 (start), 4, 2, 1 (process_end at 9)]... the end
-        event shares t=9 with its trigger batch, so: {1: 1, 4: 1, 3: 1}."""
+        """4 timeouts at t=7 and 2 at t=9 from one process spawn: the
+        start alone, the four at 7, then the two at 9 with the
+        composite they trigger."""
         sim, profile = _attached()
 
         def waiter():
@@ -116,9 +130,9 @@ class TestSchedulingStatistics:
         sim.run()
         profile.stop(sim.now)
 
-        # Pops: start@0 | 4 timeouts@7 | 2 timeouts + composite +
-        # process_end @9 -> batches 1, 4, 4.
-        assert profile.tie_batch_hist == {1: 1, 4: 2}
+        # Pops: start@0 | 4 timeouts@7 | 2 timeouts + composite @9 ->
+        # batches 1, 4, 3 (was 1, 4, 4 with the unwaited process_end).
+        assert profile.tie_batch_hist == {1: 1, 4: 1, 3: 1}
         assert profile.snapshot()["scheduling"]["max_tie_batch"] == 4
 
     def test_heap_depth_histogram_buckets_by_bit_length(self):
@@ -133,8 +147,9 @@ class TestSchedulingStatistics:
         sim.run()
         profile.stop(sim.now)
 
-        # Depths before pops: 1 (init), 3, 2, 1, 1, 1 -> buckets 1x4, 2x2.
-        assert profile.heap_depth_hist == {1: 4, 2: 2}
+        # Depths before pops: 1 (init), 3, 2, 1, 1 -> buckets 1x3, 2x2
+        # (was 1x4: the sixth pop was the unwaited process_end).
+        assert profile.heap_depth_hist == {1: 3, 2: 2}
         assert sum(profile.heap_depth_hist.values()) == \
             profile.events_processed
 

@@ -73,6 +73,40 @@ class TestTracer:
         dump = tracer.dump()
         assert "send" in dump and "key=7" in dump and "n0" in dump
 
+    def test_dump_is_in_time_order_despite_lookahead_spans(self):
+        # net_send is recorded at injection, stamped with its computed
+        # end: emission order is then not time order, dump order is.
+        tracer = Tracer()
+        tracer.emit(10.0, "msg_send", node=0)
+        tracer.emit(13.5, "net_send", node=0, dur=3.5)   # ends ahead of now
+        tracer.emit(10.0, "msg_send", node=0, dst=2)
+        tracer.emit(12.0, "write_complete", node=1)
+        assert [r.time for r in tracer.records] == [10.0, 13.5, 10.0, 12.0]
+        ordered = tracer.in_time_order()
+        assert [r.time for r in ordered] == [10.0, 10.0, 12.0, 13.5]
+        # stable: equal timestamps keep their emission order
+        assert ordered[1].details == {"dst": 2}
+        assert tracer.dump().splitlines() == [r.format() for r in ordered]
+        assert tracer.dump(limit=2).splitlines() == \
+            [r.format() for r in ordered[:2]]
+
+    def test_real_run_trace_is_time_sorted_only_after_sorting(self):
+        from repro.cluster.cluster import Cluster
+        from repro.cluster.config import ClusterConfig
+        from repro.core.model import Consistency, DdpModel, Persistency
+        from repro.workload.ycsb import WORKLOADS
+
+        tracer = Tracer()
+        Cluster(DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS),
+                config=ClusterConfig(servers=3, clients_per_server=2),
+                workload=WORKLOADS["A"], tracer=tracer).run(20_000.0)
+        emitted = [r.time for r in tracer.records]
+        assert emitted != sorted(emitted)          # net_send looks ahead
+        ahead = [r for r in tracer.by_category("net_send")]
+        assert ahead and all(r.dur > 0 for r in ahead)
+        times = [r.time for r in tracer.in_time_order()]
+        assert times == sorted(times)
+
     def test_clear(self):
         tracer = Tracer()
         tracer.emit(1.0, "x")

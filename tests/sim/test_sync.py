@@ -1,9 +1,10 @@
 """Unit tests for simulation synchronization primitives."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.sync import Condition, Latch, Resource, Store
+from repro.sim.sync import AdmissionPool, Condition, Latch, Resource, Store
 
 
 @pytest.fixture
@@ -76,6 +77,73 @@ class TestResource:
         sim.run()
         assert resource.total_acquires == 3
         assert resource.peak_queue_len == 2
+
+
+class TestAdmissionPool:
+    def test_capacity_validation(self, sim):
+        with pytest.raises(ValueError):
+            AdmissionPool(sim, 0)
+
+    def test_free_server_starts_now_busy_pool_queues_fifo(self, sim):
+        pool = AdmissionPool(sim, 2)
+        assert pool.admit(10.0) == 0.0
+        assert pool.admit(4.0) == 0.0
+        assert (pool.in_use, pool.queue_len) == (2, 0)
+        # Both busy: the third waits for the server that frees first
+        # (t=4), the fourth for the next (t=4+3=7, not t=10).
+        assert pool.admit(3.0) == 4.0
+        assert pool.admit(1.0) == 7.0
+        assert (pool.in_use, pool.queue_len) == (2, 2)
+        assert pool.total_acquires == 4
+        assert pool.peak_queue_len == 2
+        sim.run(until=5.0)
+        assert (pool.in_use, pool.queue_len) == (2, 1)
+        sim.run(until=20.0)
+        assert (pool.in_use, pool.queue_len) == (0, 0)
+        assert pool.admit(2.0) == 20.0
+        assert pool.peak_queue_len == 2
+
+    @given(capacity=st.integers(min_value=1, max_value=4),
+           jobs=st.lists(st.tuples(st.integers(min_value=0, max_value=60),
+                                   st.integers(min_value=1, max_value=20)),
+                         min_size=1, max_size=40),
+           constant_hold=st.one_of(st.none(),
+                                   st.integers(min_value=1, max_value=20)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_processes_contending_for_a_resource(self, capacity, jobs,
+                                                         constant_hold):
+        """Same start times, float for float, and the same telemetry as
+        one process per arrival doing ``Resource.use(hold)``.  Arrival
+        ``k`` carries the fraction ``k/1024`` so that no arrival ties
+        with another or with a release: a tie's admission order would be
+        the kernel's pop order, which the closed form has no part in."""
+        sim = Simulator()
+        resource = Resource(sim, capacity)
+        pool = AdmissionPool(sim, capacity)
+        contended, closed_form = {}, {}
+
+        def contender(index, arrival, hold):
+            yield sim.timeout(arrival)
+            yield resource.acquire()
+            contended[index] = sim.now
+            yield sim.timeout(hold)
+            resource.release()
+
+        def admitted(index, arrival, hold):
+            yield sim.timeout(arrival)
+            closed_form[index] = pool.admit(hold)
+
+        for index, (arrival, hold) in enumerate(jobs):
+            arrival = float(arrival) + index / 1024.0
+            hold = float(constant_hold or hold)
+            sim.process(contender(index, arrival, hold))
+            sim.process(admitted(index, arrival, hold))
+        sim.run()
+
+        assert closed_form == contended
+        assert pool.total_acquires == resource.total_acquires == len(jobs)
+        assert pool.peak_queue_len == resource.peak_queue_len
+        assert (pool.in_use, pool.queue_len) == (0, 0)
 
 
 class TestStore:
