@@ -121,17 +121,17 @@ class ProtocolConfig:
 class AckRound:
     """An ACK-collection round over an explicit replica set.
 
-    Replaces a bare countdown (:class:`~repro.sim.sync.Latch`) for
-    coordinator rounds so the round can survive faults:
+    More than a bare countdown of arrivals, so that a coordinator
+    round can survive faults:
 
     * arrivals are deduplicated by source, so resent or duplicated ACKs
       (message-duplication faults, round retries) are harmless instead
-      of a latch overrun;
+      of an overrun;
     * :meth:`retarget` shrinks the expected set when membership changes,
       completing the round if only crashed replicas are missing.
 
     In a failure-free run the event triggers at exactly the moment the
-    equivalent latch would have — same arrival, same kernel scheduling —
+    equivalent countdown would have — same arrival, same kernel scheduling —
     so attaching fault machinery does not perturb healthy runs.
     """
 
@@ -1239,13 +1239,12 @@ class ProtocolNode:
 
     def _handle_message(self, message: Message, arrived_ns: float) -> Generator:
         handler = self._handlers[message.msg_type](message)
-        profile = self.sim.profile
-        if profile is None:
-            yield from handler
-        else:
-            # Transparent timing shim: yields the same events in the same
-            # order, so the run stays byte-identical (see KernelProfile).
-            yield from profile.drive_handler(message.msg_type.value, handler)
+        instrument = self.sim.instrument
+        if instrument is not None:
+            # Transparent shim: yields the same events in the same order,
+            # so the run stays byte-identical (see Instrument.drive_handler).
+            handler = instrument.drive_handler(message.msg_type.value, handler)
+        yield from handler
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, "msg_handle", node=self.node_id,
                              dur=self.sim.now - arrived_ns,

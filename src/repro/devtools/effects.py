@@ -290,7 +290,7 @@ _TAG_WILDCARD_EFFECTS = {
 #: ``sim`` methods that schedule; generator/callback arguments are
 #: analyzed and their effects inherited by the scheduling handler.
 _SIM_SCHEDULING = frozenset({
-    "process", "call_at", "call_soon", "timeout", "event",
+    "process", "call_at", "timeout", "event",
     "all_of", "any_of",
 })
 

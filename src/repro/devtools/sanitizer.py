@@ -4,15 +4,31 @@ certificate.
 The static effect analysis (:mod:`repro.devtools.effects`) proves that
 same-timestamp message handlers *should* commute on protocol state.
 This module checks the claim on real runs: a
-:class:`TieBatchSanitizer` attaches to a :class:`~repro.sim.engine.
-Simulator` (same opt-in contract as ``KernelProfile`` — ``None`` by
-default, one ``is not None`` check, off-path free) and observes every
-*tie batch*, the set of heap entries popped at one identical timestamp.
-In sanitizing mode it deterministically permutes each batch's
-processing order with a :class:`~repro.sim.rng.SeededStream`
-(Fisher–Yates), and :func:`sweep` asserts that the final protocol-state
-digest is byte-identical to the unpermuted baseline for every DDP
-model.
+:class:`TieBatchSanitizer` is an :class:`~repro.sim.engine.Instrument`
+(it shares the kernel's one ``sim.instrument`` slot with
+``KernelProfile``; off-path free) and observes every *tie batch*, the
+set of heap entries due at one identical timestamp.  In sanitizing mode
+it deterministically permutes each batch's processing order with a
+:class:`~repro.sim.rng.SeededStream` (Fisher–Yates), and :func:`sweep`
+asserts that the final protocol-state digest is byte-identical to the
+unpermuted baseline for every DDP model.
+
+Re-keying, not a second loop
+----------------------------
+The kernel has one run loop and the sanitizer does not replace it.  Its
+``before_pop(heap)`` hook fires before every pop; when the head's
+``(when, sequence)`` lies past the last batch seen, it pops every entry
+tied at that timestamp, lets :meth:`~TieBatchSanitizer.observe` record
+and permute them, and pushes them back under the *same sorted sequence
+numbers*, dealt out in the permuted order, for the ordinary loop to pop.
+Entries scheduled while the batch runs carry larger sequence numbers
+and form the next batch, as they would pop later on a bare run.  The
+heap thus stays authoritative for ``until``, ``queue_depth`` and
+``step()``, and an event failing mid-batch leaves the rest queued.
+This hook is the one place outside ``sim/engine.py`` that knows the
+queue is a binary heap of ``(when, sequence, entry)`` tuples — the
+contract a replacement queue must honour: stable among equal
+timestamps, push with an explicit sequence key.
 
 What gets permuted — and what must stay seq-stable
 --------------------------------------------------
@@ -78,11 +94,12 @@ which must map back to a flagged pair, or the static pass has a hole.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.engine import Callback
+from repro.sim.engine import Callback, Instrument
 from repro.sim.rng import SeededStream
 
 __all__ = [
@@ -95,7 +112,7 @@ __all__ = [
 ]
 
 
-class TieBatchSanitizer:
+class TieBatchSanitizer(Instrument):
     """Observe (and optionally permute) same-timestamp pop batches.
 
     ``seed=None`` is *record* mode: batches are observed, order is
@@ -121,9 +138,24 @@ class TieBatchSanitizer:
         self.pair_counts: Dict[Tuple[str, str], int] = {}
         """Sorted (label, label) -> co-occurrence count.  Labels are
         message-type names for deliveries, event kinds otherwise."""
+        self._batch_end: Tuple[float, int] = (-1.0, -1)
+        """``(when, sequence)`` of the last entry of the last batch seen."""
 
-    def attach(self, sim) -> None:
-        sim.order_sanitizer = self
+    def before_pop(self, heap: List[tuple]) -> None:
+        """At the head of a new tie batch, observe it and re-key it on
+        the heap in the observed order (see the module docstring)."""
+        if heap[0][:2] <= self._batch_end:
+            return  # still inside the batch already observed
+        when = heap[0][0]
+        batch = []
+        while heap and heap[0][0] == when:
+            batch.append(heapq.heappop(heap))
+        sequences = [entry[1] for entry in batch]
+        self._batch_end = (when, sequences[-1])
+        if len(batch) > 1:
+            self.observe(when, batch)
+        for sequence, entry in zip(sequences, batch):
+            heapq.heappush(heap, (when, sequence, entry[2]))
 
     @staticmethod
     def _landing(event) -> tuple:

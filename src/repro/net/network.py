@@ -196,12 +196,3 @@ class Network:
                              src=src, bytes=size_bytes)
         if delivered is not None:
             delivered.settle(message)
-
-    def broadcast(self, src: int, dsts: List[int], message: Any,
-                  size_bytes: int) -> List[Event]:
-        """Send ``message`` to every node in ``dsts`` concurrently.
-
-        This is the paper's leaderless broadcast: one message per
-        destination injected back-to-back, not a chain.
-        """
-        return [self.send(src, dst, message, size_bytes) for dst in dsts]

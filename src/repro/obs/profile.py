@@ -1,10 +1,15 @@
 """Profiling the simulation kernel itself.
 
 Every future "make a hot path measurably faster" PR needs to know what
-the kernel spent its time on.  :class:`KernelProfile` is a plain counter
-object the :class:`repro.sim.engine.Simulator` increments when attached
-(``sim.profile = profile``); detached (the default), the kernel pays one
-``is not None`` check per step.
+the kernel spent its time on.  :class:`KernelProfile` is an
+:class:`~repro.sim.engine.Instrument`: ``attach(sim)`` puts it in the
+kernel's one observer slot (``sim.instrument``), and the single run loop
+then calls ``loop_enter``/``loop_exit`` around itself, ``before_pop(heap)``
+and ``after_event(entry)`` around every event, and bumps the
+process/cancellation/resume counters; with nothing attached (the
+default) the loop pays two ``is not None`` checks per event.  ``step()``,
+``run()`` and ``run_until_complete()`` all drive that same loop, so the
+counts below are the counts of every run, however it was driven.
 
 Collected:
 
@@ -39,16 +44,18 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Generator, List, Optional
 
+from repro.sim.engine import Instrument
+
 __all__ = ["KernelProfile"]
 
 
-class KernelProfile:
+class KernelProfile(Instrument):
     """Cheap kernel counters plus wall-clock accounting."""
 
     __slots__ = ("events_processed", "heap_peak", "processes_spawned",
                  "_wall_start", "wall_seconds", "sim_ns",
                  "loop_wall_seconds", "by_event_kind", "by_msg_type",
-                 "heap_depth_hist", "_last_stamp",
+                 "heap_depth_hist", "_last_stamp", "_loop_start",
                  "tie_batch_hist", "_tie_when", "_tie_run",
                  "events_defused", "callbacks_cancelled",
                  "trampoline_hops", "resume_segments")
@@ -70,11 +77,9 @@ class KernelProfile:
         # heap depth bit_length bucket -> pops observed at that depth
         # (bucket b covers depths 2**(b-1) .. 2**b - 1; bucket 0 is depth 0)
         self.heap_depth_hist: Dict[int, int] = {}
-        # Chained step timestamp: each step's window runs from the
-        # previous step's end, so loop overhead (pop, peek, bookkeeping)
-        # is attributed to event buckets instead of silently leaking —
-        # the buckets sum to ~100% of loop_wall_seconds.
-        self._last_stamp: Optional[float] = None
+        # Wall stamps of the running loop's start and of the last
+        # event's end (see after_event); set by loop_enter.
+        self._loop_start = self._last_stamp = 0.0
         # tie-batch size -> batches (consecutive pops at one timestamp)
         self.tie_batch_hist: Dict[int, int] = {}
         self._tie_when: Optional[float] = None
@@ -88,7 +93,7 @@ class KernelProfile:
 
     def attach(self, sim: Any) -> KernelProfile:
         """Install on a simulator and start the wall clock."""
-        sim.profile = self
+        super().attach(sim)
         self.start()
         return self
 
@@ -105,58 +110,47 @@ class KernelProfile:
         self._flush_tie_run()
         self.sim_ns = sim_now
 
-    # -- kernel hooks --------------------------------------------------------
-    #
-    # Called by Simulator._profiled_step / run / Process._resume; never on
-    # the unprofiled path, so the cost lands only on runs that asked for it.
+    # -- kernel hooks (repro.sim.engine.Instrument) ---------------------------
 
-    def step_start(self, depth: int, when: float) -> float:
-        """Before a heap pop: scheduling stats.  Returns the wall t0."""
+    def before_pop(self, heap: List) -> None:
+        """Scheduling stats of the pop about to happen."""
         self.events_processed += 1
+        depth = len(heap)
         if depth > self.heap_peak:
             self.heap_peak = depth
         bucket = depth.bit_length()
         hist = self.heap_depth_hist
         hist[bucket] = hist.get(bucket, 0) + 1
+        when = heap[0][0]
         if when == self._tie_when:
             self._tie_run += 1
         else:
             self._flush_tie_run()
             self._tie_when = when
             self._tie_run = 1
-        stamp = self._last_stamp
-        if stamp is not None:
-            # Inside a profiled loop: chain from the previous step's end
-            # so pop/peek/bookkeeping overhead stays attributed.
-            return stamp
-        # Direct step() outside run(): open a fresh window here.
-        # repro: lint-ok[wall-clock-ban] brackets one kernel step for wall attribution
-        return time.perf_counter()
 
-    def step_end(self, kind: str, defused: bool, t0: float) -> None:
-        """After the event's callbacks ran: bucket the elapsed wall."""
+    def after_event(self, event: Any) -> None:
+        """Bucket the wall time since the previous event ended (or the
+        loop began): pop, peek and bookkeeping overhead stays attributed
+        to an event kind, so the buckets sum to ~100% of the loop."""
         # repro: lint-ok[wall-clock-ban] brackets one kernel step for wall attribution
         now = time.perf_counter()
-        if self._last_stamp is not None:
-            self._last_stamp = now
-        bucket = self.by_event_kind.get(kind)
+        bucket = self.by_event_kind.get(event.kind)
         if bucket is None:
-            bucket = self.by_event_kind[kind] = [0, 0.0]
+            bucket = self.by_event_kind[event.kind] = [0, 0.0]
         bucket[0] += 1
-        bucket[1] += now - t0
-        if defused:
+        bucket[1] += now - self._last_stamp
+        self._last_stamp = now
+        if event.defused:
             self.events_defused += 1
 
-    def loop_enter(self) -> float:
+    def loop_enter(self) -> None:
         # repro: lint-ok[wall-clock-ban] brackets the event loop for the attribution denominator
-        t0 = time.perf_counter()
-        self._last_stamp = t0
-        return t0
+        self._loop_start = self._last_stamp = time.perf_counter()
 
-    def loop_exit(self, t0: float) -> None:
+    def loop_exit(self) -> None:
         # repro: lint-ok[wall-clock-ban] brackets the event loop for the attribution denominator
-        self.loop_wall_seconds += time.perf_counter() - t0
-        self._last_stamp = None
+        self.loop_wall_seconds += time.perf_counter() - self._loop_start
 
     def drive_handler(self, label: str, handler: Generator) -> Generator:
         """Run a protocol message handler, timing each resume segment.

@@ -75,9 +75,7 @@ class RecoveryReplayer:
         start = sim.now
         scans = [sim.process(self._scan_node(node), name=f"recover{node.node_id}")
                  for node in self.cluster.nodes]
-        gate = sim.all_of(scans)
-        while not gate.triggered:
-            sim.step()
+        sim.run_until_complete(sim.all_of(scans))
         return sim.now - start
 
     # -- phase 2/3: reconciliation ---------------------------------------------------

@@ -2,7 +2,7 @@
 
 The kernel (:mod:`repro.sim.engine`) provides generator-coroutine
 processes over a virtual-time event loop; :mod:`repro.sim.sync` adds the
-resource/queue/latch/condition primitives the protocol and hardware
+resource/queue/condition primitives the protocol and hardware
 models are built from; :mod:`repro.sim.rng` provides deterministic,
 forkable random streams; :mod:`repro.sim.trace` provides structured
 event tracing.
@@ -19,7 +19,7 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.rng import SeededStream
-from repro.sim.sync import Condition, Latch, Resource, Store
+from repro.sim.sync import Condition, Resource, Store
 from repro.sim.trace import NullTracer, TraceRecord, Tracer
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "Condition",
     "Event",
     "Interrupt",
-    "Latch",
     "NullTracer",
     "Process",
     "Resource",

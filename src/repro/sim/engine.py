@@ -13,7 +13,7 @@ Design notes
   of ns) live on the same axis, as in the paper's Table 5.
 * Events carry a payload (``value``) and an ok/failed status.  Failing an
   event propagates the exception into every waiting process; a failed
-  process that nobody waits on re-raises from :meth:`Simulator.step`, so
+  process that nobody waits on re-raises from the run loop, so
   protocol bugs surface as test failures rather than silent hangs.
 * Determinism: ties in the heap are broken by an insertion sequence
   number, so two runs with the same seed produce identical schedules.
@@ -32,6 +32,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Interrupt",
+    "Instrument",
     "Simulator",
     "SimulationError",
 ]
@@ -115,7 +116,7 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, 0.0)
+        self.sim._schedule(self, self.sim.now)
         return self
 
     def fail(self, exc: BaseException) -> Event:
@@ -126,7 +127,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._ok = False
         self._value = exc
-        self.sim._schedule(self, 0.0)
+        self.sim._schedule(self, self.sim.now)
         return self
 
     def trigger(self, other: Event) -> None:
@@ -174,7 +175,7 @@ class Callback:
     :meth:`Simulator.call_at`.
 
     Nothing can wait on it, so it carries no callback list, value or
-    status — only what the run loops read off any heap entry
+    status — only what the run loop reads off any heap entry
     (``_run_callbacks``, ``_ok``, ``defused``, ``kind``).  ``kind`` is
     the same profiling label as :attr:`Event.kind`; the network relabels
     its landings ``"msg_delivery"``.
@@ -205,7 +206,7 @@ class Timeout(Event):
         self.kind = "timeout"
         self._ok = True
         self._value = value
-        sim._schedule(self, delay)
+        sim._schedule(self, sim.now + delay)
 
 
 class Process(Event):
@@ -231,7 +232,7 @@ class Process(Event):
         init.kind = "process_start"
         init._ok = True
         init._value = None
-        sim._schedule_at(init, sim.now if start_at is None else start_at)
+        sim._schedule(init, sim.now if start_at is None else start_at)
         init.callbacks.append(self._resume)
         self._target: Optional[Event] = init
 
@@ -249,22 +250,22 @@ class Process(Event):
             except ValueError:
                 pass
             else:
-                profile = self.sim.profile
-                if profile is not None:
-                    profile.callbacks_cancelled += 1
+                instrument = self.sim.instrument
+                if instrument is not None:
+                    instrument.callbacks_cancelled += 1
         interrupt_event = Event(self.sim)
         interrupt_event.kind = "interrupt"
         interrupt_event._ok = False
         interrupt_event._value = Interrupt(cause)
         interrupt_event.defused = True
         interrupt_event.callbacks.append(self._resume)
-        self.sim._schedule(interrupt_event, 0.0)
+        self.sim._schedule(interrupt_event, self.sim.now)
 
     def _resume(self, trigger: Event) -> None:
         # ``hops`` counts trampoline fast-path continuations (yielding an
         # already-processed event resumes the generator without another
-        # heap pop); the attached profile, if any, collects it on exit.
-        profile = self.sim.profile
+        # heap pop); the attached instrument, if any, collects it on exit.
+        instrument = self.sim.instrument
         hops = 0
         try:
             self.sim._active_process = self
@@ -314,9 +315,9 @@ class Process(Event):
                 self.sim._active_process = None
                 return
         finally:
-            if profile is not None:
-                profile.resume_segments += 1
-                profile.trampoline_hops += hops
+            if instrument is not None:
+                instrument.resume_segments += 1
+                instrument.trampoline_hops += hops
 
 
 class AllOf(Event):
@@ -393,6 +394,34 @@ class AnyOf(Event):
         return on_child
 
 
+class Instrument:
+    """No-op base of the one optional kernel observer, ``sim.instrument``
+    (DESIGN.md §3): ``loop_enter``/``loop_exit`` bracket the run loop,
+    ``before_pop(heap)``/``after_event(entry)`` each event, the kernel
+    bumps the four counters, and ``drive_handler`` wraps each protocol
+    message handler and must yield exactly what it yields."""
+
+    __slots__ = ()
+    processes_spawned = callbacks_cancelled = 0
+    resume_segments = trampoline_hops = 0
+
+    def attach(self, sim: Simulator) -> Instrument:
+        if sim.instrument is not None:
+            raise SimulationError(
+                f"cannot attach {type(self).__name__}: "
+                f"{type(sim.instrument).__name__} is already attached")
+        sim.instrument = self
+        return self
+
+    def _noop(self, *_args: Any) -> None:
+        pass
+
+    loop_enter = loop_exit = before_pop = after_event = _noop
+
+    def drive_handler(self, label: str, handler: Generator) -> Generator:
+        return handler
+
+
 class Simulator:
     """The event loop.
 
@@ -414,15 +443,10 @@ class Simulator:
         self._heap: List = []
         self._sequence = 0
         self._active_process: Optional[Process] = None
-        # Optional kernel profiler (see repro.obs.profile.KernelProfile).
-        # None by default so the hot loop pays one attribute check per
-        # step and nothing else.
-        self.profile = None
-        # Optional tie-batch order sanitizer (see
-        # repro.devtools.sanitizer.TieBatchSanitizer): observes — and in
-        # sanitizing mode permutes — same-timestamp pop batches.  Same
-        # contract as ``profile``: None by default, one check per run.
-        self.order_sanitizer = None
+        # The one optional :class:`Instrument` (kernel profiler or
+        # tie-batch sanitizer).  None by default, so the run loop pays
+        # two ``is not None`` checks per event and nothing else.
+        self.instrument: Optional[Instrument] = None
 
     # -- factory helpers ------------------------------------------------------
 
@@ -441,8 +465,8 @@ class Simulator:
         if start_at is not None and start_at < self.now:
             raise ValueError(
                 f"process start in the past: {start_at} < {self.now}")
-        if self.profile is not None:
-            self.profile.processes_spawned += 1
+        if self.instrument is not None:
+            self.instrument.processes_spawned += 1
         return Process(self, generator, name, start_at)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -457,15 +481,8 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float) -> None:
-        if event._scheduled:
-            raise SimulationError(f"{event!r} scheduled twice")
-        event._scheduled = True
-        heapq.heappush(self._heap, (self.now + delay, self._sequence, event))
-        self._sequence += 1
-
-    def _schedule_at(self, event: Event, when: float) -> None:
-        """:meth:`_schedule` at an absolute time, pushed as given."""
+    def _schedule(self, event: Event, when: float) -> None:
+        """Push ``event`` at the absolute time ``when``, as given."""
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
@@ -488,123 +505,73 @@ class Simulator:
         self._sequence += 1
         return entry
 
-    def call_soon(self, fn: Callable[..., None], *args: Any) -> Callback:
-        """Run a plain callback at the current time, after pending events."""
-        return self.call_at(self.now, fn, *args)
-
     # -- running ------------------------------------------------------------------
+
+    def _drive(self, until: Optional[float] = None,
+               stop: Optional[Event] = None,
+               limit: Optional[int] = None) -> None:
+        """The run loop: pop and process events in ``(when, sequence)``
+        order until the heap drains, the next one lies past ``until``,
+        ``stop`` has triggered, or ``limit`` events ran.
+
+        An attached instrument brackets the loop and each event; it sees
+        the same pops in the same order, so an instrumented run stays
+        byte-identical to a bare one.
+        """
+        heap = self._heap
+        instrument = self.instrument
+        if instrument is not None:
+            instrument.loop_enter()
+        try:
+            while heap:
+                if stop is not None and stop._value is not PENDING:
+                    return
+                if until is not None and heap[0][0] > until:
+                    return
+                if instrument is not None:
+                    instrument.before_pop(heap)
+                self.now, _seq, event = heapq.heappop(heap)
+                event._run_callbacks()
+                if instrument is not None:
+                    instrument.after_event(event)
+                if event._ok is False and not event.defused:
+                    # A failure nobody consumed: surface it instead of losing it.
+                    raise event._value
+                if limit is not None:
+                    limit -= 1
+                    if limit == 0:
+                        return
+        finally:
+            if instrument is not None:
+                instrument.loop_exit()
 
     def step(self) -> None:
         """Process the single next event."""
-        profile = self.profile
-        if profile is not None:
-            self._profiled_step(profile)
-            return
-        when, _seq, event = heapq.heappop(self._heap)
-        self.now = when
-        event._run_callbacks()
-        if event._ok is False and not event.defused:
-            # A failure nobody consumed: surface it instead of losing it.
-            raise event._value
-
-    def _profiled_step(self, profile: Any) -> None:
-        """The :meth:`step` body with attribution hooks around it.
-
-        Identical scheduling semantics — same pop, same callback order —
-        so a profiled run stays byte-identical to an unprofiled one; the
-        profile merely brackets each event with wall-clock reads and
-        scheduling statistics (see ``KernelProfile.step_start/step_end``).
-        """
-        t0 = profile.step_start(len(self._heap), self._heap[0][0])
-        when, _seq, event = heapq.heappop(self._heap)
-        self.now = when
-        event._run_callbacks()
-        profile.step_end(event.kind, event.defused, t0)
-        if event._ok is False and not event.defused:
-            # A failure nobody consumed: surface it instead of losing it.
-            raise event._value
-
-    def _sanitized_run(self, until: Optional[float], sanitizer: Any) -> None:
-        """The :meth:`run` loop popping whole same-timestamp *waves*.
-
-        All entries tied at the next timestamp are popped together and
-        handed to the sanitizer, which records the batch and (in
-        sanitizing mode) permutes its processing order.  With the
-        identity permutation this is exactly the plain loop: the heap
-        yields ties in insertion-sequence order, and events scheduled
-        *while* a wave runs always carry larger sequence numbers, so
-        they land in a later wave just as they would pop later.
-        """
-        heap = self._heap
-        while heap:
-            when = heap[0][0]
-            if until is not None and when > until:
-                self.now = until
-                return
-            batch = [heapq.heappop(heap)]
-            while heap and heap[0][0] == when:
-                batch.append(heapq.heappop(heap))
-            if len(batch) > 1:
-                sanitizer.observe(when, batch)
-            self.now = when
-            for _when, _seq, event in batch:
-                event._run_callbacks()
-                if event._ok is False and not event.defused:
-                    raise event._value
-        if until is not None:
-            self.now = until
+        if not self._heap:
+            raise SimulationError("step() on an empty event queue")
+        self._drive(limit=1)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap drains or ``until`` (absolute ns) is reached."""
         if until is not None and until < self.now:
             raise ValueError(f"run(until={until}) is in the past (now={self.now})")
-        if self.order_sanitizer is not None:
-            self._sanitized_run(until, self.order_sanitizer)
-            return
-        profile = self.profile
-        if profile is None:
-            while self._heap:
-                when = self._heap[0][0]
-                if until is not None and when > until:
-                    self.now = until
-                    return
-                self.step()
-            if until is not None:
-                self.now = until
-            return
-        t0 = profile.loop_enter()
-        try:
-            while self._heap:
-                when = self._heap[0][0]
-                if until is not None and when > until:
-                    self.now = until
-                    return
-                self._profiled_step(profile)
-            if until is not None:
-                self.now = until
-        finally:
-            profile.loop_exit(t0)
+        self._drive(until=until)
+        if until is not None:
+            self.now = until
 
-    def run_until_complete(self, process: Process) -> Any:
-        """Run until ``process`` finishes; return its value (or raise)."""
-        profile = self.profile
-        t0 = profile.loop_enter() if profile is not None else 0.0
-        try:
-            while not process.triggered:
-                if not self._heap:
-                    raise SimulationError(
-                        f"deadlock: {process.name!r} still pending with no events"
-                    )
-                self.step()
-        finally:
-            if profile is not None:
-                profile.loop_exit(t0)
-        if not process.ok:
-            # The caller consumes the failure here; the process's own
-            # completion event (still queued) must not re-raise it.
-            process.defused = True
-            raise process.value
-        return process.value
+    def run_until_complete(self, event: Event) -> Any:
+        """Run until ``event`` (usually a process) triggers; return its
+        value (or raise its failure)."""
+        self._drive(stop=event)
+        if not event.triggered:
+            raise SimulationError(f"deadlock: {getattr(event, 'name', event)!r} "
+                                  f"still pending with no events")
+        if not event.ok:
+            # The caller consumes the failure here; the event's own
+            # completion entry (still queued) must not re-raise it.
+            event.defused = True
+            raise event.value
+        return event.value
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

@@ -9,7 +9,6 @@ These are the building blocks the substrates use:
   pairs and protocol-worker cores.
 * :class:`Store` — an unbounded FIFO channel of items.  Models a NIC's
   inbox, for code that reads arrivals as events.
-* :class:`Latch` — a countdown latch.  Models "wait for N ACKs".
 * :class:`Condition` — predicate waiting with explicit re-checks.  Models
   read stalls ("wait until the latest visible version is persisted").
 """
@@ -22,7 +21,7 @@ from typing import Any, Callable, Deque, Generator, List
 
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["Resource", "AdmissionPool", "Store", "Latch", "Condition"]
+__all__ = ["Resource", "AdmissionPool", "Store", "Condition"]
 
 
 class Resource:
@@ -193,38 +192,6 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-
-class Latch:
-    """A countdown latch: triggers its event after ``count`` arrivals.
-
-    Used by coordinators waiting for ACKs from all followers.  Extra
-    arrivals beyond ``count`` raise, catching protocol double-ACK bugs.
-    """
-
-    def __init__(self, sim: Simulator, count: int, name: str = "latch"):
-        if count < 0:
-            raise ValueError(f"negative latch count: {count}")
-        self.sim = sim
-        self.name = name
-        self._remaining = count
-        self.event = sim.event()
-        if count == 0:
-            self.event.succeed()
-
-    @property
-    def remaining(self) -> int:
-        return self._remaining
-
-    def arrive(self, value: Any = None) -> None:
-        if self._remaining <= 0:
-            raise RuntimeError(f"latch {self.name!r} overrun")
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.event.succeed(value)
-
-    def wait(self) -> Event:
-        return self.event
 
 
 class Condition:

@@ -39,8 +39,8 @@ def _plain_digest(model, ops=20):
 
 class TestRecordMode:
     def test_recording_is_transparent(self):
-        # A recorder (seed=None) must not perturb the run: the wave
-        # loop processes batches in exactly the plain kernel's order.
+        # A recorder (seed=None) must not perturb the run: batches go
+        # back on the heap in exactly the order they came off.
         recorder = TieBatchSanitizer(seed=None)
         digest = _run_once(LIN_STRICT, 20, 3, 2, 2021, recorder)
         assert digest == _plain_digest(LIN_STRICT, ops=20)
@@ -55,6 +55,60 @@ class TestRecordMode:
         pairs = recorder.observed_pairs()
         assert pairs == sorted(pairs)
         assert any(a == "INV" or b == "INV" for a, b in pairs)
+
+
+class TestRekeying:
+    """The sanitizer reorders a tie batch *on the heap*; the kernel's
+    own loop pops it."""
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_failed_event_keeps_the_rest_of_its_batch_queued(self, seed):
+        sim = Simulator()
+        TieBatchSanitizer(seed=seed).attach(sim)
+        ran, depths = [], []
+
+        def note(tag):
+            ran.append(tag)
+            depths.append(sim.queue_depth)
+
+        def boom():
+            raise ValueError("boom")
+
+        sim.call_at(5.0, note, "a")
+        sim.call_at(5.0, boom)
+        sim.call_at(5.0, note, "c")
+        with pytest.raises(ValueError, match="boom"):
+            sim.run()
+        assert ran == ["a"] and sim.queue_depth == 1
+        sim.run()  # exactly what the plain loop does on a second run()
+        assert ran == ["a", "c"] and sim.queue_depth == 0
+        # mid-batch, the unprocessed ties are still on the heap
+        assert depths == [2, 0]
+
+    def test_permuted_order_is_what_the_loop_pops(self):
+        """With a seed, landings at distinct nodes come off the heap in
+        the shuffled order, under ``run(until=)`` and ``step()`` alike;
+        later same-time arrivals form the next batch."""
+        sim = Simulator()
+        network = Network(sim)
+        for node in range(6):
+            network.attach(node)
+        order = []
+        for node in range(6):
+            network.nic(node).sink = order.append
+        sanitizer = TieBatchSanitizer(seed=3)
+        sanitizer.attach(sim)
+        for dst in range(1, 6):
+            network.send(0, dst, dst, 16)
+        landing = sim.peek()
+        sim.call_at(landing, lambda: sim.call_at(landing, order.append, "late"))
+        sim.step()
+        assert sanitizer.batches == 1 and sanitizer.max_batch == 6
+        assert len(order) == 1 and sim.queue_depth == 5
+        sim.run(until=landing)
+        assert sorted(order[:5]) == [1, 2, 3, 4, 5]
+        assert order[:5] != [1, 2, 3, 4, 5] and order[5] == "late"
+        assert sanitizer.permuted == 1 and sanitizer.batches == 1
 
 
 class TestPermutation:

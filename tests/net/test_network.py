@@ -157,14 +157,6 @@ class TestSend:
         nic.deliver("to-sink", 8)
         assert taken == ["to-sink"] and len(nic.inbox) == 1
 
-    def test_broadcast_reaches_all(self, sim):
-        network = make_net(sim)
-        events = network.broadcast(0, [1, 2], "b", 64)
-        sim.run()
-        assert len(events) == 2
-        assert network.nic(1).messages_received == 1
-        assert network.nic(2).messages_received == 1
-
     def test_duplicate_attach_rejected(self, sim):
         network = make_net(sim)
         with pytest.raises(ValueError):

@@ -98,13 +98,55 @@ class TestKernelProfile:
 
     def test_detached_simulator_profiles_nothing(self):
         sim = Simulator()
-        assert sim.profile is None
+        assert sim.instrument is None
 
         def worker():
             yield sim.timeout(1.0)
 
         sim.process(worker())
         sim.run(until=10.0)  # must not raise, no profile attached
+
+    def test_second_instrument_is_rejected(self):
+        """One slot: a second attach must fail loudly, not shadow the
+        first (a profile shadowed by a sanitizer used to report zero
+        events without a word)."""
+        from repro.devtools.sanitizer import TieBatchSanitizer
+        from repro.sim.engine import SimulationError
+
+        sim = Simulator()
+        profile = KernelProfile().attach(sim)
+        with pytest.raises(SimulationError,
+                           match="TieBatchSanitizer.*KernelProfile"):
+            TieBatchSanitizer().attach(sim)
+        assert sim.instrument is profile
+
+    def test_stepping_counts_what_running_counts(self):
+        """``step()`` x N and ``run()`` go through the same loop: the
+        same events land in the same histograms."""
+        ran = KernelProfile()
+        self._run_tiny_sim(ran)
+        stepped = KernelProfile()
+        sim = Simulator()
+        stepped.attach(sim)
+
+        def worker():
+            for _ in range(5):
+                yield sim.timeout(10.0)
+
+        for _ in range(3):
+            sim.process(worker())
+        steps = 0
+        while sim.queue_depth:
+            sim.step()
+            steps += 1
+        stepped.stop(sim.now)
+        assert stepped.events_processed == steps == ran.events_processed
+        assert stepped.tie_batch_hist == ran.tie_batch_hist
+        assert stepped.heap_depth_hist == ran.heap_depth_hist
+        assert stepped.resume_segments == ran.resume_segments
+        assert {kind: stats[0] for kind, stats
+                in stepped.by_event_kind.items()} == \
+            {kind: stats[0] for kind, stats in ran.by_event_kind.items()}
 
     def test_snapshot_mid_run_reports_live_wall_clock(self):
         """Before stop(), wall_seconds has accumulated nothing — a live

@@ -17,6 +17,7 @@ from repro.analysis.points import PointsTracker
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency, DdpModel, Persistency
+from repro.devtools.sanitizer import TieBatchSanitizer, cluster_digest
 from repro.obs import (FanoutTracer, HealthMonitor, JourneyTracker,
                        KernelProfile, write_chrome_trace)
 from repro.sim.trace import Tracer
@@ -30,11 +31,13 @@ MODELS = [
 
 
 def _run(model, tracer=None, profile=None, monitor=None, seed=2021,
-         faults=None, history=None):
+         faults=None, history=None, instrument=None):
     config = ClusterConfig(servers=3, clients_per_server=3, seed=seed)
     cluster = Cluster(model, config=config, workload=WORKLOADS["A"],
                       tracer=tracer, profile=profile, monitor=monitor,
                       faults=faults, history=history)
+    if instrument is not None:
+        instrument.attach(cluster.sim)
     summary = cluster.run(40_000.0, warmup_ns=4_000.0)
     stores = [
         {replica.key: (replica.applied_version, replica.applied_value,
@@ -115,6 +118,22 @@ class TestTracingDoesNotPerturb:
         assert dataclasses.asdict(summary_off) == \
             pytest.approx(dataclasses.asdict(summary_on), nan_ok=True)
         assert stores_off == stores_on
+
+    @pytest.mark.parametrize("model", MODELS, ids=str)
+    @pytest.mark.parametrize("make", [
+        lambda: None, KernelProfile, lambda: TieBatchSanitizer(seed=None),
+    ], ids=["bare", "profile", "sanitizer"])
+    def test_one_loop_whatever_the_instrument(self, model, make):
+        """Bare, profiled and tie-batch-recorded runs go through the one
+        kernel loop: same converged state, same summary, same clock."""
+        cluster_off, summary_off, _ = _run(model)
+        instrument = make()
+        cluster_on, summary_on, _ = _run(model, instrument=instrument)
+        assert cluster_on.sim.instrument is instrument
+        assert cluster_digest(cluster_off) == cluster_digest(cluster_on)
+        assert dataclasses.asdict(summary_off) == \
+            pytest.approx(dataclasses.asdict(summary_on), nan_ok=True)
+        assert cluster_off.sim.now == cluster_on.sim.now
 
     @pytest.mark.parametrize("model", MODELS, ids=str)
     def test_profiled_trace_byte_identical(self, model, tmp_path):

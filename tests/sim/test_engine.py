@@ -378,10 +378,10 @@ class TestSimulator:
         sim.run()
         assert sim.now == when and timeout.processed
 
-    def test_call_soon_runs_after_pending_same_time_events(self, sim):
+    def test_call_at_now_runs_after_pending_same_time_events(self, sim):
         order = []
         sim.timeout(0.0).callbacks.append(lambda _ev: order.append("timeout"))
-        sim.call_soon(order.append, "soon")
+        sim.call_at(sim.now, order.append, "soon")
         sim.run()
         assert order == ["timeout", "soon"]
 
@@ -409,3 +409,19 @@ class TestSimulator:
 
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run_until_complete(sim.process(stuck()))
+
+    def test_run_until_complete_accepts_any_event(self, sim):
+        def proc(delay):
+            yield sim.timeout(delay)
+            return delay
+
+        gate = sim.all_of([sim.process(proc(2)), sim.process(proc(7))])
+        sim.timeout(50)
+        assert sim.run_until_complete(gate) == [2, 7]
+        # The loop stops once the gate has triggered: its own completion
+        # entry and the later timeout are still queued.
+        assert sim.now == 7.0 and sim.queue_depth == 2
+
+    def test_step_on_empty_queue_is_a_simulation_error(self, sim):
+        with pytest.raises(SimulationError, match="empty event queue"):
+            sim.step()

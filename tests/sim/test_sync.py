@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.sync import AdmissionPool, Condition, Latch, Resource, Store
+from repro.sim.sync import AdmissionPool, Condition, Resource, Store
 
 
 @pytest.fixture
@@ -200,40 +200,6 @@ class TestStore:
         store.put(2)
         assert len(store) == 2
         assert store.peak_len == 2
-
-
-class TestLatch:
-    def test_zero_count_is_immediately_done(self, sim):
-        latch = Latch(sim, 0)
-        assert latch.event.triggered
-
-    def test_counts_down(self, sim):
-        latch = Latch(sim, 3)
-        done = []
-
-        def waiter():
-            yield latch.wait()
-            done.append(sim.now)
-
-        def arriver():
-            for _ in range(3):
-                yield sim.timeout(2)
-                latch.arrive()
-
-        sim.process(waiter())
-        sim.process(arriver())
-        sim.run()
-        assert done == [6.0]
-
-    def test_overrun_rejected(self, sim):
-        latch = Latch(sim, 1)
-        latch.arrive()
-        with pytest.raises(RuntimeError):
-            latch.arrive()
-
-    def test_negative_count_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Latch(sim, -1)
 
 
 class TestCondition:
