@@ -37,16 +37,17 @@ KERNEL_POINTS = {
 }
 
 #: label -> ceilings on (kernel events, spawned processes) per handled
-#: protocol message: the values measured at 150 us after the
-#: callback-message rewrite, plus 10 %.  They are whole-run ratios, so
-#: client work rides along and a point with few messages per operation
-#: (3 servers: two UPDs per write) sits higher than ROADMAP item 1's
-#: 8 / 1 target for the message path proper.
+#: protocol message: the values measured at 150 us once persists and
+#: the handlers that never wait became callbacks, plus 10 %.  They are
+#: whole-run ratios, so client work rides along and a point with few
+#: messages per operation (3 servers: two UPDs per write) sits higher
+#: than ROADMAP item 1's 8 / 1 target for the message path proper.
+#: Processes: one per UPD (its handler waits), none per ACK or VAL.
 MESSAGE_COST_CEILINGS = {
-    "causal-eventual-3s": (12.1, 2.30),           # measured 10.97 / 2.09
-    "causal-eventual-5s": (8.8, 1.86),            # measured  7.98 / 1.69
-    "causal-eventual-8s": (6.9, 1.55),            # measured  6.27 / 1.41
-    "linearizable-synchronous-5s": (4.95, 1.52),  # measured  4.46 / 1.38
+    "causal-eventual-3s": (11.65, 1.11),          # measured 10.59 / 1.01
+    "causal-eventual-5s": (8.75, 1.10),           # measured  7.95 / 1.00
+    "causal-eventual-8s": (6.89, 1.10),           # measured  6.26 / 1.00
+    "linearizable-synchronous-5s": (4.62, 0.37),  # measured  4.20 / 0.34
 }
 
 _RESULTS = {}

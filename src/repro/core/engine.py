@@ -31,8 +31,9 @@ requests.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.analysis.metrics import Metrics
 from repro.core.context import ClientContext
@@ -266,12 +267,17 @@ class ProtocolNode:
         if membership is not None:
             membership.subscribe(node_id, self._on_membership_change)
         # Bound once here instead of building a dict literal per
-        # inbound message in _on_arrival.
-        self._handlers = {msg_type: getattr(self, name)
-                          for msg_type, name in self._DISPATCH.items()}
+        # inbound message in _on_arrival: (handler, whether it can wait).
+        # A generator function may wait and runs as a process; a plain
+        # function cannot and runs as a callback.
+        self._handlers: Dict[MsgType, Tuple[Callable[[Message], Any], bool]] = {}
+        for msg_type, name in self._DISPATCH.items():
+            handler = getattr(self, name)
+            self._handlers[msg_type] = (
+                handler, inspect.isgeneratorfunction(handler))
         # Likewise the names of the processes spawned per message.
         self._pname = {role: f"n{node_id}.{role}" for role in (
-            "msg", "persist", "crecheck", "valp", "bground", "cvalp",
+            "msg", "crecheck", "valp", "bground", "cvalp",
             "ackp", "strictp", "chain", "orphan", "pmany", "scopep")}
 
     # ------------------------------------------------------------------
@@ -366,17 +372,27 @@ class ProtocolNode:
                          key=key, version=version)
 
     def _send(self, dst: int, message: Message, lazy: bool = False) -> None:
-        self.metrics.record_message(message.msg_type.value, message.size_bytes,
-                                    time_ns=self.sim.now)
+        self._inject(dst, message, message.msg_type.value,
+                     message.size_bytes, lazy)
+
+    def _inject(self, dst: int, message: Message, label: str,
+                size_bytes: int, lazy: bool, chain: bool = False) -> Event:
+        """Account for, trace and hand one copy of ``message`` to the
+        network.  ``label`` and ``size_bytes`` are the message's own
+        (``msg_type.value``, ``size_bytes``), read once per message by
+        the caller rather than once per destination."""
+        self.metrics.record_message(label, size_bytes, time_ns=self.sim.now)
         if self.tracer.enabled:
-            details = dict(msg=message.msg_type.value, dst=dst,
-                           op_id=message.op_id, key=message.key,
-                           version=message.version, bytes=message.size_bytes)
+            details = dict(msg=label, dst=dst, op_id=message.op_id,
+                           key=message.key, version=message.version,
+                           bytes=size_bytes)
+            if chain:
+                details["chain"] = True
             if lazy:
                 details["lazy"] = True
             self.tracer.emit(self.sim.now, "msg_send", node=self.node_id,
                              **details)
-        self.network.send(self.node_id, dst, message, message.size_bytes)
+        return self.network.send(self.node_id, dst, message, size_bytes)
 
     def _broadcast(self, message: Message, lazy: bool = False,
                    targets: Optional[List[int]] = None) -> None:
@@ -384,27 +400,17 @@ class ProtocolNode:
             self.sim.process(self._chain_send(message, lazy),
                              name=self._pname["chain"])
             return
+        label, size_bytes = message.msg_type.value, message.size_bytes
         for dst in (self.active_peers if targets is None else targets):
-            self._send(dst, message, lazy)
+            self._inject(dst, message, label, size_bytes, lazy)
 
     def _chain_send(self, message: Message, lazy: bool = False) -> Generator:
         """Sequential propagation (ablation): the message reaches follower
         k only after it has been delivered at follower k-1."""
+        label, size_bytes = message.msg_type.value, message.size_bytes
         for dst in self.peer_ids:
-            self.metrics.record_message(message.msg_type.value,
-                                        message.size_bytes,
-                                        time_ns=self.sim.now)
-            if self.tracer.enabled:
-                details = dict(msg=message.msg_type.value, dst=dst,
-                               op_id=message.op_id, key=message.key,
-                               version=message.version,
-                               bytes=message.size_bytes, chain=True)
-                if lazy:
-                    details["lazy"] = True
-                self.tracer.emit(self.sim.now, "msg_send",
-                                 node=self.node_id, **details)
-            yield self.network.send(self.node_id, dst, message,
-                                    message.size_bytes)
+            yield self._inject(dst, message, label, size_bytes, lazy,
+                               chain=True)
 
     def _store_read_cost(self, key: int) -> float:
         if self.store is None:
@@ -456,17 +462,25 @@ class ProtocolNode:
         replica.persist_target = (version, value)
         if not replica.persist_active:
             replica.persist_active = True
-            self.sim.process(self._persist_drain_loop(replica),
-                             name=self._pname["persist"])
+            # Through the heap, not inline: requests for the key made in
+            # this same instant must land in the slot before it is taken,
+            # so that they combine into one media write.
+            self.sim.call_at(self.sim.now, self._persist_drain, replica)
 
-    def _persist_drain_loop(self, replica: KeyReplica) -> Generator:
-        """Drain the key's write-pending slot until it stays empty."""
-        while replica.persist_target is not None:
-            version, value = replica.persist_target
-            replica.persist_target = None
-            yield from self.memory.persist(replica.key)
-            self._mark_durable(replica, version, value)
-        replica.persist_active = False
+    def _persist_drain(self, replica: KeyReplica) -> None:
+        """Write the key's pending slot to NVM, if it holds anything."""
+        if replica.persist_target is None:
+            replica.persist_active = False
+            return
+        version, value = replica.persist_target
+        replica.persist_target = None
+        self.memory.persist_then(replica.key, self._persist_drained,
+                                 replica, version, value)
+
+    def _persist_drained(self, replica: KeyReplica, version: Version,
+                         value: Any) -> None:
+        self._mark_durable(replica, version, value)
+        self._persist_drain(replica)
 
     def _ensure_persisted(self, replica: KeyReplica, version: Version,
                           value: Any, scope_id: Optional[int] = None,
@@ -1234,22 +1248,43 @@ class ProtocolNode:
                              version=message.version)
         msg_proc_ns = self.config.msg_proc_ns
         cpu_done = self.protocol_workers.admit(msg_proc_ns) + msg_proc_ns
-        self.sim.process(self._handle_message(message, self.sim.now),
-                         name=self._pname["msg"], start_at=cpu_done)
+        handler, waits = self._handlers[message.msg_type]
+        if waits:
+            self.sim.process(
+                self._handle_waiting(handler, message, self.sim.now),
+                name=self._pname["msg"], start_at=cpu_done)
+        else:
+            self.sim.call_at(cpu_done, self._handle_now, handler, message,
+                             self.sim.now)
 
-    def _handle_message(self, message: Message, arrived_ns: float) -> Generator:
-        handler = self._handlers[message.msg_type](message)
+    def _handle_waiting(self, handler: Callable[[Message], Generator],
+                        message: Message, arrived_ns: float) -> Generator:
+        steps = handler(message)
         instrument = self.sim.instrument
         if instrument is not None:
             # Transparent shim: yields the same events in the same order,
             # so the run stays byte-identical (see Instrument.drive_handler).
-            handler = instrument.drive_handler(message.msg_type.value, handler)
-        yield from handler
+            steps = instrument.drive_handler(message.msg_type.value, steps)
+        yield from steps
         if self.tracer.enabled:
-            self.tracer.emit(self.sim.now, "msg_handle", node=self.node_id,
-                             dur=self.sim.now - arrived_ns,
-                             msg=message.msg_type.value, src=message.src,
-                             op_id=message.op_id)
+            self._emit_msg_handle(message, arrived_ns)
+
+    def _handle_now(self, handler: Callable[[Message], None],
+                    message: Message, arrived_ns: float) -> None:
+        instrument = self.sim.instrument
+        if instrument is None:
+            handler(message)
+        else:
+            instrument.call_handler(message.msg_type.value, handler, message)
+        if self.tracer.enabled:
+            self._emit_msg_handle(message, arrived_ns)
+
+    def _emit_msg_handle(self, message: Message, arrived_ns: float) -> None:
+        # repro: lint-ok[tracer-guard] both callers check tracer.enabled
+        self.tracer.emit(self.sim.now, "msg_handle", node=self.node_id,
+                         dur=self.sim.now - arrived_ns,
+                         msg=message.msg_type.value, src=message.src,
+                         op_id=message.op_id)
 
     # -- invalidation path ------------------------------------------------------
 
@@ -1313,7 +1348,7 @@ class ProtocolNode:
                                         op_id=message.op_id, key=message.key,
                                         version=message.version))
 
-    def _on_val(self, message: Message) -> Generator:
+    def _on_val(self, message: Message) -> None:
         if message.txn_id is not None and message.key is None:
             # Post-ENDX (or abort) VAL: settle the transaction's writes
             # and clear all its INVs.
@@ -1335,10 +1370,8 @@ class ProtocolNode:
             # A combined VAL also announces cluster-wide durability.
             replica.mark_cluster_persisted(message.version)
         replica.end_inv(message.op_id)
-        return
-        yield  # pragma: no cover - makes this a generator
 
-    def _on_val_p(self, message: Message) -> Generator:
+    def _on_val_p(self, message: Message) -> None:
         if message.payload:
             for key, version in message.payload:
                 self.replicas.get(key).mark_cluster_persisted(version)
@@ -1346,10 +1379,8 @@ class ProtocolNode:
             replica = self.replicas.get(message.key)
             replica.mark_cluster_persisted(message.version)
             replica.end_inv(message.op_id)
-        return
-        yield  # pragma: no cover - makes this a generator
 
-    def _on_ack_c(self, message: Message) -> Generator:
+    def _on_ack_c(self, message: Message) -> None:
         op = self._outstanding_writes.get(message.op_id)
         if op is not None:
             op.ack_c.ack(message.src)
@@ -1357,10 +1388,8 @@ class ProtocolNode:
         round_op = self._outstanding_rounds.get(message.op_id)
         if round_op is not None:
             round_op.acks.ack(message.src)
-        return
-        yield  # pragma: no cover - makes this a generator
 
-    def _on_ack_p(self, message: Message) -> Generator:
+    def _on_ack_p(self, message: Message) -> None:
         op = self._outstanding_writes.get(message.op_id)
         if op is not None and op.ack_p is not None:
             op.ack_p.ack(message.src)
@@ -1368,8 +1397,6 @@ class ProtocolNode:
         round_op = self._outstanding_rounds.get(message.op_id)
         if round_op is not None:
             round_op.acks.ack(message.src)
-        return
-        yield  # pragma: no cover - makes this a generator
 
     # -- update path (Causal / Eventual) ----------------------------------------
 

@@ -12,7 +12,7 @@ the reads that wait on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List
+from typing import Any, Callable, Generator, List
 
 from repro.sim.engine import Simulator
 from repro.sim.sync import Resource
@@ -43,8 +43,10 @@ class MemoryDevice:
     """A banked memory device with per-bank FIFO queueing.
 
     Accesses are processes: ``yield from device.read(address)`` holds the
-    target bank for the service time.  Statistics expose total accesses
-    and time-integrated queue occupancy for pressure analysis.
+    target bank for the service time.  A holder nobody can interrupt may
+    use the callback form instead (:meth:`NvmDevice.persist_then`); both
+    queue at the same bank FIFO.  Statistics expose total accesses and
+    time-integrated queue occupancy for pressure analysis.
     """
 
     def __init__(self, sim: Simulator, timing: MemoryTiming, name: str = "mem",
@@ -77,6 +79,8 @@ class MemoryDevice:
         return self._banks[address % len(self._banks)]
 
     def _access(self, address: int, service_ns: float) -> Generator:
+        """Process: hold ``address``'s bank for ``service_ns`` scaled by
+        the slowdown in force at the grant; returns the time charged."""
         bank = self._bank_for(address)
         enqueue_time = self.sim.now
         yield bank.acquire()
@@ -87,6 +91,37 @@ class MemoryDevice:
             self.busy_ns += service_ns
         finally:
             bank.release()
+        return service_ns
+
+    def _access_then(self, address: int, service_ns: float,
+                     done: Callable[..., None], *args: Any) -> None:
+        """:meth:`_access` for a holder nobody can interrupt: no process,
+        one ``call_at`` per access.  Queues at the same bank FIFO as the
+        generator form, fixes the service time at the grant the same
+        way, and calls ``done(charged_ns, *args)`` once the bank is
+        released."""
+        bank = self._bank_for(address)
+        grant = bank.acquire()
+        if grant.callbacks is None:
+            self._serve(bank, self.sim.now, service_ns, done, args)
+        else:
+            enqueue_time = self.sim.now
+            grant.callbacks.append(lambda _grant: self._serve(
+                bank, enqueue_time, service_ns, done, args))
+
+    def _serve(self, bank: Resource, enqueue_time: float, service_ns: float,
+               done: Callable[..., None], args: tuple) -> None:
+        now = self.sim.now
+        self.queued_ns += now - enqueue_time
+        service_ns = service_ns * self.slowdown
+        self.sim.call_at(now + service_ns, self._served, bank, service_ns,
+                         done, args)
+
+    def _served(self, bank: Resource, service_ns: float,
+                done: Callable[..., None], args: tuple) -> None:
+        self.busy_ns += service_ns
+        bank.release()
+        done(service_ns, *args)
 
     def read(self, address: int) -> Generator:
         """Process: perform a read access to ``address``."""
@@ -141,17 +176,33 @@ class NvmDevice(MemoryDevice):
     def persist(self, address: int) -> Generator:
         """Process: durably write ``address`` (queues at its bank)."""
         self.persists += 1
+        start = self.sim.now
+        service_ns = yield from self._access(address, self.timing.write_ns)
         if self.tracer.enabled:
-            start = self.sim.now
-            yield from self._access(address, self.timing.write_ns)
-            # Span covers bank queueing + media service time, so NVM
-            # pressure shows up directly as widening persist spans;
-            # service_ns isolates the media share so bank queueing is
-            # the remainder.
-            self.tracer.emit(self.sim.now, "nvm_persist",
-                             node=self.trace_node,
-                             dur=self.sim.now - start, address=address,
-                             outstanding=self.outstanding,
-                             service_ns=self.timing.write_ns * self.slowdown)
-        else:
-            yield from self._access(address, self.timing.write_ns)
+            self._emit_persist_span(start, address, service_ns)
+
+    def persist_then(self, address: int, fn: Callable[..., None],
+                     *args: Any) -> None:
+        """:meth:`persist` as a callback: ``fn(*args)`` runs when the
+        write is durable.  For callers that cannot be interrupted while
+        they hold the bank (the engine's write-combining drain)."""
+        self.persists += 1
+        self._access_then(address, self.timing.write_ns, self._persisted,
+                          self.sim.now, address, fn, args)
+
+    def _persisted(self, service_ns: float, start: float, address: int,
+                   fn: Callable[..., None], args: tuple) -> None:
+        if self.tracer.enabled:
+            self._emit_persist_span(start, address, service_ns)
+        fn(*args)
+
+    def _emit_persist_span(self, start: float, address: int,
+                           service_ns: float) -> None:
+        # Span covers bank queueing + media service time, so NVM
+        # pressure shows up directly as widening persist spans;
+        # service_ns (the time charged at the grant) isolates the media
+        # share so bank queueing is the remainder.
+        # repro: lint-ok[tracer-guard] both callers check tracer.enabled
+        self.tracer.emit(self.sim.now, "nvm_persist", node=self.trace_node,
+                         dur=self.sim.now - start, address=address,
+                         outstanding=self.outstanding, service_ns=service_ns)

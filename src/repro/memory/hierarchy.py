@@ -7,12 +7,13 @@ The protocol engine uses three operations:
   (LLC via DDIO for NIC-delivered payloads, or a cache access for
   locally-produced writes).
 * ``volatile_read`` — read a key from the volatile hierarchy.
-* ``persist`` — durably write an update to NVM (queues at NVM banks).
+* ``persist`` / ``persist_then`` — durably write an update to NVM
+  (queues at NVM banks), as a process or as a callback.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.memory.cache import CacheHierarchy
 from repro.memory.devices import DramDevice, MemoryTiming, NvmDevice
@@ -71,6 +72,11 @@ class MemoryHierarchy:
     def persist(self, address: int) -> Generator:
         """Process: durably write one update to NVM."""
         yield from self.nvm.persist(address)
+
+    def persist_then(self, address: int, fn: Callable[..., None],
+                     *args: Any) -> None:
+        """:meth:`persist` as a callback, for uninterruptible callers."""
+        self.nvm.persist_then(address, fn, *args)
 
     def nvm_read(self, address: int) -> Generator:
         """Process: read from NVM (used during recovery)."""

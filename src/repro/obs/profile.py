@@ -26,8 +26,10 @@ Attribution (the performance observatory, ``repro.obs.perf``):
   count and cumulative wall seconds spent running its callbacks.
 * ``by_msg_type`` — per protocol :class:`~repro.core.messages.MsgType`
   handler, the message count, cumulative wall seconds, and generator
-  resume segments (filled in by :meth:`drive_handler`, which
-  ``core.engine`` routes dispatch through when a profile is attached).
+  resume segments (filled in by :meth:`drive_handler` for handlers
+  that can wait and :meth:`call_handler` for those that cannot;
+  ``core.engine`` routes dispatch through them when a profile is
+  attached).
 * scheduling statistics — heap-depth histogram (power-of-two buckets),
   same-timestamp tie-batch size histogram, defused-event and cancelled
   -callback counts, trampoline hops per resume, and the two ratios
@@ -42,7 +44,7 @@ attribution buckets sum to ~100% of it (the hotspot-table denominator).
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.sim.engine import Instrument
 
@@ -191,6 +193,22 @@ class KernelProfile(Instrument):
             except BaseException as exc:  # rethrown into the handler next turn
                 error = exc
                 value = None
+
+    def call_handler(self, label: str, handler: Callable[[Any], None],
+                     message: Any) -> None:
+        """Run a protocol message handler that cannot wait, timed under
+        ``label`` like a :meth:`drive_handler` with no suspends."""
+        stats = self.by_msg_type.get(label)
+        if stats is None:
+            stats = self.by_msg_type[label] = [0, 0.0, 0]
+        stats[0] += 1
+        # repro: lint-ok[wall-clock-ban] times one handler call
+        t0 = time.perf_counter()
+        try:
+            handler(message)
+        finally:
+            # repro: lint-ok[wall-clock-ban] times one handler call
+            stats[1] += time.perf_counter() - t0
 
     def _flush_tie_run(self) -> None:
         if self._tie_run:

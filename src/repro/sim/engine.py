@@ -398,8 +398,10 @@ class Instrument:
     """No-op base of the one optional kernel observer, ``sim.instrument``
     (DESIGN.md §3): ``loop_enter``/``loop_exit`` bracket the run loop,
     ``before_pop(heap)``/``after_event(entry)`` each event, the kernel
-    bumps the four counters, and ``drive_handler`` wraps each protocol
-    message handler and must yield exactly what it yields."""
+    bumps the four counters, and each protocol message handler goes
+    through ``drive_handler`` (one that can wait: a generator, wrapped
+    by one that must yield exactly what it yields) or ``call_handler``
+    (one that cannot: a plain call)."""
 
     __slots__ = ()
     processes_spawned = callbacks_cancelled = 0
@@ -420,6 +422,10 @@ class Instrument:
 
     def drive_handler(self, label: str, handler: Generator) -> Generator:
         return handler
+
+    def call_handler(self, label: str, handler: Callable[[Any], None],
+                     message: Any) -> None:
+        handler(message)
 
 
 class Simulator:

@@ -58,12 +58,18 @@ class Resource:
         return len(self._waiters)
 
     def acquire(self) -> Event:
-        """An event that triggers when a unit of the resource is granted."""
+        """An event that triggers when a unit of the resource is granted.
+
+        A free unit with nobody queued is granted in place: the event
+        comes back already processed, so ``yield resource.acquire()``
+        continues without a heap entry.  A contended grant goes through
+        the heap when :meth:`release` hands the unit over, FIFO.
+        """
         self.total_acquires += 1
         event = self.sim.event()
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
-            event.succeed(self)
+            event.settle(self)
         else:
             self._waiters.append(event)
             self.peak_queue_len = max(self.peak_queue_len, len(self._waiters))

@@ -12,6 +12,8 @@ clustering at low ids.
 
 from __future__ import annotations
 
+import functools
+
 from repro.sim.rng import SeededStream
 
 __all__ = ["ZipfianGenerator", "ScrambledZipfianGenerator", "UniformGenerator",
@@ -54,7 +56,10 @@ class ZipfianGenerator:
         self._eta = self._compute_eta()
 
     @staticmethod
+    @functools.lru_cache(maxsize=32)
     def _zeta_static(n: int, theta: float) -> float:
+        # Pure in (n, theta), and every client of a cluster asks for the
+        # same pair: one 10 000-term sum per process, not per client.
         return sum(1.0 / (i ** theta) for i in range(1, n + 1))
 
     def _compute_eta(self) -> float:

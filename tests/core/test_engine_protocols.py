@@ -458,6 +458,58 @@ class TestTransactionsUnsupportedOutsideTxnModel:
                 cluster.engines[0].client_begin_txn(ctx)))
 
 
+class TestPersistDrain:
+    """The write-combining drain behind ``_request_persist``."""
+
+    @staticmethod
+    def _waiter(engine, replica, version, value, woke):
+        yield from engine._ensure_persisted(replica, version, value)
+        woke.append((engine.sim.now, version))
+
+    def test_requests_in_one_instant_combine_into_one_media_write(self):
+        cluster = make_cluster(C.LINEARIZABLE, P.SYNCHRONOUS)
+        sim, engine = cluster.sim, cluster.engines[0]
+        replica = engine.replicas.get(7)
+        woke = []
+        sim.run(until=1_000.0)
+        # Two requests for the key at T=1000: the second overwrites the
+        # pending slot before the drain (one hop later) takes it.
+        sim.process(self._waiter(engine, replica, (1, 0), "a", woke))
+        sim.process(self._waiter(engine, replica, (2, 0), "b", woke))
+        sim.run(until=1_100.0)
+        assert engine.memory.nvm.persists == 1 and replica.persist_active
+        # A request landing mid-service refills the slot: one more write,
+        # started when the first completes.
+        sim.process(self._waiter(engine, replica, (3, 0), "c", woke))
+        quiesce(cluster)
+        assert woke == [(1_000.0 + NVM_WRITE, (1, 0)),
+                        (1_000.0 + NVM_WRITE, (2, 0)),
+                        (1_000.0 + 2 * NVM_WRITE, (3, 0))]
+        assert engine.memory.nvm.persists == 2
+        assert cluster.metrics.persists == 2
+        assert (replica.persisted_version, replica.persisted_value) \
+            == ((3, 0), "c")
+        assert not replica.persist_active and replica.persist_target is None
+
+    def test_persist_in_flight_at_a_crash_still_lands(self):
+        """The media write was issued before the crash: it completes and
+        the durable image (replica state and NVM log) holds it."""
+        cluster = make_cluster(C.LINEARIZABLE, P.SYNCHRONOUS)
+        sim, engine = cluster.sim, cluster.engines[1]
+        replica = engine.replicas.get(7)
+        engine._request_persist(replica, (1, 1), "v")
+        sim.run(until=100.0)
+        assert engine.memory.nvm.outstanding == 1
+        engine.crash()
+        quiesce(cluster)
+        assert not engine.alive
+        assert (replica.persisted_version, replica.persisted_value) \
+            == ((1, 1), "v")
+        assert cluster.nvm_log.durable_version(1, 7) == (1, 1)
+        assert engine.memory.nvm.outstanding == 0
+        assert not replica.persist_active
+
+
 class TestArrivalPath:
     """The NIC sink: arrivals while crashed, worker admission, and the
     chain ablation's use of ``delivered``."""
@@ -483,27 +535,44 @@ class TestArrivalPath:
         assert follower.replicas.get(7).applied_value == "v"
 
     def test_handler_starts_after_the_protocol_cpu_charge(self):
+        from repro.obs.profile import KernelProfile
+        from repro.sim.trace import Tracer
+
+        tracer = Tracer(categories=["msg_handle"])
+        profile = KernelProfile()
         config = ClusterConfig(servers=3, clients_per_server=0,
                                store_type=None,
                                protocol=ProtocolConfig(protocol_workers=1))
-        cluster = Cluster(DdpModel(C.EVENTUAL, P.EVENTUAL), config=config)
+        cluster = Cluster(DdpModel(C.EVENTUAL, P.EVENTUAL), config=config,
+                          tracer=tracer, profile=profile)
         cluster.start()
         sim, follower = cluster.sim, cluster.engines[1]
-        started = []
-        handler = follower._handlers[MsgType.VAL_P]
-
-        def recording(message):
-            started.append((sim.now, message.op_id))
-            return handler(message)
-
-        follower._handlers[MsgType.VAL_P] = recording
-        for op_id in (1, 2, 3):          # three arrivals, one worker
-            follower.nic.deliver(Message(MsgType.VAL_P, src=0, op_id=op_id),
-                                 16)
+        # The dispatch form is read off the handler, per type.
+        waits = {t for t, (_h, waiting) in follower._handlers.items()
+                 if waiting}
+        assert waits == {MsgType.INV, MsgType.UPD, MsgType.INITX,
+                         MsgType.ENDX, MsgType.PERSIST}
+        # Five arrivals, one worker: callbacks (VAL_p, ACK) and a process
+        # (INITX, which here ends without waiting) share its FIFO.
+        arrivals = [(MsgType.VAL_P, 1), (MsgType.VAL_P, 2), (MsgType.INITX, 3),
+                    (MsgType.VAL_P, 4), (MsgType.ACK, 5)]
+        for msg_type, op_id in arrivals:
+            follower.nic.deliver(Message(msg_type, src=0, op_id=op_id), 16)
+        spawned_before = profile.processes_spawned
         sim.run(until=1_000.0)
         proc = config.protocol.msg_proc_ns
-        assert started == [(proc, 1), (2 * proc, 2), (3 * proc, 3)]
-        assert follower.protocol_workers.peak_queue_len == 2
+        handled = [(r.time, r.dur, r.details["msg"],
+                    r.details["op_id"])
+                   for r in tracer.by_category("msg_handle") if r.node == 1]
+        assert handled == [(k * proc, k * proc, msg_type.value, op_id)
+                           for k, (msg_type, op_id) in enumerate(arrivals, 1)]
+        assert follower.protocol_workers.peak_queue_len == 4
+        # Only the waiting type cost a process; the instrument still
+        # counts every handled message under its type.
+        assert profile.processes_spawned == spawned_before
+        assert {label: stats[0]
+                for label, stats in profile.by_msg_type.items()} == {
+            "VAL_p": 3, "INITX": 1, "ACK": 2}   # + node 0 handling our ACK
 
     def test_chain_ablation_still_serialises_hop_by_hop(self):
         from repro.sim.trace import Tracer

@@ -228,3 +228,19 @@ class TestKernelProfile:
         sim.process(wrapper())
         sim.run()
         assert profile.by_msg_type["ACK"][0] == 1
+
+    def test_call_handler_times_a_plain_call_under_its_label(self):
+        """The non-waiting counterpart of ``drive_handler``: one message,
+        some wall time, no resume segments — also when it raises."""
+        profile = KernelProfile()
+        seen = []
+        profile.call_handler("ACK", seen.append, "m1")
+
+        def failing(message):
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            profile.call_handler("ACK", failing, "m2")
+        assert seen == ["m1"]
+        count, wall, segments = profile.by_msg_type["ACK"]
+        assert (count, segments) == (2, 0) and wall > 0.0

@@ -54,6 +54,47 @@ class TestResource:
         with pytest.raises(RuntimeError):
             resource.release()
 
+    def test_free_unit_is_granted_in_place(self, sim):
+        resource = Resource(sim, 1)
+        grant = resource.acquire()
+        assert grant.processed and grant.value is resource
+        assert (resource.in_use, sim.queue_depth) == (1, 0)
+        # Contended: the grant is an event that fires on release.
+        queued = resource.acquire()
+        assert not queued.triggered and resource.queue_len == 1
+
+    def test_in_place_grant_never_overtakes_a_queued_waiter(self, sim):
+        """A unit handed to a waiter is in transit until the waiter's
+        grant pops; an acquirer arriving in that same instant queues."""
+        resource = Resource(sim, 1)
+        order = []
+
+        def user(name, arrival, hold):
+            yield sim.timeout(arrival)
+            yield resource.acquire()
+            order.append((sim.now, name))
+            yield sim.timeout(hold)
+            resource.release()
+
+        def latecomer():
+            # Scheduled before the holder's timeout, so at t=10 it runs
+            # after the release (same instant) but before "waiter"'s grant.
+            yield sim.timeout(4)
+            yield sim.timeout(6)
+            assert (resource.in_use, resource.queue_len) == (1, 0)
+            grant = resource.acquire()
+            assert not grant.triggered
+            yield grant
+            order.append((sim.now, "latecomer"))
+            resource.release()
+
+        sim.process(user("holder", 0, 10))
+        sim.process(user("waiter", 1, 5))
+        sim.process(latecomer())
+        sim.run()
+        assert order == [(0.0, "holder"), (10.0, "waiter"),
+                         (15.0, "latecomer")]
+
     def test_use_helper(self, sim):
         resource = Resource(sim, 1)
 
@@ -113,36 +154,68 @@ class TestAdmissionPool:
     def test_matches_processes_contending_for_a_resource(self, capacity, jobs,
                                                          constant_hold):
         """Same start times, float for float, and the same telemetry as
-        one process per arrival doing ``Resource.use(hold)``.  Arrival
-        ``k`` carries the fraction ``k/1024`` so that no arrival ties
-        with another or with a release: a tie's admission order would be
-        the kernel's pop order, which the closed form has no part in."""
+        one process per arrival doing ``Resource.use(hold)`` — whether
+        an uncontended grant is made in place (``Resource``) or through
+        the heap (the reference below).  Arrival ``k`` carries the
+        fraction ``k/1024`` so that no arrival ties with another or with
+        a release: a tie's admission order would be the kernel's pop
+        order, which the closed form has no part in."""
+
+        class HeapGrantResource(Resource):
+            """Reference: every grant is a heap entry, as before in-place
+            grants existed."""
+
+            def acquire(self):
+                event = super().acquire()
+                if event.processed:
+                    event = self.sim.event().succeed(self)
+                return event
+
         sim = Simulator()
         resource = Resource(sim, capacity)
+        reference = HeapGrantResource(sim, capacity)
         pool = AdmissionPool(sim, capacity)
-        contended, closed_form = {}, {}
+        contended, event_based, closed_form = {}, {}, {}
+        admission_order = []
 
         def contender(index, arrival, hold):
             yield sim.timeout(arrival)
-            yield resource.acquire()
+            free = resource.in_use < capacity and resource.queue_len == 0
+            grant = resource.acquire()
+            assert grant.processed == free
+            yield grant
             contended[index] = sim.now
+            admission_order.append(index)
             yield sim.timeout(hold)
             resource.release()
+
+        def reference_contender(index, arrival, hold):
+            yield sim.timeout(arrival)
+            yield reference.acquire()
+            event_based[index] = sim.now
+            yield sim.timeout(hold)
+            reference.release()
 
         def admitted(index, arrival, hold):
             yield sim.timeout(arrival)
             closed_form[index] = pool.admit(hold)
 
+        arrivals = {}
         for index, (arrival, hold) in enumerate(jobs):
-            arrival = float(arrival) + index / 1024.0
+            arrivals[index] = arrival = float(arrival) + index / 1024.0
             hold = float(constant_hold or hold)
             sim.process(contender(index, arrival, hold))
+            sim.process(reference_contender(index, arrival, hold))
             sim.process(admitted(index, arrival, hold))
         sim.run()
 
-        assert closed_form == contended
-        assert pool.total_acquires == resource.total_acquires == len(jobs)
-        assert pool.peak_queue_len == resource.peak_queue_len
+        assert closed_form == contended == event_based
+        # FIFO: nobody is admitted ahead of an earlier arrival.
+        assert admission_order == sorted(arrivals, key=arrivals.get)
+        assert (pool.total_acquires == resource.total_acquires
+                == reference.total_acquires == len(jobs))
+        assert (pool.peak_queue_len == resource.peak_queue_len
+                == reference.peak_queue_len)
         assert (pool.in_use, pool.queue_len) == (0, 0)
 
 
