@@ -1,60 +1,37 @@
 """Command-line interface for the reproduction.
 
-Subcommands:
+Every simulating subcommand is a *view*: it parses its flags into a
+:class:`repro.obs.CellSpec` and a :class:`repro.obs.Observers`, calls
+:func:`repro.obs.observed_run` — the one build-run-observe recipe, see
+:mod:`repro.obs.run` and docs/handbook.md "How an experiment is built,
+run and observed" — and prints or writes what came back.  Unusable
+input (a run shape ``CellSpec`` rejects, an unwritable output path, an
+unreadable artifact) is one ``repro: <message>`` line and exit code 2.
 
-* ``run`` — simulate one DDP model on one workload and print a summary.
-  ``--trace-out`` / ``--metrics-out`` / ``--profile`` additionally emit
-  a Chrome-trace JSON (open in Perfetto), a run-report JSON (windowed
-  throughput/latency and VP/DP-lag series), and kernel profile counters.
-  ``--faults PLAN.json`` / ``--crash NODE@T_US[+RESTART_US]`` inject
-  deterministic faults (crashes, message loss, partitions, NVM
-  slowdowns; see :mod:`repro.faults`) and validate the model's
-  durability contracts after the run — exit code 1 on a violation.
-* ``trace`` — run one model and dump its timeline: writes the
-  Chrome-trace file and prints a category summary plus the first records.
-* ``journey`` — per-update critical-path waterfalls: where each write's
-  end-to-end VP/DP latency went (network / coordination-wait / NVM-queue
-  / device / compute), aggregated and for the slowest updates; ``--all``
-  sweeps the 25-model matrix fig6-style.
-* ``profile`` — the kernel performance observatory: run one model with
-  the profiler attached and print a hotspot table (event kinds and
-  message handlers ranked by cumulative wall time, per-event overhead,
-  scheduling statistics).  ``--flame-out`` / ``--speedscope-out``
-  additionally sample Python stacks at a wall interval and write
-  Brendan-Gregg folded stacks / speedscope JSON, phase-tagged (kernel /
-  protocol / store / workload); ``--json`` emits the machine-readable
-  snapshot.
-* ``diff`` — compare two run reports, sweep reports, or
-  ``BENCH_*.json`` artifacts: config-hash compatibility check,
-  per-metric deltas with a noise threshold (per matrix cell for sweep
-  reports, where a crashed cell also counts as a regression), and a
-  regression verdict (markdown or ``--json``).  Exit codes: 0 no
-  regression, 1 regression, 2 unusable/incompatible input.
-* ``audit`` — the black-box contract auditor: verify a recorded client
-  history (``run --history-out``) against all 25 consistency/persistency
-  cells from observation alone and print the verdict matrix (or the
-  ``repro.audit_report/1`` JSON with ``--json``).  ``run --audit`` does
-  the record-and-audit round trip in one command.  Exit codes: 0 target
-  model passes, 1 contract violation, 2 unusable history.
-* ``sweep`` — run several models (or, with ``--all``, the full 5x5
-  matrix, times ``--seeds``) on the same workload, normalized to
-  <Linearizable, Synchronous> (a one-line Figure 6 slice).
-  ``--workers N`` fans the matrix across worker processes; the merged
-  ``repro.sweep_report/1`` artifact (``--out``) is byte-identical
-  whatever the worker count, and a crashed cell becomes a schema-valid
-  ``error`` entry (exit code 1).  ``--journeys`` / ``--health`` /
-  ``--profile`` / ``--audit`` embed the matching per-cell sections;
-  ``--html-out`` also renders the dashboard.
-* ``dash`` — render a saved sweep report as one self-contained static
-  HTML dashboard: 5x5 heatmaps, journey waterfalls, kernel
-  attribution, ``--baseline`` diff deltas, and ``--bench-dir`` trend
-  sparklines.  Exit code 2 on unusable input.
-* ``tradeoffs`` — print the derived Table 4 (or the full 25-model grid).
-* ``recover`` — run a workload, crash the cluster, simulate recovery,
-  and report what survived.
-* ``lint`` — run the project's own static analysis (reprolint):
-  determinism, tracer-guard, and protocol-dispatch invariants.  Exit
-  codes: 0 clean, 1 findings, 2 usage error.
+Subcommands (``repro <cmd> --help`` for flags; worked examples in
+docs/handbook.md "CLI reference"):
+
+* ``run`` — simulate one DDP model and print a summary; optionally
+  write a Chrome trace, the run-report JSON, a client history, inject
+  faults and validate durability contracts, audit the history (exit 1
+  on a contract violation).
+* ``trace`` / ``journey`` / ``profile`` — one run seen through one
+  observer: the event timeline, per-update critical-path waterfalls
+  (``--all``: the 25-model matrix), kernel hotspots and flamegraphs.
+  ``trace FILE`` / ``journey FILE`` re-open a saved artifact.
+* ``sweep`` — several models (``--all``: the 5x5 matrix, times
+  ``--seeds``) across ``--workers`` processes; the merged
+  ``repro.sweep_report/1`` is byte-identical for any worker count and a
+  crashed cell is a schema-valid ``error`` entry (exit 1).
+* ``dash`` — render a saved sweep report as one static HTML dashboard.
+* ``diff`` — compare two run reports, sweep reports or ``BENCH_*.json``
+  artifacts: exit 0 no regression, 1 regression, 2 unusable input.
+* ``audit`` — verify a recorded client history against all 25 cells:
+  exit 0 target model passes, 1 violation, 2 unusable history.
+* ``recover`` — run, crash the whole cluster, simulate recovery.
+* ``tradeoffs`` — print the derived Table 4 (or the full grid).
+* ``lint`` / ``order`` — the project's static analysis and the ordering
+  certificate (:mod:`repro.devtools.cli`).
 
 Examples::
 
@@ -89,13 +66,9 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.analysis.metrics import Metrics
-from repro.analysis.points import PointsTracker
 from repro.audit import audit_exit_code, audit_history, format_audit_table
 from repro.analysis.report import format_summary_table
 from repro.analysis.waterfall import aggregate_journeys, format_waterfall
-from repro.cluster.cluster import Cluster, run_simulation
-from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency, DdpModel, Persistency, all_ddp_models
 from repro.core.tradeoffs import analyze_all
 from repro.devtools.cli import (add_lint_parser, add_order_parser,
@@ -103,8 +76,9 @@ from repro.devtools.cli import (add_lint_parser, add_order_parser,
 from repro.faults import (FaultInjector, load_fault_plan,
                           plan_from_crash_specs, validate_faulty_run)
 from repro.obs import (
+    CellSpec,
     DiffError,
-    FanoutTracer,
+    Observers,
     SweepProgress,
     build_dashboard,
     build_sweep_report,
@@ -119,18 +93,13 @@ from repro.obs import (
     JourneyTracker,
     JsonlSink,
     KernelProfile,
-    build_run_report,
     format_hotspots,
-    config_fingerprint,
     diff_json,
     diff_paths,
     format_markdown,
-    health_chrome_events,
-    journey_chrome_events,
     load_artifact,
     load_history,
-    recovered_from_cluster,
-    write_chrome_trace,
+    observed_run,
     write_history,
     write_run_report,
 )
@@ -143,14 +112,42 @@ from repro.workload.ycsb import WORKLOADS
 __all__ = ["main", "build_parser"]
 
 
-def _model_from(args) -> DdpModel:
-    return DdpModel(Consistency(args.consistency), Persistency(args.persistency))
+class _CliError(Exception):
+    """Unusable input: ``main`` prints ``repro: <message>``, exits 2."""
 
 
-def _config_from(args) -> ClusterConfig:
-    return ClusterConfig(servers=args.servers,
-                         clients_per_server=args.clients // args.servers,
-                         seed=args.seed)
+def _spec_from(args, model: Optional[DdpModel] = None) -> CellSpec:
+    """The run the common flags describe (``repro: ...`` + exit 2 when
+    they describe none; see ``CellSpec.__post_init__``)."""
+    duration = args.duration_us * 1000.0
+    try:
+        return CellSpec(
+            model.consistency.value if model else args.consistency,
+            model.persistency.value if model else args.persistency,
+            args.seed, workload=args.workload, servers=args.servers,
+            clients=args.clients, duration_ns=duration,
+            warmup_ns=duration / 10)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+
+
+def _preflight(*paths: Optional[str]) -> None:
+    """Fail on an unwritable destination now, not after simulating."""
+    for path in paths:
+        if path:
+            try:
+                open(path, "w").close()
+            except OSError as exc:
+                raise _CliError(f"cannot write {path}: {exc}") from exc
+
+
+def _add_model(parser: argparse.ArgumentParser,
+               defaults=("causal", "synchronous"), note=None) -> None:
+    for name, kinds, default in zip(("consistency", "persistency"),
+                                    (Consistency, Persistency), defaults):
+        parser.add_argument(f"--{name}", default=default,
+                            choices=[kind.value for kind in kinds],
+                            help=note and note.format(name))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -234,142 +231,6 @@ def _add_observability(parser: argparse.ArgumentParser) -> None:
                              "audits as unusable")
 
 
-def _run_meta(args, model: DdpModel, duration_ns: float,
-              warmup_ns: float) -> dict:
-    """Artifact metadata, including the ``config_hash`` that lets
-    ``repro diff`` refuse apples-to-oranges comparisons.  The hash
-    covers the resolved experiment shape (model, workload, cluster
-    size) but not the seed or duration, so same-shape runs with
-    different seeds stay comparable."""
-    return {
-        "model": str(model),
-        "consistency": model.consistency.value,
-        "persistency": model.persistency.value,
-        "workload": args.workload,
-        "servers": args.servers,
-        "clients": args.clients,
-        "seed": args.seed,
-        "duration_ns": duration_ns,
-        "warmup_ns": warmup_ns,
-        "config_hash": config_fingerprint({
-            "model": str(model),
-            "workload": args.workload,
-            "servers": args.servers,
-            "clients": args.clients,
-        }),
-    }
-
-
-class _Observability:
-    """The per-run observability sinks the CLI flags requested."""
-
-    def __init__(self, args):
-        want_trace = bool(getattr(args, "trace_out", None)
-                          or getattr(args, "trace_jsonl", None))
-        want_journey = bool(getattr(args, "journey_out", None))
-        # A journey report rides in the full run-report document, so it
-        # needs the same metrics/points collectors as --metrics-out.
-        want_metrics = bool(getattr(args, "metrics_out", None)) or want_journey
-        # Fail on an unwritable destination now, not after simulating.
-        for path in (getattr(args, "trace_out", None), args.metrics_out,
-                     getattr(args, "journey_out", None),
-                     getattr(args, "history_out", None)):
-            if path:
-                try:
-                    open(path, "w").close()
-                except OSError as exc:
-                    raise SystemExit(
-                        f"repro: cannot write {path}: {exc}") from exc
-        self.window_ns = args.metrics_window_us * 1000.0
-        self.recorder = (HistoryRecorder(
-                             max_ops=getattr(args, "history_limit",
-                                             1_000_000))
-                         if (getattr(args, "history_out", None)
-                             or getattr(args, "audit", False)) else None)
-        self.tracer = (Tracer(max_records=args.trace_limit,
-                              ring=args.trace_ring)
-                       if want_trace else None)
-        self.points = PointsTracker(args.servers) if want_metrics else None
-        self.journey = (JourneyTracker(
-                            args.servers,
-                            sample_every=args.journey_sample_every,
-                            max_journeys=args.journey_max)
-                        if want_journey else None)
-        self.jsonl = (JsonlSink(args.trace_jsonl)
-                      if getattr(args, "trace_jsonl", None) else None)
-        self.metrics = (Metrics(window_ns=self.window_ns)
-                        if want_metrics else None)
-        self.profile = KernelProfile() if args.profile else None
-        self.monitor = None
-        if getattr(args, "health", False):
-            self.monitor = HealthMonitor(
-                interval_ns=args.health_interval_us * 1000.0,
-                max_samples=args.health_samples,
-                top_k=args.health_top_k)
-            self.monitor.watch(tracer=self.tracer, journey=self.journey)
-        sinks = [s for s in (self.tracer, self.points, self.journey,
-                             self.jsonl)
-                 if s is not None]
-        self.engine_tracer = (sinks[0] if len(sinks) == 1
-                              else FanoutTracer(sinks) if sinks else None)
-
-    def finalize(self, args, model: DdpModel, summary, duration_ns: float,
-                 warmup_ns: float, faults=None, audit=None) -> None:
-        """Write the requested artifacts after the run."""
-        if self.jsonl is not None:
-            self.jsonl.close()
-        meta = _run_meta(args, model, duration_ns, warmup_ns)
-        waterfall = None
-        if self.journey is not None:
-            waterfall = aggregate_journeys(self.journey.journeys,
-                                           args.servers, label=str(model),
-                                           dropped=self.journey.dropped)
-        if getattr(args, "trace_out", None):
-            extra = (journey_chrome_events(self.journey.journeys,
-                                           args.servers)
-                     if self.journey is not None else [])
-            if self.monitor is not None:
-                extra = list(extra) + health_chrome_events(self.monitor)
-            write_chrome_trace(args.trace_out, self.tracer.records,
-                               dropped=self.tracer.dropped, meta=meta,
-                               extra_events=extra or None)
-            print(f"trace    -> {args.trace_out} "
-                  f"({len(self.tracer)} records, "
-                  f"{self.tracer.dropped} dropped)")
-        if getattr(args, "metrics_out", None):
-            report = build_run_report(summary, self.metrics, self.window_ns,
-                                      meta=meta, points=self.points,
-                                      profile=self.profile,
-                                      tracer=self.tracer,
-                                      journeys=waterfall,
-                                      monitor=self.monitor,
-                                      faults=faults, audit=audit)
-            write_run_report(args.metrics_out, report)
-            print(f"metrics  -> {args.metrics_out} "
-                  f"(window {args.metrics_window_us:g} us)")
-        if getattr(args, "journey_out", None):
-            report = build_run_report(summary, self.metrics, self.window_ns,
-                                      meta=meta, points=self.points,
-                                      profile=self.profile,
-                                      tracer=self.tracer,
-                                      journeys=waterfall,
-                                      monitor=self.monitor,
-                                      faults=faults, audit=audit)
-            write_run_report(args.journey_out, report)
-            print(f"journeys -> {args.journey_out} "
-                  f"({len(self.journey)} tracked, "
-                  f"{self.journey.dropped} dropped)")
-        if self.monitor is not None:
-            print(f"health   :  {len(self.monitor)} samples "
-                  f"(every {self.monitor.interval_ns / 1000:g} us, "
-                  f"{self.monitor.dropped} dropped)  "
-                  f"peak-queue={self.monitor.peak_event_queue_depth}  "
-                  f"peak-nvm={self.monitor.peak_nvm_outstanding}  "
-                  f"violations={self.monitor.violations_total}")
-        if self.profile is not None:
-            print(self.profile.format())
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -377,10 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     run_parser = subparsers.add_parser("run", help="simulate one DDP model")
-    run_parser.add_argument("--consistency", default="causal",
-                            choices=[c.value for c in Consistency])
-    run_parser.add_argument("--persistency", default="synchronous",
-                            choices=[p.value for p in Persistency])
+    _add_model(run_parser)
     _add_common(run_parser)
     _add_observability(run_parser)
     run_parser.add_argument("--faults", metavar="PLAN.json", default=None,
@@ -401,10 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="FILE",
                               help="re-open a saved Chrome-trace JSON "
                                    "instead of running a simulation")
-    trace_parser.add_argument("--consistency", default="causal",
-                              choices=[c.value for c in Consistency])
-    trace_parser.add_argument("--persistency", default="synchronous",
-                              choices=[p.value for p in Persistency])
+    _add_model(trace_parser)
     _add_common(trace_parser)
     trace_parser.add_argument("--out", metavar="PATH", default=None,
                               help="write the Chrome trace_event JSON here")
@@ -428,10 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="re-open a saved run-report JSON "
                                      "(journeys section) instead of "
                                      "running a simulation")
-    journey_parser.add_argument("--consistency", default="causal",
-                                choices=[c.value for c in Consistency])
-    journey_parser.add_argument("--persistency", default="synchronous",
-                                choices=[p.value for p in Persistency])
+    _add_model(journey_parser)
     journey_parser.add_argument("--all", action="store_true",
                                 help="fig6-style sweep: one waterfall per "
                                      "model of the 5x5 matrix")
@@ -454,10 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser = subparsers.add_parser(
         "profile", help="kernel performance observatory: hotspot "
                         "attribution and flamegraph export")
-    profile_parser.add_argument("--consistency", default="causal",
-                                choices=[c.value for c in Consistency])
-    profile_parser.add_argument("--persistency", default="synchronous",
-                                choices=[p.value for p in Persistency])
+    _add_model(profile_parser)
     _add_common(profile_parser)
     profile_parser.add_argument("--top", type=_positive(int), default=None,
                                 metavar="N",
@@ -506,14 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     audit_parser.add_argument("history", metavar="HISTORY.jsonl",
                               help="repro.history/1 artifact from "
                                    "run --history-out")
-    audit_parser.add_argument("--consistency", default=None,
-                              choices=[c.value for c in Consistency],
-                              help="override the target consistency model "
-                                   "(default: the history's run metadata)")
-    audit_parser.add_argument("--persistency", default=None,
-                              choices=[p.value for p in Persistency],
-                              help="override the target persistency model "
-                                   "(default: the history's run metadata)")
+    _add_model(audit_parser, defaults=(None, None),
+               note="override the target {} model "
+                    "(default: the history's run metadata)")
     audit_parser.add_argument("--json", action="store_true", dest="as_json",
                               help="print the repro.audit_report/1 JSON "
                                    "instead of the verdict table")
@@ -585,10 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover_parser = subparsers.add_parser(
         "recover", help="crash mid-run and simulate recovery")
-    recover_parser.add_argument("--consistency", default="causal",
-                                choices=[c.value for c in Consistency])
-    recover_parser.add_argument("--persistency", default="synchronous",
-                                choices=[p.value for p in Persistency])
+    _add_model(recover_parser)
     recover_parser.add_argument("--strategy", default="latest",
                                 choices=["latest", "majority"])
     _add_common(recover_parser)
@@ -601,12 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _faults_from(args) -> Optional[FaultInjector]:
     """Build the injector requested by ``--faults`` / ``--crash``."""
     plan = None
-    if getattr(args, "faults", None):
+    if args.faults:
         try:
             plan = load_fault_plan(args.faults)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"repro: bad fault plan {args.faults}: {exc}")
-    if getattr(args, "crash", None):
+    if args.crash:
         crash_plan = plan_from_crash_specs(args.crash, seed=args.seed)
         if plan is None:
             plan = crash_plan
@@ -646,69 +487,89 @@ def _print_fault_outcome(cluster, injector) -> int:
 
 
 def _cmd_run(args) -> int:
-    model = _model_from(args)
-    duration = args.duration_us * 1000.0
-    warmup = duration / 10
-    obs = _Observability(args)
+    spec = _spec_from(args)
+    _preflight(args.trace_out, args.trace_jsonl, args.metrics_out,
+               args.journey_out, args.history_out)
+    # A journey report rides in the full run-report document, so it
+    # needs the same windowed collectors as --metrics-out.
+    want_report = args.metrics_out or args.journey_out
+    observers = Observers(
+        tracer=(Tracer(max_records=args.trace_limit, ring=args.trace_ring)
+                if args.trace_out or args.trace_jsonl else None),
+        jsonl=JsonlSink(args.trace_jsonl) if args.trace_jsonl else None,
+        journey=(JourneyTracker(args.servers,
+                                sample_every=args.journey_sample_every,
+                                max_journeys=args.journey_max)
+                 if args.journey_out else None),
+        profile=KernelProfile() if args.profile else None,
+        monitor=(HealthMonitor(interval_ns=args.health_interval_us * 1000.0,
+                               max_samples=args.health_samples,
+                               top_k=args.health_top_k)
+                 if args.health else None),
+        recorder=(HistoryRecorder(max_ops=args.history_limit)
+                  if args.history_out or args.audit else None),
+        audit=args.audit,
+        window_ns=(args.metrics_window_us * 1000.0 if want_report else None))
     injector = _faults_from(args)
-    cluster = Cluster(model, config=_config_from(args),
-                      workload=WORKLOADS[args.workload],
-                      tracer=obs.engine_tracer,
-                      metrics=obs.metrics,
-                      profile=obs.profile,
-                      monitor=obs.monitor,
-                      faults=injector,
-                      history=obs.recorder)
-    summary = cluster.run(duration, warmup_ns=warmup)
-    print(format_summary_table([(str(model), summary)]))
+    run = observed_run(spec, observers, faults=injector)
+    summary, tracer, journey = run.summary, observers.tracer, observers.journey
+    print(format_summary_table([(str(spec.model), summary)]))
     print(f"\npersists={summary.persists}  messages={summary.total_messages}"
           f"  causal-buffer-peak={summary.causal_buffer_peak}"
           f"  txn-conflicts={summary.txn_conflicts}")
     exit_code = 0
     if injector is not None:
-        exit_code = _print_fault_outcome(cluster, injector)
-    audit_report = None
-    if obs.recorder is not None:
-        obs.recorder.meta = _run_meta(args, model, duration, warmup)
-        obs.recorder.recovered = recovered_from_cluster(cluster)
-        history = obs.recorder.history()
-        if args.history_out:
-            write_history(args.history_out, history)
-            print(f"history  -> {args.history_out} "
-                  f"({len(history.ops)} ops, "
-                  f"{history.dropped} dropped)")
-        if args.audit:
-            audit_report = audit_history(history)
-            print()
-            print(format_audit_table(audit_report))
-            exit_code = max(exit_code, audit_exit_code(audit_report))
-    obs.finalize(args, model, summary, duration, warmup, faults=injector,
-                 audit=audit_report)
+        exit_code = _print_fault_outcome(run.cluster, injector)
+    if args.history_out:
+        write_history(args.history_out, run.history)
+        print(f"history  -> {args.history_out} "
+              f"({len(run.history.ops)} ops, "
+              f"{run.history.dropped} dropped)")
+    if args.audit:
+        print()
+        print(format_audit_table(run.audit))
+        exit_code = max(exit_code, audit_exit_code(run.audit))
+    if args.trace_out:
+        run.write_trace(args.trace_out)
+        print(f"trace    -> {args.trace_out} "
+              f"({len(tracer)} records, {tracer.dropped} dropped)")
+    if args.metrics_out:
+        write_run_report(args.metrics_out, run.report)
+        print(f"metrics  -> {args.metrics_out} "
+              f"(window {args.metrics_window_us:g} us)")
+    if args.journey_out:
+        write_run_report(args.journey_out, run.report)
+        print(f"journeys -> {args.journey_out} "
+              f"({len(journey)} tracked, {journey.dropped} dropped)")
+    monitor = observers.monitor
+    if monitor is not None:
+        print(f"health   :  {len(monitor)} samples "
+              f"(every {monitor.interval_ns / 1000:g} us, "
+              f"{monitor.dropped} dropped)  "
+              f"peak-queue={monitor.peak_event_queue_depth}  "
+              f"peak-nvm={monitor.peak_nvm_outstanding}  "
+              f"violations={monitor.violations_total}")
+    if observers.profile is not None:
+        print(observers.profile.format())
     return exit_code
 
 
-def _load_trace_file(path: str) -> dict:
-    """Load a saved Chrome-trace JSON; :class:`DiffError` if unusable."""
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise DiffError(f"cannot read {path}: {exc}") from exc
+        raise _CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise DiffError(f"{path} is not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"),
-                                                   list):
-        raise DiffError(f"{path}: not a Chrome trace_event file "
-                        f"(no traceEvents array)")
-    return doc
+        raise _CliError(f"{path} is not valid JSON ({exc})") from exc
 
 
 def _show_trace_file(args) -> int:
-    try:
-        doc = _load_trace_file(args.input)
-    except DiffError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
+    doc = _read_json(args.input)
+    if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"),
+                                                   list):
+        raise _CliError(f"{args.input}: not a Chrome trace_event file "
+                        f"(no traceEvents array)")
     events = doc["traceEvents"]
     other = doc.get("otherData", {})
     model = other.get("model", "?")
@@ -730,18 +591,13 @@ def _show_trace_file(args) -> int:
 def _cmd_trace(args) -> int:
     if args.input is not None:
         return _show_trace_file(args)
-    model = _model_from(args)
-    duration = args.duration_us * 1000.0
-    warmup = duration / 10
+    spec = _spec_from(args)
+    _preflight(args.out)
     tracer = Tracer(categories=args.category, max_records=args.max_records,
                     ring=args.ring)
-    summary = run_simulation(model, WORKLOADS[args.workload],
-                             config=_config_from(args),
-                             duration_ns=duration,
-                             warmup_ns=warmup,
-                             tracer=tracer)
-    print(f"model: {model}   throughput: "
-          f"{summary.throughput_ops_per_s / 1e6:.2f} Mops/s   "
+    run = observed_run(spec, Observers(tracer=tracer))
+    print(f"model: {spec.model}   throughput: "
+          f"{run.summary.throughput_ops_per_s / 1e6:.2f} Mops/s   "
           f"records: {len(tracer)}   dropped: {tracer.dropped}")
     if tracer.dropped:
         end = "oldest" if args.ring else "newest"
@@ -756,25 +612,19 @@ def _cmd_trace(args) -> int:
         print(f"\nfirst {min(args.limit, len(tracer))} records:")
         print(tracer.dump(limit=args.limit))
     if args.out:
-        write_chrome_trace(args.out, tracer.records, dropped=tracer.dropped,
-                           meta={"model": str(model),
-                                 "workload": args.workload,
-                                 "seed": args.seed})
+        run.write_trace(args.out, meta={"model": str(spec.model),
+                                        "workload": args.workload,
+                                        "seed": args.seed})
         print(f"\ntrace -> {args.out}")
     return 0
 
 
 def _show_journey_file(args) -> int:
-    try:
-        doc = load_artifact(args.input)
-    except DiffError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
+    doc = load_artifact(args.input)
     journeys = doc.get("journeys")
     if not isinstance(journeys, dict):
-        print(f"repro: {args.input}: run report has no journeys section "
-              f"(produce one with --journey-out)", file=sys.stderr)
-        return 2
+        raise _CliError(f"{args.input}: run report has no journeys section "
+                        f"(produce one with --journey-out)")
     meta = doc.get("meta", {})
     print(f"{args.input}: model {meta.get('model', '?')}   "
           f"{journeys.get('journeys', 0)} journeys, "
@@ -799,78 +649,52 @@ def _cmd_journey(args) -> int:
     if args.journey_out and args.all:
         raise SystemExit("repro: --journey-out needs a single model "
                          "(drop --all)")
-    duration = args.duration_us * 1000.0
-    warmup = duration / 10
-    window_ns = 10_000.0
-    models = all_ddp_models() if args.all else [_model_from(args)]
-    first = True
-    for model in models:
+    specs = [_spec_from(args, model)
+             for model in (all_ddp_models() if args.all else [None])]
+    _preflight(args.journey_out)
+    for index, spec in enumerate(specs):
         tracker = JourneyTracker(args.servers,
                                  sample_every=args.sample_every)
-        metrics = (Metrics(window_ns=window_ns)
-                   if args.journey_out else None)
-        points = PointsTracker(args.servers) if args.journey_out else None
-        engine_tracer = (tracker if points is None
-                         else FanoutTracer([tracker, points]))
-        summary = run_simulation(model, WORKLOADS[args.workload],
-                                 config=_config_from(args),
-                                 duration_ns=duration,
-                                 warmup_ns=warmup,
-                                 tracer=engine_tracer,
-                                 metrics=metrics)
+        run = observed_run(spec, Observers(
+            journey=tracker,
+            window_ns=10_000.0 if args.journey_out else None))
         journeys = tracker.journeys
         if args.key is not None:
             journeys = [j for j in journeys if j.key == args.key]
         if args.node is not None:
             journeys = [j for j in journeys if j.coordinator == args.node]
-        report = aggregate_journeys(journeys, args.servers,
-                                    label=str(model),
-                                    slowest=args.slowest,
-                                    dropped=tracker.dropped)
-        if not first:
+        # The view's own cut of the journeys; --journey-out reports it.
+        run.waterfall = aggregate_journeys(journeys, args.servers,
+                                           label=str(spec.model),
+                                           slowest=args.slowest,
+                                           dropped=tracker.dropped)
+        if index:
             print()
-        first = False
-        print(format_waterfall(report))
+        print(format_waterfall(run.waterfall))
         if args.journey_out:
-            meta = _run_meta(args, model, duration, warmup)
-            doc = build_run_report(summary, metrics, window_ns, meta=meta,
-                                   points=points, journeys=report)
-            write_run_report(args.journey_out, doc)
+            write_run_report(args.journey_out, run.report)
             print(f"\njourneys -> {args.journey_out} "
                   f"({len(tracker)} tracked, {tracker.dropped} dropped)")
     return 0
 
 
 def _cmd_profile(args) -> int:
-    model = _model_from(args)
-    duration = args.duration_us * 1000.0
-    warmup = duration / 10
-    # Fail on an unwritable destination now, not after simulating.
-    for path in (args.flame_out, args.speedscope_out):
-        if path:
-            try:
-                open(path, "w").close()
-            except OSError as exc:
-                print(f"repro: cannot write {path}: {exc}", file=sys.stderr)
-                return 2
+    spec = _spec_from(args)
+    _preflight(args.flame_out, args.speedscope_out)
     profile = KernelProfile()
     sampler = None
     if args.flame_out or args.speedscope_out:
         sampler = FrameSampler(interval_s=args.sample_interval_ms / 1000.0)
         sampler.start()
     try:
-        summary = run_simulation(model, WORKLOADS[args.workload],
-                                 config=_config_from(args),
-                                 duration_ns=duration,
-                                 warmup_ns=warmup,
-                                 profile=profile)
+        summary = observed_run(spec, Observers(profile=profile)).summary
     finally:
         if sampler is not None:
             sampler.stop()
     if args.as_json:
         doc = {
             "schema": KERNEL_PROFILE_SCHEMA,
-            "meta": _run_meta(args, model, duration, warmup),
+            "meta": spec.meta(),
             "profile": profile.snapshot(),
         }
         if sampler is not None:
@@ -881,7 +705,7 @@ def _cmd_profile(args) -> int:
             }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(f"model: {model}   throughput: "
+        print(f"model: {spec.model}   throughput: "
               f"{summary.throughput_ops_per_s / 1e6:.2f} Mops/s   "
               f"{profile.format()}")
         print()
@@ -896,21 +720,17 @@ def _cmd_profile(args) -> int:
         lines = sampler.write_folded(args.flame_out)
         print(f"folded   -> {args.flame_out} ({lines} stack lines)")
     if args.speedscope_out:
-        sampler.write_speedscope(args.speedscope_out, name=str(model))
+        sampler.write_speedscope(args.speedscope_out, name=str(spec.model))
         print(f"speedscope -> {args.speedscope_out}")
     return 0
 
 
 def _cmd_diff(args) -> int:
-    try:
-        report = diff_paths(args.baseline, args.candidate,
-                            threshold=args.threshold / 100.0,
-                            force=args.force)
-    except DiffError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
+    report = diff_paths(args.baseline, args.candidate,
+                        threshold=args.threshold / 100.0, force=args.force)
     doc = diff_json(report)
     if args.out:
+        _preflight(args.out)
         with open(args.out, "w") as fh:
             json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")
@@ -925,11 +745,11 @@ def _cmd_audit(args) -> int:
     try:
         history = load_history(args.history)
     except (OSError, ValueError) as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(str(exc)) from exc
     report = audit_history(history, consistency=args.consistency,
                            persistency=args.persistency)
     if args.out:
+        _preflight(args.out)
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -943,7 +763,7 @@ def _cmd_audit(args) -> int:
 def _dashboard_inputs(args):
     """Load the optional dashboard context (baseline sweep, bench dir).
 
-    :class:`DiffError` propagates for an unusable baseline — the caller
+    :class:`DiffError` propagates for an unusable baseline — ``main``
     maps it to exit code 2."""
     baseline = load_artifact(args.baseline) if args.baseline else None
     bench = load_bench_dir(args.bench_dir) if args.bench_dir else []
@@ -966,10 +786,14 @@ def _cmd_sweep(args) -> int:
     seeds = args.seeds if args.seeds else [args.seed]
     sections = tuple(name for name in ("journeys", "health", "profile",
                                        "audit") if getattr(args, name))
-    specs = matrix_specs(models, seeds, workload=args.workload,
-                         servers=args.servers, clients=args.clients,
-                         duration_ns=duration, warmup_ns=duration / 10,
-                         sections=sections)
+    try:
+        specs = matrix_specs(models, seeds, workload=args.workload,
+                             servers=args.servers, clients=args.clients,
+                             duration_ns=duration, warmup_ns=duration / 10,
+                             sections=sections)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+    _preflight(args.out, args.html_out)
     progress = (None if args.no_progress
                 else SweepProgress(len(specs), workers=args.workers))
     results = run_sweep(specs, workers=args.workers, progress=progress)
@@ -979,11 +803,7 @@ def _cmd_sweep(args) -> int:
         print(f"sweep report -> {args.out} "
               f"({doc['totals']['ok']}/{doc['totals']['cells']} cells ok)")
     if args.html_out:
-        try:
-            baseline_doc, bench = _dashboard_inputs(args)
-        except DiffError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
+        baseline_doc, bench = _dashboard_inputs(args)
         write_dashboard(args.html_out,
                         build_dashboard(doc, baseline=baseline_doc,
                                         bench_docs=bench))
@@ -1010,28 +830,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_dash(args) -> int:
-    try:
-        with open(args.report) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        print(f"repro: cannot read {args.report}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"repro: {args.report} is not valid JSON ({exc})",
-              file=sys.stderr)
-        return 2
-    try:
-        validate_artifact(doc, family="repro.sweep_report",
-                          path=args.report)
-    except SchemaError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
-    try:
-        baseline_doc, bench = _dashboard_inputs(args)
-    except DiffError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
+    doc = _read_json(args.report)
+    validate_artifact(doc, family="repro.sweep_report", path=args.report)
+    baseline_doc, bench = _dashboard_inputs(args)
     out = args.out or args.report + ".html"
+    _preflight(out)
     write_dashboard(out, build_dashboard(doc, baseline=baseline_doc,
                                          bench_docs=bench,
                                          title=args.title))
@@ -1047,14 +850,11 @@ def _cmd_tradeoffs(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    model = _model_from(args)
-    duration = args.duration_us * 1000.0
-    cluster = Cluster(model, config=_config_from(args),
-                      workload=WORKLOADS[args.workload])
-    cluster.run(duration_ns=duration, warmup_ns=duration / 10)
+    spec = _spec_from(args)
+    cluster = observed_run(spec).cluster
     cluster.crash_all()
     report = RecoveryReplayer(cluster).simulate(args.strategy)
-    print(f"model                : {model}")
+    print(f"model                : {spec.model}")
     print(f"strategy             : {report.strategy}")
     print(f"keys in NVM images   : {report.total_keys}")
     print(f"divergent keys       : {report.divergent_keys} "
@@ -1089,6 +889,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         return 0
+    except (_CliError, DiffError, SchemaError) as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

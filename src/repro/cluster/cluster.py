@@ -15,6 +15,7 @@ from typing import List, Optional
 from repro.analysis.metrics import Metrics, Summary
 from repro.cluster.config import ClusterConfig
 from repro.cluster.node import Node
+from repro.core.engine import ProtocolNode
 from repro.core.membership import Membership
 from repro.core.model import DdpModel
 from repro.net.network import Network
@@ -31,7 +32,29 @@ __all__ = ["Cluster", "run_simulation"]
 
 
 class Cluster:
-    """A full modeled deployment of one DDP model."""
+    """A full modeled deployment of one DDP model.
+
+    The only code that assembles and runs a deployment.  A variant
+    (:class:`repro.variants.LeaderCluster`,
+    :class:`repro.hybrid.HybridCluster`) subclasses it and overrides two
+    hooks: the engine a node runs (:meth:`engine_for`) and the topology
+    (:meth:`peers_of`, :attr:`one_way_ns`).  Everything else — observers,
+    membership, clients, ``run``, failure injection — is inherited.
+    """
+
+    #: Label of the seed stream; a variant names its own.
+    rng_label = "cluster"
+    #: Per-pair propagation delay ``(src, dst) -> ns``; ``None`` is the
+    #: uniform fabric of ``config.network``.
+    one_way_ns = None
+
+    def peers_of(self, node_id: int) -> List[int]:
+        """The replicas a node's protocol rounds span (default: all)."""
+        return [n for n in range(self.config.servers) if n != node_id]
+
+    def engine_for(self, node_id: int):
+        """The node's protocol engine: ``(class, extra kwargs)``."""
+        return ProtocolNode, {}
 
     def __init__(self, model: DdpModel, config: Optional[ClusterConfig] = None,
                  workload: Optional[WorkloadSpec] = None, tracer=None,
@@ -46,9 +69,10 @@ class Cluster:
         self.profile = profile
         if profile is not None:
             profile.attach(self.sim)
-        self.rng = SeededStream(self.config.seed, "cluster")
+        self.rng = SeededStream(self.config.seed, self.rng_label)
         self.metrics = metrics if metrics is not None else Metrics()
-        self.network = Network(self.sim, self.config.network, tracer=tracer)
+        self.network = Network(self.sim, self.config.network,
+                               one_way_fn=self.one_way_ns, tracer=tracer)
         self.rdma = RdmaFabric(self.sim, self.network)
         self.txn_table = TxnTable()
         self.nvm_log = NvmLog(range(self.config.servers))
@@ -56,13 +80,16 @@ class Cluster:
         # engines arm no round watchdogs and keep exact seed behavior.
         self.membership = (Membership(range(self.config.servers))
                            if faults is not None else None)
-        self.nodes: List[Node] = [
-            Node(self.sim, node_id, self.config, model, self.network,
-                 self.rdma, self.metrics, self.txn_table,
-                 self.rng, nvm_log=self.nvm_log, tracer=tracer,
-                 version_board=version_board, membership=self.membership)
-            for node_id in range(self.config.servers)
-        ]
+        self.nodes: List[Node] = []
+        for node_id in range(self.config.servers):
+            engine_class, engine_kwargs = self.engine_for(node_id)
+            self.nodes.append(Node(
+                self.sim, node_id, self.config, model, self.network,
+                self.rdma, self.metrics, self.txn_table, self.rng,
+                self.peers_of(node_id), engine_class,
+                nvm_log=self.nvm_log, tracer=tracer,
+                version_board=version_board, membership=self.membership,
+                **engine_kwargs))
         # Optional repro.obs.history.HistoryRecorder for the black-box
         # audit: attached to every client, pure observation.
         self.history = history

@@ -23,8 +23,9 @@ class Node:
     def __init__(self, sim: Simulator, node_id: int, config: ClusterConfig,
                  model: DdpModel, network: Network, rdma: RdmaFabric,
                  metrics: Metrics, txn_table: TxnTable,
-                 rng: SeededStream, nvm_log=None, tracer=None,
-                 version_board=None, membership=None):
+                 rng: SeededStream, peer_ids, engine_class=ProtocolNode,
+                 nvm_log=None, tracer=None, version_board=None,
+                 membership=None, **engine_kwargs):
         self.sim = sim
         self.node_id = node_id
         self.config = config
@@ -36,12 +37,12 @@ class Node:
         self.rdma_endpoint = rdma.register(node_id, self.memory)
         self.store = (make_store(config.store_type)
                       if config.store_type else None)
-        peer_ids = [n for n in range(config.servers) if n != node_id]
-        self.engine = ProtocolNode(
+        self.engine = engine_class(
             sim, node_id, peer_ids, network, self.nic, self.memory,
             model, metrics, config=config.protocol, txn_table=txn_table,
             store=self.store, nvm_log=nvm_log, tracer=tracer,
-            version_board=version_board, membership=membership)
+            version_board=version_board, membership=membership,
+            **engine_kwargs)
 
     def start(self) -> None:
         self.engine.start()

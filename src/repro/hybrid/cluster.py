@@ -4,112 +4,61 @@ Builds N groups ("datacenters") of servers.  Within a group, nodes run
 the configured strong DDP model over the low-latency local fabric; all
 cross-group traffic is lazy UPD propagation over the (much slower)
 inter-datacenter links.
+
+:class:`HybridCluster` is :class:`repro.cluster.Cluster` with its engine
+and topology hooks overridden; it takes every observer ``Cluster`` takes.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.analysis.metrics import Metrics, Summary
+from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import DdpModel
 from repro.hybrid.engine import HybridProtocolNode
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.net.network import Network
-from repro.recovery.log import NvmLog
-from repro.sim.engine import Simulator
-from repro.sim.rng import SeededStream
-from repro.store import make_store
-from repro.txn.manager import TxnTable
-from repro.workload.client import Client
-from repro.workload.ycsb import RequestStream, WorkloadSpec
+from repro.workload.ycsb import WorkloadSpec
 
 __all__ = ["HybridCluster"]
 
 
-class HybridCluster:
+class HybridCluster(Cluster):
     """Datacenter groups running a strong model locally, Eventual across."""
+
+    rng_label = "hybrid"
 
     def __init__(self, model: DdpModel, groups: int = 2,
                  servers_per_group: int = 3,
                  cross_dc_round_trip_ns: float = 50_000.0,
                  config: Optional[ClusterConfig] = None,
-                 workload: Optional[WorkloadSpec] = None):
+                 workload: Optional[WorkloadSpec] = None, **observers):
         if groups < 1 or servers_per_group < 2:
             raise ValueError("need >= 1 group of >= 2 servers")
-        self.model = model
         self.groups = groups
         self.servers_per_group = servers_per_group
-        self.config = config or ClusterConfig(
+        self.cross_one_way_ns = cross_dc_round_trip_ns / 2.0
+        config = (config or ClusterConfig()).with_overrides(
             servers=groups * servers_per_group)
-        self.sim = Simulator()
-        self.rng = SeededStream(self.config.seed, "hybrid")
-        self.metrics = Metrics()
-        total = groups * servers_per_group
-        local_one_way = self.config.network.one_way_ns
-        cross_one_way = cross_dc_round_trip_ns / 2.0
-
-        def one_way(src: int, dst: int) -> float:
-            same_group = (src // servers_per_group) == (dst // servers_per_group)
-            return local_one_way if same_group else cross_one_way
-
-        self.network = Network(self.sim, self.config.network,
-                               one_way_fn=one_way)
-        self.txn_table = TxnTable()
-        self.nvm_log = NvmLog(range(total))
-        self.engines: List[HybridProtocolNode] = []
-        self.memories: List[MemoryHierarchy] = []
-        for node_id in range(total):
-            group = node_id // servers_per_group
-            local_peers = [n for n in range(group * servers_per_group,
-                                            (group + 1) * servers_per_group)
-                           if n != node_id]
-            remote = [n for n in range(total)
-                      if n // servers_per_group != group]
-            memory = MemoryHierarchy(
-                self.sim, self.rng.fork(f"mem{node_id}"),
-                cores=self.config.cores_per_server,
-                nvm_timing=self.config.nvm_timing,
-                dram_timing=self.config.dram_timing,
-                name=f"node{node_id}")
-            nic = self.network.attach(node_id)
-            store = (make_store(self.config.store_type)
-                     if self.config.store_type else None)
-            engine = HybridProtocolNode(
-                self.sim, node_id, local_peers, self.network, nic, memory,
-                model, self.metrics, config=self.config.protocol,
-                txn_table=self.txn_table, store=store, nvm_log=self.nvm_log,
-                remote_ids=remote)
-            self.engines.append(engine)
-            self.memories.append(memory)
-        self.clients: List[Client] = []
-        if workload is not None:
-            self._build_clients(workload)
-
-    def _build_clients(self, workload: WorkloadSpec) -> None:
-        client_id = 0
-        for engine in self.engines:
-            for _ in range(self.config.clients_per_server):
-                stream = RequestStream(workload,
-                                       self.rng.fork(f"client{client_id}"))
-                self.clients.append(Client(self.sim, client_id, engine,
-                                           stream, self.metrics))
-                client_id += 1
-
-    def start(self) -> None:
-        for engine in self.engines:
-            engine.start()
-        for client in self.clients:
-            client.start()
-
-    def run(self, duration_ns: float, warmup_ns: float = 0.0) -> Summary:
-        self.start()
-        if warmup_ns > 0:
-            self.sim.run(until=warmup_ns)
-        self.metrics.warmup_end_ns = self.sim.now
-        self.sim.run(until=duration_ns)
-        self.metrics.txn_conflicts = self.txn_table.conflicts
-        return self.metrics.summarize(self.sim.now)
+        super().__init__(model, config=config, workload=workload, **observers)
 
     def group_of(self, node_id: int) -> int:
         return node_id // self.servers_per_group
+
+    def peers_of(self, node_id: int) -> List[int]:
+        return [n for n in super().peers_of(node_id)
+                if self.group_of(n) == self.group_of(node_id)]
+
+    def engine_for(self, node_id: int):
+        remote = [n for n in range(self.config.servers)
+                  if self.group_of(n) != self.group_of(node_id)]
+        return HybridProtocolNode, {"remote_ids": remote}
+
+    def one_way_ns(self, src: int, dst: int) -> float:
+        if self.group_of(src) == self.group_of(dst):
+            return self.config.network.one_way_ns
+        return self.cross_one_way_ns
+
+    @property
+    def memories(self) -> List[MemoryHierarchy]:
+        return [node.memory for node in self.nodes]

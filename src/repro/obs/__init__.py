@@ -16,6 +16,10 @@ VP/DP events) into artifacts a human or a tool can consume:
   speedscope JSON, phase-tagged) and the ``repro profile`` hotspot table.
 * :mod:`repro.obs.report` — the machine-readable run-report JSON with
   windowed throughput/latency series and per-node VP/DP lag.
+* :mod:`repro.obs.run` — :class:`CellSpec` (the one description of a
+  run and owner of its ``meta()`` / ``config_hash``) and
+  :func:`observed_run`, the one build-run-observe recipe every CLI
+  subcommand and sweep cell is a view over.
 * :mod:`repro.obs.fanout` — :class:`FanoutTracer` to feed one engine's
   emissions to several sinks (e.g. a Tracer and a PointsTracker).
 * :mod:`repro.obs.journey` — :class:`JourneyTracker`, a sink that
@@ -91,6 +95,7 @@ from repro.obs.report import (
     config_fingerprint,
     write_run_report,
 )
+from repro.obs.run import CellSpec, ObservedRun, Observers, observed_run
 from repro.obs.schemas import (
     SchemaError,
     parse_schema_tag,
@@ -100,7 +105,6 @@ from repro.obs.schemas import (
 )
 from repro.obs.sweep import (
     CellResult,
-    CellSpec,
     SweepProgress,
     build_sweep_report,
     matrix_specs,
@@ -140,6 +144,9 @@ __all__ = [
     "build_run_report",
     "config_fingerprint",
     "write_run_report",
+    "ObservedRun",
+    "Observers",
+    "observed_run",
     "DiffError",
     "DiffReport",
     "diff_documents",

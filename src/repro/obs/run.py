@@ -1,0 +1,241 @@
+"""One description of a run, one recipe that observes it.
+
+Every experiment in the repository is the same five steps::
+
+    CellSpec  ->  Cluster  ->  observers  ->  run report  ->  views
+
+* :class:`CellSpec` is the one description of a run — model, workload,
+  cluster shape, seed, duration — and the owner of the one
+  :meth:`~CellSpec.meta` / ``config_hash`` every artifact carries.  Its
+  ``__post_init__`` is the only run-shape validation.
+* :class:`Observers` names the sinks the run is watched through; all
+  optional, all pure observation (a same-seed run is byte-identical
+  with or without any of them).
+* :func:`observed_run` is the only code that wires them together: sink
+  fan-out, ``monitor.watch``, cluster build, run, recorder finalisation
+  and audit.  It returns an :class:`ObservedRun`, whose ``waterfall``
+  and ``report`` (the ``repro.run_report`` document) are assembled once,
+  on first use.
+
+``repro run`` / ``trace`` / ``journey`` / ``profile`` / ``recover`` and
+the sweep worker (:func:`repro.obs.sweep.run_cell`) are views: they
+build a spec and an ``Observers``, call :func:`observed_run`, and print
+or select from the result.  A sweep cell's ``journeys`` / ``health`` /
+``profile`` / ``audit`` section therefore *is* the run report's section.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Dict, Optional, Tuple
+
+from repro.analysis.metrics import Metrics, Summary
+from repro.analysis.points import PointsTracker
+from repro.cluster.cluster import Cluster
+from repro.cluster.config import ClusterConfig
+from repro.core.model import Consistency, DdpModel, Persistency
+from repro.obs.export import (JsonlSink, journey_chrome_events,
+                              write_chrome_trace)
+from repro.obs.fanout import FanoutTracer
+from repro.obs.history import (History, HistoryRecorder,
+                               recovered_from_cluster)
+from repro.obs.journey import JourneyTracker
+from repro.obs.monitor import HealthMonitor, health_chrome_events
+from repro.obs.profile import KernelProfile
+from repro.obs.report import build_run_report, config_fingerprint
+from repro.sim.trace import Tracer
+from repro.workload.ycsb import WORKLOADS
+
+__all__ = ["SECTIONS", "CellSpec", "Observers", "ObservedRun",
+           "observed_run"]
+
+#: Optional per-cell report sections a sweep can request.
+SECTIONS = ("journeys", "health", "profile", "audit")
+
+_DEFAULT_WINDOW_NS = 10_000.0
+
+
+@dataclass(frozen=True)
+class CellSpec:
+    """One run: a (model, seed) cell of the matrix and its shape.
+
+    ``clients`` is the total across the cluster; every server gets
+    ``clients // servers`` of them, and ``clients`` is normalised to the
+    count the run really has, so ``meta()`` never records a client that
+    was not simulated.
+    """
+
+    consistency: str
+    persistency: str
+    seed: int
+    workload: str = "A"
+    servers: int = 5
+    clients: int = 100
+    duration_ns: float = 100_000.0
+    warmup_ns: float = 10_000.0
+    sections: Tuple[str, ...] = ()
+
+    def __post_init__(self):
+        unknown = set(self.sections) - set(SECTIONS)
+        if unknown:
+            raise ValueError(f"unknown sweep section(s): "
+                             f"{', '.join(sorted(unknown))}")
+        if self.servers < 2:
+            raise ValueError(f"a replicated cluster needs at least 2 "
+                             f"servers (got {self.servers})")
+        if self.clients < self.servers:
+            raise ValueError(f"{self.clients} clients cannot cover "
+                             f"{self.servers} servers: every server needs "
+                             f"at least one client")
+        if not 0 <= self.warmup_ns < self.duration_ns:
+            raise ValueError(f"need 0 <= warmup < duration (got warmup "
+                             f"{self.warmup_ns:g} ns, duration "
+                             f"{self.duration_ns:g} ns)")
+        object.__setattr__(self, "clients",
+                           self.clients // self.servers * self.servers)
+
+    @property
+    def model(self) -> DdpModel:
+        return DdpModel(Consistency(self.consistency),
+                        Persistency(self.persistency))
+
+    @property
+    def sort_key(self) -> Tuple[str, str, int]:
+        """The deterministic merge key: completion order never matters."""
+        return (self.consistency, self.persistency, self.seed)
+
+    @property
+    def label(self) -> str:
+        return f"{str(self.model)} seed={self.seed}"
+
+    def config(self) -> ClusterConfig:
+        return ClusterConfig(servers=self.servers,
+                             clients_per_server=self.clients // self.servers,
+                             seed=self.seed)
+
+    def meta(self) -> Dict[str, Any]:
+        """Artifact metadata, including the ``config_hash`` that lets
+        ``repro diff`` refuse apples-to-oranges comparisons.  The hash
+        covers the resolved experiment shape (model, workload, cluster
+        size) but not the seed or duration, so same-shape runs with
+        different seeds stay comparable."""
+        shape = {"model": str(self.model), "workload": self.workload,
+                 "servers": self.servers, "clients": self.clients}
+        return {
+            **shape,
+            "consistency": self.consistency,
+            "persistency": self.persistency,
+            "seed": self.seed,
+            "duration_ns": self.duration_ns,
+            "warmup_ns": self.warmup_ns,
+            "config_hash": config_fingerprint(shape),
+        }
+
+
+@dataclass
+class Observers:
+    """The sinks one run is observed through; each is optional."""
+
+    tracer: Optional[Tracer] = None
+    jsonl: Optional[JsonlSink] = None
+    journey: Optional[JourneyTracker] = None
+    profile: Optional[KernelProfile] = None
+    monitor: Optional[HealthMonitor] = None
+    recorder: Optional[HistoryRecorder] = None
+    audit: bool = False
+    """Audit the recorded history against the 5x5 matrix (needs
+    ``recorder``)."""
+    window_ns: Optional[float] = None
+    """Set to collect what the run report's ``windows`` and ``lag``
+    series need: windowed :class:`Metrics` and a VP/DP
+    :class:`PointsTracker`."""
+
+
+@dataclass
+class ObservedRun:
+    """A finished run and everything its observers saw."""
+
+    spec: CellSpec
+    observers: Observers
+    cluster: Cluster
+    summary: Summary
+    points: Optional[PointsTracker] = None
+    history: Optional[History] = None
+    audit: Optional[Dict[str, Any]] = None
+
+    @cached_property
+    def waterfall(self):
+        """The journey tracker's critical-path aggregate (or ``None``).
+        A view may assign a re-aggregated one before reading
+        :attr:`report`."""
+        journey = self.observers.journey
+        if journey is None:
+            return None
+        # Deferred: waterfall imports obs.journey, so a module-level
+        # import here would close an import cycle through obs.__init__.
+        from repro.analysis.waterfall import aggregate_journeys
+        return aggregate_journeys(journey.journeys, self.spec.servers,
+                                  label=str(self.spec.model),
+                                  dropped=journey.dropped)
+
+    @cached_property
+    def report(self) -> Dict[str, Any]:
+        """The ``repro.run_report`` document of this run."""
+        obs = self.observers
+        return build_run_report(
+            self.summary, self.cluster.metrics,
+            obs.window_ns or _DEFAULT_WINDOW_NS, meta=self.spec.meta(),
+            points=self.points, profile=obs.profile, tracer=obs.tracer,
+            journeys=self.waterfall, monitor=obs.monitor,
+            faults=self.cluster.faults, audit=self.audit)
+
+    def write_trace(self, path: str,
+                    meta: Optional[Dict[str, Any]] = None) -> None:
+        """Write the tracer's timeline as Chrome ``trace_event`` JSON,
+        with the journey flows and health counters of this run."""
+        obs = self.observers
+        extra = []
+        if obs.journey is not None:
+            extra += journey_chrome_events(obs.journey.journeys,
+                                           self.spec.servers)
+        if obs.monitor is not None:
+            extra += health_chrome_events(obs.monitor)
+        write_chrome_trace(path, obs.tracer.records,
+                           dropped=obs.tracer.dropped,
+                           meta=self.spec.meta() if meta is None else meta,
+                           extra_events=extra or None)
+
+
+def observed_run(spec: CellSpec, observers: Optional[Observers] = None,
+                 faults=None) -> ObservedRun:
+    """Build the cluster ``spec`` describes, run it under ``observers``
+    (and the :class:`repro.faults.FaultInjector` ``faults``, if any),
+    and hand back what they saw."""
+    obs = observers if observers is not None else Observers()
+    metrics = points = None
+    if obs.window_ns is not None:
+        metrics = Metrics(window_ns=obs.window_ns)
+        points = PointsTracker(spec.servers)
+    if obs.monitor is not None:
+        obs.monitor.watch(tracer=obs.tracer, journey=obs.journey)
+    sinks = [sink for sink in (obs.tracer, points, obs.journey, obs.jsonl)
+             if sink is not None]
+    cluster = Cluster(
+        spec.model, config=spec.config(), workload=WORKLOADS[spec.workload],
+        tracer=(sinks[0] if len(sinks) == 1
+                else FanoutTracer(sinks) if sinks else None),
+        metrics=metrics, profile=obs.profile, monitor=obs.monitor,
+        faults=faults, history=obs.recorder)
+    summary = cluster.run(spec.duration_ns, warmup_ns=spec.warmup_ns)
+    if obs.jsonl is not None:
+        obs.jsonl.close()
+    run = ObservedRun(spec, obs, cluster, summary, points=points)
+    if obs.recorder is not None:
+        obs.recorder.meta = spec.meta()
+        obs.recorder.recovered = recovered_from_cluster(cluster)
+        run.history = obs.recorder.history()
+        if obs.audit:
+            from repro.audit import audit_history  # deferred: import cycle
+            run.audit = audit_history(run.history)
+    return run

@@ -1,10 +1,9 @@
 """The sweep observatory: a parallel matrix runner with deterministic merge.
 
 The paper's core deliverable is the 5x5 consistency x persistency
-matrix, yet until this module the reproduction ran it one cell at a
-time.  :func:`run_sweep` fans the ``models x seeds`` matrix across
+matrix.  :func:`run_sweep` fans the ``models x seeds`` matrix across
 worker processes (``concurrent.futures.ProcessPoolExecutor``;
-``workers=1`` keeps today's in-process path) and merges the results
+``workers=1`` runs in-process) and merges the results
 **deterministically**: cells are keyed and sorted by ``(consistency,
 persistency, seed)`` regardless of completion order, and every
 wall-clock-derived value is stripped from the merged document, so a
@@ -14,14 +13,13 @@ byte-identical to a ``--workers 1`` sweep (asserted in
 
 Three design rules:
 
-* **workers run the existing pipeline** — each cell is one
-  :func:`repro.cluster.cluster.run_simulation`-shaped run (built here
-  from a :class:`Cluster` so post-run recovery state is reachable),
-  with the same observability sinks the ``run`` subcommand attaches:
-  journeys, health, kernel profile, black-box audit, per the cell's
-  requested ``sections``.  Same-seed runs are byte-identical across
-  processes (the PR-1 ``SeededStream`` fix), so fanning out cannot
-  change any simulated number.
+* **workers run the one pipeline** — each cell is one
+  :func:`repro.obs.run.observed_run`, the recipe behind ``repro run``,
+  and a cell's ``journeys`` / ``health`` / ``profile`` / ``audit``
+  section is that section of the run's report (wall clock stripped).
+  Same-seed runs are byte-identical across processes (the PR-1
+  ``SeededStream`` fix), so fanning out cannot change any simulated
+  number.
 * **failure is a value** — a worker that raises (or a pool that dies)
   becomes a per-cell ``status: "error"`` entry with the exception text;
   the partial artifact stays schema-valid and the CLI exits non-zero,
@@ -48,23 +46,19 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import Summary
-from repro.cluster.cluster import Cluster
-from repro.cluster.config import ClusterConfig
-from repro.core.model import Consistency, DdpModel, Persistency
+from repro.core.model import DdpModel
+from repro.obs.history import HistoryRecorder
 from repro.obs.journey import JourneyTracker
-from repro.obs.monitor import HealthMonitor, health_json
+from repro.obs.monitor import HealthMonitor
 from repro.obs.profile import KernelProfile
 from repro.obs.report import _clean, config_fingerprint
+from repro.obs.run import SECTIONS, CellSpec, Observers, observed_run
 from repro.obs.schemas import SWEEP_REPORT_SCHEMA
-from repro.workload.ycsb import WORKLOADS
 
 __all__ = ["CellSpec", "CellResult", "SweepProgress", "matrix_specs",
            "run_cell", "run_sweep", "strip_wall_clock", "sweep_meta",
            "build_sweep_report", "write_sweep_report", "sweep_summaries",
            "SECTIONS"]
-
-#: Optional per-cell report sections a sweep can request.
-SECTIONS = ("journeys", "health", "profile", "audit")
 
 #: Keys whose values derive from the wall clock.  They are removed
 #: (recursively) from every section of the merged artifact: wall time
@@ -78,41 +72,6 @@ _WALL_CLOCK_KEYS = frozenset({
 })
 
 _CRASH_ENV = "REPRO_SWEEP_TEST_CRASH"
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    """One (model, seed) cell of a sweep matrix."""
-
-    consistency: str
-    persistency: str
-    seed: int
-    workload: str = "A"
-    servers: int = 5
-    clients: int = 100
-    duration_ns: float = 100_000.0
-    warmup_ns: float = 10_000.0
-    sections: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        unknown = set(self.sections) - set(SECTIONS)
-        if unknown:
-            raise ValueError(f"unknown sweep section(s): "
-                             f"{', '.join(sorted(unknown))}")
-
-    @property
-    def model(self) -> DdpModel:
-        return DdpModel(Consistency(self.consistency),
-                        Persistency(self.persistency))
-
-    @property
-    def sort_key(self) -> Tuple[str, str, int]:
-        """The deterministic merge key: completion order never matters."""
-        return (self.consistency, self.persistency, self.seed)
-
-    @property
-    def label(self) -> str:
-        return f"{str(self.model)} seed={self.seed}"
 
 
 @dataclass
@@ -171,82 +130,32 @@ def _rigged_to_crash(spec: CellSpec) -> bool:
     return False
 
 
-def _cell_meta(spec: CellSpec) -> Dict[str, Any]:
-    """Run metadata for a cell's embedded audit (mirrors the ``run``
-    subcommand's ``_run_meta`` shape)."""
-    model = spec.model
-    return {
-        "model": str(model),
-        "consistency": spec.consistency,
-        "persistency": spec.persistency,
-        "workload": spec.workload,
-        "servers": spec.servers,
-        "clients": spec.clients,
-        "seed": spec.seed,
-        "duration_ns": spec.duration_ns,
-        "warmup_ns": spec.warmup_ns,
-        "config_hash": config_fingerprint({
-            "model": str(model),
-            "workload": spec.workload,
-            "servers": spec.servers,
-            "clients": spec.clients,
-        }),
-    }
-
-
 def run_cell(spec: CellSpec) -> CellResult:
-    """Run one cell in this process (the worker body).
+    """Run one cell in this process (the worker body): a view over
+    :func:`repro.obs.run.observed_run`.
 
     Attaches a :class:`KernelProfile` unconditionally — profiled runs
     are byte-identical to unprofiled ones (asserted since PR 6), and
     its snapshot is the cell's timing telemetry — plus whichever
-    optional sinks ``spec.sections`` requests.
+    optional sinks ``spec.sections`` requests.  Each requested section
+    is that section of the run report, wall clock stripped.
     """
     if _rigged_to_crash(spec):
         raise RuntimeError(f"rigged crash ({_CRASH_ENV}) for cell "
                            f"{spec.consistency}:{spec.persistency}")
-    model = spec.model
+    wanted = spec.sections
     profile = KernelProfile()
-    journey = (JourneyTracker(spec.servers)
-               if "journeys" in spec.sections else None)
-    monitor = HealthMonitor() if "health" in spec.sections else None
-    recorder = None
-    if "audit" in spec.sections:
-        from repro.obs.history import HistoryRecorder
-        recorder = HistoryRecorder()
-    cluster = Cluster(model,
-                      config=ClusterConfig(
-                          servers=spec.servers,
-                          clients_per_server=spec.clients // spec.servers,
-                          seed=spec.seed),
-                      workload=WORKLOADS[spec.workload],
-                      tracer=journey, profile=profile, monitor=monitor,
-                      history=recorder)
-    summary = cluster.run(spec.duration_ns, warmup_ns=spec.warmup_ns)
-    sections: Dict[str, Any] = {}
-    if journey is not None:
-        # Deferred: waterfall imports obs.journey, so a module-level
-        # import here would close an import cycle through obs.__init__.
-        from repro.analysis.waterfall import (aggregate_journeys,
-                                              waterfall_json)
-        report = aggregate_journeys(journey.journeys, spec.servers,
-                                    label=str(model),
-                                    dropped=journey.dropped)
-        sections["journeys"] = _clean(waterfall_json(report))
-    if monitor is not None:
-        sections["health"] = _clean(health_json(monitor))
-    if "profile" in spec.sections:
-        sections["profile"] = strip_wall_clock(_clean(profile.snapshot()))
-    if recorder is not None:
-        from repro.audit import audit_history
-        from repro.obs.history import recovered_from_cluster
-        recorder.meta = _cell_meta(spec)
-        recorder.recovered = recovered_from_cluster(cluster)
-        audit = audit_history(recorder.history())
-        sections["audit"] = strip_wall_clock(_clean(audit))
+    run = observed_run(spec, Observers(
+        profile=profile,
+        journey=JourneyTracker(spec.servers) if "journeys" in wanted else None,
+        monitor=HealthMonitor() if "health" in wanted else None,
+        recorder=HistoryRecorder() if "audit" in wanted else None,
+        audit="audit" in wanted))
     snapshot = profile.snapshot()
     return CellResult(
-        spec=spec, status="ok", summary=summary, sections=sections,
+        spec=spec, status="ok", summary=run.summary,
+        sections={name: strip_wall_clock(run.report[name])
+                  for name in wanted},
         timing={"wall_seconds": snapshot["wall_seconds"],
                 "events_per_wall_second":
                     snapshot["events_per_wall_second"],
@@ -317,7 +226,7 @@ def run_sweep(specs: Sequence[CellSpec], workers: int = 1,
               progress: Optional[SweepProgress] = None) -> List[CellResult]:
     """Run every cell, fanning across ``workers`` processes.
 
-    ``workers <= 1`` runs in-process (no executor, today's path).  The
+    ``workers <= 1`` runs in-process (no executor).  The
     returned list is sorted by the deterministic cell key; a cell whose
     worker raised (or whose pool died) is an ``error`` result, never a
     missing one.

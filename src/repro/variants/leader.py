@@ -13,27 +13,19 @@ the standard coordinator round; reads stay local.  Funneling writes
 through one node serializes them, throttling the global write rate and
 shrinking the window in which reads race unpersisted writes — the
 mechanism behind Ganesan's much lower conflict fraction.
+
+:class:`LeaderCluster` is :class:`repro.cluster.Cluster` with the engine
+hook overridden; it takes every observer ``Cluster`` takes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, Optional
 
-from repro.analysis.metrics import Metrics, Summary
-from repro.cluster.config import ClusterConfig
+from repro.cluster.cluster import Cluster
 from repro.core.context import ClientContext
 from repro.core.engine import ProtocolNode
 from repro.core.messages import HEADER_BYTES, KEY_BYTES, VALUE_BYTES
-from repro.core.model import DdpModel
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.net.network import Network
-from repro.recovery.log import NvmLog
-from repro.sim.engine import Simulator
-from repro.sim.rng import SeededStream
-from repro.store import make_store
-from repro.txn.manager import TxnTable
-from repro.workload.client import Client
-from repro.workload.ycsb import RequestStream, WorkloadSpec
 
 __all__ = ["LeaderProtocolNode", "LeaderCluster"]
 
@@ -89,65 +81,15 @@ class LeaderProtocolNode(ProtocolNode):
                              leader=leader.node_id)
 
 
-class LeaderCluster:
+class LeaderCluster(Cluster):
     """A cluster whose writes all funnel through node 0."""
 
-    def __init__(self, model: DdpModel, config: Optional[ClusterConfig] = None,
-                 workload: Optional[WorkloadSpec] = None,
-                 version_board=None, tracer=None):
-        self.model = model
-        self.config = config or ClusterConfig()
-        self.tracer = tracer
-        self.sim = Simulator()
-        self.rng = SeededStream(self.config.seed, "leader")
-        self.metrics = Metrics()
-        self.network = Network(self.sim, self.config.network, tracer=tracer)
-        self.txn_table = TxnTable()
-        self.nvm_log = NvmLog(range(self.config.servers))
-        self.engines: List[LeaderProtocolNode] = []
-        for node_id in range(self.config.servers):
-            memory = MemoryHierarchy(
-                self.sim, self.rng.fork(f"mem{node_id}"),
-                cores=self.config.cores_per_server,
-                nvm_timing=self.config.nvm_timing,
-                dram_timing=self.config.dram_timing, name=f"node{node_id}",
-                tracer=tracer, node_id=node_id)
-            nic = self.network.attach(node_id)
-            store = (make_store(self.config.store_type)
-                     if self.config.store_type else None)
-            peer_ids = [n for n in range(self.config.servers) if n != node_id]
-            self.engines.append(LeaderProtocolNode(
-                self.sim, node_id, peer_ids, self.network, nic, memory,
-                model, self.metrics, config=self.config.protocol,
-                txn_table=self.txn_table, store=store, nvm_log=self.nvm_log,
-                tracer=tracer, version_board=version_board))
+    rng_label = "leader"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         for engine in self.engines:
             engine.leader_engine = self.engines[0]
-        self.clients: List[Client] = []
-        if workload is not None:
-            self._build_clients(workload)
 
-    def _build_clients(self, workload: WorkloadSpec) -> None:
-        client_id = 0
-        for engine in self.engines:
-            for _ in range(self.config.clients_per_server):
-                stream = RequestStream(workload,
-                                       self.rng.fork(f"client{client_id}"))
-                self.clients.append(Client(self.sim, client_id, engine,
-                                           stream, self.metrics))
-                client_id += 1
-
-    def start(self) -> None:
-        for engine in self.engines:
-            engine.start()
-        for client in self.clients:
-            client.start()
-
-    def run(self, duration_ns: float, warmup_ns: float = 0.0) -> Summary:
-        self.start()
-        if warmup_ns > 0:
-            self.sim.run(until=warmup_ns)
-        self.metrics.warmup_end_ns = self.sim.now
-        self.sim.run(until=duration_ns)
-        self.metrics.txn_conflicts = self.txn_table.conflicts
-        return self.metrics.summarize(self.sim.now)
+    def engine_for(self, node_id: int):
+        return LeaderProtocolNode, {}

@@ -28,10 +28,87 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["run"] + flags)
 
-    def test_unwritable_artifact_path_fails_before_simulating(self):
-        with pytest.raises(SystemExit, match="cannot write"):
-            main(["run", "--duration-us", "20",
-                  "--trace-out", "/nonexistent-dir/t.json"])
+    def test_unwritable_artifact_path_fails_before_simulating(
+            self, capsys, tmp_path, monkeypatch):
+        """Every subcommand that writes: one ``repro: cannot write``
+        line and exit 2 — before simulating, where it simulates."""
+        small = ["--servers", "3", "--clients", "6", "--duration-us", "20"]
+        history = str(tmp_path / "h.jsonl")
+        report = str(tmp_path / "m.json")
+        sweep = str(tmp_path / "sweep.json")
+        assert main(["run", *small, "--history-out", history,
+                     "--metrics-out", report]) == 0
+        assert main(["sweep", *small, "--no-progress", "--out", sweep]) == 0
+        capsys.readouterr()
+
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulated before checking the path")
+
+        monkeypatch.setattr("repro.cli.observed_run", simulated)
+        monkeypatch.setattr("repro.cli.run_sweep", simulated)
+        bad = str(tmp_path / "no-such-dir" / "out")
+        for argv in (["run", *small, "--trace-out", bad],
+                     ["run", *small, "--trace-jsonl", bad],
+                     ["run", *small, "--metrics-out", bad],
+                     ["run", *small, "--journey-out", bad],
+                     ["run", *small, "--history-out", bad],
+                     ["trace", *small, "--out", bad],
+                     ["journey", *small, "--journey-out", bad],
+                     ["profile", *small, "--speedscope-out", bad],
+                     ["sweep", *small, "--out", bad],
+                     ["sweep", *small, "--html-out", bad],
+                     ["audit", history, "--out", bad],
+                     ["diff", report, report, "--out", bad],
+                     ["dash", sweep, "--out", bad]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 2, argv
+            assert err.startswith(f"repro: cannot write {bad}"), argv
+            assert err.count("\n") == 1 and "Traceback" not in err, argv
+
+
+class TestRunShape:
+    """Run-shape validation lives in ``CellSpec.__post_init__``; the CLI
+    surfaces it as one ``repro:`` line and exit 2."""
+
+    @staticmethod
+    def rejected(capsys, *flags):
+        code = main(["run", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("repro: ")
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    def test_zero_servers_is_an_error_not_a_zero_division(self, capsys):
+        assert "at least 2 servers" in self.rejected(capsys, "--servers", "0")
+
+    def test_negative_duration_is_an_error_not_a_traceback(self, capsys):
+        assert "duration" in self.rejected(capsys, "--duration-us", "-5")
+
+    def test_zero_duration_is_an_error_not_a_nan_table(self, capsys):
+        assert "duration" in self.rejected(capsys, "--duration-us", "0")
+
+    def test_fewer_clients_than_servers_is_an_error_not_an_empty_run(
+            self, capsys):
+        err = self.rejected(capsys, "--clients", "3", "--servers", "5")
+        assert "3 clients cannot cover 5 servers" in err
+        # The sweep builds its cells from the same spec.
+        assert main(["sweep", "--clients", "3", "--servers", "5"]) == 2
+        assert "3 clients cannot cover 5 servers" in capsys.readouterr().err
+
+    def test_meta_records_the_client_count_the_run_had(self, capsys,
+                                                       tmp_path):
+        metas = {}
+        for clients in ("6", "7"):
+            path = tmp_path / f"m{clients}.json"
+            assert main(["run", "--servers", "3", "--clients", clients,
+                         "--duration-us", "20",
+                         "--metrics-out", str(path)]) == 0
+            metas[clients] = json.loads(path.read_text())["meta"]
+        assert metas["7"]["clients"] == 6
+        assert metas["7"] == metas["6"]
 
 
 class TestCommands:
@@ -191,19 +268,33 @@ class TestCommands:
 
     def test_run_audit_passes_own_model(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
-        code = main(["run", "--consistency", "linearizable",
-                     "--persistency", "synchronous",
-                     "--servers", "3", "--clients", "6",
-                     "--duration-us", "30", "--audit",
-                     "--metrics-out", str(report_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "target <linearizable, synchronous>: PASS" in out
-        report = json.loads(report_path.read_text())
-        audit = report["audit"]
-        assert audit["schema"] == "repro.audit_report/1"
-        assert audit["target"]["ok"]
-        assert audit["totals"]["cells"] == 25
+        plan_path = tmp_path / "chaos-plan.json"
+        plan_path.write_text(json.dumps({"seed": 7, "events": [
+            {"kind": "drop", "at_us": 10, "duration_us": 15,
+             "probability": 0.1},
+            {"kind": "crash", "node": 1, "at_us": 30,
+             "restart_after_us": 20}]}))
+        for chaos in ([], ["--faults", str(plan_path)]):
+            code = main(["run", "--consistency", "linearizable",
+                         "--persistency", "synchronous",
+                         "--servers", "3", "--clients", "6",
+                         "--duration-us", "80", "--audit", *chaos,
+                         "--metrics-out", str(report_path)])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert "target <linearizable, synchronous>: PASS" in out
+            report = json.loads(report_path.read_text())
+            audit = report["audit"]
+            assert audit["schema"] == "repro.audit_report/1"
+            assert audit["target"]["ok"]
+            assert audit["totals"]["cells"] == 25
+            assert ("faults" in report) == bool(chaos)
+        faults = report["faults"]
+        assert faults["injected"]["crashes"] == 1
+        assert faults["injected"]["restarts"] == 1
+        assert faults["membership"]["live"] == [0, 1, 2]
+        assert any(e["kind"] == "restart" for e in faults["events"])
+        assert "VIOLATED" not in out
 
     def test_history_out_then_audit_subcommand(self, capsys, tmp_path):
         history_path = tmp_path / "history.jsonl"
@@ -352,6 +443,14 @@ class TestInputFileModes:
                      "--duration-us", "30",
                      "--journey-out", str(path)]) == 0
         capsys.readouterr()
+        journeys = json.loads(path.read_text())["journeys"]
+        assert journeys["journeys"] > 0
+        assert journeys["buckets"] == [
+            "network", "coord_wait", "nvm_queue", "device", "compute"]
+        for point in ("vp", "dp"):
+            aggregate = journeys[point]
+            assert (abs(sum(aggregate["buckets_ns"].values())
+                        - aggregate["mean_latency_ns"]) < 1e-6), point
         code = main(["journey", str(path)])
         out = capsys.readouterr().out
         assert code == 0

@@ -37,6 +37,19 @@ def test_all_25_cells_reproduce_the_golden_byte_for_byte():
     assert not moved, moved
 
 
+def test_leader_and_hybrid_variants_reproduce_their_golden():
+    """Pinned at the commit where ``LeaderCluster`` / ``HybridCluster``
+    were still hand-rolled builders: as subclasses of ``Cluster`` they
+    must give the same ``Summary`` and converged state, byte for byte."""
+    golden = detied_golden.load_golden(detied_golden.VARIANT_GOLDEN)
+    assert len(golden) == 4
+    cells = detied_golden.variant_cells()
+    assert ({name: detied_golden.digests(cell)
+             for name, cell in cells.items()}
+            == {name: detied_golden.digests(cell)
+                for name, cell in golden.items()})
+
+
 def test_the_fabric_really_is_detied():
     delays = {detied_golden.one_way_ns(src, dst)
               for src in range(detied_golden.SERVERS)

@@ -6,7 +6,12 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.context import ClientContext
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
+from repro.audit import audit_history
+from repro.faults import (FaultInjector, plan_from_crash_specs,
+                          validate_faulty_run)
 from repro.hybrid.cluster import HybridCluster
+from repro.obs import (HealthMonitor, HistoryRecorder, KernelProfile,
+                       build_run_report, recovered_from_cluster)
 from repro.workload.ycsb import WORKLOADS
 
 LIN_SYNC = DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS)
@@ -22,6 +27,30 @@ def make_hybrid(model=LIN_SYNC, **kwargs):
                             **kwargs)
     cluster.start()
     return cluster
+
+
+def observed_sections(model, build, **target):
+    """Run a variant under profile + monitor + history; return its run
+    report (non-empty sections asserted), audited against ``target``
+    (default: the cluster's own model)."""
+    recorder = HistoryRecorder()
+    cluster = build(profile=KernelProfile(), monitor=HealthMonitor(),
+                    history=recorder)
+    summary = cluster.run(60_000, 6_000)
+    recorder.meta = {"consistency": model.consistency.value,
+                     "persistency": model.persistency.value}
+    recorder.recovered = recovered_from_cluster(cluster)
+    report = build_run_report(
+        summary, cluster.metrics, 10_000.0, profile=cluster.profile,
+        monitor=cluster.monitor,
+        audit=audit_history(recorder.history(), **target))
+    assert report["profile"]["events_processed"] > 0
+    assert report["profile"]["scheduling"]["messages_handled"] > 0
+    assert report["health"]["samples"] > 0
+    assert report["health"]["violations"]["total"] == 0
+    assert report["audit"]["usable"]
+    assert report["audit"]["history"]["ops"] > 0
+    return report
 
 
 def run_op(cluster, generator):
@@ -110,3 +139,35 @@ class TestHybridWorkload:
         assert hybrid_summary.requests > 0
         assert (hybrid_summary.throughput_ops_per_s
                 > 2 * global_summary.throughput_ops_per_s)
+
+
+class TestHybridObserved:
+    @staticmethod
+    def build(model=LIN_SYNC, **observers):
+        return HybridCluster(model, groups=2, servers_per_group=3,
+                             cross_dc_round_trip_ns=CROSS_DC_RTT,
+                             config=ClusterConfig(clients_per_server=2),
+                             workload=WORKLOADS["A"], **observers)
+
+    def test_takes_every_observer_and_audits_clean(self):
+        """Section 9's contract, from observation alone: Linearizable
+        inside a datacenter is *not* Linearizable system-wide, and the
+        deployment's own cell — Eventual across, its persistency
+        everywhere — audits clean."""
+        report = observed_sections(LIN_SYNC, self.build)
+        assert not report["audit"]["target"]["ok"]
+        report = observed_sections(LIN_SYNC, self.build,
+                                   consistency="eventual")
+        assert report["audit"]["target"]["ok"]
+
+    def test_crash_restart_ends_in_a_verdict(self):
+        """Membership, ``fail_node`` and ``restart_node`` are inherited:
+        a fault plan runs to a ``validate_faulty_run`` verdict."""
+        injector = FaultInjector(plan_from_crash_specs(["1@20+15"], seed=7))
+        cluster = self.build(faults=injector)
+        summary = cluster.run(80_000, 8_000)
+        assert summary.requests > 0
+        assert (injector.crashes, injector.restarts) == (1, 1)
+        assert sorted(cluster.membership.live) == list(range(6))
+        results = validate_faulty_run(cluster)
+        assert results and all(result.ok for result in results), results

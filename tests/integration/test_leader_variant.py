@@ -9,6 +9,8 @@ from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.variants.leader import LeaderCluster
 from repro.workload.ycsb import WORKLOADS
 
+from tests.integration.test_hybrid import observed_sections
+
 LIN_SYNC = DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS)
 SMALL = ClusterConfig(servers=3, clients_per_server=0, store_type=None)
 
@@ -91,3 +93,15 @@ class TestLeaderWorkload:
             model, config=ClusterConfig(clients_per_server=2),
             workload=WORKLOADS["A"]).run(60_000, 6_000)
         assert conflict_fraction(leader_10) < conflict_fraction(leaderless_100) / 2
+
+
+class TestLeaderObserved:
+    def test_takes_every_observer_and_audits_clean(self):
+        """As a ``Cluster`` subclass the variant is profiled, health-
+        monitored and audited like the leaderless cluster."""
+        model = DdpModel(C.READ_ENFORCED, P.READ_ENFORCED)
+        report = observed_sections(
+            model, lambda **observers: LeaderCluster(
+                model, config=ClusterConfig(servers=3, clients_per_server=2),
+                workload=WORKLOADS["A"], **observers))
+        assert report["audit"]["target"]["ok"]

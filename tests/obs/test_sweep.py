@@ -119,6 +119,32 @@ class TestCellSections:
         assert "journeys" not in cell and "profile" not in cell
         assert cell["summary"]["requests"] > 0
 
+    def test_a_cell_section_is_the_run_reports_section(self, capsys,
+                                                       tmp_path):
+        """One recipe: what ``run --metrics-out`` writes for a spec is,
+        wall clock stripped, what the sweep embeds for it."""
+        from repro.cli import main
+
+        sections = ("journeys", "health", "profile", "audit")
+        spec = CellSpec("linearizable", "synchronous", 11, servers=3,
+                        clients=6, duration_ns=DURATION, warmup_ns=WARMUP,
+                        sections=sections)
+        path = tmp_path / "report.json"
+        assert main(["run", "--consistency", spec.consistency,
+                     "--persistency", spec.persistency, "--seed", "11",
+                     "--servers", "3", "--clients", "6",
+                     "--duration-us", str(DURATION / 1000.0),
+                     "--profile", "--health", "--audit",
+                     "--journey-out", str(tmp_path / "journeys.json"),
+                     "--metrics-out", str(path)]) == 0
+        capsys.readouterr()
+        report = json.loads(path.read_text())
+        assert report["meta"]["config_hash"] == spec.meta()["config_hash"]
+        cell = run_cell(spec).sections
+        for name in sections:
+            assert (report_bytes(cell[name])
+                    == report_bytes(strip_wall_clock(report[name]))), name
+
 
 class TestFailure:
     CRASH = DdpModel(Consistency.CAUSAL, Persistency.EVENTUAL)

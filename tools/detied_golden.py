@@ -21,6 +21,13 @@ simulated time, and say so in CHANGES.md::
 
     PYTHONPATH=src python tools/detied_golden.py --write
 
+A sibling golden, ``golden_variant_summaries.json``, pins the two
+deployment variants the same way (default fabric, ``Summary`` digest
+plus ``cluster_digest`` of the converged state): ``LeaderCluster`` and
+``HybridCluster``, two models each.  It was generated **at the commit
+before the variants became subclasses of ``Cluster``** (PR 14's tree),
+so the merge is held to the hand-rolled builders' exact numbers.
+
 Exit codes: 0 match (or written), 1 mismatch.
 """
 
@@ -36,6 +43,8 @@ from typing import Any, Dict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "integration" / "golden_detied_summaries.json"
+VARIANT_GOLDEN = (ROOT / "tests" / "integration"
+                  / "golden_variant_summaries.json")
 
 SERVERS = 5
 SEED = 2021
@@ -48,6 +57,13 @@ def one_way_ns(src: int, dst: int) -> float:
     return 500.0 + 0.0137 * (7 * src + 13 * dst + 1) + 0.00071 * src * dst
 
 
+def _digested(summary) -> Dict[str, Any]:
+    summary = dataclasses.asdict(summary)
+    text = json.dumps(summary, sort_keys=True)
+    return {"digest": hashlib.sha256(text.encode()).hexdigest(),
+            "summary": summary}
+
+
 def run_cell(model) -> Dict[str, Any]:
     from repro.cluster import Cluster, ClusterConfig
     from repro.workload.ycsb import WORKLOADS
@@ -55,10 +71,7 @@ def run_cell(model) -> Dict[str, Any]:
     cluster = Cluster(model, config=ClusterConfig(servers=SERVERS, seed=SEED),
                       workload=WORKLOADS[WORKLOAD])
     cluster.network.one_way_fn = one_way_ns
-    summary = dataclasses.asdict(cluster.run(DURATION_NS))
-    text = json.dumps(summary, sort_keys=True)
-    return {"digest": hashlib.sha256(text.encode()).hexdigest(),
-            "summary": summary}
+    return _digested(cluster.run(DURATION_NS))
 
 
 def detied_cells() -> Dict[str, Dict[str, Any]]:
@@ -68,8 +81,47 @@ def detied_cells() -> Dict[str, Dict[str, Any]]:
     return {str(model): run_cell(model) for model in all_ddp_models()}
 
 
-def load_golden() -> Dict[str, Dict[str, Any]]:
-    return json.loads(GOLDEN.read_text())["cells"]
+def variant_cells() -> Dict[str, Dict[str, Any]]:
+    """``"<variant> <model>"`` -> ``{digest, summary, cluster_digest}``."""
+    from repro.cluster import ClusterConfig
+    from repro.core.model import Consistency as C, DdpModel, Persistency as P
+    from repro.devtools.sanitizer import cluster_digest
+    from repro.hybrid import HybridCluster
+    from repro.variants import LeaderCluster
+    from repro.workload.ycsb import WORKLOADS
+
+    def leader(model):
+        return LeaderCluster(
+            model, config=ClusterConfig(clients_per_server=10, seed=SEED),
+            workload=WORKLOADS[WORKLOAD])
+
+    def hybrid(model):
+        return HybridCluster(
+            model, groups=2, servers_per_group=3,
+            config=ClusterConfig(servers=6, clients_per_server=5, seed=SEED),
+            workload=WORKLOADS[WORKLOAD])
+
+    cells = {}
+    for name, build, model in (
+            ("leader", leader, DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS)),
+            ("leader", leader, DdpModel(C.READ_ENFORCED, P.READ_ENFORCED)),
+            ("hybrid", hybrid, DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS)),
+            ("hybrid", hybrid, DdpModel(C.CAUSAL, P.EVENTUAL))):
+        cluster = build(model)
+        cell = _digested(cluster.run(DURATION_NS, DURATION_NS / 10))
+        cell["cluster_digest"] = cluster_digest(cluster)
+        cells[f"{name} {model}"] = cell
+    return cells
+
+
+def digests(cell: Dict[str, Any]) -> Dict[str, str]:
+    """What a re-run must match: every hash of a cell (the ``summary``
+    itself may hold NaN, which never compares equal)."""
+    return {key: value for key, value in cell.items() if key != "summary"}
+
+
+def load_golden(path: pathlib.Path = GOLDEN) -> Dict[str, Dict[str, Any]]:
+    return json.loads(path.read_text())["cells"]
 
 
 def main(argv=None) -> int:
@@ -77,23 +129,26 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true",
                         help="overwrite the committed golden")
     args = parser.parse_args(argv)
-    cells = detied_cells()
-    if args.write:
-        GOLDEN.write_text(json.dumps({
-            "schema": "repro.detied_golden/1",
-            "params": {"servers": SERVERS, "seed": SEED, "workload": WORKLOAD,
-                       "duration_ns": DURATION_NS},
-            "cells": cells}, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {GOLDEN.relative_to(ROOT)} ({len(cells)} cells)")
-        return 0
-    golden = load_golden()
-    moved = sorted(name for name in golden
-                   if cells.get(name, {}).get("digest")
-                   != golden[name]["digest"])
-    for name in moved:
-        print(f"MOVED {name}")
-    print(f"{len(golden) - len(moved)}/{len(golden)} cells byte-identical")
-    return 1 if moved else 0
+    params = {"seed": SEED, "workload": WORKLOAD, "duration_ns": DURATION_NS}
+    status = 0
+    for path, cells, shape in (
+            (GOLDEN, detied_cells(), dict(params, servers=SERVERS)),
+            (VARIANT_GOLDEN, variant_cells(), params)):
+        if args.write:
+            path.write_text(json.dumps({
+                "schema": "repro.detied_golden/1", "params": shape,
+                "cells": cells}, indent=1, sort_keys=True) + "\n")
+            print(f"wrote {path.relative_to(ROOT)} ({len(cells)} cells)")
+            continue
+        golden = load_golden(path)
+        moved = sorted(name for name in golden
+                       if digests(cells.get(name, {})) != digests(golden[name]))
+        for name in moved:
+            print(f"MOVED {name}")
+        print(f"{len(golden) - len(moved)}/{len(golden)} cells byte-identical")
+        if moved:
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
