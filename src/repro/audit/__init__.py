@@ -29,13 +29,11 @@ from repro.audit.durability import (DURABILITY_CHECKERS,
                                     check_recovered_no_phantom,
                                     check_scope_writes_durable,
                                     checks_for_cell)
-from repro.audit.engine import (AUDIT_SCHEMA, CONSISTENCY_ORDER,
-                                PERSISTENCY_ORDER, audit_exit_code,
+from repro.audit.engine import (AUDIT_SCHEMA, audit_exit_code,
                                 audit_history, format_audit_table)
 
 __all__ = [
-    "AUDIT_SCHEMA", "CONSISTENCY_ORDER", "PERSISTENCY_ORDER",
-    "CheckResult", "PreparedHistory",
+    "AUDIT_SCHEMA", "CheckResult", "PreparedHistory",
     "CONSISTENCY_CHECKERS", "DURABILITY_CHECKERS",
     "check_no_phantom", "check_linearizable", "check_read_enforced",
     "check_transactional", "check_causal", "check_eventual",

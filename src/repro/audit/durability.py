@@ -3,26 +3,12 @@ post-crash recovered state.
 
 Each predicate compares what clients observed (the history) with what
 NVM recovery yielded after the run (``History.recovered``, the merged
-latest-version image across every node's durable log).  The mapping
-from matrix cell to predicate set (:func:`checks_for_cell`) mirrors the
-white-box contract table in :mod:`repro.faults.validate`, re-derived
-from the paper's Table 4 semantics:
-
-* **strict** persists before the write is acknowledged anywhere, so it
-  owes `completed_writes_durable` under every consistency model;
-  **synchronous** persists inline too, but only the models whose write
-  acknowledgment already waits for the full round (linearizable's
-  follower ACKs, transactional's commit) tie the ack to durability —
-  read-enforced/causal/eventual acknowledge after the local update, so
-  their last writes may die with a crash.
-* **read_enforced** only persists a version once somebody reads it, so
-  it owes `read_values_durable` — and so does **synchronous** under
-  causal/eventual consistency, where writes are acknowledged early but
-  reads return only persisted versions.
-* **scope** owes durability exactly for writes whose scope completed
-  its Persist call (`scope_writes_durable`).
-* every cell owes `recovered_no_phantom`: recovery may lose suffixes
-  but must never invent versions nobody wrote.
+latest-version image across every node's durable log).  Which cell owes
+which obligation, and why, is stated in the contract table
+(:mod:`repro.core.contracts`); :func:`checks_for_cell` looks the cell
+up there and names the black-box predicate for each obligation.  The
+predicates themselves share nothing with the white-box checks of
+:mod:`repro.recovery.checker` — the two are each other's reference.
 
 All predicates share the checkers' soundness contract: writes of
 squashed transaction attempts, pending (crash-severed) operations, and
@@ -34,37 +20,37 @@ from __future__ import annotations
 from typing import List
 
 from repro.audit.checkers import CheckResult, PreparedHistory
+from repro.core.contracts import contract_for
+from repro.core.model import DdpModel
 from repro.core.replica import ZERO_VERSION
 
 __all__ = ["DURABILITY_CHECKERS", "checks_for_cell",
            "check_completed_writes_durable", "check_read_values_durable",
            "check_scope_writes_durable", "check_recovered_no_phantom"]
 
-#: Consistency models whose write acknowledgment waits for the full
-#: protocol round, which under synchronous (inline) persistency makes
-#: the ack imply durability (mirrors ``repro.faults.validate``'s
-#: ``guarantees_completed_writes``).
-_ACK_IMPLIES_PERSIST = ("linearizable", "transactional")
-
-#: Consistency models without invalidation rounds: under synchronous
-#: persistency their reads return the *persisted* version, so every
-#: observed value is recoverable (``guarantees_read_values``).
-_READS_RETURN_PERSISTED = ("causal", "eventual")
+#: Contract obligation id -> the name of its black-box predicate.
+_PREDICATES = {
+    "no_phantom": "recovered_no_phantom",
+    "completed_writes": "completed_writes_durable",
+    "read_values": "read_values_durable",
+    "scope": "scope_writes_durable",
+}
 
 
-def checks_for_cell(consistency: str, persistency: str) -> List[str]:
+def checks_for_cell(model: DdpModel) -> List[str]:
     """Durability predicate names owed by one matrix cell."""
-    checks = ["recovered_no_phantom"]
-    if persistency == "strict" or (persistency == "synchronous"
-                                   and consistency in _ACK_IMPLIES_PERSIST):
-        checks.append("completed_writes_durable")
-    if persistency == "read_enforced" or (persistency == "synchronous"
-                                          and consistency
-                                          in _READS_RETURN_PERSISTED):
-        checks.append("read_values_durable")
-    if persistency == "scope":
-        checks.append("scope_writes_durable")
-    return checks
+    return [_PREDICATES[owed] for owed in contract_for(model).durability]
+
+
+def _must_survive(res: CheckResult, prep: PreparedHistory, op, rule: str,
+                  what: str) -> None:
+    """Count ``op`` as checked; violate ``rule`` if its version did not
+    survive into the recovered image."""
+    res.checked += 1
+    recovered = prep.recovered.get(op.key, ZERO_VERSION)
+    if recovered < tuple(op.version):
+        res.violate(rule, f"key {op.key}: {what} missing from recovered "
+                          f"state {recovered}", (op,))
 
 
 def check_completed_writes_durable(prep: PreparedHistory) -> CheckResult:
@@ -74,14 +60,8 @@ def check_completed_writes_durable(prep: PreparedHistory) -> CheckResult:
     for op in prep.completed_writes:
         if op.version is None or prep.write_effect(op) is not True:
             continue
-        res.checked += 1
-        version = tuple(op.version)
-        if prep.recovered.get(op.key, ZERO_VERSION) < version:
-            res.violate(
-                "lost-durable-write",
-                f"key {op.key}: acknowledged write {version} missing "
-                f"from recovered state "
-                f"{prep.recovered.get(op.key, ZERO_VERSION)}", (op,))
+        _must_survive(res, prep, op, "lost-durable-write",
+                      f"acknowledged write {tuple(op.version)}")
     return res
 
 
@@ -100,13 +80,8 @@ def check_read_values_durable(prep: PreparedHistory) -> CheckResult:
         if prep.observation_effect(op) is not True:
             excluded += 1
             continue
-        res.checked += 1
-        if prep.recovered.get(op.key, ZERO_VERSION) < version:
-            res.violate(
-                "lost-read-value",
-                f"key {op.key}: observed version {version} missing from "
-                f"recovered state "
-                f"{prep.recovered.get(op.key, ZERO_VERSION)}", (op,))
+        _must_survive(res, prep, op, "lost-read-value",
+                      f"observed version {version}")
     res.stats["excluded_observations"] = excluded
     return res
 
@@ -122,14 +97,9 @@ def check_scope_writes_durable(prep: PreparedHistory) -> CheckResult:
             continue
         if prep.write_effect(op) is not True:
             continue
-        res.checked += 1
-        version = tuple(op.version)
-        if prep.recovered.get(op.key, ZERO_VERSION) < version:
-            res.violate(
-                "torn-scope",
-                f"key {op.key}: write {version} of completed scope "
-                f"{op.scope_id} missing from recovered state "
-                f"{prep.recovered.get(op.key, ZERO_VERSION)}", (op,))
+        _must_survive(res, prep, op, "torn-scope",
+                      f"write {tuple(op.version)} of completed scope "
+                      f"{op.scope_id}")
     return res
 
 

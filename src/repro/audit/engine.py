@@ -21,16 +21,16 @@ from typing import Any, Dict, List, Optional
 from repro.audit.checkers import (CONSISTENCY_CHECKERS, CheckResult,
                                   PreparedHistory, check_no_phantom)
 from repro.audit.durability import DURABILITY_CHECKERS, checks_for_cell
+from repro.core.contracts import contract_for
+from repro.core.model import Consistency, Persistency, all_ddp_models
 from repro.obs.history import History, HistoryOpRecord
 from repro.obs.schemas import AUDIT_REPORT_SCHEMA as AUDIT_SCHEMA
 
-__all__ = ["AUDIT_SCHEMA", "CONSISTENCY_ORDER", "PERSISTENCY_ORDER",
-           "audit_history", "audit_exit_code", "format_audit_table"]
+__all__ = ["AUDIT_SCHEMA", "audit_history", "audit_exit_code",
+           "format_audit_table"]
 
-CONSISTENCY_ORDER = ("linearizable", "read_enforced", "transactional",
-                     "causal", "eventual")
-PERSISTENCY_ORDER = ("strict", "synchronous", "read_enforced", "scope",
-                     "eventual")
+_ROWS = tuple(c.value for c in Consistency)
+_COLUMNS = tuple(p.value for p in Persistency)
 
 #: Witness operations serialized per violation detail.
 _MAX_WITNESS_OPS = 8
@@ -129,7 +129,7 @@ def audit_history(history: History,
 
     results: Dict[str, CheckResult] = {
         "no_phantom": _timed(check_no_phantom, prep)}
-    for name in CONSISTENCY_ORDER:
+    for name in _ROWS:
         results[name] = _timed(CONSISTENCY_CHECKERS[name], prep)
     durability: Dict[str, CheckResult] = {}
     for name, checker in sorted(DURABILITY_CHECKERS.items()):
@@ -141,30 +141,28 @@ def audit_history(history: History,
             durability[name] = skipped
 
     matrix: List[Dict[str, Any]] = []
-    cells_failed = 0
-    target_cell: Optional[Dict[str, Any]] = None
-    for cons in CONSISTENCY_ORDER:
-        for pers in PERSISTENCY_ORDER:
-            failed: List[str] = []
-            if not results["no_phantom"].ok:
-                failed.append("no_phantom")
-            if not results[cons].ok:
-                failed.append(cons)
-            durability_skipped = False
-            for name in checks_for_cell(cons, pers):
-                check = durability[name]
-                if check.skipped:
-                    durability_skipped = True
-                elif not check.ok:
-                    failed.append(name)
-            cell = {"consistency": cons, "persistency": pers,
-                    "ok": not failed, "failed_checks": failed,
-                    "durability_skipped": durability_skipped}
-            matrix.append(cell)
-            if not cell["ok"]:
-                cells_failed += 1
-            if cons == target_consistency and pers == target_persistency:
-                target_cell = cell
+    target: Optional[Dict[str, Any]] = None
+    for model in all_ddp_models():
+        cons, pers = model.key
+        checker = contract_for(model).checker
+        failed: List[str] = []
+        if not results["no_phantom"].ok:
+            failed.append("no_phantom")
+        if not results[checker].ok:
+            failed.append(checker)
+        durability_skipped = False
+        for name in checks_for_cell(model):
+            check = durability[name]
+            if check.skipped:
+                durability_skipped = True
+            elif not check.ok:
+                failed.append(name)
+        cell = {"consistency": cons, "persistency": pers,
+                "ok": not failed, "failed_checks": failed,
+                "durability_skipped": durability_skipped}
+        matrix.append(cell)
+        if cons == target_consistency and pers == target_persistency:
+            target = dict(cell)
 
     sessions = {(op.client, op.session) for op in history.ops}
     degraded = {(op.client, op.session) for op in history.ops
@@ -172,13 +170,6 @@ def audit_history(history: History,
     all_checks = dict(results)
     all_checks.update(durability)
     wall_ms = sum(r.wall_ms for r in all_checks.values())
-    target = None
-    if target_cell is not None:
-        target = {"consistency": target_consistency,
-                  "persistency": target_persistency,
-                  "ok": target_cell["ok"],
-                  "failed_checks": target_cell["failed_checks"],
-                  "durability_skipped": target_cell["durability_skipped"]}
     return {
         "schema": AUDIT_SCHEMA,
         "usable": True,
@@ -198,7 +189,7 @@ def audit_history(history: History,
         },
         "target": target,
         "consistency": {name: _check_json(results[name], by_index)
-                        for name in ("no_phantom",) + CONSISTENCY_ORDER},
+                        for name in ("no_phantom",) + _ROWS},
         "durability": {
             "skipped": not prep.recovered_captured,
             "checks": {name: _check_json(durability[name], by_index)
@@ -207,7 +198,7 @@ def audit_history(history: History,
         "matrix": matrix,
         "totals": {
             "cells": len(matrix),
-            "cells_failed": cells_failed,
+            "cells_failed": sum(not cell["ok"] for cell in matrix),
             "violations_total": sum(r.violations
                                     for r in all_checks.values()),
             "target_failed_checks": (len(target["failed_checks"])
@@ -250,13 +241,13 @@ def format_audit_table(report: Dict[str, Any]) -> str:
     cells = {(c["consistency"], c["persistency"]): c
              for c in report["matrix"]}
     width = max(len(label) for label in _COLUMN_LABELS.values()) + 2
-    name_width = max(len(name) for name in CONSISTENCY_ORDER) + 2
+    name_width = max(len(name) for name in _ROWS) + 2
     header = " " * name_width + "".join(
-        _COLUMN_LABELS[p].rjust(width) for p in PERSISTENCY_ORDER)
+        _COLUMN_LABELS[p].rjust(width) for p in _COLUMNS)
     lines.append(header)
-    for cons in CONSISTENCY_ORDER:
+    for cons in _ROWS:
         row = cons.ljust(name_width)
-        for pers in PERSISTENCY_ORDER:
+        for pers in _COLUMNS:
             cell = cells[(cons, pers)]
             mark = "ok" if cell["ok"] else "FAIL"
             if (cons == target.get("consistency")

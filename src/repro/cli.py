@@ -446,7 +446,7 @@ def _faults_from(args) -> Optional[FaultInjector]:
         try:
             plan = load_fault_plan(args.faults)
         except (OSError, ValueError) as exc:
-            raise SystemExit(f"repro: bad fault plan {args.faults}: {exc}")
+            raise _CliError(f"bad fault plan {args.faults}: {exc}") from exc
     if args.crash:
         crash_plan = plan_from_crash_specs(args.crash, seed=args.seed)
         if plan is None:
@@ -647,8 +647,7 @@ def _cmd_journey(args) -> int:
     if args.input is not None:
         return _show_journey_file(args)
     if args.journey_out and args.all:
-        raise SystemExit("repro: --journey-out needs a single model "
-                         "(drop --all)")
+        raise _CliError("--journey-out needs a single model (drop --all)")
     specs = [_spec_from(args, model)
              for model in (all_ddp_models() if args.all else [None])]
     _preflight(args.journey_out)

@@ -13,7 +13,6 @@ the five persistency models, their VP/DP semantics, and the
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -21,7 +20,8 @@ __all__ = ["Consistency", "Persistency", "DdpModel", "all_ddp_models"]
 
 
 class Consistency(enum.Enum):
-    """Data consistency models, strongest first (paper Table 2).
+    """Data consistency models, strongest first (paper Table 2): the
+    declaration order is the axis order, spelled nowhere else.
 
     The ``visibility_point`` property states, per Table 2, when an update
     becomes available for consumption at replica nodes.
@@ -40,18 +40,7 @@ class Consistency(enum.Enum):
     @property
     def strictness_rank(self) -> int:
         """0 = strictest.  Order follows Table 2 top-to-bottom."""
-        return _CONSISTENCY_ORDER.index(self)
-
-    @property
-    def uses_invalidation(self) -> bool:
-        """Whether the protocol uses INV/ACK/VAL rounds (vs. lazy UPD).
-
-        Causal and Eventual consistency need no global visibility
-        information, so their protocols send UPD messages only (paper
-        Section 5.1).
-        """
-        return self in (Consistency.LINEARIZABLE, Consistency.READ_ENFORCED,
-                        Consistency.TRANSACTIONAL)
+        return list(Consistency).index(self)
 
     @property
     def short_name(self) -> str:
@@ -59,7 +48,8 @@ class Consistency(enum.Enum):
 
 
 class Persistency(enum.Enum):
-    """Memory persistency models, strongest first (paper Table 2).
+    """Memory persistency models, strongest first (paper Table 2): the
+    declaration order is the axis order, spelled nowhere else.
 
     The ``durability_point`` property states, per Table 2, when an
     update becomes durable (recoverable after a volatile-storage loss).
@@ -78,38 +68,12 @@ class Persistency(enum.Enum):
     @property
     def strictness_rank(self) -> int:
         """0 = strictest.  Order follows Table 2 top-to-bottom."""
-        return _PERSISTENCY_ORDER.index(self)
-
-    @property
-    def persists_inline(self) -> bool:
-        """Whether persists sit on the write critical path at the replica.
-
-        Strict persists before the write completes anywhere; Synchronous
-        persists at the visibility point.  The other three persist in the
-        background (possibly with later stalls at reads / scope ends).
-        """
-        return self in (Persistency.STRICT, Persistency.SYNCHRONOUS)
+        return list(Persistency).index(self)
 
     @property
     def short_name(self) -> str:
         return _PERSISTENCY_SHORT[self]
 
-
-_CONSISTENCY_ORDER = [
-    Consistency.LINEARIZABLE,
-    Consistency.READ_ENFORCED,
-    Consistency.TRANSACTIONAL,
-    Consistency.CAUSAL,
-    Consistency.EVENTUAL,
-]
-
-_PERSISTENCY_ORDER = [
-    Persistency.STRICT,
-    Persistency.SYNCHRONOUS,
-    Persistency.READ_ENFORCED,
-    Persistency.SCOPE,
-    Persistency.EVENTUAL,
-]
 
 _VISIBILITY_POINTS = {
     Consistency.LINEARIZABLE:
@@ -175,5 +139,4 @@ class DdpModel:
 
 def all_ddp_models() -> List[DdpModel]:
     """All 25 <consistency, persistency> combinations, in Table 2 order."""
-    return [DdpModel(c, p)
-            for c, p in itertools.product(_CONSISTENCY_ORDER, _PERSISTENCY_ORDER)]
+    return [DdpModel(c, p) for c in Consistency for p in Persistency]

@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass
 from typing import List
 
+from repro.core.contracts import contract_for
 from repro.core.model import Consistency, DdpModel, Persistency
 
 __all__ = ["Level", "TradeoffProfile", "analyze", "analyze_all", "TABLE4_MODELS"]
@@ -169,11 +170,11 @@ def _monotonic_reads(model: DdpModel) -> bool:
 
 
 def _non_stale_reads(model: DdpModel) -> bool:
-    """A completed write must never be lost: only immediate persistency
-    (Strict, or Synchronous at an immediate visibility point) bound to a
-    consistency model whose writes complete after full propagation
-    (Linearizable / Transactional) guarantees this."""
-    return (model.persistency in (Persistency.STRICT, Persistency.SYNCHRONOUS)
+    """A completed write must never be lost — the cell owes
+    ``completed_writes`` in the contract table — and must be what the
+    next read anywhere returns: a consistency model whose writes
+    complete after full propagation (Linearizable / Transactional)."""
+    return ("completed_writes" in contract_for(model).durability
             and model.consistency in (Consistency.LINEARIZABLE,
                                       Consistency.TRANSACTIONAL))
 

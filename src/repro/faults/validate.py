@@ -1,28 +1,19 @@
 """Post-run invariant validation for faulty runs.
 
 After a run with fault injection, :func:`validate_faulty_run` recovers
-the cluster's durable state and checks every contract the model makes
-(the same Table 2/4 contracts as ``tests/recovery/test_crash_contracts``,
-here applied to whatever the injector did mid-run):
+the cluster's durable state and holds it to what the model's cell owes
+in the contract table (:mod:`repro.core.contracts`, which says which
+cell owes what and why), judging each obligation with its white-box
+check from :mod:`repro.recovery.checker`.  Two of them are subtler than
+their names:
 
-* ``completed_writes_recovered`` — Strict persistency (any consistency)
-  and <Linearizable/Transactional, Synchronous>: every write the client
-  was acknowledged for (for transactions: every write of a committed
-  transaction) is recoverable.
-* ``read_values_recovered`` — Read-Enforced persistency (any
-  consistency) and <Causal/Eventual, Synchronous>: every value a client
-  read is recoverable.  (Reads issued inside transactions are not
-  session-logged — a squashed transaction's reads are retried wholesale
-  — so under Transactional consistency this check covers none and
-  passes trivially.)
-* ``scope_atomicity`` — Scope persistency: committed scopes recover
-  all-or-nothing per node.
-* ``monotonic_reads`` — all non-transactional models, per client
-  *session*: a crash-restart of the client's node starts a new session
-  (volatile state newer than the durable image is legitimately lost),
-  so each session segment is checked independently.  Skipped under
-  Transactional consistency, where a read may legitimately observe a
-  later-squashed transaction's write.
+* ``read_values`` — reads issued inside transactions are not
+  session-logged (a squashed transaction's reads are retried
+  wholesale), so under Transactional consistency the check covers none
+  and passes trivially.
+* ``monotonic_reads`` — judged per client *session*: a crash-restart of
+  the client's node starts a new session (volatile state newer than the
+  durable image is legitimately lost).
 
 The clients must have been built with operation recording (the cluster
 does this automatically when constructed with ``faults=``).
@@ -32,7 +23,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.policies import PersistMode
+from repro.core.contracts import contract_for
 from repro.recovery.checker import (CheckResult,
                                     check_completed_writes_recovered,
                                     check_monotonic_reads,
@@ -48,48 +39,54 @@ def _merge(name: str, results: List[CheckResult]) -> CheckResult:
     return CheckResult(name, not violations, violations)
 
 
+def _completed_writes(cluster, recovered) -> CheckResult:
+    return _merge("completed_writes_recovered", [
+        check_completed_writes_recovered(recovered, client.completed_writes)
+        for client in cluster.clients])
+
+
+def _read_values(cluster, recovered) -> CheckResult:
+    return _merge("read_values_recovered", [
+        check_read_values_recovered(recovered, session)
+        for client in cluster.clients
+        for session in client.read_sessions()])
+
+
+def _scope(cluster, recovered) -> CheckResult:
+    scope_writes = {}
+    for client in cluster.clients:
+        scope_writes.update(client.scope_log)
+    return check_scope_atomicity(cluster.nvm_log,
+                                 range(cluster.config.servers), scope_writes)
+
+
+def _monotonic_reads(cluster, recovered) -> CheckResult:
+    return _merge("monotonic_reads", [
+        check_monotonic_reads(session)
+        for client in cluster.clients
+        for session in client.read_sessions()])
+
+
+#: Contract obligation id -> its white-box check.
+_CHECKS = {
+    "completed_writes": _completed_writes,
+    "read_values": _read_values,
+    "scope": _scope,
+    "monotonic_reads": _monotonic_reads,
+    # Recovery reads the engines' own log, so only an outside observer
+    # (the auditor's ``recovered_no_phantom``) can tell a phantom.
+    "no_phantom": None,
+}
+
+
 def validate_faulty_run(cluster) -> List[CheckResult]:
-    """Run every contract check applicable to ``cluster.model``.
+    """Run every contract check ``cluster.model`` owes.
 
     Returns the list of :class:`CheckResult`; the run is correct iff
     every result is ok.
     """
-    engine = cluster.engines[0]
-    cpolicy, ppolicy = engine.cpolicy, engine.ppolicy
-    node_ids = range(cluster.config.servers)
-    recovered = recover_latest(cluster.nvm_log, node_ids)
-    results: List[CheckResult] = []
-
-    guarantees_completed_writes = (
-        ppolicy.write_waits_for_persist_everywhere
-        or (ppolicy.persist_mode is PersistMode.INLINE
-            and (cpolicy.write_waits_for_acks or cpolicy.transactional)))
-    if guarantees_completed_writes:
-        results.append(_merge("completed_writes_recovered", [
-            check_completed_writes_recovered(recovered,
-                                             client.completed_writes)
-            for client in cluster.clients]))
-
-    guarantees_read_values = (
-        ppolicy.read_requires_applied_persisted
-        or (ppolicy.read_returns_persisted and not cpolicy.uses_inv))
-    if guarantees_read_values:
-        results.append(_merge("read_values_recovered", [
-            check_read_values_recovered(recovered, session)
-            for client in cluster.clients
-            for session in client.read_sessions()]))
-
-    if ppolicy.persist_mode is PersistMode.ON_SCOPE_END:
-        scope_writes = {}
-        for client in cluster.clients:
-            scope_writes.update(client.scope_log)
-        results.append(check_scope_atomicity(cluster.nvm_log, node_ids,
-                                             scope_writes))
-
-    if not cpolicy.transactional:
-        results.append(_merge("monotonic_reads", [
-            check_monotonic_reads(session)
-            for client in cluster.clients
-            for session in client.read_sessions()]))
-
-    return results
+    contract = contract_for(cluster.model)
+    recovered = recover_latest(cluster.nvm_log,
+                               range(cluster.config.servers))
+    checks = [_CHECKS[owed] for owed in contract.durability + contract.session]
+    return [check(cluster, recovered) for check in checks if check]

@@ -44,6 +44,8 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.model import Consistency, Persistency
+
 __all__ = ["build_dashboard", "load_bench_dir", "write_dashboard"]
 
 # ---------------------------------------------------------------------------
@@ -63,11 +65,6 @@ _LIGHT_TEXT_FROM = 7
 #: Journey buckets in fixed categorical slot order (identity encoding;
 #: never cycled, never re-assigned when a bucket is empty).
 BUCKETS = ("network", "coord_wait", "nvm_queue", "device", "compute")
-
-_CANON_CONSISTENCY = ("linearizable", "read_enforced", "transactional",
-                      "causal", "eventual")
-_CANON_PERSISTENCY = ("strict", "synchronous", "read_enforced", "scope",
-                      "eventual")
 
 #: The heatmapped summary metrics: (metric, heading, unit).
 HEATMAP_METRICS = (
@@ -100,7 +97,8 @@ def _fmt(value: Optional[float]) -> str:
 # report digestion
 # ---------------------------------------------------------------------------
 
-def _canon_order(values: Sequence[str], canon: Sequence[str]) -> List[str]:
+def _canon_order(values: Sequence[str], axis) -> List[str]:
+    canon = [member.value for member in axis]
     present = set(values)
     ordered = [v for v in canon if v in present]
     return ordered + sorted(present - set(canon))
@@ -108,10 +106,8 @@ def _canon_order(values: Sequence[str], canon: Sequence[str]) -> List[str]:
 
 def _grid_axes(doc: Dict[str, Any]) -> Tuple[List[str], List[str]]:
     cells = doc.get("cells", [])
-    rows = _canon_order([c["consistency"] for c in cells],
-                       _CANON_CONSISTENCY)
-    cols = _canon_order([c["persistency"] for c in cells],
-                       _CANON_PERSISTENCY)
+    rows = _canon_order([c["consistency"] for c in cells], Consistency)
+    cols = _canon_order([c["persistency"] for c in cells], Persistency)
     return rows, cols
 
 

@@ -297,27 +297,27 @@ def load_history(path: str) -> History:
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+                version = doc.get("version")
+                ops.append(HistoryOpRecord(
+                    index=int(doc["index"]), client=int(doc["client"]),
+                    session=int(doc.get("session", 0)),
+                    node=int(doc["node"]), op=str(doc["op"]),
+                    key=None if doc.get("key") is None else int(doc["key"]),
+                    value=doc.get("value"),
+                    invoke_us=float(doc["invoke_us"]),
+                    respond_us=(None if doc.get("respond_us") is None
+                                else float(doc["respond_us"])),
+                    version=(None if version is None
+                             else (int(version[0]), int(version[1]))),
+                    txn_id=doc.get("txn_id"),
+                    committed=doc.get("committed"),
+                    scope_id=doc.get("scope_id"),
+                    severed=bool(doc.get("severed", False)),
+                    degraded=bool(doc.get("degraded", False)),
+                    ok=bool(doc.get("ok", True))))
+            except (ValueError, TypeError, LookupError, AttributeError) as exc:
                 raise ValueError(
-                    f"{path}:{lineno}: bad op line ({exc})") from exc
-            version = doc.get("version")
-            ops.append(HistoryOpRecord(
-                index=int(doc["index"]), client=int(doc["client"]),
-                session=int(doc.get("session", 0)), node=int(doc["node"]),
-                op=str(doc["op"]),
-                key=None if doc.get("key") is None else int(doc["key"]),
-                value=doc.get("value"),
-                invoke_us=float(doc["invoke_us"]),
-                respond_us=(None if doc.get("respond_us") is None
-                            else float(doc["respond_us"])),
-                version=(None if version is None
-                         else (int(version[0]), int(version[1]))),
-                txn_id=doc.get("txn_id"),
-                committed=doc.get("committed"),
-                scope_id=doc.get("scope_id"),
-                severed=bool(doc.get("severed", False)),
-                degraded=bool(doc.get("degraded", False)),
-                ok=bool(doc.get("ok", True))))
+                    f"{path}:{lineno}: bad op line ({exc!r})") from exc
     declared = header.get("ops")
     if isinstance(declared, int) and declared != len(ops):
         raise ValueError(f"{path}: header declares {declared} ops but "

@@ -19,16 +19,11 @@ Each sample captures:
 
 On top of the samples, lightweight **invariant probes** check ordering
 properties online and record violations as first-class health events:
-
-* ``applied_monotonic`` / ``persisted_monotonic`` — per-key versions
-  never move backwards at a replica (applied may legally regress under
-  Transactional consistency, where aborts revert pre-images, so that
-  probe auto-disables there);
-* ``vp_before_dp`` — a replica never reports a version durable before
-  it is visible.  Under Strict persistency durability is deliberately
-  decoupled from visibility (the persist may complete first), and under
-  Transactional consistency an abort can revert the applied version
-  after an eager persist, so the probe auto-disables for both.
+``applied_monotonic`` / ``persisted_monotonic`` (per-key versions never
+move backwards at a replica) and ``vp_before_dp`` (a replica never
+reports a version durable before it is visible).  Which of them may be
+held against the attached cluster's model is the ``probes`` column of
+the contract table (:mod:`repro.core.contracts`).
 
 Storage is bounded (``max_samples`` / ``max_violations`` with
 ``dropped`` counters) so long runs cannot grow without limit.  The
@@ -42,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.model import Consistency, DdpModel, Persistency
+from repro.core.contracts import PROBES, contract_for
 from repro.core.replica import Version
 
 __all__ = ["HealthSample", "HealthViolation", "HealthMonitor",
@@ -146,22 +141,10 @@ class HealthMonitor:
         self._engines = list(cluster.engines)
         self._memories = [node.memory for node in cluster.nodes]
         self._prev_versions = [{} for _ in self._engines]
-        self._configure_probes(cluster.model)
+        held = contract_for(cluster.model).probes
+        self.probes = {probe: probe in held for probe in PROBES}
         self._running = True
         self._sim.call_at(self._sim.now + self.interval_ns, self._tick)
-
-    def _configure_probes(self, model: DdpModel) -> None:
-        transactional = model.consistency is Consistency.TRANSACTIONAL
-        strict = model.persistency is Persistency.STRICT
-        self.probes = {
-            # Aborted transactions legally revert applied versions.
-            "applied_monotonic": not transactional,
-            "persisted_monotonic": True,
-            # Strict persists before apply by design; transactional
-            # aborts can revert an applied version below an eagerly
-            # persisted one.
-            "vp_before_dp": not (strict or transactional),
-        }
 
     def stop(self, now_ns: Optional[float] = None) -> None:
         """End sampling; the pending tick (if any) becomes a no-op."""

@@ -1,17 +1,8 @@
 """Durability and intuition-property checkers (paper Section 6).
 
-These validate, against a recovered state, the contracts each DDP model
-makes in Tables 2 and 4:
-
-* *Non-stale reads across a crash*: every write that **completed** (the
-  client was acknowledged) before the crash must be recoverable.  Holds
-  for <Linearizable/Transactional, Strict/Synchronous> models.
-* *Read durability* (Read-Enforced persistency): every value that was
-  **read** before the crash must be recoverable — unread writes may be
-  lost.
-* *Scope atomicity* (Scope persistency): for every scope, either all of
-  its writes are durable at a node or none influence recovery (partial
-  scopes are discarded).
+The white-box checks: each validates one obligation of the contract
+table (:mod:`repro.core.contracts`, which says which DDP model owes it
+and what it means) against a recovered state.
 
 The inputs are plain records collected by the caller (tests, the crash
 example), keeping the checkers independent of how the run was driven.

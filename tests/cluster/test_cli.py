@@ -72,8 +72,8 @@ class TestRunShape:
     surfaces it as one ``repro:`` line and exit 2."""
 
     @staticmethod
-    def rejected(capsys, *flags):
-        code = main(["run", *flags])
+    def rejected(capsys, *flags, command="run"):
+        code = main([command, *flags])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -97,6 +97,20 @@ class TestRunShape:
         # The sweep builds its cells from the same spec.
         assert main(["sweep", "--clients", "3", "--servers", "5"]) == 2
         assert "3 clients cannot cover 5 servers" in capsys.readouterr().err
+
+    def test_unusable_fault_plan_is_an_error_not_exit_1(self, capsys,
+                                                        tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"events": [{"kind": "meteor"}]}')
+        for path in (plan, tmp_path / "missing.json"):
+            assert "bad fault plan" in self.rejected(
+                capsys, "--faults", str(path))
+
+    def test_journey_out_with_all_is_an_error_not_exit_1(self, capsys,
+                                                         tmp_path):
+        err = self.rejected(capsys, "--all", "--journey-out",
+                            str(tmp_path / "j.json"), command="journey")
+        assert "single model" in err
 
     def test_meta_records_the_client_count_the_run_had(self, capsys,
                                                        tmp_path):
@@ -284,9 +298,10 @@ class TestCommands:
             assert code == 0
             assert "target <linearizable, synchronous>: PASS" in out
             report = json.loads(report_path.read_text())
+            assert report["schema"] == "repro.run_report/6"
             audit = report["audit"]
             assert audit["schema"] == "repro.audit_report/1"
-            assert audit["target"]["ok"]
+            assert audit["usable"] and audit["target"]["ok"]
             assert audit["totals"]["cells"] == 25
             assert ("faults" in report) == bool(chaos)
         faults = report["faults"]
@@ -314,6 +329,7 @@ class TestCommands:
 
     def test_audit_cross_model_override_fails(self, capsys, tmp_path):
         history_path = tmp_path / "history.jsonl"
+        out_path = tmp_path / "audit.json"
         main(["run", "--consistency", "eventual",
               "--persistency", "eventual",
               "--servers", "3", "--clients", "6",
@@ -322,10 +338,12 @@ class TestCommands:
         capsys.readouterr()
         code = main(["audit", str(history_path),
                      "--consistency", "linearizable",
-                     "--persistency", "strict"])
+                     "--persistency", "strict", "--out", str(out_path)])
         out = capsys.readouterr().out
         assert code == 1
         assert "target <linearizable, strict>: FAIL" in out
+        target = json.loads(out_path.read_text())["target"]
+        assert not target["ok"] and target["failed_checks"]
 
     def test_audit_json_document(self, capsys, tmp_path):
         history_path = tmp_path / "history.jsonl"
@@ -344,11 +362,20 @@ class TestCommands:
 
     def test_audit_rejects_non_history_file(self, capsys, tmp_path):
         path = tmp_path / "not_history.json"
-        path.write_text('{"schema": "repro.run_report/6"}\n')
-        code = main(["audit", str(path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "repro:" in err
+        header = '{"schema": "repro.history/1"}\n'
+        for text, complaint in [
+                ("not a history\n", "not JSONL"),
+                ('{"schema": "repro.run_report/6"}\n', "not a repro.history/1"),
+                # An op line that is not an op: a verdict, not a traceback.
+                (header + "{}\n", ":2: bad op line"),
+                (header + "[1,2]\n", ":2: bad op line"),
+                (header + '{"index": "x"}\n', ":2: bad op line")]:
+            path.write_text(text)
+            code = main(["audit", str(path)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("repro:") and err.count("\n") == 1
+            assert complaint in err
 
     def test_audit_missing_file_exits_2(self, capsys, tmp_path):
         code = main(["audit", str(tmp_path / "missing.jsonl")])

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.model import Consistency, DdpModel, Persistency, all_ddp_models
+from repro.core.policies import (CONSISTENCY_POLICIES, PERSISTENCY_POLICIES,
+                                 PersistMode)
 
 
 class TestConsistency:
@@ -30,11 +32,12 @@ class TestConsistency:
         assert ("future" in Consistency.EVENTUAL.visibility_point)
 
     def test_invalidation_based_models(self):
-        assert Consistency.LINEARIZABLE.uses_invalidation
-        assert Consistency.READ_ENFORCED.uses_invalidation
-        assert Consistency.TRANSACTIONAL.uses_invalidation
-        assert not Consistency.CAUSAL.uses_invalidation
-        assert not Consistency.EVENTUAL.uses_invalidation
+        """INV/ACK/VAL rounds vs. lazy UPDs (paper Section 5.1), stated
+        once, as ``ConsistencyPolicy.uses_inv``."""
+        assert [c for c in Consistency
+                if CONSISTENCY_POLICIES[c].uses_inv] == [
+            Consistency.LINEARIZABLE, Consistency.READ_ENFORCED,
+            Consistency.TRANSACTIONAL]
 
 
 class TestPersistency:
@@ -64,11 +67,12 @@ class TestPersistency:
             "sometime in the future"
 
     def test_inline_persistency_models(self):
-        assert Persistency.STRICT.persists_inline
-        assert Persistency.SYNCHRONOUS.persists_inline
-        assert not Persistency.READ_ENFORCED.persists_inline
-        assert not Persistency.SCOPE.persists_inline
-        assert not Persistency.EVENTUAL.persists_inline
+        """Persists on the write's critical path at the replica, stated
+        once, as ``PersistMode.INLINE``."""
+        assert [p for p in Persistency
+                if PERSISTENCY_POLICIES[p].persist_mode
+                is PersistMode.INLINE] == [
+            Persistency.STRICT, Persistency.SYNCHRONOUS]
 
 
 class TestDdpModel:

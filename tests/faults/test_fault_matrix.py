@@ -6,14 +6,26 @@ mid-run (with recovery and rejoin) completes on all 25 models, and
 contracts applied to the post-fault durable state — passes everywhere.
 A second, harsher plan adds message loss, duplication, and a partition,
 exercising the timeout/retry path of every protocol round.
+
+Every run is also recorded and audited: both checkers look the cell up
+in the one contract table (:mod:`repro.core.contracts`) but judge it
+with independent code, so obligation by obligation the white-box and
+black-box verdicts must agree — on clean runs, on the leader and hybrid
+deployments, and on runs where a durable entry is erased on purpose.
 """
 
 import pytest
 
+from repro.audit import audit_history
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
-from repro.core.model import DdpModel, all_ddp_models
+from repro.core.contracts import contract_for
+from repro.core.model import (Consistency as C, DdpModel, Persistency as P,
+                              all_ddp_models)
 from repro.faults import FaultInjector, load_fault_plan, validate_faulty_run
+from repro.hybrid.cluster import HybridCluster
+from repro.obs import HistoryRecorder, recovered_from_cluster
+from repro.variants.leader import LeaderCluster
 from repro.workload.ycsb import WorkloadSpec
 
 # A small key space forces write contention; a few clients per server
@@ -45,13 +57,67 @@ CHAOS_PLAN = {
 }
 
 
-def run_faulty(model: DdpModel, plan_dict, duration_ns: float):
+#: Contract obligation id -> (white-box check, black-box predicate).
+PAIRS = {
+    "completed_writes": ("completed_writes_recovered",
+                         "completed_writes_durable"),
+    "read_values": ("read_values_recovered", "read_values_durable"),
+    "scope": ("scope_atomicity", "scope_writes_durable"),
+}
+
+#: The one non-durability finding of auditing these runs, pinned until it
+#: is judged (ROADMAP item 2): at 4 us a committed transaction re-reads a
+#: key it wrote and gets the eagerly applied write of a concurrent
+#: attempt that is squashed afterwards.  ``check_transactional`` reports
+#: it as ``own-write-lost`` although its docstring excludes reads of
+#: squashed attempts' versions: a checker false positive, or a dirty read
+#: inside a committed transaction.
+KNOWN_HISTORY_FINDINGS = {
+    DdpModel(C.TRANSACTIONAL, P.STRICT): ["transactional"]}
+
+
+def run_faulty(model: DdpModel, plan_dict, duration_ns: float,
+               build=Cluster, **shape):
     injector = FaultInjector(load_fault_plan(dict(plan_dict)))
-    cluster = Cluster(model,
-                      config=ClusterConfig(servers=3, clients_per_server=2),
-                      workload=WORKLOAD, faults=injector)
+    cluster = build(model,
+                    config=ClusterConfig(servers=3, clients_per_server=2),
+                    workload=WORKLOAD, faults=injector,
+                    history=HistoryRecorder(), **shape)
     cluster.run(duration_ns, warmup_ns=10_000.0)
     return cluster, injector
+
+
+def judged_by_both(cluster):
+    """Judge the run with both checkers.  Asserts that they agree on
+    every durability obligation the cell owes and that neither holds the
+    cell to one it does not owe; returns the obligations they flagged,
+    the white-box results by name and the audit report."""
+    model = cluster.model
+    white = {r.name: r for r in validate_faulty_run(cluster)}
+    recorder = cluster.history
+    recorder.meta = dict(zip(("consistency", "persistency"), model.key))
+    recorder.recovered = recovered_from_cluster(cluster)
+    report = audit_history(recorder.history())
+    held_to = report["target"]["failed_checks"]
+    assert not report["target"]["durability_skipped"]
+    flagged = set()
+    for obligation, (white_name, black_name) in PAIRS.items():
+        if obligation not in contract_for(model).durability:
+            assert white_name not in white and black_name not in held_to
+        else:
+            assert white[white_name].ok == (black_name not in held_to), (
+                obligation, white[white_name].violations[:3], held_to)
+            if black_name in held_to:
+                flagged.add(obligation)
+    return flagged, white, report
+
+
+def assert_clean(cluster):
+    flagged, white, report = judged_by_both(cluster)
+    assert not flagged
+    for result in white.values():
+        assert result.ok, (result.name, result.violations[:5])
+    return report["target"]["failed_checks"]
 
 
 @pytest.mark.parametrize("model", all_ddp_models(), ids=str)
@@ -60,8 +126,7 @@ def test_crash_restart_all_models(model):
     assert injector.crashes == 1 and injector.restarts == 1
     assert sorted(cluster.membership.live) == [0, 1, 2]
     assert sum(c.completed_requests for c in cluster.clients) > 0
-    for result in validate_faulty_run(cluster):
-        assert result.ok, (result.name, result.violations[:5])
+    assert assert_clean(cluster) == KNOWN_HISTORY_FINDINGS.get(model, [])
 
 
 @pytest.mark.parametrize("model", all_ddp_models(), ids=str)
@@ -71,52 +136,76 @@ def test_chaos_cocktail_all_models(model):
     assert cluster.network.dropped_messages > 0
     # Progress despite the chaos: the run did not wedge.
     assert sum(c.completed_requests for c in cluster.clients) > 0
-    for result in validate_faulty_run(cluster):
-        assert result.ok, (result.name, result.violations[:5])
+    assert assert_clean(cluster) == KNOWN_HISTORY_FINDINGS.get(model, [])
     # Lossy plans arm retransmission; at least one model path resent.
     if cluster.membership.lossy:
         assert sum(e.round_resends for e in cluster.engines) >= 0
 
 
-def test_validation_covers_the_models_contracts():
-    """Check selection matches the matrix: Strict gets completed-write
-    durability, RE persistency gets read durability, Scope gets
-    atomicity, and non-transactional models get session checks."""
-    from repro.core.model import Consistency as C, Persistency as P
+@pytest.mark.parametrize("build,shape,not_system_wide", [
+    (LeaderCluster, {}, []),
+    # Linearizable inside a datacenter, Eventual across (paper Section 9).
+    (HybridCluster, {"groups": 2, "servers_per_group": 3}, ["linearizable"]),
+], ids=["leader", "hybrid"])
+def test_checkers_agree_on_the_other_deployments(build, shape,
+                                                 not_system_wide):
+    cluster, injector = run_faulty(DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS),
+                                   CRASH_PLAN, 150_000.0, build, **shape)
+    assert injector.crashes == 1 and injector.restarts == 1
+    assert assert_clean(cluster) == not_system_wide
 
-    cluster, _ = run_faulty(DdpModel(C.LINEARIZABLE, P.STRICT),
-                            CRASH_PLAN, 60_000.0)
-    names = {r.name for r in validate_faulty_run(cluster)}
-    assert names == {"completed_writes_recovered", "monotonic_reads"}
 
-    cluster, _ = run_faulty(DdpModel(C.CAUSAL, P.READ_ENFORCED),
-                            CRASH_PLAN, 60_000.0)
-    names = {r.name for r in validate_faulty_run(cluster)}
-    assert names == {"read_values_recovered", "monotonic_reads"}
+def erase(cluster, key):
+    """Seed a durability loss: ``key`` vanishes from every NVM image."""
+    for image in cluster.nvm_log._images.values():
+        image.pop(key, None)
 
-    cluster, _ = run_faulty(DdpModel(C.LINEARIZABLE, P.SCOPE),
-                            CRASH_PLAN, 60_000.0)
-    names = {r.name for r in validate_faulty_run(cluster)}
-    assert names == {"scope_atomicity", "monotonic_reads"}
 
-    # Transactional reads may observe invalidated (later-squashed) state,
-    # so only committed-write durability holds; monotonic is skipped too.
-    cluster, _ = run_faulty(DdpModel(C.TRANSACTIONAL, P.SYNCHRONOUS),
-                            CRASH_PLAN, 60_000.0)
-    names = {r.name for r in validate_faulty_run(cluster)}
-    assert names == {"completed_writes_recovered"}
+def acknowledged_write(cluster):
+    return next(key for client in cluster.clients
+                for key, _ in client.completed_writes)
 
-    # RE persistency persists at read time, not inline with the commit,
-    # so only read durability survives the matrix for Txn+RE.
-    cluster, _ = run_faulty(DdpModel(C.TRANSACTIONAL, P.READ_ENFORCED),
-                            CRASH_PLAN, 60_000.0)
-    names = {r.name for r in validate_faulty_run(cluster)}
-    assert names == {"read_values_recovered"}
+
+def read_value(cluster):
+    return next(key for client in cluster.clients
+                for session in client.read_sessions()
+                for key, version in session if version[0] > 0)
+
+
+def committed_scope_entry(cluster):
+    return next(key for client in cluster.clients
+                for writes in client.scope_log.values()
+                for key, _ in writes)
+
+
+@pytest.mark.parametrize("obligation,victim,model,owed", [
+    ("completed_writes", acknowledged_write,
+     DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS), True),
+    ("completed_writes", acknowledged_write,
+     DdpModel(C.READ_ENFORCED, P.SYNCHRONOUS), False),
+    ("read_values", read_value, DdpModel(C.CAUSAL, P.SYNCHRONOUS), True),
+    ("read_values", read_value, DdpModel(C.LINEARIZABLE, P.STRICT), False),
+    # Only Scope cells have scopes to tear, and all of them owe it; the
+    # four cases above show no other cell is held to ``scope``.
+    ("scope", committed_scope_entry, DdpModel(C.LINEARIZABLE, P.SCOPE),
+     True),
+], ids=["writes-owed", "writes-not-owed", "reads-owed", "reads-not-owed",
+        "scope-owed"])
+def test_seeded_loss_is_caught_by_both_checkers_where_owed(
+        obligation, victim, model, owed):
+    cluster, _ = run_faulty(model, CRASH_PLAN, 60_000.0)
+    assert_clean(cluster)
+    erase(cluster, victim(cluster))
+    flagged, _, report = judged_by_both(cluster)
+    # The loss is real on every run; whether the cell answers for it is
+    # the table's call, stated here by hand.
+    predicate = report["durability"]["checks"][PAIRS[obligation][1]]
+    assert predicate["violations"] > 0
+    assert (obligation in flagged) == owed, (flagged, report["target"])
+    assert (obligation in contract_for(model).durability) == owed
 
 
 def test_client_sessions_split_at_restart():
-    from repro.core.model import Consistency as C, Persistency as P
-
     cluster, _ = run_faulty(DdpModel(C.CAUSAL, P.SYNCHRONOUS),
                             CRASH_PLAN, 150_000.0)
     restarted = [c for c in cluster.clients if c.node.node_id == 1]

@@ -117,24 +117,8 @@ class TestSampling:
 
 
 class TestProbeConfiguration:
-    def test_default_model_enables_all_probes(self):
-        _, monitor = _monitored_run()
-        assert monitor.probes == {"applied_monotonic": True,
-                                  "persisted_monotonic": True,
-                                  "vp_before_dp": True}
-
-    def test_transactional_disables_revert_sensitive_probes(self):
-        model = DdpModel(Consistency.TRANSACTIONAL, Persistency.SYNCHRONOUS)
-        _, monitor = _monitored_run(model=model)
-        assert monitor.probes["applied_monotonic"] is False
-        assert monitor.probes["vp_before_dp"] is False
-        assert monitor.probes["persisted_monotonic"] is True
-
-    def test_strict_disables_vp_before_dp(self):
-        model = DdpModel(Consistency.CAUSAL, Persistency.STRICT)
-        _, monitor = _monitored_run(model=model)
-        assert monitor.probes["vp_before_dp"] is False
-        assert monitor.probes["applied_monotonic"] is True
+    """Which probes a cell is held to is the contract table's ``probes``
+    column, pinned for all 25 cells in ``tests/core/test_contracts.py``."""
 
     @pytest.mark.parametrize("model", [
         DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS),

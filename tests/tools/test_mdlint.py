@@ -96,6 +96,22 @@ class TestChecker:
         doc = self.write(tmp_path, "doc.md", "[src](code.py#L1)\n")
         assert self.check(doc) == []
 
+    def test_quoted_contract_grid_must_match_the_table(self, tmp_path):
+        """A quoted figure that disagrees with its source fails."""
+        block = ("<!-- contract-grid:begin -->\n{}\n"
+                 "<!-- contract-grid:end -->\n")
+        grid = mdlint.contract_grid()
+        assert grid.count("\n") == 6 and "durable linearizability" in grid
+        doc = self.write(tmp_path, "doc.md", "# H\n\n" + block.format(grid))
+        assert self.check(doc) == []
+        forked = grid.replace("`read_values`", "`completed_writes`", 1)
+        doc = self.write(tmp_path, "doc.md",
+                         "# H\n\n" + block.format(forked))
+        (error,) = self.check(doc)
+        assert "doc.md:3" in error and "contract grid differs" in error
+        assert "contract-grid:begin" in (ROOT / "docs"
+                                         / "handbook.md").read_text()
+
 
 def test_repository_docs_are_clean(capsys):
     """The gate CI enforces: every *.md at the root and under docs/."""

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Markdown link-and-anchor checker (stdlib only).
+"""Markdown link-and-anchor checker (stdlib, plus the repo's own table).
 
 Validates every markdown file it is given (or discovers):
 
@@ -12,7 +12,12 @@ Validates every markdown file it is given (or discovers):
   slugs suffixed ``-1``, ``-2``, …);
 * **reference definitions** — ``[text][ref]`` uses must have a
   matching ``[ref]: target`` definition, whose target is checked the
-  same way.
+  same way;
+* **the contract grid** — the block between ``<!-- contract-grid:begin
+  -->`` and ``<!-- contract-grid:end -->`` must equal
+  :func:`contract_grid`, the rendering of ``repro.core.contracts``: the
+  docs quote the table, they do not restate it (on a mismatch the
+  error carries the rendering to paste).
 
 External targets (``http:``, ``https:``, ``mailto:``) are recorded
 but never fetched — CI must not depend on the network. Bare URLs in
@@ -49,7 +54,41 @@ _SLUG_DROP = re.compile(r"[^\w\- ]", re.UNICODE)
 # and in-word underscores are not emphasis).
 _MD_DECORATION = re.compile(r"[*`]|\[|\]\([^)]*\)|\]")
 
+_CONTRACT_GRID = re.compile(r"<!-- contract-grid:begin -->\n(.*?)\n"
+                            r"<!-- contract-grid:end -->", re.DOTALL)
+
 EXTERNAL_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
+
+
+def contract_grid() -> str:
+    """The contract table of this checkout's ``src``, as the 5×5 grid
+    the handbook quotes.  ``no_phantom`` and the row's history checker,
+    owed by every cell, are left to the handbook's caption."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from repro.core.contracts import PROBES, contract_for
+    from repro.core.model import Consistency, DdpModel, Persistency
+
+    def ticks(ids):
+        return ", ".join(f"`{i}`" for i in ids) or "—"
+
+    def title(member):
+        return member.value.replace("_", "-").title()
+
+    lines = ["| | " + " | ".join(map(title, Persistency)) + " |",
+             "|---" * (len(Persistency) + 1) + "|"]
+    for c in Consistency:
+        cells = []
+        for p in Persistency:
+            row = contract_for(DdpModel(c, p))
+            withheld = [i for i in PROBES if i not in row.probes]
+            cells.append(ticks(row.durability[1:] + row.session)
+                         + (f" (*{row.name}*)" if row.name else "")
+                         + (f"; not probed: {ticks(withheld)}"
+                            if withheld else ""))
+        lines.append(f"| **{title(c)}** | " + " | ".join(cells) + " |")
+    return "\n".join(lines)
 
 
 def strip_code_blocks(text: str, inline: bool = True) -> str:
@@ -123,6 +162,13 @@ class Checker:
 
     def check_file(self, path: pathlib.Path) -> None:
         text = path.read_text(encoding="utf-8")
+        for match in _CONTRACT_GRID.finditer(text):
+            grid = contract_grid()
+            if match.group(1) != grid:
+                line = text.count("\n", 0, match.start()) + 1
+                self.errors.append(
+                    f"{path}:{line}: contract grid differs from "
+                    f"repro.core.contracts; it renders as\n{grid}")
         for line, target in iter_links(text):
             self.links_checked += 1
             if target.startswith("\0missing-ref:"):
