@@ -9,16 +9,15 @@ re-derived at any time.
 Run duration is tunable via ``REPRO_BENCH_DURATION_NS`` (default
 150 us measured per configuration, after a 10 us warmup); raise it for
 smoother numbers, lower it for a faster smoke pass.
-``REPRO_BENCH_WORKERS=N`` prefetches the default-config 25-model matrix
-through the sweep observatory's process pool before the figure tests
-read it; the cached summaries are byte-identical either way (the sweep
-contract), only the wall clock changes.
+
+Everything archived here is simulated, so ``benchmarks/results/`` is a
+pure function of the source: regenerating it on an unchanged tree is a
+no-op.  Host time is measured by ``bench/`` and nowhere else.
 """
 
 import json
 import os
 import pathlib
-import time
 
 import pytest
 
@@ -26,86 +25,25 @@ from repro.cluster.cluster import run_simulation
 from repro.cluster.config import ClusterConfig
 from repro.obs.report import _clean, config_fingerprint
 from repro.obs.schemas import BENCH_SCHEMA
-from repro.obs.sweep import sweep_summaries
 from repro.workload.ycsb import WORKLOADS
 
 DURATION_NS = float(os.environ.get("REPRO_BENCH_DURATION_NS", 150_000))
 WARMUP_NS = min(10_000.0, DURATION_NS / 10)
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 _CACHE = {}
-_WALL_S = {}
-_ORCHESTRATOR_WALL_S = 0.0
-
-
-def _cache_key(model, workload, config, duration_ns):
-    workload = workload or WORKLOADS["A"]
-    config = config or ClusterConfig()
-    duration = duration_ns or DURATION_NS
-    return (model.key, workload, config, duration)
 
 
 def run_cached(model, workload=None, config=None, duration_ns=None):
     """Run one configuration once per session; later calls reuse it."""
-    key = _cache_key(model, workload, config, duration_ns)
+    key = (model.key, workload or WORKLOADS["A"], config or ClusterConfig(),
+           duration_ns or DURATION_NS)
     if key not in _CACHE:
-        start = time.perf_counter()
         _CACHE[key] = run_simulation(model, key[1], config=key[2],
                                      duration_ns=key[3],
                                      warmup_ns=WARMUP_NS)
-        _WALL_S[key] = time.perf_counter() - start
     return _CACHE[key]
-
-
-def wall_clock_s(model, workload=None, config=None, duration_ns=None):
-    """Wall-clock seconds this configuration's own simulation took —
-    measured inside the run whether it executed here or in a prefetch
-    worker, so per-cell costs stay comparable with serial baselines
-    (0.0 if it was served from cache without ever running)."""
-    return _WALL_S.get(_cache_key(model, workload, config, duration_ns), 0.0)
-
-
-def orchestrator_wall_s() -> float:
-    """Elapsed wall-clock seconds spent inside :func:`prefetch_matrix`.
-
-    Under ``REPRO_BENCH_WORKERS > 1`` this is less than the sum of the
-    per-cell walls — that difference *is* the parallel speedup, and the
-    two are archived as separate ``wall_clock`` fields so neither
-    masquerades as the other."""
-    return _ORCHESTRATOR_WALL_S
-
-
-def prefetch_matrix(models) -> None:
-    """Fill the run cache for ``models`` at the default configuration.
-
-    With ``REPRO_BENCH_WORKERS > 1`` the cells run through
-    :func:`repro.obs.sweep.sweep_summaries` in parallel; otherwise each
-    model runs serially via :func:`run_cached`.  Either way later
-    :func:`run_cached` calls are cache hits with identical summaries."""
-    global _ORCHESTRATOR_WALL_S
-    missing = [m for m in models
-               if _cache_key(m, None, None, None) not in _CACHE]
-    if not missing:
-        return
-    start = time.perf_counter()
-    if WORKERS > 1:
-        config = ClusterConfig()
-        by_model = sweep_summaries(
-            missing, workload="A", servers=config.servers,
-            clients=config.total_clients, duration_ns=DURATION_NS,
-            warmup_ns=WARMUP_NS, seed=config.seed, workers=WORKERS)
-        for model in missing:
-            summary, cell_wall = by_model[(model.consistency.value,
-                                           model.persistency.value)]
-            key = _cache_key(model, None, None, None)
-            _CACHE[key] = summary
-            _WALL_S[key] = cell_wall
-    else:
-        for model in missing:
-            run_cached(model)
-    _ORCHESTRATOR_WALL_S += time.perf_counter() - start
 
 
 def archive(name: str, text: str) -> None:
@@ -115,9 +53,7 @@ def archive(name: str, text: str) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
-def archive_json(name: str, config: dict, metrics: dict,
-                 wall_clock_seconds: float = 0.0,
-                 orchestrator_wall_seconds: float = None) -> None:
+def archive_json(name: str, config: dict, metrics: dict) -> None:
     """Write the machine-readable twin of an archived table:
     ``benchmarks/results/BENCH_<name>.json``.
 
@@ -125,17 +61,7 @@ def archive_json(name: str, config: dict, metrics: dict,
     labels to :class:`~repro.analysis.metrics.Summary` objects (or plain
     dicts); values are cleaned to strict JSON (NaN/inf -> null) so the
     artifact is always parseable.
-
-    ``wall_clock_seconds`` is the *sum of per-cell* simulation walls —
-    comparable across serial and parallel runs.  Under a parallel
-    prefetch the elapsed orchestrator time is a different (smaller)
-    number; pass it as ``orchestrator_wall_seconds`` so the artifact
-    records both instead of conflating them.
     """
-    wall_clock = {"seconds": round(wall_clock_seconds, 3)}
-    if orchestrator_wall_seconds is not None:
-        wall_clock["orchestrator_seconds"] = round(
-            orchestrator_wall_seconds, 3)
     doc = {
         "schema": BENCH_SCHEMA,
         "bench": name,
@@ -144,7 +70,6 @@ def archive_json(name: str, config: dict, metrics: dict,
         # comparisons between artifacts from different sweeps.
         "config_hash": config_fingerprint(config),
         "metrics": _clean(metrics),
-        "wall_clock": wall_clock,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{name}.json"

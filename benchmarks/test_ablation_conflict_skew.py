@@ -10,7 +10,7 @@ both statistics are monotone in skew.
 import pytest
 
 from conftest import (DURATION_NS, archive, archive_json, run_cached,
-                      time_one_run, wall_clock_s)
+                      time_one_run)
 
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.workload.ycsb import WORKLOADS
@@ -64,10 +64,6 @@ def test_ablation_generate(sweep, time_one_run):
                 "duration_ns": DURATION_NS},
         metrics={f"{label}@theta={theta}": summary
                  for (label, theta), summary in sweep.items()},
-        wall_clock_seconds=sum(
-            wall_clock_s(TXN_MODEL if label == "txn" else RE_RE,
-                         workload=workload(theta))
-            for (label, theta) in sweep),
     )
 
 

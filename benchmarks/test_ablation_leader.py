@@ -9,8 +9,6 @@ designated leader.  This ablation runs all four quadrants of that
 comparison and regenerates the gap.
 """
 
-import time
-
 import pytest
 
 from conftest import (DURATION_NS, WARMUP_NS, archive, archive_json,
@@ -41,17 +39,11 @@ def conflict_fraction(summary):
     return summary.reads_blocked_by_unpersisted / max(summary.requests * 0.5, 1)
 
 
-_SWEEP_WALL_S = [0.0]
-
-
 @pytest.fixture(scope="module")
 def quadrants():
-    start = time.perf_counter()
-    results = {(leaderless, clients): run_quadrant(leaderless, clients)
-               for leaderless in (True, False)
-               for clients in (10, 100)}
-    _SWEEP_WALL_S[0] = time.perf_counter() - start
-    return results
+    return {(leaderless, clients): run_quadrant(leaderless, clients)
+            for leaderless in (True, False)
+            for clients in (10, 100)}
 
 
 def test_generate(quadrants, time_one_run):
@@ -77,7 +69,6 @@ def test_generate(quadrants, time_one_run):
         metrics={f"{'leaderless' if leaderless else 'leader'}"
                  f"@clients={clients}": summary
                  for (leaderless, clients), summary in quadrants.items()},
-        wall_clock_seconds=_SWEEP_WALL_S[0],
     )
 
 

@@ -16,7 +16,7 @@ halving the banks makes the inversion pronounced.
 import pytest
 
 from conftest import (DURATION_NS, archive, archive_json, run_cached,
-                      time_one_run, wall_clock_s)
+                      time_one_run)
 
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
@@ -67,10 +67,6 @@ def test_ablation_generate(sweep, time_one_run):
                 "duration_ns": DURATION_NS},
         metrics={f"{str(model)}@{label}": summary
                  for (label, model), summary in sweep.items()},
-        wall_clock_seconds=sum(
-            wall_clock_s(model, config=ClusterConfig(nvm_timing=timing))
-            for label, timing in NVM_CONFIGS
-            for model in (LIN_SYNC, LIN_RE)),
     )
 
 

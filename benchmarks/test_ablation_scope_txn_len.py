@@ -16,7 +16,7 @@ import dataclasses
 import pytest
 
 from conftest import (DURATION_NS, archive, archive_json, run_cached,
-                      time_one_run, wall_clock_s)
+                      time_one_run)
 
 from repro.cluster.config import ClusterConfig
 from repro.core.engine import ProtocolConfig
@@ -77,11 +77,6 @@ def test_ablation_generate(scope_sweep, txn_sweep, time_one_run):
                     for length, summary in scope_sweep.items()},
                  **{f"txn_len={length}": summary
                     for length, summary in txn_sweep.items()}},
-        wall_clock_seconds=(
-            sum(wall_clock_s(SCOPE_MODEL, config=scope_config(length))
-                for length in SCOPE_LENGTHS)
-            + sum(wall_clock_s(TXN_MODEL, config=txn_config(length))
-                  for length in TXN_LENGTHS)),
     )
 
 

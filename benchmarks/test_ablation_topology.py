@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from conftest import (DURATION_NS, archive, archive_json, run_cached,
-                      time_one_run, wall_clock_s)
+                      time_one_run)
 
 from repro.cluster.config import ClusterConfig
 from repro.core.engine import ProtocolConfig
@@ -60,9 +60,6 @@ def test_ablation_generate(sweep, time_one_run):
                 "duration_ns": DURATION_NS},
         metrics={f"{'chain' if chain else 'broadcast'}@servers={servers}":
                  summary for (servers, chain), summary in sweep.items()},
-        wall_clock_seconds=sum(
-            wall_clock_s(MODEL, config=config_for(chain, servers))
-            for servers in (3, 5) for chain in (False, True)),
     )
 
 

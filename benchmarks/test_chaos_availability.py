@@ -16,8 +16,6 @@ Every faulty run must also pass the model's durability contracts
 and rejoins.
 """
 
-import time
-
 from conftest import DURATION_NS, WARMUP_NS, archive, archive_json
 
 from repro.cluster.cluster import Cluster
@@ -58,7 +56,6 @@ def _run(model, faulty):
 
 def test_chaos_availability(time_one_run):
     rows = {}
-    wall_start = time.perf_counter()
 
     def run_all():
         for model in MODELS:
@@ -68,7 +65,6 @@ def test_chaos_availability(time_one_run):
         return rows
 
     time_one_run(run_all)
-    wall_s = time.perf_counter() - wall_start
 
     lines = ["Chaos: 1-node crash mid-run (restart after detection), "
              "Synchronous persistency",
@@ -116,7 +112,6 @@ def test_chaos_availability(time_one_run):
                 "plan": _crash_plan().to_json(),
                 "duration_ns": DURATION_NS},
         metrics=metrics,
-        wall_clock_seconds=wall_s,
     )
 
 

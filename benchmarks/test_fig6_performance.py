@@ -21,8 +21,7 @@ Asserted shapes (paper Section 8.1):
 import pytest
 
 from conftest import (DURATION_NS, WARMUP_NS, archive, archive_json,
-                      orchestrator_wall_s, prefetch_matrix, run_cached,
-                      time_one_run, wall_clock_s)
+                      run_cached, time_one_run)
 
 from repro.analysis.report import format_figure6_table, format_grid
 from repro.core.model import Consistency as C, DdpModel, Persistency as P, all_ddp_models
@@ -32,9 +31,6 @@ BASELINE = DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS)
 
 @pytest.fixture(scope="module")
 def fig6():
-    # Fill the cache up front — in parallel when REPRO_BENCH_WORKERS
-    # is set — so the per-test run_cached calls below are always hits.
-    prefetch_matrix(all_ddp_models())
     return {model: run_cached(model) for model in all_ddp_models()}
 
 
@@ -144,8 +140,6 @@ def test_fig6_emit_bench_json(fig6):
             "models": [str(model) for model in fig6],
         },
         metrics={str(model): summary for model, summary in fig6.items()},
-        wall_clock_seconds=sum(wall_clock_s(model) for model in fig6),
-        orchestrator_wall_seconds=orchestrator_wall_s(),
     )
 
 

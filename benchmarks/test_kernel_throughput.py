@@ -1,20 +1,17 @@
-"""Kernel events/sec baseline: the needle the ROADMAP item-1 speedup
-must move.
+"""Kernel work per protocol message: the deterministic counters the
+ROADMAP item-1 speedup moved and must not give back.
 
 Runs the profiled kernel over representative model x cluster-size
 points and archives ``BENCH_kernel.json`` (schema ``repro.bench/1``):
-per-point events/sec, per-event overhead, slowdown factor, and the
-deterministic event/process counts that let ``repro diff`` separate "the
-kernel got faster" (wall-clock, informational) from "the run changed"
-(counters, gated).
+per-point event/process/message counts, heap peak and the per-message
+ratios ``repro diff`` gates on.  What those events cost in host time is
+``bench/``'s question (``sim.host_ns_per_event``, the layer ladder).
 
 Points: the cheapest and the most message-heavy corners of the matrix
 (causal x eventual, linearizable x synchronous) plus a cluster-size axis
 (3 / 5 / 8 servers) on the cheap corner, so both per-event cost and
 heap-depth scaling are visible.
 """
-
-import time
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.cluster import run_simulation
@@ -61,36 +58,24 @@ def _run_points():
         config = ClusterConfig(servers=servers, clients_per_server=20,
                                seed=2021)
         profile = KernelProfile()
-        start = time.perf_counter()
         summary = run_simulation(model, WORKLOADS["A"], config=config,
                                  duration_ns=DURATION_NS,
                                  warmup_ns=WARMUP_NS,
                                  profile=profile)
-        wall = time.perf_counter() - start
-        _RESULTS[label] = (profile, summary, wall)
+        _RESULTS[label] = (profile, summary)
     return _RESULTS
 
 
 def _metrics_row(profile, summary):
-    """The BENCH_kernel.json metrics for one point: wall-clock rates
-    (informational in diffs) plus deterministic kernel counters."""
-    snapshot = profile.snapshot()
-    events = profile.events_processed
-    loop = profile.loop_wall_seconds
+    """The BENCH_kernel.json metrics for one point: deterministic
+    kernel counters only."""
     return {
-        "events_processed": events,
+        "events_processed": profile.events_processed,
         "processes_spawned": profile.processes_spawned,
         "heap_peak": profile.heap_peak,
         "messages_handled": profile.messages_handled,
         "events_per_message": profile.events_per_message,
         "processes_per_message": profile.processes_per_message,
-        "events_per_wall_second": profile.events_per_wall_second,
-        "wall_seconds": profile.wall_elapsed_seconds,
-        "loop_wall_seconds": loop,
-        "ns_per_event": (loop / events * 1e9) if events else 0.0,
-        "wall_seconds_per_sim_second": profile.wall_seconds_per_sim_second,
-        "attributed_fraction":
-            snapshot["attribution"]["attributed_fraction"],
         "throughput_ops_per_s": summary.throughput_ops_per_s,
     }
 
@@ -99,25 +84,13 @@ class TestKernelThroughput:
     def test_every_point_produces_throughput(self, time_one_run):
         results = time_one_run(_run_points)
         assert len(results) >= 3
-        for label, (profile, _summary, _wall) in results.items():
+        for label, (profile, _summary) in results.items():
             assert profile.events_processed > 0, label
-            assert profile.events_per_wall_second > 0, label
-            assert profile.loop_wall_seconds > 0, label
-
-    def test_attribution_covers_loop_wall(self):
-        """Acceptance bar: per-bucket wall-times sum to within 5% of the
-        kernel's event-loop wall time, at every benched point."""
-        for label, (profile, _summary, _wall) in _run_points().items():
-            loop = profile.loop_wall_seconds
-            attributed = profile.attributed_wall_seconds
-            assert abs(attributed - loop) <= 0.05 * loop, (
-                f"{label}: {attributed:.6f}s attributed vs "
-                f"{loop:.6f}s loop wall")
 
     def test_message_cost_stays_under_its_ceilings(self):
         """ROADMAP item 1's ratio cannot creep back silently: every
         benched point stays under its measured-plus-10 % ceilings."""
-        for label, (profile, _summary, _wall) in _run_points().items():
+        for label, (profile, _summary) in _run_points().items():
             events_max, processes_max = MESSAGE_COST_CEILINGS[label]
             assert profile.events_per_message <= events_max, (
                 label, profile.events_per_message)
@@ -135,8 +108,7 @@ class TestKernelThroughput:
     def test_archive_kernel_bench(self):
         results = _run_points()
         metrics = {label: _metrics_row(profile, summary)
-                   for label, (profile, summary, _wall) in results.items()}
-        total_wall = sum(wall for _p, _s, wall in results.values())
+                   for label, (profile, summary) in results.items()}
         config = {
             "bench": "kernel_throughput",
             "workload": "A",
@@ -146,27 +118,21 @@ class TestKernelThroughput:
                        for label, (model, servers)
                        in KERNEL_POINTS.items()},
         }
-        archive_json("kernel", config, metrics,
-                     wall_clock_seconds=total_wall)
+        archive_json("kernel", config, metrics)
 
-        header = (f"{'point':<30} {'events':>9} {'events/s':>11} "
-                  f"{'ns/event':>9} {'slowdown':>9} {'ev/msg':>7} "
+        header = (f"{'point':<30} {'events':>9} {'ev/msg':>7} "
                   f"{'proc/msg':>8}")
-        lines = ["kernel throughput baseline (events/sec)", header,
-                 "-" * len(header)]
+        lines = ["kernel throughput baseline", header, "-" * len(header)]
         for label, row in metrics.items():
             lines.append(
                 f"{label:<30} {row['events_processed']:>9} "
-                f"{row['events_per_wall_second']:>11.0f} "
-                f"{row['ns_per_event']:>9.0f} "
-                f"{row['wall_seconds_per_sim_second']:>8.0f}x "
                 f"{row['events_per_message']:>7.2f} "
                 f"{row['processes_per_message']:>8.2f}")
         archive("kernel_throughput", "\n".join(lines))
 
     def test_bench_artifact_schema(self):
-        """BENCH_kernel.json reloads with the fields the CI smoke step
-        and `repro diff` rely on."""
+        """BENCH_kernel.json reloads with the fields `repro diff` and
+        the tier-1 artifact-shape test rely on."""
         import json
         import pathlib
         self.test_archive_kernel_bench()
@@ -178,5 +144,4 @@ class TestKernelThroughput:
         assert isinstance(doc["config_hash"], str)
         assert len(doc["metrics"]) >= 3
         for label, row in doc["metrics"].items():
-            assert row["events_per_wall_second"] > 0, label
             assert row["events_processed"] > 0, label

@@ -1,7 +1,6 @@
 """Analysis: metrics collection, result tables, validation checkers,
-latency histograms, and Visibility/Durability Point measurement."""
+and Visibility/Durability Point measurement."""
 
-from repro.analysis.histogram import LatencyHistogram
 from repro.analysis.linearizability import HistoryOp, is_linearizable
 from repro.analysis.metrics import Metrics, OpRecord, Summary
 from repro.analysis.points import PointsSummary, PointsTracker
@@ -13,7 +12,6 @@ from repro.analysis.report import (
 
 __all__ = [
     "HistoryOp",
-    "LatencyHistogram",
     "Metrics",
     "OpRecord",
     "PointsSummary",

@@ -73,6 +73,7 @@ from repro.core.model import Consistency, DdpModel, Persistency, all_ddp_models
 from repro.core.tradeoffs import analyze_all
 from repro.devtools.cli import (add_lint_parser, add_order_parser,
                                 cmd_lint, cmd_order)
+from repro.devtools.engine import UsageError
 from repro.faults import (FaultInjector, load_fault_plan,
                           plan_from_crash_specs, validate_faulty_run)
 from repro.obs import (
@@ -448,7 +449,10 @@ def _faults_from(args) -> Optional[FaultInjector]:
         except (OSError, ValueError) as exc:
             raise _CliError(f"bad fault plan {args.faults}: {exc}") from exc
     if args.crash:
-        crash_plan = plan_from_crash_specs(args.crash, seed=args.seed)
+        try:
+            crash_plan = plan_from_crash_specs(args.crash, seed=args.seed)
+        except ValueError as exc:
+            raise _CliError(str(exc)) from exc
         if plan is None:
             plan = crash_plan
         else:
@@ -456,7 +460,15 @@ def _faults_from(args) -> Optional[FaultInjector]:
             plan = dataclasses.replace(
                 plan, events=tuple(sorted(plan.events + crash_plan.events,
                                           key=lambda e: (e.at_ns, e.kind))))
-    return FaultInjector(plan) if plan is not None else None
+    if plan is None:
+        return None
+    node_ids = list(range(args.servers))
+    try:
+        for event in plan.events:
+            FaultInjector.validate_target(event, node_ids)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+    return FaultInjector(plan)
 
 
 def _print_fault_outcome(cluster, injector) -> int:
@@ -493,6 +505,13 @@ def _cmd_run(args) -> int:
     # A journey report rides in the full run-report document, so it
     # needs the same windowed collectors as --metrics-out.
     want_report = args.metrics_out or args.journey_out
+    try:
+        monitor = (HealthMonitor(interval_ns=args.health_interval_us * 1000.0,
+                                 max_samples=args.health_samples,
+                                 top_k=args.health_top_k)
+                   if args.health else None)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
     observers = Observers(
         tracer=(Tracer(max_records=args.trace_limit, ring=args.trace_ring)
                 if args.trace_out or args.trace_jsonl else None),
@@ -502,10 +521,7 @@ def _cmd_run(args) -> int:
                                 max_journeys=args.journey_max)
                  if args.journey_out else None),
         profile=KernelProfile() if args.profile else None,
-        monitor=(HealthMonitor(interval_ns=args.health_interval_us * 1000.0,
-                               max_samples=args.health_samples,
-                               top_k=args.health_top_k)
-                 if args.health else None),
+        monitor=monitor,
         recorder=(HistoryRecorder(max_ops=args.history_limit)
                   if args.history_out or args.audit else None),
         audit=args.audit,
@@ -865,6 +881,11 @@ def _cmd_recover(args) -> int:
     return 0
 
 
+def _cmd_order(args) -> int:
+    _preflight(args.effects_out, args.sanitize and args.sweep_out)
+    return cmd_order(args)
+
+
 _COMMANDS = {
     "run": _cmd_run,
     "trace": _cmd_trace,
@@ -877,7 +898,7 @@ _COMMANDS = {
     "tradeoffs": _cmd_tradeoffs,
     "recover": _cmd_recover,
     "lint": cmd_lint,
-    "order": cmd_order,
+    "order": _cmd_order,
 }
 
 
@@ -888,7 +909,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         return 0
-    except (_CliError, DiffError, SchemaError) as exc:
+    except (_CliError, DiffError, SchemaError, UsageError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 from repro.devtools.engine import (FileContext, UsageError, format_text,
                                    iter_python_files, run_lint, to_json)
@@ -64,11 +63,7 @@ def cmd_lint(args) -> int:
         return _list_rules()
     rule_ids = ([r.strip() for r in args.rules.split(",") if r.strip()]
                 if args.rules else None)
-    try:
-        result = run_lint(args.paths, rule_ids=rule_ids)
-    except UsageError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
+    result = run_lint(args.paths, rule_ids=rule_ids)
     if args.sarif:
         from repro.devtools.sarif import to_sarif
         print(to_sarif(result))
@@ -190,10 +185,9 @@ def _cmd_effects(args) -> int:
     return 0
 
 
-def _run_sanitize(args, reports_by_engine):
+def _run_sanitize(args, seeds, reports_by_engine):
     from repro.devtools.sanitizer import coverage, sweep
 
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     result = sweep(ops_per_client=args.ops, seeds=seeds)
     cover = coverage(flagged_message_pairs(reports_by_engine), result)
     return result, cover
@@ -203,10 +197,10 @@ def cmd_order(args) -> int:
     if args.effects or args.effects_out:
         return _cmd_effects(args)
     try:
-        result = run_lint(args.paths, rule_ids=ORDER_RULES)
-    except UsageError as exc:
-        print(f"repro order: {exc}", file=sys.stderr)
-        return 2
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError as exc:
+        raise UsageError(f"--seeds: {exc}") from exc
+    result = run_lint(args.paths, rule_ids=ORDER_RULES)
     if args.sarif:
         from repro.devtools.sarif import to_sarif
         print(to_sarif(result, tool_name="repro-order"))
@@ -214,7 +208,8 @@ def cmd_order(args) -> int:
 
     sweep_result = cover = None
     if args.sanitize:
-        sweep_result, cover = _run_sanitize(args, _analyze(args.paths))
+        sweep_result, cover = _run_sanitize(args, seeds,
+                                            _analyze(args.paths))
         if args.sweep_out:
             doc = sweep_result.to_dict()
             doc["coverage"] = cover

@@ -103,7 +103,7 @@ class FaultInjector:
                     duration_ns=event.duration_ns,
                     restart_after_ns=event.restart_after_ns,
                     factor=event.factor)
-            self._validate_target(event, node_ids)
+            self.validate_target(event, node_ids)
             resolved.append(event)
             self._schedule(event)
         self.resolved_events = tuple(resolved)
@@ -116,7 +116,7 @@ class FaultInjector:
             cluster.network.faults = self
 
     @staticmethod
-    def _validate_target(event: FaultEvent, node_ids: List[int]) -> None:
+    def validate_target(event: FaultEvent, node_ids: List[int]) -> None:
         targets = []
         if event.node is not None:
             targets.append(event.node)

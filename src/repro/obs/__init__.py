@@ -29,8 +29,7 @@ VP/DP events) into artifacts a human or a tool can consume:
   periodic sampler of cluster pressure (persist queues, causal buffers,
   inflight rounds, hot keys) with online invariant probes.
 * :mod:`repro.obs.diff` — cross-run regression diffing of run reports
-  and ``BENCH_*.json`` artifacts (the ``repro diff`` subcommand and the
-  CI perf gate).
+  and ``BENCH_*.json`` artifacts (the ``repro diff`` subcommand).
 * :mod:`repro.obs.history` — :class:`HistoryRecorder`, the bounded
   client-boundary operation recorder behind the black-box contract
   auditor (:mod:`repro.audit`), and the ``repro.history/1`` artifact.
@@ -111,7 +110,6 @@ from repro.obs.sweep import (
     run_cell,
     run_sweep,
     strip_wall_clock,
-    sweep_summaries,
     write_sweep_report,
 )
 
@@ -167,7 +165,6 @@ __all__ = [
     "run_cell",
     "run_sweep",
     "strip_wall_clock",
-    "sweep_summaries",
     "write_sweep_report",
     "build_dashboard",
     "load_bench_dir",

@@ -424,13 +424,12 @@ def _bench_trends(bench_docs: Sequence[Tuple[str, Dict[str, Any]]]) -> str:
         numeric_keys: List[str] = []
         for row in metrics.values():
             if isinstance(row, dict):
-                for key in ("throughput_ops_per_s",
-                            "events_per_wall_second", "mean_write_ns"):
+                for key in ("throughput_ops_per_s", "mean_write_ns"):
                     if isinstance(row.get(key), (int, float)) \
                             and key not in numeric_keys:
                         numeric_keys.append(key)
         lines = []
-        for key in numeric_keys[:2]:
+        for key in numeric_keys:
             if len(matched) > 1:
                 # True trend: this metric's mean across each archived
                 # artifact, oldest file first.

@@ -14,7 +14,7 @@ two such artifacts into a decision:
 * **verdict** — metrics have directions (throughput up = good, latency
   up = bad, counters informational), so the diff ends in a
   ``regression`` / ``no-regression`` verdict naming the offending
-  metrics — the contract the CI perf gate enforces.
+  metrics.
 
 Output is markdown (:func:`format_markdown`) for humans and
 ``repro.diff_report/1`` JSON (:func:`diff_json`) for machines.

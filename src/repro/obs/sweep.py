@@ -9,7 +9,7 @@ persistency, seed)`` regardless of completion order, and every
 wall-clock-derived value is stripped from the merged document, so a
 ``--workers 8`` sweep emits a ``repro.sweep_report/1`` artifact
 byte-identical to a ``--workers 1`` sweep (asserted in
-``tests/obs/test_sweep.py`` and in CI).
+``tests/obs/test_sweep.py``).
 
 Three design rules:
 
@@ -31,7 +31,7 @@ Three design rules:
 
 ``REPRO_SWEEP_TEST_CRASH`` (comma-separated ``consistency:persistency``
 or ``consistency:persistency:seed`` cells) rigs matching workers to
-raise — the hook the failure-path tests and CI use to prove the partial-
+raise — the hook the failure-path tests use to prove the partial-
 artifact contract without patching across process boundaries.
 """
 
@@ -43,7 +43,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import Summary
 from repro.core.model import DdpModel
@@ -57,8 +57,7 @@ from repro.obs.schemas import SWEEP_REPORT_SCHEMA
 
 __all__ = ["CellSpec", "CellResult", "SweepProgress", "matrix_specs",
            "run_cell", "run_sweep", "strip_wall_clock", "sweep_meta",
-           "build_sweep_report", "write_sweep_report", "sweep_summaries",
-           "SECTIONS"]
+           "build_sweep_report", "write_sweep_report", "SECTIONS"]
 
 #: Keys whose values derive from the wall clock.  They are removed
 #: (recursively) from every section of the merged artifact: wall time
@@ -324,31 +323,3 @@ def write_sweep_report(path: str, report: Dict[str, Any]) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def sweep_summaries(models: Sequence[DdpModel], workload: str = "A",
-                    servers: int = 5, clients: int = 100,
-                    duration_ns: float = 100_000.0,
-                    warmup_ns: float = 10_000.0, seed: int = 2021,
-                    workers: int = 1,
-                    ) -> Dict[Tuple[str, str], Tuple[Summary, float]]:
-    """Benchmark-harness entry: one :class:`Summary` (plus the cell's
-    own wall seconds) per model, fanned across ``workers``.
-
-    Raises on any errored cell — a benchmark sweep has no use for a
-    partial matrix.  Used by ``benchmarks/conftest.py`` to prefetch the
-    fig6 matrix in parallel while keeping per-cell wall clock
-    comparable with pre-parallel baselines.
-    """
-    specs = matrix_specs(models, [seed], workload=workload,
-                         servers=servers, clients=clients,
-                         duration_ns=duration_ns, warmup_ns=warmup_ns)
-    results = run_sweep(specs, workers=workers)
-    out: Dict[Tuple[str, str], Tuple[Summary, float]] = {}
-    for result in results:
-        if result.status != "ok":
-            raise RuntimeError(f"sweep cell {result.spec.label} failed: "
-                               f"{result.error}")
-        out[(result.spec.consistency, result.spec.persistency)] = (
-            result.summary, result.timing["wall_seconds"])
-    return out

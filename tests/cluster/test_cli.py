@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +32,8 @@ class TestParser:
     def test_unwritable_artifact_path_fails_before_simulating(
             self, capsys, tmp_path, monkeypatch):
         """Every subcommand that writes: one ``repro: cannot write``
-        line and exit 2 — before simulating, where it simulates."""
+        line and exit 2 — before simulating (or analysing, for
+        ``order``), where it does."""
         small = ["--servers", "3", "--clients", "6", "--duration-us", "20"]
         history = str(tmp_path / "h.jsonl")
         report = str(tmp_path / "m.json")
@@ -46,6 +48,7 @@ class TestParser:
 
         monkeypatch.setattr("repro.cli.observed_run", simulated)
         monkeypatch.setattr("repro.cli.run_sweep", simulated)
+        monkeypatch.setattr("repro.cli.cmd_order", simulated)
         bad = str(tmp_path / "no-such-dir" / "out")
         for argv in (["run", *small, "--trace-out", bad],
                      ["run", *small, "--trace-jsonl", bad],
@@ -59,7 +62,9 @@ class TestParser:
                      ["sweep", *small, "--html-out", bad],
                      ["audit", history, "--out", bad],
                      ["diff", report, report, "--out", bad],
-                     ["dash", sweep, "--out", bad]):
+                     ["dash", sweep, "--out", bad],
+                     ["order", "src", "--effects-out", bad],
+                     ["order", "src", "--sanitize", "--sweep-out", bad]):
             code = main(argv)
             err = capsys.readouterr().err
             assert code == 2, argv
@@ -105,6 +110,17 @@ class TestRunShape:
         for path in (plan, tmp_path / "missing.json"):
             assert "bad fault plan" in self.rejected(
                 capsys, "--faults", str(path))
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--crash", "bad"], "bad crash spec 'bad'"),
+        (["--crash", "1@-5"], "at_us must be >= 0"),
+        (["--crash", "9@10"], "targets node 9"),
+        (["--health", "--health-top-k", "-1"], "top_k must be >= 0"),
+    ])
+    def test_unusable_crash_or_health_flag_is_an_error_not_a_traceback(
+            self, capsys, flags, message):
+        assert message in self.rejected(capsys, "--servers", "3",
+                                        "--clients", "6", *flags)
 
     def test_journey_out_with_all_is_an_error_not_exit_1(self, capsys,
                                                          tmp_path):
@@ -574,6 +590,23 @@ class TestDiffCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("repro: cannot read")
+
+    def test_committed_baseline_report_is_reproduced_byte_for_byte(
+            self, capsys, tmp_path):
+        """The perf gate: the command in
+        ``benchmarks/results/baseline/README.md`` rewrites the committed
+        report exactly, so any simulated drift is a code change."""
+        baseline = (Path(__file__).resolve().parents[2] / "benchmarks"
+                    / "results" / "baseline" / "report.json")
+        fresh = tmp_path / "fresh.json"
+        assert main(["run", "--consistency", "causal",
+                     "--persistency", "synchronous", "--servers", "3",
+                     "--clients", "6", "--duration-us", "60",
+                     "--seed", "2021", "--health",
+                     "--metrics-out", str(fresh)]) == 0
+        assert fresh.read_bytes() == baseline.read_bytes()
+        assert main(["diff", str(baseline), str(fresh)]) == 0
+        assert "no-regression" in capsys.readouterr().out
 
 
 class TestSweepObservatory:

@@ -191,6 +191,14 @@ class TestOrderCommand:
         assert main(["order", "no/such/dir"]) == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_two_on_unparseable_seeds(self, tmp_path, capsys):
+        assert main(["order", str(tmp_path), "--sanitize",
+                     "--seeds", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: --seeds: ")
+        assert captured.err.count("\n") == 1
+
     def test_one_on_vacuous_sweep(self, tmp_path, capsys, monkeypatch):
         # A sweep whose permuter never reordered anything must not pass
         # as "all byte-identical": it never put the claim to the test.
@@ -208,5 +216,7 @@ class TestOrderCommand:
                      "--sweep-out", str(out)]) == 1
         assert "VACUOUS <Causal, Eventual>" in capsys.readouterr().out
         doc = json.loads(out.read_text())
+        assert doc["schema"] == "repro.order_sweep/1"
         assert doc["ok"] is False
         assert doc["cells"][0]["vacuous"] is True
+        assert set(doc["coverage"]) == {"flagged", "exercised", "uncovered"}

@@ -275,5 +275,8 @@ class TestInjectedMutation:
 class TestFullMatrix:
     def test_all_25_models_byte_identical(self):
         result = sweep(ops_per_client=30, seeds=(1, 2, 3, 4))
+        # A checker that cannot perturb passes silently: every cell must
+        # have reordered at least one batch under some seed.
+        assert not result.vacuous, [c.model for c in result.vacuous]
         assert result.ok, [(c.model, c.diverged) for c in result.diverged]
         assert len(result.cells) == 25

@@ -8,19 +8,22 @@ progress output stays line-oriented off a TTY.
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.model import (Consistency, DdpModel, Persistency,
                               all_ddp_models)
+from repro.obs.report import config_fingerprint
 from repro.obs.schemas import SWEEP_REPORT_SCHEMA, validate_artifact
 from repro.obs.sweep import (CellResult, CellSpec, SweepProgress,
                              build_sweep_report, matrix_specs, run_cell,
                              run_sweep, strip_wall_clock, sweep_meta,
-                             sweep_summaries, write_sweep_report)
+                             write_sweep_report)
 
 DURATION = 20_000.0
 WARMUP = 2_000.0
+RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
 def specs_for(models, seeds=(1,), sections=()):
@@ -64,6 +67,30 @@ class TestStripWallClock:
         for needle in ("wall_seconds", "wall_ms", "events_per_wall",
                        "attributed_fraction", "checker_wall"):
             assert needle not in text, needle
+
+    @pytest.mark.parametrize("path", sorted(RESULTS.rglob("*.json")),
+                             ids=lambda path: path.name)
+    def test_committed_results_record_no_host_time(self, path):
+        """``benchmarks/results/`` is a pure function of the source;
+        host time lives in ``bench/`` only."""
+        text = path.read_text()
+        assert '"wall_clock"' not in text
+        doc = json.loads(text)
+        assert strip_wall_clock(doc) == doc
+
+    def test_committed_kernel_bench_keeps_its_shape(self):
+        doc = json.loads((RESULTS / "BENCH_kernel.json").read_text())
+        validate_artifact(doc, family="repro.bench")
+        assert doc["bench"] == "kernel"
+        assert doc["config_hash"] == config_fingerprint(doc["config"])
+        assert len(doc["metrics"]) >= 3
+        for label, row in doc["metrics"].items():
+            handled = row["messages_handled"]
+            assert row["events_processed"] > 0 and handled > 0, label
+            assert (row["events_per_message"]
+                    == row["events_processed"] / handled), label
+            assert (row["processes_per_message"]
+                    == row["processes_spawned"] / handled), label
 
 
 class TestDeterministicMerge:
@@ -179,27 +206,6 @@ class TestFailure:
         with pytest.raises(RuntimeError, match="rigged crash"):
             run_cell(CellSpec("causal", "eventual", 1,
                               duration_ns=DURATION, warmup_ns=WARMUP))
-
-    def test_sweep_summaries_raises_on_error_cell(self, monkeypatch):
-        self.rig(monkeypatch, "causal:eventual")
-        with pytest.raises(RuntimeError, match="failed"):
-            sweep_summaries([self.CRASH], duration_ns=DURATION,
-                            warmup_ns=WARMUP)
-
-
-class TestSweepSummaries:
-    def test_matches_direct_run(self):
-        from repro.cluster.cluster import run_simulation
-        from repro.workload.ycsb import WORKLOADS
-        model = all_ddp_models()[0]
-        by_model = sweep_summaries([model], duration_ns=DURATION,
-                                   warmup_ns=WARMUP)
-        summary, wall = by_model[(model.consistency.value,
-                                  model.persistency.value)]
-        direct = run_simulation(model, WORKLOADS["A"],
-                                duration_ns=DURATION, warmup_ns=WARMUP)
-        assert summary == direct
-        assert wall > 0
 
 
 class TestProgress:
