@@ -34,17 +34,18 @@ KERNEL_POINTS = {
 }
 
 #: label -> ceilings on (kernel events, spawned processes) per handled
-#: protocol message: the values measured at 150 us once persists and
-#: the handlers that never wait became callbacks, plus 10 %.  They are
-#: whole-run ratios, so client work rides along and a point with few
-#: messages per operation (3 servers: two UPDs per write) sits higher
-#: than ROADMAP item 1's 8 / 1 target for the message path proper.
-#: Processes: one per UPD (its handler waits), none per ACK or VAL.
+#: protocol message: the values measured at 150 us once INV and UPD
+#: handlers became callbacks too, plus 10 %.  They are whole-run
+#: ratios, so client work rides along and a point with few messages per
+#: operation (3 servers: two UPDs per write) sits higher than ROADMAP
+#: item 1's 8 / 1 target for the message path proper.  Processes: the
+#: clients, and nothing per message (a UPD that releases buffered
+#: updates would cost one; none does at these points).
 MESSAGE_COST_CEILINGS = {
-    "causal-eventual-3s": (11.65, 1.11),          # measured 10.59 / 1.01
-    "causal-eventual-5s": (8.75, 1.10),           # measured  7.95 / 1.00
-    "causal-eventual-8s": (6.89, 1.10),           # measured  6.26 / 1.00
-    "linearizable-synchronous-5s": (4.62, 0.37),  # measured  4.20 / 0.34
+    "causal-eventual-3s": (11.65, 0.0067),          # measured 10.59 / 0.0060
+    "causal-eventual-5s": (8.75, 0.0033),           # measured  7.95 / 0.0030
+    "causal-eventual-8s": (6.89, 0.0019),           # measured  6.26 / 0.0017
+    "linearizable-synchronous-5s": (4.62, 0.0041),  # measured  4.20 / 0.0037
 }
 
 _RESULTS = {}
@@ -127,7 +128,7 @@ class TestKernelThroughput:
             lines.append(
                 f"{label:<30} {row['events_processed']:>9} "
                 f"{row['events_per_message']:>7.2f} "
-                f"{row['processes_per_message']:>8.2f}")
+                f"{row['processes_per_message']:>8.4f}")
         archive("kernel_throughput", "\n".join(lines))
 
     def test_bench_artifact_schema(self):

@@ -56,6 +56,10 @@ from repro.txn.manager import Txn, TxnTable
 
 __all__ = ["AckRound", "ProtocolConfig", "ProtocolNode"]
 
+#: What a segment of a callback handler returns once it has arranged to
+#: be continued (see :meth:`ProtocolNode._handle_now`).
+_PARKED = object()
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -171,7 +175,7 @@ class AckRound:
         return self.event
 
 
-@dataclass
+@dataclass(slots=True)
 class _WriteOp:
     """Coordinator-side state for one outstanding write."""
 
@@ -185,7 +189,7 @@ class _WriteOp:
     scope_id: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _RoundOp:
     """Coordinator-side state for an INITX / ENDX / PERSIST round."""
 
@@ -267,10 +271,11 @@ class ProtocolNode:
         if membership is not None:
             membership.subscribe(node_id, self._on_membership_change)
         # Bound once here instead of building a dict literal per
-        # inbound message in _on_arrival: (handler, whether it can wait).
-        # A generator function may wait and runs as a process; a plain
-        # function cannot and runs as a callback.
-        self._handlers: Dict[MsgType, Tuple[Callable[[Message], Any], bool]] = {}
+        # inbound message in _on_arrival: (handler, whether it is a
+        # process).  A generator function runs as one; a plain function
+        # runs as a callback, in segments if it has to wait
+        # (see _handle_now).
+        self._handlers: Dict[MsgType, Tuple[Callable[..., Any], bool]] = {}
         for msg_type, name in self._DISPATCH.items():
             handler = getattr(self, name)
             self._handlers[msg_type] = (
@@ -376,23 +381,25 @@ class ProtocolNode:
                      message.size_bytes, lazy)
 
     def _inject(self, dst: int, message: Message, label: str,
-                size_bytes: int, lazy: bool, chain: bool = False) -> Event:
+                size_bytes: int, lazy: bool,
+                delivered: Optional[Event] = None) -> None:
         """Account for, trace and hand one copy of ``message`` to the
         network.  ``label`` and ``size_bytes`` are the message's own
         (``msg_type.value``, ``size_bytes``), read once per message by
-        the caller rather than once per destination."""
+        the caller rather than once per destination.  ``delivered`` is
+        the chain ablation's: the event to settle on remote delivery."""
         self.metrics.record_message(label, size_bytes, time_ns=self.sim.now)
         if self.tracer.enabled:
             details = dict(msg=label, dst=dst, op_id=message.op_id,
                            key=message.key, version=message.version,
                            bytes=size_bytes)
-            if chain:
+            if delivered is not None:
                 details["chain"] = True
             if lazy:
                 details["lazy"] = True
             self.tracer.emit(self.sim.now, "msg_send", node=self.node_id,
                              **details)
-        return self.network.send(self.node_id, dst, message, size_bytes)
+        self.network.send(self.node_id, dst, message, size_bytes, delivered)
 
     def _broadcast(self, message: Message, lazy: bool = False,
                    targets: Optional[List[int]] = None) -> None:
@@ -409,8 +416,9 @@ class ProtocolNode:
         k only after it has been delivered at follower k-1."""
         label, size_bytes = message.msg_type.value, message.size_bytes
         for dst in self.peer_ids:
-            yield self._inject(dst, message, label, size_bytes, lazy,
-                               chain=True)
+            delivered = self.sim.event()
+            self._inject(dst, message, label, size_bytes, lazy, delivered)
+            yield delivered
 
     def _store_read_cost(self, key: int) -> float:
         if self.store is None:
@@ -490,21 +498,36 @@ class ProtocolNode:
         Scope-tagged persists bypass write combining so that the durable
         log attributes each entry to the scope that persisted it.
         """
+        if scope_id is None:
+            persisted = self._persisted_event(replica, version, value,
+                                              trigger)
+            if persisted is not None:
+                yield persisted
+            return
         if replica.persisted_version >= version:
             return
-        if scope_id is not None:
-            if replica.persist_requested < version:
-                if self.tracer.enabled:
-                    self.tracer.emit(self.sim.now, "persist_issue",
-                                     node=self.node_id, key=replica.key,
-                                     version=version, trigger="scope")
-                replica.persist_requested = version
-                yield from self.memory.persist(replica.key)
-                self._mark_durable(replica, version, value, scope_id)
-                return
-        else:
-            self._request_persist(replica, version, value, trigger)
+        if replica.persist_requested < version:
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, "persist_issue",
+                                 node=self.node_id, key=replica.key,
+                                 version=version, trigger="scope")
+            replica.persist_requested = version
+            yield from self.memory.persist(replica.key)
+            self._mark_durable(replica, version, value, scope_id)
+            return
         yield replica.condition.wait_for(
+            lambda: replica.persisted_version >= version)
+
+    def _persisted_event(self, replica: KeyReplica, version: Version,
+                         value: Any, trigger: str) -> Optional[Event]:
+        """Ask for ``version`` to be persisted (write-combined) and
+        return the event that fires once it, or a newer one, is durable
+        locally — ``None`` if that is already so.  What a process yields
+        and a callback handler attaches its continuation to."""
+        if replica.persisted_version >= version:
+            return None
+        self._request_persist(replica, version, value, trigger)
+        return replica.condition.wait_for(
             lambda: replica.persisted_version >= version)
 
     def _spawn_persist(self, replica: KeyReplica, version: Version, value: Any,
@@ -1248,36 +1271,60 @@ class ProtocolNode:
                              version=message.version)
         msg_proc_ns = self.config.msg_proc_ns
         cpu_done = self.protocol_workers.admit(msg_proc_ns) + msg_proc_ns
-        handler, waits = self._handlers[message.msg_type]
-        if waits:
+        handler, is_process = self._handlers[message.msg_type]
+        if is_process:
             self.sim.process(
-                self._handle_waiting(handler, message, self.sim.now),
+                self._handle_waiting(False, handler(message), message,
+                                     self.sim.now),
                 name=self._pname["msg"], start_at=cpu_done)
         else:
-            self.sim.call_at(cpu_done, self._handle_now, handler, message,
-                             self.sim.now)
+            self.sim.call_at(cpu_done, self._handle_now, False, handler,
+                             message, self.sim.now)
 
-    def _handle_waiting(self, handler: Callable[[Message], Generator],
+    def _handle_waiting(self, resumed: bool, steps: Generator,
                         message: Message, arrived_ns: float) -> Generator:
-        steps = handler(message)
+        """Process: run ``steps`` — a generator handler, or
+        (``resumed``) the rest of a callback handler that reached a loop
+        over waits — to the end of the handler."""
         instrument = self.sim.instrument
         if instrument is not None:
             # Transparent shim: yields the same events in the same order,
             # so the run stays byte-identical (see Instrument.drive_handler).
-            steps = instrument.drive_handler(message.msg_type.value, steps)
+            steps = instrument.drive_handler(message.msg_type.value, steps,
+                                             resumed)
         yield from steps
         if self.tracer.enabled:
             self._emit_msg_handle(message, arrived_ns)
 
-    def _handle_now(self, handler: Callable[[Message], None],
-                    message: Message, arrived_ns: float) -> None:
+    def _handle_now(self, resumed: bool, segment: Callable[..., Any],
+                    message: Message, arrived_ns: float, *args: Any) -> None:
+        """Run one segment of a callback handler: the handler itself or
+        (``resumed``) a continuation one of its segments left behind.
+
+        A segment is ``fn(message, arrived_ns, *args)``.  It returns
+        ``None`` when the handler is done; ``_PARKED`` when it has handed
+        ``_handle_now`` with the next segment to whatever it waits for
+        (the same heap entry or event a ``yield`` would have parked on);
+        or a generator when what remains loops over waits — that runs as
+        a process started in place, so it too adds no hop.  From outside
+        the segments are one handler: one count and every segment's time
+        under the message type, one ``msg_handle`` span from arrival to
+        the end of the last segment.
+        """
         instrument = self.sim.instrument
         if instrument is None:
-            handler(message)
+            rest = segment(message, arrived_ns, *args)
         else:
-            instrument.call_handler(message.msg_type.value, handler, message)
-        if self.tracer.enabled:
-            self._emit_msg_handle(message, arrived_ns)
+            rest = instrument.call_handler(
+                message.msg_type.value, segment, message, arrived_ns, *args,
+                resumed=resumed)
+        if rest is None:
+            if self.tracer.enabled:
+                self._emit_msg_handle(message, arrived_ns)
+        elif rest is not _PARKED:
+            self.sim.process(
+                self._handle_waiting(True, rest, message, arrived_ns),
+                name=self._pname["msg"], inline=True)
 
     def _emit_msg_handle(self, message: Message, arrived_ns: float) -> None:
         # repro: lint-ok[tracer-guard] both callers check tracer.enabled
@@ -1288,7 +1335,7 @@ class ProtocolNode:
 
     # -- invalidation path ------------------------------------------------------
 
-    def _on_inv(self, message: Message) -> Generator:
+    def _on_inv(self, message: Message, arrived_ns: float) -> Any:
         replica = self.replicas.get(message.key)
         replica.begin_inv(message.op_id)
         if message.txn_id is not None:
@@ -1298,9 +1345,13 @@ class ProtocolNode:
             if (message.key, message.op_id) not in entries:
                 # repro: lint-ok[effect-conflict] membership-guarded; the post-ENDX VAL consumes the list wholesale, order unused
                 entries.append((message.key, message.op_id))
-        yield from self.memory.volatile_update(message.key,
-                                               self.config.value_bytes,
-                                               via_ddio=True)
+        self.memory.volatile_update_then(
+            message.key, self.config.value_bytes, self._handle_now, True,
+            self._inv_deposited, message, arrived_ns, replica)
+        return _PARKED
+
+    def _inv_deposited(self, message: Message, arrived_ns: float,
+                       replica: KeyReplica) -> Any:
         if message.txn_id is not None:
             self._apply_txn_write(replica, message.version, message.value)
         elif not replica.apply(message.version, message.value):
@@ -1317,14 +1368,14 @@ class ProtocolNode:
                   and message.txn_id is None) or strict
         if inline:
             # Synchronous/Strict: persist before acknowledging (Fig. 2(b)).
-            yield from self._ensure_persisted(
+            persisted = self._persisted_event(
                 replica, message.version, message.value,
-                trigger="strict" if strict else "inline")
-            self._send(message.src, Message(MsgType.ACK, src=self.node_id,
-                                            op_id=message.op_id,
-                                            key=message.key,
-                                            version=message.version))
-            return
+                "strict" if strict else "inline")
+            if persisted is None:
+                return self._inv_persisted(message, arrived_ns)
+            persisted.callbacks.append(lambda _event: self._handle_now(
+                True, self._inv_persisted, message, arrived_ns))
+            return _PARKED
 
         self._send(message.src, Message(MsgType.ACK_C, src=self.node_id,
                                         op_id=message.op_id, key=message.key,
@@ -1340,6 +1391,11 @@ class ProtocolNode:
         # INLINE within a transaction: persist deferred to ENDX.
         # ON_SCOPE_END: persist deferred to the PERSIST message.
 
+    def _inv_persisted(self, message: Message, _arrived_ns: float) -> None:
+        self._send(message.src, Message(MsgType.ACK, src=self.node_id,
+                                        op_id=message.op_id, key=message.key,
+                                        version=message.version))
+
     def _persist_then_ack_p(self, replica: KeyReplica, message: Message,
                             trigger: str = "eager") -> Generator:
         yield from self._ensure_persisted(replica, message.version,
@@ -1348,7 +1404,7 @@ class ProtocolNode:
                                         op_id=message.op_id, key=message.key,
                                         version=message.version))
 
-    def _on_val(self, message: Message) -> None:
+    def _on_val(self, message: Message, _arrived_ns: float) -> None:
         if message.txn_id is not None and message.key is None:
             # Post-ENDX (or abort) VAL: settle the transaction's writes
             # and clear all its INVs.
@@ -1371,7 +1427,7 @@ class ProtocolNode:
             replica.mark_cluster_persisted(message.version)
         replica.end_inv(message.op_id)
 
-    def _on_val_p(self, message: Message) -> None:
+    def _on_val_p(self, message: Message, _arrived_ns: float) -> None:
         if message.payload:
             for key, version in message.payload:
                 self.replicas.get(key).mark_cluster_persisted(version)
@@ -1380,7 +1436,7 @@ class ProtocolNode:
             replica.mark_cluster_persisted(message.version)
             replica.end_inv(message.op_id)
 
-    def _on_ack_c(self, message: Message) -> None:
+    def _on_ack_c(self, message: Message, _arrived_ns: float) -> None:
         op = self._outstanding_writes.get(message.op_id)
         if op is not None:
             op.ack_c.ack(message.src)
@@ -1389,7 +1445,7 @@ class ProtocolNode:
         if round_op is not None:
             round_op.acks.ack(message.src)
 
-    def _on_ack_p(self, message: Message) -> None:
+    def _on_ack_p(self, message: Message, _arrived_ns: float) -> None:
         op = self._outstanding_writes.get(message.op_id)
         if op is not None and op.ack_p is not None:
             op.ack_p.ack(message.src)
@@ -1400,7 +1456,7 @@ class ProtocolNode:
 
     # -- update path (Causal / Eventual) ----------------------------------------
 
-    def _on_upd(self, message: Message) -> Generator:
+    def _on_upd(self, message: Message, arrived_ns: float) -> Any:
         replica = self.replicas.get(message.key)
         strict = self.ppolicy.write_waits_for_persist_everywhere
         if strict:
@@ -1414,10 +1470,28 @@ class ProtocolNode:
             unmet = self._first_unmet_dep(message.cauhist)
             if unmet is not None:
                 self._buffer_causal(unmet, message)
-                return
-        yield from self._apply_update(message)
-        if self.cpolicy.causal:
-            yield from self._recheck_causal_waiters(message.key)
+                return None
+        self.memory.volatile_update_then(
+            message.key, self.config.value_bytes, self._handle_now, True,
+            self._upd_deposited, message, arrived_ns, replica)
+        return _PARKED
+
+    def _upd_deposited(self, message: Message, arrived_ns: float,
+                       replica: KeyReplica) -> Any:
+        persisted = self._install_update(message, replica)
+        if persisted is None:
+            return self._upd_applied(message, arrived_ns)
+        persisted.callbacks.append(lambda _event: self._handle_now(
+            True, self._upd_applied, message, arrived_ns))
+        return _PARKED
+
+    def _upd_applied(self, message: Message,
+                     _arrived_ns: float) -> Optional[Generator]:
+        if self.cpolicy.causal and message.key in self._causal_waiting:
+            # Buffered updates were waiting on this key: releasing them
+            # loops over waits, so the handler goes on as a process.
+            return self._recheck_causal_waiters(message.key)
+        return None
 
     def _first_unmet_dep(self, cauhist) -> Optional[int]:
         """The key of one not-yet-visible dependency, or None if all are
@@ -1467,14 +1541,25 @@ class ProtocolNode:
                 work.append(message.key)
 
     def _apply_update(self, message: Message) -> Generator:
+        """Process: what ``_on_upd`` does to an update whose dependencies
+        are met, for the buffered-release loop."""
         replica = self.replicas.get(message.key)
         yield from self.memory.volatile_update(message.key,
                                                self.config.value_bytes,
                                                via_ddio=True)
+        persisted = self._install_update(message, replica)
+        if persisted is not None:
+            yield persisted
+
+    def _install_update(self, message: Message,
+                        replica: KeyReplica) -> Optional[Event]:
+        """The update's payload has reached the LLC: apply it and place
+        its persist.  Returns the event to wait on where the persist is
+        inline and not already done, else ``None``."""
         replica.apply(message.version, message.value)
         self.memory.consume_ddio(self.config.value_bytes)
         if self.store is not None:
-            # LWW winner, not the message payload (see _on_inv).
+            # LWW winner, not the message payload (see _inv_deposited).
             self.store.put(message.key, replica.applied_value)
 
         mode = self.ppolicy.persist_mode
@@ -1483,8 +1568,8 @@ class ProtocolNode:
             pass  # persist + ACK_p already launched on receipt
         elif mode is PersistMode.INLINE:
             # Synchronous: persist at the visibility point (Fig. 2(f)).
-            yield from self._ensure_persisted(replica, message.version,
-                                              message.value)
+            return self._persisted_event(replica, message.version,
+                                         message.value, "inline")
         elif mode is PersistMode.EAGER_BACKGROUND:
             self.sim.process(self._persist_then_ack_p(replica, message),
                              name=self._pname["ackp"])
@@ -1493,6 +1578,7 @@ class ProtocolNode:
                                 delay_ns=self.config.lazy_persist_delay_ns,
                                 trigger="lazy")
         # ON_SCOPE_END: wait for the PERSIST message.
+        return None
 
     # -- transaction rounds -------------------------------------------------------
 

@@ -26,8 +26,7 @@ one (key, version) pair per dependency.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 __all__ = ["MsgType", "Message", "HEADER_BYTES", "VALUE_BYTES", "CAUHIST_ENTRY_BYTES"]
 
@@ -52,9 +51,14 @@ class MsgType(enum.Enum):
     ENDX = "ENDX"
     PERSIST = "PERSIST"
 
-    @property
-    def carries_data(self) -> bool:
-        return self in (MsgType.INV, MsgType.UPD)
+    def __init__(self, label: str):
+        self.carries_data = label in ("INV", "UPD")
+        #: Wire bytes before the key, causal history and payload pairs:
+        #: the header, plus the value on the data-carrying types.  Held
+        #: on the member so ``Message.size_bytes`` reads one attribute
+        #: per message instead of hashing or comparing enum members.
+        self.base_bytes = HEADER_BYTES + (
+            VALUE_BYTES if self.carries_data else 0)
 
     @property
     def is_ack(self) -> bool:
@@ -65,9 +69,10 @@ class MsgType(enum.Enum):
         return self in (MsgType.VAL, MsgType.VAL_C, MsgType.VAL_P)
 
 
-@dataclass(frozen=True)
-class Message:
-    """One protocol message.
+class Message(NamedTuple):
+    """One protocol message.  Immutable: one object is shared by every
+    destination of a broadcast, by watchdog resends and by the causal
+    buffer.
 
     ``op_id`` identifies the client operation (write / transaction /
     scope-persist) the message belongs to, so coordinators can match ACKs
@@ -95,13 +100,12 @@ class Message:
 
     @property
     def size_bytes(self) -> int:
-        size = HEADER_BYTES
+        size = self.msg_type.base_bytes
         if self.key is not None:
             size += KEY_BYTES
-        if self.msg_type.carries_data:
-            size += VALUE_BYTES
-        size += len(self.cauhist) * CAUHIST_ENTRY_BYTES
-        size += len(self.payload) * CAUHIST_ENTRY_BYTES
+        if self.cauhist or self.payload:
+            size += (len(self.cauhist)
+                     + len(self.payload)) * CAUHIST_ENTRY_BYTES
         return size
 
     def tagged(self) -> str:

@@ -2,9 +2,11 @@
 
 For every ``MsgType`` handler reachable from an engine's ``_DISPATCH``
 table this module computes a *read/write effect set* over abstract
-engine-state locations, following ``self._helper(...)`` calls (and
-generators handed to ``sim.process`` / callbacks handed to
-``sim.call_at``) through the class hierarchy.  The result answers the
+engine-state locations, following ``self._helper(...)`` calls through
+the class hierarchy — and every ``self._helper`` merely *referenced*:
+a bound method handed to ``sim.call_at``, to a ``*_then`` callback form
+or to another helper as a continuation runs later on the handler's
+behalf, so the handler inherits its effects.  The result answers the
 question the DES-kernel surgery of ROADMAP item 1 has to answer before
 it may change tie-breaking order: *which pairs of same-timestamp
 handlers can observe each other's order?*
@@ -255,7 +257,10 @@ METHOD_EFFECTS: Dict[Tuple[str, str], List[Tuple[str, str]]] = {
     # Memory hierarchy: queue/device occupancy — timing, not values;
     # contention order is schedule-domain (sanitizer's dimension).
     ("memory", "persist"): [("nvm.queue", "wm"), ("sched", "wm")],
+    ("memory", "persist_then"): [("nvm.queue", "wm"), ("sched", "wm")],
     ("memory", "volatile_update"): [("nvm.queue", "wm"), ("sched", "wm")],
+    ("memory", "volatile_update_then"): [("nvm.queue", "wm"),
+                                         ("sched", "wm")],
     ("memory", "volatile_read"): [("nvm.queue", "r"), ("sched", "wm")],
     ("memory", "consume_ddio"): [("nvm.ddio", "wm")],
     # Durable log: append-only; recovery takes the per-key version
@@ -267,7 +272,6 @@ METHOD_EFFECTS: Dict[Tuple[str, str], List[Tuple[str, str]]] = {
     # schedule-sensitive-send rule separately flags sends guarded by
     # raw-written state.
     ("network", "send"): [("net.send", "wm"), ("sched", "wm")],
-    ("network", "broadcast"): [("net.send", "wm"), ("sched", "wm")],
     ("nic", "receive"): [("sched", "wm")],
     # Shared transaction table.
     ("txntable", "begin"): [("txn.table", "w")],
@@ -278,6 +282,13 @@ METHOD_EFFECTS: Dict[Tuple[str, str], List[Tuple[str, str]]] = {
     ("membership", "subscribe"): [("membership", "w")],
     ("board", "note_write"): [("board", "wm")],
     ("board", "score_read"): [("board", "wm")],
+    # A continuation attached to an event runs when the event pops:
+    # schedule-domain.  What it runs was charged where it was referenced.
+    ("callbacks", "append"): [("sched", "wm")],
+    # The kernel instrument only runs (and times) the handler segment it
+    # is handed; the segment's effects were charged at its reference.
+    ("instrument", "call_handler"): [],
+    ("instrument", "drive_handler"): [],
 }
 
 #: Metrics and tracer: every method is one intrinsic.
@@ -332,7 +343,12 @@ class _Binding:
     alias: Optional[str] = None
 
 
-_PARAM_ANNOTATION_TAGS = {
+#: Annotation (of a parameter, or of a helper's return) -> receiver tag.
+_ANNOTATION_TAGS = {
+    # A callable parameter is only ever called: whoever passed it
+    # referenced it, and was charged its effects there.
+    "Callable": "pure",
+    "Event": "event",
     "KeyReplica": "replica",
     "Message": "message",
     "ClientContext": "ctx",
@@ -498,7 +514,7 @@ class _MethodVisitor:
             tag = None
             if arg.annotation is not None:
                 ann = _annotation_tail(arg.annotation)
-                tag = _PARAM_ANNOTATION_TAGS.get(ann)
+                tag = _ANNOTATION_TAGS.get(ann)
             if tag is None:
                 tag = _PARAM_NAME_TAGS.get(arg.arg, "unknown")
             self.env[arg.arg] = _Binding(tag=tag)
@@ -524,6 +540,10 @@ class _MethodVisitor:
                 return _Binding(tag="pure")
             if base.tag == "replica" and node.attr == "condition":
                 return _Binding(tag="condition")
+            if base.tag == "event" and node.attr == "callbacks":
+                return _Binding(tag="callbacks")
+            if base.tag == "sim" and node.attr == "instrument":
+                return _Binding(tag="instrument")
             if base.tag == "message":
                 return _Binding(tag="pure")
             if base.tag == "ctx" and node.attr == "txn":
@@ -561,6 +581,15 @@ class _MethodVisitor:
             base = self.tag_of(func.value)
             if base.tag == "replicatable" and func.attr == "get":
                 return _Binding(tag="replica")
+            if base.tag == "engine":
+                # ``self._helper(...)``: typed by its return annotation.
+                resolved = self.analysis.index.resolve_method(
+                    self.class_name, func.attr)
+                if resolved is not None and resolved[1].returns is not None:
+                    tag = _ANNOTATION_TAGS.get(
+                        _annotation_tail(resolved[1].returns))
+                    if tag is not None:
+                        return _Binding(tag=tag)
             if base.alias is not None and func.attr in ("get", "pop",
                                                         "setdefault"):
                 return _Binding(tag=self._element_tag(base.alias),
@@ -734,6 +763,11 @@ class _MethodVisitor:
             return
         if isinstance(node, ast.Attribute):
             self._record_attr_read(node)
+            if self.tag_of(node.value).tag == "engine":
+                # ``self._helper`` not called here: a bound method that
+                # escapes (to the scheduler, a ``*_then`` form, another
+                # helper) runs later for this handler; a property runs now.
+                self._inherit_method(node.attr)
             self._visit_expr(node.value)
             return
         if isinstance(node, ast.Lambda):
@@ -804,16 +838,9 @@ class _MethodVisitor:
             if method in SELF_ATTR_TAGS or method in SELF_STATE_LOCATIONS:
                 self._visit_expr(func.value)
                 return
-            resolved = self.analysis.index.resolve_method(
-                self.class_name, method)
-            if resolved is not None:
-                self.callees.add((self.class_name, method))
-                callee = self.analysis._memo.get((self.class_name, method))
-                if callee is not None:
-                    self.effects.merge(callee)
-                return
-            self.effects.add_unresolved(
-                f"self.{method}", self.site(node, f"self.{method}(...)"))
+            if not self._inherit_method(method):
+                self.effects.add_unresolved(
+                    f"self.{method}", self.site(node, f"self.{method}(...)"))
             return
         if base.tag == "sim":
             self._visit_sim_call(node, method)
@@ -864,31 +891,23 @@ class _MethodVisitor:
                 self.effects.add_unresolved(
                     f"sim.{method}", self.site(node, f"sim.{method}(...)"))
             return
+        # The generators and callbacks handed over were visited with the
+        # call's other arguments, which charged their effects to this
+        # handler (they start at the same simulated timestamp unless
+        # explicitly delayed; being coarse here only over-approximates).
         self.effects.add("sched", "wm", self.site(node, f"sim.{method}()"))
-        # Generators / callbacks that the scheduler will run carry their
-        # effects into this handler's set (they start at the same
-        # simulated timestamp unless explicitly delayed; being coarse
-        # here only over-approximates).
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            self._inherit_scheduled(arg)
 
-    def _inherit_scheduled(self, arg: ast.expr) -> None:
-        if isinstance(arg, ast.Call):
-            func = arg.func
-            if isinstance(func, ast.Attribute) \
-                    and self.tag_of(func.value).tag == "engine":
-                resolved = self.analysis.index.resolve_method(
-                    self.class_name, func.attr)
-                if resolved is not None:
-                    self.callees.add((self.class_name, func.attr))
-                    callee = self.analysis._memo.get(
-                        (self.class_name, func.attr))
-                    if callee is not None:
-                        self.effects.merge(callee)
-        elif isinstance(arg, ast.Name) and arg.id in self.local_defs:
-            pass  # nested defs already analyzed in run()
-        elif isinstance(arg, ast.Lambda):
-            self._visit_expr(arg.body)
+    def _inherit_method(self, method: str) -> bool:
+        """Merge in the effects of ``self.<method>``; False if the class
+        hierarchy has no such method."""
+        if self.analysis.index.resolve_method(self.class_name,
+                                              method) is None:
+            return False
+        self.callees.add((self.class_name, method))
+        callee = self.analysis._memo.get((self.class_name, method))
+        if callee is not None:
+            self.effects.merge(callee)
+        return True
 
     def _visit_container_call(self, node: ast.Call, location: str,
                               method: str) -> None:
@@ -926,6 +945,10 @@ def _annotation_tail(node: ast.expr) -> str:
         return node.attr
     if isinstance(node, ast.Name):
         return node.id
+    if isinstance(node, ast.Subscript):
+        # Callable[..., Any] -> Callable, but Optional[Event] -> Event.
+        outer = _annotation_tail(node.value)
+        return _annotation_tail(node.slice) if outer == "Optional" else outer
     return ""
 
 

@@ -3,9 +3,10 @@
 :class:`MemoryHierarchy` is what a :class:`repro.cluster.node.Node` owns.
 The protocol engine uses three operations:
 
-* ``volatile_update`` — apply an update to the volatile hierarchy
-  (LLC via DDIO for NIC-delivered payloads, or a cache access for
-  locally-produced writes).
+* ``volatile_update`` / ``volatile_update_then`` — apply an update to
+  the volatile hierarchy (LLC via DDIO for NIC-delivered payloads, or a
+  cache access for locally-produced writes), as a process or — NIC
+  deliveries only — as a callback.
 * ``volatile_read`` — read a key from the volatile hierarchy.
 * ``persist`` / ``persist_then`` — durably write an update to NVM
   (queues at NVM banks), as a process or as a callback.
@@ -58,6 +59,26 @@ class MemoryHierarchy:
                 yield from self.dram.write(address)
         else:
             yield from self.caches.access(self.dram)
+
+    def volatile_update_then(self, address: int, size_bytes: int,
+                             fn: Callable[..., None], *args: Any) -> None:
+        """:meth:`volatile_update` of a NIC delivery (``via_ddio``) as a
+        callback: ``fn(*args)`` runs once the payload sits in the LLC —
+        at the instant the process form's timeout would have popped —
+        or, on a DDIO spill, once the DRAM write has left its bank
+        queue.  Only the spill loops over waits, so only it costs a
+        process, started in place (no extra hop)."""
+        llc = self.caches.llc
+        if llc.ddio_deposit(size_bytes):
+            self.sim.call_at(self.sim.now + llc.round_trip_ns, fn, *args)
+        else:
+            self.sim.process(self._spill_then(address, fn, args),
+                             name=f"{self.name}.spill", inline=True)
+
+    def _spill_then(self, address: int, fn: Callable[..., None],
+                    args: tuple) -> Generator:
+        yield from self.dram.write(address)
+        fn(*args)
 
     def volatile_read(self, address: int) -> Generator:
         """Process: read one key from the volatile hierarchy."""

@@ -84,10 +84,10 @@ class Nic:
 
 
 class Network:
-    """All-to-all fabric.  ``send`` is fire-and-forget (like a NIC doorbell);
-    the returned event triggers at *remote delivery* time, which protocol
-    code can ignore (message passing) or wait on (RDMA-style completion
-    is modeled one level up, in :mod:`repro.net.rdma`).
+    """All-to-all fabric.  ``send`` is fire-and-forget (like a NIC
+    doorbell); a sender that wants to know about *remote delivery*
+    hands in the event to trigger then (RDMA-style completion is
+    modeled one level up, in :mod:`repro.net.rdma`).
     """
 
     def __init__(self, sim: Simulator, config: Optional[NetworkConfig] = None,
@@ -129,25 +129,28 @@ class Network:
     def node_ids(self) -> List[int]:
         return sorted(self._nics)
 
-    def send(self, src: int, dst: int, message: Any, size_bytes: int) -> Event:
+    def send(self, src: int, dst: int, message: Any, size_bytes: int,
+             delivered: Optional[Event] = None) -> None:
         """Inject ``message`` from ``src`` to ``dst``.
 
-        Returns an event that triggers when the message is delivered at
-        the destination NIC (never, if the fault hook drops it).  Every
-        duration on the way is known here — queue-pair admission,
-        serialization, propagation — so the transfer is one computed
-        timestamp and one scheduled landing, not a process.
+        ``delivered``, if given, is the caller's own untriggered event:
+        it is settled with the message when the message is delivered at
+        the destination NIC (never, if the fault hook drops it).  Message
+        passing needs no such event, so none is made here — only the
+        chain ablation waits on deliveries.  Every duration on the way
+        is known here — queue-pair admission, serialization, propagation
+        — so the transfer is one computed timestamp and one scheduled
+        landing, not a process.
         """
         if src == dst:
             raise ValueError("loopback send: use local operations instead")
-        delivered = Event(self.sim)
         extra_delay_ns = 0.0
         if self.faults is not None:
             verdict = self.faults.on_message(src, dst, message, size_bytes)
             if verdict is not None:
                 if verdict.drop:
                     self.dropped_messages += 1
-                    return delivered  # dropped: never triggers
+                    return  # dropped: ``delivered`` never triggers
                 extra_delay_ns = verdict.delay_ns
                 if extra_delay_ns > 0:
                     self.delayed_messages += 1
@@ -159,7 +162,6 @@ class Network:
                                    extra_delay_ns, None)
         self._transmit(src, dst, message, size_bytes, extra_delay_ns,
                        delivered)
-        return delivered
 
     def _transmit(self, src: int, dst: int, message: Any, size_bytes: int,
                   extra_delay_ns: float, delivered: Optional[Event]) -> None:

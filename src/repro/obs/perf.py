@@ -286,6 +286,6 @@ def format_hotspots(profile: Any, top: Optional[int] = None) -> str:
         f"{scheduling['hops_per_message']:.2f} trampoline hops/message",
         "per handled message: "
         f"{scheduling['events_per_message']:.2f} kernel events, "
-        f"{scheduling['processes_per_message']:.2f} processes spawned",
+        f"{scheduling['processes_per_message']:.3f} processes spawned",
     ]
     return "\n".join(lines)

@@ -25,9 +25,9 @@ Attribution (the performance observatory, ``repro.obs.perf``):
   process_start/end, call_at, composite, interrupt, event) the pop
   count and cumulative wall seconds spent running its callbacks.
 * ``by_msg_type`` — per protocol :class:`~repro.core.messages.MsgType`
-  handler, the message count, cumulative wall seconds, and generator
-  resume segments (filled in by :meth:`drive_handler` for handlers
-  that can wait and :meth:`call_handler` for those that cannot;
+  handler, the message count, cumulative wall seconds, and resumes
+  after a wait (filled in by :meth:`call_handler` for every plain-call
+  segment of a handler and :meth:`drive_handler` for generator ones;
   ``core.engine`` routes dispatch through them when a profile is
   attached).
 * scheduling statistics — heap-depth histogram (power-of-two buckets),
@@ -154,19 +154,20 @@ class KernelProfile(Instrument):
         # repro: lint-ok[wall-clock-ban] brackets the event loop for the attribution denominator
         self.loop_wall_seconds += time.perf_counter() - self._loop_start
 
-    def drive_handler(self, label: str, handler: Generator) -> Generator:
+    def drive_handler(self, label: str, handler: Generator,
+                      resumed: bool = False) -> Generator:
         """Run a protocol message handler, timing each resume segment.
 
         A transparent generator shim: yields exactly the events ``handler``
         yields, forwards sent values and thrown exceptions unchanged, so
         kernel scheduling (and hence the run) is byte-identical — only the
         wall time between a resume and the next suspend is recorded under
-        ``label`` (the ``MsgType`` value).
+        ``label`` (the ``MsgType`` value).  ``resumed``: ``handler`` is
+        the rest of a handler whose earlier segments ran as callbacks.
         """
-        stats = self.by_msg_type.get(label)
-        if stats is None:
-            stats = self.by_msg_type[label] = [0, 0.0, 0]
-        stats[0] += 1
+        stats = self.by_msg_type.setdefault(label, [0, 0.0, 0])
+        if not resumed:
+            stats[0] += 1
         value: Any = None
         error: Optional[BaseException] = None
         while True:
@@ -194,18 +195,20 @@ class KernelProfile(Instrument):
                 error = exc
                 value = None
 
-    def call_handler(self, label: str, handler: Callable[[Any], None],
-                     message: Any) -> None:
-        """Run a protocol message handler that cannot wait, timed under
-        ``label`` like a :meth:`drive_handler` with no suspends."""
-        stats = self.by_msg_type.get(label)
-        if stats is None:
-            stats = self.by_msg_type[label] = [0, 0.0, 0]
-        stats[0] += 1
+    def call_handler(self, label: str, handler: Callable[..., Any],
+                     *args: Any, resumed: bool = False) -> Any:
+        """Run one plain-call segment of a protocol message handler —
+        all of one that cannot wait, or one stretch of one that parks
+        between callbacks — timed under ``label`` like a
+        :meth:`drive_handler` segment; returns what it returns."""
+        stats = self.by_msg_type.setdefault(label, [0, 0.0, 0])
+        # A handler's first segment counts its message; one that
+        # continues it is one more resume, as after a generator's yield.
+        stats[2 if resumed else 0] += 1
         # repro: lint-ok[wall-clock-ban] times one handler call
         t0 = time.perf_counter()
         try:
-            handler(message)
+            return handler(*args)
         finally:
             # repro: lint-ok[wall-clock-ban] times one handler call
             stats[1] += time.perf_counter() - t0

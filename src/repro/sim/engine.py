@@ -209,6 +209,15 @@ class Timeout(Event):
         sim._schedule(self, sim.now + delay)
 
 
+class _InPlaceStart:
+    """What :meth:`Process._resume` is handed for a process started in
+    place: an ok trigger with no value, never on the heap."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
 class Process(Event):
     """A running coroutine.  The process *is* an event: it triggers when
     the generator returns (value = return value) or raises (failure).
@@ -217,13 +226,24 @@ class Process(Event):
     __slots__ = ("generator", "_target", "name")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = "",
-                 start_at: Optional[float] = None):
+                 start_at: Optional[float] = None, inline: bool = False):
         super().__init__(sim)
         self.kind = "process_end"
         if not hasattr(generator, "send"):
             raise TypeError(f"process requires a generator, got {generator!r}")
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        if inline:
+            # Started in place: the first segment runs inside the event
+            # being processed, exactly where a ``yield from`` of the
+            # generator would have run it — nothing is pushed until the
+            # generator parks, and the starter's own process (if the
+            # starter is one) is the active one again afterwards.
+            self._target = None
+            starter = sim._active_process
+            self._resume(_InPlaceStart)
+            sim._active_process = starter
+            return
         # Kick off the process via an already-triggered initialization
         # event, so that it starts from within the event loop — now, or
         # at the absolute time ``start_at`` (the wake-up *is* the timed
@@ -398,10 +418,12 @@ class Instrument:
     """No-op base of the one optional kernel observer, ``sim.instrument``
     (DESIGN.md §3): ``loop_enter``/``loop_exit`` bracket the run loop,
     ``before_pop(heap)``/``after_event(entry)`` each event, the kernel
-    bumps the four counters, and each protocol message handler goes
-    through ``drive_handler`` (one that can wait: a generator, wrapped
-    by one that must yield exactly what it yields) or ``call_handler``
-    (one that cannot: a plain call)."""
+    bumps the four counters, and every segment of a protocol message
+    handler goes through ``call_handler`` (a plain call: a handler that
+    never waits, or one stretch of one that parks between callbacks) or
+    ``drive_handler`` (a generator, wrapped by one that must yield
+    exactly what it yields).  ``resumed`` marks what continues a handler
+    already counted: its message is counted once, its time every time."""
 
     __slots__ = ()
     processes_spawned = callbacks_cancelled = 0
@@ -420,12 +442,13 @@ class Instrument:
 
     loop_enter = loop_exit = before_pop = after_event = _noop
 
-    def drive_handler(self, label: str, handler: Generator) -> Generator:
+    def drive_handler(self, label: str, handler: Generator,
+                      resumed: bool = False) -> Generator:
         return handler
 
-    def call_handler(self, label: str, handler: Callable[[Any], None],
-                     message: Any) -> None:
-        handler(message)
+    def call_handler(self, label: str, handler: Callable[..., Any],
+                     *args: Any, resumed: bool = False) -> Any:
+        return handler(*args)
 
 
 class Simulator:
@@ -465,15 +488,28 @@ class Simulator:
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "",
-                start_at: Optional[float] = None) -> Process:
+                start_at: Optional[float] = None,
+                inline: bool = False) -> Process:
         """Launch a generator as a concurrent process, starting now or at
-        the absolute time ``start_at`` (>= now)."""
-        if start_at is not None and start_at < self.now:
-            raise ValueError(
-                f"process start in the past: {start_at} < {self.now}")
+        the absolute time ``start_at`` (>= now).
+
+        ``inline`` starts it *in place* instead: its first segment runs
+        before this call returns, with no ``process_start`` heap entry.
+        That is what a caller that is not itself a generator needs to
+        continue with one (a callback handler reaching a loop over
+        waits): a heap start would be one more same-instant hop, which
+        reorders ties against everything else scheduled at that instant.
+        """
+        if start_at is not None:
+            if inline:
+                raise ValueError(
+                    "an in-place start is now: it takes no start_at")
+            if start_at < self.now:
+                raise ValueError(
+                    f"process start in the past: {start_at} < {self.now}")
         if self.instrument is not None:
             self.instrument.processes_spawned += 1
-        return Process(self, generator, name, start_at)
+        return Process(self, generator, name, start_at, inline)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

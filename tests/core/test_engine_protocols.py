@@ -550,8 +550,7 @@ class TestArrivalPath:
         # The dispatch form is read off the handler, per type.
         waits = {t for t, (_h, waiting) in follower._handlers.items()
                  if waiting}
-        assert waits == {MsgType.INV, MsgType.UPD, MsgType.INITX,
-                         MsgType.ENDX, MsgType.PERSIST}
+        assert waits == {MsgType.INITX, MsgType.ENDX, MsgType.PERSIST}
         # Five arrivals, one worker: callbacks (VAL_p, ACK) and a process
         # (INITX, which here ends without waiting) share its FIFO.
         arrivals = [(MsgType.VAL_P, 1), (MsgType.VAL_P, 2), (MsgType.INITX, 3),
@@ -573,6 +572,127 @@ class TestArrivalPath:
         assert {label: stats[0]
                 for label, stats in profile.by_msg_type.items()} == {
             "VAL_p": 3, "INITX": 1, "ACK": 2}   # + node 0 handling our ACK
+
+    @staticmethod
+    def _observed_cluster(consistency, persistency, monkeypatch):
+        """A 3-server cluster with a ``msg_handle`` tracer and a kernel
+        profile whose clock ticks once per reading, so every timed
+        handler segment adds exactly 1.0 to its type's wall."""
+        import itertools
+        from types import SimpleNamespace
+
+        from repro.obs import profile as profile_module
+        from repro.sim.trace import Tracer
+
+        ticks = itertools.count()
+        monkeypatch.setattr(profile_module, "time", SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+        tracer = Tracer(categories=["msg_handle"])
+        profile = profile_module.KernelProfile()
+        config = ClusterConfig(servers=3, clients_per_server=0,
+                               store_type=None)
+        cluster = Cluster(DdpModel(consistency, persistency), config=config,
+                          tracer=tracer, profile=profile)
+        cluster.start()
+        return cluster, tracer, profile
+
+    @staticmethod
+    def _handled(tracer, node=1):
+        return [(r.time, r.dur, r.details["msg"], r.details["op_id"])
+                for r in tracer.by_category("msg_handle") if r.node == node]
+
+    def test_inv_handler_is_one_span_and_one_count_across_its_segments(
+            self, monkeypatch):
+        """<Linearizable, Synchronous> INV: protocol CPU, DDIO round
+        trip, inline persist, ACK.  It parks twice, so it runs as three
+        segments — which from outside are still one handler."""
+        cluster, tracer, profile = self._observed_cluster(
+            C.LINEARIZABLE, P.SYNCHRONOUS, monkeypatch)
+        sim, follower = cluster.sim, cluster.engines[1]
+        inv = Message(MsgType.INV, src=0, op_id=1024, key=7, version=(1, 0),
+                      value="v")
+        follower.nic.deliver(inv, inv.size_bytes)
+        quiesce(cluster)
+        proc = cluster.config.protocol.msg_proc_ns
+        llc = follower.memory.caches.llc.round_trip_ns
+        acked_at = proc + llc + NVM_WRITE
+        # arrival -> ACK sent, not arrival -> first park
+        assert self._handled(tracer) == [(acked_at, acked_at, "INV", 1024)]
+        assert cluster.metrics.messages_by_type == {"ACK": 1}
+        # counted once, resumed twice, all three segments timed
+        assert profile.by_msg_type["INV"] == [1, 3.0, 2]
+        assert profile.processes_spawned == 0
+
+    def test_upd_handler_span_covers_the_buffered_updates_it_releases(
+            self, monkeypatch):
+        """<Causal, Synchronous> UPD whose apply + persist unblocks a
+        buffered update: the handler ends when that one is applied and
+        persisted too (the only stretch that runs as a process)."""
+        cluster, tracer, profile = self._observed_cluster(
+            C.CAUSAL, P.SYNCHRONOUS, monkeypatch)
+        sim, follower = cluster.sim, cluster.engines[1]
+        dependent = Message(MsgType.UPD, src=0, op_id=2048, key=8,
+                            version=(1, 0), value="b",
+                            cauhist=((7, (1, 0)),))
+        first = Message(MsgType.UPD, src=0, op_id=1024, key=7,
+                        version=(1, 0), value="a")
+        follower.nic.deliver(dependent, dependent.size_bytes)   # buffered
+        follower.nic.deliver(first, first.size_bytes)
+        quiesce(cluster)
+        proc = cluster.config.protocol.msg_proc_ns
+        llc = follower.memory.caches.llc.round_trip_ns
+        first_durable = proc + llc + NVM_WRITE
+        released_durable = first_durable + llc + NVM_WRITE
+        assert self._handled(tracer) == [
+            (proc, proc, "UPD", 2048),               # buffered: one segment
+            (released_durable, released_durable, "UPD", 1024)]
+        assert follower.replicas.get(8).persisted_value == "b"
+        assert follower.causal_buffer_len == 0
+        # Two messages, and the second parked four times: at its DDIO
+        # deposit and its persist, then at the released update's.  Timed
+        # stretches: 1 for the buffered one; 3 callback segments and 3
+        # of the release loop (its in-place start is timed on its own).
+        assert profile.by_msg_type["UPD"] == [2, 7.0, 4]
+        assert profile.processes_spawned == 2    # the loop + _mark_durable's
+
+    @pytest.mark.parametrize("consistency, persistency, msg_type, reply", [
+        (C.LINEARIZABLE, P.SYNCHRONOUS, MsgType.INV, {"ACK": 1}),
+        (C.CAUSAL, P.SYNCHRONOUS, MsgType.UPD, {}),
+    ])
+    def test_ddio_spill_applies_after_the_dram_write(
+            self, consistency, persistency, msg_type, reply):
+        """No DDIO room: the payload goes through a DRAM bank instead of
+        the LLC round trip, and the handler carries on from there."""
+        from repro.sim.trace import Tracer
+
+        tracer = Tracer(categories=["msg_handle"])
+        config = ClusterConfig(servers=3, clients_per_server=0,
+                               store_type=None)
+        cluster = Cluster(DdpModel(consistency, persistency), config=config,
+                          tracer=tracer)
+        cluster.start()
+        sim, follower = cluster.sim, cluster.engines[1]
+        llc = follower.memory.caches.llc
+        llc.ddio_capacity = 0
+        message = Message(msg_type, src=0, op_id=1024, key=7, version=(1, 0),
+                          value="v")
+        follower.nic.deliver(message, message.size_bytes)
+        proc = config.protocol.msg_proc_ns
+        dram_write = follower.memory.dram.timing.write_ns
+        sim.run(until=proc + dram_write - 1.0)
+        replica = follower.replicas.get(7)
+        assert replica.applied_version == ZERO_VERSION    # still in the bank
+        assert follower.memory.dram.banks_busy == 1
+        quiesce(cluster)
+        assert (llc.ddio_deposits, llc.ddio_spills, llc.ddio_used) == (1, 1, 0)
+        assert follower.memory.dram.writes == 1
+        assert (replica.applied_version, replica.applied_value) \
+            == ((1, 0), "v")
+        assert replica.persisted_version == (1, 0)
+        done_at = proc + dram_write + NVM_WRITE
+        assert self._handled(tracer) == [
+            (done_at, done_at, msg_type.value, 1024)]
+        assert cluster.metrics.messages_by_type == reply
 
     def test_chain_ablation_still_serialises_hop_by_hop(self):
         from repro.sim.trace import Tracer

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.context import ClientContext
-from repro.core.messages import HEADER_BYTES, Message, MsgType, VALUE_BYTES
+from repro.core.messages import (CAUHIST_ENTRY_BYTES, HEADER_BYTES, Message,
+                                 MsgType, VALUE_BYTES)
 from repro.core.replica import KeyReplica, ReplicaTable, ZERO_VERSION
 from repro.sim.engine import Simulator
 
@@ -37,6 +38,37 @@ class TestMessages:
         big = Message(MsgType.UPD, src=0, op_id=1, key=5, version=(1, 0),
                       value="x", cauhist=(((1, (1, 0))), ((2, (2, 0)))))
         assert big.size_bytes > small.size_bytes
+
+    @pytest.mark.parametrize("msg_type", list(MsgType))
+    def test_size_is_the_wire_format_formula_for_every_type(self, msg_type):
+        """``size_bytes`` reads a per-type base size; it must equal the
+        field-by-field sum it replaced, whatever the message carries."""
+        pairs = ((1, (1, 0)), (2, (2, 0)), (3, (1, 1)))
+        for key in (None, 5):
+            for cauhist in ((), pairs[:2]):
+                for payload in ((), pairs):
+                    message = Message(msg_type, src=0, op_id=1, key=key,
+                                      cauhist=cauhist, payload=payload)
+                    expected = HEADER_BYTES
+                    if key is not None:
+                        expected += 8
+                    if msg_type in (MsgType.INV, MsgType.UPD):
+                        expected += VALUE_BYTES
+                    expected += len(cauhist) * CAUHIST_ENTRY_BYTES
+                    expected += len(payload) * CAUHIST_ENTRY_BYTES
+                    assert message.size_bytes == expected
+
+    def test_fields_cannot_be_assigned(self):
+        """One object is shared by every destination of a broadcast, by
+        watchdog resends and by the causal buffer."""
+        message = Message(MsgType.INV, src=0, op_id=1, key=5, value="x")
+        for field, value in (("key", 6), ("value", "y"), ("abort", True),
+                             ("msg_type", MsgType.UPD)):
+            with pytest.raises(AttributeError):
+                setattr(message, field, value)
+        with pytest.raises(AttributeError):
+            message.extra = 1
+        assert (message.key, message.value, message.abort) == (5, "x", False)
 
     def test_scope_tagging(self):
         message = Message(MsgType.INV, src=0, op_id=1, key=5, scope_id=3)

@@ -2,8 +2,9 @@
 
 This is the injected non-commuting mutation the ordering rules must
 catch: a last-write-wins store put keyed by message payload (raw
-write), a send guarded by that racy state, and a collaborator call the
-effect model cannot resolve.
+write), the same put one scheduler hop away (reached only through a
+bare bound-method reference), a send guarded by that racy state, and a
+collaborator call the effect model cannot resolve.
 """
 
 
@@ -12,6 +13,7 @@ class RacyEngine:
         MsgType.INV: "_on_inv",
         MsgType.ACK: "_on_ack",
         MsgType.VAL: "_on_val",
+        MsgType.UPD: "_on_upd",
     }
 
     def __init__(self, sim, store, network, gizmo):
@@ -33,3 +35,11 @@ class RacyEngine:
     def _on_val(self, message):
         # Escapes the effect model entirely.
         self.gizmo.refresh(message.key)
+
+    def _on_upd(self, message):
+        # The raw write again, behind a callback: the method is only
+        # referenced here, but it runs on this handler's behalf.
+        self.sim.call_at(self.sim.now, self._later, message)
+
+    def _later(self, message):
+        self.store.put(message.key, message.value)

@@ -46,6 +46,18 @@ class TestEffectAnalysis:
         assert ("_on_inv", "_on_inv") in pairs
         assert ("_on_ack", "_on_inv") in pairs
 
+    def test_referenced_callback_charges_the_handler_that_scheduled_it(self):
+        """``sim.call_at(now, self._later, message)`` calls nothing, yet
+        ``_later`` runs for the handler: a bare bound-method reference
+        carries the method's effects, exactly as calling it would."""
+        reports = analyze_engines(_contexts_from("ordering_bad.py"))
+        by_handler = {r.handler: r for r in reports["RacyEngine"]}
+        assert by_handler["_on_upd"].effects.summary() == [
+            "w store.slot", "wm sched"]
+        pairs = {c.pair for c in conflicts(reports["RacyEngine"])}
+        assert ("_on_upd", "_on_upd") in pairs
+        assert ("_on_inv", "_on_upd") in pairs
+
     def test_commuting_engine_is_clean(self):
         reports = analyze_engines(_contexts_from("ordering_good.py"))
         assert conflicts(reports["CommutingEngine"]) == []
@@ -92,9 +104,14 @@ class TestOrderingRules:
 
     def test_conflict_witness_is_the_raw_write_site(self, lint_fixture):
         result = lint_fixture("ordering_bad.py", rules=["effect-conflict"])
-        [finding] = result.unwaived
-        assert ".put()" in finding.message
-        assert finding.extra["location"] == "store.slot"
+        direct, deferred = sorted(result.unwaived, key=lambda f: f.line)
+        for finding in (direct, deferred):
+            assert ".put()" in finding.message
+            assert finding.extra["location"] == "store.slot"
+        # the second put is only reachable through ``self._later``,
+        # referenced (never called) by ``_on_upd``
+        assert ["_on_upd", "_on_upd"] in deferred.extra["pairs"]
+        assert ["_on_upd", "_on_upd"] not in direct.extra["pairs"]
 
     def test_src_is_certified(self):
         # The acceptance gate: repro order src/repro exits 0 — every

@@ -34,7 +34,8 @@ class TestConfig:
 class TestSend:
     def test_delivery_latency(self, sim):
         network = make_net(sim)
-        delivered = network.send(0, 1, "hello", size_bytes=100)
+        delivered = sim.event()
+        network.send(0, 1, "hello", size_bytes=100, delivered=delivered)
         sim.run()
         assert delivered.ok
         # serialization (100/25 = 4 ns) + one way (500 ns)
@@ -75,8 +76,9 @@ class TestSend:
 
         network = make_net(sim)
         network.faults = DropToNode1()
-        dropped = network.send(0, 1, "x", 10)
-        passed = network.send(0, 2, "y", 10)
+        dropped, passed = sim.event(), sim.event()
+        network.send(0, 1, "x", 10, dropped)
+        network.send(0, 2, "y", 10, passed)
         sim.run()
         assert not dropped.triggered
         assert passed.ok
@@ -85,19 +87,24 @@ class TestSend:
 
     def test_unwaited_delivery_costs_one_event(self, sim):
         """Nobody attached to ``delivered``: the landing is the only heap
-        entry the send ever makes, and the event is settled in place."""
+        entry the send ever makes, and the event is settled in place.
+        With no event handed in there is none at all."""
         network = make_net(sim)
-        delivered = network.send(0, 1, "hello", 100)
+        delivered = sim.event()
+        network.send(0, 1, "hello", 100, delivered)
         assert sim.queue_depth == 1            # the landing, nothing else
         assert not delivered.triggered
         sim.step()
         assert sim.now == pytest.approx(504.0)
         assert sim.queue_depth == 0            # no `delivered` hop queued
         assert delivered.processed and delivered.value == "hello"
+        assert network.send(0, 2, "plain", 100) is None
+        assert sim.queue_depth == 1
 
     def test_late_wait_on_delivered_resumes_at_once(self, sim):
         network = make_net(sim)
-        delivered = network.send(0, 1, "hello", 100)
+        delivered = sim.event()
+        network.send(0, 1, "hello", 100, delivered)
         sim.run()
         resumed = []
 
@@ -115,7 +122,9 @@ class TestSend:
         woken = []
 
         def sender():
-            value = yield network.send(0, 1, "hello", 100)
+            delivered = sim.event()
+            network.send(0, 1, "hello", 100, delivered)
+            value = yield delivered
             woken.append((sim.now, value))
 
         sim.process(sender())
@@ -136,7 +145,8 @@ class TestSend:
         arrivals = []
         network.nic(1).sink = lambda message: arrivals.append(
             (sim.now, message))
-        delivered = network.send(0, 1, "a", 100)   # 100 ns serialization
+        delivered = sim.event()
+        network.send(0, 1, "a", 100, delivered)    # 100 ns serialization
         sim.run()
         # One queue pair: the copy serializes first, the original behind it.
         assert arrivals == [(pytest.approx(100.0), "a"),

@@ -244,3 +244,29 @@ class TestKernelProfile:
         assert seen == ["m1"]
         count, wall, segments = profile.by_msg_type["ACK"]
         assert (count, segments) == (2, 0) and wall > 0.0
+
+    def test_resumed_segments_add_time_and_resumes_but_no_message(self):
+        """A handler that parks between callbacks reports like the one
+        generator it replaced: counted by its first segment only, one
+        resume per later segment, every segment's wall — and whatever a
+        segment returns comes back to the engine."""
+        sim = Simulator()
+        profile = KernelProfile().attach(sim)
+        assert profile.call_handler("INV", lambda m, t: "parked", "m", 0.0) \
+            == "parked"
+        first_wall = profile.by_msg_type["INV"][1]
+        profile.call_handler("INV", lambda m, t, extra: None, "m", 0.0, "x",
+                             resumed=True)
+        count, wall, segments = profile.by_msg_type["INV"]
+        assert (count, segments) == (1, 1) and wall > first_wall
+
+        def rest():
+            yield sim.timeout(2.0)
+
+        def wrapper():
+            yield from profile.drive_handler("INV", rest(), resumed=True)
+
+        sim.process(wrapper())
+        sim.run()
+        count, _wall, segments = profile.by_msg_type["INV"]
+        assert (count, segments) == (1, 2)

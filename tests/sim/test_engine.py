@@ -270,6 +270,142 @@ class TestProcess:
             Process(sim, lambda: None)
 
 
+class TestInPlaceStart:
+    """``sim.process(gen, inline=True)``: how a plain callback continues
+    with a generator without spending a ``process_start`` hop."""
+
+    def test_first_segment_runs_before_the_call_returns(self, sim):
+        seen = []
+
+        def proc():
+            seen.append(("first", sim.now))
+            yield sim.timeout(4.0)
+            seen.append(("second", sim.now))
+
+        process = sim.process(proc(), inline=True)
+        assert seen == [("first", 0.0)]
+        assert sim.queue_depth == 1           # the timeout it parked on,
+        assert sim.peek() == 4.0              # and no start entry before it
+        assert process.is_alive
+        sim.run()
+        assert seen == [("first", 0.0), ("second", 4.0)]
+        assert process.processed
+
+    def test_pushes_nothing_until_the_generator_parks(self, sim):
+        depths = []
+
+        def proc():
+            depths.append(sim.queue_depth)
+            yield sim.event().succeed()       # a push of the generator's own
+            depths.append(sim.queue_depth)
+
+        sim.process(proc(), inline=True)
+        assert depths == [0]
+        assert sim.queue_depth == 1
+
+    def test_generator_that_never_yields_costs_no_heap_entry(self, sim):
+        def proc():
+            return "done"
+            yield
+
+        process = sim.process(proc(), inline=True)
+        assert process.processed and process.value == "done"
+        assert sim.queue_depth == 0
+
+    def test_return_value_reaches_a_waiter(self, sim):
+        def child():
+            yield sim.timeout(3.0)
+            return 7
+
+        def parent():
+            return (yield sim.process(child(), inline=True)) + 1
+
+        assert sim.run_until_complete(sim.process(parent())) == 8
+        assert sim.now == 3.0
+
+    def test_failure_in_the_first_segment_surfaces_from_the_loop(self, sim):
+        def proc():
+            raise RuntimeError("boom")
+            yield
+
+        process = sim.process(proc(), inline=True)   # does not raise here
+        assert process.triggered and not process.ok
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+
+    def test_failure_after_parking_surfaces_from_the_loop(self, sim):
+        def proc():
+            yield sim.timeout(1.0)
+            raise RuntimeError("boom")
+
+        sim.process(proc(), inline=True)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+
+    def test_interrupt_after_parking(self, sim):
+        log = []
+
+        def sleeper():
+            try:
+                yield sim.timeout(100)
+            except Interrupt as interrupt:
+                log.append((sim.now, interrupt.cause))
+
+        process = sim.process(sleeper(), inline=True)
+        sim.call_at(5.0, process.interrupt, "wake up")
+        sim.run()
+        assert log == [(5.0, "wake up")]
+
+    def test_started_inside_another_process_restores_active_process(self, sim):
+        active = []
+
+        def inner():
+            active.append(("inner", sim.active_process))
+            yield sim.timeout(1.0)
+            active.append(("inner again", sim.active_process))
+
+        def outer():
+            started = sim.process(inner(), name="inner", inline=True)
+            active.append(("outer", sim.active_process))
+            yield sim.timeout(2.0)
+            return started
+
+        outer_process = sim.process(outer(), name="outer")
+        inner_process = sim.run_until_complete(outer_process)
+        assert active == [("inner", inner_process), ("outer", outer_process),
+                          ("inner again", inner_process)]
+        assert sim.active_process is None
+
+    def test_started_from_a_callback_leaves_no_active_process(self, sim):
+        def proc():
+            yield sim.timeout(1.0)
+
+        sim.call_at(2.0, lambda: sim.process(proc(), inline=True))
+        sim.step()
+        assert sim.active_process is None
+        assert sim.queue_depth == 1 and sim.peek() == 3.0
+
+    def test_counts_as_a_spawned_process(self, sim):
+        from repro.obs.profile import KernelProfile
+
+        profile = KernelProfile().attach(sim)
+
+        def proc():
+            yield sim.timeout(1.0)
+
+        sim.process(proc(), inline=True)
+        sim.run()
+        assert profile.processes_spawned == 1
+        assert profile.by_event_kind.keys() == {"timeout"}   # no process_start
+
+    def test_takes_no_start_at(self, sim):
+        def proc():
+            yield sim.timeout(1.0)
+
+        with pytest.raises(ValueError, match="in-place"):
+            sim.process(proc(), start_at=5.0, inline=True)
+
+
 class TestCombinators:
     def test_all_of_waits_for_all(self, sim):
         def proc():
