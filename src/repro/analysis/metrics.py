@@ -18,15 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 __all__ = ["OpRecord", "Metrics", "Summary", "WindowStat",
            "windowed_op_series"]
 
 
-@dataclass(frozen=True)
-class OpRecord:
-    """One completed client operation."""
+class OpRecord(NamedTuple):
+    """One completed client operation.
+
+    A tuple, because a run builds one per request: immutable, built
+    without a Python-level ``__init__``, and — every field atomic —
+    untracked by the collector after its first survival.
+    """
 
     op_type: str          # "read" | "write" | "begin_txn" | "end_txn" | "persist"
     node: int
@@ -212,13 +216,22 @@ class Metrics:
         Only operations that *completed after warmup* count, mirroring
         the paper's warmup-then-measure methodology.
         """
-        measured = [op for op in self.ops if op.end_ns >= self.warmup_end_ns]
-        reads = sorted(op.latency_ns for op in measured if op.op_type == "read")
-        writes = sorted(op.latency_ns for op in measured if op.op_type == "write")
-        all_lat = sorted(op.latency_ns for op in measured
-                         if op.op_type in ("read", "write"))
-        span = max(duration_ns - self.warmup_end_ns, 1.0)
-        requests = len([op for op in measured if op.op_type in ("read", "write")])
+        warmup_end_ns = self.warmup_end_ns
+        reads: List[float] = []
+        writes: List[float] = []
+        for op_type, _node, _client, _key, start_ns, end_ns in self.ops:
+            if end_ns >= warmup_end_ns:
+                if op_type == "read":
+                    reads.append(end_ns - start_ns)
+                elif op_type == "write":
+                    writes.append(end_ns - start_ns)
+        reads.sort()
+        writes.sort()
+        # Means are sums over the sorted latencies (float addition is
+        # order-sensitive; these orders are what the digests pin).
+        all_lat = sorted(reads + writes)
+        span = max(duration_ns - warmup_end_ns, 1.0)
+        requests = len(all_lat)
         return Summary(
             requests=requests,
             duration_ns=span,

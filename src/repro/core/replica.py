@@ -152,10 +152,11 @@ class KeyReplica:
         """True while any invalidation is outstanding on this key."""
         return bool(self.inflight_invs)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"KeyReplica(key={self.key}, visible={self.visible_version}, "
+    def __repr__(self) -> str:
+        return (f"KeyReplica(key={self.key}, "
                 f"applied={self.applied_version}, "
                 f"persisted={self.persisted_version}, "
+                f"cluster_persisted={self.cluster_persisted_version}, "
                 f"transient={self.transient})")
 
 
@@ -169,11 +170,12 @@ class ReplicaTable:
         self._replicas: Dict[int, KeyReplica] = {}
 
     def get(self, key: int) -> KeyReplica:
-        replica = self._replicas.get(key)
-        if replica is None:
+        try:
+            return self._replicas[key]
+        except KeyError:
             replica = KeyReplica(self.sim, key, observer=self.observer)
             self._replicas[key] = replica
-        return replica
+            return replica
 
     def __contains__(self, key: int) -> bool:
         return key in self._replicas

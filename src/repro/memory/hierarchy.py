@@ -81,8 +81,14 @@ class MemoryHierarchy:
         fn(*args)
 
     def volatile_read(self, address: int) -> Generator:
-        """Process: read one key from the volatile hierarchy."""
-        yield from self.caches.access(self.dram)
+        """Process: read one key from the volatile hierarchy.
+
+        :meth:`CacheHierarchy.access` written out, so a read is one
+        generator, not two."""
+        latency, needs_dram = self.caches.access_latency()
+        yield self.sim.timeout(latency)
+        if needs_dram:
+            yield from self.dram.read(0)
 
     def consume_ddio(self, size_bytes: int = 64) -> None:
         """Release DDIO space once an update has been ingested."""

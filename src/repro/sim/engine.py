@@ -202,11 +202,18 @@ class Timeout(Event):
     def __init__(self, sim: Simulator, delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.kind = "timeout"
-        self._ok = True
+        # ``Event.__init__`` and ``Simulator._schedule`` written out: a
+        # fresh event cannot be scheduled twice, and the commonest event
+        # there is should cost one frame.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(self, sim.now + delay)
+        self._ok = True
+        self._scheduled = True
+        self.defused = False
+        self.kind = "timeout"
+        heapq.heappush(sim._heap, (sim.now + delay, sim._sequence, self))
+        sim._sequence += 1
 
 
 class _InPlaceStart:

@@ -20,12 +20,18 @@ class SeededStream:
     Forking derives a child stream whose seed is a stable hash of the
     parent seed and the child name, so adding a new consumer does not
     shift the draws seen by existing consumers.
+
+    ``random`` is the generator's own bound method, set per instance:
+    the hot draw (zipf rank, op kind, one per cache level) pays no
+    pass-through frame.  ``setstate`` rewinds that same generator in
+    place, so the binding survives it.
     """
 
     def __init__(self, seed: int, name: str = "root"):
         self.seed = seed
         self.name = name
         self._random = random.Random(seed)
+        self.random = self._random.random
 
     def fork(self, name: str) -> SeededStream:
         """Derive an independent child stream keyed by ``name``."""
@@ -38,9 +44,6 @@ class SeededStream:
         return SeededStream(child_seed, f"{self.name}/{name}")
 
     # Thin pass-throughs (explicit, so the public surface is visible).
-
-    def random(self) -> float:
-        return self._random.random()
 
     def randint(self, low: int, high: int) -> int:
         return self._random.randint(low, high)

@@ -34,18 +34,17 @@ class HashTableStore(KvStore):
         self._size = 0
         self._used = 0  # live entries + tombstones
 
-    def _slot(self, key: int) -> int:
-        # Fibonacci hashing spreads sequential integer keys well.
-        return (key * 2654435769) & (self._capacity - 1)
-
     def _probe(self, key: int) -> Tuple[int, int, Optional[int]]:
         """Return (index_of_key_or_insertion_point, probe_count,
         first_tombstone_index)."""
-        index = self._slot(key)
+        mask = self._capacity - 1
+        # Fibonacci hashing spreads sequential integer keys well.
+        index = (key * 2654435769) & mask
+        keys = self._keys
         probes = 1
         first_tombstone = None
         while True:
-            slot_key = self._keys[index]
+            slot_key = keys[index]
             if slot_key is _EMPTY:
                 return index, probes, first_tombstone
             if slot_key is _TOMBSTONE:
@@ -53,7 +52,7 @@ class HashTableStore(KvStore):
                     first_tombstone = index
             elif slot_key == key:
                 return index, probes, first_tombstone
-            index = (index + 1) & (self._capacity - 1)
+            index = (index + 1) & mask
             probes += 1
 
     def _resize(self, new_capacity: int) -> None:

@@ -156,8 +156,8 @@ class Client:
 
     def _record(self, op_type: str, key: Optional[int], start_ns: float) -> None:
         self.metrics.record_op(OpRecord(
-            op_type=op_type, node=self.node.node_id, client=self.client_id,
-            key=key, start_ns=start_ns, end_ns=self.sim.now))
+            op_type, self.node.node_id, self.client_id, key, start_ns,
+            self.sim.now))
 
     # -- plain requests -------------------------------------------------------------
 
@@ -282,8 +282,7 @@ class Client:
             # ENDX, but the paper measures their individual completions.
             for index, (op, key, _value) in enumerate(requests):
                 self.metrics.record_op(OpRecord(
-                    op_type=op, node=self.node.node_id,
-                    client=self.client_id, key=key,
-                    start_ns=first_start[index], end_ns=completions[index]))
+                    op, self.node.node_id, self.client_id, key,
+                    first_start[index], completions[index]))
             self._record("txn", None, begin_start)
             return txn_length

@@ -47,8 +47,26 @@ WORKLOADS = {
 }
 
 
+#: Block sizes of a stream's draw-ahead: the first block, doubling to the
+#: cap.  A run's clients complete from ~10 to a few hundred requests
+#: each, so doubling keeps what a short-lived client overdraws to about
+#: what it consumed, and the cap bounds what a long-lived one holds.
+_FIRST_BLOCK = 4
+_BLOCK_CAP = 64
+
+
 class RequestStream:
-    """Deterministic per-client stream of (op, key) requests."""
+    """Deterministic per-client stream of (op, key) requests.
+
+    Keys and op kinds are drawn a block ahead; each request is still
+    put together when it is handed out, so write values are numbered in
+    stream order and a request tuple lives no longer than the request.
+    Drawing ahead is exact, not approximate: the stream is the only
+    consumer of its two forks (``"ops"``, ``"keys"``), so drawing early
+    moves no other stream's values.  Blocks start at 4 requests and
+    double to a cap of 64; nothing is drawn until the first request is
+    asked for.
+    """
 
     def __init__(self, spec: WorkloadSpec, rng: SeededStream):
         self.spec = spec
@@ -62,11 +80,27 @@ class RequestStream:
         else:
             raise ValueError(f"unknown distribution {spec.distribution!r}")
         self._value_counter = 0
+        # Drawn ahead, handed out from the end (``list.pop()`` is the
+        # cheap one): the keys, and beside each whether it is a read.
+        self._keys_ahead: list = []
+        self._reads_ahead: list = []
+        self._block_size = _FIRST_BLOCK
+
+    def _refill(self) -> None:
+        size = self._block_size
+        self._block_size = min(size * 2, _BLOCK_CAP)
+        random, read_fraction = self._op_rng.random, self.spec.read_fraction
+        self._keys_ahead = self._keys.next_block(size)
+        self._keys_ahead.reverse()
+        self._reads_ahead = [random() < read_fraction for _ in range(size)]
+        self._reads_ahead.reverse()
 
     def next_request(self):
         """Return ("read", key, None) or ("write", key, value)."""
-        key = self._keys.next()
-        if self._op_rng.random() < self.spec.read_fraction:
+        if not self._keys_ahead:
+            self._refill()
+        key = self._keys_ahead.pop()
+        if self._reads_ahead.pop():
             return ("read", key, None)
         self._value_counter += 1
         return ("write", key, self._value_counter)

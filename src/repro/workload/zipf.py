@@ -13,6 +13,7 @@ clustering at low ids.
 from __future__ import annotations
 
 import functools
+from typing import Dict, List
 
 from repro.sim.rng import SeededStream
 
@@ -21,17 +22,14 @@ __all__ = ["ZipfianGenerator", "ScrambledZipfianGenerator", "UniformGenerator",
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_MASK_64 = 0xFFFFFFFFFFFFFFFF
 
 
 def fnv1a_64(value: int) -> int:
     """64-bit FNV-1a hash of an integer (YCSB's scramble function)."""
-    data = value & 0xFFFFFFFFFFFFFFFF
     result = _FNV_OFFSET
-    for _ in range(8):
-        octet = data & 0xFF
-        data >>= 8
-        result ^= octet
-        result = (result * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    for octet in (value & _MASK_64).to_bytes(8, "little"):
+        result = ((result ^ octet) * _FNV_PRIME) & _MASK_64
     return result
 
 
@@ -79,19 +77,44 @@ class ZipfianGenerator:
         self.item_count = new_count
         self._eta = self._compute_eta()
 
-    def next_rank(self) -> int:
-        """Draw one rank; rank 0 is the most popular."""
-        u = self.rng.random()
-        uz = u * self._zeta_n
-        if uz < 1.0:
-            return 0
-        if uz < 1.0 + 0.5 ** self.theta:
-            return 1
-        return int(self.item_count
-                   * ((self._eta * u - self._eta + 1.0) ** self._alpha))
+    def next_block(self, count: int) -> List[int]:
+        """Draw ``count`` ranks clamped to the item space; rank 0 is the
+        most popular.  One ``u`` per rank, in order: a block is what
+        ``count`` single draws would have returned."""
+        random = self.rng.random
+        zeta_n, eta, alpha = self._zeta_n, self._eta, self._alpha
+        second = 1.0 + 0.5 ** self.theta
+        item_count = self.item_count
+        last = item_count - 1
+        ranks = []
+        for _ in range(count):
+            u = random()
+            uz = u * zeta_n
+            if uz < 1.0:
+                rank = 0
+            elif uz < second:
+                rank = 1
+            else:
+                rank = int(item_count * ((eta * u - eta + 1.0) ** alpha))
+            ranks.append(rank if rank < last else last)
+        return ranks
 
     def next(self) -> int:
-        return min(self.next_rank(), self.item_count - 1)
+        return self.next_block(1)[0]
+
+
+@functools.lru_cache(maxsize=4)
+def _scramble_memo(item_count: int) -> Dict[int, int]:
+    """The rank -> key table of one key space, filled as ranks are drawn.
+
+    The scramble is pure in ``(rank, item_count)`` and costs more than
+    the draw it follows, and every client of a cluster draws over the
+    same key space with the same few hot ranks: they share one table.
+    A rank is below ``item_count``, so a table never holds more than
+    ``item_count`` ints; a table evicted here lives on only in the
+    generators already holding it.
+    """
+    return {}
 
 
 class ScrambledZipfianGenerator:
@@ -101,9 +124,18 @@ class ScrambledZipfianGenerator:
                  rng: SeededStream = None):
         self._zipf = ZipfianGenerator(item_count, theta, rng)
         self.item_count = item_count
+        self._scrambled = _scramble_memo(item_count)
+
+    def next_block(self, count: int) -> List[int]:
+        item_count, scrambled = self.item_count, self._scrambled
+        ranks = self._zipf.next_block(count)
+        for rank in ranks:
+            if rank not in scrambled:
+                scrambled[rank] = fnv1a_64(rank) % item_count
+        return [scrambled[rank] for rank in ranks]
 
     def next(self) -> int:
-        return fnv1a_64(self._zipf.next()) % self.item_count
+        return self.next_block(1)[0]
 
 
 class UniformGenerator:
@@ -115,5 +147,9 @@ class UniformGenerator:
         self.item_count = item_count
         self.rng = rng or SeededStream(0, "uniform")
 
+    def next_block(self, count: int) -> List[int]:
+        randint, last = self.rng.randint, self.item_count - 1
+        return [randint(0, last) for _ in range(count)]
+
     def next(self) -> int:
-        return self.rng.randint(0, self.item_count - 1)
+        return self.next_block(1)[0]

@@ -1,10 +1,13 @@
 """Tests for metrics collection and summarization."""
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.metrics import Metrics, OpRecord, Summary
+from repro.analysis.metrics import Metrics, OpRecord, Summary, _percentile
 
 
 def op(op_type, start, end, node=0, client=0, key=1):
@@ -12,10 +15,95 @@ def op(op_type, start, end, node=0, client=0, key=1):
                     start_ns=start, end_ns=end)
 
 
+class TestOpRecord:
+    def test_keyword_and_positional_construction_agree(self):
+        assert OpRecord("write", 3, 41, 7, 10.0, 35.0) == OpRecord(
+            op_type="write", node=3, client=41, key=7,
+            start_ns=10.0, end_ns=35.0)
+        assert op("persist", 1.0, 2.0, key=None).key is None
+
+    def test_fields_cannot_be_assigned(self):
+        record = op("read", 10.0, 35.0)
+        with pytest.raises(AttributeError):
+            record.end_ns = 99.0
+        with pytest.raises(AttributeError):
+            record.retries = 1
+        assert record.end_ns == 35.0
+
+
+def _reference_summarize(metrics, duration_ns):
+    """``Metrics.summarize`` as it was at d68d711: five passes over the
+    records.  The one-pass loop must give every field the same value —
+    the means are float sums, so "same" means the same summation order."""
+    measured = [o for o in metrics.ops if o.end_ns >= metrics.warmup_end_ns]
+    reads = sorted(o.latency_ns for o in measured if o.op_type == "read")
+    writes = sorted(o.latency_ns for o in measured if o.op_type == "write")
+    all_lat = sorted(o.latency_ns for o in measured
+                     if o.op_type in ("read", "write"))
+    span = max(duration_ns - metrics.warmup_end_ns, 1.0)
+    requests = len([o for o in measured if o.op_type in ("read", "write")])
+    nan = float("nan")
+    return Summary(
+        requests=requests,
+        duration_ns=span,
+        throughput_ops_per_s=requests / (span * 1e-9),
+        mean_read_ns=(sum(reads) / len(reads)) if reads else nan,
+        mean_write_ns=(sum(writes) / len(writes)) if writes else nan,
+        mean_access_ns=(sum(all_lat) / len(all_lat)) if all_lat else nan,
+        p95_read_ns=_percentile(reads, 0.95),
+        p95_write_ns=_percentile(writes, 0.95),
+        p99_read_ns=_percentile(reads, 0.99),
+        p99_write_ns=_percentile(writes, 0.99),
+        total_messages=metrics.total_messages,
+        total_bytes=metrics.total_bytes,
+        persists=metrics.persists,
+        txn_conflicts=metrics.txn_conflicts,
+        txn_commits=metrics.txn_commits,
+        read_stalls=metrics.read_stalls,
+        reads_blocked_by_unpersisted=metrics.reads_blocked_by_unpersisted,
+        causal_buffer_peak=metrics.causal_buffer_peak,
+        causal_buffered_total=metrics.causal_buffered_total,
+    )
+
+
+_TIMES = st.floats(min_value=0.0, max_value=1e7, allow_nan=False)
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["read", "write", "txn", "persist"]), _TIMES, _TIMES),
+    max_size=60)
+
+
+@given(ops=_OPS, reads_only=st.booleans(),
+       warmup_at=st.one_of(st.none(), st.integers(min_value=0), _TIMES),
+       duration_ns=_TIMES)
+@settings(max_examples=200, deadline=None)
+def test_summarize_equals_the_five_pass_reference(ops, reads_only, warmup_at,
+                                                  duration_ns):
+    metrics = Metrics()
+    for op_type, start, latency in ops:
+        metrics.record_op(op("read" if reads_only else op_type,
+                             start, start + latency))
+    if isinstance(warmup_at, int) and ops:
+        # Warm-up ends exactly where some operation does: it counts.
+        metrics.warmup_end_ns = metrics.ops[warmup_at % len(ops)].end_ns
+    elif isinstance(warmup_at, float):
+        metrics.warmup_end_ns = warmup_at
+    metrics.record_message("INV", 88)
+    metrics.persists = 3
+    got = dataclasses.asdict(metrics.summarize(duration_ns))
+    want = dataclasses.asdict(_reference_summarize(metrics, duration_ns))
+    assert got.keys() == want.keys()
+    for field, value in want.items():
+        if isinstance(value, float) and math.isnan(value):
+            assert math.isnan(got[field]), field
+        else:
+            assert got[field] == value, field
+
+
 class TestMetrics:
     def test_latency(self):
         record = op("read", 10.0, 35.0)
         assert record.latency_ns == 25.0
+
 
     def test_summarize_throughput(self):
         metrics = Metrics()

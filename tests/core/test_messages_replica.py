@@ -134,6 +134,19 @@ class TestKeyReplica:
         assert replica.mark_cluster_persisted((2, 0))
         assert not replica.mark_cluster_persisted((1, 0))
 
+    def test_repr_prints_the_fields_that_exist(self, replica):
+        """``__slots__`` makes a stale attribute name in ``__repr__`` an
+        AttributeError, not a blank — repr a fresh and a used replica."""
+        assert repr(replica) == (
+            "KeyReplica(key=7, applied=(0, -1), persisted=(0, -1), "
+            "cluster_persisted=(0, -1), transient=False)")
+        replica.begin_inv(3)
+        replica.apply((2, 1), "v")
+        replica.mark_persisted((2, 1), "v")
+        assert repr(replica) == (
+            "KeyReplica(key=7, applied=(2, 1), persisted=(2, 1), "
+            "cluster_persisted=(0, -1), transient=True)")
+
     def test_condition_wakes_on_apply(self, replica):
         sim = replica.condition.sim
         woken = []

@@ -1,13 +1,16 @@
 """The performance observatory surface: sampler, exports, hotspots."""
 
+import itertools
 import json
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs import (FrameSampler, KernelProfile, classify_phase,
                        format_hotspots, hotspot_rows)
+from repro.obs import profile as profile_module
 from repro.sim.engine import Simulator
 
 
@@ -152,6 +155,16 @@ def _profiled_tiny_run():
     return profile
 
 
+@pytest.fixture
+def ticking_clock(monkeypatch):
+    """The profile's clock ticks once per reading (as in
+    ``TestArrivalPath``): every event costs exactly 1.0, so a bucket's
+    wall is its event count and a ranking depends on no host timing."""
+    ticks = itertools.count()
+    monkeypatch.setattr(profile_module, "time", SimpleNamespace(
+        perf_counter=lambda: float(next(ticks))))
+
+
 class TestHotspots:
     def test_rows_ranked_by_cumulative_wall(self):
         profile = _profiled_tiny_run()
@@ -183,13 +196,14 @@ class TestHotspots:
         assert "per handled message:" in text
         assert "kernel events" in text and "processes spawned" in text
 
-    def test_top_limits_rows(self):
+    def test_top_limits_rows(self, ticking_clock):
         profile = _profiled_tiny_run()
         limited = format_hotspots(profile, top=1)
-        # Only the heaviest event-kind row survives; which kind that is
-        # is wall-clock, so ask the ranking rather than assume it.
+        # Only the heaviest event-kind row survives: 15 timeouts against
+        # 3 process starts, one tick each.
         kinds = [row["name"] for row in hotspot_rows(profile)
                  if row["section"] == "event_kind"]
+        assert kinds == ["timeout", "process_start"]
         assert f"\n{kinds[0]} " in limited
         assert not any(f"\n{kind} " in limited for kind in kinds[1:])
         assert len(limited.splitlines()) < \

@@ -3,7 +3,7 @@
 import json
 import math
 
-from repro.analysis.metrics import Metrics, OpRecord
+from repro.analysis.metrics import Metrics, OpRecord, WindowStat
 from repro.analysis.points import PointsTracker
 from repro.analysis.waterfall import aggregate_journeys
 from repro.obs import (KernelProfile, build_run_report, config_fingerprint,
@@ -31,11 +31,13 @@ class TestClean:
         assert cleaned == {"a": None, "b": None, "c": [1.0, None], "d": "ok"}
 
     def test_dataclasses_become_dicts(self):
-        op = OpRecord("read", node=0, client=1, key=2,
-                      start_ns=1.0, end_ns=3.0)
-        cleaned = _clean(op)
-        assert cleaned["op_type"] == "read"
+        window = WindowStat(start_ns=1.0, end_ns=3.0, ops=0,
+                            throughput_ops_per_s=0.0, mean_ns=float("nan"),
+                            p50_ns=float("nan"), p99_ns=float("nan"))
+        cleaned = _clean(window)
         assert cleaned["end_ns"] == 3.0
+        assert cleaned["ops"] == 0
+        assert cleaned["mean_ns"] is None
 
 
 class TestBuildRunReport:

@@ -77,6 +77,28 @@ class TestTimeout:
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(ValueError):
             sim.timeout(-1.0)
+        # ... before anything was pushed or a sequence number taken.
+        assert sim.queue_depth == 0
+        assert sim._sequence == 0
+
+    def test_same_instant_timeouts_and_callbacks_pop_in_creation_order(
+            self, sim):
+        """A timeout pushes its own heap entry: it must still take its
+        sequence number where ``call_at`` takes them, one per creation."""
+        order = []
+        sim.timeout(0.0).callbacks.append(lambda _e: order.append("t0"))
+        sim.call_at(sim.now, order.append, "c1")
+        sim.timeout(0.0).callbacks.append(lambda _e: order.append("t2"))
+        sim.call_at(0.0, order.append, "c3")
+        sim.run()
+        assert order == ["t0", "c1", "t2", "c3"]
+        assert sim.now == 0.0
+
+    def test_timeout_is_born_scheduled(self, sim):
+        timeout = sim.timeout(1.0)
+        assert timeout.triggered and not timeout.processed
+        with pytest.raises(SimulationError):
+            sim._schedule(timeout, 2.0)
 
     def test_timeout_value(self, sim):
         results = []

@@ -50,6 +50,19 @@ class TestSeededStream:
         stream.setstate(state)
         assert stream.random() == first
 
+    def test_random_draws_from_the_generator_the_state_calls_see(self):
+        """``random`` is bound to the underlying generator's own method:
+        no wrapper frame, and still the stream ``getstate`` reads,
+        ``setstate`` rewinds and the other draws advance."""
+        stream = SeededStream(5)
+        assert stream.random.__self__ is stream._random
+        state = stream.getstate()
+        first = (stream.random(), stream.randint(0, 99), stream.random())
+        assert stream.getstate() != state
+        stream.setstate(state)
+        assert (stream.random(), stream.randint(0, 99),
+                stream.random()) == first
+
 
 class TestTracer:
     def test_records_and_counts(self):
