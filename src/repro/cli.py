@@ -30,8 +30,8 @@ docs/handbook.md "CLI reference"):
   exit 0 target model passes, 1 violation, 2 unusable history.
 * ``recover`` — run, crash the whole cluster, simulate recovery.
 * ``tradeoffs`` — print the derived Table 4 (or the full grid).
-* ``lint`` / ``order`` — the project's static analysis and the ordering
-  certificate (:mod:`repro.devtools.cli`).
+* ``lint`` / ``order`` — the project's static analysis and the tie-batch
+  sanitizer sweep (:mod:`repro.devtools.cli`).
 
 Examples::
 
@@ -882,7 +882,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    _preflight(args.effects_out, args.sanitize and args.sweep_out)
+    _preflight(args.sweep_out)
     return cmd_order(args)
 
 

@@ -19,7 +19,6 @@ from repro.core.engine import ProtocolNode
 from repro.core.membership import Membership
 from repro.core.model import DdpModel
 from repro.net.network import Network
-from repro.net.rdma import RdmaFabric
 from repro.recovery.log import NvmLog
 from repro.recovery.recovery import recover_latest
 from repro.sim.engine import Simulator
@@ -73,7 +72,6 @@ class Cluster:
         self.metrics = metrics if metrics is not None else Metrics()
         self.network = Network(self.sim, self.config.network,
                                one_way_fn=self.one_way_ns, tracer=tracer)
-        self.rdma = RdmaFabric(self.sim, self.network)
         self.txn_table = TxnTable()
         self.nvm_log = NvmLog(range(self.config.servers))
         # Membership exists only for fault-injected runs: without it the
@@ -85,7 +83,7 @@ class Cluster:
             engine_class, engine_kwargs = self.engine_for(node_id)
             self.nodes.append(Node(
                 self.sim, node_id, self.config, model, self.network,
-                self.rdma, self.metrics, self.txn_table, self.rng,
+                self.metrics, self.txn_table, self.rng,
                 self.peers_of(node_id), engine_class,
                 nvm_log=self.nvm_log, tracer=tracer,
                 version_board=version_board, membership=self.membership,

@@ -8,7 +8,6 @@ from repro.core.engine import ProtocolNode
 from repro.core.model import DdpModel
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.net.network import Network
-from repro.net.rdma import RdmaFabric
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededStream
 from repro.store import make_store
@@ -21,9 +20,9 @@ class Node:
     """A server of the modeled distributed system (Figure 1)."""
 
     def __init__(self, sim: Simulator, node_id: int, config: ClusterConfig,
-                 model: DdpModel, network: Network, rdma: RdmaFabric,
-                 metrics: Metrics, txn_table: TxnTable,
-                 rng: SeededStream, peer_ids, engine_class=ProtocolNode,
+                 model: DdpModel, network: Network, metrics: Metrics,
+                 txn_table: TxnTable, rng: SeededStream, peer_ids,
+                 engine_class=ProtocolNode,
                  nvm_log=None, tracer=None, version_board=None,
                  membership=None, **engine_kwargs):
         self.sim = sim
@@ -34,7 +33,6 @@ class Node:
             nvm_timing=config.nvm_timing, dram_timing=config.dram_timing,
             name=f"node{node_id}", tracer=tracer, node_id=node_id)
         self.nic = network.attach(node_id)
-        self.rdma_endpoint = rdma.register(node_id, self.memory)
         self.store = (make_store(config.store_type)
                       if config.store_type else None)
         self.engine = engine_class(

@@ -914,7 +914,8 @@ class ProtocolNode:
         their pre-image; losers of the last-writer-wins race are absorbed
         into the winner's pre-image so aborts restore the right state."""
         if version > replica.applied_version:
-            # repro: lint-ok[effect-conflict] pre-image snapshot is guarded by the version race; losers are absorbed monotonically
+            # Commutes with concurrent writers: the pre-image snapshot is
+            # guarded by the version race; losers are absorbed monotonically.
             replica.record_undo(version)
             replica.apply(version, value)
         else:
@@ -1343,7 +1344,8 @@ class ProtocolNode:
             # Resent INVs (round retries, duplication faults) must not
             # double-register: the post-ENDX VAL ends each inv once.
             if (message.key, message.op_id) not in entries:
-                # repro: lint-ok[effect-conflict] membership-guarded; the post-ENDX VAL consumes the list wholesale, order unused
+                # Order unused: membership-guarded, and the post-ENDX
+                # VAL consumes the list wholesale.
                 entries.append((message.key, message.op_id))
         self.memory.volatile_update_then(
             message.key, self.config.value_bytes, self._handle_now, True,
@@ -1411,7 +1413,8 @@ class ProtocolNode:
             for key, version in message.payload:
                 replica = self.replicas.get(key)
                 if message.abort:
-                    # repro: lint-ok[effect-conflict] revert is a no-op unless applied_version == version (the txn's own write)
+                    # Commutes: revert is a no-op unless applied_version
+                    # == version (the txn's own write).
                     replica.revert(version)
                     if self.store is not None:
                         self.store.put(key, replica.applied_value)
@@ -1507,7 +1510,8 @@ class ProtocolNode:
         return None
 
     def _buffer_causal(self, unmet_key: int, message: Message) -> None:
-        # repro: lint-ok[effect-conflict] buffer order cannot leak: releases re-check deps and applies are version-guarded LWW
+        # Buffer order cannot leak: releases re-check deps and applies
+        # are version-guarded LWW.
         self._causal_waiting.setdefault(unmet_key, []).append(message)
         self._causal_waiting_count += 1
         self.metrics.note_causal_buffer(self._causal_waiting_count)

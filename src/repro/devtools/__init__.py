@@ -19,6 +19,11 @@ Findings can be waived inline::
     risky_call()  # repro: lint-ok[rule-id] one-line justification
 
 Run it as ``repro lint src tests benchmarks`` (or via pre-commit / CI).
+
+The package's one dynamic tool is the tie-batch sanitizer
+(:mod:`repro.devtools.sanitizer`, ``repro order``): it permutes
+same-timestamp message deliveries on real runs and requires the final
+protocol state not to notice.
 """
 
 from repro.devtools.engine import (

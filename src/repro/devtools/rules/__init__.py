@@ -9,15 +9,12 @@ Importing this package registers every rule (see
 * :mod:`~repro.devtools.rules.iteration` — unordered-iteration
 * :mod:`~repro.devtools.rules.dispatch` — dispatch-completeness
 * :mod:`~repro.devtools.rules.hygiene` — mutable-default, bare-except
-* :mod:`~repro.devtools.rules.ordering` — effect-conflict,
-  schedule-sensitive-send, untracked-effect
 """
 
 from repro.devtools.rules import (  # noqa: F401  (imported for registration)
     dispatch,
     hygiene,
     iteration,
-    ordering,
     rng,
     tracer,
     wallclock,

@@ -1,9 +1,9 @@
-"""Dynamic tie-batch sanitizer: the runtime half of the determinism
-certificate.
+"""Dynamic tie-batch sanitizer: does same-timestamp delivery order leak
+into protocol state?
 
-The static effect analysis (:mod:`repro.devtools.effects`) proves that
-same-timestamp message handlers *should* commute on protocol state.
-This module checks the claim on real runs: a
+The protocols rest on per-key logical timestamps with last-writer-wins,
+so message handlers that run at the same simulated instant on different
+nodes should commute.  This module checks that on real runs: a
 :class:`TieBatchSanitizer` is an :class:`~repro.sim.engine.Instrument`
 (it shares the kernel's one ``sim.instrument`` slot with
 ``KernelProfile``; off-path free) and observes every *tie batch*, the
@@ -11,7 +11,9 @@ set of heap entries due at one identical timestamp.  In sanitizing mode
 it deterministically permutes each batch's processing order with a
 :class:`~repro.sim.rng.SeededStream` (Fisher–Yates), and :func:`sweep`
 asserts that the final protocol-state digest is byte-identical to the
-unpermuted baseline for every DDP model.
+unpermuted baseline for every DDP model.  What it is shown to catch — a
+cross-node shared global — and what the goldens catch instead is
+measured in ``tests/integration/test_order_mutants.py``.
 
 Re-keying, not a second loop
 ----------------------------
@@ -37,24 +39,21 @@ occupy in the batch); other event kinds keep their insertion-sequence
 order.  A delivery is a network *landing* — the ``call_at`` entry
 ``Network.send`` schedules, tagged ``msg_delivery`` and carrying the
 message and its destination NIC — or, for code that reads a NIC inbox,
-the ``Nic.receive()`` event.  The split mirrors the static pass
-exactly: delivery order *is* handler co-scheduling order, the dimension
-the effect analysis certifies commutative.  The remaining kinds —
+the ``Nic.receive()`` event.  Delivery order *is* handler co-scheduling
+order, the dimension last-writer-wins makes free.  The remaining kinds —
 process continuations, timeouts inside memory accesses, resource
 grants — encode *intra*-handler progress, and their relative order
 decides FIFO admission at shared timing resources (NVM bank queues,
 DDIO capacity): reordering those legitimately swaps per-op latencies
 and cascades through the closed-loop clients into genuinely different
-(all individually valid) trajectories.  That is the ``sched`` location
-the static pass exempts, and the concrete certificate this module
-leaves for ROADMAP item 1's queue swap: a replacement event queue may
-break delivery ties between *different nodes* freely but MUST preserve
-insertion order among equal-timestamp continuations (i.e. be a
-*stable* priority queue).
+(all individually valid) trajectories.  Hence what a replacement event
+queue must honour: it may break delivery ties between *different nodes*
+freely but MUST preserve insertion order among equal-timestamp
+continuations (i.e. be a *stable* priority queue).
 
-Landings tied at one *destination* are part of that ``sched`` domain
-too: their order is FIFO admission at the node's protocol workers and,
-through the handlers, at its memory.  So a tie is permuted the way one
+Landings tied at one *destination* are schedule state too: their order
+is FIFO admission at the node's protocol workers and, through the
+handlers, at its memory.  So a tie is permuted the way one
 dispatcher per node used to take it — in *waves*: every node's first
 simultaneous arrival in shuffled node order, then every node's second,
 and so on; a node's own arrivals never trade places.  Wider scopes were
@@ -75,20 +74,13 @@ What the digest covers — and what it deliberately does not
 :func:`cluster_digest` hashes the *converged protocol state*: per-key
 applied / locally-persisted / cluster-persisted versions and values at
 every node, the KV-store contents backing reads, and the durable-log
-replay state.  That is exactly the state the static pass certifies
-commutative.  Wall-clock-shaped outputs (the drain completion time,
+replay state.  Wall-clock-shaped outputs (the drain completion time,
 per-op latency attribution, peak queue depths) may legitimately differ
 between permutations and are excluded; the handbook chapter spells out
 this contract.
 
-Cross-referencing
------------------
-Each batch records which message types tied together, so after a sweep
-:func:`coverage` maps statically flagged conflict pairs to observed
-tie pairs: a flagged pair the sanitizer never exercised is *uncovered*
-(the static claim was never tested), and a digest divergence is
-reported against the message pairs observed in the diverging run —
-which must map back to a flagged pair, or the static pass has a hole.
+Each batch also records which message types tied together, so a
+divergence is reported with the pairs the diverging run observed.
 """
 
 from __future__ import annotations
@@ -107,7 +99,6 @@ __all__ = [
     "SweepResult",
     "CellResult",
     "cluster_digest",
-    "coverage",
     "sweep",
 ]
 
@@ -202,6 +193,8 @@ class TieBatchSanitizer(Instrument):
         # every node's first simultaneous arrival (in shuffled node
         # order), then every node's second, ...  A node's own arrivals
         # thus keep their insertion order — its FIFO, not a freedom.
+        # (id() is a safe key here: ``batch`` keeps every destination
+        # alive for as long as ``arrived`` exists.)
         waves: List[List[tuple]] = []
         arrived: Dict[int, int] = {}
         for entry in before:
@@ -286,7 +279,7 @@ class CellResult:
 
 @dataclass
 class SweepResult:
-    """All cells' verdicts plus aggregate tie coverage."""
+    """All cells' verdicts."""
 
     cells: List[CellResult]
     ops_per_client: int
@@ -303,12 +296,6 @@ class SweepResult:
     @property
     def vacuous(self) -> List[CellResult]:
         return [cell for cell in self.cells if cell.vacuous]
-
-    def observed_pairs(self) -> List[Tuple[str, str]]:
-        pairs = set()
-        for cell in self.cells:
-            pairs.update(map(tuple, cell.observed_pairs))
-        return sorted(pairs)
 
     def to_dict(self) -> Dict:
         from repro.obs.schemas import ORDER_SWEEP_SCHEMA
@@ -385,21 +372,3 @@ def sweep(models=None, ops_per_client: int = 30,
         cells.append(cell)
     return SweepResult(cells=cells, ops_per_client=ops_per_client,
                        seeds=seeds)
-
-
-def coverage(flagged_pairs: Iterable[Tuple[str, str]],
-             result: SweepResult) -> Dict[str, List]:
-    """Cross-reference static conflict pairs against observed ties.
-
-    ``flagged_pairs`` are handler pairs from the static pass translated
-    to message-type pairs (via the engines' dispatch tables).  Returns
-    which were exercised by at least one observed tie batch and which
-    were never co-scheduled dynamically (uncovered: the static claim
-    was never put to the test at this duration).
-    """
-    observed = set(map(tuple, result.observed_pairs()))
-    flagged = sorted(set(tuple(sorted(p)) for p in flagged_pairs))
-    exercised = [list(p) for p in flagged if p in observed]
-    uncovered = [list(p) for p in flagged if p not in observed]
-    return {"flagged": [list(p) for p in flagged],
-            "exercised": exercised, "uncovered": uncovered}

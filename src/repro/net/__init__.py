@@ -1,6 +1,5 @@
-"""Network substrate: fabric, NICs with queue pairs, RDMA-NVM verbs."""
+"""Network substrate: fabric and NICs with queue pairs."""
 
 from repro.net.network import Network, NetworkConfig, Nic
-from repro.net.rdma import RdmaEndpoint, RdmaFabric
 
-__all__ = ["Network", "NetworkConfig", "Nic", "RdmaEndpoint", "RdmaFabric"]
+__all__ = ["Network", "NetworkConfig", "Nic"]

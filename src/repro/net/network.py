@@ -86,8 +86,10 @@ class Nic:
 class Network:
     """All-to-all fabric.  ``send`` is fire-and-forget (like a NIC
     doorbell); a sender that wants to know about *remote delivery*
-    hands in the event to trigger then (RDMA-style completion is
-    modeled one level up, in :mod:`repro.net.rdma`).
+    hands in the event to trigger then.  There are no one-sided verbs:
+    the SNIA write-persist semantics (a completion that means "durable
+    at the remote node") are carried by the protocol's own message path,
+    INV -> persist -> ACK_p, in :mod:`repro.core.engine`.
     """
 
     def __init__(self, sim: Simulator, config: Optional[NetworkConfig] = None,

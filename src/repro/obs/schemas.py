@@ -98,9 +98,10 @@ _FAMILIES = (
         ("meta", "profile"),
         "kernel performance observatory snapshot"),
     ArtifactSchema(
-        "repro.order_sweep", (1,),
-        ("cells", "ok", "coverage"),
-        "ordering-sanitizer permutation sweep certificate"),
+        "repro.order_sweep", (1, 2),
+        ("cells", "ok"),
+        "tie-batch sanitizer permutation sweep (/1 also carried the "
+        "static rules' `coverage` cross-reference)"),
 )
 
 SCHEMAS: Dict[str, ArtifactSchema] = {s.family: s for s in _FAMILIES}

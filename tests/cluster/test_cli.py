@@ -32,7 +32,7 @@ class TestParser:
     def test_unwritable_artifact_path_fails_before_simulating(
             self, capsys, tmp_path, monkeypatch):
         """Every subcommand that writes: one ``repro: cannot write``
-        line and exit 2 — before simulating (or analysing, for
+        line and exit 2 — before simulating (or sweeping, for
         ``order``), where it does."""
         small = ["--servers", "3", "--clients", "6", "--duration-us", "20"]
         history = str(tmp_path / "h.jsonl")
@@ -63,8 +63,7 @@ class TestParser:
                      ["audit", history, "--out", bad],
                      ["diff", report, report, "--out", bad],
                      ["dash", sweep, "--out", bad],
-                     ["order", "src", "--effects-out", bad],
-                     ["order", "src", "--sanitize", "--sweep-out", bad]):
+                     ["order", "--sweep-out", bad]):
             code = main(argv)
             err = capsys.readouterr().err
             assert code == 2, argv

@@ -118,8 +118,7 @@ class TestRuleCatalog:
         assert {"rng-discipline", "wall-clock-ban", "tracer-guard",
                 "tracer-truthiness", "unordered-iteration",
                 "dispatch-completeness", "mutable-default",
-                "bare-except", "effect-conflict",
-                "schedule-sensitive-send", "untracked-effect"} <= ids
+                "bare-except"} == ids
 
     def test_unknown_rule_id_is_usage_error(self, lint_fixture):
         from repro.devtools import UsageError

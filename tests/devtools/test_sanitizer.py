@@ -1,11 +1,10 @@
-"""The dynamic half of the determinism certificate.
+"""The tie-batch sanitizer.
 
 Record-mode transparency, seeded permutation determinism, the
-delivery-only permutation scope, sweep byte-identity, static/dynamic
-coverage cross-referencing, and the dynamic side of the injected
-non-commuting mutation (hidden shared state across co-scheduled
-handlers — its static twin is the ``ordering_bad`` fixture in
-test_ordering.py).
+delivery-only permutation scope, sweep byte-identity, and the injected
+non-commuting mutation it exists to catch (hidden shared state across
+co-scheduled handlers; ``tests/integration/test_order_mutants.py``
+holds it against the other checkers).
 """
 
 import pytest
@@ -15,7 +14,7 @@ from repro.core.model import Consistency, DdpModel, Persistency
 from repro.core.replica import KeyReplica
 from repro.devtools.sanitizer import (CellResult, SweepResult,
                                       TieBatchSanitizer, cluster_digest,
-                                      coverage, sweep, _run_once)
+                                      sweep, _run_once)
 from repro.net.network import Network
 from repro.sim.engine import Simulator
 
@@ -199,7 +198,7 @@ class TestSweep:
         assert result.ok
         assert len(result.cells) == 2
         doc = result.to_dict()
-        assert doc["schema"] == "repro.order_sweep/1"
+        assert doc["schema"] == "repro.order_sweep/2"
         assert doc["ok"] is True
         assert doc["ops_per_client"] == 15
         for cell in doc["cells"]:
@@ -221,24 +220,13 @@ class TestSweep:
         assert result.vacuous == [vacuous] and result.diverged == []
         assert result.to_dict()["cells"][1]["vacuous"] is True
 
-    def test_coverage_cross_reference(self):
-        result = sweep(models=[LIN_STRICT], ops_per_client=15, seeds=(1,))
-        observed = result.observed_pairs()
-        assert observed
-        exercised_pair = observed[0]
-        cover = coverage([exercised_pair, ("ZZZ", "ZZZ")], result)
-        assert list(exercised_pair) in cover["exercised"]
-        assert ["ZZZ", "ZZZ"] in cover["uncovered"]
-        assert len(cover["flagged"]) == 2
-
 
 class TestInjectedMutation:
     def test_hidden_shared_state_is_caught(self, monkeypatch):
-        # The dynamic twin of the ordering_bad fixture: co-scheduled
-        # handlers share an unsynchronized global (sequence allocation
-        # inside apply), so handler start order leaks into protocol
-        # state.  The static pass flags this shape as effect-conflict;
-        # the sanitizer must observe real divergence.
+        # Co-scheduled handlers share an unsynchronized global
+        # (sequence allocation inside apply), so handler start order
+        # leaks into protocol state: the sanitizer must observe real
+        # divergence.
         def make_stamped():
             counter = {"n": 0}
 
@@ -265,7 +253,7 @@ class TestInjectedMutation:
     def test_divergence_maps_to_flagged_pair(self, monkeypatch):
         # The pair the mutation races on (INV~INV: concurrent applies)
         # must be among the ties the diverging run observed, so the
-        # report can point back at the static finding.
+        # DIVERGED line names it.
         permuter = TieBatchSanitizer(seed=1)
         _run_once(LIN_STRICT, 30, 3, 2, 2021, permuter)
         assert ("INV", "INV") in permuter.observed_pairs()

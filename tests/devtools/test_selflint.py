@@ -38,4 +38,4 @@ class TestSelfLint:
         assert {"rng-discipline", "wall-clock-ban", "tracer-guard",
                 "tracer-truthiness", "unordered-iteration",
                 "dispatch-completeness", "mutable-default",
-                "bare-except"} <= set(result.rules)
+                "bare-except"} == set(result.rules)

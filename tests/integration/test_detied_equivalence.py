@@ -35,6 +35,9 @@ def test_all_25_cells_reproduce_the_golden_byte_for_byte():
              for name in golden
              if cells[name]["digest"] != golden[name]["digest"]}
     assert not moved, moved
+    # Same timestamps, and the same protocol state at the end of them.
+    assert ({name: cell["cluster_digest"] for name, cell in cells.items()}
+            == {name: cell["cluster_digest"] for name, cell in golden.items()})
 
 
 def test_leader_and_hybrid_variants_reproduce_their_golden():

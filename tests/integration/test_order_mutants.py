@@ -12,15 +12,21 @@ function is compiled and patched in for the duration of one check.
 
 Four checkers are held against each mutant:
 
-* ``static`` — the three ordering lint rules over the mutated source;
 * ``sweep`` — the tie-batch sanitizer's permutation sweep;
-* ``golden`` — the de-tied golden, then the leader/hybrid variant one;
+* ``detied`` — the de-tied golden (per cell, a ``Summary`` digest and
+  the ``cluster_digest`` of the state the run ends in);
+* ``variant`` — the same pins for two leader and two hybrid clusters;
 * ``behaviour`` — a named test of the ordinary suite.
 
-``KILLS`` is the table measured at this commit.  Tier-1 re-checks every
-*kill* in it by running the one witness that showed it (a rule, a cell,
-a test), which is cheap; a *miss* needs every cell of a checker to stay
-unmoved, so the misses are re-measured on demand (~2 min)::
+A fifth, an interprocedural effect analysis behind three ordering lint
+rules, was measured against the same mutants at the commit that added
+this file: it killed M1, M1b, M3, M4, M5 and none of them alone, and
+was deleted on that evidence (CHANGES.md, PR 21, has the table).  This
+file is what stands in for it: ``KILLS`` names, per mutant, the
+checkers that kill it, and tier-1 re-checks every *kill* by running
+the one witness that showed it (a cell, a test), which is cheap.  A
+*miss* needs every cell of a checker to stay unmoved, so the full table
+is re-measured on demand (~1.5 min)::
 
     PYTHONPATH=src python -m tests.integration.test_order_mutants
 """
@@ -34,8 +40,7 @@ import inspect
 import sys
 import textwrap
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 import pytest
 
@@ -43,15 +48,10 @@ from repro.core.engine import ProtocolNode
 from repro.core.model import (Consistency as C, DdpModel, Persistency as P,
                               all_ddp_models)
 from repro.core.replica import KeyReplica
-from repro.devtools.cli import ORDER_RULES
-from repro.devtools.engine import iter_python_files, lint_sources
-from repro.devtools.rules import ordering
 from repro.devtools.sanitizer import sweep
 from repro.sim.engine import Simulator
 
 from .test_detied_equivalence import detied_golden
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 _FUTURE_FLAGS = sum(getattr(__future__, name).compiler_flag
                     for name in __future__.all_feature_names)
@@ -66,35 +66,22 @@ class Mutant:
     breaks: str
     """The rule the site upholds."""
 
-    def _mutated_source(self) -> str:
-        source = inspect.getsource(getattr(self.owner, self.method))
-        assert source.count(self.old) == 1, (
-            f"{self.owner.__name__}.{self.method}: the mutation site "
-            f"occurs {source.count(self.old)} times, not once — the code "
-            f"moved; re-aim the mutant")
-        return source.replace(self.old, self.new)
-
     def function(self) -> Callable:
         """The method with the site substituted, compiled in its own
         module's globals and under its ``__future__`` flags."""
         original = getattr(self.owner, self.method)
-        code = compile(textwrap.dedent(self._mutated_source()),
+        source = inspect.getsource(original)
+        assert source.count(self.old) == 1, (
+            f"{self.owner.__name__}.{self.method}: the mutation site "
+            f"occurs {source.count(self.old)} times, not once — the code "
+            f"moved; re-aim the mutant")
+        code = compile(textwrap.dedent(source.replace(self.old, self.new)),
                        f"<mutant {self.owner.__name__}.{self.method}>",
                        "exec", dont_inherit=True,
                        flags=original.__code__.co_flags & _FUTURE_FLAGS)
         namespace: Dict[str, Callable] = {}
         exec(code, original.__globals__, namespace)
         return namespace[self.method]
-
-    def file_source(self) -> Tuple[str, str]:
-        """``(repo-relative path, text)`` of the owner's file with the
-        site substituted — what the static rules read."""
-        original = getattr(self.owner, self.method)
-        path = Path(inspect.getsourcefile(original))
-        lines, start = inspect.getsourcelines(original)
-        text = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        text[start - 1:start - 1 + len(lines)] = [self._mutated_source()]
-        return path.relative_to(REPO_ROOT).as_posix(), "".join(text)
 
 
 _STORE_PUT = "self.store.put(message.key, replica.applied_value)"
@@ -181,44 +168,20 @@ def applied(name: str, monkeypatch) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the four checkers — each returns what killed the mutant, or None
+# the checkers — each returns what killed the mutant, or None
 # ---------------------------------------------------------------------------
 
 
-def static_kill(mutant: Mutant) -> Optional[str]:
-    """The ordering rules that fire, unwaived, on ``src/repro`` with the
-    mutant's file substituted (they read source, not the patched
-    class)."""
-    path, text = mutant.file_source()
-    sources = []
-    for name in iter_python_files([str(REPO_ROOT / "src" / "repro")]):
-        rel = Path(name).relative_to(REPO_ROOT).as_posix()
-        sources.append((rel, text if rel == path
-                        else Path(name).read_text(encoding="utf-8")))
-    # The rules' analysis cache is keyed on id(ctx) of contexts that die
-    # with each run, so a later run can be handed an earlier file set's
-    # verdict (ROADMAP item 1).  Measure without it.
-    ordering._CACHE.clear()
-    result = lint_sources(sources, rule_ids=ORDER_RULES)
-    ordering._CACHE.clear()
-    return ", ".join(sorted({f.rule for f in result.unwaived})) or None
-
-
-def sweep_kill(model: Optional[DdpModel] = None) -> Optional[str]:
-    """The first cell whose permuted digest left its own baseline."""
-    result = sweep(models=None if model is None else [model])
+def sweep_kill(only: Optional[str] = None) -> Optional[str]:
+    """The first cell whose permuted digest left its own baseline
+    (``only``: look at that cell alone)."""
+    result = sweep(models=[model for model in all_ddp_models()
+                           if only in (None, str(model))])
     return next((cell.model for cell in result.diverged), None)
 
 
-VARIANT_CELLS = ("hybrid <Causal, Eventual>",
-                 "hybrid <Linearizable, Synchronous>",
-                 "leader <Linearizable, Synchronous>",
-                 "leader <Read-Enforced, Read-Enforced>")
-
-
-def golden_kill(only: Optional[str] = None) -> Optional[str]:
-    """The first moved cell of the de-tied golden, then of the variant
-    golden (``only``: look at that cell alone)."""
+def detied_kill(only: Optional[str] = None) -> Optional[str]:
+    """The first moved cell of the de-tied golden."""
     golden = detied_golden.load_golden()
     for model in all_ddp_models():
         name = str(model)
@@ -226,15 +189,22 @@ def golden_kill(only: Optional[str] = None) -> Optional[str]:
                 detied_golden.digests(detied_golden.run_cell(model))
                 != detied_golden.digests(golden[name])):
             return name
-    if only is None or only in VARIANT_CELLS:
-        golden = detied_golden.load_golden(detied_golden.VARIANT_GOLDEN)
-        cells = detied_golden.variant_cells()
-        for name in VARIANT_CELLS:
-            if only in (None, name) and (
-                    detied_golden.digests(cells[name])
-                    != detied_golden.digests(golden[name])):
-                return name
     return None
+
+
+def variant_kill(only: Optional[str] = None) -> Optional[str]:
+    """The same for the leader/hybrid variant golden."""
+    golden = detied_golden.load_golden(detied_golden.VARIANT_GOLDEN)
+    cells = detied_golden.variant_cells()
+    for name in sorted(golden):
+        if only in (None, name) and (detied_golden.digests(cells[name])
+                                     != detied_golden.digests(golden[name])):
+            return name
+    return None
+
+
+CELL_CHECKERS = {"sweep": sweep_kill, "detied": detied_kill,
+                 "variant": variant_kill}
 
 
 def behaviour_kill(test: str, **kwargs: Any) -> Optional[str]:
@@ -265,73 +235,53 @@ _CONCURRENT_WRITERS = ("tests.core.test_engine_protocols::"
 _CONVERGE = "tests.integration.test_all_models::test_replicas_converge_after_quiesce"
 
 #: mutant -> checker -> the witness that kills it; a checker not named
-#: is a measured miss.  ``static``: the rules that fire.  ``sweep`` and
-#: ``golden``: the first cell to move.  ``behaviour``: a test and what
-#: builds the fixtures/parameters to call it with.
+#: is a measured miss.  ``sweep``, ``detied``, ``variant``: the first
+#: cell to move.  ``behaviour``: a test and what builds the fixtures and
+#: parameters to call it with.
 KILLS: Dict[str, Dict[str, Any]] = {
-    "M1": {"static": "effect-conflict",
-           "golden": "hybrid <Causal, Eventual>"},
-    "M1b": {"static": "effect-conflict",
-            "golden": "hybrid <Linearizable, Synchronous>"},
-    "M2": {"golden": "<Linearizable, Scope>",
+    "M1": {"detied": "<Causal, Strict>",
+           "variant": "hybrid <Causal, Eventual>"},
+    "M1b": {"detied": "<Linearizable, Strict>",
+            "variant": "hybrid <Linearizable, Synchronous>"},
+    "M2": {"detied": "<Linearizable, Strict>",
            "behaviour": _CONCURRENT_WRITERS},
-    "M3": {"static": "untracked-effect",
-           "golden": "<Linearizable, Strict>",
+    "M3": {"detied": "<Linearizable, Strict>",
            "behaviour": (
                "tests.faults.test_fault_matrix::test_chaos_cocktail_all_models",
                lambda: {"model": DdpModel(C.LINEARIZABLE, P.SCOPE)})},
-    "M4": {"static": "effect-conflict",
-           "golden": "<Linearizable, Scope>",
+    "M4": {"detied": "<Linearizable, Strict>",
            "behaviour": _CONCURRENT_WRITERS},
-    "M5": {"static": "effect-conflict",
-           "golden": "<Causal, Strict>",
+    "M5": {"detied": "<Causal, Strict>",
            "behaviour": (_CONVERGE,
                          lambda: {"model": DdpModel(C.CAUSAL, P.EVENTUAL)})},
     "M6": {"behaviour": (
         "tests.core.test_messages_replica::TestKeyReplica::"
         "test_persisted_tracking",
         lambda: {"replica": KeyReplica(Simulator(), key=7)})},
-    "M7": {"golden": "<Causal, Synchronous>",
+    "M7": {"detied": "<Causal, Synchronous>",
            "behaviour": (
                "tests.core.test_causal_properties::"
                "test_causal_eventual_respects_happens_before",
                lambda: {"num_writes": 6, "num_keys": 3, "perm_seed": 1,
                         "extra_dep_seed": 0})},
     "stamped": {"sweep": "<Linearizable, Strict>",
-                "golden": "hybrid <Causal, Eventual>",
+                "detied": "<Linearizable, Strict>",
                 "behaviour": _CONCURRENT_WRITERS},
 }
 
 
-def witness_kill(name: str, checker: str, witness: Any) -> Optional[str]:
-    """Does ``checker``'s one witness still kill mutant ``name``?"""
-    if checker == "static":
-        return static_kill(MUTANTS[name])
+def kill(name: str, checker: str, witness: Any = None) -> Optional[str]:
+    """What ``checker`` kills mutant ``name`` by — looking at one
+    ``witness``, or at every cell (every witness test) without."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         applied(name, monkeypatch)
-        if checker == "sweep":
-            return sweep_kill(next(m for m in all_ddp_models()
-                                   if str(m) == witness))
-        if checker == "golden":
-            return golden_kill(only=witness)
-        test, arguments = witness
-        return behaviour_kill(test, **arguments())
-
-
-def measure(name: str) -> Dict[str, Optional[str]]:
-    """One full row: every cell of every checker."""
-    row = {"static": (static_kill(MUTANTS[name]) if name in MUTANTS
-                      else None)}
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        applied(name, monkeypatch)
-        row["sweep"] = sweep_kill()
-        row["golden"] = golden_kill()
-        tests = {witnesses["behaviour"][0]: witnesses["behaviour"][1]
-                 for witnesses in KILLS.values() if "behaviour" in witnesses}
-        row["behaviour"] = next(
-            (test for test, arguments in tests.items()
-             if behaviour_kill(test, **arguments())), None)
-    return row
+        if checker != "behaviour":
+            return CELL_CHECKERS[checker](witness)
+        tests = ([witness] if witness else
+                 [witnesses["behaviour"] for witnesses in KILLS.values()
+                  if "behaviour" in witnesses])
+        return next((test for test, arguments in tests
+                     if behaviour_kill(test, **arguments())), None)
 
 
 @pytest.mark.parametrize("name, checker", [
@@ -339,25 +289,19 @@ def measure(name: str) -> Dict[str, Optional[str]]:
     for checker in witnesses])
 def test_the_witness_still_kills(name, checker):
     witness = KILLS[name][checker]
-    killed_by = witness_kill(name, checker, witness)
     expected = witness[0] if checker == "behaviour" else witness
-    assert killed_by == expected, (
+    assert kill(name, checker, witness) == expected, (
         f"{name} ({MUTANTS[name].breaks if name in MUTANTS else 'stamped'})"
         f" is no longer killed by {checker}")
 
 
-@pytest.mark.parametrize("name", ["M2", "M6", "M7"])
-def test_the_static_rules_miss(name):
-    assert static_kill(MUTANTS[name]) is None
-
-
-def test_every_mutant_is_killed_without_the_static_rules():
+def test_every_mutant_is_killed_unless_equivalent():
     assert set(KILLS) == {*MUTANTS, "stamped"}
     for name, witnesses in KILLS.items():
-        dynamic = set(witnesses) - {"static"}
-        assert dynamic, name
         if name in EQUIVALENT:
-            assert dynamic == {"behaviour"}, name
+            assert set(witnesses) == {"behaviour"}, name
+        else:
+            assert set(witnesses) - {"behaviour"}, name
 
 
 def test_a_site_that_moved_fails_instead_of_mutating_nothing():
@@ -371,12 +315,12 @@ def test_a_site_that_moved_fails_instead_of_mutating_nothing():
 
 
 if __name__ == "__main__":
-    print("| mutant | static rules | sanitizer sweep | de-tied + variant "
-          "goldens | behaviour tests |")
+    print("| mutant | sanitizer sweep | de-tied golden | variant golden | "
+          "behaviour tests |")
     print("|---|---|---|---|---|")
+    checkers = (*CELL_CHECKERS, "behaviour")
     for mutant_name in sys.argv[1:] or KILLS:
-        measured = measure(mutant_name)
+        row = [kill(mutant_name, checker) for checker in checkers]
         print(f"| {mutant_name} | " + " | ".join(
-            f"kill ({measured[c]})" if measured[c] else "miss"
-            for c in ("static", "sweep", "golden", "behaviour")) + " |",
+            f"kill ({by})" if by else "miss" for by in row) + " |",
             flush=True)

@@ -11,7 +11,11 @@ pair gets its own propagation delay (``one_way_ns``), so message
 landings — the events that couple otherwise independent chains — no
 longer tie.  What is left is a run whose ``Summary`` depends only on
 *simulated timestamps* and on FIFO order at shared resources: exactly
-what a kernel change must preserve.
+what a kernel change must preserve.  Each cell also pins the
+``cluster_digest`` of the protocol state the run ends in — a ``Summary``
+counts and times operations but never looks at a value, so a handler
+that installs the wrong one (the order-sensitivity mutants of
+``tests/integration/test_order_mutants.py``) moves only this.
 
 The committed golden was generated **at the commit before the
 callback-message rewrite** (PR 11's tree); the test
@@ -66,16 +70,20 @@ def _digested(summary) -> Dict[str, Any]:
 
 def run_cell(model) -> Dict[str, Any]:
     from repro.cluster import Cluster, ClusterConfig
+    from repro.devtools.sanitizer import cluster_digest
     from repro.workload.ycsb import WORKLOADS
 
     cluster = Cluster(model, config=ClusterConfig(servers=SERVERS, seed=SEED),
                       workload=WORKLOADS[WORKLOAD])
     cluster.network.one_way_fn = one_way_ns
-    return _digested(cluster.run(DURATION_NS))
+    cell = _digested(cluster.run(DURATION_NS))
+    cell["cluster_digest"] = cluster_digest(cluster)
+    return cell
 
 
 def detied_cells() -> Dict[str, Dict[str, Any]]:
-    """``str(model)`` -> ``{digest, summary}`` for all 25 DDP models."""
+    """``str(model)`` -> ``{digest, summary, cluster_digest}`` for all
+    25 DDP models."""
     from repro.core.model import all_ddp_models
 
     return {str(model): run_cell(model) for model in all_ddp_models()}
