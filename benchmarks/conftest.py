@@ -19,8 +19,6 @@ import json
 import os
 import pathlib
 
-import pytest
-
 from repro.cluster.cluster import run_simulation
 from repro.cluster.config import ClusterConfig
 from repro.obs.report import _clean, config_fingerprint
@@ -77,29 +75,3 @@ def archive_json(name: str, config: dict, metrics: dict) -> None:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"bench json -> {path}")
-
-
-@pytest.fixture
-def time_one_run(benchmark):
-    """Benchmark helper: time a single simulation run exactly once
-    (pytest-benchmark's auto-calibration would rerun a multi-second
-    simulation dozens of times)."""
-
-    def runner(fn):
-        return benchmark.pedantic(fn, iterations=1, rounds=1)
-
-    return runner
-
-
-@pytest.fixture(autouse=True)
-def _benchmark_guard(request, benchmark):
-    """Every test in benchmarks/ is a benchmark.
-
-    ``pytest --benchmark-only`` skips tests that never touch the
-    benchmark fixture; the shape-assertion tests here verify the figures
-    the timed sweeps produce, so they must run in the same invocation.
-    Tests that did not time anything themselves get a trivial sample.
-    """
-    yield
-    if benchmark._mode is None:
-        benchmark.pedantic(lambda: None, iterations=1, rounds=1)

@@ -9,8 +9,7 @@ both statistics are monotone in skew.
 
 import pytest
 
-from conftest import (DURATION_NS, archive, archive_json, run_cached,
-                      time_one_run)
+from conftest import DURATION_NS, archive, archive_json, run_cached
 
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.workload.ycsb import WORKLOADS
@@ -44,8 +43,7 @@ def read_conflict_rate(summary):
     return summary.reads_blocked_by_unpersisted / max(summary.requests * 0.5, 1)
 
 
-def test_ablation_generate(sweep, time_one_run):
-    time_one_run(lambda: run_cached(TXN_MODEL, workload=workload(0.99)))
+def test_ablation_generate(sweep):
     lines = ["Ablation: zipfian skew vs conflicts",
              f"{'theta':>6} {'txn conflict rate':>18} "
              f"{'RE-RE read conflicts':>21}"]

@@ -11,8 +11,7 @@ comparison and regenerates the gap.
 
 import pytest
 
-from conftest import (DURATION_NS, WARMUP_NS, archive, archive_json,
-                      run_cached, time_one_run)
+from conftest import DURATION_NS, WARMUP_NS, archive, archive_json
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
@@ -21,7 +20,6 @@ from repro.variants.leader import LeaderCluster
 from repro.workload.ycsb import WORKLOADS
 
 RE_RE = DdpModel(C.READ_ENFORCED, P.READ_ENFORCED)
-LIN_SYNC = DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS)
 
 
 def config_for(clients):
@@ -46,8 +44,7 @@ def quadrants():
             for clients in (10, 100)}
 
 
-def test_generate(quadrants, time_one_run):
-    time_one_run(lambda: run_cached(LIN_SYNC))
+def test_generate(quadrants):
     lines = ["Ablation: read/unpersisted-write conflicts in "
              "<Read-Enforced, Read-Enforced>",
              "(the paper reports >30%; Ganesan's leader-based 10-client "

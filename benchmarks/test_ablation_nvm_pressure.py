@@ -15,8 +15,7 @@ halving the banks makes the inversion pronounced.
 
 import pytest
 
-from conftest import (DURATION_NS, archive, archive_json, run_cached,
-                      time_one_run)
+from conftest import DURATION_NS, archive, archive_json, run_cached
 
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
@@ -43,8 +42,7 @@ def sweep():
     return results
 
 
-def test_ablation_generate(sweep, time_one_run):
-    time_one_run(lambda: run_cached(LIN_SYNC))
+def test_ablation_generate(sweep):
     lines = ["Ablation: NVM pressure vs the Sync/Read-Enforced read-latency "
              "inversion",
              f"{'NVM configuration':<30} {'Sync rd(ns)':>12} "

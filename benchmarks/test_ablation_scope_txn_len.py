@@ -15,8 +15,7 @@ import dataclasses
 
 import pytest
 
-from conftest import (DURATION_NS, archive, archive_json, run_cached,
-                      time_one_run)
+from conftest import DURATION_NS, archive, archive_json, run_cached
 
 from repro.cluster.config import ClusterConfig
 from repro.core.engine import ProtocolConfig
@@ -49,8 +48,7 @@ def txn_sweep():
             for length in TXN_LENGTHS}
 
 
-def test_ablation_generate(scope_sweep, txn_sweep, time_one_run):
-    time_one_run(lambda: run_cached(SCOPE_MODEL, config=scope_config(10)))
+def test_ablation_generate(scope_sweep, txn_sweep):
     lines = ["Ablation: scope length (<Linearizable, Scope>)",
              f"{'scope len':>10} {'thr(Mops/s)':>12} {'persists':>9}"]
     for length, summary in scope_sweep.items():

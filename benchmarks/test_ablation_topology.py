@@ -12,8 +12,7 @@ import dataclasses
 
 import pytest
 
-from conftest import (DURATION_NS, archive, archive_json, run_cached,
-                      time_one_run)
+from conftest import DURATION_NS, archive, archive_json, run_cached
 
 from repro.cluster.config import ClusterConfig
 from repro.core.engine import ProtocolConfig
@@ -39,8 +38,7 @@ def sweep():
     return results
 
 
-def test_ablation_generate(sweep, time_one_run):
-    time_one_run(lambda: run_cached(MODEL, config=config_for(False)))
+def test_ablation_generate(sweep):
     lines = ["Ablation: broadcast vs sequential chain propagation "
              "(<Linearizable, Synchronous>)",
              f"{'servers':>8} {'topology':<11} {'thr(Mops/s)':>12} "

@@ -54,17 +54,12 @@ def _run(model, faulty):
     return cluster, injector, summary
 
 
-def test_chaos_availability(time_one_run):
+def test_chaos_availability():
     rows = {}
-
-    def run_all():
-        for model in MODELS:
-            _, _, baseline = _run(model, faulty=False)
-            cluster, injector, faulty = _run(model, faulty=True)
-            rows[model] = (baseline, faulty, cluster, injector)
-        return rows
-
-    time_one_run(run_all)
+    for model in MODELS:
+        _, _, baseline = _run(model, faulty=False)
+        cluster, injector, faulty = _run(model, faulty=True)
+        rows[model] = (baseline, faulty, cluster, injector)
 
     lines = ["Chaos: 1-node crash mid-run (restart after detection), "
              "Synchronous persistency",
@@ -115,22 +110,17 @@ def test_chaos_availability(time_one_run):
     )
 
 
-def test_weak_models_ride_through_better(time_one_run):
+def test_weak_models_ride_through_better():
     """Shape: consistency models whose writes don't wait on cluster-wide
     rounds (Causal, Eventual) retain at least as much relative
     throughput through the crash as Linearizable, whose every write
     must gather ACKs from the (re-formed) replica set."""
     availabilities = {}
-
-    def run_two():
-        for consistency in (C.LINEARIZABLE, C.EVENTUAL):
-            model = DdpModel(consistency, P.SYNCHRONOUS)
-            _, _, baseline = _run(model, faulty=False)
-            _, _, faulty = _run(model, faulty=True)
-            availabilities[consistency] = (faulty.throughput_ops_per_s
-                                           / baseline.throughput_ops_per_s)
-        return availabilities
-
-    time_one_run(run_two)
+    for consistency in (C.LINEARIZABLE, C.EVENTUAL):
+        model = DdpModel(consistency, P.SYNCHRONOUS)
+        _, _, baseline = _run(model, faulty=False)
+        _, _, faulty = _run(model, faulty=True)
+        availabilities[consistency] = (faulty.throughput_ops_per_s
+                                       / baseline.throughput_ops_per_s)
     assert availabilities[C.EVENTUAL] >= \
         availabilities[C.LINEARIZABLE] * 0.9

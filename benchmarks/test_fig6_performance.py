@@ -21,12 +21,10 @@ Asserted shapes (paper Section 8.1):
 import pytest
 
 from conftest import (DURATION_NS, WARMUP_NS, archive, archive_json,
-                      run_cached, time_one_run)
+                      run_cached)
 
 from repro.analysis.report import format_figure6_table, format_grid
 from repro.core.model import Consistency as C, DdpModel, Persistency as P, all_ddp_models
-
-BASELINE = DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS)
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +36,7 @@ def thr(fig6, consistency, persistency):
     return fig6[DdpModel(consistency, persistency)].throughput_ops_per_s
 
 
-def test_fig6_generate_all_panels(fig6, time_one_run):
-    # Time one representative extra run; the sweep itself is cached.
-    time_one_run(lambda: run_cached(BASELINE))
+def test_fig6_generate_all_panels(fig6):
     archive("fig6_performance", format_figure6_table(fig6))
 
 

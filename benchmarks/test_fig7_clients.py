@@ -14,7 +14,7 @@ consistency across all five persistency models, normalized to
 
 import pytest
 
-from conftest import archive, run_cached, time_one_run
+from conftest import archive, run_cached
 
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
@@ -44,9 +44,7 @@ def per_client_throughput(fig7, clients, consistency, persistency):
     return fig7[(clients, DdpModel(consistency, persistency))].throughput_ops_per_s
 
 
-def test_fig7_generate(fig7, time_one_run):
-    time_one_run(lambda: run_cached(DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS),
-                                    config=config_for(100)))
+def test_fig7_generate(fig7):
     base = per_client_throughput(fig7, 100, C.LINEARIZABLE, P.SYNCHRONOUS)
     lines = ["Figure 7: throughput vs clients "
              "(normalized to <Linear, Synchronous> @ 100 clients)"]

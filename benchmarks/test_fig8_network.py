@@ -10,7 +10,7 @@ Asserted shapes (paper Section 8.2):
 
 import pytest
 
-from conftest import archive, run_cached, time_one_run
+from conftest import archive, run_cached
 
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
@@ -40,9 +40,7 @@ def thr(fig8, rtt, consistency, persistency):
     return fig8[(rtt, DdpModel(consistency, persistency))].throughput_ops_per_s
 
 
-def test_fig8_generate(fig8, time_one_run):
-    time_one_run(lambda: run_cached(DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS),
-                                    config=config_for(1000.0)))
+def test_fig8_generate(fig8):
     base = thr(fig8, 1000.0, C.LINEARIZABLE, P.SYNCHRONOUS)
     lines = ["Figure 8: throughput vs NIC-to-NIC RTT "
              "(normalized to <Linear, Synchronous> @ 1us)"]

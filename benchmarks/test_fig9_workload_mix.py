@@ -8,7 +8,7 @@ write propagation and persistence; reads are only affected indirectly).
 
 import pytest
 
-from conftest import archive, run_cached, time_one_run
+from conftest import archive, run_cached
 
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.workload.ycsb import WORKLOADS
@@ -40,9 +40,7 @@ def model_spread(fig9, mix):
     return max(values) / min(values)
 
 
-def test_fig9_generate(fig9, time_one_run):
-    time_one_run(lambda: run_cached(DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS),
-                                    workload=WORKLOADS["A"]))
+def test_fig9_generate(fig9):
     base = thr(fig9, "A", C.LINEARIZABLE, P.SYNCHRONOUS)
     lines = ["Figure 9: throughput vs read/write mix "
              "(normalized to <Linear, Synchronous> @ workload A)"]

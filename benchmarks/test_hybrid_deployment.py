@@ -20,7 +20,7 @@ keeping strong guarantees inside each datacenter.
 
 import pytest
 
-from conftest import DURATION_NS, WARMUP_NS, archive, time_one_run
+from conftest import DURATION_NS, WARMUP_NS, archive
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
@@ -61,8 +61,7 @@ def deployments():
     }
 
 
-def test_generate(deployments, time_one_run):
-    time_one_run(lambda: run_hybrid(DdpModel(C.CAUSAL, P.SYNCHRONOUS)))
+def test_generate(deployments):
     lines = ["Hybrid deployment over a 50us WAN (2 datacenters x 3 servers, "
              "YCSB-A)",
              f"{'deployment':<45} {'thr(Mops/s)':>12} {'wr(ns)':>9}"]

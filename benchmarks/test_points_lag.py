@@ -15,7 +15,7 @@ hook, quantifying Table 2's qualitative "when" column:
 
 import pytest
 
-from conftest import archive, time_one_run
+from conftest import archive
 
 from repro.analysis.points import PointsTracker
 from repro.cluster.cluster import Cluster
@@ -53,8 +53,7 @@ def lags():
             for p in P}
 
 
-def test_generate_lag_table(lags, time_one_run):
-    time_one_run(lambda: measure(C.LINEARIZABLE, P.SYNCHRONOUS))
+def test_generate_lag_table(lags):
     lines = ["Visibility/Durability Point lags per model "
              "(60 isolated writes, 3 nodes)",
              f"{'model':<40} {'VP lag(ns)':>11} {'DP lag(ns)':>11} "

@@ -8,7 +8,7 @@ issued write.
 
 import pytest
 
-from conftest import DURATION_NS, WARMUP_NS, archive, time_one_run
+from conftest import DURATION_NS, WARMUP_NS, archive
 
 from repro.analysis.staleness import VersionBoard
 from repro.cluster.cluster import Cluster
@@ -39,8 +39,7 @@ def staleness():
     return {model: run_with_board(model) for model in MODELS}
 
 
-def test_generate(staleness, time_one_run):
-    time_one_run(lambda: run_with_board(MODELS[0]))
+def test_generate(staleness):
     lines = ["Read staleness by DDP model (versions behind the latest "
              "issued write)",
              f"{'model':<40} {'stale reads':>12} {'mean behind':>12} "

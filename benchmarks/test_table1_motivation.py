@@ -18,7 +18,7 @@ strictly increasing throughput, with the fully-relaxed environment at
 least ~2.5x the strict one.
 """
 
-from conftest import archive, run_cached, time_one_run
+from conftest import archive, run_cached
 
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
@@ -36,16 +36,10 @@ ENVIRONMENTS = [
 PAPER_NORMALIZED = [1.00, 1.32, 4.08]
 
 
-def test_table1_relative_throughput(time_one_run):
-    summaries = {}
-
-    def run_all():
-        for label, model in ENVIRONMENTS:
-            summaries[label] = run_cached(model, workload=WRITE_ONLY,
-                                          config=THREE_NODES)
-        return summaries
-
-    time_one_run(run_all)
+def test_table1_relative_throughput():
+    summaries = {label: run_cached(model, workload=WRITE_ONLY,
+                                   config=THREE_NODES)
+                 for label, model in ENVIRONMENTS}
 
     base = summaries[ENVIRONMENTS[0][0]].throughput_ops_per_s
     normalized = [summaries[label].throughput_ops_per_s / base

@@ -7,14 +7,14 @@ load-bearing cells against the paper (cell-exact agreement is enforced
 by the unit tests in tests/core/test_tradeoffs.py).
 """
 
-from conftest import archive, time_one_run
+from conftest import archive
 
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.core.tradeoffs import Level, TABLE4_MODELS, analyze, analyze_all
 
 
-def test_table4_regenerate(time_one_run):
-    profiles = time_one_run(analyze_all)
+def test_table4_regenerate():
+    profiles = analyze_all()
     header = "Table 4: trade-offs between DDP models (derived)"
     archive("table4_tradeoffs",
             header + "\n" + "\n".join(p.row() for p in profiles))
@@ -38,11 +38,11 @@ def test_table4_regenerate(time_one_run):
     assert lin_scope.programmability is Level.LOW
 
 
-def test_table4_full_matrix_derivation(time_one_run):
+def test_table4_full_matrix_derivation():
     """The derivation extends beyond the paper's ten rows to all 25."""
     from repro.core.model import all_ddp_models
 
-    profiles = time_one_run(lambda: [analyze(m) for m in all_ddp_models()])
+    profiles = [analyze(m) for m in all_ddp_models()]
     archive("table4_full_matrix",
             "All 25 DDP models (derived trade-offs)\n"
             + "\n".join(p.row() for p in profiles))

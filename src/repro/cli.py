@@ -17,7 +17,7 @@ docs/handbook.md "CLI reference"):
   on a contract violation).
 * ``trace`` / ``journey`` / ``profile`` — one run seen through one
   observer: the event timeline, per-update critical-path waterfalls
-  (``--all``: the 25-model matrix), kernel hotspots and flamegraphs.
+  (``--all``: the 25-model matrix), kernel hotspots.
   ``trace FILE`` / ``journey FILE`` re-open a saved artifact.
 * ``sweep`` — several models (``--all``: the 5x5 matrix, times
   ``--seeds``) across ``--workers`` processes; the merged
@@ -46,7 +46,6 @@ Examples::
     python -m repro.cli journey report.json     # re-open a saved report
     python -m repro.cli journey --all --duration-us 40
     python -m repro.cli profile --consistency linearizable --top 10
-    python -m repro.cli profile --flame-out kernel.folded --speedscope-out kernel.speedscope.json
     python -m repro.cli diff baseline.json fresh.json --json
     python -m repro.cli run --audit --consistency linearizable
     python -m repro.cli run --history-out h.jsonl --crash 1@120+60
@@ -88,7 +87,6 @@ from repro.obs import (
     run_sweep,
     write_dashboard,
     write_sweep_report,
-    FrameSampler,
     HealthMonitor,
     HistoryRecorder,
     JourneyTracker,
@@ -305,26 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      "journeys section (single model only)")
 
     profile_parser = subparsers.add_parser(
-        "profile", help="kernel performance observatory: hotspot "
-                        "attribution and flamegraph export")
+        "profile", help="kernel hotspot attribution: wall time by event "
+                        "kind and message handler")
     _add_model(profile_parser)
     _add_common(profile_parser)
     profile_parser.add_argument("--top", type=_positive(int), default=None,
                                 metavar="N",
                                 help="rows per hotspot section "
                                      "(default: all)")
-    profile_parser.add_argument("--flame-out", metavar="PATH", default=None,
-                                help="sample Python stacks and write "
-                                     "Brendan-Gregg folded stacks "
-                                     "(flamegraph.pl / speedscope input)")
-    profile_parser.add_argument("--speedscope-out", metavar="PATH",
-                                default=None,
-                                help="sample Python stacks and write a "
-                                     "speedscope JSON profile")
-    profile_parser.add_argument("--sample-interval-ms", type=_positive(float),
-                                default=5.0,
-                                help="stack sampling wall interval "
-                                     "(default: 5 ms)")
     profile_parser.add_argument("--json", action="store_true",
                                 dest="as_json",
                                 help="print the profile snapshot as JSON "
@@ -695,29 +681,14 @@ def _cmd_journey(args) -> int:
 
 def _cmd_profile(args) -> int:
     spec = _spec_from(args)
-    _preflight(args.flame_out, args.speedscope_out)
     profile = KernelProfile()
-    sampler = None
-    if args.flame_out or args.speedscope_out:
-        sampler = FrameSampler(interval_s=args.sample_interval_ms / 1000.0)
-        sampler.start()
-    try:
-        summary = observed_run(spec, Observers(profile=profile)).summary
-    finally:
-        if sampler is not None:
-            sampler.stop()
+    summary = observed_run(spec, Observers(profile=profile)).summary
     if args.as_json:
         doc = {
             "schema": KERNEL_PROFILE_SCHEMA,
             "meta": spec.meta(),
             "profile": profile.snapshot(),
         }
-        if sampler is not None:
-            doc["sampling"] = {
-                "samples": len(sampler.samples),
-                "interval_ms": args.sample_interval_ms,
-                "phase_seconds": sampler.phase_totals(),
-            }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"model: {spec.model}   throughput: "
@@ -725,18 +696,6 @@ def _cmd_profile(args) -> int:
               f"{profile.format()}")
         print()
         print(format_hotspots(profile, top=args.top))
-    if sampler is not None and not args.as_json:
-        totals = sampler.phase_totals()
-        split = "  ".join(f"{phase} {seconds * 1e3:.0f}ms" for phase, seconds
-                          in sorted(totals.items(), key=lambda kv: -kv[1]))
-        print(f"\nsampled  :  {len(sampler.samples)} stacks "
-              f"(every {args.sample_interval_ms:g} ms)  {split}")
-    if args.flame_out:
-        lines = sampler.write_folded(args.flame_out)
-        print(f"folded   -> {args.flame_out} ({lines} stack lines)")
-    if args.speedscope_out:
-        sampler.write_speedscope(args.speedscope_out, name=str(spec.model))
-        print(f"speedscope -> {args.speedscope_out}")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Cluster assembly and the simulation harness.
 
-:class:`Cluster` wires together the simulator, network, RDMA fabric,
-nodes, transaction table, durable log, and closed-loop clients for one
+:class:`Cluster` wires together the simulator, network, nodes,
+transaction table, durable log, and closed-loop clients for one
 DDP model.  :func:`run_simulation` is the one-call experiment runner
 used by tests, examples, and every benchmark: build a cluster, warm it
 up, measure for a simulated duration, and return the

@@ -31,7 +31,6 @@ requests.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -271,15 +270,11 @@ class ProtocolNode:
         if membership is not None:
             membership.subscribe(node_id, self._on_membership_change)
         # Bound once here instead of building a dict literal per
-        # inbound message in _on_arrival: (handler, whether it is a
-        # process).  A generator function runs as one; a plain function
-        # runs as a callback, in segments if it has to wait
-        # (see _handle_now).
-        self._handlers: Dict[MsgType, Tuple[Callable[..., Any], bool]] = {}
-        for msg_type, name in self._DISPATCH.items():
-            handler = getattr(self, name)
-            self._handlers[msg_type] = (
-                handler, inspect.isgeneratorfunction(handler))
+        # inbound message in _on_arrival.  Every handler is the first
+        # segment of _handle_now: ``fn(message, arrived_ns)``.
+        self._handlers: Dict[MsgType, Callable[..., Any]] = {
+            msg_type: getattr(self, name)
+            for msg_type, name in self._DISPATCH.items()}
         # Likewise the names of the processes spawned per message.
         self._pname = {role: f"n{node_id}.{role}" for role in (
             "msg", "crecheck", "valp", "bground", "cvalp",
@@ -1272,27 +1267,19 @@ class ProtocolNode:
                              version=message.version)
         msg_proc_ns = self.config.msg_proc_ns
         cpu_done = self.protocol_workers.admit(msg_proc_ns) + msg_proc_ns
-        handler, is_process = self._handlers[message.msg_type]
-        if is_process:
-            self.sim.process(
-                self._handle_waiting(False, handler(message), message,
-                                     self.sim.now),
-                name=self._pname["msg"], start_at=cpu_done)
-        else:
-            self.sim.call_at(cpu_done, self._handle_now, False, handler,
-                             message, self.sim.now)
+        self.sim.call_at(cpu_done, self._handle_now, False,
+                         self._handlers[message.msg_type], message,
+                         self.sim.now)
 
-    def _handle_waiting(self, resumed: bool, steps: Generator,
-                        message: Message, arrived_ns: float) -> Generator:
-        """Process: run ``steps`` — a generator handler, or
-        (``resumed``) the rest of a callback handler that reached a loop
-        over waits — to the end of the handler."""
+    def _handle_waiting(self, steps: Generator, message: Message,
+                        arrived_ns: float) -> Generator:
+        """Process: run ``steps`` — what is left of a handler that
+        reached a loop over waits — to the end of the handler."""
         instrument = self.sim.instrument
         if instrument is not None:
             # Transparent shim: yields the same events in the same order,
             # so the run stays byte-identical (see Instrument.drive_handler).
-            steps = instrument.drive_handler(message.msg_type.value, steps,
-                                             resumed)
+            steps = instrument.drive_handler(message.msg_type.value, steps)
         yield from steps
         if self.tracer.enabled:
             self._emit_msg_handle(message, arrived_ns)
@@ -1306,11 +1293,12 @@ class ProtocolNode:
         ``None`` when the handler is done; ``_PARKED`` when it has handed
         ``_handle_now`` with the next segment to whatever it waits for
         (the same heap entry or event a ``yield`` would have parked on);
-        or a generator when what remains loops over waits — that runs as
-        a process started in place, so it too adds no hop.  From outside
-        the segments are one handler: one count and every segment's time
-        under the message type, one ``msg_handle`` span from arrival to
-        the end of the last segment.
+        or a generator when what remains loops over waits (a handler
+        that does so from its first line simply is a generator function)
+        — that runs as a process started in place, so it too adds no
+        hop.  From outside the segments are one handler: one count and
+        every segment's time under the message type, one ``msg_handle``
+        span from arrival to the end of the last segment.
         """
         instrument = self.sim.instrument
         if instrument is None:
@@ -1324,7 +1312,7 @@ class ProtocolNode:
                 self._emit_msg_handle(message, arrived_ns)
         elif rest is not _PARKED:
             self.sim.process(
-                self._handle_waiting(True, rest, message, arrived_ns),
+                self._handle_waiting(rest, message, arrived_ns),
                 name=self._pname["msg"], inline=True)
 
     def _emit_msg_handle(self, message: Message, arrived_ns: float) -> None:
@@ -1586,7 +1574,7 @@ class ProtocolNode:
 
     # -- transaction rounds -------------------------------------------------------
 
-    def _on_initx(self, message: Message) -> Generator:
+    def _on_initx(self, message: Message, _arrived_ns: float) -> Generator:
         if self.ppolicy.persist_mode is PersistMode.INLINE:
             # Persist the transaction-begin event (Figure 4(b)).
             yield from self.memory.persist(message.txn_id)
@@ -1595,7 +1583,7 @@ class ProtocolNode:
                                         op_id=message.op_id,
                                         txn_id=message.txn_id))
 
-    def _on_endx(self, message: Message) -> Generator:
+    def _on_endx(self, message: Message, _arrived_ns: float) -> Generator:
         # All the transaction's updates must be applied locally...
         waits = []
         for key, version in message.payload:
@@ -1618,7 +1606,8 @@ class ProtocolNode:
 
     # -- scope rounds -----------------------------------------------------------------
 
-    def _on_persist(self, message: Message) -> Generator:
+    def _on_persist(self, message: Message,
+                    _arrived_ns: float) -> Generator:
         yield from self._persist_scope_local(message.scope_id, message.payload)
         self._send(message.src, Message(MsgType.ACK_P, src=self.node_id,
                                         op_id=message.op_id,

@@ -9,14 +9,15 @@ fork seeds, bucketing) silently varies between runs.  Use
 ``hashlib.blake2b`` for stable digests or plain modulo for int keys.
 
 Legitimate wall-clock use carries an inline waiver saying so.  Two
-families exist today, both in ``repro.obs``:
+families exist today:
 
 * the kernel profiler (``obs/profile.py``) — measuring real elapsed
   time *is* its job: run wall clock, per-step attribution windows,
   handler resume segments, and the live-snapshot fix all bracket real
   time with ``perf_counter``;
-* the frame sampler (``obs/perf.py``) — its sample weights are the
-  real seconds between polls of ``sys._current_frames()``.
+* cost accounting around a finished run — the sweep's progress ETA
+  (``obs/sweep.py``) and the auditor's checker wall
+  (``audit/engine.py``).
 
 Both run strictly *outside* the simulation's observable behavior: they
 read clocks but never feed them back into scheduling, so determinism

@@ -10,10 +10,8 @@ VP/DP events) into artifacts a human or a tool can consume:
 * :mod:`repro.obs.profile` — :class:`KernelProfile`, cheap counters for
   the simulation kernel itself (events processed, heap high-water mark,
   processes spawned, wall-clock per simulated second) plus per-event-kind
-  and per-message-handler wall attribution and scheduling statistics.
-* :mod:`repro.obs.perf` — the kernel performance observatory surface:
-  :class:`FrameSampler` (statistical sampling to folded stacks /
-  speedscope JSON, phase-tagged) and the ``repro profile`` hotspot table.
+  and per-message-handler wall attribution and scheduling statistics,
+  and the ``repro profile`` hotspot table that ranks them.
 * :mod:`repro.obs.report` — the machine-readable run-report JSON with
   windowed throughput/latency series and per-node VP/DP lag.
 * :mod:`repro.obs.run` — :class:`CellSpec` (the one description of a
@@ -82,13 +80,7 @@ from repro.obs.monitor import (
     health_chrome_events,
     health_json,
 )
-from repro.obs.perf import (
-    FrameSampler,
-    classify_phase,
-    format_hotspots,
-    hotspot_rows,
-)
-from repro.obs.profile import KernelProfile
+from repro.obs.profile import KernelProfile, format_hotspots, hotspot_rows
 from repro.obs.report import (
     build_run_report,
     config_fingerprint,
@@ -135,8 +127,6 @@ __all__ = [
     "health_chrome_events",
     "health_json",
     "KernelProfile",
-    "FrameSampler",
-    "classify_phase",
     "format_hotspots",
     "hotspot_rows",
     "build_run_report",

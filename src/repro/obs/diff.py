@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.schemas import (DIFF_REPORT_SCHEMA as DIFF_SCHEMA,
-                               SchemaError, schema_tags, validate_artifact)
+                               WALL_CLOCK_DIRECTIONS, SchemaError,
+                               schema_tags, validate_artifact)
 
 __all__ = ["DiffError", "MetricDelta", "DiffReport", "load_artifact",
            "diff_documents", "diff_paths", "format_markdown", "diff_json"]
@@ -39,7 +40,9 @@ SWEEP_SCHEMAS = schema_tags("repro.sweep_report")
 
 #: Metric name -> direction.  "higher" means an increase is good (a
 #: decrease beyond the threshold is a regression), "lower" the reverse;
-#: anything not listed is informational: reported, never a verdict.
+#: anything not listed is informational: reported, never a verdict — as
+#: is every wall-clock metric (``schemas.WALL_CLOCK_DIRECTIONS``), which
+#: is shown with its direction but is machine-dependent.
 METRIC_DIRECTIONS: Dict[str, str] = {
     "throughput_ops_per_s": "higher",
     "mean_read_ns": "lower",
@@ -62,20 +65,6 @@ METRIC_DIRECTIONS: Dict[str, str] = {
     # a code change — the ROADMAP item-1 ratio must not creep back.
     "events_per_message": "lower",
     "processes_per_message": "lower",
-}
-
-#: Wall-clock metrics (the ``profile`` section of run reports, and the
-#: kernel bench): direction-annotated so the diff *shows* whether the
-#: kernel got faster or slower, but machine-dependent, so they are
-#: always informational — ``info-better`` / ``info-worse`` verdicts
-#: that never enter the regression verdict.
-WALL_CLOCK_DIRECTIONS: Dict[str, str] = {
-    "events_per_wall_second": "higher",
-    "wall_seconds": "lower",
-    "loop_wall_seconds": "lower",
-    "wall_seconds_per_sim_second": "lower",
-    "ns_per_event": "lower",
-    "checker_wall_seconds": "lower",
 }
 
 DEFAULT_THRESHOLD = 0.05
@@ -106,7 +95,8 @@ class MetricDelta:
     verdict: str
     """"ok" | "regression" | "improvement" | "info" | "info-better" |
     "info-worse" | "n/a".  The ``info-*`` verdicts are direction-
-    annotated wall-clock observations (see ``WALL_CLOCK_DIRECTIONS``);
+    annotated wall-clock observations (see
+    :data:`~repro.obs.schemas.WALL_CLOCK_DIRECTIONS`);
     they never count toward the regression verdict."""
 
 

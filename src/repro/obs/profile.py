@@ -19,7 +19,8 @@ Collected:
 * wall-clock — real seconds between :meth:`start` and :meth:`stop`,
   reported per simulated second so runs of different lengths compare.
 
-Attribution (the performance observatory, ``repro.obs.perf``):
+Attribution (what ``repro profile``'s hotspot table,
+:func:`format_hotspots`, ranks):
 
 * ``by_event_kind`` — per event ``kind`` (timeout, msg_delivery,
   process_start/end, call_at, composite, interrupt, event) the pop
@@ -27,9 +28,9 @@ Attribution (the performance observatory, ``repro.obs.perf``):
 * ``by_msg_type`` — per protocol :class:`~repro.core.messages.MsgType`
   handler, the message count, cumulative wall seconds, and resumes
   after a wait (filled in by :meth:`call_handler` for every plain-call
-  segment of a handler and :meth:`drive_handler` for generator ones;
-  ``core.engine`` routes dispatch through them when a profile is
-  attached).
+  segment of a handler and :meth:`drive_handler` for what is left of
+  one that loops over waits; ``core.engine`` routes dispatch through
+  them when a profile is attached).
 * scheduling statistics — heap-depth histogram (power-of-two buckets),
   same-timestamp tie-batch size histogram, defused-event and cancelled
   -callback counts, trampoline hops per resume, and the two ratios
@@ -39,6 +40,8 @@ Attribution (the performance observatory, ``repro.obs.perf``):
 All wall-clock reads live here (waivered) so the kernel stays clean of
 ``time`` imports; ``loop_wall_seconds`` brackets only the event loop, so
 attribution buckets sum to ~100% of it (the hotspot-table denominator).
+For Python stacks rather than kernel buckets, run the CLI under
+``python -m cProfile -m repro.cli run ...``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.sim.engine import Instrument
 
-__all__ = ["KernelProfile"]
+__all__ = ["KernelProfile", "format_hotspots", "hotspot_rows"]
 
 
 class KernelProfile(Instrument):
@@ -154,20 +157,18 @@ class KernelProfile(Instrument):
         # repro: lint-ok[wall-clock-ban] brackets the event loop for the attribution denominator
         self.loop_wall_seconds += time.perf_counter() - self._loop_start
 
-    def drive_handler(self, label: str, handler: Generator,
-                      resumed: bool = False) -> Generator:
-        """Run a protocol message handler, timing each resume segment.
+    def drive_handler(self, label: str, handler: Generator) -> Generator:
+        """Run the rest of a protocol message handler — the generator
+        one of its :meth:`call_handler` segments returned, which counted
+        the message — timing each resume segment.
 
         A transparent generator shim: yields exactly the events ``handler``
         yields, forwards sent values and thrown exceptions unchanged, so
         kernel scheduling (and hence the run) is byte-identical — only the
         wall time between a resume and the next suspend is recorded under
-        ``label`` (the ``MsgType`` value).  ``resumed``: ``handler`` is
-        the rest of a handler whose earlier segments ran as callbacks.
+        ``label`` (the ``MsgType`` value).
         """
         stats = self.by_msg_type.setdefault(label, [0, 0.0, 0])
-        if not resumed:
-            stats[0] += 1
         value: Any = None
         error: Optional[BaseException] = None
         while True:
@@ -344,3 +345,74 @@ class KernelProfile(Instrument):
                 f"{self.wall_elapsed_seconds * 1e3:.1f} ms wall "
                 f"({self.events_per_wall_second / 1e6:.2f} Mevents/s, "
                 f"{self.wall_seconds_per_sim_second:.0f}x slowdown)")
+
+
+def hotspot_rows(profile: KernelProfile) -> List[Dict[str, Any]]:
+    """Attribution buckets of a :class:`KernelProfile`, ranked by
+    cumulative wall seconds (descending), ties broken by name.
+
+    Each row: ``section`` (``event_kind`` or ``msg_type``), ``name``,
+    ``count``, ``wall_seconds``, ``ns_per_event``, and ``share`` of the
+    event-loop wall (msg_type rows are a *refinement* of the
+    process-resume event rows, so shares across sections overlap).
+    """
+    loop = profile.loop_wall_seconds
+    rows: List[Dict[str, Any]] = []
+    for section, table in (("event_kind", profile.by_event_kind),
+                           ("msg_type", profile.by_msg_type)):
+        for name, stats in table.items():
+            count, wall = stats[0], stats[1]
+            rows.append({
+                "section": section,
+                "name": name,
+                "count": count,
+                "wall_seconds": wall,
+                "ns_per_event": (wall / count * 1e9) if count else 0.0,
+                "share": (wall / loop) if loop > 0 else 0.0,
+            })
+    rows.sort(key=lambda row: (-row["wall_seconds"], row["name"]))
+    return rows
+
+
+def format_hotspots(profile: KernelProfile, top: Optional[int] = None) -> str:
+    """Human-readable hotspot table for ``repro profile``."""
+    loop = profile.loop_wall_seconds
+    attributed = profile.attributed_wall_seconds
+    coverage = (attributed / loop * 100.0) if loop > 0 else 0.0
+    lines = [
+        f"kernel loop: {loop * 1e3:.1f} ms wall, "
+        f"{profile.events_processed} events, "
+        f"{coverage:.1f}% attributed to event buckets",
+    ]
+    header = (f"{'bucket':<28} {'count':>10} {'wall ms':>10} "
+              f"{'ns/event':>10} {'share':>7}")
+    rule = "-" * len(header)
+    ranked = hotspot_rows(profile)
+    for section, title in (("event_kind", "by event kind"),
+                           ("msg_type", "by message handler (refines "
+                                        "process-resume time)")):
+        rows = [row for row in ranked if row["section"] == section]
+        if top is not None:
+            rows = rows[:top]
+        if not rows:
+            continue
+        lines += ["", title, header, rule]
+        for row in rows:
+            lines.append(
+                f"{row['name']:<28} {row['count']:>10} "
+                f"{row['wall_seconds'] * 1e3:>10.2f} "
+                f"{row['ns_per_event']:>10.0f} "
+                f"{row['share'] * 100:>6.1f}%")
+    scheduling = profile.snapshot()["scheduling"]
+    lines += [
+        "",
+        "scheduling: "
+        f"max tie-batch {scheduling['max_tie_batch']}, "
+        f"defused ratio {scheduling['defused_ratio']:.4f}, "
+        f"{scheduling['callbacks_cancelled']} callbacks cancelled, "
+        f"{scheduling['hops_per_message']:.2f} trampoline hops/message",
+        "per handled message: "
+        f"{scheduling['events_per_message']:.2f} kernel events, "
+        f"{scheduling['processes_per_message']:.3f} processes spawned",
+    ]
+    return "\n".join(lines)

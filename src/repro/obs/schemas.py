@@ -28,7 +28,24 @@ __all__ = ["ArtifactSchema", "SchemaError", "SCHEMAS", "schema_tag",
            "RUN_REPORT_SCHEMA", "SWEEP_REPORT_SCHEMA", "HISTORY_SCHEMA",
            "BENCH_SCHEMA", "DIFF_REPORT_SCHEMA", "AUDIT_REPORT_SCHEMA",
            "LINT_REPORT_SCHEMA", "KERNEL_PROFILE_SCHEMA",
-           "ORDER_SWEEP_SCHEMA"]
+           "ORDER_SWEEP_SCHEMA", "WALL_CLOCK_DIRECTIONS"]
+
+#: Every artifact key whose value derives from the wall clock -> the
+#: direction a reader would call better.  One decision with two users:
+#: machine-dependent values never enter a byte-compared artifact
+#: (:func:`repro.obs.sweep.strip_wall_clock` removes these keys) and
+#: never enter a verdict (``repro diff`` shows them direction-annotated
+#: as ``info-better`` / ``info-worse``, and gates on none of them).
+WALL_CLOCK_DIRECTIONS: Dict[str, str] = {
+    "wall_seconds": "lower",
+    "loop_wall_seconds": "lower",
+    "wall_seconds_per_sim_second": "lower",
+    "events_per_wall_second": "higher",
+    "attributed_wall_seconds": "lower",
+    "attributed_fraction": "higher",
+    "checker_wall_seconds": "lower",
+    "wall_ms": "lower",
+}
 
 
 class SchemaError(ValueError):

@@ -53,22 +53,11 @@ from repro.obs.monitor import HealthMonitor
 from repro.obs.profile import KernelProfile
 from repro.obs.report import _clean, config_fingerprint
 from repro.obs.run import SECTIONS, CellSpec, Observers, observed_run
-from repro.obs.schemas import SWEEP_REPORT_SCHEMA
+from repro.obs.schemas import SWEEP_REPORT_SCHEMA, WALL_CLOCK_DIRECTIONS
 
 __all__ = ["CellSpec", "CellResult", "SweepProgress", "matrix_specs",
            "run_cell", "run_sweep", "strip_wall_clock", "sweep_meta",
            "build_sweep_report", "write_sweep_report", "SECTIONS"]
-
-#: Keys whose values derive from the wall clock.  They are removed
-#: (recursively) from every section of the merged artifact: wall time
-#: is machine- and schedule-dependent, and the sweep report's contract
-#: is byte-identity across worker counts.
-_WALL_CLOCK_KEYS = frozenset({
-    "wall_seconds", "events_per_wall_second",
-    "wall_seconds_per_sim_second", "loop_wall_seconds",
-    "attributed_wall_seconds", "attributed_fraction",
-    "checker_wall_seconds", "wall_ms",
-})
 
 _CRASH_ENV = "REPRO_SWEEP_TEST_CRASH"
 
@@ -102,7 +91,8 @@ def matrix_specs(models: Sequence[DdpModel], seeds: Sequence[int],
 
 
 def strip_wall_clock(value: Any) -> Any:
-    """Recursively remove wall-clock-derived keys from a section.
+    """Recursively remove wall-clock-derived keys
+    (:data:`~repro.obs.schemas.WALL_CLOCK_DIRECTIONS`) from a section.
 
     Every deterministic counter survives; anything measured in real
     seconds (or derived from it) is dropped so the merged artifact is
@@ -110,7 +100,7 @@ def strip_wall_clock(value: Any) -> Any:
     """
     if isinstance(value, dict):
         return {k: strip_wall_clock(v) for k, v in value.items()
-                if k not in _WALL_CLOCK_KEYS}
+                if k not in WALL_CLOCK_DIRECTIONS}
     if isinstance(value, (list, tuple)):
         return [strip_wall_clock(v) for v in value]
     return value

@@ -10,7 +10,6 @@ event tracing.
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -24,7 +23,6 @@ from repro.sim.trace import NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Condition",
     "Event",
     "Interrupt",

@@ -30,7 +30,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Interrupt",
     "Instrument",
     "Simulator",
@@ -130,14 +129,6 @@ class Event:
         self.sim._schedule(self, self.sim.now)
         return self
 
-    def trigger(self, other: Event) -> None:
-        """Mirror another (triggered) event's outcome onto this one."""
-        if other._ok:
-            self.succeed(other._value)
-        else:
-            other.defused = True
-            self.fail(other._value)
-
     def settle(self, value: Any = None) -> None:
         """Succeed, going through the heap only if somebody is waiting.
 
@@ -233,7 +224,7 @@ class Process(Event):
     __slots__ = ("generator", "_target", "name")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = "",
-                 start_at: Optional[float] = None, inline: bool = False):
+                 inline: bool = False):
         super().__init__(sim)
         self.kind = "process_end"
         if not hasattr(generator, "send"):
@@ -252,14 +243,12 @@ class Process(Event):
             sim._active_process = starter
             return
         # Kick off the process via an already-triggered initialization
-        # event, so that it starts from within the event loop — now, or
-        # at the absolute time ``start_at`` (the wake-up *is* the timed
-        # event: no separate timeout to park on first).
+        # event, so that it starts from within the event loop.
         init = Event(sim)
         init.kind = "process_start"
         init._ok = True
         init._value = None
-        sim._schedule(init, sim.now if start_at is None else start_at)
+        sim._schedule(init, sim.now)
         init.callbacks.append(self._resume)
         self._target: Optional[Event] = init
 
@@ -384,43 +373,6 @@ class AllOf(Event):
             self.succeed([c.value for c in self._children])
 
 
-class AnyOf(Event):
-    """Triggers when the *first* child event triggers (ok or failed).
-
-    Value is ``(index, value)`` of the first child to complete.
-    """
-
-    __slots__ = ("_children",)
-
-    def __init__(self, sim: Simulator, events: Iterable[Event]):
-        super().__init__(sim)
-        self.kind = "composite"
-        self._children = list(events)
-        if not self._children:
-            raise ValueError("AnyOf requires at least one event")
-        for index, child in enumerate(self._children):
-            if child.callbacks is None:
-                if child.ok:
-                    self.succeed((index, child.value))
-                else:
-                    self.fail(child.value)
-                return
-            child.callbacks.append(self._make_callback(index))
-
-    def _make_callback(self, index: int) -> Callable[[Event], None]:
-        def on_child(child: Event) -> None:
-            if self.triggered:
-                child.defused = True
-                return
-            if child._ok:
-                self.succeed((index, child._value))
-            else:
-                child.defused = True
-                self.fail(child._value)
-
-        return on_child
-
-
 class Instrument:
     """No-op base of the one optional kernel observer, ``sim.instrument``
     (DESIGN.md §3): ``loop_enter``/``loop_exit`` bracket the run loop,
@@ -428,8 +380,9 @@ class Instrument:
     bumps the four counters, and every segment of a protocol message
     handler goes through ``call_handler`` (a plain call: a handler that
     never waits, or one stretch of one that parks between callbacks) or
-    ``drive_handler`` (a generator, wrapped by one that must yield
-    exactly what it yields).  ``resumed`` marks what continues a handler
+    ``drive_handler`` (the generator a segment returned when what is
+    left loops over waits, wrapped by one that must yield exactly what
+    it yields).  ``resumed`` marks a plain call that continues a handler
     already counted: its message is counted once, its time every time."""
 
     __slots__ = ()
@@ -449,8 +402,7 @@ class Instrument:
 
     loop_enter = loop_exit = before_pop = after_event = _noop
 
-    def drive_handler(self, label: str, handler: Generator,
-                      resumed: bool = False) -> Generator:
+    def drive_handler(self, label: str, handler: Generator) -> Generator:
         return handler
 
     def call_handler(self, label: str, handler: Callable[..., Any],
@@ -495,10 +447,8 @@ class Simulator:
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "",
-                start_at: Optional[float] = None,
                 inline: bool = False) -> Process:
-        """Launch a generator as a concurrent process, starting now or at
-        the absolute time ``start_at`` (>= now).
+        """Launch a generator as a concurrent process, starting now.
 
         ``inline`` starts it *in place* instead: its first segment runs
         before this call returns, with no ``process_start`` heap entry.
@@ -507,22 +457,12 @@ class Simulator:
         waits): a heap start would be one more same-instant hop, which
         reorders ties against everything else scheduled at that instant.
         """
-        if start_at is not None:
-            if inline:
-                raise ValueError(
-                    "an in-place start is now: it takes no start_at")
-            if start_at < self.now:
-                raise ValueError(
-                    f"process start in the past: {start_at} < {self.now}")
         if self.instrument is not None:
             self.instrument.processes_spawned += 1
-        return Process(self, generator, name, start_at, inline)
+        return Process(self, generator, name, inline)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     @property
     def active_process(self) -> Optional[Process]:

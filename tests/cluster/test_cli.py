@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -57,7 +58,6 @@ class TestParser:
                      ["run", *small, "--history-out", bad],
                      ["trace", *small, "--out", bad],
                      ["journey", *small, "--journey-out", bad],
-                     ["profile", *small, "--speedscope-out", bad],
                      ["sweep", *small, "--out", bad],
                      ["sweep", *small, "--html-out", bad],
                      ["audit", history, "--out", bad],
@@ -420,35 +420,7 @@ class TestCommands:
         assert profile["events_processed"] > 0
         assert profile["attribution"]["by_msg_type"]
         assert profile["attribution"]["attributed_fraction"] > 0.9
-        assert "sampling" not in doc  # sampler is opt-in
-
-    def test_profile_writes_flame_artifacts(self, capsys, tmp_path):
-        folded = tmp_path / "run.folded"
-        speedscope = tmp_path / "run.speedscope.json"
-        code = main(["profile", "--servers", "3", "--clients", "6",
-                     "--duration-us", "200",
-                     "--sample-interval-ms", "0.25",
-                     "--flame-out", str(folded),
-                     "--speedscope-out", str(speedscope)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert str(folded) in out and str(speedscope) in out
-        lines = folded.read_text().splitlines()
-        assert lines, "sampler captured nothing in 200 simulated us"
-        for line in lines:
-            stack, _, weight = line.rpartition(" ")
-            assert int(weight) >= 1
-            assert ";" in stack or stack  # phase-rooted folded stack
-        doc = json.loads(speedscope.read_text())
-        assert doc["profiles"][0]["type"] == "sampled"
-
-    def test_profile_unwritable_out_exits_2(self, capsys, tmp_path):
-        code = main(["profile", "--servers", "3", "--clients", "6",
-                     "--duration-us", "30",
-                     "--flame-out", str(tmp_path / "no-dir" / "x.folded")])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "cannot write" in captured.err
+        assert set(doc) == {"schema", "meta", "profile"}
 
 
 class TestInputFileModes:
@@ -724,3 +696,162 @@ class TestSweepObservatory:
         assert main(["dash", str(bad)]) == 2
         captured = capsys.readouterr()
         assert "repro:" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Every flag is set by some test.  These are the ones no other test
+# sets: one case each, at a non-default value, asserting what the flag
+# changes against the same command without it.
+# ---------------------------------------------------------------------------
+
+_SMALL = ["--servers", "3", "--clients", "6", "--duration-us", "30"]
+_JOURNEY = ["journey", *_SMALL, "--consistency", "linearizable"]
+
+
+def _tracked(out):
+    return int(re.search(r"\((\d+) journeys tracked\)", out).group(1))
+
+
+def _callouts(out):
+    """Keys of the waterfall's individually broken-down updates."""
+    return re.findall(r"^    key=(\d+) ", out, re.MULTILINE)
+
+
+def _flag_trace_max_records(run, tmp):
+    out = run("trace", *_SMALL, "--limit", "0", "--max-records", "50")
+    assert "records: 50 " in out
+    assert "newest records dropped at the --max-records=50 cap" in out
+    assert "WARNING" not in run("trace", *_SMALL, "--limit", "0")
+
+
+def _flag_trace_ring(run, tmp):
+    out = run("trace", *_SMALL, "--limit", "0", "--max-records", "50",
+              "--ring")
+    assert "oldest records dropped at the --max-records=50 cap" in out
+
+
+def _flag_journey_sample_every(run, tmp):
+    every, fourth = run(*_JOURNEY), run(*_JOURNEY, "--sample-every", "4")
+    assert _tracked(fourth) == -(-_tracked(every) // 4)
+
+
+def _flag_journey_key(run, tmp):
+    key = _callouts(run(*_JOURNEY))[0]
+    out = run(*_JOURNEY, "--key", key)
+    assert set(_callouts(out)) == {key}
+    assert 0 < _tracked(out) < _tracked(run(*_JOURNEY))
+
+
+def _flag_journey_node(run, tmp):
+    per_node = [run(*_JOURNEY, "--node", str(node)) for node in range(3)]
+    for node, out in enumerate(per_node):
+        coordinators = set(re.findall(r"^    (n\d)  vp", out, re.MULTILINE))
+        assert coordinators == {f"n{node}"}
+    assert sum(map(_tracked, per_node)) == _tracked(run(*_JOURNEY))
+
+
+def _flag_journey_slowest(run, tmp):
+    assert len(_callouts(run(*_JOURNEY))) == 5
+    assert len(_callouts(run(*_JOURNEY, "--slowest", "2"))) == 2
+
+
+def _flag_profile_top(run, tmp):
+    def rows(out):
+        return len(re.findall(r"%$", out, re.MULTILINE))
+    assert rows(run("profile", *_SMALL, "--top", "1")) == 2  # per section
+    assert rows(run("profile", *_SMALL)) > 2
+
+
+def _flag_diff_threshold(run, tmp):
+    base, worse = tmp / "base.json", tmp / "worse.json"
+    run("run", *_SMALL, "--metrics-out", str(base))
+    doc = json.loads(base.read_text())
+    doc["summary"]["p99_write_ns"] *= 1.2
+    worse.write_text(json.dumps(doc))
+    assert "regression" in run("diff", str(base), str(worse), code=1)
+    assert "no-regression" in run("diff", str(base), str(worse),
+                                  "--threshold", "50")
+
+
+def _flag_dash_title(run, tmp):
+    sweep, page = tmp / "s.json", tmp / "s.html"
+    run("sweep", *_SMALL, "--no-progress", "--out", str(sweep))
+    run("dash", str(sweep), "--out", str(page), "--title", "Nightly <3>")
+    assert "<title>Nightly &lt;3&gt;</title>" in page.read_text()
+
+
+def _flag_run_journey_sample_every(run, tmp):
+    def tracked(*flags):
+        out = run("run", *_SMALL, "--journey-out", str(tmp / "j.json"),
+                  *flags)
+        return int(re.search(r"\((\d+) tracked", out).group(1))
+    assert tracked("--journey-sample-every", "4") == -(-tracked() // 4)
+
+
+def _flag_run_health_samples(run, tmp):
+    out = run("run", *_SMALL, "--health", "--health-samples", "3")
+    kept, dropped = map(int, re.search(
+        r"health   :  (\d+) samples \(every 5 us, (\d+) dropped\)",
+        out).groups())
+    assert kept == 3 and dropped > 0
+    assert ", 0 dropped)" in run("run", *_SMALL, "--health")
+
+
+def _flag_run_history_limit(run, tmp):
+    path = tmp / "h.jsonl"
+    out = run("run", *_SMALL, "--history-out", str(path),
+              "--history-limit", "10")
+    dropped = int(re.search(r"\(10 ops, (\d+) dropped\)", out).group(1))
+    assert dropped > 0
+    assert len(path.read_text().splitlines()) == 1 + 10   # header + ops
+    # ... and an over-limit history audits as unusable, not as a pass.
+    assert "UNUSABLE -- history truncated" in run("audit", str(path), code=2)
+
+
+def _flag_sweep_journeys(run, tmp):
+    plain, embedded = tmp / "plain.json", tmp / "embedded.json"
+    args = ["sweep", *_SMALL, "--no-progress", "--out"]
+    run(*args, str(plain))
+    run(*args, str(embedded), "--journeys")
+    assert all("journeys" not in cell
+               for cell in json.loads(plain.read_text())["cells"])
+    for cell in json.loads(embedded.read_text())["cells"]:
+        assert cell["journeys"]["journeys"] > 0
+
+
+def _flag_workload(run, tmp):
+    def report(*flags):
+        path = tmp / "m.json"
+        run("run", *_SMALL, "--metrics-out", str(path), *flags)
+        return json.loads(path.read_text())
+    default, write_heavy = report(), report("--workload", "W")
+    assert (default["meta"]["workload"],
+            write_heavy["meta"]["workload"]) == ("A", "W")
+    # 95 % writes against 50 %: more replication traffic.
+    assert write_heavy["summary"]["total_messages"] > \
+        1.5 * default["summary"]["total_messages"]
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_flag_trace_max_records, id="trace --max-records"),
+    pytest.param(_flag_trace_ring, id="trace --ring"),
+    pytest.param(_flag_journey_sample_every, id="journey --sample-every"),
+    pytest.param(_flag_journey_key, id="journey --key"),
+    pytest.param(_flag_journey_node, id="journey --node"),
+    pytest.param(_flag_journey_slowest, id="journey --slowest"),
+    pytest.param(_flag_profile_top, id="profile --top"),
+    pytest.param(_flag_diff_threshold, id="diff --threshold"),
+    pytest.param(_flag_dash_title, id="dash --title"),
+    pytest.param(_flag_run_journey_sample_every,
+                 id="run --journey-sample-every"),
+    pytest.param(_flag_run_health_samples, id="run --health-samples"),
+    pytest.param(_flag_run_history_limit, id="run --history-limit"),
+    pytest.param(_flag_sweep_journeys, id="sweep --journeys"),
+    pytest.param(_flag_workload, id="--workload"),
+])
+def test_flag_has_its_documented_effect(case, capsys, tmp_path):
+    def run(*argv, code=0):
+        assert main(list(argv)) == code, argv
+        return capsys.readouterr().out
+
+    case(run, tmp_path)

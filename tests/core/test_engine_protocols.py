@@ -547,17 +547,14 @@ class TestArrivalPath:
                           tracer=tracer, profile=profile)
         cluster.start()
         sim, follower = cluster.sim, cluster.engines[1]
-        # The dispatch form is read off the handler, per type.
-        waits = {t for t, (_h, waiting) in follower._handlers.items()
-                 if waiting}
-        assert waits == {MsgType.INITX, MsgType.ENDX, MsgType.PERSIST}
-        # Five arrivals, one worker: callbacks (VAL_p, ACK) and a process
-        # (INITX, which here ends without waiting) share its FIFO.
+        # Five arrivals, one worker: plain handlers (VAL_p, ACK) and a
+        # generator one (INITX, which here ends without waiting) share
+        # its FIFO.
         arrivals = [(MsgType.VAL_P, 1), (MsgType.VAL_P, 2), (MsgType.INITX, 3),
                     (MsgType.VAL_P, 4), (MsgType.ACK, 5)]
         for msg_type, op_id in arrivals:
             follower.nic.deliver(Message(msg_type, src=0, op_id=op_id), 16)
-        spawned_before = profile.processes_spawned
+        assert profile.processes_spawned == 0
         sim.run(until=1_000.0)
         proc = config.protocol.msg_proc_ns
         handled = [(r.time, r.dur, r.details["msg"],
@@ -566,9 +563,10 @@ class TestArrivalPath:
         assert handled == [(k * proc, k * proc, msg_type.value, op_id)
                            for k, (msg_type, op_id) in enumerate(arrivals, 1)]
         assert follower.protocol_workers.peak_queue_len == 4
-        # Only the waiting type cost a process; the instrument still
-        # counts every handled message under its type.
-        assert profile.processes_spawned == spawned_before
+        # Only the generator handler cost a process, started in place;
+        # the instrument counts every handled message under its type.
+        assert profile.processes_spawned == 1
+        assert "process_start" not in profile.by_event_kind
         assert {label: stats[0]
                 for label, stats in profile.by_msg_type.items()} == {
             "VAL_p": 3, "INITX": 1, "ACK": 2}   # + node 0 handling our ACK
@@ -600,6 +598,97 @@ class TestArrivalPath:
     def _handled(tracer, node=1):
         return [(r.time, r.dur, r.details["msg"], r.details["op_id"])
                 for r in tracer.by_category("msg_handle") if r.node == node]
+
+    #: One arrival of each type at an idle <Eventual, Eventual> follower:
+    #: what the handler waits for after its CPU charge ("llc": the DDIO
+    #: deposit), what it sends back, and whether it is a generator
+    #: (which costs one process, started in place).
+    _ARRIVALS = {
+        MsgType.INV: ("llc", {"ACK_c": 1}, False),
+        MsgType.UPD: ("llc", {}, False),
+        MsgType.ACK: (None, {}, False),
+        MsgType.ACK_C: (None, {}, False),
+        MsgType.ACK_P: (None, {}, False),
+        MsgType.VAL: (None, {}, False),
+        MsgType.VAL_C: (None, {}, False),
+        MsgType.VAL_P: (None, {}, False),
+        MsgType.INITX: (None, {"ACK": 1}, True),
+        MsgType.ENDX: (None, {"ACK": 1}, True),
+        MsgType.PERSIST: (None, {"ACK_p": 1}, True),
+    }
+
+    @pytest.mark.parametrize("msg_type", list(MsgType), ids=lambda t: t.name)
+    def test_every_arrival_is_one_call_at_entry_at_cpu_done(
+            self, msg_type, monkeypatch):
+        """The one path from the wire to a handler: whatever the type,
+        an arrival pushes a single ``call_at`` entry for ``_handle_now``
+        at the end of its protocol-CPU charge — no ``process_start``."""
+        waits_for, replies, is_generator = self._ARRIVALS[msg_type]
+        cluster, tracer, profile = self._observed_cluster(
+            C.EVENTUAL, P.EVENTUAL, monkeypatch)
+        sim, follower = cluster.sim, cluster.engines[1]
+        message = Message(msg_type, src=0, op_id=1024, key=7, version=(1, 0),
+                          value="v", scope_id=3)
+        follower.nic.deliver(message, message.size_bytes)
+        proc = cluster.config.protocol.msg_proc_ns
+        [(when, _seq, entry)] = sim._heap
+        assert (when, entry.kind, entry.fn) == (
+            proc, "call_at", follower._handle_now)
+        assert entry.args == (False, follower._handlers[msg_type], message,
+                              0.0)
+        sim.run(until=proc)
+        done_at = proc
+        if waits_for == "llc":
+            assert self._handled(tracer) == []        # parked on the deposit
+            done_at += follower.memory.caches.llc.round_trip_ns
+            sim.run(until=done_at)
+        assert self._handled(tracer) == [
+            (done_at, done_at, msg_type.value, 1024)]
+        assert cluster.metrics.messages_by_type == replies
+        count, _wall, resumes = profile.by_msg_type[msg_type.value]
+        assert (count, resumes) == (1, 1 if waits_for else 0)
+        assert profile.processes_spawned == (1 if is_generator else 0)
+        assert "process_start" not in profile.by_event_kind
+
+    @pytest.mark.parametrize("persistency, msg_type, fields, resumes", [
+        # INITX under inline persistency persists the begin record
+        # (two waits: the NVM bank, then its write).
+        (P.SYNCHRONOUS, MsgType.INITX, {"txn_id": 5}, 2),
+        # ENDX waits for the transaction's writes to be applied here.
+        (P.EVENTUAL, MsgType.ENDX,
+         {"txn_id": 5, "payload": ((7, (1, 0)),)}, 1),
+    ], ids=["INITX-inline-persist", "ENDX-unapplied-key"])
+    def test_generator_handler_parks_and_resumes_as_one_process(
+            self, persistency, msg_type, fields, resumes, monkeypatch):
+        """A handler that loops over waits is a generator function: the
+        same ``call_at`` entry calls it, and the generator it returns
+        runs as a process started in place."""
+        cluster, tracer, profile = self._observed_cluster(
+            C.TRANSACTIONAL, persistency, monkeypatch)
+        sim, follower = cluster.sim, cluster.engines[1]
+        message = Message(msg_type, src=0, op_id=1024, **fields)
+        follower.nic.deliver(message, message.size_bytes)
+        proc = cluster.config.protocol.msg_proc_ns
+        assert profile.processes_spawned == 0
+        sim.run(until=proc)
+        assert profile.processes_spawned == 1        # parked, as a process
+        assert self._handled(tracer) == []
+        assert cluster.metrics.messages_by_type == {}
+        if msg_type is MsgType.ENDX:
+            # Parked on the replica's condition until the write lands.
+            inv = Message(MsgType.INV, src=0, op_id=2048, key=7,
+                          version=(1, 0), value="v")
+            follower.nic.deliver(inv, inv.size_bytes)
+            done_at = 2 * proc + follower.memory.caches.llc.round_trip_ns
+        else:
+            done_at = proc + NVM_WRITE
+        quiesce(cluster)
+        assert (done_at, done_at, msg_type.value, 1024) \
+            in self._handled(tracer)
+        assert cluster.metrics.messages_by_type["ACK"] == 1
+        assert profile.by_msg_type[msg_type.value][0::2] == [1, resumes]
+        assert profile.processes_spawned == 1
+        assert "process_start" not in profile.by_event_kind
 
     def test_inv_handler_is_one_span_and_one_count_across_its_segments(
             self, monkeypatch):

@@ -68,6 +68,43 @@ class TestStripWallClock:
                        "attributed_fraction", "checker_wall"):
             assert needle not in text, needle
 
+    def test_every_stripped_key_is_informational_to_repro_diff(
+            self, tmp_path):
+        """One decision, two users: whatever ``strip_wall_clock`` takes
+        out of a real profiled and audited run report, ``repro diff``
+        shows with a direction and never gates on — ten times worse is
+        ``info-worse``, not a regression."""
+        from repro.cli import main
+        from repro.obs.diff import diff_documents
+
+        def key_names(value):
+            if isinstance(value, dict):
+                return set(value).union(*map(key_names, value.values()))
+            if isinstance(value, list):
+                return set().union(*map(key_names, value))
+            return set()
+
+        path = tmp_path / "report.json"
+        assert main(["run", "--servers", "3", "--clients", "6",
+                     "--duration-us", "20", "--profile", "--audit",
+                     "--metrics-out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        stripped = key_names(doc) - key_names(strip_wall_clock(doc))
+        assert {"wall_seconds", "attributed_fraction", "wall_ms",
+                "checker_wall_seconds"} <= stripped
+
+        def bench(scale):
+            return {"schema": "repro.bench/1", "bench": "wall",
+                    "config_hash": "same",
+                    "metrics": {"row": dict.fromkeys(stripped, scale)}}
+
+        report = diff_documents(bench(1.0), bench(10.0))
+        assert report.verdict == "no-regression"
+        assert {e.metric: e.verdict for e in report.entries} == {
+            key: "info-better" if key in ("events_per_wall_second",
+                                          "attributed_fraction")
+            else "info-worse" for key in stripped}
+
     @pytest.mark.parametrize("path", sorted(RESULTS.rglob("*.json")),
                              ids=lambda path: path.name)
     def test_committed_results_record_no_host_time(self, path):

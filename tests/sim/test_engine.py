@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -229,30 +228,6 @@ class TestProcess:
         sim.run()
         assert not p.is_alive
 
-    def test_start_at_wakes_the_process_at_that_time_with_one_event(self, sim):
-        seen = []
-
-        def proc():
-            seen.append(sim.now)
-            yield sim.timeout(1.0)
-            seen.append(sim.now)
-
-        process = sim.process(proc(), start_at=12.5)
-        assert sim.queue_depth == 1           # the start *is* the wake-up
-        assert process.is_alive
-        sim.run()
-        assert seen == [12.5, 13.5]
-
-    def test_start_at_in_the_past_rejected(self, sim):
-        sim.timeout(5)
-        sim.run()
-
-        def proc():
-            yield sim.timeout(1.0)
-
-        with pytest.raises(ValueError):
-            sim.process(proc(), start_at=1.0)
-
     def test_unwaited_success_settles_without_a_heap_entry(self, sim):
         def proc():
             yield sim.timeout(3.0)
@@ -420,13 +395,6 @@ class TestInPlaceStart:
         assert profile.processes_spawned == 1
         assert profile.by_event_kind.keys() == {"timeout"}   # no process_start
 
-    def test_takes_no_start_at(self, sim):
-        def proc():
-            yield sim.timeout(1.0)
-
-        with pytest.raises(ValueError, match="in-place"):
-            sim.process(proc(), start_at=5.0, inline=True)
-
 
 class TestCombinators:
     def test_all_of_waits_for_all(self, sim):
@@ -448,21 +416,6 @@ class TestCombinators:
         p = sim.process(proc())
         sim.run()
         assert p.value == "ok"
-
-    def test_any_of_returns_first(self, sim):
-        def proc():
-            result = yield sim.any_of([sim.timeout(5, value="slow"),
-                                       sim.timeout(1, value="fast")])
-            return result
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == (1, "fast")
-        assert sim.now <= 5.0
-
-    def test_any_of_empty_rejected(self, sim):
-        with pytest.raises(ValueError):
-            sim.any_of([])
 
     def test_all_of_propagates_failure(self, sim):
         def bad():

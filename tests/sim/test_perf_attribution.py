@@ -1,7 +1,7 @@
 """Attribution counters for kernel paths the profiler newly exposes.
 
 Micro-simulations with hand-traceable schedules pin *exact* counter
-values: event-kind buckets, composite (`AllOf`/`AnyOf`) and defused
+values: event-kind buckets, composite (`AllOf`) and defused
 events, same-timestamp tie-batches, interrupt-driven resumes, and the
 trampoline fast path.  A kernel refactor that changes any of these
 numbers changes scheduling — these tests make that visible before the
@@ -17,8 +17,8 @@ first line cost 11 pops before — 2 ``process_start`` + 2
 (queue-pair grant, ``delivered``, worker grant), 3 ``timeout``
 (serialization, propagation, CPU) and 1 ``msg_delivery`` (the inbox
 hand-off to the dispatcher) — and costs 2 now: 1 ``msg_delivery`` (the
-landing ``call_at`` entry) + 1 ``process_start`` (the handler, started
-at its CPU-done time).
+landing ``call_at`` entry) + 1 ``call_at`` (the handler, entered at its
+CPU-done time).
 """
 
 import pytest
@@ -62,29 +62,6 @@ class TestEventKindAttribution:
         # Wall attribution covers every pop exactly once.
         assert sum(s[0] for s in profile.by_event_kind.values()) == \
             profile.events_processed
-
-    def test_any_of_defuses_the_loser(self):
-        """AnyOf(5ns, 10ns): the losing timeout still pops at t=10 but
-        arrives defused (the composite already triggered)."""
-        sim, profile = _attached()
-
-        def waiter():
-            index, _value = yield sim.any_of([sim.timeout(5.0),
-                                              sim.timeout(10.0)])
-            assert index == 0
-
-        sim.process(waiter())
-        sim.run()
-        profile.stop(sim.now)
-
-        assert _kind_counts(profile) == {
-            "process_start": 1, "timeout": 2, "composite": 1,
-        }
-        assert profile.events_defused == 1
-        # 4 pops total (start, winner, composite, loser); was 5 with the
-        # unwaited process_end.
-        assert profile.snapshot()["scheduling"]["defused_ratio"] == \
-            pytest.approx(1 / 4)
 
     def test_call_at_and_plain_events_are_bucketed(self):
         sim, profile = _attached()
@@ -198,6 +175,12 @@ class TestInterruptAttribution:
         assert profile.callbacks_cancelled == 1
         # The abandoned 100ns timeout still pops (undefused, no waiters).
         assert counts["timeout"] == 2
+        # The interrupt is the one pop that arrives defused (its failure
+        # is thrown into the sleeper, not raised from the loop): 1 of 5
+        # pops (2 starts, 2 timeouts, the interrupt).
+        assert profile.events_defused == 1
+        assert profile.snapshot()["scheduling"]["defused_ratio"] == \
+            pytest.approx(1 / 5)
 
     def test_uninterrupted_run_counts_no_cancellations(self):
         sim, profile = _attached()

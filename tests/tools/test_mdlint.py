@@ -112,6 +112,29 @@ class TestChecker:
         assert "contract-grid:begin" in (ROOT / "docs"
                                          / "handbook.md").read_text()
 
+    def test_quoted_schema_tags_must_be_known_and_current(self, tmp_path):
+        """The README drift this check was added for: a doc that still
+        says ``run_report/5`` once the writers moved on fails by line."""
+        from repro.obs.schemas import RUN_REPORT_SCHEMA, schema_tags
+
+        old = schema_tags("repro.run_report")[-2]
+        text = (f"writes `{RUN_REPORT_SCHEMA}`\n"
+                f"reads `repro.run_report/1..6`\n"
+                f"writes `{old}`\n"
+                "and `repro.run_report/99`, `repro.nonesuch/1`\n")
+        errors = self.check(self.write(tmp_path, "doc.md", text))
+        stale, bad_version, bad_family = (
+            e.split("doc.md:")[1] for e in errors)
+        assert stale == (f"3: stale schema tag '{old}': current is "
+                         f"'{RUN_REPORT_SCHEMA}'")
+        assert bad_version.startswith(
+            "4: unknown repro.run_report version /99")
+        assert bad_family.startswith(
+            "4: unknown artifact family 'repro.nonesuch'")
+        # A change log's "current" was current when it was written.
+        logged = self.check(self.write(tmp_path, "CHANGES.md", text))
+        assert len(logged) == 2 and not any("stale" in e for e in logged)
+
 
 def test_repository_docs_are_clean(capsys):
     """The gate CI enforces: every *.md at the root and under docs/."""

@@ -17,7 +17,12 @@ Validates every markdown file it is given (or discovers):
   -->`` and ``<!-- contract-grid:end -->`` must equal
   :func:`contract_grid`, the rendering of ``repro.core.contracts``: the
   docs quote the table, they do not restate it (on a mismatch the
-  error carries the rendering to paste).
+  error carries the rendering to paste);
+* **schema tags** — every ``repro.<family>/<N>`` quoted anywhere in a
+  file must be a tag ``repro.obs.schemas`` knows, and outside the
+  change logs (``CHANGES.md``, ``ISSUE.md``: what an entry calls
+  current was current then) it must be the family's *current* tag
+  unless it opens a version range (``repro.run_report/1..6``).
 
 External targets (``http:``, ``https:``, ``mailto:``) are recorded
 but never fetched — CI must not depend on the network. Bare URLs in
@@ -57,16 +62,25 @@ _MD_DECORATION = re.compile(r"[*`]|\[|\]\([^)]*\)|\]")
 _CONTRACT_GRID = re.compile(r"<!-- contract-grid:begin -->\n(.*?)\n"
                             r"<!-- contract-grid:end -->", re.DOTALL)
 
+# A quoted artifact schema tag, and whether a version range follows it.
+_SCHEMA_TAG = re.compile(r"\b(repro\.[a-z_]+)/(\d+)(\.\.|…)?")
+_CHANGE_LOGS = ("CHANGES.md", "ISSUE.md")
+
 EXTERNAL_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
+
+
+def _use_checkout_src() -> None:
+    """Make ``repro`` importable from this checkout's ``src``."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
 
 
 def contract_grid() -> str:
     """The contract table of this checkout's ``src``, as the 5×5 grid
     the handbook quotes.  ``no_phantom`` and the row's history checker,
     owed by every cell, are left to the handbook's caption."""
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
+    _use_checkout_src()
     from repro.core.contracts import PROBES, contract_for
     from repro.core.model import Consistency, DdpModel, Persistency
 
@@ -89,6 +103,29 @@ def contract_grid() -> str:
                             if withheld else ""))
         lines.append(f"| **{title(c)}** | " + " | ".join(cells) + " |")
     return "\n".join(lines)
+
+
+def schema_tag_errors(text: str, is_change_log: bool) -> List[Tuple[int, str]]:
+    """``(line, complaint)`` for every quoted schema tag that
+    ``repro.obs.schemas`` does not know or that has been superseded."""
+    _use_checkout_src()
+    from repro.obs.schemas import SchemaError, parse_schema_tag, schema_tag
+
+    errors = []
+    for match in _SCHEMA_TAG.finditer(text):
+        family, version, is_range = match.groups()
+        tag = f"{family}/{version}"
+        try:
+            parse_schema_tag(tag)
+        except SchemaError as exc:
+            complaint = str(exc)
+        else:
+            current = schema_tag(family)
+            if tag == current or is_change_log or is_range:
+                continue
+            complaint = f"stale schema tag {tag!r}: current is {current!r}"
+        errors.append((text.count("\n", 0, match.start()) + 1, complaint))
+    return errors
 
 
 def strip_code_blocks(text: str, inline: bool = True) -> str:
@@ -169,6 +206,9 @@ class Checker:
                 self.errors.append(
                     f"{path}:{line}: contract grid differs from "
                     f"repro.core.contracts; it renders as\n{grid}")
+        for line, complaint in schema_tag_errors(
+                text, is_change_log=path.name in _CHANGE_LOGS):
+            self.errors.append(f"{path}:{line}: {complaint}")
         for line, target in iter_links(text):
             self.links_checked += 1
             if target.startswith("\0missing-ref:"):
