@@ -13,6 +13,8 @@ Points: the cheapest and the most message-heavy corners of the matrix
 heap-depth scaling are visible.
 """
 
+import pytest
+
 from repro.cluster.config import ClusterConfig
 from repro.cluster.cluster import run_simulation
 from repro.core.model import Consistency, DdpModel, Persistency
@@ -34,18 +36,28 @@ KERNEL_POINTS = {
 }
 
 #: label -> ceilings on (kernel events, spawned processes) per handled
-#: protocol message: the values measured at 150 us once INV and UPD
-#: handlers became callbacks too, plus 10 %.  They are whole-run
-#: ratios, so client work rides along and a point with few messages per
-#: operation (3 servers: two UPDs per write) sits higher than ROADMAP
-#: item 1's 8 / 1 target for the message path proper.  Processes: the
-#: clients, and nothing per message (a UPD that releases buffered
-#: updates would cost one; none does at these points).
+#: protocol message: the values measured at 150 us once a run of
+#: same-instant calls became one heap entry and a broadcast one frame,
+#: plus 10 %.  They are whole-run ratios, so client work rides along and
+#: a point with few messages per operation (3 servers: two UPDs per
+#: write, so runs of two) sits higher than the 8-server one (runs of
+#: seven).  Processes: the clients, and nothing per message (a UPD that
+#: releases buffered updates would cost one; none does at these points).
 MESSAGE_COST_CEILINGS = {
-    "causal-eventual-3s": (11.65, 0.0067),          # measured 10.59 / 0.0060
-    "causal-eventual-5s": (8.75, 0.0033),           # measured  7.95 / 0.0030
-    "causal-eventual-8s": (6.89, 0.0019),           # measured  6.26 / 0.0017
-    "linearizable-synchronous-5s": (4.62, 0.0041),  # measured  4.20 / 0.0037
+    "causal-eventual-3s": (9.28, 0.0067),           # measured 8.44 / 0.0060
+    "causal-eventual-5s": (5.07, 0.0033),           # measured 4.61 / 0.0030
+    "causal-eventual-8s": (2.85, 0.0019),           # measured 2.59 / 0.0017
+    "linearizable-synchronous-5s": (2.70, 0.0041),  # measured 2.45 / 0.0037
+}
+
+#: label -> heap pops at 150 us before calls were stored in runs (commit
+#: b44a449).  A run is storage: pops plus the calls that ran inside
+#: another's pop is still this number, call for call.
+CALLS_BEFORE_RUNS = {
+    "causal-eventual-3s": 105_561,
+    "causal-eventual-5s": 268_046,
+    "causal-eventual-8s": 595_671,
+    "linearizable-synchronous-5s": 114_750,
 }
 
 _RESULTS = {}
@@ -72,6 +84,7 @@ def _metrics_row(profile, summary):
     kernel counters only."""
     return {
         "events_processed": profile.events_processed,
+        "calls_coalesced": profile.calls_coalesced,
         "processes_spawned": profile.processes_spawned,
         "heap_peak": profile.heap_peak,
         "messages_handled": profile.messages_handled,
@@ -98,6 +111,14 @@ class TestKernelThroughput:
             assert profile.processes_per_message <= processes_max, (
                 label, profile.processes_per_message)
 
+    @pytest.mark.skipif(DURATION_NS != 150_000,
+                        reason="the counts are those of the default duration")
+    def test_runs_save_pops_not_calls(self):
+        """Coalescing executes exactly what separate entries executed."""
+        for label, (profile, _summary) in _run_points().items():
+            assert (profile.events_processed + profile.calls_coalesced
+                    == CALLS_BEFORE_RUNS[label]), label
+
     def test_event_counts_scale_with_cluster_size(self):
         """The deterministic counters behave: more servers (at constant
         per-node load) means more kernel events."""
@@ -121,12 +142,13 @@ class TestKernelThroughput:
         }
         archive_json("kernel", config, metrics)
 
-        header = (f"{'point':<30} {'events':>9} {'ev/msg':>7} "
-                  f"{'proc/msg':>8}")
+        header = (f"{'point':<30} {'events':>9} {'coalesced':>9} "
+                  f"{'ev/msg':>7} {'proc/msg':>8}")
         lines = ["kernel throughput baseline", header, "-" * len(header)]
         for label, row in metrics.items():
             lines.append(
                 f"{label:<30} {row['events_processed']:>9} "
+                f"{row['calls_coalesced']:>9} "
                 f"{row['events_per_message']:>7.2f} "
                 f"{row['processes_per_message']:>8.4f}")
         archive("kernel_throughput", "\n".join(lines))

@@ -155,12 +155,13 @@ class Metrics:
         self.ops.append(record)
 
     def record_message(self, msg_type: str, size_bytes: int,
-                       time_ns: Optional[float] = None) -> None:
-        self.messages_by_type[msg_type] = self.messages_by_type.get(msg_type, 0) + 1
-        self.bytes_by_type[msg_type] = self.bytes_by_type.get(msg_type, 0) + size_bytes
+                       time_ns: Optional[float] = None, count: int = 1) -> None:
+        """``count``: copies sent at once (a broadcast's fan-out)."""
+        self.messages_by_type[msg_type] = self.messages_by_type.get(msg_type, 0) + count
+        self.bytes_by_type[msg_type] = self.bytes_by_type.get(msg_type, 0) + count * size_bytes
         if self.window_ns is not None and time_ns is not None:
             key = (int(time_ns // self.window_ns), msg_type)
-            self.message_windows[key] = self.message_windows.get(key, 0) + 1
+            self.message_windows[key] = self.message_windows.get(key, 0) + count
 
     def note_causal_buffer(self, current_buffered: int) -> None:
         self.causal_buffered_total += 1

@@ -403,8 +403,14 @@ class ProtocolNode:
                              name=self._pname["chain"])
             return
         label, size_bytes = message.msg_type.value, message.size_bytes
-        for dst in (self.active_peers if targets is None else targets):
-            self._inject(dst, message, label, size_bytes, lazy)
+        targets = self.active_peers if targets is None else targets
+        if self.tracer.enabled:
+            # The trace interleaves msg_send and net_send per destination.
+            for dst in targets:
+                self._inject(dst, message, label, size_bytes, lazy)
+        elif targets:  # one frame: accounted once, walked by the network
+            self.metrics.record_message(label, size_bytes, self.sim.now, len(targets))
+            self.network.send(self.node_id, targets, message, size_bytes)
 
     def _chain_send(self, message: Message, lazy: bool = False) -> Generator:
         """Sequential propagation (ablation): the message reaches follower

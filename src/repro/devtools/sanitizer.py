@@ -20,9 +20,10 @@ Re-keying, not a second loop
 The kernel has one run loop and the sanitizer does not replace it.  Its
 ``before_pop(heap)`` hook fires before every pop; when the head's
 ``(when, sequence)`` lies past the last batch seen, it pops every entry
-tied at that timestamp, lets :meth:`~TieBatchSanitizer.observe` record
-and permute them, and pushes them back under the *same sorted sequence
-numbers*, dealt out in the permuted order, for the ordinary loop to pop.
+tied at that timestamp (runs taken apart into their calls), lets
+:meth:`~TieBatchSanitizer.observe` record and permute them, and pushes
+them back under the *same sorted sequence numbers*, dealt out in the
+permuted order, for the ordinary loop to pop.
 Entries scheduled while the batch runs carry larger sequence numbers
 and form the next batch, as they would pop later on a bare run.  The
 heap thus stays authoritative for ``until``, ``queue_depth`` and
@@ -30,7 +31,8 @@ heap thus stays authoritative for ``until``, ``queue_depth`` and
 This hook is the one place outside ``sim/engine.py`` that knows the
 queue is a binary heap of ``(when, sequence, entry)`` tuples — the
 contract a replacement queue must honour: stable among equal
-timestamps, push with an explicit sequence key.
+timestamps, push with an explicit sequence key, and an entry's ``tail``
+(if not None) lists calls that stand for ``(when, call.sequence, call)``.
 
 What gets permuted — and what must stay seq-stable
 --------------------------------------------------
@@ -141,6 +143,10 @@ class TieBatchSanitizer(Instrument):
         batch = []
         while heap and heap[0][0] == when:
             batch.append(heapq.heappop(heap))
+            head = batch[-1][2]
+            if head.tail is not None:  # a run: its calls tie one by one
+                batch.extend((when, call.sequence, call) for call in head.tail)
+                head.tail = None
         sequences = [entry[1] for entry in batch]
         self._batch_end = (when, sequences[-1])
         if len(batch) > 1:

@@ -11,6 +11,8 @@ and NICs with up to 400 queue pairs.  We model:
   by the node).
 * :class:`Network` — the all-to-all fabric connecting NICs, adding the
   propagation latency (half the configured round trip per direction).
+  :meth:`Network.send` takes one destination or a broadcast's whole
+  target list (one frame).
 
 Messages are opaque to this layer; it only needs ``size_bytes``.
 """
@@ -18,7 +20,7 @@ Messages are opaque to this layer; it only needs ``size_bytes``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.sync import AdmissionPool, Store
@@ -131,9 +133,10 @@ class Network:
     def node_ids(self) -> List[int]:
         return sorted(self._nics)
 
-    def send(self, src: int, dst: int, message: Any, size_bytes: int,
-             delivered: Optional[Event] = None) -> None:
-        """Inject ``message`` from ``src`` to ``dst``.
+    def send(self, src: int, dst: Union[int, Sequence[int]], message: Any,
+             size_bytes: int, delivered: Optional[Event] = None) -> None:
+        """Inject ``message`` from ``src`` to ``dst``: one node id, or a
+        sequence of them for one frame of a broadcast.
 
         ``delivered``, if given, is the caller's own untriggered event:
         it is settled with the message when the message is delivered at
@@ -141,56 +144,62 @@ class Network:
         passing needs no such event, so none is made here — only the
         chain ablation waits on deliveries.  Every duration on the way
         is known here — queue-pair admission, serialization, propagation
-        — so the transfer is one computed timestamp and one scheduled
-        landing, not a process.
+        — so a transfer is one computed timestamp and one scheduled
+        landing, not a process.  Destinations are walked in order, each
+        what a ``send`` of its own would have been; on a symmetric fabric
+        their landings share an instant and so a heap entry.
         """
-        if src == dst:
+        destinations = (dst,) if isinstance(dst, int) else dst
+        if src in destinations:
             raise ValueError("loopback send: use local operations instead")
-        extra_delay_ns = 0.0
-        if self.faults is not None:
-            verdict = self.faults.on_message(src, dst, message, size_bytes)
-            if verdict is not None:
-                if verdict.drop:
-                    self.dropped_messages += 1
-                    return  # dropped: ``delivered`` never triggers
-                extra_delay_ns = verdict.delay_ns
-                if extra_delay_ns > 0:
-                    self.delayed_messages += 1
-                # Duplicates ride their own transfers: each occupies a
-                # queue pair and serializes like a real resend would.
-                for _copy in range(verdict.copies - 1):
-                    self.duplicated_messages += 1
-                    self._transmit(src, dst, message, size_bytes,
-                                   extra_delay_ns, None)
-        self._transmit(src, dst, message, size_bytes, extra_delay_ns,
-                       delivered)
-
-    def _transmit(self, src: int, dst: int, message: Any, size_bytes: int,
-                  extra_delay_ns: float, delivered: Optional[Event]) -> None:
-        src_nic = self._nics[src]
+        nics, faults, one_way_fn = self._nics, self.faults, self.one_way_fn
+        src_nic = nics[src]
         serialization_ns = src_nic.serialization_ns(size_bytes)
-        on_link = src_nic.queue_pairs.admit(serialization_ns) + serialization_ns
-        src_nic.messages_sent += 1
-        src_nic.bytes_sent += size_bytes
-        self.total_messages += 1
-        self.total_bytes += size_bytes
-        if self.tracer.enabled:
-            # Span covers queue-pair wait + serialization onto the link;
-            # ser_ns isolates the bandwidth share so queue-pair wait is
-            # the remainder.  Stamped with its (computed) end time, a few
-            # ns ahead of the clock — trace consumers sort by time.
-            self.tracer.emit(on_link, "net_send", node=src,
-                             dur=on_link - self.sim.now, dst=dst,
-                             bytes=size_bytes, ser_ns=serialization_ns)
-        one_way = (self.one_way_fn(src, dst) if self.one_way_fn is not None
-                   else self.config.one_way_ns)
-        # (message, destination NIC) lead the arguments: the tie-batch
-        # sanitizer labels landings by the one and groups them by the
-        # other.
-        landing = self.sim.call_at(on_link + (one_way + extra_delay_ns),
-                                   self._land, message, self._nics[dst], src,
-                                   size_bytes, delivered)
-        landing.kind = "msg_delivery"
+        admit = src_nic.queue_pairs.admit
+        tracing = self.tracer.enabled
+        one_way, extra_delay_ns, copies = self.config.one_way_ns, 0.0, 1
+        sent = 0
+        for dst in destinations:
+            if faults is not None:
+                extra_delay_ns, copies = 0.0, 1
+                verdict = faults.on_message(src, dst, message, size_bytes)
+                if verdict is not None:
+                    if verdict.drop:
+                        self.dropped_messages += 1
+                        continue  # dropped: ``delivered`` never triggers
+                    extra_delay_ns = verdict.delay_ns
+                    if extra_delay_ns > 0:
+                        self.delayed_messages += 1
+                    # Duplicates ride their own transfers, each on a
+                    # queue pair like a real resend, ahead of the original.
+                    copies = verdict.copies
+                    self.duplicated_messages += copies - 1
+            if one_way_fn is not None:
+                one_way = one_way_fn(src, dst)
+            while True:
+                on_link = admit(serialization_ns) + serialization_ns
+                if tracing:
+                    # Span covers queue-pair wait + serialization (ser_ns:
+                    # the bandwidth share).  Stamped with its computed end,
+                    # a few ns ahead of the clock — consumers sort by time.
+                    self.tracer.emit(on_link, "net_send", node=src,
+                                     dur=on_link - self.sim.now, dst=dst,
+                                     bytes=size_bytes, ser_ns=serialization_ns)
+                # (message, destination NIC) lead the arguments: the
+                # sanitizer labels landings by one, groups them by the other.
+                landing = self.sim.call_at(
+                    on_link + (one_way + extra_delay_ns), self._land, message,
+                    nics[dst], src, size_bytes,
+                    delivered if copies == 1 else None)
+                landing.kind = "msg_delivery"
+                sent += 1
+                if copies == 1:
+                    break
+                copies -= 1
+        src_nic.messages_sent += sent
+        src_nic.bytes_sent += sent * size_bytes
+        self.total_messages += sent
+        self.total_bytes += sent * size_bytes
 
     def _land(self, message: Any, dst_nic: Nic, src: int, size_bytes: int,
               delivered: Optional[Event]) -> None:

@@ -14,6 +14,7 @@ counts below are the counts of every run, however it was driven.
 Collected:
 
 * ``events_processed`` — heap pops (kernel iterations).
+* ``calls_coalesced`` — ``call_at`` calls run inside another's pop (a run).
 * ``heap_peak`` — high-water mark of the event heap (scheduling depth).
 * ``processes_spawned`` — generator processes launched.
 * wall-clock — real seconds between :meth:`start` and :meth:`stop`,
@@ -57,7 +58,7 @@ __all__ = ["KernelProfile", "format_hotspots", "hotspot_rows"]
 class KernelProfile(Instrument):
     """Cheap kernel counters plus wall-clock accounting."""
 
-    __slots__ = ("events_processed", "heap_peak", "processes_spawned",
+    __slots__ = ("events_processed", "calls_coalesced", "heap_peak", "processes_spawned",
                  "_wall_start", "wall_seconds", "sim_ns",
                  "loop_wall_seconds", "by_event_kind", "by_msg_type",
                  "heap_depth_hist", "_last_stamp", "_loop_start",
@@ -67,6 +68,7 @@ class KernelProfile(Instrument):
 
     def __init__(self):
         self.events_processed = 0
+        self.calls_coalesced = 0
         self.heap_peak = 0
         self.processes_spawned = 0
         self._wall_start: Optional[float] = None
@@ -126,7 +128,9 @@ class KernelProfile(Instrument):
         bucket = depth.bit_length()
         hist = self.heap_depth_hist
         hist[bucket] = hist.get(bucket, 0) + 1
-        when = heap[0][0]
+        when, _seq, head = heap[0]
+        if head.tail is not None:
+            self.calls_coalesced += len(head.tail)
         if when == self._tie_when:
             self._tie_run += 1
         else:
@@ -289,6 +293,7 @@ class KernelProfile(Instrument):
         attributed = self.attributed_wall_seconds
         return {
             "events_processed": self.events_processed,
+            "calls_coalesced": self.calls_coalesced,
             "heap_peak": self.heap_peak,
             "processes_spawned": self.processes_spawned,
             "sim_ns": self.sim_ns,
@@ -381,7 +386,7 @@ def format_hotspots(profile: KernelProfile, top: Optional[int] = None) -> str:
     coverage = (attributed / loop * 100.0) if loop > 0 else 0.0
     lines = [
         f"kernel loop: {loop * 1e3:.1f} ms wall, "
-        f"{profile.events_processed} events, "
+        f"{profile.events_processed} events (+{profile.calls_coalesced} calls coalesced), "
         f"{coverage:.1f}% attributed to event buckets",
     ]
     header = (f"{'bucket':<28} {'count':>10} {'wall ms':>10} "

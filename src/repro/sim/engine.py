@@ -17,6 +17,9 @@ Design notes
   protocol bugs surface as test failures rather than silent hangs.
 * Determinism: ties in the heap are broken by an insertion sequence
   number, so two runs with the same seed produce identical schedules.
+* The heap holds *runs*: a ``call_at`` for the instant the push just
+  before it asked for would pop directly after it, so it is stored in
+  that push's entry under its own number (:meth:`Simulator.call_at`).
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ class Event:
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled", "defused",
                  "kind")
+    tail = None  # only a Callback heads a run
 
     def __init__(self, sim: Simulator):
         self.sim = sim
@@ -162,27 +166,38 @@ class Event:
 
 
 class Callback:
-    """A scheduled plain function call: the heap entry behind
-    :meth:`Simulator.call_at`.
+    """A scheduled plain function call, made by :meth:`Simulator.call_at`.
 
     Nothing can wait on it, so it carries no callback list, value or
     status — only what the run loop reads off any heap entry
-    (``_run_callbacks``, ``_ok``, ``defused``, ``kind``).  ``kind`` is
-    the same profiling label as :attr:`Event.kind`; the network relabels
-    its landings ``"msg_delivery"``.
+    (``_run_callbacks``, ``_ok``, ``defused``, ``kind``, ``tail``).
+    ``kind`` is the same profiling label as :attr:`Event.kind`; the
+    network relabels its landings ``"msg_delivery"``.
+
+    A callback is on the heap under ``(when, sequence)`` or in the
+    ``tail`` of the one that is (calls pushed directly after it for its
+    instant); once that run executes, ``tail`` is what has not run, reversed.
     """
 
-    __slots__ = ("fn", "args", "kind")
+    __slots__ = ("fn", "args", "sequence", "kind", "tail")
     _ok = True
     defused = False
 
-    def __init__(self, fn: Callable[..., None], args: tuple):
+    def __init__(self, fn: Callable[..., None], args: tuple, sequence: int):
         self.fn = fn
         self.args = args
+        self.sequence = sequence
         self.kind = "call_at"
+        self.tail: Optional[List[Callback]] = None
 
     def _run_callbacks(self) -> None:
+        tail = self.tail
+        if tail is not None:
+            tail.reverse()
         self.fn(*self.args)
+        while tail:
+            member = tail.pop()
+            member.fn(*member.args)
 
 
 class Timeout(Event):
@@ -430,6 +445,11 @@ class Simulator:
         self.now: float = 0.0
         self._heap: List = []
         self._sequence = 0
+        # The open run: the latest ``call_at`` push, its timestamp, the
+        # number after its last member (any other push moves past it).
+        self._run_head: Optional[Callback] = None
+        self._run_when, self._run_next = 0.0, -1
+        self._running: Any = None  # entry being processed; None outside the loop
         self._active_process: Optional[Process] = None
         # The one optional :class:`Instrument` (kernel profiler or
         # tie-batch sanitizer).  None by default, so the run loop pays
@@ -482,17 +502,42 @@ class Simulator:
                 *args: Any) -> Callback:
         """Run ``fn(*args)`` at absolute time ``when`` (>= now).
 
-        The timestamp is pushed as given — a caller that computed
+        The timestamp is used as given — a caller that computed
         ``when`` as ``t + d`` gets exactly the float a ``timeout(d)``
-        created at ``t`` would pop at.  Returns the heap entry so the
-        caller may relabel its ``kind``.
+        created at ``t`` would pop at.  Returns the call's own
+        :class:`Callback` so the caller may relabel its ``kind``.
+
+        The call joins the open run instead of being pushed when
+        (a) nothing at all was pushed since the run's last member,
+        (b) ``when`` is the run's, (c) ``when`` is in the future — a
+        popped run is never joined — and (d) the run loop is making the
+        call.  No other entry can sort between ``(when, s)`` and
+        ``(when, s + 1)``, so nothing moves in time or in order.
         """
-        if when < self.now:
-            raise ValueError(f"call_at into the past: {when} < {self.now}")
-        entry = Callback(fn, args)
-        heapq.heappush(self._heap, (when, self._sequence, entry))
-        self._sequence += 1
+        now = self.now
+        if when < now:
+            raise ValueError(f"call_at into the past: {when} < {now}")
+        sequence = self._sequence
+        entry = Callback(fn, args, sequence)
+        if (sequence == self._run_next and when == self._run_when
+                and when > now and self._running is not None):
+            head = self._run_head
+            if head.tail is None:
+                head.tail = [entry]
+            else:
+                head.tail.append(entry)
+        else:
+            heapq.heappush(self._heap, (when, sequence, entry))
+            self._run_head = entry
+            self._run_when = when
+        self._sequence = self._run_next = sequence + 1
         return entry
+
+    def _push_run(self, when: float, members: List[Callback]) -> None:
+        """Re-queue ``members`` of a run as a run, under their own numbers."""
+        head = members[0]
+        head.tail = members[1:] or None
+        heapq.heappush(self._heap, (when, head.sequence, head))
 
     # -- running ------------------------------------------------------------------
 
@@ -503,24 +548,38 @@ class Simulator:
         order until the heap drains, the next one lies past ``until``,
         ``stop`` has triggered, or ``limit`` events ran.
 
+        Under ``stop``/``limit`` a run gives up one member per pop; a
+        call that raises leaves the calls behind it queued.
         An attached instrument brackets the loop and each event; it sees
         the same pops in the same order, so an instrumented run stays
         byte-identical to a bare one.
         """
         heap = self._heap
         instrument = self.instrument
+        call_by_call = stop is not None or limit is not None
         if instrument is not None:
             instrument.loop_enter()
         try:
             while heap:
-                if stop is not None and stop._value is not PENDING:
-                    return
+                if call_by_call:
+                    if stop is not None and stop._value is not PENDING:
+                        return
+                    when, _seq, head = heap[0]
+                    if head.tail is not None:
+                        tail, head.tail = head.tail, None
+                        self._push_run(when, tail)
                 if until is not None and heap[0][0] > until:
                     return
                 if instrument is not None:
                     instrument.before_pop(heap)
                 self.now, _seq, event = heapq.heappop(heap)
-                event._run_callbacks()
+                self._running = event
+                try:
+                    event._run_callbacks()
+                except BaseException:
+                    if event.tail:
+                        self._push_run(self.now, event.tail[::-1])
+                    raise
                 if instrument is not None:
                     instrument.after_event(event)
                 if event._ok is False and not event.defused:
@@ -531,6 +590,7 @@ class Simulator:
                     if limit == 0:
                         return
         finally:
+            self._running = None
             if instrument is not None:
                 instrument.loop_exit()
 
@@ -568,6 +628,9 @@ class Simulator:
 
     @property
     def queue_depth(self) -> int:
-        """Scheduled-but-unprocessed events (the kernel's backlog; the
-        health monitor samples this as its load signal)."""
-        return len(self._heap)
+        """Scheduled-but-unprocessed events and calls (the backlog the
+        health monitor samples), counted when asked: every entry, every
+        run's tail, what is left of the run being executed."""
+        tails = [entry.tail for _when, _seq, entry in self._heap]
+        tails.append(getattr(self._running, "tail", None))
+        return len(self._heap) + sum(len(tail) for tail in tails if tail)

@@ -141,6 +141,22 @@ class TestMetricsSeries:
         assert series == {"ACK": [0, 0, 1], "INV": [1, 0, 1]}
         assert metrics.messages_by_type["VAL"] == 1
 
+    def test_a_counted_message_is_that_many_messages(self):
+        """A broadcast recorded once with its fan-out reads the same as
+        one record per destination — totals, bytes and windows."""
+        one_by_one, counted = Metrics(window_ns=100.0), Metrics(window_ns=100.0)
+        for _ in range(7):
+            one_by_one.record_message("UPD", 88, time_ns=210.0)
+        counted.record_message("UPD", 88, time_ns=210.0, count=7)
+        for metrics in (one_by_one, counted):
+            metrics.record_message("ACK", 16, time_ns=10.0)
+        assert counted.messages_by_type == one_by_one.messages_by_type
+        assert counted.bytes_by_type == one_by_one.bytes_by_type == \
+            {"UPD": 616, "ACK": 16}
+        assert counted.message_window_series() == \
+            one_by_one.message_window_series() == \
+            {"ACK": [1, 0, 0], "UPD": [0, 0, 7]}
+
 
 class TestPointsWindowLags:
     def test_lags_bucketed_by_issue_window(self):

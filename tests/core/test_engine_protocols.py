@@ -805,3 +805,56 @@ class TestArrivalPath:
         assert sends[1].time == landings[1]
         assert sends[2].time == landings[2]
         assert sends[0].time < sends[1].time < sends[2].time
+
+
+class TestBroadcastFrame:
+    """A broadcast is one ``Network.send`` and one metrics record;
+    traced, it is handed over destination by destination, because the
+    ``msg_send`` / ``net_send`` interleaving is part of the trace."""
+
+    @staticmethod
+    def _broadcast(tracer=None, targets=None):
+        config = ClusterConfig(servers=4, clients_per_server=0,
+                               store_type=None)
+        cluster = Cluster(DdpModel(C.EVENTUAL, P.EVENTUAL), config=config,
+                          tracer=tracer)
+        cluster.start()
+        sends, send = [], cluster.network.send
+
+        def spy(src, dst, *rest):
+            sends.append(dst)
+            send(src, dst, *rest)
+
+        cluster.network.send = spy    # protocol sends look it up per call
+        message = Message(MsgType.UPD, src=0, op_id=1024, key=7,
+                          version=(1, 0), value="v")
+        cluster.sim.call_at(0.0, cluster.engines[0]._broadcast, message,
+                            False, targets)
+        cluster.sim.step()
+        return cluster, sends
+
+    def test_untraced_it_is_one_send_one_record_one_heap_entry(self):
+        cluster, sends = self._broadcast()
+        assert sends == [[1, 2, 3]]
+        assert cluster.metrics.messages_by_type == {"UPD": 3}
+        assert cluster.network.nic(0).messages_sent == 3
+        assert len(cluster.sim._heap) == 1 and cluster.sim.queue_depth == 3
+
+    def test_traced_it_goes_destination_by_destination(self):
+        from repro.sim.trace import Tracer
+
+        tracer = Tracer(categories=["msg_send", "net_send"])
+        traced, sends = self._broadcast(tracer)
+        plain, _sends = self._broadcast()
+        assert sends == [1, 2, 3]
+        assert [r.category for r in tracer.records] == \
+            ["msg_send", "net_send"] * 3
+        assert traced.metrics.messages_by_type == \
+            plain.metrics.messages_by_type
+        assert traced.metrics.bytes_by_type == plain.metrics.bytes_by_type
+        assert sorted(traced.sim._heap)[0][:2] == sorted(plain.sim._heap)[0][:2]
+        assert traced.sim._sequence == plain.sim._sequence
+
+    def test_nobody_to_send_to_records_nothing(self):
+        cluster, sends = self._broadcast(targets=[])
+        assert sends == [] and cluster.metrics.messages_by_type == {}

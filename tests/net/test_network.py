@@ -6,6 +6,7 @@ import pytest
 
 from repro.net.network import Network, NetworkConfig
 from repro.sim.engine import Simulator
+from repro.sim.trace import Tracer
 
 
 @pytest.fixture
@@ -216,3 +217,124 @@ class TestQueuePairs:
         network.send(0, 1, "b", 100)
         sim.run()
         assert arrivals == [pytest.approx(100.0), pytest.approx(100.0)]
+
+
+class TestOneFrame:
+    """``send`` with a sequence of destinations is the sends of its
+    members, in order: same landings, counters and trace records —
+    checked against five single sends on a twin fabric, for every path
+    through the one body."""
+
+    DESTINATIONS = (1, 2, 3, 4, 5)
+
+    @staticmethod
+    def _verdict_on_third(**verdict):
+        class OnThird:
+            def on_message(self, src, dst, message, size_bytes):
+                if dst != 3:
+                    return None
+                return SimpleNamespace(**{"drop": False, "delay_ns": 0.0,
+                                          "copies": 1, **verdict})
+        return OnThird()
+
+    def _observe(self, frame, faults=None, one_way_fn=None):
+        """Send ``m`` to the five destinations from inside the loop at
+        t=1 — as one frame or one by one — and return all that shows."""
+        sim, tracer = Simulator(), Tracer()
+        network = Network(sim, NetworkConfig(queue_pairs=2), one_way_fn,
+                          tracer=tracer)
+        landings = []
+        for node in range(6):
+            network.attach(node).sink = (
+                lambda message, node=node:
+                landings.append((sim.now, node, message)))
+        network.faults = faults
+        heap_entries = []
+
+        def inject():
+            if frame:
+                network.send(0, self.DESTINATIONS, "m", 100)
+            else:
+                for dst in self.DESTINATIONS:
+                    network.send(0, dst, "m", 100)
+            heap_entries.append(len(sim._heap))
+
+        sim.call_at(1.0, inject)
+        sim.run()
+        nics = [network.nic(node) for node in range(6)]
+        return heap_entries[0], {
+            "landings": landings,
+            "sent": [(nic.messages_sent, nic.bytes_sent) for nic in nics],
+            "received": [(nic.messages_received, nic.bytes_received)
+                         for nic in nics],
+            "totals": (network.total_messages, network.total_bytes,
+                       network.dropped_messages, network.delayed_messages,
+                       network.duplicated_messages),
+            "queue_pairs": (nics[0].queue_pairs.total_acquires,
+                            nics[0].queue_pairs.peak_queue_len),
+            "trace": [(r.time, r.dur, r.category, r.node, r.details)
+                      for r in tracer.records],
+        }
+
+    @pytest.mark.parametrize("verdict", [
+        None, {"drop": True}, {"delay_ns": 250.0}, {"copies": 3},
+        {"delay_ns": 250.0, "copies": 2}])
+    def test_a_frame_is_its_single_sends(self, verdict):
+        faults = self._verdict_on_third(**verdict) if verdict else None
+        _entries, frame = self._observe(True, faults)
+        _entries, singles = self._observe(False, faults)
+        assert frame == singles
+        sent = 5 if not verdict else (4 if verdict.get("drop")
+                                      else 4 + verdict.get("copies", 1))
+        assert frame["totals"][0] == sent == len(frame["landings"])
+        assert len(frame["trace"]) == 2 * sent     # net_send + net_deliver
+
+    def test_landings_on_a_symmetric_fabric(self):
+        """Two queue pairs, 4 ns each: 1+4, 1+4, 1+8, 1+8, 1+12 on the
+        link, 500 ns across — and each distinct instant one heap entry."""
+        entries, frame = self._observe(True)
+        assert frame["landings"] == [
+            (505.0, 1, "m"), (505.0, 2, "m"), (509.0, 3, "m"),
+            (509.0, 4, "m"), (513.0, 5, "m")]
+        assert frame["queue_pairs"] == (5, 3)
+        assert entries == 3
+
+    def test_one_way_fn_gives_each_destination_its_own_landing(self):
+        def one_way(src, dst):
+            return 100.0 if dst % 2 else 300.0
+
+        _entries, frame = self._observe(True, one_way_fn=one_way)
+        _entries, singles = self._observe(False, one_way_fn=one_way)
+        assert frame == singles
+        assert sorted(frame["landings"]) == [
+            (105.0, 1, "m"), (109.0, 3, "m"), (113.0, 5, "m"),
+            (305.0, 2, "m"), (309.0, 4, "m")]
+
+    def test_a_single_id_is_a_frame_of_one(self, sim):
+        network = make_net(sim)
+        network.send(0, 1, "a", 100)
+        network.send(0, (1,), "a", 100)
+        network.send(0, [2], "b", 50)
+        sim.run()
+        assert network.nic(1).messages_received == 2
+        assert network.nic(0).bytes_sent == 250 == network.total_bytes
+
+    def test_delivered_rides_the_original_of_a_single_destination(self, sim):
+        """The chain ablation's path: one destination, the caller's
+        event settled by the original, not by a duplicate ahead of it."""
+        network = make_net(sim, queue_pairs=1)
+        network.faults = self._verdict_on_third(copies=2)
+        network.attach(3)
+        delivered = sim.event()
+        network.send(0, [3], "m", 100, delivered)
+        sim.run(until=504.0)
+        assert network.nic(3).messages_received == 1
+        assert not delivered.triggered       # the copy landed first
+        sim.run()
+        assert delivered.value == "m" and sim.now >= 508.0
+
+    def test_a_frame_with_a_loopback_sends_nothing(self, sim):
+        network = make_net(sim)
+        with pytest.raises(ValueError):
+            network.send(0, (1, 0, 2), "x", 10)
+        assert sim.queue_depth == 0 and network.total_messages == 0

@@ -1,0 +1,444 @@
+"""Runs of same-instant calls: one heap entry, nothing else changed.
+
+``Simulator.call_at`` stores a call whose timestamp equals that of the
+push directly before it inside that push's heap entry.  The property
+test drives the kernel and a reference model — a sorted list of
+``(when, sequence, call)``, one entry per push — with the same random
+programme and requires the same execution order, the same sequence
+numbers and the same ``queue_depth`` at every call; the unit cases pin
+each edge where a run has to behave like the entries it stands for.
+"""
+
+import bisect
+from functools import partial
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.obs import KernelProfile
+from repro.sim.engine import SimulationError, Simulator
+
+
+# ---------------------------------------------------------------------------
+# the reference model and the two faces of one kernel API
+# ---------------------------------------------------------------------------
+
+class ModelKernel:
+    """What the kernel promises, with no storage trick: every push is
+    its own ``(when, sequence, call)`` in one sorted list."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.next_sequence = 0
+        self._queue = []
+        self._stopped = None   # None: no stop event armed yet
+
+    @property
+    def queue_depth(self):
+        return len(self._queue)
+
+    def call_at(self, when, fn):
+        # (when, sequence) is unique, so ``fn`` is never compared.
+        bisect.insort(self._queue, (when, self.next_sequence, fn))
+        self.next_sequence += 1
+
+    def timeout(self, delay, fn):
+        self.call_at(self.now + delay, fn)
+
+    def process(self, delays, fn):
+        """A process: one start entry, then one timeout per delay,
+        pushed when the previous one has fired and ``fn(step)`` ran."""
+        steps = iter(enumerate(delays))
+
+        def advance(fired=None):
+            if fired is not None:
+                fn(fired)
+            step = next(steps, None)
+            if step is not None:
+                self.call_at(self.now + step[1], partial(advance, step[0]))
+
+        self.call_at(self.now, advance)
+
+    def step(self):
+        self.now, _sequence, fn = self._queue.pop(0)
+        fn()
+
+    def run(self, until=None):
+        while self._queue and (until is None or self._queue[0][0] <= until):
+            self.step()
+        if until is not None:
+            self.now = until
+
+    def stop(self):
+        """What a ``stop`` call does: succeed the armed stop event,
+        which queues the event's own entry."""
+        if self._stopped is False:
+            self._stopped = True
+            self.call_at(self.now, lambda: None)
+
+    def run_until_stopped(self):
+        """``run_until_complete`` on a fresh event: look *between
+        calls* whether a ``stop`` call has succeeded it."""
+        self._stopped = False
+        while self._queue and not self._stopped:
+            self.step()
+
+
+class RealKernel:
+    """The same API on :class:`Simulator`."""
+
+    def __init__(self):
+        self.sim = Simulator()
+        self._stop = None
+
+    now = property(lambda self: self.sim.now)
+    next_sequence = property(lambda self: self.sim._sequence)
+    queue_depth = property(lambda self: self.sim.queue_depth)
+
+    def call_at(self, when, fn):
+        handed_out = self.sim._sequence
+        assert self.sim.call_at(when, fn).sequence == handed_out
+
+    def timeout(self, delay, fn):
+        self.sim.timeout(delay).callbacks.append(lambda _event: fn())
+
+    def process(self, delays, fn):
+        def body():
+            for step, delay in enumerate(delays):
+                yield self.sim.timeout(delay)
+                fn(step)
+        self.sim.process(body())
+
+    def step(self):
+        self.sim.step()
+
+    def run(self, until=None):
+        self.sim.run(until)
+
+    def stop(self):
+        if self._stop is not None and not self._stop.triggered:
+            self._stop.succeed()
+
+    def run_until_stopped(self):
+        self._stop = self.sim.event()
+        try:
+            self.sim.run_until_complete(self._stop)
+        except SimulationError:
+            pass  # drained with no stop call: the model's other exit
+
+
+# ---------------------------------------------------------------------------
+# programmes
+# ---------------------------------------------------------------------------
+
+#: Few distinct delays, zero among them: same-instant bursts, joins
+#: across nesting levels and zero-delay pushes are the common case.
+DELAYS = st.sampled_from([0.0, 1.0, 1.0, 2.0])
+
+
+def _actions(bodies):
+    return st.lists(st.one_of(
+        st.tuples(st.just("call"), DELAYS, bodies),
+        st.tuples(st.just("call"), DELAYS, bodies),
+        st.tuples(st.just("timeout"), DELAYS, bodies),
+        st.tuples(st.just("process"), st.lists(DELAYS, max_size=3)),
+        st.tuples(st.just("stop"), DELAYS),
+    ), max_size=4)
+
+
+#: What a callback does when it runs: a list of pushes, each carrying
+#: the body of the callback it schedules.
+BODIES = st.recursive(st.just([]), _actions, max_leaves=12)
+
+#: What the driver does from outside the loop.
+PROGRAMMES = st.lists(st.one_of(
+    st.tuples(st.just("do"), BODIES),
+    st.tuples(st.just("run"), DELAYS),       # until == an instant in use
+    st.tuples(st.just("step")),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("until_stopped")),
+), min_size=1, max_size=8)
+
+
+def execute(kernel, programme):
+    """Run ``programme`` on ``kernel``; return everything observable."""
+    log = []
+
+    def perform(body, path):
+        for index, action in enumerate(body):
+            tag = path + (index,)
+            before = kernel.next_sequence
+            if action[0] == "call":
+                kernel.call_at(kernel.now + action[1],
+                               partial(fire, tag, action[2]))
+            elif action[0] == "timeout":
+                kernel.timeout(action[1], partial(fire, tag, action[2]))
+            elif action[0] == "stop":
+                kernel.call_at(kernel.now + action[1], kernel.stop)
+            else:
+                kernel.process(action[1],
+                               lambda step, tag=tag: fire(tag + (step,), []))
+            log.append(("push", tag, before, kernel.next_sequence))
+
+    def fire(tag, body):
+        log.append(("run", tag, kernel.now, kernel.queue_depth,
+                    kernel.next_sequence))
+        perform(body, tag)
+
+    for index, action in enumerate(programme):
+        if action[0] == "do":
+            perform(action[1], (index,))
+        elif action[0] == "run":
+            kernel.run(until=kernel.now + action[1])
+        elif action[0] == "step":
+            if kernel.queue_depth:
+                kernel.step()
+        else:
+            kernel.run_until_stopped()
+        log.append(("driver", index, kernel.now, kernel.queue_depth,
+                    kernel.next_sequence))
+    kernel.run()
+    log.append(("drained", kernel.now, kernel.queue_depth,
+                kernel.next_sequence))
+    return log
+
+
+#: A run of three calls at t=1, its middle one the stop call / with a
+#: nested push: cut by ``run_until_complete`` and walked by ``step``.
+_RUN_WITH_STOP = [("call", 0.0, [("call", 1.0, []), ("stop", 1.0),
+                                 ("call", 1.0, [("call", 0.0, [])])])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(PROGRAMMES)
+@example([("do", _RUN_WITH_STOP), ("until_stopped",), ("step",)])
+@example([("do", _RUN_WITH_STOP), ("step",), ("step",), ("step",)])
+def test_kernel_matches_the_reference_model(programme):
+    assert execute(RealKernel(), programme) == \
+        execute(ModelKernel(), programme)
+
+
+def test_the_property_test_reaches_runs():
+    """A programme of the shape above does coalesce: the comparison is
+    not vacuously between two one-entry-per-call queues."""
+    burst = [("call", 1.0, [("call", 0.0, [])])] * 3
+    real = RealKernel()
+    profile = KernelProfile().attach(real.sim)
+    programme = [("do", [("call", 1.0, burst)]), ("run", 1.0)]
+    assert execute(real, programme) == execute(ModelKernel(), programme)
+    assert profile.calls_coalesced == 2
+
+
+# ---------------------------------------------------------------------------
+# the edges, one by one
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def sim():
+    return Simulator()
+
+
+def burst_at(sim, when, labels, log):
+    """Push ``log.append(label)`` for every label at ``when`` from
+    inside the loop (where calls coalesce); returns their callbacks."""
+    callbacks = []
+
+    def push():
+        callbacks.extend(sim.call_at(when, log.append, label)
+                         for label in labels)
+
+    sim.call_at(sim.now, push)
+    sim.step()
+    return callbacks
+
+
+class TestRuns:
+    def test_a_burst_is_one_heap_entry_of_numbered_calls(self, sim):
+        log = []
+        a, b, c = burst_at(sim, 5.0, "abc", log)
+        assert len(sim._heap) == 1 and sim.queue_depth == 3
+        assert a.tail == [b, c] and b.tail is None
+        assert [call.sequence for call in (a, b, c)] == [1, 2, 3]
+        assert sim._sequence == 4
+        sim.run()
+        assert log == ["a", "b", "c"] and sim.now == 5.0
+
+    def test_call_at_returns_the_calls_own_callback(self, sim):
+        a, b = burst_at(sim, 5.0, "ab", [])
+        b.kind = "msg_delivery"
+        assert a.kind == "call_at" and b.args == ("b",)
+
+    def test_step_processes_one_call(self, sim):
+        log = []
+        burst_at(sim, 5.0, "abc", log)
+        for done in (1, 2, 3):
+            sim.step()
+            assert log == list("abc"[:done])
+            assert sim.queue_depth == 3 - done
+        assert [entry[1] for entry in sim._heap] == []
+
+    def test_a_stepped_run_keeps_its_sequence_numbers(self, sim):
+        burst_at(sim, 5.0, "abc", [])
+        sim.step()
+        assert [(when, sequence) for when, sequence, _ in sim._heap] == \
+            [(5.0, 2)]
+        sim.step()
+        assert [(when, sequence) for when, sequence, _ in sim._heap] == \
+            [(5.0, 3)]
+
+    def test_run_until_complete_stops_between_calls(self, sim):
+        log, stop = [], sim.event()
+
+        def push():
+            sim.call_at(5.0, log.append, "a")
+            sim.call_at(5.0, stop.succeed, "done")
+            sim.call_at(5.0, log.append, "c")
+
+        sim.call_at(0.0, push)
+        assert sim.run_until_complete(stop) == "done"
+        assert log == ["a"]
+        sim.run()
+        assert log == ["a", "c"]
+
+    def test_a_raising_call_leaves_the_rest_queued(self, sim):
+        log = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        def push():
+            sim.call_at(5.0, log.append, "a")
+            sim.call_at(5.0, boom)
+            sim.call_at(5.0, log.append, "c")
+            sim.call_at(5.0, log.append, "d")
+
+        sim.call_at(0.0, push)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert log == ["a"] and sim.queue_depth == 2
+        assert [entry[:2] for entry in sim._heap] == [(5.0, 3)]
+        sim.run()
+        assert log == ["a", "c", "d"]
+
+    def test_a_raising_head_leaves_its_tail_queued(self, sim):
+        log = []
+
+        def push():
+            sim.call_at(5.0, [].pop)            # IndexError
+            sim.call_at(5.0, log.append, "b")
+            sim.call_at(5.0, log.append, "c")
+
+        sim.call_at(0.0, push)
+        with pytest.raises(IndexError):
+            sim.run()
+        assert sim.queue_depth == 2
+        sim.run()
+        assert log == ["b", "c"]
+
+    def test_queue_depth_counts_what_is_left_of_the_running_run(self, sim):
+        depths = []
+
+        def push():
+            for _ in range(3):
+                sim.call_at(5.0, lambda: depths.append(sim.queue_depth))
+
+        sim.call_at(0.0, push)
+        sim.timeout(9.0)
+        sim.run()
+        assert depths == [3, 2, 1]   # the calls behind it + the timeout
+
+    def test_any_other_push_closes_the_run(self, sim):
+        log = []
+
+        def push():
+            sim.call_at(5.0, log.append, "a")
+            sim.timeout(5.0).callbacks.append(lambda _ev: log.append("t"))
+            sim.call_at(5.0, log.append, "b")
+            sim.event().succeed().callbacks.append(
+                lambda _ev: log.append("e"))
+            sim.call_at(5.0, log.append, "c")
+
+        sim.call_at(0.0, push)
+        sim.step()
+        assert len(sim._heap) == 5
+        sim.run()
+        assert log == ["e", "a", "t", "b", "c"]
+
+    def test_another_instant_opens_another_run(self, sim):
+        log = []
+        burst_at(sim, 5.0, "ab", log)
+        burst_at(sim, 4.0, "cd", log)
+        burst_at(sim, 5.0, "ef", log)
+        assert len(sim._heap) == 3 and sim.queue_depth == 6
+        sim.run()
+        assert log == list("cdabef")
+
+    def test_a_call_for_the_present_instant_is_pushed(self, sim):
+        """Zero delay: the run it might have joined may be the one
+        executing."""
+        log = []
+
+        def push():
+            sim.call_at(sim.now, log.append, "x")
+            sim.call_at(sim.now, log.append, "y")
+            assert len(sim._heap) == 2
+
+        sim.call_at(5.0, push)
+        sim.run()
+        assert log == ["x", "y"]
+
+    def test_a_popped_run_cannot_be_joined(self, sim):
+        log = []
+
+        def again():
+            log.append("again")
+            sim.call_at(5.0, log.append, "late")  # same when, next number
+
+        def push():
+            sim.call_at(5.0, log.append, "a")
+            sim.call_at(5.0, again)
+
+        sim.call_at(0.0, push)
+        sim.run()
+        assert log == ["a", "again", "late"]
+
+    def test_pushes_from_outside_the_loop_stay_single(self, sim):
+        for label in "abc":
+            sim.call_at(5.0, print, label)
+        assert len(sim._heap) == 3
+        assert all(entry[2].tail is None for entry in sim._heap)
+
+    def test_run_until_cuts_between_instants_not_inside_a_run(self, sim):
+        log = []
+        burst_at(sim, 5.0, "abc", log)
+        sim.run(until=4.0)
+        assert log == [] and sim.queue_depth == 3
+        sim.run(until=5.0)
+        assert log == ["a", "b", "c"]
+        sim.call_at(5.0, log.append, "after")     # the instant is still now
+        sim.run()
+        assert log[-1] == "after"
+
+
+class TestProfileOfRuns:
+    def test_pops_plus_coalesced_is_what_ran(self, sim):
+        profile = KernelProfile().attach(sim)
+        log = []
+        burst_at(sim, 5.0, "abcd", log)
+        sim.timeout(5.0)
+        sim.run()
+        assert log == list("abcd")
+        # pops: the pusher, the run, the timeout
+        assert profile.events_processed == 3
+        assert profile.calls_coalesced == 3
+        assert sum(count for count, _wall
+                   in profile.by_event_kind.values()) == 3
+        assert profile.snapshot()["calls_coalesced"] == 3
+
+    def test_a_stepped_run_is_counted_call_by_call(self, sim):
+        profile = KernelProfile().attach(sim)
+        burst_at(sim, 5.0, "abc", [])
+        while sim.queue_depth:
+            sim.step()
+        assert profile.events_processed == 4
+        assert profile.calls_coalesced == 0
