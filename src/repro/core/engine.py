@@ -16,8 +16,9 @@ reproduce the per-model protocols of Figures 2-5:
   Transactional) uses INV -> ACK(:sub:`c/p`) -> VAL(:sub:`c/p`) rounds.
 * Causal / Eventual consistency sends UPD messages (with causal history
   under Causal) and never needs global visibility information.
-* Persistency decides where persists sit (inline at apply, eagerly or
-  lazily in the background, or at scope ends), whether writes stall for
+* Persistency decides where a write's local persist sits relative to
+  that round (one answer per write and role,
+  :func:`~repro.core.policies.placement`), whether writes stall for
   cluster-wide durability (Strict), and what reads may return / stall on.
 
 Threading model: client requests occupy a *request worker* core for
@@ -39,9 +40,9 @@ from repro.core.context import ClientContext
 from repro.core.messages import Message, MsgType
 from repro.core.model import DdpModel
 from repro.core.policies import (
-    ConsistencyPolicy,
-    PersistencyPolicy,
+    ACK_AFTER_PERSIST,
     PersistMode,
+    placement,
     policy_for,
 )
 from repro.core.replica import KeyReplica, ReplicaTable, Version
@@ -176,24 +177,18 @@ class AckRound:
 
 @dataclass(slots=True)
 class _WriteOp:
-    """Coordinator-side state for one outstanding write."""
+    """Coordinator-side state for one outstanding write: the rounds it
+    collects (an INV gathers ACK_c, and ACK_p under dual ACKs; a Strict
+    or Read-Enforced UPD gathers ACK_p alone)."""
 
     op_id: int
     key: int
     version: Version
     value: Any
-    ack_c: AckRound
+    ack_c: Optional[AckRound] = None
     ack_p: Optional[AckRound] = None
     txn_id: Optional[int] = None
     scope_id: Optional[int] = None
-
-
-@dataclass(slots=True)
-class _RoundOp:
-    """Coordinator-side state for an INITX / ENDX / PERSIST round."""
-
-    op_id: int
-    acks: AckRound
 
 
 class ProtocolNode:
@@ -234,6 +229,13 @@ class ProtocolNode:
         self.memory = memory
         self.model = model
         self.cpolicy, self.ppolicy = policy_for(model)
+        # What places a write's local persist, asked once: indexed by
+        # "is the write inside a transaction".
+        self._coordinator_places = (placement(model),
+                                    placement(model, in_txn=True))
+        self._follower_places = (
+            placement(model, follower=True),
+            placement(model, in_txn=True, follower=True))
         self.metrics = metrics
         self.config = config or ProtocolConfig()
         self.txn_table = txn_table
@@ -251,7 +253,8 @@ class ProtocolNode:
                                               name=f"n{node_id}.protw")
         self._op_counter = 0
         self._outstanding_writes: Dict[int, _WriteOp] = {}
-        self._outstanding_rounds: Dict[int, _RoundOp] = {}
+        # INITX / ENDX / PERSIST rounds, by op id.
+        self._outstanding_rounds: Dict[int, AckRound] = {}
         # Causal updates buffered for their happens-before history,
         # indexed by (one of) the keys they are waiting on so that a
         # version advance re-checks only the relevant updates.
@@ -402,8 +405,13 @@ class ProtocolNode:
             self.sim.process(self._chain_send(message, lazy),
                              name=self._pname["chain"])
             return
+        self._fan_out(message,
+                      self.active_peers if targets is None else targets, lazy)
+
+    def _fan_out(self, message: Message, targets: List[int],
+                 lazy: bool = False) -> None:
+        """Send one message to every node of ``targets``."""
         label, size_bytes = message.msg_type.value, message.size_bytes
-        targets = self.active_peers if targets is None else targets
         if self.tracer.enabled:
             # The trace interleaves msg_send and net_send per destination.
             for dst in targets:
@@ -450,12 +458,13 @@ class ProtocolNode:
                              name=self._pname["crecheck"])
 
     def _request_persist(self, replica: KeyReplica, version: Version,
-                         value: Any, trigger: str = "inline") -> None:
+                         value: Any, trigger: str) -> None:
         """Ask for (key, version) to become durable.
 
-        ``trigger`` names what placed the persist (inline / eager / lazy /
-        scope / endx / strict) so journey records can tell a deliberate
-        persist delay from NVM queueing.
+        ``trigger`` names what placed the persist (a
+        :func:`~repro.core.policies.placement`, or scope / endx) so
+        journey records can tell a deliberate persist delay from NVM
+        queueing.
 
         Models memory-controller write combining: while a media write for
         the key is queued or in service, newer versions overwrite the
@@ -492,32 +501,11 @@ class ProtocolNode:
         self._persist_drain(replica)
 
     def _ensure_persisted(self, replica: KeyReplica, version: Version,
-                          value: Any, scope_id: Optional[int] = None,
-                          trigger: str = "inline") -> Generator:
-        """Process: return once ``version`` (or newer) is durable locally.
-
-        Scope-tagged persists bypass write combining so that the durable
-        log attributes each entry to the scope that persisted it.
-        """
-        if scope_id is None:
-            persisted = self._persisted_event(replica, version, value,
-                                              trigger)
-            if persisted is not None:
-                yield persisted
-            return
-        if replica.persisted_version >= version:
-            return
-        if replica.persist_requested < version:
-            if self.tracer.enabled:
-                self.tracer.emit(self.sim.now, "persist_issue",
-                                 node=self.node_id, key=replica.key,
-                                 version=version, trigger="scope")
-            replica.persist_requested = version
-            yield from self.memory.persist(replica.key)
-            self._mark_durable(replica, version, value, scope_id)
-            return
-        yield replica.condition.wait_for(
-            lambda: replica.persisted_version >= version)
+                          value: Any, trigger: str) -> Generator:
+        """Process: return once ``version`` (or newer) is durable locally."""
+        persisted = self._persisted_event(replica, version, value, trigger)
+        if persisted is not None:
+            yield persisted
 
     def _persisted_event(self, replica: KeyReplica, version: Version,
                          value: Any, trigger: str) -> Optional[Event]:
@@ -531,15 +519,17 @@ class ProtocolNode:
         return replica.condition.wait_for(
             lambda: replica.persisted_version >= version)
 
-    def _spawn_persist(self, replica: KeyReplica, version: Version, value: Any,
-                       delay_ns: float = 0.0, trigger: str = "inline") -> None:
-        """Schedule a background persist (eager, or lazy after
-        ``delay_ns``); nobody waits on it."""
-        if delay_ns <= 0:
-            self._request_persist(replica, version, value, trigger)
-        else:
-            self.sim.call_at(self.sim.now + delay_ns, self._lazy_persist,
-                             replica, version, value, trigger)
+    def _place_persist(self, replica: KeyReplica, version: Version, value: Any,
+                       placed: Optional[str]) -> None:
+        """Carry out a placement: request the persist now — after the
+        lazy delay when ``lazy`` placed it, not at all when nothing did.
+        Nobody waits here; who must, waits on the replica afterwards."""
+        if placed == "lazy":
+            self.sim.call_at(
+                self.sim.now + self.config.lazy_persist_delay_ns,
+                self._lazy_persist, replica, version, value, placed)
+        elif placed is not None:
+            self._request_persist(replica, version, value, placed)
 
     def _lazy_persist(self, replica: KeyReplica, version: Version, value: Any,
                       trigger: str) -> None:
@@ -547,8 +537,29 @@ class ProtocolNode:
             self._request_persist(replica, version, value, trigger)
 
     # ------------------------------------------------------------------
-    # fault tolerance: round watchdogs and membership changes
+    # coordination rounds: launch, watchdogs, membership changes
     # ------------------------------------------------------------------
+
+    def _launch_round(self, message: Message, targets: List[int],
+                      *rounds: Optional[AckRound]) -> None:
+        """Send a round's message to ``targets`` and put each ACK round
+        it feeds under a watchdog."""
+        self._broadcast(message, targets=targets)
+        for round_ in rounds:
+            if round_ is not None:
+                self._arm_round_watchdog(round_, message)
+
+    def _run_round(self, message: Message, local: Generator) -> Generator:
+        """Process: one INITX / ENDX / PERSIST round — the message to
+        every live peer, this node's own share of the work (``local``)
+        while it travels, then every ACK."""
+        targets = self.active_peers
+        acks = AckRound(self.sim, targets)
+        self._outstanding_rounds[message.op_id] = acks
+        self._launch_round(message, targets, acks)
+        yield from local
+        yield acks.wait()
+        self._outstanding_rounds.pop(message.op_id, None)
 
     def _arm_round_watchdog(self, round_: AckRound,
                             message: Message) -> None:
@@ -604,11 +615,11 @@ class ProtocolNode:
         live = self.membership.live
         for op_id in sorted(self._outstanding_writes):
             op = self._outstanding_writes[op_id]
-            op.ack_c.retarget(live)
-            if op.ack_p is not None:
-                op.ack_p.retarget(live)
+            for round_ in (op.ack_c, op.ack_p):
+                if round_ is not None:
+                    round_.retarget(live)
         for op_id in sorted(self._outstanding_rounds):
-            self._outstanding_rounds[op_id].acks.retarget(live)
+            self._outstanding_rounds[op_id].retarget(live)
         self._abandon_remote_coordinator(node_id)
 
     def _abandon_remote_coordinator(self, crashed: int) -> None:
@@ -666,6 +677,24 @@ class ProtocolNode:
             self.request_workers.release()
         return value
 
+    def _durable_to_readers(self, replica: KeyReplica) -> Version:
+        """The newest version known durable, as far as a reader here can
+        tell: cluster-wide (VAL_p) under invalidation-based consistency;
+        under Causal / Eventual only local durability is knowable."""
+        return (replica.cluster_persisted_version if self.cpolicy.uses_inv
+                else replica.persisted_version)
+
+    def _read_guard(self, replica: KeyReplica) -> Tuple[bool, bool]:
+        """The two guards a read must pass, judged against the state it
+        samples *now*: (invalidated, undurable).  Linearizable /
+        Read-Enforced consistency waits until no invalidation is
+        outstanding on the key (all replicas updated, and — when ACKs
+        also cover persists — persisted); Read-Enforced persistency
+        forbids reading a version that is not yet durable."""
+        return (self.cpolicy.read_stalls_on_transient and replica.transient,
+                self.ppolicy.read_requires_applied_persisted
+                and self._durable_to_readers(replica) < replica.applied_version)
+
     def _do_read(self, ctx: ClientContext, key: int) -> Generator:
         yield self.sim.timeout(self.config.req_proc_ns + self._store_read_cost(key))
         replica = self.replicas.get(key)
@@ -680,11 +709,8 @@ class ProtocolNode:
         # not-yet-durable) version past guards that were checked against
         # an older snapshot.
         while True:
-            # Consistency stall: Linearizable / Read-Enforced reads wait
-            # until no invalidation is outstanding on the key (all
-            # replicas updated, and — when ACKs also cover persists —
-            # persisted).
-            if self.cpolicy.read_stalls_on_transient and replica.transient:
+            invalidated, undurable = self._read_guard(replica)
+            if invalidated:
                 self.metrics.read_stalls += 1
                 if self.ppolicy.dual_acks:
                     # Under Read-Enforced persistency the transient state
@@ -698,25 +724,15 @@ class ProtocolNode:
                     self.tracer.emit(self.sim.now, "read_stall",
                                      node=self.node_id,
                                      dur=self.sim.now - stall_start, key=key)
+                # Durability is judged once that stall is over.
+                undurable = self._read_guard(replica)[1]
 
-            # Persistency stall: Read-Enforced persistency forbids reading
-            # a version that is not yet durable.  Under invalidation-based
-            # consistency the signal is cluster-wide (VAL_p); under
-            # Causal / Eventual consistency only local durability is
-            # knowable.
-            if self.ppolicy.read_requires_applied_persisted:
+            if undurable:
                 target = replica.applied_version
+                self.metrics.reads_blocked_by_unpersisted += 1
                 stall_start = self.sim.now
-                if self.cpolicy.uses_inv:
-                    if replica.cluster_persisted_version < target:
-                        self.metrics.reads_blocked_by_unpersisted += 1
-                        yield replica.condition.wait_for(
-                            lambda: replica.cluster_persisted_version >= target)
-                else:
-                    if replica.persisted_version < target:
-                        self.metrics.reads_blocked_by_unpersisted += 1
-                        yield replica.condition.wait_for(
-                            lambda: replica.persisted_version >= target)
+                yield replica.condition.wait_for(
+                    lambda: self._durable_to_readers(replica) >= target)
                 if self.tracer.enabled and self.sim.now > stall_start:
                     self.tracer.emit(self.sim.now, "read_blocked_unpersisted",
                                      node=self.node_id,
@@ -726,16 +742,8 @@ class ProtocolNode:
 
             # Re-validate against what is visible *now*; a write applied
             # during the memory read restarts the guarded sequence.
-            if self.cpolicy.read_stalls_on_transient and replica.transient:
-                continue
-            if self.ppolicy.read_requires_applied_persisted:
-                target = replica.applied_version
-                if self.cpolicy.uses_inv:
-                    if replica.cluster_persisted_version < target:
-                        continue
-                elif replica.persisted_version < target:
-                    continue
-            break
+            if not any(self._read_guard(replica)):
+                break
 
         if self.ppolicy.read_returns_persisted and not self.cpolicy.uses_inv:
             # <Causal/Eventual, Synchronous>: return the latest *persisted*
@@ -807,19 +815,25 @@ class ProtocolNode:
         if self.store is not None:
             self.store.put(key, value)
 
-        if self.cpolicy.uses_inv:
-            yield from self._write_invalidation(ctx, replica, version, value)
-        else:
-            yield from self._write_update(ctx, replica, version, value)
+        yield from self._replicate(ctx, replica, version, value)
 
         if self.cpolicy.causal:
             ctx.observe(key, version)
-        if self.ppolicy.persist_mode is PersistMode.ON_SCOPE_END:
+        if self.ppolicy.scoped:
             ctx.record_scope_write(key, version)
         ctx.last_write_version = version
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, "write_complete",
                              node=self.node_id, key=key, version=version)
+
+    def _replicate(self, ctx: ClientContext, replica: KeyReplica,
+                   version: Version, value: Any) -> Generator:
+        """Process: coordinate the write the way the consistency family
+        does, up to the model's completion point."""
+        if self.cpolicy.uses_inv:
+            yield from self._write_invalidation(ctx, replica, version, value)
+        else:
+            yield from self._write_update(ctx, replica, version, value)
 
     # -- invalidation-based consistency (Linearizable / Read-Enf. / Txn) --
 
@@ -828,9 +842,7 @@ class ProtocolNode:
         op_id = self._next_op_id()
         txn = ctx.txn if self.cpolicy.transactional else None
         txn_id = txn.txn_id if txn is not None else None
-        scope_id = (ctx.current_scope_id
-                    if self.ppolicy.persist_mode is PersistMode.ON_SCOPE_END
-                    else None)
+        scope_id = ctx.current_scope_id if self.ppolicy.scoped else None
 
         targets = self.active_peers
         op = _WriteOp(op_id=op_id, key=replica.key, version=version,
@@ -852,62 +864,60 @@ class ProtocolNode:
         inv = Message(MsgType.INV, src=self.node_id, op_id=op_id,
                       key=replica.key, version=version, value=value,
                       scope_id=scope_id, txn_id=txn_id)
-        self._broadcast(inv, targets=targets)
-        self._arm_round_watchdog(op.ack_c, inv)
-        if op.ack_p is not None:
-            self._arm_round_watchdog(op.ack_p, inv)
+        self._launch_round(inv, targets, op.ack_c, op.ack_p)
 
-        strict = self.ppolicy.write_waits_for_persist_everywhere
-        inline_persist = (self.ppolicy.persist_mode is PersistMode.INLINE
-                          and txn_id is None) or strict
-
-        if self.cpolicy.write_waits_for_acks or strict:
+        # The local persist overlaps the INV round trip (Figure 2(a)).
+        placed = self._coordinator_places[txn_id is not None]
+        self._place_persist(replica, version, value, placed)
+        if self.cpolicy.write_waits_for_acks or placed == "strict":
             # Linearizable (always), or any consistency under Strict:
-            # the write completes only after the full round.  The local
-            # persist overlaps the INV round trip (Figure 2(a)).
-            if inline_persist or self.ppolicy.dual_acks:
-                self._spawn_persist(replica, version, value,
-                                    trigger="strict" if strict else
-                                    "inline" if inline_persist else "eager")
-            elif self.ppolicy.persist_mode is PersistMode.LAZY_BACKGROUND:
-                self._spawn_persist(replica, version, value,
-                                    delay_ns=self.config.lazy_persist_delay_ns,
-                                    trigger="lazy")
-            yield op.ack_c.wait()
-            if inline_persist:
-                yield from self._ensure_persisted(
-                    replica, version, value,
-                    trigger="strict" if strict else "inline")
-            self._finish_invalidation(op, replica)
-            if self.ppolicy.dual_acks:
-                self.sim.process(self._await_cluster_persist(op, replica),
-                                 name=self._pname["valp"])
-            return
+            # the write completes only after the full round.
+            yield from self._complete_write(op, replica, placed)
+        elif txn_id is None or self.ppolicy.dual_acks:
+            # Read-Enforced / Transactional consistency: the client write
+            # completes now; the round finishes in the background.
+            self.sim.process(self._complete_write(op, replica, placed),
+                             name=self._pname["bground"])
+        # Else a transaction's write, whose round ENDX finishes: its
+        # followers ACK once every write is applied (and persisted, under
+        # Synchronous), and its VAL ends the INVs (_clear_txn_invs).
 
-        # Read-Enforced / Transactional consistency: the client write
-        # completes now; the round finishes in the background.
-        if self.ppolicy.dual_acks:
-            self._spawn_persist(replica, version, value, trigger="eager")
-            self.sim.process(self._background_round_dual(op, replica),
-                             name=self._pname["bground"])
-        elif txn_id is not None:
-            # Persists (Synchronous) are deferred to ENDX; ACKs collected
-            # so end-of-transaction can confirm every replica updated.
-            # Eventual persistency stays lazy even inside transactions.
-            if self.ppolicy.persist_mode is PersistMode.LAZY_BACKGROUND:
-                self._spawn_persist(replica, version, value,
-                                    delay_ns=self.config.lazy_persist_delay_ns,
-                                    trigger="lazy")
-            self.sim.process(self._background_round_txn(op), name="txnround")
+    def _complete_write(self, op: _WriteOp, replica: KeyReplica,
+                        placed: Optional[str]) -> Generator:
+        """Process: the completion sequence of an invalidation round —
+        every ACK in, then the local persist where the acknowledgment
+        waits for it, then the VALidation that clears the transient
+        state.  Under dual ACKs the (single) validation is VAL_p, sent
+        once every replica has persisted."""
+        yield op.ack_c.wait()
+        if placed in ACK_AFTER_PERSIST:
+            yield from self._ensure_persisted(replica, op.version, op.value,
+                                              trigger=placed)
+        if not self.ppolicy.dual_acks:
+            val_type = (MsgType.VAL
+                        if self.ppolicy.persist_mode is PersistMode.INLINE
+                        else MsgType.VAL_C)
+            self._broadcast(Message(val_type, src=self.node_id, op_id=op.op_id,
+                                    key=op.key, version=op.version,
+                                    scope_id=op.scope_id, txn_id=op.txn_id))
+            replica.end_inv(op.op_id)
+            if self._val_announces_durability(op.txn_id):
+                replica.mark_cluster_persisted(op.version)
+            self._outstanding_writes.pop(op.op_id, None)
+        elif self.cpolicy.write_waits_for_acks:
+            # The client is waiting in this very sequence and is owed
+            # ACK_c only: the VAL_p round goes on behind it.
+            self.sim.process(self._await_cluster_persist(op, replica),
+                             name=self._pname["valp"])
         else:
-            if self.ppolicy.persist_mode is PersistMode.INLINE:
-                self._spawn_persist(replica, version, value)
-            elif self.ppolicy.persist_mode is PersistMode.LAZY_BACKGROUND:
-                self._spawn_persist(replica, version, value,
-                                    delay_ns=self.config.lazy_persist_delay_ns,
-                                    trigger="lazy")
-            self.sim.process(self._background_round_simple(op, replica),
-                             name=self._pname["bground"])
+            yield from self._await_cluster_persist(op, replica)
+
+    def _val_announces_durability(self, txn_id: Optional[int]) -> bool:
+        """A combined VAL (Strict / Synchronous, outside a transaction)
+        also announces cluster-wide durability: every ACK behind it was
+        sent after that replica's persist."""
+        return (self.ppolicy.persist_mode is PersistMode.INLINE
+                and txn_id is None)
 
     def _apply_txn_write(self, replica: KeyReplica, version: Version,
                          value: Any) -> None:
@@ -922,24 +932,6 @@ class ProtocolNode:
         else:
             replica.absorb_superseded(version, value)
 
-    def _finish_invalidation(self, op: _WriteOp, replica: KeyReplica) -> None:
-        """All ACKs in (and local persist done where required): broadcast
-        the VALidation and clear the local transient state."""
-        val_type = (MsgType.VAL
-                    if self.ppolicy.persist_mode is PersistMode.INLINE
-                    and not self.ppolicy.dual_acks else MsgType.VAL_C)
-        if not self.ppolicy.dual_acks:
-            self._broadcast(Message(val_type, src=self.node_id, op_id=op.op_id,
-                                    key=op.key, version=op.version,
-                                    scope_id=op.scope_id, txn_id=op.txn_id))
-            replica.end_inv(op.op_id)
-            if (self.ppolicy.persist_mode is PersistMode.INLINE
-                    and op.txn_id is None):
-                replica.mark_cluster_persisted(op.version)
-            self._outstanding_writes.pop(op.op_id, None)
-        # Under dual ACKs the (single) validation is VAL_p, sent by
-        # _await_cluster_persist once every replica has persisted.
-
     def _await_cluster_persist(self, op: _WriteOp, replica: KeyReplica) -> Generator:
         """Read-Enforced persistency: gather ACK_p from every follower and
         the local persist, then broadcast VAL_p (Figure 3(a))."""
@@ -952,26 +944,6 @@ class ProtocolNode:
         replica.mark_cluster_persisted(op.version)
         replica.end_inv(op.op_id)
         self._outstanding_writes.pop(op.op_id, None)
-
-    def _background_round_dual(self, op: _WriteOp, replica: KeyReplica) -> Generator:
-        """Read-Enforced consistency + Read-Enforced persistency: collect
-        ACK_c in the background (write already completed), then hand off
-        to the cluster-persist collector."""
-        yield op.ack_c.wait()
-        yield from self._await_cluster_persist(op, replica)
-
-    def _background_round_simple(self, op: _WriteOp, replica: KeyReplica) -> Generator:
-        """Read-Enforced consistency with single-ACK persistency models:
-        collect ACKs, finish local persist if inline, broadcast VAL."""
-        yield op.ack_c.wait()
-        if self.ppolicy.persist_mode is PersistMode.INLINE:
-            yield from self._ensure_persisted(replica, op.version, op.value)
-        self._finish_invalidation(op, replica)
-
-    def _background_round_txn(self, op: _WriteOp) -> Generator:
-        """Transactional write: just collect the per-write ACKs; ENDX
-        consumes them."""
-        yield op.ack_c.wait()
 
     # -- update-based consistency (Causal / Eventual) ------------------------
 
@@ -986,26 +958,22 @@ class ProtocolNode:
                                                self.config.value_bytes)
         replica.apply(version, value)
 
-        strict = self.ppolicy.write_waits_for_persist_everywhere
-        scope_id = (ctx.current_scope_id
-                    if self.ppolicy.persist_mode is PersistMode.ON_SCOPE_END
-                    else None)
+        placed = self._coordinator_places[False]
+        scope_id = ctx.current_scope_id if self.ppolicy.scoped else None
         message = Message(MsgType.UPD, src=self.node_id, op_id=op_id,
                           key=replica.key, version=version, value=value,
                           cauhist=cauhist, scope_id=scope_id)
 
-        if strict:
+        if placed == "strict":
             # Strict persistency: the write completes only once durable
             # at every replica, so propagation cannot be lazy.
             targets = self.active_peers
             op = _WriteOp(op_id=op_id, key=replica.key, version=version,
-                          value=value, ack_c=AckRound(self.sim, ()),
-                          ack_p=AckRound(self.sim, targets))
+                          value=value, ack_p=AckRound(self.sim, targets))
             self._outstanding_writes[op_id] = op
-            self._broadcast(message, targets=targets)
-            self._arm_round_watchdog(op.ack_p, message)
+            self._launch_round(message, targets, op.ack_p)
             yield from self._ensure_persisted(replica, version, value,
-                                              trigger="strict")
+                                              trigger=placed)
             yield op.ack_p.wait()
             self._outstanding_writes.pop(op_id, None)
             return
@@ -1015,24 +983,19 @@ class ProtocolNode:
         else:
             self._broadcast(message)
 
-        if self.ppolicy.persist_mode is PersistMode.INLINE:
-            # Synchronous: persist right away (off the client's critical
-            # path, Figure 2(e)); reads return the persisted version.
-            self._spawn_persist(replica, version, value)
-        elif self.ppolicy.persist_mode is PersistMode.EAGER_BACKGROUND:
-            self._spawn_persist(replica, version, value, trigger="eager")
+        # Off the client's critical path (Figure 2(e)): under
+        # Synchronous, reads return the persisted version instead.
+        self._place_persist(replica, version, value, placed)
+        if self.ppolicy.dual_acks:
+            # Read-Enforced: followers ACK_p their eager persists, and a
+            # VAL_p announces cluster durability to stalled readers.
             op = _WriteOp(op_id=op_id, key=replica.key, version=version,
-                          value=value, ack_c=AckRound(self.sim, ()),
+                          value=value,
                           ack_p=AckRound(self.sim, self.active_peers))
             self._outstanding_writes[op_id] = op
             self._arm_round_watchdog(op.ack_p, message)
             self.sim.process(self._causal_valp_round(op, replica),
                              name=self._pname["cvalp"])
-        elif self.ppolicy.persist_mode is PersistMode.LAZY_BACKGROUND:
-            self._spawn_persist(replica, version, value,
-                                delay_ns=self.config.lazy_persist_delay_ns,
-                                trigger="lazy")
-        # ON_SCOPE_END: nothing now; the scope's Persist call handles it.
 
     def _spawn_lazy_broadcast(self, message: Message) -> None:
         self.sim.call_at(self.sim.now + self.config.lazy_propagation_delay_ns,
@@ -1066,19 +1029,10 @@ class ProtocolNode:
             if self.tracer.enabled:
                 self.tracer.emit(self.sim.now, "txn_begin", node=self.node_id,
                                  txn_id=txn.txn_id, client=ctx.client_id)
-            op_id = self._next_op_id()
-            targets = self.active_peers
-            round_op = _RoundOp(op_id, AckRound(self.sim, targets))
-            self._outstanding_rounds[op_id] = round_op
             initx = Message(MsgType.INITX, src=self.node_id,
-                            op_id=op_id, txn_id=txn.txn_id)
-            self._broadcast(initx, targets=targets)
-            self._arm_round_watchdog(round_op.acks, initx)
-            if self.ppolicy.persist_mode is PersistMode.INLINE:
-                yield from self.memory.persist(txn.txn_id)
-                self.metrics.persists += 1
-            yield round_op.acks.wait()
-            self._outstanding_rounds.pop(op_id, None)
+                            op_id=self._next_op_id(), txn_id=txn.txn_id)
+            yield from self._run_round(initx,
+                                       self._persist_txn_begin(txn.txn_id))
         finally:
             self.request_workers.release()
 
@@ -1094,24 +1048,11 @@ class ProtocolNode:
             yield self.sim.timeout(self.config.req_proc_ns)
             self.txn_table.check_still_alive(txn)
             op_id = self._next_op_id()
-            targets = self.active_peers
-            round_op = _RoundOp(op_id, AckRound(self.sim, targets))
-            self._outstanding_rounds[op_id] = round_op
             payload = tuple(txn.writes)
             endx = Message(MsgType.ENDX, src=self.node_id,
                            op_id=op_id, txn_id=txn.txn_id,
                            payload=payload)
-            self._broadcast(endx, targets=targets)
-            self._arm_round_watchdog(round_op.acks, endx)
-            if self.ppolicy.persist_mode is PersistMode.INLINE:
-                yield from self._persist_many(payload)
-            elif self.ppolicy.persist_mode is PersistMode.EAGER_BACKGROUND:
-                for key, version in payload:
-                    replica = self.replicas.get(key)
-                    self._spawn_persist(replica, version,
-                                        replica.applied_value, trigger="endx")
-            yield round_op.acks.wait()
-            self._outstanding_rounds.pop(op_id, None)
+            yield from self._run_round(endx, self._persist_at_endx(payload))
             self.txn_table.commit(txn)
             self.metrics.txn_commits += 1
             if self.tracer.enabled:
@@ -1155,7 +1096,7 @@ class ProtocolNode:
                 replica.revert(version)
                 if self.store is not None:
                     self.store.put(key, replica.applied_value)
-            if self.ppolicy.persist_mode is PersistMode.ON_SCOPE_END:
+            if self.ppolicy.scoped:
                 # Squashed writes must not be waited on at scope persist.
                 reverted = set(payload)
                 ctx.scope_writes = [w for w in ctx.scope_writes
@@ -1165,19 +1106,35 @@ class ProtocolNode:
             ctx.txn = None
             self.request_workers.release()
 
-    def _persist_many(self, pairs: Tuple[Tuple[int, Version], ...]) -> Generator:
-        """Process: persist several (key, version) pairs concurrently and
-        wait for all of them (used by the ENDX rounds)."""
-        procs = []
-        for key, version in pairs:
-            replica = self.replicas.get(key)
-            value = replica.applied_value
-            procs.append(self.sim.process(
-                self._ensure_persisted(replica, version, value,
-                                       trigger="endx"),
-                name=self._pname["pmany"]))
-        if procs:
-            yield self.sim.all_of(procs)
+    def _persist_txn_begin(self, txn_id: int) -> Generator:
+        """Process: Strict / Synchronous persist the transaction-begin
+        event (Figure 4(b)), at the coordinator and at each follower."""
+        if self.ppolicy.persist_mode is PersistMode.INLINE:
+            yield from self.memory.persist(txn_id)
+            self.metrics.persists += 1
+
+    def _persist_at_endx(self, pairs: Tuple[Tuple[int, Version], ...]) -> Generator:
+        """Process: what ENDX owes the transaction's writes, at the
+        coordinator and at each follower — Strict / Synchronous persist
+        them concurrently and wait for all of them (Figure 4(b));
+        Read-Enforced asks again in the background."""
+        mode = self.ppolicy.persist_mode
+        if mode is PersistMode.INLINE:
+            procs = []
+            for key, version in pairs:
+                replica = self.replicas.get(key)
+                procs.append(self.sim.process(
+                    self._ensure_persisted(replica, version,
+                                           replica.applied_value,
+                                           trigger="endx"),
+                    name=self._pname["pmany"]))
+            if procs:
+                yield self.sim.all_of(procs)
+        elif mode is PersistMode.EAGER_BACKGROUND:
+            for key, version in pairs:
+                replica = self.replicas.get(key)
+                self._request_persist(replica, version,
+                                      replica.applied_value, "endx")
 
     def _clear_txn_invs(self, txn_id: int, payload) -> None:
         """Coordinator side: clear its own transient markers for the
@@ -1201,7 +1158,7 @@ class ProtocolNode:
         """Process: the Persist call for the client's current scope
         (Figure 5): PERSIST to all followers, who persist every write of
         the scope and ACK_p; then VAL_p and completion."""
-        if self.ppolicy.persist_mode is not PersistMode.ON_SCOPE_END:
+        if not self.ppolicy.scoped:
             raise RuntimeError(f"{self.model} does not use scopes")
         scope_id, writes = ctx.close_scope()
         if not writes:
@@ -1211,18 +1168,12 @@ class ProtocolNode:
             scope_start = self.sim.now
             yield self.sim.timeout(self.config.req_proc_ns)
             op_id = self._next_op_id()
-            targets = self.active_peers
-            round_op = _RoundOp(op_id, AckRound(self.sim, targets))
-            self._outstanding_rounds[op_id] = round_op
             payload = tuple(writes)
             persist_msg = Message(MsgType.PERSIST, src=self.node_id,
                                   op_id=op_id, scope_id=scope_id,
                                   payload=payload)
-            self._broadcast(persist_msg, targets=targets)
-            self._arm_round_watchdog(round_op.acks, persist_msg)
-            yield from self._persist_scope_local(scope_id, payload)
-            yield round_op.acks.wait()
-            self._outstanding_rounds.pop(op_id, None)
+            yield from self._run_round(
+                persist_msg, self._persist_scope_local(scope_id, payload))
             self._broadcast(Message(MsgType.VAL_P, src=self.node_id,
                                     op_id=op_id, scope_id=scope_id,
                                     payload=payload))
@@ -1254,7 +1205,21 @@ class ProtocolNode:
         yield replica.condition.wait_for(
             lambda: replica.applied_version >= version)
         value = replica.applied_value
-        yield from self._ensure_persisted(replica, version, value, scope_id)
+        # Scope-tagged persists bypass write combining so that the durable
+        # log attributes each entry to the scope that persisted it.
+        if replica.persisted_version >= version:
+            return
+        if replica.persist_requested < version:
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, "persist_issue",
+                                 node=self.node_id, key=replica.key,
+                                 version=version, trigger="scope")
+            replica.persist_requested = version
+            yield from self.memory.persist(replica.key)
+            self._mark_durable(replica, version, value, scope_id)
+            return
+        yield replica.condition.wait_for(
+            lambda: replica.persisted_version >= version)
 
     # ------------------------------------------------------------------
     # follower message handlers
@@ -1359,14 +1324,11 @@ class ProtocolNode:
             # clobber newer content.
             self.store.put(message.key, replica.applied_value)
 
-        strict = self.ppolicy.write_waits_for_persist_everywhere
-        inline = (self.ppolicy.persist_mode is PersistMode.INLINE
-                  and message.txn_id is None) or strict
-        if inline:
+        placed = self._follower_places[message.txn_id is not None]
+        if placed in ACK_AFTER_PERSIST:
             # Synchronous/Strict: persist before acknowledging (Fig. 2(b)).
             persisted = self._persisted_event(
-                replica, message.version, message.value,
-                "strict" if strict else "inline")
+                replica, message.version, message.value, placed)
             if persisted is None:
                 return self._inv_persisted(message, arrived_ns)
             persisted.callbacks.append(lambda _event: self._handle_now(
@@ -1376,24 +1338,27 @@ class ProtocolNode:
         self._send(message.src, Message(MsgType.ACK_C, src=self.node_id,
                                         op_id=message.op_id, key=message.key,
                                         version=message.version))
-        if self.ppolicy.dual_acks:
-            self.sim.process(
-                self._persist_then_ack_p(replica, message),
-                name=self._pname["ackp"])
-        elif self.ppolicy.persist_mode is PersistMode.LAZY_BACKGROUND:
-            self._spawn_persist(replica, message.version, message.value,
-                                delay_ns=self.config.lazy_persist_delay_ns,
-                                trigger="lazy")
-        # INLINE within a transaction: persist deferred to ENDX.
-        # ON_SCOPE_END: persist deferred to the PERSIST message.
+        self._persist_behind_ack(replica, message, placed)
 
     def _inv_persisted(self, message: Message, _arrived_ns: float) -> None:
         self._send(message.src, Message(MsgType.ACK, src=self.node_id,
                                         op_id=message.op_id, key=message.key,
                                         version=message.version))
 
+    def _persist_behind_ack(self, replica: KeyReplica, message: Message,
+                            placed: Optional[str]) -> None:
+        """A follower's placement that its ACK does not wait for: under
+        dual ACKs the (eager) persist is followed by its own ACK_p."""
+        if self.ppolicy.dual_acks:
+            self.sim.process(
+                self._persist_then_ack_p(replica, message, placed),
+                name=self._pname["ackp"])
+        else:
+            self._place_persist(replica, message.version, message.value,
+                                placed)
+
     def _persist_then_ack_p(self, replica: KeyReplica, message: Message,
-                            trigger: str = "eager") -> Generator:
+                            trigger: str) -> Generator:
         yield from self._ensure_persisted(replica, message.version,
                                           message.value, trigger=trigger)
         self._send(message.src, Message(MsgType.ACK_P, src=self.node_id,
@@ -1418,9 +1383,8 @@ class ProtocolNode:
                 self.replicas.get(key).end_inv(op_id)
             return
         replica = self.replicas.get(message.key)
-        if (self.ppolicy.persist_mode is PersistMode.INLINE
-                and message.txn_id is None and message.version is not None):
-            # A combined VAL also announces cluster-wide durability.
+        if (self._val_announces_durability(message.txn_id)
+                and message.version is not None):
             replica.mark_cluster_persisted(message.version)
         replica.end_inv(message.op_id)
 
@@ -1436,33 +1400,33 @@ class ProtocolNode:
     def _on_ack_c(self, message: Message, _arrived_ns: float) -> None:
         op = self._outstanding_writes.get(message.op_id)
         if op is not None:
-            op.ack_c.ack(message.src)
+            if op.ack_c is not None:
+                op.ack_c.ack(message.src)
             return
-        round_op = self._outstanding_rounds.get(message.op_id)
-        if round_op is not None:
-            round_op.acks.ack(message.src)
+        acks = self._outstanding_rounds.get(message.op_id)
+        if acks is not None:
+            acks.ack(message.src)
 
     def _on_ack_p(self, message: Message, _arrived_ns: float) -> None:
         op = self._outstanding_writes.get(message.op_id)
         if op is not None and op.ack_p is not None:
             op.ack_p.ack(message.src)
             return
-        round_op = self._outstanding_rounds.get(message.op_id)
-        if round_op is not None:
-            round_op.acks.ack(message.src)
+        acks = self._outstanding_rounds.get(message.op_id)
+        if acks is not None:
+            acks.ack(message.src)
 
     # -- update path (Causal / Eventual) ----------------------------------------
 
     def _on_upd(self, message: Message, arrived_ns: float) -> Any:
         replica = self.replicas.get(message.key)
-        strict = self.ppolicy.write_waits_for_persist_everywhere
-        if strict:
+        if self.ppolicy.write_waits_for_persist_everywhere:
             # Strict: durability is immediate and independent of
             # visibility ordering (the update may persist before the
             # volatile replica is updated).
-            self.sim.process(self._persist_then_ack_p(replica, message,
-                                                      trigger="strict"),
-                             name=self._pname["strictp"])
+            self.sim.process(
+                self._persist_then_ack_p(replica, message, "strict"),
+                name=self._pname["strictp"])
         if self.cpolicy.causal:
             unmet = self._first_unmet_dep(message.cauhist)
             if unmet is not None:
@@ -1560,31 +1524,18 @@ class ProtocolNode:
             # LWW winner, not the message payload (see _inv_deposited).
             self.store.put(message.key, replica.applied_value)
 
-        mode = self.ppolicy.persist_mode
-        strict = self.ppolicy.write_waits_for_persist_everywhere
-        if strict:
-            pass  # persist + ACK_p already launched on receipt
-        elif mode is PersistMode.INLINE:
+        placed = self._follower_places[False]
+        if placed in ACK_AFTER_PERSIST:
             # Synchronous: persist at the visibility point (Fig. 2(f)).
             return self._persisted_event(replica, message.version,
-                                         message.value, "inline")
-        elif mode is PersistMode.EAGER_BACKGROUND:
-            self.sim.process(self._persist_then_ack_p(replica, message),
-                             name=self._pname["ackp"])
-        elif mode is PersistMode.LAZY_BACKGROUND:
-            self._spawn_persist(replica, message.version, message.value,
-                                delay_ns=self.config.lazy_persist_delay_ns,
-                                trigger="lazy")
-        # ON_SCOPE_END: wait for the PERSIST message.
+                                         message.value, placed)
+        self._persist_behind_ack(replica, message, placed)
         return None
 
     # -- transaction rounds -------------------------------------------------------
 
     def _on_initx(self, message: Message, _arrived_ns: float) -> Generator:
-        if self.ppolicy.persist_mode is PersistMode.INLINE:
-            # Persist the transaction-begin event (Figure 4(b)).
-            yield from self.memory.persist(message.txn_id)
-            self.metrics.persists += 1
+        yield from self._persist_txn_begin(message.txn_id)
         self._send(message.src, Message(MsgType.ACK, src=self.node_id,
                                         op_id=message.op_id,
                                         txn_id=message.txn_id))
@@ -1598,14 +1549,8 @@ class ProtocolNode:
                 _applied_at_least(replica, version)))
         if waits:
             yield self.sim.all_of(waits)
-        # ... and durable, under inline persistency (Figure 4(b)).
-        if self.ppolicy.persist_mode is PersistMode.INLINE:
-            yield from self._persist_many(message.payload)
-        elif self.ppolicy.persist_mode is PersistMode.EAGER_BACKGROUND:
-            for key, version in message.payload:
-                replica = self.replicas.get(key)
-                self._spawn_persist(replica, version, replica.applied_value,
-                                    trigger="endx")
+        # ... and durable, where ENDX owes that.
+        yield from self._persist_at_endx(message.payload)
         self._send(message.src, Message(MsgType.ACK, src=self.node_id,
                                         op_id=message.op_id,
                                         txn_id=message.txn_id))

@@ -54,14 +54,6 @@ class Membership:
         self._subscribers.append((node_id, callback))
         self._subscribers.sort(key=lambda pair: pair[0])
 
-    def is_live(self, node_id: int) -> bool:
-        return node_id in self.live
-
-    def live_peers(self, node_id: int) -> List[int]:
-        """The live replica set minus ``node_id``, in node-id order."""
-        return [n for n in self.all_nodes
-                if n != node_id and n in self.live]
-
     def mark_crashed(self, node_id: int) -> None:
         """Remove a node from the live set and notify (idempotent)."""
         if node_id not in self.live:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from typing import Optional
+
 from repro.core.model import Consistency, DdpModel, Persistency
 
 __all__ = [
@@ -27,6 +29,8 @@ __all__ = [
     "ConsistencyPolicy",
     "PersistencyPolicy",
     "policy_for",
+    "placement",
+    "ACK_AFTER_PERSIST",
     "CONSISTENCY_POLICIES",
     "PERSISTENCY_POLICIES",
 ]
@@ -100,6 +104,12 @@ class PersistencyPolicy:
     """Causal consistency: a buffered update's dependency counts as
     satisfied only once the dependency is persisted (Synchronous), not
     merely applied."""
+
+    @property
+    def scoped(self) -> bool:
+        """Scope persistency: writes are tagged with the client's open
+        scope and persist at its Persist call."""
+        return self.persist_mode is PersistMode.ON_SCOPE_END
 
 
 CONSISTENCY_POLICIES = {
@@ -191,6 +201,40 @@ PERSISTENCY_POLICIES = {
         deps_require_persist=False,
     ),
 }
+
+
+#: The placement table — what places a write's local persist, as the
+#: ``trigger`` its ``persist_issue`` record carries — per persistency
+#: model: (plain write, write inside a transaction).  ``None``: nothing
+#: is placed with the write itself.
+_PLACEMENT = {
+    Persistency.STRICT: ("strict", "strict"),
+    Persistency.SYNCHRONOUS: ("inline", None),  # a transaction's ride its ENDX
+    Persistency.READ_ENFORCED: ("eager", "eager"),
+    Persistency.SCOPE: (None, None),  # the scope's Persist call
+    Persistency.EVENTUAL: ("lazy", "lazy"),
+}
+
+#: Placements whose persist finishes before the acknowledgment the write
+#: is owed: a follower's ACK, the coordinator's VAL.  The others persist
+#: behind it (``eager`` then sends its own ACK_p, ``lazy`` waits out
+#: ``lazy_persist_delay_ns`` first).
+ACK_AFTER_PERSIST = ("strict", "inline")
+
+
+def placement(model: DdpModel, in_txn: bool = False,
+              follower: bool = False) -> Optional[str]:
+    """What places the local persist of one write under ``model``: at
+    the coordinator once the INV/UPD is out, at a ``follower`` once the
+    payload is deposited.  The one place this is decided; Figures 2-5
+    differ only in where this persist sits relative to the round."""
+    cpolicy, ppolicy = policy_for(model)
+    if (follower and not cpolicy.uses_inv
+            and ppolicy.write_waits_for_persist_everywhere):
+        # A Strict UPD persists on receipt (durability does not wait for
+        # visibility order): by the deposit nothing is left to place.
+        return None
+    return _PLACEMENT[model.persistency][in_txn]
 
 
 def policy_for(model: DdpModel):

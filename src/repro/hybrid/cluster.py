@@ -17,7 +17,6 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import DdpModel
 from repro.hybrid.engine import HybridProtocolNode
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.workload.ycsb import WorkloadSpec
 
 __all__ = ["HybridCluster"]
@@ -58,7 +57,3 @@ class HybridCluster(Cluster):
         if self.group_of(src) == self.group_of(dst):
             return self.config.network.one_way_ns
         return self.cross_one_way_ns
-
-    @property
-    def memories(self) -> List[MemoryHierarchy]:
-        return [node.memory for node in self.nodes]

@@ -50,20 +50,14 @@ class HybridProtocolNode(ProtocolNode):
                          self._send_remote, message)
 
     def _send_remote(self, message: Message) -> None:
-        for dst in self.remote_ids:
-            self._send(dst, message, lazy=True)
+        self._fan_out(message, self.remote_ids, lazy=True)
         self.remote_upds_sent += len(self.remote_ids)
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, "xdc_upd", node=self.node_id,
                              key=message.key, version=message.version,
                              remotes=len(self.remote_ids))
 
-    def _write_invalidation(self, ctx: ClientContext, replica: KeyReplica,
-                            version: Version, value: Any) -> Generator:
+    def _replicate(self, ctx: ClientContext, replica: KeyReplica,
+                   version: Version, value: Any) -> Generator:
         self._propagate_remote(replica.key, version, value)
-        yield from super()._write_invalidation(ctx, replica, version, value)
-
-    def _write_update(self, ctx: ClientContext, replica: KeyReplica,
-                      version: Version, value: Any) -> Generator:
-        self._propagate_remote(replica.key, version, value)
-        yield from super()._write_update(ctx, replica, version, value)
+        yield from super()._replicate(ctx, replica, version, value)

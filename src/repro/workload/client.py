@@ -25,7 +25,6 @@ from typing import Generator, List, Optional
 from repro.analysis.metrics import Metrics, OpRecord
 from repro.core.context import ClientContext
 from repro.core.engine import ProtocolNode
-from repro.core.policies import PersistMode
 from repro.sim.engine import Interrupt, Simulator
 from repro.txn.manager import TxnConflict
 from repro.workload.ycsb import RequestStream
@@ -127,7 +126,7 @@ class Client:
 
     def _run(self) -> Generator:
         transactional = self.node.cpolicy.transactional
-        scoped = self.node.ppolicy.persist_mode is PersistMode.ON_SCOPE_END
+        scoped = self.node.ppolicy.scoped
         scope_length = self.node.config.scope_length
         requests_since_persist = 0
         try:
@@ -166,8 +165,7 @@ class Client:
         start = self.sim.now
         self.in_flight = (op, key)
         if self.history is not None:
-            scoped = (self.node.ppolicy.persist_mode
-                      is PersistMode.ON_SCOPE_END)
+            scoped = self.node.ppolicy.scoped
             self.history.invoke(
                 self.client_id, self.node.node_id, op, key,
                 value=None if op == "read" else value,
@@ -218,7 +216,7 @@ class Client:
         txn_length = self.node.config.txn_length
         requests = [self.stream.next_request() for _ in range(txn_length)]
         first_start: List[Optional[float]] = [None] * txn_length
-        scoped = self.node.ppolicy.persist_mode is PersistMode.ON_SCOPE_END
+        scoped = self.node.ppolicy.scoped
         attempt = 0
         while True:
             attempt += 1

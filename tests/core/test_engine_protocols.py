@@ -463,7 +463,7 @@ class TestPersistDrain:
 
     @staticmethod
     def _waiter(engine, replica, version, value, woke):
-        yield from engine._ensure_persisted(replica, version, value)
+        yield from engine._ensure_persisted(replica, version, value, "inline")
         woke.append((engine.sim.now, version))
 
     def test_requests_in_one_instant_combine_into_one_media_write(self):
@@ -497,7 +497,7 @@ class TestPersistDrain:
         cluster = make_cluster(C.LINEARIZABLE, P.SYNCHRONOUS)
         sim, engine = cluster.sim, cluster.engines[1]
         replica = engine.replicas.get(7)
-        engine._request_persist(replica, (1, 1), "v")
+        engine._request_persist(replica, (1, 1), "v", "inline")
         sim.run(until=100.0)
         assert engine.memory.nvm.outstanding == 1
         engine.crash()
@@ -858,3 +858,29 @@ class TestBroadcastFrame:
     def test_nobody_to_send_to_records_nothing(self):
         cluster, sends = self._broadcast(targets=[])
         assert sends == [] and cluster.metrics.messages_by_type == {}
+
+
+@pytest.mark.parametrize("consistency, persistency, processes, events", [
+    # A transaction's write spawns no process that only waits for its
+    # ACKs (ENDX confirms the round): 297 / 2,772 with one.
+    (C.TRANSACTIONAL, P.EVENTUAL, 183, 2_658),
+    # An UPD's ACK_p round has no empty ACK_c round triggering beside
+    # it: 8,010 events with one.
+    (C.CAUSAL, P.READ_ENFORCED, 980, 7_683),
+], ids=["txn-eventual", "causal-read_enforced"])
+def test_no_process_or_round_that_only_waits(consistency, persistency,
+                                             processes, events):
+    """Kernel work of one small fixed run, pinned: simulated results
+    cannot tell a waiter-only process or an already-complete filler
+    round from none, these counters can."""
+    from repro.obs import KernelProfile
+    from repro.workload.ycsb import WORKLOADS
+
+    profile = KernelProfile()
+    cluster = Cluster(DdpModel(consistency, persistency),
+                      config=ClusterConfig(servers=3, clients_per_server=3,
+                                           seed=2021),
+                      workload=WORKLOADS["A"], profile=profile)
+    cluster.run(40_000.0, warmup_ns=4_000.0)
+    assert (profile.processes_spawned, profile.events_processed) == \
+        (processes, events)

@@ -1,10 +1,18 @@
 """Tests that the behavioral policies encode the paper's protocols."""
 
-from repro.core.model import Consistency as C, DdpModel, Persistency as P
+import pytest
+
+from repro.cluster.cluster import Cluster
+from repro.cluster.config import ClusterConfig
+from repro.core.contracts import contract_for
+from repro.core.model import (Consistency as C, DdpModel, Persistency as P,
+                              all_ddp_models)
 from repro.core.policies import (
+    ACK_AFTER_PERSIST,
     CONSISTENCY_POLICIES,
     PERSISTENCY_POLICIES,
     PersistMode,
+    placement,
     policy_for,
 )
 
@@ -74,3 +82,61 @@ def test_policy_for_returns_pair():
     cpolicy, ppolicy = policy_for(DdpModel(C.CAUSAL, P.SCOPE))
     assert cpolicy.model is C.CAUSAL
     assert ppolicy.model is P.SCOPE
+
+
+#: persistency -> what places a write's local persist at
+#: (coordinator, follower), each as (plain, inside a transaction).
+PLACEMENT = {
+    P.STRICT: (("strict", "strict"), ("strict", "strict")),
+    P.SYNCHRONOUS: (("inline", None), ("inline", None)),
+    P.READ_ENFORCED: (("eager", "eager"), ("eager", "eager")),
+    P.SCOPE: ((None, None), (None, None)),
+    P.EVENTUAL: (("lazy", "lazy"), ("lazy", "lazy")),
+}
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("model", all_ddp_models(), ids=str)
+    def test_the_table(self, model):
+        cpolicy, _ = policy_for(model)
+        for follower in (False, True):
+            expected = PLACEMENT[model.persistency][follower]
+            if follower and not cpolicy.uses_inv and model.persistency is P.STRICT:
+                # Persisted (and ACK_p'd) on receipt, ahead of the deposit.
+                expected = (None, None)
+            assert (placement(model, False, follower),
+                    placement(model, True, follower)) == expected
+        # ... and the engine asks once, at construction.
+        engine = Cluster(model, config=ClusterConfig(
+            servers=2, clients_per_server=0, store_type=None)).engines[0]
+        assert engine._coordinator_places == (placement(model),
+                                              placement(model, True))
+        assert engine._follower_places == (
+            placement(model, follower=True), placement(model, True, True))
+
+    @pytest.mark.parametrize("model", all_ddp_models(), ids=str)
+    def test_what_the_contract_owes_is_placed_in_time(self, model):
+        cpolicy, ppolicy = policy_for(model)
+        owed = contract_for(model).durability
+        in_txn = cpolicy.transactional
+        coordinator = placement(model, in_txn)
+        follower = placement(model, in_txn, follower=True)
+        if "completed_writes" in owed:
+            # The persist comes before the acknowledgment that completes
+            # the write, at both ends of the round ...
+            if in_txn and coordinator is None:
+                # ... which for a transaction's write is the ENDX round's.
+                assert follower is None
+                assert ppolicy.persist_mode is PersistMode.INLINE
+            else:
+                assert coordinator in ACK_AFTER_PERSIST
+                assert follower in ACK_AFTER_PERSIST or (
+                    not cpolicy.uses_inv
+                    and ppolicy.write_waits_for_persist_everywhere)
+        if "read_values" in owed:
+            # The persist is asked for with the write, and reads are held
+            # to it: they stall on it or return the persisted version.
+            for placed in (coordinator, follower):
+                assert placed in ("inline", "eager")
+            assert (ppolicy.read_requires_applied_persisted
+                    or ppolicy.read_returns_persisted)

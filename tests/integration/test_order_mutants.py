@@ -10,12 +10,22 @@ method, old text, new text)``: ``old`` must occur exactly once in
 here instead of silently mutating nothing — and the substituted
 function is compiled and patched in for the duration of one check.
 
-Four checkers are held against each mutant:
+M8 is of another kind (ROADMAP 1(a), a protocol bug rather than an
+ordering one): the follower's persist placement answers "nothing" where
+it answered "inline", so a Synchronous follower ACKs an INV it never
+persisted.
+
+Six checkers are held against each mutant:
 
 * ``sweep`` — the tie-batch sanitizer's permutation sweep;
 * ``detied`` — the de-tied golden (per cell, a ``Summary`` digest and
   the ``cluster_digest`` of the state the run ends in);
 * ``variant`` — the same pins for two leader and two hybrid clusters;
+* ``faulty``, ``audit`` — ``validate_faulty_run`` and the black-box
+  audit's verdict on its own cell, after a crash-restart run of
+  ``CRASH_CELL``.  Both judge durability against the NVM logs of *all*
+  nodes together, so neither sees M8: the coordinator's own inline
+  persist keeps every completed write recoverable;
 * ``behaviour`` — a named test of the ordinary suite.
 
 A fifth, an interprocedural effect analysis behind three ordering lint
@@ -44,11 +54,16 @@ from typing import Any, Callable, Dict, Optional
 
 import pytest
 
+from repro.core import engine
 from repro.core.engine import ProtocolNode
 from repro.core.model import (Consistency as C, DdpModel, Persistency as P,
                               all_ddp_models)
 from repro.core.replica import KeyReplica
 from repro.devtools.sanitizer import sweep
+from repro.faults import (FaultInjector, plan_from_crash_specs,
+                          validate_faulty_run)
+from repro.obs.history import HistoryRecorder
+from repro.obs.run import CellSpec, ObservedRun, Observers, observed_run
 from repro.sim.engine import Simulator
 
 from .test_detied_equivalence import detied_golden
@@ -59,7 +74,8 @@ _FUTURE_FLAGS = sum(getattr(__future__, name).compiler_flag
 
 @dataclass(frozen=True)
 class Mutant:
-    owner: type
+    owner: Any
+    """The class — or module — the function is looked up on."""
     method: str
     old: str
     new: str
@@ -129,13 +145,20 @@ MUTANTS: Dict[str, Mutant] = {
         "unmet = self._first_unmet_dep(message.cauhist)", "unmet = None",
         "a buffered causal update is released only once every "
         "dependency is visible, whatever order it was buffered in"),
+    "M8": Mutant(
+        engine, "placement",  # the engine's binding of policies.placement
+        "    return _PLACEMENT[model.persistency][in_txn]",
+        "    placed = _PLACEMENT[model.persistency][in_txn]\n"
+        "    return None if follower and placed == 'inline' else placed",
+        "under Synchronous persistency a follower persists an INV's "
+        "payload before it ACKs (Figure 2(b))"),
 }
 
 #: Mutants no run can tell from the original, and why.
 EQUIVALENT = {
     "M6": "every path to `mark_persisted` first passes the monotone "
-          "`persist_requested` gate (`_request_persist`, the scope branch "
-          "of `_ensure_persisted`) and one key's media writes finish in "
+          "`persist_requested` gate (`_request_persist`, the scope-tagged "
+          "persist of `_scope_persist_one`) and one key's media writes finish in "
           "issue order (one bank, FIFO): a cluster run never hands it a "
           "version at or below the last one — only a unit test does",
 }
@@ -203,8 +226,38 @@ def variant_kill(only: Optional[str] = None) -> Optional[str]:
     return None
 
 
+CRASH_CELL = "<Linearizable, Synchronous>"
+
+
+def crash_run(only: Optional[str] = None) -> ObservedRun:
+    """``repro run --crash 1@20+15 --audit`` on a small ``only`` (default
+    ``CRASH_CELL``) cluster."""
+    model = next(model for model in all_ddp_models()
+                 if str(model) == (only or CRASH_CELL))
+    spec = CellSpec(model.consistency.value, model.persistency.value,
+                    seed=2021, servers=3, clients=6, duration_ns=60_000.0,
+                    warmup_ns=6_000.0)
+    return observed_run(
+        spec, Observers(recorder=HistoryRecorder(), audit=True),
+        faults=FaultInjector(plan_from_crash_specs(["1@20+15"], seed=2021)))
+
+
+def faulty_kill(only: Optional[str] = None) -> Optional[str]:
+    """The first contract ``validate_faulty_run`` finds violated."""
+    return next((result.name
+                 for result in validate_faulty_run(crash_run(only).cluster)
+                 if not result.ok), None)
+
+
+def audit_kill(only: Optional[str] = None) -> Optional[str]:
+    """The checks the black-box audit fails the run's own cell on."""
+    target = crash_run(only).audit["target"]
+    return None if target["ok"] else ", ".join(target["failed_checks"])
+
+
 CELL_CHECKERS = {"sweep": sweep_kill, "detied": detied_kill,
-                 "variant": variant_kill}
+                 "variant": variant_kill, "faulty": faulty_kill,
+                 "audit": audit_kill}
 
 
 def behaviour_kill(test: str, **kwargs: Any) -> Optional[str]:
@@ -234,10 +287,12 @@ _CONCURRENT_WRITERS = ("tests.core.test_engine_protocols::"
                        "test_concurrent_writers_serialize", dict)
 _CONVERGE = "tests.integration.test_all_models::test_replicas_converge_after_quiesce"
 
-#: mutant -> checker -> the witness that kills it; a checker not named
-#: is a measured miss.  ``sweep``, ``detied``, ``variant``: the first
-#: cell to move.  ``behaviour``: a test and what builds the fixtures and
-#: parameters to call it with.
+#: mutant -> checker -> the witness that kills it.  ``sweep``,
+#: ``detied``, ``variant``: the first cell to move.  ``behaviour``: a
+#: test and what builds the fixtures and parameters to call it with.
+#: A checker not named is a measured miss — but for two kills the full
+#: table shows and tier-1 does not re-check: ``variant`` on M2-M5 and
+#: ``audit`` (its ``linearizable`` check) on ``stamped``.
 KILLS: Dict[str, Dict[str, Any]] = {
     "M1": {"detied": "<Causal, Strict>",
            "variant": "hybrid <Causal, Eventual>"},
@@ -264,6 +319,11 @@ KILLS: Dict[str, Dict[str, Any]] = {
                "test_causal_eventual_respects_happens_before",
                lambda: {"num_writes": 6, "num_keys": 3, "perm_seed": 1,
                         "extra_dep_seed": 0})},
+    "M8": {"detied": "<Linearizable, Synchronous>",
+           "variant": "hybrid <Linearizable, Synchronous>",
+           "behaviour": (
+        "tests.core.test_engine_protocols::TestLinearizableSynchronous::"
+        "test_write_completes_after_all_replicas_durable", dict)},
     "stamped": {"sweep": "<Linearizable, Strict>",
                 "detied": "<Linearizable, Strict>",
                 "behaviour": _CONCURRENT_WRITERS},
@@ -316,8 +376,8 @@ def test_a_site_that_moved_fails_instead_of_mutating_nothing():
 
 if __name__ == "__main__":
     print("| mutant | sanitizer sweep | de-tied golden | variant golden | "
-          "behaviour tests |")
-    print("|---|---|---|---|---|")
+          "validate_faulty_run | audit | behaviour tests |")
+    print("|---|---|---|---|---|---|---|")
     checkers = (*CELL_CHECKERS, "behaviour")
     for mutant_name in sys.argv[1:] or KILLS:
         row = [kill(mutant_name, checker) for checker in checkers]
