@@ -37,7 +37,7 @@ def drive(consistency):
                       cauhist=comment_cauhist)
 
     # The network delivers the comment FIRST.
-    follower.nic.deliver(comment, comment.size_bytes)
+    follower.nic.sink(comment)
     sim.run(until=sim.now + 5_000)
     reader = ClientContext(9, 1)
     seen_comment = sim.run_until_complete(
@@ -47,7 +47,7 @@ def drive(consistency):
     early = (seen_photo, seen_comment)
 
     # Now the photo arrives; everything becomes visible.
-    follower.nic.deliver(photo, photo.size_bytes)
+    follower.nic.sink(photo)
     sim.run(until=sim.now + 20_000)
     seen_comment = sim.run_until_complete(
         sim.process(follower.client_read(reader, COMMENT_KEY)))

@@ -140,19 +140,18 @@ class AckRound:
     so attaching fault machinery does not perturb healthy runs.
     """
 
-    __slots__ = ("sim", "targets", "acked", "event")
+    __slots__ = ("sim", "targets", "acked", "event", "open")
 
     def __init__(self, sim: Simulator, targets):
         self.sim = sim
         self.targets = set(targets)
         self.acked: set = set()
         self.event = sim.event()
-        if not self.targets:
+        #: Until the event is triggered: what an arrival tests instead
+        #: of reading the event's properties.
+        self.open = bool(self.targets)
+        if not self.open:
             self.event.succeed()
-
-    @property
-    def satisfied(self) -> bool:
-        return self.targets <= self.acked
 
     @property
     def missing(self) -> List[int]:
@@ -161,14 +160,17 @@ class AckRound:
 
     def ack(self, src: int) -> None:
         """Record an ACK from ``src`` (idempotent)."""
-        self.acked.add(src)
-        if self.satisfied and not self.event.triggered:
+        acked = self.acked
+        acked.add(src)
+        if self.open and self.targets <= acked:
+            self.open = False
             self.event.succeed()
 
     def retarget(self, live) -> None:
         """Drop targets no longer in ``live``; fire if now satisfied."""
         self.targets = {t for t in self.targets if t in live}
-        if self.satisfied and not self.event.triggered:
+        if self.open and self.targets <= self.acked:
+            self.open = False
             self.event.succeed()
 
     def wait(self) -> Event:
@@ -273,10 +275,11 @@ class ProtocolNode:
         if membership is not None:
             membership.subscribe(node_id, self._on_membership_change)
         # Bound once here instead of building a dict literal per
-        # inbound message in _on_arrival.  Every handler is the first
-        # segment of _handle_now: ``fn(message, arrived_ns)``.
-        self._handlers: Dict[MsgType, Callable[..., Any]] = {
-            msg_type: getattr(self, name)
+        # inbound message in _on_arrival, and keyed by the type's label
+        # (a str, hashed in C).  Every handler is the first segment of
+        # _handle_now: ``fn(message, arrived_ns)``.
+        self._handlers: Dict[str, Callable[..., Any]] = {
+            msg_type.label: getattr(self, name)
             for msg_type, name in self._DISPATCH.items()}
         # Likewise the names of the processes spawned per message.
         self._pname = {role: f"n{node_id}.{role}" for role in (
@@ -325,6 +328,15 @@ class ProtocolNode:
         reaped by :meth:`~repro.sim.sync.Resource.release` as grants
         reach them, so capacity is not leaked across the restart.
         """
+        # The discarded replicas may still hold the stalls of clients the
+        # crash interrupted: waits nobody will resume.  They go with the
+        # table, which reference counting can then free — a stall closes
+        # over its replica, so left in place each one is a cycle.
+        for replica in self.replicas:
+            condition = replica.condition
+            if condition.waiters:
+                condition.waiters = [(predicate, event) for predicate, event
+                                     in condition.waiters if event.callbacks]
         observer = self._replica_event if self.tracer.enabled else None
         self.replicas = ReplicaTable(self.sim, self.node_id,
                                      observer=observer)
@@ -374,18 +386,12 @@ class ProtocolNode:
         self.tracer.emit(self.sim.now, kind, node=self.node_id,
                          key=key, version=version)
 
-    def _send(self, dst: int, message: Message, lazy: bool = False) -> None:
-        self._inject(dst, message, message.msg_type.value,
-                     message.size_bytes, lazy)
-
-    def _inject(self, dst: int, message: Message, label: str,
-                size_bytes: int, lazy: bool,
-                delivered: Optional[Event] = None) -> None:
+    def _send(self, dst: int, message: Message, lazy: bool = False,
+              delivered: Optional[Event] = None) -> None:
         """Account for, trace and hand one copy of ``message`` to the
-        network.  ``label`` and ``size_bytes`` are the message's own
-        (``msg_type.value``, ``size_bytes``), read once per message by
-        the caller rather than once per destination.  ``delivered`` is
-        the chain ablation's: the event to settle on remote delivery."""
+        network.  ``delivered`` is the chain ablation's: the event to
+        settle on remote delivery."""
+        label, size_bytes = message.msg_type.label, message.size_bytes
         self.metrics.record_message(label, size_bytes, time_ns=self.sim.now)
         if self.tracer.enabled:
             details = dict(msg=label, dst=dst, op_id=message.op_id,
@@ -411,22 +417,21 @@ class ProtocolNode:
     def _fan_out(self, message: Message, targets: List[int],
                  lazy: bool = False) -> None:
         """Send one message to every node of ``targets``."""
-        label, size_bytes = message.msg_type.value, message.size_bytes
         if self.tracer.enabled:
             # The trace interleaves msg_send and net_send per destination.
             for dst in targets:
-                self._inject(dst, message, label, size_bytes, lazy)
+                self._send(dst, message, lazy)
         elif targets:  # one frame: accounted once, walked by the network
+            label, size_bytes = message.msg_type.label, message.size_bytes
             self.metrics.record_message(label, size_bytes, self.sim.now, len(targets))
             self.network.send(self.node_id, targets, message, size_bytes)
 
     def _chain_send(self, message: Message, lazy: bool = False) -> Generator:
         """Sequential propagation (ablation): the message reaches follower
         k only after it has been delivered at follower k-1."""
-        label, size_bytes = message.msg_type.value, message.size_bytes
         for dst in self.peer_ids:
             delivered = self.sim.event()
-            self._inject(dst, message, label, size_bytes, lazy, delivered)
+            self._send(dst, message, lazy, delivered)
             yield delivered
 
     def _store_read_cost(self, key: int) -> float:
@@ -578,29 +583,34 @@ class ProtocolNode:
         """
         if self.membership is None:
             return
-        state = {"attempt": 0}
+        self.sim.call_at(self.sim.now + self.config.round_timeout_ns,
+                         self._check_round, round_, message, 0)
 
-        def check() -> None:
-            if round_.event.triggered or not self._alive:
-                return
-            before = len(round_.targets)
-            round_.retarget(self.membership.live)
-            if len(round_.targets) != before:
-                self.rounds_retargeted += 1
-            if round_.event.triggered:
-                return
-            if (self.membership.lossy
-                    and state["attempt"] < self.config.round_max_retries):
-                state["attempt"] += 1
-                self.round_resends += 1
-                for dst in round_.missing:
-                    self._send(dst, message)
-            backoff = (self.config.round_timeout_ns
-                       + self.config.round_retry_backoff_ns
-                       * min(state["attempt"], 8))
-            self.sim.call_at(self.sim.now + backoff, check)
-
-        self.sim.call_at(self.sim.now + self.config.round_timeout_ns, check)
+    def _check_round(self, round_: AckRound, message: Message,
+                     attempt: int) -> None:
+        """One watchdog check of a round (``attempt``: resends so far);
+        re-arms itself while the round is open.  A method, not a
+        closure that re-arms through its own cell: that would make every
+        watched round a reference cycle, garbage only the collector
+        frees."""
+        if not round_.open or not self._alive:
+            return
+        before = len(round_.targets)
+        round_.retarget(self.membership.live)
+        if len(round_.targets) != before:
+            self.rounds_retargeted += 1
+        if not round_.open:
+            return
+        if (self.membership.lossy
+                and attempt < self.config.round_max_retries):
+            attempt += 1
+            self.round_resends += 1
+            for dst in round_.missing:
+                self._send(dst, message)
+        backoff = (self.config.round_timeout_ns
+                   + self.config.round_retry_backoff_ns * min(attempt, 8))
+        self.sim.call_at(self.sim.now + backoff, self._check_round, round_,
+                         message, attempt)
 
     def _on_membership_change(self, kind: str, node_id: int,
                               epoch: int) -> None:
@@ -1233,13 +1243,13 @@ class ProtocolNode:
             return
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, "msg_recv", node=self.node_id,
-                             msg=message.msg_type.value, src=message.src,
+                             msg=message.msg_type.label, src=message.src,
                              op_id=message.op_id, key=message.key,
                              version=message.version)
         msg_proc_ns = self.config.msg_proc_ns
         cpu_done = self.protocol_workers.admit(msg_proc_ns) + msg_proc_ns
         self.sim.call_at(cpu_done, self._handle_now, False,
-                         self._handlers[message.msg_type], message,
+                         self._handlers[message.msg_type.label], message,
                          self.sim.now)
 
     def _handle_waiting(self, steps: Generator, message: Message,
@@ -1250,7 +1260,7 @@ class ProtocolNode:
         if instrument is not None:
             # Transparent shim: yields the same events in the same order,
             # so the run stays byte-identical (see Instrument.drive_handler).
-            steps = instrument.drive_handler(message.msg_type.value, steps)
+            steps = instrument.drive_handler(message.msg_type.label, steps)
         yield from steps
         if self.tracer.enabled:
             self._emit_msg_handle(message, arrived_ns)
@@ -1276,7 +1286,7 @@ class ProtocolNode:
             rest = segment(message, arrived_ns, *args)
         else:
             rest = instrument.call_handler(
-                message.msg_type.value, segment, message, arrived_ns, *args,
+                message.msg_type.label, segment, message, arrived_ns, *args,
                 resumed=resumed)
         if rest is None:
             if self.tracer.enabled:
@@ -1290,7 +1300,7 @@ class ProtocolNode:
         # repro: lint-ok[tracer-guard] both callers check tracer.enabled
         self.tracer.emit(self.sim.now, "msg_handle", node=self.node_id,
                          dur=self.sim.now - arrived_ns,
-                         msg=message.msg_type.value, src=message.src,
+                         msg=message.msg_type.label, src=message.src,
                          op_id=message.op_id)
 
     # -- invalidation path ------------------------------------------------------

@@ -52,6 +52,11 @@ class MsgType(enum.Enum):
     PERSIST = "PERSIST"
 
     def __init__(self, label: str):
+        #: The value, as a plain attribute: what a send accounts the
+        #: message under and the key handler dispatch looks up (a str,
+        #: hashed in C), without the two frames an ``Enum.value`` read
+        #: or an ``Enum.__hash__`` costs.
+        self.label = label
         self.carries_data = label in ("INV", "UPD")
         #: Wire bytes before the key, causal history and payload pairs:
         #: the header, plus the value on the data-carrying types.  Held
@@ -110,7 +115,7 @@ class Message(NamedTuple):
 
     def tagged(self) -> str:
         """Display form, scope-tagged like the paper's ``[INV]s``."""
-        name = self.msg_type.value
+        name = self.msg_type.label
         if self.scope_id is not None:
             return f"[{name}]{self.scope_id}"
         return name

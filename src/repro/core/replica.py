@@ -90,7 +90,8 @@ class KeyReplica:
             return False
         self.applied_version = version
         self.applied_value = value
-        self.condition.notify()
+        if self.condition.waiters:
+            self.condition.notify()
         if self.observer is not None:
             self.observer("apply", self.key, version)
         return True
@@ -101,7 +102,8 @@ class KeyReplica:
             return False
         self.persisted_version = version
         self.persisted_value = value
-        self.condition.notify()
+        if self.condition.waiters:
+            self.condition.notify()
         if self.observer is not None:
             self.observer("persist", self.key, version)
         return True
@@ -111,7 +113,8 @@ class KeyReplica:
         if version <= self.cluster_persisted_version:
             return False
         self.cluster_persisted_version = version
-        self.condition.notify()
+        if self.condition.waiters:
+            self.condition.notify()
         return True
 
     def record_undo(self, version: Version) -> None:
@@ -137,7 +140,8 @@ class KeyReplica:
         if pre_image is None or self.applied_version != version:
             return False
         self.applied_version, self.applied_value = pre_image
-        self.condition.notify()
+        if self.condition.waiters:
+            self.condition.notify()
         return True
 
     def begin_inv(self, op_id: int) -> None:
@@ -145,7 +149,8 @@ class KeyReplica:
 
     def end_inv(self, op_id: int) -> None:
         self.inflight_invs.discard(op_id)
-        self.condition.notify()
+        if self.condition.waiters:
+            self.condition.notify()
 
     @property
     def transient(self) -> bool:

@@ -31,15 +31,17 @@ heap thus stays authoritative for ``until``, ``queue_depth`` and
 This hook is the one place outside ``sim/engine.py`` that knows the
 queue is a binary heap of ``(when, sequence, entry)`` tuples — the
 contract a replacement queue must honour: stable among equal
-timestamps, push with an explicit sequence key, and an entry's ``tail``
-(if not None) lists calls that stand for ``(when, call.sequence, call)``.
+timestamps, push with an explicit sequence key, and an entry that is a
+list is a run of calls whose member *i* stands for
+``(when, sequence + i, [member])``.
 
 What gets permuted — and what must stay seq-stable
 --------------------------------------------------
 Only ``msg_delivery`` entries are reordered (among the positions they
 occupy in the batch); other event kinds keep their insertion-sequence
-order.  A delivery is a network *landing* — the ``call_at`` entry
-``Network.send`` schedules, tagged ``msg_delivery`` and carrying the
+order.  A delivery is a network *landing* — a call ``Network.send``
+schedules, of a function labelled ``msg_delivery``
+(:func:`~repro.sim.engine.entry_kind`) whose arguments lead with the
 message and its destination NIC — or, for code that reads a NIC inbox,
 the ``Nic.receive()`` event.  Delivery order *is* handler co-scheduling
 order, the dimension last-writer-wins makes free.  The remaining kinds —
@@ -93,7 +95,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.engine import Callback, Instrument
+from repro.sim.engine import Instrument, entry_kind
 from repro.sim.rng import SeededStream
 
 __all__ = [
@@ -142,11 +144,12 @@ class TieBatchSanitizer(Instrument):
         when = heap[0][0]
         batch = []
         while heap and heap[0][0] == when:
-            batch.append(heapq.heappop(heap))
-            head = batch[-1][2]
-            if head.tail is not None:  # a run: its calls tie one by one
-                batch.extend((when, call.sequence, call) for call in head.tail)
-                head.tail = None
+            _when, sequence, entry = heapq.heappop(heap)
+            if entry.__class__ is list:  # a run: its calls tie one by one
+                batch.extend((when, sequence + i, [call])
+                             for i, call in enumerate(entry))
+            else:
+                batch.append((when, sequence, entry))
         sequences = [entry[1] for entry in batch]
         self._batch_end = (when, sequences[-1])
         if len(batch) > 1:
@@ -158,22 +161,24 @@ class TieBatchSanitizer(Instrument):
     def _landing(event) -> tuple:
         """``(message, destination)`` of a ``msg_delivery`` entry.
 
-        A network landing (a ``call_at`` entry running
+        A network landing (a run of one call,
         ``Network._land(message, dst_nic, ...)``) names both; an inbox
         ``Nic.receive()`` event carries the message as its value and is
         its own destination (a reader has one ``get`` pending at a time).
         """
-        if isinstance(event, Callback):
-            return event.args[0], event.args[1]
+        if event.__class__ is list:
+            args = event[0][1]
+            return args[0], args[1]
         return event._value, event
 
     @classmethod
     def _label(cls, event) -> str:
-        if event.kind == "msg_delivery":
+        kind = entry_kind(event)
+        if kind == "msg_delivery":
             msg_type = getattr(cls._landing(event)[0], "msg_type", None)
             if msg_type is not None:
                 return msg_type.name
-        return f"kind:{event.kind}"
+        return f"kind:{kind}"
 
     def observe(self, when: float, batch: List[tuple]) -> None:
         """Record one tie batch; permute it in place when sanitizing."""
@@ -191,7 +196,7 @@ class TieBatchSanitizer(Instrument):
         if self._rng is None:
             return
         slots = [i for i, (_when, _seq, event) in enumerate(batch)
-                 if event.kind == "msg_delivery"]
+                 if entry_kind(event) == "msg_delivery"]
         if len(slots) < 2:
             return
         before = [batch[i] for i in slots]

@@ -88,6 +88,9 @@ class Llc:
         self.timing = CacheTiming(size_bytes=total, ways=LLC_TIMING_PER_CORE.ways,
                                   round_trip_cycles=LLC_TIMING_PER_CORE.round_trip_cycles)
         self.level = CacheLevel(sim, self.timing, hit_ratio, rng, name)
+        # Read on every DDIO deposit: a plain attribute, not a property
+        # chain (the timing is frozen).
+        self.round_trip_ns = self.timing.round_trip_ns
         self.ddio_capacity = int(total * ddio_fraction)
         self.ddio_used = 0
         self.ddio_deposits = 0
@@ -108,11 +111,8 @@ class Llc:
 
     def ddio_consume(self, size_bytes: int) -> None:
         """Free DDIO space after the protocol engine ingests an update."""
-        self.ddio_used = max(0, self.ddio_used - size_bytes)
-
-    @property
-    def round_trip_ns(self) -> float:
-        return self.timing.round_trip_ns
+        used = self.ddio_used - size_bytes
+        self.ddio_used = used if used > 0 else 0
 
 
 class CacheHierarchy:

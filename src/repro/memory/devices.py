@@ -60,6 +60,7 @@ class MemoryDevice:
             Resource(sim, capacity=1, name=f"{name}.bank{i}")
             for i in range(timing.total_banks)
         ]
+        self._bank_count = len(self._banks)
         self.reads = 0
         self.writes = 0
         self.busy_ns = 0.0
@@ -76,7 +77,7 @@ class MemoryDevice:
         # bank interleaving while staying safe for any future key type
         # (hash(str) is process-salted, which would randomize banking
         # across runs).
-        return self._banks[address % len(self._banks)]
+        return self._banks[address % self._bank_count]
 
     def _access(self, address: int, service_ns: float) -> Generator:
         """Process: hold ``address``'s bank for ``service_ns`` scaled by
@@ -101,12 +102,11 @@ class MemoryDevice:
         way, and calls ``done(charged_ns, *args)`` once the bank is
         released."""
         bank = self._bank_for(address)
-        grant = bank.acquire()
-        if grant.callbacks is None:
+        if bank.try_acquire():  # a free bank: granted with no event
             self._serve(bank, self.sim.now, service_ns, done, args)
         else:
             enqueue_time = self.sim.now
-            grant.callbacks.append(lambda _grant: self._serve(
+            bank.acquire().callbacks.append(lambda _grant: self._serve(
                 bank, enqueue_time, service_ns, done, args))
 
     def _serve(self, bank: Resource, enqueue_time: float, service_ns: float,

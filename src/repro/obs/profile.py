@@ -50,7 +50,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from repro.sim.engine import Instrument
+from repro.sim.engine import Instrument, entry_kind
 
 __all__ = ["KernelProfile", "format_hotspots", "hotspot_rows"]
 
@@ -129,8 +129,8 @@ class KernelProfile(Instrument):
         hist = self.heap_depth_hist
         hist[bucket] = hist.get(bucket, 0) + 1
         when, _seq, head = heap[0]
-        if head.tail is not None:
-            self.calls_coalesced += len(head.tail)
+        if head.__class__ is list:
+            self.calls_coalesced += len(head) - 1
         if when == self._tie_when:
             self._tie_run += 1
         else:
@@ -144,13 +144,14 @@ class KernelProfile(Instrument):
         to an event kind, so the buckets sum to ~100% of the loop."""
         # repro: lint-ok[wall-clock-ban] brackets one kernel step for wall attribution
         now = time.perf_counter()
-        bucket = self.by_event_kind.get(event.kind)
+        kind = entry_kind(event)
+        bucket = self.by_event_kind.get(kind)
         if bucket is None:
-            bucket = self.by_event_kind[event.kind] = [0, 0.0]
+            bucket = self.by_event_kind[kind] = [0, 0.0]
         bucket[0] += 1
         bucket[1] += now - self._last_stamp
         self._last_stamp = now
-        if event.defused:
+        if event.__class__ is not list and event.defused:
             self.events_defused += 1
 
     def loop_enter(self) -> None:

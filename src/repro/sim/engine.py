@@ -17,19 +17,20 @@ Design notes
   protocol bugs surface as test failures rather than silent hangs.
 * Determinism: ties in the heap are broken by an insertion sequence
   number, so two runs with the same seed produce identical schedules.
-* The heap holds *runs*: a ``call_at`` for the instant the push just
-  before it asked for would pop directly after it, so it is stored in
-  that push's entry under its own number (:meth:`Simulator.call_at`).
+* A heap entry is ``(when, sequence, entry)``: an :class:`Event`, or a
+  *run* of scheduled calls — a plain list of ``(fn, args)`` pairs whose
+  member *i* stands for ``(when, sequence + i)``.  A ``call_at`` for the
+  instant the push just before it asked for would pop directly after
+  it, so it joins that push's run (:meth:`Simulator.call_at`).
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
     "Event",
-    "Callback",
     "Timeout",
     "Process",
     "AllOf",
@@ -37,6 +38,7 @@ __all__ = [
     "Instrument",
     "Simulator",
     "SimulationError",
+    "entry_kind",
 ]
 
 
@@ -67,16 +69,15 @@ class Event:
     event are resumed when the simulator processes the trigger.
 
     ``kind`` is a profiling label: creation sites that know what an
-    event *means* (a timeout, a message delivery, a ``call_at``
-    callback, ...) overwrite the generic default so an attached
+    event *means* (a timeout, an inbox delivery, a process start, ...)
+    overwrite the generic default so an attached
     :class:`~repro.obs.profile.KernelProfile` can bucket kernel time by
-    event kind.  It is pure metadata — nothing in the kernel branches
-    on it, so unprofiled runs behave identically.
+    event kind (:func:`entry_kind`).  It is pure metadata — nothing in
+    the kernel branches on it, so unprofiled runs behave identically.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled", "defused",
                  "kind")
-    tail = None  # only a Callback heads a run
 
     def __init__(self, sim: Simulator):
         self.sim = sim
@@ -150,14 +151,6 @@ class Event:
         self._value = value
         self.callbacks = None
 
-    # -- internal ------------------------------------------------------------
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending"
         if self.triggered:
@@ -165,39 +158,14 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-class Callback:
-    """A scheduled plain function call, made by :meth:`Simulator.call_at`.
-
-    Nothing can wait on it, so it carries no callback list, value or
-    status — only what the run loop reads off any heap entry
-    (``_run_callbacks``, ``_ok``, ``defused``, ``kind``, ``tail``).
-    ``kind`` is the same profiling label as :attr:`Event.kind`; the
-    network relabels its landings ``"msg_delivery"``.
-
-    A callback is on the heap under ``(when, sequence)`` or in the
-    ``tail`` of the one that is (calls pushed directly after it for its
-    instant); once that run executes, ``tail`` is what has not run, reversed.
-    """
-
-    __slots__ = ("fn", "args", "sequence", "kind", "tail")
-    _ok = True
-    defused = False
-
-    def __init__(self, fn: Callable[..., None], args: tuple, sequence: int):
-        self.fn = fn
-        self.args = args
-        self.sequence = sequence
-        self.kind = "call_at"
-        self.tail: Optional[List[Callback]] = None
-
-    def _run_callbacks(self) -> None:
-        tail = self.tail
-        if tail is not None:
-            tail.reverse()
-        self.fn(*self.args)
-        while tail:
-            member = tail.pop()
-            member.fn(*member.args)
+def entry_kind(entry: Any) -> str:
+    """The profiling label of a heap entry: an event's ``kind``; for a
+    run of calls, the ``event_kind`` its first function carries, else
+    ``"call_at"`` (the network labels its landing function
+    ``"msg_delivery"``)."""
+    if entry.__class__ is list:
+        return getattr(entry[0][0], "event_kind", "call_at")
+    return entry.kind
 
 
 class Timeout(Event):
@@ -218,7 +186,7 @@ class Timeout(Event):
         self._scheduled = True
         self.defused = False
         self.kind = "timeout"
-        heapq.heappush(sim._heap, (sim.now + delay, sim._sequence, self))
+        heappush(sim._heap, (sim.now + delay, sim._sequence, self))
         sim._sequence += 1
 
 
@@ -391,7 +359,8 @@ class AllOf(Event):
 class Instrument:
     """No-op base of the one optional kernel observer, ``sim.instrument``
     (DESIGN.md §3): ``loop_enter``/``loop_exit`` bracket the run loop,
-    ``before_pop(heap)``/``after_event(entry)`` each event, the kernel
+    ``before_pop(heap)``/``after_event(entry)`` each pop (an event or a
+    run of calls, labelled by :func:`entry_kind`), the kernel
     bumps the four counters, and every segment of a protocol message
     handler goes through ``call_handler`` (a plain call: a handler that
     never waits, or one stretch of one that parks between callbacks) or
@@ -445,11 +414,13 @@ class Simulator:
         self.now: float = 0.0
         self._heap: List = []
         self._sequence = 0
-        # The open run: the latest ``call_at`` push, its timestamp, the
-        # number after its last member (any other push moves past it).
-        self._run_head: Optional[Callback] = None
+        # The open run: the latest ``call_at`` push's list, its
+        # timestamp, the number after its last member (any other push
+        # moves past it).
+        self._run: List = []
         self._run_when, self._run_next = 0.0, -1
         self._running: Any = None  # entry being processed; None outside the loop
+        self._ran = 0  # members of the running run that returned
         self._active_process: Optional[Process] = None
         # The one optional :class:`Instrument` (kernel profiler or
         # tie-batch sanitizer).  None by default, so the run loop pays
@@ -495,17 +466,18 @@ class Simulator:
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
-        heapq.heappush(self._heap, (when, self._sequence, event))
+        heappush(self._heap, (when, self._sequence, event))
         self._sequence += 1
 
     def call_at(self, when: float, fn: Callable[..., None],
-                *args: Any) -> Callback:
+                *args: Any) -> None:
         """Run ``fn(*args)`` at absolute time ``when`` (>= now).
 
         The timestamp is used as given — a caller that computed
         ``when`` as ``t + d`` gets exactly the float a ``timeout(d)``
-        created at ``t`` would pop at.  Returns the call's own
-        :class:`Callback` so the caller may relabel its ``kind``.
+        created at ``t`` would pop at.  The call is the pair
+        ``(fn, args)`` and nothing else: a profiler labels it by what
+        ``fn`` carries (:func:`entry_kind`).
 
         The call joins the open run instead of being pushed when
         (a) nothing at all was pushed since the run's last member,
@@ -518,39 +490,30 @@ class Simulator:
         if when < now:
             raise ValueError(f"call_at into the past: {when} < {now}")
         sequence = self._sequence
-        entry = Callback(fn, args, sequence)
         if (sequence == self._run_next and when == self._run_when
                 and when > now and self._running is not None):
-            head = self._run_head
-            if head.tail is None:
-                head.tail = [entry]
-            else:
-                head.tail.append(entry)
+            self._run.append((fn, args))
         else:
-            heapq.heappush(self._heap, (when, sequence, entry))
-            self._run_head = entry
+            run = [(fn, args)]
+            heappush(self._heap, (when, sequence, run))
+            self._run = run
             self._run_when = when
         self._sequence = self._run_next = sequence + 1
-        return entry
-
-    def _push_run(self, when: float, members: List[Callback]) -> None:
-        """Re-queue ``members`` of a run as a run, under their own numbers."""
-        head = members[0]
-        head.tail = members[1:] or None
-        heapq.heappush(self._heap, (when, head.sequence, head))
 
     # -- running ------------------------------------------------------------------
 
     def _drive(self, until: Optional[float] = None,
                stop: Optional[Event] = None,
                limit: Optional[int] = None) -> None:
-        """The run loop: pop and process events in ``(when, sequence)``
+        """The run loop: pop and process entries in ``(when, sequence)``
         order until the heap drains, the next one lies past ``until``,
-        ``stop`` has triggered, or ``limit`` events ran.
+        ``stop`` has triggered, or ``limit`` pops ran.
 
-        Under ``stop``/``limit`` a run gives up one member per pop; a
-        call that raises leaves the calls behind it queued.
-        An attached instrument brackets the loop and each event; it sees
+        A run's members are called in order inside its one pop.  Under
+        ``stop``/``limit`` a run gives up one member per pop (the rest
+        stays queued under the next number); a call that raises leaves
+        the calls behind it queued under their own numbers.
+        An attached instrument brackets the loop and each pop; it sees
         the same pops in the same order, so an instrumented run stays
         byte-identical to a bare one.
         """
@@ -564,27 +527,42 @@ class Simulator:
                 if call_by_call:
                     if stop is not None and stop._value is not PENDING:
                         return
-                    when, _seq, head = heap[0]
-                    if head.tail is not None:
-                        tail, head.tail = head.tail, None
-                        self._push_run(when, tail)
+                    when, sequence, entry = heap[0]
+                    # One member per pop: the rest of the run waits
+                    # under the next member's number.
+                    if entry.__class__ is list and len(entry) > 1:
+                        heappush(heap, (when, sequence + 1, entry[1:]))
+                        del entry[1:]
                 if until is not None and heap[0][0] > until:
                     return
                 if instrument is not None:
                     instrument.before_pop(heap)
-                self.now, _seq, event = heapq.heappop(heap)
-                self._running = event
-                try:
-                    event._run_callbacks()
-                except BaseException:
-                    if event.tail:
-                        self._push_run(self.now, event.tail[::-1])
-                    raise
-                if instrument is not None:
-                    instrument.after_event(event)
-                if event._ok is False and not event.defused:
-                    # A failure nobody consumed: surface it instead of losing it.
-                    raise event._value
+                self.now, sequence, entry = heappop(heap)
+                self._running = entry
+                if entry.__class__ is list:
+                    self._ran = 0
+                    try:
+                        for fn, args in entry:
+                            fn(*args)
+                            self._ran += 1
+                    except BaseException:
+                        left = self._ran + 1
+                        if left < len(entry):
+                            heappush(heap, (self.now, sequence + left,
+                                            entry[left:]))
+                        raise
+                    if instrument is not None:
+                        instrument.after_event(entry)
+                else:
+                    callbacks, entry.callbacks = entry.callbacks, None
+                    for callback in callbacks:
+                        callback(entry)
+                    if instrument is not None:
+                        instrument.after_event(entry)
+                    if entry._ok is False and not entry.defused:
+                        # A failure nobody consumed: surface it instead
+                        # of losing it.
+                        raise entry._value
                 if limit is not None:
                     limit -= 1
                     if limit == 0:
@@ -629,8 +607,12 @@ class Simulator:
     @property
     def queue_depth(self) -> int:
         """Scheduled-but-unprocessed events and calls (the backlog the
-        health monitor samples), counted when asked: every entry, every
-        run's tail, what is left of the run being executed."""
-        tails = [entry.tail for _when, _seq, entry in self._heap]
-        tails.append(getattr(self._running, "tail", None))
-        return len(self._heap) + sum(len(tail) for tail in tails if tail)
+        health monitor samples), counted when asked: every event, every
+        member of every queued run, what is left of the run being
+        executed."""
+        depth = sum(len(entry) if entry.__class__ is list else 1
+                    for _when, _seq, entry in self._heap)
+        running = self._running
+        if running.__class__ is list:
+            depth += len(running) - self._ran - 1
+        return depth

@@ -75,6 +75,16 @@ class Resource:
             self.peak_queue_len = max(self.peak_queue_len, len(self._waiters))
         return event
 
+    def try_acquire(self) -> bool:
+        """Take a free unit now if nobody is queued — the grant
+        :meth:`acquire` makes in place, without its event.  False: the
+        caller must queue with :meth:`acquire`."""
+        if self._in_use < self.capacity and not self._waiters:
+            self.total_acquires += 1
+            self._in_use += 1
+            return True
+        return False
+
     def release(self) -> None:
         """Return one unit; hands it to the oldest *live* waiter if any.
 
@@ -211,7 +221,9 @@ class Condition:
     def __init__(self, sim: Simulator, name: str = "condition"):
         self.sim = sim
         self.name = name
-        self._waiters: List[tuple] = []
+        #: ``(predicate, event)`` pairs.  A hot mutator may skip
+        #: :meth:`notify` while this is empty — there is nothing to wake.
+        self.waiters: List[tuple] = []
 
     def wait_for(self, predicate: Callable[[], bool]) -> Event:
         """Event triggering once ``predicate()`` is true (maybe immediately)."""
@@ -219,21 +231,21 @@ class Condition:
         if predicate():
             event.succeed()
         else:
-            self._waiters.append((predicate, event))
+            self.waiters.append((predicate, event))
         return event
 
     def notify(self) -> None:
         """Re-check all waiting predicates; wake those now satisfied."""
-        if not self._waiters:
+        if not self.waiters:
             return
         still_waiting = []
-        for predicate, event in self._waiters:
+        for predicate, event in self.waiters:
             if predicate():
                 event.succeed()
             else:
                 still_waiting.append((predicate, event))
-        self._waiters = still_waiting
+        self.waiters = still_waiting
 
     @property
     def waiter_count(self) -> int:
-        return len(self._waiters)
+        return len(self.waiters)

@@ -77,7 +77,7 @@ def deliver_and_check(persistency, num_writes, num_keys, perm_seed,
     order = list(updates)
     stdlib_random.Random(perm_seed).shuffle(order)
     for message in order:
-        follower.nic.deliver(message, message.size_bytes)
+        follower.nic.sink(message)
         cluster.sim.run(until=cluster.sim.now + 200)
     cluster.sim.run(until=cluster.sim.now + 1_000_000)
 
@@ -134,7 +134,7 @@ def test_reverse_delivery_of_long_chain():
     updates = build_updates(num_writes=15, num_keys=3, extra_dep_seed=0)
     peak = 0
     for message in reversed(updates):
-        follower.nic.deliver(message, message.size_bytes)
+        follower.nic.sink(message)
         cluster.sim.run(until=cluster.sim.now + 200)
         peak = max(peak, follower.causal_buffer_len)
     cluster.sim.run(until=cluster.sim.now + 1_000_000)

@@ -210,12 +210,12 @@ class TestCausal:
         d2 = Message(MsgType.UPD, src=0, op_id=102, key=2, version=(1, 0),
                      value="d2", cauhist=((1, (1, 0)),))
         # Deliver d2 first.
-        follower.nic.deliver(d2, d2.size_bytes)
+        follower.nic.sink(d2)
         sim.run(until=sim.now + 5_000)
         assert follower.replicas.get(2).applied_version == ZERO_VERSION
         assert follower.causal_buffer_len == 1
         # Now deliver d1: both apply, in causal order, both persisted.
-        follower.nic.deliver(d1, d1.size_bytes)
+        follower.nic.sink(d1)
         sim.run(until=sim.now + 20_000)
         assert follower.replicas.get(1).persisted_value == "d1"
         assert follower.replicas.get(2).persisted_value == "d2"
@@ -520,7 +520,8 @@ class TestArrivalPath:
         inv = Message(MsgType.INV, src=0, op_id=1024, key=7, version=(1, 0),
                       value="v")
         follower.crash()
-        follower.nic.deliver(inv, inv.size_bytes)
+        cluster.network.send(0, 1, inv, inv.size_bytes)
+        sim.step()                                   # the landing
         assert follower.nic.messages_received == 1   # it did reach the NIC
         assert follower.protocol_workers.total_acquires == 0
         assert sim.queue_depth == 0                  # no handler scheduled
@@ -529,7 +530,7 @@ class TestArrivalPath:
         assert cluster.metrics.total_messages == 0   # and nothing was ACKed
 
         follower.restart({})
-        follower.nic.deliver(inv, inv.size_bytes)
+        follower.nic.sink(inv)
         assert follower.protocol_workers.total_acquires == 1
         quiesce(cluster)
         assert follower.replicas.get(7).applied_value == "v"
@@ -553,7 +554,7 @@ class TestArrivalPath:
         arrivals = [(MsgType.VAL_P, 1), (MsgType.VAL_P, 2), (MsgType.INITX, 3),
                     (MsgType.VAL_P, 4), (MsgType.ACK, 5)]
         for msg_type, op_id in arrivals:
-            follower.nic.deliver(Message(msg_type, src=0, op_id=op_id), 16)
+            follower.nic.sink(Message(msg_type, src=0, op_id=op_id))
         assert profile.processes_spawned == 0
         sim.run(until=1_000.0)
         proc = config.protocol.msg_proc_ns
@@ -629,13 +630,12 @@ class TestArrivalPath:
         sim, follower = cluster.sim, cluster.engines[1]
         message = Message(msg_type, src=0, op_id=1024, key=7, version=(1, 0),
                           value="v", scope_id=3)
-        follower.nic.deliver(message, message.size_bytes)
+        follower.nic.sink(message)
         proc = cluster.config.protocol.msg_proc_ns
-        [(when, _seq, entry)] = sim._heap
-        assert (when, entry.kind, entry.fn) == (
-            proc, "call_at", follower._handle_now)
-        assert entry.args == (False, follower._handlers[msg_type], message,
-                              0.0)
+        [(when, _seq, [(fn, args)])] = sim._heap
+        assert (when, fn) == (proc, follower._handle_now)
+        assert args == (False, follower._handlers[msg_type.label], message,
+                        0.0)
         sim.run(until=proc)
         done_at = proc
         if waits_for == "llc":
@@ -667,7 +667,7 @@ class TestArrivalPath:
             C.TRANSACTIONAL, persistency, monkeypatch)
         sim, follower = cluster.sim, cluster.engines[1]
         message = Message(msg_type, src=0, op_id=1024, **fields)
-        follower.nic.deliver(message, message.size_bytes)
+        follower.nic.sink(message)
         proc = cluster.config.protocol.msg_proc_ns
         assert profile.processes_spawned == 0
         sim.run(until=proc)
@@ -678,7 +678,7 @@ class TestArrivalPath:
             # Parked on the replica's condition until the write lands.
             inv = Message(MsgType.INV, src=0, op_id=2048, key=7,
                           version=(1, 0), value="v")
-            follower.nic.deliver(inv, inv.size_bytes)
+            follower.nic.sink(inv)
             done_at = 2 * proc + follower.memory.caches.llc.round_trip_ns
         else:
             done_at = proc + NVM_WRITE
@@ -700,7 +700,7 @@ class TestArrivalPath:
         sim, follower = cluster.sim, cluster.engines[1]
         inv = Message(MsgType.INV, src=0, op_id=1024, key=7, version=(1, 0),
                       value="v")
-        follower.nic.deliver(inv, inv.size_bytes)
+        follower.nic.sink(inv)
         quiesce(cluster)
         proc = cluster.config.protocol.msg_proc_ns
         llc = follower.memory.caches.llc.round_trip_ns
@@ -725,8 +725,8 @@ class TestArrivalPath:
                             cauhist=((7, (1, 0)),))
         first = Message(MsgType.UPD, src=0, op_id=1024, key=7,
                         version=(1, 0), value="a")
-        follower.nic.deliver(dependent, dependent.size_bytes)   # buffered
-        follower.nic.deliver(first, first.size_bytes)
+        follower.nic.sink(dependent)   # buffered
+        follower.nic.sink(first)
         quiesce(cluster)
         proc = cluster.config.protocol.msg_proc_ns
         llc = follower.memory.caches.llc.round_trip_ns
@@ -765,7 +765,7 @@ class TestArrivalPath:
         llc.ddio_capacity = 0
         message = Message(msg_type, src=0, op_id=1024, key=7, version=(1, 0),
                           value="v")
-        follower.nic.deliver(message, message.size_bytes)
+        follower.nic.sink(message)
         proc = config.protocol.msg_proc_ns
         dram_write = follower.memory.dram.timing.write_ns
         sim.run(until=proc + dram_write - 1.0)

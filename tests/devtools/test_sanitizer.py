@@ -16,7 +16,7 @@ from repro.devtools.sanitizer import (CellResult, SweepResult,
                                       TieBatchSanitizer, cluster_digest,
                                       sweep, _run_once)
 from repro.net.network import Network
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, entry_kind
 
 LIN_STRICT = DdpModel(Consistency.LINEARIZABLE, Persistency.STRICT)
 EVT_EVT = DdpModel(Consistency.EVENTUAL, Persistency.EVENTUAL)
@@ -161,12 +161,16 @@ class TestPermutation:
             network.send(0, dst, ack, 16)
             network.send(0, dst, inv, 16)
         batch = sorted(sim._heap)
-        assert {entry[2].kind for entry in batch} == {"msg_delivery"}
+        assert {entry_kind(entry[2]) for entry in batch} == {"msg_delivery"}
         assert {TieBatchSanitizer._label(entry[2]) for entry in batch} == \
             {"ACK", "INV"}
 
+        def landed(entry):
+            [(_land, args)] = entry[2]
+            return args
+
         def nodes(entries):
-            return [entry[2].args[1].node_id for entry in entries]
+            return [landed(entry)[1].node_id for entry in entries]
 
         sanitizer = TieBatchSanitizer(seed=3)
         orders = set()
@@ -174,7 +178,7 @@ class TestPermutation:
             shuffled = list(batch)
             sanitizer.observe(batch[0][0], shuffled)
             # first wave: every node's ACK; second wave: every node's INV
-            assert [e[2].args[0] for e in shuffled] == [ack] * 3 + [inv] * 3
+            assert [landed(e)[0] for e in shuffled] == [ack] * 3 + [inv] * 3
             assert sorted(nodes(shuffled[:3])) == [1, 2, 3]
             assert sorted(nodes(shuffled[3:])) == [1, 2, 3]
             orders.add(tuple(nodes(shuffled)))

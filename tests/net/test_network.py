@@ -161,12 +161,15 @@ class TestSend:
     def test_sink_defaults_to_the_inbox(self, sim):
         network = make_net(sim)
         nic = network.nic(1)
-        nic.deliver("direct", 8)
+        network.send(0, 1, "direct", 8)
+        sim.run()
         assert len(nic.inbox) == 1 and nic.messages_received == 1
         taken = []
         nic.sink = taken.append
-        nic.deliver("to-sink", 8)
+        network.send(0, 1, "to-sink", 8)
+        sim.run()
         assert taken == ["to-sink"] and len(nic.inbox) == 1
+        assert nic.messages_received == 2 and nic.bytes_received == 16
 
     def test_duplicate_attach_rejected(self, sim):
         network = make_net(sim)

@@ -10,6 +10,7 @@ from repro.sim.engine import (
     SimulationError,
     Simulator,
     Timeout,
+    entry_kind,
 )
 
 
@@ -469,12 +470,19 @@ class TestSimulator:
         sim.run()
         assert fired == [7.0]
 
-    def test_call_at_passes_arguments_and_returns_a_relabelable_entry(self, sim):
+    def test_call_at_passes_arguments_and_is_labelled_by_its_function(
+            self, sim):
         fired = []
-        entry = sim.call_at(7.0, lambda *args: fired.append((sim.now, args)),
-                            "a", 2)
-        assert entry.kind == "call_at"
-        entry.kind = "msg_delivery"          # what Network.send does
+
+        def landing(*args):
+            fired.append((sim.now, args))
+
+        assert sim.call_at(7.0, landing, "a", 2) is None
+        [(_when, _seq, entry)] = sim._heap
+        assert entry == [(landing, ("a", 2))]
+        assert entry_kind(entry) == "call_at"
+        landing.event_kind = "msg_delivery"    # what Network._land carries
+        assert entry_kind(entry) == "msg_delivery"
         sim.run()
         assert fired == [(7.0, ("a", 2))]
 

@@ -1,12 +1,17 @@
 """Runs of same-instant calls: one heap entry, nothing else changed.
 
-``Simulator.call_at`` stores a call whose timestamp equals that of the
-push directly before it inside that push's heap entry.  The property
-test drives the kernel and a reference model — a sorted list of
-``(when, sequence, call)``, one entry per push — with the same random
-programme and requires the same execution order, the same sequence
-numbers and the same ``queue_depth`` at every call; the unit cases pin
-each edge where a run has to behave like the entries it stands for.
+``Simulator.call_at`` stores a call as an ``(fn, args)`` pair in a plain
+list — its run — and a call whose timestamp equals that of the push
+directly before it joins that push's list: member *i* stands for the
+heap entry ``(when, sequence + i)``.  The property test drives the
+kernel and a reference model — a sorted list of ``(when, sequence,
+call)``, one entry per push — with the same random programme and
+requires the same execution order, the same sequence numbers (read off
+the container, for every call pushed and for every call still queued
+whenever the driver gets control back), the same ``queue_depth`` at
+every call, through calls that raise and runs cut by ``step`` /
+``run_until_complete``; the unit cases pin each edge where a run has to
+behave like the entries it stands for.
 """
 
 import bisect
@@ -16,7 +21,26 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.obs import KernelProfile
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator, entry_kind
+
+
+class Boom(Exception):
+    """What a ``raise`` call of a programme raises."""
+
+
+def boom():
+    raise Boom
+
+
+def number_of(sim, fn):
+    """``(when, sequence)`` a queued call stands for, read off the
+    container: member *i* of a run pushed under ``s`` is ``s + i``."""
+    for when, sequence, entry in sim._heap:
+        if entry.__class__ is list:
+            for index, (member, _args) in enumerate(entry):
+                if member is fn:
+                    return when, sequence + index
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +60,9 @@ class ModelKernel:
     @property
     def queue_depth(self):
         return len(self._queue)
+
+    def queued(self):
+        return [(when, sequence) for when, sequence, _fn in self._queue]
 
     def call_at(self, when, fn):
         # (when, sequence) is unique, so ``fn`` is never compared.
@@ -95,9 +122,17 @@ class RealKernel:
     next_sequence = property(lambda self: self.sim._sequence)
     queue_depth = property(lambda self: self.sim.queue_depth)
 
+    def queued(self):
+        """Every queued entry's ``(when, sequence)``, runs expanded."""
+        return sorted(
+            (when, sequence + index)
+            for when, sequence, entry in self.sim._heap
+            for index in range(len(entry) if entry.__class__ is list else 1))
+
     def call_at(self, when, fn):
         handed_out = self.sim._sequence
-        assert self.sim.call_at(when, fn).sequence == handed_out
+        self.sim.call_at(when, fn)
+        assert number_of(self.sim, fn) == (when, handed_out)
 
     def timeout(self, delay, fn):
         self.sim.timeout(delay).callbacks.append(lambda _event: fn())
@@ -143,6 +178,7 @@ def _actions(bodies):
         st.tuples(st.just("timeout"), DELAYS, bodies),
         st.tuples(st.just("process"), st.lists(DELAYS, max_size=3)),
         st.tuples(st.just("stop"), DELAYS),
+        st.tuples(st.just("raise"), DELAYS),
     ), max_size=4)
 
 
@@ -175,6 +211,8 @@ def execute(kernel, programme):
                 kernel.timeout(action[1], partial(fire, tag, action[2]))
             elif action[0] == "stop":
                 kernel.call_at(kernel.now + action[1], kernel.stop)
+            elif action[0] == "raise":
+                kernel.call_at(kernel.now + action[1], partial(boom))
             else:
                 kernel.process(action[1],
                                lambda step, tag=tag: fire(tag + (step,), []))
@@ -185,7 +223,7 @@ def execute(kernel, programme):
                     kernel.next_sequence))
         perform(body, tag)
 
-    for index, action in enumerate(programme):
+    def drive(index, action):
         if action[0] == "do":
             perform(action[1], (index,))
         elif action[0] == "run":
@@ -193,11 +231,26 @@ def execute(kernel, programme):
         elif action[0] == "step":
             if kernel.queue_depth:
                 kernel.step()
-        else:
+        elif action[0] == "until_stopped":
             kernel.run_until_stopped()
-        log.append(("driver", index, kernel.now, kernel.queue_depth,
+        else:
+            kernel.run()
+
+    # A raising call propagates out of the driving call, and the calls
+    # queued behind it must still be there, under their own numbers.
+    for index, action in enumerate([*programme, ("drain",)]):
+        try:
+            drive(index, action)
+        except Boom:
+            log.append(("raised", index, kernel.now, kernel.queued(),
+                        kernel.next_sequence))
+        log.append(("driver", index, kernel.now, kernel.queued(),
                     kernel.next_sequence))
-    kernel.run()
+    while kernel.queue_depth:
+        try:
+            kernel.run()
+        except Boom:
+            log.append(("raised", kernel.now, kernel.queued()))
     log.append(("drained", kernel.now, kernel.queue_depth,
                 kernel.next_sequence))
     return log
@@ -207,12 +260,18 @@ def execute(kernel, programme):
 #: nested push: cut by ``run_until_complete`` and walked by ``step``.
 _RUN_WITH_STOP = [("call", 0.0, [("call", 1.0, []), ("stop", 1.0),
                                  ("call", 1.0, [("call", 0.0, [])])])]
+#: A run of four calls at t=1 whose second raises.
+_RUN_WITH_RAISE = [("call", 0.0, [("call", 1.0, []), ("raise", 1.0),
+                                  ("call", 1.0, [("call", 0.0, [])]),
+                                  ("call", 1.0, [])])]
 
 
 @settings(max_examples=300, deadline=None)
 @given(PROGRAMMES)
 @example([("do", _RUN_WITH_STOP), ("until_stopped",), ("step",)])
 @example([("do", _RUN_WITH_STOP), ("step",), ("step",), ("step",)])
+@example([("do", _RUN_WITH_RAISE), ("run", 1.0), ("step",)])
+@example([("do", _RUN_WITH_RAISE), ("step",), ("step",), ("step",)])
 def test_kernel_matches_the_reference_model(programme):
     assert execute(RealKernel(), programme) == \
         execute(ModelKernel(), programme)
@@ -238,35 +297,46 @@ def sim():
     return Simulator()
 
 
-def burst_at(sim, when, labels, log):
-    """Push ``log.append(label)`` for every label at ``when`` from
-    inside the loop (where calls coalesce); returns their callbacks."""
-    callbacks = []
+def burst_at(sim, when, labels, log, fn=None):
+    """Push ``fn(label)`` (default ``log.append``) for every label at
+    ``when`` from inside the loop, where calls coalesce."""
+    fn = fn or log.append
 
     def push():
-        callbacks.extend(sim.call_at(when, log.append, label)
-                         for label in labels)
+        for label in labels:
+            sim.call_at(when, fn, label)
 
     sim.call_at(sim.now, push)
     sim.step()
-    return callbacks
 
 
 class TestRuns:
     def test_a_burst_is_one_heap_entry_of_numbered_calls(self, sim):
         log = []
-        a, b, c = burst_at(sim, 5.0, "abc", log)
+        burst_at(sim, 5.0, "abc", log)
         assert len(sim._heap) == 1 and sim.queue_depth == 3
-        assert a.tail == [b, c] and b.tail is None
-        assert [call.sequence for call in (a, b, c)] == [1, 2, 3]
+        [(when, sequence, run)] = sim._heap
+        assert (when, sequence) == (5.0, 1)     # members: 1, 2, 3
+        assert run == [(log.append, (label,)) for label in "abc"]
         assert sim._sequence == 4
         sim.run()
         assert log == ["a", "b", "c"] and sim.now == 5.0
 
-    def test_call_at_returns_the_calls_own_callback(self, sim):
-        a, b = burst_at(sim, 5.0, "ab", [])
-        b.kind = "msg_delivery"
-        assert a.kind == "call_at" and b.args == ("b",)
+    def test_a_run_is_labelled_by_its_first_function(self, sim):
+        """What a profiler files a run under: its head's label, as a
+        heap entry headed by that call was filed before runs."""
+        log = []
+
+        def landing(label):
+            log.append(label)
+
+        landing.event_kind = "msg_delivery"
+        burst_at(sim, 5.0, "ab", log)
+        burst_at(sim, 6.0, "cd", log, fn=landing)
+        (_w5, _s5, plain), (_w6, _s6, landings) = sorted(sim._heap)
+        plain.append((landing, ("x",)))     # a landing behind a plain head
+        assert entry_kind(plain) == "call_at"
+        assert entry_kind(landings) == "msg_delivery"
 
     def test_step_processes_one_call(self, sim):
         log = []
@@ -406,7 +476,7 @@ class TestRuns:
         for label in "abc":
             sim.call_at(5.0, print, label)
         assert len(sim._heap) == 3
-        assert all(entry[2].tail is None for entry in sim._heap)
+        assert all(len(entry[2]) == 1 for entry in sim._heap)
 
     def test_run_until_cuts_between_instants_not_inside_a_run(self, sim):
         log = []
@@ -442,3 +512,62 @@ class TestProfileOfRuns:
             sim.step()
         assert profile.events_processed == 4
         assert profile.calls_coalesced == 0
+
+
+# ---------------------------------------------------------------------------
+# what the kernel's readers see, pinned on one cell
+# ---------------------------------------------------------------------------
+
+#: Per cell: ``KernelProfile`` counters of a 20 us run (3 servers x 3
+#: clients, YCSB-A, seed 2021) and the tie-batch sanitizer's
+#: ``pair_counts`` in record mode over 10 requests per client (3 x 2
+#: clients, seed 2021) — the values the kernel gave when every call was
+#: a ``Callback`` object and a run its ``tail`` list.  A reader that
+#: misreads the run container moves one of them.
+READER_PARITY = {
+    "<Linearizable, Synchronous>": (
+        {"events_processed": 1289, "calls_coalesced": 524,
+         "call_at": 583, "msg_delivery": 205},
+        {("ACK", "ACK"): 28, ("INV", "INV"): 29, ("INV", "kind:call_at"): 1,
+         ("VAL", "VAL"): 31, ("kind:call_at", "kind:call_at"): 179,
+         ("kind:call_at", "kind:event"): 1,
+         ("kind:call_at", "kind:timeout"): 2,
+         ("kind:event", "kind:event"): 32,
+         ("kind:process_start", "kind:process_start"): 1,
+         ("kind:timeout", "kind:timeout"): 8}),
+    "<Causal, Eventual>": (
+        {"events_processed": 1747, "calls_coalesced": 704,
+         "call_at": 868, "msg_delivery": 173},
+        {("UPD", "UPD"): 26, ("UPD", "kind:timeout"): 1,
+         ("kind:call_at", "kind:call_at"): 136,
+         ("kind:call_at", "kind:timeout"): 1,
+         ("kind:event", "kind:event"): 1,
+         ("kind:process_start", "kind:process_start"): 1,
+         ("kind:timeout", "kind:timeout"): 21}),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(READER_PARITY))
+def test_kernel_readers_count_what_they_counted_before_runs_were_lists(cell):
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.config import ClusterConfig
+    from repro.core.model import all_ddp_models
+    from repro.devtools.sanitizer import TieBatchSanitizer, _run_once
+    from repro.workload.ycsb import WORKLOADS
+
+    model = next(m for m in all_ddp_models() if str(m) == cell)
+    profile = KernelProfile()
+    cluster = Cluster(model, config=ClusterConfig(servers=3,
+                                                  clients_per_server=3,
+                                                  seed=2021),
+                      workload=WORKLOADS["A"], profile=profile)
+    cluster.run(20_000.0, warmup_ns=2_000.0)
+    recorder = TieBatchSanitizer(seed=None)
+    _run_once(model, 10, 3, 2, 2021, recorder)
+    counters, pairs = READER_PARITY[cell]
+    kinds = {kind: stats[0] for kind, stats in profile.by_event_kind.items()}
+    assert {"events_processed": profile.events_processed,
+            "calls_coalesced": profile.calls_coalesced,
+            "call_at": kinds["call_at"],
+            "msg_delivery": kinds["msg_delivery"]} == counters
+    assert recorder.pair_counts == pairs
