@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -131,13 +132,18 @@ def _spec_from(args, model: Optional[DdpModel] = None) -> CellSpec:
 
 
 def _preflight(*paths: Optional[str]) -> None:
-    """Fail on an unwritable destination now, not after simulating."""
+    """Fail on an unwritable destination now, not after simulating —
+    without truncating it: an input rejected after this check must
+    leave an existing file as it was, and no new empty one behind."""
     for path in paths:
         if path:
+            existed = os.path.exists(path)
             try:
-                open(path, "w").close()
+                open(path, "a").close()
             except OSError as exc:
                 raise _CliError(f"cannot write {path}: {exc}") from exc
+            if not existed:
+                os.remove(path)
 
 
 def _add_model(parser: argparse.ArgumentParser,

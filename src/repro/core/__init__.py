@@ -22,7 +22,6 @@ from repro.core.policies import (
     PERSISTENCY_POLICIES,
     ConsistencyPolicy,
     PersistencyPolicy,
-    PersistMode,
     policy_for,
 )
 from repro.core.replica import KeyReplica, ReplicaTable, Version, ZERO_VERSION
@@ -39,7 +38,6 @@ __all__ = [
     "Message",
     "MsgType",
     "PERSISTENCY_POLICIES",
-    "PersistMode",
     "Persistency",
     "PersistencyPolicy",
     "ProtocolConfig",

@@ -39,12 +39,7 @@ from repro.analysis.metrics import Metrics
 from repro.core.context import ClientContext
 from repro.core.messages import Message, MsgType
 from repro.core.model import DdpModel
-from repro.core.policies import (
-    ACK_AFTER_PERSIST,
-    PersistMode,
-    placement,
-    policy_for,
-)
+from repro.core.policies import ACK_AFTER_PERSIST, placement, policy_for
 from repro.core.replica import KeyReplica, ReplicaTable, Version
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.net.network import Network, Nic
@@ -173,15 +168,12 @@ class AckRound:
             self.open = False
             self.event.succeed()
 
-    def wait(self) -> Event:
-        return self.event
-
 
 @dataclass(slots=True)
 class _WriteOp:
     """Coordinator-side state for one outstanding write: the rounds it
-    collects (an INV gathers ACK_c, and ACK_p under dual ACKs; a Strict
-    or Read-Enforced UPD gathers ACK_p alone)."""
+    collects (an INV gathers ACK_c, and ACK_p under dual ACKs; a
+    Read-Enforced UPD gathers ACK_p alone)."""
 
     op_id: int
     key: int
@@ -204,9 +196,9 @@ class ProtocolNode:
     _DISPATCH: Dict[MsgType, str] = {
         MsgType.INV: "_on_inv",
         MsgType.UPD: "_on_upd",
-        MsgType.ACK: "_on_ack_c",
-        MsgType.ACK_C: "_on_ack_c",
-        MsgType.ACK_P: "_on_ack_p",
+        MsgType.ACK: "_on_ack",
+        MsgType.ACK_C: "_on_ack",
+        MsgType.ACK_P: "_on_ack",
         MsgType.VAL: "_on_val",
         MsgType.VAL_C: "_on_val",
         MsgType.VAL_P: "_on_val_p",
@@ -238,6 +230,11 @@ class ProtocolNode:
         self._follower_places = (
             placement(model, follower=True),
             placement(model, in_txn=True, follower=True))
+        # Strict / Synchronous: a plain write persists before it is
+        # acknowledged.  This also decides the VAL (combined, not VAL_c)
+        # and what INITX and ENDX owe.
+        self._ack_after_persist = (self._coordinator_places[0]
+                                   in ACK_AFTER_PERSIST)
         self.metrics = metrics
         self.config = config or ProtocolConfig()
         self.txn_table = txn_table
@@ -255,7 +252,7 @@ class ProtocolNode:
                                               name=f"n{node_id}.protw")
         self._op_counter = 0
         self._outstanding_writes: Dict[int, _WriteOp] = {}
-        # INITX / ENDX / PERSIST rounds, by op id.
+        # INITX / ENDX / PERSIST rounds and Strict UPD rounds, by op id.
         self._outstanding_rounds: Dict[int, AckRound] = {}
         # Causal updates buffered for their happens-before history,
         # indexed by (one of) the keys they are waiting on so that a
@@ -283,8 +280,8 @@ class ProtocolNode:
             for msg_type, name in self._DISPATCH.items()}
         # Likewise the names of the processes spawned per message.
         self._pname = {role: f"n{node_id}.{role}" for role in (
-            "msg", "crecheck", "valp", "bground", "cvalp",
-            "ackp", "strictp", "chain", "orphan", "pmany", "scopep")}
+            "msg", "crecheck", "valp", "bground", "ackp", "strictp",
+            "chain", "orphan", "persist")}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -555,15 +552,15 @@ class ProtocolNode:
                 self._arm_round_watchdog(round_, message)
 
     def _run_round(self, message: Message, local: Generator) -> Generator:
-        """Process: one INITX / ENDX / PERSIST round — the message to
-        every live peer, this node's own share of the work (``local``)
-        while it travels, then every ACK."""
+        """Process: one INITX / ENDX / PERSIST or Strict UPD round — the
+        message to every live peer, this node's own share of the work
+        (``local``) while it travels, then every ACK."""
         targets = self.active_peers
         acks = AckRound(self.sim, targets)
         self._outstanding_rounds[message.op_id] = acks
         self._launch_round(message, targets, acks)
         yield from local
-        yield acks.wait()
+        yield acks.event
         self._outstanding_rounds.pop(message.op_id, None)
 
     def _arm_round_watchdog(self, round_: AckRound,
@@ -883,14 +880,14 @@ class ProtocolNode:
             # Linearizable (always), or any consistency under Strict:
             # the write completes only after the full round.
             yield from self._complete_write(op, replica, placed)
-        elif txn_id is None or self.ppolicy.dual_acks:
+        elif txn_id is None or op.ack_p is not None:
             # Read-Enforced / Transactional consistency: the client write
             # completes now; the round finishes in the background.
             self.sim.process(self._complete_write(op, replica, placed),
                              name=self._pname["bground"])
         # Else a transaction's write, whose round ENDX finishes: its
         # followers ACK once every write is applied (and persisted, under
-        # Synchronous), and its VAL ends the INVs (_clear_txn_invs).
+        # Synchronous), and its VAL ends the INVs (_settle_txn).
 
     def _complete_write(self, op: _WriteOp, replica: KeyReplica,
                         placed: Optional[str]) -> Generator:
@@ -899,19 +896,21 @@ class ProtocolNode:
         waits for it, then the VALidation that clears the transient
         state.  Under dual ACKs the (single) validation is VAL_p, sent
         once every replica has persisted."""
-        yield op.ack_c.wait()
+        yield op.ack_c.event
         if placed in ACK_AFTER_PERSIST:
             yield from self._ensure_persisted(replica, op.version, op.value,
                                               trigger=placed)
-        if not self.ppolicy.dual_acks:
-            val_type = (MsgType.VAL
-                        if self.ppolicy.persist_mode is PersistMode.INLINE
+        if op.ack_p is None:
+            val_type = (MsgType.VAL if self._ack_after_persist
                         else MsgType.VAL_C)
             self._broadcast(Message(val_type, src=self.node_id, op_id=op.op_id,
                                     key=op.key, version=op.version,
                                     scope_id=op.scope_id, txn_id=op.txn_id))
             replica.end_inv(op.op_id)
-            if self._val_announces_durability(op.txn_id):
+            # A combined VAL outside a transaction also announces
+            # cluster-wide durability: every ACK behind it was sent after
+            # that replica's persist.
+            if self._ack_after_persist and op.txn_id is None:
                 replica.mark_cluster_persisted(op.version)
             self._outstanding_writes.pop(op.op_id, None)
         elif self.cpolicy.write_waits_for_acks:
@@ -921,13 +920,6 @@ class ProtocolNode:
                              name=self._pname["valp"])
         else:
             yield from self._await_cluster_persist(op, replica)
-
-    def _val_announces_durability(self, txn_id: Optional[int]) -> bool:
-        """A combined VAL (Strict / Synchronous, outside a transaction)
-        also announces cluster-wide durability: every ACK behind it was
-        sent after that replica's persist."""
-        return (self.ppolicy.persist_mode is PersistMode.INLINE
-                and txn_id is None)
 
     def _apply_txn_write(self, replica: KeyReplica, version: Version,
                          value: Any) -> None:
@@ -943,11 +935,19 @@ class ProtocolNode:
             replica.absorb_superseded(version, value)
 
     def _await_cluster_persist(self, op: _WriteOp, replica: KeyReplica) -> Generator:
-        """Read-Enforced persistency: gather ACK_p from every follower and
-        the local persist, then broadcast VAL_p (Figure 3(a))."""
-        yield op.ack_p.wait()
-        yield from self._ensure_persisted(replica, op.version, op.value,
-                                          trigger="eager")
+        """Process: the VAL_p round of Read-Enforced persistency, for an
+        INV (Figure 3(a)) or an UPD (Figure 3(c)): ACK_p from every
+        follower, then the local persist, then VAL_p announces cluster
+        durability and ends the write's invalidation, if it made one."""
+        yield op.ack_p.event
+        if self.cpolicy.uses_inv:
+            yield from self._ensure_persisted(replica, op.version, op.value,
+                                              trigger="eager")
+        else:
+            # Through the heap even when already durable, unlike
+            # _ensure_persisted: the kernel counters pin that event.
+            yield replica.condition.wait_for(
+                lambda: replica.persisted_version >= op.version)
         self._broadcast(Message(MsgType.VAL_P, src=self.node_id, op_id=op.op_id,
                                 key=op.key, version=op.version,
                                 txn_id=op.txn_id))
@@ -977,15 +977,8 @@ class ProtocolNode:
         if placed == "strict":
             # Strict persistency: the write completes only once durable
             # at every replica, so propagation cannot be lazy.
-            targets = self.active_peers
-            op = _WriteOp(op_id=op_id, key=replica.key, version=version,
-                          value=value, ack_p=AckRound(self.sim, targets))
-            self._outstanding_writes[op_id] = op
-            self._launch_round(message, targets, op.ack_p)
-            yield from self._ensure_persisted(replica, version, value,
-                                              trigger=placed)
-            yield op.ack_p.wait()
-            self._outstanding_writes.pop(op_id, None)
+            yield from self._run_round(message, self._ensure_persisted(
+                replica, version, value, trigger=placed))
             return
 
         if self.cpolicy.lazy_propagation:
@@ -1004,23 +997,12 @@ class ProtocolNode:
                           ack_p=AckRound(self.sim, self.active_peers))
             self._outstanding_writes[op_id] = op
             self._arm_round_watchdog(op.ack_p, message)
-            self.sim.process(self._causal_valp_round(op, replica),
-                             name=self._pname["cvalp"])
+            self.sim.process(self._await_cluster_persist(op, replica),
+                             name=self._pname["valp"])
 
     def _spawn_lazy_broadcast(self, message: Message) -> None:
         self.sim.call_at(self.sim.now + self.config.lazy_propagation_delay_ns,
                          self._broadcast, message, True)
-
-    def _causal_valp_round(self, op: _WriteOp, replica: KeyReplica) -> Generator:
-        """<Causal/Eventual, Read-Enforced>: collect ACK_p and announce
-        cluster durability with VAL_p (Figure 3(c))."""
-        yield op.ack_p.wait()
-        yield replica.condition.wait_for(
-            lambda: replica.persisted_version >= op.version)
-        self._broadcast(Message(MsgType.VAL_P, src=self.node_id, op_id=op.op_id,
-                                key=op.key, version=op.version))
-        replica.mark_cluster_persisted(op.version)
-        self._outstanding_writes.pop(op.op_id, None)
 
     # ------------------------------------------------------------------
     # client API: transactions
@@ -1071,9 +1053,7 @@ class ProtocolNode:
                                  writes=len(payload))
             self._broadcast(Message(MsgType.VAL, src=self.node_id, op_id=op_id,
                                     txn_id=txn.txn_id, payload=payload))
-            for key, version in payload:
-                self.replicas.get(key).commit_undo(version)
-            self._clear_txn_invs(txn.txn_id, payload)
+            self._settle_txn(txn.txn_id, payload)
             ctx.txn = None
         finally:
             # On a conflict, ctx.txn stays set so the client's abort path
@@ -1101,64 +1081,73 @@ class ProtocolNode:
             self._broadcast(Message(MsgType.VAL, src=self.node_id, op_id=op_id,
                                     txn_id=txn.txn_id, payload=payload,
                                     abort=True))
-            for key, version in payload:
-                replica = self.replicas.get(key)
-                replica.revert(version)
-                if self.store is not None:
-                    self.store.put(key, replica.applied_value)
+            self._settle_txn(txn.txn_id, payload, abort=True)
             if self.ppolicy.scoped:
                 # Squashed writes must not be waited on at scope persist.
                 reverted = set(payload)
                 ctx.scope_writes = [w for w in ctx.scope_writes
                                     if w not in reverted]
-            self._clear_txn_invs(txn.txn_id, payload)
         finally:
             ctx.txn = None
             self.request_workers.release()
 
+    def _settle_txn(self, txn_id: int, payload, abort: bool = False) -> None:
+        """Commit or squash a transaction's writes here (the coordinator
+        sends, a follower receives, the VAL after ENDX or the abort) and
+        end this node's invalidations for them: a follower's recorded
+        INVs, the coordinator's write rounds — but a VAL_p round, which
+        still needs the followers' ACK_p, ends its own."""
+        for key, version in payload:
+            replica = self.replicas.get(key)
+            if abort:
+                # Commutes: revert is a no-op unless applied_version
+                # == version (the txn's own write).
+                replica.revert(version)
+                if self.store is not None:
+                    self.store.put(key, replica.applied_value)
+            else:
+                replica.commit_undo(version)
+        for key, op_id in self._txn_invs.pop(txn_id, []):
+            self.replicas.get(key).end_inv(op_id)
+        for op_id, op in list(self._outstanding_writes.items()):
+            if op.txn_id == txn_id and op.ack_p is None:
+                self.replicas.get(op.key).end_inv(op_id)
+                self._outstanding_writes.pop(op_id, None)
+
     def _persist_txn_begin(self, txn_id: int) -> Generator:
         """Process: Strict / Synchronous persist the transaction-begin
         event (Figure 4(b)), at the coordinator and at each follower."""
-        if self.ppolicy.persist_mode is PersistMode.INLINE:
+        if self._ack_after_persist:
             yield from self.memory.persist(txn_id)
             self.metrics.persists += 1
 
     def _persist_at_endx(self, pairs: Tuple[Tuple[int, Version], ...]) -> Generator:
         """Process: what ENDX owes the transaction's writes, at the
         coordinator and at each follower — Strict / Synchronous persist
-        them concurrently and wait for all of them (Figure 4(b));
-        Read-Enforced asks again in the background."""
-        mode = self.ppolicy.persist_mode
-        if mode is PersistMode.INLINE:
-            procs = []
-            for key, version in pairs:
-                replica = self.replicas.get(key)
-                procs.append(self.sim.process(
-                    self._ensure_persisted(replica, version,
-                                           replica.applied_value,
-                                           trigger="endx"),
-                    name=self._pname["pmany"]))
-            if procs:
-                yield self.sim.all_of(procs)
-        elif mode is PersistMode.EAGER_BACKGROUND:
+        them and wait for all of them (Figure 4(b)); Read-Enforced asks
+        again in the background."""
+        if self._ack_after_persist:
+            yield from self._persist_each(
+                pairs, lambda replica, version: self._ensure_persisted(
+                    replica, version, replica.applied_value, trigger="endx"))
+        elif self._coordinator_places[0] == "eager":
             for key, version in pairs:
                 replica = self.replicas.get(key)
                 self._request_persist(replica, version,
                                       replica.applied_value, "endx")
 
-    def _clear_txn_invs(self, txn_id: int, payload) -> None:
-        """Coordinator side: clear its own transient markers for the
-        transaction's writes (followers clear on the VAL message).
-
-        Under dual ACKs the per-write VAL_p rounds own the cleanup (they
-        still need the followers' ACK_p), so they are left alone here.
-        """
-        if self.ppolicy.dual_acks:
-            return
-        for op_id, op in list(self._outstanding_writes.items()):
-            if op.txn_id == txn_id:
-                self.replicas.get(op.key).end_inv(op_id)
-                self._outstanding_writes.pop(op_id, None)
+    def _persist_each(self, payload: Tuple[Tuple[int, Version], ...],
+                      persist_one: Callable[..., Generator],
+                      *args: Any) -> Generator:
+        """Process: ``persist_one(replica, version, *args)`` for every
+        write of ``payload``, one process each, until all are done."""
+        procs = []
+        for key, version in payload:
+            procs.append(self.sim.process(
+                persist_one(self.replicas.get(key), version, *args),
+                name=self._pname["persist"]))
+        if procs:
+            yield self.sim.all_of(procs)
 
     # ------------------------------------------------------------------
     # client API: scopes
@@ -1198,14 +1187,8 @@ class ProtocolNode:
             self.request_workers.release()
 
     def _persist_scope_local(self, scope_id: int, payload) -> Generator:
-        procs = []
-        for key, version in payload:
-            replica = self.replicas.get(key)
-            procs.append(self.sim.process(
-                self._scope_persist_one(replica, version, scope_id),
-                name=self._pname["scopep"]))
-        if procs:
-            yield self.sim.all_of(procs)
+        yield from self._persist_each(payload, self._scope_persist_one,
+                                      scope_id)
         if self.nvm_log is not None:
             self.nvm_log.commit_scope(self.node_id, scope_id)
 
@@ -1318,113 +1301,42 @@ class ProtocolNode:
                 entries.append((message.key, message.op_id))
         self.memory.volatile_update_then(
             message.key, self.config.value_bytes, self._handle_now, True,
-            self._inv_deposited, message, arrived_ns, replica)
+            self._deposited, message, arrived_ns, replica)
         return _PARKED
-
-    def _inv_deposited(self, message: Message, arrived_ns: float,
-                       replica: KeyReplica) -> Any:
-        if message.txn_id is not None:
-            self._apply_txn_write(replica, message.version, message.value)
-        elif not replica.apply(message.version, message.value):
-            replica.absorb_superseded(message.version, message.value)
-        self.memory.consume_ddio(self.config.value_bytes)
-        if self.store is not None:
-            # The store must hold the LWW winner, not this message's
-            # payload: a superseded INV arriving late would otherwise
-            # clobber newer content.
-            self.store.put(message.key, replica.applied_value)
-
-        placed = self._follower_places[message.txn_id is not None]
-        if placed in ACK_AFTER_PERSIST:
-            # Synchronous/Strict: persist before acknowledging (Fig. 2(b)).
-            persisted = self._persisted_event(
-                replica, message.version, message.value, placed)
-            if persisted is None:
-                return self._inv_persisted(message, arrived_ns)
-            persisted.callbacks.append(lambda _event: self._handle_now(
-                True, self._inv_persisted, message, arrived_ns))
-            return _PARKED
-
-        self._send(message.src, Message(MsgType.ACK_C, src=self.node_id,
-                                        op_id=message.op_id, key=message.key,
-                                        version=message.version))
-        self._persist_behind_ack(replica, message, placed)
-
-    def _inv_persisted(self, message: Message, _arrived_ns: float) -> None:
-        self._send(message.src, Message(MsgType.ACK, src=self.node_id,
-                                        op_id=message.op_id, key=message.key,
-                                        version=message.version))
-
-    def _persist_behind_ack(self, replica: KeyReplica, message: Message,
-                            placed: Optional[str]) -> None:
-        """A follower's placement that its ACK does not wait for: under
-        dual ACKs the (eager) persist is followed by its own ACK_p."""
-        if self.ppolicy.dual_acks:
-            self.sim.process(
-                self._persist_then_ack_p(replica, message, placed),
-                name=self._pname["ackp"])
-        else:
-            self._place_persist(replica, message.version, message.value,
-                                placed)
-
-    def _persist_then_ack_p(self, replica: KeyReplica, message: Message,
-                            trigger: str) -> Generator:
-        yield from self._ensure_persisted(replica, message.version,
-                                          message.value, trigger=trigger)
-        self._send(message.src, Message(MsgType.ACK_P, src=self.node_id,
-                                        op_id=message.op_id, key=message.key,
-                                        version=message.version))
 
     def _on_val(self, message: Message, _arrived_ns: float) -> None:
         if message.txn_id is not None and message.key is None:
-            # Post-ENDX (or abort) VAL: settle the transaction's writes
-            # and clear all its INVs.
-            for key, version in message.payload:
-                replica = self.replicas.get(key)
-                if message.abort:
-                    # Commutes: revert is a no-op unless applied_version
-                    # == version (the txn's own write).
-                    replica.revert(version)
-                    if self.store is not None:
-                        self.store.put(key, replica.applied_value)
-                else:
-                    replica.commit_undo(version)
-            for key, op_id in self._txn_invs.pop(message.txn_id, []):
-                self.replicas.get(key).end_inv(op_id)
+            # Post-ENDX (or abort) VAL.
+            self._settle_txn(message.txn_id, message.payload, message.abort)
             return
         replica = self.replicas.get(message.key)
-        if (self._val_announces_durability(message.txn_id)
+        # A combined VAL outside a transaction: see _complete_write.
+        if (self._ack_after_persist and message.txn_id is None
                 and message.version is not None):
             replica.mark_cluster_persisted(message.version)
         replica.end_inv(message.op_id)
 
     def _on_val_p(self, message: Message, _arrived_ns: float) -> None:
-        if message.payload:
-            for key, version in message.payload:
-                self.replicas.get(key).mark_cluster_persisted(version)
+        for key, version in message.payload:
+            self.replicas.get(key).mark_cluster_persisted(version)
         if message.key is not None:
             replica = self.replicas.get(message.key)
             replica.mark_cluster_persisted(message.version)
             replica.end_inv(message.op_id)
 
-    def _on_ack_c(self, message: Message, _arrived_ns: float) -> None:
+    def _on_ack(self, message: Message, _arrived_ns: float) -> None:
+        """An ACK, ACK_c or ACK_p, counted in the round it answers: a
+        write's ACK_p round for an ACK_p and its ACK_c round otherwise,
+        or the op's INITX / ENDX / PERSIST or Strict UPD round."""
         op = self._outstanding_writes.get(message.op_id)
-        if op is not None:
-            if op.ack_c is not None:
-                op.ack_c.ack(message.src)
-            return
-        acks = self._outstanding_rounds.get(message.op_id)
-        if acks is not None:
-            acks.ack(message.src)
-
-    def _on_ack_p(self, message: Message, _arrived_ns: float) -> None:
-        op = self._outstanding_writes.get(message.op_id)
-        if op is not None and op.ack_p is not None:
-            op.ack_p.ack(message.src)
-            return
-        acks = self._outstanding_rounds.get(message.op_id)
-        if acks is not None:
-            acks.ack(message.src)
+        if op is None:
+            round_ = self._outstanding_rounds.get(message.op_id)
+        elif message.msg_type is MsgType.ACK_P:
+            round_ = op.ack_p
+        else:
+            round_ = op.ack_c
+        if round_ is not None:
+            round_.ack(message.src)
 
     # -- update path (Causal / Eventual) ----------------------------------------
 
@@ -1444,25 +1356,8 @@ class ProtocolNode:
                 return None
         self.memory.volatile_update_then(
             message.key, self.config.value_bytes, self._handle_now, True,
-            self._upd_deposited, message, arrived_ns, replica)
+            self._deposited, message, arrived_ns, replica)
         return _PARKED
-
-    def _upd_deposited(self, message: Message, arrived_ns: float,
-                       replica: KeyReplica) -> Any:
-        persisted = self._install_update(message, replica)
-        if persisted is None:
-            return self._upd_applied(message, arrived_ns)
-        persisted.callbacks.append(lambda _event: self._handle_now(
-            True, self._upd_applied, message, arrived_ns))
-        return _PARKED
-
-    def _upd_applied(self, message: Message,
-                     _arrived_ns: float) -> Optional[Generator]:
-        if self.cpolicy.causal and message.key in self._causal_waiting:
-            # Buffered updates were waiting on this key: releasing them
-            # loops over waits, so the handler goes on as a process.
-            return self._recheck_causal_waiters(message.key)
-        return None
 
     def _first_unmet_dep(self, cauhist) -> Optional[int]:
         """The key of one not-yet-visible dependency, or None if all are
@@ -1509,38 +1404,97 @@ class ProtocolNode:
                                      node=self.node_id, key=message.key,
                                      version=message.version,
                                      unblocked_by=advanced_key)
-                yield from self._apply_update(message)
+                # What _on_upd does to an update whose dependencies are
+                # met, one released update after the other.
+                replica = self.replicas.get(message.key)
+                yield from self.memory.volatile_update(
+                    message.key, self.config.value_bytes, via_ddio=True)
+                persisted = self._install(message, replica)
+                if persisted is not None:
+                    yield persisted
                 work.append(message.key)
 
-    def _apply_update(self, message: Message) -> Generator:
-        """Process: what ``_on_upd`` does to an update whose dependencies
-        are met, for the buffered-release loop."""
-        replica = self.replicas.get(message.key)
-        yield from self.memory.volatile_update(message.key,
-                                               self.config.value_bytes,
-                                               via_ddio=True)
-        persisted = self._install_update(message, replica)
-        if persisted is not None:
-            yield persisted
+    # -- an INV's or UPD's payload, once in the LLC --------------------------
 
-    def _install_update(self, message: Message,
-                        replica: KeyReplica) -> Optional[Event]:
-        """The update's payload has reached the LLC: apply it and place
-        its persist.  Returns the event to wait on where the persist is
-        inline and not already done, else ``None``."""
-        replica.apply(message.version, message.value)
+    def _deposited(self, message: Message, arrived_ns: float,
+                   replica: KeyReplica) -> Any:
+        """Segment: install the payload, then go on once a persist placed
+        first is done (``_install`` ACKs an INV that waits for none)."""
+        persisted = self._install(message, replica)
+        if persisted is not None:
+            persisted.callbacks.append(lambda _event: self._handle_now(
+                True, self._installed, message, arrived_ns))
+            return _PARKED
+        if message.msg_type is MsgType.UPD:
+            return self._installed(message, arrived_ns)
+        return None
+
+    def _installed(self, message: Message,
+                   _arrived_ns: Optional[float] = None) -> Optional[Generator]:
+        """Installed, and durable where the persist goes first: ACK an
+        INV; release the updates buffered on an UPD's key."""
+        if message.msg_type is MsgType.INV:
+            self._send(message.src, Message(MsgType.ACK, src=self.node_id,
+                                            op_id=message.op_id,
+                                            key=message.key,
+                                            version=message.version))
+        elif self.cpolicy.causal and message.key in self._causal_waiting:
+            # Buffered updates were waiting on this key: releasing them
+            # loops over waits, so the handler goes on as a process.
+            return self._recheck_causal_waiters(message.key)
+        return None
+
+    def _install(self, message: Message,
+                 replica: KeyReplica) -> Optional[Event]:
+        """An INV's or UPD's payload has reached the LLC: apply it under
+        last-writer-wins (with undo inside a transaction), free its DDIO
+        space, put the winner in the store and carry out the follower's
+        placement.  Where that puts the persist first — before an INV's
+        ACK (Figure 2(b)), at an UPD's visibility point (Figure 2(f)) —
+        and it is not done yet, returns the event to wait on; otherwise
+        an INV has been acknowledged here."""
+        in_txn = message.txn_id is not None
+        if in_txn:
+            self._apply_txn_write(replica, message.version, message.value)
+        elif not replica.apply(message.version, message.value):
+            replica.absorb_superseded(message.version, message.value)
         self.memory.consume_ddio(self.config.value_bytes)
         if self.store is not None:
-            # LWW winner, not the message payload (see _inv_deposited).
+            # The store must hold the LWW winner, not this message's
+            # payload: a superseded INV or UPD arriving late would
+            # otherwise clobber newer content.
             self.store.put(message.key, replica.applied_value)
 
-        placed = self._follower_places[False]
+        placed = self._follower_places[in_txn]
+        is_inv = message.msg_type is MsgType.INV
         if placed in ACK_AFTER_PERSIST:
-            # Synchronous: persist at the visibility point (Fig. 2(f)).
-            return self._persisted_event(replica, message.version,
-                                         message.value, placed)
-        self._persist_behind_ack(replica, message, placed)
+            persisted = self._persisted_event(
+                replica, message.version, message.value, placed)
+            if persisted is None and is_inv:
+                self._installed(message)
+            return persisted
+        if is_inv:
+            self._send(message.src, Message(MsgType.ACK_C, src=self.node_id,
+                                            op_id=message.op_id,
+                                            key=message.key,
+                                            version=message.version))
+        if self.ppolicy.dual_acks:
+            # The (eager) persist is acknowledged on its own, by ACK_p.
+            self.sim.process(
+                self._persist_then_ack_p(replica, message, placed),
+                name=self._pname["ackp"])
+        else:
+            self._place_persist(replica, message.version, message.value,
+                                placed)
         return None
+
+    def _persist_then_ack_p(self, replica: KeyReplica, message: Message,
+                            trigger: str) -> Generator:
+        yield from self._ensure_persisted(replica, message.version,
+                                          message.value, trigger=trigger)
+        self._send(message.src, Message(MsgType.ACK_P, src=self.node_id,
+                                        op_id=message.op_id, key=message.key,
+                                        version=message.version))
 
     # -- transaction rounds -------------------------------------------------------
 
@@ -1588,7 +1542,7 @@ class ProtocolNode:
 
     @property
     def inflight_round_count(self) -> int:
-        """Outstanding INITX / ENDX / PERSIST coordination rounds."""
+        """Outstanding INITX / ENDX / PERSIST and Strict UPD rounds."""
         return len(self._outstanding_rounds)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -28,6 +28,8 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple, Optional, Tuple
 
+from repro.core.replica import Version
+
 __all__ = ["MsgType", "Message", "HEADER_BYTES", "VALUE_BYTES", "CAUHIST_ENTRY_BYTES"]
 
 HEADER_BYTES = 16
@@ -92,12 +94,12 @@ class Message(NamedTuple):
     src: int
     op_id: int
     key: Optional[int] = None
-    version: Optional[int] = None
+    version: Optional[Version] = None
     value: Optional[object] = None
-    cauhist: Tuple[Tuple[int, int], ...] = ()
+    cauhist: Tuple[Tuple[int, Version], ...] = ()
     scope_id: Optional[int] = None
     txn_id: Optional[int] = None
-    payload: Tuple[Tuple[int, int], ...] = ()
+    payload: Tuple[Tuple[int, Version], ...] = ()
     """For INITX/ENDX/PERSIST: the (key, version) pairs covered."""
     abort: bool = False
     """A VAL with ``abort`` set squashes the transaction: followers

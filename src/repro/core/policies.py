@@ -8,16 +8,16 @@ Consistency policies decide *message flow* (invalidation rounds vs lazy
 updates), *write completion* (when the client is acknowledged with
 respect to replica visibility), and *read visibility stalls*.
 
-Persistency policies decide *when persists happen* (inline at apply,
-eagerly in background, lazily, or at scope ends), *write completion with
-respect to durability* (Strict stalls writes until persisted
-everywhere), and *read durability stalls* (Read-Enforced persistency
-stalls reads; Synchronous makes reads return the persisted version).
+Persistency policies decide *write completion with respect to
+durability* (Strict stalls writes until persisted everywhere) and *read
+durability stalls* (Read-Enforced persistency stalls reads; Synchronous
+makes reads return the persisted version).  *When persists happen*
+(before the acknowledgment, eagerly behind it, lazily, or at scope ends)
+is the placement table, :func:`placement`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from typing import Optional
@@ -25,7 +25,6 @@ from typing import Optional
 from repro.core.model import Consistency, DdpModel, Persistency
 
 __all__ = [
-    "PersistMode",
     "ConsistencyPolicy",
     "PersistencyPolicy",
     "policy_for",
@@ -34,15 +33,6 @@ __all__ = [
     "CONSISTENCY_POLICIES",
     "PERSISTENCY_POLICIES",
 ]
-
-
-class PersistMode(enum.Enum):
-    """When a replica pushes an update into NVM."""
-
-    INLINE = "inline"          # at apply time, before acknowledging (Strict/Sync)
-    EAGER_BACKGROUND = "eager"  # immediately, off the critical path (Read-Enf.)
-    LAZY_BACKGROUND = "lazy"    # after a lazy delay (Eventual)
-    ON_SCOPE_END = "scope"      # only when the scope's Persist call arrives
 
 
 @dataclass(frozen=True)
@@ -79,7 +69,6 @@ class PersistencyPolicy:
     """How a persistency model shapes the protocol."""
 
     model: Persistency
-    persist_mode: PersistMode
 
     write_waits_for_persist_everywhere: bool
     """Strict: the client write does not complete until the update is
@@ -109,7 +98,7 @@ class PersistencyPolicy:
     def scoped(self) -> bool:
         """Scope persistency: writes are tagged with the client's open
         scope and persist at its Persist call."""
-        return self.persist_mode is PersistMode.ON_SCOPE_END
+        return self.model is Persistency.SCOPE
 
 
 CONSISTENCY_POLICIES = {
@@ -157,7 +146,6 @@ CONSISTENCY_POLICIES = {
 PERSISTENCY_POLICIES = {
     Persistency.STRICT: PersistencyPolicy(
         model=Persistency.STRICT,
-        persist_mode=PersistMode.INLINE,
         write_waits_for_persist_everywhere=True,
         read_requires_applied_persisted=False,
         read_returns_persisted=False,
@@ -166,7 +154,6 @@ PERSISTENCY_POLICIES = {
     ),
     Persistency.SYNCHRONOUS: PersistencyPolicy(
         model=Persistency.SYNCHRONOUS,
-        persist_mode=PersistMode.INLINE,
         write_waits_for_persist_everywhere=False,
         read_requires_applied_persisted=False,
         read_returns_persisted=True,
@@ -175,7 +162,6 @@ PERSISTENCY_POLICIES = {
     ),
     Persistency.READ_ENFORCED: PersistencyPolicy(
         model=Persistency.READ_ENFORCED,
-        persist_mode=PersistMode.EAGER_BACKGROUND,
         write_waits_for_persist_everywhere=False,
         read_requires_applied_persisted=True,
         read_returns_persisted=False,
@@ -184,7 +170,6 @@ PERSISTENCY_POLICIES = {
     ),
     Persistency.SCOPE: PersistencyPolicy(
         model=Persistency.SCOPE,
-        persist_mode=PersistMode.ON_SCOPE_END,
         write_waits_for_persist_everywhere=False,
         read_requires_applied_persisted=False,
         read_returns_persisted=False,
@@ -193,7 +178,6 @@ PERSISTENCY_POLICIES = {
     ),
     Persistency.EVENTUAL: PersistencyPolicy(
         model=Persistency.EVENTUAL,
-        persist_mode=PersistMode.LAZY_BACKGROUND,
         write_waits_for_persist_everywhere=False,
         read_requires_applied_persisted=False,
         read_returns_persisted=False,

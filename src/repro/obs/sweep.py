@@ -81,7 +81,12 @@ def matrix_specs(models: Sequence[DdpModel], seeds: Sequence[int],
                  duration_ns: float = 100_000.0,
                  warmup_ns: float = 10_000.0,
                  sections: Sequence[str] = ()) -> List[CellSpec]:
-    """The ``models x seeds`` cell list, in deterministic order."""
+    """The ``models x seeds`` cell list, in deterministic order.  A
+    repeated seed is a ``ValueError``: cells are keyed by label, so its
+    duplicates would run twice and then collapse into one."""
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds {list(seeds)} repeat a seed: each seed "
+                         f"runs once")
     specs = [CellSpec(model.consistency.value, model.persistency.value,
                       seed, workload=workload, servers=servers,
                       clients=clients, duration_ns=duration_ns,

@@ -121,6 +121,28 @@ class TestRunShape:
         assert message in self.rejected(capsys, "--servers", "3",
                                         "--clients", "6", *flags)
 
+    def test_a_rejected_invocation_leaves_its_outputs_as_they_were(
+            self, capsys, tmp_path):
+        """The writability check runs before the rest of the input is
+        validated, so it must not truncate: a rejected ``run`` or
+        ``order`` leaves an existing output byte-identical and creates
+        no new one."""
+        old, fresh = tmp_path / "old.json", tmp_path / "fresh.json"
+        old.write_bytes(b'{"kept": true}\n')
+        for argv in (["run", "--servers", "3", "--clients", "6",
+                      "--metrics-out", str(old), "--trace-out", str(fresh),
+                      "--crash", "9@10"],
+                     ["order", "--seeds", "x", "--sweep-out", str(old)]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("repro: "), argv
+            assert old.read_bytes() == b'{"kept": true}\n', argv
+            assert not fresh.exists(), argv
+
+    def test_a_repeated_sweep_seed_is_an_error_not_a_cell_run_twice(
+            self, capsys):
+        err = self.rejected(capsys, "--seeds", "3", "3", command="sweep")
+        assert "repeat a seed" in err
+
     def test_journey_out_with_all_is_an_error_not_exit_1(self, capsys,
                                                          tmp_path):
         err = self.rejected(capsys, "--all", "--journey-out",

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.model import Consistency, DdpModel, Persistency, all_ddp_models
-from repro.core.policies import (CONSISTENCY_POLICIES, PERSISTENCY_POLICIES,
-                                 PersistMode)
+from repro.core.policies import (ACK_AFTER_PERSIST, CONSISTENCY_POLICIES,
+                                 placement)
 
 
 class TestConsistency:
@@ -68,10 +68,10 @@ class TestPersistency:
 
     def test_inline_persistency_models(self):
         """Persists on the write's critical path at the replica, stated
-        once, as ``PersistMode.INLINE``."""
+        once, as a plain write's placement."""
         assert [p for p in Persistency
-                if PERSISTENCY_POLICIES[p].persist_mode
-                is PersistMode.INLINE] == [
+                if placement(DdpModel(Consistency.LINEARIZABLE, p))
+                in ACK_AFTER_PERSIST] == [
             Persistency.STRICT, Persistency.SYNCHRONOUS]
 
 

@@ -11,7 +11,6 @@ from repro.core.policies import (
     ACK_AFTER_PERSIST,
     CONSISTENCY_POLICIES,
     PERSISTENCY_POLICIES,
-    PersistMode,
     placement,
     policy_for,
 )
@@ -44,13 +43,15 @@ class TestConsistencyPolicies:
 
 class TestPersistencyPolicies:
     def test_persist_modes(self):
-        assert PERSISTENCY_POLICIES[P.STRICT].persist_mode is PersistMode.INLINE
-        assert PERSISTENCY_POLICIES[P.SYNCHRONOUS].persist_mode is PersistMode.INLINE
-        assert (PERSISTENCY_POLICIES[P.READ_ENFORCED].persist_mode
-                is PersistMode.EAGER_BACKGROUND)
-        assert PERSISTENCY_POLICIES[P.SCOPE].persist_mode is PersistMode.ON_SCOPE_END
-        assert (PERSISTENCY_POLICIES[P.EVENTUAL].persist_mode
-                is PersistMode.LAZY_BACKGROUND)
+        """When a replica persists is a plain write's placement: before
+        the acknowledgment (Strict / Synchronous), eagerly behind it,
+        lazily, or not with the write at all (Scope)."""
+        modes = {P.STRICT: "strict", P.SYNCHRONOUS: "inline",
+                 P.READ_ENFORCED: "eager", P.SCOPE: None, P.EVENTUAL: "lazy"}
+        for model in all_ddp_models():
+            assert placement(model) == modes[model.persistency]
+        for p, policy in PERSISTENCY_POLICIES.items():
+            assert policy.scoped == (p is P.SCOPE)
 
     def test_only_strict_blocks_writes_on_durability(self):
         for p, policy in PERSISTENCY_POLICIES.items():
@@ -127,7 +128,7 @@ class TestPlacement:
             if in_txn and coordinator is None:
                 # ... which for a transaction's write is the ENDX round's.
                 assert follower is None
-                assert ppolicy.persist_mode is PersistMode.INLINE
+                assert placement(model) in ACK_AFTER_PERSIST
             else:
                 assert coordinator in ACK_AFTER_PERSIST
                 assert follower in ACK_AFTER_PERSIST or (

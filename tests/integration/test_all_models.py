@@ -11,7 +11,6 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency as C, DdpModel, Persistency as P, all_ddp_models
-from repro.core.policies import PersistMode
 from repro.workload.ycsb import WORKLOADS
 
 SMALL = ClusterConfig(servers=3, clients_per_server=4, store_type=None)

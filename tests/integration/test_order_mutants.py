@@ -10,10 +10,11 @@ method, old text, new text)``: ``old`` must occur exactly once in
 here instead of silently mutating nothing — and the substituted
 function is compiled and patched in for the duration of one check.
 
-M8 is of another kind (ROADMAP 1(a), a protocol bug rather than an
-ordering one): the follower's persist placement answers "nothing" where
-it answered "inline", so a Synchronous follower ACKs an INV it never
-persisted.
+M8 and M9 are of another kind (ROADMAP 1, protocol bugs rather than
+ordering ones).  In M8 the follower's persist placement answers
+"nothing" where it answered "inline", so a Synchronous follower ACKs an
+INV it never persisted.  In M9 the VAL_p round sends VAL_p without
+waiting for the followers' ACK_p.
 
 Six checkers are held against each mutant:
 
@@ -30,11 +31,12 @@ Six checkers are held against each mutant:
 
 A fifth, an interprocedural effect analysis behind three ordering lint
 rules, was measured against the same mutants at the commit that added
-this file: it killed M1, M1b, M3, M4, M5 and none of them alone, and
+this file: it killed M1, M3 and M4 (M1 and M4 then had twins, one per
+copy of the site; it killed those too) and none of them alone, and
 was deleted on that evidence (CHANGES.md, PR 21, has the table).  This
 file is what stands in for it: ``KILLS`` names, per mutant, the
 checkers that kill it, and tier-1 re-checks every *kill* by running
-the one witness that showed it (a cell, a test), which is cheap.  A
+the witness that showed it (a cell, a test), which is cheap.  A
 *miss* needs every cell of a checker to stay unmoved, so the full table
 is re-measured on demand (~1.5 min)::
 
@@ -107,14 +109,9 @@ _RAW_APPLY = ("replica.applied_version = message.version\n"
 
 MUTANTS: Dict[str, Mutant] = {
     "M1": Mutant(
-        ProtocolNode, "_install_update", _STORE_PUT,
+        ProtocolNode, "_install", _STORE_PUT,
         "self.store.put(message.key, message.value)",
-        "the store holds the LWW winner, not the last UPD to land (the "
-        "PR-8 clobber)"),
-    "M1b": Mutant(
-        ProtocolNode, "_inv_deposited", _STORE_PUT,
-        "self.store.put(message.key, message.value)",
-        "the store holds the LWW winner, not the last INV to land"),
+        "the store holds the LWW winner, not the last INV or UPD to land"),
     "M2": Mutant(
         KeyReplica, "apply",
         "if version <= self.applied_version:", "if False:",
@@ -125,17 +122,12 @@ MUTANTS: Dict[str, Mutant] = {
         "a VAL ends its own invalidation only: the key stays Invalid "
         "while another writer's INV is outstanding"),
     "M4": Mutant(
-        ProtocolNode, "_inv_deposited",
+        ProtocolNode, "_install",
         "elif not replica.apply(message.version, message.value):\n"
         "            replica.absorb_superseded(message.version, "
         "message.value)",
         "else:\n            " + _RAW_APPLY.format(indent=" " * 12),
-        "an INV's payload goes through the version guard"),
-    "M5": Mutant(
-        ProtocolNode, "_install_update",
-        "replica.apply(message.version, message.value)",
-        _RAW_APPLY.format(indent=" " * 8),
-        "an UPD's payload goes through the version guard"),
+        "an INV's or UPD's payload goes through the version guard"),
     "M6": Mutant(
         KeyReplica, "mark_persisted",
         "if version <= self.persisted_version:", "if False:",
@@ -152,6 +144,11 @@ MUTANTS: Dict[str, Mutant] = {
         "    return None if follower and placed == 'inline' else placed",
         "under Synchronous persistency a follower persists an INV's "
         "payload before it ACKs (Figure 2(b))"),
+    "M9": Mutant(
+        ProtocolNode, "_await_cluster_persist", "yield op.ack_p.event",
+        "pass",
+        "VAL_p announces cluster durability only once every follower has "
+        "ACK_p'd its persist (Figure 3)"),
 }
 
 #: Mutants no run can tell from the original, and why.
@@ -287,28 +284,27 @@ _CONCURRENT_WRITERS = ("tests.core.test_engine_protocols::"
                        "test_concurrent_writers_serialize", dict)
 _CONVERGE = "tests.integration.test_all_models::test_replicas_converge_after_quiesce"
 
-#: mutant -> checker -> the witness that kills it.  ``sweep``,
-#: ``detied``, ``variant``: the first cell to move.  ``behaviour``: a
-#: test and what builds the fixtures and parameters to call it with.
-#: A checker not named is a measured miss — but for two kills the full
-#: table shows and tier-1 does not re-check: ``variant`` on M2-M5 and
-#: ``audit`` (its ``linearizable`` check) on ``stamped``.
+#: mutant -> checker -> the witness that kills it, or a list of them
+#: (a mutant on a site that once had a twin keeps each twin's witness).
+#: ``sweep``, ``detied``, ``variant``: a cell that moves.
+#: ``behaviour``: a test and what builds the fixtures and parameters to
+#: call it with.  A checker not named is a measured miss — but for two
+#: kills the full table shows and tier-1 does not re-check: ``variant``
+#: on M2-M4 and ``audit`` (its ``linearizable`` check) on ``stamped``.
 KILLS: Dict[str, Dict[str, Any]] = {
-    "M1": {"detied": "<Causal, Strict>",
-           "variant": "hybrid <Causal, Eventual>"},
-    "M1b": {"detied": "<Linearizable, Strict>",
-            "variant": "hybrid <Linearizable, Synchronous>"},
+    "M1": {"detied": ["<Causal, Strict>", "<Linearizable, Strict>"],
+           "variant": ["hybrid <Causal, Eventual>",
+                       "hybrid <Linearizable, Synchronous>"]},
     "M2": {"detied": "<Linearizable, Strict>",
            "behaviour": _CONCURRENT_WRITERS},
     "M3": {"detied": "<Linearizable, Strict>",
            "behaviour": (
                "tests.faults.test_fault_matrix::test_chaos_cocktail_all_models",
                lambda: {"model": DdpModel(C.LINEARIZABLE, P.SCOPE)})},
-    "M4": {"detied": "<Linearizable, Strict>",
-           "behaviour": _CONCURRENT_WRITERS},
-    "M5": {"detied": "<Causal, Strict>",
-           "behaviour": (_CONVERGE,
-                         lambda: {"model": DdpModel(C.CAUSAL, P.EVENTUAL)})},
+    "M4": {"detied": ["<Linearizable, Strict>", "<Causal, Strict>"],
+           "behaviour": [_CONCURRENT_WRITERS,
+                         (_CONVERGE,
+                          lambda: {"model": DdpModel(C.CAUSAL, P.EVENTUAL)})]},
     "M6": {"behaviour": (
         "tests.core.test_messages_replica::TestKeyReplica::"
         "test_persisted_tracking",
@@ -324,10 +320,19 @@ KILLS: Dict[str, Dict[str, Any]] = {
            "behaviour": (
         "tests.core.test_engine_protocols::TestLinearizableSynchronous::"
         "test_write_completes_after_all_replicas_durable", dict)},
+    # Only the goldens see M9: no behaviour test, and neither contract
+    # checker even on a crashed Read-Enforced cell.
+    "M9": {"detied": "<Linearizable, Read-Enforced>",
+           "variant": "leader <Read-Enforced, Read-Enforced>"},
     "stamped": {"sweep": "<Linearizable, Strict>",
                 "detied": "<Linearizable, Strict>",
                 "behaviour": _CONCURRENT_WRITERS},
 }
+
+
+def witnesses_of(listed: Any) -> list:
+    """A checker's witnesses: one, or a list of them."""
+    return listed if isinstance(listed, list) else [listed]
 
 
 def kill(name: str, checker: str, witness: Any = None) -> Optional[str]:
@@ -338,17 +343,19 @@ def kill(name: str, checker: str, witness: Any = None) -> Optional[str]:
         if checker != "behaviour":
             return CELL_CHECKERS[checker](witness)
         tests = ([witness] if witness else
-                 [witnesses["behaviour"] for witnesses in KILLS.values()
-                  if "behaviour" in witnesses])
+                 [test for witnesses in KILLS.values()
+                  for test in witnesses_of(witnesses.get("behaviour", []))])
         return next((test for test, arguments in tests
                      if behaviour_kill(test, **arguments())), None)
 
 
-@pytest.mark.parametrize("name, checker", [
-    (name, checker) for name, witnesses in KILLS.items()
-    for checker in witnesses])
-def test_the_witness_still_kills(name, checker):
-    witness = KILLS[name][checker]
+@pytest.mark.parametrize("name, checker, witness", [
+    pytest.param(name, checker, witness,
+                 id=f"{name}-{checker}" + (f"-{index + 1}" if index else ""))
+    for name, witnesses in KILLS.items()
+    for checker, listed in witnesses.items()
+    for index, witness in enumerate(witnesses_of(listed))])
+def test_the_witness_still_kills(name, checker, witness):
     expected = witness[0] if checker == "behaviour" else witness
     assert kill(name, checker, witness) == expected, (
         f"{name} ({MUTANTS[name].breaks if name in MUTANTS else 'stamped'})"
