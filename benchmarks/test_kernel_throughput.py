@@ -3,9 +3,10 @@ ROADMAP item-1 speedup moved and must not give back.
 
 Runs the profiled kernel over representative model x cluster-size
 points and archives ``BENCH_kernel.json`` (schema ``repro.bench/1``):
-per-point event/process/message counts, heap peak and the per-message
-ratios ``repro diff`` gates on.  What those events cost in host time is
-``bench/``'s question (``sim.host_ns_per_event``, the layer ladder).
+per-point event (instants popped), process and message counts, heap
+peak (pending instants) and the per-message ratios ``repro diff`` gates
+on.  What those events cost in host time is ``bench/``'s question
+(``sim.host_ns_per_event``, the layer ladder).
 
 Points: the cheapest and the most message-heavy corners of the matrix
 (causal x eventual, linearizable x synchronous) plus a cluster-size axis
@@ -36,23 +37,24 @@ KERNEL_POINTS = {
 }
 
 #: label -> ceilings on (kernel events, spawned processes) per handled
-#: protocol message: the values measured at 150 us once a run of
-#: same-instant calls became one heap entry and a broadcast one frame,
-#: plus 10 %.  They are whole-run ratios, so client work rides along and
-#: a point with few messages per operation (3 servers: two UPDs per
-#: write, so runs of two) sits higher than the 8-server one (runs of
-#: seven).  Processes: the clients, and nothing per message (a UPD that
-#: releases buffered updates would cost one; none does at these points).
+#: protocol message: the values measured at 150 us once the queue held
+#: one slot per instant (an event is an instant popped) and a broadcast
+#: was one frame, plus 10 %.  They are whole-run ratios, so client work
+#: rides along and a point with few messages per operation (3 servers:
+#: two UPDs per write) sits higher than the 8-server one (seven).
+#: Processes: the clients, and nothing per message (a UPD that releases
+#: buffered updates would cost one; none does at these points).
 MESSAGE_COST_CEILINGS = {
-    "causal-eventual-3s": (9.28, 0.0067),           # measured 8.44 / 0.0060
-    "causal-eventual-5s": (5.07, 0.0033),           # measured 4.61 / 0.0030
-    "causal-eventual-8s": (2.85, 0.0019),           # measured 2.59 / 0.0017
-    "linearizable-synchronous-5s": (2.70, 0.0041),  # measured 2.45 / 0.0037
+    "causal-eventual-3s": (5.33, 0.0067),           # measured 4.85 / 0.0060
+    "causal-eventual-5s": (2.42, 0.0033),           # measured 2.20 / 0.0030
+    "causal-eventual-8s": (1.16, 0.0019),           # measured 1.05 / 0.0017
+    "linearizable-synchronous-5s": (1.25, 0.0041),  # measured 1.14 / 0.0037
 }
 
 #: label -> heap pops at 150 us before calls were stored in runs (commit
-#: b44a449).  A run is storage: pops plus the calls that ran inside
-#: another's pop is still this number, call for call.
+#: b44a449), when every entry had its own pop.  Instants are storage:
+#: pops plus the entries that ran inside another's pop is still this
+#: number, entry for entry.
 CALLS_BEFORE_RUNS = {
     "causal-eventual-3s": 105_561,
     "causal-eventual-5s": 268_046,
@@ -114,7 +116,8 @@ class TestKernelThroughput:
     @pytest.mark.skipif(DURATION_NS != 150_000,
                         reason="the counts are those of the default duration")
     def test_runs_save_pops_not_calls(self):
-        """Coalescing executes exactly what separate entries executed."""
+        """One pop per instant executes exactly what one pop per entry
+        executed."""
         for label, (profile, _summary) in _run_points().items():
             assert (profile.events_processed + profile.calls_coalesced
                     == CALLS_BEFORE_RUNS[label]), label

@@ -7,40 +7,39 @@ nodes should commute.  This module checks that on real runs: a
 :class:`TieBatchSanitizer` is an :class:`~repro.sim.engine.Instrument`
 (it shares the kernel's one ``sim.instrument`` slot with
 ``KernelProfile``; off-path free) and observes every *tie batch*, the
-set of heap entries due at one identical timestamp.  In sanitizing mode
-it deterministically permutes each batch's processing order with a
+queued entries due at one identical timestamp.  In sanitizing mode it
+deterministically permutes each batch's processing order with a
 :class:`~repro.sim.rng.SeededStream` (Fisher–Yates), and :func:`sweep`
 asserts that the final protocol-state digest is byte-identical to the
 unpermuted baseline for every DDP model.  What it is shown to catch — a
 cross-node shared global — and what the goldens catch instead is
 measured in ``tests/integration/test_order_mutants.py``.
 
-Re-keying, not a second loop
-----------------------------
-The kernel has one run loop and the sanitizer does not replace it.  Its
-``before_pop(heap)`` hook fires before every pop; when the head's
-``(when, sequence)`` lies past the last batch seen, it pops every entry
-tied at that timestamp (runs taken apart into their calls), lets
-:meth:`~TieBatchSanitizer.observe` record and permute them, and pushes
-them back under the *same sorted sequence numbers*, dealt out in the
-permuted order, for the ordinary loop to pop.
-Entries scheduled while the batch runs carry larger sequence numbers
-and form the next batch, as they would pop later on a bare run.  The
-heap thus stays authoritative for ``until``, ``queue_depth`` and
-``step()``, and an event failing mid-batch leaves the rest queued.
-This hook is the one place outside ``sim/engine.py`` that knows the
-queue is a binary heap of ``(when, sequence, entry)`` tuples — the
-contract a replacement queue must honour: stable among equal
-timestamps, push with an explicit sequence key, and an entry that is a
-list is a run of calls whose member *i* stands for
-``(when, sequence + i, [member])``.
+In place, not a second loop
+---------------------------
+The kernel has one run loop and the sanitizer does not replace it.  The
+kernel's queue is a list of entries per instant, run in push order, and
+a batch is the not-yet-run tail of an instant's list when the loop
+first reaches it: the whole list when ``before_pop(times, entries)``
+hands over a new instant, and then — once ``after_event`` has counted
+that batch's last entry — whatever the batch appended to its own
+instant, which forms the next batch, as it would run later on a bare
+loop.  :meth:`~TieBatchSanitizer.observe` records the batch and
+permutes its delivery slots, and the slice goes back into the list in
+place; the loop's iterator then reads the permuted order.  The kernel
+stays authoritative for ``until``, ``queue_depth`` and ``step()``, and
+an entry raising mid-batch leaves the rest of its instant queued (the
+kernel trims what ran, so a resumed pass finds the batch's unrun
+entries at the head of the list).  The queue contract this rests on:
+an instant's entries run in push order — a *stable* queue — and its
+list can be permuted in place ahead of the loop.
 
-What gets permuted — and what must stay seq-stable
---------------------------------------------------
+What gets permuted — and what must stay in push order
+-----------------------------------------------------
 Only ``msg_delivery`` entries are reordered (among the positions they
-occupy in the batch); other event kinds keep their insertion-sequence
-order.  A delivery is a network *landing* — a call ``Network.send``
-schedules, of a function labelled ``msg_delivery``
+occupy in the batch); other event kinds keep their push order.  A
+delivery is a network *landing* — a call ``Network.send`` schedules,
+of a function labelled ``msg_delivery``
 (:func:`~repro.sim.engine.entry_kind`) whose arguments lead with the
 message and its destination NIC — or, for code that reads a NIC inbox,
 the ``Nic.receive()`` event.  Delivery order *is* handler co-scheduling
@@ -50,10 +49,9 @@ grants — encode *intra*-handler progress, and their relative order
 decides FIFO admission at shared timing resources (NVM bank queues,
 DDIO capacity): reordering those legitimately swaps per-op latencies
 and cascades through the closed-loop clients into genuinely different
-(all individually valid) trajectories.  Hence what a replacement event
-queue must honour: it may break delivery ties between *different nodes*
-freely but MUST preserve insertion order among equal-timestamp
-continuations (i.e. be a *stable* priority queue).
+(all individually valid) trajectories.  Hence what the kernel's queue
+honours: delivery ties between *different nodes* may be broken freely,
+but same-instant continuations run in push order (a *stable* queue).
 
 Landings tied at one *destination* are schedule state too: their order
 is FIFO admission at the node's protocol workers and, through the
@@ -90,7 +88,6 @@ divergence is reported with the pairs the diverging run observed.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -108,7 +105,7 @@ __all__ = [
 
 
 class TieBatchSanitizer(Instrument):
-    """Observe (and optionally permute) same-timestamp pop batches.
+    """Observe (and optionally permute) same-timestamp tie batches.
 
     ``seed=None`` is *record* mode: batches are observed, order is
     untouched, and the run is byte-identical to a plain one.  With a
@@ -116,7 +113,7 @@ class TieBatchSanitizer(Instrument):
     place among the positions they occupy (Fisher–Yates over the
     delivery sub-sequence), exploring one alternative handler
     co-scheduling order per seed.  Non-delivery entries never move:
-    their seq order is the stable-queue invariant, not a freedom (see
+    their push order is the stable-queue invariant, not a freedom (see
     the module docstring).
     """
 
@@ -133,43 +130,48 @@ class TieBatchSanitizer(Instrument):
         self.pair_counts: Dict[Tuple[str, str], int] = {}
         """Sorted (label, label) -> co-occurrence count.  Labels are
         message-type names for deliveries, event kinds otherwise."""
-        self._batch_end: Tuple[float, int] = (-1.0, -1)
-        """``(when, sequence)`` of the last entry of the last batch seen."""
+        self._entries: Optional[list] = None
+        """The list of the instant the current batch belongs to."""
+        self._end = self._left = 0
+        """Index just past the current batch in that list, and how many
+        of its entries have not run yet."""
 
-    def before_pop(self, heap: List[tuple]) -> None:
-        """At the head of a new tie batch, observe it and re-key it on
-        the heap in the observed order (see the module docstring)."""
-        if heap[0][:2] <= self._batch_end:
-            return  # still inside the batch already observed
-        when = heap[0][0]
-        batch = []
-        while heap and heap[0][0] == when:
-            _when, sequence, entry = heapq.heappop(heap)
-            if entry.__class__ is list:  # a run: its calls tie one by one
-                batch.extend((when, sequence + i, [call])
-                             for i, call in enumerate(entry))
-            else:
-                batch.append((when, sequence, entry))
-        sequences = [entry[1] for entry in batch]
-        self._batch_end = (when, sequences[-1])
+    def before_pop(self, times: List[float], entries: list) -> None:
+        """A new instant's whole list is a batch; a resumed one still
+        has the current batch's unrun entries at its head."""
+        if entries is self._entries:
+            self._end = self._left
+        else:
+            self._entries = entries
+            self._take_batch(0)
+
+    def after_event(self, entry) -> None:
+        """The batch's last entry ran: what it appended is the next."""
+        self._left -= 1
+        if not self._left:
+            self._take_batch(self._end)
+
+    def _take_batch(self, start: int) -> None:
+        entries = self._entries
+        batch = entries[start:]
+        self._end, self._left = len(entries), len(batch)
         if len(batch) > 1:
-            self.observe(when, batch)
-        for sequence, entry in zip(sequences, batch):
-            heapq.heappush(heap, (when, sequence, entry[2]))
+            self.observe(batch)
+            entries[start:] = batch
 
     @staticmethod
-    def _landing(event) -> tuple:
+    def _landing(entry) -> tuple:
         """``(message, destination)`` of a ``msg_delivery`` entry.
 
-        A network landing (a run of one call,
-        ``Network._land(message, dst_nic, ...)``) names both; an inbox
-        ``Nic.receive()`` event carries the message as its value and is
-        its own destination (a reader has one ``get`` pending at a time).
+        A network landing (the call ``Network._land(message, dst_nic,
+        ...)``) names both; an inbox ``Nic.receive()`` event carries the
+        message as its value and is its own destination (a reader has
+        one ``get`` pending at a time).
         """
-        if event.__class__ is list:
-            args = event[0][1]
+        if entry.__class__ is tuple:
+            args = entry[1]
             return args[0], args[1]
-        return event._value, event
+        return entry._value, entry
 
     @classmethod
     def _label(cls, event) -> str:
@@ -180,13 +182,14 @@ class TieBatchSanitizer(Instrument):
                 return msg_type.name
         return f"kind:{kind}"
 
-    def observe(self, when: float, batch: List[tuple]) -> None:
-        """Record one tie batch; permute it in place when sanitizing."""
+    def observe(self, batch: list) -> None:
+        """Record one tie batch (queued entries, in push order); permute
+        it in place when sanitizing."""
         self.batches += 1
         self.events_tied += len(batch)
         if len(batch) > self.max_batch:
             self.max_batch = len(batch)
-        labels = sorted(self._label(entry[2]) for entry in batch)
+        labels = sorted(self._label(entry) for entry in batch)
         for a, b in itertools.combinations_with_replacement(
                 sorted(set(labels)), 2):
             if a == b and labels.count(a) < 2:
@@ -195,33 +198,33 @@ class TieBatchSanitizer(Instrument):
             self.pair_counts[key] = self.pair_counts.get(key, 0) + 1
         if self._rng is None:
             return
-        slots = [i for i, (_when, _seq, event) in enumerate(batch)
-                 if entry_kind(event) == "msg_delivery"]
+        slots = [i for i, entry in enumerate(batch)
+                 if entry_kind(entry) == "msg_delivery"]
         if len(slots) < 2:
             return
         before = [batch[i] for i in slots]
         # Wave by wave, as one dispatcher per node used to take a tie:
         # every node's first simultaneous arrival (in shuffled node
         # order), then every node's second, ...  A node's own arrivals
-        # thus keep their insertion order — its FIFO, not a freedom.
+        # thus keep their push order — its FIFO, not a freedom.
         # (id() is a safe key here: ``batch`` keeps every destination
         # alive for as long as ``arrived`` exists.)
-        waves: List[List[tuple]] = []
+        waves: List[list] = []
         arrived: Dict[int, int] = {}
         for entry in before:
-            destination = id(self._landing(entry[2])[1])
+            destination = id(self._landing(entry)[1])
             rank = arrived.get(destination, 0)
             arrived[destination] = rank + 1
             if rank == len(waves):
                 waves.append([])
             waves[rank].append(entry)
-        deliveries: List[tuple] = []
+        deliveries: list = []
         for wave in waves:
             self._rng.shuffle(wave)
             deliveries.extend(wave)
         for slot, entry in zip(slots, deliveries):
             batch[slot] = entry
-        if deliveries != before:
+        if any(a is not b for a, b in zip(deliveries, before)):
             self.permuted += 1
 
     def observed_pairs(self) -> List[Tuple[str, str]]:

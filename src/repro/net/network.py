@@ -144,7 +144,7 @@ class Network:
         — so a transfer is one computed timestamp and one scheduled
         landing, not a process.  Destinations are walked in order, each
         what a ``send`` of its own would have been; on a symmetric fabric
-        their landings share an instant and so a heap entry.
+        their landings share an instant and so one heap slot.
         """
         destinations = (dst,) if isinstance(dst, int) else dst
         if src in destinations:
@@ -209,5 +209,5 @@ class Network:
         if delivered is not None:
             delivered.settle(message)
 
-    # What a profiler files a landing's heap entry under (entry_kind).
+    # What a profiler files a landing's queued entry under (entry_kind).
     _land.event_kind = "msg_delivery"

@@ -4,18 +4,21 @@ Every future "make a hot path measurably faster" PR needs to know what
 the kernel spent its time on.  :class:`KernelProfile` is an
 :class:`~repro.sim.engine.Instrument`: ``attach(sim)`` puts it in the
 kernel's one observer slot (``sim.instrument``), and the single run loop
-then calls ``loop_enter``/``loop_exit`` around itself, ``before_pop(heap)``
-and ``after_event(entry)`` around every event, and bumps the
+then calls ``loop_enter``/``loop_exit`` around itself,
+``before_pop(times, entries)`` before every instant it pops,
+``after_event(entry)`` after every entry, and bumps the
 process/cancellation/resume counters; with nothing attached (the
-default) the loop pays two ``is not None`` checks per event.  ``step()``,
+default) the loop pays two ``is not None`` checks per entry.  ``step()``,
 ``run()`` and ``run_until_complete()`` all drive that same loop, so the
 counts below are the counts of every run, however it was driven.
 
 Collected:
 
-* ``events_processed`` — heap pops (kernel iterations).
-* ``calls_coalesced`` — ``call_at`` calls run inside another's pop (a run).
-* ``heap_peak`` — high-water mark of the event heap (scheduling depth).
+* ``events_processed`` — instants popped (a ``step()`` is a pop too).
+* ``calls_coalesced`` — entries run inside another entry's pop: the
+  pops plus these are the entries run.
+* ``heap_peak`` — high-water mark of the pending instants (scheduling
+  depth).
 * ``processes_spawned`` — generator processes launched.
 * wall-clock — real seconds between :meth:`start` and :meth:`stop`,
   reported per simulated second so runs of different lengths compare.
@@ -23,9 +26,9 @@ Collected:
 Attribution (what ``repro profile``'s hotspot table,
 :func:`format_hotspots`, ranks):
 
-* ``by_event_kind`` — per event ``kind`` (timeout, msg_delivery,
-  process_start/end, call_at, composite, interrupt, event) the pop
-  count and cumulative wall seconds spent running its callbacks.
+* ``by_event_kind`` — per entry kind (timeout, msg_delivery,
+  process_start/end, call_at, composite, interrupt, event) the entry
+  count and cumulative wall seconds spent running them.
 * ``by_msg_type`` — per protocol :class:`~repro.core.messages.MsgType`
   handler, the message count, cumulative wall seconds, and resumes
   after a wait (filled in by :meth:`call_handler` for every plain-call
@@ -33,10 +36,10 @@ Attribution (what ``repro profile``'s hotspot table,
   one that loops over waits; ``core.engine`` routes dispatch through
   them when a profile is attached).
 * scheduling statistics — heap-depth histogram (power-of-two buckets),
-  same-timestamp tie-batch size histogram, defused-event and cancelled
-  -callback counts, trampoline hops per resume, and the two ratios
-  ROADMAP item 1 budgets: kernel events and spawned processes per
-  handled protocol message.
+  tie-batch size histogram (the entries one instant ran), defused-event
+  and cancelled-callback counts, trampoline hops per resume, and the
+  two ratios ROADMAP item 1 budgets: kernel events (instants popped)
+  and spawned processes per handled protocol message.
 
 All wall-clock reads live here (waivered) so the kernel stays clean of
 ``time`` imports; ``loop_wall_seconds`` brackets only the event loop, so
@@ -62,7 +65,7 @@ class KernelProfile(Instrument):
                  "_wall_start", "wall_seconds", "sim_ns",
                  "loop_wall_seconds", "by_event_kind", "by_msg_type",
                  "heap_depth_hist", "_last_stamp", "_loop_start",
-                 "tie_batch_hist", "_tie_when", "_tie_run",
+                 "tie_batch_hist", "_tie_when", "_tie_run", "_coalescing",
                  "events_defused", "callbacks_cancelled",
                  "trampoline_hops", "resume_segments")
 
@@ -87,10 +90,12 @@ class KernelProfile(Instrument):
         # Wall stamps of the running loop's start and of the last
         # event's end (see after_event); set by loop_enter.
         self._loop_start = self._last_stamp = 0.0
-        # tie-batch size -> batches (consecutive pops at one timestamp)
+        # tie-batch size -> batches (the entries one instant ran)
         self.tie_batch_hist: Dict[int, int] = {}
         self._tie_when: Optional[float] = None
         self._tie_run = 0
+        # 0 until the popped instant's first entry has run, then 1
+        self._coalescing = 0
         self.events_defused = 0
         self.callbacks_cancelled = 0
         self.trampoline_hops = 0
@@ -119,24 +124,19 @@ class KernelProfile(Instrument):
 
     # -- kernel hooks (repro.sim.engine.Instrument) ---------------------------
 
-    def before_pop(self, heap: List) -> None:
-        """Scheduling stats of the pop about to happen."""
+    def before_pop(self, times: List[float], entries: List) -> None:
+        """Scheduling stats of the instant about to be popped."""
         self.events_processed += 1
-        depth = len(heap)
+        self._coalescing = 0
+        depth = len(times)
         if depth > self.heap_peak:
             self.heap_peak = depth
         bucket = depth.bit_length()
         hist = self.heap_depth_hist
         hist[bucket] = hist.get(bucket, 0) + 1
-        when, _seq, head = heap[0]
-        if head.__class__ is list:
-            self.calls_coalesced += len(head) - 1
-        if when == self._tie_when:
-            self._tie_run += 1
-        else:
+        if times[0] != self._tie_when:
             self._flush_tie_run()
-            self._tie_when = when
-            self._tie_run = 1
+            self._tie_when = times[0]
 
     def after_event(self, event: Any) -> None:
         """Bucket the wall time since the previous event ended (or the
@@ -151,7 +151,10 @@ class KernelProfile(Instrument):
         bucket[0] += 1
         bucket[1] += now - self._last_stamp
         self._last_stamp = now
-        if event.__class__ is not list and event.defused:
+        self.calls_coalesced += self._coalescing
+        self._coalescing = 1
+        self._tie_run += 1
+        if event.__class__ is not tuple and event.defused:
             self.events_defused += 1
 
     def loop_enter(self) -> None:
@@ -292,6 +295,7 @@ class KernelProfile(Instrument):
         messages = self.messages_handled
         loop = self.loop_wall_seconds
         attributed = self.attributed_wall_seconds
+        entries = self.events_processed + self.calls_coalesced
         return {
             "events_processed": self.events_processed,
             "calls_coalesced": self.calls_coalesced,
@@ -331,8 +335,7 @@ class KernelProfile(Instrument):
                     max(self.tie_batch_hist) if self.tie_batch_hist else 0,
                 "events_defused": self.events_defused,
                 "defused_ratio":
-                    self.events_defused / self.events_processed
-                    if self.events_processed else 0.0,
+                    self.events_defused / entries if entries else 0.0,
                 "callbacks_cancelled": self.callbacks_cancelled,
                 "trampoline_hops": self.trampoline_hops,
                 "resume_segments": self.resume_segments,

@@ -15,19 +15,20 @@ Design notes
   event propagates the exception into every waiting process; a failed
   process that nobody waits on re-raises from the run loop, so
   protocol bugs surface as test failures rather than silent hangs.
-* Determinism: ties in the heap are broken by an insertion sequence
-  number, so two runs with the same seed produce identical schedules.
-* A heap entry is ``(when, sequence, entry)``: an :class:`Event`, or a
-  *run* of scheduled calls — a plain list of ``(fn, args)`` pairs whose
-  member *i* stands for ``(when, sequence + i)``.  A ``call_at`` for the
-  instant the push just before it asked for would pop directly after
-  it, so it joins that push's run (:meth:`Simulator.call_at`).
+* The queue is per instant: a heap of the distinct pending timestamps
+  (plain floats) and a dict from each timestamp to the list of its
+  entries — events and scheduled calls, a call being the bare pair
+  ``(fn, args)`` — in push order.  Entries that share an
+  instant run in the order they were pushed, those pushed while the
+  instant runs included, so two runs with the same seed produce
+  identical schedules.
 """
 
 from __future__ import annotations
 
+import gc
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 __all__ = [
     "Event",
@@ -159,12 +160,11 @@ class Event:
 
 
 def entry_kind(entry: Any) -> str:
-    """The profiling label of a heap entry: an event's ``kind``; for a
-    run of calls, the ``event_kind`` its first function carries, else
-    ``"call_at"`` (the network labels its landing function
-    ``"msg_delivery"``)."""
-    if entry.__class__ is list:
-        return getattr(entry[0][0], "event_kind", "call_at")
+    """The profiling label of a queued entry: an event's ``kind``; for a
+    call, the ``event_kind`` its function carries, else ``"call_at"``
+    (the network labels its landing function ``"msg_delivery"``)."""
+    if entry.__class__ is tuple:
+        return getattr(entry[0], "event_kind", "call_at")
     return entry.kind
 
 
@@ -174,7 +174,7 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: Simulator, delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise ValueError(f"negative timeout delay: {delay}")
         # ``Event.__init__`` and ``Simulator._schedule`` written out: a
         # fresh event cannot be scheduled twice, and the commonest event
@@ -186,8 +186,12 @@ class Timeout(Event):
         self._scheduled = True
         self.defused = False
         self.kind = "timeout"
-        heappush(sim._heap, (sim.now + delay, sim._sequence, self))
-        sim._sequence += 1
+        when = sim.now + delay
+        if when in sim._queue:
+            sim._queue[when].append(self)
+        else:
+            sim._queue[when] = [self]
+            heappush(sim._times, when)
 
 
 class _InPlaceStart:
@@ -359,15 +363,17 @@ class AllOf(Event):
 class Instrument:
     """No-op base of the one optional kernel observer, ``sim.instrument``
     (DESIGN.md §3): ``loop_enter``/``loop_exit`` bracket the run loop,
-    ``before_pop(heap)``/``after_event(entry)`` each pop (an event or a
-    run of calls, labelled by :func:`entry_kind`), the kernel
-    bumps the four counters, and every segment of a protocol message
-    handler goes through ``call_handler`` (a plain call: a handler that
-    never waits, or one stretch of one that parks between callbacks) or
-    ``drive_handler`` (the generator a segment returned when what is
-    left loops over waits, wrapped by one that must yield exactly what
-    it yields).  ``resumed`` marks a plain call that continues a handler
-    already counted: its message is counted once, its time every time."""
+    ``before_pop(times, entries)`` precedes each pop of an instant (the
+    pending instants, the unrun entries of their head), ``after_event``
+    follows each entry, run or raised (labelled by :func:`entry_kind`),
+    the kernel bumps the four counters, and every segment of a protocol
+    message handler goes through ``call_handler`` (a plain call: a
+    handler that never waits, or one stretch of one that parks between
+    callbacks) or ``drive_handler`` (the generator a segment returned
+    when what is left loops over waits, wrapped by one that must yield
+    exactly what it yields).  ``resumed`` marks a plain call that
+    continues a handler already counted: its message is counted once,
+    its time every time."""
 
     __slots__ = ()
     processes_spawned = callbacks_cancelled = 0
@@ -412,19 +418,17 @@ class Simulator:
 
     def __init__(self):
         self.now: float = 0.0
-        self._heap: List = []
-        self._sequence = 0
-        # The open run: the latest ``call_at`` push's list, its
-        # timestamp, the number after its last member (any other push
-        # moves past it).
-        self._run: List = []
-        self._run_when, self._run_next = 0.0, -1
-        self._running: Any = None  # entry being processed; None outside the loop
-        self._ran = 0  # members of the running run that returned
+        # Pending instants (a heap of floats, each once) and each one's
+        # entries in push order; the running instant is off the heap but
+        # keeps its list, which its own same-instant pushes extend.
+        self._times: List[float] = []
+        self._queue: Dict[float, List] = {}
+        # The loop's iterator over that list (None outside the loop).
+        self._cursor: Any = None
         self._active_process: Optional[Process] = None
         # The one optional :class:`Instrument` (kernel profiler or
         # tie-batch sanitizer).  None by default, so the run loop pays
-        # two ``is not None`` checks per event and nothing else.
+        # two ``is not None`` checks per entry and nothing else.
         self.instrument: Optional[Instrument] = None
 
     # -- factory helpers ------------------------------------------------------
@@ -466,8 +470,11 @@ class Simulator:
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
-        heappush(self._heap, (when, self._sequence, event))
-        self._sequence += 1
+        if when in self._queue:
+            self._queue[when].append(event)
+        else:
+            self._queue[when] = [event]
+            heappush(self._times, when)
 
     def call_at(self, when: float, fn: Callable[..., None],
                 *args: Any) -> None:
@@ -477,110 +484,100 @@ class Simulator:
         ``when`` as ``t + d`` gets exactly the float a ``timeout(d)``
         created at ``t`` would pop at.  The call is the pair
         ``(fn, args)`` and nothing else: a profiler labels it by what
-        ``fn`` carries (:func:`entry_kind`).
-
-        The call joins the open run instead of being pushed when
-        (a) nothing at all was pushed since the run's last member,
-        (b) ``when`` is the run's, (c) ``when`` is in the future — a
-        popped run is never joined — and (d) the run loop is making the
-        call.  No other entry can sort between ``(when, s)`` and
-        ``(when, s + 1)``, so nothing moves in time or in order.
-        """
-        now = self.now
-        if when < now:
-            raise ValueError(f"call_at into the past: {when} < {now}")
-        sequence = self._sequence
-        if (sequence == self._run_next and when == self._run_when
-                and when > now and self._running is not None):
-            self._run.append((fn, args))
+        ``fn`` carries (:func:`entry_kind`).  It goes at the end of its
+        instant's list — the running instant's too: it runs before the
+        loop moves on."""
+        if not when >= self.now:  # NaN too
+            raise ValueError(f"call_at into the past: {when} < {self.now}")
+        if when in self._queue:
+            self._queue[when].append((fn, args))
         else:
-            run = [(fn, args)]
-            heappush(self._heap, (when, sequence, run))
-            self._run = run
-            self._run_when = when
-        self._sequence = self._run_next = sequence + 1
+            self._queue[when] = [(fn, args)]
+            heappush(self._times, when)
 
     # -- running ------------------------------------------------------------------
 
     def _drive(self, until: Optional[float] = None,
-               stop: Optional[Event] = None,
-               limit: Optional[int] = None) -> None:
-        """The run loop: pop and process entries in ``(when, sequence)``
-        order until the heap drains, the next one lies past ``until``,
-        ``stop`` has triggered, or ``limit`` pops ran.
+               stop: Optional[Event] = None, limit: int = 0) -> None:
+        """The run loop: pop instants in time order and run each one's
+        list to its end — entries it appends to itself included — until
+        the queue drains, the next instant lies past ``until``, ``stop``
+        has triggered, or ``limit`` entries ran (0: no limit).
 
-        A run's members are called in order inside its one pop.  Under
-        ``stop``/``limit`` a run gives up one member per pop (the rest
-        stays queued under the next number); a call that raises leaves
-        the calls behind it queued under their own numbers.
-        An attached instrument brackets the loop and each pop; it sees
-        the same pops in the same order, so an instrumented run stays
-        byte-identical to a bare one.
-        """
-        heap = self._heap
+        ``stop`` and ``limit`` are looked at between entries; leaving
+        mid-instant, or on an entry that raises, keeps the rest of the
+        instant's list queued, in order, at the same instant.  A run
+        leaves no cyclic garbage, so the collector (if on) is paused.
+        An attached instrument brackets the loop, each pop and each
+        entry: it sees what a bare run runs, in the same order."""
+        times, queue = self._times, self._queue
         instrument = self.instrument
-        call_by_call = stop is not None or limit is not None
+        stepping = stop is not None or limit
+        collecting = gc.isenabled()
+        if collecting:
+            gc.disable()
         if instrument is not None:
             instrument.loop_enter()
+        cursor = None
         try:
-            while heap:
-                if call_by_call:
-                    if stop is not None and stop._value is not PENDING:
-                        return
-                    when, sequence, entry = heap[0]
-                    # One member per pop: the rest of the run waits
-                    # under the next member's number.
-                    if entry.__class__ is list and len(entry) > 1:
-                        heappush(heap, (when, sequence + 1, entry[1:]))
-                        del entry[1:]
-                if until is not None and heap[0][0] > until:
+            if stop is not None and stop._value is not PENDING:
+                return
+            while times:
+                when = times[0]
+                if until is not None and when > until:
                     return
+                entries = queue[when]
                 if instrument is not None:
-                    instrument.before_pop(heap)
-                self.now, sequence, entry = heappop(heap)
-                self._running = entry
-                if entry.__class__ is list:
-                    self._ran = 0
+                    instrument.before_pop(times, entries)
+                heappop(times)
+                self.now = when
+                self._cursor = cursor = iter(entries)
+                for entry in cursor:
                     try:
-                        for fn, args in entry:
+                        if entry.__class__ is tuple:
+                            fn, args = entry
                             fn(*args)
-                            self._ran += 1
-                    except BaseException:
-                        left = self._ran + 1
-                        if left < len(entry):
-                            heappush(heap, (self.now, sequence + left,
-                                            entry[left:]))
-                        raise
-                    if instrument is not None:
-                        instrument.after_event(entry)
-                else:
-                    callbacks, entry.callbacks = entry.callbacks, None
-                    for callback in callbacks:
-                        callback(entry)
-                    if instrument is not None:
-                        instrument.after_event(entry)
-                    if entry._ok is False and not entry.defused:
-                        # A failure nobody consumed: surface it instead
-                        # of losing it.
-                        raise entry._value
-                if limit is not None:
-                    limit -= 1
-                    if limit == 0:
-                        return
+                        else:
+                            callbacks, entry.callbacks = entry.callbacks, None
+                            for callback in callbacks:
+                                callback(entry)
+                            if entry._ok is False and not entry.defused:
+                                # A failure nobody consumed: surface it
+                                # instead of losing it.
+                                raise entry._value
+                    finally:
+                        if instrument is not None:
+                            instrument.after_event(entry)
+                    if stepping:
+                        limit -= 1
+                        if not limit or (stop is not None
+                                         and stop._value is not PENDING):
+                            return
+                del queue[when]
+                cursor = None
         finally:
-            self._running = None
+            self._cursor = None
+            if cursor is not None:  # left mid-instant
+                left = cursor.__length_hint__()
+                if left:
+                    del entries[:len(entries) - left]
+                    heappush(times, when)
+                else:
+                    del queue[when]
             if instrument is not None:
                 instrument.loop_exit()
+            if collecting:
+                gc.enable()
 
     def step(self) -> None:
-        """Process the single next event."""
-        if not self._heap:
+        """Process the single next entry."""
+        if not self._times:
             raise SimulationError("step() on an empty event queue")
         self._drive(limit=1)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the heap drains or ``until`` (absolute ns) is reached."""
-        if until is not None and until < self.now:
+        """Run until the queue drains or ``until`` (absolute ns) is reached."""
+        if until is not None and not until >= self.now:
             raise ValueError(f"run(until={until}) is in the past (now={self.now})")
         self._drive(until=until)
         if until is not None:
@@ -601,18 +598,19 @@ class Simulator:
         return event.value
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
+        """Time of the next entry: ``now`` while the running instant has
+        entries left, else the next instant's (``inf`` if none)."""
+        cursor = self._cursor
+        if cursor is not None and cursor.__length_hint__():
+            return self.now
+        return self._times[0] if self._times else float("inf")
 
     @property
     def queue_depth(self) -> int:
-        """Scheduled-but-unprocessed events and calls (the backlog the
-        health monitor samples), counted when asked: every event, every
-        member of every queued run, what is left of the run being
-        executed."""
-        depth = sum(len(entry) if entry.__class__ is list else 1
-                    for _when, _seq, entry in self._heap)
-        running = self._running
-        if running.__class__ is list:
-            depth += len(running) - self._ran - 1
+        """Entries not yet run (the backlog the health monitor samples),
+        counted when asked: every list, less what its instant ran."""
+        depth = sum(map(len, self._queue.values()))
+        cursor = self._cursor
+        if cursor is not None:
+            depth -= len(self._queue[self.now]) - cursor.__length_hint__()
         return depth

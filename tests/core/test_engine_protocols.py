@@ -632,7 +632,7 @@ class TestArrivalPath:
                           value="v", scope_id=3)
         follower.nic.sink(message)
         proc = cluster.config.protocol.msg_proc_ns
-        [(when, _seq, [(fn, args)])] = sim._heap
+        [(when, [(fn, args)])] = sim._queue.items()
         assert (when, fn) == (proc, follower._handle_now)
         assert args == (False, follower._handlers[msg_type.label], message,
                         0.0)
@@ -838,7 +838,7 @@ class TestBroadcastFrame:
         assert sends == [[1, 2, 3]]
         assert cluster.metrics.messages_by_type == {"UPD": 3}
         assert cluster.network.nic(0).messages_sent == 3
-        assert len(cluster.sim._heap) == 1 and cluster.sim.queue_depth == 3
+        assert len(cluster.sim._times) == 1 and cluster.sim.queue_depth == 3
 
     def test_traced_it_goes_destination_by_destination(self):
         from repro.sim.trace import Tracer
@@ -852,27 +852,33 @@ class TestBroadcastFrame:
         assert traced.metrics.messages_by_type == \
             plain.metrics.messages_by_type
         assert traced.metrics.bytes_by_type == plain.metrics.bytes_by_type
-        assert sorted(traced.sim._heap)[0][:2] == sorted(plain.sim._heap)[0][:2]
-        assert traced.sim._sequence == plain.sim._sequence
+        assert {when: len(entries) for when, entries
+                in traced.sim._queue.items()} == \
+            {when: len(entries) for when, entries
+             in plain.sim._queue.items()}
 
     def test_nobody_to_send_to_records_nothing(self):
         cluster, sends = self._broadcast(targets=[])
         assert sends == [] and cluster.metrics.messages_by_type == {}
 
 
-@pytest.mark.parametrize("consistency, persistency, processes, events", [
+@pytest.mark.parametrize("consistency, persistency, processes, entries", [
     # A transaction's write spawns no process that only waits for its
-    # ACKs (ENDX confirms the round): 297 / 2,772 with one.
-    (C.TRANSACTIONAL, P.EVENTUAL, 183, 2_658),
+    # ACKs (ENDX confirms the round): 297 processes with one (and 2,772
+    # pops, against 2,658, when calls were stored in runs).
+    (C.TRANSACTIONAL, P.EVENTUAL, 183, 3_696),
     # An UPD's ACK_p round has no empty ACK_c round triggering beside
-    # it: 8,010 events with one.
-    (C.CAUSAL, P.READ_ENFORCED, 980, 7_683),
+    # it: 8,010 pops with one, against 7,683, when calls were stored in
+    # runs.
+    (C.CAUSAL, P.READ_ENFORCED, 980, 9_987),
 ], ids=["txn-eventual", "causal-read_enforced"])
 def test_no_process_or_round_that_only_waits(consistency, persistency,
-                                             processes, events):
+                                             processes, entries):
     """Kernel work of one small fixed run, pinned: simulated results
     cannot tell a waiter-only process or an already-complete filler
-    round from none, these counters can."""
+    round from none, these counters can — processes spawned, and the
+    entries the loop ran (pops plus the entries that shared a pop's
+    instant)."""
     from repro.obs import KernelProfile
     from repro.workload.ycsb import WORKLOADS
 
@@ -882,5 +888,6 @@ def test_no_process_or_round_that_only_waits(consistency, persistency,
                                            seed=2021),
                       workload=WORKLOADS["A"], profile=profile)
     cluster.run(40_000.0, warmup_ns=4_000.0)
-    assert (profile.processes_spawned, profile.events_processed) == \
-        (processes, events)
+    assert (profile.processes_spawned,
+            profile.events_processed + profile.calls_coalesced) == \
+        (processes, entries)

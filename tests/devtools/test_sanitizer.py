@@ -39,7 +39,7 @@ def _plain_digest(model, ops=20):
 class TestRecordMode:
     def test_recording_is_transparent(self):
         # A recorder (seed=None) must not perturb the run: batches go
-        # back on the heap in exactly the order they came off.
+        # back into their instant's list in exactly the order they had.
         recorder = TieBatchSanitizer(seed=None)
         digest = _run_once(LIN_STRICT, 20, 3, 2, 2021, recorder)
         assert digest == _plain_digest(LIN_STRICT, ops=20)
@@ -57,8 +57,8 @@ class TestRecordMode:
 
 
 class TestRekeying:
-    """The sanitizer reorders a tie batch *on the heap*; the kernel's
-    own loop pops it."""
+    """The sanitizer reorders a tie batch *in its instant's list*; the
+    kernel's own loop runs it."""
 
     @pytest.mark.parametrize("seed", [None, 3])
     def test_failed_event_keeps_the_rest_of_its_batch_queued(self, seed):
@@ -81,13 +81,13 @@ class TestRekeying:
         assert ran == ["a"] and sim.queue_depth == 1
         sim.run()  # exactly what the plain loop does on a second run()
         assert ran == ["a", "c"] and sim.queue_depth == 0
-        # mid-batch, the unprocessed ties are still on the heap
+        # mid-batch, the unprocessed ties are still queued
         assert depths == [2, 0]
 
     def test_permuted_order_is_what_the_loop_pops(self):
-        """With a seed, landings at distinct nodes come off the heap in
-        the shuffled order, under ``run(until=)`` and ``step()`` alike;
-        later same-time arrivals form the next batch."""
+        """With a seed, landings at distinct nodes run in the shuffled
+        order, under ``run(until=)`` and ``step()`` alike; later
+        same-time arrivals form the next batch."""
         sim = Simulator()
         network = Network(sim)
         for node in range(6):
@@ -129,18 +129,15 @@ class TestPermutation:
                 self.kind = kind
                 self._value = None
 
-        proc = [(1.0, 0, Event("process_start")),
-                (1.0, 3, Event("timeout"))]
-        deliveries = [(1.0, 1, Event("msg_delivery")),
-                      (1.0, 2, Event("msg_delivery")),
-                      (1.0, 4, Event("msg_delivery"))]
+        proc = [Event("process_start"), Event("timeout")]
+        deliveries = [Event("msg_delivery") for _ in range(3)]
         batch = [proc[0], deliveries[0], deliveries[1], proc[1],
                  deliveries[2]]
         sanitizer = TieBatchSanitizer(seed=3)
         for _ in range(20):  # some shuffle must move something
-            sanitizer.observe(1.0, list(batch))
+            sanitizer.observe(list(batch))
         shuffled = list(batch)
-        sanitizer.observe(1.0, shuffled)
+        sanitizer.observe(shuffled)
         # non-delivery entries pinned to their original positions
         assert shuffled[0] is proc[0]
         assert shuffled[3] is proc[1]
@@ -160,13 +157,13 @@ class TestPermutation:
         for dst in (1, 2, 3):       # two simultaneous landings per node
             network.send(0, dst, ack, 16)
             network.send(0, dst, inv, 16)
-        batch = sorted(sim._heap)
-        assert {entry_kind(entry[2]) for entry in batch} == {"msg_delivery"}
-        assert {TieBatchSanitizer._label(entry[2]) for entry in batch} == \
+        [batch] = sim._queue.values()
+        assert {entry_kind(entry) for entry in batch} == {"msg_delivery"}
+        assert {TieBatchSanitizer._label(entry) for entry in batch} == \
             {"ACK", "INV"}
 
         def landed(entry):
-            [(_land, args)] = entry[2]
+            _land, args = entry
             return args
 
         def nodes(entries):
@@ -176,7 +173,7 @@ class TestPermutation:
         orders = set()
         for _ in range(20):
             shuffled = list(batch)
-            sanitizer.observe(batch[0][0], shuffled)
+            sanitizer.observe(shuffled)
             # first wave: every node's ACK; second wave: every node's INV
             assert [landed(e)[0] for e in shuffled] == [ack] * 3 + [inv] * 3
             assert sorted(nodes(shuffled[:3])) == [1, 2, 3]

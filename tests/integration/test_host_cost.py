@@ -15,7 +15,10 @@ Two guards on the message path that no simulated number shows:
   allocates is freed by reference counting when it ends: a crash-restart
   plus lossy run — watchdogs re-arming, resends, clients interrupted
   mid-stall, a replica table discarded — leaves nothing for the
-  collector.
+  collector, and neither does any of the 25 cells, bare or with every
+  observer attached.  That is what lets the run loop pause the
+  collector (``Simulator._drive``): a cycle made inside a run would
+  live until the loop returns.
 """
 
 import gc
@@ -26,8 +29,12 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
-from repro.core.model import Consistency as C, DdpModel, Persistency as P
+from repro.core.model import (Consistency as C, DdpModel, Persistency as P,
+                              all_ddp_models)
 from repro.faults import FaultInjector, load_fault_plan
+from repro.obs import HealthMonitor, HistoryRecorder, KernelProfile
+from repro.sim.engine import Simulator
+from repro.sim.trace import Tracer
 from repro.workload.ycsb import WORKLOADS
 
 LIN_SYNC = DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS)
@@ -81,11 +88,37 @@ def test_python_frames_per_message_stay_under_the_ceiling(model):
     assert frames <= FRAME_CEILINGS[str(model)], (str(model), frames)
 
 
+def cyclic_garbage(run) -> Counter:
+    """Type names of the unreachable objects ``run()`` leaves behind,
+    counted with the collector paused and every unreachable object
+    saved, while whatever ``run`` closes over is still alive."""
+    # Earlier tests' garbage first, to the end: a cycle whose generators
+    # run ``finally`` blocks when collected needs more than one pass,
+    # and a pass whose finalizers resurrect everything they reach (a
+    # closed generator keeping the exception it caught) reports nothing.
+    idle = 0
+    while idle < 2:
+        idle = 0 if gc.collect() else idle + 1
+    saved = gc.garbage[:]
+    del gc.garbage[:]
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage[:] = saved
+        if enabled:
+            gc.enable()
+
+
 def test_a_crash_restart_lossy_run_leaves_no_cyclic_garbage():
     """Watched rounds (any run with a membership) re-arm their watchdog
     with a method call, not a closure over itself; a restart drops the
-    stalls its crash interrupted.  Measured with the collector paused
-    and every unreachable object saved, while the cluster is alive."""
+    stalls its crash interrupted."""
     # The crash at 21 us catches a read of node 1 stalled on a key
     # another writer's INV holds Invalid.
     plan = load_fault_plan({"seed": 2021, "events": [
@@ -96,26 +129,71 @@ def test_a_crash_restart_lossy_run_leaves_no_cyclic_garbage():
                                                      clients_per_server=5,
                                                      seed=2021),
                       workload=WORKLOADS["A"], faults=FaultInjector(plan))
-    # Earlier tests' garbage first, to the end: a cycle whose generators
-    # run ``finally`` blocks when collected needs more than one pass.
-    while gc.collect():
-        pass
-    saved = gc.garbage[:]
-    del gc.garbage[:]
-    enabled = gc.isenabled()
-    gc.disable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        cluster.run(60_000.0, warmup_ns=6_000.0)
-        gc.collect()
-        leaked = Counter(type(obj).__name__ for obj in gc.garbage)
-    finally:
-        gc.set_debug(0)
-        gc.garbage[:] = saved
-        if enabled:
-            gc.enable()
+    leaked = cyclic_garbage(lambda: cluster.run(60_000.0, warmup_ns=6_000.0))
     engines = cluster.engines
     # The run exercised what used to leak: watchdogs fired and resent.
     assert sum(engine.round_resends for engine in engines) > 0
     assert "AckRound" not in leaked
     assert leaked == Counter()
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["bare", "observed"])
+def test_no_cell_leaves_cyclic_garbage(observed):
+    """Every cell, 3 servers x 2 clients for 10 us, bare and with a
+    tracer, a kernel profile, a health monitor and a history recorder
+    attached: the collector the run loop pauses has nothing to find."""
+    leaks = {}
+    for model in all_ddp_models():
+        observers = dict(tracer=Tracer(), profile=KernelProfile(),
+                         monitor=HealthMonitor(), history=HistoryRecorder()
+                         ) if observed else {}
+        cluster = Cluster(model, config=ClusterConfig(servers=3,
+                                                      clients_per_server=2,
+                                                      seed=2021),
+                          workload=WORKLOADS["A"], **observers)
+        summaries = []
+        leaked = cyclic_garbage(lambda cluster=cluster: summaries.append(
+            cluster.run(10_000.0, warmup_ns=1_000.0)))
+        assert summaries[0].requests > 0, str(model)
+        if leaked:
+            leaks[str(model)] = leaked
+    assert leaks == {}
+
+
+def test_the_run_loop_pauses_the_collector_and_restores_it():
+    """Paused inside the loop, as it was after ``run()``, ``step()``,
+    an entry that raised and a nested drive; left off if it was off."""
+    sim, seen = Simulator(), []
+
+    def look():
+        seen.append(gc.isenabled())
+
+    def nested():
+        sim.run(until=sim.now)
+        look()
+
+    def boom():
+        raise RuntimeError("boom")
+
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        for when, fn in ((1.0, look), (1.0, boom), (2.0, look),
+                         (3.0, nested), (4.0, look)):
+            sim.call_at(when, fn)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert gc.isenabled() and seen == [False]
+        sim.step()
+        assert gc.isenabled() and seen == [False, False]
+        sim.run()
+        assert gc.isenabled() and seen == [False] * 4
+        gc.disable()
+        sim.call_at(5.0, look)
+        sim.run()
+        assert not gc.isenabled() and seen == [False] * 5
+    finally:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()

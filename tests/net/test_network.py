@@ -260,7 +260,7 @@ class TestOneFrame:
             else:
                 for dst in self.DESTINATIONS:
                     network.send(0, dst, "m", 100)
-            heap_entries.append(len(sim._heap))
+            heap_entries.append(len(sim._times))
 
         sim.call_at(1.0, inject)
         sim.run()
@@ -294,7 +294,7 @@ class TestOneFrame:
 
     def test_landings_on_a_symmetric_fabric(self):
         """Two queue pairs, 4 ns each: 1+4, 1+4, 1+8, 1+8, 1+12 on the
-        link, 500 ns across — and each distinct instant one heap entry."""
+        link, 500 ns across — and each distinct instant one heap slot."""
         entries, frame = self._observe(True)
         assert frame["landings"] == [
             (505.0, 1, "m"), (505.0, 2, "m"), (509.0, 3, "m"),

@@ -59,7 +59,9 @@ class TestKernelProfile:
         profile = KernelProfile()
         self._run_tiny_sim(profile)
         assert profile.processes_spawned == 3
-        assert profile.events_processed >= 15  # 3 workers x 5 timeouts
+        # Instants 0, 10, ..., 50; 3 starts + 3 workers x 5 timeouts.
+        assert profile.events_processed == 6
+        assert profile.events_processed + profile.calls_coalesced == 18
         assert profile.heap_peak >= 1
         assert profile.wall_seconds > 0.0
         assert profile.sim_ns == 100.0
@@ -122,7 +124,8 @@ class TestKernelProfile:
 
     def test_stepping_counts_what_running_counts(self):
         """``step()`` x N and ``run()`` go through the same loop: the
-        same events land in the same histograms."""
+        same entries land in the same buckets and tie batches, each
+        step being a pop of one entry."""
         ran = KernelProfile()
         self._run_tiny_sim(ran)
         stepped = KernelProfile()
@@ -140,9 +143,11 @@ class TestKernelProfile:
             sim.step()
             steps += 1
         stepped.stop(sim.now)
-        assert stepped.events_processed == steps == ran.events_processed
-        assert stepped.tie_batch_hist == ran.tie_batch_hist
-        assert stepped.heap_depth_hist == ran.heap_depth_hist
+        assert stepped.events_processed == steps == \
+            ran.events_processed + ran.calls_coalesced
+        assert stepped.calls_coalesced == 0
+        assert stepped.tie_batch_hist == ran.tie_batch_hist == {3: 6}
+        assert sum(stepped.heap_depth_hist.values()) == steps
         assert stepped.resume_segments == ran.resume_segments
         assert {kind: stats[0] for kind, stats
                 in stepped.by_event_kind.items()} == \
@@ -180,7 +185,7 @@ class TestKernelProfile:
         assert kinds["timeout"]["count"] == 15  # 3 workers x 5 timeouts
         assert kinds["process_start"]["count"] == 3
         assert sum(k["count"] for k in kinds.values()) == \
-            snapshot["events_processed"]
+            snapshot["events_processed"] + snapshot["calls_coalesced"]
         # No protocol engine in a tiny sim: no handler rows.
         assert snapshot["attribution"]["by_msg_type"] == {}
         assert snapshot["attribution"]["attributed_fraction"] == \

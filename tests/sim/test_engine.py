@@ -77,14 +77,21 @@ class TestTimeout:
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(ValueError):
             sim.timeout(-1.0)
-        # ... before anything was pushed or a sequence number taken.
+        # ... before anything was pushed or an instant opened.
         assert sim.queue_depth == 0
-        assert sim._sequence == 0
+        assert sim._times == [] and sim._queue == {}
+
+    def test_nan_delay_rejected(self, sim):
+        """NaN compares false both ways: it must not slip past the
+        guard and take the clock backwards."""
+        with pytest.raises(ValueError):
+            sim.timeout(float("nan"))
+        assert sim.queue_depth == 0 and sim._times == []
 
     def test_same_instant_timeouts_and_callbacks_pop_in_creation_order(
             self, sim):
-        """A timeout pushes its own heap entry: it must still take its
-        sequence number where ``call_at`` takes them, one per creation."""
+        """A timeout pushes itself: it must still take its place in the
+        instant's list where ``call_at`` takes them, one per creation."""
         order = []
         sim.timeout(0.0).callbacks.append(lambda _e: order.append("t0"))
         sim.call_at(sim.now, order.append, "c1")
@@ -478,8 +485,8 @@ class TestSimulator:
             fired.append((sim.now, args))
 
         assert sim.call_at(7.0, landing, "a", 2) is None
-        [(_when, _seq, entry)] = sim._heap
-        assert entry == [(landing, ("a", 2))]
+        assert sim._queue == {7.0: [(landing, ("a", 2))]}
+        [entry] = sim._queue[7.0]
         assert entry_kind(entry) == "call_at"
         landing.event_kind = "msg_delivery"    # what Network._land carries
         assert entry_kind(entry) == "msg_delivery"
@@ -510,10 +517,32 @@ class TestSimulator:
         with pytest.raises(ValueError):
             sim.call_at(1.0, lambda: None)
 
+    def test_nan_times_rejected(self, sim):
+        """With entries at 5, 1 and 3, a NaN one used to pop between
+        them and run the clock backwards; every NaN time is refused."""
+        for when in (5.0, 1.0, 3.0):
+            sim.call_at(when, lambda: None)
+        with pytest.raises(ValueError):
+            sim.call_at(float("nan"), lambda: None)
+        with pytest.raises(ValueError):
+            sim.run(until=float("nan"))
+        seen = []
+        sim.call_at(2.0, lambda: seen.append(sim.now))
+        sim.run()
+        assert sim.queue_depth == 0 and sim.now == 5.0 and seen == [2.0]
+
     def test_peek(self, sim):
         assert sim.peek() == float("inf")
         sim.timeout(4)
         assert sim.peek() == 4.0
+
+    def test_peek_is_now_while_the_running_instant_has_entries(self, sim):
+        peeks = []
+        sim.call_at(1.0, lambda: peeks.append(sim.peek()))
+        sim.call_at(1.0, lambda: peeks.append(sim.peek()))
+        sim.timeout(3.0)
+        sim.run()
+        assert peeks == [1.0, 3.0]
 
     def test_run_until_complete(self, sim):
         def proc():

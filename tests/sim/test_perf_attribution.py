@@ -19,6 +19,11 @@ first line cost 11 pops before — 2 ``process_start`` + 2
 hand-off to the dispatcher) — and costs 2 now: 1 ``msg_delivery`` (the
 landing ``call_at`` entry) + 1 ``call_at`` (the handler, entered at its
 CPU-done time).
+
+Re-pinned again for the per-instant queue: a pop is an instant, so
+``events_processed`` and the heap-depth histogram count instants, while
+the kind buckets, the tie batches and the defused ratio count entries
+(pops + ``calls_coalesced``).
 """
 
 import pytest
@@ -40,10 +45,10 @@ def _kind_counts(profile):
 
 class TestEventKindAttribution:
     def test_all_of_composite_pinned_counts(self):
-        """3 same-delay timeouts under an AllOf: 5 pops total —
-        process_start, 3 timeouts, the composite (was 6: the unwaited
-        process_end is settled in place) — with the 4 t=5 pops forming
-        one tie-batch (was 5)."""
+        """3 same-delay timeouts under an AllOf: 5 entries in 2 pops —
+        process_start, then 3 timeouts and the composite (was 6 entries:
+        the unwaited process_end is settled in place) — the 4 at t=5
+        forming one tie-batch (was 5)."""
         sim, profile = _attached()
 
         def waiter():
@@ -53,15 +58,15 @@ class TestEventKindAttribution:
         sim.run()
         profile.stop(sim.now)
 
-        assert profile.events_processed == 5
+        assert (profile.events_processed, profile.calls_coalesced) == (2, 3)
         assert _kind_counts(profile) == {
             "process_start": 1, "timeout": 3, "composite": 1,
         }
         assert profile.tie_batch_hist == {1: 1, 4: 1}
         assert profile.events_defused == 0
-        # Wall attribution covers every pop exactly once.
+        # Wall attribution covers every entry exactly once.
         assert sum(s[0] for s in profile.by_event_kind.values()) == \
-            profile.events_processed
+            profile.events_processed + profile.calls_coalesced
 
     def test_call_at_and_plain_events_are_bucketed(self):
         sim, profile = _attached()
@@ -113,8 +118,8 @@ class TestSchedulingStatistics:
         assert profile.snapshot()["scheduling"]["max_tie_batch"] == 4
 
     def test_heap_depth_histogram_buckets_by_bit_length(self):
-        """Depth is recorded before each pop in power-of-two buckets
-        (bucket = depth.bit_length())."""
+        """Depth (pending instants) is recorded before each pop in
+        power-of-two buckets (bucket = depth.bit_length())."""
         sim, profile = _attached()
 
         def waiter():
@@ -124,9 +129,9 @@ class TestSchedulingStatistics:
         sim.run()
         profile.stop(sim.now)
 
-        # Depths before pops: 1 (init), 3, 2, 1, 1 -> buckets 1x3, 2x2
-        # (was 1x4: the sixth pop was the unwaited process_end).
-        assert profile.heap_depth_hist == {1: 3, 2: 2}
+        # Instants pending before the pops of t=0 and t=5: 1 and 1 (one
+        # entry per pop, it was 1, 3, 2, 1, 1 -> buckets 1x3, 2x2).
+        assert profile.heap_depth_hist == {1: 2}
         assert sum(profile.heap_depth_hist.values()) == \
             profile.events_processed
 
@@ -175,9 +180,9 @@ class TestInterruptAttribution:
         assert profile.callbacks_cancelled == 1
         # The abandoned 100ns timeout still pops (undefused, no waiters).
         assert counts["timeout"] == 2
-        # The interrupt is the one pop that arrives defused (its failure
-        # is thrown into the sleeper, not raised from the loop): 1 of 5
-        # pops (2 starts, 2 timeouts, the interrupt).
+        # The interrupt is the one entry that arrives defused (its
+        # failure is thrown into the sleeper, not raised from the loop):
+        # 1 of 5 entries (2 starts, 2 timeouts, the interrupt).
         assert profile.events_defused == 1
         assert profile.snapshot()["scheduling"]["defused_ratio"] == \
             pytest.approx(1 / 5)
@@ -218,14 +223,15 @@ class TestClusterLevelInvariants:
         return profiled_cluster.sim.instrument
 
     def test_every_pop_lands_in_exactly_one_kind_bucket(self, profiled_run):
+        """Every entry a pop ran, that is."""
         assert sum(s[0] for s in profiled_run.by_event_kind.values()) == \
-            profiled_run.events_processed
+            profiled_run.events_processed + profiled_run.calls_coalesced
 
     def test_handlers_are_a_subset_of_deliveries(self, profiled_run,
                                                  profiled_cluster):
         """Every driven handler consumed one delivered message; messages
         delivered but not yet dispatched at cutoff stay unhandled.  (The
-        NICs count deliveries; ``msg_delivery`` pops count runs of them.)"""
+        NICs count deliveries; ``msg_delivery`` entries count landings.)"""
         deliveries = sum(node.nic.messages_received
                          for node in profiled_cluster.nodes)
         handled = profiled_run.messages_handled
@@ -244,6 +250,6 @@ class TestClusterLevelInvariants:
                                                             profiled_run):
         assert sum(size * count for size, count
                    in profiled_run.tie_batch_hist.items()) == \
-            profiled_run.events_processed
+            profiled_run.events_processed + profiled_run.calls_coalesced
         assert sum(profiled_run.heap_depth_hist.values()) == \
             profiled_run.events_processed
