@@ -235,6 +235,11 @@ class ProtocolNode:
         # and what INITX and ENDX owe.
         self._ack_after_persist = (self._coordinator_places[0]
                                    in ACK_AFTER_PERSIST)
+        # Whether a read can ever stall (the two flags _read_guard reads):
+        # one that cannot is a worker grant, the request-processing sleep
+        # and a cache sleep, with no guard checked.
+        self._read_guarded = (self.cpolicy.read_stalls_on_transient
+                              or self.ppolicy.read_requires_applied_persisted)
         self.metrics = metrics
         self.config = config or ProtocolConfig()
         self.txn_table = txn_table
@@ -329,11 +334,15 @@ class ProtocolNode:
         # crash interrupted: waits nobody will resume.  They go with the
         # table, which reference counting can then free — a stall closes
         # over its replica, so left in place each one is a cycle.
+        # A handler's continuation (a call, not an event) goes too: the
+        # crash ended the handler.
         for replica in self.replicas:
             condition = replica.condition
             if condition.waiters:
-                condition.waiters = [(predicate, event) for predicate, event
-                                     in condition.waiters if event.callbacks]
+                condition.waiters = [
+                    (predicate, waiter) for predicate, waiter
+                    in condition.waiters
+                    if waiter.__class__ is not tuple and waiter.callbacks]
         observer = self._replica_event if self.tracer.enabled else None
         self.replicas = ReplicaTable(self.sim, self.node_id,
                                      observer=observer)
@@ -431,11 +440,6 @@ class ProtocolNode:
             self._send(dst, message, lazy, delivered)
             yield delivered
 
-    def _store_read_cost(self, key: int) -> float:
-        if self.store is None:
-            return 0.0
-        return self.store.read_cost(key)
-
     def _store_write_cost(self, key: int, value: Any) -> float:
         if self.store is None:
             return 0.0
@@ -494,8 +498,8 @@ class ProtocolNode:
             return
         version, value = replica.persist_target
         replica.persist_target = None
-        self.memory.persist_then(replica.key, self._persist_drained,
-                                 replica, version, value)
+        self.memory.nvm.persist_then(replica.key, self._persist_drained,
+                                     replica, version, value)
 
     def _persist_drained(self, replica: KeyReplica, version: Version,
                          value: Any) -> None:
@@ -505,21 +509,21 @@ class ProtocolNode:
     def _ensure_persisted(self, replica: KeyReplica, version: Version,
                           value: Any, trigger: str) -> Generator:
         """Process: return once ``version`` (or newer) is durable locally."""
-        persisted = self._persisted_event(replica, version, value, trigger)
-        if persisted is not None:
-            yield persisted
+        durable = self._persist_wait(replica, version, value, trigger)
+        if durable is not None:
+            yield replica.condition.wait_for(durable)
 
-    def _persisted_event(self, replica: KeyReplica, version: Version,
-                         value: Any, trigger: str) -> Optional[Event]:
+    def _persist_wait(self, replica: KeyReplica, version: Version,
+                      value: Any, trigger: str) -> Optional[Callable]:
         """Ask for ``version`` to be persisted (write-combined) and
-        return the event that fires once it, or a newer one, is durable
-        locally — ``None`` if that is already so.  What a process yields
-        and a callback handler attaches its continuation to."""
+        return the predicate that holds once it, or a newer one, is
+        durable locally — ``None`` if that is already so.  What a
+        process waits for on the replica's condition, and a callback
+        handler hangs its continuation on."""
         if replica.persisted_version >= version:
             return None
         self._request_persist(replica, version, value, trigger)
-        return replica.condition.wait_for(
-            lambda: replica.persisted_version >= version)
+        return lambda: replica.persisted_version >= version
 
     def _place_persist(self, replica: KeyReplica, version: Version, value: Any,
                        placed: Optional[str]) -> None:
@@ -677,12 +681,81 @@ class ProtocolNode:
 
         Holds a request worker for the full duration, stalls included.
         """
-        yield self.request_workers.acquire()
+        sim, store = self.sim, self.store
+        if not self.request_workers.try_acquire():  # a free one: no event
+            yield self.request_workers.acquire()
         try:
-            value = yield from self._do_read(ctx, key)
+            yield sim.timeout(self.config.req_proc_ns + (
+                0.0 if store is None else store.read_cost(key)))
+            replica = self.replicas.get(key)
+            if self.cpolicy.transactional and ctx.txn is not None:
+                self.txn_table.check_access(ctx.txn, key, is_write=False)
+
+            # The stalls and the memory read loop until the guards hold
+            # for the state the read actually samples: the volatile read
+            # costs simulated time, so a write racing in during it could
+            # otherwise slip an unvalidated (or, under Read-Enforced
+            # persistency, a not-yet-durable) version past guards that
+            # were checked against an older snapshot.
+            guarded, caches = self._read_guarded, self.memory.caches
+            while True:
+                if guarded:
+                    invalidated, undurable = self._read_guard(replica)
+                else:
+                    invalidated = undurable = False
+                if invalidated:
+                    self.metrics.read_stalls += 1
+                    if self.ppolicy.dual_acks:
+                        # Under Read-Enforced persistency the transient
+                        # state only clears at VAL_p, so this stall is a
+                        # read racing a yet-to-persist write (the
+                        # conflicts of Section 8.1.2).
+                        self.metrics.reads_blocked_by_unpersisted += 1
+                    stall_start = sim.now
+                    yield replica.condition.wait_for(
+                        lambda: not replica.transient)
+                    if self.tracer.enabled:
+                        self.tracer.emit(sim.now, "read_stall",
+                                         node=self.node_id,
+                                         dur=sim.now - stall_start, key=key)
+                    # Durability is judged once that stall is over.
+                    undurable = self._read_guard(replica)[1]
+                if undurable:
+                    target = replica.applied_version
+                    self.metrics.reads_blocked_by_unpersisted += 1
+                    stall_start = sim.now
+                    yield replica.condition.wait_for(
+                        lambda: self._durable_to_readers(replica) >= target)
+                    if self.tracer.enabled and sim.now > stall_start:
+                        self.tracer.emit(sim.now, "read_blocked_unpersisted",
+                                         node=self.node_id,
+                                         dur=sim.now - stall_start, key=key)
+                latency, needs_dram = caches.access_latency()
+                yield sim.timeout(latency)
+                if needs_dram:
+                    yield from self.memory.dram.read(0)
+                # Re-validate against what is visible *now*; a write
+                # applied during the memory read restarts the sequence.
+                if not guarded or not any(self._read_guard(replica)):
+                    break
+
+            if (self.ppolicy.read_returns_persisted
+                    and not self.cpolicy.uses_inv):
+                # <Causal/Eventual, Synchronous>: return the latest
+                # *persisted* version so every read value is recoverable
+                # (Figure 2(f)).
+                version = replica.persisted_version
+                value = replica.persisted_value
+            else:
+                version, value = replica.applied_version, replica.applied_value
+            if self.cpolicy.causal:
+                ctx.observe(key, version)
+            ctx.last_read_version = version
+            if self.version_board is not None:
+                self.version_board.score_read(key, version)
+            return value
         finally:
             self.request_workers.release()
-        return value
 
     def _durable_to_readers(self, replica: KeyReplica) -> Version:
         """The newest version known durable, as far as a reader here can
@@ -702,69 +775,6 @@ class ProtocolNode:
                 self.ppolicy.read_requires_applied_persisted
                 and self._durable_to_readers(replica) < replica.applied_version)
 
-    def _do_read(self, ctx: ClientContext, key: int) -> Generator:
-        yield self.sim.timeout(self.config.req_proc_ns + self._store_read_cost(key))
-        replica = self.replicas.get(key)
-
-        if self.cpolicy.transactional and ctx.txn is not None:
-            self.txn_table.check_access(ctx.txn, key, is_write=False)
-
-        # The stalls and the memory read loop until the guards hold for
-        # the state the read actually samples: the volatile read costs
-        # simulated time, so a write racing in during it could otherwise
-        # slip an unvalidated (or, under Read-Enforced persistency, a
-        # not-yet-durable) version past guards that were checked against
-        # an older snapshot.
-        while True:
-            invalidated, undurable = self._read_guard(replica)
-            if invalidated:
-                self.metrics.read_stalls += 1
-                if self.ppolicy.dual_acks:
-                    # Under Read-Enforced persistency the transient state
-                    # only clears at VAL_p, so this stall is a read racing
-                    # a yet-to-persist write (the conflicts of
-                    # Section 8.1.2).
-                    self.metrics.reads_blocked_by_unpersisted += 1
-                stall_start = self.sim.now
-                yield replica.condition.wait_for(lambda: not replica.transient)
-                if self.tracer.enabled:
-                    self.tracer.emit(self.sim.now, "read_stall",
-                                     node=self.node_id,
-                                     dur=self.sim.now - stall_start, key=key)
-                # Durability is judged once that stall is over.
-                undurable = self._read_guard(replica)[1]
-
-            if undurable:
-                target = replica.applied_version
-                self.metrics.reads_blocked_by_unpersisted += 1
-                stall_start = self.sim.now
-                yield replica.condition.wait_for(
-                    lambda: self._durable_to_readers(replica) >= target)
-                if self.tracer.enabled and self.sim.now > stall_start:
-                    self.tracer.emit(self.sim.now, "read_blocked_unpersisted",
-                                     node=self.node_id,
-                                     dur=self.sim.now - stall_start, key=key)
-
-            yield from self.memory.volatile_read(key)
-
-            # Re-validate against what is visible *now*; a write applied
-            # during the memory read restarts the guarded sequence.
-            if not any(self._read_guard(replica)):
-                break
-
-        if self.ppolicy.read_returns_persisted and not self.cpolicy.uses_inv:
-            # <Causal/Eventual, Synchronous>: return the latest *persisted*
-            # version so every read value is recoverable (Figure 2(f)).
-            version, value = replica.persisted_version, replica.persisted_value
-        else:
-            version, value = replica.applied_version, replica.applied_value
-        if self.cpolicy.causal:
-            ctx.observe(key, version)
-        ctx.last_read_version = version
-        if self.version_board is not None:
-            self.version_board.score_read(key, version)
-        return value
-
     # ------------------------------------------------------------------
     # client API: writes
     # ------------------------------------------------------------------
@@ -773,7 +783,8 @@ class ProtocolNode:
         """Process: one client write; returns at the model's completion
         point (e.g. after VALs under <Linearizable, Synchronous>, or
         immediately after the local update under Causal)."""
-        yield self.request_workers.acquire()
+        if not self.request_workers.try_acquire():
+            yield self.request_workers.acquire()
         try:
             yield from self._do_write(ctx, key, value)
         finally:
@@ -1409,9 +1420,9 @@ class ProtocolNode:
                 replica = self.replicas.get(message.key)
                 yield from self.memory.volatile_update(
                     message.key, self.config.value_bytes, via_ddio=True)
-                persisted = self._install(message, replica)
-                if persisted is not None:
-                    yield persisted
+                durable = self._install(message, replica)
+                if durable is not None:
+                    yield replica.condition.wait_for(durable)
                 work.append(message.key)
 
     # -- an INV's or UPD's payload, once in the LLC --------------------------
@@ -1420,10 +1431,10 @@ class ProtocolNode:
                    replica: KeyReplica) -> Any:
         """Segment: install the payload, then go on once a persist placed
         first is done (``_install`` ACKs an INV that waits for none)."""
-        persisted = self._install(message, replica)
-        if persisted is not None:
-            persisted.callbacks.append(lambda _event: self._handle_now(
-                True, self._installed, message, arrived_ns))
+        durable = self._install(message, replica)
+        if durable is not None:
+            replica.condition.call_when(durable, self._handle_now, True,
+                                        self._installed, message, arrived_ns)
             return _PARKED
         if message.msg_type is MsgType.UPD:
             return self._installed(message, arrived_ns)
@@ -1445,14 +1456,15 @@ class ProtocolNode:
         return None
 
     def _install(self, message: Message,
-                 replica: KeyReplica) -> Optional[Event]:
+                 replica: KeyReplica) -> Optional[Callable]:
         """An INV's or UPD's payload has reached the LLC: apply it under
         last-writer-wins (with undo inside a transaction), free its DDIO
         space, put the winner in the store and carry out the follower's
         placement.  Where that puts the persist first — before an INV's
         ACK (Figure 2(b)), at an UPD's visibility point (Figure 2(f)) —
-        and it is not done yet, returns the event to wait on; otherwise
-        an INV has been acknowledged here."""
+        and it is not done yet, returns the predicate to wait for (see
+        :meth:`_persist_wait`); otherwise an INV has been acknowledged
+        here."""
         in_txn = message.txn_id is not None
         if in_txn:
             self._apply_txn_write(replica, message.version, message.value)
@@ -1468,11 +1480,11 @@ class ProtocolNode:
         placed = self._follower_places[in_txn]
         is_inv = message.msg_type is MsgType.INV
         if placed in ACK_AFTER_PERSIST:
-            persisted = self._persisted_event(
+            durable = self._persist_wait(
                 replica, message.version, message.value, placed)
-            if persisted is None and is_inv:
+            if durable is None and is_inv:
                 self._installed(message)
-            return persisted
+            return durable
         if is_inv:
             self._send(message.src, Message(MsgType.ACK_C, src=self.node_id,
                                             op_id=message.op_id,

@@ -54,6 +54,8 @@ class CacheLevel:
             raise ValueError(f"hit ratio out of range: {hit_ratio}")
         self.sim = sim
         self.timing = timing
+        # Read on every access: a plain attribute, as on ``Llc``.
+        self.round_trip_ns = timing.round_trip_ns
         self.hit_ratio = hit_ratio
         self.rng = rng
         self.name = name
@@ -134,9 +136,9 @@ class CacheHierarchy:
     def access_latency(self) -> tuple:
         """Return ``(latency_ns, needs_dram)`` for one data access."""
         if self.l1.lookup():
-            return (self.l1.timing.round_trip_ns, False)
+            return (self.l1.round_trip_ns, False)
         if self.l2.lookup():
-            return (self.l2.timing.round_trip_ns, False)
+            return (self.l2.round_trip_ns, False)
         if self.llc.level.lookup():
             return (self.llc.round_trip_ns, False)
         return (self.llc.round_trip_ns, True)

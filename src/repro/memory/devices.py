@@ -94,35 +94,6 @@ class MemoryDevice:
             bank.release()
         return service_ns
 
-    def _access_then(self, address: int, service_ns: float,
-                     done: Callable[..., None], *args: Any) -> None:
-        """:meth:`_access` for a holder nobody can interrupt: no process,
-        one ``call_at`` per access.  Queues at the same bank FIFO as the
-        generator form, fixes the service time at the grant the same
-        way, and calls ``done(charged_ns, *args)`` once the bank is
-        released."""
-        bank = self._bank_for(address)
-        if bank.try_acquire():  # a free bank: granted with no event
-            self._serve(bank, self.sim.now, service_ns, done, args)
-        else:
-            enqueue_time = self.sim.now
-            bank.acquire().callbacks.append(lambda _grant: self._serve(
-                bank, enqueue_time, service_ns, done, args))
-
-    def _serve(self, bank: Resource, enqueue_time: float, service_ns: float,
-               done: Callable[..., None], args: tuple) -> None:
-        now = self.sim.now
-        self.queued_ns += now - enqueue_time
-        service_ns = service_ns * self.slowdown
-        self.sim.call_at(now + service_ns, self._served, bank, service_ns,
-                         done, args)
-
-    def _served(self, bank: Resource, service_ns: float,
-                done: Callable[..., None], args: tuple) -> None:
-        self.busy_ns += service_ns
-        bank.release()
-        done(service_ns, *args)
-
     def read(self, address: int) -> Generator:
         """Process: perform a read access to ``address``."""
         self.reads += 1
@@ -185,13 +156,34 @@ class NvmDevice(MemoryDevice):
                      *args: Any) -> None:
         """:meth:`persist` as a callback: ``fn(*args)`` runs when the
         write is durable.  For callers that cannot be interrupted while
-        they hold the bank (the engine's write-combining drain)."""
+        they hold the bank (the engine's write-combining drain): no
+        process, one ``call_at`` per persist.  Queues at the same bank
+        FIFO as the generator form and fixes the service time at the
+        grant the same way; a free bank is taken in place."""
         self.persists += 1
-        self._access_then(address, self.timing.write_ns, self._persisted,
-                          self.sim.now, address, fn, args)
+        bank = self._banks[address % self._bank_count]
+        start = self.sim.now
+        if bank.try_acquire():
+            service_ns = self.timing.write_ns * self.slowdown
+            self.sim.call_at(start + service_ns, self._persisted, bank,
+                             start, address, service_ns, fn, args)
+        else:
+            bank.acquire().callbacks.append(lambda _grant: self._granted(
+                bank, start, address, fn, args))
 
-    def _persisted(self, service_ns: float, start: float, address: int,
-                   fn: Callable[..., None], args: tuple) -> None:
+    def _granted(self, bank: Resource, start: float, address: int,
+                 fn: Callable[..., None], args: tuple) -> None:
+        now = self.sim.now
+        self.queued_ns += now - start
+        service_ns = self.timing.write_ns * self.slowdown
+        self.sim.call_at(now + service_ns, self._persisted, bank, start,
+                         address, service_ns, fn, args)
+
+    def _persisted(self, bank: Resource, start: float, address: int,
+                   service_ns: float, fn: Callable[..., None],
+                   args: tuple) -> None:
+        self.busy_ns += service_ns
+        bank.release()
         if self.tracer.enabled:
             self._emit_persist_span(start, address, service_ns)
         fn(*args)

@@ -1,15 +1,16 @@
 """Per-node memory hierarchy: caches + DRAM + NVM as one facade.
 
 :class:`MemoryHierarchy` is what a :class:`repro.cluster.node.Node` owns.
-The protocol engine uses three operations:
+The protocol engine uses two operations here:
 
 * ``volatile_update`` / ``volatile_update_then`` — apply an update to
   the volatile hierarchy (LLC via DDIO for NIC-delivered payloads, or a
   cache access for locally-produced writes), as a process or — NIC
   deliveries only — as a callback.
-* ``volatile_read`` — read a key from the volatile hierarchy.
-* ``persist`` / ``persist_then`` — durably write an update to NVM
-  (queues at NVM banks), as a process or as a callback.
+* ``persist`` — durably write an update to NVM (queues at NVM banks).
+
+A read walks ``caches`` and ``dram`` itself, and the callback form of a
+persist is ``nvm.persist_then``: one frame each, not two.
 """
 
 from __future__ import annotations
@@ -80,16 +81,6 @@ class MemoryHierarchy:
         yield from self.dram.write(address)
         fn(*args)
 
-    def volatile_read(self, address: int) -> Generator:
-        """Process: read one key from the volatile hierarchy.
-
-        :meth:`CacheHierarchy.access` written out, so a read is one
-        generator, not two."""
-        latency, needs_dram = self.caches.access_latency()
-        yield self.sim.timeout(latency)
-        if needs_dram:
-            yield from self.dram.read(0)
-
     def consume_ddio(self, size_bytes: int = 64) -> None:
         """Release DDIO space once an update has been ingested."""
         self.caches.llc.ddio_consume(size_bytes)
@@ -99,11 +90,6 @@ class MemoryHierarchy:
     def persist(self, address: int) -> Generator:
         """Process: durably write one update to NVM."""
         yield from self.nvm.persist(address)
-
-    def persist_then(self, address: int, fn: Callable[..., None],
-                     *args: Any) -> None:
-        """:meth:`persist` as a callback, for uninterruptible callers."""
-        self.nvm.persist_then(address, fn, *args)
 
     def nvm_read(self, address: int) -> Generator:
         """Process: read from NVM (used during recovery)."""

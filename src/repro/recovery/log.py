@@ -13,17 +13,17 @@ id are recoverable only if that scope's commit marker was written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, NamedTuple, Optional, Set
 
 from repro.core.replica import Version, ZERO_VERSION
 
 __all__ = ["DurableEntry", "NvmLog"]
 
 
-@dataclass(frozen=True)
-class DurableEntry:
-    """One persisted update in a node's NVM."""
+class DurableEntry(NamedTuple):
+    """One persisted update in a node's NVM.  A tuple, because every
+    persist records one: immutable, built without a Python-level
+    ``__init__`` and its four frozen-field ``__setattr__`` calls."""
 
     key: int
     version: Version

@@ -215,14 +215,17 @@ class Condition:
 
     Unlike an event, a condition can be waited on by many processes and
     re-evaluated many times.  State mutators call :meth:`notify` after
-    changing anything the predicates may read.
+    changing anything the predicates may read.  A waiter is a process's
+    event (:meth:`wait_for`) or, for a caller that is not a process, a
+    call (:meth:`call_when`); both kinds wake in one FIFO.
     """
 
     def __init__(self, sim: Simulator, name: str = "condition"):
         self.sim = sim
         self.name = name
-        #: ``(predicate, event)`` pairs.  A hot mutator may skip
-        #: :meth:`notify` while this is empty — there is nothing to wake.
+        #: ``(predicate, waiter)`` pairs, the waiter an event or a
+        #: ``(fn, args)`` call.  A hot mutator may skip :meth:`notify`
+        #: while this is empty — there is nothing to wake.
         self.waiters: List[tuple] = []
 
     def wait_for(self, predicate: Callable[[], bool]) -> Event:
@@ -234,16 +237,29 @@ class Condition:
             self.waiters.append((predicate, event))
         return event
 
+    def call_when(self, predicate: Callable[[], bool],
+                  fn: Callable[..., None], *args: Any) -> None:
+        """:meth:`wait_for` without the event: ``fn(*args)`` is pushed with
+        ``call_at(now, ...)`` once ``predicate()`` is true — where the
+        event's ``succeed()`` would have queued it."""
+        if predicate():
+            self.sim.call_at(self.sim.now, fn, *args)
+        else:
+            self.waiters.append((predicate, (fn, args)))
+
     def notify(self) -> None:
         """Re-check all waiting predicates; wake those now satisfied."""
         if not self.waiters:
             return
         still_waiting = []
-        for predicate, event in self.waiters:
-            if predicate():
-                event.succeed()
+        for predicate, waiter in self.waiters:
+            if not predicate():
+                still_waiting.append((predicate, waiter))
+            elif waiter.__class__ is tuple:
+                fn, args = waiter
+                self.sim.call_at(self.sim.now, fn, *args)
             else:
-                still_waiting.append((predicate, event))
+                waiter.succeed()
         self.waiters = still_waiting
 
     @property

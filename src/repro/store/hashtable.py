@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.store.base import KvStore
+from repro.store.base import VISIT_NS, KvStore
 
 __all__ = ["HashTableStore"]
 
@@ -56,14 +56,25 @@ class HashTableStore(KvStore):
             probes += 1
 
     def _resize(self, new_capacity: int) -> None:
-        old_items = list(self.items())
+        """Rehash into ``new_capacity`` slots in one pass over the old
+        ones, in slot order: the layout ``put`` of each live key would
+        build (keys are distinct and the new table holds no tombstone,
+        so each lands in the first empty slot of its probe run)."""
+        old_keys, old_values = self._keys, self._values
+        mask = new_capacity - 1
+        keys: List[Any] = [_EMPTY] * new_capacity
+        values: List[Any] = [None] * new_capacity
+        for slot_key, value in zip(old_keys, old_values):
+            if slot_key is _EMPTY or slot_key is _TOMBSTONE:
+                continue
+            index = (slot_key * 2654435769) & mask
+            while keys[index] is not _EMPTY:
+                index = (index + 1) & mask
+            keys[index] = slot_key
+            values[index] = value
         self._capacity = new_capacity
-        self._keys = [_EMPTY] * new_capacity
-        self._values = [None] * new_capacity
-        self._size = 0
-        self._used = 0
-        for key, value in old_items:
-            self.put(key, value)
+        self._keys, self._values = keys, values
+        self._used = self._size
 
     # -- KvStore API -------------------------------------------------------------
 
@@ -100,8 +111,13 @@ class HashTableStore(KvStore):
         return self._size
 
     def _walk_length(self, key: int) -> int:
-        _index, probes, _tomb = self._probe(key)
-        return probes
+        return self._probe(key)[1]
+
+    def read_cost(self, key: int) -> float:
+        return self._probe(key)[1] * VISIT_NS
+
+    def write_cost(self, key: int, value: Any) -> float:
+        return (self._probe(key)[1] + 1) * VISIT_NS
 
     def items(self) -> Iterator[Tuple[int, Any]]:
         for slot_key, value in zip(self._keys, self._values):

@@ -125,9 +125,10 @@ class Client:
     # ------------------------------------------------------------------
 
     def _run(self) -> Generator:
-        transactional = self.node.cpolicy.transactional
-        scoped = self.node.ppolicy.scoped
-        scope_length = self.node.config.scope_length
+        node, sim, client_id = self.node, self.sim, self.client_id
+        transactional = node.cpolicy.transactional
+        scoped = node.ppolicy.scoped
+        scope_length = node.config.scope_length
         requests_since_persist = 0
         try:
             while not self._stop and (self.max_requests is None
@@ -136,7 +137,39 @@ class Client:
                 if transactional:
                     count = yield from self._run_transaction()
                 else:
-                    count = yield from self._run_single()
+                    # A plain request, run here rather than one generator
+                    # deeper: most operations are these.
+                    op, key, value = self.stream.next_request()
+                    start = sim.now
+                    ctx, history = self.ctx, self.history
+                    self.in_flight = (op, key)
+                    if history is not None:
+                        history.invoke(
+                            client_id, node.node_id, op, key,
+                            value=None if op == "read" else value,
+                            scope_id=(ctx.current_scope_id
+                                      if scoped and op == "write" else None))
+                    if op == "read":
+                        result = yield from node.client_read(ctx, key)
+                        if history is not None:
+                            history.complete(client_id,
+                                             version=ctx.last_read_version,
+                                             value=result)
+                        if self.record_reads:
+                            self.read_observations.append(
+                                (key, ctx.last_read_version))
+                    else:
+                        yield from node.client_write(ctx, key, value)
+                        if history is not None:
+                            history.complete(client_id,
+                                             version=ctx.last_write_version)
+                        if self.record_ops:
+                            self.completed_writes.append(
+                                (key, ctx.last_write_version))
+                    self.in_flight = None
+                    self.metrics.record_op(OpRecord(
+                        op, node.node_id, client_id, key, start, sim.now))
+                    count = 1
                 self.completed_requests += count
                 if scoped:
                     requests_since_persist += count
@@ -157,40 +190,6 @@ class Client:
         self.metrics.record_op(OpRecord(
             op_type, self.node.node_id, self.client_id, key, start_ns,
             self.sim.now))
-
-    # -- plain requests -------------------------------------------------------------
-
-    def _run_single(self) -> Generator:
-        op, key, value = self.stream.next_request()
-        start = self.sim.now
-        self.in_flight = (op, key)
-        if self.history is not None:
-            scoped = self.node.ppolicy.scoped
-            self.history.invoke(
-                self.client_id, self.node.node_id, op, key,
-                value=None if op == "read" else value,
-                scope_id=(self.ctx.current_scope_id
-                          if scoped and op == "write" else None))
-        if op == "read":
-            result = yield from self.node.client_read(self.ctx, key)
-            if self.history is not None:
-                self.history.complete(self.client_id,
-                                      version=self.ctx.last_read_version,
-                                      value=result)
-            if self.record_reads:
-                self.read_observations.append(
-                    (key, self.ctx.last_read_version))
-        else:
-            yield from self.node.client_write(self.ctx, key, value)
-            if self.history is not None:
-                self.history.complete(self.client_id,
-                                      version=self.ctx.last_write_version)
-            if self.record_ops:
-                self.completed_writes.append(
-                    (key, self.ctx.last_write_version))
-        self.in_flight = None
-        self._record(op, key, start)
-        return 1
 
     def _run_scope_persist(self) -> Generator:
         start = self.sim.now

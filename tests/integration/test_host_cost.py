@@ -2,13 +2,15 @@
 
 Two guards on the message path that no simulated number shows:
 
-* **Frames per message.**  Every hop of a message — a landing, a
-  handler's entry, a send — is a call the kernel or the network makes;
-  the plumbing between them (per-call objects, a delivery helper,
-  ``Enum`` hashing, per-send property reads, notifying nobody) was cut
-  to at most one frame per hop.  Python-level ``call`` events, counted
-  with ``sys.setprofile`` (cProfile would also count C calls, which
-  differ between Python versions), per message of a small fixed-work
+* **Frames per message and per read.**  Every hop of a message — a
+  landing, a handler's entry, a send — is a call the kernel or the
+  network makes; the plumbing between them (per-call objects, a
+  delivery helper, ``Enum`` hashing, per-send property reads, notifying
+  nobody, the NVM grant relay) was cut to at most one frame per hop.  A
+  client read is one generator: a worker grant, two sleeps.
+  Python-level ``call`` events, counted with ``sys.setprofile``
+  (cProfile would also count C calls, which differ between Python
+  versions), per message or per completed read of a small fixed-work
   run must stay under the measured value + 10 %, as
   ``MESSAGE_COST_CEILINGS`` holds kernel events per message.
 * **No cyclic garbage.**  Everything a round, a stall or a landing
@@ -47,21 +49,33 @@ TXN_SCOPE = DdpModel(C.TRANSACTIONAL, P.SCOPE)
 #: Python frames per message on 3 servers x 2 clients, 10 YCSB-A
 #: requests per client, seed 2021, drained: measured (CPython 3.11.7)
 #: plus 10 %.  The per-hop plumbing cut from the message path cost
-#: 68.2 / 137.8 frames per message on the first two cells.
+#: 68.2 / 137.8 frames per message on the first two cells; before the
+#: read chain and the NVM grant relay were cut, all five cost 52.25 /
+#: 110.22 / 46.45 / 79.88 / 53.82.
 FRAME_CEILINGS = {
-    str(LIN_SYNC): 57.8,           # measured 52.58
-    str(CAUSAL_EVENTUAL): 122.3,   # measured 111.21
-    str(RE_RE): 51.4,              # measured 46.70
-    str(CAUSAL_STRICT): 88.1,      # measured 80.12
-    str(TXN_SCOPE): 59.1,          # measured 53.72
+    str(LIN_SYNC): 48.4,           # measured 43.98
+    str(CAUSAL_EVENTUAL): 98.3,    # measured 89.34
+    str(RE_RE): 45.6,              # measured 41.43
+    str(CAUSAL_STRICT): 75.8,      # measured 68.92
+    str(TXN_SCOPE): 56.5,          # measured 51.38
+}
+
+#: Python frames per completed request of the same run on YCSB-C (all
+#: reads), measured (CPython 3.11.7) plus 10 %: 45.78 / 46.78 before
+#: the client's read chain was one generator.
+READ_FRAME_CEILINGS = {
+    str(CAUSAL_EVENTUAL): 28.3,    # measured 25.70
+    str(LIN_SYNC): 31.6,           # measured 28.70
 }
 
 
-def python_frames_per_message(model: DdpModel) -> float:
+def python_frames(model: DdpModel, workload: str = "A"):
+    """Python frames a drained fixed-work run makes, with the run's
+    cluster (to divide by what it did)."""
     cluster = Cluster(model, config=ClusterConfig(servers=3,
                                                   clients_per_server=2,
                                                   seed=2021),
-                      workload=WORKLOADS["A"])
+                      workload=WORKLOADS[workload])
     for client in cluster.clients:
         client.max_requests = 10
     cluster.start()
@@ -77,15 +91,25 @@ def python_frames_per_message(model: DdpModel) -> float:
         cluster.sim.run()
     finally:
         sys.setprofile(None)
-    # Drained with no faults: every message sent was handled.
-    return frames / cluster.network.total_messages
+    return frames, cluster
 
 
 @pytest.mark.parametrize("model", [LIN_SYNC, CAUSAL_EVENTUAL, RE_RE,
                                    CAUSAL_STRICT, TXN_SCOPE], ids=str)
 def test_python_frames_per_message_stay_under_the_ceiling(model):
-    frames = python_frames_per_message(model)
+    frames, cluster = python_frames(model)
+    # Drained with no faults: every message sent was handled.
+    frames /= cluster.network.total_messages
     assert frames <= FRAME_CEILINGS[str(model)], (str(model), frames)
+
+
+@pytest.mark.parametrize("model", [CAUSAL_EVENTUAL, LIN_SYNC], ids=str)
+def test_python_frames_per_read_stay_under_the_ceiling(model):
+    frames, cluster = python_frames(model, workload="C")
+    reads = sum(client.completed_requests for client in cluster.clients)
+    assert reads == 60 and cluster.network.total_messages == 0
+    frames /= reads
+    assert frames <= READ_FRAME_CEILINGS[str(model)], (str(model), frames)
 
 
 def cyclic_garbage(run) -> Counter:

@@ -104,6 +104,30 @@ class TestHashTable:
         table.put(1, "x")
         assert table._walk_length(1) >= 1
 
+    @pytest.mark.parametrize("capacity", [8, 16, 64])
+    def test_growth_lays_out_what_reinsertion_would(self, capacity):
+        """The one-pass rehash against the item-by-item ``put`` it
+        replaced, kept here as the reference: with tombstones in the old
+        table, the same slots, counts, probe lengths and costs."""
+        table = HashTableStore(initial_capacity=capacity)
+        keys = [key * 7 % 61 for key in range(capacity // 2)]
+        for key in keys:
+            table.put(key, -key)
+        for key in keys[::3]:
+            table.delete(key)
+        reference = HashTableStore(initial_capacity=capacity * 2)
+        for key, value in table.items():
+            reference.put(key, value)
+        table._resize(capacity * 2)
+        assert table._keys == reference._keys
+        assert table._values == reference._values
+        assert (len(table), table._used) == (len(reference), reference._used)
+        for key in range(61):
+            assert table._walk_length(key) == reference._walk_length(key)
+            assert table.read_cost(key) == reference.read_cost(key)
+            assert (table.write_cost(key, None)
+                    == reference.write_cost(key, None))
+
 
 class TestSortedMap:
     def test_items_sorted(self):
