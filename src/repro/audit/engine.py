@@ -40,7 +40,7 @@ def _clock() -> float:
     # Checker cost is genuinely host time: the audit runs after the
     # simulation has stopped and reports its own expense, never feeding
     # it back into event order.
-    return time.perf_counter()  # repro: lint-ok[wall-clock-ban] post-run audit cost accounting, outside the simulation
+    return time.perf_counter()
 
 
 def _op_json(op: HistoryOpRecord) -> Dict[str, Any]:

@@ -30,8 +30,10 @@ docs/handbook.md "CLI reference"):
   exit 0 target model passes, 1 violation, 2 unusable history.
 * ``recover`` — run, crash the whole cluster, simulate recovery.
 * ``tradeoffs`` — print the derived Table 4 (or the full grid).
-* ``lint`` / ``order`` — the project's static analysis and the tie-batch
-  sanitizer sweep (:mod:`repro.devtools.cli`).
+* ``order`` — the tie-batch sanitizer sweep
+  (:mod:`repro.devtools.sanitizer`): exit 0 every model byte-identical
+  under permuted same-timestamp deliveries, 1 a diverged or vacuous
+  cell.
 
 Examples::
 
@@ -55,7 +57,7 @@ Examples::
     python -m repro.cli dash sweep.json --baseline old_sweep.json --bench-dir benchmarks/results
     python -m repro.cli tradeoffs --all
     python -m repro.cli recover --persistency eventual --strategy majority
-    python -m repro.cli lint src tests benchmarks --json
+    python -m repro.cli order --json
 """
 
 from __future__ import annotations
@@ -71,9 +73,7 @@ from repro.analysis.report import format_summary_table
 from repro.analysis.waterfall import aggregate_journeys, format_waterfall
 from repro.core.model import Consistency, DdpModel, Persistency, all_ddp_models
 from repro.core.tradeoffs import analyze_all
-from repro.devtools.cli import (add_lint_parser, add_order_parser,
-                                cmd_lint, cmd_order)
-from repro.devtools.engine import UsageError
+from repro.devtools import sanitizer
 from repro.faults import (FaultInjector, load_fault_plan,
                           plan_from_crash_specs, validate_faulty_run)
 from repro.obs import (
@@ -427,8 +427,25 @@ def build_parser() -> argparse.ArgumentParser:
                                 choices=["latest", "majority"])
     _add_common(recover_parser)
 
-    add_lint_parser(subparsers)
-    add_order_parser(subparsers)
+    order_parser = subparsers.add_parser(
+        "order",
+        help="tie-batch sanitizer sweep across all 25 DDP models",
+        description="Permute the processing order of same-timestamp "
+                    "message deliveries (one alternative order per "
+                    "seed) and require every model's final protocol "
+                    "state to stay byte-identical to its unpermuted "
+                    "run.")
+    order_parser.add_argument("--json", action="store_true",
+                              help="emit the repro.order_sweep/2 JSON "
+                                   "document")
+    order_parser.add_argument("--seeds", default="1,2,3,4",
+                              metavar="S[,S...]",
+                              help="permutation seeds (default: 1,2,3,4)")
+    order_parser.add_argument("--ops", type=int, default=30, metavar="N",
+                              help="request budget per client (fixed-work "
+                                   "drain; default: 30)")
+    order_parser.add_argument("--sweep-out", metavar="FILE", default=None,
+                              help="also write the JSON document to FILE")
     return parser
 
 
@@ -848,7 +865,30 @@ def _cmd_recover(args) -> int:
 
 def _cmd_order(args) -> int:
     _preflight(args.sweep_out)
-    return cmd_order(args)
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError as exc:
+        raise _CliError(f"--seeds: {exc}") from exc
+    result = sanitizer.sweep(ops_per_client=args.ops, seeds=seeds)
+    payload = json.dumps(result.to_dict(), indent=2)
+    if args.sweep_out:
+        with open(args.sweep_out, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
+    if args.json:
+        print(payload)
+    else:
+        cells = result.cells
+        permuted = sum(sum(c.permuted.values()) for c in cells)
+        print(f"sanitizer: {len(cells)} model(s) x {len(result.seeds)} "
+              f"seed(s), {permuted} batch permutation(s), "
+              f"{'all byte-identical' if result.ok else 'FAILED'}")
+        for cell in result.diverged:
+            print(f"  DIVERGED {cell.model}: seeds {cell.diverged} "
+                  f"(pairs: {cell.observed_pairs})")
+        for cell in result.vacuous:
+            print(f"  VACUOUS {cell.model}: no seed reordered a batch "
+                  f"(byte-identity certifies nothing)")
+    return 0 if result.ok else 1
 
 
 _COMMANDS = {
@@ -862,7 +902,6 @@ _COMMANDS = {
     "dash": _cmd_dash,
     "tradeoffs": _cmd_tradeoffs,
     "recover": _cmd_recover,
-    "lint": cmd_lint,
     "order": _cmd_order,
 }
 
@@ -874,7 +913,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         return 0
-    except (_CliError, DiffError, SchemaError, UsageError) as exc:
+    except (_CliError, DiffError, SchemaError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
 

@@ -190,8 +190,8 @@ class ProtocolNode:
 
     #: Message dispatch, declared at class level (``MsgType`` -> handler
     #: method name) so subclasses extend it declaratively and so
-    #: ``repro lint``'s dispatch-completeness rule can import the class
-    #: and verify every member is handled without running a simulation.
+    #: ``tests/devtools/test_dispatch.py::TestRealEngines`` can check that
+    #: every member is handled without running a simulation.
     #: ``__init__`` binds it once per instance into ``self._handlers``.
     _DISPATCH: Dict[MsgType, str] = {
         MsgType.INV: "_on_inv",
@@ -388,7 +388,7 @@ class ProtocolNode:
     def _replica_event(self, kind: str, key: int, version: Version) -> None:
         """Forward replica apply/persist advances to the tracer (used by
         the Visibility/Durability Point measurement)."""
-        # repro: lint-ok[tracer-guard] only registered as the ReplicaTable observer when tracer.enabled
+        # Only registered as the ReplicaTable observer when tracer.enabled.
         self.tracer.emit(self.sim.now, kind, node=self.node_id,
                          key=key, version=version)
 
@@ -1291,7 +1291,7 @@ class ProtocolNode:
                 name=self._pname["msg"], inline=True)
 
     def _emit_msg_handle(self, message: Message, arrived_ns: float) -> None:
-        # repro: lint-ok[tracer-guard] both callers check tracer.enabled
+        # Both callers check tracer.enabled.
         self.tracer.emit(self.sim.now, "msg_handle", node=self.node_id,
                          dur=self.sim.now - arrived_ns,
                          msg=message.msg_type.label, src=message.src,

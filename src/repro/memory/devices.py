@@ -194,7 +194,7 @@ class NvmDevice(MemoryDevice):
         # pressure shows up directly as widening persist spans;
         # service_ns (the time charged at the grant) isolates the media
         # share so bank queueing is the remainder.
-        # repro: lint-ok[tracer-guard] both callers check tracer.enabled
+        # Both callers check tracer.enabled.
         self.tracer.emit(self.sim.now, "nvm_persist", node=self.trace_node,
                          dur=self.sim.now - start, address=address,
                          outstanding=self.outstanding, service_ns=service_ns)

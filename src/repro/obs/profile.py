@@ -110,13 +110,11 @@ class KernelProfile(Instrument):
         return self
 
     def start(self) -> None:
-        # repro: lint-ok[wall-clock-ban] the profiler's whole job is measuring real elapsed time
         self._wall_start = time.perf_counter()
 
     def stop(self, sim_now: float) -> None:
         """Freeze wall-clock and simulated extent (idempotent)."""
         if self._wall_start is not None:
-            # repro: lint-ok[wall-clock-ban] the profiler's whole job is measuring real elapsed time
             self.wall_seconds += time.perf_counter() - self._wall_start
             self._wall_start = None
         self._flush_tie_run()
@@ -142,7 +140,6 @@ class KernelProfile(Instrument):
         """Bucket the wall time since the previous event ended (or the
         loop began): pop, peek and bookkeeping overhead stays attributed
         to an event kind, so the buckets sum to ~100% of the loop."""
-        # repro: lint-ok[wall-clock-ban] brackets one kernel step for wall attribution
         now = time.perf_counter()
         kind = entry_kind(event)
         bucket = self.by_event_kind.get(kind)
@@ -158,11 +155,9 @@ class KernelProfile(Instrument):
             self.events_defused += 1
 
     def loop_enter(self) -> None:
-        # repro: lint-ok[wall-clock-ban] brackets the event loop for the attribution denominator
         self._loop_start = self._last_stamp = time.perf_counter()
 
     def loop_exit(self) -> None:
-        # repro: lint-ok[wall-clock-ban] brackets the event loop for the attribution denominator
         self.loop_wall_seconds += time.perf_counter() - self._loop_start
 
     def drive_handler(self, label: str, handler: Generator) -> Generator:
@@ -180,7 +175,6 @@ class KernelProfile(Instrument):
         value: Any = None
         error: Optional[BaseException] = None
         while True:
-            # repro: lint-ok[wall-clock-ban] times one handler resume segment
             t0 = time.perf_counter()
             try:
                 if error is None:
@@ -188,14 +182,11 @@ class KernelProfile(Instrument):
                 else:
                     target, error = handler.throw(error), None
             except StopIteration:
-                # repro: lint-ok[wall-clock-ban] times one handler resume segment
                 stats[1] += time.perf_counter() - t0
                 return
             except BaseException:
-                # repro: lint-ok[wall-clock-ban] times one handler resume segment
                 stats[1] += time.perf_counter() - t0
                 raise
-            # repro: lint-ok[wall-clock-ban] times one handler resume segment
             stats[1] += time.perf_counter() - t0
             stats[2] += 1
             try:
@@ -214,12 +205,10 @@ class KernelProfile(Instrument):
         # A handler's first segment counts its message; one that
         # continues it is one more resume, as after a generator's yield.
         stats[2 if resumed else 0] += 1
-        # repro: lint-ok[wall-clock-ban] times one handler call
         t0 = time.perf_counter()
         try:
             return handler(*args)
         finally:
-            # repro: lint-ok[wall-clock-ban] times one handler call
             stats[1] += time.perf_counter() - t0
 
     def _flush_tie_run(self) -> None:
@@ -242,7 +231,7 @@ class KernelProfile(Instrument):
         """
         elapsed = self.wall_seconds
         if self._wall_start is not None:
-            # repro: lint-ok[wall-clock-ban] live snapshots must include the in-flight interval
+            # Live snapshots include the in-flight interval.
             elapsed += time.perf_counter() - self._wall_start
         return elapsed
 

@@ -173,12 +173,10 @@ class SweepProgress:
         self.tty = bool(getattr(self.stream, "isatty", lambda: False)())
         self.done = 0
         self.errors = 0
-        # repro: lint-ok[wall-clock-ban] progress telemetry: ETA needs real elapsed time
         self._start = time.perf_counter()
 
     @property
     def elapsed_seconds(self) -> float:
-        # repro: lint-ok[wall-clock-ban] progress telemetry: ETA needs real elapsed time
         return time.perf_counter() - self._start
 
     def _eta_seconds(self) -> float:

@@ -49,7 +49,7 @@ class TestParser:
 
         monkeypatch.setattr("repro.cli.observed_run", simulated)
         monkeypatch.setattr("repro.cli.run_sweep", simulated)
-        monkeypatch.setattr("repro.cli.cmd_order", simulated)
+        monkeypatch.setattr("repro.devtools.sanitizer.sweep", simulated)
         bad = str(tmp_path / "no-such-dir" / "out")
         for argv in (["run", *small, "--trace-out", bad],
                      ["run", *small, "--trace-jsonl", bad],

@@ -7,7 +7,7 @@ dependency chains/DAGs and random delivery permutations; a replica
 observer records the actual apply/persist order for checking.
 """
 
-# repro: lint-ok[rng-discipline] hypothesis draws the seed; the local Random is derived deterministically from it
+# Hypothesis draws the seed; the local Random is derived deterministically from it.
 import random as stdlib_random
 
 import pytest

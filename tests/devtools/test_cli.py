@@ -1,94 +1,10 @@
-"""`repro lint` / `repro order` CLI: exit codes, --json schema, rule
-listing, the sanitizer sweep's verdict and artifact."""
+"""`repro order` CLI: the sanitizer sweep's verdict, exit codes and
+artifact."""
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.obs.schemas import validate_artifact
-
-
-class TestExitCodes:
-    def test_zero_on_clean_tree(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        assert main(["lint", str(tmp_path)]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_one_on_findings(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("import random\n")
-        assert main(["lint", str(tmp_path)]) == 1
-        assert "rng-discipline" in capsys.readouterr().out
-
-    def test_zero_when_findings_waived(self, tmp_path):
-        (tmp_path / "waived.py").write_text(
-            "import random  # repro: lint-ok[rng-discipline] fixture\n")
-        assert main(["lint", str(tmp_path)]) == 0
-
-    def test_two_on_missing_path(self, capsys):
-        assert main(["lint", "no/such/dir"]) == 2
-        assert "no such file" in capsys.readouterr().err
-
-    def test_two_on_unknown_rule(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        assert main(["lint", str(tmp_path), "--rules", "bogus"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
-
-    def test_two_on_bad_usage(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["lint", "--no-such-flag"])
-        assert exc.value.code == 2
-
-
-class TestJsonOutput:
-    def test_schema_on_findings(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("import random\n")
-        assert main(["lint", str(tmp_path), "--json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro.lint_report/1"
-        assert doc["clean"] is False
-        assert doc["total"] == 1
-        assert doc["counts"]["rng-discipline"] == 1
-        finding = doc["findings"][0]
-        assert set(finding) >= {"rule", "path", "line", "col",
-                                "message", "waived"}
-
-    def test_schema_on_clean(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        assert main(["lint", str(tmp_path), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["clean"] is True and doc["findings"] == []
-
-    def test_waived_findings_visible_in_json(self, tmp_path, capsys):
-        (tmp_path / "waived.py").write_text(
-            "import random  # repro: lint-ok[rng-discipline] fixture\n")
-        assert main(["lint", str(tmp_path), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["waived"] == 1
-        assert doc["findings"][0]["waive_reason"] == "fixture"
-
-
-class TestRuleSelection:
-    def test_rules_subset(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("import random\ny = {}\n")
-        assert main(["lint", str(tmp_path), "--rules",
-                     "bare-except"]) == 0
-
-    def test_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("rng-discipline", "wall-clock-ban",
-                        "tracer-guard", "unordered-iteration",
-                        "dispatch-completeness", "mutable-default",
-                        "bare-except"):
-            assert rule_id in out
-        assert "guards:" in out
-
-    def test_show_waived(self, tmp_path, capsys):
-        (tmp_path / "waived.py").write_text(
-            "import random  # repro: lint-ok[rng-discipline] fixture\n")
-        assert main(["lint", str(tmp_path), "--show-waived"]) == 0
-        assert "[waived: fixture]" in capsys.readouterr().out
 
 
 class TestOrderCommand:

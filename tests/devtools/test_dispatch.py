@@ -1,106 +1,43 @@
-"""dispatch-completeness: import-and-inspect over _DISPATCH tables."""
+"""Dispatch completeness: every engine's ``_DISPATCH`` table maps every
+``MsgType`` member to a callable handler, checked by introspection."""
 
-import sys
+import importlib
+import pkgutil
 
 import pytest
 
+import repro
+from repro.core.engine import ProtocolNode
 from repro.core.messages import MsgType
-from repro.devtools.rules.dispatch import ENGINE_SPECS, inspect_engine
 
-from .conftest import FIXTURES
-
-
-@pytest.fixture(autouse=True)
-def fixtures_on_path():
-    sys.path.insert(0, str(FIXTURES))
-    try:
-        yield
-    finally:
-        sys.path.remove(str(FIXTURES))
-        for mod in ("dispatch_bad", "dispatch_good"):
-            sys.modules.pop(mod, None)
+ENGINES = (("repro.core.engine", "ProtocolNode"),
+           ("repro.hybrid.engine", "HybridProtocolNode"),
+           ("repro.variants.leader", "LeaderProtocolNode"))
 
 
-class TestInspectEngine:
-    def test_incomplete_table_fires(self):
-        problems = inspect_engine("dispatch_bad", "BrokenEngine")
-        assert len(problems) == 2
-        missing = next(p for p in problems if "does not handle" in p)
-        # Every unhandled member is named.
-        assert "ACK" in missing and "VAL_P" in missing
-        assert "INV" not in missing.split("member(s): ")[1]
-        bad_method = next(p for p in problems if "not a method" in p)
-        assert "_on_upd_typo" in bad_method
-
-    def test_missing_table_fires(self):
-        problems = inspect_engine("dispatch_bad", "TableFreeEngine")
-        assert problems and "_DISPATCH" in problems[0]
-
-    def test_complete_table_passes(self):
-        assert inspect_engine("dispatch_good", "CompleteEngine") == []
-
-    def test_coverage_via_mro(self):
-        # HybridProtocolNode-style: the table lives on the base class.
-        assert inspect_engine("dispatch_good", "InheritingEngine") == []
-
-    def test_unimportable_module_is_a_problem_not_a_crash(self):
-        problems = inspect_engine("no_such_module_anywhere", "X")
-        assert problems and "cannot import" in problems[0]
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
 
 
 class TestRealEngines:
-    @pytest.mark.parametrize("module,cls", [
-        (module, cls) for module, cls, _ in ENGINE_SPECS])
+    @pytest.mark.parametrize("module,cls", ENGINES)
     def test_every_engine_handles_every_msgtype(self, module, cls):
-        assert inspect_engine(module, cls) == []
+        engine = getattr(importlib.import_module(module), cls)
+        assert set(engine._DISPATCH) == set(MsgType)
+        for msg_type, name in engine._DISPATCH.items():
+            assert callable(getattr(engine, name, None)), (msg_type, name)
 
     def test_specs_cover_all_engines_with_dispatch_paths(self):
-        modules = {module for module, _, _ in ENGINE_SPECS}
-        assert modules == {"repro.core.engine", "repro.hybrid.engine",
-                           "repro.variants.leader"}
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(info.name)
+        found = {(c.__module__, c.__qualname__)
+                 for c in (ProtocolNode, *_subclasses(ProtocolNode))}
+        assert found == set(ENGINES)
 
     def test_all_msgtypes_enumerated(self):
-        # Table 3: the protocol message vocabulary the rule checks.
+        # Table 3: the protocol message vocabulary the tables must cover.
         assert {m.name for m in MsgType} == {
             "INV", "ACK", "ACK_C", "ACK_P", "VAL", "VAL_C", "VAL_P",
             "UPD", "INITX", "ENDX", "PERSIST"}
-
-
-class TestProjectRuleWiring:
-    def test_rule_fires_through_lint_engine(self):
-        """Linting a file that *claims* to be core/engine.py triggers an
-        import-and-inspect of the real ProtocolNode — which is clean."""
-        from repro.devtools import lint_sources
-        result = lint_sources(
-            [("src/repro/core/engine.py", "class ProtocolNode: pass\n")],
-            rule_ids=["dispatch-completeness"])
-        # The real repro.core.engine.ProtocolNode is inspected (clean);
-        # the source text itself is not what is checked.
-        assert result.clean
-
-    def test_findings_anchor_at_class_def(self, monkeypatch):
-        import repro.devtools.rules.dispatch as dispatch_rule
-        from repro.devtools import lint_sources
-        monkeypatch.setattr(
-            dispatch_rule, "ENGINE_SPECS",
-            (("dispatch_bad", "BrokenEngine", "repro/core/engine.py"),))
-        source = "# comment\nclass BrokenEngine:\n    pass\n"
-        result = lint_sources([("src/repro/core/engine.py", source)],
-                              rule_ids=["dispatch-completeness"])
-        assert not result.clean
-        assert all(f.line == 2 for f in result.unwaived)
-        assert all(f.rule == "dispatch-completeness"
-                   for f in result.unwaived)
-
-    def test_waivable_at_class_def(self, monkeypatch):
-        import repro.devtools.rules.dispatch as dispatch_rule
-        from repro.devtools import lint_sources
-        monkeypatch.setattr(
-            dispatch_rule, "ENGINE_SPECS",
-            (("dispatch_bad", "BrokenEngine", "repro/core/engine.py"),))
-        source = ("# repro: lint-ok[dispatch-completeness] fixture engine is deliberately partial\n"
-                  "class BrokenEngine:\n    pass\n")
-        result = lint_sources([("src/repro/core/engine.py", source)],
-                              rule_ids=["dispatch-completeness"])
-        assert result.clean
-        assert len(result.waived) == 2

@@ -86,6 +86,10 @@ def python_frames(model: DdpModel, workload: str = "A"):
         if event == "call":
             frames += 1
 
+    # Collect what earlier tests left first: a collection firing inside
+    # the window would finalize their clusters' suspended generators,
+    # and every such close() is a frame this run never made.
+    gc.collect()
     sys.setprofile(count)
     try:
         cluster.sim.run()

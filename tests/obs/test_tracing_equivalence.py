@@ -10,17 +10,23 @@ Two properties the whole subsystem depends on:
 """
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.analysis.points import PointsTracker
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
-from repro.core.model import Consistency, DdpModel, Persistency
+from repro.core.model import Consistency, DdpModel, Persistency, all_ddp_models
 from repro.devtools.sanitizer import TieBatchSanitizer, cluster_digest
 from repro.obs import (FanoutTracer, HealthMonitor, JourneyTracker,
                        KernelProfile, write_chrome_trace)
-from repro.sim.trace import Tracer
+from repro.sim.trace import NullTracer, Tracer
 from repro.workload.ycsb import WORKLOADS
 
 MODELS = [
@@ -28,6 +34,26 @@ MODELS = [
     DdpModel(Consistency.CAUSAL, Persistency.EVENTUAL),
     DdpModel(Consistency.TRANSACTIONAL, Persistency.STRICT),
 ]
+
+#: The 25 cells at 3 servers x 2 clients, 30 us, folded into one
+#: sha256 of each cell's ``cluster_digest``, final clock and Summary.
+_MATRIX_DIGEST = """
+import dataclasses, hashlib, json
+from repro.cluster import Cluster, ClusterConfig
+from repro.core.model import all_ddp_models
+from repro.devtools.sanitizer import cluster_digest
+from repro.workload.ycsb import WORKLOADS
+
+digest = hashlib.sha256()
+for model in all_ddp_models():
+    cluster = Cluster(model, config=ClusterConfig(
+        servers=3, clients_per_server=2, seed=2021),
+        workload=WORKLOADS["A"])
+    summary = cluster.run(30_000.0, warmup_ns=3_000.0)
+    digest.update(json.dumps([cluster_digest(cluster), cluster.sim.now,
+                              dataclasses.asdict(summary)]).encode())
+print(digest.hexdigest())
+"""
 
 
 def _run(model, tracer=None, profile=None, monitor=None, seed=2021,
@@ -160,6 +186,44 @@ class TestTracingDoesNotPerturb:
         assert contents[0] == contents[1]
 
 
+class _RaisingTracer(NullTracer):
+    """Disabled like the default tracer, and loud if anything calls it
+    anyway: every emit site must sit behind ``tracer.enabled``."""
+
+    def emit(self, *args, **kwargs):
+        raise AssertionError("emit on a disabled tracer")
+
+    span = emit
+
+
+def _tracing_off_cluster(cell):
+    """One of the 25 cells with a crash-restart (``--crash 1@10+5``), or
+    a leader or hybrid deployment: every engine class, the fault and
+    recovery paths, all on a disabled tracer."""
+    from repro.faults import FaultInjector, plan_from_crash_specs
+    from repro.hybrid import HybridCluster
+    from repro.variants import LeaderCluster
+
+    config = ClusterConfig(servers=3, clients_per_server=2, seed=2021)
+    lin_sync = DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS)
+    common = dict(config=config, workload=WORKLOADS["A"],
+                  tracer=_RaisingTracer())
+    if cell == "leader":
+        return LeaderCluster(lin_sync, **common)
+    if cell == "hybrid":
+        return HybridCluster(lin_sync, groups=2, servers_per_group=2, **common)
+    crash = plan_from_crash_specs(["1@10+5"], seed=2021)
+    return Cluster(cell, faults=FaultInjector(crash), **common)
+
+
+class TestTracingOff:
+    @pytest.mark.parametrize("cell", [*all_ddp_models(), "leader", "hybrid"],
+                             ids=str)
+    def test_no_emit_reaches_a_disabled_tracer(self, cell):
+        summary = _tracing_off_cluster(cell).run(30_000.0, warmup_ns=3_000.0)
+        assert summary.requests > 0 and summary.total_messages > 0
+
+
 class TestHistoryRecorderEquivalence:
     """The audit history recorder is a pure observer at the client
     boundary: attached, it reproduces the unrecorded run exactly (the
@@ -236,31 +300,37 @@ class TestFaultInjectionEquivalence:
     def test_same_seed_same_plan_byte_identical(self, model, tmp_path):
         """Same workload seed + same fault plan => byte-identical traces,
         across a plan that exercises crash-restart, message loss, and
-        duplication (the deterministic-replay guarantee)."""
+        duplication (the deterministic-replay guarantee).  The loss
+        window is long enough that round watchdogs back off past their
+        first resend, so a host-dependent backoff cannot hide."""
         from repro.faults import FaultInjector, load_fault_plan
 
         plan_dict = {
             "seed": 9,
             "events": [
-                {"kind": "drop", "at_us": 6, "duration_us": 8,
-                 "probability": 0.1},
+                {"kind": "drop", "at_us": 6, "duration_us": 20,
+                 "probability": 0.3},
                 {"kind": "duplicate", "at_us": 10, "duration_us": 8,
                  "probability": 0.2},
                 {"kind": "crash", "node": 1, "at_us": 18,
                  "restart_after_us": 10},
             ],
         }
-        contents = []
+        contents, resends = [], []
         for run in ("a", "b"):
             tracer = Tracer()
             injector = FaultInjector(load_fault_plan(dict(plan_dict)))
-            _run(model, tracer=tracer, faults=injector)
+            cluster, _, _ = _run(model, tracer=tracer, faults=injector)
             assert injector.crashes == 1 and injector.restarts == 1
+            resends.append(sum(e.round_resends for e in cluster.engines))
             path = tmp_path / f"{run}.json"
             write_chrome_trace(str(path), tracer.records,
                                dropped=tracer.dropped)
             contents.append(path.read_bytes())
         assert contents[0] == contents[1]
+        # Causal updates run no ACK round, so nothing there resends.
+        assert resends[0] == resends[1]
+        assert (resends[0] > 0) == (model.consistency is not Consistency.CAUSAL)
 
 
 class TestTraceDeterminism:
@@ -297,3 +367,19 @@ class TestTraceDeterminism:
         grandchild = SeededStream(7).fork("a").fork("b")
         assert child.seed == 6884590832609390355
         assert grandchild.seed == 5479018391769822667
+
+    def test_cells_survive_hash_randomization(self):
+        """No simulated result may depend on the salted builtin hash():
+        the 25 cells, run in two interpreters with different
+        PYTHONHASHSEED, end in one digest of state, clock and Summary."""
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        digests = []
+        for hashseed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, (src, os.environ.get("PYTHONPATH")))))
+            done = subprocess.run([sys.executable, "-c", _MATRIX_DIGEST],
+                                  env=env, capture_output=True, text=True,
+                                  check=True, timeout=300)
+            digests.append(done.stdout)
+        assert len(digests[0].strip()) == 64 and digests[0] == digests[1]
