@@ -23,7 +23,6 @@ docs/handbook.md "CLI reference"):
   ``--seeds``) across ``--workers`` processes; the merged
   ``repro.sweep_report/1`` is byte-identical for any worker count and a
   crashed cell is a schema-valid ``error`` entry (exit 1).
-* ``dash`` — render a saved sweep report as one static HTML dashboard.
 * ``diff`` — compare two run reports, sweep reports or ``BENCH_*.json``
   artifacts: exit 0 no regression, 1 regression, 2 unusable input.
 * ``audit`` — verify a recorded client history against all 25 cells:
@@ -53,8 +52,8 @@ Examples::
     python -m repro.cli run --history-out h.jsonl --crash 1@120+60
     python -m repro.cli audit h.jsonl --consistency eventual
     python -m repro.cli sweep --workload B --duration-us 150
-    python -m repro.cli sweep --all --workers 4 --out sweep.json --html-out dash.html
-    python -m repro.cli dash sweep.json --baseline old_sweep.json --bench-dir benchmarks/results
+    python -m repro.cli sweep --all --workers 4 --out sweep.json
+    python -m repro.cli diff old_sweep.json sweep.json
     python -m repro.cli tradeoffs --all
     python -m repro.cli recover --persistency eventual --strategy majority
     python -m repro.cli order --json
@@ -81,12 +80,9 @@ from repro.obs import (
     DiffError,
     Observers,
     SweepProgress,
-    build_dashboard,
     build_sweep_report,
-    load_bench_dir,
     matrix_specs,
     run_sweep,
-    write_dashboard,
     write_sweep_report,
     HealthMonitor,
     HistoryRecorder,
@@ -103,8 +99,7 @@ from repro.obs import (
     write_history,
     write_run_report,
 )
-from repro.obs.schemas import (KERNEL_PROFILE_SCHEMA, SchemaError,
-                               validate_artifact)
+from repro.obs.schemas import KERNEL_PROFILE_SCHEMA, SchemaError
 from repro.recovery.replayer import RecoveryReplayer
 from repro.sim.trace import Tracer
 from repro.workload.ycsb import WORKLOADS
@@ -375,15 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--out", metavar="PATH", default=None,
                               help="write the merged repro.sweep_report/1 "
                                    "JSON here")
-    sweep_parser.add_argument("--html-out", metavar="PATH", default=None,
-                              help="also render the self-contained HTML "
-                                   "dashboard here")
-    sweep_parser.add_argument("--baseline", metavar="PATH", default=None,
-                              help="sweep report to diff against in the "
-                                   "dashboard")
-    sweep_parser.add_argument("--bench-dir", metavar="DIR", default=None,
-                              help="BENCH_*.json directory for dashboard "
-                                   "trend sparklines")
     sweep_parser.add_argument("--journeys", action="store_true",
                               help="embed per-cell journey waterfalls")
     sweep_parser.add_argument("--health", action="store_true",
@@ -397,23 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--no-progress", action="store_true",
                               help="suppress the stderr progress "
                                    "telemetry")
-
-    dash_parser = subparsers.add_parser(
-        "dash", help="render a sweep report as a static HTML dashboard")
-    dash_parser.add_argument("report", metavar="SWEEP.json",
-                             help="repro.sweep_report/1 artifact from "
-                                  "sweep --out")
-    dash_parser.add_argument("--out", metavar="PATH", default=None,
-                             help="output HTML path "
-                                  "(default: <report>.html)")
-    dash_parser.add_argument("--baseline", metavar="PATH", default=None,
-                             help="sweep report to diff against "
-                                  "(deltas colored by repro diff verdict)")
-    dash_parser.add_argument("--bench-dir", metavar="DIR", default=None,
-                             help="BENCH_*.json directory for trend "
-                                  "sparklines")
-    dash_parser.add_argument("--title", default="DDP sweep dashboard",
-                             help="page title")
 
     tradeoff_parser = subparsers.add_parser(
         "tradeoffs", help="print the derived Table 4")
@@ -597,6 +566,10 @@ def _show_trace_file(args) -> int:
                         f"(no traceEvents array)")
     events = doc["traceEvents"]
     other = doc.get("otherData", {})
+    if not isinstance(other, dict) or not all(isinstance(event, dict)
+                                              for event in events):
+        raise _CliError(f"{args.input}: otherData and every traceEvents "
+                        f"entry must be JSON objects")
     model = other.get("model", "?")
     print(f"{args.input}: model {model}   "
           f"{other.get('record_count', len(events))} records, "
@@ -650,6 +623,12 @@ def _show_journey_file(args) -> int:
     if not isinstance(journeys, dict):
         raise _CliError(f"{args.input}: run report has no journeys section "
                         f"(produce one with --journey-out)")
+    for point in ("vp", "dp"):
+        aggregate = journeys.get(point)
+        if aggregate and not (isinstance(aggregate, dict) and isinstance(
+                aggregate.get("buckets_ns", {}), dict)):
+            raise _CliError(f"{args.input}: journeys.{point} is not an "
+                            f"object with a buckets_ns object")
     meta = doc.get("meta", {})
     print(f"{args.input}: model {meta.get('model', '?')}   "
           f"{journeys.get('journeys', 0)} journeys, "
@@ -757,16 +736,6 @@ def _cmd_audit(args) -> int:
     return audit_exit_code(report)
 
 
-def _dashboard_inputs(args):
-    """Load the optional dashboard context (baseline sweep, bench dir).
-
-    :class:`DiffError` propagates for an unusable baseline — ``main``
-    maps it to exit code 2."""
-    baseline = load_artifact(args.baseline) if args.baseline else None
-    bench = load_bench_dir(args.bench_dir) if args.bench_dir else []
-    return baseline, bench
-
-
 def _cmd_sweep(args) -> int:
     duration = args.duration_us * 1000.0
     if args.all:
@@ -790,7 +759,7 @@ def _cmd_sweep(args) -> int:
                              sections=sections)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-    _preflight(args.out, args.html_out)
+    _preflight(args.out)
     progress = (None if args.no_progress
                 else SweepProgress(len(specs), workers=args.workers))
     results = run_sweep(specs, workers=args.workers, progress=progress)
@@ -799,12 +768,6 @@ def _cmd_sweep(args) -> int:
         write_sweep_report(args.out, doc)
         print(f"sweep report -> {args.out} "
               f"({doc['totals']['ok']}/{doc['totals']['cells']} cells ok)")
-    if args.html_out:
-        baseline_doc, bench = _dashboard_inputs(args)
-        write_dashboard(args.html_out,
-                        build_dashboard(doc, baseline=baseline_doc,
-                                        bench_docs=bench))
-        print(f"dashboard -> {args.html_out}")
     by_key = {(r.spec.consistency, r.spec.persistency, r.spec.seed): r
               for r in results}
     rows = []
@@ -823,19 +786,6 @@ def _cmd_sweep(args) -> int:
     if errors:
         print(f"repro: {errors} sweep cell(s) errored", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_dash(args) -> int:
-    doc = _read_json(args.report)
-    validate_artifact(doc, family="repro.sweep_report", path=args.report)
-    baseline_doc, bench = _dashboard_inputs(args)
-    out = args.out or args.report + ".html"
-    _preflight(out)
-    write_dashboard(out, build_dashboard(doc, baseline=baseline_doc,
-                                         bench_docs=bench,
-                                         title=args.title))
-    print(f"dashboard -> {out}")
     return 0
 
 
@@ -899,7 +849,6 @@ _COMMANDS = {
     "diff": _cmd_diff,
     "audit": _cmd_audit,
     "sweep": _cmd_sweep,
-    "dash": _cmd_dash,
     "tradeoffs": _cmd_tradeoffs,
     "recover": _cmd_recover,
     "order": _cmd_order,

@@ -29,6 +29,7 @@ Supported kinds:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -130,6 +131,24 @@ def _fail(index: int, message: str) -> None:
     raise ValueError(f"fault plan event #{index}: {message}")
 
 
+def _finite(where: str, raw: Dict[str, Any], name: str,
+            default: Optional[float] = None) -> Optional[float]:
+    """``raw[name]`` as a finite float, ``default`` when absent.  A NaN
+    passes every range check (``nan < 0`` is false) and then breaks the
+    kernel's clock, so it is rejected here."""
+    if name not in raw:
+        return default
+    value = raw[name]
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: {name} must be a number, "
+                         f"got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{where}: {name} must be finite, got {value!r}")
+    return number
+
+
 def _event_from_dict(index: int, raw: Dict[str, Any]) -> FaultEvent:
     if not isinstance(raw, dict):
         _fail(index, f"expected an object, got {type(raw).__name__}")
@@ -144,17 +163,18 @@ def _event_from_dict(index: int, raw: Dict[str, Any]) -> FaultEvent:
     if unknown:
         _fail(index, f"unknown fields {unknown}")
 
-    at_ns = float(raw["at_us"]) * _US
+    where = f"fault plan event #{index}"
+    at_ns = _finite(where, raw, "at_us") * _US
     if at_ns < 0:
         _fail(index, "at_us must be >= 0")
     node = raw.get("node")
-    duration_ns = (float(raw["duration_us"]) * _US
-                   if "duration_us" in raw else None)
-    restart_after_ns = (float(raw["restart_after_us"]) * _US
-                        if "restart_after_us" in raw else None)
-    probability = float(raw.get("probability", 1.0))
-    extra_ns = float(raw.get("extra_us", 0.0)) * _US
-    factor = float(raw.get("factor", 1.0))
+    duration_us = _finite(where, raw, "duration_us")
+    duration_ns = None if duration_us is None else duration_us * _US
+    restart_us = _finite(where, raw, "restart_after_us")
+    restart_after_ns = None if restart_us is None else restart_us * _US
+    probability = _finite(where, raw, "probability", 1.0)
+    extra_ns = _finite(where, raw, "extra_us", 0.0) * _US
+    factor = _finite(where, raw, "factor", 1.0)
     groups = raw.get("groups")
     src = raw.get("src")
     dst = raw.get("dst")
@@ -224,8 +244,8 @@ def load_fault_plan(source: Union[str, Dict[str, Any]]) -> FaultPlan:
     # the trace) independent of how the author listed the events.
     ordered = tuple(sorted(parsed, key=lambda e: (e.at_ns, e.kind)))
     return FaultPlan(seed=int(raw.get("seed", 0)),
-                     detection_delay_ns=float(
-                         raw.get("detection_delay_us", 3.0)) * _US,
+                     detection_delay_ns=_finite(
+                         "fault plan", raw, "detection_delay_us", 3.0) * _US,
                      events=ordered)
 
 

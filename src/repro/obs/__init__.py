@@ -36,16 +36,8 @@ VP/DP events) into artifacts a human or a tool can consume:
 * :mod:`repro.obs.sweep` — the sweep observatory: the models x seeds
   matrix fanned across worker processes and merged deterministically
   into ``repro.sweep_report/1`` (byte-identical for any worker count).
-* :mod:`repro.obs.dashboard` — the ``repro dash`` renderer: one
-  self-contained static HTML page (heatmaps, waterfalls, kernel
-  attribution, baseline diff, bench trends) from a sweep report.
 """
 
-from repro.obs.dashboard import (
-    build_dashboard,
-    load_bench_dir,
-    write_dashboard,
-)
 from repro.obs.diff import (
     DiffError,
     DiffReport,
@@ -156,7 +148,4 @@ __all__ = [
     "run_sweep",
     "strip_wall_clock",
     "write_sweep_report",
-    "build_dashboard",
-    "load_bench_dir",
-    "write_dashboard",
 ]

@@ -144,6 +144,14 @@ class DiffReport:
 #: The artifact kinds ``repro diff`` can compare.
 _DIFFABLE = RUN_REPORT_SCHEMAS + BENCH_SCHEMAS + SWEEP_SCHEMAS
 
+# The required top-level sections the readers below walk, per family,
+# with the JSON type each must have.
+_SECTION_TYPES = {
+    "run_report": {"meta": dict, "summary": dict},
+    "sweep_report": {"meta": dict, "cells": list},
+    "bench": {"metrics": dict},
+}
+
 
 def load_artifact(path: str) -> Dict[str, Any]:
     """Load and schema-check one artifact; :class:`DiffError` on any
@@ -163,6 +171,11 @@ def load_artifact(path: str) -> Dict[str, Any]:
     if schema not in _DIFFABLE:
         raise DiffError(f"{path}: cannot diff a {schema} artifact "
                         f"(expected one of {', '.join(_DIFFABLE)})")
+    for key, kind in _SECTION_TYPES[_schema_family(doc)].items():
+        if not isinstance(doc[key], kind):
+            raise DiffError(f"{path}: '{key}' is a "
+                            f"{type(doc[key]).__name__}, not a JSON "
+                            f"{'object' if kind is dict else 'array'}")
     return doc
 
 

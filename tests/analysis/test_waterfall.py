@@ -1,4 +1,5 @@
-"""Critical-path waterfalls: the conservation invariant and rollups.
+"""Critical-path waterfalls: the conservation invariant, rollups, and
+which resource (fabric or medium) a slow cell is waiting on.
 
 The central property: for every completed journey, the five bucket
 values sum *exactly* to the end-to-end VP / DP latency — for every one
@@ -20,7 +21,10 @@ from repro.analysis.waterfall import (
 )
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
-from repro.core.model import all_ddp_models
+from repro.core.model import (Consistency, DdpModel, Persistency,
+                               all_ddp_models)
+from repro.memory.devices import MemoryTiming
+from repro.net.network import NetworkConfig
 from repro.obs import JourneyTracker, UpdateJourney
 from repro.workload.ycsb import WORKLOADS
 
@@ -145,3 +149,50 @@ class TestDecomposeEdgeCases:
         assert path is not None and path.node == 1
         assert math.isclose(sum(path.buckets.values()), 40.0)
         assert path.buckets["network"] == 25.0  # issue 10 -> recv 35
+
+
+class TestFabricOrMedium:
+    """The question a slow cell raises (the paper's Figure 6 "why"):
+    is the fabric or the persistence medium the bottleneck?  The summary
+    cannot tell -- write latency rises either way -- but the DP buckets
+    move on the resource that was slowed and stay put on the other."""
+
+    VARIANTS = {
+        "default": {},
+        "slow NVM": {"nvm_timing": MemoryTiming(140.0, 1600.0, 2, 2)},
+        "slow fabric": {"network": NetworkConfig(round_trip_ns=4000.0)},
+    }
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        model = DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS)
+        runs = {}
+        for name, overrides in self.VARIANTS.items():
+            tracker = JourneyTracker(SERVERS)
+            config = ClusterConfig(servers=SERVERS, clients_per_server=2,
+                                   **overrides)
+            cluster = Cluster(model, config=config, workload=WORKLOADS["A"],
+                              tracer=tracker)
+            summary = cluster.run(40_000.0, warmup_ns=4_000.0)
+            dp = aggregate_journeys(tracker.journeys, SERVERS).dp
+            runs[name] = (summary.mean_write_ns, dp.buckets_ns)
+        return runs
+
+    @staticmethod
+    def ratio(runs, variant, bucket):
+        return runs[variant][1][bucket] / runs["default"][1][bucket]
+
+    def test_the_summary_rises_under_either_cause(self, runs):
+        default = runs["default"][0]
+        assert runs["slow NVM"][0] > default
+        assert runs["slow fabric"][0] > default
+
+    def test_slow_nvm_moves_the_medium_buckets_only(self, runs):
+        assert self.ratio(runs, "slow NVM", "device") >= 2.0
+        assert self.ratio(runs, "slow NVM", "nvm_queue") >= 2.0
+        assert 0.8 <= self.ratio(runs, "slow NVM", "network") <= 1.2
+
+    def test_slow_fabric_moves_the_network_bucket_only(self, runs):
+        assert self.ratio(runs, "slow fabric", "network") >= 2.0
+        assert 0.8 <= self.ratio(runs, "slow fabric", "device") <= 1.2
+        assert 0.8 <= self.ratio(runs, "slow fabric", "nvm_queue") <= 1.2

@@ -38,10 +38,8 @@ class TestParser:
         small = ["--servers", "3", "--clients", "6", "--duration-us", "20"]
         history = str(tmp_path / "h.jsonl")
         report = str(tmp_path / "m.json")
-        sweep = str(tmp_path / "sweep.json")
         assert main(["run", *small, "--history-out", history,
                      "--metrics-out", report]) == 0
-        assert main(["sweep", *small, "--no-progress", "--out", sweep]) == 0
         capsys.readouterr()
 
         def simulated(*args, **kwargs):
@@ -59,10 +57,8 @@ class TestParser:
                      ["trace", *small, "--out", bad],
                      ["journey", *small, "--journey-out", bad],
                      ["sweep", *small, "--out", bad],
-                     ["sweep", *small, "--html-out", bad],
                      ["audit", history, "--out", bad],
                      ["diff", report, report, "--out", bad],
-                     ["dash", sweep, "--out", bad],
                      ["order", "--sweep-out", bad]):
             code = main(argv)
             err = capsys.readouterr().err
@@ -106,15 +102,19 @@ class TestRunShape:
                                                         tmp_path):
         plan = tmp_path / "plan.json"
         plan.write_text('{"events": [{"kind": "meteor"}]}')
-        for path in (plan, tmp_path / "missing.json"):
-            assert "bad fault plan" in self.rejected(
-                capsys, "--faults", str(path))
+        nan = tmp_path / "nan.json"
+        nan.write_text('{"events": [{"kind": "crash", "node": 1, '
+                       '"at_us": "nan"}]}')
+        for path in (plan, tmp_path / "missing.json", nan):
+            assert self.rejected(capsys, "--faults", str(path)).startswith(
+                "repro: bad fault plan")
 
     @pytest.mark.parametrize("flags, message", [
         (["--crash", "bad"], "bad crash spec 'bad'"),
         (["--crash", "1@-5"], "at_us must be >= 0"),
         (["--crash", "9@10"], "targets node 9"),
         (["--health", "--health-top-k", "-1"], "top_k must be >= 0"),
+        (["--crash", "1@nan"], "at_us must be finite"),
     ])
     def test_unusable_crash_or_health_flag_is_an_error_not_a_traceback(
             self, capsys, flags, message):
@@ -518,6 +518,33 @@ class TestInputFileModes:
         assert code == 2
         assert "not valid JSON" in captured.err
 
+    def test_reopened_artifact_of_the_wrong_shape_exits_2(self, capsys,
+                                                          tmp_path):
+        """A section that is not the JSON type its reader walks is one
+        ``repro:`` line and exit 2, not an AttributeError."""
+        report = tmp_path / "report.json"
+        assert main(["journey", "--servers", "3", "--clients", "6",
+                     "--duration-us", "20",
+                     "--journey-out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        trace = {"traceEvents": [{"ph": "X", "name": "a"}, 7]}
+        bad_meta = dict(doc, meta=["model"])
+        bad_vp = dict(doc, journeys=dict(doc["journeys"], vp=[1, 2]))
+        capsys.readouterr()
+        for command, content, message in (
+                ("trace", trace, "must be JSON objects"),
+                ("journey", bad_meta, "'meta' is a list, not a JSON object"),
+                ("journey", bad_vp, "journeys.vp is not an object")):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(content))
+            code = main([command, str(path)])
+            captured = capsys.readouterr()
+            assert code == 2, command
+            assert captured.out == "", command
+            assert captured.err.startswith("repro: "), command
+            assert message in captured.err, command
+            assert captured.err.count("\n") == 1, command
+
 
 class TestDiffCommand:
     def _report(self, tmp_path, name, seed="2021"):
@@ -583,6 +610,17 @@ class TestDiffCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("repro: cannot read")
+        # A section that is not the JSON type the differ walks.
+        for key, value in (("summary", [1, 2]), ("meta", "x")):
+            doc = json.loads(base.read_text())
+            doc[key] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            code = main(["diff", str(bad), str(bad)])
+            captured = capsys.readouterr()
+            assert code == 2, key
+            assert captured.err.startswith(f"repro: {bad}: '{key}' is a "), key
+            assert captured.err.count("\n") == 1, key
 
     def test_committed_baseline_report_is_reproduced_byte_for_byte(
             self, capsys, tmp_path):
@@ -603,7 +641,7 @@ class TestDiffCommand:
 
 
 class TestSweepObservatory:
-    """The parallel sweep runner and the dashboard subcommand."""
+    """The parallel sweep runner and the per-cell sections it embeds."""
 
     ARGS = ["sweep", "--servers", "3", "--clients", "6",
             "--duration-us", "15", "--no-progress"]
@@ -648,18 +686,32 @@ class TestSweepObservatory:
         assert len(lines) == 6
         assert lines[0].startswith("[1/6]")
 
-    def test_sweep_html_out_matches_report(self, capsys, tmp_path):
-        out, html_out = tmp_path / "s.json", tmp_path / "s.html"
-        assert main(self.ARGS + ["--out", str(out), "--html-out",
-                                 str(html_out)]) == 0
-        capsys.readouterr()
-        page = html_out.read_text()
-        doc = json.loads(out.read_text())
-        cell = doc["cells"][0]
-        value = repr(cell["summary"]["throughput_ops_per_s"])
-        key = f'{cell["consistency"]}/{cell["persistency"]}'
-        assert (f'data-metric="throughput_ops_per_s" '
-                f'data-cell="{key}" data-value="{value}"') in page
+    def test_sweep_sections_equal_the_single_run_views(self, capsys,
+                                                       tmp_path):
+        """Every cell's ``journeys`` section is what ``repro journey
+        --journey-out`` writes for that model, and its ``profile``
+        section is ``repro profile --json``'s, wall clock stripped: the
+        text views carry everything a sweep cell embeds."""
+        from repro.obs import strip_wall_clock
+        out = tmp_path / "s.json"
+        assert main(self.ARGS + ["--journeys", "--profile", "--out",
+                                 str(out)]) == 0
+        cells = json.loads(out.read_text())["cells"]
+        assert len(cells) == 6
+        shape = self.ARGS[1:-1]
+        for cell in cells:
+            model = ["--consistency", cell["consistency"],
+                     "--persistency", cell["persistency"]]
+            journeys = tmp_path / "j.json"
+            assert main(["journey", *shape, *model, "--journey-out",
+                         str(journeys)]) == 0
+            capsys.readouterr()
+            assert main(["profile", *shape, *model, "--json"]) == 0
+            profile = json.loads(capsys.readouterr().out)["profile"]
+            label = f'{cell["consistency"]}/{cell["persistency"]}'
+            assert cell["journeys"] == json.loads(
+                journeys.read_text())["journeys"], label
+            assert cell["profile"] == strip_wall_clock(profile), label
 
     def test_sweep_seeds_run_each_model_per_seed(self, capsys, tmp_path):
         out = tmp_path / "seeds.json"
@@ -669,55 +721,6 @@ class TestSweepObservatory:
         doc = json.loads(out.read_text())
         assert doc["totals"]["cells"] == 12
         assert doc["meta"]["seeds"] == [1, 2]
-
-    def test_dash_renders_saved_report(self, capsys, tmp_path):
-        out = tmp_path / "s.json"
-        assert main(self.ARGS + ["--out", str(out)]) == 0
-        code = main(["dash", str(out)])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "dashboard ->" in captured.out
-        page = (tmp_path / "s.json.html").read_text()
-        assert page.startswith("<!DOCTYPE html>")
-        assert "DDP sweep dashboard" in page
-
-    def test_dash_with_baseline_and_bench_dir(self, capsys, tmp_path):
-        out = tmp_path / "s.json"
-        assert main(self.ARGS + ["--out", str(out)]) == 0
-        bench_dir = tmp_path / "results"
-        bench_dir.mkdir()
-        (bench_dir / "BENCH_x.json").write_text(json.dumps(
-            {"schema": "repro.bench/1", "bench": "x", "config": {},
-             "metrics": {"a": {"throughput_ops_per_s": 1.0},
-                         "b": {"throughput_ops_per_s": 2.0}}}))
-        html_out = tmp_path / "d.html"
-        code = main(["dash", str(out), "--out", str(html_out),
-                     "--baseline", str(out), "--bench-dir",
-                     str(bench_dir)])
-        capsys.readouterr()
-        assert code == 0
-        page = html_out.read_text()
-        assert "no regression" in page
-        assert "Bench trends" in page
-
-    def test_dash_rejects_non_sweep_artifact(self, capsys, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"schema": "repro.run_report/6",
-                                    "meta": {}, "summary": {},
-                                    "windows": []}))
-        code = main(["dash", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "expected a repro.sweep_report" in captured.err
-
-    def test_dash_missing_and_invalid_inputs_exit_2(self, capsys,
-                                                    tmp_path):
-        assert main(["dash", str(tmp_path / "nope.json")]) == 2
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["dash", str(bad)]) == 2
-        captured = capsys.readouterr()
-        assert "repro:" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -795,13 +798,6 @@ def _flag_diff_threshold(run, tmp):
                                   "--threshold", "50")
 
 
-def _flag_dash_title(run, tmp):
-    sweep, page = tmp / "s.json", tmp / "s.html"
-    run("sweep", *_SMALL, "--no-progress", "--out", str(sweep))
-    run("dash", str(sweep), "--out", str(page), "--title", "Nightly <3>")
-    assert "<title>Nightly &lt;3&gt;</title>" in page.read_text()
-
-
 def _flag_run_journey_sample_every(run, tmp):
     def tracked(*flags):
         out = run("run", *_SMALL, "--journey-out", str(tmp / "j.json"),
@@ -863,7 +859,6 @@ def _flag_workload(run, tmp):
     pytest.param(_flag_journey_slowest, id="journey --slowest"),
     pytest.param(_flag_profile_top, id="profile --top"),
     pytest.param(_flag_diff_threshold, id="diff --threshold"),
-    pytest.param(_flag_dash_title, id="dash --title"),
     pytest.param(_flag_run_journey_sample_every,
                  id="run --journey-sample-every"),
     pytest.param(_flag_run_health_samples, id="run --health-samples"),

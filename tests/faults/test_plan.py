@@ -91,10 +91,25 @@ class TestLoadFaultPlan:
          "does not take src"),
         ({"kind": "crash", "node": 0, "at_us": 1, "banana": True},
          "unknown fields"),
+        ({"kind": "crash", "node": 1, "at_us": "nan"}, "at_us must be finite"),
+        ({"kind": "crash", "node": 1, "at_us": float("inf")},
+         "at_us must be finite"),
+        ({"kind": "drop", "at_us": 1, "duration_us": float("nan")},
+         "duration_us must be finite"),
+        ({"kind": "crash", "node": 0, "at_us": 1,
+          "restart_after_us": "nan"}, "restart_after_us must be finite"),
+        ({"kind": "nvm_slow", "node": 0, "at_us": 1, "duration_us": 5,
+          "factor": "nan"}, "factor must be finite"),
+        ({"kind": "crash", "node": 0, "at_us": None}, "at_us must be a number"),
     ])
     def test_rejects_bad_events(self, event, message):
         with pytest.raises(ValueError, match=message):
             load_fault_plan({"events": [event]})
+
+    def test_rejects_non_finite_detection_delay(self):
+        with pytest.raises(ValueError, match="detection_delay_us must be "
+                                             "finite"):
+            load_fault_plan({"detection_delay_us": "nan", "events": []})
 
     def test_rejects_unknown_top_level(self):
         with pytest.raises(ValueError, match="top-level"):
@@ -117,7 +132,8 @@ class TestCrashSpecs:
         assert event.at_ns == 30_500.0
         assert event.restart_after_ns == 40_000.0
 
-    @pytest.mark.parametrize("spec", ["2", "@50", "x@50", "2@", "2@a+b"])
+    @pytest.mark.parametrize("spec", ["2", "@50", "x@50", "2@", "2@a+b",
+                                      "1@nan", "1@inf", "1@10+nan"])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError, match="bad crash spec"):
             parse_crash_spec(spec)
