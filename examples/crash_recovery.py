@@ -13,7 +13,7 @@ illustrating Table 4's durability column with live data.
 
 from repro import Cluster, ClusterConfig, Consistency, DdpModel, Persistency
 from repro.core.context import ClientContext
-from repro.recovery import recover_latest, recovery_divergence
+from repro.recovery.recovery import recover_latest, recovery_divergence
 
 PERSISTENCY_MODELS = [Persistency.STRICT, Persistency.SYNCHRONOUS,
                       Persistency.EVENTUAL]

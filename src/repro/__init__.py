@@ -15,51 +15,56 @@ Quickstart::
     model = DdpModel(Consistency.CAUSAL, Persistency.SYNCHRONOUS)
     summary = run_simulation(model, WORKLOADS["A"])
     print(f"{model}: {summary.throughput_ops_per_s / 1e6:.2f} Mops/s")
+
+The public names below are resolved on first use (PEP 562), so
+``import repro.cluster`` — or ``import repro`` itself — loads only the
+modules that are actually used.
 """
 
-from repro.analysis import Metrics, Summary, format_figure6_table, format_summary_table
-from repro.cluster import Cluster, ClusterConfig, run_simulation
-from repro.core import (
-    ClientContext,
-    Consistency,
-    DdpModel,
-    Persistency,
-    ProtocolConfig,
-    ProtocolNode,
-    TABLE4_MODELS,
-    all_ddp_models,
-    analyze,
-    analyze_all,
-)
-from repro.hybrid import HybridCluster
-from repro.recovery import RecoveryReplayer, recover_latest, recover_majority
-from repro.workload import WORKLOADS, WorkloadSpec
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Cluster",
-    "ClusterConfig",
-    "ClientContext",
-    "Consistency",
-    "DdpModel",
-    "HybridCluster",
-    "Metrics",
-    "RecoveryReplayer",
-    "Persistency",
-    "ProtocolConfig",
-    "ProtocolNode",
-    "Summary",
-    "TABLE4_MODELS",
-    "WORKLOADS",
-    "WorkloadSpec",
-    "all_ddp_models",
-    "analyze",
-    "analyze_all",
-    "format_figure6_table",
-    "format_summary_table",
-    "recover_latest",
-    "recover_majority",
-    "run_simulation",
-    "__version__",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "Cluster": "repro.cluster.cluster",
+    "ClusterConfig": "repro.cluster.config",
+    "ClientContext": "repro.core.context",
+    "Consistency": "repro.core.model",
+    "DdpModel": "repro.core.model",
+    "HybridCluster": "repro.hybrid.cluster",
+    "Metrics": "repro.analysis.metrics",
+    "Persistency": "repro.core.model",
+    "ProtocolConfig": "repro.core.engine",
+    "ProtocolNode": "repro.core.engine",
+    "RecoveryReplayer": "repro.recovery.replayer",
+    "Summary": "repro.analysis.metrics",
+    "TABLE4_MODELS": "repro.core.tradeoffs",
+    "WORKLOADS": "repro.workload.ycsb",
+    "WorkloadSpec": "repro.workload.ycsb",
+    "all_ddp_models": "repro.core.model",
+    "analyze": "repro.core.tradeoffs",
+    "analyze_all": "repro.core.tradeoffs",
+    "format_figure6_table": "repro.analysis.report",
+    "format_summary_table": "repro.analysis.report",
+    "recover_latest": "repro.recovery.recovery",
+    "recover_majority": "repro.recovery.recovery",
+    "run_simulation": "repro.cluster.cluster",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -71,7 +72,6 @@ from repro.audit import audit_exit_code, audit_history, format_audit_table
 from repro.analysis.report import format_summary_table
 from repro.analysis.waterfall import aggregate_journeys, format_waterfall
 from repro.core.model import Consistency, DdpModel, Persistency, all_ddp_models
-from repro.core.tradeoffs import analyze_all
 from repro.devtools import sanitizer
 from repro.faults import (FaultInjector, load_fault_plan,
                           plan_from_crash_specs, validate_faulty_run)
@@ -100,7 +100,6 @@ from repro.obs import (
     write_run_report,
 )
 from repro.obs.schemas import KERNEL_PROFILE_SCHEMA, SchemaError
-from repro.recovery.replayer import RecoveryReplayer
 from repro.sim.trace import Tracer
 from repro.workload.ycsb import WORKLOADS
 
@@ -164,8 +163,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _positive(kind):
     def parse(text: str):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive: {text}")
+        # NaN fails both comparisons, inf the second.
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite: {text}")
         return value
     return parse
 
@@ -790,6 +791,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_tradeoffs(args) -> int:
+    # Here, not at the top: no other subcommand pays for compiling it.
+    from repro.core.tradeoffs import analyze_all
     models = all_ddp_models() if args.all else None
     for profile in analyze_all(models):
         print(profile.row())
@@ -797,6 +800,8 @@ def _cmd_tradeoffs(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    # Here, not at the top: no other subcommand pays for compiling it.
+    from repro.recovery.replayer import RecoveryReplayer
     spec = _spec_from(args)
     cluster = observed_run(spec).cluster
     cluster.crash_all()

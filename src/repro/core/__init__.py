@@ -11,44 +11,7 @@
 * :mod:`repro.core.engine` — the leaderless coordinator/follower
   protocol engine (Figures 2-5).
 * :mod:`repro.core.tradeoffs` — the Table 4 trade-off derivation.
+
+The package re-exports nothing: import from the module that defines a
+name, so a run loads only what it uses.
 """
-
-from repro.core.context import ClientContext
-from repro.core.engine import ProtocolConfig, ProtocolNode
-from repro.core.messages import Message, MsgType
-from repro.core.model import Consistency, DdpModel, Persistency, all_ddp_models
-from repro.core.policies import (
-    CONSISTENCY_POLICIES,
-    PERSISTENCY_POLICIES,
-    ConsistencyPolicy,
-    PersistencyPolicy,
-    policy_for,
-)
-from repro.core.replica import KeyReplica, ReplicaTable, Version, ZERO_VERSION
-from repro.core.tradeoffs import TABLE4_MODELS, Level, TradeoffProfile, analyze, analyze_all
-
-__all__ = [
-    "CONSISTENCY_POLICIES",
-    "ClientContext",
-    "Consistency",
-    "ConsistencyPolicy",
-    "DdpModel",
-    "KeyReplica",
-    "Level",
-    "Message",
-    "MsgType",
-    "PERSISTENCY_POLICIES",
-    "Persistency",
-    "PersistencyPolicy",
-    "ProtocolConfig",
-    "ProtocolNode",
-    "ReplicaTable",
-    "TABLE4_MODELS",
-    "TradeoffProfile",
-    "Version",
-    "ZERO_VERSION",
-    "all_ddp_models",
-    "analyze",
-    "analyze_all",
-    "policy_for",
-]

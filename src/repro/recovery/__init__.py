@@ -1,33 +1,5 @@
-"""Recovery substrate: durable logs, crash recovery, invariant checkers."""
+"""Recovery substrate: durable logs, crash recovery, invariant checkers.
 
-from repro.recovery.checker import (
-    CheckResult,
-    check_completed_writes_recovered,
-    check_monotonic_reads,
-    check_read_values_recovered,
-    check_scope_atomicity,
-)
-from repro.recovery.log import DurableEntry, NvmLog
-from repro.recovery.recovery import (
-    RecoveredState,
-    recover_latest,
-    recover_majority,
-    recovery_divergence,
-)
-from repro.recovery.replayer import RecoveryReplayer, RecoveryReport
-
-__all__ = [
-    "CheckResult",
-    "DurableEntry",
-    "NvmLog",
-    "RecoveredState",
-    "RecoveryReplayer",
-    "RecoveryReport",
-    "check_completed_writes_recovered",
-    "check_monotonic_reads",
-    "check_read_values_recovered",
-    "check_scope_atomicity",
-    "recover_latest",
-    "recover_majority",
-    "recovery_divergence",
-]
+The package re-exports nothing: import from the module that defines a
+name, so a run loads only what it uses.
+"""

@@ -30,6 +30,16 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["run"] + flags)
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--metrics-window-us"], ["run", "--health-interval-us"],
+        ["diff", "a.json", "b.json", "--threshold"]])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_float_values_rejected(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [value])
+        assert exc.value.code == 2
+        assert f"must be positive and finite: {value}" in capsys.readouterr().err
+
     def test_unwritable_artifact_path_fails_before_simulating(
             self, capsys, tmp_path, monkeypatch):
         """Every subcommand that writes: one ``repro: cannot write``
@@ -577,6 +587,24 @@ class TestDiffCommand:
         parsed = json.loads(out)
         assert parsed["verdict"] == "regression"
         assert parsed["regressions"] == ["summary/p99_write_ns"]
+
+    def test_nan_threshold_is_rejected_not_a_pass(self, capsys, tmp_path):
+        """``change > nan`` is false for every change, so a NaN
+        threshold would pass any candidate: it is a usage error."""
+        base = self._report(tmp_path, "a.json")
+        doc = json.loads(base.read_text())
+        doc["summary"]["p99_write_ns"] *= 1.2
+        cand = tmp_path / "worse.json"
+        cand.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["diff", str(base), str(cand), "--threshold", "5"]) == 1
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["diff", str(base), str(cand), "--threshold", "nan"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "no-regression" not in captured.out
+        assert "--threshold: must be positive and finite: nan" in captured.err
 
     def test_config_mismatch_exits_2_unless_forced(self, capsys, tmp_path):
         base = self._report(tmp_path, "a.json")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.store import STORE_TYPES, make_store
+from repro.store.base import KvStore
 from repro.store.bplustree import BPlusTreeStore
 from repro.store.btree import BTreeStore
 from repro.store.hashtable import HashTableStore
@@ -287,8 +288,12 @@ class TestMemcached:
 class TestFactory:
     def test_make_store_all_names(self):
         for name in ALL_STORES:
-            assert make_store(name).name == name
+            store = make_store(name)
+            assert isinstance(store, KvStore)
+            assert store.name == name
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown store"):
+        with pytest.raises(ValueError, match=r"unknown store 'nosuch'; "
+                           r"choose from \['bplustree', 'btree', "
+                           r"'hashtable', 'memcached', 'sortedmap'\]"):
             make_store("nosuch")
