@@ -119,8 +119,8 @@ class TieBatchSanitizer(Instrument):
 
     def __init__(self, seed: Optional[int] = None):
         self.seed = seed
-        self._rng = (SeededStream(seed, "tie-sanitizer")
-                     if seed is not None else None)
+        self._shuffle = (SeededStream(seed, "tie-sanitizer").shuffle
+                         if seed is not None else None)
         self.batches = 0
         """Tie batches observed (size >= 2)."""
         self.events_tied = 0
@@ -196,7 +196,7 @@ class TieBatchSanitizer(Instrument):
                 continue
             key = (a, b)
             self.pair_counts[key] = self.pair_counts.get(key, 0) + 1
-        if self._rng is None:
+        if self._shuffle is None:
             return
         slots = [i for i, entry in enumerate(batch)
                  if entry_kind(entry) == "msg_delivery"]
@@ -220,7 +220,7 @@ class TieBatchSanitizer(Instrument):
             waves[rank].append(entry)
         deliveries: list = []
         for wave in waves:
-            self._rng.shuffle(wave)
+            self._shuffle(wave)
             deliveries.extend(wave)
         for slot, entry in zip(slots, deliveries):
             batch[slot] = entry

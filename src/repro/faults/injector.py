@@ -55,7 +55,7 @@ class FaultInjector:
         self._sim = None
         self._membership = None
         self._tracer = NullTracer()
-        self._rng: Optional[SeededStream] = None
+        self._random = None
         self._message_events: tuple = ()
         self.resolved_events: tuple = ()
         # Lifecycle record log (bounded like HealthMonitor's violations).
@@ -89,7 +89,10 @@ class FaultInjector:
         self._membership = cluster.membership
         if cluster.tracer is not None:
             self._tracer = cluster.tracer
-        self._rng = SeededStream(self.plan.seed, "faults")
+        rng = SeededStream(self.plan.seed, "faults")
+        # Asked for here, so the generator is seeded at attach, not on
+        # the first lossy message inside the run.
+        self._random = rng.random
         self._membership.lossy = self.plan.lossy
         node_ids = list(self._membership.all_nodes)
         resolved = []
@@ -99,7 +102,7 @@ class FaultInjector:
                 # echo the concrete target.
                 event = FaultEvent(
                     kind=event.kind, at_ns=event.at_ns,
-                    node=self._rng.choice(node_ids),
+                    node=rng.choice(node_ids),
                     duration_ns=event.duration_ns,
                     restart_after_ns=event.restart_after_ns,
                     factor=event.factor)
@@ -255,7 +258,7 @@ class FaultInjector:
             if event.dst is not None and event.dst != dst:
                 continue
             hit = (event.probability >= 1.0
-                   or self._rng.random() < event.probability)
+                   or self._random() < event.probability)
             if not hit:
                 continue
             if event.kind == "drop":

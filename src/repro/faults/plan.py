@@ -149,6 +149,11 @@ def _finite(where: str, raw: Dict[str, Any], name: str,
     return number
 
 
+def _is_int(value: Any) -> bool:
+    """An integer, and not a bool (``True`` would pass as node 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _event_from_dict(index: int, raw: Dict[str, Any]) -> FaultEvent:
     if not isinstance(raw, dict):
         _fail(index, f"expected an object, got {type(raw).__name__}")
@@ -211,9 +216,11 @@ def _event_from_dict(index: int, raw: Dict[str, Any]) -> FaultEvent:
                 or not all(isinstance(g, list) and g for g in groups)):
             _fail(index, "partition requires groups: >= 2 non-empty lists")
         flat = [n for g in groups for n in g]
+        if not all(_is_int(n) for n in flat):
+            _fail(index, "partition group members must be integers")
         if len(flat) != len(set(flat)):
             _fail(index, "partition groups must be disjoint")
-        groups = tuple(tuple(int(n) for n in g) for g in groups)
+        groups = tuple(tuple(g) for g in groups)
     elif groups is not None:
         _fail(index, f"{kind} does not take groups")
 
@@ -243,9 +250,14 @@ def load_fault_plan(source: Union[str, Dict[str, Any]]) -> FaultPlan:
     # Stable time order keeps the injector's scheduling (and therefore
     # the trace) independent of how the author listed the events.
     ordered = tuple(sorted(parsed, key=lambda e: (e.at_ns, e.kind)))
-    return FaultPlan(seed=int(raw.get("seed", 0)),
-                     detection_delay_ns=_finite(
-                         "fault plan", raw, "detection_delay_us", 3.0) * _US,
+    seed = raw.get("seed", 0)
+    if not _is_int(seed):
+        raise ValueError(f"fault plan: seed must be an integer, got {seed!r}")
+    delay_us = _finite("fault plan", raw, "detection_delay_us", 3.0)
+    if delay_us < 0:
+        raise ValueError("fault plan: detection_delay_us must be >= 0, "
+                         f"got {raw['detection_delay_us']!r}")
+    return FaultPlan(seed=seed, detection_delay_ns=delay_us * _US,
                      events=ordered)
 
 

@@ -57,14 +57,15 @@ class CacheLevel:
         # Read on every access: a plain attribute, as on ``Llc``.
         self.round_trip_ns = timing.round_trip_ns
         self.hit_ratio = hit_ratio
-        self.rng = rng
+        # Asked for here, so the stream's generator is seeded in the build.
+        self._random = rng.random
         self.name = name
         self.hits = 0
         self.misses = 0
 
     def lookup(self) -> bool:
         """Draw a hit/miss for one access and record it."""
-        hit = self.rng.random() < self.hit_ratio
+        hit = self._random() < self.hit_ratio
         if hit:
             self.hits += 1
         else:

@@ -12,7 +12,7 @@ the reads that wait on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List
+from typing import Any, Callable, Generator
 
 from repro.sim.engine import Simulator
 from repro.sim.sync import Resource
@@ -39,6 +39,25 @@ DRAM_TIMING = MemoryTiming(read_ns=100.0, write_ns=100.0, channels=4, banks_per_
 NVM_TIMING = MemoryTiming(read_ns=140.0, write_ns=400.0, channels=2, banks_per_channel=8)
 
 
+class _Banks(dict):
+    """Bank index -> its :class:`Resource`, built the first time the bank
+    is accessed.  Reads address bank 0 and only persists reach the
+    others, so most of a node's banks are never built; a bank that was
+    never built is idle, and reads as such in every statistic."""
+
+    __slots__ = ("sim", "prefix")
+
+    def __init__(self, sim: Simulator, prefix: str):
+        super().__init__()
+        self.sim = sim
+        self.prefix = prefix
+
+    def __missing__(self, index: int) -> Resource:
+        bank = self[index] = Resource(self.sim, capacity=1,
+                                      name=f"{self.prefix}.bank{index}")
+        return bank
+
+
 class MemoryDevice:
     """A banked memory device with per-bank FIFO queueing.
 
@@ -56,11 +75,8 @@ class MemoryDevice:
         self.name = name
         self.tracer = tracer if tracer is not None else NullTracer()
         self.trace_node = trace_node
-        self._banks: List[Resource] = [
-            Resource(sim, capacity=1, name=f"{name}.bank{i}")
-            for i in range(timing.total_banks)
-        ]
-        self._bank_count = len(self._banks)
+        self._banks = _Banks(sim, name)
+        self._bank_count = timing.total_banks
         self.reads = 0
         self.writes = 0
         self.busy_ns = 0.0
@@ -107,17 +123,18 @@ class MemoryDevice:
     @property
     def outstanding(self) -> int:
         """Accesses currently queued or in service across all banks."""
-        return sum(b.in_use + b.queue_len for b in self._banks)
+        return sum(b.in_use + b.queue_len for b in self._banks.values())
 
     @property
     def peak_queue_len(self) -> int:
-        return max(b.peak_queue_len for b in self._banks)
+        return max((b.peak_queue_len for b in self._banks.values()),
+                   default=0)
 
     @property
     def banks_busy(self) -> int:
         """Banks currently in service (utilization numerator; divide by
         ``timing.total_banks`` for a fraction)."""
-        return sum(1 for b in self._banks if b.in_use)
+        return sum(1 for b in self._banks.values() if b.in_use)
 
 
 class DramDevice(MemoryDevice):

@@ -71,6 +71,8 @@ class RequestStream:
     def __init__(self, spec: WorkloadSpec, rng: SeededStream):
         self.spec = spec
         self._op_rng = rng.fork("ops")
+        # Asked for here, so the stream's generator is seeded in the build.
+        self._op_random = self._op_rng.random
         key_rng = rng.fork("keys")
         if spec.distribution == "zipfian":
             self._keys = ScrambledZipfianGenerator(spec.key_space,
@@ -89,7 +91,7 @@ class RequestStream:
     def _refill(self) -> None:
         size = self._block_size
         self._block_size = min(size * 2, _BLOCK_CAP)
-        random, read_fraction = self._op_rng.random, self.spec.read_fraction
+        random, read_fraction = self._op_random, self.spec.read_fraction
         self._keys_ahead = self._keys.next_block(size)
         self._keys_ahead.reverse()
         self._reads_ahead = [random() < read_fraction for _ in range(size)]

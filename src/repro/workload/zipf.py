@@ -48,6 +48,8 @@ class ZipfianGenerator:
         self.item_count = item_count
         self.theta = theta
         self.rng = rng or SeededStream(0, "zipf")
+        # Asked for here, so the stream's generator is seeded in the build.
+        self._random = self.rng.random
         self._zeta2 = self._zeta_static(2, theta)
         self._alpha = 1.0 / (1.0 - theta)
         self._zeta_n = self._zeta_static(item_count, theta)
@@ -81,7 +83,7 @@ class ZipfianGenerator:
         """Draw ``count`` ranks clamped to the item space; rank 0 is the
         most popular.  One ``u`` per rank, in order: a block is what
         ``count`` single draws would have returned."""
-        random = self.rng.random
+        random = self._random
         zeta_n, eta, alpha = self._zeta_n, self._eta, self._alpha
         second = 1.0 + 0.5 ** self.theta
         item_count = self.item_count
@@ -146,9 +148,10 @@ class UniformGenerator:
             raise ValueError(f"item_count must be >= 1, got {item_count}")
         self.item_count = item_count
         self.rng = rng or SeededStream(0, "uniform")
+        self._randint = self.rng.randint
 
     def next_block(self, count: int) -> List[int]:
-        randint, last = self.rng.randint, self.item_count - 1
+        randint, last = self._randint, self.item_count - 1
         return [randint(0, last) for _ in range(count)]
 
     def next(self) -> int:

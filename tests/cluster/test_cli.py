@@ -115,7 +115,10 @@ class TestRunShape:
         nan = tmp_path / "nan.json"
         nan.write_text('{"events": [{"kind": "crash", "node": 1, '
                        '"at_us": "nan"}]}')
-        for path in (plan, tmp_path / "missing.json", nan):
+        # A null seed used to end in int()'s TypeError mid-build.
+        null_seed = tmp_path / "null_seed.json"
+        null_seed.write_text('{"seed": null, "events": []}')
+        for path in (plan, tmp_path / "missing.json", nan, null_seed):
             assert self.rejected(capsys, "--faults", str(path)).startswith(
                 "repro: bad fault plan")
 

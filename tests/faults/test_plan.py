@@ -101,6 +101,10 @@ class TestLoadFaultPlan:
         ({"kind": "nvm_slow", "node": 0, "at_us": 1, "duration_us": 5,
           "factor": "nan"}, "factor must be finite"),
         ({"kind": "crash", "node": 0, "at_us": None}, "at_us must be a number"),
+        ({"kind": "partition", "at_us": 1, "duration_us": 5,
+          "groups": [[0], [[1]]]}, "group members must be integers"),
+        ({"kind": "partition", "at_us": 1, "duration_us": 5,
+          "groups": [[0], [1.5]]}, "group members must be integers"),
     ])
     def test_rejects_bad_events(self, event, message):
         with pytest.raises(ValueError, match=message):
@@ -118,6 +122,21 @@ class TestLoadFaultPlan:
     def test_random_node_allowed(self):
         plan = load_fault_plan({"events": [{"kind": "crash", "at_us": 5}]})
         assert plan.events[0].node is None
+
+    @pytest.mark.parametrize("top,message", [
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": "3"}, "seed must be an integer"),
+        ({"detection_delay_us": -5}, "detection_delay_us must be >= 0"),
+    ])
+    def test_rejects_bad_top_level_values(self, top, message):
+        """A plan that would end in a traceback mid-run (a null seed, a
+        detection scheduled before its crash) or silently run as another
+        seed (1.5 as 1) is rejected before anything is simulated."""
+        with pytest.raises(ValueError, match=message):
+            load_fault_plan({**top, "events": [
+                {"kind": "crash", "node": 1, "at_us": 2}]})
 
 
 class TestCrashSpecs:
