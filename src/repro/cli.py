@@ -62,6 +62,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -73,8 +74,8 @@ from repro.analysis.report import format_summary_table
 from repro.analysis.waterfall import aggregate_journeys, format_waterfall
 from repro.core.model import Consistency, DdpModel, Persistency, all_ddp_models
 from repro.devtools import sanitizer
-from repro.faults import (FaultInjector, load_fault_plan,
-                          plan_from_crash_specs, validate_faulty_run)
+from repro.faults import (FaultInjector, FaultPlan, load_fault_plan,
+                          parse_crash_spec, validate_faulty_run)
 from repro.obs import (
     CellSpec,
     DiffError,
@@ -100,6 +101,7 @@ from repro.obs import (
     write_run_report,
 )
 from repro.obs.schemas import KERNEL_PROFILE_SCHEMA, SchemaError
+from repro.sim.rng import SeededStream
 from repro.sim.trace import Tracer
 from repro.workload.ycsb import WORKLOADS
 
@@ -427,26 +429,29 @@ def _faults_from(args) -> Optional[FaultInjector]:
             plan = load_fault_plan(args.faults)
         except (OSError, ValueError) as exc:
             raise _CliError(f"bad fault plan {args.faults}: {exc}") from exc
+    crashes = ()
     if args.crash:
         try:
-            crash_plan = plan_from_crash_specs(args.crash, seed=args.seed)
+            crashes = tuple(parse_crash_spec(spec) for spec in args.crash)
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
-        if plan is None:
-            plan = crash_plan
-        else:
-            import dataclasses
-            plan = dataclasses.replace(
-                plan, events=tuple(sorted(plan.events + crash_plan.events,
-                                          key=lambda e: (e.at_ns, e.kind))))
-    if plan is None:
+    if plan is None and not crashes:
         return None
     node_ids = list(range(args.servers))
     try:
-        for event in plan.events:
+        for event in (plan.events if plan is not None else ()) + crashes:
             FaultInjector.validate_target(event, node_ids)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
+    try:
+        if plan is None:
+            plan = FaultPlan(seed=args.seed)
+        plan = dataclasses.replace(plan, events=tuple(sorted(
+            plan.events + crashes, key=lambda e: (e.at_ns, e.kind))))
+        # The seeded picks attach will make, checked before simulating.
+        plan.resolved(node_ids, SeededStream(plan.seed, "faults").choice)
+    except ValueError as exc:
+        raise _CliError(f"bad fault plan: {exc}") from exc
     return FaultInjector(plan)
 
 

@@ -335,10 +335,11 @@ class ProtocolNode:
         # table, which reference counting can then free — a stall closes
         # over its replica, so left in place each one is a cycle.
         # A handler's continuation (a call, not an event) goes too: the
-        # crash ended the handler.
+        # crash ended the handler.  Keys nobody waited on have no queue
+        # to sweep, and get none.
         for replica in self.replicas:
-            condition = replica.condition
-            if condition.waiters:
+            if replica.waiters:
+                condition = replica.condition
                 condition.waiters = [
                     (predicate, waiter) for predicate, waiter
                     in condition.waiters
@@ -651,6 +652,8 @@ class ProtocolNode:
         """
         for key in sorted(self.replicas.keys()):
             replica = self.replicas.get(key)
+            if not replica.transient:
+                continue
             orphaned = [op_id for op_id in sorted(replica.inflight_invs)
                         if op_id % 1024 == crashed]
             for op_id in orphaned:

@@ -8,7 +8,16 @@ and the paper).  For each key a node tracks:
 * the *persisted* version (highest version durable in local NVM),
 * in-flight invalidations (INV received but VAL not yet seen), which
   make the key *transient* under invalidation-based consistency models,
-* buffered causal updates waiting for their happens-before history.
+* buffered causal updates waiting for their happens-before history,
+* the pre-images of its in-flight transactional writes, and the stalls
+  waiting for any of the above to change.
+
+A key pays only for what its run uses: the wait queue (a
+:class:`~repro.sim.sync.Condition`) is built when something first waits
+on the key, the invalidation set at the key's first INV and the undo
+log at its first transactional write.  Until then the replica reads as
+idle — not transient, nothing to undo, nobody to wake — which is
+exactly what the empty containers would say.
 
 Versions are Lamport-style ``(seq, node_id)`` tuples: ``seq`` is one
 more than the highest sequence the coordinator has seen for the key, and
@@ -31,16 +40,25 @@ ZERO_VERSION: Version = (0, -1)
 
 
 class KeyReplica:
-    """State of one key at one node."""
+    """State of one key at one node.
+
+    The three containers a key may never need are private slots, built
+    on first use: ``condition`` by the first wait, ``inflight_invs`` by
+    the first :meth:`begin_inv`, ``txn_undo`` by the first
+    :meth:`record_undo`.  Reading one of the public names builds it if
+    needed and returns the live object; the state transitions read the
+    slots, so a key that is only read and written builds none of them.
+    """
 
     __slots__ = (
-        "key", "persisted_version", "persisted_value",
+        "sim", "key", "persisted_version", "persisted_value",
         "cluster_persisted_version", "applied_version", "applied_value",
-        "inflight_invs", "condition", "persist_requested",
-        "persist_target", "persist_active", "txn_undo", "observer",
+        "_invs", "_condition", "persist_requested",
+        "persist_target", "persist_active", "_undo", "observer",
     )
 
     def __init__(self, sim: Simulator, key: int, observer=None):
+        self.sim = sim
         self.key = key
         # Optional callback ``observer(kind, key, version)`` fired on
         # "apply" and "persist" advances — the hook the VP/DP measurement
@@ -59,9 +77,9 @@ class KeyReplica:
         # VAL_p under Read-Enforced persistency).
         self.cluster_persisted_version: Version = ZERO_VERSION
         # op_ids of INVs applied but not yet VALidated (key is transient).
-        self.inflight_invs: Set[int] = set()
+        self._invs: Optional[Set[int]] = None
         # Wakes read/write stalls when any of the above changes.
-        self.condition = Condition(sim, name=f"key{key}")
+        self._condition: Optional[Condition] = None
         # Persist write-combining state: the highest version ever asked to
         # persist, the latest not-yet-started (version, value) target (the
         # memory controller's write-pending slot for this key), and
@@ -72,7 +90,35 @@ class KeyReplica:
         # Pre-images of in-flight transactional writes, keyed by the
         # writing version, so a squashed transaction can be undone
         # ("if the Xaction fails, none of the updates are performed").
-        self.txn_undo: Dict[Version, Tuple[Version, Any]] = {}
+        self._undo: Optional[Dict[Version, Tuple[Version, Any]]] = None
+
+    # -- lazily built containers -----------------------------------------------
+
+    @property
+    def condition(self) -> Condition:
+        """The key's wait queue; waiting on it is what builds it."""
+        if self._condition is None:
+            self._condition = Condition(self.sim)
+        return self._condition
+
+    @property
+    def inflight_invs(self) -> Set[int]:
+        if self._invs is None:
+            self._invs = set()
+        return self._invs
+
+    @property
+    def txn_undo(self) -> Dict[Version, Tuple[Version, Any]]:
+        if self._undo is None:
+            self._undo = {}
+        return self._undo
+
+    @property
+    def waiters(self) -> List[tuple]:
+        """The parked ``(predicate, waiter)`` pairs, without building a
+        wait queue for a key nobody has waited on."""
+        condition = self._condition
+        return condition.waiters if condition is not None else []
 
     # -- state transitions -----------------------------------------------------
 
@@ -90,8 +136,9 @@ class KeyReplica:
             return False
         self.applied_version = version
         self.applied_value = value
-        if self.condition.waiters:
-            self.condition.notify()
+        condition = self._condition
+        if condition is not None and condition.waiters:
+            condition.notify()
         if self.observer is not None:
             self.observer("apply", self.key, version)
         return True
@@ -102,8 +149,9 @@ class KeyReplica:
             return False
         self.persisted_version = version
         self.persisted_value = value
-        if self.condition.waiters:
-            self.condition.notify()
+        condition = self._condition
+        if condition is not None and condition.waiters:
+            condition.notify()
         if self.observer is not None:
             self.observer("persist", self.key, version)
         return True
@@ -113,49 +161,65 @@ class KeyReplica:
         if version <= self.cluster_persisted_version:
             return False
         self.cluster_persisted_version = version
-        if self.condition.waiters:
-            self.condition.notify()
+        condition = self._condition
+        if condition is not None and condition.waiters:
+            condition.notify()
         return True
 
     def record_undo(self, version: Version) -> None:
         """Snapshot the pre-image before a transactional write applies."""
-        self.txn_undo[version] = (self.applied_version, self.applied_value)
+        pre_image = (self.applied_version, self.applied_value)
+        if self._undo is None:
+            self._undo = {version: pre_image}
+        else:
+            self._undo[version] = pre_image
 
     def commit_undo(self, version: Version) -> None:
         """The write's transaction committed; the pre-image is obsolete."""
-        self.txn_undo.pop(version, None)
+        if self._undo is not None:
+            self._undo.pop(version, None)
 
     def absorb_superseded(self, version: Version, value: Any) -> None:
         """A write lost the last-writer-wins race against a pending
         transactional write: fold it into that write's pre-image, so a
         later abort restores the *newest* superseded state instead of
         resurrecting an older one."""
-        pre_image = self.txn_undo.get(self.applied_version)
+        undo = self._undo
+        if not undo:
+            return
+        pre_image = undo.get(self.applied_version)
         if pre_image is not None and pre_image[0] < version:
-            self.txn_undo[self.applied_version] = (version, value)
+            undo[self.applied_version] = (version, value)
 
     def revert(self, version: Version) -> bool:
         """Undo a squashed transactional write, if still in effect."""
-        pre_image = self.txn_undo.pop(version, None)
+        undo = self._undo
+        pre_image = undo.pop(version, None) if undo else None
         if pre_image is None or self.applied_version != version:
             return False
         self.applied_version, self.applied_value = pre_image
-        if self.condition.waiters:
-            self.condition.notify()
+        condition = self._condition
+        if condition is not None and condition.waiters:
+            condition.notify()
         return True
 
     def begin_inv(self, op_id: int) -> None:
-        self.inflight_invs.add(op_id)
+        if self._invs is None:
+            self._invs = {op_id}
+        else:
+            self._invs.add(op_id)
 
     def end_inv(self, op_id: int) -> None:
-        self.inflight_invs.discard(op_id)
-        if self.condition.waiters:
-            self.condition.notify()
+        if self._invs is not None:
+            self._invs.discard(op_id)
+        condition = self._condition
+        if condition is not None and condition.waiters:
+            condition.notify()
 
     @property
     def transient(self) -> bool:
         """True while any invalidation is outstanding on this key."""
-        return bool(self.inflight_invs)
+        return bool(self._invs)
 
     def __repr__(self) -> str:
         return (f"KeyReplica(key={self.key}, "

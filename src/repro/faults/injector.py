@@ -95,21 +95,13 @@ class FaultInjector:
         self._random = rng.random
         self._membership.lossy = self.plan.lossy
         node_ids = list(self._membership.all_nodes)
-        resolved = []
-        for event in self.plan.events:
-            if event.kind in ("crash", "nvm_slow") and event.node is None:
-                # Seeded pick, resolved once at attach so the report can
-                # echo the concrete target.
-                event = FaultEvent(
-                    kind=event.kind, at_ns=event.at_ns,
-                    node=rng.choice(node_ids),
-                    duration_ns=event.duration_ns,
-                    restart_after_ns=event.restart_after_ns,
-                    factor=event.factor)
+        # Seeded picks, resolved once at attach so the report can echo
+        # the concrete targets.
+        resolved = self.plan.resolved(node_ids, rng.choice).events
+        for event in resolved:
             self.validate_target(event, node_ids)
-            resolved.append(event)
             self._schedule(event)
-        self.resolved_events = tuple(resolved)
+        self.resolved_events = resolved
         self._message_events = tuple(
             e for e in resolved if e.kind in MESSAGE_KINDS)
         if self._message_events:

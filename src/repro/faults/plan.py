@@ -28,10 +28,11 @@ Supported kinds:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 __all__ = ["FaultEvent", "FaultPlan", "load_fault_plan",
            "parse_crash_spec", "plan_from_crash_specs"]
@@ -86,6 +87,36 @@ class FaultPlan:
     membership service; paper Section 8 assumes Hermes-style
     membership-based failure handling."""
     events: Tuple[FaultEvent, ...] = ()
+
+    def __post_init__(self) -> None:
+        # A node crashed while it is still down would be "restarted" by
+        # the earlier crash's restart while alive, discarding its live
+        # state, and its clients would run a second loop.  A restart at
+        # the new crash's instant is not yet done: the crash was
+        # scheduled first, so its entry runs first.
+        back_at: Dict[int, float] = {}
+        for event in sorted(self.events_of("crash"), key=lambda e: e.at_ns):
+            node = event.node
+            if node is None:
+                continue
+            if back_at.get(node, -math.inf) >= event.at_ns:
+                back = ("is never restarted" if back_at[node] == math.inf
+                        else f"restarts at {back_at[node] / _US:g} us")
+                raise ValueError(
+                    f"node {node} is crashed at {event.at_ns / _US:g} us "
+                    f"while still down from an earlier crash (it {back})")
+            back_at[node] = (math.inf if event.restart_after_ns is None
+                             else event.at_ns + event.restart_after_ns)
+
+    def resolved(self, node_ids: List[int],
+                 choice: Callable[[List[int]], int]) -> "FaultPlan":
+        """This plan with every ``node: null`` target picked by
+        ``choice(node_ids)``, in event order; a pick that crashes a node
+        still down is rejected like a planned one."""
+        return dataclasses.replace(self, events=tuple(
+            dataclasses.replace(e, node=choice(node_ids))
+            if e.kind in ("crash", "nvm_slow") and e.node is None else e
+            for e in self.events))
 
     @property
     def lossy(self) -> bool:
@@ -195,7 +226,7 @@ def _event_from_dict(index: int, raw: Dict[str, Any]) -> FaultEvent:
         if duration_ns is None or duration_ns <= 0:
             _fail(index, f"{kind} requires duration_us > 0")
     if kind in ("crash", "nvm_slow"):
-        if node is not None and (not isinstance(node, int) or node < 0):
+        if node is not None and (not _is_int(node) or node < 0):
             _fail(index, "node must be a non-negative integer or null")
     elif node is not None:
         _fail(index, f"{kind} does not take node")
@@ -203,7 +234,7 @@ def _event_from_dict(index: int, raw: Dict[str, Any]) -> FaultEvent:
         if not 0.0 <= probability <= 1.0:
             _fail(index, "probability must be in [0, 1]")
         for name, value in (("src", src), ("dst", dst)):
-            if value is not None and (not isinstance(value, int) or value < 0):
+            if value is not None and (not _is_int(value) or value < 0):
                 _fail(index, f"{name} must be a non-negative integer")
     elif src is not None or dst is not None:
         _fail(index, f"{kind} does not take src/dst")

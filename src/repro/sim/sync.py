@@ -220,9 +220,10 @@ class Condition:
     call (:meth:`call_when`); both kinds wake in one FIFO.
     """
 
-    def __init__(self, sim: Simulator, name: str = "condition"):
+    __slots__ = ("sim", "waiters")
+
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.name = name
         #: ``(predicate, waiter)`` pairs, the waiter an event or a
         #: ``(fn, args)`` call.  A hot mutator may skip :meth:`notify`
         #: while this is empty — there is nothing to wake.

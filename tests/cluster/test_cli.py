@@ -134,6 +134,32 @@ class TestRunShape:
         assert message in self.rejected(capsys, "--servers", "3",
                                         "--clients", "6", *flags)
 
+    def test_a_crash_of_a_node_still_down_is_an_error_not_a_live_restart(
+            self, capsys, tmp_path):
+        """The plan used to run: the first crash's restart hit node 1
+        while it was alive, and started its clients a second time."""
+        down = ["--crash", "1@2+6", "--crash", "1@3+1"]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"events": [
+            {"kind": "crash", "node": 1, "at_us": 2, "restart_after_us": 6},
+            {"kind": "crash", "node": 1, "at_us": 3,
+             "restart_after_us": 1}]}))
+        first = tmp_path / "first.json"
+        first.write_text(json.dumps({"events": [
+            {"kind": "crash", "node": 1, "at_us": 2, "restart_after_us": 6}]}))
+        # Plan seed 7 picks node 1 out of three.
+        picked = tmp_path / "picked.json"
+        picked.write_text(json.dumps({"seed": 7, "events": [
+            {"kind": "crash", "node": None, "at_us": 2,
+             "restart_after_us": 6}]}))
+        for flags in (down, ["--faults", str(plan)],
+                      ["--faults", str(first), "--crash", "1@3+1"],
+                      ["--faults", str(picked), "--crash", "1@3+1"]):
+            err = self.rejected(capsys, "--servers", "3", "--clients", "6",
+                                "--duration-us", "12", *flags)
+            assert err.startswith("repro: bad fault plan"), flags
+            assert "node 1 is crashed at 3 us while still down" in err, flags
+
     def test_a_rejected_invocation_leaves_its_outputs_as_they_were(
             self, capsys, tmp_path):
         """The writability check runs before the rest of the input is

@@ -1,5 +1,6 @@
 """Fault-plan parsing and validation."""
 
+import dataclasses
 import json
 
 import pytest
@@ -105,6 +106,14 @@ class TestLoadFaultPlan:
           "groups": [[0], [[1]]]}, "group members must be integers"),
         ({"kind": "partition", "at_us": 1, "duration_us": 5,
           "groups": [[0], [1.5]]}, "group members must be integers"),
+        ({"kind": "crash", "node": True, "at_us": 1},
+         "node must be a non-negative integer or null"),
+        ({"kind": "nvm_slow", "node": False, "at_us": 1, "duration_us": 5,
+          "factor": 2.0}, "node must be a non-negative integer or null"),
+        ({"kind": "drop", "at_us": 1, "duration_us": 5, "src": True},
+         "src must be a non-negative integer"),
+        ({"kind": "delay", "at_us": 1, "duration_us": 5, "extra_us": 1,
+          "dst": False}, "dst must be a non-negative integer"),
     ])
     def test_rejects_bad_events(self, event, message):
         with pytest.raises(ValueError, match=message):
@@ -137,6 +146,51 @@ class TestLoadFaultPlan:
         with pytest.raises(ValueError, match=message):
             load_fault_plan({**top, "events": [
                 {"kind": "crash", "node": 1, "at_us": 2}]})
+
+    @pytest.mark.parametrize("first, second, message", [
+        ({"at_us": 2, "restart_after_us": 6}, {"at_us": 3},
+         "crashed at 3 us while still down from an earlier crash "
+         r"\(it restarts at 8 us\)"),
+        ({"at_us": 2}, {"at_us": 30, "restart_after_us": 1},
+         "never restarted"),
+        # The crash's entry runs first in the instant: not yet back.
+        ({"at_us": 2, "restart_after_us": 3}, {"at_us": 5},
+         "restarts at 5 us"),
+        ({"at_us": 2, "restart_after_us": 3}, {"at_us": 2},
+         "crashed at 2 us"),
+    ], ids=["before-restart", "never-restarted", "at-restart",
+            "same-instant"])
+    def test_rejects_a_crash_of_a_node_still_down(self, first, second,
+                                                   message):
+        """A second crash before the first one's restart used to be
+        accepted: the restart then hit the live node, discarding its
+        volatile state, and started its clients a second time."""
+        events = [{"kind": "crash", "node": 1, **second},
+                  {"kind": "crash", "node": 1, **first}]
+        with pytest.raises(ValueError, match=message):
+            load_fault_plan({"events": events})
+        # The same two crashes of two nodes are a fine plan.
+        events[0]["node"] = 2
+        assert len(load_fault_plan({"events": events}).events) == 2
+
+    def test_crash_specs_and_merges_reject_a_node_still_down(self):
+        assert len(plan_from_crash_specs(["1@2+3", "1@5.5"]).events) == 2
+        with pytest.raises(ValueError, match="node 1 is crashed at 3 us"):
+            plan_from_crash_specs(["1@2+6", "1@3+1"])
+        plan = load_fault_plan({"events": [
+            {"kind": "crash", "node": 1, "at_us": 2,
+             "restart_after_us": 6}]})
+        with pytest.raises(ValueError, match="node 1 is crashed at 3 us"):
+            dataclasses.replace(plan, events=plan.events + (
+                parse_crash_spec("1@3+1"),))
+
+    def test_a_seeded_pick_of_a_node_still_down_is_rejected(self):
+        plan = load_fault_plan({"events": [
+            {"kind": "crash", "at_us": 2, "restart_after_us": 6},
+            {"kind": "crash", "node": 1, "at_us": 3}]})
+        assert plan.resolved([0, 1, 2], lambda ids: 0).events[0].node == 0
+        with pytest.raises(ValueError, match="node 1 is crashed at 3 us"):
+            plan.resolved([0, 1, 2], lambda ids: 1)
 
 
 class TestCrashSpecs:
