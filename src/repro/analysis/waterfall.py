@@ -26,9 +26,10 @@ invariant* the test suite asserts for every DDP model.
 
 :func:`aggregate_journeys` rolls per-update decompositions into a
 :class:`WaterfallReport` (whole run, per coordinator node, and per
-key-hotness class), :func:`format_waterfall` renders it as a text
-waterfall, and :func:`waterfall_json` shapes it for the
-``repro.run_report/6`` artifact.
+key-hotness class), :func:`waterfall_json` shapes it as the
+``journeys`` section of the ``repro.run_report/6`` artifact, and
+:func:`format_waterfall` renders that section as a text waterfall —
+``repro journey`` reads it back from a saved run or sweep report.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ work; ``inline``/``eager``/``strict`` persists start as soon as the
 handler reaches them, so their placement gap is compute."""
 
 HOTNESS_CLASSES: Tuple[str, ...] = ("hot", "warm", "cold")
+
+SLOWEST = 5
+"""Updates a report breaks down one by one (the slowest by DP)."""
 
 
 @dataclass(frozen=True)
@@ -209,8 +213,6 @@ class _Accumulator:
 class WaterfallReport:
     """Aggregated critical-path attribution for one run."""
 
-    label: str
-    num_nodes: int
     journeys: int
     vp: Optional[WaterfallAggregate]
     dp: Optional[WaterfallAggregate]
@@ -221,8 +223,8 @@ class WaterfallReport:
     by_hotness: Dict[str, Dict[str, Optional[WaterfallAggregate]]]
     """Key-hotness class ("hot"/"warm"/"cold") -> {"vp": ..., "dp": ...}."""
     slowest: List[JourneyBreakdown]
-    """The slowest-N updates (by DP latency, VP as tiebreak), each with
-    its full per-update decomposition."""
+    """The :data:`SLOWEST` slowest updates (by DP latency, VP as
+    tiebreak), each with its full per-update decomposition."""
     dropped: int = 0
 
 
@@ -250,7 +252,6 @@ def _hotness_classes(journeys: Sequence[UpdateJourney]) -> Dict[int, str]:
 
 
 def aggregate_journeys(journeys: Iterable[UpdateJourney], num_nodes: int,
-                       label: str = "", slowest: int = 5,
                        dropped: int = 0) -> WaterfallReport:
     """Decompose every journey and roll the results up."""
     journeys = list(journeys)
@@ -284,7 +285,7 @@ def aggregate_journeys(journeys: Iterable[UpdateJourney], num_nodes: int,
         key=lambda b: (-(b.dp.latency_ns if b.dp else 0.0),
                        -(b.vp.latency_ns if b.vp else 0.0)))
     return WaterfallReport(
-        label=label, num_nodes=num_nodes, journeys=len(journeys),
+        journeys=len(journeys),
         vp=overall["vp"].result(), dp=overall["dp"].result(),
         vp_incomplete=vp_incomplete, dp_incomplete=dp_incomplete,
         by_node={node: {p: acc.result() for p, acc in accs.items()}
@@ -292,7 +293,7 @@ def aggregate_journeys(journeys: Iterable[UpdateJourney], num_nodes: int,
         by_hotness={cls: {p: acc.result() for p, acc in accs.items()}
                     for cls, accs in by_hot.items()
                     if any(acc.count for acc in accs.values())},
-        slowest=ranked[:max(slowest, 0)], dropped=dropped)
+        slowest=ranked[:SLOWEST], dropped=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -309,68 +310,71 @@ def _bucket_line(name: str, value_ns: float, total_ns: float) -> str:
     return (f"    {name:<10} {value_ns:>10.0f} ns  {fraction:>6.1%}  {bar}")
 
 
-def _format_aggregate(title: str, aggregate: Optional[WaterfallAggregate],
+def _format_aggregate(title: str, aggregate: Optional[dict],
                       incomplete: int) -> List[str]:
     if aggregate is None:
         return [f"  {title}: no update reached this point at every replica"]
-    lines = [f"  {title}: mean {aggregate.mean_latency_ns:.0f} ns over "
-             f"{aggregate.count} updates"
+    mean = aggregate["mean_latency_ns"]
+    lines = [f"  {title}: mean {mean:.0f} ns over "
+             f"{aggregate['count']} updates"
              + (f" ({incomplete} incomplete)" if incomplete else "")]
     for bucket in BUCKETS:
-        lines.append(_bucket_line(bucket, aggregate.buckets_ns[bucket],
-                                  aggregate.mean_latency_ns))
+        lines.append(_bucket_line(bucket, aggregate["buckets_ns"][bucket],
+                                  mean))
     return lines
 
 
-def _one_line(aggregate: Optional[WaterfallAggregate]) -> str:
+def _one_line(aggregate: Optional[dict]) -> str:
     if aggregate is None:
         return "--"
-    parts = " ".join(f"{bucket[:3]}={aggregate.fraction(bucket):.0%}"
-                     for bucket in BUCKETS if aggregate.buckets_ns[bucket] > 0)
-    return f"{aggregate.mean_latency_ns:>8.0f} ns  {parts}"
+    parts = " ".join(f"{bucket[:3]}={aggregate['fractions'][bucket]:.0%}"
+                     for bucket in BUCKETS
+                     if aggregate["buckets_ns"][bucket] > 0)
+    return f"{aggregate['mean_latency_ns']:>8.0f} ns  {parts}"
 
 
-def format_waterfall(report: WaterfallReport, show_slowest: bool = True,
-                     show_nodes: bool = True,
-                     show_hotness: bool = True) -> str:
-    """Render the report as a text waterfall."""
-    title = report.label or "run"
+def format_waterfall(journeys: dict, title: str) -> str:
+    """Render a ``journeys`` section (:func:`waterfall_json`, as a run
+    report or a sweep cell carries it) as a text waterfall."""
+    dropped = journeys["dropped"]
     lines = [f"critical-path waterfall — {title}  "
-             f"({report.journeys} journeys tracked"
-             + (f", {report.dropped} dropped" if report.dropped else "") + ")"]
-    lines += _format_aggregate("VP (visibility)", report.vp,
-                               report.vp_incomplete)
-    lines += _format_aggregate("DP (durability)", report.dp,
-                               report.dp_incomplete)
-    if show_nodes and report.by_node:
+             f"({journeys['journeys']} journeys tracked"
+             + (f", {dropped} dropped" if dropped else "") + ")"]
+    lines += _format_aggregate("VP (visibility)", journeys["vp"],
+                               journeys["vp_incomplete"])
+    lines += _format_aggregate("DP (durability)", journeys["dp"],
+                               journeys["dp_incomplete"])
+    by_node = journeys["by_node"]
+    if by_node:
         lines.append("  by coordinator node:")
-        for node, points in report.by_node.items():
+        for node in sorted(by_node, key=int):
+            points = by_node[node]
             lines.append(f"    n{node}  vp {_one_line(points['vp'])}")
             lines.append(f"        dp {_one_line(points['dp'])}")
-    if show_hotness and report.by_hotness:
+    by_hotness = journeys["by_hotness"]
+    if by_hotness:
         lines.append("  by key hotness:")
         for cls in HOTNESS_CLASSES:
-            points = report.by_hotness.get(cls)
+            points = by_hotness.get(cls)
             if points is None:
                 continue
             lines.append(f"    {cls:<5} vp {_one_line(points['vp'])}")
             lines.append(f"          dp {_one_line(points['dp'])}")
-    if show_slowest and report.slowest:
+    if journeys["slowest"]:
         lines.append("  slowest updates (by DP latency):")
-        for breakdown in report.slowest:
-            journey = breakdown.journey
+        for update in journeys["slowest"]:
             lines.append(
-                f"    key={journey.key} v={journey.version} "
-                f"coord=n{journey.coordinator}")
+                f"    key={update['key']} v={tuple(update['version'])} "
+                f"coord=n{update['coordinator']}")
             for point in ("vp", "dp"):
-                path = getattr(breakdown, point)
+                path = update[point]
                 if path is None:
                     continue
                 parts = "  ".join(
-                    f"{bucket}={path.buckets[bucket]:.0f}"
-                    for bucket in BUCKETS if path.buckets[bucket] > 0)
-                lines.append(f"      {point} {path.latency_ns:>8.0f} ns "
-                             f"via n{path.node}:  {parts}")
+                    f"{bucket}={path['buckets_ns'][bucket]:.0f}"
+                    for bucket in BUCKETS if path["buckets_ns"][bucket] > 0)
+                lines.append(f"      {point} {path['latency_ns']:>8.0f} ns "
+                             f"via n{path['node']}:  {parts}")
     return "\n".join(lines)
 
 

@@ -1,12 +1,16 @@
 """Command-line interface for the reproduction.
 
-Every simulating subcommand is a *view*: it parses its flags into a
+``run`` is the one subcommand that simulates a single cell (``sweep``
+many, ``recover`` one it then crashes): it parses its flags into a
 :class:`repro.obs.CellSpec` and a :class:`repro.obs.Observers`, calls
 :func:`repro.obs.observed_run` — the one build-run-observe recipe, see
 :mod:`repro.obs.run` and docs/handbook.md "How an experiment is built,
-run and observed" — and prints or writes what came back.  Unusable
-input (a run shape ``CellSpec`` rejects, an unwritable output path, an
-unreadable artifact) is one ``repro: <message>`` line and exit code 2.
+run and observed" — and prints or writes what came back.  ``trace``,
+``journey`` and ``profile`` simulate nothing: each reads an artifact
+``run`` (or ``sweep``) wrote and renders it.  Unusable input (a run
+shape ``CellSpec`` rejects, an unwritable output path, two outputs on
+one path, an unreadable artifact) is one ``repro: <message>`` line and
+exit code 2.
 
 Subcommands (``repro <cmd> --help`` for flags; worked examples in
 docs/handbook.md "CLI reference"):
@@ -15,10 +19,11 @@ docs/handbook.md "CLI reference"):
   write a Chrome trace, the run-report JSON, a client history, inject
   faults and validate durability contracts, audit the history (exit 1
   on a contract violation).
-* ``trace`` / ``journey`` / ``profile`` — one run seen through one
-  observer: the event timeline, per-update critical-path waterfalls
-  (``--all``: the 25-model matrix), kernel hotspots.
-  ``trace FILE`` / ``journey FILE`` re-open a saved artifact.
+* ``trace FILE`` / ``journey FILE`` / ``profile FILE`` — one saved run
+  seen through one observer: the event timeline of ``run --trace-out``,
+  the per-update critical-path waterfalls of ``run --journey-out`` (or
+  of every cell of ``sweep --journeys --out``), the kernel hotspots of
+  ``run --profile --metrics-out``.
 * ``sweep`` — several models (``--all``: the 5x5 matrix, times
   ``--seeds``) across ``--workers`` processes; the merged
   ``repro.sweep_report/1`` is byte-identical for any worker count and a
@@ -41,12 +46,12 @@ Examples::
     python -m repro.cli run --health --metrics-out report.json
     python -m repro.cli run --crash 2@50+40 --metrics-out report.json
     python -m repro.cli run --faults chaos.json --trace-out t.json
-    python -m repro.cli trace --consistency causal --persistency eventual
-    python -m repro.cli trace t.json            # re-open a saved trace
-    python -m repro.cli journey --consistency linearizable --slowest 3
-    python -m repro.cli journey report.json     # re-open a saved report
-    python -m repro.cli journey --all --duration-us 40
-    python -m repro.cli profile --consistency linearizable --top 10
+    python -m repro.cli trace t.json --category persist --limit 5
+    python -m repro.cli run --consistency linearizable --journey-out j.json
+    python -m repro.cli journey j.json
+    python -m repro.cli sweep --all --journeys --out sweep.json
+    python -m repro.cli journey sweep.json      # one waterfall per cell
+    python -m repro.cli profile m.json --top 10
     python -m repro.cli diff baseline.json fresh.json --json
     python -m repro.cli run --audit --consistency linearizable
     python -m repro.cli run --history-out h.jsonl --crash 1@120+60
@@ -67,11 +72,13 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional
+from collections import Counter
+from operator import attrgetter
+from typing import Any, Dict, List, Optional
 
 from repro.audit import audit_exit_code, audit_history, format_audit_table
 from repro.analysis.report import format_summary_table
-from repro.analysis.waterfall import aggregate_journeys, format_waterfall
+from repro.analysis.waterfall import format_waterfall
 from repro.core.model import Consistency, DdpModel, Persistency, all_ddp_models
 from repro.devtools import sanitizer
 from repro.faults import (FaultInjector, FaultPlan, load_fault_plan,
@@ -91,6 +98,7 @@ from repro.obs import (
     JsonlSink,
     KernelProfile,
     format_hotspots,
+    format_kernel,
     diff_json,
     diff_paths,
     format_markdown,
@@ -100,9 +108,10 @@ from repro.obs import (
     write_history,
     write_run_report,
 )
-from repro.obs.schemas import KERNEL_PROFILE_SCHEMA, SchemaError
+from repro.obs.export import CLUSTER_PID
+from repro.obs.schemas import SchemaError, parse_schema_tag
 from repro.sim.rng import SeededStream
-from repro.sim.trace import Tracer
+from repro.sim.trace import INSTANT, TraceRecord, Tracer
 from repro.workload.ycsb import WORKLOADS
 
 __all__ = ["main", "build_parser"]
@@ -112,15 +121,14 @@ class _CliError(Exception):
     """Unusable input: ``main`` prints ``repro: <message>``, exits 2."""
 
 
-def _spec_from(args, model: Optional[DdpModel] = None) -> CellSpec:
+def _spec_from(args) -> CellSpec:
     """The run the common flags describe (``repro: ...`` + exit 2 when
     they describe none; see ``CellSpec.__post_init__``)."""
     duration = args.duration_us * 1000.0
     try:
         return CellSpec(
-            model.consistency.value if model else args.consistency,
-            model.persistency.value if model else args.persistency,
-            args.seed, workload=args.workload, servers=args.servers,
+            args.consistency, args.persistency, args.seed,
+            workload=args.workload, servers=args.servers,
             clients=args.clients, duration_ns=duration,
             warmup_ns=duration / 10)
     except ValueError as exc:
@@ -128,18 +136,25 @@ def _spec_from(args, model: Optional[DdpModel] = None) -> CellSpec:
 
 
 def _preflight(*paths: Optional[str]) -> None:
-    """Fail on an unwritable destination now, not after simulating —
-    without truncating it: an input rejected after this check must
-    leave an existing file as it was, and no new empty one behind."""
+    """Fail on an unwritable destination, or on two outputs that are
+    one file, now, not after simulating — without truncating it: an
+    input rejected after this check must leave an existing file as it
+    was, and no new empty one behind."""
+    paths = [path for path in paths if path]
+    seen: Dict[str, str] = {}
     for path in paths:
-        if path:
-            existed = os.path.exists(path)
-            try:
-                open(path, "a").close()
-            except OSError as exc:
-                raise _CliError(f"cannot write {path}: {exc}") from exc
-            if not existed:
-                os.remove(path)
+        real = os.path.realpath(path)
+        if real in seen:
+            raise _CliError(f"{seen[real]} and {path} are the same path")
+        seen[real] = path
+    for path in paths:
+        existed = os.path.exists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise _CliError(f"cannot write {path}: {exc}") from exc
+        if not existed:
+            os.remove(path)
 
 
 def _add_model(parser: argparse.ArgumentParser,
@@ -257,68 +272,34 @@ def build_parser() -> argparse.ArgumentParser:
                                  "repeatable; combines with --faults")
 
     trace_parser = subparsers.add_parser(
-        "trace", help="run one model and dump its event timeline")
-    trace_parser.add_argument("input", nargs="?", default=None,
-                              metavar="FILE",
-                              help="re-open a saved Chrome-trace JSON "
-                                   "instead of running a simulation")
-    _add_model(trace_parser)
-    _add_common(trace_parser)
-    trace_parser.add_argument("--out", metavar="PATH", default=None,
-                              help="write the Chrome trace_event JSON here")
+        "trace", help="print the event timeline of a Chrome trace")
+    trace_parser.add_argument("input", metavar="FILE",
+                              help="Chrome trace_event JSON from "
+                                   "run --trace-out")
     trace_parser.add_argument("--limit", type=int, default=20,
-                              help="records to print (default: 20)")
+                              help="events to print (default: 20)")
     trace_parser.add_argument("--category", action="append", default=None,
-                              help="only trace these categories "
-                                   "(repeatable)")
-    trace_parser.add_argument("--max-records", type=_positive(int),
-                              default=1_000_000,
-                              help="max in-memory trace records "
-                                   "(default: 1M)")
-    trace_parser.add_argument("--ring", action="store_true",
-                              help="keep the newest records when the "
-                                   "limit is hit instead of the oldest")
+                              help="only these categories (repeatable)")
 
     journey_parser = subparsers.add_parser(
-        "journey", help="per-update critical-path latency waterfalls")
-    journey_parser.add_argument("input", nargs="?", default=None,
-                                metavar="FILE",
-                                help="re-open a saved run-report JSON "
-                                     "(journeys section) instead of "
-                                     "running a simulation")
-    _add_model(journey_parser)
-    journey_parser.add_argument("--all", action="store_true",
-                                help="fig6-style sweep: one waterfall per "
-                                     "model of the 5x5 matrix")
-    _add_common(journey_parser)
-    journey_parser.add_argument("--key", type=int, default=None,
-                                help="only updates to this key")
-    journey_parser.add_argument("--node", type=int, default=None,
-                                help="only updates coordinated by this node")
-    journey_parser.add_argument("--slowest", type=int, default=5,
-                                help="slowest-N updates to break down "
-                                     "individually (default: 5)")
-    journey_parser.add_argument("--sample-every", type=_positive(int),
-                                default=1,
-                                help="track every Nth write (default: 1)")
-    journey_parser.add_argument("--journey-out", metavar="PATH", default=None,
-                                help="write the run-report JSON "
-                                     "(repro.run_report/6) with the "
-                                     "journeys section (single model only)")
+        "journey", help="print per-update critical-path latency "
+                        "waterfalls")
+    journey_parser.add_argument("input", metavar="FILE",
+                                help="run report from run --journey-out, "
+                                     "or sweep report from sweep "
+                                     "--journeys --out (one waterfall per "
+                                     "cell)")
 
     profile_parser = subparsers.add_parser(
-        "profile", help="kernel hotspot attribution: wall time by event "
-                        "kind and message handler")
-    _add_model(profile_parser)
-    _add_common(profile_parser)
+        "profile", help="print kernel hotspot attribution: wall time by "
+                        "event kind and message handler")
+    profile_parser.add_argument("input", metavar="FILE",
+                                help="run report from run --profile "
+                                     "--metrics-out")
     profile_parser.add_argument("--top", type=_positive(int), default=None,
                                 metavar="N",
                                 help="rows per hotspot section "
                                      "(default: all)")
-    profile_parser.add_argument("--json", action="store_true",
-                                dest="as_json",
-                                help="print the profile snapshot as JSON "
-                                     "instead of the hotspot table")
 
     diff_parser = subparsers.add_parser(
         "diff", help="compare two run/sweep reports or bench artifacts "
@@ -413,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     order_parser.add_argument("--seeds", default="1,2,3,4",
                               metavar="S[,S...]",
                               help="permutation seeds (default: 1,2,3,4)")
-    order_parser.add_argument("--ops", type=int, default=30, metavar="N",
+    order_parser.add_argument("--ops", type=_positive(int), default=30,
+                              metavar="N",
                               help="request budget per client (fixed-work "
                                    "drain; default: 30)")
     order_parser.add_argument("--sweep-out", metavar="FILE", default=None,
@@ -550,7 +532,7 @@ def _cmd_run(args) -> int:
               f"peak-nvm={monitor.peak_nvm_outstanding}  "
               f"violations={monitor.violations_total}")
     if observers.profile is not None:
-        print(observers.profile.format())
+        print(format_kernel(observers.profile.snapshot()))
     return exit_code
 
 
@@ -564,146 +546,113 @@ def _read_json(path: str):
         raise _CliError(f"{path} is not valid JSON ({exc})") from exc
 
 
-def _show_trace_file(args) -> int:
+def _rendered(path: str, what: str, render, *args) -> str:
+    """``render(*args)``, or ``repro: ...`` + exit 2 when the
+    artifact's ``what`` is not the JSON shape the renderer walks."""
+    try:
+        return render(*args)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise _CliError(f"{path}: malformed {what} "
+                        f"({type(exc).__name__}: {exc})") from exc
+
+
+def _record_of(event: Dict[str, Any]) -> TraceRecord:
+    """A ``trace_event`` as the trace record it was written from (its
+    ``ts``/``dur`` are microseconds; a span's record time is its end)."""
+    pid, dur = event.get("pid"), event.get("dur", 0) * 1000.0
+    return TraceRecord(event.get("ts", 0) * 1000.0 + dur,
+                       str(event.get("name", "?")),
+                       None if pid in (None, CLUSTER_PID) else pid - 1,
+                       event.get("args", {}), event.get("ph", INSTANT), dur)
+
+
+def _format_trace(path: str, doc: Dict[str, Any], categories, limit) -> str:
+    other = doc.get("otherData", {})
+    records = other.get("record_count", len(doc["traceEvents"]))
+    dropped = other.get("dropped_records", 0)
+    lines = [f"{path}: model {other.get('model', '?')}   "
+             f"{records} records, {dropped} dropped"]
+    if dropped:
+        end = "oldest" if other.get("ring") else "newest"
+        lines.append(f"WARNING: timeline truncated — {dropped} {end} "
+                     f"records dropped at the run --trace-limit={records} "
+                     f"cap; raise it or switch run --trace-ring to change "
+                     f"which end is kept")
+    events = [event for event in doc["traceEvents"]
+              if event.get("ph") != "M" and (
+                  categories is None or event.get("name") in categories)]
+    lines += ["", "category counts:"]
+    for name, count in sorted(Counter(
+            str(event.get("name", "?")) for event in events).items()):
+        lines.append(f"  {name:28s} {count:8d}")
+    if limit > 0:
+        records = sorted(map(_record_of, events), key=attrgetter("time"))
+        lines += ["", f"first {min(limit, len(records))} events:"]
+        lines += [record.format() for record in records[:limit]]
+    return "\n".join(lines)
+
+
+def _cmd_trace(args) -> int:
     doc = _read_json(args.input)
     if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"),
                                                    list):
         raise _CliError(f"{args.input}: not a Chrome trace_event file "
                         f"(no traceEvents array)")
-    events = doc["traceEvents"]
-    other = doc.get("otherData", {})
-    if not isinstance(other, dict) or not all(isinstance(event, dict)
-                                              for event in events):
-        raise _CliError(f"{args.input}: otherData and every traceEvents "
-                        f"entry must be JSON objects")
-    model = other.get("model", "?")
-    print(f"{args.input}: model {model}   "
-          f"{other.get('record_count', len(events))} records, "
-          f"{other.get('dropped_records', 0)} dropped")
-    counts: dict = {}
-    for event in events:
-        if event.get("ph") == "M":
-            continue
-        name = str(event.get("name", "?"))
-        counts[name] = counts.get(name, 0) + 1
-    print("\nevent counts:")
-    for name, count in sorted(counts.items()):
-        print(f"  {name:28s} {count:8d}")
+    print(_rendered(args.input, "trace", _format_trace, args.input, doc,
+                    args.category, args.limit))
     return 0
 
 
-def _cmd_trace(args) -> int:
-    if args.input is not None:
-        return _show_trace_file(args)
-    spec = _spec_from(args)
-    _preflight(args.out)
-    tracer = Tracer(categories=args.category, max_records=args.max_records,
-                    ring=args.ring)
-    run = observed_run(spec, Observers(tracer=tracer))
-    print(f"model: {spec.model}   throughput: "
-          f"{run.summary.throughput_ops_per_s / 1e6:.2f} Mops/s   "
-          f"records: {len(tracer)}   dropped: {tracer.dropped}")
-    if tracer.dropped:
-        end = "oldest" if args.ring else "newest"
-        print(f"WARNING: timeline truncated — {tracer.dropped} {end} "
-              f"records dropped at the --max-records={args.max_records} "
-              f"cap; raise it or switch --ring to change which end is "
-              f"kept")
-    print("\ncategory counts:")
-    for category, count in sorted(tracer.categories().items()):
-        print(f"  {category:28s} {count:8d}")
-    if args.limit > 0:
-        print(f"\nfirst {min(args.limit, len(tracer))} records:")
-        print(tracer.dump(limit=args.limit))
-    if args.out:
-        run.write_trace(args.out, meta={"model": str(spec.model),
-                                        "workload": args.workload,
-                                        "seed": args.seed})
-        print(f"\ntrace -> {args.out}")
-    return 0
-
-
-def _show_journey_file(args) -> int:
-    doc = load_artifact(args.input)
-    journeys = doc.get("journeys")
-    if not isinstance(journeys, dict):
-        raise _CliError(f"{args.input}: run report has no journeys section "
-                        f"(produce one with --journey-out)")
-    for point in ("vp", "dp"):
-        aggregate = journeys.get(point)
-        if aggregate and not (isinstance(aggregate, dict) and isinstance(
-                aggregate.get("buckets_ns", {}), dict)):
-            raise _CliError(f"{args.input}: journeys.{point} is not an "
-                            f"object with a buckets_ns object")
-    meta = doc.get("meta", {})
-    print(f"{args.input}: model {meta.get('model', '?')}   "
-          f"{journeys.get('journeys', 0)} journeys, "
-          f"{journeys.get('dropped', 0)} dropped")
-    for point in ("vp", "dp"):
-        aggregate = journeys.get(point)
-        if not aggregate:
-            print(f"  {point}: no completed journeys")
-            continue
-        buckets = aggregate.get("buckets_ns", {})
-        top = sorted(buckets.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
-        split = "  ".join(f"{name} {ns / 1000:.1f}us" for name, ns in top)
-        print(f"  {point}: {aggregate.get('count', 0)} journeys, "
-              f"mean {aggregate.get('mean_latency_ns', 0.0) / 1000:.2f} us"
-              f"   top buckets: {split}")
-    return 0
+def _load_report(path: str):
+    """A run or sweep report and its family (``repro: ...`` + exit 2
+    for any other artifact)."""
+    doc = load_artifact(path)
+    family = parse_schema_tag(doc["schema"])[0]
+    if family not in ("repro.run_report", "repro.sweep_report"):
+        raise _CliError(f"{path}: expected a run or sweep report, got "
+                        f"{doc['schema']}")
+    return doc, family
 
 
 def _cmd_journey(args) -> int:
-    if args.input is not None:
-        return _show_journey_file(args)
-    if args.journey_out and args.all:
-        raise _CliError("--journey-out needs a single model (drop --all)")
-    specs = [_spec_from(args, model)
-             for model in (all_ddp_models() if args.all else [None])]
-    _preflight(args.journey_out)
-    for index, spec in enumerate(specs):
-        tracker = JourneyTracker(args.servers,
-                                 sample_every=args.sample_every)
-        run = observed_run(spec, Observers(
-            journey=tracker,
-            window_ns=10_000.0 if args.journey_out else None))
-        journeys = tracker.journeys
-        if args.key is not None:
-            journeys = [j for j in journeys if j.key == args.key]
-        if args.node is not None:
-            journeys = [j for j in journeys if j.coordinator == args.node]
-        # The view's own cut of the journeys; --journey-out reports it.
-        run.waterfall = aggregate_journeys(journeys, args.servers,
-                                           label=str(spec.model),
-                                           slowest=args.slowest,
-                                           dropped=tracker.dropped)
-        if index:
-            print()
-        print(format_waterfall(run.waterfall))
-        if args.journey_out:
-            write_run_report(args.journey_out, run.report)
-            print(f"\njourneys -> {args.journey_out} "
-                  f"({len(tracker)} tracked, {tracker.dropped} dropped)")
+    doc, family = _load_report(args.input)
+    if family == "repro.sweep_report":
+        sections = [(cell.get("model", "?"), cell.get("journeys"))
+                    for cell in doc["cells"] if cell.get("status") == "ok"]
+        kind, hint = "sweep report cell", "sweep --journeys --out"
+        if not sections:
+            raise _CliError(f"{args.input}: sweep report has no ok cell")
+    else:
+        sections = [(doc["meta"].get("model", "run"), doc.get("journeys"))]
+        kind, hint = "run report", "run --journey-out"
+    if not all(isinstance(journeys, dict) for _, journeys in sections):
+        raise _CliError(f"{args.input}: {kind} has no journeys section "
+                        f"(produce one with {hint})")
+    print("\n\n".join(
+        _rendered(args.input, "journeys section", format_waterfall,
+                  journeys, title)
+        for title, journeys in sections))
     return 0
 
 
+def _format_profile(doc: Dict[str, Any], top: Optional[int]) -> str:
+    return (f"model: {doc['meta'].get('model', '?')}   throughput: "
+            f"{doc['summary']['throughput_ops_per_s'] / 1e6:.2f} Mops/s   "
+            f"{format_kernel(doc['profile'])}\n\n"
+            + format_hotspots(doc["profile"], top=top))
+
+
 def _cmd_profile(args) -> int:
-    spec = _spec_from(args)
-    profile = KernelProfile()
-    summary = observed_run(spec, Observers(profile=profile)).summary
-    if args.as_json:
-        doc = {
-            "schema": KERNEL_PROFILE_SCHEMA,
-            "meta": spec.meta(),
-            "profile": profile.snapshot(),
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(f"model: {spec.model}   throughput: "
-              f"{summary.throughput_ops_per_s / 1e6:.2f} Mops/s   "
-              f"{profile.format()}")
-        print()
-        print(format_hotspots(profile, top=args.top))
+    doc, family = _load_report(args.input)
+    if family == "repro.sweep_report":
+        raise _CliError(f"{args.input}: a sweep report strips wall clock; "
+                        f"profile one cell with run --profile "
+                        f"--metrics-out FILE")
+    if not isinstance(doc.get("profile"), dict):
+        raise _CliError(f"{args.input}: run report has no profile section "
+                        f"(produce one with run --profile --metrics-out)")
+    print(_rendered(args.input, "profile section", _format_profile, doc,
+                    args.top))
     return 0
 
 
@@ -829,6 +778,11 @@ def _cmd_order(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError as exc:
         raise _CliError(f"--seeds: {exc}") from exc
+    if not seeds:
+        raise _CliError(f"--seeds: no seed in {args.seeds!r}")
+    if len(set(seeds)) != len(seeds):
+        raise _CliError(f"--seeds: {args.seeds} repeats a seed: each seed "
+                        f"runs once")
     result = sanitizer.sweep(ops_per_client=args.ops, seeds=seeds)
     payload = json.dumps(result.to_dict(), indent=2)
     if args.sweep_out:

@@ -281,10 +281,11 @@ class CellResult:
 
     @property
     def vacuous(self) -> bool:
-        """Seeds ran but none ever reordered a batch: the byte-identity
-        below certifies nothing (a checker that cannot perturb passes
-        silently), so the cell fails."""
-        return bool(self.permuted) and not any(self.permuted.values())
+        """No seed reordered a batch — none ran, or none that ran
+        permuted anything: the byte-identity below certifies nothing (a
+        checker that cannot perturb passes silently), so the cell
+        fails."""
+        return not any(self.permuted.values())
 
     @property
     def ok(self) -> bool:

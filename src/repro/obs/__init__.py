@@ -11,13 +11,16 @@ VP/DP events) into artifacts a human or a tool can consume:
   the simulation kernel itself (events processed, heap high-water mark,
   processes spawned, wall-clock per simulated second) plus per-event-kind
   and per-message-handler wall attribution and scheduling statistics,
-  and the ``repro profile`` hotspot table that ranks them.
+  and the ``repro profile`` hotspot table that ranks them from a saved
+  run report's ``profile`` section.
 * :mod:`repro.obs.report` — the machine-readable run-report JSON with
   windowed throughput/latency series and per-node VP/DP lag.
 * :mod:`repro.obs.run` — :class:`CellSpec` (the one description of a
   run and owner of its ``meta()`` / ``config_hash``) and
-  :func:`observed_run`, the one build-run-observe recipe every CLI
-  subcommand and sweep cell is a view over.
+  :func:`observed_run`, the one build-run-observe recipe that
+  ``repro run``, ``repro recover`` and every sweep cell are views over
+  (``repro trace`` / ``journey`` / ``profile`` read what ``run``
+  wrote).
 * :mod:`repro.obs.fanout` — :class:`FanoutTracer` to feed one engine's
   emissions to several sinks (e.g. a Tracer and a PointsTracker).
 * :mod:`repro.obs.journey` — :class:`JourneyTracker`, a sink that
@@ -72,7 +75,12 @@ from repro.obs.monitor import (
     health_chrome_events,
     health_json,
 )
-from repro.obs.profile import KernelProfile, format_hotspots, hotspot_rows
+from repro.obs.profile import (
+    KernelProfile,
+    format_hotspots,
+    format_kernel,
+    hotspot_rows,
+)
 from repro.obs.report import (
     build_run_report,
     config_fingerprint,
@@ -120,6 +128,7 @@ __all__ = [
     "health_json",
     "KernelProfile",
     "format_hotspots",
+    "format_kernel",
     "hotspot_rows",
     "build_run_report",
     "config_fingerprint",

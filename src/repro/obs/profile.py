@@ -24,7 +24,8 @@ Collected:
   reported per simulated second so runs of different lengths compare.
 
 Attribution (what ``repro profile``'s hotspot table,
-:func:`format_hotspots`, ranks):
+:func:`format_hotspots`, ranks from a saved report's ``profile``
+section):
 
 * ``by_event_kind`` — per entry kind (timeout, msg_delivery,
   process_start/end, call_at, composite, interrupt, event) the entry
@@ -55,7 +56,8 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.sim.engine import Instrument, entry_kind
 
-__all__ = ["KernelProfile", "format_hotspots", "hotspot_rows"]
+__all__ = ["KernelProfile", "format_hotspots", "format_kernel",
+           "hotspot_rows"]
 
 
 class KernelProfile(Instrument):
@@ -336,17 +338,20 @@ class KernelProfile(Instrument):
             },
         }
 
-    def format(self) -> str:
-        return (f"kernel: {self.events_processed} events, "
-                f"heap peak {self.heap_peak}, "
-                f"{self.processes_spawned} processes, "
-                f"{self.wall_elapsed_seconds * 1e3:.1f} ms wall "
-                f"({self.events_per_wall_second / 1e6:.2f} Mevents/s, "
-                f"{self.wall_seconds_per_sim_second:.0f}x slowdown)")
+
+def format_kernel(profile: Dict[str, Any]) -> str:
+    """The one-line kernel summary of a ``profile`` section
+    (:meth:`KernelProfile.snapshot`, as a run report carries it)."""
+    return (f"kernel: {profile['events_processed']} events, "
+            f"heap peak {profile['heap_peak']}, "
+            f"{profile['processes_spawned']} processes, "
+            f"{profile['wall_seconds'] * 1e3:.1f} ms wall "
+            f"({profile['events_per_wall_second'] / 1e6:.2f} Mevents/s, "
+            f"{profile['wall_seconds_per_sim_second']:.0f}x slowdown)")
 
 
-def hotspot_rows(profile: KernelProfile) -> List[Dict[str, Any]]:
-    """Attribution buckets of a :class:`KernelProfile`, ranked by
+def hotspot_rows(profile: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Attribution buckets of a ``profile`` section, ranked by
     cumulative wall seconds (descending), ties broken by name.
 
     Each row: ``section`` (``event_kind`` or ``msg_type``), ``name``,
@@ -354,12 +359,12 @@ def hotspot_rows(profile: KernelProfile) -> List[Dict[str, Any]]:
     event-loop wall (msg_type rows are a *refinement* of the
     process-resume event rows, so shares across sections overlap).
     """
-    loop = profile.loop_wall_seconds
+    loop = profile["loop_wall_seconds"]
+    attribution = profile["attribution"]
     rows: List[Dict[str, Any]] = []
-    for section, table in (("event_kind", profile.by_event_kind),
-                           ("msg_type", profile.by_msg_type)):
-        for name, stats in table.items():
-            count, wall = stats[0], stats[1]
+    for section in ("event_kind", "msg_type"):
+        for name, stats in attribution[f"by_{section}"].items():
+            count, wall = stats["count"], stats["wall_seconds"]
             rows.append({
                 "section": section,
                 "name": name,
@@ -372,14 +377,17 @@ def hotspot_rows(profile: KernelProfile) -> List[Dict[str, Any]]:
     return rows
 
 
-def format_hotspots(profile: KernelProfile, top: Optional[int] = None) -> str:
-    """Human-readable hotspot table for ``repro profile``."""
-    loop = profile.loop_wall_seconds
-    attributed = profile.attributed_wall_seconds
+def format_hotspots(profile: Dict[str, Any],
+                    top: Optional[int] = None) -> str:
+    """Human-readable hotspot table of a ``profile`` section, for
+    ``repro profile``."""
+    loop = profile["loop_wall_seconds"]
+    attributed = profile["attribution"]["attributed_wall_seconds"]
     coverage = (attributed / loop * 100.0) if loop > 0 else 0.0
     lines = [
         f"kernel loop: {loop * 1e3:.1f} ms wall, "
-        f"{profile.events_processed} events (+{profile.calls_coalesced} calls coalesced), "
+        f"{profile['events_processed']} events "
+        f"(+{profile['calls_coalesced']} calls coalesced), "
         f"{coverage:.1f}% attributed to event buckets",
     ]
     header = (f"{'bucket':<28} {'count':>10} {'wall ms':>10} "
@@ -401,7 +409,7 @@ def format_hotspots(profile: KernelProfile, top: Optional[int] = None) -> str:
                 f"{row['wall_seconds'] * 1e3:>10.2f} "
                 f"{row['ns_per_event']:>10.0f} "
                 f"{row['share'] * 100:>6.1f}%")
-    scheduling = profile.snapshot()["scheduling"]
+    scheduling = profile["scheduling"]
     lines += [
         "",
         "scheduling: "

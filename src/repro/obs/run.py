@@ -17,11 +17,13 @@ Every experiment in the repository is the same five steps::
   and ``report`` (the ``repro.run_report`` document) are assembled once,
   on first use.
 
-``repro run`` / ``trace`` / ``journey`` / ``profile`` / ``recover`` and
-the sweep worker (:func:`repro.obs.sweep.run_cell`) are views: they
-build a spec and an ``Observers``, call :func:`observed_run`, and print
-or select from the result.  A sweep cell's ``journeys`` / ``health`` /
-``profile`` / ``audit`` section therefore *is* the run report's section.
+``repro run`` / ``recover`` and the sweep worker
+(:func:`repro.obs.sweep.run_cell`) are views: they build a spec and an
+``Observers``, call :func:`observed_run`, and print or select from the
+result.  A sweep cell's ``journeys`` / ``health`` / ``profile`` /
+``audit`` section therefore *is* the run report's section, and
+``repro trace`` / ``journey`` / ``profile`` simulate nothing: they read
+the artifacts ``run`` (and ``sweep``) wrote.
 """
 
 from __future__ import annotations
@@ -166,9 +168,7 @@ class ObservedRun:
 
     @cached_property
     def waterfall(self):
-        """The journey tracker's critical-path aggregate (or ``None``).
-        A view may assign a re-aggregated one before reading
-        :attr:`report`."""
+        """The journey tracker's critical-path aggregate (or ``None``)."""
         journey = self.observers.journey
         if journey is None:
             return None
@@ -176,7 +176,6 @@ class ObservedRun:
         # import here would close an import cycle through obs.__init__.
         from repro.analysis.waterfall import aggregate_journeys
         return aggregate_journeys(journey.journeys, self.spec.servers,
-                                  label=str(self.spec.model),
                                   dropped=journey.dropped)
 
     @cached_property
@@ -190,10 +189,11 @@ class ObservedRun:
             journeys=self.waterfall, monitor=obs.monitor,
             faults=self.cluster.faults, audit=self.audit)
 
-    def write_trace(self, path: str,
-                    meta: Optional[Dict[str, Any]] = None) -> None:
+    def write_trace(self, path: str) -> None:
         """Write the tracer's timeline as Chrome ``trace_event`` JSON,
-        with the journey flows and health counters of this run."""
+        with the journey flows and health counters of this run; its
+        ``otherData`` carries the run's meta and which end of an
+        over-long timeline the tracer kept (``ring``)."""
         obs = self.observers
         extra = []
         if obs.journey is not None:
@@ -203,7 +203,8 @@ class ObservedRun:
             extra += health_chrome_events(obs.monitor)
         write_chrome_trace(path, obs.tracer.records,
                            dropped=obs.tracer.dropped,
-                           meta=self.spec.meta() if meta is None else meta,
+                           meta={**self.spec.meta(),
+                                 "ring": obs.tracer._ring},
                            extra_events=extra or None)
 
 

@@ -1,8 +1,7 @@
 """The artifact-schema registry: one place for every ``repro.*/N`` tag.
 
 The observability PRs each minted a schema string (run reports,
-histories, kernel profiles, diff reports, bench artifacts, order
-sweeps) and each CLI load path re-implemented its own
+histories, diff reports, bench artifacts, order sweeps) and each CLI load path re-implemented its own
 "is this the artifact I expect?" check.  This module consolidates both:
 
 * the **registry** — every artifact family the repo emits, its known
@@ -27,7 +26,6 @@ __all__ = ["ArtifactSchema", "SchemaError", "SCHEMAS", "schema_tag",
            "schema_tags", "parse_schema_tag", "validate_artifact",
            "RUN_REPORT_SCHEMA", "SWEEP_REPORT_SCHEMA", "HISTORY_SCHEMA",
            "BENCH_SCHEMA", "DIFF_REPORT_SCHEMA", "AUDIT_REPORT_SCHEMA",
-           "KERNEL_PROFILE_SCHEMA",
            "ORDER_SWEEP_SCHEMA", "WALL_CLOCK_DIRECTIONS"]
 
 #: Every artifact key whose value derives from the wall clock -> the
@@ -107,10 +105,6 @@ _FAMILIES = (
         ("usable",),
         "black-box contract audit verdicts over the 5x5 matrix"),
     ArtifactSchema(
-        "repro.kernel_profile", (1,),
-        ("meta", "profile"),
-        "kernel performance observatory snapshot"),
-    ArtifactSchema(
         "repro.order_sweep", (1, 2),
         ("cells", "ok"),
         "tie-batch sanitizer permutation sweep (/1 also carried the "
@@ -152,7 +146,6 @@ HISTORY_SCHEMA = schema_tag("repro.history")
 BENCH_SCHEMA = schema_tag("repro.bench")
 DIFF_REPORT_SCHEMA = schema_tag("repro.diff_report")
 AUDIT_REPORT_SCHEMA = schema_tag("repro.audit_report")
-KERNEL_PROFILE_SCHEMA = schema_tag("repro.kernel_profile")
 ORDER_SWEEP_SCHEMA = schema_tag("repro.order_sweep")
 
 

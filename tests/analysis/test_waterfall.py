@@ -8,7 +8,9 @@ different mix of code paths (stalls, lazy persists, causal buffering,
 scopes, ENDX rounds, write combining).
 """
 
+import json
 import math
+import re
 
 import pytest
 
@@ -80,7 +82,7 @@ class TestAggregation:
     @pytest.fixture(scope="class")
     def report(self, tracker):
         return aggregate_journeys(tracker.journeys, SERVERS,
-                                  label="test", dropped=tracker.dropped)
+                                  dropped=tracker.dropped)
 
     def test_mean_buckets_sum_to_mean_latency(self, report):
         for aggregate in (report.vp, report.dp):
@@ -102,14 +104,26 @@ class TestAggregation:
         assert latencies == sorted(latencies, reverse=True)
 
     def test_format_renders_every_section(self, report):
-        text = format_waterfall(report)
-        assert "critical-path waterfall" in text
+        text = format_waterfall(waterfall_json(report), "test")
+        assert text.startswith("critical-path waterfall — test  (")
         assert "VP (visibility)" in text and "DP (durability)" in text
         for bucket in BUCKETS:
             assert bucket in text
         assert "by coordinator node:" in text
         assert "by key hotness:" in text
         assert "slowest updates" in text
+
+    def test_a_saved_section_renders_alike(self, report):
+        """A report file sorts its keys as strings: node 10 must still
+        print after node 9."""
+        doc = waterfall_json(report)
+        doc["by_node"] = {str(node): doc["by_node"]["0"]
+                          for node in range(12)}
+        saved = json.loads(json.dumps(doc, sort_keys=True))
+        text = format_waterfall(saved, "test")
+        assert text == format_waterfall(doc, "test")
+        assert re.findall(r"^    n(\d+)  vp", text, re.MULTILINE) == [
+            str(node) for node in range(12)]
 
     def test_json_shape(self, report):
         doc = waterfall_json(report)
@@ -126,7 +140,8 @@ class TestAggregation:
         report = aggregate_journeys([], SERVERS)
         assert report.vp is None and report.dp is None
         assert report.journeys == 0 and not report.slowest
-        assert "no update reached" in format_waterfall(report)
+        assert "no update reached" in format_waterfall(
+            waterfall_json(report), "empty")
         assert waterfall_json(report)["vp"] is None
 
 

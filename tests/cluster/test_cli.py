@@ -64,8 +64,6 @@ class TestParser:
                      ["run", *small, "--metrics-out", bad],
                      ["run", *small, "--journey-out", bad],
                      ["run", *small, "--history-out", bad],
-                     ["trace", *small, "--out", bad],
-                     ["journey", *small, "--journey-out", bad],
                      ["sweep", *small, "--out", bad],
                      ["audit", history, "--out", bad],
                      ["diff", report, report, "--out", bad],
@@ -182,11 +180,28 @@ class TestRunShape:
         err = self.rejected(capsys, "--seeds", "3", "3", command="sweep")
         assert "repeat a seed" in err
 
-    def test_journey_out_with_all_is_an_error_not_exit_1(self, capsys,
-                                                         tmp_path):
-        err = self.rejected(capsys, "--all", "--journey-out",
-                            str(tmp_path / "j.json"), command="journey")
-        assert "single model" in err
+    @pytest.mark.parametrize("first, second", [
+        ("--trace-out", "--metrics-out"), ("--history-out", "--trace-jsonl"),
+        ("--metrics-out", "--journey-out")])
+    def test_two_outputs_on_one_path_are_an_error_not_a_lost_artifact(
+            self, capsys, tmp_path, monkeypatch, first, second):
+        """The second writer used to overwrite the first: ``run
+        --trace-out same.json --metrics-out same.json`` left the report
+        where it had announced the trace."""
+        monkeypatch.chdir(tmp_path)
+        same = tmp_path / "same.json"
+        same.write_bytes(b'{"kept": true}\n')
+
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulated before checking the paths")
+
+        monkeypatch.setattr("repro.cli.observed_run", simulated)
+        for other in ("same.json", str(same), "./sub/../same.json"):
+            (tmp_path / "sub").mkdir(exist_ok=True)
+            err = self.rejected(capsys, "--servers", "3", "--clients", "6",
+                                first, "same.json", second, other)
+            assert err.rstrip().endswith("same path"), other
+            assert same.read_bytes() == b'{"kept": true}\n', other
 
     def test_meta_records_the_client_count_the_run_had(self, capsys,
                                                        tmp_path):
@@ -291,25 +306,39 @@ class TestCommands:
 
     def test_trace_subcommand(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"
-        code = main(["trace", "--consistency", "causal",
+        assert main(["run", "--consistency", "causal",
                      "--persistency", "eventual",
                      "--servers", "3", "--clients", "6",
-                     "--duration-us", "30", "--limit", "3",
-                     "--out", str(out_path)])
+                     "--duration-us", "30", "--trace-out",
+                     str(out_path)]) == 0
+        capsys.readouterr()
+        code = main(["trace", str(out_path), "--limit", "3"])
         out = capsys.readouterr().out
         assert code == 0
+        assert "model <Causal, Eventual>" in out
         assert "category counts:" in out
         assert "msg_send" in out
-        data = json.loads(out_path.read_text())
-        assert data["traceEvents"]
+        shown = out.split("first 3 events:\n")[1].splitlines()
+        assert len(shown) == 3
+        times = [float(re.match(r"\[\s*([\d.]+)ns\]", line).group(1))
+                 for line in shown]
+        assert times == sorted(times)
 
-    def test_trace_subcommand_category_filter(self, capsys):
-        code = main(["trace", "--servers", "3", "--clients", "6",
-                     "--duration-us", "20", "--limit", "0",
-                     "--category", "persist"])
+    def test_trace_subcommand_category_filter(self, capsys, tmp_path):
+        path = tmp_path / "trace.json"
+        assert main(["run", "--servers", "3", "--clients", "6",
+                     "--duration-us", "20", "--trace-out", str(path)]) == 0
+        capsys.readouterr()
+        code = main(["trace", str(path), "--category", "persist",
+                     "--limit", "3"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "persist" in out
+        counts, events = out.split("category counts:\n")[1].split("\n\n")
+        assert re.fullmatch(r"  persist +\d+", counts)
+        events = events.splitlines()[1:]
+        assert 0 < len(events) <= 3
+        assert all(re.match(r"\[\s*[\d.]+ns\] +n\d persist ", line)
+                   for line in events), events
         assert "msg_send" not in out
 
     def test_recover(self, capsys):
@@ -458,44 +487,42 @@ class TestCommands:
         assert code == 2
         assert "repro:" in capsys.readouterr().err
 
-    def test_profile_prints_the_hotspot_table(self, capsys):
-        code = main(["profile", "--servers", "3", "--clients", "6",
-                     "--duration-us", "30"])
+    def test_profile_prints_the_hotspot_table(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        assert main(["run", "--servers", "3", "--clients", "6",
+                     "--duration-us", "30", "--profile",
+                     "--metrics-out", str(path)]) == 0
+        kernel = capsys.readouterr().out.splitlines()[-1]
+        code = main(["profile", str(path)])
         out = capsys.readouterr().out
         assert code == 0
+        # The line ``run --profile`` printed, read back from the report.
+        assert out.splitlines()[0] == (
+            "model: <Causal, Synchronous>   throughput: "
+            f"{json.loads(path.read_text())['summary']['throughput_ops_per_s'] / 1e6:.2f}"
+            f" Mops/s   {kernel}")
         assert "kernel loop:" in out
         assert "by event kind" in out
         assert "by message handler" in out
         assert "timeout" in out
         assert "scheduling:" in out
 
-    def test_profile_json_document(self, capsys):
-        code = main(["profile", "--servers", "3", "--clients", "6",
-                     "--duration-us", "30", "--json"])
-        out = capsys.readouterr().out
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["schema"] == "repro.kernel_profile/1"
-        assert doc["meta"]["config_hash"]
-        profile = doc["profile"]
-        assert profile["events_processed"] > 0
-        assert profile["attribution"]["by_msg_type"]
-        assert profile["attribution"]["attributed_fraction"] > 0.9
-        assert set(doc) == {"schema", "meta", "profile"}
-
 
 class TestInputFileModes:
+    """``trace`` / ``journey`` / ``profile`` read what ``run`` and
+    ``sweep`` wrote; they never simulate."""
+
     def test_trace_reopens_a_saved_file(self, capsys, tmp_path):
         path = tmp_path / "t.json"
-        assert main(["trace", "--servers", "3", "--clients", "6",
-                     "--duration-us", "20", "--limit", "0",
-                     "--out", str(path)]) == 0
+        assert main(["run", "--servers", "3", "--clients", "6",
+                     "--duration-us", "20", "--trace-out", str(path)]) == 0
         capsys.readouterr()
         code = main(["trace", str(path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "event counts:" in out
+        assert "category counts:" in out
         assert "msg_send" in out
+        assert "first 20 events:" in out
 
     def test_trace_missing_file_exits_2(self, capsys, tmp_path):
         code = main(["trace", str(tmp_path / "nope.json")])
@@ -514,7 +541,7 @@ class TestInputFileModes:
 
     def test_journey_reopens_a_saved_report(self, capsys, tmp_path):
         path = tmp_path / "report.json"
-        assert main(["journey", "--servers", "3", "--clients", "6",
+        assert main(["run", "--servers", "3", "--clients", "6",
                      "--duration-us", "30",
                      "--journey-out", str(path)]) == 0
         capsys.readouterr()
@@ -529,8 +556,12 @@ class TestInputFileModes:
         code = main(["journey", str(path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "journeys" in out
-        assert "vp:" in out and "dp:" in out
+        assert out.startswith("critical-path waterfall — "
+                              "<Causal, Synchronous>  "
+                              f"({journeys['journeys']} journeys tracked)")
+        assert "VP (visibility)" in out and "DP (durability)" in out
+        assert "by coordinator node:" in out
+        assert out.count("    key=") == len(journeys["slowest"]) == 5
 
     def test_journey_unreadable_file_exits_2(self, capsys, tmp_path):
         code = main(["journey", str(tmp_path / "nope.json")])
@@ -543,11 +574,76 @@ class TestInputFileModes:
         assert main(["run", "--servers", "3", "--clients", "6",
                      "--duration-us", "20",
                      "--metrics-out", str(path)]) == 0
+        sweep = tmp_path / "sweep.json"
+        assert main(["sweep", *_SMALL, "--no-progress",
+                     "--out", str(sweep)]) == 0
         capsys.readouterr()
-        code = main(["journey", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "no journeys section" in captured.err
+        for report, hint in ((path, "run --journey-out"),
+                             (sweep, "sweep --journeys --out")):
+            code = main(["journey", str(report)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("repro: ")
+            assert captured.err.count("\n") == 1
+            assert "no journeys section" in captured.err
+            assert hint in captured.err
+
+    def test_journey_prints_a_cell_alike_from_a_run_or_a_sweep(
+            self, capsys, tmp_path):
+        """A run report and a sweep report of the same cell give the
+        same waterfall; a sweep gives one per ``ok`` cell."""
+        sweep, run = tmp_path / "sweep.json", tmp_path / "run.json"
+        assert main(["sweep", *_SMALL, "--journeys", "--no-progress",
+                     "--out", str(sweep)]) == 0
+        assert main(["run", *_SMALL, "--consistency", "transactional",
+                     "--journey-out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["journey", str(run)]) == 0
+        single = capsys.readouterr().out
+        assert main(["journey", str(sweep)]) == 0
+        blocks = capsys.readouterr().out.rstrip("\n").split("\n\n")
+        cells = json.loads(sweep.read_text())["cells"]
+        assert len(blocks) == len(cells) == 6
+        assert [block.split("\n")[0].split(" — ")[1].split("  (")[0]
+                for block in blocks] == [cell["model"] for cell in cells]
+        assert single.rstrip("\n") in blocks
+
+    def test_profile_of_a_sweep_or_a_report_without_one_exits_2(
+            self, capsys, tmp_path):
+        plain, sweep = tmp_path / "plain.json", tmp_path / "sweep.json"
+        assert main(["run", *_SMALL, "--metrics-out", str(plain)]) == 0
+        assert main(["sweep", *_SMALL, "--profile", "--no-progress",
+                     "--out", str(sweep)]) == 0
+        capsys.readouterr()
+        for report, message in (
+                (plain, "no profile section"),
+                (sweep, "run --profile --metrics-out")):
+            code = main(["profile", str(report)])
+            captured = capsys.readouterr()
+            assert code == 2, report
+            assert captured.out == "", report
+            assert captured.err.startswith("repro: "), report
+            assert captured.err.count("\n") == 1, report
+            assert message in captured.err, report
+
+    def test_the_readers_never_simulate(self, capsys, tmp_path,
+                                        monkeypatch):
+        trace, report = tmp_path / "t.json", tmp_path / "m.json"
+        assert main(["run", *_SMALL, "--trace-out", str(trace),
+                     "--journey-out", str(report), "--profile"]) == 0
+        capsys.readouterr()
+
+        def simulated(*args, **kwargs):
+            raise AssertionError("a reader simulated")
+
+        monkeypatch.setattr("repro.cli.observed_run", simulated)
+        monkeypatch.setattr("repro.cluster.cluster.Cluster.__init__",
+                            simulated)
+        for argv in (["trace", str(trace)], ["journey", str(report)],
+                     ["profile", str(report)]):
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out, argv
 
     def test_journey_invalid_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -562,18 +658,20 @@ class TestInputFileModes:
         """A section that is not the JSON type its reader walks is one
         ``repro:`` line and exit 2, not an AttributeError."""
         report = tmp_path / "report.json"
-        assert main(["journey", "--servers", "3", "--clients", "6",
+        assert main(["run", "--servers", "3", "--clients", "6",
                      "--duration-us", "20",
                      "--journey-out", str(report)]) == 0
         doc = json.loads(report.read_text())
         trace = {"traceEvents": [{"ph": "X", "name": "a"}, 7]}
         bad_meta = dict(doc, meta=["model"])
         bad_vp = dict(doc, journeys=dict(doc["journeys"], vp=[1, 2]))
+        bad_profile = dict(doc, profile={"attribution": {}})
         capsys.readouterr()
         for command, content, message in (
-                ("trace", trace, "must be JSON objects"),
+                ("trace", trace, "malformed trace (AttributeError"),
                 ("journey", bad_meta, "'meta' is a list, not a JSON object"),
-                ("journey", bad_vp, "journeys.vp is not an object")):
+                ("journey", bad_vp, "malformed journeys section (TypeError"),
+                ("profile", bad_profile, "malformed profile section")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(content))
             code = main([command, str(path)])
@@ -745,10 +843,10 @@ class TestSweepObservatory:
 
     def test_sweep_sections_equal_the_single_run_views(self, capsys,
                                                        tmp_path):
-        """Every cell's ``journeys`` section is what ``repro journey
-        --journey-out`` writes for that model, and its ``profile``
-        section is ``repro profile --json``'s, wall clock stripped: the
-        text views carry everything a sweep cell embeds."""
+        """Every cell's ``journeys`` and ``profile`` sections are that
+        model's ``run --journey-out --profile`` report's, wall clock
+        stripped: the views that read a run report read a sweep cell
+        alike."""
         from repro.obs import strip_wall_clock
         out = tmp_path / "s.json"
         assert main(self.ARGS + ["--journeys", "--profile", "--out",
@@ -759,16 +857,15 @@ class TestSweepObservatory:
         for cell in cells:
             model = ["--consistency", cell["consistency"],
                      "--persistency", cell["persistency"]]
-            journeys = tmp_path / "j.json"
-            assert main(["journey", *shape, *model, "--journey-out",
-                         str(journeys)]) == 0
+            path = tmp_path / "r.json"
+            assert main(["run", *shape, *model, "--profile",
+                         "--journey-out", str(path)]) == 0
             capsys.readouterr()
-            assert main(["profile", *shape, *model, "--json"]) == 0
-            profile = json.loads(capsys.readouterr().out)["profile"]
+            report = json.loads(path.read_text())
             label = f'{cell["consistency"]}/{cell["persistency"]}'
-            assert cell["journeys"] == json.loads(
-                journeys.read_text())["journeys"], label
-            assert cell["profile"] == strip_wall_clock(profile), label
+            assert cell["journeys"] == report["journeys"], label
+            assert cell["profile"] == strip_wall_clock(
+                report["profile"]), label
 
     def test_sweep_seeds_run_each_model_per_seed(self, capsys, tmp_path):
         out = tmp_path / "seeds.json"
@@ -787,61 +884,34 @@ class TestSweepObservatory:
 # ---------------------------------------------------------------------------
 
 _SMALL = ["--servers", "3", "--clients", "6", "--duration-us", "30"]
-_JOURNEY = ["journey", *_SMALL, "--consistency", "linearizable"]
 
 
-def _tracked(out):
-    return int(re.search(r"\((\d+) journeys tracked\)", out).group(1))
+def _trace_header(run, tmp, *flags):
+    """What ``trace`` prints of a saved trace before its counts."""
+    path = tmp / "t.json"
+    run("run", *_SMALL, "--trace-out", str(path), *flags)
+    return run("trace", str(path), "--limit", "0").split("category")[0]
 
 
-def _callouts(out):
-    """Keys of the waterfall's individually broken-down updates."""
-    return re.findall(r"^    key=(\d+) ", out, re.MULTILINE)
+def _flag_run_trace_limit(run, tmp):
+    out = _trace_header(run, tmp, "--trace-limit", "50")
+    assert "50 records, " in out
+    assert "newest records dropped at the run --trace-limit=50 cap" in out
+    assert "WARNING" not in _trace_header(run, tmp)
 
 
-def _flag_trace_max_records(run, tmp):
-    out = run("trace", *_SMALL, "--limit", "0", "--max-records", "50")
-    assert "records: 50 " in out
-    assert "newest records dropped at the --max-records=50 cap" in out
-    assert "WARNING" not in run("trace", *_SMALL, "--limit", "0")
-
-
-def _flag_trace_ring(run, tmp):
-    out = run("trace", *_SMALL, "--limit", "0", "--max-records", "50",
-              "--ring")
-    assert "oldest records dropped at the --max-records=50 cap" in out
-
-
-def _flag_journey_sample_every(run, tmp):
-    every, fourth = run(*_JOURNEY), run(*_JOURNEY, "--sample-every", "4")
-    assert _tracked(fourth) == -(-_tracked(every) // 4)
-
-
-def _flag_journey_key(run, tmp):
-    key = _callouts(run(*_JOURNEY))[0]
-    out = run(*_JOURNEY, "--key", key)
-    assert set(_callouts(out)) == {key}
-    assert 0 < _tracked(out) < _tracked(run(*_JOURNEY))
-
-
-def _flag_journey_node(run, tmp):
-    per_node = [run(*_JOURNEY, "--node", str(node)) for node in range(3)]
-    for node, out in enumerate(per_node):
-        coordinators = set(re.findall(r"^    (n\d)  vp", out, re.MULTILINE))
-        assert coordinators == {f"n{node}"}
-    assert sum(map(_tracked, per_node)) == _tracked(run(*_JOURNEY))
-
-
-def _flag_journey_slowest(run, tmp):
-    assert len(_callouts(run(*_JOURNEY))) == 5
-    assert len(_callouts(run(*_JOURNEY, "--slowest", "2"))) == 2
+def _flag_run_trace_ring(run, tmp):
+    out = _trace_header(run, tmp, "--trace-limit", "50", "--trace-ring")
+    assert "oldest records dropped at the run --trace-limit=50 cap" in out
 
 
 def _flag_profile_top(run, tmp):
     def rows(out):
         return len(re.findall(r"%$", out, re.MULTILINE))
-    assert rows(run("profile", *_SMALL, "--top", "1")) == 2  # per section
-    assert rows(run("profile", *_SMALL)) > 2
+    path = tmp / "m.json"
+    run("run", *_SMALL, "--profile", "--metrics-out", str(path))
+    assert rows(run("profile", str(path), "--top", "1")) == 2  # per section
+    assert rows(run("profile", str(path))) > 2
 
 
 def _flag_diff_threshold(run, tmp):
@@ -908,12 +978,8 @@ def _flag_workload(run, tmp):
 
 
 @pytest.mark.parametrize("case", [
-    pytest.param(_flag_trace_max_records, id="trace --max-records"),
-    pytest.param(_flag_trace_ring, id="trace --ring"),
-    pytest.param(_flag_journey_sample_every, id="journey --sample-every"),
-    pytest.param(_flag_journey_key, id="journey --key"),
-    pytest.param(_flag_journey_node, id="journey --node"),
-    pytest.param(_flag_journey_slowest, id="journey --slowest"),
+    pytest.param(_flag_run_trace_limit, id="run --trace-limit"),
+    pytest.param(_flag_run_trace_ring, id="run --trace-ring"),
     pytest.param(_flag_profile_top, id="profile --top"),
     pytest.param(_flag_diff_threshold, id="diff --threshold"),
     pytest.param(_flag_run_journey_sample_every,

@@ -3,6 +3,8 @@ artifact."""
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.obs.schemas import validate_artifact
 
@@ -75,3 +77,27 @@ class TestOrderCommand:
         assert doc["ok"] is False
         assert doc["cells"][0]["vacuous"] is True
         assert "coverage" not in doc
+
+    def test_two_on_an_empty_or_repeated_seed_list(self, capsys,
+                                                     monkeypatch):
+        # ``--seeds ,`` used to sweep no seed and pass; ``1,1`` ran
+        # seed 1 twice and reported two seeds.
+        calls = self._sweep_of(monkeypatch, permuted=(3, 4))
+        for seeds, complaint in ((",", "no seed"), ("", "no seed"),
+                                 ("1,1", "repeats a seed")):
+            assert main(["order", "--seeds", seeds]) == 2, seeds
+            captured = capsys.readouterr()
+            assert captured.out == "", seeds
+            assert captured.err.startswith("repro: --seeds: "), seeds
+            assert complaint in captured.err, seeds
+            assert captured.err.count("\n") == 1, seeds
+        assert calls == []
+
+    def test_two_on_a_non_positive_ops_budget(self, capsys, monkeypatch):
+        calls = self._sweep_of(monkeypatch, permuted=(3, 4))
+        for ops in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["order", "--ops", ops])
+            assert exc.value.code == 2, ops
+            assert "must be positive" in capsys.readouterr().err, ops
+        assert calls == []

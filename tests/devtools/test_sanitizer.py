@@ -221,6 +221,15 @@ class TestSweep:
         assert result.vacuous == [vacuous] and result.diverged == []
         assert result.to_dict()["cells"][1]["vacuous"] is True
 
+    def test_a_sweep_that_ran_no_seed_fails(self):
+        """A cell no permuted run ever reached certifies nothing either:
+        it used to be neither vacuous nor diverged, so it passed."""
+        unseeded = CellResult(model="m", baseline_digest="d", batches=4,
+                              max_batch=2)
+        assert unseeded.vacuous and not unseeded.ok
+        result = SweepResult(cells=[unseeded], ops_per_client=30, seeds=[])
+        assert not result.ok and result.vacuous == [unseeded]
+
 
 class TestInjectedMutation:
     def test_hidden_shared_state_is_caught(self, monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import FanoutTracer, KernelProfile
+from repro.obs import FanoutTracer, KernelProfile, format_kernel
 from repro.sim.engine import Simulator
 from repro.sim.trace import NullTracer, Tracer
 
@@ -81,7 +81,7 @@ class TestKernelProfile:
         snapshot = profile.snapshot()
         assert snapshot["events_processed"] == profile.events_processed
         assert snapshot["heap_peak"] == profile.heap_peak
-        assert "kernel:" in profile.format()
+        assert format_kernel(snapshot).startswith("kernel: ")
 
     def test_per_message_ratios(self):
         profile = KernelProfile()

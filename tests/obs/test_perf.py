@@ -11,6 +11,7 @@ from repro.sim.engine import Simulator
 
 
 def _profiled_tiny_run():
+    """The ``profile`` section a run report carries for a tiny run."""
     sim = Simulator()
     profile = KernelProfile()
     profile.attach(sim)
@@ -23,7 +24,7 @@ def _profiled_tiny_run():
         sim.process(worker())
     sim.run()
     profile.stop(sim.now)
-    return profile
+    return profile.snapshot()
 
 
 @pytest.fixture

@@ -158,7 +158,7 @@ class TestBuildRunReport:
             duration_ns=40_000.0, warmup_ns=4_000.0,
             tracer=tracker, metrics=metrics)
         assert tracker.dropped > 0
-        waterfall = aggregate_journeys(tracker.journeys, 3, label="capped",
+        waterfall = aggregate_journeys(tracker.journeys, 3,
                                        dropped=tracker.dropped)
         report = build_run_report(summary, metrics, 10_000.0,
                                   journeys=waterfall)

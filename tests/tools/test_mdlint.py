@@ -134,6 +134,39 @@ class TestChecker:
         # A change log's "current" was current when it was written.
         logged = self.check(self.write(tmp_path, "CHANGES.md", text))
         assert len(logged) == 2 and not any("stale" in e for e in logged)
+        # A retired family is history in a change log, unknown elsewhere.
+        retired = "the `repro.kernel_profile/1` document\n"
+        assert self.check(self.write(tmp_path, "CHANGES.md", retired)) == []
+        (error,) = self.check(self.write(tmp_path, "doc.md", retired))
+        assert "doc.md:1: unknown artifact family 'repro.kernel_profile'" \
+            in error
+
+    @pytest.mark.parametrize("name", ["README.md", "handbook.md"])
+    def test_documented_commands_must_parse(self, tmp_path, name):
+        """A doc that still shows a removed flag fails by line; the
+        shell around a command (prompt, environment, continuations,
+        comments, redirections) is not part of it."""
+        doc = self.write(tmp_path, name, "\n".join([
+            "# CLI", "",
+            "`python -m repro.cli journey --key 7` outside a fence",
+            "```bash",
+            "$ PYTHONPATH=src python -m repro.cli run --seed 7 \\",
+            ">     --journey-out j.json   # then read it back",
+            "python -m repro.cli journey j.json > waterfall.txt",
+            "python -m repro.cli order --seeds 1,2 2>&1 | tail -1",
+            "$ python -m repro.cli journey --consistency causal \\",
+            ">     --key 7",
+            "python -m repro.cli profile --duration-us 300",
+            "```", ""]))
+        errors = self.check(doc)
+        assert [e.split(": ")[0] for e in errors] == [
+            f"{doc}:9", f"{doc}:11"]
+        assert "`repro journey --consistency causal --key 7` does not " \
+               "parse" in errors[0]
+        assert "unrecognized arguments: --duration-us" in errors[1]
+        # Only the command docs are held to the parser.
+        assert self.check(self.write(tmp_path, "notes.md",
+                                     doc.read_text())) == []
 
 
 def test_repository_docs_are_clean(capsys):

@@ -21,8 +21,15 @@ Validates every markdown file it is given (or discovers):
 * **schema tags** — every ``repro.<family>/<N>`` quoted anywhere in a
   file must be a tag ``repro.obs.schemas`` knows, and outside the
   change logs (``CHANGES.md``, ``ISSUE.md``: what an entry calls
-  current was current then) it must be the family's *current* tag
-  unless it opens a version range (``repro.run_report/1..6``).
+  current was current then, and a retired family existed then) it must
+  be the family's *current* tag unless it opens a version range
+  (``repro.run_report/1..6``);
+* **documented commands** — in README.md and docs/handbook.md, every
+  ``python -m repro.cli …`` line of a fenced code block (``$``
+  prompt, environment assignments, ``\\`` continuations and their
+  ``>`` prompts allowed; cut at a ``#`` comment or a shell
+  redirection) must parse under ``repro.cli.build_parser()`` —
+  nothing is simulated.
 
 External targets (``http:``, ``https:``, ``mailto:``) are recorded
 but never fetched — CI must not depend on the network. Bare URLs in
@@ -38,8 +45,11 @@ Exit codes: 0 clean, 1 broken links/anchors, 2 usage error.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import pathlib
 import re
+import shlex
 import sys
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -65,6 +75,16 @@ _CONTRACT_GRID = re.compile(r"<!-- contract-grid:begin -->\n(.*?)\n"
 # A quoted artifact schema tag, and whether a version range follows it.
 _SCHEMA_TAG = re.compile(r"\b(repro\.[a-z_]+)/(\d+)(\.\.|…)?")
 _CHANGE_LOGS = ("CHANGES.md", "ISSUE.md")
+# Families no writer emits any more; only a change log may name them.
+_RETIRED_FAMILIES = ("repro.kernel_profile",)
+
+# A documented CLI invocation: an optional "$ " prompt and environment
+# assignments, then the module run; the rest of the line is its argv.
+_CLI_COMMAND = re.compile(r"^\s*(?:\$\s+)?(?:\w+=\S*\s+)*"
+                          r"python3?\s+-m\s+repro\.cli\b(.*)$")
+_CLI_DOCS = ("README.md", "handbook.md")
+# A shell word that ends the command's argv (redirection, pipe, list).
+_SHELL_CUT = re.compile(r"^(?:\d*[<>]|\||&|;)")
 
 EXTERNAL_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 
@@ -118,6 +138,8 @@ def schema_tag_errors(text: str, is_change_log: bool) -> List[Tuple[int, str]]:
         try:
             parse_schema_tag(tag)
         except SchemaError as exc:
+            if is_change_log and family in _RETIRED_FAMILIES:
+                continue
             complaint = str(exc)
         else:
             current = schema_tag(family)
@@ -125,6 +147,48 @@ def schema_tag_errors(text: str, is_change_log: bool) -> List[Tuple[int, str]]:
                 continue
             complaint = f"stale schema tag {tag!r}: current is {current!r}"
         errors.append((text.count("\n", 0, match.start()) + 1, complaint))
+    return errors
+
+
+def cli_command_errors(text: str) -> List[Tuple[int, str]]:
+    """``(line, complaint)`` for every ``python -m repro.cli …`` line of
+    a fenced code block that ``repro.cli.build_parser()`` rejects."""
+    _use_checkout_src()
+    from repro.cli import build_parser
+
+    errors = []
+    lines = text.splitlines()
+    in_fence = False
+    index = 0
+    while index < len(lines):
+        start, line = index + 1, lines[index]
+        index += 1
+        if _CODE_FENCE.match(line):
+            in_fence = not in_fence
+            continue
+        match = _CLI_COMMAND.match(line) if in_fence else None
+        if match is None:
+            continue
+        command = match.group(1)
+        while command.rstrip().endswith("\\") and index < len(lines):
+            command = (command.rstrip()[:-1] + " "
+                       + re.sub(r"^\s*>\s?", "", lines[index]))
+            index += 1
+        words = shlex.split(command, comments=True)
+        for cut, word in enumerate(words):
+            if _SHELL_CUT.match(word):
+                words = words[:cut]
+                break
+        output = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(output), \
+                    contextlib.redirect_stderr(output):
+                build_parser().parse_args(words)
+        except SystemExit as exc:
+            if exc.code:
+                complaint = output.getvalue().strip().splitlines()[-1]
+                errors.append((start, f"`repro {' '.join(words)}` does "
+                                      f"not parse: {complaint}"))
     return errors
 
 
@@ -209,6 +273,9 @@ class Checker:
         for line, complaint in schema_tag_errors(
                 text, is_change_log=path.name in _CHANGE_LOGS):
             self.errors.append(f"{path}:{line}: {complaint}")
+        if path.name in _CLI_DOCS:
+            for line, complaint in cli_command_errors(text):
+                self.errors.append(f"{path}:{line}: {complaint}")
         for line, target in iter_links(text):
             self.links_checked += 1
             if target.startswith("\0missing-ref:"):
