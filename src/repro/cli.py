@@ -16,14 +16,16 @@ Subcommands (``repro <cmd> --help`` for flags; worked examples in
 docs/handbook.md "CLI reference"):
 
 * ``run`` — simulate one DDP model and print a summary; optionally
-  write a Chrome trace, the run-report JSON, a client history, inject
-  faults and validate durability contracts, audit the history (exit 1
-  on a contract violation).
+  write a Chrome trace, the run-report JSON with the sections
+  ``sweep`` names by the same four flags (``--journeys``,
+  ``--health``, ``--profile``, ``--audit``), a client history, inject
+  faults and validate durability contracts (exit 1 on a contract
+  violation).
 * ``trace FILE`` / ``journey FILE`` / ``profile FILE`` — one saved run
   seen through one observer: the event timeline of ``run --trace-out``,
-  the per-update critical-path waterfalls of ``run --journey-out`` (or
-  of every cell of ``sweep --journeys --out``), the kernel hotspots of
-  ``run --profile --metrics-out``.
+  the per-update critical-path waterfalls of ``run --journeys
+  --metrics-out`` (or of every cell of ``sweep --journeys --out``), the
+  kernel hotspots of ``run --profile --metrics-out``.
 * ``sweep`` — several models (``--all``: the 5x5 matrix, times
   ``--seeds``) across ``--workers`` processes; the merged
   ``repro.sweep_report/1`` is byte-identical for any worker count and a
@@ -47,7 +49,7 @@ Examples::
     python -m repro.cli run --crash 2@50+40 --metrics-out report.json
     python -m repro.cli run --faults chaos.json --trace-out t.json
     python -m repro.cli trace t.json --category persist --limit 5
-    python -m repro.cli run --consistency linearizable --journey-out j.json
+    python -m repro.cli run --consistency linearizable --journeys --metrics-out j.json
     python -m repro.cli journey j.json
     python -m repro.cli sweep --all --journeys --out sweep.json
     python -m repro.cli journey sweep.json      # one waterfall per cell
@@ -68,6 +70,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -86,17 +89,11 @@ from repro.faults import (FaultInjector, FaultPlan, load_fault_plan,
 from repro.obs import (
     CellSpec,
     DiffError,
-    Observers,
     SweepProgress,
     build_sweep_report,
     matrix_specs,
     run_sweep,
     write_sweep_report,
-    HealthMonitor,
-    HistoryRecorder,
-    JourneyTracker,
-    JsonlSink,
-    KernelProfile,
     format_hotspots,
     format_kernel,
     diff_json,
@@ -105,13 +102,15 @@ from repro.obs import (
     load_artifact,
     load_history,
     observed_run,
+    section_observers,
     write_history,
     write_run_report,
 )
 from repro.obs.export import CLUSTER_PID
+from repro.obs.run import SECTIONS
 from repro.obs.schemas import SchemaError, parse_schema_tag
 from repro.sim.rng import SeededStream
-from repro.sim.trace import INSTANT, TraceRecord, Tracer
+from repro.sim.trace import INSTANT, TraceRecord
 from repro.workload.ycsb import WORKLOADS
 
 __all__ = ["main", "build_parser"]
@@ -119,6 +118,11 @@ __all__ = ["main", "build_parser"]
 
 class _CliError(Exception):
     """Unusable input: ``main`` prints ``repro: <message>``, exits 2."""
+
+
+def _sections(args) -> tuple:
+    """The report sections the four section flags name."""
+    return tuple(name for name in SECTIONS if getattr(args, name, False))
 
 
 def _spec_from(args) -> CellSpec:
@@ -130,7 +134,7 @@ def _spec_from(args) -> CellSpec:
             args.consistency, args.persistency, args.seed,
             workload=args.workload, servers=args.servers,
             clients=args.clients, duration_ns=duration,
-            warmup_ns=duration / 10)
+            warmup_ns=duration / 10, sections=_sections(args))
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
 
@@ -166,7 +170,7 @@ def _add_model(parser: argparse.ArgumentParser,
                             help=note and note.format(name))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     parser.add_argument("--workload", default="A", choices=sorted(WORKLOADS),
                         help="YCSB workload mix (default: A)")
     parser.add_argument("--servers", type=int, default=5)
@@ -174,7 +178,31 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="total clients across the cluster")
     parser.add_argument("--duration-us", type=float, default=100.0,
                         help="measured simulated time per run")
-    parser.add_argument("--seed", type=int, default=2021)
+    if seed:  # a sweep takes its seeds only through --seeds
+        parser.add_argument("--seed", type=int, default=2021)
+
+
+def _add_seeds(parser: argparse.ArgumentParser, default, text) -> None:
+    parser.add_argument("--seeds", type=int, nargs="+", default=default,
+                        metavar="SEED", help=text)
+
+
+_SECTION_HELP = {
+    "journeys": "per-update critical-path journey waterfalls",
+    "health": "cluster health sampled on the simulation clock (persist "
+              "queues, causal buffers, inflight rounds, invariant probes)",
+    "profile": "simulation-kernel profile counters",
+    "audit": "black-box audit of the client history against the 5x5 "
+             "consistency/persistency matrix",
+}
+
+
+def _add_sections(parser: argparse.ArgumentParser, where: str) -> None:
+    """``run``'s and ``sweep``'s report-section flags, one per name in
+    :data:`repro.obs.SECTIONS`."""
+    for name in SECTIONS:
+        parser.add_argument(f"--{name}", action="store_true",
+                            help=f"{_SECTION_HELP[name]}, {where}")
 
 
 def _positive(kind):
@@ -188,77 +216,39 @@ def _positive(kind):
     return parse
 
 
-def _add_observability(parser: argparse.ArgumentParser) -> None:
+def _add_outputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="write a Chrome trace_event JSON timeline "
                              "(open in Perfetto / chrome://tracing)")
     parser.add_argument("--trace-jsonl", metavar="PATH", default=None,
-                        help="stream trace records to a JSONL file")
-    parser.add_argument("--trace-limit", type=_positive(int),
-                        default=1_000_000,
-                        help="max in-memory trace records (default: 1M)")
-    parser.add_argument("--trace-ring", action="store_true",
-                        help="keep the newest records when the limit is "
-                             "hit instead of the oldest")
+                        help="stream every trace record to a JSONL file")
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="write the run-report JSON (windowed "
-                             "throughput/latency, VP/DP lag series)")
-    parser.add_argument("--metrics-window-us", type=_positive(float),
-                        default=10.0,
-                        help="time-series window size (default: 10 us)")
-    parser.add_argument("--journey-out", metavar="PATH", default=None,
-                        help="track per-update journeys and write a "
-                             "run-report JSON with the critical-path "
-                             "waterfall (journeys section)")
-    parser.add_argument("--journey-sample-every", type=_positive(int),
-                        default=1, metavar="N",
-                        help="track every Nth write (default: 1)")
-    parser.add_argument("--journey-max", type=_positive(int), default=None,
-                        metavar="N",
-                        help="cap tracked journeys; later writes count "
-                             "as dropped (default: unlimited)")
-    parser.add_argument("--profile", action="store_true",
-                        help="collect and print simulation-kernel "
-                             "profile counters")
-    parser.add_argument("--health", action="store_true",
-                        help="sample cluster health on the simulation "
-                             "clock (persist queues, causal buffers, "
-                             "inflight rounds, invariant probes); folds "
-                             "into --metrics-out and --trace-out")
-    parser.add_argument("--health-interval-us", type=_positive(float),
-                        default=5.0,
-                        help="health sampling interval (default: 5 us)")
-    parser.add_argument("--health-samples", type=_positive(int),
-                        default=10_000,
-                        help="max health samples kept (default: 10000)")
-    parser.add_argument("--health-top-k", type=int, default=8,
-                        help="hot keys tracked per sample (default: 8)")
+                             "throughput/latency, VP/DP lag series, and "
+                             "the sections the section flags name)")
     parser.add_argument("--history-out", metavar="PATH", default=None,
                         help="record every client-observed operation and "
                              "write the repro.history/1 JSONL artifact "
                              "(the black-box contract auditor's input)")
-    parser.add_argument("--audit", action="store_true",
-                        help="record the client history and audit it "
-                             "against the 5x5 consistency/persistency "
-                             "matrix after the run; exit code 1 if the "
-                             "run's own model fails its contract")
-    parser.add_argument("--history-limit", type=_positive(int),
-                        default=1_000_000, metavar="N",
-                        help="max recorded operations (default: 1M); an "
-                             "over-limit history is truncated and "
-                             "audits as unusable")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No prefix matching: a removed flag must not resolve to a survivor.
     parser = argparse.ArgumentParser(
-        prog="repro",
+        prog="repro", allow_abbrev=False,
         description="Distributed Data Persistency (MICRO 2021) reproduction")
     subparsers = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(subparsers.add_parser, allow_abbrev=False)
 
-    run_parser = subparsers.add_parser("run", help="simulate one DDP model")
+    run_parser = add_parser(
+        "run", help="simulate one DDP model",
+        description="Simulate one DDP model.  Exit code 1 when --audit "
+                    "fails the run's own model or --faults/--crash "
+                    "violates a durability contract.")
     _add_model(run_parser)
     _add_common(run_parser)
-    _add_observability(run_parser)
+    _add_outputs(run_parser)
+    _add_sections(run_parser, "in the report and summarised on stdout")
     run_parser.add_argument("--faults", metavar="PLAN.json", default=None,
                             help="inject the faults described in a JSON "
                                  "plan (crashes, drops, delays, "
@@ -271,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "restarting it after RESTART_US more; "
                                  "repeatable; combines with --faults")
 
-    trace_parser = subparsers.add_parser(
+    trace_parser = add_parser(
         "trace", help="print the event timeline of a Chrome trace")
     trace_parser.add_argument("input", metavar="FILE",
                               help="Chrome trace_event JSON from "
@@ -281,16 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("--category", action="append", default=None,
                               help="only these categories (repeatable)")
 
-    journey_parser = subparsers.add_parser(
+    journey_parser = add_parser(
         "journey", help="print per-update critical-path latency "
                         "waterfalls")
     journey_parser.add_argument("input", metavar="FILE",
-                                help="run report from run --journey-out, "
-                                     "or sweep report from sweep "
-                                     "--journeys --out (one waterfall per "
-                                     "cell)")
+                                help="run report from run --journeys "
+                                     "--metrics-out, or sweep report from "
+                                     "sweep --journeys --out (one "
+                                     "waterfall per cell)")
 
-    profile_parser = subparsers.add_parser(
+    profile_parser = add_parser(
         "profile", help="print kernel hotspot attribution: wall time by "
                         "event kind and message handler")
     profile_parser.add_argument("input", metavar="FILE",
@@ -301,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="rows per hotspot section "
                                      "(default: all)")
 
-    diff_parser = subparsers.add_parser(
+    diff_parser = add_parser(
         "diff", help="compare two run/sweep reports or bench artifacts "
                      "for regressions")
     diff_parser.add_argument("baseline", help="baseline artifact "
@@ -321,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff_parser.add_argument("--force", action="store_true",
                              help="compare despite a config-hash mismatch")
 
-    audit_parser = subparsers.add_parser(
+    audit_parser = add_parser(
         "audit", help="verify a recorded client history against the 5x5 "
                       "consistency/persistency matrix")
     audit_parser.add_argument("history", metavar="HISTORY.jsonl",
@@ -336,51 +326,40 @@ def build_parser() -> argparse.ArgumentParser:
     audit_parser.add_argument("--out", metavar="PATH", default=None,
                               help="also write the JSON audit report here")
 
-    sweep_parser = subparsers.add_parser(
+    sweep_parser = add_parser(
         "sweep", help="compare models on one workload; --workers fans "
                       "the matrix across processes")
     sweep_parser.add_argument("--all", action="store_true",
                               help="sweep all 25 models (slow)")
-    _add_common(sweep_parser)
+    _add_common(sweep_parser, seed=False)
     sweep_parser.add_argument("--workers", type=_positive(int), default=1,
                               metavar="N",
                               help="worker processes (default: 1 = "
                                    "in-process); the merged artifact is "
                                    "byte-identical for any worker count")
-    sweep_parser.add_argument("--seeds", type=int, nargs="+", default=None,
-                              metavar="SEED",
-                              help="run each model once per seed "
-                                   "(default: just --seed)")
+    _add_seeds(sweep_parser, [2021],
+               "run each model once per seed (default: 2021)")
     sweep_parser.add_argument("--out", metavar="PATH", default=None,
                               help="write the merged repro.sweep_report/1 "
                                    "JSON here")
-    sweep_parser.add_argument("--journeys", action="store_true",
-                              help="embed per-cell journey waterfalls")
-    sweep_parser.add_argument("--health", action="store_true",
-                              help="embed per-cell health sections")
-    sweep_parser.add_argument("--profile", action="store_true",
-                              help="embed per-cell kernel profiles "
-                                   "(deterministic counters only)")
-    sweep_parser.add_argument("--audit", action="store_true",
-                              help="embed per-cell black-box audit "
-                                   "verdicts")
+    _add_sections(sweep_parser, "embedded per cell (wall clock stripped)")
     sweep_parser.add_argument("--no-progress", action="store_true",
                               help="suppress the stderr progress "
                                    "telemetry")
 
-    tradeoff_parser = subparsers.add_parser(
+    tradeoff_parser = add_parser(
         "tradeoffs", help="print the derived Table 4")
     tradeoff_parser.add_argument("--all", action="store_true",
                                  help="derive all 25 models")
 
-    recover_parser = subparsers.add_parser(
+    recover_parser = add_parser(
         "recover", help="crash mid-run and simulate recovery")
     _add_model(recover_parser)
     recover_parser.add_argument("--strategy", default="latest",
                                 choices=["latest", "majority"])
     _add_common(recover_parser)
 
-    order_parser = subparsers.add_parser(
+    order_parser = add_parser(
         "order",
         help="tie-batch sanitizer sweep across all 25 DDP models",
         description="Permute the processing order of same-timestamp "
@@ -391,9 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     order_parser.add_argument("--json", action="store_true",
                               help="emit the repro.order_sweep/2 JSON "
                                    "document")
-    order_parser.add_argument("--seeds", default="1,2,3,4",
-                              metavar="S[,S...]",
-                              help="permutation seeds (default: 1,2,3,4)")
+    _add_seeds(order_parser, [1, 2, 3, 4],
+               "permutation seeds (default: 1 2 3 4)")
     order_parser.add_argument("--ops", type=_positive(int), default=30,
                               metavar="N",
                               help="request budget per client (fixed-work "
@@ -467,34 +445,13 @@ def _print_fault_outcome(cluster, injector) -> int:
 def _cmd_run(args) -> int:
     spec = _spec_from(args)
     _preflight(args.trace_out, args.trace_jsonl, args.metrics_out,
-               args.journey_out, args.history_out)
-    # A journey report rides in the full run-report document, so it
-    # needs the same windowed collectors as --metrics-out.
-    want_report = args.metrics_out or args.journey_out
-    try:
-        monitor = (HealthMonitor(interval_ns=args.health_interval_us * 1000.0,
-                                 max_samples=args.health_samples,
-                                 top_k=args.health_top_k)
-                   if args.health else None)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-    observers = Observers(
-        tracer=(Tracer(max_records=args.trace_limit, ring=args.trace_ring)
-                if args.trace_out or args.trace_jsonl else None),
-        jsonl=JsonlSink(args.trace_jsonl) if args.trace_jsonl else None,
-        journey=(JourneyTracker(args.servers,
-                                sample_every=args.journey_sample_every,
-                                max_journeys=args.journey_max)
-                 if args.journey_out else None),
-        profile=KernelProfile() if args.profile else None,
-        monitor=monitor,
-        recorder=(HistoryRecorder(max_ops=args.history_limit)
-                  if args.history_out or args.audit else None),
-        audit=args.audit,
-        window_ns=(args.metrics_window_us * 1000.0 if want_report else None))
+               args.history_out)
     injector = _faults_from(args)
+    observers = section_observers(
+        spec, history=bool(args.history_out), trace=bool(args.trace_out),
+        jsonl=args.trace_jsonl, report=bool(args.metrics_out))
     run = observed_run(spec, observers, faults=injector)
-    summary, tracer, journey = run.summary, observers.tracer, observers.journey
+    summary = run.summary
     print(format_summary_table([(str(spec.model), summary)]))
     print(f"\npersists={summary.persists}  messages={summary.total_messages}"
           f"  causal-buffer-peak={summary.causal_buffer_peak}"
@@ -511,18 +468,18 @@ def _cmd_run(args) -> int:
         print()
         print(format_audit_table(run.audit))
         exit_code = max(exit_code, audit_exit_code(run.audit))
+    tracer = observers.tracer
     if args.trace_out:
         run.write_trace(args.trace_out)
         print(f"trace    -> {args.trace_out} "
               f"({len(tracer)} records, {tracer.dropped} dropped)")
     if args.metrics_out:
         write_run_report(args.metrics_out, run.report)
-        print(f"metrics  -> {args.metrics_out} "
-              f"(window {args.metrics_window_us:g} us)")
-    if args.journey_out:
-        write_run_report(args.journey_out, run.report)
-        print(f"journeys -> {args.journey_out} "
-              f"({len(journey)} tracked, {journey.dropped} dropped)")
+        print(f"metrics  -> {args.metrics_out}")
+    journey = observers.journey
+    if journey is not None:
+        print(f"journeys :  {len(journey)} tracked, "
+              f"{journey.dropped} dropped")
     monitor = observers.monitor
     if monitor is not None:
         print(f"health   :  {len(monitor)} samples "
@@ -573,11 +530,9 @@ def _format_trace(path: str, doc: Dict[str, Any], categories, limit) -> str:
     lines = [f"{path}: model {other.get('model', '?')}   "
              f"{records} records, {dropped} dropped"]
     if dropped:
-        end = "oldest" if other.get("ring") else "newest"
-        lines.append(f"WARNING: timeline truncated — {dropped} {end} "
-                     f"records dropped at the run --trace-limit={records} "
-                     f"cap; raise it or switch run --trace-ring to change "
-                     f"which end is kept")
+        lines.append(f"WARNING: timeline truncated — the newest {dropped} "
+                     f"records were dropped at the {records}-record cap; "
+                     f"run --trace-jsonl streams every record")
     events = [event for event in doc["traceEvents"]
               if event.get("ph") != "M" and (
                   categories is None or event.get("name") in categories)]
@@ -624,7 +579,7 @@ def _cmd_journey(args) -> int:
             raise _CliError(f"{args.input}: sweep report has no ok cell")
     else:
         sections = [(doc["meta"].get("model", "run"), doc.get("journeys"))]
-        kind, hint = "run report", "run --journey-out"
+        kind, hint = "run report", "run --journeys --metrics-out"
     if not all(isinstance(journeys, dict) for _, journeys in sections):
         raise _CliError(f"{args.input}: {kind} has no journeys section "
                         f"(produce one with {hint})")
@@ -704,14 +659,12 @@ def _cmd_sweep(args) -> int:
             DdpModel(Consistency.CAUSAL, Persistency.EVENTUAL),
             DdpModel(Consistency.EVENTUAL, Persistency.EVENTUAL),
         ]
-    seeds = args.seeds if args.seeds else [args.seed]
-    sections = tuple(name for name in ("journeys", "health", "profile",
-                                       "audit") if getattr(args, name))
+    seeds = args.seeds
     try:
         specs = matrix_specs(models, seeds, workload=args.workload,
                              servers=args.servers, clients=args.clients,
                              duration_ns=duration, warmup_ns=duration / 10,
-                             sections=sections)
+                             sections=_sections(args))
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     _preflight(args.out)
@@ -774,15 +727,10 @@ def _cmd_recover(args) -> int:
 
 def _cmd_order(args) -> int:
     _preflight(args.sweep_out)
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    except ValueError as exc:
-        raise _CliError(f"--seeds: {exc}") from exc
-    if not seeds:
-        raise _CliError(f"--seeds: no seed in {args.seeds!r}")
+    seeds = args.seeds
     if len(set(seeds)) != len(seeds):
-        raise _CliError(f"--seeds: {args.seeds} repeats a seed: each seed "
-                        f"runs once")
+        raise _CliError(f"--seeds: {' '.join(map(str, seeds))} repeats a "
+                        f"seed: each seed runs once")
     result = sanitizer.sweep(ops_per_client=args.ops, seeds=seeds)
     payload = json.dumps(result.to_dict(), indent=2)
     if args.sweep_out:

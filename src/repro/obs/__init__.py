@@ -20,7 +20,8 @@ VP/DP events) into artifacts a human or a tool can consume:
   :func:`observed_run`, the one build-run-observe recipe that
   ``repro run``, ``repro recover`` and every sweep cell are views over
   (``repro trace`` / ``journey`` / ``profile`` read what ``run``
-  wrote).
+  wrote), and :func:`section_observers`, the one place the report
+  sections' observers are built.
 * :mod:`repro.obs.fanout` — :class:`FanoutTracer` to feed one engine's
   emissions to several sinks (e.g. a Tracer and a PointsTracker).
 * :mod:`repro.obs.journey` — :class:`JourneyTracker`, a sink that
@@ -86,7 +87,13 @@ from repro.obs.report import (
     config_fingerprint,
     write_run_report,
 )
-from repro.obs.run import CellSpec, ObservedRun, Observers, observed_run
+from repro.obs.run import (
+    CellSpec,
+    ObservedRun,
+    Observers,
+    observed_run,
+    section_observers,
+)
 from repro.obs.schemas import (
     SchemaError,
     parse_schema_tag,
@@ -136,6 +143,7 @@ __all__ = [
     "ObservedRun",
     "Observers",
     "observed_run",
+    "section_observers",
     "DiffError",
     "DiffReport",
     "diff_documents",

@@ -129,24 +129,19 @@ class UpdateJourney:
 class JourneyTracker:
     """A tracer sink that assembles :class:`UpdateJourney` records.
 
-    ``sample_every=N`` tracks every Nth issued write (1 = all);
-    ``max_journeys`` caps memory, counting overflow in ``dropped`` so a
-    truncated population is never silently presented as complete.
+    Every issued write is tracked; ``max_journeys`` caps memory,
+    counting overflow in ``dropped`` so a truncated population is never
+    silently presented as complete.
     """
 
     enabled = True
 
-    def __init__(self, num_nodes: int, sample_every: int = 1,
-                 max_journeys: Optional[int] = None):
-        if sample_every <= 0:
-            raise ValueError(f"sample_every must be positive: {sample_every}")
+    def __init__(self, num_nodes: int, max_journeys: Optional[int] = None):
         if max_journeys is not None and max_journeys <= 0:
             raise ValueError(f"max_journeys must be positive: {max_journeys}")
         self.num_nodes = num_nodes
-        self.sample_every = sample_every
         self.max_journeys = max_journeys
         self.dropped = 0
-        self._issued = 0
         self._journeys: Dict[Tuple[int, Version], UpdateJourney] = {}
         self._by_op: Dict[int, Tuple[int, Version]] = {}
         # (node, address) -> (end time, service ns) of the last NVM
@@ -170,9 +165,6 @@ class JourneyTracker:
     # -- category handlers -------------------------------------------------
 
     def _on_write_issue(self, time, node, details) -> None:
-        self._issued += 1
-        if (self._issued - 1) % self.sample_every != 0:
-            return
         if (self.max_journeys is not None
                 and len(self._journeys) >= self.max_journeys):
             self.dropped += 1

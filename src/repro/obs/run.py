@@ -10,7 +10,8 @@ Every experiment in the repository is the same five steps::
   ``__post_init__`` is the only run-shape validation.
 * :class:`Observers` names the sinks the run is watched through; all
   optional, all pure observation (a same-seed run is byte-identical
-  with or without any of them).
+  with or without any of them).  :func:`section_observers` builds them
+  for a spec's report ``sections``, each at its one setting.
 * :func:`observed_run` is the only code that wires them together: sink
   fan-out, ``monitor.watch``, cluster build, run, recorder finalisation
   and audit.  It returns an :class:`ObservedRun`, whose ``waterfall``
@@ -18,9 +19,9 @@ Every experiment in the repository is the same five steps::
   on first use.
 
 ``repro run`` / ``recover`` and the sweep worker
-(:func:`repro.obs.sweep.run_cell`) are views: they build a spec and an
-``Observers``, call :func:`observed_run`, and print or select from the
-result.  A sweep cell's ``journeys`` / ``health`` / ``profile`` /
+(:func:`repro.obs.sweep.run_cell`) are views: they build a spec and its
+``section_observers``, call :func:`observed_run`, and print or select
+from the result.  A sweep cell's ``journeys`` / ``health`` / ``profile`` /
 ``audit`` section therefore *is* the run report's section, and
 ``repro trace`` / ``journey`` / ``profile`` simulate nothing: they read
 the artifacts ``run`` (and ``sweep``) wrote.
@@ -50,12 +51,14 @@ from repro.sim.trace import Tracer
 from repro.workload.ycsb import WORKLOADS
 
 __all__ = ["SECTIONS", "CellSpec", "Observers", "ObservedRun",
-           "observed_run"]
+           "observed_run", "section_observers"]
 
-#: Optional per-cell report sections a sweep can request.
+#: Optional run-report sections a run or a sweep cell can request.
 SECTIONS = ("journeys", "health", "profile", "audit")
 
 _DEFAULT_WINDOW_NS = 10_000.0
+#: The in-memory trace bound; ``dropped`` counts what lies past it.
+_TRACE_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,28 @@ class Observers:
     :class:`PointsTracker`."""
 
 
+def section_observers(spec: CellSpec, *, profile: bool = False,
+                      history: bool = False, trace: bool = False,
+                      jsonl: Optional[str] = None,
+                      report: bool = False) -> Observers:
+    """The observers ``spec.sections`` asks for — each at its one
+    setting, the same for ``repro run`` and every sweep cell — plus a
+    :class:`KernelProfile` (``profile``), a history recorder
+    (``history``), a bounded tracer (``trace``), a JSONL trace stream
+    to the path ``jsonl``, and the run report's windowed series
+    (``report``)."""
+    wanted = spec.sections
+    return Observers(
+        tracer=Tracer(max_records=_TRACE_LIMIT) if trace or jsonl else None,
+        jsonl=JsonlSink(jsonl) if jsonl else None,
+        journey=JourneyTracker(spec.servers) if "journeys" in wanted else None,
+        profile=KernelProfile() if profile or "profile" in wanted else None,
+        monitor=HealthMonitor() if "health" in wanted else None,
+        recorder=HistoryRecorder() if history or "audit" in wanted else None,
+        audit="audit" in wanted,
+        window_ns=_DEFAULT_WINDOW_NS if report else None)
+
+
 @dataclass
 class ObservedRun:
     """A finished run and everything its observers saw."""
@@ -192,8 +217,7 @@ class ObservedRun:
     def write_trace(self, path: str) -> None:
         """Write the tracer's timeline as Chrome ``trace_event`` JSON,
         with the journey flows and health counters of this run; its
-        ``otherData`` carries the run's meta and which end of an
-        over-long timeline the tracer kept (``ring``)."""
+        ``otherData`` carries the run's meta."""
         obs = self.observers
         extra = []
         if obs.journey is not None:
@@ -203,8 +227,7 @@ class ObservedRun:
             extra += health_chrome_events(obs.monitor)
         write_chrome_trace(path, obs.tracer.records,
                            dropped=obs.tracer.dropped,
-                           meta={**self.spec.meta(),
-                                 "ring": obs.tracer._ring},
+                           meta=self.spec.meta(),
                            extra_events=extra or None)
 
 

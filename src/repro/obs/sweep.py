@@ -47,12 +47,9 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import Summary
 from repro.core.model import DdpModel
-from repro.obs.history import HistoryRecorder
-from repro.obs.journey import JourneyTracker
-from repro.obs.monitor import HealthMonitor
-from repro.obs.profile import KernelProfile
 from repro.obs.report import _clean, config_fingerprint
-from repro.obs.run import SECTIONS, CellSpec, Observers, observed_run
+from repro.obs.run import (SECTIONS, CellSpec, observed_run,
+                           section_observers)
 from repro.obs.schemas import SWEEP_REPORT_SCHEMA, WALL_CLOCK_DIRECTIONS
 
 __all__ = ["CellSpec", "CellResult", "SweepProgress", "matrix_specs",
@@ -128,28 +125,23 @@ def run_cell(spec: CellSpec) -> CellResult:
     """Run one cell in this process (the worker body): a view over
     :func:`repro.obs.run.observed_run`.
 
-    Attaches a :class:`KernelProfile` unconditionally — profiled runs
-    are byte-identical to unprofiled ones (asserted since PR 6), and
-    its snapshot is the cell's timing telemetry — plus whichever
-    optional sinks ``spec.sections`` requests.  Each requested section
-    is that section of the run report, wall clock stripped.
+    Attaches a :class:`~repro.obs.profile.KernelProfile`
+    unconditionally — profiled runs are byte-identical to unprofiled
+    ones (``tests/obs/test_tracing_equivalence.py``), and its snapshot
+    is the cell's timing telemetry — plus the
+    :func:`~repro.obs.run.section_observers` ``spec.sections``
+    requests, built as ``repro run`` builds them.  Each requested
+    section is that section of the run report, wall clock stripped.
     """
     if _rigged_to_crash(spec):
         raise RuntimeError(f"rigged crash ({_CRASH_ENV}) for cell "
                            f"{spec.consistency}:{spec.persistency}")
-    wanted = spec.sections
-    profile = KernelProfile()
-    run = observed_run(spec, Observers(
-        profile=profile,
-        journey=JourneyTracker(spec.servers) if "journeys" in wanted else None,
-        monitor=HealthMonitor() if "health" in wanted else None,
-        recorder=HistoryRecorder() if "audit" in wanted else None,
-        audit="audit" in wanted))
-    snapshot = profile.snapshot()
+    run = observed_run(spec, section_observers(spec, profile=True))
+    snapshot = run.observers.profile.snapshot()
     return CellResult(
         spec=spec, status="ok", summary=run.summary,
         sections={name: strip_wall_clock(run.report[name])
-                  for name in wanted},
+                  for name in spec.sections},
         timing={"wall_seconds": snapshot["wall_seconds"],
                 "events_per_wall_second":
                     snapshot["events_per_wall_second"],

@@ -21,11 +21,10 @@ Records come in two shapes:
   order only up to such look-ahead, and everything that renders a
   timeline sorts by ``time`` first (:meth:`Tracer.in_time_order`).
 
-Storage is bounded: ``max_records`` caps memory, either by dropping new
-records once full (``ring=False``, the default — the head of the run is
-kept) or by evicting the oldest (``ring=True`` — the tail is kept, the
-right mode for "what just happened before the bug").  Either way the
-``dropped`` counter says how much is missing.
+Storage is bounded: ``max_records`` caps memory by dropping new records
+once full (the head of the run is kept), and the ``dropped`` counter
+says how much is missing.  A whole run streams to a JSONL file
+(:class:`repro.obs.export.JsonlSink`) unbounded.
 
 Tracing is off by default (a :class:`NullTracer` is used) so the hot
 simulation path pays a single attribute lookup per potential record.
@@ -33,7 +32,6 @@ simulation path pays a single attribute lookup per potential record.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional
@@ -72,26 +70,21 @@ class TraceRecord:
 
 class Tracer:
     """Collects trace records, with optional category filtering and a
-    bounded-memory mode.
+    memory bound.
 
     ``max_records=None`` keeps everything (tests, short runs).  With a
-    cap, ``ring=False`` keeps the first ``max_records`` records and
-    ``ring=True`` the last; ``dropped`` counts the records lost either
-    way.
+    cap, the first ``max_records`` records are kept and ``dropped``
+    counts the rest.
     """
 
     enabled = True
 
     def __init__(self, categories: Optional[List[str]] = None,
-                 max_records: Optional[int] = None, ring: bool = False):
+                 max_records: Optional[int] = None):
         if max_records is not None and max_records <= 0:
             raise ValueError(f"max_records must be positive: {max_records}")
-        self._ring = ring and max_records is not None
         self._max_records = max_records
-        if self._ring:
-            self.records = deque(maxlen=max_records)
-        else:
-            self.records = []
+        self.records: List[TraceRecord] = []
         self._categories = set(categories) if categories else None
         self.dropped = 0
 
@@ -118,11 +111,7 @@ class Tracer:
             phase = SPAN if dur is not None else INSTANT
         record = TraceRecord(time, category, node, details, phase,
                              dur if dur is not None else 0.0)
-        if self._ring:
-            if len(self.records) == self._max_records:
-                self.dropped += 1
-            self.records.append(record)
-        elif (self._max_records is not None
+        if (self._max_records is not None
                 and len(self.records) >= self._max_records):
             self.dropped += 1
         else:

@@ -39,7 +39,7 @@ class Client:
 
     def __init__(self, sim: Simulator, client_id: int, node: ProtocolNode,
                  stream: RequestStream, metrics: Metrics,
-                 record_reads: bool = False, record_ops: bool = False,
+                 record_ops: bool = False,
                  history=None):
         self.sim = sim
         self.client_id = client_id
@@ -65,13 +65,11 @@ class Client:
         # cleared on completion.  Lets the fault injector count
         # crash-severed operations even without a recorder attached.
         self.in_flight = None
-        # Optional session log of (key, version) read observations, for
-        # validating session guarantees (monotonic reads, Table 4).
-        # ``record_ops`` additionally logs completed writes, committed
-        # transaction writes, and completed scopes, for the durability
-        # contracts checked by repro.faults.validate after faulty runs
-        # (and implies read recording).
-        self.record_reads = record_reads or record_ops
+        # ``record_ops`` logs (key, version) read observations, for
+        # validating session guarantees (monotonic reads, Table 4), and
+        # completed writes, committed transaction writes and completed
+        # scopes, for the durability contracts checked by
+        # repro.faults.validate after faulty runs.
         self.record_ops = record_ops
         self.read_observations: List[tuple] = []
         self.completed_writes: List[tuple] = []
@@ -155,7 +153,7 @@ class Client:
                             history.complete(client_id,
                                              version=ctx.last_read_version,
                                              value=result)
-                        if self.record_reads:
+                        if self.record_ops:
                             self.read_observations.append(
                                 (key, ctx.last_read_version))
                     else:

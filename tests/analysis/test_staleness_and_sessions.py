@@ -64,7 +64,7 @@ def run_with_recording(consistency, persistency, duration_ns=60_000):
                                cluster.rng.fork(f"rc{client_id}"))
         cluster.clients.append(Client(cluster.sim, client_id, node.engine,
                                       stream, cluster.metrics,
-                                      record_reads=True))
+                                      record_ops=True))
     cluster.run(duration_ns=duration_ns, warmup_ns=duration_ns / 10)
     return cluster, board
 

@@ -25,14 +25,17 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_nonpositive_observability_values_rejected(self):
-        for flags in (["--trace-limit", "0"], ["--trace-limit", "-5"],
-                      ["--metrics-window-us", "0"]):
+        for argv in (["profile", "m.json", "--top", "0"],
+                     ["profile", "m.json", "--top", "-5"],
+                     ["diff", "a.json", "b.json", "--threshold", "0"],
+                     ["sweep", "--workers", "0"]):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(["run"] + flags)
+                build_parser().parse_args(argv)
 
+    # The id is the one the case had while two run flags preceded it.
     @pytest.mark.parametrize("argv", [
-        ["run", "--metrics-window-us"], ["run", "--health-interval-us"],
-        ["diff", "a.json", "b.json", "--threshold"]])
+        pytest.param(["diff", "a.json", "b.json", "--threshold"],
+                     id="argv2")])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_float_values_rejected(self, capsys, argv, value):
         with pytest.raises(SystemExit) as exc:
@@ -62,7 +65,6 @@ class TestParser:
         for argv in (["run", *small, "--trace-out", bad],
                      ["run", *small, "--trace-jsonl", bad],
                      ["run", *small, "--metrics-out", bad],
-                     ["run", *small, "--journey-out", bad],
                      ["run", *small, "--history-out", bad],
                      ["sweep", *small, "--out", bad],
                      ["audit", history, "--out", bad],
@@ -124,7 +126,6 @@ class TestRunShape:
         (["--crash", "bad"], "bad crash spec 'bad'"),
         (["--crash", "1@-5"], "at_us must be >= 0"),
         (["--crash", "9@10"], "targets node 9"),
-        (["--health", "--health-top-k", "-1"], "top_k must be >= 0"),
         (["--crash", "1@nan"], "at_us must be finite"),
     ])
     def test_unusable_crash_or_health_flag_is_an_error_not_a_traceback(
@@ -165,15 +166,16 @@ class TestRunShape:
         ``order`` leaves an existing output byte-identical and creates
         no new one."""
         old, fresh = tmp_path / "old.json", tmp_path / "fresh.json"
+        stream = tmp_path / "fresh.jsonl"
         old.write_bytes(b'{"kept": true}\n')
         for argv in (["run", "--servers", "3", "--clients", "6",
                       "--metrics-out", str(old), "--trace-out", str(fresh),
-                      "--crash", "9@10"],
-                     ["order", "--seeds", "x", "--sweep-out", str(old)]):
+                      "--trace-jsonl", str(stream), "--crash", "9@10"],
+                     ["order", "--seeds", "1", "1", "--sweep-out", str(old)]):
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith("repro: "), argv
             assert old.read_bytes() == b'{"kept": true}\n', argv
-            assert not fresh.exists(), argv
+            assert not fresh.exists() and not stream.exists(), argv
 
     def test_a_repeated_sweep_seed_is_an_error_not_a_cell_run_twice(
             self, capsys):
@@ -182,7 +184,7 @@ class TestRunShape:
 
     @pytest.mark.parametrize("first, second", [
         ("--trace-out", "--metrics-out"), ("--history-out", "--trace-jsonl"),
-        ("--metrics-out", "--journey-out")])
+        ("--metrics-out", "--history-out")])
     def test_two_outputs_on_one_path_are_an_error_not_a_lost_artifact(
             self, capsys, tmp_path, monkeypatch, first, second):
         """The second writer used to overwrite the first: ``run
@@ -256,8 +258,7 @@ class TestCommands:
                      "--duration-us", "30",
                      "--trace-out", str(trace_path),
                      "--trace-jsonl", str(jsonl_path),
-                     "--metrics-out", str(report_path),
-                     "--metrics-window-us", "5", "--profile"])
+                     "--metrics-out", str(report_path), "--profile"])
         out = capsys.readouterr().out
         assert code == 0
         assert "trace" in out and "metrics" in out and "kernel:" in out
@@ -272,7 +273,7 @@ class TestCommands:
 
         report = json.loads(report_path.read_text())
         assert report["schema"] == "repro.run_report/6"
-        assert report["meta"]["window_ns"] == 5000.0
+        assert report["meta"]["window_ns"] == 10_000.0
         assert len(report["meta"]["config_hash"]) == 16
         assert report["windows"], "windowed throughput series missing"
         assert all("p50_ns" in w and "p99_ns" in w
@@ -292,17 +293,6 @@ class TestCommands:
 
         lines = jsonl_path.read_text().splitlines()
         assert lines and all(json.loads(line)["cat"] for line in lines)
-
-    def test_run_trace_ring_caps_records(self, capsys, tmp_path):
-        trace_path = tmp_path / "trace.json"
-        code = main(["run", "--servers", "3", "--clients", "6",
-                     "--duration-us", "30",
-                     "--trace-out", str(trace_path),
-                     "--trace-limit", "100", "--trace-ring"])
-        assert code == 0
-        trace = json.loads(trace_path.read_text())
-        assert trace["otherData"]["record_count"] == 100
-        assert trace["otherData"]["dropped_records"] > 0
 
     def test_trace_subcommand(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"
@@ -356,7 +346,6 @@ class TestCommands:
         trace_path = tmp_path / "trace.json"
         code = main(["run", "--servers", "3", "--clients", "6",
                      "--duration-us", "30", "--health",
-                     "--health-interval-us", "2",
                      "--metrics-out", str(report_path),
                      "--trace-out", str(trace_path)])
         out = capsys.readouterr().out
@@ -373,17 +362,23 @@ class TestCommands:
                                                 "health.pressure"}
 
     def test_journey_caps_report_their_drops(self, capsys, tmp_path):
+        """A capped tracker's losses reach the report and the ``journey``
+        view of it: a truncated population never reads as complete."""
+        from repro.obs import (CellSpec, JourneyTracker, observed_run,
+                               section_observers, write_run_report)
+        spec = CellSpec("causal", "synchronous", 2021, servers=3, clients=6,
+                        duration_ns=30_000.0, warmup_ns=3_000.0,
+                        sections=("journeys",))
+        observers = section_observers(spec, report=True)
+        observers.journey = JourneyTracker(3, max_journeys=5)
         report_path = tmp_path / "report.json"
-        code = main(["run", "--servers", "3", "--clients", "6",
-                     "--duration-us", "30",
-                     "--journey-out", str(report_path),
-                     "--journey-max", "5"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "5 tracked" in out
+        write_run_report(str(report_path), observed_run(spec, observers).report)
         report = json.loads(report_path.read_text())
-        assert report["journeys"]["journeys"] == 5
-        assert report["journeys"]["dropped"] > 0
+        dropped = report["journeys"]["dropped"]
+        assert report["journeys"]["journeys"] == 5 and dropped > 0
+        assert main(["journey", str(report_path)]) == 0
+        assert f"(5 journeys tracked, {dropped} dropped)" in \
+            capsys.readouterr().out
 
     def test_run_audit_passes_own_model(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
@@ -543,7 +538,7 @@ class TestInputFileModes:
         path = tmp_path / "report.json"
         assert main(["run", "--servers", "3", "--clients", "6",
                      "--duration-us", "30",
-                     "--journey-out", str(path)]) == 0
+                     "--journeys", "--metrics-out", str(path)]) == 0
         capsys.readouterr()
         journeys = json.loads(path.read_text())["journeys"]
         assert journeys["journeys"] > 0
@@ -578,7 +573,7 @@ class TestInputFileModes:
         assert main(["sweep", *_SMALL, "--no-progress",
                      "--out", str(sweep)]) == 0
         capsys.readouterr()
-        for report, hint in ((path, "run --journey-out"),
+        for report, hint in ((path, "run --journeys --metrics-out"),
                              (sweep, "sweep --journeys --out")):
             code = main(["journey", str(report)])
             captured = capsys.readouterr()
@@ -597,7 +592,7 @@ class TestInputFileModes:
         assert main(["sweep", *_SMALL, "--journeys", "--no-progress",
                      "--out", str(sweep)]) == 0
         assert main(["run", *_SMALL, "--consistency", "transactional",
-                     "--journey-out", str(run)]) == 0
+                     "--journeys", "--metrics-out", str(run)]) == 0
         capsys.readouterr()
         assert main(["journey", str(run)]) == 0
         single = capsys.readouterr().out
@@ -630,8 +625,8 @@ class TestInputFileModes:
     def test_the_readers_never_simulate(self, capsys, tmp_path,
                                         monkeypatch):
         trace, report = tmp_path / "t.json", tmp_path / "m.json"
-        assert main(["run", *_SMALL, "--trace-out", str(trace),
-                     "--journey-out", str(report), "--profile"]) == 0
+        assert main(["run", *_SMALL, "--trace-out", str(trace), "--journeys",
+                     "--metrics-out", str(report), "--profile"]) == 0
         capsys.readouterr()
 
         def simulated(*args, **kwargs):
@@ -659,8 +654,8 @@ class TestInputFileModes:
         ``repro:`` line and exit 2, not an AttributeError."""
         report = tmp_path / "report.json"
         assert main(["run", "--servers", "3", "--clients", "6",
-                     "--duration-us", "20",
-                     "--journey-out", str(report)]) == 0
+                     "--duration-us", "20", "--journeys",
+                     "--metrics-out", str(report)]) == 0
         doc = json.loads(report.read_text())
         trace = {"traceEvents": [{"ph": "X", "name": "a"}, 7]}
         bad_meta = dict(doc, meta=["model"])
@@ -844,7 +839,7 @@ class TestSweepObservatory:
     def test_sweep_sections_equal_the_single_run_views(self, capsys,
                                                        tmp_path):
         """Every cell's ``journeys`` and ``profile`` sections are that
-        model's ``run --journey-out --profile`` report's, wall clock
+        model's ``run --journeys --profile --metrics-out`` report's, wall clock
         stripped: the views that read a run report read a sweep cell
         alike."""
         from repro.obs import strip_wall_clock
@@ -858,8 +853,8 @@ class TestSweepObservatory:
             model = ["--consistency", cell["consistency"],
                      "--persistency", cell["persistency"]]
             path = tmp_path / "r.json"
-            assert main(["run", *shape, *model, "--profile",
-                         "--journey-out", str(path)]) == 0
+            assert main(["run", *shape, *model, "--journeys", "--profile",
+                         "--metrics-out", str(path)]) == 0
             capsys.readouterr()
             report = json.loads(path.read_text())
             label = f'{cell["consistency"]}/{cell["persistency"]}'
@@ -886,25 +881,6 @@ class TestSweepObservatory:
 _SMALL = ["--servers", "3", "--clients", "6", "--duration-us", "30"]
 
 
-def _trace_header(run, tmp, *flags):
-    """What ``trace`` prints of a saved trace before its counts."""
-    path = tmp / "t.json"
-    run("run", *_SMALL, "--trace-out", str(path), *flags)
-    return run("trace", str(path), "--limit", "0").split("category")[0]
-
-
-def _flag_run_trace_limit(run, tmp):
-    out = _trace_header(run, tmp, "--trace-limit", "50")
-    assert "50 records, " in out
-    assert "newest records dropped at the run --trace-limit=50 cap" in out
-    assert "WARNING" not in _trace_header(run, tmp)
-
-
-def _flag_run_trace_ring(run, tmp):
-    out = _trace_header(run, tmp, "--trace-limit", "50", "--trace-ring")
-    assert "oldest records dropped at the run --trace-limit=50 cap" in out
-
-
 def _flag_profile_top(run, tmp):
     def rows(out):
         return len(re.findall(r"%$", out, re.MULTILINE))
@@ -923,34 +899,6 @@ def _flag_diff_threshold(run, tmp):
     assert "regression" in run("diff", str(base), str(worse), code=1)
     assert "no-regression" in run("diff", str(base), str(worse),
                                   "--threshold", "50")
-
-
-def _flag_run_journey_sample_every(run, tmp):
-    def tracked(*flags):
-        out = run("run", *_SMALL, "--journey-out", str(tmp / "j.json"),
-                  *flags)
-        return int(re.search(r"\((\d+) tracked", out).group(1))
-    assert tracked("--journey-sample-every", "4") == -(-tracked() // 4)
-
-
-def _flag_run_health_samples(run, tmp):
-    out = run("run", *_SMALL, "--health", "--health-samples", "3")
-    kept, dropped = map(int, re.search(
-        r"health   :  (\d+) samples \(every 5 us, (\d+) dropped\)",
-        out).groups())
-    assert kept == 3 and dropped > 0
-    assert ", 0 dropped)" in run("run", *_SMALL, "--health")
-
-
-def _flag_run_history_limit(run, tmp):
-    path = tmp / "h.jsonl"
-    out = run("run", *_SMALL, "--history-out", str(path),
-              "--history-limit", "10")
-    dropped = int(re.search(r"\(10 ops, (\d+) dropped\)", out).group(1))
-    assert dropped > 0
-    assert len(path.read_text().splitlines()) == 1 + 10   # header + ops
-    # ... and an over-limit history audits as unusable, not as a pass.
-    assert "UNUSABLE -- history truncated" in run("audit", str(path), code=2)
 
 
 def _flag_sweep_journeys(run, tmp):
@@ -978,14 +926,8 @@ def _flag_workload(run, tmp):
 
 
 @pytest.mark.parametrize("case", [
-    pytest.param(_flag_run_trace_limit, id="run --trace-limit"),
-    pytest.param(_flag_run_trace_ring, id="run --trace-ring"),
     pytest.param(_flag_profile_top, id="profile --top"),
     pytest.param(_flag_diff_threshold, id="diff --threshold"),
-    pytest.param(_flag_run_journey_sample_every,
-                 id="run --journey-sample-every"),
-    pytest.param(_flag_run_health_samples, id="run --health-samples"),
-    pytest.param(_flag_run_history_limit, id="run --history-limit"),
     pytest.param(_flag_sweep_journeys, id="sweep --journeys"),
     pytest.param(_flag_workload, id="--workload"),
 ])
@@ -995,3 +937,104 @@ def test_flag_has_its_documented_effect(case, capsys, tmp_path):
         return capsys.readouterr().out
 
     case(run, tmp_path)
+
+
+def test_a_truncated_trace_says_so_and_names_the_stream(capsys, tmp_path):
+    """Past the tracer's bound, ``trace FILE`` warns that the timeline
+    lost its newest records and points at the unbounded stream."""
+    from repro.obs import CellSpec, observed_run, section_observers
+    from repro.sim.trace import Tracer
+    spec = CellSpec("causal", "synchronous", 2021, servers=3, clients=6,
+                    duration_ns=30_000.0, warmup_ns=3_000.0)
+    headers = []
+    for cap in (None, 50):
+        observers = section_observers(spec, trace=True)
+        if cap is not None:
+            observers.tracer = Tracer(max_records=cap)
+        path = str(tmp_path / "t.json")
+        observed_run(spec, observers).write_trace(path)
+        assert main(["trace", path, "--limit", "0"]) == 0
+        headers.append(capsys.readouterr().out.split("category")[0])
+    whole, truncated = headers
+    assert "WARNING" not in whole
+    dropped = int(re.search(r"50 records, (\d+) dropped", truncated).group(1))
+    assert dropped > 0
+    assert (f"WARNING: timeline truncated — the newest {dropped} records "
+            f"were dropped at the 50-record cap; run --trace-jsonl streams "
+            f"every record") in truncated
+
+
+#: Flags that are gone, and prefixes of flags that are not: each is
+#: argparse's usage error (exit 2), never a surviving flag.
+_NOT_A_FLAG = [
+    ["run", "--journey-out", "j.json"],
+    ["run", "--trace-limit", "50"],
+    ["run", "--trace-ring"],
+    ["run", "--metrics-window-us", "5"],
+    ["run", "--journey-sample-every", "4"],
+    ["run", "--journey-max", "5"],
+    ["run", "--health-interval-us", "2"],
+    ["run", "--health-samples", "3"],
+    ["run", "--health-top-k", "2"],
+    ["run", "--history-limit", "10"],
+    ["sweep", "--seed", "3"],
+    ["run", "--metrics-o", "m.json"],
+    ["diff", "a.json", "b.json", "--thr", "5"],
+]
+
+
+def _flag_of(argv):
+    return next(arg for arg in argv if arg.startswith("--"))
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=f"{argv[0]} {_flag_of(argv)}")
+    for argv in _NOT_A_FLAG])
+def test_a_flag_is_its_whole_surviving_name(capsys, monkeypatch, argv):
+    def simulated(*args, **kwargs):
+        raise AssertionError("simulated on a flag that is not one")
+
+    monkeypatch.setattr("repro.cli.observed_run", simulated)
+    monkeypatch.setattr("repro.cli.run_sweep", simulated)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    rest = " ".join(argv[argv.index(_flag_of(argv)):])
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"repro: error: unrecognized arguments: {rest}")
+
+
+#: Every subcommand's settable arguments, by name: adding or removing
+#: one is a visible diff here.
+CLI_SURFACE = {
+    "run": ["--consistency", "--persistency", "--workload", "--servers",
+            "--clients", "--duration-us", "--seed", "--trace-out",
+            "--trace-jsonl", "--metrics-out", "--history-out", "--journeys",
+            "--health", "--profile", "--audit", "--faults", "--crash"],
+    "trace": ["input", "--limit", "--category"],
+    "journey": ["input"],
+    "profile": ["input", "--top"],
+    "diff": ["baseline", "candidate", "--threshold", "--json", "--out",
+             "--force"],
+    "audit": ["history", "--consistency", "--persistency", "--json",
+              "--out"],
+    "sweep": ["--all", "--workload", "--servers", "--clients",
+              "--duration-us", "--workers", "--seeds", "--out", "--journeys",
+              "--health", "--profile", "--audit", "--no-progress"],
+    "tradeoffs": ["--all"],
+    "recover": ["--consistency", "--persistency", "--strategy", "--workload",
+                "--servers", "--clients", "--duration-us", "--seed"],
+    "order": ["--json", "--seeds", "--ops", "--sweep-out"],
+}
+
+
+def test_the_cli_surface_is_pinned():
+    import argparse
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    surface = {name: [action.option_strings[-1] if action.option_strings
+                      else action.dest for action in parser._actions
+                      if not isinstance(action, argparse._HelpAction)]
+               for name, parser in subparsers.choices.items()}
+    assert surface == CLI_SURFACE
+    assert sum(map(len, surface.values())) == 60

@@ -32,7 +32,7 @@ class TestOrderCommand:
 
     def test_zero_on_byte_identical_sweep(self, capsys, monkeypatch):
         calls = self._sweep_of(monkeypatch, permuted=(3, 4))
-        assert main(["order", "--seeds", "1,2", "--ops", "12"]) == 0
+        assert main(["order", "--seeds", "1", "2", "--ops", "12"]) == 0
         assert calls == [{"ops_per_client": 12, "seeds": [1, 2]}]
         assert capsys.readouterr().out == (
             "sanitizer: 1 model(s) x 2 seed(s), 7 batch permutation(s), "
@@ -57,19 +57,27 @@ class TestOrderCommand:
         validate_artifact(dict(doc, schema="repro.order_sweep/1"),
                           family="repro.order_sweep")
 
-    def test_two_on_unparseable_seeds(self, capsys):
-        assert main(["order", "--seeds", "x"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("repro: --seeds: ")
-        assert captured.err.count("\n") == 1
+    def test_two_on_unparseable_seeds(self, capsys, monkeypatch):
+        # The seeds are ``sweep --seeds``'s space-separated integers; a
+        # comma list is no longer one.
+        calls = self._sweep_of(monkeypatch, permuted=(3, 4))
+        for seeds in (["x"], ["1,2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["order", "--seeds", *seeds])
+            assert exc.value.code == 2, seeds
+            captured = capsys.readouterr()
+            assert captured.out == "", seeds
+            assert captured.err.splitlines()[-1] == (
+                f"repro order: error: argument --seeds: invalid int value: "
+                f"'{seeds[0]}'"), seeds
+        assert calls == []
 
     def test_one_on_vacuous_sweep(self, tmp_path, capsys, monkeypatch):
         # A sweep whose permuter never reordered anything must not pass
         # as "all byte-identical": it never put the claim to the test.
         self._sweep_of(monkeypatch, permuted=(0, 0))
         out = tmp_path / "sweep.json"
-        assert main(["order", "--seeds", "1,2",
+        assert main(["order", "--seeds", "1", "2",
                      "--sweep-out", str(out)]) == 1
         assert "VACUOUS <Causal, Eventual>" in capsys.readouterr().out
         doc = json.loads(out.read_text())
@@ -80,17 +88,20 @@ class TestOrderCommand:
 
     def test_two_on_an_empty_or_repeated_seed_list(self, capsys,
                                                      monkeypatch):
-        # ``--seeds ,`` used to sweep no seed and pass; ``1,1`` ran
-        # seed 1 twice and reported two seeds.
+        # An empty list used to sweep no seed and pass; a repeated seed
+        # ran twice and reported two seeds.
         calls = self._sweep_of(monkeypatch, permuted=(3, 4))
-        for seeds, complaint in ((",", "no seed"), ("", "no seed"),
-                                 ("1,1", "repeats a seed")):
-            assert main(["order", "--seeds", seeds]) == 2, seeds
-            captured = capsys.readouterr()
-            assert captured.out == "", seeds
-            assert captured.err.startswith("repro: --seeds: "), seeds
-            assert complaint in captured.err, seeds
-            assert captured.err.count("\n") == 1, seeds
+        with pytest.raises(SystemExit) as exc:
+            main(["order", "--seeds"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "repro order: error: argument --seeds: expected at least one "
+            "argument")
+        assert main(["order", "--seeds", "1", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("repro: --seeds: 1 1 repeats a seed: each "
+                                "seed runs once\n")
         assert calls == []
 
     def test_two_on_a_non_positive_ops_budget(self, capsys, monkeypatch):

@@ -16,7 +16,7 @@ ordering ones).  In M8 the follower's persist placement answers
 INV it never persisted.  In M9 the VAL_p round sends VAL_p without
 waiting for the followers' ACK_p.
 
-Six checkers are held against each mutant:
+Seven checkers are held against each mutant:
 
 * ``sweep`` — the tie-batch sanitizer's permutation sweep;
 * ``detied`` — the de-tied golden (per cell, a ``Summary`` digest and
@@ -27,7 +27,20 @@ Six checkers are held against each mutant:
   ``CRASH_CELL``.  Both judge durability against the NVM logs of *all*
   nodes together, so neither sees M8: the coordinator's own inline
   persist keeps every completed write recoverable;
+* ``health`` — the :class:`~repro.obs.monitor.HealthMonitor`'s online
+  invariant probes, at the setting ``run --health`` uses, over the 25
+  cells (3 servers, 12 clients, 40 us, seed 2021): killed when a probe
+  records a violation;
 * ``behaviour`` — a named test of the ordinary suite.
+
+The probes earn little.  Clean runs trip none.  M2 and M4 each trip
+``vp_before_dp`` in 13 cells and ``applied_monotonic`` in 10; every
+other mutant — M1, M3, M6, M7, M8, M9 and ``stamped`` — trips
+nothing.  Sampling every 1 us instead of 5 widens M2's and M4's kills
+to 19 cells and kills no other mutant.
+``persisted_monotonic`` fires on no mutant at all: it is a probe
+without a kill, kept only because the committed baseline report's
+``health.probes`` lists it.
 
 A fifth, an interprocedural effect analysis behind three ordering lint
 rules, was measured against the same mutants at the commit that added
@@ -65,7 +78,8 @@ from repro.devtools.sanitizer import sweep
 from repro.faults import (FaultInjector, plan_from_crash_specs,
                           validate_faulty_run)
 from repro.obs.history import HistoryRecorder
-from repro.obs.run import CellSpec, ObservedRun, Observers, observed_run
+from repro.obs.run import (CellSpec, ObservedRun, Observers, observed_run,
+                           section_observers)
 from repro.sim.engine import Simulator
 
 from .test_detied_equivalence import detied_golden
@@ -252,9 +266,24 @@ def audit_kill(only: Optional[str] = None) -> Optional[str]:
     return None if target["ok"] else ", ".join(target["failed_checks"])
 
 
+def health_kill(only: Optional[str] = None) -> Optional[str]:
+    """The first cell whose health probes record a violation."""
+    for model in all_ddp_models():
+        if only not in (None, str(model)):
+            continue
+        spec = CellSpec(model.consistency.value, model.persistency.value,
+                        seed=2021, servers=3, clients=12,
+                        duration_ns=40_000.0, warmup_ns=4_000.0,
+                        sections=("health",))
+        if observed_run(spec, section_observers(spec)).observers.monitor \
+                .violations_total:
+            return str(model)
+    return None
+
+
 CELL_CHECKERS = {"sweep": sweep_kill, "detied": detied_kill,
                  "variant": variant_kill, "faulty": faulty_kill,
-                 "audit": audit_kill}
+                 "audit": audit_kill, "health": health_kill}
 
 
 def behaviour_kill(test: str, **kwargs: Any) -> Optional[str]:
@@ -296,12 +325,14 @@ KILLS: Dict[str, Dict[str, Any]] = {
            "variant": ["hybrid <Causal, Eventual>",
                        "hybrid <Linearizable, Synchronous>"]},
     "M2": {"detied": "<Linearizable, Strict>",
+           "health": "<Linearizable, Synchronous>",
            "behaviour": _CONCURRENT_WRITERS},
     "M3": {"detied": "<Linearizable, Strict>",
            "behaviour": (
                "tests.faults.test_fault_matrix::test_chaos_cocktail_all_models",
                lambda: {"model": DdpModel(C.LINEARIZABLE, P.SCOPE)})},
     "M4": {"detied": ["<Linearizable, Strict>", "<Causal, Strict>"],
+           "health": "<Linearizable, Synchronous>",
            "behaviour": [_CONCURRENT_WRITERS,
                          (_CONVERGE,
                           lambda: {"model": DdpModel(C.CAUSAL, P.EVENTUAL)})]},
@@ -383,8 +414,8 @@ def test_a_site_that_moved_fails_instead_of_mutating_nothing():
 
 if __name__ == "__main__":
     print("| mutant | sanitizer sweep | de-tied golden | variant golden | "
-          "validate_faulty_run | audit | behaviour tests |")
-    print("|---|---|---|---|---|---|---|")
+          "validate_faulty_run | audit | health probes | behaviour tests |")
+    print("|---|---|---|---|---|---|---|---|")
     checkers = (*CELL_CHECKERS, "behaviour")
     for mutant_name in sys.argv[1:] or KILLS:
         row = [kill(mutant_name, checker) for checker in checkers]

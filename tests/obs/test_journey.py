@@ -102,13 +102,6 @@ class TestCorrelation:
 
 
 class TestSamplingAndCaps:
-    def test_sample_every_skips_writes(self):
-        tracker = JourneyTracker(3, sample_every=3)
-        for i in range(9):
-            issue(tracker, key=i, version=(i, 0))
-        assert len(tracker) == 3
-        assert {j.key for j in tracker.journeys} == {0, 3, 6}
-
     def test_max_journeys_counts_dropped(self):
         tracker = JourneyTracker(3, max_journeys=2)
         for i in range(5):
@@ -117,8 +110,6 @@ class TestSamplingAndCaps:
         assert tracker.dropped == 3
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            JourneyTracker(3, sample_every=0)
         with pytest.raises(ValueError):
             JourneyTracker(3, max_journeys=0)
 

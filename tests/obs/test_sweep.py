@@ -198,8 +198,7 @@ class TestCellSections:
                      "--persistency", spec.persistency, "--seed", "11",
                      "--servers", "3", "--clients", "6",
                      "--duration-us", str(DURATION / 1000.0),
-                     "--profile", "--health", "--audit",
-                     "--journey-out", str(tmp_path / "journeys.json"),
+                     "--journeys", "--profile", "--health", "--audit",
                      "--metrics-out", str(path)]) == 0
         capsys.readouterr()
         report = json.loads(path.read_text())

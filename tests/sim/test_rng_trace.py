@@ -157,20 +157,11 @@ class TestTracer:
         assert [r.time for r in tracer.records] == [0.0, 1.0, 2.0]
         assert tracer.dropped == 7
 
-    def test_ring_mode_keeps_tail_and_counts_drops(self):
-        tracer = Tracer(max_records=3, ring=True)
-        for i in range(10):
-            tracer.emit(float(i), "send", node=0)
-        assert len(tracer) == 3
-        assert [r.time for r in tracer.records] == [7.0, 8.0, 9.0]
-        assert tracer.dropped == 7
-
     def test_cap_not_reached_drops_nothing(self):
-        for ring in (False, True):
-            tracer = Tracer(max_records=5, ring=ring)
-            tracer.emit(1.0, "send")
-            assert tracer.dropped == 0
-            assert len(tracer) == 1
+        tracer = Tracer(max_records=5)
+        tracer.emit(1.0, "send")
+        assert tracer.dropped == 0
+        assert len(tracer) == 1
 
     def test_invalid_cap_rejected(self):
         import pytest

@@ -151,9 +151,9 @@ class TestChecker:
             "`python -m repro.cli journey --key 7` outside a fence",
             "```bash",
             "$ PYTHONPATH=src python -m repro.cli run --seed 7 \\",
-            ">     --journey-out j.json   # then read it back",
+            ">     --journeys --metrics-out j.json   # then read it back",
             "python -m repro.cli journey j.json > waterfall.txt",
-            "python -m repro.cli order --seeds 1,2 2>&1 | tail -1",
+            "python -m repro.cli order --seeds 1 2 2>&1 | tail -1",
             "$ python -m repro.cli journey --consistency causal \\",
             ">     --key 7",
             "python -m repro.cli profile --duration-us 300",
