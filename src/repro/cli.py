@@ -218,10 +218,9 @@ def _positive(kind):
 
 def _add_outputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="write a Chrome trace_event JSON timeline "
-                             "(open in Perfetto / chrome://tracing)")
-    parser.add_argument("--trace-jsonl", metavar="PATH", default=None,
-                        help="stream every trace record to a JSONL file")
+                        help="stream every trace record to a Chrome "
+                             "trace_event JSON timeline (open in "
+                             "Perfetto / chrome://tracing)")
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="write the run-report JSON (windowed "
                              "throughput/latency, VP/DP lag series, and "
@@ -444,12 +443,11 @@ def _print_fault_outcome(cluster, injector) -> int:
 
 def _cmd_run(args) -> int:
     spec = _spec_from(args)
-    _preflight(args.trace_out, args.trace_jsonl, args.metrics_out,
-               args.history_out)
+    _preflight(args.trace_out, args.metrics_out, args.history_out)
     injector = _faults_from(args)
     observers = section_observers(
-        spec, history=bool(args.history_out), trace=bool(args.trace_out),
-        jsonl=args.trace_jsonl, report=bool(args.metrics_out))
+        spec, history=bool(args.history_out), trace=args.trace_out,
+        report=bool(args.metrics_out))
     run = observed_run(spec, observers, faults=injector)
     summary = run.summary
     print(format_summary_table([(str(spec.model), summary)]))
@@ -468,11 +466,10 @@ def _cmd_run(args) -> int:
         print()
         print(format_audit_table(run.audit))
         exit_code = max(exit_code, audit_exit_code(run.audit))
-    tracer = observers.tracer
-    if args.trace_out:
-        run.write_trace(args.trace_out)
+    trace = observers.trace
+    if trace is not None:
         print(f"trace    -> {args.trace_out} "
-              f"({len(tracer)} records, {tracer.dropped} dropped)")
+              f"({len(trace)} records, {trace.dropped} dropped)")
     if args.metrics_out:
         write_run_report(args.metrics_out, run.report)
         print(f"metrics  -> {args.metrics_out}")
@@ -529,10 +526,6 @@ def _format_trace(path: str, doc: Dict[str, Any], categories, limit) -> str:
     dropped = other.get("dropped_records", 0)
     lines = [f"{path}: model {other.get('model', '?')}   "
              f"{records} records, {dropped} dropped"]
-    if dropped:
-        lines.append(f"WARNING: timeline truncated — the newest {dropped} "
-                     f"records were dropped at the {records}-record cap; "
-                     f"run --trace-jsonl streams every record")
     events = [event for event in doc["traceEvents"]
               if event.get("ph") != "M" and (
                   categories is None or event.get("name") in categories)]

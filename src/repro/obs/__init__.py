@@ -1,12 +1,13 @@
 """Observability: trace export, kernel profiling, run reports, health.
 
 This package turns the raw signals the simulation already produces
-(:class:`repro.sim.trace.Tracer` records, :class:`repro.analysis.metrics.
-Metrics` operation records, :class:`repro.analysis.points.PointsTracker`
-VP/DP events) into artifacts a human or a tool can consume:
+(trace emissions, :class:`repro.analysis.metrics.Metrics` operation
+records, :class:`repro.analysis.points.PointsTracker` VP/DP events)
+into artifacts a human or a tool can consume:
 
-* :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (open in
-  Perfetto / ``chrome://tracing``) and a JSONL streaming sink.
+* :mod:`repro.obs.export` — :class:`ChromeTraceSink`, which streams a
+  run's Chrome ``trace_event`` JSON (open in Perfetto /
+  ``chrome://tracing``) while the run goes.
 * :mod:`repro.obs.profile` — :class:`KernelProfile`, cheap counters for
   the simulation kernel itself (events processed, heap high-water mark,
   processes spawned, wall-clock per simulated second) plus per-event-kind
@@ -23,7 +24,8 @@ VP/DP events) into artifacts a human or a tool can consume:
   wrote), and :func:`section_observers`, the one place the report
   sections' observers are built.
 * :mod:`repro.obs.fanout` — :class:`FanoutTracer` to feed one engine's
-  emissions to several sinks (e.g. a Tracer and a PointsTracker).
+  emissions to several sinks (e.g. a ChromeTraceSink and a
+  PointsTracker).
 * :mod:`repro.obs.journey` — :class:`JourneyTracker`, a sink that
   assembles one end-to-end :class:`UpdateJourney` per write for the
   critical-path waterfalls of :mod:`repro.analysis.waterfall`.
@@ -51,13 +53,7 @@ from repro.obs.diff import (
     format_markdown,
     load_artifact,
 )
-from repro.obs.export import (
-    JsonlSink,
-    chrome_trace_events,
-    chrome_trace_payload,
-    journey_chrome_events,
-    write_chrome_trace,
-)
+from repro.obs.export import ChromeTraceSink, journey_chrome_events
 from repro.obs.fanout import FanoutTracer
 from repro.obs.history import (
     HISTORY_SCHEMA,
@@ -113,11 +109,8 @@ from repro.obs.sweep import (
 )
 
 __all__ = [
-    "JsonlSink",
-    "chrome_trace_events",
-    "chrome_trace_payload",
+    "ChromeTraceSink",
     "journey_chrome_events",
-    "write_chrome_trace",
     "FanoutTracer",
     "HISTORY_SCHEMA",
     "History",

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and JSONL streaming.
+"""The Chrome ``trace_event`` file a run streams.
 
 The Chrome format (the ``traceEvents`` array consumed by Perfetto and
 ``chrome://tracing``) maps onto the simulation like this:
@@ -11,25 +11,28 @@ The Chrome format (the ``traceEvents`` array consumed by Perfetto and
 * **ts / dur** — microseconds, as the format requires; simulated
   nanoseconds are divided by 1000, keeping sub-ns precision as decimals.
 * **ph** — ``"X"`` for spans (emitted with ``dur``), ``"i"`` for
-  instants, straight from :class:`repro.sim.trace.TraceRecord.phase`.
+  instants, as :class:`repro.sim.trace.Tracer` classifies them.
 
-Everything is emitted in deterministic order (records stably sorted by
-time — a span may be recorded ahead of the clock, stamped with its
-computed end — and metadata sorted), so two runs with the same seed
-produce byte-identical files — asserted by the test suite.
+:class:`ChromeTraceSink` is the tracer that writes it: each emission
+becomes its trace event at once and goes to disk as soon as the clock
+has reached it, so a run of any length keeps only the few spans
+recorded ahead of the clock in memory.  The file holds the record
+events in time order (ties in emission order), then the process and
+thread names, the journey and health lanes, and ``otherData``, all
+written when the run ends.  Every event is serialised with sorted
+keys, so two runs with the same seed produce byte-identical files —
+asserted by the test suite.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from operator import attrgetter
-from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.sim.trace import INSTANT, SPAN, TraceRecord
+from repro.sim.trace import INSTANT, SPAN
 
-__all__ = ["LANES", "chrome_trace_events", "journey_chrome_events",
-           "chrome_trace_payload", "write_chrome_trace", "JsonlSink"]
+__all__ = ["LANES", "ChromeTraceSink", "journey_chrome_events"]
 
 CLUSTER_PID = 0
 """pid for records carrying no node id."""
@@ -74,32 +77,6 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-def chrome_trace_events(records: Iterable[TraceRecord]) -> List[dict]:
-    """Convert trace records to ``trace_event`` dicts (no metadata)."""
-    events: List[dict] = []
-    for record in records:
-        pid = CLUSTER_PID if record.node is None else record.node + 1
-        event: Dict[str, Any] = {
-            "name": record.category,
-            "cat": _LANE_NAMES[_lane_of(record.category)],
-            "ph": record.phase,
-            "pid": pid,
-            "tid": _lane_of(record.category),
-        }
-        if record.phase == SPAN:
-            event["ts"] = record.start / 1000.0
-            event["dur"] = record.dur / 1000.0
-        else:
-            event["ts"] = record.time / 1000.0
-            if record.phase == INSTANT:
-                event["s"] = "t"  # thread-scoped instant
-        if record.details:
-            event["args"] = {k: _jsonable(v)
-                             for k, v in record.details.items()}
-        events.append(event)
-    return events
-
-
 def journey_chrome_events(journeys: Iterable[Any],
                           num_nodes: int) -> List[dict]:
     """Journey lanes: one ``journey_vp`` / ``journey_dp`` span per
@@ -132,12 +109,10 @@ def journey_chrome_events(journeys: Iterable[Any],
     return events
 
 
-def _metadata_events(records: Iterable[TraceRecord]) -> List[dict]:
+def _metadata_events(pids: Iterable[int]) -> List[dict]:
     """process/thread naming so Perfetto shows node/lane labels."""
-    pids = sorted({CLUSTER_PID if r.node is None else r.node + 1
-                   for r in records})
     events: List[dict] = []
-    for pid in pids:
+    for pid in sorted(pids):
         name = "cluster" if pid == CLUSTER_PID else f"node{pid - 1}"
         events.append({"name": "process_name", "ph": "M", "pid": pid,
                        "tid": 0, "args": {"name": name}})
@@ -147,101 +122,88 @@ def _metadata_events(records: Iterable[TraceRecord]) -> List[dict]:
     return events
 
 
-def chrome_trace_payload(records: Iterable[TraceRecord],
-                         dropped: int = 0,
-                         meta: Optional[Dict[str, Any]] = None,
-                         extra_events: Optional[List[dict]] = None) -> dict:
-    """The full JSON document: metadata + events + run information.
-
-    ``extra_events`` are appended after the record events — e.g. the
-    journey lanes from :func:`journey_chrome_events`.
-    """
-    records = sorted(records, key=attrgetter("time"))
-    other: Dict[str, Any] = {"record_count": len(records),
-                             "dropped_records": dropped}
-    if meta:
-        other.update({str(k): _jsonable(v) for k, v in meta.items()})
-    return {
-        "traceEvents": (_metadata_events(records)
-                        + chrome_trace_events(records)
-                        + list(extra_events or [])),
-        "displayTimeUnit": "ns",
-        "otherData": other,
-    }
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def write_chrome_trace(path: str, records: Iterable[TraceRecord],
-                       dropped: int = 0,
-                       meta: Optional[Dict[str, Any]] = None,
-                       extra_events: Optional[List[dict]] = None) -> None:
-    """Write a Perfetto-loadable trace file (deterministic bytes)."""
-    payload = chrome_trace_payload(records, dropped=dropped, meta=meta,
-                                   extra_events=extra_events)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+class ChromeTraceSink:
+    """A tracer that streams a run's Chrome trace to ``path``.
 
-
-class JsonlSink:
-    """A duck-typed tracer that streams records as JSON lines.
-
-    Unlike :class:`~repro.sim.trace.Tracer` it keeps no history: each
-    ``emit`` is serialized and written as soon as the clock has reached
-    its timestamp — at once, except for the few spans recorded ahead of
-    the clock with their computed end (``net_send``), which wait in a
-    small reorder heap so that the file is sorted by ``ts``.  The clock
-    is read off the records themselves: no record starts (``ts - dur``)
-    after the moment it is emitted.  Arbitrarily long runs stream to
-    disk.  Plug it into a :class:`~repro.obs.fanout.FanoutTracer` to
-    both keep records and stream them.
+    It keeps no history: each ``emit`` is serialised at once and
+    written as soon as the clock has reached its timestamp — at once,
+    except for the few spans recorded ahead of the clock with their
+    computed end (``net_send``), which wait in a small reorder heap so
+    that the events are sorted by time.  The clock is read off the
+    records themselves: no record starts (``time - dur``) after the
+    moment it is emitted.  :meth:`close` ends the file.
     """
 
     enabled = True
+    dropped = 0
+    """A stream keeps every record; the run report and the health
+    monitor read this count as a :class:`~repro.sim.trace.Tracer`'s."""
 
-    def __init__(self, destination: Union[str, IO[str]]):
-        if isinstance(destination, str):
-            self._fh: IO[str] = open(destination, "w")
-            self._owns = True
-        else:
-            self._fh = destination
-            self._owns = False
-        self.emitted = 0
+    def __init__(self, path: str):
+        self._fh = open(path, "w")
+        self._fh.write('{"traceEvents":[')
+        self._sep = ""
+        self._counts: Dict[str, int] = {}
+        self._pids: Set[int] = set()
+        self._emitted = 0
         self._clock = 0.0
         self._ahead: List[Tuple[float, int, str]] = []
 
     def emit(self, time: float, category: str, node: Optional[int] = None,
              dur: Optional[float] = None, phase: Optional[str] = None,
              **details: Any) -> None:
-        line: Dict[str, Any] = {"ts": time, "cat": category}
-        if node is not None:
-            line["node"] = node
-        if dur is not None:
-            line["dur"] = dur
-        line["ph"] = phase if phase is not None else (
-            SPAN if dur is not None else INSTANT)
+        pid = CLUSTER_PID if node is None else node + 1
+        tid = _lane_of(category)
+        if phase is None:
+            phase = SPAN if dur is not None else INSTANT
+        dur = dur if dur is not None else 0.0
+        event: Dict[str, Any] = {"name": category, "cat": _LANE_NAMES[tid],
+                                 "ph": phase, "pid": pid, "tid": tid}
+        if phase == SPAN:
+            event["ts"] = (time - dur) / 1000.0
+            event["dur"] = dur / 1000.0
+        else:
+            event["ts"] = time / 1000.0
+            if phase == INSTANT:
+                event["s"] = "t"  # thread-scoped instant
         if details:
-            line["args"] = {k: _jsonable(v) for k, v in details.items()}
-        text = json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
-        self.emitted += 1
-        self._clock = max(self._clock, time - (dur or 0.0))
+            event["args"] = {k: _jsonable(v) for k, v in details.items()}
+        self._emitted += 1
+        self._counts[category] = self._counts.get(category, 0) + 1
+        self._pids.add(pid)
+        self._clock = max(self._clock, time - dur)
         ahead = self._ahead
-        heapq.heappush(ahead, (time, self.emitted, text))
+        heapq.heappush(ahead, (time, self._emitted, _encode(event)))
         while ahead and ahead[0][0] <= self._clock:
-            self._fh.write(heapq.heappop(ahead)[2])
+            self._write(heapq.heappop(ahead)[2])
 
-    def span(self, start: float, end: float, category: str,
-             node: Optional[int] = None, **details: Any) -> None:
-        self.emit(end, category, node=node, dur=end - start, **details)
+    def _write(self, text: str) -> None:
+        self._fh.write(self._sep + text)
+        self._sep = ","
 
-    def close(self) -> None:
+    def categories(self) -> Dict[str, int]:
+        """Category -> record count."""
+        return dict(self._counts)
+
+    def __len__(self) -> int:
+        return self._emitted
+
+    def close(self, meta: Optional[Dict[str, Any]] = None,
+              extra_events: Iterable[dict] = ()) -> None:
+        """Write the held-back spans, the process and thread names,
+        ``extra_events`` (e.g. the journey lanes from
+        :func:`journey_chrome_events`) and ``otherData`` — the record
+        count and ``meta`` — and close the file."""
         while self._ahead:
-            self._fh.write(heapq.heappop(self._ahead)[2])
-        self._fh.flush()
-        if self._owns:
-            self._fh.close()
-
-    def __enter__(self) -> JsonlSink:
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+            self._write(heapq.heappop(self._ahead)[2])
+        for event in _metadata_events(self._pids) + list(extra_events):
+            self._write(_encode(event))
+        other: Dict[str, Any] = {"record_count": self._emitted}
+        if meta:
+            other.update({str(k): _jsonable(v) for k, v in meta.items()})
+        self._fh.write(f'],"displayTimeUnit":"ns","otherData":'
+                       f'{_encode(other)}}}\n')
+        self._fh.close()

@@ -1,10 +1,11 @@
 """Fan one stream of trace emissions out to several sinks.
 
 Engines hold exactly one ``tracer`` attribute; when a run wants both a
-timeline (:class:`repro.sim.trace.Tracer`) and derived measurements
-(:class:`repro.analysis.points.PointsTracker`), or a bounded in-memory
-buffer plus a JSONL stream, a :class:`FanoutTracer` forwards every
-``emit`` to all of them.  It is enabled iff any sink is enabled, so a
+timeline (a :class:`repro.obs.export.ChromeTraceSink` or a
+:class:`repro.sim.trace.Tracer`) and derived measurements
+(:class:`repro.analysis.points.PointsTracker`,
+:class:`repro.obs.journey.JourneyTracker`), a :class:`FanoutTracer`
+forwards every ``emit`` to all of them.  It is enabled iff any sink is enabled, so a
 fanout of disabled sinks keeps the engine fast path intact.
 """
 
@@ -27,10 +28,6 @@ class FanoutTracer:
              **details: Any) -> None:
         for sink in self.sinks:
             sink.emit(time, category, node=node, **details)
-
-    def span(self, start: float, end: float, category: str,
-             node: Optional[int] = None, **details: Any) -> None:
-        self.emit(end, category, node=node, dur=end - start, **details)
 
     def __len__(self) -> int:
         return sum(len(sink) for sink in self.sinks

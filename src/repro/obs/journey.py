@@ -158,10 +158,6 @@ class JourneyTracker:
         if handler is not None:
             handler(self, time, node, details)
 
-    def span(self, start: float, end: float, category: str,
-             node: Optional[int] = None, **details: Any) -> None:
-        self.emit(end, category, node=node, dur=end - start, **details)
-
     # -- category handlers -------------------------------------------------
 
     def _on_write_issue(self, time, node, details) -> None:

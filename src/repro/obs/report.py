@@ -30,23 +30,9 @@ Schema (see DESIGN.md "Run-report JSON" for field-level docs)::
       "audit":    {...repro.audit.audit_history(...)...}
     }
 
-Schema history: ``/1`` (PR 1) lacked the ``journeys`` section; ``/2``
-adds it (critical-path waterfall aggregates, see DESIGN.md "Journey
-waterfalls"); ``/3`` adds the optional ``health`` section (periodic
-pressure samples and invariant-probe violations, see docs/handbook.md)
-and the ``meta.config_hash`` fingerprint that ``repro diff`` uses to
-refuse apples-to-oranges comparisons; ``/4`` adds the optional
-``faults`` section (the fault plan as injected, lifecycle event log,
-membership outcome, and round-retry counters, see docs/handbook.md);
-``/5`` enriches the ``profile`` section with the kernel performance
-observatory (``loop_wall_seconds`` plus nested ``attribution`` —
-per-event-kind and per-``MsgType``-handler wall/counts — and
-``scheduling`` — heap-depth and tie-batch histograms, defuse/cancel
-counters, trampoline hops; see docs/handbook.md "Profiling the
-kernel"); ``/6`` adds the optional ``audit`` section (the embedded
+``/6`` added the optional ``audit`` section to ``/5`` (the embedded
 ``repro.audit_report/1`` document from the black-box contract auditor,
-see docs/handbook.md "Auditing").  Fields of older schemas are
-unchanged.
+see docs/handbook.md "Auditing"); the loader reads those two versions.
 
 NaN/inf values (empty windows, models that never persist) are emitted
 as ``null`` so the document is strict JSON.
@@ -113,7 +99,9 @@ def build_run_report(summary: Summary, metrics: Metrics,
 
     ``points`` is a :class:`repro.analysis.points.PointsTracker` (or
     None), ``profile`` a :class:`repro.obs.profile.KernelProfile`,
-    ``tracer`` a :class:`repro.sim.trace.Tracer`, ``journeys`` a
+    ``tracer`` the run's :class:`repro.obs.export.ChromeTraceSink` (or
+    a :class:`repro.sim.trace.Tracer`: both count their records by
+    ``len``, ``dropped`` and ``categories()``), ``journeys`` a
     :class:`repro.analysis.waterfall.WaterfallReport`, ``monitor`` a
     :class:`repro.obs.monitor.HealthMonitor`, ``faults`` a
     :class:`repro.faults.FaultInjector`, ``audit`` a

@@ -13,10 +13,10 @@ Every experiment in the repository is the same five steps::
   with or without any of them).  :func:`section_observers` builds them
   for a spec's report ``sections``, each at its one setting.
 * :func:`observed_run` is the only code that wires them together: sink
-  fan-out, ``monitor.watch``, cluster build, run, recorder finalisation
-  and audit.  It returns an :class:`ObservedRun`, whose ``waterfall``
-  and ``report`` (the ``repro.run_report`` document) are assembled once,
-  on first use.
+  fan-out, ``monitor.watch``, cluster build, run, closing the trace
+  stream, recorder finalisation and audit.  It returns an
+  :class:`ObservedRun`, whose ``waterfall`` and ``report`` (the
+  ``repro.run_report`` document) are assembled once, on first use.
 
 ``repro run`` / ``recover`` and the sweep worker
 (:func:`repro.obs.sweep.run_cell`) are views: they build a spec and its
@@ -38,8 +38,7 @@ from repro.analysis.points import PointsTracker
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency, DdpModel, Persistency
-from repro.obs.export import (JsonlSink, journey_chrome_events,
-                              write_chrome_trace)
+from repro.obs.export import ChromeTraceSink, journey_chrome_events
 from repro.obs.fanout import FanoutTracer
 from repro.obs.history import (History, HistoryRecorder,
                                recovered_from_cluster)
@@ -47,7 +46,6 @@ from repro.obs.journey import JourneyTracker
 from repro.obs.monitor import HealthMonitor, health_chrome_events
 from repro.obs.profile import KernelProfile
 from repro.obs.report import build_run_report, config_fingerprint
-from repro.sim.trace import Tracer
 from repro.workload.ycsb import WORKLOADS
 
 __all__ = ["SECTIONS", "CellSpec", "Observers", "ObservedRun",
@@ -57,8 +55,6 @@ __all__ = ["SECTIONS", "CellSpec", "Observers", "ObservedRun",
 SECTIONS = ("journeys", "health", "profile", "audit")
 
 _DEFAULT_WINDOW_NS = 10_000.0
-#: The in-memory trace bound; ``dropped`` counts what lies past it.
-_TRACE_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -86,6 +82,9 @@ class CellSpec:
         if unknown:
             raise ValueError(f"unknown sweep section(s): "
                              f"{', '.join(sorted(unknown))}")
+        if self.workload not in WORKLOADS:
+            raise ValueError(f"unknown workload {self.workload!r} (known: "
+                             f"{', '.join(sorted(WORKLOADS))})")
         if self.servers < 2:
             raise ValueError(f"a replicated cluster needs at least 2 "
                              f"servers (got {self.servers})")
@@ -142,8 +141,9 @@ class CellSpec:
 class Observers:
     """The sinks one run is observed through; each is optional."""
 
-    tracer: Optional[Tracer] = None
-    jsonl: Optional[JsonlSink] = None
+    trace: Optional[ChromeTraceSink] = None
+    """Streams the Chrome trace; :func:`observed_run` closes it with
+    the run's journey and health lanes and meta."""
     journey: Optional[JourneyTracker] = None
     profile: Optional[KernelProfile] = None
     monitor: Optional[HealthMonitor] = None
@@ -158,19 +158,16 @@ class Observers:
 
 
 def section_observers(spec: CellSpec, *, profile: bool = False,
-                      history: bool = False, trace: bool = False,
-                      jsonl: Optional[str] = None,
+                      history: bool = False, trace: Optional[str] = None,
                       report: bool = False) -> Observers:
     """The observers ``spec.sections`` asks for — each at its one
     setting, the same for ``repro run`` and every sweep cell — plus a
     :class:`KernelProfile` (``profile``), a history recorder
-    (``history``), a bounded tracer (``trace``), a JSONL trace stream
-    to the path ``jsonl``, and the run report's windowed series
-    (``report``)."""
+    (``history``), a Chrome trace streamed to the path ``trace``, and
+    the run report's windowed series (``report``)."""
     wanted = spec.sections
     return Observers(
-        tracer=Tracer(max_records=_TRACE_LIMIT) if trace or jsonl else None,
-        jsonl=JsonlSink(jsonl) if jsonl else None,
+        trace=ChromeTraceSink(trace) if trace else None,
         journey=JourneyTracker(spec.servers) if "journeys" in wanted else None,
         profile=KernelProfile() if profile or "profile" in wanted else None,
         monitor=HealthMonitor() if "health" in wanted else None,
@@ -210,25 +207,9 @@ class ObservedRun:
         return build_run_report(
             self.summary, self.cluster.metrics,
             obs.window_ns or _DEFAULT_WINDOW_NS, meta=self.spec.meta(),
-            points=self.points, profile=obs.profile, tracer=obs.tracer,
+            points=self.points, profile=obs.profile, tracer=obs.trace,
             journeys=self.waterfall, monitor=obs.monitor,
             faults=self.cluster.faults, audit=self.audit)
-
-    def write_trace(self, path: str) -> None:
-        """Write the tracer's timeline as Chrome ``trace_event`` JSON,
-        with the journey flows and health counters of this run; its
-        ``otherData`` carries the run's meta."""
-        obs = self.observers
-        extra = []
-        if obs.journey is not None:
-            extra += journey_chrome_events(obs.journey.journeys,
-                                           self.spec.servers)
-        if obs.monitor is not None:
-            extra += health_chrome_events(obs.monitor)
-        write_chrome_trace(path, obs.tracer.records,
-                           dropped=obs.tracer.dropped,
-                           meta=self.spec.meta(),
-                           extra_events=extra or None)
 
 
 def observed_run(spec: CellSpec, observers: Optional[Observers] = None,
@@ -242,8 +223,8 @@ def observed_run(spec: CellSpec, observers: Optional[Observers] = None,
         metrics = Metrics(window_ns=obs.window_ns)
         points = PointsTracker(spec.servers)
     if obs.monitor is not None:
-        obs.monitor.watch(tracer=obs.tracer, journey=obs.journey)
-    sinks = [sink for sink in (obs.tracer, points, obs.journey, obs.jsonl)
+        obs.monitor.watch(tracer=obs.trace, journey=obs.journey)
+    sinks = [sink for sink in (obs.trace, points, obs.journey)
              if sink is not None]
     cluster = Cluster(
         spec.model, config=spec.config(), workload=WORKLOADS[spec.workload],
@@ -252,8 +233,14 @@ def observed_run(spec: CellSpec, observers: Optional[Observers] = None,
         metrics=metrics, profile=obs.profile, monitor=obs.monitor,
         faults=faults, history=obs.recorder)
     summary = cluster.run(spec.duration_ns, warmup_ns=spec.warmup_ns)
-    if obs.jsonl is not None:
-        obs.jsonl.close()
+    if obs.trace is not None:
+        extra = []
+        if obs.journey is not None:
+            extra += journey_chrome_events(obs.journey.journeys,
+                                           spec.servers)
+        if obs.monitor is not None:
+            extra += health_chrome_events(obs.monitor)
+        obs.trace.close(meta=spec.meta(), extra_events=extra)
     run = ObservedRun(spec, obs, cluster, summary, points=points)
     if obs.recorder is not None:
         obs.recorder.meta = spec.meta()

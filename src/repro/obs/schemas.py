@@ -78,7 +78,7 @@ class ArtifactSchema:
 
 _FAMILIES = (
     ArtifactSchema(
-        "repro.run_report", (1, 2, 3, 4, 5, 6),
+        "repro.run_report", (5, 6),
         ("meta", "summary", "windows"),
         "per-run report: summary, windowed series, optional journey/"
         "health/profile/faults/audit sections"),

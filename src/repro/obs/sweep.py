@@ -28,17 +28,11 @@ Three design rules:
   events/sec (from the always-attached :class:`KernelProfile`) feed the
   live progress display and the caller's ``timing`` side-channel only;
   they never enter the merged artifact (see :func:`strip_wall_clock`).
-
-``REPRO_SWEEP_TEST_CRASH`` (comma-separated ``consistency:persistency``
-or ``consistency:persistency:seed`` cells) rigs matching workers to
-raise — the hook the failure-path tests use to prove the partial-
-artifact contract without patching across process boundaries.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -55,8 +49,6 @@ from repro.obs.schemas import SWEEP_REPORT_SCHEMA, WALL_CLOCK_DIRECTIONS
 __all__ = ["CellSpec", "CellResult", "SweepProgress", "matrix_specs",
            "run_cell", "run_sweep", "strip_wall_clock", "sweep_meta",
            "build_sweep_report", "write_sweep_report", "SECTIONS"]
-
-_CRASH_ENV = "REPRO_SWEEP_TEST_CRASH"
 
 
 @dataclass
@@ -108,19 +100,6 @@ def strip_wall_clock(value: Any) -> Any:
     return value
 
 
-def _rigged_to_crash(spec: CellSpec) -> bool:
-    rigged = os.environ.get(_CRASH_ENV, "")
-    for entry in rigged.split(","):
-        parts = entry.strip().split(":")
-        if len(parts) == 2 and (parts[0], parts[1]) == (spec.consistency,
-                                                        spec.persistency):
-            return True
-        if len(parts) == 3 and (parts[0], parts[1], parts[2]) == (
-                spec.consistency, spec.persistency, str(spec.seed)):
-            return True
-    return False
-
-
 def run_cell(spec: CellSpec) -> CellResult:
     """Run one cell in this process (the worker body): a view over
     :func:`repro.obs.run.observed_run`.
@@ -133,9 +112,6 @@ def run_cell(spec: CellSpec) -> CellResult:
     requests, built as ``repro run`` builds them.  Each requested
     section is that section of the run report, wall clock stripped.
     """
-    if _rigged_to_crash(spec):
-        raise RuntimeError(f"rigged crash ({_CRASH_ENV}) for cell "
-                           f"{spec.consistency}:{spec.persistency}")
     run = observed_run(spec, section_observers(spec, profile=True))
     snapshot = run.observers.profile.snapshot()
     return CellResult(

@@ -3,9 +3,10 @@
 A :class:`Tracer` collects structured trace records (time, category,
 node, details).  Protocol engines emit traces for message sends, state
 transitions, persists, and stalls; tests and the recovery checker replay
-them to validate protocol invariants, debugging dumps them as text, and
-:mod:`repro.obs` exports them to Chrome ``trace_event`` JSON / JSONL
-timelines.
+them to validate protocol invariants, and debugging dumps them as text.
+A sink is anything with an ``enabled`` flag and an ``emit`` method:
+:class:`repro.obs.export.ChromeTraceSink` streams a run's emissions to
+a Chrome ``trace_event`` timeline instead of keeping them.
 
 Records come in two shapes:
 
@@ -19,12 +20,11 @@ Records come in two shapes:
   knows when its span will end may record it at its start, stamped with
   that future end (``net_send`` does): records are therefore in time
   order only up to such look-ahead, and everything that renders a
-  timeline sorts by ``time`` first (:meth:`Tracer.in_time_order`).
+  timeline puts them in time order first (:meth:`Tracer.in_time_order`).
 
-Storage is bounded: ``max_records`` caps memory by dropping new records
-once full (the head of the run is kept), and the ``dropped`` counter
-says how much is missing.  A whole run streams to a JSONL file
-(:class:`repro.obs.export.JsonlSink`) unbounded.
+A :class:`Tracer`'s storage can be bounded: ``max_records`` caps memory
+by dropping new records once full (the head of the run is kept), and
+the ``dropped`` counter says how much is missing.
 
 Tracing is off by default (a :class:`NullTracer` is used) so the hot
 simulation path pays a single attribute lookup per potential record.
@@ -99,11 +99,12 @@ class Tracer:
     ) -> None:
         """Record one event.
 
-        Passing ``dur`` makes the record a span ending at ``time``;
-        ``phase`` overrides the instant/span classification (e.g. ``"C"``
-        for counter samples).  Duck-typed tracer sinks that only take
-        ``(time, category, node, **details)`` receive ``dur``/``phase``
-        as ordinary detail keys and may ignore them.
+        Passing ``dur`` makes the record a span ending at ``time`` (the
+        one way to record a span); ``phase`` overrides the instant/span
+        classification (e.g. ``"C"`` for counter samples).  Duck-typed
+        tracer sinks that only take ``(time, category, node,
+        **details)`` receive ``dur``/``phase`` as ordinary detail keys
+        and may ignore them.
         """
         if self._categories is not None and category not in self._categories:
             return
@@ -116,11 +117,6 @@ class Tracer:
             self.dropped += 1
         else:
             self.records.append(record)
-
-    def span(self, start: float, end: float, category: str,
-             node: Optional[int] = None, **details: Any) -> None:
-        """Convenience: record a span covering ``[start, end]``."""
-        self.emit(end, category, node=node, dur=end - start, **details)
 
     def in_time_order(self) -> List[TraceRecord]:
         """The records sorted stably by ``time``.
@@ -164,29 +160,6 @@ class NullTracer:
     """A tracer that drops everything; the default for performance."""
 
     enabled = False
-    records: List[TraceRecord] = []
-    dropped = 0
 
     def emit(self, *args: Any, **kwargs: Any) -> None:
         pass
-
-    def span(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def by_category(self, category: str) -> Iterator[TraceRecord]:
-        return iter(())
-
-    def count(self, category: str) -> int:
-        return 0
-
-    def categories(self) -> Dict[str, int]:
-        return {}
-
-    def dump(self, limit: Optional[int] = None) -> str:
-        return ""
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0

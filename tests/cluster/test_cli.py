@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from tests.obs.test_sweep import rig_to_crash
 
 
 class TestParser:
@@ -63,7 +64,6 @@ class TestParser:
         monkeypatch.setattr("repro.devtools.sanitizer.sweep", simulated)
         bad = str(tmp_path / "no-such-dir" / "out")
         for argv in (["run", *small, "--trace-out", bad],
-                     ["run", *small, "--trace-jsonl", bad],
                      ["run", *small, "--metrics-out", bad],
                      ["run", *small, "--history-out", bad],
                      ["sweep", *small, "--out", bad],
@@ -166,16 +166,16 @@ class TestRunShape:
         ``order`` leaves an existing output byte-identical and creates
         no new one."""
         old, fresh = tmp_path / "old.json", tmp_path / "fresh.json"
-        stream = tmp_path / "fresh.jsonl"
+        history = tmp_path / "fresh.jsonl"
         old.write_bytes(b'{"kept": true}\n')
         for argv in (["run", "--servers", "3", "--clients", "6",
                       "--metrics-out", str(old), "--trace-out", str(fresh),
-                      "--trace-jsonl", str(stream), "--crash", "9@10"],
+                      "--history-out", str(history), "--crash", "9@10"],
                      ["order", "--seeds", "1", "1", "--sweep-out", str(old)]):
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith("repro: "), argv
             assert old.read_bytes() == b'{"kept": true}\n', argv
-            assert not fresh.exists() and not stream.exists(), argv
+            assert not fresh.exists() and not history.exists(), argv
 
     def test_a_repeated_sweep_seed_is_an_error_not_a_cell_run_twice(
             self, capsys):
@@ -183,7 +183,7 @@ class TestRunShape:
         assert "repeat a seed" in err
 
     @pytest.mark.parametrize("first, second", [
-        ("--trace-out", "--metrics-out"), ("--history-out", "--trace-jsonl"),
+        ("--trace-out", "--metrics-out"), ("--history-out", "--trace-out"),
         ("--metrics-out", "--history-out")])
     def test_two_outputs_on_one_path_are_an_error_not_a_lost_artifact(
             self, capsys, tmp_path, monkeypatch, first, second):
@@ -253,11 +253,9 @@ class TestCommands:
     def test_run_with_observability_artifacts(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.json"
         report_path = tmp_path / "report.json"
-        jsonl_path = tmp_path / "trace.jsonl"
         code = main(["run", "--servers", "3", "--clients", "6",
                      "--duration-us", "30",
                      "--trace-out", str(trace_path),
-                     "--trace-jsonl", str(jsonl_path),
                      "--metrics-out", str(report_path), "--profile"])
         out = capsys.readouterr().out
         assert code == 0
@@ -290,9 +288,6 @@ class TestCommands:
         assert report["profile"]["attribution"]["by_event_kind"]
         assert report["profile"]["scheduling"]["messages_handled"] > 0
         assert report["trace"]["records"] > 0
-
-        lines = jsonl_path.read_text().splitlines()
-        assert lines and all(json.loads(line)["cat"] for line in lines)
 
     def test_trace_subcommand(self, capsys, tmp_path):
         out_path = tmp_path / "trace.json"
@@ -528,7 +523,7 @@ class TestInputFileModes:
 
     def test_trace_schema_mismatch_exits_2(self, capsys, tmp_path):
         path = tmp_path / "not-a-trace.json"
-        path.write_text(json.dumps({"schema": "repro.run_report/3"}))
+        path.write_text(json.dumps({"schema": "repro.run_report/6"}))
         code = main(["trace", str(path)])
         captured = capsys.readouterr()
         assert code == 2
@@ -812,7 +807,7 @@ class TestSweepObservatory:
     def test_sweep_crash_partial_artifact_and_exit_1(self, capsys,
                                                      monkeypatch,
                                                      tmp_path):
-        monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "causal:eventual")
+        rig_to_crash(monkeypatch, "causal", "eventual")
         out = tmp_path / "partial.json"
         code = main(self.ARGS + ["--workers", "2", "--out", str(out)])
         captured = capsys.readouterr()
@@ -939,29 +934,25 @@ def test_flag_has_its_documented_effect(case, capsys, tmp_path):
     case(run, tmp_path)
 
 
-def test_a_truncated_trace_says_so_and_names_the_stream(capsys, tmp_path):
-    """Past the tracer's bound, ``trace FILE`` warns that the timeline
-    lost its newest records and points at the unbounded stream."""
-    from repro.obs import CellSpec, observed_run, section_observers
-    from repro.sim.trace import Tracer
-    spec = CellSpec("causal", "synchronous", 2021, servers=3, clients=6,
-                    duration_ns=30_000.0, warmup_ns=3_000.0)
-    headers = []
-    for cap in (None, 50):
-        observers = section_observers(spec, trace=True)
-        if cap is not None:
-            observers.tracer = Tracer(max_records=cap)
-        path = str(tmp_path / "t.json")
-        observed_run(spec, observers).write_trace(path)
-        assert main(["trace", path, "--limit", "0"]) == 0
-        headers.append(capsys.readouterr().out.split("category")[0])
-    whole, truncated = headers
-    assert "WARNING" not in whole
-    dropped = int(re.search(r"50 records, (\d+) dropped", truncated).group(1))
-    assert dropped > 0
-    assert (f"WARNING: timeline truncated — the newest {dropped} records "
-            f"were dropped at the 50-record cap; run --trace-jsonl streams "
-            f"every record") in truncated
+def test_a_streamed_trace_keeps_every_record(capsys, tmp_path):
+    """``run --trace-out`` streams the whole run: ``trace FILE`` counts
+    the records the run report counts, none dropped, and the record
+    events end in time order (up to the float rounding of ``ts + dur``)."""
+    trace, report = tmp_path / "t.json", tmp_path / "m.json"
+    assert main(["run", "--servers", "3", "--clients", "6",
+                 "--duration-us", "30", "--trace-out", str(trace),
+                 "--metrics-out", str(report)]) == 0
+    capsys.readouterr()
+    records = json.loads(report.read_text())["trace"]
+    assert records["records"] > 0 and records["dropped"] == 0
+    assert main(["trace", str(trace), "--limit", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(
+        f"   {records['records']} records, 0 dropped")
+    events = [event for event in json.loads(trace.read_text())["traceEvents"]
+              if event["ph"] != "M"]
+    assert len(events) == records["records"]
+    ends = [event["ts"] + event.get("dur", 0.0) for event in events]
+    assert all(a <= b + 1e-9 for a, b in zip(ends, ends[1:]))
 
 
 #: Flags that are gone, and prefixes of flags that are not: each is
@@ -970,6 +961,7 @@ _NOT_A_FLAG = [
     ["run", "--journey-out", "j.json"],
     ["run", "--trace-limit", "50"],
     ["run", "--trace-ring"],
+    ["run", "--trace-jsonl", "t.jsonl"],
     ["run", "--metrics-window-us", "5"],
     ["run", "--journey-sample-every", "4"],
     ["run", "--journey-max", "5"],
@@ -1009,8 +1001,8 @@ def test_a_flag_is_its_whole_surviving_name(capsys, monkeypatch, argv):
 CLI_SURFACE = {
     "run": ["--consistency", "--persistency", "--workload", "--servers",
             "--clients", "--duration-us", "--seed", "--trace-out",
-            "--trace-jsonl", "--metrics-out", "--history-out", "--journeys",
-            "--health", "--profile", "--audit", "--faults", "--crash"],
+            "--metrics-out", "--history-out", "--journeys", "--health",
+            "--profile", "--audit", "--faults", "--crash"],
     "trace": ["input", "--limit", "--category"],
     "journey": ["input"],
     "profile": ["input", "--top"],
@@ -1037,4 +1029,4 @@ def test_the_cli_surface_is_pinned():
                       if not isinstance(action, argparse._HelpAction)]
                for name, parser in subparsers.choices.items()}
     assert surface == CLI_SURFACE
-    assert sum(map(len, surface.values())) == 60
+    assert sum(map(len, surface.values())) == 59

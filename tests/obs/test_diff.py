@@ -10,7 +10,7 @@ from repro.obs.diff import DIFF_SCHEMA
 
 
 def _run_report(p99=1_000.0, throughput=1e8, config_hash="cafe",
-                schema="repro.run_report/3", **extra):
+                schema="repro.run_report/6", **extra):
     summary = {"throughput_ops_per_s": throughput, "p99_write_ns": p99,
                "mean_write_ns": 800.0, "persists": 5_000}
     summary.update(extra)
@@ -141,7 +141,7 @@ class TestCompatibility:
         assert report.config_hash == ("aaaa", "bbbb")
 
     def test_unhashed_artifacts_still_compare(self):
-        old = _run_report(schema="repro.run_report/1")
+        old = _run_report()
         del old["meta"]["config_hash"]
         report = diff_documents(old, _run_report())
         assert report.config_hash[0] is None
@@ -399,10 +399,24 @@ class TestLoading:
             load_artifact(str(path))
 
     def test_old_run_report_schemas_accepted(self, tmp_path):
-        for schema in ("repro.run_report/1", "repro.run_report/2"):
+        for schema in ("repro.run_report/5", "repro.run_report/6"):
             path = tmp_path / "old.json"
             path.write_text(json.dumps(_run_report(schema=schema)))
             assert load_artifact(str(path))["schema"] == schema
+
+    def test_a_retired_run_report_is_refused_in_one_line(self, capsys,
+                                                         tmp_path):
+        """The loader keeps the current run-report version plus one: a
+        ``/4`` document is the registry's one-line error, exit 2."""
+        from repro.cli import main
+
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(_run_report(schema="repro.run_report/4")))
+        new.write_text(json.dumps(_run_report()))
+        assert main(["diff", str(old), str(new)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro: {old}: unknown repro.run_report version /4 "
+            f"(known: 5, 6)\n")
 
 
 class TestRendering:

@@ -1,35 +1,37 @@
-"""Tests for the Chrome trace_event exporter and the JSONL sink."""
+"""Tests for the streamed Chrome trace_event file."""
 
-import io
 import json
 
 import pytest
 
-from repro.obs.export import (
-    CLUSTER_PID,
-    JsonlSink,
-    LANES,
-    chrome_trace_events,
-    chrome_trace_payload,
-    write_chrome_trace,
-)
-from repro.sim.trace import INSTANT, SPAN, Tracer
+from repro.obs.export import CLUSTER_PID, LANES, ChromeTraceSink
+from repro.sim.trace import INSTANT, SPAN
 
 
-def _tracer_with_sample_records() -> Tracer:
-    tracer = Tracer()
-    tracer.emit(1500.0, "msg_send", node=0, msg="INV", dst=1)
-    tracer.emit(2500.0, "persist", node=1, key=7, version=(1, 0))
-    tracer.emit(4000.0, "read_stall", node=0, dur=750.0, key=7)
-    tracer.emit(5000.0, "recovery_scan", dur=1000.0, nodes=3)  # no node
-    return tracer
+def _emit_sample_records(sink) -> None:
+    sink.emit(1500.0, "msg_send", node=0, msg="INV", dst=1)
+    sink.emit(2500.0, "persist", node=1, key=7, version=(1, 0))
+    sink.emit(4000.0, "read_stall", node=0, dur=750.0, key=7)
+    sink.emit(5000.0, "recovery_scan", dur=1000.0, nodes=3)  # no node
+
+
+def _written(tmp_path, emit=_emit_sample_records, name="t.json", **close):
+    """The parsed file a sink wrote for ``emit``'s emissions."""
+    path = tmp_path / name
+    sink = ChromeTraceSink(str(path))
+    emit(sink)
+    sink.close(**close)
+    return json.loads(path.read_text())
+
+
+def _record_events(tmp_path, emit=_emit_sample_records):
+    return [e for e in _written(tmp_path, emit)["traceEvents"]
+            if e["ph"] != "M"]
 
 
 class TestChromeTraceEvents:
-    def test_instant_event_fields(self):
-        tracer = _tracer_with_sample_records()
-        events = chrome_trace_events(tracer.records)
-        send = events[0]
+    def test_instant_event_fields(self, tmp_path):
+        send = _record_events(tmp_path)[0]
         assert send["name"] == "msg_send"
         assert send["ph"] == INSTANT
         assert send["ts"] == pytest.approx(1.5)  # ns -> us
@@ -37,19 +39,17 @@ class TestChromeTraceEvents:
         assert send["s"] == "t"
         assert send["args"] == {"msg": "INV", "dst": 1}
 
-    def test_span_event_starts_at_time_minus_dur(self):
-        events = chrome_trace_events(_tracer_with_sample_records().records)
-        stall = events[2]
+    def test_span_event_starts_at_time_minus_dur(self, tmp_path):
+        stall = _record_events(tmp_path)[2]
         assert stall["ph"] == SPAN
         assert stall["ts"] == pytest.approx((4000.0 - 750.0) / 1000.0)
         assert stall["dur"] == pytest.approx(0.75)
 
-    def test_nodeless_record_goes_to_cluster_pid(self):
-        events = chrome_trace_events(_tracer_with_sample_records().records)
-        assert events[3]["pid"] == CLUSTER_PID
+    def test_nodeless_record_goes_to_cluster_pid(self, tmp_path):
+        assert _record_events(tmp_path)[3]["pid"] == CLUSTER_PID
 
-    def test_lanes_give_stable_tids(self):
-        events = chrome_trace_events(_tracer_with_sample_records().records)
+    def test_lanes_give_stable_tids(self, tmp_path):
+        events = _record_events(tmp_path)
         lane_names = list(LANES)
         # msg_send is a protocol event, persist a durability event.
         assert events[0]["cat"] == "protocol"
@@ -57,36 +57,34 @@ class TestChromeTraceEvents:
         assert events[1]["cat"] == "durability"
         assert events[1]["tid"] == lane_names.index("durability")
 
-    def test_unknown_category_lands_in_misc_lane(self):
-        tracer = Tracer()
-        tracer.emit(1.0, "totally_new_category", node=0)
-        (event,) = chrome_trace_events(tracer.records)
+    def test_unknown_category_lands_in_misc_lane(self, tmp_path):
+        (event,) = _record_events(
+            tmp_path, lambda sink: sink.emit(1.0, "totally_new_category",
+                                             node=0))
         assert event["cat"] == "misc"
         assert event["tid"] == len(LANES)
 
-    def test_non_json_details_are_stringified(self):
-        tracer = Tracer()
-        tracer.emit(1.0, "persist", node=0, version=(2, 3),
-                    obj=object())
-        (event,) = chrome_trace_events(tracer.records)
+    def test_non_json_details_are_stringified(self, tmp_path):
+        (event,) = _record_events(
+            tmp_path, lambda sink: sink.emit(1.0, "persist", node=0,
+                                             version=(2, 3), obj=object()))
         assert event["args"]["version"] == [2, 3]
         assert isinstance(event["args"]["obj"], str)
 
 
 class TestChromeTracePayload:
-    def test_payload_shape(self):
-        tracer = _tracer_with_sample_records()
-        payload = chrome_trace_payload(tracer.records, dropped=2,
-                                       meta={"seed": 7})
+    def test_payload_shape(self, tmp_path):
+        extra = {"name": "journey_vp", "ph": SPAN, "pid": 1, "tid": 7,
+                 "ts": 0.5, "dur": 1.0}
+        payload = _written(tmp_path, meta={"seed": 7}, extra_events=[extra])
         assert isinstance(payload["traceEvents"], list)
-        assert payload["otherData"]["record_count"] == 4
-        assert payload["otherData"]["dropped_records"] == 2
-        assert payload["otherData"]["seed"] == 7
+        assert payload["traceEvents"][-1] == extra
+        assert payload["displayTimeUnit"] == "ns"
+        assert payload["otherData"] == {"record_count": 4, "seed": 7}
 
-    def test_metadata_names_processes_and_threads(self):
-        tracer = _tracer_with_sample_records()
-        payload = chrome_trace_payload(tracer.records)
-        meta = [e for e in payload["traceEvents"] if e["ph"] == "M"]
+    def test_metadata_names_processes_and_threads(self, tmp_path):
+        meta = [e for e in _written(tmp_path)["traceEvents"]
+                if e["ph"] == "M"]
         names = {(e["name"], e["pid"], e["args"]["name"]) for e in meta}
         assert ("process_name", CLUSTER_PID, "cluster") in names
         assert ("process_name", 1, "node0") in names
@@ -94,68 +92,56 @@ class TestChromeTracePayload:
         assert any(e["name"] == "thread_name"
                    and e["args"]["name"] == "protocol" for e in meta)
 
-    def test_events_are_sorted_by_time(self):
-        tracer = Tracer()
-        tracer.emit(13.5, "net_send", node=0, dur=3.5)
-        tracer.emit(10.0, "msg_send", node=0)
-        payload = chrome_trace_payload(tracer.records)
-        events = [e for e in payload["traceEvents"] if e["ph"] != "M"]
+    def test_events_are_sorted_by_time(self, tmp_path):
+        def emit(sink):
+            sink.emit(13.5, "net_send", node=0, dur=3.5)
+            sink.emit(10.0, "msg_send", node=0)
+
+        events = _record_events(tmp_path, emit)
         assert [e["name"] for e in events] == ["msg_send", "net_send"]
 
     def test_written_file_parses_and_is_deterministic(self, tmp_path):
-        tracer = _tracer_with_sample_records()
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_chrome_trace(str(a), tracer.records, dropped=0,
-                           meta={"model": "<Causal, Eventual>"})
-        write_chrome_trace(str(b), tracer.records, dropped=0,
-                           meta={"model": "<Causal, Eventual>"})
-        assert a.read_bytes() == b.read_bytes()
-        data = json.loads(a.read_text())
-        for event in data["traceEvents"]:
+        meta = {"model": "<Causal, Eventual>"}
+        a = _written(tmp_path, name="a.json", meta=meta)
+        b = _written(tmp_path, name="b.json", meta=meta)
+        assert ((tmp_path / "a.json").read_bytes()
+                == (tmp_path / "b.json").read_bytes())
+        assert a == b
+        for event in a["traceEvents"]:
             assert "ph" in event and "pid" in event and "tid" in event
             if event["ph"] != "M":
                 assert "ts" in event
 
 
-class TestJsonlSink:
-    def test_streams_one_line_per_emission(self):
-        buffer = io.StringIO()
-        sink = JsonlSink(buffer)
-        sink.emit(100.0, "msg_send", node=2, msg="ACK")
-        sink.emit(250.0, "read_stall", node=0, dur=50.0)
-        sink.close()
-        lines = [json.loads(l) for l in buffer.getvalue().splitlines()]
-        assert sink.emitted == 2
-        assert lines[0] == {"ts": 100.0, "cat": "msg_send", "node": 2,
-                            "ph": "i", "args": {"msg": "ACK"}}
-        assert lines[1]["ph"] == "X"
-        assert lines[1]["dur"] == 50.0
+class TestChromeTraceSink:
+    def test_streams_one_event_per_emission(self, tmp_path):
+        def emit(sink):
+            sink.emit(100.0, "msg_send", node=2, msg="ACK")
+            sink.emit(250.0, "read_stall", node=0, dur=50.0)
+            sink.emit(300.0, "msg_send", node=1)
+            assert len(sink) == 3 and sink.dropped == 0
+            assert sink.categories() == {"msg_send": 2, "read_stall": 1}
 
-    def test_lookahead_spans_are_written_in_time_order(self):
+        send, stall, _ = _record_events(tmp_path, emit)
+        assert send == {"name": "msg_send", "cat": "protocol", "ph": "i",
+                        "pid": 3, "tid": 1, "ts": 0.1, "s": "t",
+                        "args": {"msg": "ACK"}}
+        assert stall["ph"] == "X" and stall["dur"] == 0.05
+
+    def test_lookahead_spans_are_written_in_time_order(self, tmp_path):
         # A span recorded ahead of the clock (net_send: stamped with its
         # computed end) waits until the stream catches up with it.
-        buffer = io.StringIO()
-        sink = JsonlSink(buffer)
-        sink.emit(10.0, "msg_send", node=0)
-        sink.emit(13.5, "net_send", node=0, dur=3.5)
-        sink.emit(10.0, "msg_send", node=0, dst=2)
-        assert len(buffer.getvalue().splitlines()) == 2   # 13.5 held back
-        sink.emit(12.0, "write_complete", node=1)
-        sink.emit(513.5, "net_deliver", node=2)
-        assert len(buffer.getvalue().splitlines()) == 5
-        sink.emit(600.0, "net_send", node=1, dur=4.0)     # still in flight
-        sink.close()
-        lines = [json.loads(l) for l in buffer.getvalue().splitlines()]
-        assert [l["ts"] for l in lines] == [10.0, 10.0, 12.0, 13.5, 513.5,
-                                            600.0]
-        assert lines[1]["args"] == {"dst": 2}
-        assert sink.emitted == 6
+        def emit(sink):
+            sink.emit(10.0, "msg_send", node=0)
+            sink.emit(13.5, "net_send", node=0, dur=3.5)
+            sink.emit(10.0, "msg_send", node=0, dst=2)
+            assert len(sink._ahead) == 1                  # 13.5 held back
+            sink.emit(12.0, "write_complete", node=1)
+            sink.emit(513.5, "net_deliver", node=2)
+            assert not sink._ahead
+            sink.emit(600.0, "net_send", node=1, dur=4.0)  # still in flight
 
-    def test_file_destination_and_context_manager(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonlSink(str(path)) as sink:
-            sink.span(10.0, 30.0, "write_stall", node=1, key=5)
-        (line,) = [json.loads(l) for l in path.read_text().splitlines()]
-        assert line["dur"] == 20.0
-        assert line["ts"] == 30.0
-        assert line["args"] == {"key": 5}
+        events = _record_events(tmp_path, emit)
+        assert [e["ts"] + e.get("dur", 0.0) for e in events] == \
+            pytest.approx([0.01, 0.01, 0.012, 0.0135, 0.5135, 0.6])
+        assert events[1]["args"] == {"dst": 2}

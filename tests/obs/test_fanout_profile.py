@@ -12,7 +12,7 @@ class TestFanoutTracer:
         a, b = Tracer(), Tracer()
         fanout = FanoutTracer([a, b])
         fanout.emit(1.0, "msg_send", node=0, msg="INV")
-        fanout.span(2.0, 5.0, "read_stall", node=1)
+        fanout.emit(5.0, "read_stall", node=1, dur=3.0)
         assert len(a) == 2 and len(b) == 2
         assert a.records[1].dur == 3.0
 

@@ -33,7 +33,7 @@ def full_journey(tracker, key=7, version=V):
     for node, t in ((0, 106.0), (1, 156.0), (2, 171.0)):
         tracker.emit(t, "persist_issue", node=node, key=key, version=version,
                      trigger="eager")
-        tracker.span(t + 1.0, t + 20.0, "nvm_persist", node=node,
+        tracker.emit(t + 20.0, "nvm_persist", node=node, dur=19.0,
                      address=key, service_ns=15.0)
         tracker.emit(t + 20.0, "persist", node=node, key=key, version=version)
 
@@ -88,7 +88,7 @@ class TestCorrelation:
         tracker = JourneyTracker(1)
         issue(tracker)
         # A span for the same address that ended earlier must not match.
-        tracker.span(101.0, 120.0, "nvm_persist", node=0, address=7,
+        tracker.emit(120.0, "nvm_persist", node=0, dur=19.0, address=7,
                      service_ns=15.0)
         tracker.emit(130.0, "persist", node=0, key=7, version=V)
         assert tracker.get(7, V).device_ns == {}

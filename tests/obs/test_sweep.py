@@ -35,6 +35,23 @@ def report_bytes(doc):
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
+def rig_to_crash(monkeypatch, *cell):
+    """Make every cell whose ``(consistency, persistency, seed)`` starts
+    with ``cell`` raise inside its worker.  The pool forks its workers
+    after the patch, so they run the rigged recipe too."""
+    from repro.obs import sweep
+
+    real = sweep.observed_run
+
+    def observed_run(spec, *args, **kwargs):
+        if (spec.consistency, spec.persistency, spec.seed)[:len(cell)] \
+                == cell:
+            raise RuntimeError(f"rigged crash for cell {spec.label}")
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "observed_run", observed_run)
+
+
 class TestCellSpec:
     def test_sort_key_ignores_construction_order(self):
         specs = specs_for(list(reversed(all_ddp_models()[:6])), seeds=(2, 1))
@@ -43,6 +60,9 @@ class TestCellSpec:
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep section"):
             CellSpec("causal", "eventual", 1, sections=("bogus",))
+        with pytest.raises(ValueError, match=r"^unknown workload 'Z' "
+                                             r"\(known: A, B, C, W\)$"):
+            CellSpec("causal", "eventual", 1, workload="Z")
 
     def test_label_names_model_and_seed(self):
         spec = CellSpec("causal", "eventual", 7)
@@ -212,13 +232,10 @@ class TestCellSections:
 class TestFailure:
     CRASH = DdpModel(Consistency.CAUSAL, Persistency.EVENTUAL)
 
-    def rig(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", value)
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_crashed_cell_is_schema_valid_error_entry(self, monkeypatch,
                                                       workers):
-        self.rig(monkeypatch, "causal:eventual")
+        rig_to_crash(monkeypatch, "causal", "eventual")
         models = [self.CRASH,
                   DdpModel(Consistency.EVENTUAL, Persistency.EVENTUAL)]
         doc = build_sweep_report(run_sweep(specs_for(models),
@@ -231,14 +248,14 @@ class TestFailure:
         assert "summary" not in error
 
     def test_seed_scoped_rig_only_hits_that_seed(self, monkeypatch):
-        self.rig(monkeypatch, "causal:eventual:2")
+        rig_to_crash(monkeypatch, "causal", "eventual", 2)
         doc = build_sweep_report(
             run_sweep(specs_for([self.CRASH], seeds=(1, 2))))
         status = {c["seed"]: c["status"] for c in doc["cells"]}
         assert status == {1: "ok", 2: "error"}
 
     def test_run_cell_raises_when_rigged(self, monkeypatch):
-        self.rig(monkeypatch, "causal:eventual")
+        rig_to_crash(monkeypatch, "causal", "eventual")
         with pytest.raises(RuntimeError, match="rigged crash"):
             run_cell(CellSpec("causal", "eventual", 1,
                               duration_ns=DURATION, warmup_ns=WARMUP))

@@ -24,8 +24,8 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency, DdpModel, Persistency, all_ddp_models
 from repro.devtools.sanitizer import TieBatchSanitizer, cluster_digest
-from repro.obs import (FanoutTracer, HealthMonitor, JourneyTracker,
-                       KernelProfile, write_chrome_trace)
+from repro.obs import (ChromeTraceSink, FanoutTracer, HealthMonitor,
+                       JourneyTracker, KernelProfile)
 from repro.sim.trace import NullTracer, Tracer
 from repro.workload.ycsb import WORKLOADS
 
@@ -72,6 +72,15 @@ def _run(model, tracer=None, profile=None, monitor=None, seed=2021,
         for engine in cluster.engines
     ]
     return cluster, summary, stores
+
+
+def _traced(path, model, meta=None, **kwargs):
+    """The bytes of the Chrome trace a run streams to ``path``, and the
+    cluster it ran."""
+    sink = ChromeTraceSink(str(path))
+    cluster, _, _ = _run(model, tracer=sink, **kwargs)
+    sink.close(meta=meta)
+    return path.read_bytes(), cluster
 
 
 class TestTracingDoesNotPerturb:
@@ -125,14 +134,11 @@ class TestTracingDoesNotPerturb:
         model = DdpModel(Consistency.CAUSAL, Persistency.SYNCHRONOUS)
         contents = []
         for monitored in (False, True):
-            tracer = Tracer()
             monitor = (HealthMonitor(interval_ns=2_000.0)
                        if monitored else None)
-            _run(model, tracer=tracer, monitor=monitor)
-            path = tmp_path / f"m{monitored}.json"
-            write_chrome_trace(str(path), tracer.records,
-                               dropped=tracer.dropped)
-            contents.append(path.read_bytes())
+            trace, _ = _traced(tmp_path / f"m{monitored}.json", model,
+                               monitor=monitor)
+            contents.append(trace)
         assert contents[0] == contents[1]
 
     def test_profiling_does_not_perturb(self):
@@ -170,13 +176,10 @@ class TestTracingDoesNotPerturb:
         The counters observe the schedule; they never become part of it."""
         contents = []
         for profiled in (False, True):
-            tracer = Tracer()
             profile = KernelProfile() if profiled else None
-            _run(model, tracer=tracer, profile=profile)
-            path = tmp_path / f"p{profiled}.json"
-            write_chrome_trace(str(path), tracer.records,
-                               dropped=tracer.dropped)
-            contents.append(path.read_bytes())
+            trace, _ = _traced(tmp_path / f"p{profiled}.json", model,
+                               profile=profile)
+            contents.append(trace)
             if profiled:
                 attribution = profile.snapshot()["attribution"]
                 assert attribution["by_event_kind"], \
@@ -192,8 +195,6 @@ class _RaisingTracer(NullTracer):
 
     def emit(self, *args, **kwargs):
         raise AssertionError("emit on a disabled tracer")
-
-    span = emit
 
 
 def _tracing_off_cluster(cell):
@@ -248,13 +249,10 @@ class TestHistoryRecorderEquivalence:
         model = DdpModel(Consistency.CAUSAL, Persistency.SYNCHRONOUS)
         contents = []
         for recorded in (False, True):
-            tracer = Tracer()
             recorder = HistoryRecorder() if recorded else None
-            _run(model, tracer=tracer, history=recorder)
-            path = tmp_path / f"h{recorded}.json"
-            write_chrome_trace(str(path), tracer.records,
-                               dropped=tracer.dropped)
-            contents.append(path.read_bytes())
+            trace, _ = _traced(tmp_path / f"h{recorded}.json", model,
+                               history=recorder)
+            contents.append(trace)
         assert contents[0] == contents[1]
 
 
@@ -287,13 +285,10 @@ class TestFaultInjectionEquivalence:
         model = DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS)
         contents = []
         for injected in (False, True):
-            tracer = Tracer()
             faults = FaultInjector(FaultPlan()) if injected else None
-            _run(model, tracer=tracer, faults=faults)
-            path = tmp_path / f"f{injected}.json"
-            write_chrome_trace(str(path), tracer.records,
-                               dropped=tracer.dropped)
-            contents.append(path.read_bytes())
+            trace, _ = _traced(tmp_path / f"f{injected}.json", model,
+                               faults=faults)
+            contents.append(trace)
         assert contents[0] == contents[1]
 
     @pytest.mark.parametrize("model", MODELS, ids=str)
@@ -318,15 +313,12 @@ class TestFaultInjectionEquivalence:
         }
         contents, resends = [], []
         for run in ("a", "b"):
-            tracer = Tracer()
             injector = FaultInjector(load_fault_plan(dict(plan_dict)))
-            cluster, _, _ = _run(model, tracer=tracer, faults=injector)
+            trace, cluster = _traced(tmp_path / f"{run}.json", model,
+                                     faults=injector)
             assert injector.crashes == 1 and injector.restarts == 1
             resends.append(sum(e.round_resends for e in cluster.engines))
-            path = tmp_path / f"{run}.json"
-            write_chrome_trace(str(path), tracer.records,
-                               dropped=tracer.dropped)
-            contents.append(path.read_bytes())
+            contents.append(trace)
         assert contents[0] == contents[1]
         # Causal updates run no ACK round, so nothing there resends.
         assert resends[0] == resends[1]
@@ -336,26 +328,16 @@ class TestFaultInjectionEquivalence:
 class TestTraceDeterminism:
     def test_same_seed_byte_identical_trace(self, tmp_path):
         model = DdpModel(Consistency.CAUSAL, Persistency.EVENTUAL)
-        paths = []
-        for run in ("a", "b"):
-            tracer = Tracer()
-            _run(model, tracer=tracer)
-            path = tmp_path / f"{run}.json"
-            write_chrome_trace(str(path), tracer.records,
-                               dropped=tracer.dropped,
-                               meta={"model": str(model), "seed": 2021})
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        contents = [
+            _traced(tmp_path / f"{run}.json", model,
+                    meta={"model": str(model), "seed": 2021})[0]
+            for run in ("a", "b")]
+        assert contents[0] == contents[1]
 
     def test_different_seed_differs(self, tmp_path):
         model = DdpModel(Consistency.CAUSAL, Persistency.EVENTUAL)
-        contents = []
-        for seed in (2021, 2022):
-            tracer = Tracer()
-            _run(model, tracer=tracer, seed=seed)
-            path = tmp_path / f"s{seed}.json"
-            write_chrome_trace(str(path), tracer.records)
-            contents.append(path.read_bytes())
+        contents = [_traced(tmp_path / f"s{seed}.json", model, seed=seed)[0]
+                    for seed in (2021, 2022)]
         assert contents[0] != contents[1]
 
     def test_fork_seeds_survive_hash_randomization(self):

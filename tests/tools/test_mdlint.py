@@ -119,7 +119,7 @@ class TestChecker:
 
         old = schema_tags("repro.run_report")[-2]
         text = (f"writes `{RUN_REPORT_SCHEMA}`\n"
-                f"reads `repro.run_report/1..6`\n"
+                f"reads `repro.run_report/5..6`\n"
                 f"writes `{old}`\n"
                 "and `repro.run_report/99`, `repro.nonesuch/1`\n")
         errors = self.check(self.write(tmp_path, "doc.md", text))
@@ -134,7 +134,12 @@ class TestChecker:
         # A change log's "current" was current when it was written.
         logged = self.check(self.write(tmp_path, "CHANGES.md", text))
         assert len(logged) == 2 and not any("stale" in e for e in logged)
-        # A retired family is history in a change log, unknown elsewhere.
+        # A retired version is history in a change log, unknown elsewhere.
+        retired = "the `repro.run_report/3` document\n"
+        assert self.check(self.write(tmp_path, "CHANGES.md", retired)) == []
+        (error,) = self.check(self.write(tmp_path, "doc.md", retired))
+        assert "unknown repro.run_report version /3" in error
+        # So is a retired family.
         retired = "the `repro.kernel_profile/1` document\n"
         assert self.check(self.write(tmp_path, "CHANGES.md", retired)) == []
         (error,) = self.check(self.write(tmp_path, "doc.md", retired))

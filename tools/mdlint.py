@@ -21,9 +21,9 @@ Validates every markdown file it is given (or discovers):
 * **schema tags** — every ``repro.<family>/<N>`` quoted anywhere in a
   file must be a tag ``repro.obs.schemas`` knows, and outside the
   change logs (``CHANGES.md``, ``ISSUE.md``: what an entry calls
-  current was current then, and a retired family existed then) it must
-  be the family's *current* tag unless it opens a version range
-  (``repro.run_report/1..6``);
+  current was current then, and a retired family or version existed
+  then) it must be the family's *current* tag unless it opens a version
+  range (``repro.run_report/5..6``);
 * **documented commands** — in README.md and docs/handbook.md, every
   ``python -m repro.cli …`` line of a fenced code block (``$``
   prompt, environment assignments, ``\\`` continuations and their
@@ -125,6 +125,16 @@ def contract_grid() -> str:
     return "\n".join(lines)
 
 
+def _retired(family: str, version: int) -> bool:
+    """A family no writer emits, or a version older than any the
+    registry still reads."""
+    from repro.obs.schemas import SCHEMAS
+
+    known = SCHEMAS.get(family)
+    return (family in _RETIRED_FAMILIES
+            or known is not None and version < known.versions[0])
+
+
 def schema_tag_errors(text: str, is_change_log: bool) -> List[Tuple[int, str]]:
     """``(line, complaint)`` for every quoted schema tag that
     ``repro.obs.schemas`` does not know or that has been superseded."""
@@ -138,7 +148,7 @@ def schema_tag_errors(text: str, is_change_log: bool) -> List[Tuple[int, str]]:
         try:
             parse_schema_tag(tag)
         except SchemaError as exc:
-            if is_change_log and family in _RETIRED_FAMILIES:
+            if is_change_log and _retired(family, int(version)):
                 continue
             complaint = str(exc)
         else:
