@@ -17,7 +17,7 @@ heap-depth scaling are visible.
 import pytest
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.cluster import run_simulation
+from repro.cluster.cluster import Cluster
 from repro.core.model import Consistency, DdpModel, Persistency
 from repro.obs import KernelProfile
 from repro.workload.ycsb import WORKLOADS
@@ -73,10 +73,8 @@ def _run_points():
         config = ClusterConfig(servers=servers, clients_per_server=20,
                                seed=2021)
         profile = KernelProfile()
-        summary = run_simulation(model, WORKLOADS["A"], config=config,
-                                 duration_ns=DURATION_NS,
-                                 warmup_ns=WARMUP_NS,
-                                 profile=profile)
+        summary = Cluster(model, config=config, workload=WORKLOADS["A"],
+                          profile=profile).run(DURATION_NS, WARMUP_NS)
         _RESULTS[label] = (profile, summary)
     return _RESULTS
 

@@ -3,8 +3,10 @@
 The paper defines each model by *when* an update reaches its Visibility
 Point (applied at all replicas) and Durability Point (persisted at all
 replicas), but reports only end-performance.  This benchmark measures
-the two lags directly with the :class:`repro.analysis.points.PointsTracker`
-hook, quantifying Table 2's qualitative "when" column:
+the two lags directly — a :class:`repro.obs.journey.JourneyTracker`
+collects each write's apply and persist instants and
+:func:`repro.analysis.waterfall.lag_summary` derives the lags —
+quantifying Table 2's qualitative "when" column:
 
 * Strict: DP within the write round.
 * Synchronous: DP trails VP by one NVM persist.
@@ -17,17 +19,18 @@ import pytest
 
 from conftest import archive
 
-from repro.analysis.points import PointsTracker
+from repro.analysis.waterfall import lag_summary
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.context import ClientContext
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
+from repro.obs.journey import JourneyTracker
 
 WRITES = 60
 
 
 def measure(consistency, persistency):
-    tracker = PointsTracker(num_nodes=3)
+    tracker = JourneyTracker(num_nodes=3)
     cluster = Cluster(DdpModel(consistency, persistency),
                       config=ClusterConfig(servers=3, clients_per_server=0,
                                            store_type=None),
@@ -43,7 +46,7 @@ def measure(consistency, persistency):
             cluster.sim.run_until_complete(
                 cluster.sim.process(engine.client_persist_scope(ctx)))
     cluster.sim.run(until=cluster.sim.now + 500_000)
-    return tracker.summarize()
+    return lag_summary(tracker.journeys, tracker.num_nodes)
 
 
 @pytest.fixture(scope="module")

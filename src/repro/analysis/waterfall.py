@@ -30,6 +30,10 @@ key-hotness class), :func:`waterfall_json` shapes it as the
 ``journeys`` section of the ``repro.run_report/6`` artifact, and
 :func:`format_waterfall` renders that section as a text waterfall —
 ``repro journey`` reads it back from a saved run or sweep report.
+
+The same records give the report's ``lag`` section: :func:`lag_summary`
+(the VP and DP lag distributions, Table 2's "when" column as a number)
+and :func:`window_lags` (per node, the lags bucketed by issue window).
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ from repro.analysis.metrics import _percentile
 from repro.obs.journey import UpdateJourney
 
 __all__ = ["BUCKETS", "PathDecomposition", "JourneyBreakdown",
-           "WaterfallAggregate", "WaterfallReport", "decompose",
-           "aggregate_journeys", "format_waterfall", "waterfall_json"]
+           "WaterfallAggregate", "WaterfallReport", "LagSummary",
+           "decompose", "aggregate_journeys", "lag_summary", "window_lags",
+           "format_waterfall", "waterfall_json"]
 
 BUCKETS: Tuple[str, ...] = ("network", "coord_wait", "nvm_queue",
                             "device", "compute")
@@ -294,6 +299,101 @@ def aggregate_journeys(journeys: Iterable[UpdateJourney], num_nodes: int,
                     for cls, accs in by_hot.items()
                     if any(acc.count for acc in accs.values())},
         slowest=ranked[:SLOWEST], dropped=dropped)
+
+
+# ---------------------------------------------------------------------------
+# VP/DP lags (the run report's ``lag`` section)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LagSummary:
+    """Visibility/durability lag distributions for one run.  A lag runs
+    from the write's version allocation (``issue_ns``) to its apply (VP)
+    or persist (DP) at the last of all replicas."""
+
+    writes_tracked: int
+    fully_visible: int
+    fully_durable: int
+    mean_visibility_lag_ns: float
+    p95_visibility_lag_ns: float
+    mean_durability_lag_ns: float
+    p95_durability_lag_ns: float
+
+    @property
+    def visibility_completion_fraction(self) -> float:
+        return self.fully_visible / max(self.writes_tracked, 1)
+
+    @property
+    def durability_completion_fraction(self) -> float:
+        return self.fully_durable / max(self.writes_tracked, 1)
+
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values) if values else float("nan")
+
+
+def lag_summary(journeys: Sequence[UpdateJourney],
+                num_nodes: int) -> LagSummary:
+    """VP and DP lags of the writes that reached all ``num_nodes``
+    replicas (a write some replica never applied or persisted counts as
+    tracked, not as complete)."""
+    visibility = [max(j.applies.values()) - j.issue_ns for j in journeys
+                  if len(j.applies) == num_nodes]
+    durability = [max(j.persists.values()) - j.issue_ns for j in journeys
+                  if len(j.persists) == num_nodes]
+    return LagSummary(
+        writes_tracked=len(journeys),
+        fully_visible=len(visibility),
+        fully_durable=len(durability),
+        mean_visibility_lag_ns=_mean(visibility),
+        p95_visibility_lag_ns=_percentile(sorted(visibility), 0.95),
+        mean_durability_lag_ns=_mean(durability),
+        p95_durability_lag_ns=_percentile(sorted(durability), 0.95))
+
+
+def window_lags(journeys: Iterable[UpdateJourney],
+                window_ns: float) -> Dict[int, List[Dict[str, float]]]:
+    """Per-node windowed VP-lag / DP-lag series.
+
+    Each write contributes, per node, the lag from its issue to the
+    node's apply (VP) and persist (DP); samples are bucketed by the
+    write's *issue* window.  Returns ``node -> [window dict]`` with
+    aligned windows across nodes, each dict carrying mean and p99 lags
+    plus sample counts (NaN means no sample landed there).
+    """
+    if window_ns <= 0:
+        raise ValueError(f"window_ns must be positive: {window_ns}")
+    # node -> window index -> (vp samples, dp samples)
+    samples: Dict[int, Dict[int, Tuple[List[float], List[float]]]] = {}
+    last_window = -1
+    for journey in journeys:
+        issued = journey.issue_ns
+        index = int(issued // window_ns)
+        last_window = max(last_window, index)
+        for node, applied in journey.applies.items():
+            samples.setdefault(node, {}).setdefault(
+                index, ([], []))[0].append(applied - issued)
+        for node, persisted in journey.persists.items():
+            samples.setdefault(node, {}).setdefault(
+                index, ([], []))[1].append(persisted - issued)
+    series: Dict[int, List[Dict[str, float]]] = {}
+    for node in sorted(samples):
+        rows = []
+        for index in range(last_window + 1):
+            vp, dp = samples[node].get(index, ([], []))
+            rows.append({
+                "start_ns": index * window_ns,
+                "end_ns": (index + 1) * window_ns,
+                "vp_samples": len(vp),
+                "vp_mean_ns": _mean(vp),
+                "vp_p99_ns": _percentile(sorted(vp), 0.99),
+                "dp_samples": len(dp),
+                "dp_mean_ns": _mean(dp),
+                "dp_p99_ns": _percentile(sorted(dp), 0.99),
+            })
+        series[node] = rows
+    return series
 
 
 # ---------------------------------------------------------------------------

@@ -201,23 +201,14 @@ class Cluster:
 def run_simulation(model: DdpModel, workload: WorkloadSpec,
                    config: Optional[ClusterConfig] = None,
                    duration_ns: float = 300_000.0,
-                   warmup_ns: float = 30_000.0,
-                   tracer=None, metrics: Optional[Metrics] = None,
-                   profile=None, monitor=None, faults=None,
-                   history=None) -> Summary:
+                   warmup_ns: float = 30_000.0) -> Summary:
     """Build, run, and summarize one experiment.
 
     The defaults (300 us measured window after 30 us warmup) keep single
     runs fast while giving each of the 100 default clients on the order
-    of a hundred completed requests under the fastest models.
-    ``tracer`` / ``metrics`` / ``profile`` / ``monitor`` plug in
-    observability sinks (see :mod:`repro.obs`) without changing the run.
-    ``faults`` takes a :class:`repro.faults.FaultInjector`; with an
-    empty plan the run is also unchanged (see :mod:`repro.faults`).
-    ``history`` takes a :class:`repro.obs.history.HistoryRecorder` for
-    black-box auditing (see :mod:`repro.audit`), likewise inert.
+    of a hundred completed requests under the fastest models.  To watch
+    a run through observability sinks (see :mod:`repro.obs`), build the
+    :class:`Cluster` with them, or call :func:`repro.obs.observed_run`.
     """
-    cluster = Cluster(model, config=config, workload=workload,
-                      tracer=tracer, metrics=metrics, profile=profile,
-                      monitor=monitor, faults=faults, history=history)
+    cluster = Cluster(model, config=config, workload=workload)
     return cluster.run(duration_ns, warmup_ns)

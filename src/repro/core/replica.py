@@ -62,7 +62,7 @@ class KeyReplica:
         self.key = key
         # Optional callback ``observer(kind, key, version)`` fired on
         # "apply" and "persist" advances — the hook the VP/DP measurement
-        # (repro.analysis.points) attaches to.
+        # (repro.obs.journey) attaches to.
         self.observer = observer
         # Highest version applied to the local volatile hierarchy — "the
         # latest version in the volatile memory hierarchy" reads return

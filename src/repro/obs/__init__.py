@@ -2,8 +2,8 @@
 
 This package turns the raw signals the simulation already produces
 (trace emissions, :class:`repro.analysis.metrics.Metrics` operation
-records, :class:`repro.analysis.points.PointsTracker` VP/DP events)
-into artifacts a human or a tool can consume:
+records, the :class:`repro.obs.journey.JourneyTracker`'s per-write
+records) into artifacts a human or a tool can consume:
 
 * :mod:`repro.obs.export` — :class:`ChromeTraceSink`, which streams a
   run's Chrome ``trace_event`` JSON (open in Perfetto /
@@ -25,10 +25,11 @@ into artifacts a human or a tool can consume:
   sections' observers are built.
 * :mod:`repro.obs.fanout` — :class:`FanoutTracer` to feed one engine's
   emissions to several sinks (e.g. a ChromeTraceSink and a
-  PointsTracker).
+  JourneyTracker).
 * :mod:`repro.obs.journey` — :class:`JourneyTracker`, a sink that
   assembles one end-to-end :class:`UpdateJourney` per write for the
-  critical-path waterfalls of :mod:`repro.analysis.waterfall`.
+  critical-path waterfalls and the VP/DP lags of
+  :mod:`repro.analysis.waterfall`.
 * :mod:`repro.obs.monitor` — :class:`HealthMonitor`, a DES-clock-driven
   periodic sampler of cluster pressure (persist queues, causal buffers,
   inflight rounds, hot keys) with online invariant probes.

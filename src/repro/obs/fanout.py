@@ -2,8 +2,7 @@
 
 Engines hold exactly one ``tracer`` attribute; when a run wants both a
 timeline (a :class:`repro.obs.export.ChromeTraceSink` or a
-:class:`repro.sim.trace.Tracer`) and derived measurements
-(:class:`repro.analysis.points.PointsTracker`,
+:class:`repro.sim.trace.Tracer`) and derived measurements (a
 :class:`repro.obs.journey.JourneyTracker`), a :class:`FanoutTracer`
 forwards every ``emit`` to all of them.  It is enabled iff any sink is enabled, so a
 fanout of disabled sinks keeps the engine fast path intact.

@@ -1,9 +1,8 @@
 """Per-update journey tracking: one record that follows a write end to end.
 
 The paper's framework is built on two per-update instants — the
-Visibility Point and the Durability Point — and PR 1's
-:class:`~repro.analysis.points.PointsTracker` measures *when* each is
-reached.  This module records *how*: a :class:`JourneyTracker` is a
+Visibility Point and the Durability Point.  This module records *when*
+and *how* each is reached: a :class:`JourneyTracker` is a
 tracer-interface sink (plug it into an engine's ``tracer``, alone or
 via a :class:`~repro.obs.fanout.FanoutTracer`) that stitches the
 engine's existing emissions into one :class:`UpdateJourney` per write:
@@ -23,8 +22,9 @@ engine's existing emissions into one :class:`UpdateJourney` per write:
 
 :mod:`repro.analysis.waterfall` turns journeys into critical-path
 decompositions (network / coordination-wait / NVM-queue / device /
-compute buckets that sum to the end-to-end VP and DP latency) and
-aggregates them into waterfall reports.
+compute buckets that sum to the end-to-end VP and DP latency),
+aggregates them into waterfall reports, and derives the run report's
+VP/DP ``lag`` section from them.
 
 Like every sink, the tracker is passive: it never changes the
 simulation, and a run with it attached is byte-identical to one

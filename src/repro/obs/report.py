@@ -21,7 +21,7 @@ Schema (see DESIGN.md "Run-report JSON" for field-level docs)::
                    "windows_by_type": {"INV": [..counts..], ...}},
       "lag":      {"per_node": {"0": [{start_ns, vp_mean_ns, vp_p99_ns,
                                        dp_mean_ns, dp_p99_ns, ...}]},
-                   "summary": {...PointsSummary fields...}},
+                   "summary": {...LagSummary fields...}},
       "profile":  {...KernelProfile.snapshot()...},
       "trace":    {"records": n, "dropped": n, "categories": {...}},
       "journeys": {...repro.analysis.waterfall.waterfall_json(...)...},
@@ -88,7 +88,7 @@ def config_fingerprint(config: Dict[str, Any]) -> str:
 def build_run_report(summary: Summary, metrics: Metrics,
                      window_ns: float,
                      meta: Optional[Dict[str, Any]] = None,
-                     points: Any = None,
+                     lag: Any = None,
                      profile: Any = None,
                      tracer: Any = None,
                      journeys: Any = None,
@@ -97,8 +97,9 @@ def build_run_report(summary: Summary, metrics: Metrics,
                      audit: Any = None) -> Dict[str, Any]:
     """Assemble the report dict from a finished run's collectors.
 
-    ``points`` is a :class:`repro.analysis.points.PointsTracker` (or
-    None), ``profile`` a :class:`repro.obs.profile.KernelProfile`,
+    ``lag`` is the :class:`repro.obs.journey.JourneyTracker` whose
+    records give the ``lag`` section (or None), ``profile`` a
+    :class:`repro.obs.profile.KernelProfile`,
     ``tracer`` the run's :class:`repro.obs.export.ChromeTraceSink` (or
     a :class:`repro.sim.trace.Tracer`: both count their records by
     ``len``, ``dropped`` and ``categories()``), ``journeys`` a
@@ -121,10 +122,12 @@ def build_run_report(summary: Summary, metrics: Metrics,
             "windows_by_type": metrics.message_window_series(),
         }),
     }
-    if points is not None:
+    if lag is not None:
+        from repro.analysis.waterfall import lag_summary, window_lags
+        records = lag.journeys
         report["lag"] = _clean({
-            "per_node": points.window_lags(window_ns),
-            "summary": points.summarize(),
+            "per_node": window_lags(records, window_ns),
+            "summary": lag_summary(records, lag.num_nodes),
         })
     if profile is not None:
         report["profile"] = _clean(profile.snapshot())

@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.metrics import Metrics, Summary
-from repro.analysis.points import PointsTracker
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency, DdpModel, Persistency
@@ -151,10 +150,10 @@ class Observers:
     audit: bool = False
     """Audit the recorded history against the 5x5 matrix (needs
     ``recorder``)."""
-    window_ns: Optional[float] = None
-    """Set to collect what the run report's ``windows`` and ``lag``
-    series need: windowed :class:`Metrics` and a VP/DP
-    :class:`PointsTracker`."""
+    report: bool = False
+    """Collect what the run report's ``windows`` and ``lag`` series
+    need: windowed :class:`Metrics` and a :class:`JourneyTracker`
+    (``journey``, or one of the run's own when that is unset)."""
 
 
 def section_observers(spec: CellSpec, *, profile: bool = False,
@@ -173,7 +172,7 @@ def section_observers(spec: CellSpec, *, profile: bool = False,
         monitor=HealthMonitor() if "health" in wanted else None,
         recorder=HistoryRecorder() if history or "audit" in wanted else None,
         audit="audit" in wanted,
-        window_ns=_DEFAULT_WINDOW_NS if report else None)
+        report=report)
 
 
 @dataclass
@@ -184,7 +183,9 @@ class ObservedRun:
     observers: Observers
     cluster: Cluster
     summary: Summary
-    points: Optional[PointsTracker] = None
+    journey: Optional[JourneyTracker] = None
+    """The tracker the run fed: ``observers.journey``, or the one the
+    report's ``lag`` section was collected with."""
     history: Optional[History] = None
     audit: Optional[Dict[str, Any]] = None
 
@@ -205,9 +206,10 @@ class ObservedRun:
         """The ``repro.run_report`` document of this run."""
         obs = self.observers
         return build_run_report(
-            self.summary, self.cluster.metrics,
-            obs.window_ns or _DEFAULT_WINDOW_NS, meta=self.spec.meta(),
-            points=self.points, profile=obs.profile, tracer=obs.trace,
+            self.summary, self.cluster.metrics, _DEFAULT_WINDOW_NS,
+            meta=self.spec.meta(),
+            lag=self.journey if obs.report else None,
+            profile=obs.profile, tracer=obs.trace,
             journeys=self.waterfall, monitor=obs.monitor,
             faults=self.cluster.faults, audit=self.audit)
 
@@ -218,14 +220,14 @@ def observed_run(spec: CellSpec, observers: Optional[Observers] = None,
     (and the :class:`repro.faults.FaultInjector` ``faults``, if any),
     and hand back what they saw."""
     obs = observers if observers is not None else Observers()
-    metrics = points = None
-    if obs.window_ns is not None:
-        metrics = Metrics(window_ns=obs.window_ns)
-        points = PointsTracker(spec.servers)
+    metrics, journey = None, obs.journey
+    if obs.report:
+        metrics = Metrics(window_ns=_DEFAULT_WINDOW_NS)
+        if journey is None:
+            journey = JourneyTracker(spec.servers)
     if obs.monitor is not None:
         obs.monitor.watch(tracer=obs.trace, journey=obs.journey)
-    sinks = [sink for sink in (obs.trace, points, obs.journey)
-             if sink is not None]
+    sinks = [sink for sink in (obs.trace, journey) if sink is not None]
     cluster = Cluster(
         spec.model, config=spec.config(), workload=WORKLOADS[spec.workload],
         tracer=(sinks[0] if len(sinks) == 1
@@ -241,7 +243,7 @@ def observed_run(spec: CellSpec, observers: Optional[Observers] = None,
         if obs.monitor is not None:
             extra += health_chrome_events(obs.monitor)
         obs.trace.close(meta=spec.meta(), extra_events=extra)
-    run = ObservedRun(spec, obs, cluster, summary, points=points)
+    run = ObservedRun(spec, obs, cluster, summary, journey=journey)
     if obs.recorder is not None:
         obs.recorder.meta = spec.meta()
         obs.recorder.recovered = recovered_from_cluster(cluster)

@@ -1,57 +1,68 @@
-"""Tests for the Visibility/Durability Point measurement."""
+"""Tests for the Visibility/Durability Point measurement: the lags
+:func:`repro.analysis.waterfall.lag_summary` derives from the records a
+:class:`repro.obs.journey.JourneyTracker` collects."""
 
 import math
 
 import pytest
 
-from repro.analysis.points import PointsTracker
+from repro.analysis.waterfall import lag_summary
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.context import ClientContext
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
+from repro.obs.journey import JourneyTracker
+
+
+def summarize(tracker):
+    return lag_summary(tracker.journeys, tracker.num_nodes)
 
 
 class TestTrackerUnit:
     def test_vp_dp_lags_computed(self):
-        tracker = PointsTracker(num_nodes=2)
+        tracker = JourneyTracker(num_nodes=2)
         tracker.emit(0.0, "write_issue", node=0, key=1, version=(1, 0))
         tracker.emit(10.0, "apply", node=0, key=1, version=(1, 0))
         tracker.emit(50.0, "apply", node=1, key=1, version=(1, 0))
         tracker.emit(100.0, "persist", node=0, key=1, version=(1, 0))
         tracker.emit(400.0, "persist", node=1, key=1, version=(1, 0))
-        summary = tracker.summarize()
+        summary = summarize(tracker)
         assert summary.writes_tracked == 1
         assert summary.mean_visibility_lag_ns == pytest.approx(50.0)
         assert summary.mean_durability_lag_ns == pytest.approx(400.0)
 
     def test_partial_propagation_not_counted_complete(self):
-        tracker = PointsTracker(num_nodes=3)
+        tracker = JourneyTracker(num_nodes=3)
         tracker.emit(0.0, "write_issue", node=0, key=1, version=(1, 0))
         tracker.emit(5.0, "apply", node=0, key=1, version=(1, 0))
-        summary = tracker.summarize()
+        summary = summarize(tracker)
         assert summary.fully_visible == 0
         assert math.isnan(summary.mean_visibility_lag_ns)
 
     def test_unknown_writes_ignored(self):
-        tracker = PointsTracker(num_nodes=1)
+        tracker = JourneyTracker(num_nodes=1)
         tracker.emit(5.0, "apply", node=0, key=1, version=(1, 0))
-        assert tracker.summarize().writes_tracked == 0
+        assert summarize(tracker).writes_tracked == 0
 
     def test_first_event_wins(self):
-        tracker = PointsTracker(num_nodes=1)
+        tracker = JourneyTracker(num_nodes=1)
         tracker.emit(0.0, "write_issue", node=0, key=1, version=(1, 0))
         tracker.emit(10.0, "apply", node=0, key=1, version=(1, 0))
         tracker.emit(20.0, "apply", node=0, key=1, version=(1, 0))
-        assert tracker.summarize().mean_visibility_lag_ns == pytest.approx(10.0)
+        tracker.emit(30.0, "persist", node=0, key=1, version=(1, 0))
+        tracker.emit(40.0, "persist", node=0, key=1, version=(1, 0))
+        summary = summarize(tracker)
+        assert summary.mean_visibility_lag_ns == pytest.approx(10.0)
+        assert summary.mean_durability_lag_ns == pytest.approx(30.0)
 
     def test_irrelevant_categories_ignored(self):
-        tracker = PointsTracker(num_nodes=1)
+        tracker = JourneyTracker(num_nodes=1)
         tracker.emit(0.0, "send", node=0, key=1)
-        assert tracker.summarize().writes_tracked == 0
+        assert summarize(tracker).writes_tracked == 0
 
 
 def drive_writes(consistency, persistency, writes=10):
-    tracker = PointsTracker(num_nodes=3)
+    tracker = JourneyTracker(num_nodes=3)
     cluster = Cluster(DdpModel(consistency, persistency),
                       config=ClusterConfig(servers=3, clients_per_server=0,
                                            store_type=None),
@@ -63,7 +74,7 @@ def drive_writes(consistency, persistency, writes=10):
         cluster.sim.run_until_complete(
             cluster.sim.process(engine.client_write(ctx, i, f"v{i}")))
     cluster.sim.run(until=cluster.sim.now + 300_000)
-    return tracker.summarize()
+    return summarize(tracker)
 
 
 class TestEndToEnd:

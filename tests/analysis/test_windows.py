@@ -10,7 +10,8 @@ from repro.analysis.metrics import (
     _percentile,
     windowed_op_series,
 )
-from repro.analysis.points import PointsTracker
+from repro.analysis.waterfall import window_lags
+from repro.obs.journey import JourneyTracker
 
 
 def _op(op_type, end_ns, node=0, latency=10.0, client=0, key=1):
@@ -160,13 +161,13 @@ class TestMetricsSeries:
 
 class TestPointsWindowLags:
     def test_lags_bucketed_by_issue_window(self):
-        points = PointsTracker(2)
-        points.emit(50.0, "write_issue", node=0, key=1, version=(1, 0))
-        points.emit(80.0, "apply", node=1, key=1, version=(1, 0))
-        points.emit(170.0, "persist", node=1, key=1, version=(1, 0))
-        points.emit(250.0, "write_issue", node=0, key=2, version=(2, 0))
-        points.emit(310.0, "apply", node=1, key=2, version=(2, 0))
-        series = points.window_lags(100.0)
+        tracker = JourneyTracker(2)
+        tracker.emit(50.0, "write_issue", node=0, key=1, version=(1, 0))
+        tracker.emit(80.0, "apply", node=1, key=1, version=(1, 0))
+        tracker.emit(170.0, "persist", node=1, key=1, version=(1, 0))
+        tracker.emit(250.0, "write_issue", node=0, key=2, version=(2, 0))
+        tracker.emit(310.0, "apply", node=1, key=2, version=(2, 0))
+        series = window_lags(tracker.journeys, 100.0)
         rows = series[1]
         assert len(rows) == 3  # aligned to the last issue window
         assert rows[0]["vp_samples"] == 1
@@ -179,4 +180,4 @@ class TestPointsWindowLags:
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
-            PointsTracker(1).window_lags(-1.0)
+            window_lags(JourneyTracker(1).journeys, -1.0)

@@ -88,6 +88,23 @@ def test_persisted_never_ahead_of_applied_except_strict(model):
                 f"{model}: node {engine.node_id} key {replica.key}")
 
 
+@pytest.mark.parametrize("model", all_ddp_models(), ids=str)
+def test_each_store_holds_its_replicas_applied_value(model):
+    """At the end of a clean run every node's store holds, for each key
+    it stores, the value its replica applied: the last-writer-wins
+    winner, not the last INV or UPD to land.  Clean runs only — a crash
+    keeps the store and a restart re-puts only the recovered keys."""
+    cluster = Cluster(model, config=ClusterConfig(servers=3,
+                                                  clients_per_server=4,
+                                                  seed=2021),
+                      workload=WORKLOADS["A"])
+    cluster.run(duration_ns=30_000.0, warmup_ns=3_000.0)
+    stale = [(engine.node_id, key) for engine in cluster.engines
+             for key, value in engine.store.items()
+             if value != engine.replicas.get(key).applied_value]
+    assert not stale, f"{model}: stale (node, key) in the store {stale[:5]}"
+
+
 @pytest.mark.parametrize("persistency", list(P), ids=lambda p: p.value)
 def test_synchronous_like_models_persist_during_run(persistency):
     model = DdpModel(C.LINEARIZABLE, persistency)

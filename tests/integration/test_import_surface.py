@@ -57,8 +57,8 @@ NOT_AT_START_UP = (
 )
 #: Also not loaded by a run (the CLI's observers use them).
 NOT_ON_THE_RUN_PATH = NOT_AT_START_UP + (
-    "repro.analysis.points",
     "repro.analysis.report",
+    "repro.analysis.waterfall",
 )
 
 

@@ -4,10 +4,9 @@ import json
 import math
 
 from repro.analysis.metrics import Metrics, OpRecord, WindowStat
-from repro.analysis.points import PointsTracker
 from repro.analysis.waterfall import aggregate_journeys
-from repro.obs import (KernelProfile, build_run_report, config_fingerprint,
-                       write_run_report)
+from repro.obs import (JourneyTracker, KernelProfile, build_run_report,
+                       config_fingerprint, write_run_report)
 from repro.obs.report import SCHEMA, _clean
 from repro.sim.trace import Tracer
 
@@ -65,15 +64,15 @@ class TestBuildRunReport:
         assert "lag" not in bare and "profile" not in bare
         assert "trace" not in bare
 
-        points = PointsTracker(2)
-        points.emit(10.0, "write_issue", node=0, key=1, version=(1, 0))
-        points.emit(30.0, "apply", node=1, key=1, version=(1, 0))
-        points.emit(90.0, "persist", node=1, key=1, version=(1, 0))
+        journeys = JourneyTracker(2)
+        journeys.emit(10.0, "write_issue", node=0, key=1, version=(1, 0))
+        journeys.emit(30.0, "apply", node=1, key=1, version=(1, 0))
+        journeys.emit(90.0, "persist", node=1, key=1, version=(1, 0))
         tracer = Tracer()
         tracer.emit(1.0, "msg_send", node=0)
         profile = KernelProfile()
         profile.stop(400.0)
-        full = build_run_report(summary, metrics, 100.0, points=points,
+        full = build_run_report(summary, metrics, 100.0, lag=journeys,
                                 profile=profile, tracer=tracer)
         assert full["lag"]["summary"]["writes_tracked"] == 1
         node_rows = full["lag"]["per_node"]["1"]
@@ -99,12 +98,12 @@ class TestBuildRunReport:
         assert empty_window["p99_ns"] is None
 
     def test_windowed_lag_nan_cleaning(self):
-        points = PointsTracker(1)
-        points.emit(10.0, "write_issue", node=0, key=1, version=(1, 0))
-        points.emit(230.0, "apply", node=0, key=1, version=(1, 0))
+        journeys = JourneyTracker(1)
+        journeys.emit(10.0, "write_issue", node=0, key=1, version=(1, 0))
+        journeys.emit(230.0, "apply", node=0, key=1, version=(1, 0))
         metrics = Metrics(window_ns=100.0)
         summary = metrics.summarize(400.0)
-        report = build_run_report(summary, metrics, 100.0, points=points)
+        report = build_run_report(summary, metrics, 100.0, lag=journeys)
         (window,) = report["lag"]["per_node"]["0"]
         assert window["vp_samples"] == 1
         assert window["dp_samples"] == 0
@@ -143,20 +142,18 @@ class TestBuildRunReport:
         """A sampling-capped JourneyTracker reports what it lost
         (journeys.dropped) so waterfall numbers are never silently
         partial."""
-        from repro.cluster.cluster import run_simulation
+        from repro.cluster.cluster import Cluster
         from repro.cluster.config import ClusterConfig
         from repro.core.model import Consistency, DdpModel, Persistency
-        from repro.obs import JourneyTracker
         from repro.workload.ycsb import WORKLOADS
 
         tracker = JourneyTracker(3, max_journeys=5)
         metrics = Metrics(window_ns=10_000.0)
-        summary = run_simulation(
+        cluster = Cluster(
             DdpModel(Consistency.CAUSAL, Persistency.SYNCHRONOUS),
-            WORKLOADS["A"],
             config=ClusterConfig(servers=3, clients_per_server=3, seed=2021),
-            duration_ns=40_000.0, warmup_ns=4_000.0,
-            tracer=tracker, metrics=metrics)
+            workload=WORKLOADS["A"], tracer=tracker, metrics=metrics)
+        summary = cluster.run(40_000.0, warmup_ns=4_000.0)
         assert tracker.dropped > 0
         waterfall = aggregate_journeys(tracker.journeys, 3,
                                        dropped=tracker.dropped)

@@ -19,7 +19,6 @@ import pytest
 
 import repro
 
-from repro.analysis.points import PointsTracker
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency, DdpModel, Persistency, all_ddp_models
@@ -87,7 +86,7 @@ class TestTracingDoesNotPerturb:
     @pytest.mark.parametrize("model", MODELS, ids=str)
     def test_summary_store_and_clock_identical(self, model):
         cluster_off, summary_off, stores_off = _run(model)
-        tracer = FanoutTracer([Tracer(), PointsTracker(3)])
+        tracer = FanoutTracer([Tracer(), JourneyTracker(3)])
         cluster_on, summary_on, stores_on = _run(model, tracer=tracer)
         assert len(tracer) > 0, "tracer saw nothing; wiring is broken"
         assert dataclasses.asdict(summary_off) == \
@@ -102,7 +101,7 @@ class TestTracingDoesNotPerturb:
         off is the seed behavior, on is purely observational."""
         cluster_off, summary_off, stores_off = _run(model)
         journeys = JourneyTracker(3)
-        tracer = FanoutTracer([Tracer(), PointsTracker(3), journeys])
+        tracer = FanoutTracer([Tracer(), journeys])
         cluster_on, summary_on, stores_on = _run(model, tracer=tracer)
         assert journeys.journeys, "journey tracker saw no writes"
         assert dataclasses.asdict(summary_off) == \
