@@ -91,7 +91,7 @@ def test_chaos_availability():
         # Durability contracts hold on the recovered state.
         for result in validate_faulty_run(cluster):
             assert result.ok, (str(model), result.name,
-                               result.violations[:5])
+                               result.details[:5])
         # Availability floor: losing 1/3 of nodes for ~28% of the run
         # must not cost more than half the throughput.
         assert availability > 0.5, (str(model), availability)

@@ -55,9 +55,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.contracts import CheckResult
 from repro.core.replica import Version, ZERO_VERSION
 from repro.obs.history import History, HistoryOpRecord
 
@@ -66,37 +66,9 @@ __all__ = ["CheckResult", "PreparedHistory", "check_no_phantom",
            "check_transactional", "check_causal", "check_eventual",
            "CONSISTENCY_CHECKERS"]
 
-#: Violations recorded with full detail per check (the rest are counted).
-MAX_DETAILS = 16
 #: Cycle witnesses at most this large are shrunk via Wing & Gong.
 _SHRINK_CAP_OPS = 40
 _NEG_INF = float("-inf")
-
-
-@dataclass
-class CheckResult:
-    """Outcome of one checker over one history."""
-
-    name: str
-    ok: bool = True
-    checked: int = 0
-    violations: int = 0
-    details: List[Dict[str, Any]] = field(default_factory=list)
-    stats: Dict[str, Any] = field(default_factory=dict)
-    skipped: bool = False
-    wall_ms: float = 0.0
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def violate(self, rule: str, detail: str,
-                ops: Tuple[HistoryOpRecord, ...] = ()) -> None:
-        self.ok = False
-        self.violations += 1
-        if len(self.details) < MAX_DETAILS:
-            self.details.append({
-                "rule": rule, "detail": detail,
-                "ops": [op.index for op in ops]})
 
 
 class PreparedHistory:
@@ -142,9 +114,10 @@ class PreparedHistory:
                     self.completed_reads.append(op)
             elif (op.op == "persist" and op.respond_us is not None
                     and op.committed):
-                # Scope ids are client-local counters, so a post-restart
-                # session can reuse a completed pre-crash id; qualify by
-                # session to keep the stale verdict from leaking.
+                # A client's scope ids are unique across its sessions,
+                # but histories recorded before that held could reuse a
+                # completed pre-crash id after a restart; qualify by
+                # session so such a history's stale verdict cannot leak.
                 self.committed_scopes.add((op.client, op.session,
                                            op.scope_id))
         self.recovered = history.recovered_versions()
@@ -702,9 +675,7 @@ def check_eventual(prep: PreparedHistory) -> CheckResult:
     :func:`check_no_phantom` covers for every cell); convergence is
     judged against the recovered durable state by the persistency
     predicates."""
-    res = CheckResult("eventual")
-    res.stats["note"] = "safety limited to no-phantom; vacuously ok"
-    return res
+    return CheckResult("eventual")
 
 
 CONSISTENCY_CHECKERS = {

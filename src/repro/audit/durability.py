@@ -7,8 +7,9 @@ latest-version image across every node's durable log).  Which cell owes
 which obligation, and why, is stated in the contract table
 (:mod:`repro.core.contracts`); :func:`checks_for_cell` looks the cell
 up there and names the black-box predicate for each obligation.  The
-predicates themselves share nothing with the white-box checks of
-:mod:`repro.recovery.checker` — the two are each other's reference.
+predicates share only the verdict type and rule ids with the white-box
+checks of :mod:`repro.faults.validate` — the two are each other's
+reference.
 
 All predicates share the checkers' soundness contract: writes of
 squashed transaction attempts, pending (crash-severed) operations, and

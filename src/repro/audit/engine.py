@@ -22,7 +22,8 @@ from repro.audit.checkers import (CONSISTENCY_CHECKERS, CheckResult,
                                   PreparedHistory, check_no_phantom)
 from repro.audit.durability import DURABILITY_CHECKERS, checks_for_cell
 from repro.core.contracts import contract_for
-from repro.core.model import Consistency, Persistency, all_ddp_models
+from repro.core.model import (Consistency, DdpModel, Persistency,
+                              all_ddp_models)
 from repro.obs.history import History, HistoryOpRecord
 from repro.obs.schemas import AUDIT_REPORT_SCHEMA as AUDIT_SCHEMA
 
@@ -73,12 +74,19 @@ def _check_json(result: CheckResult,
     return {
         "ok": result.ok,
         "skipped": result.skipped,
+        "vacuous": result.vacuous,
         "checked": result.checked,
         "violations": result.violations,
         "wall_ms": round(result.wall_ms, 3),
         "stats": dict(result.stats),
         "details": details,
     }
+
+
+def _owed(model: DdpModel) -> List[str]:
+    """The checks a cell is held to: phantom freedom, its row's history
+    checker and its column's durability predicates."""
+    return ["no_phantom", contract_for(model).checker] + checks_for_cell(model)
 
 
 def _timed(checker, prep: PreparedHistory) -> CheckResult:
@@ -140,26 +148,16 @@ def audit_history(history: History,
             skipped.stats["note"] = "recovered state not captured"
             durability[name] = skipped
 
+    all_checks = {**results, **durability}
     matrix: List[Dict[str, Any]] = []
     target: Optional[Dict[str, Any]] = None
     for model in all_ddp_models():
         cons, pers = model.key
-        checker = contract_for(model).checker
-        failed: List[str] = []
-        if not results["no_phantom"].ok:
-            failed.append("no_phantom")
-        if not results[checker].ok:
-            failed.append(checker)
-        durability_skipped = False
-        for name in checks_for_cell(model):
-            check = durability[name]
-            if check.skipped:
-                durability_skipped = True
-            elif not check.ok:
-                failed.append(name)
+        owed = [all_checks[name] for name in _owed(model)]
+        failed = [c.name for c in owed if not c.ok]
         cell = {"consistency": cons, "persistency": pers,
                 "ok": not failed, "failed_checks": failed,
-                "durability_skipped": durability_skipped}
+                "durability_skipped": any(c.skipped for c in owed)}
         matrix.append(cell)
         if cons == target_consistency and pers == target_persistency:
             target = dict(cell)
@@ -167,8 +165,6 @@ def audit_history(history: History,
     sessions = {(op.client, op.session) for op in history.ops}
     degraded = {(op.client, op.session) for op in history.ops
                 if op.degraded}
-    all_checks = dict(results)
-    all_checks.update(durability)
     wall_ms = sum(r.wall_ms for r in all_checks.values())
     return {
         "schema": AUDIT_SCHEMA,
@@ -222,6 +218,28 @@ _COLUMN_LABELS = {"strict": "strict", "synchronous": "sync",
                   "read_enforced": "read_enf", "scope": "scope",
                   "eventual": "eventual"}
 
+#: The ``stats`` counts that are observations a check left unjudged.
+_EXCLUSIONS = ("unattributable_reads", "excluded_observations",
+               "skipped_keys")
+
+
+def _coverage_lines(report: Dict[str, Any], target: Dict[str, Any]
+                    ) -> List[str]:
+    """One line per check the target cell owes: its verdict, how many
+    records it judged and how many it excluded."""
+    checks = dict(report["consistency"], **report["durability"]["checks"])
+    lines = []
+    for name in _owed(DdpModel(Consistency(target["consistency"]),
+                               Persistency(target["persistency"]))):
+        check = checks[name]
+        status = ("FAIL" if not check["ok"] else "skipped" if check["skipped"]
+                  else "vacuous" if check["vacuous"] else "ok")
+        lines.append(f"  {name:26s} {status:8s} checked={check['checked']}"
+                     + "".join(f" {key}={check['stats'][key]}"
+                               for key in _EXCLUSIONS
+                               if key in check["stats"]))
+    return lines
+
 
 def format_audit_table(report: Dict[str, Any]) -> str:
     """Human verdict table for one audit report."""
@@ -261,6 +279,7 @@ def format_audit_table(report: Dict[str, Any]) -> str:
                      f"{target['persistency']}>: {verdict}"
                      + (f" ({', '.join(target['failed_checks'])})"
                         if target["failed_checks"] else ""))
+        lines.extend(_coverage_lines(report, target))
     else:
         lines.append("target: none (pass --consistency/--persistency "
                      "or audit a history with run metadata)")

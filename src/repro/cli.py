@@ -431,12 +431,13 @@ def _print_fault_outcome(cluster, injector) -> int:
           f"live={sorted(cluster.membership.live)}")
     failed = False
     for result in validate_faulty_run(cluster):
-        status = "ok" if result.ok else "VIOLATED"
+        status = ("VIOLATED" if not result.ok
+                  else "vacuous" if result.vacuous else "ok")
         print(f"check    :  {result.name:28s} {status}")
-        for violation in result.violations[:5]:
-            print(f"            {violation}")
-        if len(result.violations) > 5:
-            print(f"            ... and {len(result.violations) - 5} more")
+        for detail in result.details[:5]:
+            print(f"            {detail['detail']}")
+        if result.violations > 5:
+            print(f"            ... and {result.violations - 5} more")
         failed = failed or not result.ok
     return 1 if failed else 0
 

@@ -39,16 +39,55 @@ cell: per-replica, per-key ``applied_monotonic`` and
 visible).  Transactional aborts legally revert applied versions, even
 below an eagerly persisted one; Strict lets the persist complete before
 the apply by design.
+
+:class:`CheckResult` is the verdict type of both judges of the table,
+:mod:`repro.faults.validate` (white-box) and :mod:`repro.audit`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
 
-__all__ = ["Contract", "PROBES", "contract_for"]
+__all__ = ["CheckResult", "Contract", "MAX_DETAILS", "PROBES",
+           "contract_for"]
+
+#: Violations recorded with full detail per check (the rest are counted).
+MAX_DETAILS = 16
+
+
+@dataclass
+class CheckResult:
+    """One check's verdict: what it judged (``checked``) and each rule
+    it found broken.  ``details`` carries the first :data:`MAX_DETAILS`
+    violations, each with the indexes of its witness operations."""
+
+    name: str
+    ok: bool = True
+    checked: int = 0
+    violations: int = 0
+    details: List[Dict[str, Any]] = field(default_factory=list)
+    stats: Dict[str, Any] = field(default_factory=dict)
+    skipped: bool = False
+    wall_ms: float = 0.0
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+    @property
+    def vacuous(self) -> bool:
+        """Ok only because the check judged nothing."""
+        return self.ok and not self.skipped and self.checked == 0
+
+    def violate(self, rule: str, detail: str, ops: Sequence[Any] = ()) -> None:
+        self.ok = False
+        self.violations += 1
+        if len(self.details) < MAX_DETAILS:
+            self.details.append({
+                "rule": rule, "detail": detail,
+                "ops": [op.index for op in ops]})
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ same seed + same plan => byte-identical traces.
   schedules a plan onto a cluster (same observe-only attachment
   discipline as :class:`repro.obs.HealthMonitor`: an injector with an
   empty plan perturbs nothing).
-* :mod:`repro.faults.validate` — post-run invariant validation using
-  the :mod:`repro.recovery.checker` contracts each model makes.
+* :mod:`repro.faults.validate` — post-run validation of the contracts
+  each model owes (:mod:`repro.core.contracts`), by the white-box
+  checks defined there.
 """
 
 from repro.faults.injector import FaultInjector, faults_json

@@ -1,4 +1,7 @@
-"""Recovery substrate: durable logs, crash recovery, invariant checkers.
+"""Recovery substrate: durable logs, crash recovery, recovery replay.
+
+The contract checks judged against a recovered state live in
+:mod:`repro.faults.validate`.
 
 The package re-exports nothing: import from the module that defines a
 name, so a run loads only what it uses.

@@ -2,8 +2,8 @@
 
 A :class:`Tracer` collects structured trace records (time, category,
 node, details).  Protocol engines emit traces for message sends, state
-transitions, persists, and stalls; tests and the recovery checker replay
-them to validate protocol invariants, and debugging dumps them as text.
+transitions, persists, and stalls; tests read them back to validate
+protocol invariants, and debugging dumps them as text.
 A sink is anything with an ``enabled`` flag and an ``emit`` method:
 :class:`repro.obs.export.ChromeTraceSink` streams a run's emissions to
 a Chrome ``trace_event`` timeline instead of keeping them.

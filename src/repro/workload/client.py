@@ -96,9 +96,9 @@ class Client:
 
         The old process was interrupted at the crash (abandoning any
         in-flight operation, like a real client losing its server); this
-        opens a fresh session: new context (causal dependencies, scopes,
-        and transactions do not survive the server's volatile state) and
-        a new read-session segment.  Durable-contract logs
+        opens a fresh session: new context (causal dependencies, the open
+        scope, and transactions do not survive the server's volatile
+        state) and a new read-session segment.  Durable-contract logs
         (``completed_writes``, ``scope_log``) span sessions — completed
         work stays completed across a crash.
         """
@@ -109,7 +109,12 @@ class Client:
             # New session, degraded era: the node rebuilt from its own
             # NVM image only, so this session may observe stale state.
             self.history.restart_session(self.client_id)
+        # Scope ids stay unique per client across sessions: the new
+        # context starts past the scope the crash left open, so no id
+        # names two scopes in ``scope_log`` or in a node's NVM staging.
+        scope_counter = self.ctx.scope_counter + 1
         self.ctx = ClientContext(self.client_id, self.node.node_id)
+        self.ctx.scope_counter = scope_counter
         self._stop = False
         self.start()
 

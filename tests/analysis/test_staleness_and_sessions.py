@@ -13,7 +13,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.core.tradeoffs import analyze
-from repro.recovery.checker import check_monotonic_reads
+from repro.faults.validate import check_monotonic_reads
 from repro.workload.client import Client
 from repro.workload.ycsb import WORKLOADS, RequestStream
 
@@ -82,8 +82,8 @@ class TestLiveSessionGuarantees:
         assert analyze(DdpModel(consistency, persistency)).monotonic_reads
         cluster, _board = run_with_recording(consistency, persistency)
         for client in cluster.clients:
-            result = check_monotonic_reads(client.read_observations)
-            assert result.ok, (consistency, persistency, result.violations)
+            result = check_monotonic_reads([client.read_observations])
+            assert result.ok, (consistency, persistency, result.details)
 
     def test_linearizable_reads_never_stale(self):
         _cluster, board = run_with_recording(C.LINEARIZABLE, P.SYNCHRONOUS)

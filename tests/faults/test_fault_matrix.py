@@ -106,7 +106,7 @@ def judged_by_both(cluster):
             assert white_name not in white and black_name not in held_to
         else:
             assert white[white_name].ok == (black_name not in held_to), (
-                obligation, white[white_name].violations[:3], held_to)
+                obligation, white[white_name].details[:3], held_to)
             if black_name in held_to:
                 flagged.add(obligation)
     return flagged, white, report
@@ -116,7 +116,7 @@ def assert_clean(cluster):
     flagged, white, report = judged_by_both(cluster)
     assert not flagged
     for result in white.values():
-        assert result.ok, (result.name, result.violations[:5])
+        assert result.ok, (result.name, result.details[:5])
     return report["target"]["failed_checks"]
 
 
@@ -196,13 +196,18 @@ def test_seeded_loss_is_caught_by_both_checkers_where_owed(
     cluster, _ = run_faulty(model, CRASH_PLAN, 60_000.0)
     assert_clean(cluster)
     erase(cluster, victim(cluster))
-    flagged, _, report = judged_by_both(cluster)
+    flagged, white, report = judged_by_both(cluster)
     # The loss is real on every run; whether the cell answers for it is
     # the table's call, stated here by hand.
-    predicate = report["durability"]["checks"][PAIRS[obligation][1]]
+    white_name, black_name = PAIRS[obligation]
+    predicate = report["durability"]["checks"][black_name]
     assert predicate["violations"] > 0
     assert (obligation in flagged) == owed, (flagged, report["target"])
     assert (obligation in contract_for(model).durability) == owed
+    if owed:
+        # Both sides name the broken obligation with one rule id.
+        assert (white[white_name].details[0]["rule"]
+                == predicate["details"][0]["rule"])
 
 
 def test_client_sessions_split_at_restart():

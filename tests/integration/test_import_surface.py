@@ -78,6 +78,14 @@ def test_a_run_loads_only_what_it_runs():
     assert sorted(set(NOT_ON_THE_RUN_PATH) & set(loaded)) == []
 
 
+def test_the_fault_path_loads_neither_the_auditor_nor_the_observers():
+    """``validate_faulty_run`` returns the auditor's verdict type, which
+    lives in ``repro.core.contracts`` so that a run does not pay for
+    importing ``repro.audit`` or ``repro.obs``."""
+    assert [m for m in _loaded(RUN_SURFACE)
+            if m.startswith(("repro.audit", "repro.obs"))] == []
+
+
 def test_the_cli_starts_without_subcommand_only_modules():
     assert sorted(set(NOT_AT_START_UP) & set(_loaded("import repro.cli"))) == []
 

@@ -21,7 +21,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.context import ClientContext
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
-from repro.recovery.checker import (
+from repro.faults.validate import (
     check_completed_writes_recovered,
     check_read_values_recovered,
     check_scope_atomicity,
@@ -89,7 +89,7 @@ def test_completed_writes_survive_full_crash(consistency, persistency):
     recovered = recover_latest(cluster.nvm_log, range(3))
     result = check_completed_writes_recovered(recovered,
                                               client.completed_writes)
-    assert result.ok, result.violations
+    assert result.ok, result.details
 
 
 @pytest.mark.parametrize("consistency", [C.LINEARIZABLE, C.READ_ENFORCED,
@@ -103,7 +103,7 @@ def test_read_enforced_persistency_read_values_survive(consistency):
     cluster.crash_all()
     recovered = recover_latest(cluster.nvm_log, range(3))
     result = check_read_values_recovered(recovered, client.observed_reads)
-    assert result.ok, result.violations
+    assert result.ok, result.details
 
 
 def test_causal_synchronous_read_values_survive():
@@ -118,7 +118,7 @@ def test_causal_synchronous_read_values_survive():
     cluster.crash_all()
     recovered = recover_latest(cluster.nvm_log, range(3))
     result = check_read_values_recovered(recovered, client.observed_reads)
-    assert result.ok, result.violations
+    assert result.ok, result.details
 
 
 def test_eventual_eventual_may_lose_unpersisted_writes():
@@ -149,7 +149,7 @@ def test_scope_atomicity_across_crash():
 
     result = check_scope_atomicity(cluster.nvm_log, range(3),
                                    {first_scope: first_writes})
-    assert result.ok, result.violations
+    assert result.ok, result.details
     recovered = recover_latest(cluster.nvm_log, range(3))
     assert recovered.value_of(1) == "a"
     assert recovered.value_of(2) == "b"

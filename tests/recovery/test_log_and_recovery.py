@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.replica import ZERO_VERSION
-from repro.recovery.checker import (
+from repro.faults.validate import (
     check_completed_writes_recovered,
     check_monotonic_reads,
     check_read_values_recovered,
@@ -115,17 +115,18 @@ class TestCheckers:
         recovered = recover_latest(log, NODES)
         result = check_completed_writes_recovered(recovered, [(1, (5, 0))])
         assert not result.ok
-        assert "lost" in result.violations[0]
+        assert "lost" in result.details[0]["detail"]
 
     def test_read_values_recovered_ignores_initial_reads(self, log):
         recovered = recover_latest(log, NODES)
         result = check_read_values_recovered(recovered, [(1, ZERO_VERSION)])
-        assert result.ok
+        assert result.ok and result.vacuous
 
     def test_read_values_recovered_fail(self, log):
         recovered = recover_latest(log, NODES)
         result = check_read_values_recovered(recovered, [(1, (2, 0))])
         assert not result.ok
+        assert result.details[0]["rule"] == "lost-read-value"
 
     def test_scope_atomicity_committed_complete(self, log):
         log.record(0, 1, (1, 0), "a", scope_id=7)
@@ -133,7 +134,7 @@ class TestCheckers:
         log.commit_scope(0, 7)
         result = check_scope_atomicity(
             log, [0], {7: [(1, (1, 0)), (2, (1, 0))]})
-        assert result.ok
+        assert result.ok and result.checked == 1
 
     def test_scope_atomicity_partial_discarded(self, log):
         log.record(0, 1, (1, 0), "a", scope_id=7)
@@ -141,14 +142,18 @@ class TestCheckers:
         # legal (all-or-nothing), so the checker passes.
         result = check_scope_atomicity(
             log, [0], {7: [(1, (1, 0)), (2, (1, 0))]})
-        assert result.ok
+        assert result.ok and result.vacuous
         assert log.durable_entry(0, 1) is None
 
     def test_monotonic_reads_pass(self):
-        result = check_monotonic_reads([(1, (1, 0)), (1, (2, 0)), (2, (1, 0))])
-        assert result.ok
+        result = check_monotonic_reads([[(1, (1, 0)), (1, (2, 0)), (2, (1, 0))]])
+        assert result.ok and result.checked == 3
 
     def test_monotonic_reads_fail(self):
-        result = check_monotonic_reads([(1, (2, 0)), (1, (1, 0))])
+        result = check_monotonic_reads([[(1, (2, 0)), (1, (1, 0))]])
         assert not result.ok
-        assert result.violations
+        assert result.details[0]["rule"] == "monotonic-reads"
+
+    def test_monotonic_reads_restart_with_each_session(self):
+        result = check_monotonic_reads([[(1, (2, 0))], [(1, (1, 0))]])
+        assert result.ok and result.checked == 2
