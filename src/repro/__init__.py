@@ -55,16 +55,26 @@ _EXPORTS = {
 __all__ = [*_EXPORTS, "__version__"]
 
 
-def __getattr__(name: str):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(import_module(module), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
+def _lazy(namespace: dict, exports: dict):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of the package whose
+    globals are ``namespace``: each public name in ``exports`` (name ->
+    the module that defines it) is imported on first use, then cached
+    in the package so later lookups skip the hook."""
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}") from None
+        value = namespace[name] = getattr(import_module(module), name)
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
 
 
-def __dir__():
-    return sorted({*globals(), *_EXPORTS})
+__getattr__, __dir__ = _lazy(globals(), _EXPORTS)

@@ -16,29 +16,35 @@ from those observations — the auditor never looks inside the protocol:
 Entry points: ``repro run --audit`` (record + audit in one go) and
 ``repro audit history.jsonl`` (audit a saved ``repro.history/1``
 artifact, exit 0 pass / 1 violation / 2 unusable).
+
+The public names below are resolved on first use (PEP 562), so
+importing one module of the package loads only that module.
 """
 
-from repro.audit.checkers import (CONSISTENCY_CHECKERS, CheckResult,
-                                  PreparedHistory, check_causal,
-                                  check_eventual, check_linearizable,
-                                  check_no_phantom, check_read_enforced,
-                                  check_transactional)
-from repro.audit.durability import (DURABILITY_CHECKERS,
-                                    check_completed_writes_durable,
-                                    check_read_values_durable,
-                                    check_recovered_no_phantom,
-                                    check_scope_writes_durable,
-                                    checks_for_cell)
-from repro.audit.engine import (AUDIT_SCHEMA, audit_exit_code,
-                                audit_history, format_audit_table)
+from repro import _lazy
 
-__all__ = [
-    "AUDIT_SCHEMA", "CheckResult", "PreparedHistory",
-    "CONSISTENCY_CHECKERS", "DURABILITY_CHECKERS",
-    "check_no_phantom", "check_linearizable", "check_read_enforced",
-    "check_transactional", "check_causal", "check_eventual",
-    "check_completed_writes_durable", "check_read_values_durable",
-    "check_scope_writes_durable", "check_recovered_no_phantom",
-    "checks_for_cell", "audit_history", "audit_exit_code",
-    "format_audit_table",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "CheckResult": "repro.core.contracts",
+    "CONSISTENCY_CHECKERS": "repro.audit.checkers",
+    "PreparedHistory": "repro.audit.checkers",
+    "check_causal": "repro.audit.checkers",
+    "check_eventual": "repro.audit.checkers",
+    "check_linearizable": "repro.audit.checkers",
+    "check_no_phantom": "repro.audit.checkers",
+    "check_read_enforced": "repro.audit.checkers",
+    "check_transactional": "repro.audit.checkers",
+    "DURABILITY_CHECKERS": "repro.audit.durability",
+    "check_completed_writes_durable": "repro.audit.durability",
+    "check_read_values_durable": "repro.audit.durability",
+    "check_recovered_no_phantom": "repro.audit.durability",
+    "check_scope_writes_durable": "repro.audit.durability",
+    "checks_for_cell": "repro.audit.durability",
+    "AUDIT_SCHEMA": "repro.audit.engine",
+    "audit_exit_code": "repro.audit.engine",
+    "audit_history": "repro.audit.engine",
+    "format_audit_table": "repro.audit.engine",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy(globals(), _EXPORTS)

@@ -12,6 +12,10 @@ shape ``CellSpec`` rejects, an unwritable output path, two outputs on
 one path, an unreadable artifact) is one ``repro: <message>`` line and
 exit code 2.
 
+The module imports only what the parser and :func:`main` need; each
+subcommand imports its own dependencies, so the readers load no
+simulator and no subcommand pays for compiling another's modules.
+
 Subcommands (``repro <cmd> --help`` for flags; worked examples in
 docs/handbook.md "CLI reference"):
 
@@ -79,38 +83,9 @@ from collections import Counter
 from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
-from repro.audit import audit_exit_code, audit_history, format_audit_table
-from repro.analysis.report import format_summary_table
-from repro.analysis.waterfall import format_waterfall
 from repro.core.model import Consistency, DdpModel, Persistency, all_ddp_models
-from repro.devtools import sanitizer
-from repro.faults import (FaultInjector, FaultPlan, load_fault_plan,
-                          parse_crash_spec, validate_faulty_run)
-from repro.obs import (
-    CellSpec,
-    DiffError,
-    SweepProgress,
-    build_sweep_report,
-    matrix_specs,
-    run_sweep,
-    write_sweep_report,
-    format_hotspots,
-    format_kernel,
-    diff_json,
-    diff_paths,
-    format_markdown,
-    load_artifact,
-    load_history,
-    observed_run,
-    section_observers,
-    write_history,
-    write_run_report,
-)
-from repro.obs.export import CLUSTER_PID
-from repro.obs.run import SECTIONS
-from repro.obs.schemas import SchemaError, parse_schema_tag
-from repro.sim.rng import SeededStream
-from repro.sim.trace import INSTANT, TraceRecord
+from repro.obs.diff import DiffError
+from repro.obs.schemas import SECTIONS, SchemaError
 from repro.workload.ycsb import WORKLOADS
 
 __all__ = ["main", "build_parser"]
@@ -125,9 +100,10 @@ def _sections(args) -> tuple:
     return tuple(name for name in SECTIONS if getattr(args, name, False))
 
 
-def _spec_from(args) -> CellSpec:
+def _spec_from(args):
     """The run the common flags describe (``repro: ...`` + exit 2 when
     they describe none; see ``CellSpec.__post_init__``)."""
+    from repro.obs.run import CellSpec
     duration = args.duration_us * 1000.0
     try:
         return CellSpec(
@@ -199,7 +175,7 @@ _SECTION_HELP = {
 
 def _add_sections(parser: argparse.ArgumentParser, where: str) -> None:
     """``run``'s and ``sweep``'s report-section flags, one per name in
-    :data:`repro.obs.SECTIONS`."""
+    :data:`repro.obs.schemas.SECTIONS`."""
     for name in SECTIONS:
         parser.add_argument(f"--{name}", action="store_true",
                             help=f"{_SECTION_HELP[name]}, {where}")
@@ -380,8 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _faults_from(args) -> Optional[FaultInjector]:
+def _faults_from(args):
     """Build the injector requested by ``--faults`` / ``--crash``."""
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan, load_fault_plan, parse_crash_spec
+    from repro.sim.rng import SeededStream
     plan = None
     if args.faults:
         try:
@@ -416,6 +395,7 @@ def _faults_from(args) -> Optional[FaultInjector]:
 
 def _print_fault_outcome(cluster, injector) -> int:
     """Fault/recovery summary + contract validation; returns exit code."""
+    from repro.faults.validate import validate_faulty_run
     network = cluster.network
     resends = sum(e.round_resends for e in cluster.engines)
     retargeted = sum(e.rounds_retargeted for e in cluster.engines)
@@ -443,6 +423,11 @@ def _print_fault_outcome(cluster, injector) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.analysis.report import format_summary_table
+    from repro.obs.history import write_history
+    from repro.obs.profile import format_kernel
+    from repro.obs.report import write_run_report
+    from repro.obs.run import observed_run, section_observers
     spec = _spec_from(args)
     _preflight(args.trace_out, args.metrics_out, args.history_out)
     injector = _faults_from(args)
@@ -464,6 +449,7 @@ def _cmd_run(args) -> int:
               f"({len(run.history.ops)} ops, "
               f"{run.history.dropped} dropped)")
     if args.audit:
+        from repro.audit.engine import audit_exit_code, format_audit_table
         print()
         print(format_audit_table(run.audit))
         exit_code = max(exit_code, audit_exit_code(run.audit))
@@ -511,17 +497,21 @@ def _rendered(path: str, what: str, render, *args) -> str:
                         f"({type(exc).__name__}: {exc})") from exc
 
 
-def _record_of(event: Dict[str, Any]) -> TraceRecord:
-    """A ``trace_event`` as the trace record it was written from (its
-    ``ts``/``dur`` are microseconds; a span's record time is its end)."""
-    pid, dur = event.get("pid"), event.get("dur", 0) * 1000.0
-    return TraceRecord(event.get("ts", 0) * 1000.0 + dur,
-                       str(event.get("name", "?")),
-                       None if pid in (None, CLUSTER_PID) else pid - 1,
-                       event.get("args", {}), event.get("ph", INSTANT), dur)
-
-
 def _format_trace(path: str, doc: Dict[str, Any], categories, limit) -> str:
+    from repro.obs.export import CLUSTER_PID
+    from repro.sim.trace import INSTANT, TraceRecord
+
+    def record_of(event: Dict[str, Any]) -> TraceRecord:
+        """A ``trace_event`` as the trace record it was written from
+        (its ``ts``/``dur`` are microseconds; a span's record time is
+        its end)."""
+        pid, dur = event.get("pid"), event.get("dur", 0) * 1000.0
+        return TraceRecord(event.get("ts", 0) * 1000.0 + dur,
+                           str(event.get("name", "?")),
+                           None if pid in (None, CLUSTER_PID) else pid - 1,
+                           event.get("args", {}), event.get("ph", INSTANT),
+                           dur)
+
     other = doc.get("otherData", {})
     records = other.get("record_count", len(doc["traceEvents"]))
     dropped = other.get("dropped_records", 0)
@@ -535,7 +525,7 @@ def _format_trace(path: str, doc: Dict[str, Any], categories, limit) -> str:
             str(event.get("name", "?")) for event in events).items()):
         lines.append(f"  {name:28s} {count:8d}")
     if limit > 0:
-        records = sorted(map(_record_of, events), key=attrgetter("time"))
+        records = sorted(map(record_of, events), key=attrgetter("time"))
         lines += ["", f"first {min(limit, len(records))} events:"]
         lines += [record.format() for record in records[:limit]]
     return "\n".join(lines)
@@ -555,6 +545,8 @@ def _cmd_trace(args) -> int:
 def _load_report(path: str):
     """A run or sweep report and its family (``repro: ...`` + exit 2
     for any other artifact)."""
+    from repro.obs.diff import load_artifact
+    from repro.obs.schemas import parse_schema_tag
     doc = load_artifact(path)
     family = parse_schema_tag(doc["schema"])[0]
     if family not in ("repro.run_report", "repro.sweep_report"):
@@ -564,6 +556,7 @@ def _load_report(path: str):
 
 
 def _cmd_journey(args) -> int:
+    from repro.analysis.waterfall import format_waterfall
     doc, family = _load_report(args.input)
     if family == "repro.sweep_report":
         sections = [(cell.get("model", "?"), cell.get("journeys"))
@@ -585,6 +578,7 @@ def _cmd_journey(args) -> int:
 
 
 def _format_profile(doc: Dict[str, Any], top: Optional[int]) -> str:
+    from repro.obs.profile import format_hotspots, format_kernel
     return (f"model: {doc['meta'].get('model', '?')}   throughput: "
             f"{doc['summary']['throughput_ops_per_s'] / 1e6:.2f} Mops/s   "
             f"{format_kernel(doc['profile'])}\n\n"
@@ -606,6 +600,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from repro.obs.diff import diff_json, diff_paths, format_markdown
     report = diff_paths(args.baseline, args.candidate,
                         threshold=args.threshold / 100.0, force=args.force)
     doc = diff_json(report)
@@ -622,6 +617,9 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from repro.audit.engine import (audit_exit_code, audit_history,
+                                    format_audit_table)
+    from repro.obs.history import load_history
     try:
         history = load_history(args.history)
     except (OSError, ValueError) as exc:
@@ -641,6 +639,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from repro.analysis.report import format_summary_table
+    from repro.obs.sweep import (SweepProgress, build_sweep_report,
+                                 matrix_specs, run_sweep, write_sweep_report)
     duration = args.duration_us * 1000.0
     if args.all:
         models = all_ddp_models()
@@ -692,7 +693,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_tradeoffs(args) -> int:
-    # Here, not at the top: no other subcommand pays for compiling it.
     from repro.core.tradeoffs import analyze_all
     models = all_ddp_models() if args.all else None
     for profile in analyze_all(models):
@@ -701,7 +701,7 @@ def _cmd_tradeoffs(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    # Here, not at the top: no other subcommand pays for compiling it.
+    from repro.obs.run import observed_run
     from repro.recovery.replayer import RecoveryReplayer
     spec = _spec_from(args)
     cluster = observed_run(spec).cluster
@@ -720,6 +720,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from repro.devtools import sanitizer
     _preflight(args.sweep_out)
     seeds = args.seeds
     if len(set(seeds)) != len(seeds):

@@ -34,8 +34,8 @@ class Cluster:
     """A full modeled deployment of one DDP model.
 
     The only code that assembles and runs a deployment.  A variant
-    (:class:`repro.variants.LeaderCluster`,
-    :class:`repro.hybrid.HybridCluster`) subclasses it and overrides two
+    (:class:`repro.variants.leader.LeaderCluster`,
+    :class:`repro.hybrid.cluster.HybridCluster`) subclasses it and overrides two
     hooks: the engine a node runs (:meth:`engine_for`) and the topology
     (:meth:`peers_of`, :attr:`one_way_ns`).  Everything else — observers,
     membership, clients, ``run``, failure injection — is inherited.

@@ -14,20 +14,24 @@ same seed + same plan => byte-identical traces.
 * :mod:`repro.faults.validate` — post-run validation of the contracts
   each model owes (:mod:`repro.core.contracts`), by the white-box
   checks defined there.
+
+The public names below are resolved on first use (PEP 562), so
+importing one module of the package loads only that module.
 """
 
-from repro.faults.injector import FaultInjector, faults_json
-from repro.faults.plan import (FaultEvent, FaultPlan, load_fault_plan,
-                               parse_crash_spec, plan_from_crash_specs)
-from repro.faults.validate import validate_faulty_run
+from repro import _lazy
 
-__all__ = [
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "faults_json",
-    "load_fault_plan",
-    "parse_crash_spec",
-    "plan_from_crash_specs",
-    "validate_faulty_run",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "FaultInjector": "repro.faults.injector",
+    "faults_json": "repro.faults.injector",
+    "FaultEvent": "repro.faults.plan",
+    "FaultPlan": "repro.faults.plan",
+    "load_fault_plan": "repro.faults.plan",
+    "parse_crash_spec": "repro.faults.plan",
+    "plan_from_crash_specs": "repro.faults.plan",
+    "validate_faulty_run": "repro.faults.validate",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy(globals(), _EXPORTS)

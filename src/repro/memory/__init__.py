@@ -1,26 +1,7 @@
-"""Memory substrate: DRAM/NVM devices, cache hierarchy, per-node facade."""
+"""Memory substrate: DRAM/NVM devices (:mod:`repro.memory.devices`),
+the cache hierarchy (:mod:`repro.memory.cache`) and the per-node
+facade (:mod:`repro.memory.hierarchy`).
 
-from repro.memory.cache import CacheHierarchy, CacheLevel, CacheTiming, Llc
-from repro.memory.devices import (
-    DRAM_TIMING,
-    NVM_TIMING,
-    DramDevice,
-    MemoryDevice,
-    MemoryTiming,
-    NvmDevice,
-)
-from repro.memory.hierarchy import MemoryHierarchy
-
-__all__ = [
-    "CacheHierarchy",
-    "CacheLevel",
-    "CacheTiming",
-    "DRAM_TIMING",
-    "DramDevice",
-    "Llc",
-    "MemoryDevice",
-    "MemoryHierarchy",
-    "MemoryTiming",
-    "NVM_TIMING",
-    "NvmDevice",
-]
+The package re-exports nothing: import from the module that defines a
+name, so a run loads only what it uses.
+"""

@@ -1,5 +1,6 @@
-"""Network substrate: fabric and NICs with queue pairs."""
+"""Network substrate: fabric and NICs with queue pairs
+(:mod:`repro.net.network`).
 
-from repro.net.network import Network, NetworkConfig, Nic
-
-__all__ = ["Network", "NetworkConfig", "Nic"]
+The package re-exports nothing: import from the module that defines a
+name, so a run loads only what it uses.
+"""

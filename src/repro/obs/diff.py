@@ -328,6 +328,8 @@ def diff_documents(base_doc: Dict[str, Any], cand_doc: Dict[str, Any],
             report.only_in_baseline.append(f"{label}/{metric}")
         for metric in sorted(set(cand_metrics) - set(base_metrics)):
             report.only_in_candidate.append(f"{label}/{metric}")
+    if not report.entries:
+        raise DiffError("the artifacts share no metrics to compare")
     # Rows missing entirely on one side are listed once by label.
     report.only_in_baseline.extend(sorted(set(rows_a) - set(rows_b)))
     report.only_in_candidate.extend(sorted(set(rows_b) - set(rows_a)))

@@ -34,6 +34,7 @@ from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.metrics import Metrics, Summary
+from repro.analysis.waterfall import aggregate_journeys
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency, DdpModel, Persistency
@@ -45,13 +46,11 @@ from repro.obs.journey import JourneyTracker
 from repro.obs.monitor import HealthMonitor, health_chrome_events
 from repro.obs.profile import KernelProfile
 from repro.obs.report import build_run_report, config_fingerprint
+from repro.obs.schemas import SECTIONS
 from repro.workload.ycsb import WORKLOADS
 
-__all__ = ["SECTIONS", "CellSpec", "Observers", "ObservedRun",
+__all__ = ["CellSpec", "Observers", "ObservedRun",
            "observed_run", "section_observers"]
-
-#: Optional run-report sections a run or a sweep cell can request.
-SECTIONS = ("journeys", "health", "profile", "audit")
 
 _DEFAULT_WINDOW_NS = 10_000.0
 
@@ -195,9 +194,6 @@ class ObservedRun:
         journey = self.observers.journey
         if journey is None:
             return None
-        # Deferred: waterfall imports obs.journey, so a module-level
-        # import here would close an import cycle through obs.__init__.
-        from repro.analysis.waterfall import aggregate_journeys
         return aggregate_journeys(journey.journeys, self.spec.servers,
                                   dropped=journey.dropped)
 
@@ -249,6 +245,7 @@ def observed_run(spec: CellSpec, observers: Optional[Observers] = None,
         obs.recorder.recovered = recovered_from_cluster(cluster)
         run.history = obs.recorder.history()
         if obs.audit:
-            from repro.audit import audit_history  # deferred: import cycle
+            # Here, not at the top: only an audited run loads the auditor.
+            from repro.audit.engine import audit_history
             run.audit = audit_history(run.history)
     return run

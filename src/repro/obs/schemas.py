@@ -26,7 +26,10 @@ __all__ = ["ArtifactSchema", "SchemaError", "SCHEMAS", "schema_tag",
            "schema_tags", "parse_schema_tag", "validate_artifact",
            "RUN_REPORT_SCHEMA", "SWEEP_REPORT_SCHEMA", "HISTORY_SCHEMA",
            "BENCH_SCHEMA", "DIFF_REPORT_SCHEMA", "AUDIT_REPORT_SCHEMA",
-           "ORDER_SWEEP_SCHEMA", "WALL_CLOCK_DIRECTIONS"]
+           "ORDER_SWEEP_SCHEMA", "SECTIONS", "WALL_CLOCK_DIRECTIONS"]
+
+#: Optional run-report sections a run or a sweep cell can request.
+SECTIONS = ("journeys", "health", "profile", "audit")
 
 #: Every artifact key whose value derives from the wall clock -> the
 #: direction a reader would call better.  One decision with two users:

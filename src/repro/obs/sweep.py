@@ -42,13 +42,13 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.analysis.metrics import Summary
 from repro.core.model import DdpModel
 from repro.obs.report import _clean, config_fingerprint
-from repro.obs.run import (SECTIONS, CellSpec, observed_run,
-                           section_observers)
-from repro.obs.schemas import SWEEP_REPORT_SCHEMA, WALL_CLOCK_DIRECTIONS
+from repro.obs.run import CellSpec, observed_run, section_observers
+from repro.obs.schemas import (SECTIONS, SWEEP_REPORT_SCHEMA,
+                               WALL_CLOCK_DIRECTIONS)
 
 __all__ = ["CellSpec", "CellResult", "SweepProgress", "matrix_specs",
            "run_cell", "run_sweep", "strip_wall_clock", "sweep_meta",
-           "build_sweep_report", "write_sweep_report", "SECTIONS"]
+           "build_sweep_report", "write_sweep_report"]
 
 
 @dataclass

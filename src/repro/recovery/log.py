@@ -84,8 +84,7 @@ class NvmLog:
         return self._images[node_id].get(key)
 
     def durable_keys(self, node_id: int) -> List[int]:
-        return [key for key in self._images[node_id]
-                if self.durable_entry(node_id, key) is not None]
+        return list(self._images[node_id])
 
     def durable_version(self, node_id: int, key: int) -> Version:
         entry = self.durable_entry(node_id, key)

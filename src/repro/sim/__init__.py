@@ -6,34 +6,7 @@ resource/queue/condition primitives the protocol and hardware
 models are built from; :mod:`repro.sim.rng` provides deterministic,
 forkable random streams; :mod:`repro.sim.trace` provides structured
 event tracing.
+
+The package re-exports nothing: import from the module that defines a
+name, so a run loads only what it uses.
 """
-
-from repro.sim.engine import (
-    AllOf,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
-from repro.sim.rng import SeededStream
-from repro.sim.sync import Condition, Resource, Store
-from repro.sim.trace import NullTracer, TraceRecord, Tracer
-
-__all__ = [
-    "AllOf",
-    "Condition",
-    "Event",
-    "Interrupt",
-    "NullTracer",
-    "Process",
-    "Resource",
-    "SeededStream",
-    "SimulationError",
-    "Simulator",
-    "Store",
-    "Timeout",
-    "TraceRecord",
-    "Tracer",
-]

@@ -1,5 +1,6 @@
-"""Transaction substrate: active-transaction table and conflict detection."""
+"""Transaction substrate: active-transaction table and conflict
+detection (:mod:`repro.txn.manager`).
 
-from repro.txn.manager import Txn, TxnConflict, TxnTable
-
-__all__ = ["Txn", "TxnConflict", "TxnTable"]
+The package re-exports nothing: import from the module that defines a
+name, so a run loads only what it uses.
+"""

@@ -1,5 +1,6 @@
-"""Protocol variants used as comparison baselines (leader-based)."""
+"""Protocol variants used as comparison baselines: the leader-based
+``LeaderCluster`` of :mod:`repro.variants.leader`.
 
-from repro.variants.leader import LeaderCluster, LeaderProtocolNode
-
-__all__ = ["LeaderCluster", "LeaderProtocolNode"]
+The package re-exports nothing: import from the module that defines a
+name, so a run loads only what it uses.
+"""

@@ -1,21 +1,8 @@
-"""Workload substrate: YCSB-style generators and closed-loop clients."""
+"""Workload substrate: YCSB-style request streams
+(:mod:`repro.workload.ycsb`, which also holds the ``WORKLOADS`` table),
+their key generators (:mod:`repro.workload.zipf`) and the closed-loop
+clients (:mod:`repro.workload.client`).
 
-from repro.workload.client import Client
-from repro.workload.ycsb import WORKLOADS, RequestStream, WorkloadSpec
-from repro.workload.zipf import (
-    ScrambledZipfianGenerator,
-    UniformGenerator,
-    ZipfianGenerator,
-    fnv1a_64,
-)
-
-__all__ = [
-    "Client",
-    "RequestStream",
-    "ScrambledZipfianGenerator",
-    "UniformGenerator",
-    "WORKLOADS",
-    "WorkloadSpec",
-    "ZipfianGenerator",
-    "fnv1a_64",
-]
+The package re-exports nothing: import from the module that defines a
+name, so a run loads only what it uses.
+"""

@@ -59,8 +59,8 @@ class TestParser:
         def simulated(*args, **kwargs):
             raise AssertionError("simulated before checking the path")
 
-        monkeypatch.setattr("repro.cli.observed_run", simulated)
-        monkeypatch.setattr("repro.cli.run_sweep", simulated)
+        monkeypatch.setattr("repro.obs.run.observed_run", simulated)
+        monkeypatch.setattr("repro.obs.sweep.run_sweep", simulated)
         monkeypatch.setattr("repro.devtools.sanitizer.sweep", simulated)
         bad = str(tmp_path / "no-such-dir" / "out")
         for argv in (["run", *small, "--trace-out", bad],
@@ -197,7 +197,7 @@ class TestRunShape:
         def simulated(*args, **kwargs):
             raise AssertionError("simulated before checking the paths")
 
-        monkeypatch.setattr("repro.cli.observed_run", simulated)
+        monkeypatch.setattr("repro.obs.run.observed_run", simulated)
         for other in ("same.json", str(same), "./sub/../same.json"):
             (tmp_path / "sub").mkdir(exist_ok=True)
             err = self.rejected(capsys, "--servers", "3", "--clients", "6",
@@ -627,7 +627,7 @@ class TestInputFileModes:
         def simulated(*args, **kwargs):
             raise AssertionError("a reader simulated")
 
-        monkeypatch.setattr("repro.cli.observed_run", simulated)
+        monkeypatch.setattr("repro.obs.run.observed_run", simulated)
         monkeypatch.setattr("repro.cluster.cluster.Cluster.__init__",
                             simulated)
         for argv in (["trace", str(trace)], ["journey", str(report)],
@@ -986,8 +986,8 @@ def test_a_flag_is_its_whole_surviving_name(capsys, monkeypatch, argv):
     def simulated(*args, **kwargs):
         raise AssertionError("simulated on a flag that is not one")
 
-    monkeypatch.setattr("repro.cli.observed_run", simulated)
-    monkeypatch.setattr("repro.cli.run_sweep", simulated)
+    monkeypatch.setattr("repro.obs.run.observed_run", simulated)
+    monkeypatch.setattr("repro.obs.sweep.run_sweep", simulated)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

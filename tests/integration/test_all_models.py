@@ -15,14 +15,42 @@ from repro.workload.ycsb import WORKLOADS
 
 SMALL = ClusterConfig(servers=3, clients_per_server=4, store_type=None)
 DURATION = 40_000.0
-QUIESCE = 400_000.0
+#: How long the clients' last requests may take to finish once every
+#: client was asked to stop.  Transactional runs with 18 clients per
+#: server need up to ~0.5 ms (they abort and retry on the way out).
+DRAIN_LIMIT = 2_000_000.0
 
 
-def run_model(model, workload=None, config=SMALL):
+def run_model(model, workload=None, config=SMALL, duration=DURATION):
     cluster = Cluster(model, config=config,
                       workload=workload or WORKLOADS["A"])
-    summary = cluster.run(duration_ns=DURATION, warmup_ns=4_000)
+    summary = cluster.run(duration_ns=duration, warmup_ns=duration / 10)
     return cluster, summary
+
+
+def drain(cluster, model):
+    """Stop every client and run until nothing is left to run: a cell
+    still busy ``DRAIN_LIMIT`` later (a livelock) fails by name."""
+    for client in cluster.clients:
+        client.request_stop()
+    sim = cluster.sim
+    sim.run(until=sim.now + DRAIN_LIMIT)
+    assert sim.peek() == float("inf"), (
+        f"{model}: events still queued {DRAIN_LIMIT / 1e6:g} ms after "
+        f"the clients were stopped")
+    alive = [client.client_id for client in cluster.clients
+             if client.process.is_alive]
+    assert not alive, f"{model}: clients {alive} still running"
+
+
+#: Transactional cells at 18 clients per server over three seeds: the
+#: shape whose drains run longest.
+BUSY_TRANSACTIONAL = [
+    pytest.param(model,
+                 ClusterConfig(servers=3, clients_per_server=18, seed=seed),
+                 60_000.0, id=f"{model} 54 clients seed {seed}")
+    for model in (DdpModel(C.TRANSACTIONAL, p) for p in P)
+    for seed in (2021, 7, 11)]
 
 
 @pytest.mark.parametrize("model", all_ddp_models(), ids=str)
@@ -32,15 +60,16 @@ def test_model_makes_progress(model):
     assert summary.throughput_ops_per_s > 0
 
 
-@pytest.mark.parametrize("model", all_ddp_models(), ids=str)
-def test_replicas_converge_after_quiesce(model):
+@pytest.mark.parametrize("model, config, duration", [
+    *(pytest.param(model, SMALL, DURATION, id=str(model))
+      for model in all_ddp_models()),
+    *BUSY_TRANSACTIONAL])
+def test_replicas_converge_after_quiesce(model, config, duration):
     """Once clients stop and the system drains, all volatile replicas
     agree on every key (eventual convergence, which every model in the
     matrix promises at minimum)."""
-    cluster, _ = run_model(model)
-    for client in cluster.clients:
-        client.request_stop()
-    cluster.sim.run(until=cluster.sim.now + QUIESCE)
+    cluster, _ = run_model(model, config=config, duration=duration)
+    drain(cluster, model)
     keys = set()
     for engine in cluster.engines:
         keys.update(engine.replicas.keys())
@@ -56,13 +85,7 @@ def test_replicas_converge_after_quiesce(model):
 @pytest.mark.parametrize("model", all_ddp_models(), ids=str)
 def test_no_dangling_transients_after_quiesce(model):
     cluster, _ = run_model(model)
-    for client in cluster.clients:
-        client.request_stop()
-    cluster.sim.run(until=cluster.sim.now + QUIESCE)
-    if model.consistency is C.TRANSACTIONAL:
-        # A transaction that was mid-flight when its client was killed
-        # legitimately leaves transient markers; skip the check.
-        return
+    drain(cluster, model)
     for engine in cluster.engines:
         for replica in engine.replicas:
             assert not replica.transient, (

@@ -86,6 +86,7 @@ from repro.obs.run import (CellSpec, ObservedRun, Observers, observed_run,
                            section_observers)
 from repro.sim.engine import Simulator
 
+from .test_all_models import DURATION, SMALL
 from .test_detied_equivalence import detied_golden
 
 _FUTURE_FLAGS = sum(getattr(__future__, name).compiler_flag
@@ -343,7 +344,8 @@ KILLS: Dict[str, Dict[str, Any]] = {
            "health": "<Linearizable, Synchronous>",
            "behaviour": [_CONCURRENT_WRITERS,
                          (_CONVERGE,
-                          lambda: {"model": DdpModel(C.CAUSAL, P.EVENTUAL)})]},
+                          lambda: {"model": DdpModel(C.CAUSAL, P.EVENTUAL),
+                                   "config": SMALL, "duration": DURATION})]},
     "M6": {"behaviour": (
         "tests.core.test_messages_replica::TestKeyReplica::"
         "test_persisted_tracking",

@@ -157,6 +157,22 @@ class TestCompatibility:
         with pytest.raises(DiffError, match="no result rows"):
             diff_documents(base, cand)
 
+    @pytest.mark.parametrize("output", [[], ["--json"]],
+                             ids=["markdown", "json"])
+    def test_no_shared_metrics_refused(self, capsys, tmp_path, output):
+        """Shared rows that share no numeric metric compared nothing:
+        unusable input, exit 2 — not ``no-regression``."""
+        from repro.cli import main
+
+        base, cand = tmp_path / "base.json", tmp_path / "cand.json"
+        base.write_text(json.dumps(_run_report() | {
+            "summary": {"requests": "x"}}))
+        cand.write_text(json.dumps(_run_report() | {
+            "summary": {"throughput_ops_per_s": 1e8}}))
+        assert main(["diff", str(base), str(cand), *output]) == 2
+        assert capsys.readouterr() == (
+            "", "repro: the artifacts share no metrics to compare\n")
+
 
 class TestBenchArtifacts:
     def test_per_label_rows(self):

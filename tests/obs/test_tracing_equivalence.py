@@ -201,8 +201,8 @@ def _tracing_off_cluster(cell):
     a leader or hybrid deployment: every engine class, the fault and
     recovery paths, all on a disabled tracer."""
     from repro.faults import FaultInjector, plan_from_crash_specs
-    from repro.hybrid import HybridCluster
-    from repro.variants import LeaderCluster
+    from repro.hybrid.cluster import HybridCluster
+    from repro.variants.leader import LeaderCluster
 
     config = ClusterConfig(servers=3, clients_per_server=2, seed=2021)
     lin_sync = DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS)

@@ -94,8 +94,8 @@ def variant_cells() -> Dict[str, Dict[str, Any]]:
     from repro.cluster import ClusterConfig
     from repro.core.model import Consistency as C, DdpModel, Persistency as P
     from repro.devtools.sanitizer import cluster_digest
-    from repro.hybrid import HybridCluster
-    from repro.variants import LeaderCluster
+    from repro.hybrid.cluster import HybridCluster
+    from repro.variants.leader import LeaderCluster
     from repro.workload.ycsb import WORKLOADS
 
     def leader(model):
