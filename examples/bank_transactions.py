@@ -84,9 +84,9 @@ def main():
     print("Final balances (replica agreement across all 3 nodes):")
     total = 0
     for account in ACCOUNTS:
-        values = {engine.replicas.get(account).applied_value
+        values = {engine.replicas.peek(account).applied_value
                   for engine in cluster.engines}
-        persisted = {engine.replicas.get(account).persisted_value
+        persisted = {engine.replicas.peek(account).persisted_value
                      for engine in cluster.engines}
         assert len(values) == 1, f"replicas disagree on account {account}"
         balance = values.pop()

@@ -34,7 +34,7 @@ def run_and_crash(persistency):
     for i in range(NUM_WRITES):
         sim.run_until_complete(
             sim.process(engine.client_write(ctx, i % 10, f"balance-{i}")))
-        completed.append((i % 10, engine.replicas.get(i % 10).applied_version))
+        completed.append((i % 10, engine.replicas.peek(i % 10).applied_version))
 
     cluster.crash_all()  # volatile state gone, NVM survives
     recovered = recover_latest(cluster.nvm_log, range(3))

@@ -1,12 +1,20 @@
 """Run metrics: operation latencies, throughput, traffic, protocol counters.
 
 One :class:`Metrics` instance is shared by all nodes in a cluster run.
-Operation records are appended by the client layer; protocol engines
+The client layer records each completed operation; protocol engines
 bump counters (messages, persists, conflicts, buffered causal updates,
 read stalls on unpersisted writes).  :class:`Summary` turns the raw
 records into the quantities the paper's figures report, and
 :func:`windowed_op_series` slices them into per-window time series
 (throughput, p50/p99 latency) for the run-report artifact.
+
+Completed operations are kept as packed binary rows in one
+``bytearray`` — an op-type code, node, client, key, start and end, 33
+bytes a request instead of one tuple and two floats each (``struct``,
+which every run loads anyway; ``array`` is an extension module whose
+load alone costs more resident memory than a short run's requests).
+:attr:`Metrics.ops` is a read-only sequence view over them that builds
+an :class:`OpRecord` row on demand.
 
 Message traffic is windowed without storing per-message records: when a
 ``window_ns`` is configured, :meth:`Metrics.record_message` bumps an
@@ -17,22 +25,21 @@ stay bounded.
 from __future__ import annotations
 
 import math
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from itertools import starmap
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-__all__ = ["OpRecord", "Metrics", "Summary", "WindowStat",
-           "windowed_op_series"]
+__all__ = ["OP_TYPES", "OpRecord", "OpRows", "Metrics", "Summary",
+           "WindowStat", "windowed_op_series"]
 
 
 class OpRecord(NamedTuple):
-    """One completed client operation.
+    """One completed client operation: a row of :attr:`Metrics.ops`,
+    built when it is read (a run stores only the packed rows)."""
 
-    A tuple, because a run builds one per request: immutable, built
-    without a Python-level ``__init__``, and — every field atomic —
-    untracked by the collector after its first survival.
-    """
-
-    op_type: str          # "read" | "write" | "begin_txn" | "end_txn" | "persist"
+    op_type: str          # "read" | "write" | "txn" | "persist"
     node: int
     client: int
     key: Optional[int]
@@ -42,6 +49,57 @@ class OpRecord(NamedTuple):
     @property
     def latency_ns(self) -> float:
         return self.end_ns - self.start_ns
+
+
+#: The op types a row stores, by code (the code is the index).
+OP_TYPES = ("read", "write", "txn", "persist")
+_CODES = {op_type: code for code, op_type in enumerate(OP_TYPES)}
+_READ, _WRITE = _CODES["read"], _CODES["write"]
+#: Set on a row's code when its key is None (a ``txn`` or ``persist``
+#: row): the key field then holds 0, so every key the field can hold
+#: stays distinct from None.
+_KEYLESS = 0x80
+_TYPE = _KEYLESS - 1
+#: One packed row: code, node, client, key, start_ns, end_ns (standard
+#: sizes, no padding: 33 bytes).
+_ROW = struct.Struct("=Biiqdd")
+
+
+def _record(code: int, node: int, client: int, key: int, start_ns: float,
+            end_ns: float) -> OpRecord:
+    """The :class:`OpRecord` of one unpacked row."""
+    return OpRecord(OP_TYPES[code & _TYPE], node, client,
+                    None if code & _KEYLESS else key, start_ns, end_ns)
+
+
+def _unpacked(rows: bytes) -> Iterator[OpRecord]:
+    """The :class:`OpRecord` of each packed row, in order."""
+    return starmap(_record, _ROW.iter_unpack(rows))
+
+
+class OpRows(Sequence):
+    """The read-only sequence of a :class:`Metrics`' completed
+    operations, in record order: each row read builds its
+    :class:`OpRecord`."""
+
+    __slots__ = ("_metrics",)
+
+    def __init__(self, metrics: Metrics):
+        self._metrics = metrics
+
+    def __len__(self) -> int:
+        return len(self._metrics._rows) // _ROW.size
+
+    def __getitem__(self, index: int) -> OpRecord:
+        count = len(self)
+        if not -count <= index < count:
+            raise IndexError(f"op index {index} out of range ({count} ops)")
+        return _record(*_ROW.unpack_from(self._metrics._rows,
+                                         (index % count) * _ROW.size))
+
+    def __iter__(self) -> Iterator[OpRecord]:
+        # A copy: the iterator must not pin the growing bytearray.
+        return _unpacked(bytes(self._metrics._rows))
 
 
 def _percentile(sorted_values: List[float], fraction: float) -> float:
@@ -129,7 +187,8 @@ class Metrics:
     """Mutable collector for one simulation run."""
 
     def __init__(self, window_ns: Optional[float] = None):
-        self.ops: List[OpRecord] = []
+        # Completed operations, one packed _ROW each (see record).
+        self._rows = bytearray()
         # Traffic.
         self.messages_by_type: Dict[str, int] = {}
         self.bytes_by_type: Dict[str, int] = {}
@@ -151,8 +210,27 @@ class Metrics:
 
     # -- recording ---------------------------------------------------------------
 
+    @property
+    def ops(self) -> OpRows:
+        """The completed operations, as :class:`OpRecord` rows."""
+        return OpRows(self)
+
+    def record(self, op_type: str, node: int, client: int,
+               key: Optional[int], start_ns: float, end_ns: float) -> None:
+        """Record one completed operation (the fields of an
+        :class:`OpRecord`).  A field its row cannot hold raises
+        ``struct.error`` and records nothing."""
+        code = _CODES.get(op_type)
+        if code is None:
+            raise ValueError(f"unknown op type {op_type!r}: "
+                             f"expected one of {OP_TYPES}")
+        if key is None:
+            code |= _KEYLESS
+            key = 0
+        self._rows += _ROW.pack(code, node, client, key, start_ns, end_ns)
+
     def record_op(self, record: OpRecord) -> None:
-        self.ops.append(record)
+        self.record(*record)
 
     def record_message(self, msg_type: str, size_bytes: int,
                        time_ns: Optional[float] = None, count: int = 1) -> None:
@@ -181,12 +259,17 @@ class Metrics:
                           op_types: Tuple[str, ...] = ("read", "write"),
                           ) -> Dict[int, List[WindowStat]]:
         """Per-coordinator-node windowed series (aligned windows)."""
-        nodes = sorted({op.node for op in self.ops})
+        # One pass: each node's packed rows, in record order.
+        rows, size = self._rows, _ROW.size
+        by_node: Dict[int, bytearray] = {}
+        for offset, row in zip(range(0, len(rows), size),
+                               _ROW.iter_unpack(rows)):
+            by_node.setdefault(row[1], bytearray()).extend(
+                rows[offset:offset + size])
         return {
-            node: windowed_op_series(
-                (op for op in self.ops if op.node == node),
-                window_ns, end_ns=end_ns, op_types=op_types)
-            for node in nodes
+            node: windowed_op_series(_unpacked(by_node[node]), window_ns,
+                                     end_ns=end_ns, op_types=op_types)
+            for node in sorted(by_node)
         }
 
     def message_window_series(self) -> Dict[str, List[int]]:
@@ -220,11 +303,13 @@ class Metrics:
         warmup_end_ns = self.warmup_end_ns
         reads: List[float] = []
         writes: List[float] = []
-        for op_type, _node, _client, _key, start_ns, end_ns in self.ops:
+        for code, _node, _client, _key, start_ns, end_ns in _ROW.iter_unpack(
+                self._rows):
             if end_ns >= warmup_end_ns:
-                if op_type == "read":
+                code &= _TYPE
+                if code == _READ:
                     reads.append(end_ns - start_ns)
-                elif op_type == "write":
+                elif code == _WRITE:
                     writes.append(end_ns - start_ns)
         reads.sort()
         writes.sort()

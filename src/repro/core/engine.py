@@ -40,7 +40,7 @@ from repro.core.context import ClientContext
 from repro.core.messages import Message, MsgType
 from repro.core.model import DdpModel
 from repro.core.policies import ACK_AFTER_PERSIST, placement, policy_for
-from repro.core.replica import KeyReplica, ReplicaTable, Version
+from repro.core.replica import NEVER_WRITTEN, KeyReplica, ReplicaTable, Version
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.net.network import Network, Nic
 from repro.core.membership import Membership
@@ -336,7 +336,7 @@ class ProtocolNode:
         # over its replica, so left in place each one is a cycle.
         # A handler's continuation (a call, not an event) goes too: the
         # crash ended the handler.  Keys nobody waited on have no queue
-        # to sweep, and get none.
+        # to sweep, and get none; keys only read have no replica.
         for replica in self.replicas:
             if replica.waiters:
                 condition = replica.condition
@@ -651,13 +651,13 @@ class ProtocolNode:
         shared transaction table is cleaned up once, by the injector.
         """
         for key in sorted(self.replicas.keys()):
-            replica = self.replicas.get(key)
+            replica = self.replicas.peek(key)
             if not replica.transient:
                 continue
             orphaned = [op_id for op_id in sorted(replica.inflight_invs)
                         if op_id % 1024 == crashed]
             for op_id in orphaned:
-                replica.end_inv(op_id)
+                replica.abandon_inv(op_id)
             if orphaned and self.ppolicy.dual_acks:
                 self.orphans_absorbed += 1
                 self.sim.process(self._absorb_orphan(replica),
@@ -690,7 +690,10 @@ class ProtocolNode:
         try:
             yield sim.timeout(self.config.req_proc_ns + (
                 0.0 if store is None else store.read_cost(key)))
-            replica = self.replicas.get(key)
+            # A key nobody has written here reads as NEVER_WRITTEN,
+            # which never stalls: no replica is built for a read.
+            replicas = self.replicas
+            replica = replicas.peek(key)
             if self.cpolicy.transactional and ctx.txn is not None:
                 self.txn_table.check_access(ctx.txn, key, is_write=False)
 
@@ -737,6 +740,10 @@ class ProtocolNode:
                 yield sim.timeout(latency)
                 if needs_dram:
                     yield from self.memory.dram.read(0)
+                if replica is NEVER_WRITTEN:
+                    # A write that landed during the memory read built
+                    # the key's replica: sample that.
+                    replica = replicas.peek(key)
                 # Re-validate against what is visible *now*; a write
                 # applied during the memory read restarts the sequence.
                 if not guarded or not any(self._read_guard(replica)):
@@ -1355,11 +1362,14 @@ class ProtocolNode:
     # -- update path (Causal / Eventual) ----------------------------------------
 
     def _on_upd(self, message: Message, arrived_ns: float) -> Any:
-        replica = self.replicas.get(message.key)
+        # The key joins the table on arrival, but an update buffered for
+        # its causal history builds no replica until it is installed.
+        replica = self.replicas.peek(message.key)
         if self.ppolicy.write_waits_for_persist_everywhere:
             # Strict: durability is immediate and independent of
             # visibility ordering (the update may persist before the
             # volatile replica is updated).
+            replica = self.replicas.get(message.key)
             self.sim.process(
                 self._persist_then_ack_p(replica, message, "strict"),
                 name=self._pname["strictp"])
@@ -1368,6 +1378,8 @@ class ProtocolNode:
             if unmet is not None:
                 self._buffer_causal(unmet, message)
                 return None
+        if replica is NEVER_WRITTEN:
+            replica = self.replicas.get(message.key)
         self.memory.volatile_update_then(
             message.key, self.config.value_bytes, self._handle_now, True,
             self._deposited, message, arrived_ns, replica)
@@ -1378,7 +1390,7 @@ class ProtocolNode:
         satisfied.  Under Synchronous persistency a dependency is only
         satisfied once persisted (Figure 2(f))."""
         for dep_key, dep_version in cauhist:
-            replica = self.replicas.get(dep_key)
+            replica = self.replicas.peek(dep_key)
             if replica.applied_version < dep_version:
                 return dep_key
             if (self.ppolicy.deps_require_persist

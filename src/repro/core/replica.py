@@ -12,12 +12,17 @@ and the paper).  For each key a node tracks:
 * the pre-images of its in-flight transactional writes, and the stalls
   waiting for any of the above to change.
 
-A key pays only for what its run uses: the wait queue (a
-:class:`~repro.sim.sync.Condition`) is built when something first waits
-on the key, the invalidation set at the key's first INV and the undo
-log at its first transactional write.  Until then the replica reads as
-idle — not transient, nothing to undo, nobody to wake — which is
-exactly what the empty containers would say.
+A key pays only for what its run uses.  A key this node has only read
+has no :class:`KeyReplica` at all: the table maps it to one shared,
+inert stand-in that reads as never written (:data:`NEVER_WRITTEN`), and
+the first mutation — an apply, an INV, a persist request, an undo or a
+wait — builds the real replica in its place.  Within a replica the wait
+queue (a :class:`~repro.sim.sync.Condition`) is built when something
+first waits on the key, the invalidation set at the key's first INV
+(and dropped again when its last INV ends) and the undo log at its first
+transactional write.  Until then the replica reads as idle — not
+transient, nothing to undo, nobody to wake — which is exactly what the
+empty containers would say.
 
 Versions are Lamport-style ``(seq, node_id)`` tuples: ``seq`` is one
 more than the highest sequence the coordinator has seen for the key, and
@@ -33,7 +38,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.sim.engine import Simulator
 from repro.sim.sync import Condition
 
-__all__ = ["Version", "ZERO_VERSION", "KeyReplica", "ReplicaTable"]
+__all__ = ["Version", "ZERO_VERSION", "KeyReplica", "NEVER_WRITTEN",
+           "ReplicaTable"]
 
 Version = Tuple[int, int]
 ZERO_VERSION: Version = (0, -1)
@@ -210,8 +216,22 @@ class KeyReplica:
             self._invs.add(op_id)
 
     def end_inv(self, op_id: int) -> None:
-        if self._invs is not None:
-            self._invs.discard(op_id)
+        """The INV ``op_id`` is validated; the key's last outstanding
+        INV takes the invalidation set with it."""
+        invs = self._invs
+        if invs is not None:
+            invs.discard(op_id)
+            if not invs:
+                self._invs = None
+        condition = self._condition
+        if condition is not None and condition.waiters:
+            condition.notify()
+
+    def abandon_inv(self, op_id: int) -> None:
+        """End an outstanding INV whose coordinator crashed.  Unlike
+        :meth:`end_inv` it leaves the emptied set in place: the crash
+        paths change no key's containers."""
+        self._invs.discard(op_id)
         condition = self._condition
         if condition is not None and condition.waiters:
             condition.notify()
@@ -229,28 +249,75 @@ class KeyReplica:
                 f"transient={self.transient})")
 
 
+class _NeverWritten:
+    """The state of a key this node has only read: every version zero,
+    no value, idle.  One instance, :data:`NEVER_WRITTEN`, stands in for
+    all such keys; it reads like a fresh :class:`KeyReplica` and refuses
+    every mutation, which must go through :meth:`ReplicaTable.get`."""
+
+    __slots__ = ()
+
+    # What the read-only lookups read (a read, a causal dependency
+    # check, the crash orphan scan, the sanitizer's digest).
+    applied_version = persisted_version = ZERO_VERSION
+    cluster_persisted_version = ZERO_VERSION
+    applied_value = persisted_value = None
+    transient = False
+
+    def _refuse(self, *_args: Any) -> Any:
+        raise TypeError("a never-written key's stand-in holds no state: "
+                        "mutate the replica ReplicaTable.get builds")
+
+    apply = mark_persisted = mark_cluster_persisted = _refuse
+    record_undo = commit_undo = absorb_superseded = revert = _refuse
+    begin_inv = end_inv = abandon_inv = next_version = _refuse
+    condition = inflight_invs = txn_undo = property(_refuse)
+
+    def __repr__(self) -> str:
+        return "NEVER_WRITTEN"
+
+
+#: The stand-in for every key a node has read but never changed.
+NEVER_WRITTEN = _NeverWritten()
+
+
 class ReplicaTable:
-    """All key replicas at one node, created lazily."""
+    """All keys one node has seen, by key: a key that holds state maps
+    to its :class:`KeyReplica`, a key that was only read to
+    :data:`NEVER_WRITTEN`."""
 
     def __init__(self, sim: Simulator, node_id: int, observer=None):
         self.sim = sim
         self.node_id = node_id
         self.observer = observer
-        self._replicas: Dict[int, KeyReplica] = {}
+        self._replicas: Dict[int, Any] = {}
 
     def get(self, key: int) -> KeyReplica:
-        try:
-            return self._replicas[key]
-        except KeyError:
+        """The key's replica, built if the key holds no state yet: what
+        every mutation asks for."""
+        replica = self._replicas.get(key, NEVER_WRITTEN)
+        if replica is NEVER_WRITTEN:
             replica = KeyReplica(self.sim, key, observer=self.observer)
             self._replicas[key] = replica
-            return replica
+        return replica
+
+    def peek(self, key: int) -> KeyReplica:
+        """The key's replica, or :data:`NEVER_WRITTEN` if it holds no
+        state: what a read-only lookup asks for.  An unseen key joins
+        the table, as it would by ``get``, so the table's keys do not
+        depend on which of the two a node used.  The stand-in does not
+        follow later writes: to watch a key change, hold what ``get``
+        returns."""
+        return self._replicas.setdefault(key, NEVER_WRITTEN)
 
     def __contains__(self, key: int) -> bool:
         return key in self._replicas
 
     def __iter__(self):
-        return iter(self._replicas.values())
+        """The replicas of the keys that hold state (never the
+        stand-in)."""
+        return (replica for replica in self._replicas.values()
+                if replica is not NEVER_WRITTEN)
 
     def __len__(self) -> int:
         return len(self._replicas)

@@ -245,7 +245,7 @@ def cluster_digest(cluster) -> str:
     for engine in cluster.engines:
         feed("node", engine.node_id, getattr(engine, "_alive", True))
         for key in sorted(engine.replicas.keys()):
-            replica = engine.replicas.get(key)
+            replica = engine.replicas.peek(key)
             feed(key, replica.applied_version, replica.applied_value,
                  replica.persisted_version, replica.persisted_value,
                  replica.cluster_persisted_version)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from repro.analysis.metrics import Metrics, OpRecord
+from repro.analysis.metrics import Metrics
 from repro.core.context import ClientContext
 from repro.core.engine import ProtocolNode
 from repro.sim.engine import Interrupt, Simulator
@@ -170,8 +170,8 @@ class Client:
                             self.completed_writes.append(
                                 (key, ctx.last_write_version))
                     self.in_flight = None
-                    self.metrics.record_op(OpRecord(
-                        op, node.node_id, client_id, key, start, sim.now))
+                    self.metrics.record(op, node.node_id, client_id, key,
+                                        start, sim.now)
                     count = 1
                 self.completed_requests += count
                 if scoped:
@@ -190,9 +190,8 @@ class Client:
             return
 
     def _record(self, op_type: str, key: Optional[int], start_ns: float) -> None:
-        self.metrics.record_op(OpRecord(
-            op_type, self.node.node_id, self.client_id, key, start_ns,
-            self.sim.now))
+        self.metrics.record(op_type, self.node.node_id, self.client_id, key,
+                            start_ns, self.sim.now)
 
     def _run_scope_persist(self) -> Generator:
         start = self.sim.now
@@ -281,8 +280,8 @@ class Client:
             # writes inside a committed transaction are not final until
             # ENDX, but the paper measures their individual completions.
             for index, (op, key, _value) in enumerate(requests):
-                self.metrics.record_op(OpRecord(
-                    op, self.node.node_id, self.client_id, key,
-                    first_start[index], completions[index]))
+                self.metrics.record(op, self.node.node_id, self.client_id,
+                                    key, first_start[index],
+                                    completions[index])
             self._record("txn", None, begin_start)
             return txn_length

@@ -2,12 +2,19 @@
 
 import dataclasses
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import Metrics, OpRecord, Summary, _percentile
+from repro.analysis.metrics import (
+    OP_TYPES,
+    Metrics,
+    OpRecord,
+    Summary,
+    _percentile,
+)
 
 
 def op(op_type, start, end, node=0, client=0, key=1):
@@ -29,6 +36,137 @@ class TestOpRecord:
         with pytest.raises(AttributeError):
             record.retries = 1
         assert record.end_ns == 35.0
+
+
+class TestOpRows:
+    """``Metrics.ops`` is a read-only view over packed rows: every row
+    it gives back is the one recorded."""
+
+    ROWS = [
+        OpRecord("read", 0, 3, 17, 10.0, 35.5),
+        OpRecord("write", 4, 99, 0, 1e-3, 2e9),
+        OpRecord("txn", 1, 2, None, 0.0, 7.25),
+        OpRecord("persist", 2, 5, None, 3.0, 3.0),
+        OpRecord("read", 3, 0, 0, 5.0, 6.0),
+        # The extremes a key column holds stay keys, never None.
+        OpRecord("write", 0, 1, -2**63, 1.0, 2.0),
+        OpRecord("read", 0, 1, 2**63 - 1, 1.0, 2.0),
+        OpRecord("persist", 0, 1, 0, 1.0, 2.0),
+    ]
+
+    def test_every_op_type_round_trips(self):
+        assert set(OP_TYPES) == {row.op_type for row in self.ROWS}
+        metrics = Metrics()
+        for row in self.ROWS[:4]:
+            metrics.record_op(row)
+        for row in self.ROWS[4:]:
+            metrics.record(*row)
+        assert len(metrics.ops) == len(self.ROWS)
+        assert list(metrics.ops) == self.ROWS
+        assert [metrics.ops[i] for i in range(len(self.ROWS))] == self.ROWS
+        assert metrics.ops[-1] == self.ROWS[-1]
+        assert [type(row) for row in metrics.ops] == [OpRecord] * len(self.ROWS)
+        assert [row.key for row in metrics.ops].count(None) == 2
+
+    def test_an_unknown_op_type_is_named(self):
+        metrics = Metrics()
+        with pytest.raises(ValueError, match="'begin_txn'"):
+            metrics.record("begin_txn", 0, 0, None, 0.0, 1.0)
+        with pytest.raises(ValueError, match="'scan'"):
+            metrics.record_op(OpRecord("scan", 0, 0, 1, 0.0, 1.0))
+        assert len(metrics.ops) == 0
+
+    def test_a_field_no_row_holds_records_nothing(self):
+        metrics = Metrics()
+        metrics.record("read", 0, 0, 1, 0.0, 1.0)
+        with pytest.raises(struct.error):
+            metrics.record("read", 0, 0, 2**63, 0.0, 1.0)
+        with pytest.raises(struct.error):
+            metrics.record("write", 0, 0, 1, 0.0, "late")
+        metrics.record("write", 1, 2, 3, 4.0, 5.0)
+        assert list(metrics.ops) == [OpRecord("read", 0, 0, 1, 0.0, 1.0),
+                                     OpRecord("write", 1, 2, 3, 4.0, 5.0)]
+
+    def test_the_view_is_read_only_and_live(self):
+        metrics = Metrics()
+        ops = metrics.ops
+        with pytest.raises(TypeError):
+            ops[0] = OpRecord("read", 0, 0, 1, 0.0, 1.0)
+        with pytest.raises(AttributeError):
+            ops.append(OpRecord("read", 0, 0, 1, 0.0, 1.0))
+        metrics.record("read", 0, 0, 1, 0.0, 1.0)
+        assert len(ops) == 1 and OpRecord("read", 0, 0, 1, 0.0, 1.0) in ops
+        for index in (1, -2):
+            with pytest.raises(IndexError):
+                _ = ops[index]
+        # Iterating pins nothing: recording goes on mid-iteration.
+        rows = iter(ops)
+        metrics.record("write", 0, 0, 2, 1.0, 2.0)
+        assert [row.key for row in rows] == [1]
+
+
+def _tuple_summarize(records, warmup_end_ns, metrics, duration_ns):
+    """``Metrics.summarize`` as it was when the run kept one
+    ``OpRecord`` tuple per request: one pass over the tuples in record
+    order, then the same sorts and sums."""
+    reads = []
+    writes = []
+    for op_type, _node, _client, _key, start_ns, end_ns in records:
+        if end_ns >= warmup_end_ns:
+            if op_type == "read":
+                reads.append(end_ns - start_ns)
+            elif op_type == "write":
+                writes.append(end_ns - start_ns)
+    reads.sort()
+    writes.sort()
+    all_lat = sorted(reads + writes)
+    span = max(duration_ns - warmup_end_ns, 1.0)
+    nan = float("nan")
+    return Summary(
+        requests=len(all_lat),
+        duration_ns=span,
+        throughput_ops_per_s=len(all_lat) / (span * 1e-9),
+        mean_read_ns=(sum(reads) / len(reads)) if reads else nan,
+        mean_write_ns=(sum(writes) / len(writes)) if writes else nan,
+        mean_access_ns=(sum(all_lat) / len(all_lat)) if all_lat else nan,
+        p95_read_ns=_percentile(reads, 0.95),
+        p95_write_ns=_percentile(writes, 0.95),
+        p99_read_ns=_percentile(reads, 0.99),
+        p99_write_ns=_percentile(writes, 0.99),
+        total_messages=metrics.total_messages,
+        total_bytes=metrics.total_bytes,
+        persists=metrics.persists,
+        txn_conflicts=metrics.txn_conflicts,
+        txn_commits=metrics.txn_commits,
+        read_stalls=metrics.read_stalls,
+        reads_blocked_by_unpersisted=metrics.reads_blocked_by_unpersisted,
+        causal_buffer_peak=metrics.causal_buffer_peak,
+        causal_buffered_total=metrics.causal_buffered_total,
+    )
+
+
+_ANY_TIME = st.floats(allow_nan=True, allow_infinity=True)
+_RECORDS = st.lists(st.builds(
+    OpRecord, st.sampled_from(OP_TYPES), st.integers(0, 7),
+    st.integers(0, 300),
+    st.one_of(st.none(), st.integers(-2**63, 2**63 - 1)),
+    _ANY_TIME, _ANY_TIME), max_size=80)
+
+
+@given(records=_RECORDS, warmup=_ANY_TIME, duration_ns=_ANY_TIME)
+@settings(max_examples=300, deadline=None)
+def test_summarize_over_packed_rows_is_repr_equal_to_the_tuple_pass(
+        records, warmup, duration_ns):
+    metrics = Metrics()
+    for record in records:
+        metrics.record_op(record)
+    metrics.warmup_end_ns = warmup
+    metrics.record_message("ACK", 16, count=3)
+    got = metrics.summarize(duration_ns)
+    want = _tuple_summarize(records, warmup, metrics, duration_ns)
+    for field in dataclasses.fields(Summary):
+        assert (repr(getattr(got, field.name))
+                == repr(getattr(want, field.name))), field.name
 
 
 def _reference_summarize(metrics, duration_ns):

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.metrics import (
     Metrics,
@@ -125,6 +127,26 @@ class TestMetricsSeries:
         assert len(by_node[0]) == len(by_node[1]) == 3
         assert [w.ops for w in by_node[0]] == [1, 0, 0]
         assert [w.ops for w in by_node[1]] == [0, 0, 1]
+
+    @given(rows=st.lists(st.tuples(
+        st.sampled_from(["read", "write", "txn", "persist"]),
+        st.integers(0, 5), st.floats(0.0, 1e4), st.floats(0.0, 500.0)),
+        max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_op_series_by_node_is_the_per_node_rescan(self, rows):
+        """One pass over the node column gives each node the series a
+        filter of every op by that node gave."""
+        metrics = Metrics()
+        for op_type, node, end_ns, latency in rows:
+            metrics.record_op(_op(op_type, end_ns, node=node,
+                                  latency=latency, key=None))
+        by_node = metrics.op_series_by_node(100.0)
+        ops = list(metrics.ops)
+        assert list(by_node) == sorted({op.node for op in ops})
+        for node, series in by_node.items():
+            rescan = windowed_op_series(
+                [op for op in ops if op.node == node], 100.0)
+            assert repr(series) == repr(rescan)
 
     def test_message_windows_require_configuration(self):
         metrics = Metrics()  # no window_ns

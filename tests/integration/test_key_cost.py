@@ -1,24 +1,34 @@
 """What a key costs: only the containers its run uses.
 
-A ``KeyReplica`` builds its wait queue (a ``Condition``) when something
-first waits on the key, its invalidation set at the key's first INV and
-its undo log at the key's first transactional write.  These tests count
-what is built, not bytes, so they hold on any interpreter: a cell that
-never waits, invalidates or runs a transaction builds none of the
-three, and the engine's crash paths read only what already exists.
+A key a node has only read has no ``KeyReplica``: the table maps it to
+the shared ``NEVER_WRITTEN`` stand-in, and the first mutation builds
+the replica.  A ``KeyReplica`` builds its wait queue (a ``Condition``)
+when something first waits on the key, its invalidation set at the
+key's first INV (dropped at its last) and its undo log at the key's
+first transactional write.  These tests count what is built, not bytes,
+so they hold on any interpreter: a read-only run builds no replica, a
+cell that never waits, invalidates or runs a transaction builds none of
+the three containers, and the engine's crash paths read only what
+already exists.  What a request costs is counted here too: a run keeps
+its completed requests as packed rows and builds no object for them.
 """
 
 import pytest
 
+from repro.analysis.metrics import OpRecord
 from repro.cluster import Cluster, ClusterConfig
+from repro.core import replica as replica_module
+from repro.core.context import ClientContext
 from repro.core.engine import ProtocolNode
 from repro.core.model import Consistency, DdpModel, Persistency
+from repro.core.replica import NEVER_WRITTEN, ZERO_VERSION, KeyReplica
 from repro.faults import FaultInjector, plan_from_crash_specs
 from repro.sim import sync
 from repro.workload.ycsb import WORKLOADS
 
 LIN_SYNC = DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS)
 CAUSAL_EVENTUAL = DdpModel(Consistency.CAUSAL, Persistency.EVENTUAL)
+RE_RE = DdpModel(Consistency.READ_ENFORCED, Persistency.READ_ENFORCED)
 
 #: The lazily built containers, by slot.
 CONTAINERS = ("_condition", "_invs", "_undo")
@@ -41,6 +51,39 @@ def _cluster(model, workload, faults=None):
                                                clients_per_server=2,
                                                seed=2021),
                    workload=WORKLOADS[workload], faults=faults)
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Every ``KeyReplica`` built, in build order."""
+    built_replicas = []
+    init = KeyReplica.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built_replicas.append(self)
+
+    monkeypatch.setattr(replica_module.KeyReplica, "__init__",
+                        recording_init)
+    return built_replicas
+
+
+def holds_state(replica):
+    """Whether ``replica`` holds a version, an INV, a persist request, a
+    wait or an undo — what a key must hold to have a replica."""
+    return (replica.applied_version != ZERO_VERSION
+            or replica.persisted_version != ZERO_VERSION
+            or replica.cluster_persisted_version != ZERO_VERSION
+            or replica.persist_requested != ZERO_VERSION
+            or any(getattr(replica, name) is not None
+                   for name in CONTAINERS))
+
+
+def drain(cluster):
+    for client in cluster.clients:
+        client.request_stop()
+    cluster.sim.run(until=cluster.sim.now + 1_000_000.0)
+    assert cluster.sim.peek() == float("inf")
 
 
 @pytest.fixture
@@ -114,6 +157,120 @@ def test_the_crash_paths_build_nothing(monkeypatch, waited):
     assert seen == {"restarts": 1, "scans": 2}
     assert {r._condition for r in replicas(cluster)
             if "_condition" in built(r)} <= waited
+
+
+@pytest.mark.parametrize("model", [CAUSAL_EVENTUAL, LIN_SYNC, RE_RE],
+                         ids=str)
+def test_a_read_only_run_builds_no_replica(model, constructed):
+    cluster = _cluster(model, "C")
+    cluster.run(20_000.0)
+    assert cluster.metrics.summarize(cluster.sim.now).requests > 0
+    assert constructed == []
+    for engine in cluster.engines:
+        keys = engine.replicas.keys()
+        assert keys, f"node {engine.node_id} read no key"
+        assert {engine.replicas.peek(key) for key in keys} == {NEVER_WRITTEN}
+        assert list(engine.replicas) == []
+
+
+@pytest.mark.parametrize("model", [CAUSAL_EVENTUAL, LIN_SYNC], ids=str)
+def test_a_mixed_run_builds_a_replica_only_where_a_key_holds_state(
+        model, constructed):
+    cluster = _cluster(model, "B")
+    cluster.run(20_000.0)
+    drain(cluster)
+    everything = replicas(cluster)
+    assert sorted(map(id, constructed)) == sorted(map(id, everything))
+    assert [r for r in everything if not holds_state(r)] == []
+    read_only = [key for engine in cluster.engines
+                 for key in engine.replicas.keys()
+                 if engine.replicas.peek(key) is NEVER_WRITTEN]
+    assert 0 < len(everything) and 0 < len(read_only)
+
+
+@pytest.mark.parametrize("model", [CAUSAL_EVENTUAL, LIN_SYNC], ids=str)
+def test_a_write_landing_during_a_read_of_an_unwritten_key_is_seen(
+        model, monkeypatch):
+    """The read peeks the stand-in before its memory access; a write
+    that builds the key's replica during that access must be what the
+    read samples, as if the read had held the replica all along."""
+    cluster = Cluster(model, config=ClusterConfig(
+        servers=3, clients_per_server=0, store_type=None))
+    cluster.start()
+    sim, engine = cluster.sim, cluster.engines[1]
+    caches = engine.memory.caches
+    slow_first = iter([(50_000.0, False)])
+    access = caches.access_latency
+    monkeypatch.setattr(caches, "access_latency",
+                        lambda: next(slow_first, None) or access())
+    reader = ClientContext(0, 1)
+    read = sim.process(engine.client_read(reader, 7))
+    sim.run(until=10_000.0)
+    assert engine.replicas.peek(7) is NEVER_WRITTEN
+    writer = ClientContext(1, 1)
+    sim.process(engine.client_write(writer, 7, "v"))
+    assert sim.run_until_complete(read) == "v"
+    assert reader.last_read_version == writer.last_write_version
+
+
+def test_an_invalidation_set_lives_only_while_an_inv_is_outstanding():
+    cluster = _cluster(LIN_SYNC, "A")
+    cluster.run(20_000.0)
+    everything = replicas(cluster)
+    assert all((r._invs is not None) == r.transient for r in everything)
+    assert any(r.transient for r in everything)
+    drain(cluster)
+    assert not any(r._invs is not None for r in replicas(cluster))
+
+
+@pytest.mark.parametrize("mutation", [
+    lambda r: r.apply((1, 0), "v"),
+    lambda r: r.mark_persisted((1, 0), "v"),
+    lambda r: r.mark_cluster_persisted((1, 0)),
+    lambda r: r.begin_inv(1024),
+    lambda r: r.end_inv(1024),
+    lambda r: r.record_undo((1, 0)),
+    lambda r: r.condition.wait_for(lambda: True),
+    lambda r: r.inflight_invs,
+    lambda r: r.txn_undo,
+], ids=["apply", "persist", "cluster_persist", "begin_inv", "end_inv",
+        "undo", "wait", "inflight_invs", "txn_undo"])
+def test_the_stand_in_refuses_every_mutation(mutation):
+    with pytest.raises(TypeError, match="stand-in"):
+        mutation(NEVER_WRITTEN)
+    with pytest.raises(AttributeError):
+        NEVER_WRITTEN.persist_requested = (1, 0)
+    assert NEVER_WRITTEN.applied_version == ZERO_VERSION
+    assert not NEVER_WRITTEN.transient
+
+
+def test_a_mutation_replaces_the_stand_in_in_place():
+    table = replica_module.ReplicaTable(sim=None, node_id=0)
+    assert table.peek(3) is NEVER_WRITTEN and table.peek(1) is NEVER_WRITTEN
+    replica = table.get(3)
+    assert isinstance(replica, KeyReplica) and replica.key == 3
+    assert table.peek(3) is replica and table.get(3) is replica
+    assert table.keys() == [3, 1] and len(table) == 2
+    assert list(table) == [replica]
+
+
+def test_a_run_keeps_no_object_per_request(monkeypatch):
+    """Completed requests live in ``Metrics``' packed rows: a run and
+    its summary build no ``OpRecord`` row; reading ``Metrics.ops``
+    does, one per row read."""
+    rows = []
+    new = OpRecord.__new__
+
+    def recording_new(cls, *args, **kwargs):
+        rows.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(OpRecord, "__new__", recording_new)
+    cluster = _cluster(CAUSAL_EVENTUAL, "B")
+    summary = cluster.run(20_000.0)
+    assert summary.requests > 0 and rows == []
+    assert cluster.metrics.ops[0].op_type in ("read", "write")
+    assert len(rows) == 1
 
 
 def test_a_condition_has_no_instance_dict():
