@@ -7,6 +7,12 @@ persistency): run the same workload fault-free and with one of three
 nodes crashing mid-run (restarting after the failure-detector has
 re-formed the membership), and compare throughput and write latency.
 
+Time to serve = how long the restarted node takes, from its restart
+until its clients reconnect: the bank-parallel scan of its NVM image
+plus the catch-up from its live peers (digest exchange, then the values
+of the keys where it was behind).  It turns Section 9's "the complexity
+of the recovery is higher in the weaker models" into a number per cell.
+
 Availability = faulty throughput / fault-free throughput.  The crash
 removes a third of the serving capacity for ~28% of the measured
 window, so perfect rebalancing would still lose ~9% of the ops; the
@@ -64,17 +70,22 @@ def test_chaos_availability():
     lines = ["Chaos: 1-node crash mid-run (restart after detection), "
              "Synchronous persistency",
              f"{'model':<32} {'fault-free':>11} {'faulty':>11} "
-             f"{'avail':>6} {'wr-lat x':>9}"]
+             f"{'avail':>6} {'wr-lat x':>9} {'serve us':>9} {'scan':>6} "
+             f"{'catch-up':>9} {'fetched':>8}"]
     metrics = {}
     for model, (baseline, faulty, cluster, injector) in rows.items():
         availability = (faulty.throughput_ops_per_s
                         / baseline.throughput_ops_per_s)
         latency_ratio = faulty.mean_write_ns / baseline.mean_write_ns
+        served = cluster.engines[CRASH_NODE].time_to_serve
         lines.append(
             f"{str(model):<32} "
             f"{baseline.throughput_ops_per_s / 1e6:>10.1f}M "
             f"{faulty.throughput_ops_per_s / 1e6:>10.1f}M "
-            f"{availability:>6.2f} {latency_ratio:>8.2f}x")
+            f"{availability:>6.2f} {latency_ratio:>8.2f}x "
+            f"{(served.scan_ns + served.catch_up_ns) / 1000:>9.2f} "
+            f"{served.scan_ns / 1000:>6.2f} {served.catch_up_ns / 1000:>9.2f} "
+            f"{served.fetched:>8}")
         metrics[str(model)] = {
             "throughput_ops_per_s": faulty.throughput_ops_per_s,
             "fault_free_ops_per_s": baseline.throughput_ops_per_s,
@@ -84,6 +95,10 @@ def test_chaos_availability():
             "round_resends": sum(e.round_resends for e in cluster.engines),
             "rounds_retargeted": sum(e.rounds_retargeted
                                      for e in cluster.engines),
+            "time_to_serve_ns": served.scan_ns + served.catch_up_ns,
+            "scan_ns": served.scan_ns,
+            "catch_up_ns": served.catch_up_ns,
+            "keys_fetched": served.fetched,
         }
         # The crash-restart cycle completed and membership healed.
         assert injector.crashes == 1 and injector.restarts == 1, model

@@ -37,7 +37,6 @@ _EXPORTS = {
     "Persistency": "repro.core.model",
     "ProtocolConfig": "repro.core.engine",
     "ProtocolNode": "repro.core.engine",
-    "RecoveryReplayer": "repro.recovery.replayer",
     "Summary": "repro.analysis.metrics",
     "TABLE4_MODELS": "repro.core.tradeoffs",
     "WORKLOADS": "repro.workload.ycsb",
@@ -48,7 +47,6 @@ _EXPORTS = {
     "format_figure6_table": "repro.analysis.report",
     "format_summary_table": "repro.analysis.report",
     "recover_latest": "repro.recovery.recovery",
-    "recover_majority": "repro.recovery.recovery",
     "run_simulation": "repro.cluster.cluster",
 }
 

@@ -316,12 +316,12 @@ def check_linearizable(prep: PreparedHistory) -> CheckResult:
         defaultdict(list)
     excluded = 0
     for op in prep.completed_writes:
-        if op.degraded or prep.write_effect(op) is not True:
+        if prep.write_effect(op) is not True:
             excluded += 1
             continue
         writes_by_key[op.key].append(op)
     for op in prep.completed_reads:
-        if op.degraded or op.version is None:
+        if op.version is None:
             excluded += 1
             continue
         reads_by_key[op.key].append(op)
@@ -358,8 +358,8 @@ def check_linearizable(prep: PreparedHistory) -> CheckResult:
             slot = cluster_of_token.get(token)
             if slot is None:
                 # No healthy-graph writer carries this token: it came
-                # from a pending write (version unknown), a squashed
-                # attempt, or a degraded-era writer excluded above.
+                # from a pending write (version unknown) or a squashed
+                # attempt.
                 # Truly unwritten versions are check_no_phantom's job
                 # (it runs for every cell); here the read is just
                 # unattributable.
@@ -420,10 +420,7 @@ def check_read_enforced(prep: PreparedHistory) -> CheckResult:
                       List[HistoryOpRecord]] = defaultdict(list)
     excluded = 0
     for op in prep.completed_reads:
-        if op.degraded or op.version is None:
-            # A crash-restarted node legitimately rewinds its applied
-            # state to the recovered image; its post-restart reads are
-            # a new era, not a freshness regression.
+        if op.version is None:
             excluded += 1
             continue
         if prep.observation_effect(op) is not True:
@@ -453,8 +450,8 @@ def check_read_enforced(prep: PreparedHistory) -> CheckResult:
                     f"{tuple(read.version)} after an earlier read at the "
                     f"same node returned {best[0]}",
                     (best[1], read))
-    # Read-your-writes within each session (any session: it is a local,
-    # single-node guarantee that survives even a degraded era).
+    # Read-your-writes within each session (a local, single-node
+    # guarantee).
     thresholds: Dict[Tuple[int, int], Dict[Optional[int],
                                            Tuple[Version,
                                                  HistoryOpRecord]]] = \
@@ -585,9 +582,6 @@ def check_causal(prep: PreparedHistory) -> CheckResult:
     excluded = 0
     for op in prep.ops:
         if not op.ok or op.respond_us is None or op.op == "persist":
-            continue
-        if op.degraded:
-            excluded += 1
             continue
         sessions[(op.client, op.session)].append(op)
     session_ids = sorted(sessions)

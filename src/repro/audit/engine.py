@@ -58,8 +58,6 @@ def _op_json(op: HistoryOpRecord) -> Dict[str, Any]:
         doc["scope_id"] = op.scope_id
     if op.severed:
         doc["severed"] = True
-    if op.degraded:
-        doc["degraded"] = True
     return doc
 
 
@@ -163,8 +161,6 @@ def audit_history(history: History,
             target = dict(cell)
 
     sessions = {(op.client, op.session) for op in history.ops}
-    degraded = {(op.client, op.session) for op in history.ops
-                if op.degraded}
     wall_ms = sum(r.wall_ms for r in all_checks.values())
     return {
         "schema": AUDIT_SCHEMA,
@@ -178,7 +174,6 @@ def audit_history(history: History,
             "failed": sum(1 for op in history.ops if not op.ok),
             "clients": len({op.client for op in history.ops}),
             "sessions": len(sessions),
-            "degraded_sessions": len(degraded),
             "keys": len({op.key for op in history.ops
                          if op.key is not None}),
             "recovered_captured": prep.recovered_captured,
@@ -250,8 +245,7 @@ def format_audit_table(report: Dict[str, Any]) -> str:
     info = report["history"]
     lines.append(
         f"audit: {info['ops']} ops, {info['clients']} clients, "
-        f"{info['sessions']} sessions ({info['degraded_sessions']} "
-        f"degraded), {info['pending']} pending "
+        f"{info['sessions']} sessions, {info['pending']} pending "
         f"({info['severed']} crash-severed)"
         + ("" if info["recovered_captured"]
            else " -- durability skipped (no recovered state)"))

@@ -1,11 +1,12 @@
 """Command-line interface for the reproduction.
 
 ``run`` is the one subcommand that simulates a single cell (``sweep``
-many, ``recover`` one it then crashes): it parses its flags into a
-:class:`repro.obs.CellSpec` and a :class:`repro.obs.Observers`, calls
-:func:`repro.obs.observed_run` — the one build-run-observe recipe, see
-:mod:`repro.obs.run` and docs/handbook.md "How an experiment is built,
-run and observed" — and prints or writes what came back.  ``trace``,
+many, ``recover`` one it then crashes and restarts): it parses its
+flags into a :class:`repro.obs.CellSpec` and a
+:class:`repro.obs.Observers`, calls :func:`repro.obs.observed_run` —
+the one build-run-observe recipe, see :mod:`repro.obs.run` and
+docs/handbook.md "How an experiment is built, run and observed" — and
+prints or writes what came back.  ``trace``,
 ``journey`` and ``profile`` simulate nothing: each reads an artifact
 ``run`` (or ``sweep``) wrote and renders it.  Unusable input (a run
 shape ``CellSpec`` rejects, an unwritable output path, two outputs on
@@ -38,7 +39,9 @@ docs/handbook.md "CLI reference"):
   artifacts: exit 0 no regression, 1 regression, 2 unusable input.
 * ``audit`` — verify a recorded client history against all 25 cells:
   exit 0 target model passes, 1 violation, 2 unusable history.
-* ``recover`` — run, crash the whole cluster, simulate recovery.
+* ``recover`` — run, crash the whole cluster, restart every node and
+  print each node's time to serve (NVM scan, then catch-up from its
+  peers).
 * ``tradeoffs`` — print the derived Table 4 (or the full grid).
 * ``order`` — the tie-batch sanitizer sweep
   (:mod:`repro.devtools.sanitizer`): exit 0 every model byte-identical
@@ -66,7 +69,7 @@ Examples::
     python -m repro.cli sweep --all --workers 4 --out sweep.json
     python -m repro.cli diff old_sweep.json sweep.json
     python -m repro.cli tradeoffs --all
-    python -m repro.cli recover --persistency eventual --strategy majority
+    python -m repro.cli recover --persistency eventual
     python -m repro.cli order --json
 """
 
@@ -328,10 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="derive all 25 models")
 
     recover_parser = add_parser(
-        "recover", help="crash mid-run and simulate recovery")
+        "recover", help="crash the whole cluster after a run and restart "
+                        "every node")
     _add_model(recover_parser)
-    recover_parser.add_argument("--strategy", default="latest",
-                                choices=["latest", "majority"])
     _add_common(recover_parser)
 
     order_parser = add_parser(
@@ -702,20 +704,21 @@ def _cmd_tradeoffs(args) -> int:
 
 def _cmd_recover(args) -> int:
     from repro.obs.run import observed_run
-    from repro.recovery.replayer import RecoveryReplayer
     spec = _spec_from(args)
     cluster = observed_run(spec).cluster
+    sim = cluster.sim
     cluster.crash_all()
-    report = RecoveryReplayer(cluster).simulate(args.strategy)
+    sim.run()  # what was in flight lands on dead nodes
+    sim.run_until_complete(sim.all_of(
+        [cluster.restart_node(node.node_id) for node in cluster.nodes]))
     print(f"model                : {spec.model}")
-    print(f"strategy             : {report.strategy}")
-    print(f"keys in NVM images   : {report.total_keys}")
-    print(f"divergent keys       : {report.divergent_keys} "
-          f"({report.divergence_fraction:.1%})")
-    print(f"scan time            : {report.scan_ns / 1000:.1f} us")
-    print(f"reconciliation time  : {report.reconcile_ns / 1000:.1f} us")
-    print(f"total recovery time  : {report.total_ns / 1000:.1f} us")
-    print(f"recovered keys       : {len(report.state)}")
+    print(f"keys in NVM images   : {len(cluster.nvm_log.all_keys())}")
+    for engine in cluster.engines:
+        scan_ns, catch_up_ns, fetched = engine.time_to_serve
+        print(f"node {engine.node_id} time to serve : "
+              f"{(scan_ns + catch_up_ns) / 1000:.1f} us (scan "
+              f"{scan_ns / 1000:.1f} us, catch-up {catch_up_ns / 1000:.1f} "
+              f"us, {fetched} keys fetched)")
     return 0
 
 

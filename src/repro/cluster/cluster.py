@@ -154,9 +154,10 @@ class Cluster:
     # -- failure injection --------------------------------------------------------------
 
     def crash_all(self) -> None:
-        """Whole-cluster volatile failure (the paper's worst case)."""
+        """Whole-cluster volatile failure (the paper's worst case): every
+        node crashes and every client is cut off (see :meth:`fail_node`)."""
         for node in self.nodes:
-            node.crash()
+            self.fail_node(node.node_id)
 
     def crash_node(self, node_id: int) -> None:
         self.nodes[node_id].crash()
@@ -184,14 +185,31 @@ class Cluster:
                 client.process.interrupt("node crashed")
         return severed
 
-    def restart_node(self, node_id: int) -> None:
-        """Recover a crashed node from its own durable image and
-        reconnect its clients (fresh sessions)."""
-        recovered = recover_latest(self.nvm_log, [node_id])
-        self.nodes[node_id].restart(recovered.entries)
-        for client in self.clients:
-            if client.node.node_id == node_id:
-                client.restart()
+    def restart_node(self, node_id: int):
+        """Recover a crashed node (paper Section 9) in simulated time:
+        rebuild it from its own durable image, have its peers settle
+        what it left open there
+        (:meth:`~repro.core.engine.ProtocolNode.peer_restarted`), let it
+        catch up from the live ones
+        (:meth:`~repro.core.engine.ProtocolNode.catch_up`), then
+        reconnect its clients (fresh sessions).  Returns the recovery
+        process."""
+        engine = self.nodes[node_id].engine
+        image = recover_latest(self.nvm_log, [node_id]).entries
+        engine.restart(image)
+        peers = [self.nodes[peer].engine for peer in self.peers_of(node_id)]
+        for peer in peers:
+            peer.peer_restarted(node_id)
+        # Its open transactions died with it, detected or not.
+        self.txn_table.abandon_node(node_id)
+        return self.sim.process(self._serve_after(engine, image, peers),
+                                name=f"recover{node_id}")
+
+    def _serve_after(self, engine, image, peers):
+        if (yield from engine.catch_up(image, peers)):
+            for client in self.clients:
+                if client.node is engine:
+                    client.restart()
 
     @property
     def engines(self):

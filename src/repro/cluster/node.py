@@ -49,10 +49,5 @@ class Node:
         """Lose all volatile state; only the NVM image survives."""
         self.engine.crash()
 
-    def restart(self, recovered_entries) -> None:
-        """Rebuild volatile state from this node's durable image and
-        rejoin (see :meth:`repro.core.engine.ProtocolNode.restart`)."""
-        self.engine.restart(recovered_entries)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.node_id}, model={self.engine.model})"

@@ -32,15 +32,18 @@ requests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Generator, List, NamedTuple,
+                    Optional, Tuple)
 
 from repro.analysis.metrics import Metrics
 from repro.core.context import ClientContext
-from repro.core.messages import Message, MsgType
+from repro.core.messages import CAUHIST_ENTRY_BYTES, Message, MsgType
 from repro.core.model import DdpModel
 from repro.core.policies import ACK_AFTER_PERSIST, placement, policy_for
-from repro.core.replica import NEVER_WRITTEN, KeyReplica, ReplicaTable, Version
+from repro.core.replica import (NEVER_WRITTEN, ZERO_VERSION, KeyReplica,
+                                ReplicaTable, Version)
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.net.network import Network, Nic
 from repro.core.membership import Membership
@@ -49,7 +52,7 @@ from repro.sim.sync import AdmissionPool, Resource
 from repro.sim.trace import NullTracer
 from repro.txn.manager import Txn, TxnTable
 
-__all__ = ["AckRound", "ProtocolConfig", "ProtocolNode"]
+__all__ = ["AckRound", "ProtocolConfig", "ProtocolNode", "TimeToServe"]
 
 #: What a segment of a callback handler returns once it has arranged to
 #: be continued (see :meth:`ProtocolNode._handle_now`).
@@ -169,6 +172,16 @@ class AckRound:
             self.event.succeed()
 
 
+class TimeToServe(NamedTuple):
+    """What a restart cost before the node served clients again: the
+    scan of its NVM image, then the catch-up from its peers (simulated
+    ns), and the keys a peer was ahead on, whose values it fetched."""
+
+    scan_ns: float
+    catch_up_ns: float
+    fetched: int
+
+
 @dataclass(slots=True)
 class _WriteOp:
     """Coordinator-side state for one outstanding write: the rounds it
@@ -274,6 +287,8 @@ class ProtocolNode:
         self.round_resends = 0
         self.rounds_retargeted = 0
         self.orphans_absorbed = 0
+        #: Set by each completed :meth:`catch_up`.
+        self.time_to_serve: Optional[TimeToServe] = None
         if membership is not None:
             membership.subscribe(node_id, self._on_membership_change)
         # Bound once here instead of building a dict literal per
@@ -310,18 +325,22 @@ class ProtocolNode:
         return self._alive
 
     def restart(self, recovered_entries: Dict[int, Tuple[Version, Any]]) -> None:
-        """Rejoin after a crash, seeded from the node's durable image.
+        """Come back from a crash as a shadow replica, seeded from the
+        node's durable image.
 
         ``recovered_entries`` is ``RecoveredState.entries`` from
         :func:`repro.recovery.recovery.recover_latest` over this node's
         NVM log: each surviving key is re-applied and marked persisted
-        (it *is* durable — that is where it came from).  All volatile
+        (it *is* durable — that is where it came from), and the store,
+        volatile too, holds exactly those keys again.  All other volatile
         protocol state — outstanding rounds, causal buffers, transient
         invalidation markers, follower txn bookkeeping — is discarded;
         the writes those tracked either completed elsewhere or belong to
-        coordinators that will retarget around this node's absence.
-        Anything newer than the durable image is simply lost (the crash
-        contract) and catches up through later INV/UPD traffic.
+        coordinators that retarget around this node's absence, on the
+        crash's detection or at the restart (:meth:`peer_restarted`).
+        From here on the node takes and ACKs INV/UPD traffic; what it
+        missed meanwhile, :meth:`catch_up` fetches from its peers before
+        it serves clients again.
 
         The NIC sink stays installed across the outage (it drops
         messages while ``crash()`` holds ``_alive`` false), so flipping
@@ -347,6 +366,9 @@ class ProtocolNode:
         observer = self._replica_event if self.tracer.enabled else None
         self.replicas = ReplicaTable(self.sim, self.node_id,
                                      observer=observer)
+        if self.store is not None:
+            for key in self.store.keys():
+                self.store.delete(key)
         self._outstanding_writes.clear()
         self._outstanding_rounds.clear()
         self._causal_waiting.clear()
@@ -361,6 +383,82 @@ class ProtocolNode:
             if self.store is not None:
                 self.store.put(key, value)
         self._alive = True
+
+    def catch_up(self, image: Dict[int, Tuple[Version, Any]],
+                 peers: List["ProtocolNode"]) -> Generator:
+        """Process: the recovery a restarted node runs before it serves
+        again (paper Section 9), in simulated time, once :meth:`restart`
+        installed its durable ``image``.
+
+        1. *Scan*: one NVM read per durable key, all issued at once, so
+           the reads queue per bank.
+        2. *Digest exchange*: the node's per-key versions go to its live
+           ``peers``, which answer with theirs — each key once it is not
+           transient there, so every version shipped is validated.  The
+           values of the keys where they differ cross, towards whichever
+           side is behind.
+        3. *Install* (:meth:`_adopt`): where a peer is ahead, its
+           newest answer goes through last-writer-wins, the store and
+           the follower's persist placement, as an INV's or UPD's
+           payload would, with the newest version known durable
+           everywhere; where only this node's NVM kept a version, the
+           live peers take it the same way.
+
+        Returns True and records :attr:`time_to_serve` when done; False
+        when the node crashed or restarted again meanwhile.
+        """
+        sim, net, replicas = self.sim, self.network.config, self.replicas
+        start = sim.now
+        name = f"n{self.node_id}.scan"
+        scans = [sim.process(self.memory.nvm_read(key), name=name)
+                 for key in image]
+        if scans:
+            yield sim.all_of(scans)
+        scanned = sim.now
+        if self.tracer.enabled:
+            self.tracer.emit(scanned, "recovery_scan", node=self.node_id,
+                             dur=scanned - start, keys=len(image))
+        yield sim.timeout(net.one_way_ns + len(image) * CAUHIST_ENTRY_BYTES
+                          / net.bandwidth_bytes_per_ns)
+        answers: Dict[int, Tuple[Version, Any, Version]] = {}
+        waits = []
+        for peer in peers:
+            if peer.alive:
+                for theirs in peer.replicas:
+                    answer = functools.partial(_answer, theirs, answers)
+                    if not answer():
+                        waits.append(theirs.condition.wait_for(answer))
+        if waits:
+            yield sim.all_of(waits)
+        differ = []
+        fetched = 0
+        for key in sorted(answers.keys() | image.keys()):
+            mine = replicas.peek(key)
+            version, _value, durable = answers.get(key, _NO_ANSWER)
+            fetched += version > mine.applied_version
+            if (version != mine.applied_version
+                    or durable > mine.cluster_persisted_version):
+                differ.append(key)
+        yield sim.timeout(net.one_way_ns + len(differ)
+                          * self.config.value_bytes
+                          / net.bandwidth_bytes_per_ns)
+        if self.replicas is not replicas or not self._alive:
+            return False
+        for key in differ:
+            version, value, durable = answers.get(key, _NO_ANSWER)
+            kept = image.get(key)
+            if kept is not None and kept[0] > version:
+                for peer in peers:
+                    if peer.alive:
+                        peer._adopt(key, *kept)
+            else:
+                self._adopt(key, version, value, durable)
+        self.time_to_serve = TimeToServe(scanned - start, sim.now - scanned,
+                                         fetched)
+        if self.tracer.enabled:
+            self.tracer.emit(sim.now, "recovery_catch_up", node=self.node_id,
+                             dur=sim.now - scanned, fetched=fetched)
+        return True
 
     # ------------------------------------------------------------------
     # small helpers
@@ -556,11 +654,13 @@ class ProtocolNode:
             if round_ is not None:
                 self._arm_round_watchdog(round_, message)
 
-    def _run_round(self, message: Message, local: Generator) -> Generator:
+    def _run_round(self, message: Message, local: Generator,
+                   targets: Optional[List[int]] = None) -> Generator:
         """Process: one INITX / ENDX / PERSIST or Strict UPD round — the
-        message to every live peer, this node's own share of the work
-        (``local``) while it travels, then every ACK."""
-        targets = self.active_peers
+        message to every live peer (or to ``targets``), this node's own
+        share of the work (``local``) while it travels, then every ACK."""
+        if targets is None:
+            targets = self.active_peers
         acks = AckRound(self.sim, targets)
         self._outstanding_rounds[message.op_id] = acks
         self._launch_round(message, targets, acks)
@@ -616,15 +716,32 @@ class ProtocolNode:
 
     def _on_membership_change(self, kind: str, node_id: int,
                               epoch: int) -> None:
-        """React to a membership epoch: re-issue every outstanding round
-        against the live replica set, and release transient state left
-        behind by a crashed coordinator."""
+        """React to a membership epoch: a crash settles what the dead
+        node left open here (:meth:`_settle_lost_peer`)."""
         if node_id == self.node_id or not self._alive or kind != "crash":
             # A join needs nothing from existing rounds: they never
             # re-add a replica that was dropped mid-round, and new
             # rounds pick the wider live set up via ``active_peers``.
             return
-        live = self.membership.live
+        self._settle_lost_peer(node_id, self.membership.live)
+
+    def peer_restarted(self, node_id: int) -> None:
+        """A peer came back without its volatile state — also one whose
+        crash no failure detector saw, so what its old incarnation left
+        open here is still open: rounds waiting for its ACK to an INV it
+        lost, invalidations it will never validate.  They are settled as
+        a detected crash settles them, unless detection already did (the
+        membership has not re-admitted the peer yet); rounds launched
+        from now on include the peer again."""
+        if self._alive and (self.membership is None
+                            or node_id in self.membership.live):
+            self._settle_lost_peer(
+                node_id, [peer for peer in self.peer_ids if peer != node_id])
+
+    def _settle_lost_peer(self, node_id: int, live) -> None:
+        """Re-issue every outstanding round against the ``live`` replica
+        set, and release transient state left behind by ``node_id`` as a
+        coordinator."""
         for op_id in sorted(self._outstanding_writes):
             op = self._outstanding_writes[op_id]
             for round_ in (op.ack_c, op.ack_p):
@@ -1065,7 +1182,8 @@ class ProtocolNode:
             endx = Message(MsgType.ENDX, src=self.node_id,
                            op_id=op_id, txn_id=txn.txn_id,
                            payload=payload)
-            yield from self._run_round(endx, self._persist_at_endx(payload))
+            yield from self._run_round(endx, self._persist_at_endx(payload),
+                                       self._txn_replicas(txn.txn_id))
             self.txn_table.commit(txn)
             self.metrics.txn_commits += 1
             if self.tracer.enabled:
@@ -1080,6 +1198,17 @@ class ProtocolNode:
             # On a conflict, ctx.txn stays set so the client's abort path
             # can broadcast the squash to the followers.
             self.request_workers.release()
+
+    def _txn_replicas(self, txn_id: int) -> List[int]:
+        """The live peers every INV of the transaction reached.  A peer
+        that restarted mid-transaction holds none of its earlier INVs,
+        so its ENDX would wait for updates that only reach it once the
+        transaction is over."""
+        targets = self.active_peers
+        for op in self._outstanding_writes.values():
+            if op.txn_id == txn_id:
+                targets = [p for p in targets if p in op.ack_c.targets]
+        return targets
 
     def client_abort_txn(self, ctx: ClientContext) -> Generator:
         """Process: squash the open transaction.  Followers learn via a
@@ -1134,6 +1263,8 @@ class ProtocolNode:
             if op.txn_id == txn_id and op.ack_p is None:
                 self.replicas.get(op.key).end_inv(op_id)
                 self._outstanding_writes.pop(op_id, None)
+                # Nobody awaits its INV's ACKs any more: stop the watchdog.
+                op.ack_c.open = False
 
     def _persist_txn_begin(self, txn_id: int) -> Generator:
         """Process: Strict / Synchronous persist the transaction-begin
@@ -1481,16 +1612,8 @@ class ProtocolNode:
         :meth:`_persist_wait`); otherwise an INV has been acknowledged
         here."""
         in_txn = message.txn_id is not None
-        if in_txn:
-            self._apply_txn_write(replica, message.version, message.value)
-        elif not replica.apply(message.version, message.value):
-            replica.absorb_superseded(message.version, message.value)
+        self._take(replica, message.version, message.value, in_txn)
         self.memory.consume_ddio(self.config.value_bytes)
-        if self.store is not None:
-            # The store must hold the LWW winner, not this message's
-            # payload: a superseded INV or UPD arriving late would
-            # otherwise clobber newer content.
-            self.store.put(message.key, replica.applied_value)
 
         placed = self._follower_places[in_txn]
         is_inv = message.msg_type is MsgType.INV
@@ -1514,6 +1637,41 @@ class ProtocolNode:
             self._place_persist(replica, message.version, message.value,
                                 placed)
         return None
+
+    def _take(self, replica: KeyReplica, version: Version, value: Any,
+              in_txn: bool = False) -> None:
+        """Apply another replica's write under last-writer-wins (with
+        undo inside a transaction) and keep the store on the winner."""
+        if in_txn:
+            self._apply_txn_write(replica, version, value)
+        elif not replica.apply(version, value):
+            replica.absorb_superseded(version, value)
+        if self.store is not None:
+            # The store must hold the LWW winner, not this write: a
+            # superseded INV or UPD arriving late would otherwise
+            # clobber newer content.
+            self.store.put(replica.key, replica.applied_value)
+
+    def _adopt(self, key: int, version: Version, value: Any,
+               durable: Version = ZERO_VERSION) -> None:
+        """Install a version another replica holds, outside any round
+        (see :meth:`catch_up`), as :meth:`_install` installs an INV's or
+        UPD's payload, with ``durable`` the newest version known durable
+        everywhere."""
+        replica = self.replicas.get(key)
+        replica.mark_cluster_persisted(durable)
+        took = version > replica.applied_version
+        self._take(replica, version, value)
+        if took:
+            # Where a Strict UPD's follower persists on receipt, before
+            # the deposit its placement is asked at, the install
+            # persists as the coordinator does.
+            self._place_persist(replica, version, value,
+                                self._follower_places[False]
+                                or self._coordinator_places[0])
+            if self.cpolicy.causal and key in self._causal_waiting:
+                self.sim.process(self._recheck_causal_waiters(key),
+                                 name=self._pname["crecheck"])
 
     def _persist_then_ack_p(self, replica: KeyReplica, message: Message,
                             trigger: str) -> Generator:
@@ -1575,6 +1733,24 @@ class ProtocolNode:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ProtocolNode(node={self.node_id}, model={self.model}, "
                 f"keys={len(self.replicas)})")
+
+
+def _answer(theirs: KeyReplica,
+            answers: Dict[int, Tuple[Version, Any, Version]]) -> bool:
+    """A peer's digest answer for one key (see ``catch_up``): once the
+    key is not transient there, fold its state into ``answers`` and
+    return True.  A predicate, so the catch-up waits on it."""
+    if theirs.transient:
+        return False
+    version, value, durable = answers.get(theirs.key, _NO_ANSWER)
+    if theirs.applied_version > version:
+        version, value = theirs.applied_version, theirs.applied_value
+    answers[theirs.key] = (version, value,
+                           max(durable, theirs.cluster_persisted_version))
+    return True
+
+
+_NO_ANSWER = (ZERO_VERSION, None, ZERO_VERSION)
 
 
 def _applied_at_least(replica: KeyReplica, version: Version):

@@ -15,9 +15,11 @@ membership-based (Hermes-style) failure handling: the crash itself only
 silences the node; ``detection_delay_ns`` later the membership epoch
 bumps, protocol rounds retarget against the survivors, and the dead
 coordinator's open transactions are abandoned.  A planned restart
-rebuilds the node's volatile store from NVM recovery
-(:func:`~repro.recovery.recovery.recover_latest` over its own log) and
-rejoins the membership.
+(:meth:`~repro.cluster.cluster.Cluster.restart_node`) rebuilds the
+node's volatile state from its own NVM image and rejoins the membership
+at once, as a shadow replica that takes and ACKs INV/UPD traffic; its
+clients reconnect once it has scanned that image and caught up from its
+live peers.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ Supported kinds:
 ``crash``
     Kill ``node`` at ``at_us`` (volatile state lost; the NVM image
     survives).  With ``restart_after_us`` the node restarts that many
-    microseconds later, seeded from NVM recovery.  ``node: null`` picks
+    microseconds later, seeded from its NVM image, and serves again once
+    it has caught up from its peers.  ``node: null`` picks
     a node from the plan seed, deterministically.
 ``drop`` / ``delay`` / ``duplicate``
     Message faults over the window ``[at_us, at_us + duration_us)``:

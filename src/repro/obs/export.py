@@ -46,8 +46,7 @@ LANES: Dict[str, Iterable[str]] = {
     "durability": ("persist", "persist_issue", "nvm_persist"),
     "network": ("net_send", "net_deliver"),
     "memory": ("dram_access", "llc_access"),
-    "recovery": ("recovery_scan", "recovery_reconcile", "recovery_resolve",
-                 "recovery_done"),
+    "recovery": ("recovery_scan", "recovery_catch_up"),
     "journey": ("journey_vp", "journey_dp", "write_complete"),
     "health": ("health", "health.kernel", "health.pressure",
                "health_violation", "fault"),

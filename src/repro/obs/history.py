@@ -19,14 +19,10 @@ Design rules (the same attachment discipline as every other sink in
   crash, or the run ended first — stays *pending* (``respond_us=None``):
   it may or may not have taken effect, and the audit checkers treat it
   exactly that way.
-* **sessions and degraded eras** — a crash-restart of the client's node
-  opens a fresh session (matching :meth:`repro.workload.client.Client.
-  restart`).  Post-restart sessions are marked *degraded*: the node
-  rebuilt its state from its own NVM image only (there is no rejoin
-  catch-up sync in the modeled protocols), so those sessions may
-  legitimately observe stale state and are excluded from cross-session
-  consistency constraints (they still participate in phantom and
-  durability checks).
+* **sessions** — a crash-restart of the client's node opens a fresh
+  session (matching :meth:`repro.workload.client.Client.restart`).  The
+  node caught up from its peers before the session began, so every
+  session is judged alike.
 * **bounded** — at most ``max_ops`` operations are kept; beyond that
   the recorder counts drops and the history is *truncated* (the audit
   engine refuses to produce verdicts from a truncated history).
@@ -82,7 +78,6 @@ class HistoryOpRecord:
     committed: Optional[bool] = None
     scope_id: Optional[int] = None
     severed: bool = False
-    degraded: bool = False
     ok: bool = True
 
     @property
@@ -136,7 +131,6 @@ class HistoryRecorder:
         self.recovered: Dict[str, Any] = {}
         self._open: Dict[int, HistoryOpRecord] = {}
         self._sessions: Dict[int, int] = {}
-        self._degraded: set = set()
         self._txn_ops: Dict[int, List[HistoryOpRecord]] = {}
         self.severed_ops = 0
 
@@ -161,8 +155,7 @@ class HistoryRecorder:
             index=len(self.ops), client=client,
             session=self._sessions.get(client, 0), node=node, op=op,
             key=key, value=value, invoke_us=self.sim.now / 1000.0,
-            txn_id=txn_id, scope_id=scope_id,
-            degraded=client in self._degraded)
+            txn_id=txn_id, scope_id=scope_id)
         self.ops.append(record)
         self._open[client] = record
         if txn_id is not None:
@@ -209,9 +202,8 @@ class HistoryRecorder:
 
     def restart_session(self, client: int) -> None:
         """The client reconnected after its node crash-restarted: new
-        session, degraded era (recovered-from-NVM state only)."""
+        session."""
         self._sessions[client] = self._sessions.get(client, 0) + 1
-        self._degraded.add(client)
 
     # -- finishing ----------------------------------------------------------
 
@@ -313,7 +305,6 @@ def load_history(path: str) -> History:
                     committed=doc.get("committed"),
                     scope_id=doc.get("scope_id"),
                     severed=bool(doc.get("severed", False)),
-                    degraded=bool(doc.get("degraded", False)),
                     ok=bool(doc.get("ok", True))))
             except (ValueError, TypeError, LookupError, AttributeError) as exc:
                 raise ValueError(

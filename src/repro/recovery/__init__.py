@@ -1,4 +1,4 @@
-"""Recovery substrate: durable logs, crash recovery, recovery replay.
+"""Recovery substrate: the durable NVM logs and recovery from them.
 
 The contract checks judged against a recovered state live in
 :mod:`repro.faults.validate`.

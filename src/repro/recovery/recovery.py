@@ -1,33 +1,25 @@
 """Crash recovery from the durable NVM images.
 
 After a volatile-storage failure, each node's recoverable state is its
-NVM image (scope-uncommitted entries excluded).  Cluster recovery
-reconciles the per-node images into one post-crash state.  The paper
-(Section 9) notes that strict DDP models have trivial recovery (all
-nodes share the same persistent view) while weak models may need an
-advanced, e.g. voting-based, algorithm — we implement both:
-
-* :func:`recover_latest` — take the highest durable version of each key
-  across nodes.  Correct whenever versions are only persisted after
-  being legitimately produced (all our models), and the natural choice
-  for strict models.
-* :func:`recover_majority` — voting-based: prefer the value durable at a
-  majority of nodes, falling back to the latest version for keys with no
-  majority.  This is the conservative choice for Eventual models, where
-  a lone node may hold a version that was never acknowledged anywhere.
+NVM image (scope-uncommitted entries excluded).  :func:`recover_latest`
+takes the highest durable version of each key across the given nodes:
+every model persists only versions that were really written, so the
+newest one is the recovered one.  Over one node's log it is the image a
+restart rebuilds that node from, over all of them the state the
+persistency contracts are judged against.  How a restarted node then
+catches up from its peers is :meth:`repro.core.engine.ProtocolNode.
+catch_up`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.replica import Version, ZERO_VERSION
 from repro.recovery.log import NvmLog
 
-__all__ = ["RecoveredState", "recover_latest", "recover_majority",
-           "recovery_divergence"]
+__all__ = ["RecoveredState", "recover_latest"]
 
 
 @dataclass(frozen=True)
@@ -35,7 +27,6 @@ class RecoveredState:
     """Cluster state after recovery: key -> (version, value)."""
 
     entries: Dict[int, Tuple[Version, Any]]
-    strategy: str
 
     def version_of(self, key: int) -> Version:
         entry = self.entries.get(key)
@@ -52,21 +43,10 @@ class RecoveredState:
         return key in self.entries
 
 
-def _trace_resolution(tracer, now: float, strategy: str,
-                      entries: Dict[int, Tuple[Version, Any]],
-                      scanned_keys: int) -> None:
-    if tracer is None or not tracer.enabled:
-        return
-    tracer.emit(now, "recovery_resolve", strategy=strategy,
-                recovered_keys=len(entries), scanned_keys=scanned_keys)
-
-
-def recover_latest(log: NvmLog, node_ids, tracer=None,
-                   now: float = 0.0) -> RecoveredState:
+def recover_latest(log: NvmLog, node_ids) -> RecoveredState:
     """Highest durable version of every key across all nodes."""
     entries: Dict[int, Tuple[Version, Any]] = {}
-    all_keys = log.all_keys()
-    for key in all_keys:
+    for key in log.all_keys():
         best: Optional[Tuple[Version, Any]] = None
         for node_id in node_ids:
             entry = log.durable_entry(node_id, key)
@@ -76,53 +56,4 @@ def recover_latest(log: NvmLog, node_ids, tracer=None,
                 best = (entry.version, entry.value)
         if best is not None:
             entries[key] = best
-    _trace_resolution(tracer, now, "latest", entries, len(all_keys))
-    return RecoveredState(entries, strategy="latest")
-
-
-def recover_majority(log: NvmLog, node_ids, tracer=None,
-                     now: float = 0.0) -> RecoveredState:
-    """Voting-based recovery: majority version wins, latest breaks it."""
-    node_ids = list(node_ids)
-    quorum = len(node_ids) // 2 + 1
-    entries: Dict[int, Tuple[Version, Any]] = {}
-    all_keys = log.all_keys()
-    for key in all_keys:
-        votes: Counter = Counter()
-        values: Dict[Version, Any] = {}
-        for node_id in node_ids:
-            entry = log.durable_entry(node_id, key)
-            if entry is None:
-                continue
-            votes[entry.version] += 1
-            values[entry.version] = entry.value
-        if not votes:
-            continue
-        majority = [v for v, count in votes.items() if count >= quorum]
-        if majority:
-            version = max(majority)
-        else:
-            version = max(votes)
-        entries[key] = (version, values[version])
-    _trace_resolution(tracer, now, "majority", entries, len(all_keys))
-    return RecoveredState(entries, strategy="majority")
-
-
-def recovery_divergence(log: NvmLog, node_ids) -> Dict[int, int]:
-    """Per-key count of distinct durable versions across nodes.
-
-    Strict models should show 1 everywhere (all nodes share the same
-    persistent view); weak models diverge, which is what makes their
-    recovery complex (paper Section 9).
-    """
-    node_ids = list(node_ids)
-    divergence: Dict[int, int] = {}
-    for key in log.all_keys():
-        versions = set()
-        for node_id in node_ids:
-            entry = log.durable_entry(node_id, key)
-            if entry is not None:
-                versions.add(entry.version)
-        if versions:
-            divergence[key] = len(versions)
-    return divergence
+    return RecoveredState(entries)

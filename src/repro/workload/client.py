@@ -92,7 +92,7 @@ class Client:
         self._stop = True
 
     def restart(self) -> None:
-        """Reconnect after the client's node crash-restarted.
+        """Reconnect once the client's node restarted and caught up.
 
         The old process was interrupted at the crash (abandoning any
         in-flight operation, like a real client losing its server); this
@@ -106,8 +106,6 @@ class Client:
             self._closed_read_sessions.append(self.read_observations)
             self.read_observations = []
         if self.history is not None:
-            # New session, degraded era: the node rebuilt from its own
-            # NVM image only, so this session may observe stale state.
             self.history.restart_session(self.client_id)
         # Scope ids stay unique per client across sessions: the new
         # context starts past the scope the crash left open, so no id

@@ -249,16 +249,18 @@ class TestCausal:
         assert res.ok
         assert res.stats["excluded_observations"] == 1
 
-    def test_degraded_sessions_excluded(self):
+    def test_restarted_sessions_are_judged(self):
+        """A session opened by a crash-restart is held to the same
+        rules: its node caught up before it began."""
         prep = _prep([
             (1, "write", 5, (1, 0), 0.0, 1.0),
             (1, "write", 5, (2, 0), 2.0, 3.0),
-            (2, "read", 5, (2, 0), 4.0, 5.0, {"degraded": True,
-                                              "session": 1}),
-            (2, "read", 5, (1, 0), 6.0, 7.0, {"degraded": True,
-                                              "session": 1}),
+            (2, "read", 5, (2, 0), 4.0, 5.0, {"session": 1}),
+            (2, "read", 5, (1, 0), 6.0, 7.0, {"session": 1}),
         ])
-        assert check_causal(prep).ok
+        res = check_causal(prep)
+        assert not res.ok
+        assert res.stats["excluded_observations"] == 0
 
 
 class TestDurability:
@@ -304,7 +306,7 @@ class TestDurability:
             (1, "persist", None, None, 2.0, 3.0,
              {"scope_id": 1_000_000, "committed": True}),
             (1, "write", 5, (9, 0), 4.0, 5.0,
-             {"scope_id": 1_000_000, "session": 1, "degraded": True}),
+             {"scope_id": 1_000_000, "session": 1}),
         ], recovered={5: (2, 0)})
         assert check_scope_writes_durable(prep).ok
 

@@ -330,11 +330,14 @@ class TestCommands:
         code = main(["recover", "--consistency", "linearizable",
                      "--persistency", "strict",
                      "--servers", "3", "--clients", "6",
-                     "--duration-us", "30", "--strategy", "majority"])
+                     "--duration-us", "30"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "total recovery time" in out
-        assert "divergent keys" in out
+        assert "keys in NVM images" in out
+        served = re.findall(r"node (\d) time to serve : [\d.]+ us \(scan "
+                            r"[\d.]+ us, catch-up [\d.]+ us, \d+ keys "
+                            r"fetched\)", out)
+        assert served == ["0", "1", "2"]
 
     def test_run_with_health_monitoring(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
@@ -1014,8 +1017,8 @@ CLI_SURFACE = {
               "--duration-us", "--workers", "--seeds", "--out", "--journeys",
               "--health", "--profile", "--audit", "--no-progress"],
     "tradeoffs": ["--all"],
-    "recover": ["--consistency", "--persistency", "--strategy", "--workload",
-                "--servers", "--clients", "--duration-us", "--seed"],
+    "recover": ["--consistency", "--persistency", "--workload", "--servers",
+                "--clients", "--duration-us", "--seed"],
     "order": ["--json", "--seeds", "--ops", "--sweep-out"],
 }
 
@@ -1029,4 +1032,4 @@ def test_the_cli_surface_is_pinned():
                       if not isinstance(action, argparse._HelpAction)]
                for name, parser in subparsers.choices.items()}
     assert surface == CLI_SURFACE
-    assert sum(map(len, surface.values())) == 59
+    assert sum(map(len, surface.values())) == 58

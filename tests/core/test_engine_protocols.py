@@ -535,6 +535,26 @@ class TestArrivalPath:
         quiesce(cluster)
         assert follower.replicas.get(7).applied_value == "v"
 
+    def test_a_val_ends_only_its_own_invalidation(self):
+        """Two writers' INVs on one key: the first VAL leaves the key
+        Invalid until the second writer's VAL comes too."""
+        cluster = make_cluster(C.LINEARIZABLE, P.SYNCHRONOUS)
+        follower = cluster.engines[1]
+        for src, op_id, version in ((0, 1024, (1, 0)), (2, 1026, (1, 2))):
+            follower.nic.sink(Message(MsgType.INV, src=src, op_id=op_id,
+                                      key=7, version=version, value="v"))
+        quiesce(cluster)
+        replica = follower.replicas.peek(7)
+        assert replica.transient
+        follower.nic.sink(Message(MsgType.VAL, src=0, op_id=1024, key=7,
+                                  version=(1, 0)))
+        quiesce(cluster)
+        assert replica.transient
+        follower.nic.sink(Message(MsgType.VAL, src=2, op_id=1026, key=7,
+                                  version=(1, 2)))
+        quiesce(cluster)
+        assert not replica.transient
+
     def test_handler_starts_after_the_protocol_cpu_charge(self):
         from repro.obs.profile import KernelProfile
         from repro.sim.trace import Tracer

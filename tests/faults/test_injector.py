@@ -110,6 +110,11 @@ class TestCrashLifecycle:
         # Never marked crashed, so the rejoin no-ops: epoch untouched.
         assert cluster.membership.epoch == 0
         assert sorted(cluster.membership.live) == [0, 1, 2]
+        # The restart settled what the blink left open at the peers, so
+        # the node caught up and its clients work again.
+        assert cluster.engines[1].time_to_serve is not None
+        assert any(op.node == 1 and op.start_ns > 12_000.0
+                   for op in cluster.metrics.ops)
 
     def test_restarted_node_reseeded_from_nvm(self):
         plan = load_fault_plan({"events": [

@@ -11,6 +11,8 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency as C, DdpModel, Persistency as P, all_ddp_models
+from repro.faults import FaultInjector
+from repro.faults.plan import plan_from_crash_specs
 from repro.workload.ycsb import WORKLOADS
 
 SMALL = ClusterConfig(servers=3, clients_per_server=4, store_type=None)
@@ -21,9 +23,13 @@ DURATION = 40_000.0
 DRAIN_LIMIT = 2_000_000.0
 
 
-def run_model(model, workload=None, config=SMALL, duration=DURATION):
+def run_model(model, workload=None, config=SMALL, duration=DURATION,
+              crash=None):
+    """Build and run one cell; ``crash`` is a ``--crash`` spec."""
+    faults = (None if crash is None else
+              FaultInjector(plan_from_crash_specs([crash], seed=config.seed)))
     cluster = Cluster(model, config=config,
-                      workload=workload or WORKLOADS["A"])
+                      workload=workload or WORKLOADS["A"], faults=faults)
     summary = cluster.run(duration_ns=duration, warmup_ns=duration / 10)
     return cluster, summary
 
@@ -53,6 +59,15 @@ BUSY_TRANSACTIONAL = [
     for seed in (2021, 7, 11)]
 
 
+#: Every cell with one node crashed at 20 us and restarted 15 us later,
+#: over three seeds: the restarted node must catch up.
+CRASHED = [
+    pytest.param(model,
+                 ClusterConfig(servers=3, clients_per_server=2, seed=seed),
+                 60_000.0, "1@20+15", id=f"{model} crash 1@20+15 seed {seed}")
+    for model in all_ddp_models() for seed in (2021, 7, 11)]
+
+
 @pytest.mark.parametrize("model", all_ddp_models(), ids=str)
 def test_model_makes_progress(model):
     cluster, summary = run_model(model)
@@ -60,15 +75,18 @@ def test_model_makes_progress(model):
     assert summary.throughput_ops_per_s > 0
 
 
-@pytest.mark.parametrize("model, config, duration", [
-    *(pytest.param(model, SMALL, DURATION, id=str(model))
+@pytest.mark.parametrize("model, config, duration, crash", [
+    *(pytest.param(model, SMALL, DURATION, None, id=str(model))
       for model in all_ddp_models()),
-    *BUSY_TRANSACTIONAL])
-def test_replicas_converge_after_quiesce(model, config, duration):
+    *(pytest.param(*param.values, None, id=param.id)
+      for param in BUSY_TRANSACTIONAL),
+    *CRASHED])
+def test_replicas_converge_after_quiesce(model, config, duration, crash):
     """Once clients stop and the system drains, all volatile replicas
     agree on every key (eventual convergence, which every model in the
-    matrix promises at minimum)."""
-    cluster, _ = run_model(model, config=config, duration=duration)
+    matrix promises at minimum) — a restarted one too."""
+    cluster, _ = run_model(model, config=config, duration=duration,
+                           crash=crash)
     drain(cluster, model)
     keys = set()
     for engine in cluster.engines:
@@ -111,17 +129,22 @@ def test_persisted_never_ahead_of_applied_except_strict(model):
                 f"{model}: node {engine.node_id} key {replica.key}")
 
 
-@pytest.mark.parametrize("model", all_ddp_models(), ids=str)
-def test_each_store_holds_its_replicas_applied_value(model):
-    """At the end of a clean run every node's store holds, for each key
-    it stores, the value its replica applied: the last-writer-wins
-    winner, not the last INV or UPD to land.  Clean runs only — a crash
-    keeps the store and a restart re-puts only the recovered keys."""
-    cluster = Cluster(model, config=ClusterConfig(servers=3,
-                                                  clients_per_server=4,
-                                                  seed=2021),
-                      workload=WORKLOADS["A"])
-    cluster.run(duration_ns=30_000.0, warmup_ns=3_000.0)
+@pytest.mark.parametrize("model, crash", [
+    *(pytest.param(model, None, id=str(model)) for model in all_ddp_models()),
+    *(pytest.param(model, "1@20+15", id=f"{model} crash 1@20+15")
+      for model in all_ddp_models())])
+def test_each_store_holds_its_replicas_applied_value(model, crash):
+    """At the end of a run every node's store holds, for each key it
+    stores, the value its replica applied: the last-writer-wins winner,
+    not the last INV or UPD to land — on a restarted node too, whose
+    store the restart rebuilt and the catch-up filled."""
+    config = ClusterConfig(servers=3, clients_per_server=4, seed=2021)
+    if crash is None:
+        cluster, _ = run_model(model, config=config, duration=30_000.0)
+    else:
+        cluster, _ = run_model(model, config=config, duration=60_000.0,
+                               crash=crash)
+        drain(cluster, model)
     stale = [(engine.node_id, key) for engine in cluster.engines
              for key, value in engine.store.items()
              if value != engine.replicas.get(key).applied_value]

@@ -46,15 +46,14 @@ Cluster(DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS),
 
 #: Loaded by no run (modules, or packages with everything in them): the
 #: checker, the VP/DP waterfall, the report tables, what only
-#: ``tradeoffs`` or ``recover`` use, the hybrid deployment, and the
-#: stores besides the default.
+#: ``tradeoffs`` uses, the hybrid deployment, and the stores besides the
+#: default.
 NOT_ON_THE_RUN_PATH = (
     "repro.analysis.linearizability",
     "repro.analysis.report",
     "repro.analysis.waterfall",
     "repro.core.tradeoffs",
     "repro.hybrid",
-    "repro.recovery.replayer",
     "repro.store.btree",
     "repro.store.bplustree",
     "repro.store.sortedmap",

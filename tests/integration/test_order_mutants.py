@@ -121,15 +121,15 @@ class Mutant:
         return namespace[self.method]
 
 
-_STORE_PUT = "self.store.put(message.key, replica.applied_value)"
-_RAW_APPLY = ("replica.applied_version = message.version\n"
-              "{indent}replica.applied_value = message.value\n"
+_STORE_PUT = "self.store.put(replica.key, replica.applied_value)"
+_RAW_APPLY = ("replica.applied_version = version\n"
+              "{indent}replica.applied_value = value\n"
               "{indent}replica.condition.notify()")
 
 MUTANTS: Dict[str, Mutant] = {
     "M1": Mutant(
-        ProtocolNode, "_install", _STORE_PUT,
-        "self.store.put(message.key, message.value)",
+        ProtocolNode, "_take", _STORE_PUT,
+        "self.store.put(replica.key, value)",
         "the store holds the LWW winner, not the last INV or UPD to land"),
     "M2": Mutant(
         KeyReplica, "apply",
@@ -141,10 +141,9 @@ MUTANTS: Dict[str, Mutant] = {
         "a VAL ends its own invalidation only: the key stays Invalid "
         "while another writer's INV is outstanding"),
     "M4": Mutant(
-        ProtocolNode, "_install",
-        "elif not replica.apply(message.version, message.value):\n"
-        "            replica.absorb_superseded(message.version, "
-        "message.value)",
+        ProtocolNode, "_take",
+        "elif not replica.apply(version, value):\n"
+        "            replica.absorb_superseded(version, value)",
         "else:\n            " + _RAW_APPLY.format(indent=" " * 12),
         "an INV's or UPD's payload goes through the version guard"),
     "M6": Mutant(
@@ -332,20 +331,22 @@ KILLS: Dict[str, Dict[str, Any]] = {
            "behaviour": (
                "tests.integration.test_all_models::"
                "test_each_store_holds_its_replicas_applied_value",
-               lambda: {"model": DdpModel(C.READ_ENFORCED, P.SCOPE)})},
+               lambda: {"model": DdpModel(C.READ_ENFORCED, P.SCOPE),
+                        "crash": None})},
     "M2": {"detied": "<Linearizable, Strict>",
            "health": "<Linearizable, Synchronous>",
            "behaviour": _CONCURRENT_WRITERS},
     "M3": {"detied": "<Linearizable, Strict>",
            "behaviour": (
-               "tests.faults.test_fault_matrix::test_chaos_cocktail_all_models",
-               lambda: {"model": DdpModel(C.LINEARIZABLE, P.SCOPE)})},
+               "tests.core.test_engine_protocols::TestArrivalPath::"
+               "test_a_val_ends_only_its_own_invalidation", dict)},
     "M4": {"detied": ["<Linearizable, Strict>", "<Causal, Strict>"],
            "health": "<Linearizable, Synchronous>",
            "behaviour": [_CONCURRENT_WRITERS,
                          (_CONVERGE,
                           lambda: {"model": DdpModel(C.CAUSAL, P.EVENTUAL),
-                                   "config": SMALL, "duration": DURATION})]},
+                                   "config": SMALL, "duration": DURATION,
+                                   "crash": None})]},
     "M6": {"behaviour": (
         "tests.core.test_messages_replica::TestKeyReplica::"
         "test_persisted_tracking",

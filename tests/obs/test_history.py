@@ -1,6 +1,7 @@
 """History recorder and ``repro.history/1`` serialization."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -62,16 +63,14 @@ class TestRecorder:
         rec.set_txn_outcome(9, committed=False)
         assert [op.committed for op in rec.ops] == [False, False]
 
-    def test_restart_opens_degraded_session(self):
+    def test_restart_opens_a_new_session(self):
         rec = _recorder()
         rec.invoke(client=3, node=1, op="write", key=5)
         rec.complete(3, version=(1, 1))
         rec.restart_session(3)
         rec.invoke(client=3, node=1, op="read", key=5)
         rec.complete(3, version=(1, 1))
-        first, second = rec.ops
-        assert (first.session, first.degraded) == (0, False)
-        assert (second.session, second.degraded) == (1, True)
+        assert [op.session for op in rec.ops] == [0, 1]
 
     def test_bound_drops_and_truncates(self):
         rec = _recorder(max_ops=2)
@@ -92,8 +91,7 @@ class TestSerialization:
                             respond_us=1.0, version=(1, 0)),
             HistoryOpRecord(index=1, client=2, session=1, node=1,
                             op="read", key=5, value=42, invoke_us=2.0,
-                            respond_us=3.0, version=(1, 0),
-                            degraded=True),
+                            respond_us=3.0, version=(1, 0)),
             HistoryOpRecord(index=2, client=1, session=0, node=0,
                             op="write", key=6, value=7, invoke_us=4.0,
                             severed=True),
@@ -118,6 +116,21 @@ class TestSerialization:
         assert [dataclasses.asdict(op) for op in loaded.ops] == \
             [dataclasses.asdict(op) for op in original.ops]
         assert loaded.recovered_versions() == {5: (1, 0)}
+
+    def test_an_older_files_degraded_flag_is_ignored(self, tmp_path):
+        """Histories written before restarts caught up marked each
+        post-restart op ``"degraded": true``; the loader reads past it."""
+        path = str(tmp_path / "h.jsonl")
+        write_history(path, self._sample())
+        lines = open(path).read().splitlines()
+        op = json.loads(lines[2])
+        op["degraded"] = True
+        lines[2] = json.dumps(op)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        loaded = load_history(path)
+        assert dataclasses.asdict(loaded.ops[1]) == \
+            dataclasses.asdict(self._sample().ops[1])
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "h.jsonl"

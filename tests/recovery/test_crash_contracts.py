@@ -26,11 +26,7 @@ from repro.faults.validate import (
     check_read_values_recovered,
     check_scope_atomicity,
 )
-from repro.recovery.recovery import (
-    recover_latest,
-    recover_majority,
-    recovery_divergence,
-)
+from repro.recovery.recovery import recover_latest
 
 
 def build(consistency, persistency):
@@ -157,30 +153,70 @@ def test_scope_atomicity_across_crash():
         assert recovered.version_of(key) < version
 
 
+def restart_all(cluster):
+    sim = cluster.sim
+    sim.run_until_complete(sim.all_of(
+        [cluster.restart_node(node.node_id) for node in cluster.nodes]))
+
+
 def test_strict_models_have_no_recovery_divergence():
     """Section 9: strict models leave every node with the same
-    persistent view, so recovery is trivial."""
+    persistent view, so recovery is trivial: nothing to fetch."""
     cluster = build(C.LINEARIZABLE, P.STRICT)
     client = ScriptedClient(cluster)
     for i in range(10):
         client.write(i, f"v{i}")
     cluster.crash_all()
-    divergence = recovery_divergence(cluster.nvm_log, range(3))
-    assert all(count == 1 for count in divergence.values())
+    images = [recover_latest(cluster.nvm_log, [node]).entries
+              for node in range(3)]
+    assert images[0] == images[1] == images[2]
+    restart_all(cluster)
+    assert [e.time_to_serve.fetched for e in cluster.engines] == [0, 0, 0]
 
 
-def test_weak_models_can_diverge_and_majority_recovery_handles_it():
+def test_weak_models_can_diverge_and_catch_up_reconciles_them():
     cluster = build(C.EVENTUAL, P.SYNCHRONOUS)
     client = ScriptedClient(cluster)
     client.write(1, "x")
-    # Crash immediately: the coordinator persisted (Synchronous persists
-    # at the local visibility point) but followers may not have yet.
+    # Crash once the coordinator's persist (Synchronous persists at the
+    # local visibility point) is done, before the lazy propagation.
+    cluster.sim.run(until=cluster.sim.now + 1_000.0)
     cluster.crash_all()
-    majority = recover_majority(cluster.nvm_log, range(3))
     latest = recover_latest(cluster.nvm_log, range(3))
-    # Majority recovery never resurrects more than latest knows about.
-    for key in majority.entries:
-        assert majority.version_of(key) <= latest.version_of(key)
+    assert any(recover_latest(cluster.nvm_log, [node]).version_of(1)
+               < latest.version_of(1) for node in range(3))
+    restart_all(cluster)
+    # Every node serves the newest durable version again.
+    for engine in cluster.engines:
+        assert engine.replicas.peek(1).applied_version \
+            == latest.version_of(1)
+
+
+@pytest.mark.parametrize("consistency", [C.EVENTUAL, C.CAUSAL])
+def test_a_version_only_its_coordinators_nvm_kept_wins_everywhere(
+        consistency):
+    """The coordinator persists a key's second write at its visibility
+    point and the whole cluster crashes before the UPD lands: the
+    peers' images hold the first write.  After the restarts every node
+    holds the newest durable version, the coordinator too, and no
+    replica is durable ahead of what it applied."""
+    cluster = build(consistency, P.SYNCHRONOUS)
+    client = ScriptedClient(cluster)
+    client.write(1, "x")
+    cluster.sim.run(until=cluster.sim.now + 10_000.0)
+    client.write(1, "y")
+    # Durable at the coordinator, not yet at the peers.
+    cluster.sim.run(until=cluster.sim.now + 500.0)
+    cluster.crash_all()
+    latest = recover_latest(cluster.nvm_log, range(3))
+    images = [recover_latest(cluster.nvm_log, [node]).version_of(1)
+              for node in range(3)]
+    assert images[0] == latest.version_of(1) > images[1] > (0, -1)
+    restart_all(cluster)
+    for engine in cluster.engines:
+        replica = engine.replicas.peek(1)
+        assert replica.applied_version == latest.version_of(1)
+        assert replica.applied_version >= replica.persisted_version
 
 
 def test_single_node_crash_leaves_cluster_running():

@@ -1,4 +1,4 @@
-"""Tests for the NVM log, recovery algorithms, and checkers."""
+"""Tests for the NVM log, recovery from it, and the checkers."""
 
 import pytest
 
@@ -10,11 +10,7 @@ from repro.faults.validate import (
     check_scope_atomicity,
 )
 from repro.recovery.log import NvmLog
-from repro.recovery.recovery import (
-    recover_latest,
-    recover_majority,
-    recovery_divergence,
-)
+from repro.recovery.recovery import recover_latest
 
 NODES = [0, 1, 2]
 
@@ -70,37 +66,6 @@ class TestRecovery:
         recovered = recover_latest(log, NODES)
         assert len(recovered) == 0
         assert recovered.version_of(5) == ZERO_VERSION
-
-    def test_majority_prefers_quorum_version(self, log):
-        log.record(0, 1, (1, 0), "quorum")
-        log.record(1, 1, (1, 0), "quorum")
-        log.record(2, 1, (9, 0), "lone-unacked")
-        recovered = recover_majority(log, NODES)
-        assert recovered.value_of(1) == "quorum"
-
-    def test_majority_falls_back_to_latest(self, log):
-        log.record(0, 1, (1, 0), "a")
-        log.record(1, 1, (2, 0), "b")
-        recovered = recover_majority(log, NODES)
-        assert recovered.value_of(1) == "b"
-
-    def test_majority_of_newer_wins_over_minority(self, log):
-        log.record(0, 1, (2, 0), "new")
-        log.record(1, 1, (2, 0), "new")
-        log.record(2, 1, (1, 0), "old")
-        recovered = recover_majority(log, NODES)
-        assert recovered.version_of(1) == (2, 0)
-
-    def test_divergence_counts_distinct_versions(self, log):
-        log.record(0, 1, (1, 0), "a")
-        log.record(1, 1, (1, 0), "a")
-        log.record(2, 1, (2, 0), "b")
-        log.record(0, 2, (1, 0), "x")
-        log.record(1, 2, (1, 0), "x")
-        log.record(2, 2, (1, 0), "x")
-        divergence = recovery_divergence(log, NODES)
-        assert divergence[1] == 2
-        assert divergence[2] == 1
 
 
 class TestCheckers:
