@@ -708,7 +708,6 @@ def _cmd_recover(args) -> int:
     cluster = observed_run(spec).cluster
     sim = cluster.sim
     cluster.crash_all()
-    sim.run()  # what was in flight lands on dead nodes
     sim.run_until_complete(sim.all_of(
         [cluster.restart_node(node.node_id) for node in cluster.nodes]))
     print(f"model                : {spec.model}")

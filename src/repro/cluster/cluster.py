@@ -21,7 +21,7 @@ from repro.core.model import DdpModel
 from repro.net.network import Network
 from repro.recovery.log import NvmLog
 from repro.recovery.recovery import recover_latest
-from repro.sim.engine import Simulator
+from repro.sim.engine import Interrupt, Simulator
 from repro.sim.rng import SeededStream
 from repro.txn.manager import TxnTable
 from repro.workload.client import Client
@@ -125,7 +125,7 @@ class Cluster:
     def start(self) -> None:
         """Attach the engines to their NICs and launch the client loops."""
         for node in self.nodes:
-            node.start()
+            node.engine.start()
         for client in self.clients:
             client.start()
 
@@ -159,22 +159,17 @@ class Cluster:
         for node in self.nodes:
             self.fail_node(node.node_id)
 
-    def crash_node(self, node_id: int) -> None:
-        self.nodes[node_id].crash()
-
     def fail_node(self, node_id: int) -> int:
-        """Mid-run node failure: crash the node and cut its clients off.
-
-        Each of the node's client processes is interrupted (a client of
-        a dead server cannot make progress; its in-flight operation is
-        abandoned mid-protocol).  Membership detection is *not* part of
-        this call — the fault injector schedules it separately after the
-        plan's detection delay, modeling the failure-detector lag.
-
-        Returns the number of operations severed mid-flight, so the
-        injector can account for them instead of dropping them silently.
-        """
-        self.nodes[node_id].crash()
+        """Crash a node, the one way to: end its incarnation
+        (:meth:`~repro.recovery.lifecycle.NodeLifecycle.crash`), a
+        recovery it is running, and its clients' sessions (each client
+        process is interrupted, its in-flight operation abandoned).
+        Detection is the fault injector's.  Returns the number of
+        operations severed mid-flight, for the injector to account."""
+        node = self.nodes[node_id]
+        node.engine.crash()
+        if node.recovery is not None and node.recovery.is_alive:
+            node.recovery.interrupt("node crashed")
         severed = 0
         for client in self.clients:
             if (client.node.node_id == node_id
@@ -188,13 +183,11 @@ class Cluster:
     def restart_node(self, node_id: int):
         """Recover a crashed node (paper Section 9) in simulated time:
         rebuild it from its own durable image, have its peers settle
-        what it left open there
-        (:meth:`~repro.core.engine.ProtocolNode.peer_restarted`), let it
-        catch up from the live ones
-        (:meth:`~repro.core.engine.ProtocolNode.catch_up`), then
-        reconnect its clients (fresh sessions).  Returns the recovery
-        process."""
-        engine = self.nodes[node_id].engine
+        what it left open there, let it catch up from the live ones
+        (:mod:`repro.recovery.lifecycle`), then reconnect its clients
+        (fresh sessions).  Returns the recovery process."""
+        node = self.nodes[node_id]
+        engine = node.engine
         image = recover_latest(self.nvm_log, [node_id]).entries
         engine.restart(image)
         peers = [self.nodes[peer].engine for peer in self.peers_of(node_id)]
@@ -202,14 +195,18 @@ class Cluster:
             peer.peer_restarted(node_id)
         # Its open transactions died with it, detected or not.
         self.txn_table.abandon_node(node_id)
-        return self.sim.process(self._serve_after(engine, image, peers),
-                                name=f"recover{node_id}")
+        node.recovery = self.sim.process(
+            self._serve_after(engine, image, peers), name=f"recover{node_id}")
+        return node.recovery
 
     def _serve_after(self, engine, image, peers):
-        if (yield from engine.catch_up(image, peers)):
-            for client in self.clients:
-                if client.node is engine:
-                    client.restart()
+        try:
+            yield from engine.catch_up(image, peers)
+        except Interrupt:
+            return  # crashed again: its next restart recovers it
+        for client in self.clients:
+            if client.node is engine:
+                client.restart()
 
     @property
     def engines(self):

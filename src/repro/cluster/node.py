@@ -41,13 +41,8 @@ class Node:
             store=self.store, nvm_log=nvm_log, tracer=tracer,
             version_board=version_board, membership=membership,
             **engine_kwargs)
-
-    def start(self) -> None:
-        self.engine.start()
-
-    def crash(self) -> None:
-        """Lose all volatile state; only the NVM image survives."""
-        self.engine.crash()
+        #: The process a restart runs until the node serves again.
+        self.recovery = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.node_id}, model={self.engine.model})"

@@ -243,7 +243,7 @@ def cluster_digest(cluster) -> str:
     # Deliberately no sim.now: drain completion time is wall-clock-
     # shaped (queue admission order), not protocol state.
     for engine in cluster.engines:
-        feed("node", engine.node_id, getattr(engine, "_alive", True))
+        feed("node", engine.node_id, engine.alive)
         for key in sorted(engine.replicas.keys()):
             replica = engine.replicas.peek(key)
             feed(key, replica.applied_version, replica.applied_value,

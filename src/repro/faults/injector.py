@@ -11,8 +11,8 @@ leaves the run byte-identical to an uninjected one (the
 :class:`~repro.obs.health.HealthMonitor` attachment discipline).
 
 Crash handling follows the paper's Section 8 assumption of
-membership-based (Hermes-style) failure handling: the crash itself only
-silences the node; ``detection_delay_ns`` later the membership epoch
+membership-based (Hermes-style) failure handling: the crash ends the
+node's incarnation; ``detection_delay_ns`` later the membership epoch
 bumps, protocol rounds retarget against the survivors, and the dead
 coordinator's open transactions are abandoned.  A planned restart
 (:meth:`~repro.cluster.cluster.Cluster.restart_node`) rebuilds the

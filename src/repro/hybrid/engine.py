@@ -46,8 +46,8 @@ class HybridProtocolNode(ProtocolNode):
         message = Message(MsgType.UPD, src=self.node_id,
                           op_id=self._next_op_id(), key=key, version=version,
                           value=value)
-        self.sim.call_at(self.sim.now + self.config.lazy_propagation_delay_ns,
-                         self._send_remote, message)
+        self._later(self.config.lazy_propagation_delay_ns, self._send_remote,
+                    message)
 
     def _send_remote(self, message: Message) -> None:
         self._fan_out(message, self.remote_ids, lazy=True)

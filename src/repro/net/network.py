@@ -54,6 +54,9 @@ class Nic:
     Arrivals go to ``sink``, a plain callable taking the message.  It
     defaults to the inbox (read with :meth:`receive`); a protocol engine
     installs its own arrival handler instead.
+
+    ``incarnation`` is the node's incarnation token, ``None`` while it
+    is down (:mod:`repro.recovery.lifecycle`): then it sends nothing.
     """
 
     def __init__(self, sim: Simulator, node_id: int, config: NetworkConfig):
@@ -64,6 +67,7 @@ class Nic:
                                          name=f"nic{node_id}.qp")
         self.inbox: Store = Store(sim, name=f"nic{node_id}.inbox")
         self.sink: Callable[[Any], None] = self.inbox.put
+        self.incarnation: Optional[object] = object()
         self.bytes_sent = 0
         self.bytes_received = 0
         self.messages_sent = 0
@@ -137,7 +141,7 @@ class Network:
 
         ``delivered``, if given, is the caller's own untriggered event:
         it is settled with the message when the message is delivered at
-        the destination NIC (never, if the fault hook drops it).  Message
+        the destination NIC (never, if it is dropped on the way).  Message
         passing needs no such event, so none is made here — only the
         chain ablation waits on deliveries.  Every duration on the way
         is known here — queue-pair admission, serialization, propagation
@@ -151,6 +155,9 @@ class Network:
             raise ValueError("loopback send: use local operations instead")
         nics, faults, one_way_fn = self._nics, self.faults, self.one_way_fn
         src_nic = nics[src]
+        incarnation = src_nic.incarnation
+        if incarnation is None:
+            return  # the node is down: nothing leaves it
         serialization_ns = size_bytes / self._bytes_per_ns
         admit = src_nic.queue_pairs.admit
         call_at, land = self.sim.call_at, self._land
@@ -185,9 +192,10 @@ class Network:
                                      bytes=size_bytes, ser_ns=serialization_ns)
                 # (message, destination NIC) lead the arguments: the
                 # sanitizer labels landings by one, groups them by the other.
+                dst_nic = nics[dst]
                 call_at(on_link + (one_way + extra_delay_ns), land, message,
-                        nics[dst], src, size_bytes,
-                        delivered if copies == 1 else None)
+                        dst_nic, src_nic, incarnation, dst_nic.incarnation,
+                        size_bytes, delivered if copies == 1 else None)
                 sent += 1
                 if copies == 1:
                     break
@@ -197,15 +205,23 @@ class Network:
         self.total_messages += sent
         self.total_bytes += sent * size_bytes
 
-    def _land(self, message: Any, dst_nic: Nic, src: int, size_bytes: int,
-              delivered: Optional[Event]) -> None:
-        """The message arrives: counted at its NIC, handed to the sink."""
+    def _land(self, message: Any, dst_nic: Nic, src_nic: Nic,
+              src_incarnation: object, dst_incarnation: object,
+              size_bytes: int, delivered: Optional[Event]) -> None:
+        """The message arrives: counted at its NIC, and handed to the sink
+        if the receiver is up in the incarnation it was sent to and the
+        sender began no new one (a rebooted queue pair drops its old
+        connection's packets; what a crashed sender sent still lands)."""
         dst_nic.messages_received += 1
         dst_nic.bytes_received += size_bytes
+        sender = src_nic.incarnation
+        if (dst_incarnation is None or dst_nic.incarnation is not dst_incarnation
+                or (sender is not src_incarnation and sender is not None)):
+            return
         dst_nic.sink(message)
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, "net_deliver", node=dst_nic.node_id,
-                             src=src, bytes=size_bytes)
+                             src=src_nic.node_id, bytes=size_bytes)
         if delivered is not None:
             delivered.settle(message)
 

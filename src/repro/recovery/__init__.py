@@ -1,4 +1,5 @@
-"""Recovery substrate: the durable NVM logs and recovery from them.
+"""Recovery substrate: the durable NVM logs, recovery from them and a
+node's lifecycle (:mod:`repro.recovery.lifecycle`).
 
 The contract checks judged against a recovered state live in
 :mod:`repro.faults.validate`.

@@ -7,8 +7,8 @@ every model persists only versions that were really written, so the
 newest one is the recovered one.  Over one node's log it is the image a
 restart rebuilds that node from, over all of them the state the
 persistency contracts are judged against.  How a restarted node then
-catches up from its peers is :meth:`repro.core.engine.ProtocolNode.
-catch_up`.
+catches up from its peers is :meth:`repro.recovery.lifecycle.
+NodeLifecycle.catch_up`.
 """
 
 from __future__ import annotations

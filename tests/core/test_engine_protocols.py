@@ -654,8 +654,8 @@ class TestArrivalPath:
         proc = cluster.config.protocol.msg_proc_ns
         [(when, [(fn, args)])] = sim._queue.items()
         assert (when, fn) == (proc, follower._handle_now)
-        assert args == (False, follower._handlers[msg_type.label], message,
-                        0.0)
+        assert args == (follower.nic.incarnation, False,
+                        follower._handlers[msg_type.label], message, 0.0)
         sim.run(until=proc)
         done_at = proc
         if waits_for == "llc":

@@ -223,7 +223,7 @@ def test_single_node_crash_leaves_cluster_running():
     cluster = build(C.CAUSAL, P.SYNCHRONOUS)
     client = ScriptedClient(cluster, node=0)
     client.write(1, "before")
-    cluster.crash_node(2)
+    cluster.fail_node(2)
     # Writes through a healthy coordinator still complete (UPD-based
     # causal protocol needs no ACKs from the dead node).
     client.write(2, "after")

@@ -1,0 +1,237 @@
+"""A crash ends the node's incarnation: nothing it set in motion acts.
+
+The persistence domain (DESIGN.md, Section 9): a persist a bank had
+admitted when the node crashed completes, as under ADR; a persist still
+waiting on a timer, a drain or a process is never issued, the node
+sends nothing, a message its ended incarnation received and had not
+handled is lost, and so is one on the wire to it, or from it once it
+restarted (what a crashed node had on the wire still lands while it is
+down: its peers must all get a broadcast or none).  Held over the 25
+cells at seeds 2021, 7 and 11, in two shapes:
+
+* ``1@20+15`` — node 1 crashed at 20 us and restarted 15 us later
+  (3 servers x 4 clients, YCSB-A, 60 us, 6 us warm-up);
+* ``crash_all`` — every node crashed at 30 us (3 x 2 clients) and the
+  simulation drained, with nobody restarted.
+
+:class:`Watch` counts, per node and independently of how the engine
+enforces it: messages put on the wire and persists admitted while the
+node is down; NVM log records and scope commits while it is down beyond
+what its banks held at the crash; messages handed to a node that
+crashed since they were sent, or from a node that restarted since, and
+messages handled after their receiver crashed.
+
+Then every cell restarts its whole cluster at the crash instant, as
+``repro recover`` does, with nothing drained first: every recovery
+finishes, the nodes converge and each store holds its replica's value —
+and the same counts hold, with the persists admitted after the restart
+for a replica the restart discarded (a lazy persist's timer, say).  A
+crash during a catch-up ends that recovery too.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.cluster.cluster import Cluster
+from repro.cluster.config import ClusterConfig
+from repro.core.model import all_ddp_models
+from repro.faults import FaultInjector
+from repro.faults.plan import plan_from_crash_specs
+from repro.workload.ycsb import WORKLOADS
+
+from tests.integration.test_all_models import drain
+
+SEEDS = (2021, 7, 11)
+CELLS = [pytest.param(model, seed, id=f"{model} seed {seed}")
+         for model in all_ddp_models() for seed in SEEDS]
+
+
+class Watch:
+    """Counts what a crashed node, or its ended incarnation, still did."""
+
+    def __init__(self, cluster: Cluster):
+        self.cluster = cluster
+        self.sim = cluster.sim
+        self.crashed_at = {node.node_id: [] for node in cluster.nodes}
+        self.restarted_at = {node.node_id: [] for node in cluster.nodes}
+        self.down = {}        # node -> (nvm persists, banks busy) at the crash
+        self.records = Counter()
+        self.acts = Counter()
+        self.sent = {}        # id(message) -> (message, src, send time)
+        self.discarded = {}   # id(replica) -> a replica a restart dropped
+        for node in cluster.nodes:
+            self._watch(node.engine)
+        network, log = cluster.network, cluster.nvm_log
+        send, record, commit = network.send, log.record, log.commit_scope
+
+        def watched_send(src, dst, message, size_bytes, delivered=None):
+            nic = network.nic(src)
+            before = nic.messages_sent
+            send(src, dst, message, size_bytes, delivered)
+            if src in self.down:
+                self.acts["sends while down"] += nic.messages_sent - before
+            self.sent[id(message)] = (message, src, self.sim.now)
+
+        def watched_record(node_id, *args, **kwargs):
+            if node_id in self.down:
+                self.records[node_id] += 1
+            record(node_id, *args, **kwargs)
+
+        def watched_commit(node_id, scope_id):
+            if node_id in self.down:
+                self.acts["scope commits while down"] += 1
+            commit(node_id, scope_id)
+
+        network.send = watched_send
+        log.record = watched_record
+        log.commit_scope = watched_commit
+
+    def _ended_since(self, node_id: int, since: float,
+                     restarts: bool = False) -> bool:
+        times = (self.restarted_at if restarts else self.crashed_at)[node_id]
+        return any(at >= since for at in times)
+
+    def _watch(self, engine) -> None:
+        node_id, nvm = engine.node_id, engine.memory.nvm
+        crash, restart, arrival = engine.crash, engine.restart, engine._on_arrival
+        persist_then = nvm.persist_then
+
+        def watched_crash():
+            crash()
+            self.crashed_at[node_id].append(self.sim.now)
+            self.down[node_id] = (nvm.persists, nvm.outstanding)
+
+        def watched_restart(entries):
+            self.settle(node_id)
+            self.discarded.update((id(r), r) for r in engine.replicas)
+            restart(entries)
+            self.restarted_at[node_id].append(self.sim.now)
+
+        def watched_persist_then(address, fn, *args):
+            if any(id(arg) in self.discarded for arg in args):
+                self.acts["persists of a discarded replica"] += 1
+            persist_then(address, fn, *args)
+
+        def watched_arrival(message):
+            if node_id in self.down:
+                self.acts["landed at a down node"] += 1
+            _message, src, sent_at = self.sent[id(message)]
+            if (self._ended_since(node_id, sent_at)
+                    or self._ended_since(src, sent_at, restarts=True)):
+                self.acts["landed on an ended connection"] += 1
+            arrival(message)
+
+        def watched(handler):
+            def handle(message, arrived_ns, *args):
+                if self._ended_since(node_id, arrived_ns):
+                    self.acts["handled after the receiver crashed"] += 1
+                return handler(message, arrived_ns, *args)
+            return handle
+
+        engine.crash, engine.restart = watched_crash, watched_restart
+        engine._on_arrival = watched_arrival
+        nvm.persist_then = watched_persist_then
+        engine._handlers = {label: watched(handler)
+                            for label, handler in engine._handlers.items()}
+
+    def settle(self, node_id: int) -> None:
+        """The node comes back (or the run ends): close its down time."""
+        persists, banks_busy = self.down.pop(node_id)
+        nvm = self.cluster.nodes[node_id].memory.nvm
+        self.acts["persists admitted while down"] += nvm.persists - persists
+        if self.records[node_id] > banks_busy:
+            self.acts["records not admitted before the crash"] += (
+                self.records[node_id] - banks_busy)
+        self.records[node_id] = 0
+
+    def verdict(self) -> Counter:
+        for node_id in list(self.down):
+            self.settle(node_id)
+        return +self.acts
+
+
+def run_watched(cluster: Cluster, run) -> Counter:
+    watch = Watch(cluster)
+    run()
+    return watch.verdict()
+
+
+@pytest.mark.parametrize("model, seed", CELLS)
+def test_a_crashed_node_acts_no_more(model, seed):
+    config = ClusterConfig(servers=3, clients_per_server=4, seed=seed)
+    injector = FaultInjector(plan_from_crash_specs(["1@20+15"], seed=seed))
+    cluster = Cluster(model, config=config, workload=WORKLOADS["A"],
+                      faults=injector)
+    acts = run_watched(cluster, lambda: (
+        cluster.run(60_000.0, warmup_ns=6_000.0), drain(cluster, model)))
+    assert (injector.crashes, injector.restarts) == (1, 1)
+    assert acts == Counter(), f"{model}: 1@20+15 {dict(acts)}"
+
+    config = ClusterConfig(servers=3, clients_per_server=2, seed=seed)
+    cluster = Cluster(model, config=config, workload=WORKLOADS["A"])
+
+    def crash_all_and_drain():
+        cluster.run(30_000.0)
+        cluster.crash_all()
+        cluster.sim.run()
+
+    acts = run_watched(cluster, crash_all_and_drain)
+    assert acts == Counter(), f"{model}: crash_all {dict(acts)}"
+
+
+@pytest.mark.parametrize("model, seed", CELLS)
+def test_a_restart_at_the_crash_instant_recovers(model, seed):
+    """Nothing of the ended incarnations lands after the restart — an
+    INV that did would leave its key transient for good, and the peers'
+    catch-up waiting on it."""
+    config = ClusterConfig(servers=3, clients_per_server=2, seed=seed)
+    cluster = Cluster(model, config=config, workload=WORKLOADS["A"])
+    recoveries = []
+
+    def crash_all_and_restart():
+        cluster.run(30_000.0)
+        cluster.crash_all()
+        recoveries.extend(cluster.restart_node(node.node_id)
+                          for node in cluster.nodes)
+        cluster.sim.run(until=cluster.sim.now + 100_000.0)
+
+    acts = run_watched(cluster, crash_all_and_restart)
+    unfinished = [node.node_id for node, recovery
+                  in zip(cluster.nodes, recoveries) if recovery.is_alive]
+    assert not unfinished, f"{model}: nodes {unfinished} never served again"
+    assert acts == Counter(), f"{model}: {dict(acts)}"
+    drain(cluster, model)
+    keys = set().union(*(engine.replicas.keys() for engine in cluster.engines))
+    diverged = [key for key in sorted(keys)
+                if len({engine.replicas.peek(key).applied_version
+                        for engine in cluster.engines}) != 1]
+    assert not diverged, f"{model}: diverged keys {diverged[:5]}"
+    stale = [(engine.node_id, key) for engine in cluster.engines
+             for key, value in engine.store.items()
+             if value != engine.replicas.peek(key).applied_value]
+    assert not stale, f"{model}: stale (node, key) in the store {stale[:5]}"
+
+
+@pytest.mark.parametrize("model", all_ddp_models(), ids=str)
+def test_a_crash_during_the_catch_up_ends_it(model):
+    """Node 1 crashes again 0.3 us into its catch-up: the crash ends that
+    recovery (its clients stay cut off), and the next restart's recovery
+    serves them again."""
+    injector = FaultInjector(plan_from_crash_specs(["1@20+5", "1@25.3+10"],
+                                                   seed=2021))
+    cluster = Cluster(model, config=ClusterConfig(servers=3,
+                                                  clients_per_server=4),
+                      workload=WORKLOADS["A"], faults=injector)
+    node, ended = cluster.nodes[1], []
+    fail_node = cluster.fail_node
+
+    def watched_fail_node(node_id):
+        ended.append(node.recovery is not None and node.recovery.is_alive)
+        return fail_node(node_id)
+
+    cluster.fail_node = watched_fail_node
+    cluster.run(80_000.0, warmup_ns=8_000.0)
+    assert ended == [False, True]
+    assert not node.recovery.is_alive and node.engine.time_to_serve
+    drain(cluster, model)
