@@ -212,6 +212,10 @@ class ProtocolNode(NodeLifecycle):
         MsgType.PERSIST: "_on_persist",
     }
 
+    #: What a pending timer calls (``_later``): bound once per node.
+    _TIMER_CALLABLES: Tuple[str, ...] = (
+        "_if_current", "_request_persist", "_broadcast", "_check_round")
+
     def __init__(self, sim: Simulator, node_id: int, peer_ids: List[int],
                  network: Network, nic: Nic, memory: MemoryHierarchy,
                  model: DdpModel, metrics: Metrics,
@@ -293,6 +297,8 @@ class ProtocolNode(NodeLifecycle):
         self._pname = {role: f"n{node_id}.{role}" for role in (
             "msg", "crecheck", "valp", "bground", "ackp", "strictp",
             "chain", "orphan", "persist")}
+        for name in self._TIMER_CALLABLES:
+            setattr(self, name, getattr(self, name))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -384,7 +390,10 @@ class ProtocolNode(NodeLifecycle):
     def _later(self, delay_ns: float, fn: Callable[..., None],
                *args: Any) -> None:
         """Run ``fn(*args)`` ``delay_ns`` from now if the incarnation that
-        set the timer lasts: a crash ends its timers."""
+        set the timer lasts: a crash ends its timers.  The pending entry
+        is ``_if_current`` with ``(incarnation, fn, *args)``: data beside
+        callables the node bound once (``_TIMER_CALLABLES``), so a timer
+        builds no bound method."""
         self.sim.call_at(self.sim.now + delay_ns, self._if_current,
                          self.nic.incarnation, fn, *args)
 

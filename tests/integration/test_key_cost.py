@@ -10,8 +10,12 @@ so they hold on any interpreter: a read-only run builds no replica, a
 cell that never waits, invalidates or runs a transaction builds none of
 the three containers, and the engine's crash paths read only what
 already exists.  What a request costs is counted here too: a run keeps
-its completed requests as packed rows and builds no object for them.
+its completed requests as packed rows and builds no object for them;
+and what a pending timer costs: its data, next to callables each node
+bound once.
 """
+
+from types import MethodType
 
 import pytest
 
@@ -23,11 +27,13 @@ from repro.core.engine import ProtocolNode
 from repro.core.model import Consistency, DdpModel, Persistency
 from repro.core.replica import NEVER_WRITTEN, ZERO_VERSION, KeyReplica
 from repro.faults import FaultInjector, plan_from_crash_specs
+from repro.hybrid.cluster import HybridCluster
 from repro.sim import sync
 from repro.workload.ycsb import WORKLOADS
 
 LIN_SYNC = DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS)
 CAUSAL_EVENTUAL = DdpModel(Consistency.CAUSAL, Persistency.EVENTUAL)
+EVENTUAL_EVENTUAL = DdpModel(Consistency.EVENTUAL, Persistency.EVENTUAL)
 RE_RE = DdpModel(Consistency.READ_ENFORCED, Persistency.READ_ENFORCED)
 
 #: The lazily built containers, by slot.
@@ -278,3 +284,49 @@ def test_a_condition_has_no_instance_dict():
     assert not hasattr(condition, "__dict__")
     with pytest.raises(AttributeError):
         condition.name = "key1"
+
+
+def pending_timers(sim):
+    """Every queued ``ProtocolNode._later`` entry, as ``(the entry's
+    function, its arguments)``."""
+    return [entry for entries in sim._queue.values() for entry in entries
+            if entry.__class__ is tuple
+            and getattr(entry[0], "__func__", None) is ProtocolNode._if_current]
+
+
+#: Each shape, and the callees its pending timers must include.
+TIMER_SHAPES = {
+    # Every applied write's lazy persist, none fired yet: the run is
+    # shorter than lazy_persist_delay_ns.
+    "causal-eventual": (lambda: _cluster(CAUSAL_EVENTUAL, "A"),
+                        {"_request_persist"}),
+    "eventual-eventual": (lambda: _cluster(EVENTUAL_EVENTUAL, "A"),
+                          {"_request_persist", "_broadcast"}),
+    "watchdogs": (lambda: _cluster(LIN_SYNC, "A", faults=FaultInjector(
+        plan_from_crash_specs(["1@20+15"], seed=2021))), {"_check_round"}),
+    "hybrid": (lambda: HybridCluster(
+        EVENTUAL_EVENTUAL, groups=2, servers_per_group=2,
+        config=ClusterConfig(servers=4, clients_per_server=2, seed=2021),
+        workload=WORKLOADS["A"]), {"_send_remote"}),
+}
+
+
+@pytest.mark.parametrize("shape", TIMER_SHAPES)
+def test_a_pending_timer_holds_data_not_bound_methods(shape):
+    """A pending timer is the node's ``_if_current`` with
+    ``(incarnation, callee, data...)``: both callables are the one
+    object its node bound at construction, and no argument is a bound
+    method built for the timer."""
+    build, callees = TIMER_SHAPES[shape]
+    cluster = build()
+    engine = cluster.engines[0]
+    cluster.run(0.8 * engine.config.lazy_persist_delay_ns)
+    seen = set()
+    for fn, (incarnation, callee, *data) in pending_timers(cluster.sim):
+        node = fn.__self__
+        assert fn is node._if_current
+        assert incarnation is node.nic.incarnation
+        assert callee is getattr(node, callee.__name__)
+        assert not any(isinstance(arg, MethodType) for arg in data)
+        seen.add(callee.__name__)
+    assert callees <= seen
