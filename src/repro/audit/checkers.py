@@ -18,10 +18,9 @@ cannot attribute unambiguously — reads of versions minted by a pending
 transaction attempts — are excluded from the strong constraints and
 counted in the checker's stats instead of guessed at.
 
-Degraded sessions (a client reconnecting after its node crash-restarted
-from its own NVM image — the modeled protocols have no rejoin catch-up
-sync) are excluded from cross-session constraints but still participate
-in the phantom and durability checks.
+A session a client opens after its node restarted is judged like any
+other: the node caught up from its peers before the client reconnected
+(:mod:`repro.recovery.lifecycle`).
 
 The linearizability checker
 ---------------------------

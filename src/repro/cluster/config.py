@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.engine import ProtocolConfig
-from repro.memory.devices import DRAM_TIMING, NVM_TIMING, MemoryTiming
+from repro.memory.devices import NVM_TIMING, MemoryTiming
 from repro.net.network import NetworkConfig
 
 __all__ = ["ClusterConfig"]
@@ -18,12 +18,10 @@ class ClusterConfig:
 
     servers: int = 5
     clients_per_server: int = 20
-    cores_per_server: int = 20
     seed: int = 2021
 
     network: NetworkConfig = field(default_factory=NetworkConfig)
     nvm_timing: MemoryTiming = NVM_TIMING
-    dram_timing: MemoryTiming = DRAM_TIMING
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
 
     store_type: Optional[str] = "hashtable"

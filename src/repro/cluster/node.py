@@ -29,8 +29,7 @@ class Node:
         self.node_id = node_id
         self.config = config
         self.memory = MemoryHierarchy(
-            sim, rng.fork(f"mem{node_id}"), cores=config.cores_per_server,
-            nvm_timing=config.nvm_timing, dram_timing=config.dram_timing,
+            sim, rng.fork(f"mem{node_id}"), nvm_timing=config.nvm_timing,
             name=f"node{node_id}", tracer=tracer, node_id=node_id)
         self.nic = network.attach(node_id)
         self.store = (make_store(config.store_type)

@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.analysis.metrics import Metrics
 from repro.core.context import ClientContext
-from repro.core.messages import Message, MsgType
+from repro.core.messages import VALUE_BYTES, Message, MsgType
 from repro.core.model import DdpModel
 from repro.core.policies import ACK_AFTER_PERSIST, placement, policy_for
 from repro.core.replica import NEVER_WRITTEN, KeyReplica, ReplicaTable, Version
@@ -61,35 +61,51 @@ __all__ = ["AckRound", "ProtocolConfig", "ProtocolNode"]
 _PARKED = object()
 
 
+#: Worker cores per node that execute client requests (and block with
+#: them); the remaining cores of the 20-core chip run client threads and
+#: protocol handling.
+REQUEST_WORKERS = 12
+
+#: Cores dedicated to inbound protocol message processing.
+PROTOCOL_WORKERS = 8
+
+#: CPU time to process one inbound protocol message (RDMA delivery
+#: leaves little per-message kernel work).
+MSG_PROC_NS = 50.0
+
+#: CPU time to parse, dispatch, and post-process one client request
+#: (store-structure walk extra) — roughly the per-request instruction
+#: footprint of a memcached-class server on the paper's 2 GHz cores.
+REQ_PROC_NS = 500.0
+
+#: Eventual consistency: delay before UPDs are sent out.
+LAZY_PROPAGATION_DELAY_NS = 2_000.0
+
+#: Eventual persistency: delay before a background persist is queued.
+LAZY_PERSIST_DELAY_NS = 10_000.0
+
+#: Fault tolerance: how long a coordinator round (INV/UPD acks,
+#: INITX/ENDX, PERSIST) may sit incomplete before its watchdog
+#: re-evaluates it against the live membership.  Only armed when a
+#: :class:`~repro.core.membership.Membership` is attached (i.e. under
+#: fault injection); failure-free runs never create these timers.
+ROUND_TIMEOUT_NS = 12_000.0
+
+#: Fault tolerance: maximum times a round's message is resent to
+#: laggard replicas.  Resends only happen when the fault plan can lose
+#: messages (``membership.lossy``); pure crash faults are handled by
+#: retargeting alone.
+ROUND_MAX_RETRIES = 8
+
+#: Fault tolerance: extra delay added to the round watchdog per retry
+#: already spent (linear backoff, capped at 8 steps).
+ROUND_RETRY_BACKOFF_NS = 4_000.0
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Engine tunables (defaults sized to the paper's Table 5 testbed)."""
-
-    request_workers: int = 12
-    """Worker cores per node that execute client requests (and block with
-    them); the remaining cores of the 20-core chip run client threads and
-    protocol handling."""
-
-    protocol_workers: int = 8
-    """Cores dedicated to inbound protocol message processing."""
-
-    msg_proc_ns: float = 50.0
-    """CPU time to process one inbound protocol message (RDMA delivery
-    leaves little per-message kernel work)."""
-
-    req_proc_ns: float = 500.0
-    """CPU time to parse, dispatch, and post-process one client request
-    (store-structure walk extra) — roughly the per-request instruction
-    footprint of a memcached-class server on the paper's 2 GHz cores."""
-
-    value_bytes: int = 64
-    """Size of one key-value payload on the wire and in DDIO."""
-
-    lazy_propagation_delay_ns: float = 2_000.0
-    """Eventual consistency: delay before UPDs are sent out."""
-
-    lazy_persist_delay_ns: float = 10_000.0
-    """Eventual persistency: delay before a background persist is queued."""
+    """What an experiment varies in the engine (defaults = paper
+    Section 7)."""
 
     txn_length: int = 5
     """Client requests per transaction (paper Section 7)."""
@@ -97,30 +113,10 @@ class ProtocolConfig:
     scope_length: int = 10
     """Client requests per scope (paper Section 7)."""
 
-    txn_retry_backoff_ns: float = 6_000.0
-    """Client backoff after a squashed transaction before retrying."""
-
     chain_propagation: bool = False
     """Ablation: instead of the paper's leaderless broadcast, propagate
     coordinator messages follower-by-follower (each send starts once the
     previous one is delivered), modeling a sequential-visit chain."""
-
-    round_timeout_ns: float = 12_000.0
-    """Fault tolerance: how long a coordinator round (INV/UPD acks,
-    INITX/ENDX, PERSIST) may sit incomplete before its watchdog
-    re-evaluates it against the live membership.  Only armed when a
-    :class:`~repro.core.membership.Membership` is attached (i.e. under
-    fault injection); failure-free runs never create these timers."""
-
-    round_max_retries: int = 8
-    """Fault tolerance: maximum times a round's message is resent to
-    laggard replicas.  Resends only happen when the fault plan can lose
-    messages (``membership.lossy``); pure crash faults are handled by
-    retargeting alone."""
-
-    round_retry_backoff_ns: float = 4_000.0
-    """Fault tolerance: extra delay added to the round watchdog per
-    retry already spent (linear backoff, capped at 8 steps)."""
 
 
 class AckRound:
@@ -259,10 +255,10 @@ class ProtocolNode(NodeLifecycle):
 
         observer = self._replica_event if self.tracer.enabled else None
         self.replicas = ReplicaTable(sim, node_id, observer=observer)
-        self.request_workers = Resource(sim, self.config.request_workers,
+        self.request_workers = Resource(sim, REQUEST_WORKERS,
                                         name=f"n{node_id}.reqw")
-        # Held for a fixed msg_proc_ns per message, known on arrival.
-        self.protocol_workers = AdmissionPool(sim, self.config.protocol_workers,
+        # Held for a fixed MSG_PROC_NS per message, known on arrival.
+        self.protocol_workers = AdmissionPool(sim, PROTOCOL_WORKERS,
                                               name=f"n{node_id}.protw")
         self._op_counter = 0
         self._outstanding_writes: Dict[int, _WriteOp] = {}
@@ -285,7 +281,7 @@ class ProtocolNode(NodeLifecycle):
         #: Set by each completed :meth:`catch_up`.
         self.time_to_serve: Optional[TimeToServe] = None
         if membership is not None:
-            membership.subscribe(node_id, self._on_membership_change)
+            membership.subscribe(node_id, self._on_peer_crash)
         # Bound once here instead of building a dict literal per
         # inbound message in _on_arrival, and keyed by the type's label
         # (a str, hashed in C).  Every handler is the first segment of
@@ -497,7 +493,7 @@ class ProtocolNode(NodeLifecycle):
         lazy delay when ``lazy`` placed it, not at all when nothing did.
         Nobody waits here; who must, waits on the replica afterwards."""
         if placed == "lazy":
-            self._later(self.config.lazy_persist_delay_ns,
+            self._later(LAZY_PERSIST_DELAY_NS,
                         self._request_persist, replica, version, value, placed)
         elif placed is not None:
             self._request_persist(replica, version, value, placed)
@@ -546,8 +542,7 @@ class ProtocolNode(NodeLifecycle):
         """
         if self.membership is None:
             return
-        self._later(self.config.round_timeout_ns, self._check_round, round_,
-                    message, 0)
+        self._later(ROUND_TIMEOUT_NS, self._check_round, round_, message, 0)
 
     def _check_round(self, round_: AckRound, message: Message,
                      attempt: int) -> None:
@@ -564,24 +559,21 @@ class ProtocolNode(NodeLifecycle):
             self.rounds_retargeted += 1
         if not round_.open:
             return
-        if (self.membership.lossy
-                and attempt < self.config.round_max_retries):
+        if self.membership.lossy and attempt < ROUND_MAX_RETRIES:
             attempt += 1
             self.round_resends += 1
             for dst in round_.missing:
                 self._send(dst, message)
-        backoff = (self.config.round_timeout_ns
-                   + self.config.round_retry_backoff_ns * min(attempt, 8))
+        backoff = ROUND_TIMEOUT_NS + ROUND_RETRY_BACKOFF_NS * min(attempt, 8)
         self._later(backoff, self._check_round, round_, message, attempt)
 
-    def _on_membership_change(self, kind: str, node_id: int,
-                              epoch: int) -> None:
-        """React to a membership epoch: a crash settles what the dead
-        node left open here (:meth:`_settle_lost_peer`)."""
-        if node_id == self.node_id or not self.alive or kind != "crash":
-            # A join needs nothing from existing rounds: they never
-            # re-add a replica that was dropped mid-round, and new
-            # rounds pick the wider live set up via ``active_peers``.
+    def _on_peer_crash(self, node_id: int) -> None:
+        """Membership detected a crash: settle what the dead node left
+        open here (:meth:`_settle_lost_peer`).  A join needs nothing
+        from existing rounds: they never re-add a replica that was
+        dropped mid-round, and new rounds pick the wider live set up
+        via ``active_peers``."""
+        if node_id == self.node_id or not self.alive:
             return
         self._settle_lost_peer(node_id, self.membership.live)
 
@@ -598,7 +590,7 @@ class ProtocolNode(NodeLifecycle):
         if not self.request_workers.try_acquire():  # a free one: no event
             yield self.request_workers.acquire()
         try:
-            yield sim.timeout(self.config.req_proc_ns + (
+            yield sim.timeout(REQ_PROC_NS + (
                 0.0 if store is None else store.read_cost(key)))
             # A key nobody has written here reads as NEVER_WRITTEN,
             # which never stalls: no replica is built for a read.
@@ -716,8 +708,7 @@ class ProtocolNode(NodeLifecycle):
         fwd_net = ctx.forward_net_ns
         ctx.forward_start_ns = None
         ctx.forward_net_ns = 0.0
-        yield self.sim.timeout(self.config.req_proc_ns
-                               + self._store_write_cost(key, value))
+        yield self.sim.timeout(REQ_PROC_NS + self._store_write_cost(key, value))
         replica = self.replicas.get(key)
 
         if self.cpolicy.transactional and ctx.txn is not None:
@@ -791,8 +782,7 @@ class ProtocolNode(NodeLifecycle):
         self._outstanding_writes[op_id] = op
 
         replica.begin_inv(op_id)
-        yield from self.memory.volatile_update(replica.key,
-                                               self.config.value_bytes)
+        yield from self.memory.volatile_update(replica.key, VALUE_BYTES)
         if txn is not None:
             txn.writes.append((replica.key, version))
             self._apply_txn_write(replica, version, value)
@@ -895,8 +885,7 @@ class ProtocolNode(NodeLifecycle):
         if self.cpolicy.causal:
             cauhist = ctx.take_dependencies(replica.key, version)
 
-        yield from self.memory.volatile_update(replica.key,
-                                               self.config.value_bytes)
+        yield from self.memory.volatile_update(replica.key, VALUE_BYTES)
         replica.apply(version, value)
 
         placed = self._coordinator_places[False]
@@ -913,7 +902,7 @@ class ProtocolNode(NodeLifecycle):
             return
 
         if self.cpolicy.lazy_propagation:
-            self._later(self.config.lazy_propagation_delay_ns,
+            self._later(LAZY_PROPAGATION_DELAY_NS,
                         self._broadcast, message, True)
         else:
             self._broadcast(message)
@@ -943,7 +932,7 @@ class ProtocolNode(NodeLifecycle):
             raise RuntimeError(f"{self.model} does not support transactions")
         yield self.request_workers.acquire()
         try:
-            yield self.sim.timeout(self.config.req_proc_ns)
+            yield self.sim.timeout(REQ_PROC_NS)
             txn = self.txn_table.begin(self.node_id, ctx.client_id)
             ctx.txn = txn
             if self.tracer.enabled:
@@ -965,7 +954,7 @@ class ProtocolNode(NodeLifecycle):
             raise RuntimeError("client_end_txn without an open transaction")
         yield self.request_workers.acquire()
         try:
-            yield self.sim.timeout(self.config.req_proc_ns)
+            yield self.sim.timeout(REQ_PROC_NS)
             self.txn_table.check_still_alive(txn)
             op_id = self._next_op_id()
             payload = tuple(txn.writes)
@@ -1009,7 +998,7 @@ class ProtocolNode(NodeLifecycle):
             return
         yield self.request_workers.acquire()
         try:
-            yield self.sim.timeout(self.config.req_proc_ns)
+            yield self.sim.timeout(REQ_PROC_NS)
             if not txn.aborted:
                 self.txn_table.abort(txn)
             self.metrics.txn_aborts += 1
@@ -1107,7 +1096,7 @@ class ProtocolNode(NodeLifecycle):
         yield self.request_workers.acquire()
         try:
             scope_start = self.sim.now
-            yield self.sim.timeout(self.config.req_proc_ns)
+            yield self.sim.timeout(REQ_PROC_NS)
             op_id = self._next_op_id()
             payload = tuple(writes)
             persist_msg = Message(MsgType.PERSIST, src=self.node_id,
@@ -1170,14 +1159,13 @@ class ProtocolNode(NodeLifecycle):
 
     def _on_arrival(self, message: Message) -> None:
         """NIC sink: a message landed.  Its handler starts once a
-        protocol worker has spent ``msg_proc_ns`` on it."""
+        protocol worker has spent ``MSG_PROC_NS`` on it."""
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, "msg_recv", node=self.node_id,
                              msg=message.msg_type.label, src=message.src,
                              op_id=message.op_id, key=message.key,
                              version=message.version)
-        msg_proc_ns = self.config.msg_proc_ns
-        cpu_done = self.protocol_workers.admit(msg_proc_ns) + msg_proc_ns
+        cpu_done = self.protocol_workers.admit(MSG_PROC_NS) + MSG_PROC_NS
         self.sim.call_at(cpu_done, self._handle_now, self.nic.incarnation,
                          False, self._handlers[message.msg_type.label],
                          message, self.sim.now)
@@ -1251,7 +1239,7 @@ class ProtocolNode(NodeLifecycle):
                 # VAL consumes the list wholesale.
                 entries.append((message.key, message.op_id))
         self.memory.volatile_update_then(
-            message.key, self.config.value_bytes, self._handle_now,
+            message.key, VALUE_BYTES, self._handle_now,
             self.nic.incarnation, True, self._deposited, message, arrived_ns,
             replica)
         return _PARKED
@@ -1312,7 +1300,7 @@ class ProtocolNode(NodeLifecycle):
         if replica is NEVER_WRITTEN:
             replica = self.replicas.get(message.key)
         self.memory.volatile_update_then(
-            message.key, self.config.value_bytes, self._handle_now,
+            message.key, VALUE_BYTES, self._handle_now,
             self.nic.incarnation, True, self._deposited, message, arrived_ns,
             replica)
         return _PARKED
@@ -1366,7 +1354,7 @@ class ProtocolNode(NodeLifecycle):
                 # met, one released update after the other.
                 replica = self.replicas.get(message.key)
                 yield from self.memory.volatile_update(
-                    message.key, self.config.value_bytes, via_ddio=True)
+                    message.key, VALUE_BYTES, via_ddio=True)
                 durable = self._install(message, replica)
                 if durable is not None:
                     yield replica.condition.wait_for(durable)
@@ -1415,7 +1403,7 @@ class ProtocolNode(NodeLifecycle):
         here."""
         in_txn = message.txn_id is not None
         self._take(replica, message.version, message.value, in_txn)
-        self.memory.consume_ddio(self.config.value_bytes)
+        self.memory.consume_ddio(VALUE_BYTES)
 
         placed = self._follower_places[in_txn]
         is_inv = message.msg_type is MsgType.INV

@@ -7,10 +7,11 @@ replica set (Katsarakis et al., see PAPERS.md).  This module is that
 view, deliberately minimal:
 
 * ``live`` — the node ids currently believed alive;
-* ``epoch`` — bumped on every change, so coordinators can detect that
-  the replica set moved under an outstanding round;
+* ``epoch`` — bumped on every change (the faults report reads it);
 * subscriptions — engines register a callback and are notified of each
-  change in deterministic (node-id) order.
+  crash in deterministic (node-id) order.  A join notifies nobody: a
+  restarted node settles with its peers itself
+  (:mod:`repro.recovery.lifecycle`).
 
 A :class:`Membership` only exists when fault injection is configured
 (see :mod:`repro.faults`); failure-free clusters pass ``None`` and the
@@ -28,8 +29,8 @@ from typing import Callable, Iterable, List, Set, Tuple
 
 __all__ = ["Membership"]
 
-# Callback signature: (kind, node_id, epoch) with kind "crash" | "join".
-ChangeCallback = Callable[[str, int, int], None]
+# Callback signature: (crashed node_id,).
+CrashCallback = Callable[[int], None]
 
 
 class Membership:
@@ -46,11 +47,11 @@ class Membership:
         self.lossy = False
         self.crashes = 0
         self.joins = 0
-        # (node_id, callback), notified in node-id order on each change.
-        self._subscribers: List[Tuple[int, ChangeCallback]] = []
+        # (node_id, callback), notified in node-id order on each crash.
+        self._subscribers: List[Tuple[int, CrashCallback]] = []
 
-    def subscribe(self, node_id: int, callback: ChangeCallback) -> None:
-        """Register an engine's change callback (one per node)."""
+    def subscribe(self, node_id: int, callback: CrashCallback) -> None:
+        """Register an engine's crash callback (one per node)."""
         self._subscribers.append((node_id, callback))
         self._subscribers.sort(key=lambda pair: pair[0])
 
@@ -61,20 +62,16 @@ class Membership:
         self.live.discard(node_id)
         self.epoch += 1
         self.crashes += 1
-        self._notify("crash", node_id)
+        for _subscriber_id, callback in self._subscribers:
+            callback(node_id)
 
     def mark_joined(self, node_id: int) -> None:
-        """Re-admit a recovered node and notify (idempotent)."""
+        """Re-admit a recovered node (idempotent); notifies nobody."""
         if node_id in self.live:
             return
         self.live.add(node_id)
         self.epoch += 1
         self.joins += 1
-        self._notify("join", node_id)
-
-    def _notify(self, kind: str, node_id: int) -> None:
-        for _subscriber_id, callback in self._subscribers:
-            callback(kind, node_id, self.epoch)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Membership(live={sorted(self.live)}, "

@@ -8,7 +8,7 @@ Every decision is driven by the simulation clock and one
 same plan on the same workload seed replays byte-identically — and an
 injector with an *empty* plan schedules nothing, draws nothing, and
 leaves the run byte-identical to an uninjected one (the
-:class:`~repro.obs.health.HealthMonitor` attachment discipline).
+:class:`~repro.obs.monitor.HealthMonitor` attachment discipline).
 
 Crash handling follows the paper's Section 8 assumption of
 membership-based (Hermes-style) failure handling: the crash ends the

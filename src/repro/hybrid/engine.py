@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Generator, List
 
 from repro.core.context import ClientContext
-from repro.core.engine import ProtocolNode
+from repro.core.engine import LAZY_PROPAGATION_DELAY_NS, ProtocolNode
 from repro.core.messages import Message, MsgType
 from repro.core.replica import KeyReplica, Version
 
@@ -48,8 +48,7 @@ class HybridProtocolNode(ProtocolNode):
         message = Message(MsgType.UPD, src=self.node_id,
                           op_id=self._next_op_id(), key=key, version=version,
                           value=value)
-        self._later(self.config.lazy_propagation_delay_ns, self._send_remote,
-                    message)
+        self._later(LAZY_PROPAGATION_DELAY_NS, self._send_remote, message)
 
     def _send_remote(self, message: Message) -> None:
         self._fan_out(message, self.remote_ids, lazy=True)

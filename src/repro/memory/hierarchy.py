@@ -24,23 +24,23 @@ from repro.sim.rng import SeededStream
 
 __all__ = ["MemoryHierarchy"]
 
+#: Cores of one server's chip (paper Table 5); they size the shared LLC.
+CORES_PER_SERVER = 20
+
 
 class MemoryHierarchy:
     """One server's memory system (Figure 1 of the paper)."""
 
-    def __init__(self, sim: Simulator, rng: SeededStream, cores: int = 20,
+    def __init__(self, sim: Simulator, rng: SeededStream,
                  nvm_timing: Optional[MemoryTiming] = None,
-                 dram_timing: Optional[MemoryTiming] = None,
                  name: str = "node", tracer=None, node_id=None):
         self.sim = sim
         self.name = name
-        self.caches = CacheHierarchy(sim, rng.fork("caches"), cores)
-        dram_kwargs = {"name": f"{name}.dram", "tracer": tracer,
-                       "trace_node": node_id}
+        self.caches = CacheHierarchy(sim, rng.fork("caches"), CORES_PER_SERVER)
+        self.dram = DramDevice(sim, name=f"{name}.dram", tracer=tracer,
+                               trace_node=node_id)
         nvm_kwargs = {"name": f"{name}.nvm", "tracer": tracer,
                       "trace_node": node_id}
-        self.dram = (DramDevice(sim, dram_timing, **dram_kwargs)
-                     if dram_timing else DramDevice(sim, **dram_kwargs))
         self.nvm = (NvmDevice(sim, nvm_timing, **nvm_kwargs)
                     if nvm_timing else NvmDevice(sim, **nvm_kwargs))
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Dict, Generator, List, NamedTuple, Tuple
 
-from repro.core.messages import CAUHIST_ENTRY_BYTES
+from repro.core.messages import CAUHIST_ENTRY_BYTES, VALUE_BYTES
 from repro.core.replica import ZERO_VERSION, KeyReplica, ReplicaTable, Version
 
 __all__ = ["NodeLifecycle", "TimeToServe"]
@@ -137,8 +137,7 @@ class NodeLifecycle:
             if (version != mine.applied_version
                     or durable > mine.cluster_persisted_version):
                 differ.append(key)
-        yield sim.timeout(net.one_way_ns + len(differ)
-                          * self.config.value_bytes
+        yield sim.timeout(net.one_way_ns + len(differ) * VALUE_BYTES
                           / net.bandwidth_bytes_per_ns)
         for key in differ:
             version, value, durable = answers.get(key, _NO_ANSWER)

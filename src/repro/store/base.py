@@ -1,10 +1,11 @@
-"""Key-value store interface used by the protocol engine and examples.
+"""Key-value store interface used by the protocol engine.
 
 The paper evaluates memcached and simpler in-memory stores (HashTable,
 Map, B-Tree, B+Tree) under YCSB.  Our stores play two roles:
 
 1. **Data plane** — they actually hold the key/value pairs at each node
-   (the examples and recovery tests read them back).
+   (the tie-batch sanitizer's digest and the tests read them back;
+   client reads are served from the engine's replicas).
 2. **Cost oracle** — ``read_cost``/``write_cost`` return the CPU time of
    the structure walk (number of node/bucket visits times a per-visit
    charge), which the protocol engine adds to request processing time.

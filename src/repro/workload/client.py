@@ -31,6 +31,9 @@ from repro.workload.ycsb import RequestStream
 
 __all__ = ["Client"]
 
+#: Client backoff after a squashed transaction before retrying, times
+#: the attempt number up to ``_MAX_BACKOFF_MULTIPLIER``.
+TXN_RETRY_BACKOFF_NS = 6_000.0
 _MAX_BACKOFF_MULTIPLIER = 8
 
 
@@ -265,7 +268,7 @@ class Client:
                 yield from self.node.client_abort_txn(self.ctx)
                 if self.history is not None and txn is not None:
                     self.history.set_txn_outcome(txn.txn_id, False)
-                backoff = (self.node.config.txn_retry_backoff_ns
+                backoff = (TXN_RETRY_BACKOFF_NS
                            * min(attempt, _MAX_BACKOFF_MULTIPLIER))
                 yield self.sim.timeout(backoff)
                 continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.rng import SeededStream
-from repro.workload.zipf import ScrambledZipfianGenerator, UniformGenerator
+from repro.workload.zipf import ScrambledZipfianGenerator
 
 __all__ = ["WorkloadSpec", "WORKLOADS", "RequestStream"]
 
@@ -23,7 +23,6 @@ class WorkloadSpec:
     read_fraction: float
     key_space: int = 10_000
     zipf_theta: float = 0.99
-    distribution: str = "zipfian"   # "zipfian" | "uniform"
 
     def __post_init__(self):
         if not 0.0 <= self.read_fraction <= 1.0:
@@ -42,7 +41,7 @@ WORKLOADS = {
     "A": WorkloadSpec(name="A", read_fraction=0.50),
     "B": WorkloadSpec(name="B", read_fraction=0.95),
     "W": WorkloadSpec(name="W", read_fraction=0.05),
-    # Classic YCSB C (read-only, uniform is also common) for completeness.
+    # Classic YCSB C (read-only) for completeness.
     "C": WorkloadSpec(name="C", read_fraction=1.00),
 }
 
@@ -73,14 +72,8 @@ class RequestStream:
         self._op_rng = rng.fork("ops")
         # Asked for here, so the stream's generator is seeded in the build.
         self._op_random = self._op_rng.random
-        key_rng = rng.fork("keys")
-        if spec.distribution == "zipfian":
-            self._keys = ScrambledZipfianGenerator(spec.key_space,
-                                                   spec.zipf_theta, key_rng)
-        elif spec.distribution == "uniform":
-            self._keys = UniformGenerator(spec.key_space, key_rng)
-        else:
-            raise ValueError(f"unknown distribution {spec.distribution!r}")
+        self._keys = ScrambledZipfianGenerator(spec.key_space, spec.zipf_theta,
+                                               rng.fork("keys"))
         self._value_counter = 0
         # Drawn ahead, handed out from the end (``list.pop()`` is the
         # cheap one): the keys, and beside each whether it is a read.

@@ -2,8 +2,7 @@
 
 Uses the Gray et al. "Quickly generating billion-record synthetic
 databases" rejection-free method that YCSB uses: constant-time draws
-after an O(n)-ish zeta precomputation (with the standard incremental
-zeta update when the item count grows).
+after an O(n)-ish zeta precomputation.
 
 Also provides the *scrambled* variant YCSB uses by default, which hashes
 the rank so that popular keys are spread over the key space instead of
@@ -17,8 +16,7 @@ from typing import Dict, List
 
 from repro.sim.rng import SeededStream
 
-__all__ = ["ZipfianGenerator", "ScrambledZipfianGenerator", "UniformGenerator",
-           "fnv1a_64"]
+__all__ = ["ZipfianGenerator", "ScrambledZipfianGenerator", "fnv1a_64"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -69,15 +67,6 @@ class ZipfianGenerator:
             return 0.0
         return ((1.0 - (2.0 / self.item_count) ** (1.0 - self.theta))
                 / (1.0 - self._zeta2 / self._zeta_n))
-
-    def grow(self, new_count: int) -> None:
-        """Extend the item space incrementally (YCSB's inserts)."""
-        if new_count < self.item_count:
-            raise ValueError("item space cannot shrink")
-        for i in range(self.item_count + 1, new_count + 1):
-            self._zeta_n += 1.0 / (i ** self.theta)
-        self.item_count = new_count
-        self._eta = self._compute_eta()
 
     def next_block(self, count: int) -> List[int]:
         """Draw ``count`` ranks clamped to the item space; rank 0 is the
@@ -139,20 +128,3 @@ class ScrambledZipfianGenerator:
     def next(self) -> int:
         return self.next_block(1)[0]
 
-
-class UniformGenerator:
-    """Uniform key choice (YCSB workload C variants)."""
-
-    def __init__(self, item_count: int, rng: SeededStream = None):
-        if item_count < 1:
-            raise ValueError(f"item_count must be >= 1, got {item_count}")
-        self.item_count = item_count
-        self.rng = rng or SeededStream(0, "uniform")
-        self._randint = self.rng.randint
-
-    def next_block(self, count: int) -> List[int]:
-        randint, last = self._randint, self.item_count - 1
-        return [randint(0, last) for _ in range(count)]
-
-    def next(self) -> int:
-        return self.next_block(1)[0]

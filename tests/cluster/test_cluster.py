@@ -1,14 +1,33 @@
 """Tests for cluster assembly and the run harness."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.cluster import Cluster, run_simulation
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
+from repro.memory.cache import LLC_TIMING_PER_CORE
+from repro.memory.hierarchy import CORES_PER_SERVER
 from repro.net.network import NetworkConfig
 from repro.workload.ycsb import WORKLOADS
 
 MODEL = DdpModel(C.CAUSAL, P.SYNCHRONOUS)
+
+
+#: Every settable value of a run, by name.
+CONFIG_SURFACE = {
+    "ClusterConfig": [
+        "servers", "clients_per_server", "seed",
+        "network.round_trip_ns", "network.bandwidth_bytes_per_ns",
+        "network.queue_pairs",
+        "nvm_timing.read_ns", "nvm_timing.write_ns", "nvm_timing.channels",
+        "nvm_timing.banks_per_channel",
+        "protocol.txn_length", "protocol.scope_length",
+        "protocol.chain_propagation",
+        "store_type"],
+    "WorkloadSpec": ["name", "read_fraction", "key_space", "zipf_theta"],
+}
 
 
 class TestClusterConfig:
@@ -16,14 +35,34 @@ class TestClusterConfig:
         config = ClusterConfig()
         assert config.servers == 5
         assert config.clients_per_server == 20
-        assert config.cores_per_server == 20
         assert config.total_clients == 100
+        assert CORES_PER_SERVER == 20
+        # The chip's cores size each node's LLC.
+        cluster = Cluster(MODEL, config=ClusterConfig(clients_per_server=0))
+        assert (cluster.nodes[0].memory.caches.llc.timing.size_bytes
+                == CORES_PER_SERVER * LLC_TIMING_PER_CORE.size_bytes)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ClusterConfig(servers=1)
         with pytest.raises(ValueError):
             ClusterConfig(clients_per_server=-1)
+
+    def test_the_settable_values_are_pinned(self):
+        """What a run is configured by, leaf by leaf: adding or removing
+        a setting is a visible diff here."""
+        def leaves(config):
+            names = []
+            for field in dataclasses.fields(config):
+                value = getattr(config, field.name)
+                names += ([f"{field.name}.{leaf}" for leaf in leaves(value)]
+                          if dataclasses.is_dataclass(value) else [field.name])
+            return names
+
+        surface = {type(config).__name__: leaves(config)
+                   for config in (ClusterConfig(), WORKLOADS["A"])}
+        assert surface == CONFIG_SURFACE
+        assert sum(map(len, surface.values())) == 18
 
     def test_with_overrides(self):
         config = ClusterConfig().with_overrides(

@@ -11,7 +11,8 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.context import ClientContext
-from repro.core.engine import ProtocolConfig
+from repro.core.engine import (LAZY_PROPAGATION_DELAY_NS, MSG_PROC_NS,
+                               PROTOCOL_WORKERS, ProtocolConfig)
 from repro.core.messages import Message, MsgType
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.core.replica import ZERO_VERSION
@@ -261,8 +262,7 @@ class TestEventualConsistency:
         cluster = make_cluster(C.EVENTUAL, P.EVENTUAL)
         ctx = ClientContext(0, 0)
         run_op(cluster, cluster.engines[0].client_write(ctx, 7, "v1"))
-        delay = cluster.engines[0].config.lazy_propagation_delay_ns
-        cluster.sim.run(until=cluster.sim.now + delay / 2)
+        cluster.sim.run(until=cluster.sim.now + LAZY_PROPAGATION_DELAY_NS / 2)
         assert cluster.engines[1].replicas.get(7).applied_version == ZERO_VERSION
         quiesce(cluster)
         assert cluster.engines[1].replicas.get(7).applied_value == "v1"
@@ -562,35 +562,39 @@ class TestArrivalPath:
         tracer = Tracer(categories=["msg_handle"])
         profile = KernelProfile()
         config = ClusterConfig(servers=3, clients_per_server=0,
-                               store_type=None,
-                               protocol=ProtocolConfig(protocol_workers=1))
+                               store_type=None)
         cluster = Cluster(DdpModel(C.EVENTUAL, P.EVENTUAL), config=config,
                           tracer=tracer, profile=profile)
         cluster.start()
         sim, follower = cluster.sim, cluster.engines[1]
-        # Five arrivals, one worker: plain handlers (VAL_p, ACK) and a
+        # One VAL_p per protocol worker fills them all; the next five
+        # arrivals queue behind them: plain handlers (VAL_p, ACK) and a
         # generator one (INITX, which here ends without waiting) share
-        # its FIFO.
-        arrivals = [(MsgType.VAL_P, 1), (MsgType.VAL_P, 2), (MsgType.INITX, 3),
-                    (MsgType.VAL_P, 4), (MsgType.ACK, 5)]
-        for msg_type, op_id in arrivals:
+        # one FIFO.
+        fill = [(MsgType.VAL_P, 100 + k) for k in range(PROTOCOL_WORKERS)]
+        queued = [(MsgType.VAL_P, 1), (MsgType.VAL_P, 2), (MsgType.INITX, 3),
+                  (MsgType.VAL_P, 4), (MsgType.ACK, 5)]
+        for msg_type, op_id in fill + queued:
             follower.nic.sink(Message(msg_type, src=0, op_id=op_id))
         assert profile.processes_spawned == 0
         sim.run(until=1_000.0)
-        proc = config.protocol.msg_proc_ns
+        proc = MSG_PROC_NS
         handled = [(r.time, r.dur, r.details["msg"],
                     r.details["op_id"])
                    for r in tracer.by_category("msg_handle") if r.node == 1]
-        assert handled == [(k * proc, k * proc, msg_type.value, op_id)
-                           for k, (msg_type, op_id) in enumerate(arrivals, 1)]
-        assert follower.protocol_workers.peak_queue_len == 4
+        assert handled == (
+            [(proc, proc, msg_type.value, op_id) for msg_type, op_id in fill]
+            + [(2 * proc, 2 * proc, msg_type.value, op_id)
+               for msg_type, op_id in queued])
+        assert follower.protocol_workers.peak_queue_len == len(queued)
         # Only the generator handler cost a process, started in place;
         # the instrument counts every handled message under its type.
         assert profile.processes_spawned == 1
         assert "process_start" not in profile.by_event_kind
         assert {label: stats[0]
                 for label, stats in profile.by_msg_type.items()} == {
-            "VAL_p": 3, "INITX": 1, "ACK": 2}   # + node 0 handling our ACK
+            "VAL_p": 3 + PROTOCOL_WORKERS, "INITX": 1,
+            "ACK": 2}   # + node 0 handling our ACK
 
     @staticmethod
     def _observed_cluster(consistency, persistency, monkeypatch):
@@ -651,7 +655,7 @@ class TestArrivalPath:
         message = Message(msg_type, src=0, op_id=1024, key=7, version=(1, 0),
                           value="v", scope_id=3)
         follower.nic.sink(message)
-        proc = cluster.config.protocol.msg_proc_ns
+        proc = MSG_PROC_NS
         [(when, [(fn, args)])] = sim._queue.items()
         assert (when, fn) == (proc, follower._handle_now)
         assert args == (follower.nic.incarnation, False,
@@ -688,7 +692,7 @@ class TestArrivalPath:
         sim, follower = cluster.sim, cluster.engines[1]
         message = Message(msg_type, src=0, op_id=1024, **fields)
         follower.nic.sink(message)
-        proc = cluster.config.protocol.msg_proc_ns
+        proc = MSG_PROC_NS
         assert profile.processes_spawned == 0
         sim.run(until=proc)
         assert profile.processes_spawned == 1        # parked, as a process
@@ -722,7 +726,7 @@ class TestArrivalPath:
                       value="v")
         follower.nic.sink(inv)
         quiesce(cluster)
-        proc = cluster.config.protocol.msg_proc_ns
+        proc = MSG_PROC_NS
         llc = follower.memory.caches.llc.round_trip_ns
         acked_at = proc + llc + NVM_WRITE
         # arrival -> ACK sent, not arrival -> first park
@@ -748,7 +752,7 @@ class TestArrivalPath:
         follower.nic.sink(dependent)   # buffered
         follower.nic.sink(first)
         quiesce(cluster)
-        proc = cluster.config.protocol.msg_proc_ns
+        proc = MSG_PROC_NS
         llc = follower.memory.caches.llc.round_trip_ns
         first_durable = proc + llc + NVM_WRITE
         released_durable = first_durable + llc + NVM_WRITE
@@ -786,7 +790,7 @@ class TestArrivalPath:
         message = Message(msg_type, src=0, op_id=1024, key=7, version=(1, 0),
                           value="v")
         follower.nic.sink(message)
-        proc = config.protocol.msg_proc_ns
+        proc = MSG_PROC_NS
         dram_write = follower.memory.dram.timing.write_ns
         sim.run(until=proc + dram_write - 1.0)
         replica = follower.replicas.get(7)

@@ -23,7 +23,7 @@ from repro.analysis.metrics import OpRecord
 from repro.cluster import Cluster, ClusterConfig
 from repro.core import replica as replica_module
 from repro.core.context import ClientContext
-from repro.core.engine import ProtocolNode
+from repro.core.engine import LAZY_PERSIST_DELAY_NS, ProtocolNode
 from repro.core.model import Consistency, DdpModel, Persistency
 from repro.core.replica import NEVER_WRITTEN, ZERO_VERSION, KeyReplica
 from repro.faults import FaultInjector, plan_from_crash_specs
@@ -297,7 +297,7 @@ def pending_timers(sim):
 #: Each shape, and the callees its pending timers must include.
 TIMER_SHAPES = {
     # Every applied write's lazy persist, none fired yet: the run is
-    # shorter than lazy_persist_delay_ns.
+    # shorter than LAZY_PERSIST_DELAY_NS.
     "causal-eventual": (lambda: _cluster(CAUSAL_EVENTUAL, "A"),
                         {"_request_persist"}),
     "eventual-eventual": (lambda: _cluster(EVENTUAL_EVENTUAL, "A"),
@@ -319,8 +319,7 @@ def test_a_pending_timer_holds_data_not_bound_methods(shape):
     method built for the timer."""
     build, callees = TIMER_SHAPES[shape]
     cluster = build()
-    engine = cluster.engines[0]
-    cluster.run(0.8 * engine.config.lazy_persist_delay_ns)
+    cluster.run(0.8 * LAZY_PERSIST_DELAY_NS)
     seen = set()
     for fn, (incarnation, callee, *data) in pending_timers(cluster.sim):
         node = fn.__self__

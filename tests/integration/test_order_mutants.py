@@ -174,8 +174,8 @@ MUTANTS: Dict[str, Mutant] = {
         "ACK_p'd its persist (Figure 3)"),
     "M10": Mutant(
         ProtocolNode, "_place_persist",
-        "self._later(self.config.lazy_persist_delay_ns,",
-        "self.sim.call_at(self.sim.now + self.config.lazy_persist_delay_ns,",
+        "self._later(LAZY_PERSIST_DELAY_NS,",
+        "self.sim.call_at(self.sim.now + LAZY_PERSIST_DELAY_NS,",
         "a crash ends the node's lazy persists: a persist still waiting "
         "on its timer is never issued (the persistence domain)"),
 }

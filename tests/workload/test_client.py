@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
+from repro.workload.client import TXN_RETRY_BACKOFF_NS
 from repro.workload.ycsb import WORKLOADS
 
 
@@ -94,4 +95,4 @@ class TestTransactionalClients:
             pytest.skip("no conflicts materialized in this run")
         latencies = [op.latency_ns for op in cluster.metrics.ops
                      if op.op_type in ("read", "write")]
-        assert max(latencies) > cluster.config.protocol.txn_retry_backoff_ns
+        assert max(latencies) > TXN_RETRY_BACKOFF_NS

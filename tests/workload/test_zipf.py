@@ -13,7 +13,6 @@ from repro.sim.rng import SeededStream
 from repro.workload.ycsb import WORKLOADS, RequestStream, WorkloadSpec
 from repro.workload.zipf import (
     ScrambledZipfianGenerator,
-    UniformGenerator,
     ZipfianGenerator,
     fnv1a_64,
 )
@@ -54,18 +53,6 @@ class TestZipfian:
         with pytest.raises(ValueError):
             ZipfianGenerator(0)
 
-    def test_grow_matches_fresh(self):
-        grown = ZipfianGenerator(100, theta=0.9, rng=SeededStream(4))
-        grown.grow(200)
-        fresh = ZipfianGenerator(200, theta=0.9, rng=SeededStream(4))
-        assert grown._zeta_n == pytest.approx(fresh._zeta_n)
-        assert grown._eta == pytest.approx(fresh._eta)
-
-    def test_grow_shrink_rejected(self):
-        gen = ZipfianGenerator(100)
-        with pytest.raises(ValueError):
-            gen.grow(50)
-
     def test_deterministic(self):
         a = ZipfianGenerator(500, rng=SeededStream(9))
         b = ZipfianGenerator(500, rng=SeededStream(9))
@@ -91,15 +78,6 @@ class TestScrambled:
     def test_fnv_hash_is_stable(self):
         assert fnv1a_64(0) == fnv1a_64(0)
         assert fnv1a_64(1) != fnv1a_64(2)
-
-
-class TestUniform:
-    def test_roughly_uniform(self):
-        gen = UniformGenerator(10, rng=SeededStream(7))
-        counts = [0] * 10
-        for _ in range(10_000):
-            counts[gen.next()] += 1
-        assert min(counts) > 700
 
 
 class TestWorkloadSpec:
@@ -133,18 +111,6 @@ class TestRequestStream:
                   (stream.next_request() for _ in range(200))
                   if op == "write"]
         assert len(values) == len(set(values))
-
-    def test_unknown_distribution(self):
-        spec = WorkloadSpec(name="x", read_fraction=0.5, distribution="pareto")
-        with pytest.raises(ValueError):
-            RequestStream(spec, SeededStream(1))
-
-    def test_uniform_distribution_supported(self):
-        spec = WorkloadSpec(name="u", read_fraction=0.5,
-                            distribution="uniform", key_space=50)
-        stream = RequestStream(spec, SeededStream(2))
-        keys = {stream.next_request()[1] for _ in range(1000)}
-        assert len(keys) > 40
 
 
 @given(theta=st.floats(min_value=0.1, max_value=0.99),
@@ -193,8 +159,6 @@ def _reference_next(gen):
     if isinstance(gen, ScrambledZipfianGenerator):
         return (_reference_fnv1a_64(_reference_zipf_next(gen._zipf))
                 % gen.item_count)
-    if isinstance(gen, UniformGenerator):
-        return gen.rng.randint(0, gen.item_count - 1)
     return _reference_zipf_next(gen)
 
 
@@ -204,11 +168,8 @@ class _ReferenceStream:
     def __init__(self, spec, rng):
         self.spec = spec
         self._op_rng = rng.fork("ops")
-        key_rng = rng.fork("keys")
-        self._keys = (
-            ScrambledZipfianGenerator(spec.key_space, spec.zipf_theta, key_rng)
-            if spec.distribution == "zipfian"
-            else UniformGenerator(spec.key_space, key_rng))
+        self._keys = ScrambledZipfianGenerator(
+            spec.key_space, spec.zipf_theta, rng.fork("keys"))
         self._value_counter = 0
 
     def next_request(self):
@@ -220,11 +181,8 @@ class _ReferenceStream:
 
 
 def _make_generator(kind, item_count, theta, seed):
-    rng = SeededStream(seed)
-    if kind == "uniform":
-        return UniformGenerator(item_count, rng)
     cls = ZipfianGenerator if kind == "zipfian" else ScrambledZipfianGenerator
-    return cls(item_count, theta, rng)
+    return cls(item_count, theta, SeededStream(seed))
 
 
 _ITEM_COUNTS = st.one_of(st.sampled_from([1, 2, 3]),
@@ -237,7 +195,7 @@ def test_fnv1a_64_equals_the_eight_round_reference(value):
     assert fnv1a_64(value) == _reference_fnv1a_64(value)
 
 
-@given(kind=st.sampled_from(["zipfian", "scrambled", "uniform"]),
+@given(kind=st.sampled_from(["zipfian", "scrambled"]),
        item_count=_ITEM_COUNTS, theta=_THETAS,
        seed=st.integers(min_value=0, max_value=2 ** 63),
        splits=st.lists(st.integers(min_value=0, max_value=70), max_size=8))
@@ -259,17 +217,16 @@ def test_next_block_equals_repeated_next(kind, item_count, theta, seed, splits):
 
 @given(seed=st.integers(min_value=0, max_value=2 ** 63),
        read_fraction=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),
-       distribution=st.sampled_from(["zipfian", "uniform"]),
        key_space=st.sampled_from([1, 2, 3, 100, 10_000]),
        schedule=st.lists(st.booleans(), max_size=150))
 @settings(max_examples=60, deadline=None)
 def test_interleaved_streams_return_the_reference_sequences(
-        seed, read_fraction, distribution, key_space, schedule):
+        seed, read_fraction, key_space, schedule):
     """Two clients' streams forked from one root, read in an arbitrary
     interleaving: drawing ahead in one never moves the other, and write
     values are numbered in stream order."""
     spec = WorkloadSpec(name="x", read_fraction=read_fraction,
-                        key_space=key_space, distribution=distribution)
+                        key_space=key_space)
     root, reference_root = SeededStream(seed), SeededStream(seed)
     streams = [RequestStream(spec, root.fork(f"client{i}")) for i in (0, 1)]
     references = [_ReferenceStream(spec, reference_root.fork(f"client{i}"))
