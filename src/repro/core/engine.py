@@ -85,16 +85,15 @@ LAZY_PROPAGATION_DELAY_NS = 2_000.0
 LAZY_PERSIST_DELAY_NS = 10_000.0
 
 #: Fault tolerance: how long a coordinator round (INV/UPD acks,
-#: INITX/ENDX, PERSIST) may sit incomplete before its watchdog
-#: re-evaluates it against the live membership.  Only armed when a
-#: :class:`~repro.core.membership.Membership` is attached (i.e. under
-#: fault injection); failure-free runs never create these timers.
+#: INITX/ENDX, PERSIST) may sit incomplete before its watchdog resends
+#: the round's message to the laggards.  Only armed when the fault plan
+#: can lose messages (``membership.lossy``); a crash is settled when it
+#: is detected (``_settle_lost_peer``), and failure-free and crash-only
+#: runs never create these timers.
 ROUND_TIMEOUT_NS = 12_000.0
 
 #: Fault tolerance: maximum times a round's message is resent to
-#: laggard replicas.  Resends only happen when the fault plan can lose
-#: messages (``membership.lossy``); pure crash faults are handled by
-#: retargeting alone.
+#: laggard replicas.
 ROUND_MAX_RETRIES = 8
 
 #: Fault tolerance: extra delay added to the round watchdog per retry
@@ -162,12 +161,16 @@ class AckRound:
             self.open = False
             self.event.succeed()
 
-    def retarget(self, live) -> None:
-        """Drop targets no longer in ``live``; fire if now satisfied."""
-        self.targets = {t for t in self.targets if t in live}
-        if self.open and self.targets <= self.acked:
+    def retarget(self, live) -> bool:
+        """Drop targets no longer in ``live``; fire if now satisfied.
+        Return whether the round was open and lost a target."""
+        targets = {t for t in self.targets if t in live}
+        shrunk = self.open and len(targets) < len(self.targets)
+        self.targets = targets
+        if self.open and targets <= self.acked:
             self.open = False
             self.event.succeed()
+        return shrunk
 
 
 @dataclass(slots=True)
@@ -532,15 +535,14 @@ class ProtocolNode(NodeLifecycle):
         Deliberately out-of-band: the coordinator keeps waiting directly
         on the round's event (identical kernel scheduling to the
         failure-free engine), while a periodic ``call_at`` callback
-        re-checks the round from the side.  Each check retargets the
-        round against the live membership (completing it if only dead
-        replicas are missing) and — when the fault plan can lose
-        messages — resends ``message`` to the laggards, with linear
-        backoff and a bounded retry budget.  Checks on completed rounds
-        are no-ops and do not re-arm, so a healthy run's watchdogs never
-        touch anything.
+        re-checks the round from the side.  Armed only when the fault
+        plan can lose messages: each check resends ``message`` to the
+        laggards, with linear backoff and a bounded retry budget.  A
+        crashed replica leaves the round when the crash is detected
+        (:meth:`_settle_lost_peer`), not here.  Checks on completed
+        rounds are no-ops and do not re-arm.
         """
-        if self.membership is None:
+        if self.membership is None or not self.membership.lossy:
             return
         self._later(ROUND_TIMEOUT_NS, self._check_round, round_, message, 0)
 
@@ -553,13 +555,7 @@ class ProtocolNode(NodeLifecycle):
         frees."""
         if not round_.open:
             return
-        before = len(round_.targets)
-        round_.retarget(self.membership.live)
-        if len(round_.targets) != before:
-            self.rounds_retargeted += 1
-        if not round_.open:
-            return
-        if self.membership.lossy and attempt < ROUND_MAX_RETRIES:
+        if attempt < ROUND_MAX_RETRIES:
             attempt += 1
             self.round_resends += 1
             for dst in round_.missing:

@@ -41,9 +41,9 @@ class Membership:
         self.live: Set[int] = set(self.all_nodes)
         self.epoch = 0
         #: True when the active fault plan can lose or reorder messages
-        #: (drops / partitions / duplication).  Coordinators only
-        #: *resend* round messages on timeout in lossy mode; under pure
-        #: crash faults retargeting alone is sufficient and cheaper.
+        #: (drops / partitions / duplication).  Coordinators arm round
+        #: watchdogs, which resend on timeout, only in lossy mode; a
+        #: crash is settled when it is detected.
         self.lossy = False
         self.crashes = 0
         self.joins = 0

@@ -46,7 +46,8 @@ class NodeLifecycle:
         :func:`repro.recovery.recovery.recover_latest` over this node's
         NVM log: each surviving key is re-applied and marked persisted,
         here and cluster-wide (recovery finds it again after any crash),
-        and the store holds exactly those keys again.  All other volatile
+        and the store, volatile too, is rebuilt from those keys alone,
+        inserted in key order into an empty one.  All other volatile
         state — rounds, causal buffers, transient markers, txn
         bookkeeping — is discarded; the peers settle what it tracked
         (:meth:`peer_restarted`).  From here on the node takes and ACKs
@@ -69,8 +70,7 @@ class NodeLifecycle:
         self.replicas = ReplicaTable(self.sim, self.node_id,
                                      observer=observer)
         if self.store is not None:
-            for key in self.store.keys():
-                self.store.delete(key)
+            self.store.clear()
         self._outstanding_writes.clear()
         self._outstanding_rounds.clear()
         self._causal_waiting.clear()
@@ -169,15 +169,16 @@ class NodeLifecycle:
 
     def _settle_lost_peer(self, node_id: int, live) -> None:
         """Re-issue every outstanding round against the ``live`` replica
-        set, and release transient state left behind by ``node_id`` as a
-        coordinator."""
+        set, counting the open ones that shrank, and release transient
+        state left behind by ``node_id`` as a coordinator."""
         for op_id in sorted(self._outstanding_writes):
             op = self._outstanding_writes[op_id]
             for round_ in (op.ack_c, op.ack_p):
                 if round_ is not None:
-                    round_.retarget(live)
+                    self.rounds_retargeted += round_.retarget(live)
         for op_id in sorted(self._outstanding_rounds):
-            self._outstanding_rounds[op_id].retarget(live)
+            self.rounds_retargeted += (
+                self._outstanding_rounds[op_id].retarget(live))
         self._abandon_remote_coordinator(node_id)
 
     def _abandon_remote_coordinator(self, crashed: int) -> None:

@@ -1,11 +1,14 @@
 """Key-value store interface used by the protocol engine.
 
 The paper evaluates memcached and simpler in-memory stores (HashTable,
-Map, B-Tree, B+Tree) under YCSB.  Our stores play two roles:
+Map, B-Tree, B+Tree) under YCSB, whose read/write mixes only look keys
+up and insert or update them.  Our stores play two roles:
 
-1. **Data plane** — they actually hold the key/value pairs at each node
-   (the tie-batch sanitizer's digest and the tests read them back;
-   client reads are served from the engine's replicas).
+1. **Data plane** — they hold the key/value pairs each node applied
+   (the tie-batch sanitizer's digest reads them back; client reads are
+   served from the engine's replicas).  A store is volatile: a restart
+   empties it (:meth:`KvStore.clear`) and refills it from the node's
+   NVM image.
 2. **Cost oracle** — ``read_cost``/``write_cost`` return the CPU time of
    the structure walk (number of node/bucket visits times a per-visit
    charge), which the protocol engine adds to request processing time.
@@ -17,7 +20,7 @@ runs are reproducible.
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Optional
 
 __all__ = ["KvStore", "VISIT_NS"]
 
@@ -40,8 +43,8 @@ class KvStore(abc.ABC):
         """Insert or update ``key``."""
 
     @abc.abstractmethod
-    def delete(self, key: int) -> bool:
-        """Remove ``key``; return whether it was present."""
+    def clear(self) -> None:
+        """Empty the store in place, laid out as a freshly built one."""
 
     @abc.abstractmethod
     def __len__(self) -> int:
@@ -63,15 +66,3 @@ class KvStore(abc.ABC):
         By default a write walks like a read plus one modification visit.
         """
         return (self._walk_length(key) + 1) * VISIT_NS
-
-    # -- conveniences ------------------------------------------------------------
-
-    def __contains__(self, key: int) -> bool:
-        return self.get(key) is not None
-
-    def items(self) -> Iterator[Tuple[int, Any]]:
-        """Iterate (key, value) pairs; order is store-specific."""
-        raise NotImplementedError
-
-    def keys(self) -> List[int]:
-        return [k for k, _ in self.items()]

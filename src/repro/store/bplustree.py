@@ -1,14 +1,12 @@
 """B+-tree store (the paper's "BPlusTree", after TLX).
 
-Values live only in the leaves; leaves are chained for range scans.
-Insertions split full nodes on the way back up; deletion uses lazy
-underflow (keys are removed from leaves, structure merges only when a
-leaf empties), the common practical simplification.
+Values live only in the leaves, and inner nodes hold separators only.
+Insertions split full nodes on the way back up.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.store.base import KvStore
 
@@ -16,12 +14,11 @@ __all__ = ["BPlusTreeStore"]
 
 
 class _Leaf:
-    __slots__ = ("keys", "values", "next")
+    __slots__ = ("keys", "values")
 
     def __init__(self):
         self.keys: List[int] = []
         self.values: List[Any] = []
-        self.next: Optional[_Leaf] = None
 
 
 class _Inner:
@@ -53,6 +50,9 @@ class BPlusTreeStore(KvStore):
         if order < 4:
             raise ValueError(f"order must be >= 4, got {order}")
         self._order = order
+        self.clear()
+
+    def clear(self) -> None:
         self._root: Any = _Leaf()
         self._size = 0
 
@@ -98,8 +98,6 @@ class BPlusTreeStore(KvStore):
         right.values = leaf.values[mid:]
         leaf.keys = leaf.keys[:mid]
         leaf.values = leaf.values[:mid]
-        right.next = leaf.next
-        leaf.next = right
         self._insert_separator(path, right.keys[0], right)
 
     def _insert_separator(self, path: List[Tuple[_Inner, int]], separator: int,
@@ -123,30 +121,6 @@ class BPlusTreeStore(KvStore):
         new_root.children = [self._root, right_child]
         self._root = new_root
 
-    def delete(self, key: int) -> bool:
-        leaf, path = self._descend(key)
-        slot = _bisect(leaf.keys, key) - 1
-        if slot < 0 or leaf.keys[slot] != key:
-            return False
-        leaf.keys.pop(slot)
-        leaf.values.pop(slot)
-        self._size -= 1
-        if not leaf.keys and path:
-            self._drop_empty_leaf(leaf, path)
-        return True
-
-    def _drop_empty_leaf(self, leaf: _Leaf, path: List[Tuple[_Inner, int]]) -> None:
-        parent, slot = path[-1]
-        parent.children.pop(slot)
-        if slot > 0:
-            parent.keys.pop(slot - 1)
-            parent.children[slot - 1].next = leaf.next
-        elif parent.keys:
-            parent.keys.pop(0)
-        # Collapse degenerate roots.
-        while isinstance(self._root, _Inner) and len(self._root.children) == 1:
-            self._root = self._root.children[0]
-
     def __len__(self) -> int:
         return self._size
 
@@ -157,31 +131,6 @@ class BPlusTreeStore(KvStore):
             node = node.children[_bisect(node.keys, key)]
             visits += 1
         return visits
-
-    # -- ordered access -----------------------------------------------------------------
-
-    def items(self) -> Iterator[Tuple[int, Any]]:
-        node = self._root
-        while isinstance(node, _Inner):
-            node = node.children[0]
-        leaf: Optional[_Leaf] = node
-        while leaf is not None:
-            yield from zip(leaf.keys, leaf.values)
-            leaf = leaf.next
-
-    def range(self, low: int, high: int) -> List[Tuple[int, Any]]:
-        """All (key, value) with ``low <= key <= high`` via the leaf chain."""
-        leaf, _path = self._descend(low)
-        result: List[Tuple[int, Any]] = []
-        current: Optional[_Leaf] = leaf
-        while current is not None:
-            for key, value in zip(current.keys, current.values):
-                if key > high:
-                    return result
-                if key >= low:
-                    result.append((key, value))
-            current = current.next
-        return result
 
     @property
     def depth(self) -> int:

@@ -1,13 +1,13 @@
 """B-tree store (the paper's "B-Tree", after Google's cpp-btree).
 
-A classic B-tree: values live in every node, splits on the way down
-(preemptive splitting), merge/borrow on delete.  The branching factor
-defaults to 16, giving shallow trees whose depth the cost oracle counts.
+A classic B-tree: values live in every node, and full nodes split on the
+way down (preemptive splitting).  The branching factor defaults to 16,
+giving shallow trees whose depth the cost oracle counts.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.store.base import KvStore
 
@@ -36,6 +36,9 @@ class BTreeStore(KvStore):
         if min_degree < 2:
             raise ValueError(f"min_degree must be >= 2, got {min_degree}")
         self._t = min_degree
+        self.clear()
+
+    def clear(self) -> None:
         self._root = _BNode()
         self._size = 0
 
@@ -110,97 +113,6 @@ class BTreeStore(KvStore):
                     slot += 1
             node = node.children[slot]
 
-    def delete(self, key: int) -> bool:
-        if self.get(key) is None:
-            return False
-        self._delete_from(self._root, key)
-        if not self._root.keys and not self._root.is_leaf:
-            self._root = self._root.children[0]
-        self._size -= 1
-        return True
-
-    def _delete_from(self, node: _BNode, key: int) -> None:
-        t = self._t
-        slot = self._find_slot(node, key)
-        if slot < len(node.keys) and node.keys[slot] == key:
-            if node.is_leaf:
-                node.keys.pop(slot)
-                node.values.pop(slot)
-                return
-            left, right = node.children[slot], node.children[slot + 1]
-            if len(left.keys) >= t:
-                pred_key, pred_val = self._max_entry(left)
-                node.keys[slot], node.values[slot] = pred_key, pred_val
-                self._delete_from(left, pred_key)
-            elif len(right.keys) >= t:
-                succ_key, succ_val = self._min_entry(right)
-                node.keys[slot], node.values[slot] = succ_key, succ_val
-                self._delete_from(right, succ_key)
-            else:
-                self._merge_children(node, slot)
-                self._delete_from(left, key)
-            return
-        if node.is_leaf:
-            return  # key absent (checked by caller)
-        child = node.children[slot]
-        if len(child.keys) < t:
-            slot = self._fill_child(node, slot)
-            child = node.children[slot] if slot < len(node.children) else node.children[-1]
-            # After a merge the key may now live in the merged child.
-            self._delete_from(child, key)
-            return
-        self._delete_from(child, key)
-
-    def _fill_child(self, node: _BNode, slot: int) -> int:
-        """Ensure children[slot] has >= t keys by borrowing or merging.
-        Returns the (possibly shifted) slot to descend into."""
-        t = self._t
-        child = node.children[slot]
-        if slot > 0 and len(node.children[slot - 1].keys) >= t:
-            left = node.children[slot - 1]
-            child.keys.insert(0, node.keys[slot - 1])
-            child.values.insert(0, node.values[slot - 1])
-            node.keys[slot - 1] = left.keys.pop()
-            node.values[slot - 1] = left.values.pop()
-            if not left.is_leaf:
-                child.children.insert(0, left.children.pop())
-            return slot
-        if slot < len(node.keys) and len(node.children[slot + 1].keys) >= t:
-            right = node.children[slot + 1]
-            child.keys.append(node.keys[slot])
-            child.values.append(node.values[slot])
-            node.keys[slot] = right.keys.pop(0)
-            node.values[slot] = right.values.pop(0)
-            if not right.is_leaf:
-                child.children.append(right.children.pop(0))
-            return slot
-        if slot < len(node.keys):
-            self._merge_children(node, slot)
-            return slot
-        self._merge_children(node, slot - 1)
-        return slot - 1
-
-    def _merge_children(self, node: _BNode, slot: int) -> None:
-        left = node.children[slot]
-        right = node.children.pop(slot + 1)
-        left.keys.append(node.keys.pop(slot))
-        left.values.append(node.values.pop(slot))
-        left.keys.extend(right.keys)
-        left.values.extend(right.values)
-        left.children.extend(right.children)
-
-    @staticmethod
-    def _max_entry(node: _BNode) -> Tuple[int, Any]:
-        while not node.is_leaf:
-            node = node.children[-1]
-        return node.keys[-1], node.values[-1]
-
-    @staticmethod
-    def _min_entry(node: _BNode) -> Tuple[int, Any]:
-        while not node.is_leaf:
-            node = node.children[0]
-        return node.keys[0], node.values[0]
-
     def __len__(self) -> int:
         return self._size
 
@@ -215,18 +127,6 @@ class BTreeStore(KvStore):
             if node.is_leaf:
                 return visits
             node = node.children[slot]
-
-    def items(self) -> Iterator[Tuple[int, Any]]:
-        yield from self._iter_node(self._root)
-
-    def _iter_node(self, node: _BNode) -> Iterator[Tuple[int, Any]]:
-        if node.is_leaf:
-            yield from zip(node.keys, node.values)
-            return
-        for index, key in enumerate(node.keys):
-            yield from self._iter_node(node.children[index])
-            yield (key, node.values[index])
-        yield from self._iter_node(node.children[-1])
 
     @property
     def depth(self) -> int:

@@ -10,7 +10,7 @@ is eviction, which the capacity tests exercise.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.store.base import KvStore
 
@@ -24,11 +24,6 @@ class SlabClass:
         self.chunk_bytes = chunk_bytes
         self.max_chunks = max_chunks
         self.lru: OrderedDict[int, Any] = OrderedDict()
-        self.evictions = 0
-
-    @property
-    def used_chunks(self) -> int:
-        return len(self.lru)
 
     def touch(self, key: int) -> None:
         self.lru.move_to_end(key)
@@ -38,13 +33,12 @@ class SlabClass:
         evicted = None
         if key not in self.lru and len(self.lru) >= self.max_chunks:
             evicted, _ = self.lru.popitem(last=False)
-            self.evictions += 1
         self.lru[key] = value
         self.lru.move_to_end(key)
         return evicted
 
-    def remove(self, key: int) -> bool:
-        return self.lru.pop(key, None) is not None
+    def remove(self, key: int) -> None:
+        self.lru.pop(key, None)
 
 
 def _sizeof(value: Any) -> int:
@@ -68,13 +62,18 @@ class MemcachedStore(KvStore):
                  num_classes: int = 8):
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
-        self._index: Dict[int, int] = {}       # key -> slab class id
         self._classes: List[SlabClass] = []
         per_class = capacity_bytes // num_classes
         chunk = min_chunk
         for _ in range(num_classes):
             self._classes.append(SlabClass(chunk, max(1, per_class // chunk)))
             chunk = int(chunk * growth_factor)
+        self.clear()
+
+    def clear(self) -> None:
+        self._index: Dict[int, int] = {}       # key -> slab class id
+        for slab in self._classes:
+            slab.lru.clear()
 
     def _class_for(self, value: Any) -> int:
         size = _sizeof(value)
@@ -105,12 +104,6 @@ class MemcachedStore(KvStore):
         if evicted is not None:
             self._index.pop(evicted, None)
 
-    def delete(self, key: int) -> bool:
-        class_id = self._index.pop(key, None)
-        if class_id is None:
-            return False
-        return self._classes[class_id].remove(key)
-
     def __len__(self) -> int:
         return len(self._index)
 
@@ -118,17 +111,9 @@ class MemcachedStore(KvStore):
         # Hash-table index probe plus the slab-chunk access.
         return 2
 
-    def items(self) -> Iterator[Tuple[int, Any]]:
-        for key, class_id in self._index.items():
-            yield key, self._classes[class_id].lru[key]
-
     # -- introspection --------------------------------------------------------------
-
-    @property
-    def total_evictions(self) -> int:
-        return sum(slab.evictions for slab in self._classes)
 
     def slab_stats(self) -> List[Tuple[int, int, int]]:
         """Per-class (chunk_bytes, used_chunks, max_chunks)."""
-        return [(s.chunk_bytes, s.used_chunks, s.max_chunks)
+        return [(s.chunk_bytes, len(s.lru), s.max_chunks)
                 for s in self._classes]

@@ -1,13 +1,12 @@
 """AVL-balanced sorted map (the paper's "Map" store).
 
 A classic AVL tree with iterative lookup (so the cost oracle can count
-the exact visit depth) and recursive rebalancing insert/delete.  Also
-provides ordered iteration and range queries, which the examples use.
+the exact visit depth) and recursive rebalancing insert.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Optional
 
 from repro.store.base import KvStore
 
@@ -70,11 +69,14 @@ def _rebalance(node: _Node) -> _Node:
 
 
 class SortedMapStore(KvStore):
-    """Ordered map with O(log n) operations and range scans."""
+    """Ordered map with O(log n) lookup and insert."""
 
     name = "sortedmap"
 
     def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
         self._root: Optional[_Node] = None
         self._size = 0
 
@@ -104,34 +106,6 @@ class SortedMapStore(KvStore):
             node.right = self._insert(node.right, key, value)
         return _rebalance(node)
 
-    def delete(self, key: int) -> bool:
-        before = self._size
-        self._root = self._remove(self._root, key)
-        return self._size < before
-
-    def _remove(self, node: Optional[_Node], key: int) -> Optional[_Node]:
-        if node is None:
-            return None
-        if key < node.key:
-            node.left = self._remove(node.left, key)
-        elif key > node.key:
-            node.right = self._remove(node.right, key)
-        else:
-            self._size -= 1
-            if node.left is None:
-                return node.right
-            if node.right is None:
-                return node.left
-            successor = node.right
-            while successor.left is not None:
-                successor = successor.left
-            node.key, node.value = successor.key, successor.value
-            # Remove the successor from the right subtree; bump the size
-            # back since that removal decrements it again.
-            self._size += 1
-            node.right = self._remove(node.right, successor.key)
-        return _rebalance(node)
-
     def __len__(self) -> int:
         return self._size
 
@@ -144,51 +118,6 @@ class SortedMapStore(KvStore):
                 return visits
             node = node.left if key < node.key else node.right
         return max(visits, 1)
-
-    # -- ordered operations -----------------------------------------------------------
-
-    def items(self) -> Iterator[Tuple[int, Any]]:
-        yield from self._inorder(self._root)
-
-    def _inorder(self, node: Optional[_Node]) -> Iterator[Tuple[int, Any]]:
-        if node is None:
-            return
-        yield from self._inorder(node.left)
-        yield (node.key, node.value)
-        yield from self._inorder(node.right)
-
-    def range(self, low: int, high: int) -> List[Tuple[int, Any]]:
-        """All (key, value) with ``low <= key <= high``, in order."""
-        result: List[Tuple[int, Any]] = []
-        self._range(self._root, low, high, result)
-        return result
-
-    def _range(self, node: Optional[_Node], low: int, high: int,
-               out: List[Tuple[int, Any]]) -> None:
-        if node is None:
-            return
-        if node.key > low:
-            self._range(node.left, low, high, out)
-        if low <= node.key <= high:
-            out.append((node.key, node.value))
-        if node.key < high:
-            self._range(node.right, low, high, out)
-
-    def min_key(self) -> Optional[int]:
-        node = self._root
-        if node is None:
-            return None
-        while node.left is not None:
-            node = node.left
-        return node.key
-
-    def max_key(self) -> Optional[int]:
-        node = self._root
-        if node is None:
-            return None
-        while node.right is not None:
-            node = node.right
-        return node.key
 
     @property
     def height(self) -> int:

@@ -163,7 +163,11 @@ class TestRunSimulation:
             client.request_stop()
         cluster.sim.run(until=cluster.sim.now + 200_000)  # quiesce
         # Every written key eventually lands in every node's store.
-        reference = dict(cluster.nodes[0].store.items())
-        assert reference
-        for node in cluster.nodes[1:]:
-            assert set(node.store.keys()) == set(reference)
+        seen = set().union(*(engine.replicas.keys()
+                             for engine in cluster.engines))
+        stored = [{key for key in seen if node.store.get(key) is not None}
+                  for node in cluster.nodes]
+        assert stored[0]
+        for node, keys in zip(cluster.nodes, stored):
+            assert keys == stored[0]
+            assert len(node.store) == len(keys)

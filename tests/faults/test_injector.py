@@ -85,6 +85,31 @@ class TestCrashLifecycle:
         assert sorted(cluster.membership.live) == [0, 1, 2]
         assert cluster.nodes[1].engine.alive
 
+    def test_a_detected_crash_counts_the_rounds_it_shrinks(self):
+        """Detection drops the crashed node from every round still open
+        on a survivor, and ``rounds_retargeted`` counts each such round
+        once; no watchdog shrinks one later."""
+        plan = load_fault_plan({"events": [
+            {"kind": "crash", "node": 1, "at_us": 10}]})
+        cluster, _ = build(plan)
+        shrinking = []
+
+        def open_rounds_waiting_for(crashed):
+            rounds = [round_ for engine in cluster.engines if engine.alive
+                      for op in engine._outstanding_writes.values()
+                      for round_ in (op.ack_c, op.ack_p)
+                      if round_ is not None]
+            rounds += [round_ for engine in cluster.engines if engine.alive
+                       for round_ in engine._outstanding_rounds.values()]
+            shrinking.append(sum(round_.open and crashed in round_.targets
+                                 for round_ in rounds))
+
+        # Notified before the engines, which subscribed as nodes 0..2.
+        cluster.membership.subscribe(-1, open_rounds_waiting_for)
+        cluster.run(60_000.0, warmup_ns=2_000.0)
+        assert len(shrinking) == 1 and shrinking[0] > 0
+        assert sum(e.rounds_retargeted for e in cluster.engines) == shrinking[0]
+
     def test_crash_without_restart_leaves_node_down(self):
         plan = load_fault_plan({"events": [
             {"kind": "crash", "node": 2, "at_us": 10}]})

@@ -34,6 +34,19 @@ def run_model(model, workload=None, config=SMALL, duration=DURATION,
     return cluster, summary
 
 
+def stale_store_entries(cluster):
+    """(node, key) pairs where a node's store does not read back its
+    replica's applied value, for every key the node saw; and each node
+    whose store holds more keys than it built replicas (every put
+    follows a mutation, which builds the key's replica)."""
+    stale = [(engine.node_id, key) for engine in cluster.engines
+             for key in engine.replicas.keys()
+             if engine.store.get(key) != engine.replicas.peek(key).applied_value]
+    return stale + [(engine.node_id, "a key no replica holds")
+                    for engine in cluster.engines
+                    if len(engine.store) > sum(1 for _ in engine.replicas)]
+
+
 def drain(cluster, model):
     """Stop every client and run until nothing is left to run: a cell
     still busy ``DRAIN_LIMIT`` later (a livelock) fails by name."""
@@ -145,9 +158,7 @@ def test_each_store_holds_its_replicas_applied_value(model, crash):
         cluster, _ = run_model(model, config=config, duration=60_000.0,
                                crash=crash)
         drain(cluster, model)
-    stale = [(engine.node_id, key) for engine in cluster.engines
-             for key, value in engine.store.items()
-             if value != engine.replicas.get(key).applied_value]
+    stale = stale_store_entries(cluster)
     assert not stale, f"{model}: stale (node, key) in the store {stale[:5]}"
 
 

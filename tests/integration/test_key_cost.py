@@ -26,7 +26,7 @@ from repro.core.context import ClientContext
 from repro.core.engine import LAZY_PERSIST_DELAY_NS, ProtocolNode
 from repro.core.model import Consistency, DdpModel, Persistency
 from repro.core.replica import NEVER_WRITTEN, ZERO_VERSION, KeyReplica
-from repro.faults import FaultInjector, plan_from_crash_specs
+from repro.faults import FaultInjector, load_fault_plan, plan_from_crash_specs
 from repro.hybrid.cluster import HybridCluster
 from repro.sim import sync
 from repro.workload.ycsb import WORKLOADS
@@ -302,8 +302,11 @@ TIMER_SHAPES = {
                         {"_request_persist"}),
     "eventual-eventual": (lambda: _cluster(EVENTUAL_EVENTUAL, "A"),
                           {"_request_persist", "_broadcast"}),
+    # Only a plan that can lose messages arms the round watchdogs.
     "watchdogs": (lambda: _cluster(LIN_SYNC, "A", faults=FaultInjector(
-        plan_from_crash_specs(["1@20+15"], seed=2021))), {"_check_round"}),
+        load_fault_plan({"seed": 2021, "events": [
+            {"kind": "drop", "at_us": 20, "duration_us": 1,
+             "probability": 0.5}]}))), {"_check_round"}),
     "hybrid": (lambda: HybridCluster(
         EVENTUAL_EVENTUAL, groups=2, servers_per_group=2,
         config=ClusterConfig(servers=4, clients_per_server=2, seed=2021),

@@ -38,9 +38,11 @@ from repro.cluster.config import ClusterConfig
 from repro.core.model import all_ddp_models
 from repro.faults import FaultInjector
 from repro.faults.plan import plan_from_crash_specs
+from repro.recovery.recovery import recover_latest
+from repro.store.hashtable import HashTableStore
 from repro.workload.ycsb import WORKLOADS
 
-from tests.integration.test_all_models import drain
+from tests.integration.test_all_models import drain, stale_store_entries
 
 SEEDS = (2021, 7, 11)
 CELLS = [pytest.param(model, seed, id=f"{model} seed {seed}")
@@ -207,9 +209,7 @@ def test_a_restart_at_the_crash_instant_recovers(model, seed):
                 if len({engine.replicas.peek(key).applied_version
                         for engine in cluster.engines}) != 1]
     assert not diverged, f"{model}: diverged keys {diverged[:5]}"
-    stale = [(engine.node_id, key) for engine in cluster.engines
-             for key, value in engine.store.items()
-             if value != engine.replicas.peek(key).applied_value]
+    stale = stale_store_entries(cluster)
     assert not stale, f"{model}: stale (node, key) in the store {stale[:5]}"
 
 
@@ -235,3 +235,28 @@ def test_a_crash_during_the_catch_up_ends_it(model):
     assert ended == [False, True]
     assert not node.recovery.is_alive and node.engine.time_to_serve
     drain(cluster, model)
+
+
+@pytest.mark.parametrize("model", all_ddp_models(), ids=str)
+def test_a_restart_rebuilds_the_store_as_a_fresh_one(model):
+    """After a whole-cluster crash, node 1's restarted hashtable holds
+    exactly its NVM image and is laid out as a fresh table filled with
+    that image in key order: the same capacity and, for every image key
+    and every 97th key, the same lookup cost.  Deleting the crashed
+    incarnation's keys one by one instead would keep its capacity and
+    leave tombstones in the probe runs."""
+    cluster = Cluster(model, config=ClusterConfig(servers=3,
+                                                  clients_per_server=4),
+                      workload=WORKLOADS["A"])
+    cluster.run(duration_ns=30_000.0, warmup_ns=3_000.0)
+    cluster.crash_all()
+    cluster.restart_node(1)
+    image = recover_latest(cluster.nvm_log, [1]).entries
+    store, fresh = cluster.nodes[1].store, HashTableStore()
+    for key in sorted(image):
+        fresh.put(key, image[key][1])
+    probed = sorted(image.keys() | set(range(0, WORKLOADS["A"].key_space, 97)))
+    assert len(store) == len(image)
+    assert store.capacity == fresh.capacity
+    assert ([store.read_cost(key) for key in probed]
+            == [fresh.read_cost(key) for key in probed]), model

