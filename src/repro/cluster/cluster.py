@@ -189,6 +189,10 @@ class Cluster:
         node = self.nodes[node_id]
         engine = node.engine
         image = recover_latest(self.nvm_log, [node_id]).entries
+        # What its banks admitted before the crash lands after it, durable.
+        for key, landing in engine.in_banks.items():
+            if key not in image or image[key][0] < landing[0]:
+                image[key] = landing
         engine.restart(image)
         peers = [self.nodes[peer].engine for peer in self.peers_of(node_id)]
         for peer in peers:

@@ -36,7 +36,9 @@ requests.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.analysis.metrics import Metrics
@@ -211,10 +213,6 @@ class ProtocolNode(NodeLifecycle):
         MsgType.PERSIST: "_on_persist",
     }
 
-    #: What a pending timer calls (``_later``): bound once per node.
-    _TIMER_CALLABLES: Tuple[str, ...] = (
-        "_if_current", "_request_persist", "_broadcast", "_check_round")
-
     def __init__(self, sim: Simulator, node_id: int, peer_ids: List[int],
                  network: Network, nic: Nic, memory: MemoryHierarchy,
                  model: DdpModel, metrics: Metrics,
@@ -281,6 +279,11 @@ class ProtocolNode(NodeLifecycle):
         self.round_resends = 0
         self.rounds_retargeted = 0
         self.orphans_absorbed = 0
+        #: key -> (version, value) of each drain persist a bank holds:
+        #: durable at a crash (ADR), landed or not.
+        self.in_banks: Dict[int, Tuple[Version, Any]] = {}
+        # ``_later``'s FIFOs: (delay, callee) -> (FIFO, its kernel call).
+        self._timers: Dict[Tuple[float, Callable], Tuple[deque, tuple]] = {}
         #: Set by each completed :meth:`catch_up`.
         self.time_to_serve: Optional[TimeToServe] = None
         if membership is not None:
@@ -296,8 +299,6 @@ class ProtocolNode(NodeLifecycle):
         self._pname = {role: f"n{node_id}.{role}" for role in (
             "msg", "crecheck", "valp", "bground", "ackp", "strictp",
             "chain", "orphan", "persist")}
-        for name in self._TIMER_CALLABLES:
-            setattr(self, name, getattr(self, name))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -389,15 +390,31 @@ class ProtocolNode(NodeLifecycle):
     def _later(self, delay_ns: float, fn: Callable[..., None],
                *args: Any) -> None:
         """Run ``fn(*args)`` ``delay_ns`` from now if the incarnation that
-        set the timer lasts: a crash ends its timers.  The pending entry
-        is ``_if_current`` with ``(incarnation, fn, *args)``: data beside
-        callables the node bound once (``_TIMER_CALLABLES``), so a timer
-        builds no bound method."""
-        self.sim.call_at(self.sim.now + delay_ns, self._if_current,
-                         self.nic.incarnation, fn, *args)
+        set the timer lasts: a crash ends its timers.
 
-    def _if_current(self, incarnation: object, fn: Callable[..., None],
-                    *args: Any) -> None:
+        Timers of one delay fire in the order they were armed, so each
+        (delay, callee) has one FIFO and one prebuilt kernel call,
+        ``_fire`` over that FIFO, queued once per timer: a pending timer
+        is the incarnation and ``args`` in the FIFO, and the call's list
+        slot in its instant.  One callee is armed with one arity."""
+        try:
+            fifo, call = self._timers[delay_ns, fn]
+        except KeyError:
+            fifo = deque()
+            call = (self._fire, (fifo, fn, ((),) * len(args)))
+            self._timers[delay_ns, fn] = fifo, call
+        fifo.append(self.nic.incarnation)
+        fifo.extend(args)
+        self.sim.push_call(self.sim.now + delay_ns, call)
+
+    def _fire(self, fifo: deque, fn: Callable[..., None],
+              arity: Tuple[tuple, ...]) -> None:
+        """``fifo``'s head timer is due: its incarnation and arguments
+        (one per entry of ``arity``) are popped before ``fn`` runs, so
+        ``fn`` may re-arm into the same FIFO."""
+        pop = fifo.popleft
+        incarnation = pop()
+        args = tuple(starmap(pop, arity))
         if incarnation is not None and incarnation is self.nic.incarnation:
             fn(*args)
 
@@ -461,14 +478,16 @@ class ProtocolNode(NodeLifecycle):
                 or incarnation is not self.nic.incarnation):
             replica.persist_active = False
             return
-        version, value = replica.persist_target
+        landing = self.in_banks[replica.key] = replica.persist_target
         replica.persist_target = None
         self.memory.nvm.persist_then(replica.key, self._persist_drained,
-                                     incarnation, replica, version, value)
+                                     incarnation, replica, landing)
 
     def _persist_drained(self, incarnation: object, replica: KeyReplica,
-                         version: Version, value: Any) -> None:
-        self._mark_durable(replica, version, value)
+                         landing: Tuple[Version, Any]) -> None:
+        if self.in_banks.get(replica.key) is landing:
+            del self.in_banks[replica.key]
+        self._mark_durable(replica, *landing)
         self._persist_drain(incarnation, replica)
 
     def _ensure_persisted(self, replica: KeyReplica, version: Version,

@@ -32,8 +32,6 @@ __all__ = ["HybridProtocolNode"]
 class HybridProtocolNode(ProtocolNode):
     """A protocol node whose strong rounds span only its local group."""
 
-    _TIMER_CALLABLES = ProtocolNode._TIMER_CALLABLES + ("_send_remote",)
-
     def __init__(self, *args, remote_ids: List[int] = (), **kwargs):
         super().__init__(*args, **kwargs)
         # peer_ids (given to the base class) must already be the *local*

@@ -44,10 +44,11 @@ class NodeLifecycle:
 
         ``recovered_entries`` is ``RecoveredState.entries`` from
         :func:`repro.recovery.recovery.recover_latest` over this node's
-        NVM log: each surviving key is re-applied and marked persisted,
-        here and cluster-wide (recovery finds it again after any crash),
-        and the store, volatile too, is rebuilt from those keys alone,
-        inserted in key order into an empty one.  All other volatile
+        NVM log, with the drain persists its banks still hold
+        (``in_banks``): each surviving key is re-applied and marked
+        persisted, here and cluster-wide (recovery finds it again after
+        any crash), and the store, volatile too, is rebuilt from those
+        keys alone, inserted in key order into an empty one.  All other volatile
         state — rounds, causal buffers, transient markers, txn
         bookkeeping — is discarded; the peers settle what it tracked
         (:meth:`peer_restarted`).  From here on the node takes and ACKs

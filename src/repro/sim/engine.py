@@ -495,6 +495,18 @@ class Simulator:
             self._queue[when] = [(fn, args)]
             heappush(self._times, when)
 
+    def push_call(self, when: float, call: tuple) -> None:
+        """Queue ``call``, an already-built ``(fn, args)`` pair, at
+        ``when``: what :meth:`call_at` queues, for a caller that pushes
+        one pair many times instead of a fresh pair per call."""
+        if not when >= self.now:  # NaN too
+            raise ValueError(f"push_call into the past: {when} < {self.now}")
+        if when in self._queue:
+            self._queue[when].append(call)
+        else:
+            self._queue[when] = [call]
+            heappush(self._times, when)
+
     # -- running ------------------------------------------------------------------
 
     def _drive(self, until: Optional[float] = None,

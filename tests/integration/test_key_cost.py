@@ -11,11 +11,11 @@ cell that never waits, invalidates or runs a transaction builds none of
 the three containers, and the engine's crash paths read only what
 already exists.  What a request costs is counted here too: a run keeps
 its completed requests as packed rows and builds no object for them;
-and what a pending timer costs: its data, next to callables each node
-bound once.
+and what a pending timer costs: its incarnation and data, flat in the
+FIFO its delay and callee share.
 """
 
-from types import MethodType
+from collections import Counter
 
 import pytest
 
@@ -287,11 +287,10 @@ def test_a_condition_has_no_instance_dict():
 
 
 def pending_timers(sim):
-    """Every queued ``ProtocolNode._later`` entry, as ``(the entry's
-    function, its arguments)``."""
+    """Every queued ``ProtocolNode._later`` entry."""
     return [entry for entries in sim._queue.values() for entry in entries
             if entry.__class__ is tuple
-            and getattr(entry[0], "__func__", None) is ProtocolNode._if_current]
+            and getattr(entry[0], "__func__", None) is ProtocolNode._fire]
 
 
 #: Each shape, and the callees its pending timers must include.
@@ -316,19 +315,29 @@ TIMER_SHAPES = {
 
 @pytest.mark.parametrize("shape", TIMER_SHAPES)
 def test_a_pending_timer_holds_data_not_bound_methods(shape):
-    """A pending timer is the node's ``_if_current`` with
-    ``(incarnation, callee, data...)``: both callables are the one
-    object its node bound at construction, and no argument is a bound
-    method built for the timer."""
+    """A pending timer is its FIFO's one prebuilt kernel call, the same
+    object for every timer of its (delay, callee), and that FIFO holds
+    one flat item per timer: the node's incarnation, then the callee's
+    arguments — no bound method and no per-timer tuple."""
     build, callees = TIMER_SHAPES[shape]
     cluster = build()
     cluster.run(0.8 * LAZY_PERSIST_DELAY_NS)
+    pending = Counter(map(id, pending_timers(cluster.sim)))
     seen = set()
-    for fn, (incarnation, callee, *data) in pending_timers(cluster.sim):
-        node = fn.__self__
-        assert fn is node._if_current
-        assert incarnation is node.nic.incarnation
-        assert callee is getattr(node, callee.__name__)
-        assert not any(isinstance(arg, MethodType) for arg in data)
-        seen.add(callee.__name__)
+    for node in cluster.engines:
+        for (_delay, callee), (fifo, call) in node._timers.items():
+            fire, (held, fn, arity) = call
+            assert fire == node._fire and held is fifo and fn is callee
+            width = 1 + len(arity)
+            assert len(fifo) == width * pending.pop(id(call), 0)
+            items = list(fifo)
+            assert all(token is node.nic.incarnation
+                       for token in items[::width])
+            for item in items:
+                assert not callable(item)
+                assert not (isinstance(item, tuple)
+                            and any(map(callable, item)))
+            if fifo:
+                seen.add(callee.__name__)
+    assert not pending, "a pending timer that is no FIFO's prebuilt call"
     assert callees <= seen

@@ -25,8 +25,11 @@ Then every cell restarts its whole cluster at the crash instant, as
 ``repro recover`` does, with nothing drained first: every recovery
 finishes, the nodes converge and each store holds its replica's value —
 and the same counts hold, with the persists admitted after the restart
-for a replica the restart discarded (a lazy persist's timer, say).  A
-crash during a catch-up ends that recovery too.
+for a replica the restart discarded (a lazy persist's timer, say).  The
+restart's image counts what the banks held at the crash, so once the
+cluster drains no node's NVM image is ahead of its own replica.  A
+crash during a catch-up ends that recovery too, and the lazy persists
+an ended incarnation armed still fire in their FIFO but issue nothing.
 """
 
 from collections import Counter
@@ -35,7 +38,9 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
-from repro.core.model import all_ddp_models
+from repro.core.engine import LAZY_PERSIST_DELAY_NS
+from repro.core.model import (Consistency, DdpModel, Persistency,
+                              all_ddp_models)
 from repro.faults import FaultInjector
 from repro.faults.plan import plan_from_crash_specs
 from repro.recovery.recovery import recover_latest
@@ -213,6 +218,31 @@ def test_a_restart_at_the_crash_instant_recovers(model, seed):
     assert not stale, f"{model}: stale (node, key) in the store {stale[:5]}"
 
 
+@pytest.mark.parametrize("model, seed", CELLS)
+def test_a_restart_at_the_crash_instant_keeps_what_the_banks_admitted(
+        model, seed):
+    """A drain persist a bank admitted before the crash lands after it,
+    durable (ADR), so the restart's image holds it: once every node of
+    a crashed cluster has restarted at the crash instant and recovered,
+    and the cluster has drained, no node's NVM image is ahead of its own
+    replica on any key (3 x 4 clients, YCSB-A, 30 us)."""
+    config = ClusterConfig(servers=3, clients_per_server=4, seed=seed)
+    cluster = Cluster(model, config=config, workload=WORKLOADS["A"])
+    cluster.run(30_000.0, warmup_ns=3_000.0)
+    cluster.crash_all()
+    recoveries = [cluster.restart_node(node.node_id)
+                  for node in cluster.nodes]
+    while any(recovery.is_alive for recovery in recoveries):
+        cluster.sim.step()
+    drain(cluster, model)
+    ahead = {engine.node_id: [
+        key for key, (version, _value)
+        in recover_latest(cluster.nvm_log, [engine.node_id]).entries.items()
+        if version > engine.replicas.peek(key).applied_version]
+        for engine in cluster.engines}
+    assert not any(ahead.values()), f"{model}: image keys ahead {ahead}"
+
+
 @pytest.mark.parametrize("model", all_ddp_models(), ids=str)
 def test_a_crash_during_the_catch_up_ends_it(model):
     """Node 1 crashes again 0.3 us into its catch-up: the crash ends that
@@ -240,9 +270,9 @@ def test_a_crash_during_the_catch_up_ends_it(model):
 @pytest.mark.parametrize("model", all_ddp_models(), ids=str)
 def test_a_restart_rebuilds_the_store_as_a_fresh_one(model):
     """After a whole-cluster crash, node 1's restarted hashtable holds
-    exactly its NVM image and is laid out as a fresh table filled with
-    that image in key order: the same capacity and, for every image key
-    and every 97th key, the same lookup cost.  Deleting the crashed
+    exactly the image its restart installs and is laid out as a fresh
+    table filled with that image in key order: the same capacity and,
+    for every image key and every 97th key, the same lookup cost.  Deleting the crashed
     incarnation's keys one by one instead would keep its capacity and
     leave tombstones in the probe runs."""
     cluster = Cluster(model, config=ClusterConfig(servers=3,
@@ -250,8 +280,11 @@ def test_a_restart_rebuilds_the_store_as_a_fresh_one(model):
                       workload=WORKLOADS["A"])
     cluster.run(duration_ns=30_000.0, warmup_ns=3_000.0)
     cluster.crash_all()
+    engine, images = cluster.nodes[1].engine, []
+    restart = engine.restart
+    engine.restart = lambda image: (images.append(image), restart(image))
     cluster.restart_node(1)
-    image = recover_latest(cluster.nvm_log, [1]).entries
+    [image] = images
     store, fresh = cluster.nodes[1].store, HashTableStore()
     for key in sorted(image):
         fresh.put(key, image[key][1])
@@ -260,3 +293,61 @@ def test_a_restart_rebuilds_the_store_as_a_fresh_one(model):
     assert store.capacity == fresh.capacity
     assert ([store.read_cost(key) for key in probed]
             == [fresh.read_cost(key) for key in probed]), model
+
+
+def test_a_lazy_persist_fifo_outlives_a_crash():
+    """Node 1's lazy persists share one FIFO across its crash and
+    restart: under ``<Causal, Eventual>`` the timers its ended
+    incarnation armed still fire but issue nothing, so its NVM records
+    after the crash are what its banks held then and what the new
+    incarnation asked for; and the new incarnation's lazy persists are
+    issued at their apply + ``LAZY_PERSIST_DELAY_NS``, in arming
+    order."""
+    model = DdpModel(Consistency.CAUSAL, Persistency.EVENTUAL)
+    cluster = Cluster(model, config=ClusterConfig(servers=3,
+                                                  clients_per_server=4),
+                      workload=WORKLOADS["A"])
+    sim, engine, log = cluster.sim, cluster.nodes[1].engine, cluster.nvm_log
+    armed, issued, records = [], [], []
+    place, request, record = (engine._place_persist,
+                              engine._request_persist, log.record)
+
+    def watched_place(replica, version, value, placed):
+        if placed == "lazy":
+            armed.append((sim.now, engine.nic.incarnation, replica.key,
+                          version))
+        place(replica, version, value, placed)
+
+    def watched_request(replica, version, value, trigger):
+        if trigger == "lazy":
+            issued.append((sim.now, replica.key, version))
+        request(replica, version, value, trigger)
+
+    def watched_record(node_id, key, version, value, **kwargs):
+        if node_id == 1:
+            records.append((key, version))
+        record(node_id, key, version, value, **kwargs)
+
+    engine._place_persist = watched_place
+    engine._request_persist = watched_request
+    log.record = watched_record
+    cluster.run(30_000.0)
+    crash, before = sim.now, (len(issued), len(records))
+    cluster.fail_node(1)
+    in_banks = {(key, version) for key, (version, _value)
+                in engine.in_banks.items()}
+    recovery = cluster.restart_node(1)
+    sim.run(until=crash + 40_000.0)
+    assert not recovery.is_alive
+
+    ended = [at for at, token, _key, _version in armed
+             if token is not engine.nic.incarnation
+             and at + LAZY_PERSIST_DELAY_NS > crash]
+    due = [(at + LAZY_PERSIST_DELAY_NS, key, version)
+           for at, token, key, version in armed
+           if token is engine.nic.incarnation
+           and at + LAZY_PERSIST_DELAY_NS <= sim.now]
+    assert ended and due
+    assert issued[before[0]:] == due
+    asked = in_banks | {(key, version) for _at, key, version in due}
+    assert set(records[before[1]:]) <= asked

@@ -512,6 +512,46 @@ class TestRuns:
         sim.run()
         assert log[-1] == "after"
 
+    def test_a_prebuilt_call_pushed_n_times_runs_n_times_in_push_order(
+            self, sim):
+        """``push_call`` queues the very pair it is given, once per push:
+        each push runs once, in push order among ``call_at``'s entries
+        of its instant, pushes made while the instant runs included."""
+        log, pushed = [], []
+
+        def note(label):
+            log.append((sim.now, label))
+
+        pair = (note, ("pair",))
+
+        def push(when, label="pair"):
+            pushed.append((when, label))
+            if label == "pair":
+                sim.push_call(when, pair)
+            else:
+                sim.call_at(when, note, label)
+
+        def mid(label):
+            note(label)
+            push(sim.now)
+            push(sim.now, "z")
+            push(5.0)
+
+        push(5.0)
+        push(5.0, "x")
+        push(3.0)
+        pushed.append((3.0, "mid"))
+        sim.call_at(3.0, mid, "mid")
+        push(3.0, "y")
+        push(5.0)
+        assert sim._queue[5.0][0] is pair and sim._queue[5.0][2] is pair
+        sim.run()
+        assert log == sorted(pushed, key=lambda entry: entry[0])
+        assert [label for _when, label in log].count("pair") == 5
+        assert sim._queue == {} and sim.queue_depth == 0
+        with pytest.raises(ValueError):
+            sim.push_call(sim.now - 1.0, pair)
+
 
 class TestProfileOfRuns:
     def test_pops_plus_coalesced_is_what_ran(self, sim):
