@@ -602,11 +602,10 @@ class ProtocolNode(NodeLifecycle):
         Holds a request worker for the full duration, stalls included.
         """
         sim, store = self.sim, self.store
-        if not self.request_workers.try_acquire():  # a free one: no event
-            yield self.request_workers.acquire()
+        if not self.request_workers.try_acquire():  # a free one: no yield
+            yield self.request_workers
         try:
-            yield sim.timeout(REQ_PROC_NS + (
-                0.0 if store is None else store.read_cost(key)))
+            yield REQ_PROC_NS + (0.0 if store is None else store.read_cost(key))
             # A key nobody has written here reads as NEVER_WRITTEN,
             # which never stalls: no replica is built for a read.
             replicas = self.replicas
@@ -654,7 +653,7 @@ class ProtocolNode(NodeLifecycle):
                                          node=self.node_id,
                                          dur=sim.now - stall_start, key=key)
                 latency, needs_dram = caches.access_latency()
-                yield sim.timeout(latency)
+                yield latency
                 if needs_dram:
                     yield from self.memory.dram.read(0)
                 if replica is NEVER_WRITTEN:
@@ -711,7 +710,7 @@ class ProtocolNode(NodeLifecycle):
         point (e.g. after VALs under <Linearizable, Synchronous>, or
         immediately after the local update under Causal)."""
         if not self.request_workers.try_acquire():
-            yield self.request_workers.acquire()
+            yield self.request_workers
         try:
             yield from self._do_write(ctx, key, value)
         finally:
@@ -723,7 +722,7 @@ class ProtocolNode(NodeLifecycle):
         fwd_net = ctx.forward_net_ns
         ctx.forward_start_ns = None
         ctx.forward_net_ns = 0.0
-        yield self.sim.timeout(REQ_PROC_NS + self._store_write_cost(key, value))
+        yield REQ_PROC_NS + self._store_write_cost(key, value)
         replica = self.replicas.get(key)
 
         if self.cpolicy.transactional and ctx.txn is not None:
@@ -945,9 +944,9 @@ class ProtocolNode(NodeLifecycle):
         who persist the event (under inline persistency) and ACK."""
         if not self.cpolicy.transactional:
             raise RuntimeError(f"{self.model} does not support transactions")
-        yield self.request_workers.acquire()
+        yield self.request_workers
         try:
-            yield self.sim.timeout(REQ_PROC_NS)
+            yield REQ_PROC_NS
             txn = self.txn_table.begin(self.node_id, ctx.client_id)
             ctx.txn = txn
             if self.tracer.enabled:
@@ -967,9 +966,9 @@ class ProtocolNode(NodeLifecycle):
         txn = ctx.txn
         if txn is None:
             raise RuntimeError("client_end_txn without an open transaction")
-        yield self.request_workers.acquire()
+        yield self.request_workers
         try:
-            yield self.sim.timeout(REQ_PROC_NS)
+            yield REQ_PROC_NS
             self.txn_table.check_still_alive(txn)
             op_id = self._next_op_id()
             payload = tuple(txn.writes)
@@ -1011,9 +1010,9 @@ class ProtocolNode(NodeLifecycle):
         txn = ctx.txn
         if txn is None:
             return
-        yield self.request_workers.acquire()
+        yield self.request_workers
         try:
-            yield self.sim.timeout(REQ_PROC_NS)
+            yield REQ_PROC_NS
             if not txn.aborted:
                 self.txn_table.abort(txn)
             self.metrics.txn_aborts += 1
@@ -1108,10 +1107,10 @@ class ProtocolNode(NodeLifecycle):
         scope_id, writes = ctx.close_scope()
         if not writes:
             return
-        yield self.request_workers.acquire()
+        yield self.request_workers
         try:
             scope_start = self.sim.now
-            yield self.sim.timeout(REQ_PROC_NS)
+            yield REQ_PROC_NS
             op_id = self._next_op_id()
             payload = tuple(writes)
             persist_msg = Message(MsgType.PERSIST, src=self.node_id,

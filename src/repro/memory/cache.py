@@ -147,6 +147,6 @@ class CacheHierarchy:
     def access(self, dram) -> Generator:
         """Process: one hierarchy access, charging DRAM on a full miss."""
         latency, needs_dram = self.access_latency()
-        yield self.sim.timeout(latency)
+        yield latency
         if needs_dram:
             yield from dram.read(0)

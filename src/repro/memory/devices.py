@@ -100,11 +100,11 @@ class MemoryDevice:
         the slowdown in force at the grant; returns the time charged."""
         bank = self._bank_for(address)
         enqueue_time = self.sim.now
-        yield bank.acquire()
+        yield bank
         self.queued_ns += self.sim.now - enqueue_time
         service_ns = service_ns * self.slowdown
         try:
-            yield self.sim.timeout(service_ns)
+            yield service_ns
             self.busy_ns += service_ns
         finally:
             bank.release()

@@ -55,7 +55,7 @@ class MemoryHierarchy:
         """
         if via_ddio:
             if self.caches.llc.ddio_deposit(size_bytes):
-                yield self.sim.timeout(self.caches.llc.round_trip_ns)
+                yield self.caches.llc.round_trip_ns
             else:
                 yield from self.dram.write(address)
         else:

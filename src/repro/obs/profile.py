@@ -27,9 +27,9 @@ Attribution (what ``repro profile``'s hotspot table,
 :func:`format_hotspots`, ranks from a saved report's ``profile``
 section):
 
-* ``by_event_kind`` — per entry kind (timeout, msg_delivery,
-  process_start/end, call_at, composite, interrupt, event) the entry
-  count and cumulative wall seconds spent running them.
+* ``by_event_kind`` — per entry kind (timeout, a process's wake
+  included, msg_delivery, process_start/end, call_at, composite,
+  interrupt, event) the entry count and cumulative wall seconds.
 * ``by_msg_type`` — per protocol :class:`~repro.core.messages.MsgType`
   handler, the message count, cumulative wall seconds, and resumes
   after a wait (filled in by :meth:`call_handler` for every plain-call

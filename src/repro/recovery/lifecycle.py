@@ -117,8 +117,8 @@ class NodeLifecycle:
         if self.tracer.enabled:
             self.tracer.emit(scanned, "recovery_scan", node=self.node_id,
                              dur=scanned - start, keys=len(image))
-        yield sim.timeout(net.one_way_ns + len(image) * CAUHIST_ENTRY_BYTES
-                          / net.bandwidth_bytes_per_ns)
+        yield (net.one_way_ns
+               + len(image) * CAUHIST_ENTRY_BYTES / net.bandwidth_bytes_per_ns)
         answers: Dict[int, Tuple[Version, Any, Version]] = {}
         waits = []
         for peer in peers:
@@ -138,8 +138,8 @@ class NodeLifecycle:
             if (version != mine.applied_version
                     or durable > mine.cluster_persisted_version):
                 differ.append(key)
-        yield sim.timeout(net.one_way_ns + len(differ) * VALUE_BYTES
-                          / net.bandwidth_bytes_per_ns)
+        yield (net.one_way_ns
+               + len(differ) * VALUE_BYTES / net.bandwidth_bytes_per_ns)
         for key in differ:
             version, value, durable = answers.get(key, _NO_ANSWER)
             kept = image.get(key)

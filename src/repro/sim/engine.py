@@ -18,7 +18,8 @@ Design notes
 * The queue is per instant: a heap of the distinct pending timestamps
   (plain floats) and a dict from each timestamp to the list of its
   entries — events and scheduled calls, a call being the bare pair
-  ``(fn, args)`` — in push order.  Entries that share an
+  ``(fn, args)``, a process's wake among them — in push order.
+  Entries that share an
   instant run in the order they were pushed, those pushed while the
   instant runs included, so two runs with the same seed produce
   identical schedules.
@@ -162,7 +163,8 @@ class Event:
 def entry_kind(entry: Any) -> str:
     """The profiling label of a queued entry: an event's ``kind``; for a
     call, the ``event_kind`` its function carries, else ``"call_at"``
-    (the network labels its landing function ``"msg_delivery"``)."""
+    (the network labels its landing function ``"msg_delivery"``, a
+    process's wake is a ``"timeout"``)."""
     if entry.__class__ is tuple:
         return getattr(entry[0], "event_kind", "call_at")
     return entry.kind
@@ -177,8 +179,7 @@ class Timeout(Event):
         if not delay >= 0:  # NaN too
             raise ValueError(f"negative timeout delay: {delay}")
         # ``Event.__init__`` and ``Simulator._schedule`` written out: a
-        # fresh event cannot be scheduled twice, and the commonest event
-        # there is should cost one frame.
+        # fresh event cannot be scheduled twice.
         self.sim = sim
         self.callbacks = []
         self._value = value
@@ -194,9 +195,10 @@ class Timeout(Event):
             heappush(sim._times, when)
 
 
-class _InPlaceStart:
+class _Woken:
     """What :meth:`Process._resume` is handed for a process started in
-    place: an ok trigger with no value, never on the heap."""
+    place or woken by its wake: an ok trigger with no value, never on
+    the heap."""
 
     __slots__ = ()
     _ok = True
@@ -206,9 +208,15 @@ class _InPlaceStart:
 class Process(Event):
     """A running coroutine.  The process *is* an event: it triggers when
     the generator returns (value = return value) or raises (failure).
+
+    It may also yield a number, to sleep, or a ``Resource``, to queue:
+    both wait on its *wake*, the call ``(self._resume, [_Woken])`` built
+    at the first such wait, pushed where a ``Timeout`` or a grant
+    event's ``succeed()`` would be.  An interrupt disarms a pending wake
+    (its argument becomes None), so a stale one resumes nothing.
     """
 
-    __slots__ = ("generator", "_target", "name")
+    __slots__ = ("generator", "_target", "name", "_wake")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = "",
                  inline: bool = False):
@@ -218,6 +226,7 @@ class Process(Event):
             raise TypeError(f"process requires a generator, got {generator!r}")
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        self._wake: Optional[tuple] = None
         if inline:
             # Started in place: the first segment runs inside the event
             # being processed, exactly where a ``yield from`` of the
@@ -226,7 +235,7 @@ class Process(Event):
             # starter is one) is the active one again afterwards.
             self._target = None
             starter = sim._active_process
-            self._resume(_InPlaceStart)
+            self._resume(_Woken)
             sim._active_process = starter
             return
         # Kick off the process via an already-triggered initialization
@@ -247,15 +256,15 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at its current yield."""
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished {self!r}")
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            else:
-                instrument = self.sim.instrument
-                if instrument is not None:
-                    instrument.callbacks_cancelled += 1
+        target, cancelled = self._target, True
+        if target.__class__ is tuple:  # a pending wake: disarm it
+            target[1][0] = self._wake = None
+        elif target is not None and self._resume in (target.callbacks or ()):
+            target.callbacks.remove(self._resume)
+        else:
+            cancelled = False
+        if cancelled and self.sim.instrument is not None:
+            self.sim.instrument.callbacks_cancelled += 1
         interrupt_event = Event(self.sim)
         interrupt_event.kind = "interrupt"
         interrupt_event._ok = False
@@ -264,14 +273,21 @@ class Process(Event):
         interrupt_event.callbacks.append(self._resume)
         self.sim._schedule(interrupt_event, self.sim.now)
 
-    def _resume(self, trigger: Event) -> None:
+    def _arm(self) -> tuple:
+        self._wake = (self._resume, [_Woken])
+        return self._wake
+
+    def _resume(self, trigger: Optional[Event]) -> None:
+        if trigger is None:  # a wake an interrupt disarmed
+            return
         # ``hops`` counts trampoline fast-path continuations (yielding an
         # already-processed event resumes the generator without another
         # heap pop); the attached instrument, if any, collects it on exit.
-        instrument = self.sim.instrument
+        sim = self.sim
+        instrument = sim.instrument
         hops = 0
         try:
-            self.sim._active_process = self
+            sim._active_process = self
             event: Event = trigger
             while True:
                 try:
@@ -281,46 +297,69 @@ class Process(Event):
                         event.defused = True
                         target = self.generator.throw(event._value)
                 except StopIteration as stop:
-                    self._target = None
-                    self.sim._active_process = None
+                    self._target = self._wake = None
+                    sim._active_process = None
                     if self._value is PENDING:
                         # Nobody waiting (the common case for spawned
                         # activities): no process_end pop to do nothing.
                         self.settle(stop.value)
                     return
                 except BaseException as exc:
-                    self._target = None
-                    self.sim._active_process = None
+                    self._target = self._wake = None
+                    sim._active_process = None
                     if self._value is PENDING:
                         self.fail(exc)
                     else:  # pragma: no cover - double fault
                         raise
                     return
 
-                if not isinstance(target, Event) or target.sim is not self.sim:
-                    self._target = None
-                    self.sim._active_process = None
-                    self.fail(
-                        SimulationError(
-                            f"process {self.name!r} yielded invalid target "
-                            f"{target!r}"
-                        )
-                    )
+                kind = target.__class__
+                if kind is float or kind is int:
+                    if not target >= 0:  # NaN too: thrown where a Timeout raises
+                        event = Event(sim)
+                        event._ok = False
+                        event._value = ValueError(f"negative sleep: {target}")
+                        continue
+                    # A sleep: the wake goes where a Timeout would have.
+                    self._target = wake = self._wake or self._arm()
+                    when = sim.now + target
+                    if when in sim._queue:
+                        sim._queue[when].append(wake)
+                    else:
+                        sim._queue[when] = [wake]
+                        heappush(sim._times, when)
+                elif isinstance(target, Event) and target.sim is sim:
+                    if target.callbacks is None:
+                        # Already processed: continue immediately with its value.
+                        event = target
+                        hops += 1
+                        continue
+                    target.callbacks.append(self._resume)
+                    self._target = target
+                elif hasattr(target, "park") and target.sim is sim:
+                    # A Resource: the wake queues unless a unit is free.
+                    wake = self._wake or self._arm()
+                    if not target.park(wake):
+                        event = _Woken
+                        hops += 1
+                        continue
+                    self._target = wake
+                else:
+                    self._target = self._wake = None
+                    sim._active_process = None
+                    self.fail(SimulationError(
+                        f"process {self.name!r} yielded invalid target "
+                        f"{target!r}"))
                     return
-
-                if target.callbacks is None:
-                    # Already processed: continue immediately with its value.
-                    event = target
-                    hops += 1
-                    continue
-                target.callbacks.append(self._resume)
-                self._target = target
-                self.sim._active_process = None
+                sim._active_process = None
                 return
         finally:
             if instrument is not None:
                 instrument.resume_segments += 1
                 instrument.trampoline_hops += hops
+
+    # What a profiler files any wake under (entry_kind), a grant's too.
+    _resume.event_kind = "timeout"
 
 
 class AllOf(Event):
@@ -408,7 +447,7 @@ class Simulator:
         sim = Simulator()
 
         def worker():
-            yield sim.timeout(5)
+            yield 5  # sleep 5 ns; ``yield sim.timeout(5)`` waits the same
             return "done"
 
         proc = sim.process(worker())

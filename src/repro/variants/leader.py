@@ -56,7 +56,7 @@ class LeaderProtocolNode(ProtocolNode):
                                     time_ns=self.sim.now)
         forward_net = (self.nic.serialization_ns(_FORWARD_BYTES)
                        + self._one_way_ns())
-        yield self.sim.timeout(forward_net)
+        yield forward_net
         if self.tracer.enabled:
             # Hand the leader the forwarding provenance so its journey
             # record starts at the origin node's client issue.
@@ -64,7 +64,7 @@ class LeaderProtocolNode(ProtocolNode):
             ctx.forward_net_ns = forward_net
         # The leader coordinates the write with its own worker capacity;
         # the client's session context travels with the request.
-        yield leader.request_workers.acquire()
+        yield leader.request_workers
         try:
             yield from leader._do_write(ctx, key, value)
         finally:
@@ -72,8 +72,7 @@ class LeaderProtocolNode(ProtocolNode):
         # Completion notification back to the origin node.
         self.metrics.record_message("FWD_ACK", _REPLY_BYTES,
                                     time_ns=self.sim.now)
-        yield self.sim.timeout(
-            self.nic.serialization_ns(_REPLY_BYTES) + self._one_way_ns())
+        yield self.nic.serialization_ns(_REPLY_BYTES) + self._one_way_ns()
         if self.tracer.enabled:
             # Span covers both hops plus the leader's coordination round.
             self.tracer.emit(self.sim.now, "fwd_write", node=self.node_id,

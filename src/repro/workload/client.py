@@ -270,7 +270,7 @@ class Client:
                     self.history.set_txn_outcome(txn.txn_id, False)
                 backoff = (TXN_RETRY_BACKOFF_NS
                            * min(attempt, _MAX_BACKOFF_MULTIPLIER))
-                yield self.sim.timeout(backoff)
+                yield backoff
                 continue
             if self.record_ops and txn is not None:
                 # A committed transaction's writes are the durable unit

@@ -1,6 +1,6 @@
 """What a protocol message costs the host, beyond simulated time.
 
-Two guards on the message path that no simulated number shows:
+Guards on the message path that no simulated number shows:
 
 * **Frames per message and per read.**  Every hop of a message — a
   landing, a handler's entry, a send — is a call the kernel or the
@@ -13,6 +13,9 @@ Two guards on the message path that no simulated number shows:
   versions), per message or per completed read of a small fixed-work
   run must stay under the measured value + 10 %, as
   ``MESSAGE_COST_CEILINGS`` holds kernel events per message.
+* **No event per wait.**  A client read or write sleeps, and queues
+  for a worker, on its process's one prebuilt wake: no ``Timeout`` and
+  no grant ``Event`` is built on the client path.
 * **No cyclic garbage.**  Everything a round, a stall or a landing
   allocates is freed by reference counting when it ends: a crash-restart
   plus lossy run — watchdogs re-arming, resends, clients interrupted
@@ -31,11 +34,13 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
+from repro.core.engine import ProtocolNode
 from repro.core.model import (Consistency as C, DdpModel, Persistency as P,
                               all_ddp_models)
 from repro.faults import FaultInjector, load_fault_plan
 from repro.obs import HealthMonitor, HistoryRecorder, KernelProfile
 from repro.sim.engine import Simulator
+from repro.sim.sync import Resource
 from repro.sim.trace import Tracer
 from repro.workload.ycsb import WORKLOADS
 
@@ -62,10 +67,11 @@ FRAME_CEILINGS = {
 
 #: Python frames per completed request of the same run on YCSB-C (all
 #: reads), measured (CPython 3.11.7) plus 10 %: 45.78 / 46.78 before
-#: the client's read chain was one generator.
+#: the client's read chain was one generator, 23.87 / 24.87 before its
+#: two sleeps waited on the process's wake instead of a ``Timeout``.
 READ_FRAME_CEILINGS = {
-    str(CAUSAL_EVENTUAL): 28.3,    # measured 25.70
-    str(LIN_SYNC): 31.6,           # measured 28.70
+    str(CAUSAL_EVENTUAL): 21.9,    # measured 19.88
+    str(LIN_SYNC): 23.0,           # measured 20.88
 }
 
 
@@ -114,6 +120,40 @@ def test_python_frames_per_read_stay_under_the_ceiling(model):
     assert reads == 60 and cluster.network.total_messages == 0
     frames /= reads
     assert frames <= READ_FRAME_CEILINGS[str(model)], (str(model), frames)
+
+
+def test_client_reads_and_writes_build_no_timeout_and_no_grant_event():
+    """A client read or write sleeps, and queues for a request worker,
+    on its process's one wake: it builds no ``Timeout`` and no grant
+    ``Event``, contended or not (20 clients share 12 workers here)."""
+    cluster = Cluster(CAUSAL_EVENTUAL, config=ClusterConfig(servers=3,
+                                                            seed=2021),
+                      workload=WORKLOADS["B"])
+    client_ops = {ProtocolNode.client_read.__code__,
+                  ProtocolNode.client_write.__code__}
+    builders = {Simulator.timeout.__code__: "Timeout",
+                Resource.acquire.__code__: "grant Event"}
+    built = Counter()
+
+    def count(frame, event, _arg):
+        if event != "call" or frame.f_code not in builders:
+            return
+        caller = frame.f_back
+        while caller is not None:
+            if caller.f_code in client_ops:
+                built[builders[frame.f_code]] += 1
+                return
+            caller = caller.f_back
+
+    sys.setprofile(count)
+    try:
+        summary = cluster.run(5_000.0, warmup_ns=500.0)
+    finally:
+        sys.setprofile(None)
+    assert summary.mean_read_ns > 0 and summary.mean_write_ns > 0
+    assert max(engine.request_workers.peak_queue_len
+               for engine in cluster.engines) > 0
+    assert built == Counter()
 
 
 def cyclic_garbage(run) -> Counter:

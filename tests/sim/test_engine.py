@@ -119,6 +119,97 @@ class TestTimeout:
         assert results == ["hello"]
 
 
+class TestSleep:
+    """``yield d`` sleeps ``d`` ns on the process's one prebuilt wake,
+    pushed where ``yield sim.timeout(d)`` would have pushed its event."""
+
+    def test_sleeps_and_resumes_with_no_value(self, sim):
+        seen = []
+
+        def sleeper():
+            seen.append((yield 5))
+            seen.append((yield 0))
+            seen.append(sim.now)
+
+        sim.process(sleeper())
+        sim.run()
+        assert seen == [None, None, 5.0]
+
+    def test_wake_takes_the_place_a_timeout_would_have(self, sim):
+        order = []
+
+        def waiter(name, sleep):
+            yield 1.0 if sleep else sim.timeout(1.0)
+            order.append(name)
+
+        for index in range(4):
+            sim.process(waiter(f"p{index}", sleep=index % 2 == 0))
+        sim.call_at(1.0, order.append, "call")
+        sim.run()
+        assert order == ["call", "p0", "p1", "p2", "p3"]
+
+    def test_one_wake_per_process_built_at_the_first_sleep(self, sim):
+        wakes = []
+
+        def sleeper():
+            for _ in range(3):
+                yield 1
+                wakes.append(proc._wake)
+
+        proc = sim.process(sleeper())
+        assert proc._wake is None
+        sim.run()
+        assert len(wakes) == 3 and wakes[0] is wakes[1] is wakes[2]
+        assert proc._wake is None  # dropped at the end: no cycle left
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_negative_or_nan_sleep_fails_as_timeout_raises(self, sim, delay):
+        caught = []
+
+        def catcher():
+            try:
+                yield delay
+            except ValueError:
+                caught.append(sim.now)
+            yield 1
+
+        def unguarded():
+            yield delay
+
+        sim.process(catcher())
+        proc = sim.process(unguarded())
+        with pytest.raises(ValueError):
+            sim.run()
+        assert proc.triggered and not proc.ok
+        sim.run()
+        assert caught == [0.0] and sim.now == 1.0
+
+    @pytest.mark.parametrize("again", [50.0, 3.0, 0.0])
+    def test_stale_wake_never_resumes_an_interrupted_sleeper(self, sim,
+                                                             again):
+        """Interrupted at 5 in a sleep to 100, the sleeper sleeps again
+        — longer, shorter, or not at all — and wakes only at its new
+        time; the stale wake at 100 pops and resumes nothing."""
+        log = []
+
+        def sleeper():
+            try:
+                yield 100.0
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+            yield again
+            log.append(("woke", sim.now))
+            yield 200.0
+            log.append(("woke", sim.now))
+
+        proc = sim.process(sleeper())
+        sim.call_at(5.0, proc.interrupt)
+        sim.run()
+        assert log == [("interrupted", 5.0), ("woke", 5.0 + again),
+                       ("woke", 205.0 + again)]
+        assert sim.now == 205.0 + again
+
+
 class TestProcess:
     def test_return_value(self, sim):
         def proc():
@@ -191,8 +282,10 @@ class TestProcess:
         assert caught == ["inner"]
 
     def test_yield_non_event_fails_process(self, sim):
+        # A number is a sleep; a string is neither that, an event nor a
+        # FIFO to wait in.
         def bad():
-            yield 42
+            yield "42"
 
         p = sim.process(bad())
         with pytest.raises(SimulationError):

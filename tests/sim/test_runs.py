@@ -7,7 +7,8 @@ the end, entries the instant appends to itself included.  The property
 test drives the kernel and a reference model — a sorted list of
 ``(when, sequence, call)``, one entry per push — with the same random
 programme and requires the same execution order, the same queued
-``(when, position)`` pairs whenever the driver gets control back, the
+``(when, position)`` pairs whenever the driver gets control back (a
+process's sleep wake where its ``Timeout`` would have been), the
 same ``queue_depth`` at every push and every call, through calls that
 raise and instants cut by ``step`` / ``run_until_complete``; the unit
 cases pin each edge where an instant's list has to behave like the
@@ -68,10 +69,11 @@ class ModelKernel:
     def timeout(self, delay, fn):
         self.call_at(self.now + delay, fn)
 
-    def process(self, delays, fn):
-        """A process: one start entry, then one timeout per delay,
-        pushed when the previous one has fired and ``fn(step)`` ran."""
-        steps = iter(enumerate(delays))
+    def process(self, waits, fn):
+        """A process: one start entry, then one entry per ``(how,
+        delay)`` wait — a timeout or a sleep, which queue alike — pushed
+        when the previous one has fired and ``fn(step)`` ran."""
+        steps = iter(enumerate(delay for _how, delay in waits))
 
         def advance(fired=None):
             if fired is not None:
@@ -134,10 +136,10 @@ class RealKernel:
     def timeout(self, delay, fn):
         self.sim.timeout(delay).callbacks.append(lambda _event: fn())
 
-    def process(self, delays, fn):
+    def process(self, waits, fn):
         def body():
-            for step, delay in enumerate(delays):
-                yield self.sim.timeout(delay)
+            for step, (how, delay) in enumerate(waits):
+                yield delay if how == "sleep" else self.sim.timeout(delay)
                 fn(step)
         self.sim.process(body())
 
@@ -166,6 +168,8 @@ class RealKernel:
 #: Few distinct delays, zero among them: same-instant bursts, joins
 #: across nesting levels and zero-delay pushes are the common case.
 DELAYS = st.sampled_from([0.0, 1.0, 1.0, 2.0])
+#: How a process waits: on a ``Timeout``, or asleep on its wake.
+WAITS = st.sampled_from(["timeout", "sleep"])
 
 
 def _actions(bodies):
@@ -173,7 +177,8 @@ def _actions(bodies):
         st.tuples(st.just("call"), DELAYS, bodies),
         st.tuples(st.just("call"), DELAYS, bodies),
         st.tuples(st.just("timeout"), DELAYS, bodies),
-        st.tuples(st.just("process"), st.lists(DELAYS, max_size=3)),
+        st.tuples(st.just("process"),
+                  st.lists(st.tuples(WAITS, DELAYS), max_size=3)),
         st.tuples(st.just("stop"), DELAYS),
         st.tuples(st.just("raise"), DELAYS),
     ), max_size=4)

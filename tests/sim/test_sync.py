@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Interrupt, Simulator
 from repro.sim.sync import AdmissionPool, Condition, Resource, Store
 
 
@@ -94,6 +94,65 @@ class TestResource:
         sim.run()
         assert order == [(0.0, "holder"), (10.0, "waiter"),
                          (15.0, "latecomer")]
+
+    def test_yield_resource_queues_the_wake_fifo_with_events(self, sim):
+        """``yield resource`` waits in the same FIFO as ``acquire()``
+        events, and its grant pops where the event's would."""
+        resource = Resource(sim, 1)
+        order = []
+
+        def parked(name):
+            yield resource
+            order.append((sim.now, name))
+            yield 5
+            resource.release()
+
+        def evented(name):
+            yield resource.acquire()
+            order.append((sim.now, name))
+            yield sim.timeout(5)
+            resource.release()
+
+        for index in range(4):
+            sim.process((parked if index % 2 else evented)(f"u{index}"))
+        sim.run()
+        assert order == [(0.0, "u0"), (5.0, "u1"), (10.0, "u2"),
+                         (15.0, "u3")]
+        assert resource.total_acquires == 4 and resource.in_use == 0
+
+    def test_interrupted_queued_waiter_is_skipped(self, sim):
+        """A waiter interrupted in the FIFO is dead: the release hands
+        the unit to the next live one, and the dead one, asleep by then,
+        is not resumed early by a grant."""
+        resource = Resource(sim, 1)
+        log = []
+
+        def holder():
+            yield resource
+            yield 10
+            resource.release()
+
+        def dead():
+            try:
+                yield resource
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+            yield 20
+            log.append(("dead woke", sim.now))
+
+        def live():
+            yield resource
+            log.append(("live granted", sim.now))
+            resource.release()
+
+        sim.process(holder())
+        victim = sim.process(dead())
+        sim.process(live())
+        sim.call_at(3.0, victim.interrupt)
+        sim.run()
+        assert log == [("interrupted", 3.0), ("live granted", 10.0),
+                       ("dead woke", 23.0)]
+        assert (resource.in_use, resource.queue_len) == (0, 0)
 
     def test_use_helper(self, sim):
         resource = Resource(sim, 1)
