@@ -7,11 +7,10 @@ import math
 import pytest
 
 from repro.analysis.waterfall import lag_summary
-from repro.cluster.cluster import Cluster
-from repro.cluster.config import ClusterConfig
 from repro.core.context import ClientContext
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.obs.journey import JourneyTracker
+from tests.harness import idle, run_op
 
 
 def summarize(tracker):
@@ -63,16 +62,10 @@ class TestTrackerUnit:
 
 def drive_writes(consistency, persistency, writes=10):
     tracker = JourneyTracker(num_nodes=3)
-    cluster = Cluster(DdpModel(consistency, persistency),
-                      config=ClusterConfig(servers=3, clients_per_server=0,
-                                           store_type=None),
-                      tracer=tracker)
-    cluster.start()
-    engine = cluster.engines[0]
-    ctx = ClientContext(0, 0)
+    cluster = idle(DdpModel(consistency, persistency), tracer=tracker)
+    engine, ctx = cluster.engines[0], ClientContext(0, 0)
     for i in range(writes):
-        cluster.sim.run_until_complete(
-            cluster.sim.process(engine.client_write(ctx, i, f"v{i}")))
+        run_op(cluster, engine.client_write(ctx, i, f"v{i}"))
     cluster.sim.run(until=cluster.sim.now + 300_000)
     return summarize(tracker)
 

@@ -21,24 +21,21 @@ from repro.analysis.waterfall import (
     format_waterfall,
     waterfall_json,
 )
-from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import (Consistency, DdpModel, Persistency,
                                all_ddp_models)
 from repro.memory.devices import MemoryTiming
 from repro.net.network import NetworkConfig
 from repro.obs import JourneyTracker, UpdateJourney
-from repro.workload.ycsb import WORKLOADS
+from tests import harness
 
 SERVERS = 3
 
 
 def run_with_journeys(model, duration_ns=40_000.0):
     tracker = JourneyTracker(SERVERS)
-    config = ClusterConfig(servers=SERVERS, clients_per_server=3)
-    cluster = Cluster(model, config=config, workload=WORKLOADS["A"],
-                      tracer=tracker)
-    cluster.run(duration_ns, warmup_ns=4_000.0)
+    harness.run(model, duration_ns, 4_000.0, tracer=tracker,
+                config=ClusterConfig(servers=SERVERS, clients_per_server=3))
     return tracker
 
 
@@ -186,9 +183,7 @@ class TestFabricOrMedium:
             tracker = JourneyTracker(SERVERS)
             config = ClusterConfig(servers=SERVERS, clients_per_server=2,
                                    **overrides)
-            cluster = Cluster(model, config=config, workload=WORKLOADS["A"],
-                              tracer=tracker)
-            summary = cluster.run(40_000.0, warmup_ns=4_000.0)
+            summary = harness.run(model, config=config, tracer=tracker).summary
             dp = aggregate_journeys(tracker.journeys, SERVERS).dp
             runs[name] = (summary.mean_write_ns, dp.buckets_ns)
         return runs

@@ -12,13 +12,11 @@ import pytest
 
 from repro.audit import (AUDIT_SCHEMA, audit_exit_code, audit_history,
                          format_audit_table)
-from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency, DdpModel, Persistency
-from repro.faults import FaultInjector, load_fault_plan
-from repro.obs.history import History, HistoryOpRecord, HistoryRecorder, \
-    recovered_from_cluster
+from repro.obs.history import History, HistoryOpRecord, recovered_from_cluster
 from repro.workload.ycsb import WORKLOADS
+from tests import harness
 
 # Every consistency row and every persistency column appears at least
 # once (the diagonal plus the strongest and weakest corners).
@@ -33,23 +31,18 @@ MODELS = [
 
 
 def _audited_run(model, crash=False, duration=200_000.0):
-    recorder = HistoryRecorder()
-    faults = None
-    if crash:
-        plan = load_fault_plan({"events": [
-            {"kind": "crash", "node": 1, "at_us": 80,
-             "restart_after_us": 40}]})
-        faults = FaultInjector(plan)
-    cluster = Cluster(model,
-                      config=ClusterConfig(servers=3, clients_per_server=4,
-                                           seed=2021),
-                      workload=WORKLOADS["A"].with_overrides(key_space=64),
-                      faults=faults, history=recorder)
-    cluster.run(duration, warmup_ns=0.0)
-    recorder.recovered = recovered_from_cluster(cluster)
-    recorder.meta = {"model": {"consistency": model.consistency.value,
-                               "persistency": model.persistency.value}}
-    return recorder.history()
+    cluster = harness.run(
+        model, duration, warmup=0.0, history=True,
+        config=ClusterConfig(servers=3, clients_per_server=4),
+        workload=WORKLOADS["A"].with_overrides(key_space=64),
+        plan={"events": [{"kind": "crash", "node": 1, "at_us": 80,
+                          "restart_after_us": 40}]} if crash else None
+    ).cluster
+    history = cluster.history.history()
+    history.recovered = recovered_from_cluster(cluster)
+    history.meta = {"model": {"consistency": model.consistency.value,
+                              "persistency": model.persistency.value}}
+    return history
 
 
 class TestOwnContract:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from tests.obs.test_sweep import rig_to_crash
+from tests.harness import rig_to_crash
 
 
 class TestParser:

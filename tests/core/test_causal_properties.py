@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.config import ClusterConfig
 from repro.core.messages import Message, MsgType
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
+from tests.harness import idle
 
 
 class OrderRecorder:
@@ -67,11 +66,7 @@ def build_updates(num_writes, num_keys, extra_dep_seed):
 def deliver_and_check(persistency, num_writes, num_keys, perm_seed,
                       extra_dep_seed):
     recorder = OrderRecorder()
-    cluster = Cluster(DdpModel(C.CAUSAL, persistency),
-                      config=ClusterConfig(servers=3, clients_per_server=0,
-                                           store_type=None),
-                      tracer=recorder)
-    cluster.start()
+    cluster = idle(DdpModel(C.CAUSAL, persistency), tracer=recorder)
     follower = cluster.engines[1]
     updates = build_updates(num_writes, num_keys, extra_dep_seed)
     order = list(updates)
@@ -125,11 +120,7 @@ def test_causal_synchronous_deps_persist_first(num_writes, num_keys,
 def test_reverse_delivery_of_long_chain():
     """Worst case: the whole chain arrives in exactly reverse order."""
     recorder = OrderRecorder()
-    cluster = Cluster(DdpModel(C.CAUSAL, P.SYNCHRONOUS),
-                      config=ClusterConfig(servers=3, clients_per_server=0,
-                                           store_type=None),
-                      tracer=recorder)
-    cluster.start()
+    cluster = idle(DdpModel(C.CAUSAL, P.SYNCHRONOUS), tracer=recorder)
     follower = cluster.engines[1]
     updates = build_updates(num_writes=15, num_keys=3, extra_dep_seed=0)
     peak = 0

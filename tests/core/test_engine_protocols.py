@@ -17,27 +17,14 @@ from repro.core.messages import Message, MsgType
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.core.replica import ZERO_VERSION
 from repro.txn.manager import TxnConflict
+from tests.harness import idle, run_op
 
 RTT = 1000.0
 NVM_WRITE = 400.0
 
 
 def make_cluster(consistency, persistency, servers=3):
-    model = DdpModel(consistency, persistency)
-    config = ClusterConfig(servers=servers, clients_per_server=0,
-                           store_type=None)
-    cluster = Cluster(model, config=config)
-    cluster.start()
-    return cluster
-
-
-def run_op(cluster, generator):
-    """Drive one client operation to completion; return (value, latency)."""
-    sim = cluster.sim
-    start = sim.now
-    process = sim.process(generator)
-    value = sim.run_until_complete(process)
-    return value, sim.now - start
+    return idle(DdpModel(consistency, persistency), servers)
 
 
 def quiesce(cluster, horizon=200_000.0):
@@ -561,11 +548,8 @@ class TestArrivalPath:
 
         tracer = Tracer(categories=["msg_handle"])
         profile = KernelProfile()
-        config = ClusterConfig(servers=3, clients_per_server=0,
-                               store_type=None)
-        cluster = Cluster(DdpModel(C.EVENTUAL, P.EVENTUAL), config=config,
-                          tracer=tracer, profile=profile)
-        cluster.start()
+        cluster = idle(DdpModel(C.EVENTUAL, P.EVENTUAL), tracer=tracer,
+                       profile=profile)
         sim, follower = cluster.sim, cluster.engines[1]
         # One VAL_p per protocol worker fills them all; the next five
         # arrivals queue behind them: plain handlers (VAL_p, ACK) and a
@@ -612,11 +596,8 @@ class TestArrivalPath:
             perf_counter=lambda: float(next(ticks))))
         tracer = Tracer(categories=["msg_handle"])
         profile = profile_module.KernelProfile()
-        config = ClusterConfig(servers=3, clients_per_server=0,
-                               store_type=None)
-        cluster = Cluster(DdpModel(consistency, persistency), config=config,
-                          tracer=tracer, profile=profile)
-        cluster.start()
+        cluster = idle(DdpModel(consistency, persistency), tracer=tracer,
+                       profile=profile)
         return cluster, tracer, profile
 
     @staticmethod
@@ -779,11 +760,7 @@ class TestArrivalPath:
         from repro.sim.trace import Tracer
 
         tracer = Tracer(categories=["msg_handle"])
-        config = ClusterConfig(servers=3, clients_per_server=0,
-                               store_type=None)
-        cluster = Cluster(DdpModel(consistency, persistency), config=config,
-                          tracer=tracer)
-        cluster.start()
+        cluster = idle(DdpModel(consistency, persistency), tracer=tracer)
         sim, follower = cluster.sim, cluster.engines[1]
         llc = follower.memory.caches.llc
         llc.ddio_capacity = 0
@@ -838,11 +815,7 @@ class TestBroadcastFrame:
 
     @staticmethod
     def _broadcast(tracer=None, targets=None):
-        config = ClusterConfig(servers=4, clients_per_server=0,
-                               store_type=None)
-        cluster = Cluster(DdpModel(C.EVENTUAL, P.EVENTUAL), config=config,
-                          tracer=tracer)
-        cluster.start()
+        cluster = idle(DdpModel(C.EVENTUAL, P.EVENTUAL), 4, tracer=tracer)
         sends, send = [], cluster.network.send
 
         def spy(src, dst, *rest):

@@ -4,25 +4,16 @@ replicas, including under racy last-writer-wins interleavings."""
 
 import pytest
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.config import ClusterConfig
 from repro.core.context import ClientContext
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.core.replica import KeyReplica
 from repro.sim.engine import Simulator
 from repro.txn.manager import TxnConflict
+from tests.harness import idle, run_op
 
 
 def make_cluster(persistency=P.SYNCHRONOUS):
-    cluster = Cluster(DdpModel(C.TRANSACTIONAL, persistency),
-                      config=ClusterConfig(servers=3, clients_per_server=0,
-                                           store_type=None))
-    cluster.start()
-    return cluster
-
-
-def run(cluster, generator):
-    return cluster.sim.run_until_complete(cluster.sim.process(generator))
+    return idle(DdpModel(C.TRANSACTIONAL, persistency))
 
 
 class TestAbortRevert:
@@ -30,16 +21,16 @@ class TestAbortRevert:
         cluster = make_cluster()
         engine = cluster.engines[0]
         setup = ClientContext(0, 0)
-        run(cluster, engine.client_begin_txn(setup))
-        run(cluster, engine.client_write(setup, 5, "committed"))
-        run(cluster, engine.client_end_txn(setup))
+        run_op(cluster, engine.client_begin_txn(setup))
+        run_op(cluster, engine.client_write(setup, 5, "committed"))
+        run_op(cluster, engine.client_end_txn(setup))
 
         ctx = ClientContext(1, 0)
-        run(cluster, engine.client_begin_txn(ctx))
-        run(cluster, engine.client_write(ctx, 5, "doomed"))
+        run_op(cluster, engine.client_begin_txn(ctx))
+        run_op(cluster, engine.client_write(ctx, 5, "doomed"))
         cluster.sim.run(until=cluster.sim.now + 5_000)  # INVs propagate
         cluster.txn_table.abort(ctx.txn)
-        run(cluster, engine.client_abort_txn(ctx))
+        run_op(cluster, engine.client_abort_txn(ctx))
         cluster.sim.run(until=cluster.sim.now + 100_000)
         for e in cluster.engines:
             assert e.replicas.get(5).applied_value == "committed"
@@ -48,9 +39,9 @@ class TestAbortRevert:
         cluster = make_cluster()
         engine = cluster.engines[0]
         ctx = ClientContext(0, 0)
-        run(cluster, engine.client_begin_txn(ctx))
-        run(cluster, engine.client_write(ctx, 1, "a"))
-        run(cluster, engine.client_end_txn(ctx))
+        run_op(cluster, engine.client_begin_txn(ctx))
+        run_op(cluster, engine.client_write(ctx, 1, "a"))
+        run_op(cluster, engine.client_end_txn(ctx))
         cluster.sim.run(until=cluster.sim.now + 100_000)
         for e in cluster.engines:
             assert e.replicas.get(1).txn_undo == {}
@@ -64,16 +55,16 @@ class TestAbortRevert:
         e0, e1 = cluster.engines[0], cluster.engines[1]
         ctx_a = ClientContext(0, 0)   # older txn, node 0
         ctx_b = ClientContext(1, 1)   # younger txn, node 1
-        run(cluster, e0.client_begin_txn(ctx_a))
-        run(cluster, e1.client_begin_txn(ctx_b))
+        run_op(cluster, e0.client_begin_txn(ctx_a))
+        run_op(cluster, e1.client_begin_txn(ctx_b))
         # B writes key 9 first (gets the higher node-id tiebreak), then
         # A writes the same key: A's access squashes the younger B.
-        run(cluster, e1.client_write(ctx_b, 9, "from-b"))
-        run(cluster, e0.client_write(ctx_a, 9, "from-a"))
+        run_op(cluster, e1.client_write(ctx_b, 9, "from-b"))
+        run_op(cluster, e0.client_write(ctx_a, 9, "from-a"))
         assert ctx_b.txn.aborted
-        run(cluster, e1.client_abort_txn(ctx_b))
+        run_op(cluster, e1.client_abort_txn(ctx_b))
         # A must be able to commit despite B's write racing hers.
-        run(cluster, e0.client_end_txn(ctx_a))
+        run_op(cluster, e0.client_end_txn(ctx_a))
         cluster.sim.run(until=cluster.sim.now + 200_000)
         finals = {e.replicas.get(9).applied_value for e in cluster.engines}
         assert finals == {"from-a"}
@@ -84,12 +75,12 @@ class TestAbortRevert:
         cluster = make_cluster(P.SCOPE)
         engine = cluster.engines[0]
         ctx = ClientContext(0, 0)
-        run(cluster, engine.client_begin_txn(ctx))
-        run(cluster, engine.client_write(ctx, 3, "doomed"))
+        run_op(cluster, engine.client_begin_txn(ctx))
+        run_op(cluster, engine.client_write(ctx, 3, "doomed"))
         cluster.txn_table.abort(ctx.txn)
-        run(cluster, engine.client_abort_txn(ctx))
+        run_op(cluster, engine.client_abort_txn(ctx))
         assert ctx.scope_writes == []
-        run(cluster, engine.client_persist_scope(ctx))  # no-op, no hang
+        run_op(cluster, engine.client_persist_scope(ctx))  # no-op, no hang
 
 
 class TestAbsorbSuperseded:

@@ -10,14 +10,13 @@ judged record: a new exclusion that empties a check fails here.
 import pytest
 
 from repro.audit import audit_history, checks_for_cell
-from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.contracts import contract_for
 from repro.core.model import (Consistency as C, DdpModel, Persistency as P,
                               all_ddp_models)
-from repro.faults import FaultInjector, load_fault_plan, validate_faulty_run
-from repro.obs import HistoryRecorder, recovered_from_cluster
-from repro.workload.ycsb import WORKLOADS
+from repro.faults import validate_faulty_run
+from repro.obs import recovered_from_cluster
+from tests import harness
 
 #: Owed checks that judge nothing on a clean run, by design.
 VACUOUS = {
@@ -31,20 +30,11 @@ VACUOUS = {
 }
 
 
-def run(model, plan, duration_ns, seed=2021):
-    cluster = Cluster(model,
-                      config=ClusterConfig(servers=3, clients_per_server=4,
-                                           seed=seed),
-                      workload=WORKLOADS["A"],
-                      faults=FaultInjector(load_fault_plan(plan)),
-                      history=HistoryRecorder())
-    cluster.run(duration_ns)
-    return cluster
-
-
 @pytest.mark.parametrize("model", all_ddp_models(), ids=str)
 def test_every_owed_check_judges_a_record_on_a_clean_run(model):
-    cluster = run(model, {"events": []}, 30_000.0)
+    cluster = harness.run(model, 30_000.0, warmup=0.0, plan={"events": []},
+                          config=ClusterConfig(servers=3, clients_per_server=4),
+                          history=True).cluster
     recorder = cluster.history
     recorder.recovered = recovered_from_cluster(cluster)
     report = audit_history(recorder.history())
@@ -68,7 +58,10 @@ def test_scope_ids_survive_a_client_restart(seed):
     crash = {"events": [{"kind": "crash", "node": 1, "at_us": 20,
                          "restart_after_us": 15}]}
     for consistency in C:
-        cluster = run(DdpModel(consistency, P.SCOPE), crash, 80_000.0, seed)
+        cluster = harness.run(
+            DdpModel(consistency, P.SCOPE), 80_000.0, warmup=0.0, plan=crash,
+            config=ClusterConfig(servers=3, clients_per_server=4, seed=seed),
+            history=True).cluster
         ops = cluster.history.history().ops
         persists = [(op.client, op.session, op.scope_id) for op in ops
                     if op.op == "persist" and op.respond_us is not None

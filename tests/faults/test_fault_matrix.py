@@ -17,20 +17,24 @@ deployments, and on runs where a durable entry is erased on purpose.
 import pytest
 
 from repro.audit import audit_history
-from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.contracts import contract_for
 from repro.core.model import (Consistency as C, DdpModel, Persistency as P,
                               all_ddp_models)
-from repro.faults import FaultInjector, load_fault_plan, validate_faulty_run
+from repro.faults import validate_faulty_run
 from repro.hybrid.cluster import HybridCluster
-from repro.obs import HistoryRecorder, recovered_from_cluster
+from repro.obs import recovered_from_cluster
 from repro.variants.leader import LeaderCluster
 from repro.workload.ycsb import WorkloadSpec
+from tests import harness
 
 # A small key space forces write contention; a few clients per server
 # keeps every protocol path (rounds, scopes, transactions) busy.
 WORKLOAD = WorkloadSpec(name="faulty", read_fraction=0.5, key_space=64)
+#: The cell every run here builds (3 servers x 2 clients, the workload
+#: above, recorded for the audit) and its warm-up.
+FAULTY = dict(config=ClusterConfig(servers=3, clients_per_server=2),
+              workload=WORKLOAD, history=True, warmup=10_000.0)
 
 CRASH_PLAN = {
     "seed": 7,
@@ -76,17 +80,6 @@ KNOWN_HISTORY_FINDINGS = {
     DdpModel(C.TRANSACTIONAL, P.STRICT): ["transactional"]}
 
 
-def run_faulty(model: DdpModel, plan_dict, duration_ns: float,
-               build=Cluster, **shape):
-    injector = FaultInjector(load_fault_plan(dict(plan_dict)))
-    cluster = build(model,
-                    config=ClusterConfig(servers=3, clients_per_server=2),
-                    workload=WORKLOAD, faults=injector,
-                    history=HistoryRecorder(), **shape)
-    cluster.run(duration_ns, warmup_ns=10_000.0)
-    return cluster, injector
-
-
 def judged_by_both(cluster):
     """Judge the run with both checkers.  Asserts that they agree on
     every durability obligation the cell owes and that neither holds the
@@ -122,7 +115,8 @@ def assert_clean(cluster):
 
 @pytest.mark.parametrize("model", all_ddp_models(), ids=str)
 def test_crash_restart_all_models(model):
-    cluster, injector = run_faulty(model, CRASH_PLAN, 150_000.0)
+    cluster = harness.run(model, 150_000.0, plan=CRASH_PLAN, **FAULTY).cluster
+    injector = cluster.faults
     assert injector.crashes == 1 and injector.restarts == 1
     assert sorted(cluster.membership.live) == [0, 1, 2]
     assert sum(c.completed_requests for c in cluster.clients) > 0
@@ -131,7 +125,8 @@ def test_crash_restart_all_models(model):
 
 @pytest.mark.parametrize("model", all_ddp_models(), ids=str)
 def test_chaos_cocktail_all_models(model):
-    cluster, injector = run_faulty(model, CHAOS_PLAN, 180_000.0)
+    cluster = harness.run(model, 180_000.0, plan=CHAOS_PLAN, **FAULTY).cluster
+    injector = cluster.faults
     assert injector.crashes == 1
     assert cluster.network.dropped_messages > 0
     # Progress despite the chaos: the run did not wedge.
@@ -149,8 +144,10 @@ def test_chaos_cocktail_all_models(model):
 ], ids=["leader", "hybrid"])
 def test_checkers_agree_on_the_other_deployments(build, shape,
                                                  not_system_wide):
-    cluster, injector = run_faulty(DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS),
-                                   CRASH_PLAN, 150_000.0, build, **shape)
+    cluster = harness.run(DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS), 150_000.0,
+                          plan=CRASH_PLAN, cluster_class=build, **shape,
+                          **FAULTY).cluster
+    injector = cluster.faults
     assert injector.crashes == 1 and injector.restarts == 1
     assert assert_clean(cluster) == not_system_wide
 
@@ -193,7 +190,7 @@ def committed_scope_entry(cluster):
         "scope-owed"])
 def test_seeded_loss_is_caught_by_both_checkers_where_owed(
         obligation, victim, model, owed):
-    cluster, _ = run_faulty(model, CRASH_PLAN, 60_000.0)
+    cluster = harness.run(model, 60_000.0, plan=CRASH_PLAN, **FAULTY).cluster
     assert_clean(cluster)
     erase(cluster, victim(cluster))
     flagged, white, report = judged_by_both(cluster)
@@ -211,8 +208,8 @@ def test_seeded_loss_is_caught_by_both_checkers_where_owed(
 
 
 def test_client_sessions_split_at_restart():
-    cluster, _ = run_faulty(DdpModel(C.CAUSAL, P.SYNCHRONOUS),
-                            CRASH_PLAN, 150_000.0)
+    cluster = harness.run(DdpModel(C.CAUSAL, P.SYNCHRONOUS), 150_000.0,
+                          plan=CRASH_PLAN, **FAULTY).cluster
     restarted = [c for c in cluster.clients if c.node.node_id == 1]
     assert restarted
     for client in restarted:

@@ -7,19 +7,15 @@ from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency, DdpModel, Persistency
 from repro.faults import (FaultInjector, FaultPlan, faults_json,
                           load_fault_plan)
-from repro.workload.ycsb import WORKLOADS
+from tests import harness
 
 MODEL = DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS)
 
 
 def build(plan, model=MODEL, servers=3, clients=2, seed=2021):
-    injector = FaultInjector(plan)
-    cluster = Cluster(model,
-                      config=ClusterConfig(servers=servers,
-                                           clients_per_server=clients,
-                                           seed=seed),
-                      workload=WORKLOADS["A"], faults=injector)
-    return cluster, injector
+    cluster = harness.build(model, plan=plan, config=ClusterConfig(
+        servers=servers, clients_per_server=clients, seed=seed))
+    return cluster, cluster.faults
 
 
 class TestAttachment:

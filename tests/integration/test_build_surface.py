@@ -14,13 +14,12 @@ import random
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import ClusterConfig
 from repro.core.model import Consistency, DdpModel, Persistency
-from repro.faults import FaultInjector, load_fault_plan
 from repro.memory.devices import DramDevice, NvmDevice
 from repro.sim import sync
 from repro.sim.engine import Simulator
-from repro.workload.ycsb import WORKLOADS
+from tests import harness
 
 LIN_SYNC = DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS)
 CAUSAL_EVENTUAL = DdpModel(Consistency.CAUSAL, Persistency.EVENTUAL)
@@ -50,9 +49,8 @@ def built(monkeypatch):
     return counts
 
 
-def _build(model, servers, faults=None):
-    return Cluster(model, config=ClusterConfig(servers=servers),
-                   workload=WORKLOADS["A"], faults=faults)
+def _build(model, servers, plan=None):
+    return harness.build(model, ClusterConfig(servers=servers), plan=plan)
 
 
 @pytest.mark.parametrize("model, servers, generators, resources", [
@@ -73,14 +71,12 @@ def test_a_build_seeds_only_the_streams_that_draw_and_builds_no_bank(
     (LIN_SYNC, 5, LOSSY_PLAN),
 ], ids=["lin-sync-5", "causal-eventual-8", "lin-sync-5-lossy"])
 def test_a_run_seeds_no_generator(built, model, servers, plan):
-    injector = (FaultInjector(load_fault_plan(plan))
-                if plan is not None else None)
-    cluster = _build(model, servers, faults=injector)
+    cluster = _build(model, servers, plan)
     built["generators"] = 0
     cluster.run(6_000.0)
     assert cluster.metrics.summarize(cluster.sim.now).requests > 0
     assert built["generators"] == 0
-    if injector is not None:
+    if plan is not None:
         # The window was live: messages inside it drew their verdicts.
         assert cluster.network.dropped_messages > 0
 

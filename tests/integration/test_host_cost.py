@@ -23,7 +23,9 @@ Guards on the message path that no simulated number shows:
   collector, and neither does any of the 25 cells, bare or with every
   observer attached.  That is what lets the run loop pause the
   collector (``Simulator._drive``): a cycle made inside a run would
-  live until the loop returns.
+  live until the loop returns.  The check runs in a frozen session
+  (the ``frozen_session`` fixture), so it walks only what the test
+  made, and is itself shown to report every cycle a run leaves.
 """
 
 import gc
@@ -37,12 +39,12 @@ from repro.cluster.config import ClusterConfig
 from repro.core.engine import ProtocolNode
 from repro.core.model import (Consistency as C, DdpModel, Persistency as P,
                               all_ddp_models)
-from repro.faults import FaultInjector, load_fault_plan
 from repro.obs import HealthMonitor, HistoryRecorder, KernelProfile
 from repro.sim.engine import Simulator
 from repro.sim.sync import Resource
 from repro.sim.trace import Tracer
 from repro.workload.ycsb import WORKLOADS
+from tests.harness import build, cyclic_garbage
 
 LIN_SYNC = DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS)
 CAUSAL_EVENTUAL = DdpModel(C.CAUSAL, P.EVENTUAL)
@@ -78,10 +80,8 @@ READ_FRAME_CEILINGS = {
 def python_frames(model: DdpModel, workload: str = "A"):
     """Python frames a drained fixed-work run makes, with the run's
     cluster (to divide by what it did)."""
-    cluster = Cluster(model, config=ClusterConfig(servers=3,
-                                                  clients_per_server=2,
-                                                  seed=2021),
-                      workload=WORKLOADS[workload])
+    cluster = build(model, ClusterConfig(servers=3, clients_per_server=2),
+                    WORKLOADS[workload])
     for client in cluster.clients:
         client.max_requests = 10
     cluster.start()
@@ -126,9 +126,8 @@ def test_client_reads_and_writes_build_no_timeout_and_no_grant_event():
     """A client read or write sleeps, and queues for a request worker,
     on its process's one wake: it builds no ``Timeout`` and no grant
     ``Event``, contended or not (20 clients share 12 workers here)."""
-    cluster = Cluster(CAUSAL_EVENTUAL, config=ClusterConfig(servers=3,
-                                                            seed=2021),
-                      workload=WORKLOADS["B"])
+    cluster = build(CAUSAL_EVENTUAL, ClusterConfig(servers=3),
+                    WORKLOADS["B"])
     client_ops = {ProtocolNode.client_read.__code__,
                   ProtocolNode.client_write.__code__}
     builders = {Simulator.timeout.__code__: "Timeout",
@@ -156,47 +155,42 @@ def test_client_reads_and_writes_build_no_timeout_and_no_grant_event():
     assert built == Counter()
 
 
-def cyclic_garbage(run) -> Counter:
-    """Type names of the unreachable objects ``run()`` leaves behind,
-    counted with the collector paused and every unreachable object
-    saved, while whatever ``run`` closes over is still alive."""
-    # Earlier tests' garbage first, to the end: a cycle whose generators
-    # run ``finally`` blocks when collected needs more than one pass,
-    # and a pass whose finalizers resurrect everything they reach (a
-    # closed generator keeping the exception it caught) reports nothing.
-    idle = 0
-    while idle < 2:
-        idle = 0 if gc.collect() else idle + 1
-    saved = gc.garbage[:]
-    del gc.garbage[:]
-    enabled = gc.isenabled()
-    gc.disable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        run()
-        gc.collect()
-        return Counter(type(obj).__name__ for obj in gc.garbage)
-    finally:
-        gc.set_debug(0)
-        gc.garbage[:] = saved
-        if enabled:
-            gc.enable()
+class Loop(list):
+    """A list that holds itself: garbage only the collector frees."""
+
+    __slots__ = ()
 
 
-def test_a_crash_restart_lossy_run_leaves_no_cyclic_garbage():
+def test_the_garbage_check_sees_every_cycle_a_run_makes(frozen_session):
+    """Inside the frozen session, a process that leaves one
+    self-referencing list per step is reported with exactly those lists:
+    the freeze hides what the session held before the test, not what
+    the test's runs make."""
+    assert gc.get_freeze_count() > 0
+    sim = Simulator()
+
+    def leaky():
+        for _ in range(7):
+            loop = Loop()
+            loop.append(loop)
+            yield 1.0
+
+    sim.process(leaky())
+    assert cyclic_garbage(sim.run) == Counter({"Loop": 7})
+    assert sim.now == 7.0
+
+
+def test_a_crash_restart_lossy_run_leaves_no_cyclic_garbage(frozen_session):
     """Watched rounds (any run with a membership) re-arm their watchdog
     with a method call, not a closure over itself; a restart drops the
     stalls its crash interrupted."""
     # The crash at 21 us catches a read of node 1 stalled on a key
     # another writer's INV holds Invalid.
-    plan = load_fault_plan({"seed": 2021, "events": [
+    cluster = build(LIN_SYNC, ClusterConfig(servers=3, clients_per_server=5),
+                    plan={"seed": 2021, "events": [
         {"kind": "crash", "node": 1, "at_us": 21.0, "restart_after_us": 10.0},
         {"kind": "drop", "at_us": 30.0, "duration_us": 15.0,
          "probability": 0.05}]})
-    cluster = Cluster(LIN_SYNC, config=ClusterConfig(servers=3,
-                                                     clients_per_server=5,
-                                                     seed=2021),
-                      workload=WORKLOADS["A"], faults=FaultInjector(plan))
     leaked = cyclic_garbage(lambda: cluster.run(60_000.0, warmup_ns=6_000.0))
     engines = cluster.engines
     # The run exercised what used to leak: watchdogs fired and resent.
@@ -206,7 +200,7 @@ def test_a_crash_restart_lossy_run_leaves_no_cyclic_garbage():
 
 
 @pytest.mark.parametrize("observed", [False, True], ids=["bare", "observed"])
-def test_no_cell_leaves_cyclic_garbage(observed):
+def test_no_cell_leaves_cyclic_garbage(observed, frozen_session):
     """Every cell, 3 servers x 2 clients for 10 us, bare and with a
     tracer, a kernel profile, a health monitor and a history recorder
     attached — and, bare, the five transactional cells at the default

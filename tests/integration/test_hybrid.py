@@ -6,58 +6,20 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.context import ClientContext
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
-from repro.audit import audit_history
 from repro.faults import (FaultInjector, plan_from_crash_specs,
                           validate_faulty_run)
 from repro.hybrid.cluster import HybridCluster
-from repro.obs import (HealthMonitor, HistoryRecorder, KernelProfile,
-                       build_run_report, recovered_from_cluster)
 from repro.workload.ycsb import WORKLOADS
+from tests import harness
+from tests.harness import idle, observed_sections, run_op
 
 LIN_SYNC = DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS)
 CROSS_DC_RTT = 50_000.0
 
 
 def make_hybrid(model=LIN_SYNC, **kwargs):
-    cluster = HybridCluster(model, groups=2, servers_per_group=3,
-                            cross_dc_round_trip_ns=CROSS_DC_RTT,
-                            config=ClusterConfig(servers=6,
-                                                 clients_per_server=0,
-                                                 store_type=None),
-                            **kwargs)
-    cluster.start()
-    return cluster
-
-
-def observed_sections(model, build, **target):
-    """Run a variant under profile + monitor + history; return its run
-    report (non-empty sections asserted), audited against ``target``
-    (default: the cluster's own model)."""
-    recorder = HistoryRecorder()
-    cluster = build(profile=KernelProfile(), monitor=HealthMonitor(),
-                    history=recorder)
-    summary = cluster.run(60_000, 6_000)
-    recorder.meta = {"consistency": model.consistency.value,
-                     "persistency": model.persistency.value}
-    recorder.recovered = recovered_from_cluster(cluster)
-    report = build_run_report(
-        summary, cluster.metrics, 10_000.0, profile=cluster.profile,
-        monitor=cluster.monitor,
-        audit=audit_history(recorder.history(), **target))
-    assert report["profile"]["events_processed"] > 0
-    assert report["profile"]["scheduling"]["messages_handled"] > 0
-    assert report["health"]["samples"] > 0
-    assert report["health"]["violations"]["total"] == 0
-    assert report["audit"]["usable"]
-    assert report["audit"]["history"]["ops"] > 0
-    return report
-
-
-def run_op(cluster, generator):
-    sim = cluster.sim
-    start = sim.now
-    value = sim.run_until_complete(sim.process(generator))
-    return value, sim.now - start
+    return idle(model, 6, HybridCluster, groups=2, servers_per_group=3,
+                cross_dc_round_trip_ns=CROSS_DC_RTT, **kwargs)
 
 
 class TestHybridSemantics:
@@ -122,10 +84,10 @@ class TestHybridWorkload:
         """A hybrid deployment over a slow WAN vastly outperforms running
         the same strong model across all six nodes."""
         config = ClusterConfig(servers=6, clients_per_server=3)
-        hybrid = HybridCluster(LIN_SYNC, groups=2, servers_per_group=3,
-                               cross_dc_round_trip_ns=CROSS_DC_RTT,
-                               config=config, workload=WORKLOADS["A"])
-        hybrid_summary = hybrid.run(duration_ns=60_000, warmup_ns=6_000)
+        hybrid_summary = harness.run(
+            LIN_SYNC, 60_000, config=config, cluster_class=HybridCluster,
+            groups=2, servers_per_group=3,
+            cross_dc_round_trip_ns=CROSS_DC_RTT).summary
 
         def wan_one_way(src, dst):
             return (500.0 if (src // 3) == (dst // 3)

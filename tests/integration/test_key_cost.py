@@ -20,16 +20,17 @@ from collections import Counter
 import pytest
 
 from repro.analysis.metrics import OpRecord
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import ClusterConfig
 from repro.core import replica as replica_module
 from repro.core.context import ClientContext
 from repro.core.engine import LAZY_PERSIST_DELAY_NS, ProtocolNode
 from repro.core.model import Consistency, DdpModel, Persistency
 from repro.core.replica import NEVER_WRITTEN, ZERO_VERSION, KeyReplica
-from repro.faults import FaultInjector, load_fault_plan, plan_from_crash_specs
 from repro.hybrid.cluster import HybridCluster
 from repro.sim import sync
 from repro.workload.ycsb import WORKLOADS
+from tests import harness
+from tests.harness import drain, idle
 
 LIN_SYNC = DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS)
 CAUSAL_EVENTUAL = DdpModel(Consistency.CAUSAL, Persistency.EVENTUAL)
@@ -52,11 +53,9 @@ def replicas(cluster):
             for replica in engine.replicas]
 
 
-def _cluster(model, workload, faults=None):
-    return Cluster(model, config=ClusterConfig(servers=3,
-                                               clients_per_server=2,
-                                               seed=2021),
-                   workload=WORKLOADS[workload], faults=faults)
+def _cluster(model, workload, plan=None):
+    return harness.build(model, ClusterConfig(servers=3, clients_per_server=2),
+                         WORKLOADS[workload], plan)
 
 
 @pytest.fixture
@@ -83,13 +82,6 @@ def holds_state(replica):
             or replica.persist_requested != ZERO_VERSION
             or any(getattr(replica, name) is not None
                    for name in CONTAINERS))
-
-
-def drain(cluster):
-    for client in cluster.clients:
-        client.request_stop()
-    cluster.sim.run(until=cluster.sim.now + 1_000_000.0)
-    assert cluster.sim.peek() == float("inf")
 
 
 @pytest.fixture
@@ -156,8 +148,8 @@ def test_the_crash_paths_build_nothing(monkeypatch, waited):
     monkeypatch.setattr(ProtocolNode, "restart", checked_restart)
     monkeypatch.setattr(ProtocolNode, "_abandon_remote_coordinator",
                         checked_scan)
-    injector = FaultInjector(plan_from_crash_specs(["1@20+15"], seed=2021))
-    cluster = _cluster(LIN_SYNC, "A", faults=injector)
+    cluster = _cluster(LIN_SYNC, "A", "1@20+15")
+    injector = cluster.faults
     cluster.run(60_000.0)
     assert (injector.crashes, injector.restarts) == (1, 1)
     assert seen == {"restarts": 1, "scans": 2}
@@ -184,7 +176,7 @@ def test_a_mixed_run_builds_a_replica_only_where_a_key_holds_state(
         model, constructed):
     cluster = _cluster(model, "B")
     cluster.run(20_000.0)
-    drain(cluster)
+    drain(cluster, limit=1_000_000.0)
     everything = replicas(cluster)
     assert sorted(map(id, constructed)) == sorted(map(id, everything))
     assert [r for r in everything if not holds_state(r)] == []
@@ -200,9 +192,7 @@ def test_a_write_landing_during_a_read_of_an_unwritten_key_is_seen(
     """The read peeks the stand-in before its memory access; a write
     that builds the key's replica during that access must be what the
     read samples, as if the read had held the replica all along."""
-    cluster = Cluster(model, config=ClusterConfig(
-        servers=3, clients_per_server=0, store_type=None))
-    cluster.start()
+    cluster = idle(model)
     sim, engine = cluster.sim, cluster.engines[1]
     caches = engine.memory.caches
     slow_first = iter([(50_000.0, False)])
@@ -225,7 +215,7 @@ def test_an_invalidation_set_lives_only_while_an_inv_is_outstanding():
     everything = replicas(cluster)
     assert all((r._invs is not None) == r.transient for r in everything)
     assert any(r.transient for r in everything)
-    drain(cluster)
+    drain(cluster, limit=1_000_000.0)
     assert not any(r._invs is not None for r in replicas(cluster))
 
 
@@ -302,10 +292,9 @@ TIMER_SHAPES = {
     "eventual-eventual": (lambda: _cluster(EVENTUAL_EVENTUAL, "A"),
                           {"_request_persist", "_broadcast"}),
     # Only a plan that can lose messages arms the round watchdogs.
-    "watchdogs": (lambda: _cluster(LIN_SYNC, "A", faults=FaultInjector(
-        load_fault_plan({"seed": 2021, "events": [
-            {"kind": "drop", "at_us": 20, "duration_us": 1,
-             "probability": 0.5}]}))), {"_check_round"}),
+    "watchdogs": (lambda: _cluster(LIN_SYNC, "A", {"seed": 2021, "events": [
+        {"kind": "drop", "at_us": 20, "duration_us": 1,
+         "probability": 0.5}]}), {"_check_round"}),
     "hybrid": (lambda: HybridCluster(
         EVENTUAL_EVENTUAL, groups=2, servers_per_group=2,
         config=ClusterConfig(servers=4, clients_per_server=2, seed=2021),

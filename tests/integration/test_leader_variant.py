@@ -9,23 +9,15 @@ from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.variants.leader import LeaderCluster
 from repro.workload.ycsb import WORKLOADS
 
-from tests.integration.test_hybrid import observed_sections
+from tests.harness import idle, observed_sections, run_op
 
 LIN_SYNC = DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS)
 SMALL = ClusterConfig(servers=3, clients_per_server=0, store_type=None)
 
 
-def run_op(cluster, generator):
-    sim = cluster.sim
-    start = sim.now
-    sim.run_until_complete(sim.process(generator))
-    return sim.now - start
-
-
 class TestLeaderSemantics:
     def test_non_leader_writes_forwarded(self):
-        cluster = LeaderCluster(LIN_SYNC, config=SMALL)
-        cluster.start()
+        cluster = idle(LIN_SYNC, cluster_class=LeaderCluster)
         ctx = ClientContext(0, 1)
         run_op(cluster, cluster.engines[1].client_write(ctx, 7, "v1"))
         assert cluster.engines[1].forwarded_writes == 1
@@ -34,33 +26,29 @@ class TestLeaderSemantics:
             assert engine.replicas.get(7).applied_value == "v1"
 
     def test_leader_writes_not_forwarded(self):
-        cluster = LeaderCluster(LIN_SYNC, config=SMALL)
-        cluster.start()
+        cluster = idle(LIN_SYNC, cluster_class=LeaderCluster)
         ctx = ClientContext(0, 0)
         run_op(cluster, cluster.engines[0].client_write(ctx, 7, "v1"))
         assert cluster.engines[0].forwarded_writes == 0
         assert "FWD" not in cluster.metrics.messages_by_type
 
     def test_forwarding_adds_a_round_trip(self):
-        leaderless = Cluster(LIN_SYNC, config=SMALL)
-        leaderless.start()
-        direct = run_op(leaderless, leaderless.engines[1].client_write(
+        leaderless = idle(LIN_SYNC)
+        _, direct = run_op(leaderless, leaderless.engines[1].client_write(
             ClientContext(0, 1), 7, "v"))
 
-        leader_cluster = LeaderCluster(LIN_SYNC, config=SMALL)
-        leader_cluster.start()
-        forwarded = run_op(leader_cluster,
-                           leader_cluster.engines[1].client_write(
-                               ClientContext(0, 1), 7, "v"))
+        leader_cluster = idle(LIN_SYNC, cluster_class=LeaderCluster)
+        _, forwarded = run_op(leader_cluster,
+                              leader_cluster.engines[1].client_write(
+                                  ClientContext(0, 1), 7, "v"))
         rtt = SMALL.network.round_trip_ns
         assert forwarded >= direct + rtt * 0.9
 
     def test_reads_stay_local(self):
-        cluster = LeaderCluster(LIN_SYNC, config=SMALL)
-        cluster.start()
+        cluster = idle(LIN_SYNC, cluster_class=LeaderCluster)
         run_op(cluster, cluster.engines[0].client_write(
             ClientContext(0, 0), 7, "v1"))
-        latency = run_op(cluster, cluster.engines[2].client_read(
+        _, latency = run_op(cluster, cluster.engines[2].client_read(
             ClientContext(1, 2), 7))
         assert latency < SMALL.network.round_trip_ns
 

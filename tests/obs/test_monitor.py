@@ -8,14 +8,13 @@ recording path needs a rigged one).
 
 import pytest
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency, DdpModel, Persistency
 from repro.obs import (HealthMonitor, JourneyTracker, health_chrome_events,
                        health_json)
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
-from repro.workload.ycsb import WORKLOADS
+from tests import harness
 
 
 def _monitored_run(model=None, monitor=None, seed=2021,
@@ -24,10 +23,8 @@ def _monitored_run(model=None, monitor=None, seed=2021,
     if monitor is None:  # empty monitors are falsy (__len__ == 0)
         monitor = HealthMonitor(interval_ns=2_000.0)
     config = ClusterConfig(servers=3, clients_per_server=3, seed=seed)
-    cluster = Cluster(model, config=config, workload=WORKLOADS["A"],
-                      monitor=monitor)
-    cluster.run(duration_ns, warmup_ns=4_000.0)
-    return cluster, monitor
+    return harness.run(model, duration_ns, 4_000.0, config=config,
+                       monitor=monitor).cluster, monitor
 
 
 class TestSampling:
@@ -88,11 +85,8 @@ class TestSampling:
         monitor.watch(tracer=tracer, journey=journey)
         model = DdpModel(Consistency.CAUSAL, Persistency.SYNCHRONOUS)
         from repro.obs import FanoutTracer
-        config = ClusterConfig(servers=3, clients_per_server=3, seed=2021)
-        cluster = Cluster(model, config=config, workload=WORKLOADS["A"],
-                          tracer=FanoutTracer([tracer, journey]),
-                          monitor=monitor)
-        cluster.run(40_000.0, warmup_ns=4_000.0)
+        harness.run(model, config=ClusterConfig(servers=3, clients_per_server=3),
+                    tracer=FanoutTracer([tracer, journey]), monitor=monitor)
         last = monitor.samples[-1]
         assert last.tracer_dropped == tracer.dropped > 0
         assert last.journey_dropped == journey.dropped > 0

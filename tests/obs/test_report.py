@@ -5,10 +5,16 @@ import math
 
 from repro.analysis.metrics import Metrics, OpRecord, WindowStat
 from repro.analysis.waterfall import aggregate_journeys
+from repro.cluster.config import ClusterConfig
+from repro.core.model import Consistency, DdpModel, Persistency
 from repro.obs import (JourneyTracker, KernelProfile, build_run_report,
                        config_fingerprint, write_run_report)
 from repro.obs.report import SCHEMA, _clean
 from repro.sim.trace import Tracer
+from tests import harness
+
+CAUSAL_SYNC = DdpModel(Consistency.CAUSAL, Persistency.SYNCHRONOUS)
+THREE_BY_THREE = ClusterConfig(servers=3, clients_per_server=3)
 
 
 def _populated_metrics() -> Metrics:
@@ -117,19 +123,12 @@ class TestBuildRunReport:
         assert not math.isnan(len(text))
 
     def test_health_section_folds_in_from_a_monitor(self):
-        from repro.cluster.cluster import Cluster
-        from repro.cluster.config import ClusterConfig
-        from repro.core.model import Consistency, DdpModel, Persistency
         from repro.obs import HealthMonitor
-        from repro.workload.ycsb import WORKLOADS
 
         monitor = HealthMonitor(interval_ns=2_000.0)
         metrics = Metrics(window_ns=10_000.0)
-        cluster = Cluster(
-            DdpModel(Consistency.CAUSAL, Persistency.SYNCHRONOUS),
-            config=ClusterConfig(servers=3, clients_per_server=3, seed=2021),
-            workload=WORKLOADS["A"], metrics=metrics, monitor=monitor)
-        summary = cluster.run(40_000.0, warmup_ns=4_000.0)
+        summary = harness.run(CAUSAL_SYNC, config=THREE_BY_THREE,
+                              metrics=metrics, monitor=monitor).summary
         report = build_run_report(summary, metrics, 10_000.0,
                                   monitor=monitor)
         health = report["health"]
@@ -142,18 +141,10 @@ class TestBuildRunReport:
         """A sampling-capped JourneyTracker reports what it lost
         (journeys.dropped) so waterfall numbers are never silently
         partial."""
-        from repro.cluster.cluster import Cluster
-        from repro.cluster.config import ClusterConfig
-        from repro.core.model import Consistency, DdpModel, Persistency
-        from repro.workload.ycsb import WORKLOADS
-
         tracker = JourneyTracker(3, max_journeys=5)
         metrics = Metrics(window_ns=10_000.0)
-        cluster = Cluster(
-            DdpModel(Consistency.CAUSAL, Persistency.SYNCHRONOUS),
-            config=ClusterConfig(servers=3, clients_per_server=3, seed=2021),
-            workload=WORKLOADS["A"], tracer=tracker, metrics=metrics)
-        summary = cluster.run(40_000.0, warmup_ns=4_000.0)
+        summary = harness.run(CAUSAL_SYNC, config=THREE_BY_THREE,
+                              tracer=tracker, metrics=metrics).summary
         assert tracker.dropped > 0
         waterfall = aggregate_journeys(tracker.journeys, 3,
                                        dropped=tracker.dropped)

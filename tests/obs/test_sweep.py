@@ -20,6 +20,7 @@ from repro.obs.sweep import (CellResult, CellSpec, SweepProgress,
                              build_sweep_report, matrix_specs, run_cell,
                              run_sweep, strip_wall_clock, sweep_meta,
                              write_sweep_report)
+from tests.harness import rig_to_crash
 
 DURATION = 20_000.0
 WARMUP = 2_000.0
@@ -33,23 +34,6 @@ def specs_for(models, seeds=(1,), sections=()):
 
 def report_bytes(doc):
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-
-
-def rig_to_crash(monkeypatch, *cell):
-    """Make every cell whose ``(consistency, persistency, seed)`` starts
-    with ``cell`` raise inside its worker.  The pool forks its workers
-    after the patch, so they run the rigged recipe too."""
-    from repro.obs import sweep
-
-    real = sweep.observed_run
-
-    def observed_run(spec, *args, **kwargs):
-        if (spec.consistency, spec.persistency, spec.seed)[:len(cell)] \
-                == cell:
-            raise RuntimeError(f"rigged crash for cell {spec.label}")
-        return real(spec, *args, **kwargs)
-
-    monkeypatch.setattr(sweep, "observed_run", observed_run)
 
 
 class TestCellSpec:

@@ -27,6 +27,7 @@ from repro.obs import (ChromeTraceSink, FanoutTracer, HealthMonitor,
                        JourneyTracker, KernelProfile)
 from repro.sim.trace import NullTracer, Tracer
 from repro.workload.ycsb import WORKLOADS
+from tests import harness
 
 MODELS = [
     DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS),
@@ -200,20 +201,18 @@ def _tracing_off_cluster(cell):
     """One of the 25 cells with a crash-restart (``--crash 1@10+5``), or
     a leader or hybrid deployment: every engine class, the fault and
     recovery paths, all on a disabled tracer."""
-    from repro.faults import FaultInjector, plan_from_crash_specs
     from repro.hybrid.cluster import HybridCluster
     from repro.variants.leader import LeaderCluster
 
-    config = ClusterConfig(servers=3, clients_per_server=2, seed=2021)
-    lin_sync = DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS)
-    common = dict(config=config, workload=WORKLOADS["A"],
+    common = dict(config=ClusterConfig(servers=3, clients_per_server=2),
                   tracer=_RaisingTracer())
+    lin_sync = DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS)
     if cell == "leader":
-        return LeaderCluster(lin_sync, **common)
+        return harness.build(lin_sync, cluster_class=LeaderCluster, **common)
     if cell == "hybrid":
-        return HybridCluster(lin_sync, groups=2, servers_per_group=2, **common)
-    crash = plan_from_crash_specs(["1@10+5"], seed=2021)
-    return Cluster(cell, faults=FaultInjector(crash), **common)
+        return harness.build(lin_sync, cluster_class=HybridCluster,
+                             groups=2, servers_per_group=2, **common)
+    return harness.build(cell, plan="1@10+5", **common)
 
 
 class TestTracingOff:

@@ -4,26 +4,19 @@ serves again."""
 
 import pytest
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.core.context import ClientContext
 from repro.core.model import (Consistency as C, DdpModel, Persistency as P,
                               all_ddp_models)
-from repro.faults import FaultInjector
-from repro.faults.plan import plan_from_crash_specs
-from repro.workload.ycsb import WORKLOADS
+from tests import harness
+from tests.harness import idle, run_op
 
 
 def crashed_cluster(consistency, persistency, writes=30):
-    cluster = Cluster(DdpModel(consistency, persistency),
-                      config=ClusterConfig(servers=3, clients_per_server=0,
-                                           store_type=None))
-    cluster.start()
-    engine = cluster.engines[0]
-    ctx = ClientContext(0, 0)
+    cluster = idle(DdpModel(consistency, persistency))
+    engine, ctx = cluster.engines[0], ClientContext(0, 0)
     for i in range(writes):
-        cluster.sim.run_until_complete(
-            cluster.sim.process(engine.client_write(ctx, i, f"v{i}")))
+        run_op(cluster, engine.client_write(ctx, i, f"v{i}"))
     cluster.crash_all()
     return cluster
 
@@ -73,13 +66,11 @@ class TestCatchUp:
     def test_total_is_scan_plus_reconcile(self):
         """A restarted node's clients reconnect exactly scan plus
         catch-up after the restart: that is its time to serve."""
-        injector = FaultInjector(plan_from_crash_specs(["1@20+15"],
-                                                       seed=2021))
-        cluster = Cluster(DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS),
-                          config=ClusterConfig(servers=3,
-                                               clients_per_server=1),
-                          workload=WORKLOADS["A"], faults=injector)
-        cluster.run(60_000.0)
+        cluster = harness.run(DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS),
+                              60_000.0, warmup=0.0, plan="1@20+15",
+                              config=ClusterConfig(servers=3,
+                                                   clients_per_server=1)
+                              ).cluster
         ready = cluster.engines[1].time_to_serve
         assert ready.scan_ns > 0 and ready.catch_up_ns > 0
         first = min(op.start_ns for op in cluster.metrics.ops
@@ -93,10 +84,8 @@ class TestCatchUp:
         node left open at its peers — its INVs, the rounds waiting for
         its ACKs — until the restart does: the catch-up must not wait
         on them forever."""
-        cluster = Cluster(model, config=ClusterConfig(servers=3,
-                                                      clients_per_server=2),
-                          workload=WORKLOADS["A"])
-        cluster.run(20_000.0, warmup_ns=2_000.0)
+        cluster = harness.run(model, 20_000.0, config=ClusterConfig(
+            servers=3, clients_per_server=2)).cluster
         cluster.fail_node(1)
         cluster.sim.run(until=cluster.sim.now + 1_000.0)
         restarted = cluster.sim.now

@@ -17,8 +17,6 @@ durability contract is checked:
 
 import pytest
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.config import ClusterConfig
 from repro.core.context import ClientContext
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.faults.validate import (
@@ -27,18 +25,11 @@ from repro.faults.validate import (
     check_scope_atomicity,
 )
 from repro.recovery.recovery import recover_latest
+from tests.harness import idle, run_op
 
 
 def build(consistency, persistency):
-    cluster = Cluster(DdpModel(consistency, persistency),
-                      config=ClusterConfig(servers=3, clients_per_server=0,
-                                           store_type=None))
-    cluster.start()
-    return cluster
-
-
-def run_to_completion(cluster, generator):
-    return cluster.sim.run_until_complete(cluster.sim.process(generator))
+    return idle(DdpModel(consistency, persistency))
 
 
 class ScriptedClient:
@@ -52,14 +43,12 @@ class ScriptedClient:
         self.observed_reads = []     # (key, version)
 
     def write(self, key, value):
-        run_to_completion(self.cluster,
-                          self.engine.client_write(self.ctx, key, value))
+        run_op(self.cluster, self.engine.client_write(self.ctx, key, value))
         replica = self.engine.replicas.get(key)
         self.completed_writes.append((key, replica.applied_version))
 
     def read(self, key):
-        value = run_to_completion(self.cluster,
-                                  self.engine.client_read(self.ctx, key))
+        value, _ = run_op(self.cluster, self.engine.client_read(self.ctx, key))
         replica = self.engine.replicas.get(key)
         if self.engine.ppolicy.read_returns_persisted \
                 and not self.engine.cpolicy.uses_inv:
@@ -136,8 +125,7 @@ def test_scope_atomicity_across_crash():
     client.write(2, "b")
     first_scope = client.ctx.current_scope_id
     first_writes = list(client.ctx.scope_writes)
-    run_to_completion(cluster,
-                      client.engine.client_persist_scope(client.ctx))
+    run_op(cluster, client.engine.client_persist_scope(client.ctx))
     # Scope 2: written but never persisted — lost on the crash.
     client.write(3, "c")
     second_writes = [(3, cluster.engines[0].replicas.get(3).applied_version)]

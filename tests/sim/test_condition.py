@@ -13,7 +13,7 @@ from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.sim.engine import Simulator
 from repro.sim.sync import Condition
 from repro.workload.ycsb import WORKLOADS
-from tests.integration.test_host_cost import cyclic_garbage
+from tests.harness import cyclic_garbage
 
 
 def test_a_true_predicate_is_pushed_at_now_behind_what_is_queued_there():
@@ -83,7 +83,7 @@ def test_an_unsatisfied_callback_waiter_stays_queued_across_notifies():
     assert woke == ["done"]
 
 
-def test_a_restart_drops_the_discarded_tables_callback_waiters():
+def test_a_restart_drops_the_discarded_tables_callback_waiters(frozen_session):
     """A follower parked on its persist before ACK (Synchronous) when
     its node crash-restarts: the discarded table keeps no continuation,
     and the run leaves nothing for the collector."""

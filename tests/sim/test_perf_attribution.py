@@ -205,18 +205,14 @@ class TestClusterLevelInvariants:
 
     @pytest.fixture(scope="class")
     def profiled_cluster(self):
-        from repro.cluster.cluster import Cluster
         from repro.cluster.config import ClusterConfig
         from repro.core.model import Consistency, DdpModel, Persistency
-        from repro.workload.ycsb import WORKLOADS
+        from tests import harness
 
-        profile = KernelProfile()
-        cluster = Cluster(
+        return harness.run(
             DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS),
-            config=ClusterConfig(servers=3, clients_per_server=3, seed=2021),
-            workload=WORKLOADS["A"], profile=profile)
-        cluster.run(40_000.0, warmup_ns=4_000.0)
-        return cluster
+            config=ClusterConfig(servers=3, clients_per_server=3),
+            profile=KernelProfile()).cluster
 
     @pytest.fixture(scope="class")
     def profiled_run(self, profiled_cluster):

@@ -625,19 +625,15 @@ READER_PARITY = {
 def test_kernel_readers_count_what_they_counted_before_runs_were_lists(cell):
     """The sanitizer's pairs and the entries run are unchanged since
     every call had its own heap entry."""
-    from repro.cluster.cluster import Cluster
     from repro.cluster.config import ClusterConfig
     from repro.core.model import all_ddp_models
     from repro.devtools.sanitizer import TieBatchSanitizer, _run_once
-    from repro.workload.ycsb import WORKLOADS
+    from tests import harness
 
     model = next(m for m in all_ddp_models() if str(m) == cell)
     profile = KernelProfile()
-    cluster = Cluster(model, config=ClusterConfig(servers=3,
-                                                  clients_per_server=3,
-                                                  seed=2021),
-                      workload=WORKLOADS["A"], profile=profile)
-    cluster.run(20_000.0, warmup_ns=2_000.0)
+    harness.run(model, 20_000.0, profile=profile,
+                config=ClusterConfig(servers=3, clients_per_server=3))
     recorder = TieBatchSanitizer(seed=None)
     _run_once(model, 10, 3, 2, 2021, recorder)
     counters, pairs = READER_PARITY[cell]

@@ -2,20 +2,16 @@
 
 import pytest
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency as C, DdpModel, Persistency as P
 from repro.workload.client import TXN_RETRY_BACKOFF_NS
 from repro.workload.ycsb import WORKLOADS
+from tests import harness
+from tests.harness import SMALL
 
 
 def make_cluster(consistency, persistency, clients=2):
-    cluster = Cluster(DdpModel(consistency, persistency),
-                      config=ClusterConfig(servers=3,
-                                           clients_per_server=clients,
-                                           store_type=None),
-                      workload=WORKLOADS["A"])
-    return cluster
+    return harness.build(DdpModel(consistency, persistency),
+                         SMALL.with_overrides(clients_per_server=clients))
 
 
 class TestClosedLoop:
@@ -85,11 +81,9 @@ class TestTransactionalClients:
     def test_request_latency_spans_retries(self):
         """With conflicts, some requests' recorded latencies include the
         backoff-and-retry time (>> a single attempt)."""
-        cluster = Cluster(DdpModel(C.TRANSACTIONAL, P.SYNCHRONOUS),
-                          config=ClusterConfig(servers=3,
-                                               clients_per_server=6,
-                                               store_type=None),
-                          workload=WORKLOADS["A"].with_overrides(key_space=30))
+        cluster = harness.build(DdpModel(C.TRANSACTIONAL, P.SYNCHRONOUS),
+                                SMALL.with_overrides(clients_per_server=6),
+                                WORKLOADS["A"].with_overrides(key_space=30))
         cluster.run(duration_ns=200_000, warmup_ns=5_000)
         if cluster.txn_table.conflicts == 0:
             pytest.skip("no conflicts materialized in this run")
