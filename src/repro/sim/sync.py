@@ -16,6 +16,7 @@ These are the building blocks the substrates use:
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List
 
@@ -101,10 +102,21 @@ class Resource:
         a fault-free run every queued waiter is live, so this path never
         changes healthy admission order.  A wake goes where ``succeed()``
         queues an event.
+
+        A holder being closed (``GeneratorExit``) outside the run loop —
+        the collector finalizing a dropped cluster's suspended
+        generators — hands the unit to nobody: a wake pushed from a
+        finalizer sits in a fresh list of the dropped simulator's queue,
+        which makes the collector keep the whole cluster for one more
+        pass.  A holder a crash interrupts (``Interrupt``) hands its
+        unit on as any other.
         """
         if self._in_use <= 0:
             raise RuntimeError(f"release of idle resource {self.name!r}")
         while self._waiters:
+            if (self.sim._cursor is None
+                    and sys.exc_info()[0] is GeneratorExit):
+                break
             waiter = self._waiters.popleft()
             if waiter.__class__ is tuple:
                 if waiter[1][0] is not None:

@@ -171,10 +171,13 @@ def stale_store_entries(cluster: Cluster) -> list:
 
 
 def collect_to_idle() -> None:
-    """Collect until two passes in a row find nothing: a cycle whose
-    generators run ``finally`` blocks when collected needs more than one
-    pass, and a pass whose finalizers resurrect everything they reach (a
-    closed generator keeping the exception it caught) reports nothing."""
+    """Collect until two passes in a row find nothing.  A pass whose
+    finalizers leave a reference to the garbage in an object they made
+    (a wake pushed into a fresh list of a dropped simulator's queue: why
+    ``Resource.release`` hands nothing on from a closed holder) keeps
+    all of it and reports 0; the next pass frees it, since an
+    object is finalized once.  So one quiet pass does not show the heap
+    idle, and a later check would count what it kept as its own."""
     quiet = 0
     while quiet < 2:
         quiet = 0 if gc.collect() else quiet + 1

@@ -26,6 +26,10 @@ Guards on the message path that no simulated number shows:
   live until the loop returns.  The check runs in a frozen session
   (the ``frozen_session`` fixture), so it walks only what the test
   made, and is itself shown to report every cycle a run leaves.
+* **A dropped cluster goes in one collection.**  A cluster is cyclic,
+  so the collector frees it, closing its suspended generators; a
+  holder's ``finally: release()`` then hands the unit to nobody, so
+  nothing the close pushes keeps the cluster for another pass.
 """
 
 import gc
@@ -36,15 +40,18 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
-from repro.core.engine import ProtocolNode
+from repro.core.engine import REQUEST_WORKERS, ProtocolNode
 from repro.core.model import (Consistency as C, DdpModel, Persistency as P,
                               all_ddp_models)
+from repro.core.replica import KeyReplica
+from repro.hybrid.cluster import HybridCluster
 from repro.obs import HealthMonitor, HistoryRecorder, KernelProfile
-from repro.sim.engine import Simulator
+from repro.sim.engine import Process, Simulator
 from repro.sim.sync import Resource
 from repro.sim.trace import Tracer
+from repro.variants.leader import LeaderCluster
 from repro.workload.ycsb import WORKLOADS
-from tests.harness import build, cyclic_garbage
+from tests.harness import build, collect_to_idle, cyclic_garbage
 
 LIN_SYNC = DdpModel(C.LINEARIZABLE, P.SYNCHRONOUS)
 CAUSAL_EVENTUAL = DdpModel(C.CAUSAL, P.EVENTUAL)
@@ -225,6 +232,38 @@ def test_no_cell_leaves_cyclic_garbage(observed, frozen_session):
         if leaked:
             leaks[f"{model} {config.servers}x{config.clients_per_server}"] = leaked
     assert leaks == {}
+
+
+def test_a_dropped_cluster_is_freed_by_one_collection(frozen_session):
+    """Every cell, and the leader and hybrid deployments under two
+    models, at 3 servers x 16 clients for 5 us: more clients than
+    request workers, so most runs stop with clients queued for one.
+    After ``del``, one ``gc.collect()`` leaves no ``KeyReplica`` and no
+    ``Process``: closing a holder that a client waits behind pushes
+    nothing that keeps the cluster for a second pass."""
+    crowded = ClusterConfig(servers=3, clients_per_server=16, seed=2021)
+    assert crowded.clients_per_server > REQUEST_WORKERS
+    runs = [(Cluster, model) for model in all_ddp_models()]
+    runs += [(deployment, model)
+             for deployment in (LeaderCluster, HybridCluster)
+             for model in (LIN_SYNC, CAUSAL_EVENTUAL)]
+    queued, kept = 0, {}
+    for cluster_class, model in runs:
+        cluster = build(model, crowded, cluster_class=cluster_class)
+        cluster.run(5_000.0, warmup_ns=500.0)
+        queued += any(engine.request_workers.queue_len
+                      for engine in cluster.engines)
+        del cluster
+        gc.collect()
+        left = Counter(type(obj).__name__ for obj in gc.get_objects()
+                       if isinstance(obj, (KeyReplica, Process)))
+        if left:
+            kept[f"{cluster_class.__name__} {model}"] = left
+        collect_to_idle()
+    # The case guarded: a run that stops with a queue (all but the
+    # Transactional cells that queue nobody at 5 us).
+    assert queued >= len(runs) - 5
+    assert kept == {}
 
 
 def test_the_run_loop_pauses_the_collector_and_restores_it():

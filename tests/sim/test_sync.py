@@ -154,6 +154,69 @@ class TestResource:
                        ("dead woke", 23.0)]
         assert (resource.in_use, resource.queue_len) == (0, 0)
 
+    def test_a_closed_holder_hands_its_unit_to_nobody(self, sim):
+        """A holder whose generator is closed outside the run loop (what
+        the collector does to a dropped cluster) returns its unit and
+        wakes nobody: both kinds of waiter stay queued, nothing is
+        pushed, and the close raises nothing."""
+        resource = Resource(sim, 1)
+
+        def holder():
+            yield resource
+            try:
+                yield 100
+            finally:
+                resource.release()
+
+        def parked():
+            yield resource
+
+        held = sim.process(holder())
+        sim.process(parked())
+        sim.run(until=5.0)
+        granted = resource.acquire()
+        assert (resource.in_use, resource.queue_len) == (1, 2)
+        held.generator.close()
+        assert (resource.in_use, resource.queue_len) == (0, 2)
+        assert not granted.triggered and sim.peek() == 100.0
+
+    def test_an_interrupted_holder_hands_its_unit_to_the_oldest_live_waiter(
+            self, sim):
+        """A crash interrupts a holder mid-hold: its ``finally`` runs with
+        the ``Interrupt`` in flight and hands the unit on, past a waiter
+        interrupted in the FIFO before it."""
+        resource = Resource(sim, 1)
+        log = []
+
+        def holder():
+            yield resource
+            try:
+                try:
+                    yield 100
+                finally:
+                    resource.release()
+            except Interrupt:
+                log.append(("holder interrupted", sim.now))
+
+        def waiter(name):
+            try:
+                yield resource
+            except Interrupt:
+                log.append((f"{name} interrupted", sim.now))
+                return
+            log.append((f"{name} granted", sim.now))
+            resource.release()
+
+        held = sim.process(holder())
+        dead = sim.process(waiter("dead"))
+        sim.process(waiter("live"))
+        sim.call_at(2.0, dead.interrupt)
+        sim.call_at(3.0, held.interrupt)
+        sim.run()
+        assert log == [("dead interrupted", 2.0), ("holder interrupted", 3.0),
+                       ("live granted", 3.0)]
+        assert (resource.in_use, resource.queue_len) == (0, 0)
+
     def test_use_helper(self, sim):
         resource = Resource(sim, 1)
 
