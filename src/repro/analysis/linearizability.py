@@ -25,9 +25,9 @@ P-compositionality of linearizability: a history is linearizable iff
 each per-key sub-history is — see :mod:`repro.audit.checkers`, which
 does exactly that).
 
-``explain=True`` (or :func:`check_linearizable`) returns a
-:class:`LinearizationResult` carrying a *witness*: a minimal violating
-sub-history, shrunk from the failing input, instead of a bare bool.
+:func:`check_linearizable` returns a :class:`LinearizationResult`
+carrying a *witness*: a minimal violating sub-history, shrunk from the
+failing input, instead of a bare bool.
 """
 
 from __future__ import annotations
@@ -94,16 +94,11 @@ class LinearizationResult:
 _SHRINK_CAP = 128
 
 
-def is_linearizable(history: Sequence[HistoryOp], initial_value: Any = None,
-                    explain: bool = False):
-    """Check one register history.
-
-    Returns a bool by default; with ``explain=True`` returns the full
-    :class:`LinearizationResult` (violating minimal sub-history, search
-    statistics) instead.
-    """
-    result = check_linearizable(history, initial_value)
-    return result if explain else result.ok
+def is_linearizable(history: Sequence[HistoryOp],
+                    initial_value: Any = None) -> bool:
+    """Check one register history (:func:`check_linearizable` gives the
+    violating minimal sub-history and the search statistics)."""
+    return check_linearizable(history, initial_value).ok
 
 
 def check_linearizable(history: Sequence[HistoryOp],

@@ -28,11 +28,13 @@ import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import starmap
+from operator import add
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 __all__ = ["OP_TYPES", "OpRecord", "OpRows", "Metrics", "Summary",
-           "WindowStat", "windowed_op_series"]
+           "WindowStat", "fold_sum", "windowed_op_series"]
 
 
 class OpRecord(NamedTuple):
@@ -102,6 +104,16 @@ class OpRows(Sequence):
         return _unpacked(bytes(self._metrics._rows))
 
 
+def fold_sum(values: Iterable[float]) -> float:
+    """``values`` added one by one, left to right, from 0.0.
+
+    What ``sum()`` does over floats up to CPython 3.11; from 3.12 it
+    compensates, which moves a sum in its last bits.  Every mean an
+    artifact pins is a fold, so it reads the same on every version.
+    """
+    return reduce(add, values, 0.0)
+
+
 def _percentile(sorted_values: List[float], fraction: float) -> float:
     """Nearest-rank percentile on pre-sorted data.
 
@@ -134,33 +146,27 @@ class WindowStat:
     p99_ns: float
 
 
-def windowed_op_series(ops: Iterable[OpRecord], window_ns: float,
-                       start_ns: float = 0.0,
-                       end_ns: Optional[float] = None,
-                       op_types: Tuple[str, ...] = ("read", "write"),
-                       ) -> List[WindowStat]:
-    """Bucket completed operations into fixed windows (by completion
-    time) and compute per-window throughput and latency percentiles.
+def windowed_op_series(ops: Iterable[OpRecord],
+                       window_ns: float) -> List[WindowStat]:
+    """Bucket completed reads and writes into fixed windows (by
+    completion time) and compute per-window throughput and latency
+    percentiles.
 
-    Windows are contiguous from ``start_ns``; empty windows are emitted
-    (zero throughput, NaN latencies) so series from different runs align
-    index-by-index.
+    Windows are contiguous from 0 to the last completion; empty windows
+    are emitted (zero throughput, NaN latencies) so series from
+    different runs align index-by-index.
     """
     if window_ns <= 0:
         raise ValueError(f"window_ns must be positive: {window_ns}")
     buckets: Dict[int, List[float]] = {}
-    last_end = start_ns
+    end_ns = 0.0
     for op in ops:
-        if op.op_type not in op_types or op.end_ns < start_ns:
+        if op.op_type not in ("read", "write"):
             continue
-        if end_ns is not None and op.end_ns > end_ns:
-            continue
-        index = int((op.end_ns - start_ns) // window_ns)
+        index = int(op.end_ns // window_ns)
         buckets.setdefault(index, []).append(op.latency_ns)
-        last_end = max(last_end, op.end_ns)
-    if end_ns is None:
-        end_ns = last_end
-    count = max(int(math.ceil((end_ns - start_ns) / window_ns)), 0)
+        end_ns = max(end_ns, op.end_ns)
+    count = int(math.ceil(end_ns / window_ns))
     if buckets:
         # An op completing exactly on a window boundary (end_ns a whole
         # multiple of window_ns) buckets into the window *starting*
@@ -172,11 +178,11 @@ def windowed_op_series(ops: Iterable[OpRecord], window_ns: float,
         lats = sorted(buckets.get(index, ()))
         n = len(lats)
         series.append(WindowStat(
-            start_ns=start_ns + index * window_ns,
-            end_ns=start_ns + (index + 1) * window_ns,
+            start_ns=index * window_ns,
+            end_ns=(index + 1) * window_ns,
             ops=n,
             throughput_ops_per_s=n / (window_ns * 1e-9),
-            mean_ns=(sum(lats) / n) if n else float("nan"),
+            mean_ns=(fold_sum(lats) / n) if n else float("nan"),
             p50_ns=_percentile(lats, 0.50),
             p99_ns=_percentile(lats, 0.99),
         ))
@@ -200,7 +206,6 @@ class Metrics:
         self.persists = 0
         self.txn_conflicts = 0
         self.txn_commits = 0
-        self.txn_aborts = 0
         self.read_stalls = 0
         self.reads_blocked_by_unpersisted = 0
         self.write_stalls = 0
@@ -247,17 +252,12 @@ class Metrics:
 
     # -- time series -------------------------------------------------------------
 
-    def op_series(self, window_ns: float, end_ns: Optional[float] = None,
-                  op_types: Tuple[str, ...] = ("read", "write"),
-                  ) -> List[WindowStat]:
+    def op_series(self, window_ns: float) -> List[WindowStat]:
         """Whole-cluster windowed throughput/latency series."""
-        return windowed_op_series(self.ops, window_ns, end_ns=end_ns,
-                                  op_types=op_types)
+        return windowed_op_series(self.ops, window_ns)
 
-    def op_series_by_node(self, window_ns: float,
-                          end_ns: Optional[float] = None,
-                          op_types: Tuple[str, ...] = ("read", "write"),
-                          ) -> Dict[int, List[WindowStat]]:
+    def op_series_by_node(self,
+                          window_ns: float) -> Dict[int, List[WindowStat]]:
         """Per-coordinator-node windowed series (aligned windows)."""
         # One pass: each node's packed rows, in record order.
         rows, size = self._rows, _ROW.size
@@ -267,8 +267,7 @@ class Metrics:
             by_node.setdefault(row[1], bytearray()).extend(
                 rows[offset:offset + size])
         return {
-            node: windowed_op_series(_unpacked(by_node[node]), window_ns,
-                                     end_ns=end_ns, op_types=op_types)
+            node: windowed_op_series(_unpacked(by_node[node]), window_ns)
             for node in sorted(by_node)
         }
 
@@ -313,7 +312,7 @@ class Metrics:
                     writes.append(end_ns - start_ns)
         reads.sort()
         writes.sort()
-        # Means are sums over the sorted latencies (float addition is
+        # Means are folds over the sorted latencies (float addition is
         # order-sensitive; these orders are what the digests pin).
         all_lat = sorted(reads + writes)
         span = max(duration_ns - warmup_end_ns, 1.0)
@@ -322,9 +321,9 @@ class Metrics:
             requests=requests,
             duration_ns=span,
             throughput_ops_per_s=requests / (span * 1e-9),
-            mean_read_ns=(sum(reads) / len(reads)) if reads else float("nan"),
-            mean_write_ns=(sum(writes) / len(writes)) if writes else float("nan"),
-            mean_access_ns=(sum(all_lat) / len(all_lat)) if all_lat else float("nan"),
+            mean_read_ns=(fold_sum(reads) / len(reads)) if reads else float("nan"),
+            mean_write_ns=(fold_sum(writes) / len(writes)) if writes else float("nan"),
+            mean_access_ns=(fold_sum(all_lat) / len(all_lat)) if all_lat else float("nan"),
             p95_read_ns=_percentile(reads, 0.95),
             p95_write_ns=_percentile(writes, 0.95),
             p99_read_ns=_percentile(reads, 0.99),

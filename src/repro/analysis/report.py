@@ -38,8 +38,7 @@ def format_summary_table(rows: Iterable[Tuple[str, Summary]],
     return "\n".join(lines)
 
 
-def format_grid(values: Dict[DdpModel, float], title: str,
-                fmt: str = "{:.2f}") -> str:
+def format_grid(values: Dict[DdpModel, float], title: str) -> str:
     """Render a consistency x persistency grid of one metric, in the
     paper's Figure 6 layout (rows = consistency groups, columns =
     persistency models)."""
@@ -53,18 +52,17 @@ def format_grid(values: Dict[DdpModel, float], title: str,
         cells = []
         for p in persistencies:
             value = values.get(DdpModel(c, p))
-            cells.append(f"{fmt.format(value):>15}" if value is not None
+            cells.append(f"{value:>15.2f}" if value is not None
                          else f"{'--':>15}")
         lines.append(f"{c.short_name:<14}" + "".join(cells))
     return "\n".join(lines)
 
 
-def format_figure6_table(summaries: Dict[DdpModel, Summary],
-                         baseline_model: Optional[DdpModel] = None) -> str:
-    """Render all six Figure 6 panels, normalized like the paper."""
-    baseline_model = baseline_model or DdpModel(Consistency.LINEARIZABLE,
-                                                Persistency.SYNCHRONOUS)
-    baseline = summaries[baseline_model]
+def format_figure6_table(summaries: Dict[DdpModel, Summary]) -> str:
+    """Render all six Figure 6 panels, normalized like the paper (to
+    <Linearizable, Synchronous>)."""
+    baseline = summaries[DdpModel(Consistency.LINEARIZABLE,
+                                  Persistency.SYNCHRONOUS)]
     panels = [
         ("(a) Throughput (normalized)", "throughput"),
         ("(b) Mean Read Latency (normalized)", "mean_read"),

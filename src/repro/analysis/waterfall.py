@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import _percentile
+from repro.analysis.metrics import _percentile, fold_sum
 from repro.obs.journey import UpdateJourney
 
 __all__ = ["BUCKETS", "PathDecomposition", "JourneyBreakdown",
@@ -73,10 +73,6 @@ class PathDecomposition:
     """The replica the critical path runs through (last to reach the
     point)."""
     buckets: Dict[str, float]
-
-    @property
-    def total_ns(self) -> float:
-        return sum(self.buckets.values())
 
 
 @dataclass(frozen=True)
@@ -330,7 +326,7 @@ class LagSummary:
 
 
 def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else float("nan")
+    return fold_sum(values) / len(values) if values else float("nan")
 
 
 def lag_summary(journeys: Sequence[UpdateJourney],

@@ -468,8 +468,9 @@ def _cmd_run(args) -> int:
               f"{journey.dropped} dropped")
     monitor = observers.monitor
     if monitor is not None:
+        from repro.obs.monitor import INTERVAL_NS
         print(f"health   :  {len(monitor)} samples "
-              f"(every {monitor.interval_ns / 1000:g} us, "
+              f"(every {INTERVAL_NS / 1000:g} us, "
               f"{monitor.dropped} dropped)  "
               f"peak-queue={monitor.peak_event_queue_depth}  "
               f"peak-nvm={monitor.peak_nvm_outstanding}  "

@@ -138,7 +138,6 @@ class Cluster:
         self.metrics.warmup_end_ns = self.sim.now
         self.sim.run(until=duration_ns)
         self.metrics.txn_conflicts = self.txn_table.conflicts
-        self.metrics.txn_aborts = self.txn_table.aborted
         if self.profile is not None:
             self.profile.stop(self.sim.now)
         if self.monitor is not None:

@@ -1015,7 +1015,6 @@ class ProtocolNode(NodeLifecycle):
             yield REQ_PROC_NS
             if not txn.aborted:
                 self.txn_table.abort(txn)
-            self.metrics.txn_aborts += 1
             if self.tracer.enabled:
                 self.tracer.emit(self.sim.now, "txn_abort", node=self.node_id,
                                  txn_id=txn.txn_id, writes=len(txn.writes))

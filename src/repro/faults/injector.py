@@ -33,6 +33,10 @@ from repro.sim.trace import NullTracer
 
 __all__ = ["NetVerdict", "FaultInjector", "faults_json"]
 
+MAX_RECORDS = 4096
+"""Lifecycle records an injector keeps; later ones are counted in
+``records_dropped``."""
+
 
 @dataclass(frozen=True)
 class NetVerdict:
@@ -51,7 +55,7 @@ class FaultInjector:
     to drive) and may be called once.
     """
 
-    def __init__(self, plan: FaultPlan, max_records: int = 4096):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
         self._cluster = None
         self._sim = None
@@ -60,8 +64,7 @@ class FaultInjector:
         self._random = None
         self._message_events: tuple = ()
         self.resolved_events: tuple = ()
-        # Lifecycle record log (bounded like HealthMonitor's violations).
-        self.max_records = max_records
+        # Lifecycle record log (bounded by MAX_RECORDS).
         self.records: List[Dict[str, Any]] = []
         self.records_dropped = 0
         self.crashes = 0
@@ -149,7 +152,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def _record(self, kind: str, **detail: Any) -> None:
-        if len(self.records) >= self.max_records:
+        if len(self.records) >= MAX_RECORDS:
             self.records_dropped += 1
             return
         entry = {"t_us": self._sim.now / 1000.0, "kind": kind}

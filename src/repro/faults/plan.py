@@ -314,11 +314,8 @@ def parse_crash_spec(spec: str) -> FaultEvent:
             f"node@at_us+restart_after_us): {exc}") from exc
 
 
-def plan_from_crash_specs(specs: List[str], seed: int = 0,
-                          detection_delay_us: float = 3.0) -> FaultPlan:
+def plan_from_crash_specs(specs: List[str], seed: int = 0) -> FaultPlan:
     """Build a crash-only plan from CLI ``--crash`` specs."""
     events = tuple(sorted((parse_crash_spec(s) for s in specs),
                           key=lambda e: (e.at_ns, e.kind)))
-    return FaultPlan(seed=seed,
-                     detection_delay_ns=detection_delay_us * _US,
-                     events=events)
+    return FaultPlan(seed=seed, events=events)

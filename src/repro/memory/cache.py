@@ -8,8 +8,7 @@ replica updates directly into the LLC without a memory round trip.
 We model caches at *timing* granularity, not content granularity: the
 key-value payloads live in the stores (:mod:`repro.store`); the cache
 model answers "how long does this access take and does DDIO have room".
-Hit ratios are configurable, with a simple working-set heuristic used by
-default.
+Each level hits with a fixed ratio, drawn per access.
 """
 
 from __future__ import annotations
@@ -44,6 +43,12 @@ L2_TIMING = CacheTiming(size_bytes=512 * 1024, ways=8, round_trip_cycles=12)
 LLC_TIMING_PER_CORE = CacheTiming(size_bytes=2 * 1024 * 1024, ways=16,
                                   round_trip_cycles=38)
 
+L1_HIT = 0.90
+L2_HIT = 0.70
+LLC_HIT = 0.85
+DDIO_FRACTION = 0.10
+"""Share of the LLC reserved for DDIO deposits."""
+
 
 class CacheLevel:
     """One cache level with a fixed hit ratio drawn per access."""
@@ -76,25 +81,23 @@ class CacheLevel:
 class Llc:
     """Shared last-level cache with a DDIO region.
 
-    The DDIO region is a byte budget (10% of LLC by default).  The NIC
-    deposits incoming updates here; if the region is full the deposit
-    spills to DRAM, costing a memory access instead of an LLC access.
-    Entries are freed when the protocol engine consumes the update.
+    The DDIO region is a byte budget (:data:`DDIO_FRACTION` of the LLC).
+    The NIC deposits incoming updates here; if the region is full the
+    deposit spills to DRAM, costing a memory access instead of an LLC
+    access.  Entries are freed when the protocol engine consumes the
+    update.
     """
 
-    def __init__(self, sim: Simulator, cores: int, rng: SeededStream,
-                 hit_ratio: float = 0.85, ddio_fraction: float = 0.10,
-                 name: str = "llc"):
+    def __init__(self, sim: Simulator, cores: int, rng: SeededStream):
         self.sim = sim
-        self.name = name
         total = LLC_TIMING_PER_CORE.size_bytes * cores
         self.timing = CacheTiming(size_bytes=total, ways=LLC_TIMING_PER_CORE.ways,
                                   round_trip_cycles=LLC_TIMING_PER_CORE.round_trip_cycles)
-        self.level = CacheLevel(sim, self.timing, hit_ratio, rng, name)
+        self.level = CacheLevel(sim, self.timing, LLC_HIT, rng, "llc")
         # Read on every DDIO deposit: a plain attribute, not a property
         # chain (the timing is frozen).
         self.round_trip_ns = self.timing.round_trip_ns
-        self.ddio_capacity = int(total * ddio_fraction)
+        self.ddio_capacity = int(total * DDIO_FRACTION)
         self.ddio_used = 0
         self.ddio_deposits = 0
         self.ddio_spills = 0
@@ -126,13 +129,11 @@ class CacheHierarchy:
     caller is told so (the node model then charges the DRAM device).
     """
 
-    def __init__(self, sim: Simulator, rng: SeededStream, cores: int,
-                 l1_hit: float = 0.90, l2_hit: float = 0.70,
-                 llc_hit: float = 0.85):
+    def __init__(self, sim: Simulator, rng: SeededStream, cores: int):
         self.sim = sim
-        self.l1 = CacheLevel(sim, L1_TIMING, l1_hit, rng.fork("l1"), "l1")
-        self.l2 = CacheLevel(sim, L2_TIMING, l2_hit, rng.fork("l2"), "l2")
-        self.llc = Llc(sim, cores, rng.fork("llc"), hit_ratio=llc_hit)
+        self.l1 = CacheLevel(sim, L1_TIMING, L1_HIT, rng.fork("l1"), "l1")
+        self.l2 = CacheLevel(sim, L2_TIMING, L2_HIT, rng.fork("l2"), "l2")
+        self.llc = Llc(sim, cores, rng.fork("llc"))
 
     def access_latency(self) -> tuple:
         """Return ``(latency_ns, needs_dram)`` for one data access."""

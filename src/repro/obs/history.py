@@ -23,7 +23,7 @@ Design rules (the same attachment discipline as every other sink in
   session (matching :meth:`repro.workload.client.Client.restart`).  The
   node caught up from its peers before the session began, so every
   session is judged alike.
-* **bounded** — at most ``max_ops`` operations are kept; beyond that
+* **bounded** — at most :data:`MAX_OPS` operations are kept; beyond that
   the recorder counts drops and the history is *truncated* (the audit
   engine refuses to produce verdicts from a truncated history).
 
@@ -43,6 +43,9 @@ from repro.obs.schemas import HISTORY_SCHEMA
 __all__ = ["HISTORY_SCHEMA", "HistoryOpRecord", "History",
            "HistoryRecorder", "recovered_from_cluster", "write_history",
            "load_history"]
+
+MAX_OPS = 1_000_000
+"""Operations a recorder keeps; later ones are counted in ``dropped``."""
 
 
 @dataclass
@@ -120,11 +123,9 @@ class HistoryRecorder:
     most one operation in flight, so the open op is keyed by client id).
     """
 
-    def __init__(self, sim=None, max_ops: int = 1_000_000):
-        # ``sim`` is bound by the Cluster at construction when the
-        # recorder is created first (the CLI flow).
-        self.sim = sim
-        self.max_ops = max_ops
+    def __init__(self):
+        # Bound by the Cluster the recorder is passed to.
+        self.sim = None
         self.ops: List[HistoryOpRecord] = []
         self.dropped = 0
         self.meta: Dict[str, Any] = {}
@@ -147,7 +148,7 @@ class HistoryRecorder:
                value: Any = None, txn_id: Optional[int] = None,
                scope_id: Optional[int] = None) -> None:
         """Register an operation at issue time."""
-        if len(self.ops) >= self.max_ops:
+        if len(self.ops) >= MAX_OPS:
             self.dropped += 1
             self._open.pop(client, None)
             return

@@ -129,19 +129,16 @@ class UpdateJourney:
 class JourneyTracker:
     """A tracer sink that assembles :class:`UpdateJourney` records.
 
-    Every issued write is tracked; ``max_journeys`` caps memory,
-    counting overflow in ``dropped`` so a truncated population is never
-    silently presented as complete.
+    Every issued write is tracked.
     """
 
     enabled = True
+    dropped = 0
+    """The tracker keeps every journey; the run report, the waterfall
+    and the health monitor read this count as they read a tracer's."""
 
-    def __init__(self, num_nodes: int, max_journeys: Optional[int] = None):
-        if max_journeys is not None and max_journeys <= 0:
-            raise ValueError(f"max_journeys must be positive: {max_journeys}")
+    def __init__(self, num_nodes: int):
         self.num_nodes = num_nodes
-        self.max_journeys = max_journeys
-        self.dropped = 0
         self._journeys: Dict[Tuple[int, Version], UpdateJourney] = {}
         self._by_op: Dict[int, Tuple[int, Version]] = {}
         # (node, address) -> (end time, service ns) of the last NVM
@@ -161,10 +158,6 @@ class JourneyTracker:
     # -- category handlers -------------------------------------------------
 
     def _on_write_issue(self, time, node, details) -> None:
-        if (self.max_journeys is not None
-                and len(self._journeys) >= self.max_journeys):
-            self.dropped += 1
-            return
         jkey = (details["key"], details["version"])
         self._journeys.setdefault(jkey, UpdateJourney(
             key=details["key"], version=details["version"], coordinator=node,

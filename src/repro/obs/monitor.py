@@ -25,7 +25,7 @@ reports a version durable before it is visible).  Which of them may be
 held against the attached cluster's model is the ``probes`` column of
 the contract table (:mod:`repro.core.contracts`).
 
-Storage is bounded (``max_samples`` / ``max_violations`` with
+Storage is bounded (:data:`MAX_SAMPLES` / :data:`MAX_VIOLATIONS`, with
 ``dropped`` counters) so long runs cannot grow without limit.  The
 sample stream exports as Chrome ``counter`` events on a ``health`` lane
 (:func:`health_chrome_events`) and folds into the run report
@@ -42,6 +42,15 @@ from repro.core.replica import Version
 
 __all__ = ["HealthSample", "HealthViolation", "HealthMonitor",
            "health_json", "health_chrome_events"]
+
+INTERVAL_NS = 5_000.0
+"""Simulated time between two samples."""
+MAX_SAMPLES = 10_000
+"""Samples kept; later ones are counted in ``dropped``."""
+TOP_K = 8
+"""Keys in the hot-key sketch, per sample and over the run."""
+MAX_VIOLATIONS = 1_000
+"""Violations kept; later ones are counted in ``violations_dropped``."""
 
 
 @dataclass(frozen=True)
@@ -91,19 +100,7 @@ class HealthMonitor:
     Purely observational: samples read state, never mutate it.
     """
 
-    def __init__(self, interval_ns: float = 5_000.0,
-                 max_samples: int = 10_000, top_k: int = 8,
-                 max_violations: int = 1_000):
-        if interval_ns <= 0:
-            raise ValueError(f"interval_ns must be positive: {interval_ns}")
-        if max_samples <= 0:
-            raise ValueError(f"max_samples must be positive: {max_samples}")
-        if top_k < 0:
-            raise ValueError(f"top_k must be >= 0: {top_k}")
-        self.interval_ns = interval_ns
-        self.max_samples = max_samples
-        self.max_violations = max_violations
-        self.top_k = top_k
+    def __init__(self):
         self.samples: List[HealthSample] = []
         self.dropped = 0
         self.violations: List[HealthViolation] = []
@@ -144,7 +141,7 @@ class HealthMonitor:
         held = contract_for(cluster.model).probes
         self.probes = {probe: probe in held for probe in PROBES}
         self._running = True
-        self._sim.call_at(self._sim.now + self.interval_ns, self._tick)
+        self._sim.call_at(self._sim.now + INTERVAL_NS, self._tick)
 
     def stop(self, now_ns: Optional[float] = None) -> None:
         """End sampling; the pending tick (if any) becomes a no-op."""
@@ -158,11 +155,11 @@ class HealthMonitor:
         if not self._running:
             return
         sample = self._sample()
-        if len(self.samples) < self.max_samples:
+        if len(self.samples) < MAX_SAMPLES:
             self.samples.append(sample)
         else:
             self.dropped += 1
-        self._sim.call_at(self._sim.now + self.interval_ns, self._tick)
+        self._sim.call_at(self._sim.now + INTERVAL_NS, self._tick)
 
     def _sample(self) -> HealthSample:
         now = self._sim.now
@@ -188,8 +185,6 @@ class HealthMonitor:
     def _hot_keys(self) -> Tuple[Tuple[int, int], ...]:
         """Top-K keys by writes since the previous sample (delta of the
         highest applied sequence seen at any replica)."""
-        if self.top_k == 0:
-            return ()
         current: Dict[int, int] = {}
         for engine in self._engines:
             for replica in engine.replicas:
@@ -201,7 +196,7 @@ class HealthMonitor:
                   if seq > self._key_seq.get(key, 0)]
         deltas.sort(key=lambda kv: (-kv[1], kv[0]))
         self._key_seq.update(current)
-        return tuple(deltas[:self.top_k])
+        return tuple(deltas[:TOP_K])
 
     # -- invariant probes --------------------------------------------------
 
@@ -233,7 +228,7 @@ class HealthMonitor:
     def _record(self, now: float, probe: str, node: int, key: int,
                 detail: str) -> None:
         self.violations_total += 1
-        if len(self.violations) < self.max_violations:
+        if len(self.violations) < MAX_VIOLATIONS:
             self.violations.append(
                 HealthViolation(now, probe, node, key, detail))
         else:
@@ -250,11 +245,11 @@ class HealthMonitor:
         return max((max(s.nvm_outstanding, default=0)
                     for s in self.samples), default=0)
 
-    def top_keys_total(self, k: Optional[int] = None) -> List[Tuple[int, int]]:
+    def top_keys_total(self) -> List[Tuple[int, int]]:
         """(key, total writes observed) over the whole run, hottest
         first — the cumulative view of the per-sample sketch."""
         totals = sorted(self._key_seq.items(), key=lambda kv: (-kv[1], kv[0]))
-        return totals[:self.top_k if k is None else k]
+        return totals[:TOP_K]
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -269,7 +264,7 @@ def health_json(monitor: HealthMonitor) -> Dict[str, Any]:
     samples = monitor.samples
     nodes = range(len(monitor._memories))
     return {
-        "interval_ns": monitor.interval_ns,
+        "interval_ns": INTERVAL_NS,
         "samples": len(samples),
         "dropped": monitor.dropped,
         "series": {

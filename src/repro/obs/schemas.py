@@ -126,14 +126,9 @@ def _family(family: str) -> ArtifactSchema:
     return schema
 
 
-def schema_tag(family: str, version: Optional[int] = None) -> str:
-    """The ``family/version`` tag (current version by default)."""
-    schema = _family(family)
-    if version is None:
-        return schema.current
-    if version not in schema.versions:
-        raise SchemaError(f"{family} has no version {version}")
-    return f"{family}/{version}"
+def schema_tag(family: str) -> str:
+    """The family's current ``family/version`` tag."""
+    return _family(family).current
 
 
 def schema_tags(family: str) -> Tuple[str, ...]:

@@ -296,7 +296,13 @@ class Process(Event):
                     else:
                         event.defused = True
                         target = self.generator.throw(event._value)
+                        # Handled: its traceback would keep the frames
+                        # it passed through alive (CPython 3.12 leaves
+                        # them in a cycle only the collector frees).
+                        event._value.__traceback__ = None
                 except StopIteration as stop:
+                    if not event._ok:  # handled, then returned
+                        event._value.__traceback__ = None
                     self._target = self._wake = None
                     sim._active_process = None
                     if self._value is PENDING:

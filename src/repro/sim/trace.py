@@ -22,10 +22,6 @@ Records come in two shapes:
   order only up to such look-ahead, and everything that renders a
   timeline puts them in time order first (:meth:`Tracer.in_time_order`).
 
-A :class:`Tracer`'s storage can be bounded: ``max_records`` caps memory
-by dropping new records once full (the head of the run is kept), and
-the ``dropped`` counter says how much is missing.
-
 Tracing is off by default (a :class:`NullTracer` is used) so the hot
 simulation path pays a single attribute lookup per potential record.
 """
@@ -69,24 +65,15 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects trace records, with optional category filtering and a
-    memory bound.
-
-    ``max_records=None`` keeps everything (tests, short runs).  With a
-    cap, the first ``max_records`` records are kept and ``dropped``
-    counts the rest.
-    """
+    """Collects every trace record, in emission order."""
 
     enabled = True
+    dropped = 0
+    """A tracer keeps every record; the run report and the health
+    monitor read this count as they read a stream's."""
 
-    def __init__(self, categories: Optional[List[str]] = None,
-                 max_records: Optional[int] = None):
-        if max_records is not None and max_records <= 0:
-            raise ValueError(f"max_records must be positive: {max_records}")
-        self._max_records = max_records
+    def __init__(self):
         self.records: List[TraceRecord] = []
-        self._categories = set(categories) if categories else None
-        self.dropped = 0
 
     def emit(
         self,
@@ -106,17 +93,10 @@ class Tracer:
         **details)`` receive ``dur``/``phase`` as ordinary detail keys
         and may ignore them.
         """
-        if self._categories is not None and category not in self._categories:
-            return
         if phase is None:
             phase = SPAN if dur is not None else INSTANT
-        record = TraceRecord(time, category, node, details, phase,
-                             dur if dur is not None else 0.0)
-        if (self._max_records is not None
-                and len(self.records) >= self._max_records):
-            self.dropped += 1
-        else:
-            self.records.append(record)
+        self.records.append(TraceRecord(time, category, node, details, phase,
+                                        dur if dur is not None else 0.0))
 
     def in_time_order(self) -> List[TraceRecord]:
         """The records sorted stably by ``time``.
@@ -150,7 +130,6 @@ class Tracer:
 
     def clear(self) -> None:
         self.records.clear()
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self.records)

@@ -12,6 +12,9 @@ from repro.store.base import KvStore
 
 __all__ = ["BPlusTreeStore"]
 
+ORDER = 16
+"""Children per inner node, and entries per leaf."""
+
 
 class _Leaf:
     __slots__ = ("keys", "values")
@@ -41,15 +44,12 @@ def _bisect(keys: List[int], key: int) -> int:
 
 
 class BPlusTreeStore(KvStore):
-    """B+-tree with ``order`` children per inner node and ``order``
-    entries per leaf."""
+    """B+-tree with :data:`ORDER` children per inner node and
+    :data:`ORDER` entries per leaf."""
 
     name = "bplustree"
 
-    def __init__(self, order: int = 16):
-        if order < 4:
-            raise ValueError(f"order must be >= 4, got {order}")
-        self._order = order
+    def __init__(self):
         self.clear()
 
     def clear(self) -> None:
@@ -88,7 +88,7 @@ class BPlusTreeStore(KvStore):
         leaf.keys.insert(insert_at, key)
         leaf.values.insert(insert_at, value)
         self._size += 1
-        if len(leaf.keys) >= self._order:
+        if len(leaf.keys) >= ORDER:
             self._split_leaf(leaf, path)
 
     def _split_leaf(self, leaf: _Leaf, path: List[Tuple[_Inner, int]]) -> None:
@@ -106,7 +106,7 @@ class BPlusTreeStore(KvStore):
             parent, slot = path.pop()
             parent.keys.insert(slot, separator)
             parent.children.insert(slot + 1, right_child)
-            if len(parent.children) <= self._order:
+            if len(parent.children) <= ORDER:
                 return
             mid = len(parent.keys) // 2
             separator = parent.keys[mid]

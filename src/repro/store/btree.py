@@ -1,8 +1,9 @@
 """B-tree store (the paper's "B-Tree", after Google's cpp-btree).
 
 A classic B-tree: values live in every node, and full nodes split on the
-way down (preemptive splitting).  The branching factor defaults to 16,
-giving shallow trees whose depth the cost oracle counts.
+way down (preemptive splitting).  The branching factor is 16
+(:data:`MIN_DEGREE` 8), giving shallow trees whose depth the cost
+oracle counts.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from typing import Any, List, Optional
 from repro.store.base import KvStore
 
 __all__ = ["BTreeStore"]
+
+MIN_DEGREE = 8
+"""The tree's minimum degree t: each node holds t-1..2t-1 keys."""
 
 
 class _BNode:
@@ -28,14 +32,11 @@ class _BNode:
 
 
 class BTreeStore(KvStore):
-    """B-tree of minimum degree ``t`` (each node holds t-1..2t-1 keys)."""
+    """B-tree of minimum degree :data:`MIN_DEGREE`."""
 
     name = "btree"
 
-    def __init__(self, min_degree: int = 8):
-        if min_degree < 2:
-            raise ValueError(f"min_degree must be >= 2, got {min_degree}")
-        self._t = min_degree
+    def __init__(self):
         self.clear()
 
     def clear(self) -> None:
@@ -70,7 +71,7 @@ class BTreeStore(KvStore):
 
     def put(self, key: int, value: Any) -> None:
         root = self._root
-        if len(root.keys) == 2 * self._t - 1:
+        if len(root.keys) == 2 * MIN_DEGREE - 1:
             new_root = _BNode()
             new_root.children.append(root)
             self._split_child(new_root, 0)
@@ -78,7 +79,7 @@ class BTreeStore(KvStore):
         self._insert_nonfull(self._root, key, value)
 
     def _split_child(self, parent: _BNode, index: int) -> None:
-        t = self._t
+        t = MIN_DEGREE
         child = parent.children[index]
         sibling = _BNode()
         sibling.keys = child.keys[t:]
@@ -104,7 +105,7 @@ class BTreeStore(KvStore):
                 self._size += 1
                 return
             child = node.children[slot]
-            if len(child.keys) == 2 * self._t - 1:
+            if len(child.keys) == 2 * MIN_DEGREE - 1:
                 self._split_child(node, slot)
                 if key == node.keys[slot]:
                     node.values[slot] = value

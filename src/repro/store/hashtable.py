@@ -15,23 +15,22 @@ __all__ = ["HashTableStore"]
 
 _EMPTY = object()
 
+INITIAL_CAPACITY = 64
+"""Slots in an empty table (a power of two: the probe masks with it)."""
+MAX_LOAD = 0.66
+"""Load factor past which a ``put`` doubles the table."""
+
 
 class HashTableStore(KvStore):
     """Linear-probing hash table with power-of-two capacity."""
 
     name = "hashtable"
 
-    def __init__(self, initial_capacity: int = 64, max_load: float = 0.66):
-        if initial_capacity < 8 or initial_capacity & (initial_capacity - 1):
-            raise ValueError("initial_capacity must be a power of two >= 8")
-        if not 0.1 <= max_load < 1.0:
-            raise ValueError(f"max_load out of range: {max_load}")
-        self._initial_capacity = initial_capacity
-        self._max_load = max_load
+    def __init__(self):
         self.clear()
 
     def clear(self) -> None:
-        capacity = self._initial_capacity
+        capacity = INITIAL_CAPACITY
         self._capacity = capacity
         self._keys: List[Any] = [_EMPTY] * capacity
         # An empty slot's value stays None, so ``get`` needs no test.
@@ -79,7 +78,7 @@ class HashTableStore(KvStore):
         return self._values[self._probe(key)[0]]
 
     def put(self, key: int, value: Any) -> None:
-        if (self._size + 1) / self._capacity > self._max_load:
+        if (self._size + 1) / self._capacity > MAX_LOAD:
             self._resize(self._capacity * 2)
         index = self._probe(key)[0]
         if self._keys[index] is _EMPTY:

@@ -16,6 +16,12 @@ from repro.store.base import KvStore
 
 __all__ = ["MemcachedStore", "SlabClass"]
 
+CAPACITY_BYTES = 4 * 1024 * 1024
+"""Bytes of chunks, split evenly among the slab classes."""
+MIN_CHUNK = 64
+"""Chunk size of the smallest class; each next class doubles it."""
+NUM_CLASSES = 8
+
 
 class SlabClass:
     """One slab class: fixed chunk size, bounded chunk count, LRU order."""
@@ -57,17 +63,11 @@ class MemcachedStore(KvStore):
 
     name = "memcached"
 
-    def __init__(self, capacity_bytes: int = 4 * 1024 * 1024,
-                 min_chunk: int = 64, growth_factor: float = 2.0,
-                 num_classes: int = 8):
-        if capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be positive")
-        self._classes: List[SlabClass] = []
-        per_class = capacity_bytes // num_classes
-        chunk = min_chunk
-        for _ in range(num_classes):
-            self._classes.append(SlabClass(chunk, max(1, per_class // chunk)))
-            chunk = int(chunk * growth_factor)
+    def __init__(self):
+        per_class = CAPACITY_BYTES // NUM_CLASSES
+        chunks = [MIN_CHUNK << index for index in range(NUM_CLASSES)]
+        self._classes = [SlabClass(chunk, max(1, per_class // chunk))
+                         for chunk in chunks]
         self.clear()
 
     def clear(self) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 from typing import Dict, List
 
+from repro.analysis.metrics import fold_sum
 from repro.sim.rng import SeededStream
 
 __all__ = ["ZipfianGenerator", "ScrambledZipfianGenerator", "fnv1a_64"]
@@ -58,7 +59,8 @@ class ZipfianGenerator:
     def _zeta_static(n: int, theta: float) -> float:
         # Pure in (n, theta), and every client of a cluster asks for the
         # same pair: one 10 000-term sum per process, not per client.
-        return sum(1.0 / (i ** theta) for i in range(1, n + 1))
+        # A fold: ``sum()`` rounds differently from CPython 3.12 on.
+        return fold_sum(1.0 / (i ** theta) for i in range(1, n + 1))
 
     def _compute_eta(self) -> float:
         if self.item_count <= 2:

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import struct
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -126,9 +128,9 @@ def _tuple_summarize(records, warmup_end_ns, metrics, duration_ns):
         requests=len(all_lat),
         duration_ns=span,
         throughput_ops_per_s=len(all_lat) / (span * 1e-9),
-        mean_read_ns=(sum(reads) / len(reads)) if reads else nan,
-        mean_write_ns=(sum(writes) / len(writes)) if writes else nan,
-        mean_access_ns=(sum(all_lat) / len(all_lat)) if all_lat else nan,
+        mean_read_ns=(reduce(add, reads, 0.0) / len(reads)) if reads else nan,
+        mean_write_ns=(reduce(add, writes, 0.0) / len(writes)) if writes else nan,
+        mean_access_ns=(reduce(add, all_lat, 0.0) / len(all_lat)) if all_lat else nan,
         p95_read_ns=_percentile(reads, 0.95),
         p95_write_ns=_percentile(writes, 0.95),
         p99_read_ns=_percentile(reads, 0.99),
@@ -172,7 +174,8 @@ def test_summarize_over_packed_rows_is_repr_equal_to_the_tuple_pass(
 def _reference_summarize(metrics, duration_ns):
     """``Metrics.summarize`` as it was at d68d711: five passes over the
     records.  The one-pass loop must give every field the same value —
-    the means are float sums, so "same" means the same summation order."""
+    the means are float sums, so "same" means the same summation order:
+    a left-to-right fold (``sum()`` compensates from CPython 3.12 on)."""
     measured = [o for o in metrics.ops if o.end_ns >= metrics.warmup_end_ns]
     reads = sorted(o.latency_ns for o in measured if o.op_type == "read")
     writes = sorted(o.latency_ns for o in measured if o.op_type == "write")
@@ -185,9 +188,9 @@ def _reference_summarize(metrics, duration_ns):
         requests=requests,
         duration_ns=span,
         throughput_ops_per_s=requests / (span * 1e-9),
-        mean_read_ns=(sum(reads) / len(reads)) if reads else nan,
-        mean_write_ns=(sum(writes) / len(writes)) if writes else nan,
-        mean_access_ns=(sum(all_lat) / len(all_lat)) if all_lat else nan,
+        mean_read_ns=(reduce(add, reads, 0.0) / len(reads)) if reads else nan,
+        mean_write_ns=(reduce(add, writes, 0.0) / len(writes)) if writes else nan,
+        mean_access_ns=(reduce(add, all_lat, 0.0) / len(all_lat)) if all_lat else nan,
         p95_read_ns=_percentile(reads, 0.95),
         p95_write_ns=_percentile(writes, 0.95),
         p99_read_ns=_percentile(reads, 0.99),

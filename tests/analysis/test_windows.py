@@ -69,23 +69,12 @@ class TestWindowedOpSeries:
         series = windowed_op_series(ops, window_ns=100.0)
         assert series[0].ops == 1
 
-    def test_explicit_end_pads_and_truncates(self):
-        ops = [_op("read", 50.0), _op("read", 550.0)]
-        series = windowed_op_series(ops, window_ns=100.0, end_ns=300.0)
-        assert len(series) == 3
-        assert [w.ops for w in series] == [1, 0, 0]
-
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             windowed_op_series([], window_ns=0.0)
 
     def test_no_ops_yields_empty_series(self):
         assert windowed_op_series([], window_ns=100.0) == []
-
-    def test_no_ops_with_explicit_end_pads_empty_windows(self):
-        series = windowed_op_series([], window_ns=100.0, end_ns=250.0)
-        assert [w.ops for w in series] == [0, 0, 0]
-        assert all(math.isnan(w.p99_ns) for w in series)
 
     def test_single_op(self):
         (window,) = windowed_op_series([_op("read", 50.0, latency=10.0)],
@@ -122,11 +111,12 @@ class TestMetricsSeries:
         metrics = Metrics()
         metrics.record_op(_op("read", 50.0, node=0))
         metrics.record_op(_op("read", 250.0, node=1))
-        by_node = metrics.op_series_by_node(100.0, end_ns=300.0)
+        by_node = metrics.op_series_by_node(100.0)
         assert set(by_node) == {0, 1}
-        assert len(by_node[0]) == len(by_node[1]) == 3
-        assert [w.ops for w in by_node[0]] == [1, 0, 0]
+        assert [w.ops for w in by_node[0]] == [1]
         assert [w.ops for w in by_node[1]] == [0, 0, 1]
+        assert [w.start_ns for w in by_node[1]][:1] == \
+            [w.start_ns for w in by_node[0]]
 
     @given(rows=st.lists(st.tuples(
         st.sampled_from(["read", "write", "txn", "persist"]),

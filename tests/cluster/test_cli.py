@@ -360,22 +360,24 @@ class TestCommands:
                                                 "health.pressure"}
 
     def test_journey_caps_report_their_drops(self, capsys, tmp_path):
-        """A capped tracker's losses reach the report and the ``journey``
-        view of it: a truncated population never reads as complete."""
+        """A tracker's losses reach the report and the ``journey`` view
+        of it: a truncated population never reads as complete."""
         from repro.obs import (CellSpec, JourneyTracker, observed_run,
                                section_observers, write_run_report)
         spec = CellSpec("causal", "synchronous", 2021, servers=3, clients=6,
                         duration_ns=30_000.0, warmup_ns=3_000.0,
                         sections=("journeys",))
         observers = section_observers(spec, report=True)
-        observers.journey = JourneyTracker(3, max_journeys=5)
+        observers.journey = JourneyTracker(3)
+        observers.journey.dropped = 4  # a tracker keeps all: set a loss
         report_path = tmp_path / "report.json"
         write_run_report(str(report_path), observed_run(spec, observers).report)
         report = json.loads(report_path.read_text())
-        dropped = report["journeys"]["dropped"]
-        assert report["journeys"]["journeys"] == 5 and dropped > 0
+        tracked = report["journeys"]["journeys"]
+        assert tracked == len(observers.journey) > 0
+        assert report["journeys"]["dropped"] == 4
         assert main(["journey", str(report_path)]) == 0
-        assert f"(5 journeys tracked, {dropped} dropped)" in \
+        assert f"({tracked} journeys tracked, 4 dropped)" in \
             capsys.readouterr().out
 
     def test_run_audit_passes_own_model(self, capsys, tmp_path):

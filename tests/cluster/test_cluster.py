@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import inspect
 
 import pytest
 
@@ -65,6 +66,55 @@ class TestClusterConfig:
                    for config in (ClusterConfig(), WORKLOADS["A"])}
         assert surface == CONFIG_SURFACE
         assert sum(map(len, surface.values())) == 18
+
+    def test_the_parameters_of_the_observers_stores_and_reports_are_pinned(
+            self):
+        """What the tracers, monitors, caches, stores, fault injection
+        and report functions take, parameter by parameter: their
+        settings are module constants, and adding a parameter back is a
+        visible diff here."""
+        from repro.analysis.linearizability import is_linearizable
+        from repro.analysis.metrics import Metrics, windowed_op_series
+        from repro.analysis.report import format_figure6_table, format_grid
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import plan_from_crash_specs
+        from repro.memory.cache import CacheHierarchy, Llc
+        from repro.obs.history import HistoryRecorder
+        from repro.obs.journey import JourneyTracker
+        from repro.obs.monitor import HealthMonitor
+        from repro.obs.schemas import schema_tag
+        from repro.sim.trace import Tracer
+        from repro.store.bplustree import BPlusTreeStore
+        from repro.store.btree import BTreeStore
+        from repro.store.hashtable import HashTableStore
+        from repro.store.memcachedlike import MemcachedStore
+
+        callables = [
+            Tracer, JourneyTracker, HealthMonitor,
+            HealthMonitor.top_keys_total, HistoryRecorder, CacheHierarchy,
+            Llc, HashTableStore, BTreeStore, BPlusTreeStore, MemcachedStore,
+            windowed_op_series, Metrics.op_series, Metrics.op_series_by_node,
+            FaultInjector, plan_from_crash_specs, schema_tag,
+            is_linearizable, format_figure6_table, format_grid]
+        surface = {
+            fn.__qualname__: [name for name in inspect.signature(fn).parameters
+                              if name != "self"]
+            for fn in callables}
+        assert surface == {
+            "Tracer": [], "JourneyTracker": ["num_nodes"],
+            "HealthMonitor": [], "HealthMonitor.top_keys_total": [],
+            "HistoryRecorder": [], "CacheHierarchy": ["sim", "rng", "cores"],
+            "Llc": ["sim", "cores", "rng"], "HashTableStore": [],
+            "BTreeStore": [], "BPlusTreeStore": [], "MemcachedStore": [],
+            "windowed_op_series": ["ops", "window_ns"],
+            "Metrics.op_series": ["window_ns"],
+            "Metrics.op_series_by_node": ["window_ns"],
+            "FaultInjector": ["plan"],
+            "plan_from_crash_specs": ["specs", "seed"],
+            "schema_tag": ["family"],
+            "is_linearizable": ["history", "initial_value"],
+            "format_figure6_table": ["summaries"],
+            "format_grid": ["values", "title"]}
 
     def test_with_overrides(self):
         config = ClusterConfig().with_overrides(

@@ -62,15 +62,16 @@ class TestLlc:
 
 class TestCacheHierarchy:
     def test_access_latency_levels(self, sim, rng):
-        hierarchy = CacheHierarchy(sim, rng, cores=20,
-                                   l1_hit=1.0, l2_hit=0.0, llc_hit=0.0)
+        hierarchy = CacheHierarchy(sim, rng, cores=20)
+        hierarchy.l1.hit_ratio = 1.0
         latency, needs_dram = hierarchy.access_latency()
         assert latency == pytest.approx(1.0)
         assert not needs_dram
 
     def test_full_miss_requests_dram(self, sim, rng):
-        hierarchy = CacheHierarchy(sim, rng, cores=20,
-                                   l1_hit=0.0, l2_hit=0.0, llc_hit=0.0)
+        hierarchy = CacheHierarchy(sim, rng, cores=20)
+        for level in (hierarchy.l1, hierarchy.l2, hierarchy.llc.level):
+            level.hit_ratio = 0.0
         latency, needs_dram = hierarchy.access_latency()
         assert latency == pytest.approx(19.0)
         assert needs_dram

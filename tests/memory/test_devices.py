@@ -123,7 +123,7 @@ class TestPersistThen:
         "gen"), issued 10 ns apart; returns (completion log, device,
         ``nvm_persist`` spans)."""
         sim = Simulator()
-        tracer = Tracer(categories=["nvm_persist"])
+        tracer = Tracer()
         nvm = NvmDevice(sim, tracer=tracer, trace_node=0)
         done = []
 
@@ -179,7 +179,7 @@ class TestPersistThen:
         """A persist granted inside a slow window and completing after
         the window closed was charged the slow rate; its span says so."""
         sim = Simulator()
-        tracer = Tracer(categories=["nvm_persist"])
+        tracer = Tracer()
         nvm = NvmDevice(sim, tracer=tracer)
         nvm.slowdown = 4.0                                  # window open
         sim.call_at(1000.0, setattr, nvm, "slowdown", 1.0)  # window closes

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import repro.obs.history as history_module
 from repro.obs.history import (HISTORY_SCHEMA, History, HistoryOpRecord,
                                HistoryRecorder, load_history,
                                write_history)
@@ -15,8 +16,8 @@ class _FakeSim:
         self.now = 0.0
 
 
-def _recorder(max_ops=1_000_000):
-    rec = HistoryRecorder(max_ops=max_ops)
+def _recorder():
+    rec = HistoryRecorder()
     rec.sim = _FakeSim()
     return rec
 
@@ -72,8 +73,9 @@ class TestRecorder:
         rec.complete(3, version=(1, 1))
         assert [op.session for op in rec.ops] == [0, 1]
 
-    def test_bound_drops_and_truncates(self):
-        rec = _recorder(max_ops=2)
+    def test_bound_drops_and_truncates(self, monkeypatch):
+        monkeypatch.setattr(history_module, "MAX_OPS", 2)
+        rec = _recorder()
         for i in range(4):
             rec.invoke(client=i, node=0, op="read", key=i)
             rec.complete(i, version=(1, 0))

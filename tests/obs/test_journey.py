@@ -1,12 +1,10 @@
-"""JourneyTracker unit tests: correlation, sampling, and caps.
+"""JourneyTracker unit tests: correlation and derived points.
 
 These drive the tracker directly through its tracer interface with a
 hand-built emission sequence, so every correlation rule (key+version,
 op_id side-map, NVM span matching, causal buffering) is pinned without
 running a simulation.
 """
-
-import pytest
 
 from repro.obs import JourneyTracker, UpdateJourney
 
@@ -99,19 +97,6 @@ class TestCorrelation:
         tracker.emit(150.0, "causal_buffered", node=2, key=7, version=V)
         tracker.emit(180.0, "causal_released", node=2, key=7, version=V)
         assert tracker.get(7, V).buffer_wait_ns == {2: 30.0}
-
-
-class TestSamplingAndCaps:
-    def test_max_journeys_counts_dropped(self):
-        tracker = JourneyTracker(3, max_journeys=2)
-        for i in range(5):
-            issue(tracker, key=i, version=(i, 0))
-        assert len(tracker) == 2
-        assert tracker.dropped == 3
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            JourneyTracker(3, max_journeys=0)
 
 
 class TestDerived:

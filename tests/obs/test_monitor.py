@@ -8,6 +8,7 @@ recording path needs a rigged one).
 
 import pytest
 
+import repro.obs.monitor as monitor_module
 from repro.cluster.config import ClusterConfig
 from repro.core.model import Consistency, DdpModel, Persistency
 from repro.obs import (HealthMonitor, JourneyTracker, health_chrome_events,
@@ -17,11 +18,17 @@ from repro.sim.trace import Tracer
 from tests import harness
 
 
+@pytest.fixture(autouse=True)
+def _two_us_interval(monkeypatch):
+    """Sample every 2 us: 20 samples in a 40 us run."""
+    monkeypatch.setattr(monitor_module, "INTERVAL_NS", 2_000.0)
+
+
 def _monitored_run(model=None, monitor=None, seed=2021,
                    duration_ns=40_000.0):
     model = model or DdpModel(Consistency.CAUSAL, Persistency.SYNCHRONOUS)
     if monitor is None:  # empty monitors are falsy (__len__ == 0)
-        monitor = HealthMonitor(interval_ns=2_000.0)
+        monitor = HealthMonitor()
     config = ClusterConfig(servers=3, clients_per_server=3, seed=seed)
     return harness.run(model, duration_ns, 4_000.0, config=config,
                        monitor=monitor).cluster, monitor
@@ -65,9 +72,9 @@ class TestSampling:
         _, second = _monitored_run()
         assert health_json(first) == health_json(second)
 
-    def test_bounded_samples_count_dropped(self):
-        monitor = HealthMonitor(interval_ns=2_000.0, max_samples=5)
-        _, monitor = _monitored_run(monitor=monitor)
+    def test_bounded_samples_count_dropped(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "MAX_SAMPLES", 5)
+        _, monitor = _monitored_run()
         assert len(monitor) == 5
         assert monitor.dropped == 15
 
@@ -79,30 +86,23 @@ class TestSampling:
         assert monitor.stopped_at_ns == 40_000.0
 
     def test_watch_echoes_dropped_counters(self):
-        tracer = Tracer(max_records=10)
-        journey = JourneyTracker(3, max_journeys=5)
-        monitor = HealthMonitor(interval_ns=2_000.0)
+        tracer, journey = Tracer(), JourneyTracker(3)
+        # Neither drops anything; losses set on them are what gets echoed.
+        tracer.dropped, journey.dropped = 7, 3
+        monitor = HealthMonitor()
         monitor.watch(tracer=tracer, journey=journey)
         model = DdpModel(Consistency.CAUSAL, Persistency.SYNCHRONOUS)
         from repro.obs import FanoutTracer
         harness.run(model, config=ClusterConfig(servers=3, clients_per_server=3),
                     tracer=FanoutTracer([tracer, journey]), monitor=monitor)
         last = monitor.samples[-1]
-        assert last.tracer_dropped == tracer.dropped > 0
-        assert last.journey_dropped == journey.dropped > 0
+        assert (last.tracer_dropped, last.journey_dropped) == (7, 3)
 
-    def test_top_k_zero_disables_the_sketch(self):
-        monitor = HealthMonitor(interval_ns=2_000.0, top_k=0)
-        _, monitor = _monitored_run(monitor=monitor)
+    def test_top_k_zero_disables_the_sketch(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "TOP_K", 0)
+        _, monitor = _monitored_run()
         assert all(s.top_keys == () for s in monitor.samples)
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            HealthMonitor(interval_ns=0.0)
-        with pytest.raises(ValueError):
-            HealthMonitor(max_samples=0)
-        with pytest.raises(ValueError):
-            HealthMonitor(top_k=-1)
+        assert monitor.top_keys_total() == []
 
     def test_double_attach_rejected(self):
         cluster, monitor = _monitored_run()
@@ -163,11 +163,18 @@ class _FakeCluster:
         self.nodes = [_FakeNode()]
 
 
+@pytest.fixture
+def _ten_ns_interval(monkeypatch):
+    """Sample every 10 ns, to catch a rigged replica at once."""
+    monkeypatch.setattr(monitor_module, "INTERVAL_NS", 10.0)
+
+
+@pytest.mark.usefixtures("_ten_ns_interval")
 class TestInvariantProbes:
     def _rigged(self, model=None):
         cluster = _FakeCluster(model or DdpModel(Consistency.CAUSAL,
                                                  Persistency.SYNCHRONOUS))
-        monitor = HealthMonitor(interval_ns=10.0)
+        monitor = HealthMonitor()
         monitor.attach(cluster)
         return cluster, monitor, cluster.engines[0].replicas[0]
 
@@ -210,9 +217,9 @@ class TestInvariantProbes:
         cluster.sim.run(until=35.0)
         assert monitor.violations_total == 0
 
-    def test_violations_are_bounded(self):
+    def test_violations_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "MAX_VIOLATIONS", 2)
         cluster, monitor, replica = self._rigged()
-        monitor.max_violations = 2
         replica.applied_version = (1, 0)
         replica.persisted_version = (9, 0)  # violates at every tick
         cluster.sim.run(until=55.0)
@@ -264,10 +271,11 @@ class TestExportShaping:
         from repro.obs.export import _lane_of
         assert {e["tid"] for e in events} == {_lane_of("health")}
 
+    @pytest.mark.usefixtures("_ten_ns_interval")
     def test_violations_export_as_instants(self):
         cluster = _FakeCluster(DdpModel(Consistency.CAUSAL,
                                         Persistency.SYNCHRONOUS))
-        monitor = HealthMonitor(interval_ns=10.0)
+        monitor = HealthMonitor()
         monitor.attach(cluster)
         replica = cluster.engines[0].replicas[0]
         replica.applied_version = (1, 0)

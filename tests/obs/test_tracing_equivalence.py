@@ -18,6 +18,7 @@ import sys
 import pytest
 
 import repro
+import repro.obs.monitor as monitor_module
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
@@ -111,7 +112,7 @@ class TestTracingDoesNotPerturb:
         assert cluster_off.sim.now == cluster_on.sim.now
 
     @pytest.mark.parametrize("model", MODELS, ids=str)
-    def test_health_monitoring_does_not_perturb(self, model):
+    def test_health_monitoring_does_not_perturb(self, model, monkeypatch):
         """A monitored run reproduces the unmonitored run exactly.
 
         The monitor schedules its own ticks on the simulation clock, so
@@ -119,7 +120,8 @@ class TestTracingDoesNotPerturb:
         kernel events may consume sequence numbers but must not reorder
         or retime anyone else's."""
         cluster_off, summary_off, stores_off = _run(model)
-        monitor = HealthMonitor(interval_ns=2_000.0)
+        monkeypatch.setattr(monitor_module, "INTERVAL_NS", 2_000.0)
+        monitor = HealthMonitor()
         cluster_on, summary_on, stores_on = _run(model, monitor=monitor)
         assert len(monitor) > 0, "monitor never sampled; wiring is broken"
         assert dataclasses.asdict(summary_off) == \
@@ -127,15 +129,16 @@ class TestTracingDoesNotPerturb:
         assert stores_off == stores_on
         assert cluster_off.sim.now == cluster_on.sim.now
 
-    def test_health_monitoring_trace_byte_identical(self, tmp_path):
+    def test_health_monitoring_trace_byte_identical(self, tmp_path,
+                                                    monkeypatch):
         """The trace a monitored run records is byte-for-byte the trace
         an unmonitored run records — monitoring changes nothing the
         tracer can see (the acceptance bar for `--health`)."""
         model = DdpModel(Consistency.CAUSAL, Persistency.SYNCHRONOUS)
+        monkeypatch.setattr(monitor_module, "INTERVAL_NS", 2_000.0)
         contents = []
         for monitored in (False, True):
-            monitor = (HealthMonitor(interval_ns=2_000.0)
-                       if monitored else None)
+            monitor = HealthMonitor() if monitored else None
             trace, _ = _traced(tmp_path / f"m{monitored}.json", model,
                                monitor=monitor)
             contents.append(trace)

@@ -311,6 +311,41 @@ class TestProcess:
         sim.run()
         assert log == [(5.0, "wake up")]
 
+    def test_a_handled_interrupt_drops_its_traceback(self, sim):
+        """Caught, an interrupt holds no traceback (which would keep the
+        frames it passed through alive), whether the process then
+        returns or waits again; an uncaught one fails the process with
+        its traceback intact."""
+        caught = []
+
+        def catcher(then_wait):
+            try:
+                yield sim.timeout(100)
+            except Interrupt as interrupt:
+                caught.append(interrupt)
+            if then_wait:
+                yield sim.timeout(1)
+
+        def bystander():
+            yield sim.timeout(100)
+
+        returning = sim.process(catcher(False))
+        waiting = sim.process(catcher(True))
+        sim.run(until=5)
+        returning.interrupt("stop")
+        waiting.interrupt("stop")
+        sim.run(until=10)
+        assert len(caught) == 2
+        assert all(interrupt.__traceback__ is None for interrupt in caught)
+        sim.process(bystander()).interrupt("stop")
+        with pytest.raises(Interrupt) as failure:
+            sim.run()
+        frames, tb = [], failure.value.__traceback__
+        while tb is not None:
+            frames.append(tb.tb_frame.f_code.co_name)
+            tb = tb.tb_next
+        assert "bystander" in frames
+
     def test_interrupt_finished_process_rejected(self, sim):
         def quick():
             yield sim.timeout(1)

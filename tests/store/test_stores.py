@@ -3,6 +3,7 @@
 import pytest
 
 from repro.store import STORE_TYPES, make_store
+from repro.store import bplustree, btree, hashtable, memcachedlike
 from repro.store.base import KvStore
 from repro.store.bplustree import BPlusTreeStore
 from repro.store.btree import BTreeStore
@@ -128,39 +129,46 @@ def test_the_store_surface_is_pinned():
                      "memcached": {"slab_stats"}}
 
 
-class TestHashTable:
-    def test_power_of_two_required(self):
-        with pytest.raises(ValueError):
-            HashTableStore(initial_capacity=100)
+def _with(monkeypatch, module, **constants):
+    """Set a store module's constants for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(module, name, value)
 
-    def test_resize_preserves_content(self):
-        table = HashTableStore(initial_capacity=8)
+
+class TestHashTable:
+    def test_resize_preserves_content(self, monkeypatch):
+        _with(monkeypatch, hashtable, INITIAL_CAPACITY=8)
+        table = HashTableStore()
         for i in range(100):
             table.put(i, str(i))
         assert table.capacity > 8
         for i in range(100):
             assert table.get(i) == str(i)
 
-    def test_load_factor_bounded(self):
-        table = HashTableStore(initial_capacity=8, max_load=0.5)
+    def test_load_factor_bounded(self, monkeypatch):
+        _with(monkeypatch, hashtable, INITIAL_CAPACITY=8, MAX_LOAD=0.5)
+        table = HashTableStore()
         for i in range(1000):
             table.put(i, i)
         assert len(table) / table.capacity <= 0.5 + 1 / table.capacity
 
     def test_walk_length_is_probe_distance(self):
-        table = HashTableStore(initial_capacity=64)
+        table = HashTableStore()
         table.put(1, "x")
         assert table._walk_length(1) >= 1
 
     @pytest.mark.parametrize("capacity", [8, 16, 64])
-    def test_growth_lays_out_what_reinsertion_would(self, capacity):
+    def test_growth_lays_out_what_reinsertion_would(self, capacity,
+                                                     monkeypatch):
         """The one-pass rehash against the item-by-item ``put`` it
         replaced, kept here as the reference, in the old table's slot
         order: the same slots, counts, probe lengths and costs."""
-        table = HashTableStore(initial_capacity=capacity)
+        _with(monkeypatch, hashtable, INITIAL_CAPACITY=capacity)
+        table = HashTableStore()
         for key in [key * 7 % 61 for key in range(capacity // 2)]:
             table.put(key, -key)
-        reference = HashTableStore(initial_capacity=capacity * 2)
+        _with(monkeypatch, hashtable, INITIAL_CAPACITY=capacity * 2)
+        reference = HashTableStore()
         for key, value in zip(table._keys, table._values):
             if value is not None:
                 reference.put(key, value)
@@ -192,53 +200,49 @@ class TestSortedMap:
 
 
 class TestBTree:
-    def test_min_degree_validation(self):
-        with pytest.raises(ValueError):
-            BTreeStore(min_degree=1)
-
-    def test_splits_keep_order(self):
-        tree = BTreeStore(min_degree=2)
+    def test_splits_keep_order(self, monkeypatch):
+        _with(monkeypatch, btree, MIN_DEGREE=2)
+        tree = BTreeStore()
         for key in range(100):
             tree.put(key, key)
         assert in_order(tree) == list(range(100))
 
     def test_depth_grows_slowly(self):
-        tree = BTreeStore(min_degree=8)
+        tree = BTreeStore()
         for key in range(5000):
             tree.put(key, key)
         assert tree.depth <= 5
 
-    def test_reverse_insert_order(self):
-        tree = BTreeStore(min_degree=3)
+    def test_reverse_insert_order(self, monkeypatch):
+        _with(monkeypatch, btree, MIN_DEGREE=3)
+        tree = BTreeStore()
         for key in reversed(range(300)):
             tree.put(key, key)
         assert in_order(tree) == list(range(300))
 
 
 class TestBPlusTree:
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            BPlusTreeStore(order=2)
-
     def test_depth_grows_slowly(self):
-        tree = BPlusTreeStore(order=16)
+        tree = BPlusTreeStore()
         for key in range(5000):
             tree.put(key, key)
         assert tree.depth <= 5
 
 
 class TestMemcached:
-    def test_eviction_when_full(self):
-        store = MemcachedStore(capacity_bytes=8 * 1024, num_classes=2,
-                               min_chunk=64)
+    def test_eviction_when_full(self, monkeypatch):
+        _with(monkeypatch, memcachedlike, CAPACITY_BYTES=8 * 1024,
+              NUM_CLASSES=2)
+        store = MemcachedStore()
         for i in range(1000):
             store.put(i, i)
         assert len(store) < 1000
         assert store.get(0) is None     # the oldest went first
 
-    def test_lru_order(self):
-        store = MemcachedStore(capacity_bytes=64 * 3 * 2, num_classes=2,
-                               min_chunk=64)
+    def test_lru_order(self, monkeypatch):
+        _with(monkeypatch, memcachedlike, CAPACITY_BYTES=64 * 3 * 2,
+              NUM_CLASSES=2)
+        store = MemcachedStore()
         # Class 0 has 1-2 chunks; fill, touch the oldest, insert, and the
         # untouched middle entry should be the one evicted.
         store.put(1, 10)
@@ -250,22 +254,20 @@ class TestMemcached:
                 store.put(extra, extra)
             assert store.get(2) is None or store.get(1) is not None
 
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            MemcachedStore(capacity_bytes=0)
-
-    def test_slab_class_selection(self):
-        store = MemcachedStore(capacity_bytes=1024 * 1024, min_chunk=64,
-                               num_classes=4)
+    def test_slab_class_selection(self, monkeypatch):
+        _with(monkeypatch, memcachedlike, CAPACITY_BYTES=1024 * 1024,
+              NUM_CLASSES=4)
+        store = MemcachedStore()
         store.put(1, "x" * 50)    # fits class 0 (64B)
         store.put(2, "y" * 100)   # needs class 1 (128B)
         stats = store.slab_stats()
         assert stats[0][1] == 1
         assert stats[1][1] == 1
 
-    def test_reclass_on_resize(self):
-        store = MemcachedStore(capacity_bytes=1024 * 1024, min_chunk=64,
-                               num_classes=4)
+    def test_reclass_on_resize(self, monkeypatch):
+        _with(monkeypatch, memcachedlike, CAPACITY_BYTES=1024 * 1024,
+              NUM_CLASSES=4)
+        store = MemcachedStore()
         store.put(1, "x" * 50)
         store.put(1, "x" * 200)   # moves to a larger class
         assert store.get(1) == "x" * 200
