@@ -74,11 +74,6 @@ def _record(code: int, node: int, client: int, key: int, start_ns: float,
                     None if code & _KEYLESS else key, start_ns, end_ns)
 
 
-def _unpacked(rows: bytes) -> Iterator[OpRecord]:
-    """The :class:`OpRecord` of each packed row, in order."""
-    return starmap(_record, _ROW.iter_unpack(rows))
-
-
 class OpRows(Sequence):
     """The read-only sequence of a :class:`Metrics`' completed
     operations, in record order: each row read builds its
@@ -101,7 +96,7 @@ class OpRows(Sequence):
 
     def __iter__(self) -> Iterator[OpRecord]:
         # A copy: the iterator must not pin the growing bytearray.
-        return _unpacked(bytes(self._metrics._rows))
+        return starmap(_record, _ROW.iter_unpack(bytes(self._metrics._rows)))
 
 
 def fold_sum(values: Iterable[float]) -> float:
@@ -159,20 +154,19 @@ def windowed_op_series(ops: Iterable[OpRecord],
     if window_ns <= 0:
         raise ValueError(f"window_ns must be positive: {window_ns}")
     buckets: Dict[int, List[float]] = {}
-    end_ns = 0.0
     for op in ops:
-        if op.op_type not in ("read", "write"):
-            continue
-        index = int(op.end_ns // window_ns)
-        buckets.setdefault(index, []).append(op.latency_ns)
-        end_ns = max(end_ns, op.end_ns)
-    count = int(math.ceil(end_ns / window_ns))
-    if buckets:
-        # An op completing exactly on a window boundary (end_ns a whole
-        # multiple of window_ns) buckets into the window *starting*
-        # there; emit that window too or the op silently vanishes from
-        # the series.
-        count = max(count, max(buckets) + 1)
+        if op.op_type in ("read", "write"):
+            buckets.setdefault(int(op.end_ns // window_ns), []).append(
+                op.latency_ns)
+    # The last window is the last completion's: an op completing exactly
+    # on a window boundary is in the window *starting* there.
+    return _series(buckets, max(buckets, default=-1) + 1, window_ns)
+
+
+def _series(buckets: Dict[int, List[float]], count: int,
+            window_ns: float) -> List[WindowStat]:
+    """Windows 0 to ``count - 1`` over the latencies ``buckets`` holds
+    by window index."""
     series: List[WindowStat] = []
     for index in range(count):
         lats = sorted(buckets.get(index, ()))
@@ -258,18 +252,22 @@ class Metrics:
 
     def op_series_by_node(self,
                           window_ns: float) -> Dict[int, List[WindowStat]]:
-        """Per-coordinator-node windowed series (aligned windows)."""
-        # One pass: each node's packed rows, in record order.
-        rows, size = self._rows, _ROW.size
-        by_node: Dict[int, bytearray] = {}
-        for offset, row in zip(range(0, len(rows), size),
-                               _ROW.iter_unpack(rows)):
-            by_node.setdefault(row[1], bytearray()).extend(
-                rows[offset:offset + size])
-        return {
-            node: windowed_op_series(_unpacked(by_node[node]), window_ns)
-            for node in sorted(by_node)
-        }
+        """Per-coordinator-node windowed series, aligned: each has the
+        cluster series' window count, padded with empty windows."""
+        if window_ns <= 0:
+            raise ValueError(f"window_ns must be positive: {window_ns}")
+        # One pass over the rows: each node's latencies, by window.
+        by_node: Dict[int, Dict[int, List[float]]] = {}
+        for code, node, _client, _key, start_ns, end_ns in _ROW.iter_unpack(
+                self._rows):
+            buckets = by_node.setdefault(node, {})
+            if code & _TYPE in (_READ, _WRITE):
+                buckets.setdefault(int(end_ns // window_ns), []).append(
+                    end_ns - start_ns)
+        count = 1 + max((index for buckets in by_node.values()
+                         for index in buckets), default=-1)
+        return {node: _series(by_node[node], count, window_ns)
+                for node in sorted(by_node)}
 
     def message_window_series(self) -> Dict[str, List[int]]:
         """Per-message-type windowed counts (requires ``window_ns``)."""
@@ -314,19 +312,26 @@ class Metrics:
         writes.sort()
         # Means are folds over the sorted latencies (float addition is
         # order-sensitive; these orders are what the digests pin).
-        all_lat = sorted(reads + writes)
+        nan = float("nan")
+        mean_read = (fold_sum(reads) / len(reads)) if reads else nan
+        p95_read, p99_read = _percentile(reads, 0.95), _percentile(reads, 0.99)
+        # Then every latency, sorted in place (merging the two sorted
+        # runs): no copy of them all at the run's peak.
+        all_lat = reads
+        all_lat += writes
+        all_lat.sort()
         span = max(duration_ns - warmup_end_ns, 1.0)
         requests = len(all_lat)
         return Summary(
             requests=requests,
             duration_ns=span,
             throughput_ops_per_s=requests / (span * 1e-9),
-            mean_read_ns=(fold_sum(reads) / len(reads)) if reads else float("nan"),
-            mean_write_ns=(fold_sum(writes) / len(writes)) if writes else float("nan"),
-            mean_access_ns=(fold_sum(all_lat) / len(all_lat)) if all_lat else float("nan"),
-            p95_read_ns=_percentile(reads, 0.95),
+            mean_read_ns=mean_read,
+            mean_write_ns=(fold_sum(writes) / len(writes)) if writes else nan,
+            mean_access_ns=(fold_sum(all_lat) / requests) if requests else nan,
+            p95_read_ns=p95_read,
             p95_write_ns=_percentile(writes, 0.95),
-            p99_read_ns=_percentile(reads, 0.99),
+            p99_read_ns=p99_read,
             p99_write_ns=_percentile(writes, 0.99),
             total_messages=self.total_messages,
             total_bytes=self.total_bytes,

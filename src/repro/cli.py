@@ -389,7 +389,7 @@ def _faults_from(args):
         plan = dataclasses.replace(plan, events=tuple(sorted(
             plan.events + crashes, key=lambda e: (e.at_ns, e.kind))))
         # The seeded picks attach will make, checked before simulating.
-        plan.resolved(node_ids, SeededStream(plan.seed, "faults").choice)
+        plan.resolved(node_ids, SeededStream(plan.seed).choice)
     except ValueError as exc:
         raise _CliError(f"bad fault plan: {exc}") from exc
     return FaultInjector(plan)

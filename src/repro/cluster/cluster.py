@@ -41,8 +41,6 @@ class Cluster:
     membership, clients, ``run``, failure injection — is inherited.
     """
 
-    #: Label of the seed stream; a variant names its own.
-    rng_label = "cluster"
     #: Per-pair propagation delay ``(src, dst) -> ns``; ``None`` is the
     #: uniform fabric of ``config.network``.
     one_way_ns = None
@@ -68,7 +66,7 @@ class Cluster:
         self.profile = profile
         if profile is not None:
             profile.attach(self.sim)
-        self.rng = SeededStream(self.config.seed, self.rng_label)
+        self.rng = SeededStream(self.config.seed)
         self.metrics = metrics if metrics is not None else Metrics()
         self.network = Network(self.sim, self.config.network,
                                one_way_fn=self.one_way_ns, tracer=tracer)

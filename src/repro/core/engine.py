@@ -495,7 +495,7 @@ class ProtocolNode(NodeLifecycle):
         """Process: return once ``version`` (or newer) is durable locally."""
         durable = self._persist_wait(replica, version, value, trigger)
         if durable is not None:
-            yield replica.condition.wait_for(durable)
+            yield replica.wait_for(durable)
 
     def _persist_wait(self, replica: KeyReplica, version: Version,
                       value: Any, trigger: str) -> Optional[Callable]:
@@ -634,8 +634,7 @@ class ProtocolNode(NodeLifecycle):
                         # conflicts of Section 8.1.2).
                         self.metrics.reads_blocked_by_unpersisted += 1
                     stall_start = sim.now
-                    yield replica.condition.wait_for(
-                        lambda: not replica.transient)
+                    yield replica.wait_for(lambda: not replica.transient)
                     if self.tracer.enabled:
                         self.tracer.emit(sim.now, "read_stall",
                                          node=self.node_id,
@@ -646,7 +645,7 @@ class ProtocolNode(NodeLifecycle):
                     target = replica.applied_version
                     self.metrics.reads_blocked_by_unpersisted += 1
                     stall_start = sim.now
-                    yield replica.condition.wait_for(
+                    yield replica.wait_for(
                         lambda: self._durable_to_readers(replica) >= target)
                     if self.tracer.enabled and sim.now > stall_start:
                         self.tracer.emit(sim.now, "read_blocked_unpersisted",
@@ -736,7 +735,7 @@ class ProtocolNode(NodeLifecycle):
         if self.cpolicy.write_stalls_on_transient:
             while replica.transient:
                 self.metrics.write_stalls += 1
-                yield replica.condition.wait_for(lambda: not replica.transient)
+                yield replica.wait_for(lambda: not replica.transient)
             if self.tracer.enabled and self.sim.now > stall_start:
                 self.tracer.emit(self.sim.now, "write_stall",
                                  node=self.node_id,
@@ -881,7 +880,7 @@ class ProtocolNode(NodeLifecycle):
         else:
             # Through the heap even when already durable, unlike
             # _ensure_persisted: the kernel counters pin that event.
-            yield replica.condition.wait_for(
+            yield replica.wait_for(
                 lambda: replica.persisted_version >= op.version)
         self._broadcast(Message(MsgType.VAL_P, src=self.node_id, op_id=op.op_id,
                                 key=op.key, version=op.version,
@@ -1145,8 +1144,7 @@ class ProtocolNode(NodeLifecycle):
     def _scope_persist_one(self, replica: KeyReplica, version: Version,
                            scope_id: int, incarnation: object) -> Generator:
         # The update must have been applied locally before it can persist.
-        yield replica.condition.wait_for(
-            lambda: replica.applied_version >= version)
+        yield replica.wait_for(lambda: replica.applied_version >= version)
         value = replica.applied_value
         # Scope-tagged persists bypass write combining so that the durable
         # log attributes each entry to the scope that persisted it.
@@ -1163,8 +1161,7 @@ class ProtocolNode(NodeLifecycle):
             yield from self.memory.persist(replica.key)
             self._mark_durable(replica, version, value, scope_id)
             return
-        yield replica.condition.wait_for(
-            lambda: replica.persisted_version >= version)
+        yield replica.wait_for(lambda: replica.persisted_version >= version)
 
     # ------------------------------------------------------------------
     # follower message handlers
@@ -1370,7 +1367,7 @@ class ProtocolNode(NodeLifecycle):
                     message.key, VALUE_BYTES, via_ddio=True)
                 durable = self._install(message, replica)
                 if durable is not None:
-                    yield replica.condition.wait_for(durable)
+                    yield replica.wait_for(durable)
                 work.append(message.key)
 
     # -- an INV's or UPD's payload, once in the LLC --------------------------
@@ -1381,9 +1378,8 @@ class ProtocolNode(NodeLifecycle):
         first is done (``_install`` ACKs an INV that waits for none)."""
         durable = self._install(message, replica)
         if durable is not None:
-            replica.condition.call_when(durable, self._handle_now,
-                                        self.nic.incarnation, True,
-                                        self._installed, message, arrived_ns)
+            replica.call_when(durable, self._handle_now, self.nic.incarnation,
+                              True, self._installed, message, arrived_ns)
             return _PARKED
         if message.msg_type is MsgType.UPD:
             return self._installed(message, arrived_ns)
@@ -1476,8 +1472,7 @@ class ProtocolNode(NodeLifecycle):
         waits = []
         for key, version in message.payload:
             replica = self.replicas.get(key)
-            waits.append(replica.condition.wait_for(
-                _applied_at_least(replica, version)))
+            waits.append(replica.wait_for(_applied_at_least(replica, version)))
         if waits:
             yield self.sim.all_of(waits)
         # ... and durable, where ENDX owes that.

@@ -17,12 +17,11 @@ has no :class:`KeyReplica` at all: the table maps it to one shared,
 inert stand-in that reads as never written (:data:`NEVER_WRITTEN`), and
 the first mutation — an apply, an INV, a persist request, an undo or a
 wait — builds the real replica in its place.  Within a replica the wait
-queue (a :class:`~repro.sim.sync.Condition`) is built when something
-first waits on the key, the invalidation set at the key's first INV
-(and dropped again when its last INV ends) and the undo log at its first
-transactional write.  Until then the replica reads as idle — not
-transient, nothing to undo, nobody to wake — which is exactly what the
-empty containers would say.
+queue (a :class:`~repro.sim.sync.Condition`) lives only while something
+waits on the key, the invalidation set from the key's first INV until
+its last ends, and the undo log from its first transactional write.
+Without them the replica reads as idle — not transient, nothing to
+undo, nobody to wake — which is exactly what empty containers would say.
 
 Versions are Lamport-style ``(seq, node_id)`` tuples: ``seq`` is one
 more than the highest sequence the coordinator has seen for the key, and
@@ -33,9 +32,9 @@ concurrent writes to a key (as in Hermes' logical timestamps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.sync import Condition
 
 __all__ = ["Version", "ZERO_VERSION", "KeyReplica", "NEVER_WRITTEN",
@@ -48,12 +47,12 @@ ZERO_VERSION: Version = (0, -1)
 class KeyReplica:
     """State of one key at one node.
 
-    The three containers a key may never need are private slots, built
-    on first use: ``condition`` by the first wait, ``inflight_invs`` by
-    the first :meth:`begin_inv`, ``txn_undo`` by the first
-    :meth:`record_undo`.  Reading one of the public names builds it if
-    needed and returns the live object; the state transitions read the
-    slots, so a key that is only read and written builds none of them.
+    The three containers a key may never need are private slots: the
+    wait queue lives while a wait is parked (:meth:`wait_for`,
+    :meth:`call_when`), ``inflight_invs`` is built by the first
+    :meth:`begin_inv` and ``txn_undo`` by the first :meth:`record_undo`
+    (both also on read).  The state transitions read the slots, so a
+    key that is only read and written builds none of them.
     """
 
     __slots__ = (
@@ -101,13 +100,6 @@ class KeyReplica:
     # -- lazily built containers -----------------------------------------------
 
     @property
-    def condition(self) -> Condition:
-        """The key's wait queue; waiting on it is what builds it."""
-        if self._condition is None:
-            self._condition = Condition(self.sim)
-        return self._condition
-
-    @property
     def inflight_invs(self) -> Set[int]:
         if self._invs is None:
             self._invs = set()
@@ -121,10 +113,34 @@ class KeyReplica:
 
     @property
     def waiters(self) -> List[tuple]:
-        """The parked ``(predicate, waiter)`` pairs, without building a
-        wait queue for a key nobody has waited on."""
+        """The parked ``(predicate, waiter)`` pairs: the wait queue's own
+        list, or an empty one for a key nothing waits on."""
         condition = self._condition
         return condition.waiters if condition is not None else []
+
+    def wait_for(self, predicate: Callable[[], bool]) -> Event:
+        """The key's :meth:`Condition.wait_for`; the queue stays only if
+        the wait parks."""
+        condition = self._condition or Condition(self.sim)
+        event = condition.wait_for(predicate)
+        self._condition = condition if condition.waiters else None
+        return event
+
+    def call_when(self, predicate: Callable[[], bool],
+                  fn: Callable[..., None], *args: Any) -> None:
+        """The key's :meth:`Condition.call_when`, kept as :meth:`wait_for`."""
+        condition = self._condition or Condition(self.sim)
+        condition.call_when(predicate, fn, *args)
+        self._condition = condition if condition.waiters else None
+
+    def _wake(self) -> None:
+        """Notify the key's wait queue, if any (each state transition's
+        "notify if anyone waits"); the queue goes with its last waiter."""
+        condition = self._condition
+        if condition is not None:
+            condition.notify()
+            if not condition.waiters:
+                self._condition = None
 
     # -- state transitions -----------------------------------------------------
 
@@ -142,9 +158,7 @@ class KeyReplica:
             return False
         self.applied_version = version
         self.applied_value = value
-        condition = self._condition
-        if condition is not None and condition.waiters:
-            condition.notify()
+        self._wake()
         if self.observer is not None:
             self.observer("apply", self.key, version)
         return True
@@ -155,9 +169,7 @@ class KeyReplica:
             return False
         self.persisted_version = version
         self.persisted_value = value
-        condition = self._condition
-        if condition is not None and condition.waiters:
-            condition.notify()
+        self._wake()
         if self.observer is not None:
             self.observer("persist", self.key, version)
         return True
@@ -167,9 +179,7 @@ class KeyReplica:
         if version <= self.cluster_persisted_version:
             return False
         self.cluster_persisted_version = version
-        condition = self._condition
-        if condition is not None and condition.waiters:
-            condition.notify()
+        self._wake()
         return True
 
     def record_undo(self, version: Version) -> None:
@@ -204,9 +214,7 @@ class KeyReplica:
         if pre_image is None or self.applied_version != version:
             return False
         self.applied_version, self.applied_value = pre_image
-        condition = self._condition
-        if condition is not None and condition.waiters:
-            condition.notify()
+        self._wake()
         return True
 
     def begin_inv(self, op_id: int) -> None:
@@ -223,18 +231,14 @@ class KeyReplica:
             invs.discard(op_id)
             if not invs:
                 self._invs = None
-        condition = self._condition
-        if condition is not None and condition.waiters:
-            condition.notify()
+        self._wake()
 
     def abandon_inv(self, op_id: int) -> None:
         """End an outstanding INV whose coordinator crashed.  Unlike
         :meth:`end_inv` it leaves the emptied set in place: the crash
         paths change no key's containers."""
         self._invs.discard(op_id)
-        condition = self._condition
-        if condition is not None and condition.waiters:
-            condition.notify()
+        self._wake()
 
     @property
     def transient(self) -> bool:
@@ -271,7 +275,8 @@ class _NeverWritten:
     apply = mark_persisted = mark_cluster_persisted = _refuse
     record_undo = commit_undo = absorb_superseded = revert = _refuse
     begin_inv = end_inv = abandon_inv = next_version = _refuse
-    condition = inflight_invs = txn_undo = property(_refuse)
+    wait_for = call_when = _refuse
+    inflight_invs = txn_undo = property(_refuse)
 
     def __repr__(self) -> str:
         return "NEVER_WRITTEN"

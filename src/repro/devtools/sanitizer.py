@@ -119,7 +119,7 @@ class TieBatchSanitizer(Instrument):
 
     def __init__(self, seed: Optional[int] = None):
         self.seed = seed
-        self._shuffle = (SeededStream(seed, "tie-sanitizer").shuffle
+        self._shuffle = (SeededStream(seed).shuffle
                          if seed is not None else None)
         self.batches = 0
         """Tie batches observed (size >= 2)."""

@@ -94,7 +94,7 @@ class FaultInjector:
         self._membership = cluster.membership
         if cluster.tracer is not None:
             self._tracer = cluster.tracer
-        rng = SeededStream(self.plan.seed, "faults")
+        rng = SeededStream(self.plan.seed)
         # Asked for here, so the generator is seeded at attach, not on
         # the first lossy message inside the run.
         self._random = rng.random

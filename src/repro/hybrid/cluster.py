@@ -25,8 +25,6 @@ __all__ = ["HybridCluster"]
 class HybridCluster(Cluster):
     """Datacenter groups running a strong model locally, Eventual across."""
 
-    rng_label = "hybrid"
-
     def __init__(self, model: DdpModel, groups: int = 2,
                  servers_per_group: int = 3,
                  cross_dc_round_trip_ns: float = 50_000.0,

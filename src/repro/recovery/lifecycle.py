@@ -61,12 +61,11 @@ class NodeLifecycle:
         # handler continuations — go with the table, so that reference
         # counting frees it: each closes over its replica, a cycle.
         for replica in self.replicas:
-            if replica.waiters:
-                condition = replica.condition
-                condition.waiters = [
-                    (predicate, waiter) for predicate, waiter
-                    in condition.waiters
-                    if waiter.__class__ is not tuple and waiter.callbacks]
+            waiters = replica.waiters
+            if waiters:
+                waiters[:] = [(predicate, waiter) for predicate, waiter
+                              in waiters if waiter.__class__ is not tuple
+                              and waiter.callbacks]
         observer = self._replica_event if self.tracer.enabled else None
         self.replicas = ReplicaTable(self.sim, self.node_id,
                                      observer=observer)
@@ -126,7 +125,7 @@ class NodeLifecycle:
                 for theirs in peer.replicas:
                     answer = functools.partial(_answer, theirs, answers)
                     if not answer():
-                        waits.append(theirs.condition.wait_for(answer))
+                        waits.append(theirs.wait_for(answer))
         if waits:
             yield sim.all_of(waits)
         differ = []

@@ -3,7 +3,8 @@
 Every stochastic component (workload generators, service-time jitter,
 crash injection) draws from a :class:`SeededStream` forked from a single
 root seed, so whole-cluster simulations are reproducible bit-for-bit and
-independent components do not perturb each other's streams.
+independent components do not perturb each other's streams.  A stream
+is its seed: a fork hashes its parent's seed with the child's name.
 
 A stream builds its :class:`random.Random` only when a draw method is
 first asked for: a stream that is only forked from (a cluster's root, a
@@ -39,12 +40,12 @@ def _child_seed(seed: int, name: str) -> int:
 
 
 class SeededStream:
-    """A named, forkable wrapper around :class:`random.Random`.
+    """A forkable wrapper around :class:`random.Random`, held as its seed.
 
     Forking derives a child stream whose seed is a stable hash of the
     parent seed and the child name, so adding a new consumer does not
-    shift the draws seen by existing consumers.  ``fork`` reads only
-    ``seed`` and ``name``.
+    shift the draws seen by existing consumers.  ``name`` labels a root
+    stream; no seed depends on it, so it is not kept.
 
     The draw methods (``random``, ``randint``, ``choice``, ``shuffle``,
     ``expovariate``, ``uniform``, ``gauss``, ``sample``) and the state
@@ -56,9 +57,8 @@ class SeededStream:
     survives it.
     """
 
-    def __init__(self, seed: int, name: str = "root"):
+    def __init__(self, seed: int, name: str = ""):
         self.seed = seed
-        self.name = name
 
     def __getattr__(self, attr: str):
         # Reached only for what the instance does not hold yet: the
@@ -77,7 +77,7 @@ class SeededStream:
 
     def fork(self, name: str) -> SeededStream:
         """Derive an independent child stream keyed by ``name``."""
-        return SeededStream(_child_seed(self.seed, name), f"{self.name}/{name}")
+        return SeededStream(_child_seed(self.seed, name))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SeededStream(name={self.name!r}, seed={self.seed})"
+        return f"SeededStream(seed={self.seed})"

@@ -45,7 +45,8 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: Deque[Any] = deque()
+        # Queued waiters: a deque from the first wait that queues.
+        self._waiters: Any = ()
         # Telemetry for utilization / queueing analysis.
         self.total_acquires = 0
         self.peak_queue_len = 0
@@ -78,8 +79,9 @@ class Resource:
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
             return False
-        self._waiters.append(waiter)
-        self.peak_queue_len = max(self.peak_queue_len, len(self._waiters))
+        waiters = self._waiters = self._waiters or deque()
+        waiters.append(waiter)
+        self.peak_queue_len = max(self.peak_queue_len, len(waiters))
         return True
 
     def try_acquire(self) -> bool:

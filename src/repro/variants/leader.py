@@ -83,8 +83,6 @@ class LeaderProtocolNode(ProtocolNode):
 class LeaderCluster(Cluster):
     """A cluster whose writes all funnel through node 0."""
 
-    rng_label = "leader"
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         for engine in self.engines:

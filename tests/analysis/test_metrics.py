@@ -240,6 +240,26 @@ def test_summarize_equals_the_five_pass_reference(ops, reads_only, warmup_at,
             assert got[field] == value, field
 
 
+@pytest.mark.parametrize("rows", [
+    [("read", 0.0, 0.3), ("write", 0.0, 0.3), ("read", 0.0, 0.1),
+     ("write", 0.0, 1e16), ("read", 0.0, 0.2), ("write", 0.0, 0.7)],
+    [("write", 0.0, 0.1), ("write", 0.0, 1e16), ("write", 0.0, 0.2),
+     ("txn", 0.0, 5.0)],
+    [("read", 0.0, 0.1), ("read", 0.0, 1e16), ("read", 0.0, 0.2),
+     ("persist", 0.0, 5.0)],
+], ids=["read_equals_write", "no_reads", "no_writes"])
+def test_summarize_sorts_in_place_bit_identically(rows):
+    """``summarize`` takes the per-type statistics, then sorts every
+    latency in the reads' own list: each field must be the float the
+    reference's sorted copy gives (these folds are order-sensitive)."""
+    metrics = Metrics()
+    for op_type, start, end in rows:
+        metrics.record_op(op(op_type, start, end))
+    got = metrics.summarize(1e3)
+    assert repr(dataclasses.astuple(got)) == repr(
+        dataclasses.astuple(_reference_summarize(metrics, 1e3)))
+
+
 class TestMetrics:
     def test_latency(self):
         record = op("read", 10.0, 35.0)

@@ -108,15 +108,21 @@ class TestWindowedOpSeries:
 
 class TestMetricsSeries:
     def test_op_series_by_node_aligned(self):
+        """Every node's series has the cluster series' windows: a node
+        whose last completion is early is padded with empty ones."""
         metrics = Metrics()
         metrics.record_op(_op("read", 50.0, node=0))
         metrics.record_op(_op("read", 250.0, node=1))
         by_node = metrics.op_series_by_node(100.0)
         assert set(by_node) == {0, 1}
-        assert [w.ops for w in by_node[0]] == [1]
+        assert [w.ops for w in by_node[0]] == [1, 0, 0]
         assert [w.ops for w in by_node[1]] == [0, 0, 1]
-        assert [w.start_ns for w in by_node[1]][:1] == \
-            [w.start_ns for w in by_node[0]]
+        cluster = metrics.op_series(100.0)
+        for series in by_node.values():
+            assert ([(w.start_ns, w.end_ns) for w in series]
+                    == [(w.start_ns, w.end_ns) for w in cluster])
+        assert math.isnan(by_node[0][2].p99_ns)
+        assert by_node[0][2].throughput_ops_per_s == 0.0
 
     @given(rows=st.lists(st.tuples(
         st.sampled_from(["read", "write", "txn", "persist"]),
@@ -125,18 +131,28 @@ class TestMetricsSeries:
     @settings(max_examples=100, deadline=None)
     def test_op_series_by_node_is_the_per_node_rescan(self, rows):
         """One pass over the node column gives each node the series a
-        filter of every op by that node gave."""
+        filter of every op by that node gave, then empty windows up to
+        the cluster series' count."""
         metrics = Metrics()
         for op_type, node, end_ns, latency in rows:
             metrics.record_op(_op(op_type, end_ns, node=node,
                                   latency=latency, key=None))
         by_node = metrics.op_series_by_node(100.0)
         ops = list(metrics.ops)
+        count = len(windowed_op_series(ops, 100.0))
         assert list(by_node) == sorted({op.node for op in ops})
         for node, series in by_node.items():
             rescan = windowed_op_series(
                 [op for op in ops if op.node == node], 100.0)
-            assert repr(series) == repr(rescan)
+            assert len(series) == count
+            assert repr(series[:len(rescan)]) == repr(rescan)
+            for index, window in enumerate(series[len(rescan):],
+                                           len(rescan)):
+                assert (window.start_ns, window.end_ns, window.ops,
+                        window.throughput_ops_per_s) == (
+                            index * 100.0, (index + 1) * 100.0, 0, 0.0)
+                assert all(map(math.isnan, (window.mean_ns, window.p50_ns,
+                                            window.p99_ns)))
 
     def test_message_windows_require_configuration(self):
         metrics = Metrics()  # no window_ns

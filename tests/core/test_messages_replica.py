@@ -148,11 +148,11 @@ class TestKeyReplica:
             "cluster_persisted=(0, -1), transient=True)")
 
     def test_condition_wakes_on_apply(self, replica):
-        sim = replica.condition.sim
+        sim = replica.sim
         woken = []
 
         def waiter():
-            yield replica.condition.wait_for(
+            yield replica.wait_for(
                 lambda: replica.applied_version >= (1, 0))
             woken.append(True)
 

@@ -246,7 +246,7 @@ class TestInjectedMutation:
                     return False
                 self.applied_version = version
                 self.applied_value = (value, counter["n"])
-                self.condition.notify()
+                self._wake()
                 if self.observer is not None:
                     self.observer("apply", self.key, version)
                 return True

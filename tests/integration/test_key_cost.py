@@ -2,20 +2,22 @@
 
 A key a node has only read has no ``KeyReplica``: the table maps it to
 the shared ``NEVER_WRITTEN`` stand-in, and the first mutation builds
-the replica.  A ``KeyReplica`` builds its wait queue (a ``Condition``)
-when something first waits on the key, its invalidation set at the
-key's first INV (dropped at its last) and its undo log at the key's
-first transactional write.  These tests count what is built, not bytes,
+the replica.  A ``KeyReplica`` holds a wait queue (a ``Condition``)
+only while something waits on the key, its invalidation set from the
+key's first INV to its last and its undo log from the key's first
+transactional write.  These tests count what is built, not bytes,
 so they hold on any interpreter: a read-only run builds no replica, a
 cell that never waits, invalidates or runs a transaction builds none of
 the three containers, and the engine's crash paths read only what
 already exists.  What a request costs is counted here too: a run keeps
 its completed requests as packed rows and builds no object for them;
-and what a pending timer costs: its incarnation and data, flat in the
-FIFO its delay and callee share.
+what a pending timer costs: its incarnation and data, flat in the
+FIFO its delay and callee share; and what idle shared state costs: a
+resource that never queued holds no FIFO, and the scramble table holds
+a key only at the ranks drawn.
 """
 
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.core.model import Consistency, DdpModel, Persistency
 from repro.core.replica import NEVER_WRITTEN, ZERO_VERSION, KeyReplica
 from repro.hybrid.cluster import HybridCluster
 from repro.sim import sync
+from repro.workload import zipf
 from repro.workload.ycsb import WORKLOADS
 from tests import harness
 from tests.harness import drain, idle
@@ -36,6 +39,7 @@ LIN_SYNC = DdpModel(Consistency.LINEARIZABLE, Persistency.SYNCHRONOUS)
 CAUSAL_EVENTUAL = DdpModel(Consistency.CAUSAL, Persistency.EVENTUAL)
 EVENTUAL_EVENTUAL = DdpModel(Consistency.EVENTUAL, Persistency.EVENTUAL)
 RE_RE = DdpModel(Consistency.READ_ENFORCED, Persistency.READ_ENFORCED)
+TXN_SCOPE = DdpModel(Consistency.TRANSACTIONAL, Persistency.SCOPE)
 
 #: The lazily built containers, by slot.
 CONTAINERS = ("_condition", "_invs", "_undo")
@@ -111,16 +115,74 @@ def test_a_read_mostly_causal_run_builds_no_container():
     assert [built(r) for r in replicas(cluster) if built(r)] == []
 
 
-def test_a_linearizable_run_builds_a_wait_queue_only_where_it_waited(
-        waited):
-    cluster = _cluster(LIN_SYNC, "A")
+@pytest.mark.parametrize("model", [LIN_SYNC, TXN_SCOPE], ids=str)
+def test_a_wait_queue_lives_only_while_something_waits(model, waited):
+    """Mid-run, every key holding a wait queue has a waiter parked on
+    it, and a wait built each queue; once the run drains, no key holds
+    one.  ``<Transactional, Scope>`` also waits on what already holds
+    (ENDX, a scope's persists): such a wait keeps no queue."""
+    cluster = _cluster(model, "A")
     cluster.run(20_000.0)
     everything = replicas(cluster)
-    queues = {r._condition for r in everything if "_condition" in built(r)}
-    assert queues == waited
-    assert 0 < len(queues) < len(everything)
-    # No transaction ran, so no key keeps an undo log.
-    assert not any("_undo" in built(r) for r in everything)
+    queued = [r for r in everything if r._condition is not None]
+    assert all(r.waiters for r in queued)
+    assert {r._condition for r in queued} <= waited
+    assert len(queued) < len(waited)
+    if model == LIN_SYNC:
+        # No transaction ran, so no key keeps an undo log.
+        assert not any("_undo" in built(r) for r in everything)
+    drain(cluster, limit=1_000_000.0)
+    assert [r for r in replicas(cluster) if r._condition is not None] == []
+
+
+def test_a_resource_that_never_queued_holds_no_queue(monkeypatch):
+    """An NVM bank or worker pool builds its waiter FIFO at the first
+    wait that queues; one that never queued holds none."""
+    resources = []
+    init = sync.Resource.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        resources.append(self)
+
+    monkeypatch.setattr(sync.Resource, "__init__", recording_init)
+    cluster = _cluster(LIN_SYNC, "A")
+    cluster.run(20_000.0)
+    idle_ones = [r for r in resources if r.peak_queue_len == 0]
+    assert idle_ones and all(r._waiters == () for r in idle_ones)
+    assert all(isinstance(r._waiters, deque)
+               for r in resources if r.peak_queue_len > 0)
+    bank = sync.Resource(cluster.sim, 1)
+    assert bank.park("first") is False and bank._waiters == ()
+    assert bank.park("second") is True
+    assert list(bank._waiters) == ["second"] and bank.queue_len == 1
+
+
+def test_the_scramble_table_holds_a_key_only_at_drawn_ranks(monkeypatch):
+    """The key spaces' shared scramble table is one slot per rank: None
+    until the rank is drawn, then the rank's scrambled key."""
+    drawn = set()
+    next_block = zipf.ZipfianGenerator.next_block
+
+    def recording_next_block(self, count):
+        ranks = next_block(self, count)
+        drawn.update(ranks)
+        return ranks
+
+    monkeypatch.setattr(zipf.ZipfianGenerator, "next_block",
+                        recording_next_block)
+    zipf._scramble_memo.cache_clear()
+    cluster = _cluster(CAUSAL_EVENTUAL, "B")
+    cluster.run(20_000.0)
+    key_space = WORKLOADS["B"].key_space
+    table = zipf._scramble_memo(key_space)
+    assert isinstance(table, list) and len(table) == key_space
+    assert {rank for rank, key in enumerate(table) if key is not None} \
+        == drawn
+    assert 0 < len(drawn) < key_space
+    assert all(table[rank] == zipf.fnv1a_64(rank) % key_space
+               for rank in drawn)
+    assert cluster.clients[0].stream._keys._scrambled is table
 
 
 def test_the_crash_paths_build_nothing(monkeypatch, waited):
@@ -226,7 +288,7 @@ def test_an_invalidation_set_lives_only_while_an_inv_is_outstanding():
     lambda r: r.begin_inv(1024),
     lambda r: r.end_inv(1024),
     lambda r: r.record_undo((1, 0)),
-    lambda r: r.condition.wait_for(lambda: True),
+    lambda r: r.wait_for(lambda: True),
     lambda r: r.inflight_invs,
     lambda r: r.txn_undo,
 ], ids=["apply", "persist", "cluster_persist", "begin_inv", "end_inv",

@@ -130,7 +130,7 @@ class Mutant:
 _STORE_PUT = "self.store.put(replica.key, replica.applied_value)"
 _RAW_APPLY = ("replica.applied_version = version\n"
               "{indent}replica.applied_value = value\n"
-              "{indent}replica.condition.notify()")
+              "{indent}replica._wake()")
 
 MUTANTS: Dict[str, Mutant] = {
     "M1": Mutant(
@@ -143,7 +143,7 @@ MUTANTS: Dict[str, Mutant] = {
         "a late older version never overwrites a newer one"),
     "M3": Mutant(
         ProtocolNode, "_on_val", "replica.end_inv(message.op_id)",
-        "replica.inflight_invs.clear(); replica.condition.notify()",
+        "replica.inflight_invs.clear(); replica._wake()",
         "a VAL ends its own invalidation only: the key stays Invalid "
         "while another writer's INV is outstanding"),
     "M4": Mutant(
@@ -204,13 +204,13 @@ def stamped_apply(self, version, value):
     every node of the run (kept on its simulator, so every run starts at
     zero and the sweep compares like with like).  The order handlers
     *start* in leaks into protocol state."""
-    sim = self.condition.sim
+    sim = self.sim
     sim.applies = getattr(sim, "applies", 0) + 1
     if version <= self.applied_version:
         return False
     self.applied_version = version
     self.applied_value = (value, sim.applies)
-    self.condition.notify()
+    self._wake()
     if self.observer is not None:
         self.observer("apply", self.key, version)
     return True

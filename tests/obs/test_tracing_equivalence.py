@@ -346,7 +346,7 @@ class TestTraceDeterminism:
         pin a derived seed so any regression fails on every run."""
         from repro.sim.rng import SeededStream
 
-        child = SeededStream(2021, "cluster").fork("client0")
+        child = SeededStream(2021).fork("client0")
         grandchild = SeededStream(7).fork("a").fork("b")
         assert child.seed == 6884590832609390355
         assert grandchild.seed == 5479018391769822667

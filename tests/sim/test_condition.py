@@ -99,7 +99,7 @@ def test_a_restart_drops_the_discarded_tables_callback_waiters(frozen_session):
         for engine in cluster.engines:
             for replica in engine.replicas:
                 if any(waiter.__class__ is tuple
-                       for _, waiter in replica.condition.waiters):
+                       for _, waiter in replica.waiters):
                     return engine, replica
         return None
 
@@ -112,7 +112,7 @@ def test_a_restart_drops_the_discarded_tables_callback_waiters(frozen_session):
         cluster.fail_node(engine.node_id)
         cluster.restart_node(engine.node_id)
         assert engine.replicas is not discarded
-        assert [waiter for _, waiter in replica.condition.waiters
+        assert [waiter for _, waiter in replica.waiters
                 if waiter.__class__ is tuple] == []
         cluster.sim.run()
 

@@ -33,8 +33,14 @@ class TestSeededStream:
         assert value_b1 == value_b2
 
     def test_fork_names_compose(self):
+        """Fork names compose into the seed, and a stream holds nothing
+        else: no path of names, whatever its root was labelled."""
         stream = SeededStream(3).fork("x").fork("y")
-        assert stream.name == "root/x/y"
+        assert stream.seed == SeededStream(SeededStream(3).fork("x").seed
+                                           ).fork("y").seed
+        assert stream.seed != SeededStream(3).fork("y").fork("x").seed
+        assert vars(stream) == {"seed": stream.seed}
+        assert vars(SeededStream(3, "labelled")) == {"seed": 3}
 
     def test_helpers_in_range(self):
         stream = SeededStream(11)
